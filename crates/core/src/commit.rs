@@ -22,6 +22,7 @@
 use crate::database::ViewHandle;
 use crate::engine::UpdateReport;
 use crate::view_store::{TupleKey, ViewStore};
+use std::sync::Arc;
 use xivm_algebra::Tuple;
 use xivm_pulopt::ReductionTrace;
 
@@ -196,7 +197,11 @@ pub struct Commit {
     pub optimized_ops: usize,
     /// Which reduction rules fired on the combined PUL.
     pub reduction: ReductionTrace,
-    per_view: Vec<(String, UpdateReport)>,
+    /// The database's view names, declaration order — one shared
+    /// allocation for every commit it seals.
+    names: Arc<[String]>,
+    /// One report per view, indexed like [`ViewHandle`].
+    per_view: Vec<UpdateReport>,
 }
 
 impl Commit {
@@ -206,9 +211,11 @@ impl Commit {
         naive_ops: usize,
         optimized_ops: usize,
         reduction: ReductionTrace,
-        per_view: Vec<(String, UpdateReport)>,
+        names: Arc<[String]>,
+        per_view: Vec<UpdateReport>,
     ) -> Self {
-        Commit { seq, statements, naive_ops, optimized_ops, reduction, per_view }
+        debug_assert_eq!(names.len(), per_view.len());
+        Commit { seq, statements, naive_ops, optimized_ops, reduction, names, per_view }
     }
 
     /// Number of views this commit reported on — every view of the
@@ -227,7 +234,7 @@ impl Commit {
 
     /// Per-view reports in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &UpdateReport)> {
-        self.per_view.iter().map(|(n, r)| (n.as_str(), r))
+        self.names.iter().map(String::as_str).zip(&self.per_view)
     }
 
     /// The report of one view. Handles are only meaningful on the
@@ -235,7 +242,7 @@ impl Commit {
     /// more views panics (out of range); a same-shape foreign handle
     /// cannot be detected and simply indexes by declaration order.
     pub fn report(&self, view: ViewHandle) -> &UpdateReport {
-        &self.per_view[view.index()].1
+        &self.per_view[view.index()]
     }
 
     /// The delta of one view (same addressing rules as
@@ -246,13 +253,13 @@ impl Commit {
 
     /// The report of a view looked up by name.
     pub fn report_by_name(&self, name: &str) -> Option<&UpdateReport> {
-        self.per_view.iter().find(|(n, _)| n == name).map(|(_, r)| r)
+        self.iter().find(|(n, _)| *n == name).map(|(_, r)| r)
     }
 
     /// Names of the views whose delta is non-empty, in declaration
     /// order.
     pub fn touched(&self) -> Vec<&str> {
-        self.per_view.iter().filter(|(_, r)| !r.delta.is_empty()).map(|(n, _)| n.as_str()).collect()
+        self.iter().filter(|(_, r)| !r.delta.is_empty()).map(|(n, _)| n).collect()
     }
 
     /// Number of views the static analyzer let this commit skip
@@ -261,7 +268,7 @@ impl Commit {
     /// extraction, no delta harvest. 0 on databases built without
     /// `analyze(..)`.
     pub fn static_skips(&self) -> usize {
-        self.per_view.iter().filter(|(_, r)| r.statically_skipped).count()
+        self.per_view.iter().filter(|r| r.statically_skipped).count()
     }
 
     /// The per-view pruning statistics summed over every view —
@@ -271,7 +278,7 @@ impl Commit {
     pub fn prune_totals(&self) -> (crate::prune::PruneStats, crate::prune::PruneStats) {
         let mut ins = crate::prune::PruneStats::default();
         let mut del = crate::prune::PruneStats::default();
-        for (_, r) in &self.per_view {
+        for r in &self.per_view {
             ins.absorb(&r.insert_prune);
             del.absorb(&r.delete_prune);
         }
@@ -292,15 +299,11 @@ impl Commit {
             && self.naive_ops == other.naive_ops
             && self.optimized_ops == other.optimized_ops
             && self.reduction == other.reduction
-            && self.per_view.len() == other.per_view.len()
-            && self
-                .per_view
-                .iter()
-                .zip(&other.per_view)
-                .all(|((n1, r1), (n2, r2))| n1 == n2 && r1.same_outcome(r2))
+            && self.names == other.names
+            && self.per_view.iter().zip(&other.per_view).all(|(r1, r2)| r1.same_outcome(r2))
     }
 
-    pub(crate) fn per_view(&self) -> &[(String, UpdateReport)] {
+    pub(crate) fn per_view(&self) -> &[UpdateReport] {
         &self.per_view
     }
 }

@@ -10,7 +10,7 @@
 //! through a typed [`ViewHandle`] or its name.
 //!
 //! Every mutation returns a [`Commit`]: a sequence number plus, per
-//! view, the [`UpdateReport`] and the exact
+//! view, the [`UpdateReport`](crate::engine::UpdateReport) and the exact
 //! [`ViewDelta`](crate::commit::ViewDelta) propagation computed —
 //! consumers read O(|Δ|) per commit instead of re-diffing stores, and
 //! [`Database::subscribe`] turns that into a changefeed.
@@ -49,8 +49,9 @@
 
 use crate::commit::Commit;
 use crate::costmodel::UpdateProfile;
-use crate::engine::{MaintenanceEngine, UpdateReport};
+use crate::engine::MaintenanceEngine;
 use crate::error::Error;
+use crate::executor::Batch;
 use crate::multiview::MultiViewEngine;
 use crate::service::{ServiceHandle, Ticket};
 use crate::snapshot::DatabaseSnapshot;
@@ -61,10 +62,10 @@ use std::ops::{Deref, DerefMut};
 use xivm_analyze::{AnalysisReport, AnalyzeMode, Analyzer};
 use xivm_dtd::{parse_dtd, Dtd};
 use xivm_pattern::{parse_pattern, TreePattern};
-use xivm_pulopt::{aggregate, find_conflicts, integrate, reduce, ConflictPolicy, ReductionTrace};
+use xivm_pulopt::ConflictPolicy;
 use xivm_update::builder::UpdateBuilder;
 use xivm_update::statement::parse_statement;
-use xivm_update::{apply_pul, compute_pul, Pul, UpdateStatement};
+use xivm_update::{compute_pul, Pul, UpdateStatement};
 use xivm_xml::{parse_document, serialize_document, Document};
 
 // ---------------------------------------------------------------------
@@ -254,17 +255,17 @@ pub enum MaintenanceMode {
 pub(crate) struct DeferredPending {
     /// The document as of the last commit this view was maintained
     /// against (copy-on-write clone — O(chunks), shares all nodes).
-    base: Document,
+    pub(crate) base: Document,
     /// Aggregation of every deferred commit's PUL over `base`.
-    pul: Pul,
+    pub(crate) pul: Pul,
     /// Sum of the folded commits' optimized op counts (becomes the
     /// refresh commit's `naive_ops`, so its reduction ratio is
     /// honest).
-    naive_ops: usize,
+    pub(crate) naive_ops: usize,
     /// Sequence number of the first commit in the batch.
     pub(crate) first_seq: u64,
-    /// Commits folded so far (drives the `refresh_every` policy).
-    commits: u64,
+    /// Commits folded so far ([`DbInner::deferred_commits`]).
+    pub(crate) commits: u64,
 }
 
 /// Builder for [`Database`] — see [`Database::builder`].
@@ -282,7 +283,6 @@ pub struct DatabaseBuilder {
     sub_capacity: Option<usize>,
     dtd: Option<DtdSource>,
     analyze: AnalyzeMode,
-    refresh_every: Option<u64>,
 }
 
 impl Default for DatabaseBuilder {
@@ -297,7 +297,6 @@ impl Default for DatabaseBuilder {
             sub_capacity: None,
             dtd: None,
             analyze: AnalyzeMode::Off,
-            refresh_every: None,
         }
     }
 }
@@ -358,9 +357,8 @@ impl DatabaseBuilder {
 
     /// Declares a named view that starts in
     /// [`MaintenanceMode::Deferred`]: commits accumulate its PULs
-    /// instead of maintaining it, and [`DbInner::refresh`] (or the
-    /// [`Self::refresh_every`] policy) folds the batch in one pass.
-    /// Equivalent to `.view(..)` followed by
+    /// instead of maintaining it, and [`DbInner::refresh`] folds the
+    /// batch in one pass, on the caller's own cadence. Equivalent to `.view(..)` followed by
     /// [`DbInner::set_maintenance`] before the first commit.
     pub fn view_deferred(
         mut self,
@@ -394,17 +392,6 @@ impl DatabaseBuilder {
             mode: ViewMode::Strategy(strategy),
             deferred: false,
         });
-        self
-    }
-
-    /// Auto-refresh policy for deferred views: after a view has
-    /// accumulated `n` deferred commits, the next commit boundary (or
-    /// the async service, between batches) refreshes it
-    /// automatically. `0` disables the policy (the default): deferred
-    /// views refresh only on explicit [`DbInner::refresh`] /
-    /// [`DbInner::refresh_all`].
-    pub fn refresh_every(mut self, n: u64) -> Self {
-        self.refresh_every = (n > 0).then_some(n);
         self
     }
 
@@ -474,16 +461,12 @@ impl DatabaseBuilder {
             DocumentSource::Ready(doc) => *doc,
         };
         let mut engines: Vec<(String, MaintenanceEngine)> = Vec::with_capacity(self.views.len());
-        let mut modes: Vec<MaintenanceMode> = Vec::with_capacity(self.views.len());
+        let mut deferred: Vec<bool> = Vec::with_capacity(self.views.len());
         for spec in self.views {
             if engines.iter().any(|(n, _)| *n == spec.name) {
                 return Err(Error::DuplicateView(spec.name));
             }
-            modes.push(if spec.deferred {
-                MaintenanceMode::Deferred
-            } else {
-                MaintenanceMode::Immediate
-            });
+            deferred.push(spec.deferred);
             let pattern = match spec.pattern {
                 PatternSource::Text(text) => parse_pattern(&text)?,
                 PatternSource::Ready(p) => p,
@@ -516,7 +499,7 @@ impl DatabaseBuilder {
         };
         let mut views = MultiViewEngine::from_engines(engines);
         views.set_workers(crate::runtime::effective_workers(self.workers));
-        let pending = modes.iter().map(|_| None).collect();
+        let pending = deferred.iter().map(|_| None).collect();
         Ok(Database {
             service: ServiceHandle::new(),
             inner: Box::new(DbInner {
@@ -527,9 +510,8 @@ impl DatabaseBuilder {
                 pipeline: crate::runtime::effective_pipeline(self.pipeline),
                 sub_capacity: effective_sub_capacity(self.sub_capacity),
                 statics,
-                modes,
+                deferred,
                 pending,
-                refresh_every: self.refresh_every,
             }),
         })
     }
@@ -591,14 +573,14 @@ pub struct DbInner {
     /// The static analyzer and its build-time report, when the builder
     /// enabled analysis (`None` = [`AnalyzeMode::Off`]).
     pub(crate) statics: Option<Statics>,
-    /// Per-view maintenance mode, declaration order.
-    pub(crate) modes: Vec<MaintenanceMode>,
+    /// `deferred[i]` = view `i` is under
+    /// [`MaintenanceMode::Deferred`]: the mask every commit ORs into
+    /// its skip verdict, kept here (and changed only by
+    /// [`Self::set_maintenance`]) rather than rebuilt per commit.
+    pub(crate) deferred: Vec<bool>,
     /// Per-view accumulated deferred batch (`None` = nothing pending;
     /// always `None` for [`MaintenanceMode::Immediate`] views).
     pub(crate) pending: Vec<Option<DeferredPending>>,
-    /// Auto-refresh threshold from [`DatabaseBuilder::refresh_every`]
-    /// (`None` = manual refresh only).
-    pub(crate) refresh_every: Option<u64>,
 }
 
 /// Everything [`DatabaseBuilder::analyze`] sets up: the analyzer over
@@ -663,11 +645,14 @@ impl Database {
     /// Validates a batch of statements and schedules it as **one
     /// commit**, returning a [`Ticket`] immediately — before any
     /// propagation runs. The commit seals in the background, strictly
-    /// in submission order: single-statement submissions drain through
-    /// the same windowed copy-on-write pipeline as
-    /// [`DbInner::apply_pipelined`] (up to [`DbInner::pipeline_depth`]
-    /// in flight), multi-statement submissions commit like a
-    /// sequential [`DbInner::transaction`].
+    /// in submission order, through the same commit executor as every
+    /// synchronous front-end: the service thread cuts its queue into
+    /// windows of up to [`DbInner::pipeline_depth`] submissions —
+    /// whatever their shapes — and each window seals like an
+    /// [`DbInner::apply_pipelined`] window. A one-statement submission
+    /// commits like [`DbInner::apply`], a multi-statement (or empty)
+    /// one like a sequential [`DbInner::transaction`], and both share
+    /// windows with their neighbours.
     ///
     /// The ticket carries the reserved sequence number; await the
     /// sealed [`Commit`] with [`Ticket::wait`], or everything at once
@@ -904,39 +889,20 @@ impl DbInner {
         self.statics.as_ref().map_or(0, |s| s.conflict_scans_skipped)
     }
 
-    /// The static skip mask for one statement: `Some(mask)` with
-    /// `mask[i] == true` for every view the statement provably cannot
-    /// touch, or `None` when analysis is off or nothing is skippable.
-    pub(crate) fn static_mask(&self, stmt: &UpdateStatement) -> Option<Vec<bool>> {
-        let st = self.statics.as_ref()?;
-        let mask = st.analyzer.skip_mask(&st.analyzer.statement_shape(stmt));
-        mask.iter().any(|&b| b).then_some(mask)
-    }
-
-    /// Per-statement skip masks for a pipelined batch (`None` when
-    /// analysis is off).
-    pub(crate) fn static_masks(&self, stmts: &[UpdateStatement]) -> Option<Vec<Vec<bool>>> {
-        let st = self.statics.as_ref()?;
-        Some(stmts.iter().map(|s| st.analyzer.skip_mask(&st.analyzer.statement_shape(s))).collect())
-    }
-
     /// Applies one update statement (text, an [`UpdateStatement`], or
     /// a typed [`UpdateBuilder`]) and propagates it to every view in
     /// one shared pass. Returns the [`Commit`] carrying each view's
     /// report and exact delta.
     pub fn apply(&mut self, statement: impl Into<StatementSource>) -> Result<Commit, Error> {
         let stmt = resolve_statement(statement.into())?;
-        let defer = self.defer_mask();
-        let skip = merge_skip(self.static_mask(&stmt), defer.clone());
-        let pre = defer.is_some().then(|| self.doc.clone());
-        let (pul, mut per_view) =
-            self.views.apply_statement_counted(&mut self.doc, &stmt, skip.as_deref())?;
-        fold_pending(&mut self.pending, &self.modes, pre.as_ref(), &pul, self.commits + 1);
-        mark_deferred(&mut per_view, &self.modes);
-        let ops = pul.len();
-        let commit = self.finish_commit(1, ops, ops, ReductionTrace::default(), per_view);
-        self.maybe_auto_refresh()?;
-        Ok(commit)
+        self.seal_one(Batch::Single(&stmt))
+    }
+
+    /// Seals a window of one statement batch and returns its commit.
+    fn seal_one(&mut self, batch: Batch<'_>) -> Result<Commit, Error> {
+        let mut sealed = None;
+        self.seal_window(&[batch], |_, _, commit| sealed = Some(commit))?;
+        Ok(sealed.expect("a window of one statement batch seals one commit"))
     }
 
     /// Starts a batched transaction: statements are collected and, at
@@ -956,20 +922,24 @@ impl DbInner {
     /// [`Commit`] per statement, exactly as a loop of [`Self::apply`]
     /// would produce — with up to [`Self::pipeline_depth`] consecutive
     /// commits in flight ([`DatabaseBuilder::pipeline`] /
-    /// `XIVM_PIPELINE`): the document advances commit by commit on
-    /// the calling thread, freezing cheap copy-on-write snapshots
-    /// around every apply, and the window's propagations drain on the
-    /// worker pool as one chained job per write-disjoint Figure 15
-    /// shard — commit *k + depth − 1*'s `prepare` overlaps commit
-    /// *k*'s `finish` on every disjoint shard (see [`crate::runtime`]
-    /// and [`crate::multiview::MultiViewEngine`]).
+    /// `XIVM_PIPELINE`). The stream is cut into windows of that many
+    /// statements and each window goes to the same commit executor
+    /// every other front-end uses: within a window the document
+    /// advances commit by commit on the calling thread, freezing cheap
+    /// copy-on-write snapshots around every apply, and the window's
+    /// propagations drain on the worker pool as one chained job per
+    /// write-disjoint Figure 15 shard — commit *k + depth − 1*'s
+    /// `prepare` overlaps commit *k*'s `finish` on every disjoint
+    /// shard (see [`crate::runtime`] and
+    /// [`crate::multiview::MultiViewEngine`]).
     ///
     /// Pipelining is purely a scheduling mode: commits (sequence
     /// numbers, counters, per-view deltas), stores and subscription
     /// streams are bit-identical to the sequential pass — commits are
-    /// sealed strictly in order, so changefeeds stay gapless. It
-    /// degenerates to the sequential loop when the depth is 1 or the
-    /// batch has fewer than two statements, and within a window two
+    /// sealed strictly in order, so changefeeds stay gapless. A window
+    /// of one — depth 1, a one-statement batch, the odd statement at
+    /// the end — *is* [`Self::apply`]'s in-place pass, and within a
+    /// longer window two
     /// views ever co-grouped by a commit's schedule share one chain
     /// (no overlap between them, exactly the ordering Figure 15
     /// demands).
@@ -994,72 +964,12 @@ impl DbInner {
             .into_iter()
             .map(|s| resolve_statement(s.into()))
             .collect::<Result<_, _>>()?;
-        let statik = self.static_masks(&stmts);
-        let defer = self.defer_mask();
-        let masks: Option<Vec<Vec<bool>>> = match (&statik, &defer) {
-            (None, None) => None,
-            _ => {
-                let blank = vec![false; self.views.len()];
-                Some(
-                    (0..stmts.len())
-                        .map(|k| {
-                            let s = statik.as_ref().map(|m| m[k].clone());
-                            merge_skip(s, defer.clone()).unwrap_or_else(|| blank.clone())
-                        })
-                        .collect(),
-                )
-            }
-        };
-        let want_pre = defer.is_some();
+        let batches: Vec<Batch<'_>> = stmts.iter().map(Batch::Single).collect();
         let mut commits = Vec::with_capacity(stmts.len());
-        let seq = &mut self.commits;
-        let subs = &mut self.subs;
-        let pending = &mut self.pending;
-        let modes = &self.modes;
-        self.views.propagate_pipelined(
-            &mut self.doc,
-            &stmts,
-            self.pipeline,
-            masks.as_deref(),
-            want_pre,
-            |_, pul, pre, mut per_view| {
-                fold_pending(pending, modes, pre, pul, *seq + 1);
-                mark_deferred(&mut per_view, modes);
-                commits.push(seal_commit(
-                    seq,
-                    subs,
-                    1,
-                    pul.len(),
-                    pul.len(),
-                    ReductionTrace::default(),
-                    per_view,
-                ));
-            },
-        )?;
-        self.maybe_auto_refresh()?;
+        for window in batches.chunks(self.pipeline) {
+            self.seal_window(window, |_, _, commit| commits.push(commit))?;
+        }
         Ok(commits)
-    }
-
-    /// Seals a successful mutation: assigns the next sequence number,
-    /// builds the [`Commit`] and fans its deltas out to the
-    /// subscriptions.
-    fn finish_commit(
-        &mut self,
-        statements: usize,
-        naive_ops: usize,
-        optimized_ops: usize,
-        reduction: ReductionTrace,
-        per_view: Vec<(String, UpdateReport)>,
-    ) -> Commit {
-        seal_commit(
-            &mut self.commits,
-            &mut self.subs,
-            statements,
-            naive_ops,
-            optimized_ops,
-            reduction,
-            per_view,
-        )
     }
 
     /// The sequence number of the last successful commit (0 before the
@@ -1126,147 +1036,17 @@ impl DbInner {
         self.store(view).cursor()
     }
 
-    /// Seals an **empty** commit: no view is touched, but the commit
-    /// still gets a sequence number and a (default) report per view,
-    /// so changefeeds stay gapless and `Commit::report`/`delta` work
-    /// uniformly.
-    fn noop_commit(&mut self) -> Commit {
-        let per_view: Vec<(String, UpdateReport)> = self
-            .views
-            .names()
-            .into_iter()
-            .map(|n| (n.to_owned(), UpdateReport::default()))
-            .collect();
-        self.finish_commit(0, 0, 0, ReductionTrace::default(), per_view)
-    }
-
-    /// Commits a pre-parsed batch with sequential composition: each
-    /// statement's targets are found on a scratch copy reflecting the
-    /// previous statements, the per-statement PULs are folded with the
-    /// Figure 16 aggregation rules into one PUL over the
-    /// pre-transaction document, reduced (Figure 14), and propagated
-    /// to every view in one shared pass. The core of
-    /// [`Transaction::commit`]'s default mode, also used by the async
-    /// service for multi-statement submissions.
-    pub(crate) fn commit_sequential(
-        &mut self,
-        parsed: &[UpdateStatement],
-    ) -> Result<Commit, Error> {
-        if parsed.is_empty() {
-            return Ok(self.noop_commit());
-        }
-        // The scratch copy exists only to give *later* statements the
-        // evolved state, so it is cloned lazily and never advanced
-        // past the second-to-last statement.
-        let mut naive_ops = 0usize;
-        let mut scratch: Option<Document> = None;
-        let mut combined: Option<Pul> = None;
-        for (i, stmt) in parsed.iter().enumerate() {
-            let pul = compute_pul(scratch.as_ref().unwrap_or(&self.doc), stmt);
-            if i + 1 < parsed.len() {
-                apply_pul(scratch.get_or_insert_with(|| self.doc.clone()), &pul)?;
-            }
-            naive_ops += pul.len();
-            combined = Some(match combined {
-                None => pul,
-                Some(prev) => aggregate(&self.doc, &prev, &pul).0,
-            });
-        }
-        let combined = combined.unwrap_or_default();
-        let (optimized, trace) = reduce(&combined);
-        // Static skipping is sound per *statement shape*; a
-        // multi-statement sequential batch can evolve the document
-        // through non-conforming intermediate states (statement 1 may
-        // create the very context statement 2 targets), so only
-        // single-statement batches consult the matrix.
-        let skip = if parsed.len() == 1 { self.static_mask(&parsed[0]) } else { None };
-        let defer = self.defer_mask();
-        let skip = merge_skip(skip, defer.clone());
-        let pre = defer.is_some().then(|| self.doc.clone());
-        let mut per_view =
-            self.views.propagate_pul_masked(&mut self.doc, &optimized, skip.as_deref())?;
-        fold_pending(&mut self.pending, &self.modes, pre.as_ref(), &optimized, self.commits + 1);
-        mark_deferred(&mut per_view, &self.modes);
-        let commit = self.finish_commit(parsed.len(), naive_ops, optimized.len(), trace, per_view);
-        self.maybe_auto_refresh()?;
-        Ok(commit)
-    }
-
-    /// Commits a pre-parsed batch in independent mode: every
-    /// statement's PUL is computed against the same snapshot, the
-    /// Figure 15 conflict rules (IO / LO / NLO) are checked under
-    /// `policy`, and the surviving operations integrate into one PUL.
-    fn commit_independent(
-        &mut self,
-        parsed: &[UpdateStatement],
-        policy: ConflictPolicy,
-    ) -> Result<Commit, Error> {
-        if parsed.is_empty() {
-            return Ok(self.noop_commit());
-        }
-        let puls: Vec<Pul> = parsed.iter().map(|s| compute_pul(&self.doc, s)).collect();
-        let naive_ops = puls.iter().map(Pul::len).sum();
-        if policy == ConflictPolicy::Fail {
-            // Static independence fast path (lifted Figure 15): if no
-            // IO / LO / NLO rule can fire for any target pair in any
-            // conforming document, the pairwise scan would provably
-            // find nothing — skip it.
-            let statically_independent =
-                self.statics.as_ref().is_some_and(|st| st.analyzer.batch_independent(parsed));
-            if statically_independent {
-                let st = self.statics.as_mut().expect("checked above");
-                st.conflict_scans_skipped += 1;
-            } else {
-                let mut conflicts = Vec::new();
-                for i in 0..puls.len() {
-                    for j in i + 1..puls.len() {
-                        conflicts.extend(find_conflicts(&puls[i], &puls[j]));
-                    }
-                }
-                if !conflicts.is_empty() {
-                    return Err(Error::Conflict(conflicts));
-                }
-            }
-        }
-        let mut iter = puls.into_iter();
-        let first = iter.next().unwrap_or_default();
-        let combined = iter
-            .try_fold(first, |acc, next| integrate(&acc, &next, policy).map_err(Error::Conflict))?;
-        let (optimized, trace) = reduce(&combined);
-        // In independent mode every statement's PUL is computed
-        // against the same (conforming) snapshot and the combined
-        // effect is a subset of the union of per-statement effects, so
-        // a view is skippable iff *every* statement is irrelevant to
-        // it — the element-wise AND of the per-statement masks.
-        let skip: Option<Vec<bool>> = self.statics.as_ref().and_then(|st| {
-            let mut acc = vec![true; self.views.len()];
-            for stmt in parsed {
-                let mask = st.analyzer.skip_mask(&st.analyzer.statement_shape(stmt));
-                for (a, b) in acc.iter_mut().zip(mask) {
-                    *a &= b;
-                }
-            }
-            acc.iter().any(|&b| b).then_some(acc)
-        });
-        let defer = self.defer_mask();
-        let skip = merge_skip(skip, defer.clone());
-        let pre = defer.is_some().then(|| self.doc.clone());
-        let mut per_view =
-            self.views.propagate_pul_masked(&mut self.doc, &optimized, skip.as_deref())?;
-        fold_pending(&mut self.pending, &self.modes, pre.as_ref(), &optimized, self.commits + 1);
-        mark_deferred(&mut per_view, &self.modes);
-        let commit = self.finish_commit(parsed.len(), naive_ops, optimized.len(), trace, per_view);
-        self.maybe_auto_refresh()?;
-        Ok(commit)
-    }
-
     // -----------------------------------------------------------------
     // Deferred maintenance
     // -----------------------------------------------------------------
 
     /// The maintenance mode of a view.
     pub fn maintenance(&self, view: ViewHandle) -> MaintenanceMode {
-        self.modes[view.index()]
+        if self.deferred[view.index()] {
+            MaintenanceMode::Deferred
+        } else {
+            MaintenanceMode::Immediate
+        }
     }
 
     /// Switches a view's [`MaintenanceMode`]. Entering `Deferred`
@@ -1280,7 +1060,7 @@ impl DbInner {
     ) -> Result<Option<Commit>, Error> {
         assert!(view.index() < self.views.len(), "handle from this database");
         let commit = if mode == MaintenanceMode::Immediate { self.refresh(view)? } else { None };
-        self.modes[view.index()] = mode;
+        self.deferred[view.index()] = mode == MaintenanceMode::Deferred;
         Ok(commit)
     }
 
@@ -1302,43 +1082,10 @@ impl DbInner {
     /// Returns `Ok(None)` when nothing is pending (also for
     /// `Immediate` views): no commit, no sequence number.
     pub fn refresh(&mut self, view: ViewHandle) -> Result<Option<Commit>, Error> {
-        let i = view.index();
-        assert!(i < self.views.len(), "handle from this database");
-        let Some(p) = self.pending[i].take() else {
-            return Ok(None);
-        };
-        let (optimized, trace) = reduce(&p.pul);
-        let mut post = p.base.clone();
-        let apply_res = match apply_pul(&mut post, &optimized) {
-            Ok(res) => res,
-            Err(e) => {
-                // Nothing was propagated; keep the batch so a later
-                // refresh (or recompute) can still converge the view.
-                self.pending[i] = Some(p);
-                return Err(e.into());
-            }
-        };
-        // Transaction equivalence (Section 5): replaying the
-        // aggregated batch over the base must reconstruct the live
-        // document bit-identically, Dewey assignment included.
-        debug_assert_eq!(
-            serialize_document(&post),
-            serialize_document(&self.doc),
-            "aggregated deferred batch must reconstruct the live document"
-        );
-        let mut report = self.views.refresh_view(i, &p.base, &post, &optimized, &apply_res);
-        report.coalesced = Some(p.first_seq..=self.commits);
-        let per_view: Vec<(String, UpdateReport)> = self
-            .views
-            .names()
-            .into_iter()
-            .enumerate()
-            .map(|(j, n)| {
-                let r = if j == i { std::mem::take(&mut report) } else { UpdateReport::default() };
-                (n.to_owned(), r)
-            })
-            .collect();
-        Ok(Some(self.finish_commit(0, p.naive_ops, optimized.len(), trace, per_view)))
+        assert!(view.index() < self.views.len(), "handle from this database");
+        let mut sealed = None;
+        self.seal_window(&[Batch::Refresh(view.index())], |_, _, commit| sealed = Some(commit))?;
+        Ok(sealed)
     }
 
     /// [`Self::refresh`] for every view with a pending batch, in
@@ -1352,117 +1099,6 @@ impl DbInner {
         }
         Ok(out)
     }
-
-    /// Fires the [`DatabaseBuilder::refresh_every`] policy: refreshes
-    /// every deferred view whose batch has reached the threshold.
-    /// Called at every synchronous commit boundary and by the async
-    /// service between batches.
-    pub(crate) fn maybe_auto_refresh(&mut self) -> Result<(), Error> {
-        let Some(every) = self.refresh_every else {
-            return Ok(());
-        };
-        for i in 0..self.views.len() {
-            if self.pending[i].as_ref().is_some_and(|p| p.commits >= every) {
-                self.refresh(ViewHandle(i))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Skip mask covering exactly the deferred views (`None` when
-    /// every view is immediate — the common case pays nothing).
-    pub(crate) fn defer_mask(&self) -> Option<Vec<bool>> {
-        self.modes
-            .contains(&MaintenanceMode::Deferred)
-            .then(|| self.modes.iter().map(|m| *m == MaintenanceMode::Deferred).collect())
-    }
-}
-
-/// Element-wise OR of two optional skip masks (static irrelevance and
-/// deferral compose: a view is left out of the pass if either says
-/// so).
-pub(crate) fn merge_skip(a: Option<Vec<bool>>, b: Option<Vec<bool>>) -> Option<Vec<bool>> {
-    match (a, b) {
-        (None, m) | (m, None) => m,
-        (Some(mut a), Some(b)) => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x |= y;
-            }
-            Some(a)
-        }
-    }
-}
-
-/// Folds one sealed commit's PUL into every deferred view's pending
-/// batch (Figure 16 aggregation over the batch's base document).
-/// `pre` is the document *before* this commit's PUL applied; `seq`
-/// the sequence number the commit is sealing as. A free function over
-/// the fields so the pipelined driver can fold while the engine still
-/// holds the views.
-pub(crate) fn fold_pending(
-    pending: &mut [Option<DeferredPending>],
-    modes: &[MaintenanceMode],
-    pre: Option<&Document>,
-    pul: &Pul,
-    seq: u64,
-) {
-    if pul.is_empty() {
-        return; // nothing to replay; the view's store is already right
-    }
-    for (i, mode) in modes.iter().enumerate() {
-        if *mode != MaintenanceMode::Deferred {
-            continue;
-        }
-        let pre = pre.expect("defer_mask set => pre-document captured");
-        match &mut pending[i] {
-            Some(p) => {
-                p.pul = aggregate(&p.base, &p.pul, pul).0;
-                p.naive_ops += pul.len();
-                p.commits += 1;
-            }
-            slot @ None => {
-                *slot = Some(DeferredPending {
-                    base: pre.clone(),
-                    pul: pul.clone(),
-                    naive_ops: pul.len(),
-                    first_seq: seq,
-                    commits: 1,
-                });
-            }
-        }
-    }
-}
-
-/// Replaces deferred views' reports (the propagation pass saw them as
-/// skipped) with the honest [`UpdateReport::deferred_marker`]: store
-/// untouched, delta empty, maintenance postponed.
-pub(crate) fn mark_deferred(per_view: &mut [(String, UpdateReport)], modes: &[MaintenanceMode]) {
-    for (i, mode) in modes.iter().enumerate() {
-        if *mode == MaintenanceMode::Deferred {
-            per_view[i].1 = UpdateReport::deferred_marker();
-        }
-    }
-}
-
-/// Seals one successful commit: bumps the sequence counter, builds
-/// the [`Commit`] and fans its deltas out to the subscriptions. A
-/// free function over the fields (rather than a `&mut Database`
-/// method) so the pipelined driver can seal commit *k* while the
-/// engine still holds the views — sealing strictly in commit order is
-/// what keeps subscription streams gapless under overlap.
-pub(crate) fn seal_commit(
-    commits: &mut u64,
-    subs: &mut SubscriptionRegistry,
-    statements: usize,
-    naive_ops: usize,
-    optimized_ops: usize,
-    reduction: ReductionTrace,
-    per_view: Vec<(String, UpdateReport)>,
-) -> Commit {
-    *commits += 1;
-    let commit = Commit::new(*commits, statements, naive_ops, optimized_ops, reduction, per_view);
-    subs.record(&commit);
-    commit
 }
 
 // ---------------------------------------------------------------------
@@ -1540,10 +1176,10 @@ impl<'db> Transaction<'db> {
         let Transaction { db, statements, isolation, policy } = self;
         let parsed: Vec<UpdateStatement> =
             statements.into_iter().map(resolve_statement).collect::<Result<_, _>>()?;
-        match isolation {
-            Isolation::Sequential => db.commit_sequential(&parsed),
-            Isolation::Independent => db.commit_independent(&parsed, policy),
-        }
+        db.seal_one(match isolation {
+            Isolation::Sequential => Batch::Sequential(&parsed),
+            Isolation::Independent => Batch::Independent(&parsed, policy),
+        })
     }
 }
 
@@ -2205,25 +1841,5 @@ mod tests {
         check_consistent(&db);
         // Entering Deferred never commits.
         assert!(db.set_maintenance(acb, MaintenanceMode::Deferred).unwrap().is_none());
-    }
-
-    #[test]
-    fn refresh_every_policy_fires_at_the_threshold() {
-        let mut db = Database::builder()
-            .document(FIG12)
-            .view_deferred("acb", "//a{id}[//c{id}]//b{id}")
-            .refresh_every(3)
-            .build()
-            .unwrap();
-        let acb = db.view("acb").unwrap();
-        db.apply(SCRIPT[0]).unwrap();
-        db.apply(SCRIPT[1]).unwrap();
-        assert_eq!(db.deferred_commits(acb), 2);
-        db.apply(SCRIPT[2]).unwrap();
-        // The third deferred commit crossed the threshold: the
-        // refresh sealed as commit 4 on the way out of apply().
-        assert_eq!(db.deferred_commits(acb), 0);
-        assert_eq!(db.last_seq(), 4);
-        check_consistent(&db);
     }
 }

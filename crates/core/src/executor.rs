@@ -1,0 +1,406 @@
+//! The one commit path: planners turn a submission into a
+//! [`CommitPlan`], and one executor — [`DbInner::seal_window`] — seals
+//! a window of plans.
+//!
+//! Every front-end is a window: [`apply`](DbInner::apply) and
+//! [`Transaction::commit`](crate::database::Transaction::commit) seal
+//! a window of one, [`apply_pipelined`](DbInner::apply_pipelined)
+//! chunks its statements at the pipeline depth, the async service
+//! hands over drained queue chunks whatever their submissions' shapes,
+//! and [`refresh`](DbInner::refresh) is a one-step window over the
+//! deferred view's last-maintained image. The planners
+//! ([`plan_single`], [`plan_sequential`], [`plan_independent`],
+//! [`plan_refresh`]) own the paper's §5 optimizer — Figure 16
+//! aggregation, Figure 15 conflicts, Figure 14 reduction — and the
+//! static skip verdicts; everything after planning happens here and
+//! only here: the static ∨ deferred mask merge, the pre-image, the
+//! propagation (in place for a window of one, the copy-on-write image
+//! chain for longer ones — see
+//! [`MultiViewEngine::propagate_window`](crate::multiview::MultiViewEngine)),
+//! the deferred fold, the deferred markers and the seal.
+
+use crate::commit::Commit;
+use crate::database::{DbInner, DeferredPending, Statics};
+use crate::engine::UpdateReport;
+use crate::error::Error;
+use crate::multiview::Propagated;
+use crate::subscribe::SubscriptionRegistry;
+use crate::timing::timed;
+use std::borrow::Cow;
+use std::sync::Arc;
+use std::time::Duration;
+use xivm_pulopt::{aggregate, find_conflicts, integrate, reduce, ConflictPolicy, ReductionTrace};
+use xivm_update::{apply_pul, compute_pul, Pul, UpdateStatement};
+use xivm_xml::{serialize_document, Document};
+
+/// One submission — the unit that seals as one commit — and how its
+/// statements compose.
+#[derive(Clone, Copy)]
+pub(crate) enum Batch<'a> {
+    /// One statement, committed without the optimizer (`apply`).
+    Single(&'a UpdateStatement),
+    /// Statements composed in order, each seeing the previous ones.
+    Sequential(&'a [UpdateStatement]),
+    /// Statements evaluated against one snapshot under the Figure 15
+    /// conflict rules.
+    Independent(&'a [UpdateStatement], ConflictPolicy),
+    /// The pending batch of the deferred view at this index, folded
+    /// over its last-maintained image. Only valid as a window of one.
+    Refresh(usize),
+}
+
+impl<'a> Batch<'a> {
+    /// The shape of an async submission: one statement commits like
+    /// `apply`, anything else like a sequential transaction.
+    pub(crate) fn of(stmts: &'a [UpdateStatement]) -> Self {
+        match stmts {
+            [stmt] => Batch::Single(stmt),
+            many => Batch::Sequential(many),
+        }
+    }
+}
+
+/// What a planner hands the executor: the optimized PUL over the
+/// document as of the step's turn, the commit's counters, and the
+/// views to leave out of the propagation.
+pub(crate) struct CommitPlan<'a> {
+    pub(crate) pul: Cow<'a, Pul>,
+    pub(crate) statements: usize,
+    pub(crate) naive_ops: usize,
+    pub(crate) reduction: ReductionTrace,
+    /// `skip[i]` leaves view `i` out of the step. Planners put the
+    /// static irrelevance verdict here; the executor ORs the deferred
+    /// views in.
+    pub(crate) skip: Option<Cow<'a, [bool]>>,
+    /// Find Target Nodes time, stamped on every view's report.
+    pub(crate) t_find: Duration,
+}
+
+impl<'a> CommitPlan<'a> {
+    /// A plan that propagates `pul` as it stands to every view.
+    pub(crate) fn of(pul: Cow<'a, Pul>) -> Self {
+        CommitPlan {
+            naive_ops: pul.len(),
+            pul,
+            statements: 0,
+            reduction: ReductionTrace::default(),
+            skip: None,
+            t_find: Duration::ZERO,
+        }
+    }
+}
+
+/// The static skip mask for one statement: `mask[i] == true` for every
+/// view the statement provably cannot touch; `None` when analysis is
+/// off or nothing is skippable.
+fn static_mask(statics: Option<&Statics>, stmt: &UpdateStatement) -> Option<Cow<'static, [bool]>> {
+    let st = statics?;
+    let mask = st.analyzer.skip_mask(&st.analyzer.statement_shape(stmt));
+    mask.contains(&true).then_some(Cow::Owned(mask))
+}
+
+/// Plans one statement: its PUL (the target lookup, timed once for
+/// every view) and its static mask.
+pub(crate) fn plan_single<'a>(
+    statics: Option<&Statics>,
+    doc: &Document,
+    stmt: &UpdateStatement,
+) -> CommitPlan<'a> {
+    let (pul, t_find) = timed(|| compute_pul(doc, stmt));
+    CommitPlan {
+        statements: 1,
+        skip: static_mask(statics, stmt),
+        t_find,
+        ..CommitPlan::of(Cow::Owned(pul))
+    }
+}
+
+/// Plans a batch with sequential composition: each statement's targets
+/// are found on a scratch copy reflecting the previous statements, the
+/// per-statement PULs are folded with the Figure 16 aggregation rules
+/// into one PUL over the pre-transaction document and reduced
+/// (Figure 14).
+fn plan_sequential<'a>(
+    statics: Option<&Statics>,
+    doc: &Document,
+    stmts: &[UpdateStatement],
+) -> Result<CommitPlan<'a>, Error> {
+    // The scratch copy exists only to give *later* statements the
+    // evolved state, so it is cloned lazily and never advanced past
+    // the second-to-last statement.
+    let mut naive_ops = 0usize;
+    let mut scratch: Option<Document> = None;
+    let mut combined = Pul::default();
+    for (i, stmt) in stmts.iter().enumerate() {
+        let pul = compute_pul(scratch.as_ref().unwrap_or(doc), stmt);
+        if i + 1 < stmts.len() {
+            apply_pul(scratch.get_or_insert_with(|| doc.clone()), &pul)?;
+        }
+        naive_ops += pul.len();
+        combined = if i == 0 { pul } else { aggregate(doc, &combined, &pul).0 };
+    }
+    let (optimized, reduction) = reduce(&combined);
+    // Static skipping is sound per *statement shape*; a
+    // multi-statement sequential batch can evolve the document through
+    // non-conforming intermediate states (statement 1 may create the
+    // very context statement 2 targets), so only single-statement
+    // batches consult the matrix.
+    let skip = match stmts {
+        [stmt] => static_mask(statics, stmt),
+        _ => None,
+    };
+    Ok(CommitPlan {
+        statements: stmts.len(),
+        naive_ops,
+        reduction,
+        skip,
+        ..CommitPlan::of(Cow::Owned(optimized))
+    })
+}
+
+/// Plans a batch in independent mode: every statement's PUL is
+/// computed against the same snapshot, the Figure 15 conflict rules
+/// (IO / LO / NLO) are checked under `policy`, and the surviving
+/// operations integrate into one reduced PUL.
+fn plan_independent<'a>(
+    statics: &mut Option<Statics>,
+    doc: &Document,
+    stmts: &[UpdateStatement],
+    policy: ConflictPolicy,
+) -> Result<CommitPlan<'a>, Error> {
+    let puls: Vec<Pul> = stmts.iter().map(|s| compute_pul(doc, s)).collect();
+    let naive_ops = puls.iter().map(Pul::len).sum();
+    if policy == ConflictPolicy::Fail && !stmts.is_empty() {
+        // Static independence fast path (lifted Figure 15): if no
+        // IO / LO / NLO rule can fire for any target pair in any
+        // conforming document, the pairwise scan would provably find
+        // nothing — skip it.
+        match statics.as_mut().filter(|st| st.analyzer.batch_independent(stmts)) {
+            Some(st) => st.conflict_scans_skipped += 1,
+            None => {
+                let mut conflicts = Vec::new();
+                for i in 0..puls.len() {
+                    for j in i + 1..puls.len() {
+                        conflicts.extend(find_conflicts(&puls[i], &puls[j]));
+                    }
+                }
+                if !conflicts.is_empty() {
+                    return Err(Error::Conflict(conflicts));
+                }
+            }
+        }
+    }
+    let mut iter = puls.into_iter();
+    let first = iter.next().unwrap_or_default();
+    let combined =
+        iter.try_fold(first, |acc, next| integrate(&acc, &next, policy).map_err(Error::Conflict))?;
+    let (optimized, reduction) = reduce(&combined);
+    // Every statement's PUL is computed against the same (conforming)
+    // snapshot and the combined effect is a subset of the union of
+    // per-statement effects, so a view is skippable iff *every*
+    // statement is irrelevant to it — the element-wise AND of the
+    // per-statement masks.
+    let skip = statics.as_ref().and_then(|st| {
+        let mut masks =
+            stmts.iter().map(|s| st.analyzer.skip_mask(&st.analyzer.statement_shape(s)));
+        let mut acc = masks.next()?;
+        for mask in masks {
+            for (a, b) in acc.iter_mut().zip(mask) {
+                *a &= b;
+            }
+        }
+        acc.contains(&true).then_some(Cow::Owned(acc))
+    });
+    Ok(CommitPlan {
+        statements: stmts.len(),
+        naive_ops,
+        reduction,
+        skip,
+        ..CommitPlan::of(Cow::Owned(optimized))
+    })
+}
+
+/// Plans a refresh of view `view` (of `views`): the batched PULs
+/// reduced (Figure 14), over the batch's base image, masked to the
+/// one view.
+fn plan_refresh<'a>(p: &DeferredPending, view: usize, views: usize) -> CommitPlan<'a> {
+    let (optimized, reduction) = reduce(&p.pul);
+    CommitPlan {
+        naive_ops: p.naive_ops,
+        reduction,
+        skip: Some((0..views).map(|j| j != view).collect()),
+        ..CommitPlan::of(Cow::Owned(optimized))
+    }
+}
+
+impl DbInner {
+    /// Seals a window of consecutive commits, handing each sealed
+    /// [`Commit`] (with its window position and the PUL it applied) to
+    /// `on_sealed` strictly in order. The only place that merges the
+    /// static and deferred masks, captures a pre-image, propagates,
+    /// folds deferred batches and seals.
+    ///
+    /// A step that fails to plan (a conflict) or to apply stops the
+    /// window: the steps before it still seal, nothing after it runs,
+    /// and the error comes back. A window of one therefore either
+    /// seals its commit or leaves the database untouched (up to
+    /// `apply_pul`'s own non-atomicity, which statement validation
+    /// rules out).
+    pub(crate) fn seal_window(
+        &mut self,
+        window: &[Batch<'_>],
+        mut on_sealed: impl FnMut(usize, Pul, Commit),
+    ) -> Result<(), Error> {
+        let DbInner { doc, views, commits, subs, statics, deferred, pending, .. } = self;
+        // A refresh replays its batch over the view's last-maintained
+        // image, not the live document; nothing pending, no commit.
+        let mut image = match window {
+            [Batch::Refresh(view)] => match &pending[*view] {
+                Some(p) => Some(p.base.clone()),
+                None => return Ok(()),
+            },
+            _ => None,
+        };
+        // The pre-image exists to seed a deferred batch's base; a
+        // document clone held across `apply_pul` makes every touched
+        // chunk copy-on-write, so it is taken only then.
+        let want_pre = image.is_none() && deferred.contains(&true);
+        let (done, outcome) = views.propagate_window(
+            image.as_mut().unwrap_or(&mut *doc),
+            window.len(),
+            want_pre,
+            |k, doc| {
+                let mut plan = match window[k] {
+                    Batch::Single(stmt) => plan_single(statics.as_ref(), doc, stmt),
+                    Batch::Sequential(stmts) => plan_sequential(statics.as_ref(), doc, stmts)?,
+                    Batch::Independent(stmts, policy) => {
+                        plan_independent(statics, doc, stmts, policy)?
+                    }
+                    Batch::Refresh(view) => {
+                        let p = pending[view].as_ref().expect("checked above: a batch is pending");
+                        plan_refresh(p, view, deferred.len())
+                    }
+                };
+                // A live step leaves the deferred views out (and folds
+                // its PUL into their batches below); a refresh step is
+                // already masked to exactly its view.
+                if want_pre {
+                    plan.skip = Some(merge_skip(plan.skip, deferred));
+                }
+                Ok(plan)
+            },
+        );
+        let names = views.shared_names();
+        for (k, Propagated { plan, pre, mut reports }) in done.into_iter().enumerate() {
+            if let Batch::Refresh(view) = window[k] {
+                // Transaction equivalence (Section 5): replaying the
+                // aggregated batch over the base must reconstruct the
+                // live document bit-identically, Dewey assignment
+                // included.
+                debug_assert_eq!(
+                    image.as_ref().map(serialize_document),
+                    Some(serialize_document(doc)),
+                    "aggregated deferred batch must reconstruct the live document"
+                );
+                let p = pending[view].take().expect("planned from it");
+                for (j, report) in reports.iter_mut().enumerate() {
+                    if j == view {
+                        report.coalesced = Some(p.first_seq..=*commits);
+                    } else {
+                        *report = UpdateReport::default();
+                    }
+                }
+            } else {
+                fold_pending(pending, deferred, pre.as_ref(), &plan.pul, *commits + 1);
+                mark_deferred(&mut reports, deferred);
+            }
+            let commit = seal_commit(commits, subs, names, &plan, reports);
+            on_sealed(k, plan.pul.into_owned(), commit);
+        }
+        outcome
+    }
+}
+
+/// Static irrelevance and deferral compose: a view is left out of the
+/// pass if either says so. Borrows the database's deferred mask when
+/// there is no static verdict to OR it into.
+fn merge_skip<'a>(statik: Option<Cow<'a, [bool]>>, deferred: &'a [bool]) -> Cow<'a, [bool]> {
+    match statik {
+        None => Cow::Borrowed(deferred),
+        Some(mask) => {
+            let mut mask = mask.into_owned();
+            for (x, y) in mask.iter_mut().zip(deferred) {
+                *x |= y;
+            }
+            Cow::Owned(mask)
+        }
+    }
+}
+
+/// Folds one sealing commit's PUL into every deferred view's pending
+/// batch (Figure 16 aggregation over the batch's base document).
+/// `pre` is the document *before* this commit's PUL applied; `seq`
+/// the sequence number the commit is sealing as.
+fn fold_pending(
+    pending: &mut [Option<DeferredPending>],
+    deferred: &[bool],
+    pre: Option<&Document>,
+    pul: &Pul,
+    seq: u64,
+) {
+    if pul.is_empty() {
+        return; // nothing to replay; the view's store is already right
+    }
+    for (slot, _) in pending.iter_mut().zip(deferred).filter(|(_, d)| **d) {
+        match slot {
+            Some(p) => {
+                p.pul = aggregate(&p.base, &p.pul, pul).0;
+                p.naive_ops += pul.len();
+                p.commits += 1;
+            }
+            None => {
+                *slot = Some(DeferredPending {
+                    base: pre.expect("a view is deferred => pre-image captured").clone(),
+                    pul: pul.clone(),
+                    naive_ops: pul.len(),
+                    first_seq: seq,
+                    commits: 1,
+                });
+            }
+        }
+    }
+}
+
+/// Replaces deferred views' reports (the propagation pass saw them as
+/// skipped) with the honest [`UpdateReport::deferred_marker`]: store
+/// untouched, delta empty, maintenance postponed.
+fn mark_deferred(reports: &mut [UpdateReport], deferred: &[bool]) {
+    for (report, _) in reports.iter_mut().zip(deferred).filter(|(_, d)| **d) {
+        *report = UpdateReport::deferred_marker();
+    }
+}
+
+/// Seals one propagated step: bumps the sequence counter, builds the
+/// [`Commit`] and fans its deltas out to the subscriptions. Sealing
+/// strictly in commit order is what keeps subscription streams
+/// gapless under overlap.
+fn seal_commit(
+    commits: &mut u64,
+    subs: &mut SubscriptionRegistry,
+    names: &Arc<[String]>,
+    plan: &CommitPlan<'_>,
+    reports: Vec<UpdateReport>,
+) -> Commit {
+    *commits += 1;
+    let commit = Commit::new(
+        *commits,
+        plan.statements,
+        plan.naive_ops,
+        plan.pul.len(),
+        plan.reduction,
+        Arc::clone(names),
+        reports,
+    );
+    subs.record(&commit);
+    commit
+}

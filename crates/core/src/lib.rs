@@ -32,6 +32,9 @@
 //! * [`database`] — the [`database::Database`] façade owning the
 //!   document and all named views, with batched
 //!   [`database::Transaction`]s through the Section 5 PUL optimizer;
+//!   every front-end (apply, transaction, pipelined, async, refresh)
+//!   hands a window of submissions to the one crate-internal commit
+//!   executor (`executor`: planners → `CommitPlan` → seal);
 //! * [`commit`] / [`subscribe`] — the delta-first client surface:
 //!   every apply / commit returns a [`commit::Commit`] carrying each
 //!   view's exact [`commit::ViewDelta`], and
@@ -50,6 +53,7 @@ pub mod database;
 pub mod engine;
 pub mod error;
 pub mod etins;
+mod executor;
 pub mod expand;
 #[cfg(any(test, feature = "fault-inject"))]
 pub mod fault;

@@ -13,14 +13,26 @@
 
 use crate::engine::{MaintenanceEngine, UpdateReport};
 use crate::error::Error;
+use crate::executor::{plan_single, CommitPlan};
 use crate::parallel::{self, PropagationPlan};
 use crate::runtime::Runtime;
 use crate::strategy::SnowcapStrategy;
 use crate::timing::timed;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 use xivm_pattern::TreePattern;
-use xivm_update::{apply_pul, compute_pul, Pul, UpdateStatement};
+use xivm_update::{apply_pul, Pul, UpdateStatement};
 use xivm_xml::Document;
+
+/// One propagated step of [`MultiViewEngine::propagate_window`]: the
+/// plan it ran, the document before its apply (only when asked for)
+/// and the per-view reports in declaration order.
+pub(crate) struct Propagated<'a> {
+    pub(crate) plan: CommitPlan<'a>,
+    pub(crate) pre: Option<Document>,
+    pub(crate) reports: Vec<UpdateReport>,
+}
 
 /// A set of named views maintained together.
 ///
@@ -36,7 +48,10 @@ use xivm_xml::Document;
 /// it), so steady-state propagation spawns zero new threads. Results
 /// are bit-identical to the sequential pass either way.
 pub struct MultiViewEngine {
-    views: Vec<(String, MaintenanceEngine)>,
+    views: Vec<MaintenanceEngine>,
+    /// View names, declaration order — shared with every sealed
+    /// [`Commit`](crate::commit::Commit) instead of cloned per commit.
+    names: Arc<[String]>,
     /// Name → position in `views`. On duplicate names the first
     /// declaration wins, matching the previous linear-scan behavior.
     index: HashMap<String, usize>,
@@ -70,12 +85,14 @@ impl MultiViewEngine {
     /// Wraps already-materialized engines (used by the `Database`
     /// builder, whose views may mix strategies and cost-based choices).
     pub fn from_engines(views: Vec<(String, MaintenanceEngine)>) -> Self {
+        let (names, views): (Vec<String>, Vec<MaintenanceEngine>) = views.into_iter().unzip();
         let mut index = HashMap::with_capacity(views.len());
-        for (i, (name, _)) in views.iter().enumerate() {
+        for (i, name) in names.iter().enumerate() {
             index.entry(name.clone()).or_insert(i);
         }
         MultiViewEngine {
             views,
+            names: names.into(),
             index,
             workers: parallel::effective_workers(None),
             runtime: None,
@@ -143,7 +160,7 @@ impl MultiViewEngine {
     /// [`MaintenanceEngine::collect_deltas`]). On by default; the
     /// `fig_delta` bench turns it off to measure the report overhead.
     pub fn set_collect_deltas(&mut self, collect: bool) {
-        for (_, engine) in &mut self.views {
+        for engine in &mut self.views {
             engine.collect_deltas = collect;
         }
     }
@@ -162,30 +179,40 @@ impl MultiViewEngine {
     }
 
     pub fn view(&self, name: &str) -> Option<&MaintenanceEngine> {
-        self.position(name).map(|i| &self.views[i].1)
+        self.position(name).map(|i| &self.views[i])
     }
 
     pub fn view_mut(&mut self, name: &str) -> Option<&mut MaintenanceEngine> {
         let i = self.position(name)?;
-        Some(&mut self.views[i].1)
+        Some(&mut self.views[i])
     }
 
     /// The view at a declaration-order position.
     pub fn get(&self, i: usize) -> Option<(&str, &MaintenanceEngine)> {
-        self.views.get(i).map(|(n, e)| (n.as_str(), e))
+        self.views.get(i).map(|e| (self.names[i].as_str(), e))
     }
 
     /// View names in declaration order.
     pub fn names(&self) -> Vec<&str> {
-        self.views.iter().map(|(n, _)| n.as_str()).collect()
+        self.names.iter().map(String::as_str).collect()
+    }
+
+    /// The view names behind their shared `Arc` (what every sealed
+    /// commit carries).
+    pub(crate) fn shared_names(&self) -> &Arc<[String]> {
+        &self.names
     }
 
     /// Every view's store behind its `Arc`, in declaration order —
     /// the capture step of [`crate::snapshot::DatabaseSnapshot`] and
     /// [`crate::view_store::ShardedStores`]. O(views): no tuple is
     /// copied.
-    pub(crate) fn store_arcs(&self) -> Vec<(String, std::sync::Arc<crate::view_store::ViewStore>)> {
-        self.views.iter().map(|(n, e)| (n.clone(), e.store_arc())).collect()
+    pub(crate) fn store_arcs(&self) -> Vec<(String, Arc<crate::view_store::ViewStore>)> {
+        self.names
+            .iter()
+            .cloned()
+            .zip(self.views.iter().map(MaintenanceEngine::store_arc))
+            .collect()
     }
 
     /// Rebuilds every view's store and snowcaps from scratch against
@@ -194,7 +221,7 @@ impl MultiViewEngine {
     /// post-fault states, so the async service rolls the document back
     /// to the last sealed commit and recomputes everything.
     pub(crate) fn recompute_all(&mut self, doc: &Document) {
-        for (_, engine) in &mut self.views {
+        for engine in &mut self.views {
             engine.recompute(doc);
         }
     }
@@ -208,47 +235,9 @@ impl MultiViewEngine {
         doc: &mut Document,
         stmt: &UpdateStatement,
     ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        self.apply_statement_counted(doc, stmt, None).map(|(_, reports)| reports)
-    }
-
-    /// [`Self::apply_statement`] plus the statement's computed PUL —
-    /// the single implementation behind both this engine's public
-    /// entry point and the `Database` façade (whose commit report
-    /// needs the op count, and whose deferred-maintenance batching
-    /// needs the PUL itself). `skip[i]` marks view `i` statically
-    /// irrelevant: its maintenance is skipped entirely and its report
-    /// comes back as [`UpdateReport::skipped`].
-    pub(crate) fn apply_statement_counted(
-        &mut self,
-        doc: &mut Document,
-        stmt: &UpdateStatement,
-        skip: Option<&[bool]>,
-    ) -> Result<(Pul, Vec<(String, UpdateReport)>), Error> {
-        // Find Target Nodes — once, shared by every view.
-        let (pul, t_find) = timed(|| compute_pul(doc, stmt));
-        let mut out = self.propagate_pul_masked(doc, &pul, skip)?;
-        for (_, report) in &mut out {
-            report.timings.find_target_nodes = t_find;
-        }
-        Ok((pul, out))
-    }
-
-    /// One-view refresh propagation for deferred maintenance: folds an
-    /// aggregated multi-commit PUL into view `i` through the same
-    /// `prepare`/`finish` split a live commit uses, reading the
-    /// pre-batch document for the delete side and the post-batch
-    /// document for the insert side. The other views are untouched.
-    pub(crate) fn refresh_view(
-        &mut self,
-        i: usize,
-        pre: &Document,
-        post: &Document,
-        pul: &Pul,
-        apply_res: &xivm_update::ApplyResult,
-    ) -> UpdateReport {
-        let engine = &mut self.views[i].1;
-        let prepared = engine.prepare(pre, pul);
-        engine.finish(post, apply_res, prepared)
+        let window =
+            self.propagate_window(doc, 1, false, |_, doc| Ok(plan_single(None, doc, stmt)));
+        self.named(window)
     }
 
     /// Propagates an already-computed (possibly optimizer-reduced,
@@ -256,7 +245,7 @@ impl MultiViewEngine {
     /// pre-update capture, one document update, per-view Δ extraction.
     ///
     /// With more than one configured worker the per-view phases fan
-    /// out across scoped threads grouped by the Figure 15 partition
+    /// out across the worker pool grouped by the Figure 15 partition
     /// ([`Self::partition`]); reports come back merged in declaration
     /// order and every view's state is bit-identical to the
     /// sequential pass.
@@ -265,150 +254,134 @@ impl MultiViewEngine {
         doc: &mut Document,
         pul: &Pul,
     ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        self.propagate_pul_masked(doc, pul, None)
+        let window =
+            self.propagate_window(doc, 1, false, |_, _| Ok(CommitPlan::of(Cow::Borrowed(pul))));
+        self.named(window)
     }
 
-    /// [`Self::propagate_pul`] under a static skip mask: `skip[i]`
-    /// marks view `i` provably untouched by the PUL's statement (the
-    /// analyzer's relevance verdict), so its prepare/finish phases are
-    /// never run and it reports [`UpdateReport::skipped`]. `None`
-    /// disables masking (the public entry point).
-    pub(crate) fn propagate_pul_masked(
-        &mut self,
-        doc: &mut Document,
-        pul: &Pul,
-        skip: Option<&[bool]>,
+    /// The reports of a window of one, paired with the view names.
+    fn named(
+        &self,
+        (mut done, outcome): (Vec<Propagated<'_>>, Result<(), Error>),
     ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        let runtime =
-            Self::ensure_runtime(&mut self.runtime, &mut self.retired_spawns, self.workers);
-        // Scheduling groups against the intact document (deletion
-        // footprints need the doomed subtrees still present).
-        let groups = schedule(&self.views, self.workers, doc, pul);
-        // Per-view pre-update capture against the intact document.
-        let prepared = parallel::prepare_all(&self.views, doc, pul, skip, runtime);
-        // One document update.
-        let (apply_res, t_apply) = timed(|| apply_pul(doc, pul));
-        let apply_res = apply_res?;
-        // Per-view propagation, fanned out over the groups.
-        let mut out =
-            parallel::finish_all(&mut self.views, doc, &apply_res, prepared, &groups, runtime);
-        for (_, report) in &mut out {
-            report.timings.apply_document = t_apply;
-        }
-        Ok(out)
+        outcome?;
+        let reports = done.pop().expect("a window of one propagates one step").reports;
+        Ok(self.names.iter().cloned().zip(reports).collect())
     }
 
-    /// Propagates a stream of statements as *individual commits* with
-    /// up to `depth` consecutive commits in flight (the pipelined mode
-    /// behind [`Database::apply_pipelined`]), built on copy-on-write
-    /// document snapshots: the submitting thread walks a window of
-    /// `depth` statements computing each commit's PUL, applying it,
-    /// and freezing the document *before* and *after* the apply
-    /// (cheap O(chunks) clones, see [`xivm_xml::Arena`]). The whole
-    /// window then drains through [`crate::parallel`]'s `run_window`:
-    /// the per-commit Figure 15 partitions are merged into
-    /// window-wide shards and one pool job per shard chains
-    /// `prepare`/`finish` through all commits — so commit *k+depth−1*
-    /// overlaps commit *k* on every disjoint shard, at any depth, not
-    /// just one commit ahead.
+    /// The one propagation entry: walks a window of `len` consecutive
+    /// commits over `doc`. `plan(k, doc)` produces step *k*'s
+    /// [`CommitPlan`] against the document *as of its turn* — after
+    /// step *k − 1* applied — so planning happens inside the walk.
+    /// `plan.skip[i]` leaves view `i` out of that step: its
+    /// prepare/finish never run and it reports
+    /// [`UpdateReport::skipped`].
     ///
-    /// `on_commit(k, pul, pre, reports)` fires for each statement in
-    /// order as its window drains — callers seal sequence numbers and
-    /// fan out subscription events there, which is what keeps
-    /// changefeeds gapless and bit-identical to the sequential pass.
-    /// `pul` is the commit's computed PUL and `pre` the document
-    /// *before* that commit's apply — `Some` only when the caller
-    /// asked for it with `want_pre` (deferred-view batching folds the
-    /// PUL against exactly that document); the windowed path has the
-    /// pre-images anyway, the degenerate sequential path clones one
-    /// per commit only on request. With `depth <= 1` or fewer than two
-    /// statements this is exactly a sequential loop of
-    /// [`Self::apply_statement_counted`].
+    /// Two schedules, selected by the window length alone:
     ///
-    /// On an apply error the pipeline stops: the window's commits that
-    /// applied *before* the failure still drain (their `on_commit`
-    /// fires), then the error is returned — exactly like a sequential
-    /// loop that stops at the first failing statement.
+    /// * **in place** (`len == 1`): every view's `prepare` against the
+    ///   intact document, one `apply_pul` on `doc` itself, every
+    ///   view's `finish` against the result — fanned out over the
+    ///   Figure 15 groups on the pool. No document image is created
+    ///   unless `want_pre` asks for the pre-apply one (a clone held
+    ///   across `apply_pul` makes every touched chunk copy-on-write).
+    /// * **chain** (`len >= 2`): the calling thread applies the PULs
+    ///   one after another, freezing a cheap O(chunks) copy-on-write
+    ///   image (see [`xivm_xml::Arena`]) before and after every apply;
+    ///   the window then drains through [`crate::parallel`]'s
+    ///   `run_window`, one pool job per window-wide shard chaining
+    ///   `prepare`/`finish` through all commits — commit *k+len−1*'s
+    ///   prepare overlaps commit *k*'s finish on every disjoint shard.
     ///
-    /// `masks`, when present, carries one static skip mask per
-    /// statement (`masks[k][i]` = view `i` is provably untouched by
-    /// statement `k`): masked views skip their prepare/finish for that
-    /// commit and report [`UpdateReport::skipped`].
-    ///
-    /// [`Database::apply_pipelined`]: crate::database::Database::apply_pipelined
-    pub(crate) fn propagate_pipelined<F>(
+    /// Returns the propagated steps in order, each with its plan, its
+    /// reports (find/apply timings stamped) and — under `want_pre` —
+    /// the document before its apply. If a step fails to plan or
+    /// apply, the steps before it still propagate and come back beside
+    /// the error — exactly like a sequential loop that stops at the
+    /// first failing statement.
+    pub(crate) fn propagate_window<'a>(
         &mut self,
         doc: &mut Document,
-        stmts: &[UpdateStatement],
-        depth: usize,
-        masks: Option<&[Vec<bool>]>,
+        len: usize,
         want_pre: bool,
-        mut on_commit: F,
-    ) -> Result<(), Error>
-    where
-        F: FnMut(usize, &Pul, Option<&Document>, Vec<(String, UpdateReport)>),
-    {
-        debug_assert!(masks.is_none_or(|m| m.len() == stmts.len()));
-        let mask_of = |k: usize| masks.map(|m| m[k].as_slice());
-        if depth <= 1 || stmts.len() <= 1 {
-            for (k, stmt) in stmts.iter().enumerate() {
-                let pre = want_pre.then(|| doc.clone());
-                let (pul, reports) = self.apply_statement_counted(doc, stmt, mask_of(k))?;
-                on_commit(k, &pul, pre.as_ref(), reports);
-            }
-            return Ok(());
-        }
+        mut plan: impl FnMut(usize, &Document) -> Result<CommitPlan<'a>, Error>,
+    ) -> (Vec<Propagated<'a>>, Result<(), Error>) {
         let runtime =
             Self::ensure_runtime(&mut self.runtime, &mut self.retired_spawns, self.workers);
-
-        let mut k0 = 0usize;
-        while k0 < stmts.len() {
-            let window = depth.min(stmts.len() - k0);
-            // Phase A (submitting thread): apply the window's PULs one
-            // after another, freezing a snapshot around every apply.
-            // Each step's prepare must read the document *before* its
-            // own apply and its finish the document *after* — both
-            // versions stay alive (and frozen) for the pool below.
-            let mut steps: Vec<parallel::WindowStep> = Vec::with_capacity(window);
-            let mut failure: Option<Error> = None;
-            for (j, stmt) in stmts[k0..k0 + window].iter().enumerate() {
-                let (pul, t_find) = timed(|| compute_pul(doc, stmt));
-                let groups = schedule(&self.views, self.workers, doc, &pul);
+        if len == 1 {
+            let step = plan(0, doc).and_then(|plan| {
+                // Scheduling groups against the intact document
+                // (deletion footprints need the doomed subtrees).
+                let groups = schedule(&self.views, self.workers, doc, &plan.pul);
+                let prepared = parallel::prepare_all(
+                    &self.views,
+                    doc,
+                    &plan.pul,
+                    plan.skip.as_deref(),
+                    runtime,
+                );
+                let pre = want_pre.then(|| doc.clone());
+                let (apply_res, t_apply) = timed(|| apply_pul(doc, &plan.pul));
+                let apply_res = apply_res?;
+                let mut reports = parallel::finish_all(
+                    &mut self.views,
+                    doc,
+                    &apply_res,
+                    prepared,
+                    &groups,
+                    runtime,
+                );
+                for report in &mut reports {
+                    report.timings.find_target_nodes = plan.t_find;
+                    report.timings.apply_document = t_apply;
+                }
+                Ok(Propagated { plan, pre, reports })
+            });
+            return match step {
+                Ok(step) => (vec![step], Ok(())),
+                Err(e) => (Vec::new(), Err(e)),
+            };
+        }
+        // Phase A (calling thread): each step's prepare must read the
+        // document *before* its own apply and its finish the document
+        // *after* — both versions stay alive, frozen, for the pool.
+        let mut steps: Vec<parallel::WindowStep<'a>> = Vec::with_capacity(len);
+        let mut outcome = Ok(());
+        for k in 0..len {
+            let step = plan(k, doc).and_then(|plan| {
+                let groups = schedule(&self.views, self.workers, doc, &plan.pul);
                 let pre = doc.clone();
-                let (apply_res, t_apply) = timed(|| apply_pul(doc, &pul));
-                let apply_res = match apply_res {
-                    Ok(res) => res,
-                    Err(e) => {
-                        failure = Some(e.into());
-                        break;
-                    }
-                };
-                let post = doc.clone();
-                steps.push(parallel::WindowStep {
-                    pul,
+                let (apply_res, t_apply) = timed(|| apply_pul(doc, &plan.pul));
+                let apply_res = apply_res?;
+                Ok(parallel::WindowStep {
+                    plan,
                     groups,
-                    skip: mask_of(k0 + j).map(<[bool]>::to_vec).unwrap_or_default(),
                     pre,
-                    post,
+                    post: doc.clone(),
                     apply_res,
-                    t_find,
                     t_apply,
-                });
-            }
-            // Phase B (pool): drain the window — one chained job per
-            // merged shard. Phase C: seal strictly in commit order.
-            if !steps.is_empty() {
-                let reports = parallel::run_window(&mut self.views, &steps, runtime);
-                for (j, (step, per_view)) in steps.iter().zip(reports).enumerate() {
-                    on_commit(k0 + j, &step.pul, want_pre.then_some(&step.pre), per_view);
+                })
+            });
+            match step {
+                Ok(step) => steps.push(step),
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
                 }
             }
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            k0 += window;
         }
-        Ok(())
+        // Phase B (pool): one chained job per merged shard.
+        let reports = parallel::run_window(&mut self.views, &steps, runtime);
+        let done = steps
+            .into_iter()
+            .zip(reports)
+            .map(|(step, reports)| Propagated {
+                plan: step.plan,
+                pre: want_pre.then_some(step.pre),
+                reports,
+            })
+            .collect();
+        (done, outcome)
     }
 
     /// The Figure 15 partition of the views under `pul`: views in
@@ -421,7 +394,7 @@ impl MultiViewEngine {
     /// shard-assignment detail), see
     /// [`crate::parallel::PropagationPlan`].
     pub fn partition(&self, doc: &Document, pul: &Pul) -> Vec<Vec<usize>> {
-        let patterns: Vec<&TreePattern> = self.views.iter().map(|(_, e)| e.pattern()).collect();
+        let patterns: Vec<&TreePattern> = self.views.iter().map(|e| e.pattern()).collect();
         parallel::schedule_groups(doc, pul, &patterns)
     }
 }
@@ -431,13 +404,13 @@ impl MultiViewEngine {
 /// sequential pass skips all footprint work). A free function so
 /// callers can hold disjoint borrows of the engine's other fields.
 fn schedule(
-    views: &[(String, MaintenanceEngine)],
+    views: &[MaintenanceEngine],
     workers: usize,
     doc: &Document,
     pul: &Pul,
 ) -> Vec<Vec<usize>> {
     if workers.min(views.len()) > 1 {
-        let patterns: Vec<&TreePattern> = views.iter().map(|(_, e)| e.pattern()).collect();
+        let patterns: Vec<&TreePattern> = views.iter().map(|e| e.pattern()).collect();
         parallel::schedule_groups(doc, pul, &patterns)
     } else {
         PropagationPlan::single_group(views.len()).groups

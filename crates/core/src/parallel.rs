@@ -27,11 +27,11 @@
 //!   merged back by declaration-order index, so the outcome is
 //!   bit-identical to the sequential pass no matter how the jobs were
 //!   interleaved.
-//! * `run_window` (crate-internal) is the deep-pipelined composite
-//!   behind [`MultiViewEngine::propagate_pipelined`]: a window of up
-//!   to `depth` consecutive commits is propagated at once, each
-//!   commit carrying copy-on-write document snapshots from before and
-//!   after its apply (`WindowStep`). The per-commit Figure 15
+//! * `run_window` (crate-internal) is the chain schedule of
+//!   `MultiViewEngine::propagate_window`: a window of two or more
+//!   consecutive commits is propagated at once, each commit carrying
+//!   copy-on-write document snapshots from before and after its
+//!   apply (`WindowStep`). The per-commit Figure 15
 //!   partitions are merged (union-find) into window-wide *shards*;
 //!   one job per shard walks the commits in order running
 //!   `prepare(pre₍ⱼ₎)` then `finish(post₍ⱼ₎)` for its views, so
@@ -40,14 +40,13 @@
 //!   ahead. Within a shard each view's store is written by exactly
 //!   one job, so shards need no synchronization at all.
 //!
-//! [`MultiViewEngine::propagate_pipelined`]: crate::multiview::MultiViewEngine
-//!
 //! Determinism does not *depend* on the plan: every view writes only
 //! its own state. The plan bounds scheduling (co-locating views that
 //! care about order-dependent ops, exactly what a sharded deployment
 //! must do) and the merge restores declaration order unconditionally.
 
 use crate::engine::{MaintenanceEngine, PreparedUpdate, UpdateReport};
+use crate::executor::CommitPlan;
 use crate::runtime::{Job, Runtime};
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -236,7 +235,7 @@ fn masked(skip: Option<&[bool]>, i: usize) -> bool {
 /// analyzer proved irrelevant (`skip[i]`), whose prepare was never
 /// run and whose finish must be skipped too.
 pub(crate) fn prepare_all(
-    views: &[(String, MaintenanceEngine)],
+    views: &[MaintenanceEngine],
     doc: &Document,
     pul: &Pul,
     skip: Option<&[bool]>,
@@ -246,7 +245,7 @@ pub(crate) fn prepare_all(
         return views
             .iter()
             .enumerate()
-            .map(|(i, (_, e))| (!masked(skip, i)).then(|| e.prepare(doc, pul)))
+            .map(|(i, e)| (!masked(skip, i)).then(|| e.prepare(doc, pul)))
             .collect();
     }
     let slots: Vec<Mutex<Option<PreparedUpdate>>> =
@@ -256,7 +255,7 @@ pub(crate) fn prepare_all(
         .zip(&slots)
         .enumerate()
         .filter(|(i, _)| !masked(skip, *i))
-        .map(|(_, ((_, engine), slot))| {
+        .map(|(_, (engine, slot))| {
             Box::new(move || {
                 *slot.lock().expect("prepare slot unpoisoned") = Some(engine.prepare(doc, pul));
             }) as Job<'_>
@@ -281,13 +280,13 @@ pub(crate) fn prepare_all(
 /// state is `None` was statically skipped: its engine is not touched
 /// and it reports [`UpdateReport::skipped`].
 pub(crate) fn finish_all(
-    views: &mut [(String, MaintenanceEngine)],
+    views: &mut [MaintenanceEngine],
     doc: &Document,
     apply_res: &ApplyResult,
     prepared: Vec<Option<PreparedUpdate>>,
     groups: &[Vec<usize>],
     runtime: &Runtime,
-) -> Vec<(String, UpdateReport)> {
+) -> Vec<UpdateReport> {
     let n = views.len();
     debug_assert_eq!(prepared.len(), n);
     debug_assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), n);
@@ -295,28 +294,26 @@ pub(crate) fn finish_all(
     // Hand each group exclusive access to its views: the declaration-
     // order slots are taken out once, so the borrow checker sees the
     // per-group &mut engines as disjoint.
-    type Slot<'a> = (&'a mut (String, MaintenanceEngine), Option<PreparedUpdate>);
+    type Slot<'a> = (&'a mut MaintenanceEngine, Option<PreparedUpdate>);
     let mut slots: Vec<Option<Slot<'_>>> = views.iter_mut().zip(prepared).map(Some).collect();
     let group_views: Vec<Vec<(usize, Slot<'_>)>> = groups
         .iter()
         .map(|g| g.iter().map(|&i| (i, slots[i].take().expect("view in one group"))).collect())
         .collect();
 
-    let finished: Vec<Mutex<Option<(String, UpdateReport)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
+    let finished: Vec<Mutex<Option<UpdateReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     let jobs: Vec<Job<'_>> = group_views
         .into_iter()
         .map(|mut group| {
             let finished = &finished;
             Box::new(move || {
-                for (idx, (entry, prep)) in group.drain(..) {
+                for (idx, (engine, prep)) in group.drain(..) {
                     let report = match prep {
-                        Some(prep) => entry.1.finish(doc, apply_res, prep),
+                        Some(prep) => engine.finish(doc, apply_res, prep),
                         None => UpdateReport::skipped(),
                     };
-                    *finished[idx].lock().expect("finish slot unpoisoned") =
-                        Some((entry.0.clone(), report));
+                    *finished[idx].lock().expect("finish slot unpoisoned") = Some(report);
                 }
             }) as Job<'_>
         })
@@ -329,24 +326,20 @@ pub(crate) fn finish_all(
         .collect()
 }
 
-/// One commit of a pipelined window: its PUL and schedule, the frozen
-/// copy-on-write document snapshots from *before* and *after* its
-/// apply, the apply result, and the submitting thread's timings
-/// (stamped onto every per-view report when the window drains).
-pub(crate) struct WindowStep {
-    pub(crate) pul: Pul,
+/// One commit of a chained window: its plan (PUL, skip mask, find
+/// time) and schedule, the frozen copy-on-write document snapshots
+/// from *before* and *after* its apply, the apply result, and the
+/// submitting thread's apply time (stamped onto every per-view report
+/// when the window drains).
+pub(crate) struct WindowStep<'a> {
+    pub(crate) plan: CommitPlan<'a>,
     /// The commit's own Figure 15 partition (view indices).
     pub(crate) groups: Vec<Vec<usize>>,
-    /// Static skip mask for this commit (`skip[i]` = view `i` is
-    /// provably untouched and its prepare/finish are never run).
-    /// Empty when no analyzer is installed.
-    pub(crate) skip: Vec<bool>,
     /// The document version the commit's `prepare` phase reads.
     pub(crate) pre: Document,
     /// The document version the commit's `finish` phase reads.
     pub(crate) post: Document,
     pub(crate) apply_res: ApplyResult,
-    pub(crate) t_find: std::time::Duration,
     pub(crate) t_apply: std::time::Duration,
 }
 
@@ -357,7 +350,7 @@ pub(crate) struct WindowStep {
 /// ordering constraint — the per-view constraint (finish commit *j*
 /// before commit *j+1*) holds inside the chain, and any two views a
 /// commit declared order-dependent sit in the same chain.
-fn merge_window_shards(steps: &[WindowStep], n: usize) -> Vec<Vec<usize>> {
+fn merge_window_shards(steps: &[WindowStep<'_>], n: usize) -> Vec<Vec<usize>> {
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
@@ -399,24 +392,22 @@ fn merge_window_shards(steps: &[WindowStep], n: usize) -> Vec<Vec<usize>> {
 /// view's `prepare` reads only the pre-apply document and its pattern,
 /// and its `finish` calls happen in commit order within its chain.
 pub(crate) fn run_window(
-    views: &mut [(String, MaintenanceEngine)],
-    steps: &[WindowStep],
+    views: &mut [MaintenanceEngine],
+    steps: &[WindowStep<'_>],
     runtime: &Runtime,
-) -> Vec<Vec<(String, UpdateReport)>> {
+) -> Vec<Vec<UpdateReport>> {
     let n = views.len();
     let w = steps.len();
     let shards = merge_window_shards(steps, n);
 
-    let mut slots: Vec<Option<&mut (String, MaintenanceEngine)>> =
-        views.iter_mut().map(Some).collect();
-    let shard_views: Vec<Vec<(usize, &mut (String, MaintenanceEngine))>> = shards
+    let mut slots: Vec<Option<&mut MaintenanceEngine>> = views.iter_mut().map(Some).collect();
+    let shard_views: Vec<Vec<(usize, &mut MaintenanceEngine)>> = shards
         .iter()
         .map(|g| g.iter().map(|&i| (i, slots[i].take().expect("view in one shard"))).collect())
         .collect();
 
     // One slot per (commit, view), commit-major.
-    let reports: Vec<Mutex<Option<(String, UpdateReport)>>> =
-        (0..n * w).map(|_| Mutex::new(None)).collect();
+    let reports: Vec<Mutex<Option<UpdateReport>>> = (0..n * w).map(|_| Mutex::new(None)).collect();
 
     let jobs: Vec<Job<'_>> = shard_views
         .into_iter()
@@ -424,15 +415,15 @@ pub(crate) fn run_window(
             let reports = &reports;
             Box::new(move || {
                 for (j, step) in steps.iter().enumerate() {
-                    for (idx, entry) in shard.iter_mut() {
-                        let report = if step.skip.get(*idx).copied().unwrap_or(false) {
+                    for (idx, engine) in shard.iter_mut() {
+                        let report = if masked(step.plan.skip.as_deref(), *idx) {
                             UpdateReport::skipped()
                         } else {
-                            let prep = entry.1.prepare(&step.pre, &step.pul);
-                            entry.1.finish(&step.post, &step.apply_res, prep)
+                            let prep = engine.prepare(&step.pre, &step.plan.pul);
+                            engine.finish(&step.post, &step.apply_res, prep)
                         };
                         *reports[j * n + *idx].lock().expect("report slot unpoisoned") =
-                            Some((entry.0.clone(), report));
+                            Some(report);
                     }
                 }
             }) as Job<'_>
@@ -446,15 +437,15 @@ pub(crate) fn run_window(
         .map(|step| {
             (0..n)
                 .map(|_| {
-                    let (name, mut report) = slot_iter
+                    let mut report = slot_iter
                         .next()
                         .expect("n * w slots")
                         .into_inner()
                         .expect("report slot unpoisoned")
                         .expect("every view finished every commit");
-                    report.timings.find_target_nodes = step.t_find;
+                    report.timings.find_target_nodes = step.plan.t_find;
                     report.timings.apply_document = step.t_apply;
-                    (name, report)
+                    report
                 })
                 .collect()
         })

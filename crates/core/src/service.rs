@@ -3,11 +3,13 @@
 //! [`Database::apply_async`] validates a batch, reserves the next
 //! sequence number and hands the statements to a background service
 //! thread, returning a [`Ticket`] immediately. The service drains its
-//! queue in submission order: runs of single-statement submissions go
-//! through the same windowed copy-on-write pipeline as
-//! [`apply_pipelined`] (up to the database's pipeline depth in
-//! flight), multi-statement submissions commit like a sequential
-//! transaction. Commits seal **strictly in sequence order**, so
+//! queue in submission order, handing the executor
+//! (`DbInner::seal_window`) one window of up to the database's
+//! pipeline depth at a time — the same windows [`apply_pipelined`]
+//! seals. A window holds submissions of any shape: a one-statement
+//! submission plans like `apply`, a multi-statement (or empty) one
+//! like a sequential transaction, and both ride the same copy-on-write
+//! image chain. Commits seal **strictly in sequence order**, so
 //! subscription feeds stay gapless no matter how the work was
 //! scheduled.
 //!
@@ -46,14 +48,14 @@
 //! [`Runtime`]: crate::runtime::Runtime
 
 use crate::commit::Commit;
-use crate::database::{fold_pending, mark_deferred, merge_skip, seal_commit, DbInner};
+use crate::database::DbInner;
 use crate::error::Error;
+use crate::executor::Batch;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use xivm_pulopt::ReductionTrace;
-use xivm_update::{apply_pul, compute_pul, UpdateStatement};
+use xivm_update::{apply_pul, Pul, UpdateStatement};
 use xivm_xml::Document;
 
 /// A claim on one future commit, returned by
@@ -324,38 +326,16 @@ fn service_loop(loan: Loan, shared: Arc<Shared>) {
     }
 }
 
-/// Drains one batch in submission order. Runs of single-statement
-/// submissions are sealed through the pipelined window machinery
-/// (chunked at the database's pipeline depth); anything else commits
-/// like a sequential transaction. After the first failure every
-/// remaining ticket aborts. Returns the first failure, if any.
+/// Drains one batch in submission order, a window of up to the
+/// database's pipeline depth at a time, whatever the submissions'
+/// shapes. After the first failure every remaining ticket aborts.
+/// Returns the first failure, if any.
 fn drain_batch(db: &mut DbInner, batch: &[Submission], shared: &Shared) -> Option<Error> {
     let mut error: Option<Error> = None;
-    let mut i = 0;
-    while i < batch.len() {
-        if let Some(_e) = &error {
-            batch[i].ticket.fulfill(Err(Error::Aborted));
-            i += 1;
-            continue;
-        }
-        let result = if batch[i].stmts.len() == 1 {
-            let mut run_end = i;
-            while run_end < batch.len() && batch[run_end].stmts.len() == 1 {
-                run_end += 1;
-            }
-            let end = run_end.min(i + db.pipeline.max(1));
-            // The refresh-interval policy fires on the service thread
-            // between windows, so deferred views refresh off the
-            // submitters' critical path.
-            let r = seal_window(db, &batch[i..end]).and_then(|()| db.maybe_auto_refresh());
-            i = end;
-            r
-        } else {
-            let r = seal_transaction(db, &batch[i]);
-            i += 1;
-            r
-        };
-        if let Err(e) = result {
+    for window in batch.chunks(db.pipeline) {
+        if error.is_some() {
+            fail_tail(window, 0, Error::Aborted);
+        } else if let Err(e) = seal_window(db, window) {
             error = Some(e);
         } else {
             // Publish progress so `commit_barrier` waiters wake
@@ -370,106 +350,40 @@ fn drain_batch(db: &mut DbInner, batch: &[Submission], shared: &Shared) -> Optio
     error
 }
 
-/// Seals a window of single-statement submissions through
-/// `propagate_pipelined`, fulfilling each ticket as its commit seals
-/// (strictly in order). On failure, every ticket in the window is
-/// resolved — sealed prefix with its `Commit`, the failing one with
+/// Seals one window of submissions through the executor
+/// ([`DbInner::seal_window`]), fulfilling each ticket as its commit
+/// seals (strictly in order). On failure, every ticket in the window
+/// is resolved — sealed prefix with its `Commit`, the failing one with
 /// the error, the rest with [`Error::Aborted`] — and on a panic the
 /// database is rolled back to the sealed prefix and every view
 /// recomputed.
 fn seal_window(db: &mut DbInner, window: &[Submission]) -> Result<(), Error> {
     #[cfg(any(test, feature = "fault-inject"))]
     crate::fault::seal_point();
-    let stmts: Vec<UpdateStatement> = window.iter().map(|s| s.stmts[0].clone()).collect();
+    let batches: Vec<Batch<'_>> = window.iter().map(|s| Batch::of(&s.stmts)).collect();
     let pre = db.doc.clone();
-    let statik = db.static_masks(&stmts);
-    let defer = db.defer_mask();
-    let masks: Option<Vec<Vec<bool>>> = match (&statik, &defer) {
-        (None, None) => None,
-        _ => {
-            let blank = vec![false; db.views.len()];
-            Some(
-                (0..stmts.len())
-                    .map(|k| {
-                        let s = statik.as_ref().map(|m| m[k].clone());
-                        merge_skip(s, defer.clone()).unwrap_or_else(|| blank.clone())
-                    })
-                    .collect(),
-            )
+    // The PULs of the commits that sealed, in order: what `recover`
+    // replays onto `pre` — whatever shape each submission had.
+    let mut sealed: Vec<Pul> = Vec::with_capacity(window.len());
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        db.seal_window(&batches, |k, pul, commit| {
+            window[k].ticket.fulfill(Ok(commit));
+            sealed.push(pul);
+        })
+    }));
+    let e = match outcome {
+        Ok(Ok(())) => return Ok(()),
+        // The engine stopped cleanly: commits before the failure
+        // sealed (tickets already fulfilled), nothing after the
+        // failing submission touched the document.
+        Ok(Err(e)) => e,
+        Err(payload) => {
+            recover(db, pre, &sealed);
+            Error::Panic(panic_message(payload))
         }
     };
-    let want_pre = defer.is_some();
-    let sealed = std::cell::Cell::new(0usize);
-    let depth = db.pipeline;
-    let outcome = {
-        let DbInner { doc, views, commits, subs, pending, modes, .. } = db;
-        let sealed = &sealed;
-        catch_unwind(AssertUnwindSafe(|| {
-            views.propagate_pipelined(
-                doc,
-                &stmts,
-                depth,
-                masks.as_deref(),
-                want_pre,
-                |k, pul, pre, mut per_view| {
-                    fold_pending(pending, modes, pre, pul, *commits + 1);
-                    mark_deferred(&mut per_view, modes);
-                    let commit = seal_commit(
-                        commits,
-                        subs,
-                        1,
-                        pul.len(),
-                        pul.len(),
-                        ReductionTrace::default(),
-                        per_view,
-                    );
-                    window[k].ticket.fulfill(Ok(commit));
-                    sealed.set(sealed.get() + 1);
-                },
-            )
-        }))
-    };
-    match outcome {
-        Ok(Ok(())) => Ok(()),
-        Ok(Err(e)) => {
-            // The engine stopped cleanly: commits before the failure
-            // sealed (tickets already fulfilled), nothing after the
-            // failing statement touched the document.
-            fail_tail(window, sealed.get(), e.clone());
-            Err(e)
-        }
-        Err(payload) => {
-            let e = Error::Panic(panic_message(payload));
-            recover(db, pre, &stmts[..sealed.get()]);
-            fail_tail(window, sealed.get(), e.clone());
-            Err(e)
-        }
-    }
-}
-
-/// Seals one multi-statement (or empty) submission as a sequential
-/// transaction, with the same panic containment as [`seal_window`].
-fn seal_transaction(db: &mut DbInner, sub: &Submission) -> Result<(), Error> {
-    #[cfg(any(test, feature = "fault-inject"))]
-    crate::fault::seal_point();
-    let pre = db.doc.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(|| db.commit_sequential(&sub.stmts)));
-    match outcome {
-        Ok(Ok(commit)) => {
-            sub.ticket.fulfill(Ok(commit));
-            Ok(())
-        }
-        Ok(Err(e)) => {
-            sub.ticket.fulfill(Err(e.clone()));
-            Err(e)
-        }
-        Err(payload) => {
-            let e = Error::Panic(panic_message(payload));
-            recover(db, pre, &[]);
-            sub.ticket.fulfill(Err(e.clone()));
-            Err(e)
-        }
-    }
+    fail_tail(window, sealed.len(), e.clone());
+    Err(e)
 }
 
 /// Resolves the unsealed tail of a failed window: the first unsealed
@@ -483,17 +397,16 @@ fn fail_tail(window: &[Submission], sealed: usize, e: Error) {
     }
 }
 
-/// Post-panic rollback: rebuild the document as `pre` plus the
-/// statements whose commits actually sealed (they applied cleanly
-/// before the panic, so replaying them cannot fail), then recompute
-/// every view from scratch against it. Stores sealed before the
-/// panic stay exactly as sealed; the half-propagated state of the
-/// panicking window is discarded wholesale.
-fn recover(db: &mut DbInner, pre: Document, sealed_stmts: &[UpdateStatement]) {
+/// Post-panic rollback: rebuild the document as `pre` plus the PULs
+/// of the commits that actually sealed (they applied cleanly before
+/// the panic, so replaying them cannot fail), then recompute every
+/// view from scratch against it. Stores sealed before the panic stay
+/// exactly as sealed; the half-propagated state of the panicking
+/// window is discarded wholesale.
+fn recover(db: &mut DbInner, pre: Document, sealed: &[Pul]) {
     let mut doc = pre;
-    for stmt in sealed_stmts {
-        let pul = compute_pul(&doc, stmt);
-        if apply_pul(&mut doc, &pul).is_err() {
+    for pul in sealed {
+        if apply_pul(&mut doc, pul).is_err() {
             break;
         }
     }

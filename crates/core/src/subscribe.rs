@@ -401,9 +401,9 @@ impl SubscriptionRegistry {
         let mut shared: HashMap<usize, Arc<ViewDelta>> = HashMap::new();
         for queue in self.subs.values() {
             let delta = Arc::clone(shared.entry(queue.view).or_insert_with(|| {
-                Arc::new(per_view.get(queue.view).map(|(_, r)| r.delta.clone()).unwrap_or_default())
+                Arc::new(per_view.get(queue.view).map(|r| r.delta.clone()).unwrap_or_default())
             }));
-            let folded = per_view.get(queue.view).and_then(|(_, r)| r.coalesced.clone());
+            let folded = per_view.get(queue.view).and_then(|r| r.coalesced.clone());
             queue.push(DeltaEvent { seq: commit.seq, folded, delta });
         }
     }

@@ -85,8 +85,11 @@
 //! For a server front-end, `Database::apply_async` decouples
 //! submission from sealing: it validates, reserves a sequence number
 //! and returns a [`Ticket`] immediately while a background service
-//! thread seals commits strictly in order through the same pipelined
-//! machinery. Await one commit with [`Ticket::wait`], everything with
+//! thread seals commits strictly in order through the same commit
+//! executor every synchronous front-end uses — its queue is cut into
+//! windows of up to `depth` submissions whatever their shapes, so
+//! single-, multi-statement and empty submissions share windows.
+//! Await one commit with [`Ticket::wait`], everything with
 //! `Database::flush`, or a specific seq with
 //! `Database::commit_barrier`. Subscription queues can be bounded
 //! (`.subscription_capacity(n)` / `XIVM_SUB_CAPACITY`) with a
@@ -110,6 +113,11 @@
 //! | `compute_pul` + `pulopt::reduce` + `propagate_pul` | `db.transaction().statement(..)...commit()?` |
 //! | `engine.store()` | `db.store(db.view(name)?)` |
 //! | `XmlError` for every failure | [`Error`] with per-class variants |
+//!
+//! `MultiViewEngine::apply_statement` and `propagate_pul` are the
+//! multi-view host's only two public propagation entry points; each is
+//! a window of one over the same propagation pass the façade's commit
+//! executor drives, so a façade commit is bit-identical to them.
 //!
 //! ## Migrating from the string-first façade (pre-delta API)
 //!

@@ -274,6 +274,91 @@ fn panic_in_async_transaction_rolls_back_whole_batch() {
     fault::disarm_all();
 }
 
+/// A panic in a depth-4 window of *mixed-shape* submissions — single,
+/// multi-statement and single again — after an equally mixed window
+/// sealed: the sealed window survives exactly (recovery replays the
+/// sealed commits in the shape they had), the failing window fails as
+/// a whole, and the database equals the synchronous replay of the
+/// sealed submissions through `apply` / `transaction()`.
+#[test]
+fn panic_in_mixed_shape_window_preserves_the_sealed_mixed_window() {
+    let _guard = fault::exclusive();
+    fault::disarm_all();
+
+    let mut db = build_db(2, 4);
+    let h = db.view("acb").expect("view");
+    // Explicitly unbounded: a whole window fans out before this
+    // thread drains (the CI async matrix defaults to capacity 1).
+    let feed = db.subscribe_with(h, None, SlowConsumerPolicy::Block);
+    let submit =
+        |db: &mut Database, shapes: &[usize], next: &mut usize| -> Vec<(Vec<String>, Ticket)> {
+            shapes
+                .iter()
+                .map(|&n| {
+                    let stmts: Vec<String> = (*next..*next + n).map(stmt).collect();
+                    *next += n;
+                    let ticket = db.apply_async(stmts.iter().map(String::as_str)).expect("submit");
+                    (stmts, ticket)
+                })
+                .collect()
+        };
+
+    // SEAL_DELAY holds the service before its first window, so all
+    // four submissions are queued when it wakes: one depth-4 window
+    // shaped [1, 3, 1, 1].
+    let mut next = 0;
+    fault::arm(fault::SEAL_DELAY);
+    let first = submit(&mut db, &[1, 3, 1, 1], &mut next);
+    db.flush().expect("first window seals cleanly");
+
+    // Same trick for the second window, shaped [1, 4, 1], with a
+    // finish panic waiting inside it.
+    fault::arm(fault::FINISH_PANIC | fault::SEAL_DELAY);
+    let second = submit(&mut db, &[1, 4, 1], &mut next);
+    assert!(matches!(db.flush(), Err(Error::Panic(_))));
+
+    for (k, (stmts, ticket)) in first.iter().enumerate() {
+        let commit = ticket.wait().expect("first window sealed");
+        assert_eq!(commit.seq, k as u64 + 1);
+        assert_eq!(commit.seq, ticket.seq, "Commit::seq is exactly Ticket::seq");
+        assert_eq!(commit.statements, stmts.len());
+    }
+    match second[0].1.wait() {
+        Err(Error::Panic(msg)) => {
+            assert!(msg.contains("injected fault: panic in finish"), "panic message: {msg}")
+        }
+        other => panic!("the window's head should carry the injected panic, got {other:?}"),
+    }
+    for (_, ticket) in &second[1..] {
+        assert!(matches!(ticket.wait(), Err(Error::Aborted)), "queued-behind tickets abort");
+    }
+
+    // The synchronous replay of exactly the first four submissions,
+    // each in its own shape.
+    let mut replay = build_db(1, 1);
+    for (stmts, _) in &first {
+        match stmts.as_slice() {
+            [s] => replay.apply(s.as_str()).expect("replay statement"),
+            many => many
+                .iter()
+                .fold(replay.transaction(), |tx, s| tx.statement(s.as_str()))
+                .commit()
+                .expect("replay transaction"),
+        };
+    }
+    assert_eq!(db.last_seq(), 4);
+    assert_eq!(db.last_seq(), replay.last_seq());
+    assert_eq!(db.serialize(), replay.serialize());
+    for (name, _) in VIEWS {
+        let (h, rh) = (db.view(name).expect("view"), replay.view(name).expect("view"));
+        assert!(db.store(h).same_content_as(replay.store(rh)), "view {name} differs from replay");
+    }
+    assert_consistent(&db, "after mixed-window panic");
+    assert_eq!(drained_seqs(&feed), vec![1, 2, 3, 4]);
+
+    fault::disarm_all();
+}
+
 /// A panicking window drains cleanly even while a capacity-1 `Block`
 /// subscription is being drained from another thread: the service
 /// never wedges, and the consumer sees exactly the sealed commits with

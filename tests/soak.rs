@@ -5,8 +5,10 @@
 //! statements applied one by one), **pipelined** (N workers,
 //! `Database::apply_pipelined` with up to D consecutive commits in
 //! flight on copy-on-write document snapshots) and **async-service**
-//! (N workers, every statement submitted through
-//! `Database::apply_async` with randomized `flush()`/`wait()`
+//! (N workers, the statements submitted through
+//! `Database::apply_async` — grouped into submissions of 0, 1 or 4
+//! statements, so empty and multi-statement commits share windows
+//! with single ones — with randomized `flush()`/`wait()`
 //! interleavings and bounded `Block` subscriptions drained from
 //! consumer threads) — must be
 //! observationally indistinguishable: identical documents, identical
@@ -83,6 +85,23 @@ fn script_statement(&(t, f, is_insert): &ScriptStep) -> String {
     }
 }
 
+/// Statement counts an async submission is drawn from: mostly single
+/// statements, with empty and four-statement commits mixed in.
+const SHAPES: [usize; 5] = [0, 1, 1, 1, 4];
+
+/// Groups the script into submissions — one commit each: submission
+/// *k* takes the next `SHAPES[shapes[k]]` statements (as many as are
+/// left), and whatever the shapes do not cover follows one statement
+/// per submission. No shapes = the plain one-commit-per-statement
+/// workload.
+fn submissions(script: &[ScriptStep], shapes: &[usize]) -> Vec<Vec<String>> {
+    let mut rest = script.iter().map(script_statement);
+    let mut groups: Vec<Vec<String>> =
+        shapes.iter().map(|&s| rest.by_ref().take(SHAPES[s]).collect()).collect();
+    groups.extend(rest.map(|s| vec![s]));
+    groups
+}
+
 // ---------------------------------------------------------------------
 // The differential run
 // ---------------------------------------------------------------------
@@ -119,9 +138,26 @@ fn run_workload(
     pipeline: usize,
     pipelined: bool,
 ) -> Observation {
+    run_submissions(doc_xml, view_idxs, &submissions(script, &[]), workers, pipeline, pipelined)
+}
+
+/// [`run_workload`] over explicit submissions, one commit each: a
+/// one-statement submission goes through `apply`, any other through a
+/// sequential `transaction()` — the synchronous reference for the
+/// async leg's grouping. (`pipelined: true` takes single statements
+/// only.)
+fn run_submissions(
+    doc_xml: &str,
+    view_idxs: &[usize],
+    groups: &[Vec<String>],
+    workers: usize,
+    pipeline: usize,
+    pipelined: bool,
+) -> Observation {
     let mut db = build_db(doc_xml, view_idxs, workers, pipeline);
-    let statements: Vec<String> = script.iter().map(script_statement).collect();
     let (commits, streams) = if pipelined {
+        assert!(groups.iter().all(|g| g.len() == 1), "apply_pipelined commits per statement");
+        let statements: Vec<&String> = groups.iter().flatten().collect();
         // One call applies the whole batch, so nothing can drain
         // mid-flight from this thread: these subscriptions must be
         // explicitly unbounded (a tight `XIVM_SUB_CAPACITY` default
@@ -132,7 +168,7 @@ fn run_workload(
             .map(|h| db.subscribe_with(h, None, SlowConsumerPolicy::Block))
             .collect();
         let commits = db
-            .apply_pipelined(statements.iter().map(String::as_str))
+            .apply_pipelined(statements.iter().map(|s| s.as_str()))
             .expect("pipelined batch applies");
         let streams = subs.iter().map(|sub| db.drain(sub)).collect();
         for sub in subs {
@@ -146,9 +182,16 @@ fn run_workload(
         // matrix does exactly that).
         let subs: Vec<Subscription> = db.handles().into_iter().map(|h| db.subscribe(h)).collect();
         let mut streams: Vec<Vec<DeltaEvent>> = (0..subs.len()).map(|_| Vec::new()).collect();
-        let mut commits = Vec::with_capacity(statements.len());
-        for s in &statements {
-            commits.push(db.apply(s.as_str()).expect("statement applies"));
+        let mut commits = Vec::with_capacity(groups.len());
+        for group in groups {
+            commits.push(match group.as_slice() {
+                [s] => db.apply(s.as_str()).expect("statement applies"),
+                many => many
+                    .iter()
+                    .fold(db.transaction(), |tx, s| tx.statement(s.as_str()))
+                    .commit()
+                    .expect("transaction commits"),
+            });
             for (sub, stream) in subs.iter().zip(streams.iter_mut()) {
                 stream.extend(db.drain(sub));
             }
@@ -161,28 +204,31 @@ fn run_workload(
     Observation { serialized: db.serialize(), commits, streams, snapshot: db.snapshot(), db }
 }
 
-/// Runs the script through the async commit service: one
-/// `apply_async` submission per statement, with a per-statement
-/// interleave action (`1` = `flush()` right after submitting, `2` =
-/// `wait()` on the fresh ticket, anything else = keep submitting) so
+/// Runs the submissions through the async commit service: one
+/// `apply_async` call per submission (empty, single- and
+/// multi-statement ones land in the same windows), with a
+/// per-submission interleave action, cycled (`1` = `flush()` right
+/// after submitting, `2` = `wait()` on the fresh ticket, anything
+/// else = keep submitting) so
 /// random cases cover everything from fire-and-forget to fully
 /// synchronous pacing. Every view carries a bounded (or unbounded,
 /// `capacity == None`) [`SlowConsumerPolicy::Block`] subscription
 /// drained by its own consumer thread — at capacity 1 the service
 /// cannot seal commit *k+1* before a consumer took commit *k*, so a
 /// passing run proves backpressure never deadlocks the commit path.
-/// The `Commit`s come from the tickets, in submission order.
+/// The `Commit`s come from the tickets, in submission order, and each
+/// must carry exactly the sequence number its ticket promised.
 fn run_workload_async(
     doc_xml: &str,
     view_idxs: &[usize],
-    script: &[ScriptStep],
+    groups: &[Vec<String>],
     workers: usize,
     pipeline: usize,
     capacity: Option<usize>,
     interleave: &[u8],
 ) -> Observation {
     let mut db = build_db(doc_xml, view_idxs, workers, pipeline);
-    let expected = script.len();
+    let expected = groups.len();
     let consumers: Vec<std::thread::JoinHandle<(Vec<DeltaEvent>, Subscription)>> = db
         .handles()
         .into_iter()
@@ -214,8 +260,8 @@ fn run_workload_async(
         .collect();
 
     let mut tickets = Vec::with_capacity(expected);
-    for (step, &action) in script.iter().zip(interleave) {
-        let ticket = db.apply_async([script_statement(step)]).expect("async submit");
+    for (group, &action) in groups.iter().zip(interleave.iter().cycle()) {
+        let ticket = db.apply_async(group.iter().map(String::as_str)).expect("async submit");
         match action {
             1 => db.flush().expect("mid-stream flush"),
             2 => drop(ticket.wait().expect("mid-stream wait")),
@@ -224,8 +270,14 @@ fn run_workload_async(
         tickets.push(ticket);
     }
     db.flush().expect("final flush");
-    let commits: Vec<Commit> =
-        tickets.iter().map(|t| t.wait().expect("async commit seals")).collect();
+    let commits: Vec<Commit> = tickets
+        .iter()
+        .map(|t| {
+            let commit = t.wait().expect("async commit seals");
+            assert_eq!(commit.seq, t.seq, "Commit::seq is exactly Ticket::seq");
+            commit
+        })
+        .collect();
     let mut streams = Vec::new();
     for consumer in consumers {
         let (events, sub) = consumer.join().expect("consumer thread");
@@ -312,7 +364,7 @@ fn assert_equivalent(
 
 /// Oracle: every view equals its from-scratch evaluation, and the
 /// drained streams are gapless with replayable deltas.
-fn assert_sound(obs: &Observation, script_len: usize) -> Result<(), TestCaseError> {
+fn assert_sound(obs: &Observation, commits: usize) -> Result<(), TestCaseError> {
     for h in obs.db.handles() {
         let pattern = obs.db.pattern(h).clone();
         let expected = ViewStore::from_counted(&pattern, view_tuples(obs.db.document(), &pattern));
@@ -324,7 +376,7 @@ fn assert_sound(obs: &Observation, script_len: usize) -> Result<(), TestCaseErro
     }
     for stream in &obs.streams {
         let seqs: Vec<u64> = stream.iter().map(|e| e.seq).collect();
-        prop_assert_eq!(seqs, (1..=script_len as u64).collect::<Vec<u64>>(), "gapless stream");
+        prop_assert_eq!(seqs, (1..=commits as u64).collect::<Vec<u64>>(), "gapless stream");
     }
     Ok(())
 }
@@ -364,10 +416,12 @@ proptest! {
 
     /// The async-service leg of the soak: the same workload submitted
     /// through `apply_async` — random worker counts, pipeline depths,
-    /// subscription capacities (1, 4 or unbounded) and per-statement
-    /// `flush()`/`wait()` interleavings — must be observationally
-    /// identical to the sequential reference, consumer threads and
-    /// backpressure included.
+    /// subscription capacities (1, 4 or unbounded), submission shapes
+    /// (0, 1 or 4 statements) and per-submission `flush()`/`wait()`
+    /// interleavings — must be observationally identical to the
+    /// sequential reference applying the same grouping through
+    /// `apply` / `transaction()`, consumer threads and backpressure
+    /// included.
     #[test]
     fn async_service_agrees_with_sequential(
         doc_xml in arb_doc(),
@@ -380,12 +434,14 @@ proptest! {
         depth in 1usize..9,
         capacity_sel in 0usize..3,
         interleave in prop::collection::vec(0u8..3, 7..8),
+        shapes in prop::collection::vec(0usize..SHAPES.len(), 0..7),
     ) {
         let capacity = [Some(1), Some(4), None][capacity_sel];
-        let reference = run_workload(&doc_xml, &view_idxs, &script, 1, 1, false);
-        assert_sound(&reference, script.len())?;
+        let groups = submissions(&script, &shapes);
+        let reference = run_submissions(&doc_xml, &view_idxs, &groups, 1, 1, false);
+        assert_sound(&reference, groups.len())?;
         let serviced =
-            run_workload_async(&doc_xml, &view_idxs, &script, workers, depth, capacity, &interleave);
+            run_workload_async(&doc_xml, &view_idxs, &groups, workers, depth, capacity, &interleave);
         assert_equivalent(
             &reference,
             &serviced,
@@ -432,9 +488,13 @@ fn full_worker_depth_grid() {
 /// Deterministic async grid: every (workers, depth) point in 1–8 ×
 /// 1–8 over the same fixed workload as [`full_worker_depth_grid`],
 /// submitted through the async service with the subscription capacity
-/// cycling through {1, 4, unbounded} across grid points and a fixed
-/// interleave mixing fire-and-forget, mid-stream flushes and
-/// mid-stream waits. Bit-identical to sequential everywhere.
+/// cycling through {1, 4, unbounded} and the submission grouping
+/// cycling through four shape patterns (all single; a four-statement
+/// and an empty commit in the middle, at the head, at the tail of a
+/// window) across grid points, and a fixed interleave mixing
+/// fire-and-forget, mid-stream flushes and mid-stream waits.
+/// Bit-identical to the sequential reference of the same grouping
+/// everywhere.
 #[test]
 fn full_async_grid_agrees_with_sequential() {
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
@@ -443,15 +503,26 @@ fn full_async_grid_agrees_with_sequential() {
         vec![(0, 1, true), (2, 0, false), (1, 2, true), (3, 3, false), (0, 3, true), (1, 0, false)];
     let interleave = [0u8, 2, 0, 1, 0, 0];
     let capacities = [Some(1), Some(4), None];
-    let reference = run_workload(doc, &views, &script, 1, 1, false);
-    assert_sound(&reference, script.len()).unwrap();
+    // Indices into SHAPES: [] = six single commits; the others mix a
+    // four-statement and an empty commit into a depth-4 window.
+    let shapes: [&[usize]; 4] = [&[], &[1, 4, 0, 1], &[4, 0, 1, 1], &[1, 1, 0, 4]];
+    let cases: Vec<(Vec<Vec<String>>, Observation)> = shapes
+        .iter()
+        .map(|s| {
+            let groups = submissions(&script, s);
+            let reference = run_submissions(doc, &views, &groups, 1, 1, false);
+            assert_sound(&reference, groups.len()).unwrap();
+            (groups, reference)
+        })
+        .collect();
     for workers in 1..=8 {
         for depth in 1..=8 {
             let capacity = capacities[(workers + depth) % capacities.len()];
+            let (groups, reference) = &cases[(workers + 2 * depth) % cases.len()];
             let serviced =
-                run_workload_async(doc, &views, &script, workers, depth, capacity, &interleave);
+                run_workload_async(doc, &views, groups, workers, depth, capacity, &interleave);
             assert_equivalent(
-                &reference,
+                reference,
                 &serviced,
                 &format!("async grid w={workers} d={depth} cap={capacity:?}"),
             )
@@ -703,14 +774,27 @@ proptest! {
 }
 
 /// Deferred-refresh soak: the same fixed workload with the deferred
-/// view refreshed every few commits, across all three sealing modes
-/// (sequential `apply`, `apply_pipelined` windows, `apply_async`
-/// through the service thread), must land every mode on the
+/// view refreshed every few commits, across every commit front-end
+/// (sequential `apply`, `apply_pipelined` windows at depth 4 and at
+/// depth 1, `apply_async` through the service thread, one-statement
+/// sequential and independent `transaction()`s) and with static
+/// analysis off and on, must land every combination on the
 /// immediate-maintenance reference bit-identically — and on the
-/// from-scratch recomputation oracle.
+/// from-scratch recomputation oracle. Under one analysis setting the
+/// front-ends must also agree with each other on everything the seal
+/// leaves behind: `deferred_commits` before every refresh, the summed
+/// `static_skips()`, and both views' event streams.
 #[test]
 fn deferred_refresh_soak_across_sealing_modes() {
     const DOC: &str = "<r><a><b/><c/></a><a><d>5</d></a></r>";
+    // Star-only content models covering the document and every forest
+    // the script inserts where it inserts it, so each intermediate
+    // document conforms and the analyzer's verdicts apply.
+    const DTD: &str = "r -> a*\n\
+                       a -> (a | b | c | d)*\n\
+                       b -> a*\n\
+                       c -> (b | c)*\n\
+                       d -> d*";
     let script: Vec<ScriptStep> =
         (0..24).map(|i| (i % TARGETS.len(), i % FORESTS.len(), i % 3 != 0)).collect();
     let statements: Vec<String> = script.iter().map(script_statement).collect();
@@ -727,46 +811,90 @@ fn deferred_refresh_soak_across_sealing_modes() {
     let ref_v = reference.view("v").unwrap();
     let ref_w = reference.view("w").unwrap();
 
-    for mode in ["apply", "pipelined", "async"] {
-        let mut db = Database::builder()
-            .document(DOC)
-            .view_deferred("v", PATTERNS[1])
-            .view("w", PATTERNS[0])
-            .workers(2)
-            .pipeline(4)
-            .build()
-            .unwrap();
-        let v = db.view("v").unwrap();
-        for chunk in statements.chunks(5) {
-            match mode {
-                "apply" => {
-                    for s in chunk {
-                        db.apply(s.as_str()).unwrap();
-                    }
-                }
-                "pipelined" => {
-                    db.apply_pipelined(chunk.iter().map(String::as_str)).unwrap();
-                }
-                _ => {
-                    for s in chunk {
-                        db.apply_async([s.as_str()]).unwrap();
-                    }
-                    db.flush().unwrap();
-                }
-            }
-            db.refresh(v).unwrap();
-        }
-        db.refresh_all().unwrap();
-        assert_eq!(db.deferred_commits(v), 0, "{mode}: nothing left pending");
+    /// A `DeltaEvent` by value: seq, folded range, delta.
+    type Event = (u64, Option<std::ops::RangeInclusive<u64>>, ViewDelta);
+    /// What one front-end left behind, beyond the stores.
+    #[derive(Debug, PartialEq)]
+    struct Sealed {
+        deferred_commits: Vec<u64>,
+        static_skips: usize,
+        /// One stream per view.
+        events: Vec<Vec<Event>>,
+    }
 
-        let pattern = db.pattern(v).clone();
-        let expected = ViewStore::from_counted(&pattern, view_tuples(db.document(), &pattern));
-        assert!(db.store(v).same_content_as(&expected), "{mode}: diverged from recomputation");
-        assert!(db.store(v).identical_to(reference.store(ref_v)), "{mode}: deferred != immediate");
-        let w = db.view("w").unwrap();
-        assert!(
-            db.store(w).identical_to(reference.store(ref_w)),
-            "{mode}: immediate view diverged"
-        );
+    for analyze in [false, true] {
+        let mut agreed: Option<Sealed> = None;
+        for mode in ["apply", "pipelined", "pipelined_d1", "async", "tx", "tx_independent"] {
+            let label = format!("{mode} analyze={analyze}");
+            let mut b = Database::builder()
+                .document(DOC)
+                .view_deferred("v", PATTERNS[1])
+                .view("w", PATTERNS[0])
+                .workers(2)
+                .pipeline(if mode == "pipelined_d1" { 1 } else { 4 });
+            if analyze {
+                b = b.dtd(DTD).analyze(AnalyzeMode::Warn);
+            }
+            let mut db = b.build().unwrap();
+            let v = db.view("v").unwrap();
+            // Explicitly unbounded: a whole chunk seals before this
+            // thread drains.
+            let subs: Vec<Subscription> = db
+                .handles()
+                .into_iter()
+                .map(|h| db.subscribe_with(h, None, SlowConsumerPolicy::Block))
+                .collect();
+            let mut sealed =
+                Sealed { deferred_commits: Vec::new(), static_skips: 0, events: Vec::new() };
+            for chunk in statements.chunks(5) {
+                let texts = chunk.iter().map(String::as_str);
+                let commits: Vec<Commit> = match mode {
+                    "apply" => texts.map(|s| db.apply(s).unwrap()).collect(),
+                    "pipelined" | "pipelined_d1" => db.apply_pipelined(texts).unwrap(),
+                    "async" => {
+                        let tickets: Vec<Ticket> =
+                            texts.map(|s| db.apply_async([s]).unwrap()).collect();
+                        db.flush().unwrap();
+                        tickets.iter().map(|t| t.wait().unwrap()).collect()
+                    }
+                    "tx" => {
+                        texts.map(|s| db.transaction().statement(s).commit().unwrap()).collect()
+                    }
+                    _ => texts
+                        .map(|s| db.transaction().independent().statement(s).commit().unwrap())
+                        .collect(),
+                };
+                sealed.static_skips += commits.iter().map(Commit::static_skips).sum::<usize>();
+                sealed.deferred_commits.push(db.deferred_commits(v));
+                db.refresh(v).unwrap();
+            }
+            db.refresh_all().unwrap();
+            assert_eq!(db.deferred_commits(v), 0, "{label}: nothing left pending");
+            for sub in subs {
+                let events = db.drain(&sub);
+                sealed.events.push(
+                    events.into_iter().map(|e| (e.seq, e.folded, (*e.delta).clone())).collect(),
+                );
+                db.unsubscribe(sub);
+            }
+
+            let pattern = db.pattern(v).clone();
+            let expected = ViewStore::from_counted(&pattern, view_tuples(db.document(), &pattern));
+            assert!(db.store(v).same_content_as(&expected), "{label}: diverged from recomputation");
+            assert!(
+                db.store(v).identical_to(reference.store(ref_v)),
+                "{label}: deferred != immediate"
+            );
+            let w = db.view("w").unwrap();
+            assert!(
+                db.store(w).identical_to(reference.store(ref_w)),
+                "{label}: immediate view diverged"
+            );
+            assert_eq!(sealed.static_skips > 0, analyze, "{label}: skips fire iff analysis is on");
+            match &agreed {
+                None => agreed = Some(sealed),
+                Some(first) => assert_eq!(first, &sealed, "{label}: front-ends disagree"),
+            }
+        }
     }
 }
