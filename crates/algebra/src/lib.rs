@@ -3,9 +3,9 @@
 //! Implements the logical algebra **A** of Section 2.2 — n-ary cartesian
 //! product, selection (with value and structural `≺` / `≺≺` predicates),
 //! projection, duplicate elimination and sort — plus the physical
-//! operators the paper's Section 3.4 assumes from the host XML engine:
+//! operator the paper's Section 3.4 assumes from the host XML engine:
 //! stack-based *structural joins* over Dewey IDs [Al-Khalifa et al.
-//! 2002], *Path Filter* and *Path Navigate*.
+//! 2002].
 //!
 //! Relations are ordered bags of [`Tuple`]s over a [`Schema`] of view
 //! columns; each tuple field carries a structural ID and, when the view
@@ -13,22 +13,19 @@
 //!
 //! Module map: [`relation`] / [`mod@tuple`] (ordered bags over schemas),
 //! [`logical`] + [`ops`] + [`predicate`] (the algebra **A**),
-//! [`structjoin`] / [`twigjoin`] / [`pathops`] (physical operators).
+//! [`structjoin`] (the physical operator).
 //! The workspace-wide picture, with this crate's row, lives in
 //! `ARCHITECTURE.md` at the repository root.
 
 pub mod logical;
 pub mod ops;
-pub mod pathops;
 pub mod predicate;
 pub mod relation;
 pub mod structjoin;
 pub mod tuple;
-pub mod twigjoin;
 
 pub use logical::Plan;
 pub use predicate::{Axis, Predicate};
 pub use relation::{Column, Relation, Schema};
 pub use structjoin::structural_join;
 pub use tuple::{Field, Tuple};
-pub use twigjoin::{path_stack, twig_join, ChainLevel, TwigNode};

@@ -2,21 +2,15 @@
 //! maintained together under one shared update stream, at 1/2/4/8
 //! workers (`XIVM_WORKERS` at runtime picks the same knob).
 //!
-//! Two pool disciplines are measured per worker count:
+//! Every propagation runs on the persistent
+//! `xivm_core::runtime::Runtime` pool: threads come up on the first
+//! propagation and are reused for the rest of the stream (steady state
+//! spawns nothing).
 //!
-//! * **warm** — the persistent `xivm_core::runtime::Runtime` pool:
-//!   threads come up on the first propagation and are reused for the
-//!   rest of the stream (steady state spawns nothing);
-//! * **cold** — `MultiViewEngine::shutdown_runtime()` before every
-//!   propagation, so each one pays the full spawn/join round-trip:
-//!   the PR 3 per-propagation `thread::scope` discipline, kept
-//!   measurable as a series.
-//!
-//! The catalog sweep carries a lot of per-view work, so spawn cost
-//! amortizes; the **tiny-update** sweep that follows is the workload
-//! the pool exists for — single-statement commits, measured per
-//! update in microseconds, where the warm-vs-cold gap *is* the
-//! per-propagation spawn overhead.
+//! The catalog sweep carries a lot of per-view work; the
+//! **tiny-update** sweep that follows is the workload the pool exists
+//! for — single-statement commits, measured per update in
+//! microseconds, where the fan-out's fixed cost is what shows.
 //!
 //! Worker counts beyond the machine's core count cannot speed
 //! anything up — on a single-core host every row measures scheduler
@@ -59,8 +53,8 @@ fn update_stream() -> Vec<UpdateStatement> {
 
 /// The tiny-update workload: one single-statement commit at a time
 /// (an insert, then the matching delete, repeated), the shape that
-/// dominates heavy-traffic streams and where per-propagation spawn
-/// overhead is pure loss.
+/// dominates heavy-traffic streams and where per-propagation fixed
+/// cost is pure loss.
 fn tiny_stream(rounds: usize) -> Vec<UpdateStatement> {
     let u = updates_for_view(VIEW_NAMES[0]).into_iter().next().expect("catalog has updates");
     let mut stream = Vec::with_capacity(rounds * 2);
@@ -72,23 +66,12 @@ fn tiny_stream(rounds: usize) -> Vec<UpdateStatement> {
 }
 
 /// Runs `stream` through a fresh catalog engine at `workers`,
-/// returning (total propagate ms, avg groups per statement). `cold`
-/// retires the pool after every propagation *inside the timed
-/// region*, so each update pays the full spawn **and** join
-/// round-trip — exactly what the per-propagation `thread::scope`
-/// discipline paid.
-fn run_stream(
-    doc: &Document,
-    stream: &[UpdateStatement],
-    workers: usize,
-    cold: bool,
-) -> (f64, f64) {
+/// returning (total propagate ms, avg Figure 15 groups per statement —
+/// the `partition` analysis, which the scheduler does not consult).
+fn run_stream(doc: &Document, stream: &[UpdateStatement], workers: usize) -> (f64, f64) {
     let mut d = doc.clone();
     let mut engine = catalog_engine(&d);
     engine.set_workers(workers);
-    if cold {
-        engine.shutdown_runtime(); // first update starts cold too
-    }
     let mut total = 0.0;
     let mut groups_total = 0usize;
     for stmt in stream {
@@ -96,11 +79,6 @@ fn run_stream(
         groups_total += engine.partition(&d, &pul).len();
         let start = Instant::now();
         engine.propagate_pul(&mut d, &pul).expect("propagation succeeds");
-        if cold {
-            // pay the join half of the round-trip in the window, and
-            // leave the pool down for the next update's cold start
-            engine.shutdown_runtime();
-        }
         total += ms(start.elapsed());
     }
     (total, groups_total as f64 / stream.len() as f64)
@@ -114,7 +92,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     figure_header(
-        "Parallel sweep (warm pool vs cold spawn)",
+        "Parallel sweep (persistent pool)",
         &format!(
             "multi-view propagation, {} views x {} statements, {} document, {cores} core(s)",
             VIEW_NAMES.len(),
@@ -138,25 +116,20 @@ fn main() {
         "warm_min_ms".to_owned(),
         "warm_median_ms".to_owned(),
         "warm_stddev_ms".to_owned(),
-        "cold_ms".to_owned(),
-        "cold_over_warm".to_owned(),
         ratio_label.to_owned(),
         "groups_avg".to_owned(),
     ]);
 
     let mut baseline_ms = None;
     for workers in WORKER_SWEEP {
-        let (mut warm_runs, mut cold_runs) = (Vec::new(), Vec::new());
+        let mut warm_runs = Vec::new();
         let mut groups_avg = 0.0;
         for _ in 0..reps {
-            let (w, g) = run_stream(&doc, &stream, workers, false);
+            let (w, g) = run_stream(&doc, &stream, workers);
             warm_runs.push(w);
             groups_avg = g;
-            let (c, _) = run_stream(&doc, &stream, workers, true);
-            cold_runs.push(c);
         }
         let warm = rep_stats(&warm_runs);
-        let cold = rep_stats(&cold_runs);
         let baseline = *baseline_ms.get_or_insert(warm.mean);
         row(&[
             workers.to_string(),
@@ -164,8 +137,6 @@ fn main() {
             format!("{:.3}", warm.min),
             format!("{:.3}", warm.median),
             format!("{:.3}", warm.stddev),
-            format!("{:.3}", cold.mean),
-            format!("{:.2}", cold.mean / warm.mean),
             format!("{:.2}", baseline / warm.mean),
             format!("{groups_avg:.1}"),
         ]);
@@ -173,8 +144,8 @@ fn main() {
 
     // --- tiny updates: the workload the persistent pool exists for.
     // A small document keeps per-update propagation in the tens of
-    // microseconds, so the warm-vs-cold gap is the spawn overhead
-    // itself rather than noise on top of heavy per-view work.
+    // microseconds, so the fan-out's fixed cost is visible rather
+    // than noise on top of heavy per-view work.
     let tiny_doc_bytes = 32 * 1024;
     let tiny_doc = generate_sized(tiny_doc_bytes);
     let rounds = 200;
@@ -182,8 +153,7 @@ fn main() {
     figure_header(
         "Tiny updates (1-statement commits)",
         &format!(
-            "per-update propagation cost, warm pool vs cold spawn, {} single-statement \
-             updates, {}KB document",
+            "per-update propagation cost, {} single-statement updates, {}KB document",
             tiny.len(),
             tiny_doc_bytes / 1024
         ),
@@ -194,26 +164,18 @@ fn main() {
         "warm_min_us".to_owned(),
         "warm_median_us".to_owned(),
         "warm_stddev_us".to_owned(),
-        "cold_us_per_update".to_owned(),
-        "cold_over_warm".to_owned(),
     ]);
     for workers in WORKER_SWEEP {
         let per_update = 1000.0 / tiny.len() as f64;
-        let (mut warm_runs, mut cold_runs) = (Vec::new(), Vec::new());
-        for _ in 0..reps {
-            warm_runs.push(run_stream(&tiny_doc, &tiny, workers, false).0 * per_update);
-            cold_runs.push(run_stream(&tiny_doc, &tiny, workers, true).0 * per_update);
-        }
+        let warm_runs: Vec<f64> =
+            (0..reps).map(|_| run_stream(&tiny_doc, &tiny, workers).0 * per_update).collect();
         let warm = rep_stats(&warm_runs);
-        let cold = rep_stats(&cold_runs);
         row(&[
             workers.to_string(),
             format!("{:.1}", warm.mean),
             format!("{:.1}", warm.min),
             format!("{:.1}", warm.median),
             format!("{:.1}", warm.stddev),
-            format!("{:.1}", cold.mean),
-            format!("{:.2}", cold.mean / warm.mean),
         ]);
     }
 }

@@ -64,8 +64,7 @@ fn xpath_and_views(c: &mut Criterion) {
     });
 }
 
-fn holistic_vs_binary(c: &mut Criterion) {
-    use xivm_algebra::{path_stack, ChainLevel};
+fn chained_joins(c: &mut Criterion) {
     // three-level chain: 200 a's × 5 b's × 4 c's
     let a: Vec<DeweyId> = (0..200u64)
         .map(|i| DeweyId::from_steps(vec![Step::new(LabelId(0), 1), Step::new(LabelId(1), i + 1)]))
@@ -75,16 +74,6 @@ fn holistic_vs_binary(c: &mut Criterion) {
     let cs: Vec<DeweyId> =
         b.iter().flat_map(|p| (0..4u64).map(move |j| p.child(LabelId(3), j + 1))).collect();
     let (ra, rb, rc) = (one_col("a", a), one_col("b", b), one_col("c", cs));
-    c.bench_function("twig/path_stack_chain3", |bch| {
-        bch.iter(|| {
-            let levels = [
-                ChainLevel { input: &ra, axis: Axis::Descendant },
-                ChainLevel { input: &rb, axis: Axis::Descendant },
-                ChainLevel { input: &rc, axis: Axis::Descendant },
-            ];
-            black_box(path_stack(&levels).len())
-        })
-    });
     c.bench_function("twig/binary_joins_chain3", |bch| {
         bch.iter(|| {
             let mut ab = structural_join(&ra, 0, &rb, 0, Axis::Descendant);
@@ -94,5 +83,5 @@ fn holistic_vs_binary(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, dewey_ops, struct_join, xpath_and_views, holistic_vs_binary);
+criterion_group!(benches, dewey_ops, struct_join, xpath_and_views, chained_joins);
 criterion_main!(benches);

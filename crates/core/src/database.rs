@@ -57,7 +57,7 @@ use crate::service::{ServiceHandle, Ticket};
 use crate::snapshot::DatabaseSnapshot;
 use crate::strategy::SnowcapStrategy;
 use crate::subscribe::{DeltaEvent, SlowConsumerPolicy, Subscription, SubscriptionRegistry};
-use crate::view_store::{Cursor, ShardedStores, ViewStore};
+use crate::view_store::{Cursor, ViewStore};
 use std::ops::{Deref, DerefMut};
 use xivm_analyze::{AnalysisReport, AnalyzeMode, Analyzer};
 use xivm_dtd::{parse_dtd, Dtd};
@@ -65,7 +65,7 @@ use xivm_pattern::{parse_pattern, TreePattern};
 use xivm_pulopt::ConflictPolicy;
 use xivm_update::builder::UpdateBuilder;
 use xivm_update::statement::parse_statement;
-use xivm_update::{compute_pul, Pul, UpdateStatement};
+use xivm_update::{Pul, UpdateStatement};
 use xivm_xml::{parse_document, serialize_document, Document};
 
 // ---------------------------------------------------------------------
@@ -270,13 +270,13 @@ pub(crate) struct DeferredPending {
 
 /// Builder for [`Database`] — see [`Database::builder`].
 ///
-/// `strategy(..)` and `cost_based(..)` set the materialization mode
-/// for the views declared *after* them (like CLI flags); views
-/// declared before any mode call use [`SnowcapStrategy::MinimalChain`].
+/// `cost_based(..)` sets the materialization mode for the views
+/// declared *after* it (like a CLI flag); views declared before it use
+/// [`SnowcapStrategy::MinimalChain`], and `view_with_strategy(..)`
+/// picks a strategy for one view.
 pub struct DatabaseBuilder {
     document: Option<DocumentSource>,
     views: Vec<ViewSpec>,
-    default_strategy: SnowcapStrategy,
     default_profile: Option<UpdateProfile>,
     workers: Option<usize>,
     pipeline: Option<usize>,
@@ -290,7 +290,6 @@ impl Default for DatabaseBuilder {
         DatabaseBuilder {
             document: None,
             views: Vec::new(),
-            default_strategy: SnowcapStrategy::MinimalChain,
             default_profile: None,
             workers: None,
             pipeline: None,
@@ -339,13 +338,20 @@ impl DatabaseBuilder {
         self
     }
 
+    /// The mode of a view declared without an explicit strategy: the
+    /// cost model once [`Self::cost_based`] was called, else
+    /// [`SnowcapStrategy::MinimalChain`].
+    fn default_mode(&self) -> ViewMode {
+        match &self.default_profile {
+            Some(p) => ViewMode::CostBased(p.clone()),
+            None => ViewMode::Strategy(SnowcapStrategy::MinimalChain),
+        }
+    }
+
     /// Declares a named view using the current default materialization
     /// mode. Pattern text errors surface at [`Self::build`].
     pub fn view(mut self, name: impl Into<String>, pattern: impl Into<PatternSource>) -> Self {
-        let mode = match &self.default_profile {
-            Some(p) => ViewMode::CostBased(p.clone()),
-            None => ViewMode::Strategy(self.default_strategy),
-        };
+        let mode = self.default_mode();
         self.views.push(ViewSpec {
             name: name.into(),
             pattern: pattern.into(),
@@ -365,10 +371,7 @@ impl DatabaseBuilder {
         name: impl Into<String>,
         pattern: impl Into<PatternSource>,
     ) -> Self {
-        let mode = match &self.default_profile {
-            Some(p) => ViewMode::CostBased(p.clone()),
-            None => ViewMode::Strategy(self.default_strategy),
-        };
+        let mode = self.default_mode();
         self.views.push(ViewSpec {
             name: name.into(),
             pattern: pattern.into(),
@@ -395,14 +398,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Sets the snowcap strategy for subsequently declared views
-    /// (and clears any cost-based profile).
-    pub fn strategy(mut self, strategy: SnowcapStrategy) -> Self {
-        self.default_strategy = strategy;
-        self.default_profile = None;
-        self
-    }
-
     /// Makes subsequently declared views choose their snowcaps with
     /// the Section 3.5 cost model under the given update profile.
     pub fn cost_based(mut self, profile: UpdateProfile) -> Self {
@@ -425,8 +420,8 @@ impl DatabaseBuilder {
     /// number of commits allowed in flight. 1 (the default) disables
     /// pipelining; any depth >= 2 runs windows of up to `depth`
     /// commits on copy-on-write document snapshots, overlapping each
-    /// commit's propagation with up to `depth - 1` successors per
-    /// Figure 15 shard. An explicit setting overrides the
+    /// commit's propagation with up to `depth - 1` successors, one
+    /// chained pool job per view. An explicit setting overrides the
     /// `XIVM_PIPELINE` environment variable; the value is clamped
     /// into `1..=`[`crate::runtime::MAX_PIPELINE_DEPTH`] (see
     /// [`crate::runtime::clamp_pipeline`]) and
@@ -604,9 +599,9 @@ pub(crate) struct Statics {
 /// [`Self::apply_async`] work to seal (*quiescing*), so synchronous
 /// and asynchronous mutation can never interleave mid-commit. Methods
 /// defined directly on `Database` ([`Self::drain`],
-/// [`Self::pending`], [`Self::subscription_view`]) deliberately skip
-/// that wait: they only touch the subscription's own queue, which is
-/// exactly what lets a consumer drain while the service is sealing.
+/// [`Self::pending`]) deliberately skip that wait: they only touch the
+/// subscription's own queue, which is exactly what lets a consumer
+/// drain while the service is sealing.
 pub struct Database {
     // Field order is load-bearing: dropping the service first joins
     // its thread while `inner` (which that thread borrows) is still
@@ -756,11 +751,6 @@ impl Database {
     /// counts what has been sealed and fanned out so far).
     pub fn pending(&self, sub: &Subscription) -> usize {
         sub.queue.pending()
-    }
-
-    /// The view a subscription watches.
-    pub fn subscription_view(&self, sub: &Subscription) -> ViewHandle {
-        ViewHandle(sub.queue.view)
     }
 
     /// Cancels a subscription and drops its queued events.
@@ -928,9 +918,8 @@ impl DbInner {
     /// advances commit by commit on the calling thread, freezing cheap
     /// copy-on-write snapshots around every apply, and the window's
     /// propagations drain on the worker pool as one chained job per
-    /// write-disjoint Figure 15 shard — commit *k + depth − 1*'s
-    /// `prepare` overlaps commit *k*'s `finish` on every disjoint
-    /// shard (see [`crate::runtime`] and
+    /// view — commit *k + depth − 1*'s `prepare` on one view overlaps
+    /// commit *k*'s `finish` on another (see [`crate::runtime`] and
     /// [`crate::multiview::MultiViewEngine`]).
     ///
     /// Pipelining is purely a scheduling mode: commits (sequence
@@ -939,10 +928,8 @@ impl DbInner {
     /// sealed strictly in order, so changefeeds stay gapless. A window
     /// of one — depth 1, a one-statement batch, the odd statement at
     /// the end — *is* [`Self::apply`]'s in-place pass, and within a
-    /// longer window two
-    /// views ever co-grouped by a commit's schedule share one chain
-    /// (no overlap between them, exactly the ordering Figure 15
-    /// demands).
+    /// longer window each view still sees the commits strictly in
+    /// order.
     ///
     /// The whole batch is parsed and validated up front: a malformed
     /// statement rejects everything before anything is applied (no
@@ -979,7 +966,7 @@ impl DbInner {
     }
 
     // -----------------------------------------------------------------
-    // MVCC snapshots and sharding
+    // MVCC snapshots
     // -----------------------------------------------------------------
 
     /// Freezes the current state into a [`DatabaseSnapshot`]: the
@@ -994,35 +981,6 @@ impl DbInner {
     /// on the writer's side.
     pub fn snapshot(&self) -> DatabaseSnapshot {
         DatabaseSnapshot::new(self.commits, self.doc.clone(), self.views.store_arcs())
-    }
-
-    /// The Figure 15 shard plan a statement induces on the views:
-    /// declaration-order indices partitioned into order-independent
-    /// groups ([`crate::multiview::MultiViewEngine::partition`], built
-    /// on [`xivm_pulopt::partition`]). Views in distinct groups can be
-    /// maintained on different shards in any order; the pipelined
-    /// propagation uses exactly this partition to hand each shard to
-    /// one worker job. Read-only: the statement's PUL is computed
-    /// against the current document and discarded.
-    pub fn shard_plan(
-        &self,
-        statement: impl Into<StatementSource>,
-    ) -> Result<Vec<Vec<usize>>, Error> {
-        let stmt = resolve_statement(statement.into())?;
-        let pul = compute_pul(&self.doc, &stmt);
-        Ok(self.views.partition(&self.doc, &pul))
-    }
-
-    /// The view stores grouped by [`Self::shard_plan`] — see
-    /// [`ShardedStores`]. O(views): the current store `Arc`s are
-    /// captured, not copied, so this composes with [`Self::snapshot`]
-    /// as a zero-copy read path per shard.
-    pub fn sharded_stores(
-        &self,
-        statement: impl Into<StatementSource>,
-    ) -> Result<ShardedStores, Error> {
-        let plan = self.shard_plan(statement)?;
-        Ok(ShardedStores::new(plan, self.views.store_arcs()))
     }
 
     // -----------------------------------------------------------------
@@ -1522,7 +1480,6 @@ mod tests {
         let acb = db.view("acb").unwrap();
         let ab = db.view("ab").unwrap();
         let sub = db.subscribe(acb);
-        assert_eq!(db.subscription_view(&sub), acb);
         let mut snapshot = db.store(acb).clone();
 
         db.apply("delete /a/f/c").unwrap();

@@ -219,7 +219,7 @@ impl MaintenanceEngine {
     }
 
     /// A shared handle to the materialized view, as held by database
-    /// snapshots and store shards: cloning is O(1) and the engine's
+    /// snapshots: cloning is O(1) and the engine's
     /// next mutation copies the store out from under it instead of
     /// blocking (see [`crate::snapshot::DatabaseSnapshot`]).
     pub(crate) fn store_arc(&self) -> Arc<ViewStore> {

@@ -22,9 +22,8 @@
 //! * [`engine`] — the end-to-end [`engine::MaintenanceEngine`] with the
 //!   per-phase [`timing::Timings`] breakdown reported in Section 6;
 //! * [`multiview`] / [`parallel`] / [`runtime`] — the shared
-//!   multi-view pass (Section 3.5) and its worker-pool fan-out: views
-//!   are partitioned into order-independent groups with the Figure 15
-//!   rules and the per-view phases run on the persistent
+//!   multi-view pass (Section 3.5) and its worker-pool fan-out: the
+//!   per-view phases run one job per view on the persistent
 //!   [`runtime::Runtime`] pool (lazy-started, zero spawns in steady
 //!   state), bit-identical to the sequential pass — including the
 //!   pipelined commit mode that overlaps the `finish` of one commit
@@ -90,5 +89,5 @@ pub use strategy::SnowcapStrategy;
 pub use subscribe::{DeltaEvent, FeedEvent, Lagged, SlowConsumerPolicy, Subscription};
 pub use term::Term;
 pub use timing::Timings;
-pub use view_store::{Cursor, ShardedStores, ViewStore};
+pub use view_store::{Cursor, ViewStore};
 pub use xivm_analyze::{AnalysisReport, AnalyzeMode, Analyzer};

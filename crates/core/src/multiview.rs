@@ -14,15 +14,16 @@
 use crate::engine::{MaintenanceEngine, UpdateReport};
 use crate::error::Error;
 use crate::executor::{plan_single, CommitPlan};
-use crate::parallel::{self, PropagationPlan};
+use crate::parallel::{self, per_view};
 use crate::runtime::Runtime;
 use crate::strategy::SnowcapStrategy;
 use crate::timing::timed;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 use xivm_pattern::TreePattern;
-use xivm_update::{apply_pul, Pul, UpdateStatement};
+use xivm_update::{apply_pul, ApplyResult, Pul, UpdateStatement};
 use xivm_xml::Document;
 
 /// One propagated step of [`MultiViewEngine::propagate_window`]: the
@@ -34,19 +35,37 @@ pub(crate) struct Propagated<'a> {
     pub(crate) reports: Vec<UpdateReport>,
 }
 
+/// One applied commit of a chained window: its plan, the frozen
+/// copy-on-write document images from *before* and *after* its apply
+/// (what its `prepare` and its `finish` read), the apply result, and
+/// the calling thread's apply time.
+struct WindowStep<'a> {
+    plan: CommitPlan<'a>,
+    pre: Document,
+    post: Document,
+    apply_res: ApplyResult,
+    t_apply: Duration,
+}
+
+/// Is view `i` left out of the step under `skip` (`None` = no mask)?
+fn masked(skip: Option<&[bool]>, i: usize) -> bool {
+    skip.is_some_and(|m| m.get(i).copied().unwrap_or(false))
+}
+
 /// A set of named views maintained together.
 ///
 /// Views are looked up by name through an index map; iteration orders
 /// (`names()`, per-view reports) remain the declaration order.
 ///
 /// The per-view propagation phases fan out across the persistent
-/// [`Runtime`] worker pool when [`Self::set_workers`] (or the
-/// `XIVM_WORKERS` environment variable) asks for more than one worker
-/// — see [`crate::parallel`] and [`crate::runtime`]. The pool is
-/// lazy-started on the first propagation that needs it and lives
-/// until the engine is dropped (or [`Self::shutdown_runtime`] retires
-/// it), so steady-state propagation spawns zero new threads. Results
-/// are bit-identical to the sequential pass either way.
+/// [`Runtime`] worker pool, one job per view, when
+/// [`Self::set_workers`] (or the `XIVM_WORKERS` environment variable)
+/// asks for more than one worker — see [`crate::parallel`] and
+/// [`crate::runtime`]. The pool is lazy-started on the first
+/// propagation that needs it and lives until the engine is dropped
+/// (or a resize retires it), so steady-state propagation spawns zero
+/// new threads. Results are bit-identical to the sequential pass
+/// either way.
 pub struct MultiViewEngine {
     views: Vec<MaintenanceEngine>,
     /// View names, declaration order — shared with every sealed
@@ -58,11 +77,11 @@ pub struct MultiViewEngine {
     /// Worker pool size for the per-view phases (1 = sequential).
     workers: usize,
     /// The persistent worker pool, created lazily at the configured
-    /// size by [`Self::ensure_runtime`] and replaced when
-    /// [`Self::set_workers`] changes the size.
+    /// size by [`Self::ensure_runtime`] and replaced there when
+    /// [`Self::set_workers`] changed the size.
     runtime: Option<Runtime>,
     /// Threads spawned by runtimes this engine has already retired
-    /// (resize, shutdown) — keeps [`Self::threads_spawned`] monotonic.
+    /// (resize) — keeps [`Self::threads_spawned`] monotonic.
     retired_spawns: u64,
 }
 
@@ -104,32 +123,14 @@ impl MultiViewEngine {
     /// (clamped to at least 1; 1 = sequential). Overrides the
     /// `XIVM_WORKERS` default picked up at construction. A live pool
     /// of a different size is retired (its threads joined) and a new
-    /// one lazy-starts on the next propagation.
+    /// one lazy-started by the next propagation.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
-        if self.runtime.as_ref().is_some_and(|r| r.size() != self.workers) {
-            self.shutdown_runtime();
-        }
     }
 
     /// The configured worker pool size.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The live worker pool, if one has been started.
-    pub fn runtime(&self) -> Option<&Runtime> {
-        self.runtime.as_ref()
-    }
-
-    /// Retires the worker pool: shutdown is flagged, every worker is
-    /// joined, and the next propagation lazy-starts a fresh pool. The
-    /// `fig_parallel` bench uses this to measure cold-spawn cost; a
-    /// long-idle host can use it to release its threads.
-    pub fn shutdown_runtime(&mut self) {
-        if let Some(old) = self.runtime.take() {
-            self.retired_spawns += old.threads_spawned();
-        }
     }
 
     /// Threads ever spawned by this engine's pools (current and
@@ -204,9 +205,8 @@ impl MultiViewEngine {
     }
 
     /// Every view's store behind its `Arc`, in declaration order —
-    /// the capture step of [`crate::snapshot::DatabaseSnapshot`] and
-    /// [`crate::view_store::ShardedStores`]. O(views): no tuple is
-    /// copied.
+    /// the capture step of [`crate::snapshot::DatabaseSnapshot`].
+    /// O(views): no tuple is copied.
     pub(crate) fn store_arcs(&self) -> Vec<(String, Arc<crate::view_store::ViewStore>)> {
         self.names
             .iter()
@@ -245,10 +245,9 @@ impl MultiViewEngine {
     /// pre-update capture, one document update, per-view Δ extraction.
     ///
     /// With more than one configured worker the per-view phases fan
-    /// out across the worker pool grouped by the Figure 15 partition
-    /// ([`Self::partition`]); reports come back merged in declaration
-    /// order and every view's state is bit-identical to the
-    /// sequential pass.
+    /// out across the worker pool, one job per view; reports come back
+    /// in declaration order and every view's state is bit-identical to
+    /// the sequential pass.
     pub fn propagate_pul(
         &mut self,
         doc: &mut Document,
@@ -277,21 +276,23 @@ impl MultiViewEngine {
     /// prepare/finish never run and it reports
     /// [`UpdateReport::skipped`].
     ///
-    /// Two schedules, selected by the window length alone:
+    /// Two schedules, selected by the window length alone, both fanned
+    /// out one job per view ([`crate::parallel`]'s `per_view`):
     ///
     /// * **in place** (`len == 1`): every view's `prepare` against the
     ///   intact document, one `apply_pul` on `doc` itself, every
-    ///   view's `finish` against the result — fanned out over the
-    ///   Figure 15 groups on the pool. No document image is created
-    ///   unless `want_pre` asks for the pre-apply one (a clone held
-    ///   across `apply_pul` makes every touched chunk copy-on-write).
+    ///   view's `finish` against the result. No document image is
+    ///   created unless `want_pre` asks for the pre-apply one (a clone
+    ///   held across `apply_pul` makes every touched chunk
+    ///   copy-on-write).
     /// * **chain** (`len >= 2`): the calling thread applies the PULs
     ///   one after another, freezing a cheap O(chunks) copy-on-write
     ///   image (see [`xivm_xml::Arena`]) before and after every apply;
-    ///   the window then drains through [`crate::parallel`]'s
-    ///   `run_window`, one pool job per window-wide shard chaining
-    ///   `prepare`/`finish` through all commits — commit *k+len−1*'s
-    ///   prepare overlaps commit *k*'s finish on every disjoint shard.
+    ///   then one pool job per view chains `prepare(pre₍ⱼ₎)` →
+    ///   `finish(post₍ⱼ₎)` through every commit *j* in order — commit
+    ///   *k+len−1*'s prepare on one view overlaps commit *k*'s finish
+    ///   on another, and each view still sees the commits strictly in
+    ///   order.
     ///
     /// Returns the propagated steps in order, each with its plan, its
     /// reports (find/apply timings stamped) and — under `want_pre` —
@@ -308,33 +309,26 @@ impl MultiViewEngine {
     ) -> (Vec<Propagated<'a>>, Result<(), Error>) {
         let runtime =
             Self::ensure_runtime(&mut self.runtime, &mut self.retired_spawns, self.workers);
+        let stamp = |report: &mut UpdateReport, t_find, t_apply| {
+            report.timings.find_target_nodes = t_find;
+            report.timings.apply_document = t_apply;
+        };
         if len == 1 {
             let step = plan(0, doc).and_then(|plan| {
-                // Scheduling groups against the intact document
-                // (deletion footprints need the doomed subtrees).
-                let groups = schedule(&self.views, self.workers, doc, &plan.pul);
-                let prepared = parallel::prepare_all(
-                    &self.views,
-                    doc,
-                    &plan.pul,
-                    plan.skip.as_deref(),
-                    runtime,
-                );
+                let (pul, skip) = (&*plan.pul, plan.skip.as_deref());
+                let prepared = per_view(runtime, self.views.iter(), |i, engine| {
+                    (!masked(skip, i)).then(|| engine.prepare(doc, pul))
+                });
                 let pre = want_pre.then(|| doc.clone());
-                let (apply_res, t_apply) = timed(|| apply_pul(doc, &plan.pul));
+                let (apply_res, t_apply) = timed(|| apply_pul(doc, pul));
                 let apply_res = apply_res?;
-                let mut reports = parallel::finish_all(
-                    &mut self.views,
-                    doc,
-                    &apply_res,
-                    prepared,
-                    &groups,
-                    runtime,
-                );
-                for report in &mut reports {
-                    report.timings.find_target_nodes = plan.t_find;
-                    report.timings.apply_document = t_apply;
-                }
+                let finish = self.views.iter_mut().zip(prepared);
+                let mut reports =
+                    per_view(runtime, finish, |_, (engine, prepared)| match prepared {
+                        Some(prepared) => engine.finish(doc, &apply_res, prepared),
+                        None => UpdateReport::skipped(),
+                    });
+                reports.iter_mut().for_each(|r| stamp(r, plan.t_find, t_apply));
                 Ok(Propagated { plan, pre, reports })
             });
             return match step {
@@ -345,22 +339,14 @@ impl MultiViewEngine {
         // Phase A (calling thread): each step's prepare must read the
         // document *before* its own apply and its finish the document
         // *after* — both versions stay alive, frozen, for the pool.
-        let mut steps: Vec<parallel::WindowStep<'a>> = Vec::with_capacity(len);
+        let mut steps: Vec<WindowStep<'a>> = Vec::with_capacity(len);
         let mut outcome = Ok(());
         for k in 0..len {
             let step = plan(k, doc).and_then(|plan| {
-                let groups = schedule(&self.views, self.workers, doc, &plan.pul);
                 let pre = doc.clone();
                 let (apply_res, t_apply) = timed(|| apply_pul(doc, &plan.pul));
                 let apply_res = apply_res?;
-                Ok(parallel::WindowStep {
-                    plan,
-                    groups,
-                    pre,
-                    post: doc.clone(),
-                    apply_res,
-                    t_apply,
-                })
+                Ok(WindowStep { plan, pre, post: doc.clone(), apply_res, t_apply })
             });
             match step {
                 Ok(step) => steps.push(step),
@@ -370,50 +356,45 @@ impl MultiViewEngine {
                 }
             }
         }
-        // Phase B (pool): one chained job per merged shard.
-        let reports = parallel::run_window(&mut self.views, &steps, runtime);
+        // Phase B (pool): each view walks the whole window in commit
+        // order; a masked step never touches the view's engine.
+        let chains = per_view(runtime, self.views.iter_mut(), |i, engine| {
+            steps
+                .iter()
+                .map(|step| {
+                    if masked(step.plan.skip.as_deref(), i) {
+                        return UpdateReport::skipped();
+                    }
+                    let prepared = engine.prepare(&step.pre, &step.plan.pul);
+                    engine.finish(&step.post, &step.apply_res, prepared)
+                })
+                .collect::<Vec<_>>()
+        });
+        // View-major chains back to per-commit, declaration-ordered reports.
+        let mut chains: Vec<_> = chains.into_iter().map(Vec::into_iter).collect();
         let done = steps
             .into_iter()
-            .zip(reports)
-            .map(|(step, reports)| Propagated {
-                plan: step.plan,
-                pre: want_pre.then_some(step.pre),
-                reports,
+            .map(|step| {
+                let mut reports: Vec<UpdateReport> =
+                    chains.iter_mut().map(|c| c.next().expect("a report per commit")).collect();
+                reports.iter_mut().for_each(|r| stamp(r, step.plan.t_find, step.t_apply));
+                Propagated { plan: step.plan, pre: want_pre.then_some(step.pre), reports }
             })
             .collect();
         (done, outcome)
     }
 
     /// The Figure 15 partition of the views under `pul`: views in
-    /// distinct groups have order-independent PUL projections (they
-    /// could live on different shards). Exactly the grouping a
-    /// multi-worker `propagate_pul` schedules — both go through
-    /// [`crate::parallel::schedule_groups`]; with one worker the
-    /// sequential pass runs all views as a single merged group
-    /// instead. For the per-view op projections themselves (the
-    /// shard-assignment detail), see
-    /// [`crate::parallel::PropagationPlan`].
+    /// distinct groups have order-independent PUL projections, views
+    /// sharing a group care about two distinct conflicting operations
+    /// of it ([`crate::parallel::schedule_groups`]; the per-view op
+    /// projections are on [`crate::parallel::PropagationPlan`]).
+    /// **Analysis only — the scheduler does not consult it**: every
+    /// view writes only its own state, so propagation always runs one
+    /// job per view whatever this returns.
     pub fn partition(&self, doc: &Document, pul: &Pul) -> Vec<Vec<usize>> {
         let patterns: Vec<&TreePattern> = self.views.iter().map(|e| e.pattern()).collect();
         parallel::schedule_groups(doc, pul, &patterns)
-    }
-}
-
-/// The scheduling groups for one propagation: the Figure 15 partition
-/// with more than one worker, a single merged group otherwise (the
-/// sequential pass skips all footprint work). A free function so
-/// callers can hold disjoint borrows of the engine's other fields.
-fn schedule(
-    views: &[MaintenanceEngine],
-    workers: usize,
-    doc: &Document,
-    pul: &Pul,
-) -> Vec<Vec<usize>> {
-    if workers.min(views.len()) > 1 {
-        let patterns: Vec<&TreePattern> = views.iter().map(|e| e.pattern()).collect();
-        parallel::schedule_groups(doc, pul, &patterns)
-    } else {
-        PropagationPlan::single_group(views.len()).groups
     }
 }
 
@@ -501,34 +482,54 @@ mod tests {
         assert_eq!(order, vec!["ab", "acb", "c_cont"]);
     }
 
-    #[test]
-    fn parallel_propagation_matches_sequential_exactly() {
-        // workers beyond the view count, equal to it, and degenerate 1
+    /// Three views over a document with two `x` subtrees, for which
+    /// [`nlo_pul`] puts the first two views in one Figure 15 group.
+    fn grouped() -> (Document, MultiViewEngine) {
+        let doc = parse_document("<r><x><y/></x><x><y/></x><z/></r>").unwrap();
+        let engine = MultiViewEngine::new(
+            &doc,
+            ["//x{id}", "//y{id}//w{id}", "//z{id}"]
+                .map(|p| (p.to_owned(), parse_pattern(p).unwrap(), SnowcapStrategy::MinimalChain)),
+        );
+        (doc, engine)
+    }
+
+    /// The hand-built PUL of
+    /// `parallel::tests::order_dependent_projections_share_a_group`,
+    /// on the first `x` of `doc`: `delete //x` (op 0) NLO-conflicts
+    /// with `insert <w/> into //y` (op 1) below it.
+    fn nlo_pul(doc: &Document) -> Pul {
+        let first = |text: &str| {
+            xivm_update::compute_pul(doc, &parse_statement(text).unwrap()).ops.swap_remove(0)
+        };
+        Pul::new(vec![first("delete //x"), first("insert <w/> into //y")])
+    }
+
+    /// One driven step: mutates the document through the engine and
+    /// returns its commits' named, declaration-ordered reports.
+    type Drive<'a> =
+        Box<dyn Fn(&mut Document, &mut MultiViewEngine) -> Vec<Vec<(String, UpdateReport)>> + 'a>;
+
+    /// Drives a fresh fixture through `steps` at 1 worker and — below,
+    /// at and beyond the view count — at 2, 3 and 8: documents, reports
+    /// and stores must agree after every step.
+    fn assert_matches_sequential(fixture: fn() -> (Document, MultiViewEngine), steps: &[Drive]) {
         for workers in [1usize, 2, 3, 8] {
-            let (mut seq_doc, mut seq) = multi();
-            let (mut par_doc, mut par) = multi();
+            let (mut seq_doc, mut seq) = fixture();
+            let (mut par_doc, mut par) = fixture();
             seq.set_workers(1);
             par.set_workers(workers);
-            for stmt_text in [
-                "insert <b/> into //c",
-                "delete /a/f/c",
-                "insert <c><b/></c> into /a",
-                "delete //b",
-            ] {
-                let stmt = parse_statement(stmt_text).unwrap();
-                let seq_reports = seq.apply_statement(&mut seq_doc, &stmt).unwrap();
-                let par_reports = par.apply_statement(&mut par_doc, &stmt).unwrap();
+            for (k, step) in steps.iter().enumerate() {
+                let seq_reports = step(&mut seq_doc, &mut seq).concat();
+                let par_reports = step(&mut par_doc, &mut par).concat();
                 assert_eq!(
                     xivm_xml::serialize_document(&seq_doc),
                     xivm_xml::serialize_document(&par_doc)
                 );
+                assert_eq!(seq_reports.len(), par_reports.len());
                 for ((n1, r1), (n2, r2)) in seq_reports.iter().zip(&par_reports) {
                     assert_eq!(n1, n2, "report order must stay declaration order");
-                    assert_eq!(r1.tuples_added, r2.tuples_added, "{n1} after {stmt_text}");
-                    assert_eq!(r1.tuples_removed, r2.tuples_removed, "{n1} after {stmt_text}");
-                    assert_eq!(r1.tuples_modified, r2.tuples_modified, "{n1} after {stmt_text}");
-                    assert_eq!(r1.derivations_added, r2.derivations_added);
-                    assert_eq!(r1.derivations_removed, r2.derivations_removed);
+                    assert!(r1.same_outcome(r2), "{n1} after step {k} at {workers} workers");
                 }
                 for name in seq.names() {
                     assert!(
@@ -536,11 +537,57 @@ mod tests {
                             .unwrap()
                             .store()
                             .same_content_as(par.view(name).unwrap().store()),
-                        "view {name} diverged under {workers} workers after {stmt_text}"
+                        "view {name} diverged under {workers} workers after step {k}"
                     );
                 }
             }
+            // one job per view: the pool tops up to min(workers, views) - 1
+            assert_eq!(par.threads_spawned(), (workers.min(par.len()) - 1) as u64);
         }
+    }
+
+    #[test]
+    fn parallel_propagation_matches_sequential_exactly() {
+        // Single-statement PULs: every view is its own Figure 15 group.
+        let statements =
+            ["insert <b/> into //c", "delete /a/f/c", "insert <c><b/></c> into /a", "delete //b"]
+                .map(|text| parse_statement(text).unwrap());
+        let steps: Vec<Drive> = statements
+            .iter()
+            .map(|stmt| -> Drive {
+                Box::new(move |doc, engine| vec![engine.apply_statement(doc, stmt).unwrap()])
+            })
+            .collect();
+        assert_matches_sequential(multi, &steps);
+
+        // PULs with an internal Figure 15 conflict: `partition` still
+        // puts the first two views in one group, and the one-job-per-
+        // view schedules — in place, then a chained window of two —
+        // must not care.
+        let in_place: Drive = Box::new(|doc, engine| {
+            let pul = nlo_pul(doc);
+            assert_eq!(engine.partition(doc, &pul), vec![vec![0, 1], vec![2]]);
+            vec![engine.propagate_pul(doc, &pul).unwrap()]
+        });
+        let chained: Drive = Box::new(|doc, engine| {
+            let mut planned = Vec::new();
+            let (done, outcome) = engine.propagate_window(doc, 2, false, |_, doc| {
+                let pul = nlo_pul(doc);
+                planned.push((doc.clone(), pul.clone()));
+                Ok(CommitPlan::of(Cow::Owned(pul)))
+            });
+            outcome.unwrap();
+            assert_eq!(done.len(), 2);
+            for (pre, pul) in &planned {
+                assert_eq!(engine.partition(pre, pul), vec![vec![0, 1], vec![2]]);
+            }
+            let names = engine.names();
+            done.into_iter()
+                .map(|step| names.iter().map(|n| n.to_string()).zip(step.reports).collect())
+                .collect()
+        });
+        assert_matches_sequential(grouped, &[in_place]);
+        assert_matches_sequential(grouped, &[chained]);
     }
 
     #[test]

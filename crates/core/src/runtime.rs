@@ -1,13 +1,10 @@
-//! The persistent propagation runtime: a long-lived worker pool that
-//! replaces the per-propagation `std::thread::scope` fan-out.
+//! The persistent propagation runtime: a long-lived worker pool for
+//! the per-view fan-out.
 //!
-//! The PR 3 scheduler spawned a fresh scoped pool for every
-//! propagation. That is fine when one update carries a lot of
-//! per-view work, but heavy-traffic workloads are dominated by *tiny*
-//! updates (one statement, a handful of delta entries), where the
-//! spawn/join round-trip is pure overhead — the `fig_parallel`
-//! warm-vs-cold series measures it. [`Runtime`] keeps the workers
-//! alive across propagations instead:
+//! Heavy-traffic workloads are dominated by *tiny* updates (one
+//! statement, a handful of delta entries), where a thread spawn/join
+//! round-trip per propagation would be pure overhead. [`Runtime`]
+//! keeps the workers alive across propagations instead:
 //!
 //! * **lazy start** — constructing a [`Runtime`] spawns nothing;
 //!   threads come up on the first batch that actually needs them, and
@@ -23,10 +20,10 @@
 //! One batch runs at a time (submissions serialize on an internal
 //! lock). Jobs of a batch sit behind a shared atomic cursor — an idle
 //! worker claims the next unclaimed job rather than owning a fixed
-//! slice, exactly the work-stealing-lite discipline of the old scoped
-//! pool — and the crate-internal `Runtime::run` returns only after every job has
-//! finished, which is what makes it sound to hand the pool closures
-//! that borrow the caller's stack (see the safety note on `run`).
+//! slice — and the crate-internal `Runtime::run` returns only after
+//! every job has finished, which is what makes it sound to hand the
+//! pool closures that borrow the caller's stack (see the safety note
+//! on `run`).
 //! A panicking job is caught, the batch still drains, and the panic
 //! resumes on the submitting thread — the same observable behavior as
 //! a scoped `join().unwrap()`.

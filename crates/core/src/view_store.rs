@@ -220,84 +220,6 @@ impl<'a> Iterator for Cursor<'a> {
 
 impl ExactSizeIterator for Cursor<'_> {}
 
-/// View stores grouped into write-disjoint shards.
-///
-/// The shard assignment *is* the Figure 15 partition
-/// ([`crate::multiview::MultiViewEngine::partition`], built on
-/// [`xivm_pulopt::partition`]): views whose PUL projections contain
-/// two distinct order-dependent operations land in the same shard,
-/// every other pair may be split. During a pipelined window each shard
-/// is finished by exactly one worker job, so parallel `finish` jobs
-/// write disjoint shards with no synchronization beyond job
-/// completion — the stores themselves carry no locks.
-///
-/// Built by [`Database::sharded_stores`]; the store `Arc`s are the
-/// live ones at capture time, so constructing the sharding is
-/// O(views).
-///
-/// [`Database::sharded_stores`]: crate::database::DbInner::sharded_stores
-pub struct ShardedStores {
-    /// Per shard: `(declaration-order index, name, store)` triples,
-    /// shards ordered by smallest member, members ascending (the
-    /// partition's canonical order).
-    shards: Vec<Vec<(usize, String, std::sync::Arc<ViewStore>)>>,
-}
-
-impl ShardedStores {
-    /// Groups the given stores (declaration order) by the given
-    /// partition. Every view index in `groups` must be in range.
-    pub(crate) fn new(
-        groups: Vec<Vec<usize>>,
-        stores: Vec<(String, std::sync::Arc<ViewStore>)>,
-    ) -> Self {
-        let mut slots: Vec<Option<(String, std::sync::Arc<ViewStore>)>> =
-            stores.into_iter().map(Some).collect();
-        let shards = groups
-            .iter()
-            .map(|g| {
-                g.iter()
-                    .map(|&i| {
-                        let (name, store) = slots[i].take().expect("view in exactly one shard");
-                        (i, name, store)
-                    })
-                    .collect()
-            })
-            .collect();
-        ShardedStores { shards }
-    }
-
-    /// Number of shards (= conflict groups). 1 means the update is so
-    /// entangled that no two views may be split; `len == views` means
-    /// fully parallel.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// The views of one shard: `(declaration-order index, name,
-    /// store)` triples.
-    pub fn shard(&self, i: usize) -> impl Iterator<Item = (usize, &str, &ViewStore)> {
-        self.shards[i].iter().map(|(idx, n, s)| (*idx, n.as_str(), &**s))
-    }
-
-    /// Which shard a view (by declaration-order index) lives on.
-    pub fn shard_of(&self, view: usize) -> Option<usize> {
-        self.shards.iter().position(|g| g.iter().any(|(i, _, _)| *i == view))
-    }
-
-    /// All stores flattened back to declaration order — the identity
-    /// check that sharding loses nothing.
-    pub fn unsharded(&self) -> Vec<(&str, &ViewStore)> {
-        let mut all: Vec<(usize, &str, &ViewStore)> =
-            self.shards.iter().flatten().map(|(i, n, s)| (*i, n.as_str(), &**s)).collect();
-        all.sort_by_key(|(i, _, _)| *i);
-        all.into_iter().map(|(_, n, s)| (n, s)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

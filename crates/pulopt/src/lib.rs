@@ -10,9 +10,9 @@
 //!   detect order-dependence between two PULs to be run in parallel,
 //!   with pluggable resolution policies;
 //! * **Partitioning** ([`partition`]): the Figure 15 rules lifted to
-//!   sets of PULs and to per-view op projections of one shared PUL —
-//!   the grouping the parallel propagation scheduler and the sharding
-//!   direction both use;
+//!   per-view op projections of one shared PUL — which views care
+//!   about order-dependent operations of it (an analysis; propagation
+//!   runs one job per view regardless);
 //! * **Aggregation rules** ([`mod@aggregate`]): A1, A2 and D6 (Figure 16)
 //!   — merge two PULs to be run sequentially into one.
 //!
@@ -28,8 +28,5 @@ pub use aggregate::{aggregate, AggregationOutcome};
 pub use conflict::{
     find_conflicts, integrate, op_conflict, Conflict, ConflictKind, ConflictPolicy,
 };
-pub use partition::{
-    internal_conflict_pairs, partition_by, partition_projections, partition_puls,
-    projections_conflict,
-};
+pub use partition::{internal_conflict_pairs, partition_projections};
 pub use reduce::{reduce, ReductionTrace};

@@ -1,26 +1,21 @@
-//! Partitioning PULs — and views, via their op projections — into
-//! order-independent groups with the Figure 15 conflict rules.
+//! The Figure 15 conflict rules lifted to *views*, via their
+//! projections of one shared PUL.
 //!
-//! Two PULs with no IO / LO / NLO conflict between them can run in
-//! either order (or in parallel) with the same outcome. Lifted to a
-//! *set* of PULs this yields [`partition_puls`]: the finest partition
-//! such that any two conflicting PULs share a group — groups are
-//! internally order-dependent, while distinct groups commute and may
-//! be dispatched to different workers or shards.
+//! Two operations with no IO / LO / NLO conflict between them can run
+//! in either order with the same outcome. [`partition_projections`]
+//! lifts that to *projections* of one PUL (per-view subsets of its
+//! operations, given as index lists): the finest partition such that
+//! any two order-dependent projections share a group. An op index
+//! shared by two projections is the *same* operation on both sides and
+//! therefore never order-dependent with itself; only a Figure 15
+//! conflict between two **distinct** operations makes the projections
+//! order-dependent.
 //!
-//! [`partition_projections`] applies the same construction to
-//! *projections* of one shared PUL (per-view or per-shard subsets of
-//! its operations, given as index lists). An op index shared by two
-//! projections is the *same* operation on both sides and therefore
-//! never order-dependent with itself; only a Figure 15 conflict
-//! between two **distinct** operations makes the projections
-//! order-dependent. This is the shard-assignment function used by the
-//! parallel propagation scheduler in `xivm_core::parallel`: views
-//! whose projections land in different groups can safely live on
-//! different shards, because the operations they would each apply
-//! commute.
+//! This is an analysis (`xivm_core::parallel::schedule_groups`,
+//! `MultiViewEngine::partition`), not a scheduler input: a view's
+//! maintenance writes only that view's store, so `xivm_core`
+//! propagates one job per view whatever the groups are.
 
-use crate::conflict::{find_conflicts, op_conflict};
 use xivm_update::Pul;
 
 /// Plain union-find over `0..n`, path-halving, union by index (the
@@ -62,46 +57,13 @@ impl Dsu {
     }
 }
 
-/// The finest partition of `0..n` such that any `dependent` pair
-/// shares a group. `dependent` is only consulted for `i < j`. Groups
-/// come out ordered by their smallest member, members ascending —
-/// fully deterministic for a deterministic predicate.
-pub fn partition_by(n: usize, mut dependent: impl FnMut(usize, usize) -> bool) -> Vec<Vec<usize>> {
-    let mut dsu = Dsu::new(n);
-    for i in 0..n {
-        for j in i + 1..n {
-            // skip the probe when already grouped transitively
-            if dsu.find(i) != dsu.find(j) && dependent(i, j) {
-                dsu.union(i, j);
-            }
-        }
-    }
-    dsu.groups()
-}
-
-/// Partitions a set of PULs into order-independent groups: PULs in
-/// distinct groups have no IO / LO / NLO conflict (directly or
-/// transitively) and can run in any order or in parallel.
-pub fn partition_puls(puls: &[Pul]) -> Vec<Vec<usize>> {
-    partition_by(puls.len(), |i, j| !find_conflicts(&puls[i], &puls[j]).is_empty())
-}
-
-/// True when two projections of `parent` (index lists into
-/// `parent.ops`) are order-dependent: they contain two **distinct**
-/// operations related by a Figure 15 conflict. Sharing an op index is
-/// harmless — replaying the same operation on two shards is
-/// deterministic.
-pub fn projections_conflict(parent: &Pul, a: &[usize], b: &[usize]) -> bool {
-    a.iter().any(|&i| {
-        b.iter().any(|&j| i != j && op_conflict(&parent.ops[i], &parent.ops[j]).is_some())
-    })
-}
-
 /// Partitions projections of one shared PUL into order-independent
-/// groups — the same connected components [`partition_by`] over
-/// [`projections_conflict`] would produce, computed without the
+/// groups: two projections are connected when they contain two
+/// **distinct** operations related by a Figure 15 conflict, and the
+/// groups are the connected components — computed without the
 /// quadratic pairwise probe (PULs routinely expand to hundreds of
-/// ops, and the parallel scheduler runs this per update).
+/// ops). Groups come out ordered by their smallest member, members
+/// ascending.
 ///
 /// Figure 15 conflicts inside one PUL only arise in two shapes, both
 /// enumerable near-linearly:
@@ -193,7 +155,7 @@ pub fn for_each_internal_conflict(pul: &Pul, mut f: impl FnMut(usize, usize)) {
 
 /// All distinct-index Figure 15 conflict pairs inside one PUL. Empty
 /// exactly when every pair of the PUL's operations commutes — the
-/// common case for single-statement PULs, which lets a scheduler skip
+/// common case for single-statement PULs, which lets the analysis skip
 /// projection computation entirely.
 pub fn internal_conflict_pairs(pul: &Pul) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
@@ -210,31 +172,6 @@ mod tests {
 
     const DOC: &str = "<r><x><y/></x><z/><w/></r>";
 
-    fn pul(stmt: &str) -> Pul {
-        let d = parse_document(DOC).unwrap();
-        let s = xivm_update::statement::parse_statement(stmt).unwrap();
-        compute_pul(&d, &s)
-    }
-
-    #[test]
-    fn disjoint_puls_form_singleton_groups() {
-        let puls = [pul("insert <a/> into //y"), pul("insert <a/> into //z"), pul("delete //w")];
-        assert_eq!(partition_puls(&puls), vec![vec![0], vec![1], vec![2]]);
-    }
-
-    #[test]
-    fn conflicting_puls_are_grouped_transitively() {
-        // 0 NLO-conflicts with 1 (delete //x covers //y), 1 IO-conflicts
-        // with 2 (same target), 3 is independent of all.
-        let puls = [
-            pul("delete //x"),
-            pul("insert <a/> into //y"),
-            pul("insert <b/> into //y"),
-            pul("delete //w"),
-        ];
-        assert_eq!(partition_puls(&puls), vec![vec![0, 1, 2], vec![3]]);
-    }
-
     #[test]
     fn shared_ops_do_not_make_projections_dependent() {
         // One PUL with two independent inserts; two projections that
@@ -247,7 +184,6 @@ mod tests {
         ops.extend(compute_pul(&d, &t).ops);
         let parent = Pul::new(ops);
         let projections = vec![vec![0], vec![0, 1]];
-        assert!(!projections_conflict(&parent, &projections[0], &projections[1]));
         assert_eq!(partition_projections(&parent, &projections), vec![vec![0], vec![1]]);
     }
 
@@ -264,15 +200,6 @@ mod tests {
         let parent = Pul::new(ops);
         let projections = vec![vec![0], vec![1], vec![]];
         assert_eq!(partition_projections(&parent, &projections), vec![vec![0, 1], vec![2]]);
-    }
-
-    #[test]
-    fn partition_by_is_deterministic_and_covers_all() {
-        let groups = partition_by(5, |i, j| (i + j) % 4 == 0);
-        let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
-        assert_eq!(groups, partition_by(5, |i, j| (i + j) % 4 == 0));
     }
 
     #[test]
@@ -307,7 +234,6 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_partition() {
-        assert!(partition_puls(&[]).is_empty());
         assert!(partition_projections(&Pul::default(), &[]).is_empty());
     }
 }

@@ -63,15 +63,15 @@
 //! pool: set `.workers(n)` on the builder (or the `XIVM_WORKERS`
 //! environment variable) and the per-view phases run on long-lived
 //! pool threads (lazy-started, zero spawns in steady state, joined on
-//! drop), grouped by the Figure 15 conflict partition. With
+//! drop), one job per view. With
 //! `.pipeline(depth)` (or `XIVM_PIPELINE`) at 2 or more,
 //! [`Database::apply_pipelined`](xivm_core::database::DbInner::apply_pipelined)
 //! additionally keeps up to `depth`
 //! consecutive commits in flight on copy-on-write document snapshots:
-//! the conflict partitions of a window are merged into write-disjoint
-//! shards and one job per shard chains `prepare`/`finish` through the
-//! window, so commit *k+depth−1* overlaps commit *k* on every
-//! disjoint shard. Both are pure scheduling modes — results
+//! one job per view chains `prepare`/`finish` through the window, so
+//! commit *k+depth−1* on one view overlaps commit *k* on another (a
+//! view writes only its own store, so no two views need ordering).
+//! Both are pure scheduling modes — results
 //! (including every commit's deltas and subscription streams) are
 //! bit-identical to the sequential pass at every worker count and
 //! depth, which the differential soak harness (`tests/soak.rs`)
@@ -179,8 +179,8 @@ pub use xivm_xml as xml;
 
 pub use xivm_core::{
     AnalysisReport, AnalyzeMode, Analyzer, Commit, Database, DatabaseBuilder, DatabaseSnapshot,
-    DeltaEvent, Error, FeedEvent, Lagged, MaintenanceMode, ShardedStores, SlowConsumerPolicy,
-    Subscription, Ticket, Transaction, ViewDelta, ViewHandle, WeightedChange,
+    DeltaEvent, Error, FeedEvent, Lagged, MaintenanceMode, SlowConsumerPolicy, Subscription,
+    Ticket, Transaction, ViewDelta, ViewHandle, WeightedChange,
 };
 pub use xivm_feed::{FeedServer, ReplicaClient};
 
@@ -197,9 +197,8 @@ pub mod prelude {
     pub use xivm_core::database::{Database, DatabaseBuilder, Transaction, ViewHandle};
     pub use xivm_core::{
         AnalysisReport, AnalyzeMode, Analyzer, Commit, DatabaseSnapshot, DeltaEvent, Error,
-        FeedEvent, Lagged, MaintenanceEngine, MaintenanceMode, MultiViewEngine, ShardedStores,
-        SlowConsumerPolicy, SnowcapStrategy, Subscription, Ticket, UpdateReport, ViewDelta,
-        ViewStore, WeightedChange,
+        FeedEvent, Lagged, MaintenanceEngine, MaintenanceMode, MultiViewEngine, SlowConsumerPolicy,
+        SnowcapStrategy, Subscription, Ticket, UpdateReport, ViewDelta, ViewStore, WeightedChange,
     };
     pub use xivm_feed::{FeedError, FeedServer, ReplicaClient};
     pub use xivm_pattern::{parse_pattern, TreePattern};

@@ -1,7 +1,6 @@
 //! Snapshot-isolation properties for the MVCC layer.
 //!
-//! Three contracts pin `Database::snapshot()` and the sharded store
-//! capture:
+//! Two contracts pin `Database::snapshot()`:
 //!
 //! 1. **Replay equivalence** — the snapshot taken at sequence number
 //!    *k* is bit-identical to replaying the Σ deltas of commits
@@ -13,10 +12,6 @@
 //!    one by one or pipelined; and a reader *thread* holding a
 //!    snapshot observes no torn or blocking state across ≥ 100
 //!    concurrent commits.
-//! 3. **Sharding is lossless** — `Database::sharded_stores` groups
-//!    every view into exactly one Figure 15 shard and flattening the
-//!    shards back yields stores bit-identical to the unsharded ones,
-//!    at every worker count 1–8.
 
 use proptest::prelude::*;
 use xivm::prelude::*;
@@ -189,55 +184,6 @@ proptest! {
                 "store reads of view {} drifted under later commits",
                 db.name(h)
             );
-        }
-    }
-
-    /// (3) Sharding is lossless at workers 1–8: every view lands in
-    /// exactly one shard and the flattened shards are bit-identical
-    /// to the unsharded stores.
-    #[test]
-    fn sharded_stores_equal_unsharded_at_all_worker_counts(
-        doc_xml in arb_doc(),
-        view_idxs in prop::collection::vec(0usize..PATTERNS.len(), 1..4),
-        script in prop::collection::vec(
-            (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
-            1..5
-        ),
-        probe in (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
-    ) {
-        for workers in 1..=8usize {
-            let mut db = build_db(&doc_xml, &view_idxs, workers, 1);
-            for step in &script {
-                db.apply(script_statement(step).as_str()).unwrap();
-            }
-            let sharded = db.sharded_stores(script_statement(&probe).as_str()).unwrap();
-
-            // Partition: every view in exactly one shard.
-            let mut seen = vec![0usize; db.len()];
-            for s in 0..sharded.len() {
-                for (idx, name, _) in sharded.shard(s) {
-                    prop_assert_eq!(db.name(db.view(name).unwrap()), name);
-                    prop_assert_eq!(sharded.shard_of(idx), Some(s));
-                    seen[idx] += 1;
-                }
-            }
-            prop_assert!(seen.iter().all(|&c| c == 1), "each view in exactly one shard");
-
-            // Lossless: flattening back equals the live stores.
-            let flat = sharded.unsharded();
-            prop_assert_eq!(flat.len(), db.len());
-            for ((name, store), h) in flat.into_iter().zip(db.handles()) {
-                prop_assert_eq!(name, db.name(h));
-                prop_assert!(
-                    store.identical_to(db.store(h)),
-                    "sharded capture of view {} diverged at {} workers",
-                    name, workers
-                );
-            }
-
-            // The plan is exactly the engine's Figure 15 partition.
-            let plan = db.shard_plan(script_statement(&probe).as_str()).unwrap();
-            prop_assert_eq!(plan.len(), sharded.len());
         }
     }
 }

@@ -572,20 +572,18 @@ fn steady_state_propagation_spawns_zero_new_threads() {
     assert_eq!(seq.threads_spawned(), 0, "1-worker databases stay threadless");
 }
 
-/// Pipelining on a workload whose every statement yields a single
-/// conflict group (all views co-located) degenerates to the
-/// sequential order — and must still be exactly equivalent.
+/// Pipelining a workload whose every statement expands to a multi-op
+/// PUL touching all views' labels (an `ins↘` on each of three `//b`,
+/// then a `del` of each of two `//a`) must be exactly equivalent to
+/// the sequential order at depths 2–4.
 #[test]
-fn single_conflict_group_pipeline_is_a_sound_noop() {
-    // Every statement is a multi-op PUL with internal Figure 15
-    // conflicts touching all views' labels, so the partition merges
-    // the views into one group: one composite job, no overlap.
+fn multi_op_statements_pipeline_equals_sequential() {
     let doc = "<r><a><c><b/><b/></c></a><a><b/><c/></a></r>";
     let views = [0usize, 1, 2];
     let reference = run_workload(doc, &views, &[(1, 2, true), (0, 0, false)], 1, 1, false);
     for depth in 2..=4 {
         let pipelined = run_workload(doc, &views, &[(1, 2, true), (0, 0, false)], 4, depth, true);
-        assert_equivalent(&reference, &pipelined, &format!("single-group d={depth}")).unwrap();
+        assert_equivalent(&reference, &pipelined, &format!("multi-op d={depth}")).unwrap();
     }
 }
 
