@@ -59,6 +59,7 @@ use crate::strategy::SnowcapStrategy;
 use crate::subscribe::{DeltaEvent, SlowConsumerPolicy, Subscription, SubscriptionRegistry};
 use crate::view_store::{Cursor, ViewStore};
 use std::ops::{Deref, DerefMut};
+use std::sync::OnceLock;
 use xivm_analyze::{AnalysisReport, AnalyzeMode, Analyzer};
 use xivm_dtd::{parse_dtd, Dtd};
 use xivm_pattern::{parse_pattern, TreePattern};
@@ -497,7 +498,7 @@ impl DatabaseBuilder {
         let pending = deferred.iter().map(|_| None).collect();
         Ok(Database {
             service: ServiceHandle::new(),
-            inner: Box::new(DbInner {
+            inner: OnceLock::from(Box::new(DbInner {
                 views,
                 doc,
                 commits: 0,
@@ -507,7 +508,7 @@ impl DatabaseBuilder {
                 statics,
                 deferred,
                 pending,
-            }),
+            })),
         })
     }
 }
@@ -546,13 +547,13 @@ impl ViewHandle {
 /// The synchronous core of a [`Database`]: the document, the view
 /// engines, the commit counter and the subscription registry.
 ///
-/// [`Database`] derefs here after *quiescing* its async commit
-/// service, so every method below is reachable directly on a
-/// `Database` and always observes a fully sealed state. The service
-/// thread borrows this struct (behind a stable `Box` address) while
-/// it drains queued [`Database::apply_async`] submissions; the
-/// deref-time quiesce is what makes that loan and the synchronous
-/// API mutually exclusive.
+/// [`Database`] derefs here, so every method below is reachable
+/// directly on a `Database` and always observes a fully sealed state.
+/// The core is *moved*, never shared: [`Database::apply_async`] hands
+/// it to the commit service with the submission, the service thread
+/// owns it while it drains the queue, and the deref takes it back
+/// once the service is idle — so the asynchronous and the synchronous
+/// API are mutually exclusive by ownership (see [`crate::service`]).
 pub struct DbInner {
     pub(crate) doc: Document,
     pub(crate) views: MultiViewEngine,
@@ -595,34 +596,41 @@ pub(crate) struct Statics {
 /// incrementally under statement-level updates.
 ///
 /// All synchronous methods live on [`DbInner`] and are reached
-/// through `Deref`; the deref first waits for any in-flight
-/// [`Self::apply_async`] work to seal (*quiescing*), so synchronous
-/// and asynchronous mutation can never interleave mid-commit. Methods
-/// defined directly on `Database` ([`Self::drain`],
-/// [`Self::pending`]) deliberately skip that wait: they only touch the
-/// subscription's own queue, which is exactly what lets a consumer
-/// drain while the service is sealing.
+/// through `Deref`. After an [`Self::apply_async`] the core is with
+/// the commit service; the deref first waits for every in-flight
+/// submission to seal and *takes the core back*, so synchronous and
+/// asynchronous mutation can never interleave mid-commit (through
+/// `&self` too, and from several threads: one caller takes it back,
+/// the others wait for that). While the value holds the core — always,
+/// for a database that never calls `apply_async` — the deref is one
+/// atomic load. If the service is poisoned (a failed commit's
+/// recovery itself panicked, see [`crate::service`]) there is no core
+/// to take back and the deref **panics** with the original message.
+/// Methods defined directly on `Database` ([`Self::drain`],
+/// [`Self::pending`]) deliberately never touch the core: they only
+/// reach the subscription's own queue, which is exactly what lets a
+/// consumer drain while the service is sealing.
 pub struct Database {
-    // Field order is load-bearing: dropping the service first joins
-    // its thread while `inner` (which that thread borrows) is still
-    // alive.
     service: ServiceHandle,
-    inner: Box<DbInner>,
+    /// The core while this value holds it; empty from an
+    /// [`Self::apply_async`] until the next synchronous access takes
+    /// it back from the service.
+    inner: OnceLock<Box<DbInner>>,
 }
 
 impl Deref for Database {
     type Target = DbInner;
 
     fn deref(&self) -> &DbInner {
-        self.service.quiesce();
-        &self.inner
+        self.inner.get_or_init(|| self.service.reclaim())
     }
 }
 
 impl DerefMut for Database {
     fn deref_mut(&mut self) -> &mut DbInner {
-        self.service.quiesce();
-        &mut self.inner
+        // `Deref` takes the core back if the service has it.
+        let _: &DbInner = self;
+        self.inner.get_mut().expect("the core was just taken back")
     }
 }
 
@@ -661,7 +669,13 @@ impl Database {
     /// ones — same events, same order. With a bounded queue under
     /// [`SlowConsumerPolicy::Block`] the *service thread* (not this
     /// call) waits for the consumer; drain from another thread via
-    /// [`Subscription::drain`] or the non-quiescing [`Self::drain`].
+    /// [`Subscription::drain`] or the non-waiting [`Self::drain`].
+    ///
+    /// This call moves the database core to the commit service (if it
+    /// is not there already); the next synchronous call on the
+    /// `Database` waits for everything submitted to seal and takes it
+    /// back. Once the service is poisoned (see [`crate::service`])
+    /// every call returns the [`Error::Panic`] that poisoned it.
     pub fn apply_async<I>(&mut self, statements: I) -> Result<Ticket, Error>
     where
         I: IntoIterator,
@@ -671,8 +685,7 @@ impl Database {
             .into_iter()
             .map(|s| resolve_statement(s.into()))
             .collect::<Result<_, _>>()?;
-        let ptr: *mut DbInner = &mut *self.inner;
-        Ok(self.service.submit(ptr, stmts))
+        self.service.submit(self.inner.take(), stmts)
     }
 
     /// Waits until every queued [`Self::apply_async`] submission has
@@ -698,12 +711,13 @@ impl Database {
         }
         // Not sealed by the service: either it was sealed
         // synchronously before the service ever ran, or it failed.
-        // `last_seq` quiesces, so this is the authoritative answer.
+        // `last_seq` takes the core back, so this is the
+        // authoritative answer.
         self.last_seq()
     }
 
     // -----------------------------------------------------------------
-    // Subscriptions (the non-quiescing surface)
+    // Subscriptions (`drain` / `pending` never touch the core)
     // -----------------------------------------------------------------
 
     /// Registers interest in one view's deltas. Every subsequent
@@ -716,8 +730,7 @@ impl Database {
     /// [`SlowConsumerPolicy::Block`]; use [`Self::subscribe_with`] to
     /// choose per subscription. See [`crate::subscribe`].
     pub fn subscribe(&mut self, view: ViewHandle) -> Subscription {
-        self.service.quiesce();
-        let cap = self.inner.sub_capacity;
+        let cap = self.sub_capacity;
         self.subscribe_with(view, cap, SlowConsumerPolicy::Block)
     }
 
@@ -747,8 +760,9 @@ impl Database {
         sub.queue.drain_deltas()
     }
 
-    /// Events currently queued on a subscription (non-quiescing:
-    /// counts what has been sealed and fanned out so far).
+    /// Events currently queued on a subscription (does not wait for
+    /// in-flight async commits: counts what has been sealed and
+    /// fanned out so far).
     pub fn pending(&self, sub: &Subscription) -> usize {
         sub.queue.pending()
     }
@@ -757,7 +771,7 @@ impl Database {
     pub fn unsubscribe(&mut self, sub: Subscription) {
         // Disconnect first: this wakes a service thread blocked on the
         // subscription's full queue, which must happen *before* the
-        // quiescing deref below can wait for that same thread.
+        // deref below waits for that same thread to park the core.
         sub.queue.disconnect();
         let inner = &mut **self;
         inner.subs.unsubscribe(sub);

@@ -416,18 +416,7 @@ impl MaintenanceEngine {
                         &mut leaves,
                     )
                 };
-                if !removed.is_empty() {
-                    for (t, c) in project_to_view(&self.pattern, &removed) {
-                        let key = t.id_key();
-                        report.derivations_removed += c;
-                        if store.remove_derivations(&key, c) {
-                            report.tuples_removed += 1;
-                        }
-                        if self.collect_deltas {
-                            report.delta.removed.push((key, c));
-                        }
-                    }
-                }
+                remove_bindings(store, &self.pattern, &removed, self.collect_deltas, &mut report);
                 let patched =
                     propagate_delete_modifications(store, doc, &self.pattern, &delete_roots);
                 report.tuples_modified += patched.len();
@@ -435,48 +424,15 @@ impl MaintenanceEngine {
             }
             if flips_exist {
                 let lost = crate::predflip::removed_by_flips(doc, &self.pattern, &flips, &inserted);
-                if !lost.is_empty() {
-                    for (t, c) in project_to_view(&self.pattern, &lost) {
-                        let key = t.id_key();
-                        report.derivations_removed += c;
-                        if store.remove_derivations(&key, c) {
-                            report.tuples_removed += 1;
-                        }
-                        if self.collect_deltas {
-                            report.delta.removed.push((key, c));
-                        }
-                    }
-                }
+                remove_bindings(store, &self.pattern, &lost, self.collect_deltas, &mut report);
                 let gained = crate::predflip::added_by_flips(doc, &self.pattern, &flips, &inserted);
-                if !gained.is_empty() {
-                    for (t, c) in project_to_view(&self.pattern, &gained) {
-                        report.derivations_added += c;
-                        if !store.contains(&t.id_key()) {
-                            report.tuples_added += 1;
-                        }
-                        if self.collect_deltas {
-                            report.delta.inserted.push((t.clone(), c));
-                        }
-                        store.add(t, c);
-                    }
-                }
+                add_bindings(store, &self.pattern, &gained, self.collect_deltas, &mut report);
             }
             if has_inserts {
                 let mats: &[MaterializedSnowcap] =
                     if flips_exist { &no_snowcaps } else { &self.snowcaps };
                 let added = eval_insert_terms(&ins_ctx, &full_order, &ins_terms, mats, &mut leaves);
-                if !added.is_empty() {
-                    for (t, c) in project_to_view(&self.pattern, &added) {
-                        report.derivations_added += c;
-                        if !store.contains(&t.id_key()) {
-                            report.tuples_added += 1;
-                        }
-                        if self.collect_deltas {
-                            report.delta.inserted.push((t.clone(), c));
-                        }
-                        store.add(t, c);
-                    }
-                }
+                add_bindings(store, &self.pattern, &added, self.collect_deltas, &mut report);
                 let patched = propagate_insert_modifications(
                     store,
                     doc,
@@ -538,6 +494,55 @@ impl MaintenanceEngine {
         report.timings.update_lattice = t_lat1 + t_lat2;
 
         report
+    }
+}
+
+/// *Execute Update*, removal half: projects lost bindings to the view
+/// and drops their derivations from the store, mirroring every patch
+/// into the report's counters and (under `collect`) its delta.
+fn remove_bindings(
+    store: &mut ViewStore,
+    pattern: &TreePattern,
+    lost: &xivm_algebra::Relation,
+    collect: bool,
+    report: &mut UpdateReport,
+) {
+    if lost.is_empty() {
+        return;
+    }
+    for (t, c) in project_to_view(pattern, lost) {
+        let key = t.id_key();
+        report.derivations_removed += c;
+        if store.remove_derivations(&key, c) {
+            report.tuples_removed += 1;
+        }
+        if collect {
+            report.delta.removed.push((key, c));
+        }
+    }
+}
+
+/// *Execute Update*, insertion half: the twin of [`remove_bindings`]
+/// for gained bindings.
+fn add_bindings(
+    store: &mut ViewStore,
+    pattern: &TreePattern,
+    gained: &xivm_algebra::Relation,
+    collect: bool,
+    report: &mut UpdateReport,
+) {
+    if gained.is_empty() {
+        return;
+    }
+    for (t, c) in project_to_view(pattern, gained) {
+        report.derivations_added += c;
+        if !store.contains(&t.id_key()) {
+            report.tuples_added += 1;
+        }
+        if collect {
+            report.delta.inserted.push((t.clone(), c));
+        }
+        store.add(t, c);
     }
 }
 

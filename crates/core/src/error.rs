@@ -41,7 +41,11 @@ pub enum Error {
     /// Propagation panicked mid-commit (a worker died or a fault was
     /// injected). The database rolled back to the last sealed commit
     /// and recomputed every view, so it remains consistent; the
-    /// payload is the panic message.
+    /// payload is the panic message. The one exception: if that
+    /// recovery itself panicked the async service is *poisoned* —
+    /// `flush()` and every later `apply_async` keep returning this
+    /// error, and synchronous calls panic with the message (see
+    /// [`crate::service`]).
     Panic(String),
     /// An async submission was abandoned because an *earlier*
     /// submission in the queue failed: its reserved sequence number
@@ -73,7 +77,7 @@ impl fmt::Display for Error {
             Error::DuplicateView(name) => write!(f, "view {name:?} declared more than once"),
             Error::NoDocument => write!(f, "database built without a document"),
             Error::Panic(msg) => {
-                write!(f, "propagation panicked mid-commit (database recovered): {msg}")
+                write!(f, "propagation panicked mid-commit: {msg}")
             }
             Error::Aborted => {
                 write!(f, "async submission aborted: an earlier queued submission failed")

@@ -1,7 +1,7 @@
 //! Fault-injection failpoints for the propagation and commit paths.
 //!
 //! Compiled only under `cfg(test)` or the `fault-inject` feature, so
-//! release builds carry no trace of it. Three points exist, mirroring
+//! release builds carry no trace of it. Four points exist, mirroring
 //! the places a production deployment can die mid-commit:
 //!
 //! * [`PREPARE_PANIC`] — panic inside [`MaintenanceEngine::prepare`]
@@ -9,21 +9,27 @@
 //! * [`FINISH_PANIC`] — panic inside [`MaintenanceEngine::finish`]
 //!   (a worker dies while patching its store);
 //! * [`SEAL_DELAY`] — sleep before the async service seals a window
-//!   (a slow seal, for observing submit-vs-seal latency).
+//!   (a slow seal, for observing submit-vs-seal latency);
+//! * [`RECOVER_PANIC`] — panic inside the async service's post-panic
+//!   recovery (the from-scratch recompute dies on the same document
+//!   the window did): the unrecoverable case, which poisons the
+//!   service instead of hanging it.
 //!
 //! Points are **one-shot**: arming sets a bit, the first propagation
 //! that reaches the point trips it (exactly one worker, atomically)
-//! and the bit clears — so the recovery path that follows runs clean.
+//! and the bit clears — so the recovery path that follows runs clean
+//! (unless [`RECOVER_PANIC`] is armed for it).
 //! Arm programmatically with [`arm`] or through the environment
-//! (`XIVM_FAULT=prepare_panic,finish_panic,seal_delay`, read once at
-//! first use). Tests that arm faults must serialize on [`exclusive`]:
-//! the armed set is process-global.
+//! (`XIVM_FAULT=prepare_panic,finish_panic,seal_delay,recover_panic`,
+//! read once at first use). Tests that arm faults must serialize on
+//! [`exclusive`]: the armed set is process-global.
 //!
 //! `tests/fault_injection.rs` uses these to prove the async service's
 //! containment guarantees: a panicking window drains cleanly, the
 //! error surfaces on `Ticket::wait()` / `flush()`, the database equals
-//! a sequential replay of the committed prefix, and surviving
-//! subscriptions stay gapless.
+//! a sequential replay of the committed prefix, surviving
+//! subscriptions stay gapless, and a failed recovery fails every
+//! later call loudly.
 //!
 //! [`MaintenanceEngine::prepare`]: crate::engine::MaintenanceEngine::prepare
 //! [`MaintenanceEngine::finish`]: crate::engine::MaintenanceEngine::finish
@@ -37,6 +43,8 @@ pub const PREPARE_PANIC: u32 = 1 << 0;
 pub const FINISH_PANIC: u32 = 1 << 1;
 /// Sleep ~40ms before the async service seals a window.
 pub const SEAL_DELAY: u32 = 1 << 2;
+/// Panic at the start of the async service's post-panic recovery.
+pub const RECOVER_PANIC: u32 = 1 << 3;
 
 static ARMED: AtomicU32 = AtomicU32::new(0);
 static ENV_INIT: Once = Once::new();
@@ -54,6 +62,7 @@ fn ensure_env() {
                     "prepare_panic" => PREPARE_PANIC,
                     "finish_panic" => FINISH_PANIC,
                     "seal_delay" => SEAL_DELAY,
+                    "recover_panic" => RECOVER_PANIC,
                     _ => 0,
                 };
             }
@@ -120,6 +129,13 @@ pub(crate) fn finish_point() {
 pub(crate) fn seal_point() {
     if trip(SEAL_DELAY) {
         std::thread::sleep(std::time::Duration::from_millis(SEAL_DELAY_MS));
+    }
+}
+
+/// The failpoint inside the async service's post-panic recovery.
+pub(crate) fn recover_point() {
+    if trip(RECOVER_PANIC) {
+        panic!("injected fault: panic in recover");
     }
 }
 

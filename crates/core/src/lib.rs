@@ -11,9 +11,9 @@
 //!   Sections 3.1 / 4.1;
 //! * [`prune`] — Propositions 3.3, 3.6, 3.8 (insertions) and 4.2, 4.3,
 //!   4.7 (deletions);
-//! * [`snowcap`] / [`lattice`] — the sub-pattern lattice, snowcap
-//!   enumeration (Definition 3.11) and materialization strategies
-//!   (Section 3.5 / experiment 6.7);
+//! * [`snowcap`] / [`strategy`] — snowcap enumeration over the
+//!   sub-pattern lattice (Definition 3.11) and materialization
+//!   strategies (Section 3.5 / experiment 6.7);
 //! * [`etins`] — bulk term evaluation with structural joins
 //!   (Algorithm 3 and its deletion counterpart);
 //! * [`pint`] / [`pimt`] / [`pddt`] / [`pdmt`] — the four propagation
@@ -45,6 +45,12 @@
 //!   sealing, with [`service::Ticket`]s, `flush()` barriers and
 //!   panic containment (and, under `cfg(test)` / the `fault-inject`
 //!   feature, the `fault` failpoints that prove it).
+//!
+//! The crate is `deny(unsafe_code)`: the one allowed exception is the
+//! audited lifetime erasure that lets the persistent pool run scoped
+//! jobs (`runtime::Runtime::run`).
+
+#![deny(unsafe_code)]
 
 pub mod commit;
 pub mod costmodel;
@@ -56,7 +62,6 @@ mod executor;
 pub mod expand;
 #[cfg(any(test, feature = "fault-inject"))]
 pub mod fault;
-pub mod lattice;
 pub mod multiview;
 pub mod parallel;
 pub mod pddt;

@@ -247,6 +247,7 @@ impl Runtime {
         let jobs: Vec<Mutex<Option<Job<'static>>>> = jobs
             .into_iter()
             .map(|job| {
+                #[allow(unsafe_code)]
                 let job: Job<'static> = unsafe { std::mem::transmute(job) };
                 Mutex::new(Some(job))
             })

@@ -13,18 +13,28 @@
 //! subscription feeds stay gapless no matter how the work was
 //! scheduled.
 //!
-//! The synchronous API stays safe through *quiescing*: `Database`
-//! derefs to its core only after waiting for the service to go idle,
-//! so a reader can never observe (and a writer can never interleave
-//! with) a half-drained queue. The service thread itself is lazy —
-//! spawned on the first `apply_async`, joined when the `Database`
-//! drops (after draining what was queued) — so purely synchronous
-//! databases never pay for it, and steady-state async traffic reuses
-//! one thread plus the persistent [`Runtime`] pool.
+//! The synchronous API stays safe through an **ownership hand-off**:
+//! the database core ([`DbInner`]) is always in exactly one of three
+//! places — held by the `Database` value, *parked* in the state this
+//! module guards with its mutex, or held by the service thread for
+//! the length of one drained batch. `apply_async` parks the core with
+//! the submission; the service thread takes it to drain and puts it
+//! back; the first synchronous access afterwards waits for the
+//! service to go idle and *takes the core back*. A reader can never
+//! observe (and a writer can never interleave with) a half-drained
+//! queue because, while one is being drained, there is no core on the
+//! owner's side to reach — the compiler, not a convention, vouches
+//! for that (the crate is `deny(unsafe_code)`, and what crosses into
+//! the service thread is `Send` by auto trait). The service thread
+//! itself is lazy — spawned on the first `apply_async`, joined when the
+//! `Database` drops (after draining what was queued, whichever side
+//! holds the core) — so purely synchronous databases never pay for
+//! it, and steady-state async traffic reuses one thread plus the
+//! persistent [`Runtime`] pool.
 //!
 //! # Failure containment
 //!
-//! A submission can fail three ways, and each is pinned to a ticket:
+//! A submission can fail four ways, and each is pinned to a ticket:
 //!
 //! * an [`Error`] from the engine (e.g. a fallible document apply) —
 //!   the failing ticket carries it;
@@ -36,14 +46,25 @@
 //!   carries [`Error::Panic`] with the panic message;
 //! * an earlier submission in the queue failed — the reserved
 //!   sequence number can no longer be honored, so the ticket aborts
-//!   with [`Error::Aborted`] (resubmit for a fresh seq).
+//!   with [`Error::Aborted`] (resubmit for a fresh seq);
+//! * the **recovery itself panics** (the from-scratch recompute dies
+//!   on the document the window died on) — there is no consistent
+//!   core left to hand back, so the service is *poisoned*, with the
+//!   semantics of a poisoned `std::sync::Mutex`: the failing ticket
+//!   carries [`Error::Panic`], everything behind it (the rest of the
+//!   batch and the queue) [`Error::Aborted`], every `flush()` and
+//!   every later `apply_async` returns that `Error::Panic`, and a
+//!   synchronous access **panics** with its message instead of
+//!   waiting for a core that will never come back.
 //!
-//! After any failure the database is exactly the sequential replay of
-//! the commits that actually sealed, and every surviving subscription
-//! saw exactly those commits — `tests/fault_injection.rs` proves all
-//! three properties under injected panics.
+//! After any of the first three the database is exactly the
+//! sequential replay of the commits that actually sealed, and every
+//! surviving subscription saw exactly those commits;
+//! `tests/fault_injection.rs` proves those properties, and that the
+//! fourth fails loudly rather than hanging, under injected panics.
 //!
 //! [`Database::apply_async`]: crate::database::Database::apply_async
+//! [`DbInner`]: crate::database::DbInner
 //! [`apply_pipelined`]: crate::database::DbInner::apply_pipelined
 //! [`Runtime`]: crate::runtime::Runtime
 
@@ -53,7 +74,7 @@ use crate::error::Error;
 use crate::executor::Batch;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use xivm_update::{apply_pul, Pul, UpdateStatement};
 use xivm_xml::Document;
@@ -109,14 +130,16 @@ impl TicketInner {
     }
 
     /// First write wins; later calls are ignored (a ticket resolves
-    /// exactly once).
-    fn fulfill(&self, result: Result<Commit, Error>) {
+    /// exactly once). Returns whether this call resolved the ticket.
+    fn fulfill(&self, result: Result<Commit, Error>) -> bool {
         let mut slot = self.result.lock().unwrap();
-        if slot.is_none() {
+        let first = slot.is_none();
+        if first {
             *slot = Some(result);
         }
         drop(slot);
         self.ready.notify_all();
+        first
     }
 }
 
@@ -129,18 +152,28 @@ struct Submission {
 
 struct State {
     queue: VecDeque<Submission>,
-    /// True while the service thread is outside the lock draining a
-    /// batch (the queue may be empty yet work is still in flight).
+    /// The database core while neither side is using it: parked here
+    /// by `submit` (with the first submission of a burst) and by the
+    /// service thread after every batch, taken by the service thread
+    /// to drain and by [`ServiceHandle::reclaim`] for the owner.
+    parked: Option<Box<DbInner>>,
+    /// True while the service thread holds the core, outside the lock,
+    /// draining a batch (the queue may be empty yet work is still in
+    /// flight).
     busy: bool,
     shutdown: bool,
     /// Sealed high-water mark as last observed by the service thread.
     last_sealed: u64,
     /// Highest sequence number promised to a ticket. Re-synced from
-    /// the database's commit counter whenever the service is idle, so
+    /// the core's commit counter whenever the owner parks it, so
     /// interleaved synchronous commits are accounted for.
     reserved: u64,
     /// First background failure since the last `flush()`.
     first_error: Option<Error>,
+    /// The panic message of a batch whose *recovery* panicked. The
+    /// half-recovered core died with the batch; the message is all
+    /// that is left to report, and nothing is accepted any more.
+    poisoned: Option<String>,
 }
 
 struct Shared {
@@ -151,29 +184,33 @@ struct Shared {
     done: Condvar,
 }
 
+impl Shared {
+    /// Locks the state, tolerating poison: the paths that report a
+    /// dead service must not themselves die on `lock().unwrap()`.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks on `done` while `blocked` holds — the one wait every
+    /// synchronous entry point goes through.
+    fn wait_while(&self, mut blocked: impl FnMut(&State) -> bool) -> MutexGuard<'_, State> {
+        self.done.wait_while(self.lock(), |st| blocked(st)).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until nothing is queued and nothing is in flight.
+    fn idle(&self) -> MutexGuard<'_, State> {
+        self.wait_while(|st| st.busy || !st.queue.is_empty())
+    }
+}
+
 /// The `Database`-side handle: owns the lazily spawned service thread
-/// and the queue it drains. Dropping the handle requests shutdown and
-/// joins the thread (after it drains everything still queued) — the
-/// `Database` stores it *before* the `DbInner` box precisely so this
-/// join happens while the loaned core is still alive.
+/// and the state it shares with it — the queue, and the database core
+/// whenever it is parked. Dropping the handle requests shutdown and
+/// joins the thread (after it drains everything still queued).
 pub(crate) struct ServiceHandle {
     shared: Arc<Shared>,
     thread: Option<JoinHandle<()>>,
 }
-
-/// The raw loan of the database core the service thread works
-/// through. The pointer targets the heap allocation behind
-/// `Database::inner`, whose address is stable across moves of the
-/// `Database` itself.
-struct Loan(*mut DbInner);
-
-// SAFETY: the loan crosses into the service thread, which dereferences
-// it only while `state.busy` is true; every `&mut DbInner` the owning
-// thread creates goes through the quiescing deref, which waits for
-// `busy == false` and an empty queue under the same mutex. The two
-// sides therefore never hold references simultaneously, and the
-// mutex's ordering makes the hand-off a proper happens-before edge.
-unsafe impl Send for Loan {}
 
 impl ServiceHandle {
     pub(crate) fn new() -> Self {
@@ -181,11 +218,13 @@ impl ServiceHandle {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
                     queue: VecDeque::new(),
+                    parked: None,
                     busy: false,
                     shutdown: false,
                     last_sealed: 0,
                     reserved: 0,
                     first_error: None,
+                    poisoned: None,
                 }),
                 work: Condvar::new(),
                 done: Condvar::new(),
@@ -194,41 +233,50 @@ impl ServiceHandle {
         }
     }
 
-    /// Blocks until the service has nothing queued and nothing in
-    /// flight. The guard behind every synchronous `Database` access.
-    pub(crate) fn quiesce(&self) {
-        if self.thread.is_none() {
-            return;
+    /// Takes the parked core back for the owner, after waiting for the
+    /// service to go idle. Behind the first synchronous `Database`
+    /// access after an `apply_async`. Panics with the original message
+    /// if the service is poisoned — there is no core to hand back.
+    pub(crate) fn reclaim(&self) -> Box<DbInner> {
+        let mut st = self.shared.idle();
+        if let Some(msg) = st.poisoned.clone() {
+            drop(st);
+            panic!("commit service poisoned, the database is unusable: {msg}");
         }
-        let mut st = self.shared.state.lock().unwrap();
-        while st.busy || !st.queue.is_empty() {
-            st = self.shared.done.wait(st).unwrap();
-        }
+        st.parked.take().expect("an idle service holds the parked core")
     }
 
     /// Enqueues a pre-validated submission, reserving the next
-    /// sequence number, and returns its ticket. Spawns the service
-    /// thread on first use.
-    pub(crate) fn submit(&mut self, db: *mut DbInner, stmts: Vec<UpdateStatement>) -> Ticket {
+    /// sequence number, and returns its ticket. `core` is the database
+    /// core if the owner still held it (`None` = already parked or in
+    /// the service thread's hands); it is parked with the submission.
+    /// Spawns the service thread on first use; refuses with the
+    /// original [`Error::Panic`] once the service is poisoned.
+    pub(crate) fn submit(
+        &mut self,
+        core: Option<Box<DbInner>>,
+        stmts: Vec<UpdateStatement>,
+    ) -> Result<Ticket, Error> {
         if self.thread.is_none() {
-            let loan = Loan(db);
             let shared = Arc::clone(&self.shared);
             self.thread = Some(
                 std::thread::Builder::new()
                     .name("xivm-commit-service".into())
-                    .spawn(move || service_loop(loan, shared))
+                    .spawn(move || service_loop(shared))
                     .expect("spawn commit service thread"),
             );
         }
-        let mut st = self.shared.state.lock().unwrap();
-        if st.queue.is_empty() && !st.busy {
-            // Idle: synchronous commits may have advanced the counter
-            // since the last drain. SAFETY: the service thread is
-            // parked on `work` under this same mutex, so reading the
-            // core here cannot race its loan.
-            let commits = unsafe { (*db).commits };
-            st.reserved = commits;
-            st.last_sealed = commits;
+        let mut st = self.shared.lock();
+        if let Some(msg) = &st.poisoned {
+            return Err(Error::Panic(msg.clone()));
+        }
+        if let Some(core) = core {
+            // The owner held the core, so the service was idle and
+            // synchronous commits may have advanced the counter since
+            // the last drain.
+            st.reserved = core.commits;
+            st.last_sealed = core.commits;
+            st.parked = Some(core);
         }
         st.reserved += 1;
         let seq = st.reserved;
@@ -236,23 +284,16 @@ impl ServiceHandle {
         st.queue.push_back(Submission { stmts, ticket: Arc::clone(&inner) });
         drop(st);
         self.shared.work.notify_all();
-        Ticket { seq, inner }
+        Ok(Ticket { seq, inner })
     }
 
-    /// Quiesces, then surfaces (and clears) the first background
-    /// failure since the previous flush.
+    /// Waits for the service to go idle, then surfaces (and clears)
+    /// the first background failure since the previous flush — and,
+    /// once the service is poisoned, that failure on every call.
     pub(crate) fn flush(&mut self) -> Result<(), Error> {
-        if self.thread.is_none() {
-            return Ok(());
-        }
-        let mut st = self.shared.state.lock().unwrap();
-        while st.busy || !st.queue.is_empty() {
-            st = self.shared.done.wait(st).unwrap();
-        }
-        match st.first_error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let mut st = self.shared.idle();
+        let poison = st.poisoned.clone().map(Error::Panic);
+        st.first_error.take().or(poison).map_or(Ok(()), Err)
     }
 
     /// Waits while commit `seq` is still promised but not yet sealed.
@@ -260,66 +301,69 @@ impl ServiceHandle {
     /// the service never ran (the caller falls back to the database's
     /// own counter).
     pub(crate) fn barrier(&self, seq: u64) -> u64 {
-        if self.thread.is_none() {
-            return 0;
-        }
-        let mut st = self.shared.state.lock().unwrap();
-        while st.last_sealed < seq && st.reserved >= seq {
-            st = self.shared.done.wait(st).unwrap();
-        }
-        st.last_sealed
+        self.shared.wait_while(|st| st.last_sealed < seq && st.reserved >= seq).last_sealed
     }
 }
 
 impl Drop for ServiceHandle {
     fn drop(&mut self) {
         if let Some(handle) = self.thread.take() {
-            {
-                let mut st = self.shared.state.lock().unwrap();
-                st.shutdown = true;
-            }
+            self.shared.lock().shutdown = true;
             self.shared.work.notify_all();
             let _ = handle.join();
         }
     }
 }
 
-fn service_loop(loan: Loan, shared: Arc<Shared>) {
+fn service_loop(shared: Arc<Shared>) {
     loop {
-        let batch: Vec<Submission> = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if !st.queue.is_empty() {
-                    break;
-                }
+        let (mut db, batch): (Box<DbInner>, Vec<Submission>) = {
+            let mut st = shared.lock();
+            while st.queue.is_empty() {
                 if st.shutdown {
                     return;
                 }
-                st = shared.work.wait(st).unwrap();
+                st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
             st.busy = true;
-            st.queue.drain(..).collect()
+            let db =
+                st.parked.take().expect("the core is parked with the queue's first submission");
+            (db, st.queue.drain(..).collect())
         };
-        // SAFETY: `busy` is set, so the owning thread's quiescing
-        // deref blocks until this borrow ends (see `Loan`).
-        let db = unsafe { &mut *loan.0 };
-        let error = drain_batch(db, &batch, &shared);
-        let sealed = db.commits;
-        let mut st = shared.state.lock().unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| drain_batch(&mut db, &batch, &shared)));
+        let mut st = shared.lock();
         st.busy = false;
-        st.last_sealed = sealed;
-        if let Some(e) = error {
-            if st.first_error.is_none() {
-                st.first_error = Some(e);
+        let error = match outcome {
+            Ok(result) => {
+                st.last_sealed = db.commits;
+                st.parked = Some(db);
+                result.err()
             }
-            // Submissions enqueued while the failing batch ran
-            // reserved sequence numbers that can no longer be
-            // honored gaplessly: abort them and restart reservations
-            // from what actually sealed.
-            for sub in st.queue.drain(..) {
-                sub.ticket.fulfill(Err(Error::Aborted));
+            // A panic past `seal_window`'s own containment (recovery
+            // itself died): the core is in no state to hand back and
+            // drops with this iteration; the service is poisoned.
+            Err(payload) => {
+                let msg = panic_message(payload);
+                st.poisoned = Some(msg.clone());
+                Some(Error::Panic(msg))
             }
-            st.reserved = sealed;
+        };
+        if let Some(mut e) = error {
+            st.first_error.get_or_insert(e.clone());
+            // Tickets resolve once (first write wins), so the sealed
+            // prefix keeps its commits: the first *unresolved* ticket
+            // is the failing one and carries the failure; everything
+            // behind it — the rest of the batch, and whatever was
+            // enqueued while it ran — reserved a sequence number that
+            // can no longer be honored gaplessly and aborts.
+            // Reservations restart from what actually sealed.
+            let queued: Vec<Submission> = st.queue.drain(..).collect();
+            for sub in batch.iter().chain(&queued) {
+                if sub.ticket.fulfill(Err(e.clone())) {
+                    e = Error::Aborted;
+                }
+            }
+            st.reserved = st.last_sealed;
         }
         drop(st);
         shared.done.notify_all();
@@ -328,35 +372,25 @@ fn service_loop(loan: Loan, shared: Arc<Shared>) {
 
 /// Drains one batch in submission order, a window of up to the
 /// database's pipeline depth at a time, whatever the submissions'
-/// shapes. After the first failure every remaining ticket aborts.
-/// Returns the first failure, if any.
-fn drain_batch(db: &mut DbInner, batch: &[Submission], shared: &Shared) -> Option<Error> {
-    let mut error: Option<Error> = None;
+/// shapes, and stops at the first failure (the caller resolves the
+/// tickets left unresolved).
+fn drain_batch(db: &mut DbInner, batch: &[Submission], shared: &Shared) -> Result<(), Error> {
     for window in batch.chunks(db.pipeline) {
-        if error.is_some() {
-            fail_tail(window, 0, Error::Aborted);
-        } else if let Err(e) = seal_window(db, window) {
-            error = Some(e);
-        } else {
-            // Publish progress so `commit_barrier` waiters wake
-            // per window, not per batch.
-            let sealed = db.commits;
-            let mut st = shared.state.lock().unwrap();
-            st.last_sealed = sealed;
-            drop(st);
-            shared.done.notify_all();
-        }
+        seal_window(db, window)?;
+        // Publish progress so `commit_barrier` waiters wake per
+        // window, not per batch.
+        shared.lock().last_sealed = db.commits;
+        shared.done.notify_all();
     }
-    error
+    Ok(())
 }
 
 /// Seals one window of submissions through the executor
 /// ([`DbInner::seal_window`]), fulfilling each ticket as its commit
-/// seals (strictly in order). On failure, every ticket in the window
-/// is resolved — sealed prefix with its `Commit`, the failing one with
-/// the error, the rest with [`Error::Aborted`] — and on a panic the
-/// database is rolled back to the sealed prefix and every view
-/// recomputed.
+/// seals (strictly in order). A clean engine error leaves the commits
+/// before it sealed and the document untouched by anything after; on a
+/// panic the database is rolled back to the sealed prefix and every
+/// view recomputed.
 fn seal_window(db: &mut DbInner, window: &[Submission]) -> Result<(), Error> {
     #[cfg(any(test, feature = "fault-inject"))]
     crate::fault::seal_point();
@@ -371,30 +405,10 @@ fn seal_window(db: &mut DbInner, window: &[Submission]) -> Result<(), Error> {
             sealed.push(pul);
         })
     }));
-    let e = match outcome {
-        Ok(Ok(())) => return Ok(()),
-        // The engine stopped cleanly: commits before the failure
-        // sealed (tickets already fulfilled), nothing after the
-        // failing submission touched the document.
-        Ok(Err(e)) => e,
-        Err(payload) => {
-            recover(db, pre, &sealed);
-            Error::Panic(panic_message(payload))
-        }
-    };
-    fail_tail(window, sealed.len(), e.clone());
-    Err(e)
-}
-
-/// Resolves the unsealed tail of a failed window: the first unsealed
-/// ticket carries the failure, everything behind it aborts.
-fn fail_tail(window: &[Submission], sealed: usize, e: Error) {
-    if let Some(failing) = window.get(sealed) {
-        failing.ticket.fulfill(Err(e));
-    }
-    for sub in window.iter().skip(sealed + 1) {
-        sub.ticket.fulfill(Err(Error::Aborted));
-    }
+    outcome.unwrap_or_else(|payload| {
+        recover(db, pre, &sealed);
+        Err(Error::Panic(panic_message(payload)))
+    })
 }
 
 /// Post-panic rollback: rebuild the document as `pre` plus the PULs
@@ -404,6 +418,8 @@ fn fail_tail(window: &[Submission], sealed: usize, e: Error) {
 /// exactly as sealed; the half-propagated state of the panicking
 /// window is discarded wholesale.
 fn recover(db: &mut DbInner, pre: Document, sealed: &[Pul]) {
+    #[cfg(any(test, feature = "fault-inject"))]
+    crate::fault::recover_point();
     let mut doc = pre;
     for pul in sealed {
         if apply_pul(&mut doc, pul).is_err() {

@@ -95,8 +95,9 @@ fn main() -> Result<(), Error> {
     let t2 = db.apply_async(["insert <tick>a2</tick> into //feed"])?;
     println!("submission stayed non-blocking under backpressure ({:?})", submit.elapsed());
     // The capacity-1 queue fills after the first seal; draining is what
-    // lets the service finish the second (drain/pending skip the
-    // quiescing path for exactly this reason).
+    // lets the service finish the second (drain/pending never touch
+    // the database core, which the service holds, for exactly this
+    // reason).
     let mut audited = Vec::new();
     while audited.len() < 2 {
         audited.extend(db.drain(&auditor).into_iter().map(|e| e.seq));

@@ -15,11 +15,17 @@
 //! * subscription feeds stay gapless: consumers see exactly the sealed
 //!   commits, in order, with consecutive sequence numbers;
 //! * [`fault::SEAL_DELAY`] shows submission returning well before the
-//!   seal completes (the latency decoupling `fig_async` measures).
+//!   seal completes (the latency decoupling `fig_async` measures);
+//! * when the recovery itself panics ([`fault::RECOVER_PANIC`]) the
+//!   service is poisoned: every ticket resolves, `flush()` and later
+//!   submissions return the panic, and a synchronous access panics
+//!   with its message — nothing hangs.
 //!
 //! Every test holds [`fault::exclusive`] for its whole body: the armed
 //! set is process-global and the test runner is multi-threaded.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use xivm::pattern::compile::view_tuples;
@@ -451,6 +457,62 @@ fn submission_returns_before_delayed_seal() {
         "apply_async returned before the seal ({submitted:?})"
     );
     assert_consistent(&db, "after delayed seal");
+
+    fault::disarm_all();
+}
+
+/// The unrecoverable case: the window panics in `finish` and then the
+/// recovery that should roll it back panics too. There is no
+/// consistent core left, so the service is *poisoned* — and the whole
+/// point is that every call then fails loudly instead of waiting for
+/// a service thread that will never go idle. The scenario runs on a
+/// helper thread and the test waits for it with a timeout, so a
+/// regression shows up as a failure, not as a hung CI job.
+#[test]
+fn panic_in_recovery_poisons_the_service_instead_of_hanging() {
+    let _guard = fault::exclusive();
+    fault::disarm_all();
+
+    let (report, observed) = mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        let mut db = build_db(2, 4);
+        db.apply(stmt(0).as_str()).expect("base commit");
+
+        // SEAL_DELAY holds the service before its first window, so all
+        // three submissions are accepted before the service dies.
+        fault::arm(fault::FINISH_PANIC | fault::RECOVER_PANIC | fault::SEAL_DELAY);
+        let tickets: Vec<Ticket> =
+            (1..4).map(|i| db.apply_async([stmt(i)]).expect("submit")).collect();
+        let results: Vec<Result<Commit, Error>> = tickets.iter().map(Ticket::wait).collect();
+        let flushes = [db.flush(), db.flush()];
+        let later = db.apply_async([stmt(4)]).map(|t| t.seq);
+        let sync = catch_unwind(AssertUnwindSafe(|| db.last_seq()))
+            .map_err(|payload| payload.downcast_ref::<String>().cloned().unwrap_or_default());
+        // Dropping a poisoned database still joins the service thread.
+        drop(db);
+        report.send((results, flushes, later, sync)).expect("test still listening");
+    });
+    let (results, flushes, later, sync) = observed
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a dead service must fail loudly, not hang");
+    scenario.join().expect("scenario thread");
+
+    let msg = match &results[0] {
+        Err(Error::Panic(msg)) => msg.clone(),
+        other => panic!("the failing ticket should carry the panic, got {other:?}"),
+    };
+    assert!(msg.contains("injected fault: panic in recover"), "panic message: {msg}");
+    for behind in &results[1..] {
+        assert!(matches!(behind, Err(Error::Aborted)), "queued-behind tickets abort: {behind:?}");
+    }
+    // Poisoned is sticky: unlike a recovered failure, it is reported
+    // on every flush and refuses every later submission.
+    for flushed in flushes {
+        assert_eq!(flushed, Err(Error::Panic(msg.clone())));
+    }
+    assert_eq!(later, Err(Error::Panic(msg.clone())));
+    let poisoned = sync.expect_err("a synchronous access to a poisoned database panics");
+    assert!(poisoned.contains(&msg), "the access panics with the original message: {poisoned}");
 
     fault::disarm_all();
 }

@@ -8,9 +8,9 @@
 //! (N workers, the statements submitted through
 //! `Database::apply_async` — grouped into submissions of 0, 1 or 4
 //! statements, so empty and multi-statement commits share windows
-//! with single ones — with randomized `flush()`/`wait()`
-//! interleavings and bounded `Block` subscriptions drained from
-//! consumer threads) — must be
+//! with single ones — with randomized `flush()` / `wait()` /
+//! synchronous-read / synchronous-commit interleavings and bounded
+//! `Block` subscriptions drained from consumer threads) — must be
 //! observationally indistinguishable: identical documents, identical
 //! view stores, pairwise [`Commit::same_outcome`] commits (sequence
 //! numbers, statement/optimizer counters, per-view counters and
@@ -154,7 +154,27 @@ fn run_submissions(
     pipeline: usize,
     pipelined: bool,
 ) -> Observation {
-    let mut db = build_db(doc_xml, view_idxs, workers, pipeline);
+    drive(build_db(doc_xml, view_idxs, workers, pipeline), groups, pipelined)
+}
+
+/// One submission as one synchronous commit: a single statement
+/// through `apply`, anything else through a sequential
+/// `transaction()`.
+fn commit_sync(db: &mut Database, group: &[String]) -> Commit {
+    match group {
+        [s] => db.apply(s.as_str()).expect("statement applies"),
+        many => many
+            .iter()
+            .fold(db.transaction(), |tx, s| tx.statement(s.as_str()))
+            .commit()
+            .expect("transaction commits"),
+    }
+}
+
+/// The synchronous drive behind [`run_submissions`], over a database
+/// the caller built (the env-default test hands in one that never saw
+/// `.workers(..)` / `.pipeline(..)`).
+fn drive(mut db: Database, groups: &[Vec<String>], pipelined: bool) -> Observation {
     let (commits, streams) = if pipelined {
         assert!(groups.iter().all(|g| g.len() == 1), "apply_pipelined commits per statement");
         let statements: Vec<&String> = groups.iter().flatten().collect();
@@ -184,14 +204,7 @@ fn run_submissions(
         let mut streams: Vec<Vec<DeltaEvent>> = (0..subs.len()).map(|_| Vec::new()).collect();
         let mut commits = Vec::with_capacity(groups.len());
         for group in groups {
-            commits.push(match group.as_slice() {
-                [s] => db.apply(s.as_str()).expect("statement applies"),
-                many => many
-                    .iter()
-                    .fold(db.transaction(), |tx, s| tx.statement(s.as_str()))
-                    .commit()
-                    .expect("transaction commits"),
-            });
+            commits.push(commit_sync(&mut db, group));
             for (sub, stream) in subs.iter().zip(streams.iter_mut()) {
                 stream.extend(db.drain(sub));
             }
@@ -208,10 +221,16 @@ fn run_submissions(
 /// `apply_async` call per submission (empty, single- and
 /// multi-statement ones land in the same windows), with a
 /// per-submission interleave action, cycled (`1` = `flush()` right
-/// after submitting, `2` = `wait()` on the fresh ticket, anything
-/// else = keep submitting) so
-/// random cases cover everything from fire-and-forget to fully
-/// synchronous pacing. Every view carries a bounded (or unbounded,
+/// after submitting, `2` = `wait()` on the fresh ticket, `3` = a
+/// synchronous read right after submitting — the owner takes the core
+/// back mid-stream without a flush — `4` = commit this submission
+/// *synchronously* through `apply` / `transaction()` between two async
+/// bursts, anything else = keep submitting) so random cases cover
+/// everything from fire-and-forget to fully synchronous pacing, and
+/// every hand-off of the database core between the owner and the
+/// service. Sequence numbers must run on across both kinds of commit:
+/// each ticket and each synchronous commit continues from whatever was
+/// promised last. Every view carries a bounded (or unbounded,
 /// `capacity == None`) [`SlowConsumerPolicy::Block`] subscription
 /// drained by its own consumer thread — at capacity 1 the service
 /// cannot seal commit *k+1* before a consumer took commit *k*, so a
@@ -259,23 +278,48 @@ fn run_workload_async(
         })
         .collect();
 
-    let mut tickets = Vec::with_capacity(expected);
+    /// One submission's commit: still a promise, or already sealed
+    /// because it went in synchronously (action 4).
+    enum Sealing {
+        Promised(Ticket),
+        Sealed(Commit),
+    }
+    let mut sealing: Vec<Sealing> = Vec::with_capacity(expected);
+    let mut promised = 0u64;
     for (group, &action) in groups.iter().zip(interleave.iter().cycle()) {
+        if action == 4 {
+            let commit = commit_sync(&mut db, group);
+            assert_eq!(commit.seq, promised + 1, "a synchronous commit continues the tickets");
+            promised = commit.seq;
+            sealing.push(Sealing::Sealed(commit));
+            continue;
+        }
         let ticket = db.apply_async(group.iter().map(String::as_str)).expect("async submit");
+        assert_eq!(ticket.seq, promised + 1, "tickets continue from the last promised seq");
+        promised = ticket.seq;
         match action {
             1 => db.flush().expect("mid-stream flush"),
             2 => drop(ticket.wait().expect("mid-stream wait")),
+            3 => {
+                assert_eq!(db.last_seq(), promised, "a read sees everything submitted sealed");
+                for h in db.handles() {
+                    let _ = db.store(h).len();
+                }
+            }
             _ => {}
         }
-        tickets.push(ticket);
+        sealing.push(Sealing::Promised(ticket));
     }
     db.flush().expect("final flush");
-    let commits: Vec<Commit> = tickets
-        .iter()
-        .map(|t| {
-            let commit = t.wait().expect("async commit seals");
-            assert_eq!(commit.seq, t.seq, "Commit::seq is exactly Ticket::seq");
-            commit
+    let commits: Vec<Commit> = sealing
+        .into_iter()
+        .map(|s| match s {
+            Sealing::Sealed(commit) => commit,
+            Sealing::Promised(t) => {
+                let commit = t.wait().expect("async commit seals");
+                assert_eq!(commit.seq, t.seq, "Commit::seq is exactly Ticket::seq");
+                commit
+            }
         })
         .collect();
     let mut streams = Vec::new();
@@ -417,8 +461,8 @@ proptest! {
     /// The async-service leg of the soak: the same workload submitted
     /// through `apply_async` — random worker counts, pipeline depths,
     /// subscription capacities (1, 4 or unbounded), submission shapes
-    /// (0, 1 or 4 statements) and per-submission `flush()`/`wait()`
-    /// interleavings — must be observationally identical to the
+    /// (0, 1 or 4 statements) and per-submission `flush()` / `wait()` /
+    /// synchronous-read / synchronous-commit interleavings — must be observationally identical to the
     /// sequential reference applying the same grouping through
     /// `apply` / `transaction()`, consumer threads and backpressure
     /// included.
@@ -433,7 +477,7 @@ proptest! {
         workers in 1usize..9,
         depth in 1usize..9,
         capacity_sel in 0usize..3,
-        interleave in prop::collection::vec(0u8..3, 7..8),
+        interleave in prop::collection::vec(0u8..5, 7..8),
         shapes in prop::collection::vec(0usize..SHAPES.len(), 0..7),
     ) {
         let capacity = [Some(1), Some(4), None][capacity_sel];
@@ -492,7 +536,8 @@ fn full_worker_depth_grid() {
 /// cycling through four shape patterns (all single; a four-statement
 /// and an empty commit in the middle, at the head, at the tail of a
 /// window) across grid points, and a fixed interleave mixing
-/// fire-and-forget, mid-stream flushes and mid-stream waits.
+/// fire-and-forget, a mid-stream wait, a mid-stream synchronous read,
+/// a mid-stream flush and a synchronous commit between two bursts.
 /// Bit-identical to the sequential reference of the same grouping
 /// everywhere.
 #[test]
@@ -501,7 +546,7 @@ fn full_async_grid_agrees_with_sequential() {
     let views = [0usize, 1, 3, 5];
     let script: Vec<ScriptStep> =
         vec![(0, 1, true), (2, 0, false), (1, 2, true), (3, 3, false), (0, 3, true), (1, 0, false)];
-    let interleave = [0u8, 2, 0, 1, 0, 0];
+    let interleave = [0u8, 2, 3, 1, 4, 0];
     let capacities = [Some(1), Some(4), None];
     // Indices into SHAPES: [] = six single commits; the others mix a
     // four-statement and an empty commit into a depth-4 window.
@@ -603,7 +648,10 @@ fn env_configured_databases_agree_with_sequential() {
     assert_sound(&reference, script.len()).unwrap();
 
     // same workload through env-default databases, applied one by one
-    // and pipelined
+    // (env-default subscriptions, drained after every commit) and
+    // pipelined (explicitly unbounded ones) — `drive` keeps both legs
+    // moving under a tight `XIVM_SUB_CAPACITY`
+    let groups = submissions(&script, &[]);
     for pipelined in [false, true] {
         let mut db = {
             let mut b = Database::builder().document(doc);
@@ -612,28 +660,54 @@ fn env_configured_databases_agree_with_sequential() {
             }
             b.build().unwrap()
         };
-        let subs: Vec<Subscription> = db.handles().into_iter().map(|h| db.subscribe(h)).collect();
-        let statements: Vec<String> = script.iter().map(script_statement).collect();
-        let commits = if pipelined {
+        if pipelined {
             let depth = db.pipeline_depth().max(2);
             db.set_pipeline(depth);
-            db.apply_pipelined(statements.iter().map(String::as_str)).unwrap()
-        } else {
-            statements.iter().map(|s| db.apply(s.as_str()).unwrap()).collect()
-        };
+        }
+        let got = drive(db, &groups, pipelined);
+        assert_equivalent(&reference, &got, &format!("env-default pipelined={pipelined}")).unwrap();
+    }
+}
+
+/// The hand-off across threads: a `Database` with tickets still in
+/// flight is *moved* into another thread, and the first synchronous
+/// read there takes the core back from the service — documents, stores,
+/// commits and feeds equal the sequential reference. The auto traits
+/// this relies on are asserted at compile time.
+#[test]
+fn database_moves_across_threads_with_tickets_in_flight() {
+    fn assert_send<T: Send>() {}
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Database>();
+    assert_send_sync::<DatabaseSnapshot>();
+    assert_send::<Ticket>();
+    assert_send::<Subscription>();
+
+    let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
+    let views = [0usize, 1, 3, 5];
+    let script: Vec<ScriptStep> =
+        vec![(0, 1, true), (2, 0, false), (1, 2, true), (3, 3, false), (0, 3, true), (1, 0, false)];
+    let reference = run_workload(doc, &views, &script, 1, 1, false);
+
+    let mut db = build_db(doc, &views, 4, 4);
+    let subs: Vec<Subscription> = db
+        .handles()
+        .into_iter()
+        .map(|h| db.subscribe_with(h, None, SlowConsumerPolicy::Block))
+        .collect();
+    let tickets: Vec<Ticket> =
+        script.iter().map(|step| db.apply_async([script_statement(step)]).unwrap()).collect();
+    let reader = std::thread::spawn(move || {
+        let serialized = db.serialize();
         let streams = subs.iter().map(|sub| db.drain(sub)).collect();
         for sub in subs {
             db.unsubscribe(sub);
         }
-        let got = Observation {
-            serialized: db.serialize(),
-            commits,
-            streams,
-            snapshot: db.snapshot(),
-            db,
-        };
-        assert_equivalent(&reference, &got, &format!("env-default pipelined={pipelined}")).unwrap();
-    }
+        Observation { serialized, commits: Vec::new(), streams, snapshot: db.snapshot(), db }
+    });
+    let commits = tickets.iter().map(|t| t.wait().expect("async commit seals")).collect();
+    let got = Observation { commits, ..reader.join().expect("reader thread") };
+    assert_equivalent(&reference, &got, "moved across threads").unwrap();
 }
 
 /// Regression for the silent pipeline-depth cap: depth 8 must be a
