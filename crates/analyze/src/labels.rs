@@ -47,14 +47,6 @@ impl Labels {
         matches!(self, Labels::Set(s) if s.is_empty())
     }
 
-    /// May this set contain `label`? True for [`Labels::Any`].
-    pub fn may_contain(&self, label: &str) -> bool {
-        match self {
-            Labels::Any => true,
-            Labels::Set(s) => s.contains(label),
-        }
-    }
-
     /// May the two sets share a label? (The conservative question:
     /// `Any` intersects anything except a provably empty set.)
     pub fn may_intersect(&self, other: &Labels) -> bool {
@@ -151,7 +143,6 @@ mod tests {
     #[test]
     fn any_is_conservative() {
         assert!(Labels::Any.may_intersect(&Labels::one("a")));
-        assert!(Labels::Any.may_contain("zzz"));
         assert!(!Labels::Any.may_intersect(&Labels::none()), "empty set intersects nothing");
     }
 

@@ -81,12 +81,6 @@ impl<'db> CircuitBuilder<'db> {
         Ok(self.push(OpState::Source(SourceState::new(handle)), format!("source({view})")))
     }
 
-    /// A source node over a view handle (from the same database).
-    pub fn source_handle(&mut self, view: ViewHandle) -> Node {
-        let label = format!("source({})", self.db.name(view));
-        self.push(OpState::Source(SourceState::new(view)), label)
-    }
-
     /// Keeps the input rows satisfying `pred`.
     pub fn filter(
         &mut self,

@@ -85,11 +85,6 @@ impl DerivedStore {
         self.rows.is_empty()
     }
 
-    /// Sum of all weights (number of derivations across rows).
-    pub fn total_weight(&self) -> i64 {
-        self.rows.values().sum()
-    }
-
     /// The weight of a row, 0 when absent.
     pub fn weight_of(&self, row: &Row) -> i64 {
         self.rows.get(row).copied().unwrap_or(0)
@@ -125,12 +120,6 @@ impl DerivedStore {
                 self.rows.remove(row);
             }
         }
-    }
-
-    /// The full contents as one delta (every row with its weight) —
-    /// how recomputation and seeding express "everything at once".
-    pub fn to_delta(&self) -> RowDelta {
-        RowDelta::new(self.rows.iter().map(|(r, w)| (r.clone(), *w)).collect())
     }
 
     /// Bit-identical comparison: same rows, same weights. The test
@@ -184,7 +173,6 @@ mod tests {
         let mut s = DerivedStore::new();
         s.apply(&RowDelta::new(vec![(row(1), 2), (row(2), 1)]));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.total_weight(), 3);
         assert_eq!(s.weight_of(&row(1)), 2);
         s.apply(&RowDelta::new(vec![(row(1), -2)]));
         assert!(!s.contains(&row(1)));
@@ -204,7 +192,7 @@ mod tests {
         let mut a = DerivedStore::new();
         let mut b = DerivedStore::new();
         a.apply(&RowDelta::new(vec![(row(1), 2), (row(2), 1)]));
-        b.apply(&a.to_delta());
+        b.apply(&RowDelta::new(a.sorted_rows()));
         assert!(a.same_content_as(&b));
         b.apply(&RowDelta::new(vec![(row(2), 4), (row(3), 4)]));
         assert!(!a.same_content_as(&b));

@@ -275,9 +275,9 @@ impl Commit {
     /// `(insert side, delete side)`. Benches and tests use this to
     /// assert the Section 3/4 prunings actually fired on a workload
     /// without walking per-view reports.
-    pub fn prune_totals(&self) -> (crate::prune::PruneStats, crate::prune::PruneStats) {
-        let mut ins = crate::prune::PruneStats::default();
-        let mut del = crate::prune::PruneStats::default();
+    pub fn prune_totals(&self) -> (crate::propagate::PruneStats, crate::propagate::PruneStats) {
+        let mut ins = crate::propagate::PruneStats::default();
+        let mut del = crate::propagate::PruneStats::default();
         for r in &self.per_view {
             ins.absorb(&r.insert_prune);
             del.absorb(&r.delete_prune);

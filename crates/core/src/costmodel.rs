@@ -79,11 +79,6 @@ impl UpdateProfile {
         UpdateProfile { rates: pattern.node_ids().map(|n| (n, 1.0)).collect() }
     }
 
-    /// Explicit rates (missing nodes default to 0).
-    pub fn from_rates(rates: impl IntoIterator<Item = (PatternNodeId, f64)>) -> Self {
-        UpdateProfile { rates: rates.into_iter().collect() }
-    }
-
     /// Extracts a profile from a log of representative statements, the
     /// way a workload monitor would: each statement contributes its
     /// target count to every view node its inserted forest (or deleted
@@ -250,7 +245,7 @@ mod tests {
         let p = parse_pattern("//a//b//c").unwrap();
         let order = p.preorder();
         // updates always add c's: terms need the ab snowcap
-        let profile = UpdateProfile::from_rates([(order[2], 10.0)]);
+        let profile = UpdateProfile { rates: [(order[2], 10.0)].into() };
         let none = expected_cost(&p, &s, &profile, &[]);
         let ab: BTreeSet<_> = order[..2].iter().copied().collect();
         let with_ab = expected_cost(&p, &s, &profile, std::slice::from_ref(&ab));
@@ -267,7 +262,7 @@ mod tests {
         let order = p.preorder();
         // updates only ever add whole new a-subtrees: the all-Δ term
         // needs no auxiliary structures
-        let profile = UpdateProfile::from_rates([(order[0], 10.0)]);
+        let profile = UpdateProfile { rates: [(order[0], 10.0)].into() };
         let chosen = choose_snowcaps(&p, &s, &profile);
         assert!(chosen.is_empty(), "nothing to cover, upkeep only costs: {chosen:?}");
     }

@@ -491,7 +491,7 @@ impl DatabaseBuilder {
             if self.analyze == AnalyzeMode::Strict && report.has_errors() {
                 return Err(Error::Analysis(report.errors().cloned().collect()));
             }
-            Some(Statics { analyzer, report, mode: self.analyze, conflict_scans_skipped: 0 })
+            Some(Statics { analyzer, report, conflict_scans_skipped: 0 })
         };
         let mut views = MultiViewEngine::from_engines(engines);
         views.set_workers(crate::runtime::effective_workers(self.workers));
@@ -585,7 +585,6 @@ pub struct DbInner {
 pub(crate) struct Statics {
     pub(crate) analyzer: Analyzer,
     pub(crate) report: AnalysisReport,
-    pub(crate) mode: AnalyzeMode,
     /// Independent-mode batches whose runtime pairwise conflict scan
     /// was skipped because the statement shapes were provably
     /// pairwise independent (lifted Figure 15).
@@ -872,11 +871,6 @@ impl DbInner {
     /// to exactly these).
     pub fn subscriptions(&self) -> usize {
         self.subs.live()
-    }
-
-    /// The effective [`AnalyzeMode`] this database was built with.
-    pub fn analyze_mode(&self) -> AnalyzeMode {
-        self.statics.as_ref().map_or(AnalyzeMode::Off, |s| s.mode)
     }
 
     /// The build-time static analysis report (dead-view findings and
@@ -1559,12 +1553,10 @@ mod tests {
             .build()
             .unwrap();
         assert!(warn.analysis_report().unwrap().has_errors());
-        assert_eq!(warn.analyze_mode(), AnalyzeMode::Warn);
         // a live catalog passes Strict
         let ok = analyzing_db(AnalyzeMode::Strict);
         assert!(!ok.analysis_report().unwrap().has_errors());
         // no analysis by default
-        assert_eq!(db().analyze_mode(), AnalyzeMode::Off);
         assert!(db().analysis_report().is_none());
         // a malformed DTD errors regardless of mode
         assert!(matches!(

@@ -5,21 +5,18 @@
 //! prune the update expression, evaluate the surviving terms with
 //! structural joins (ET-INS / ET-DEL), patch the view store
 //! (PINT + PIMT for insertions, PDDT + PDMT for deletions — the
-//! combined PINT/MT and PDDT/MT the paper actually runs), and keep the
-//! materialized snowcaps current. Each phase is timed, producing the
+//! combined PINT/MT and PDDT/MT the paper actually runs, here one
+//! signed pipeline: [`crate::propagate`]), and keep the materialized
+//! snowcaps current. Each phase is timed, producing the
 //! breakdowns of the Section 6 experiments.
 
 use crate::commit::ViewDelta;
 use crate::error::Error;
-use crate::pddt::{delete_terms, eval_delete_terms, DeleteContext};
-use crate::pdmt::propagate_delete_modifications;
-use crate::pimt::propagate_insert_modifications;
-use crate::pint::{eval_insert_terms, insert_terms, InsertContext, OldLeafCache};
-use crate::prune::PruneStats;
+use crate::propagate::{eval, refresh_text, terms, DeltaSide, PruneStats, Sign, TermContext};
 use crate::snowcap::{enumerate_snowcaps, minimal_chain, MaterializedSnowcap};
 use crate::strategy::SnowcapStrategy;
 use crate::timing::{timed, Timings};
-use crate::view_store::ViewStore;
+use crate::view_store::{TupleKey, ViewStore};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use xivm_pattern::compile::{canonical_relation, compile_plan_over, project_to_view, view_tuples};
@@ -317,9 +314,9 @@ impl MaintenanceEngine {
         // --- Update Lattice, part 1: drop snowcap tuples that bind a
         // deleted node (any node under a deleted root is gone). Under
         // flips the snowcaps are rebuilt wholesale at the end instead.
-        let delete_forest = xivm_xml::DeweyForest::new(delete_roots.clone());
         let (_, t_lat1) = timed(|| {
             if has_deletes && !flips_exist {
+                let delete_forest = xivm_xml::DeweyForest::new(delete_roots.clone());
                 for m in &mut self.snowcaps {
                     m.rel.rows.retain(|t| !t.fields().iter().any(|f| delete_forest.covers(&f.id)));
                 }
@@ -329,42 +326,21 @@ impl MaintenanceEngine {
         let full_order = self.pattern.preorder();
         let full_set: BTreeSet<PatternNodeId> = full_order.iter().copied().collect();
 
-        let del_ctx = DeleteContext {
-            doc,
-            pattern: &self.pattern,
-            deltas: &dminus,
-            inserted: &inserted,
-            use_delta_pruning: self.use_delta_pruning,
-            use_id_pruning: self.use_id_pruning,
-        };
-        let ins_ctx = InsertContext {
-            doc,
-            pattern: &self.pattern,
-            deltas: &dplus,
-            targets: &apply_res.insert_targets,
-            inserted: &inserted,
-            use_delta_pruning: self.use_delta_pruning,
-            use_id_pruning: self.use_id_pruning,
-        };
+        let mut ctx = TermContext::new(doc, &self.pattern, &inserted, &flips);
+        ctx.use_delta_pruning = self.use_delta_pruning;
+        ctx.use_id_pruning = self.use_id_pruning;
+        let minus = DeltaSide::minus(&dminus, &self.pattern);
+        let plus = DeltaSide::Plus { tables: &dplus, targets: &apply_res.insert_targets };
 
         // --- Get Update Expression: expand and prune both directions.
-        let ((del_terms, ins_terms), t_expr) = timed(|| {
-            let d = if has_deletes {
-                let (t, s) = delete_terms(&del_ctx, &full_set);
-                report.delete_prune = s;
-                t
-            } else {
-                Vec::new()
-            };
-            let i = if has_inserts {
-                let (t, s) = insert_terms(&ins_ctx, &full_set);
-                report.insert_prune = s;
-                t
-            } else {
-                Vec::new()
-            };
-            (d, i)
+        let (((del_terms, del_stats), (ins_terms, ins_stats)), t_expr) = timed(|| {
+            (
+                if has_deletes { terms(&ctx, &minus, &full_set) } else { Default::default() },
+                if has_inserts { terms(&ctx, &plus, &full_set) } else { Default::default() },
+            )
         });
+        report.delete_prune = del_stats;
+        report.insert_prune = ins_stats;
         report.timings.get_update_expression = t_expr;
 
         // --- Execute Update: evaluate terms and patch the store.
@@ -372,91 +348,44 @@ impl MaintenanceEngine {
         // `collect_deltas` is on): all removal phases run before all
         // insertion phases here, so replaying the delta's removals
         // then insertions then modifications onto a pre-update
-        // snapshot reproduces the store exactly.
-        let mut leaves = OldLeafCache::default();
-        let no_snowcaps: [MaterializedSnowcap; 0] = [];
-        let mut modified_keys: Vec<crate::view_store::TupleKey> = Vec::new();
+        // snapshot reproduces the store exactly. Under flips the
+        // materializations embed stale predicate truth: the R-parts
+        // come from the leaves alone.
+        let mats: &[MaterializedSnowcap] = if flips_exist { &[] } else { &self.snowcaps };
+        let collect = self.collect_deltas;
+        let mut modified_keys: Vec<TupleKey> = Vec::new();
         let (_, t_exec) = timed(|| {
             if has_deletes {
-                // Under flips the R-parts must reflect *old* predicate
-                // truth, so the lost bindings are exactly the old
-                // view's (see predflip::old_truth_leaf).
-                let removed = if flips_exist {
-                    let mut cache: std::collections::HashMap<
-                        PatternNodeId,
-                        xivm_algebra::Relation,
-                    > = std::collections::HashMap::new();
-                    crate::etins::eval_terms(
-                        &self.pattern,
-                        &full_order,
-                        &del_terms,
-                        &no_snowcaps,
-                        &mut |n| {
-                            cache
-                                .entry(n)
-                                .or_insert_with(|| {
-                                    crate::predflip::old_truth_leaf(
-                                        doc,
-                                        &self.pattern,
-                                        n,
-                                        &inserted,
-                                        &flips,
-                                    )
-                                })
-                                .clone()
-                        },
-                        &mut |n| dminus.relation(&self.pattern, n),
-                    )
-                } else {
-                    eval_delete_terms(
-                        &del_ctx,
-                        &full_order,
-                        &del_terms,
-                        &self.snowcaps,
-                        &mut leaves,
-                    )
-                };
-                remove_bindings(store, &self.pattern, &removed, self.collect_deltas, &mut report);
-                let patched =
-                    propagate_delete_modifications(store, doc, &self.pattern, &delete_roots);
-                report.tuples_modified += patched.len();
-                modified_keys.extend(patched);
+                let removed = eval(&ctx, &minus, &full_order, &del_terms, mats);
+                patch_store(store, &self.pattern, Sign::Minus, &removed, collect, &mut report);
+                modified_keys.extend(refresh_text(store, doc, &self.pattern, &delete_roots));
             }
             if flips_exist {
-                let lost = crate::predflip::removed_by_flips(doc, &self.pattern, &flips, &inserted);
-                remove_bindings(store, &self.pattern, &lost, self.collect_deltas, &mut report);
-                let gained = crate::predflip::added_by_flips(doc, &self.pattern, &flips, &inserted);
-                add_bindings(store, &self.pattern, &gained, self.collect_deltas, &mut report);
+                for sign in [Sign::Minus, Sign::Plus] {
+                    let flipped = crate::predflip::bindings_by_flips(&ctx, sign);
+                    patch_store(store, &self.pattern, sign, &flipped, collect, &mut report);
+                }
             }
             if has_inserts {
-                let mats: &[MaterializedSnowcap] =
-                    if flips_exist { &no_snowcaps } else { &self.snowcaps };
-                let added = eval_insert_terms(&ins_ctx, &full_order, &ins_terms, mats, &mut leaves);
-                add_bindings(store, &self.pattern, &added, self.collect_deltas, &mut report);
-                let patched = propagate_insert_modifications(
-                    store,
-                    doc,
-                    &self.pattern,
-                    &apply_res.insert_targets,
-                );
-                report.tuples_modified += patched.len();
-                modified_keys.extend(patched);
+                let added = eval(&ctx, &plus, &full_order, &ins_terms, mats);
+                patch_store(store, &self.pattern, Sign::Plus, &added, collect, &mut report);
+                let targets = &apply_res.insert_targets;
+                modified_keys.extend(refresh_text(store, doc, &self.pattern, targets));
             }
         });
+        report.tuples_modified = modified_keys.len();
         report.timings.execute_update = t_exec;
 
         // Text modifications enter the delta with their *final*
-        // contents (a key PDMT and PIMT both touched appears once).
+        // contents (a key both refresh passes touched appears once).
         // A modified tuple later removed by a predicate flip is
         // already covered by the delta's `removed` entries.
         if self.collect_deltas {
-            if !modified_keys.is_empty() {
-                let mut seen: HashSet<crate::view_store::TupleKey> = HashSet::new();
-                for key in modified_keys {
-                    if seen.insert(key.clone()) {
-                        if let Some(tuple) = store.tuple(&key) {
-                            report.delta.modified.push((key, tuple.clone()));
-                        }
+            let mut seen: HashSet<TupleKey> = HashSet::new();
+            for key in modified_keys {
+                if seen.insert(key.clone()) {
+                    if let Some(tuple) = store.tuple(&key) {
+                        report.delta.modified.push((key, tuple.clone()));
                     }
                 }
             }
@@ -468,24 +397,22 @@ impl MaintenanceEngine {
         // --- Update Lattice, part 2: add each snowcap's own new
         // bindings. All deltas are computed against the old-surviving
         // materializations before any of them is patched, keeping the
-        // term bags disjoint. Under flips, rebuild from scratch — the
-        // materializations embed stale predicate truth.
+        // term bags disjoint. Under flips, rebuild from scratch.
         let sets_for_rebuild =
-            if flips_exist && !self.snowcaps.is_empty() { Some(self.current_sets()) } else { None };
+            (flips_exist && !self.snowcaps.is_empty()).then(|| self.current_sets());
         let (_, t_lat2) = timed(|| {
             if let Some(sets) = sets_for_rebuild {
                 self.snowcaps = Self::materialize_sets(doc, &self.pattern, sets);
-            } else if has_inserts && !self.snowcaps.is_empty() && !flips_exist {
-                let mut deltas = Vec::with_capacity(self.snowcaps.len());
-                for m in &self.snowcaps {
-                    let (rel, _) = crate::pint::added_bindings(
-                        &ins_ctx,
-                        &m.nodes,
-                        &self.snowcaps,
-                        &mut leaves,
-                    );
-                    deltas.push(rel);
-                }
+            } else if has_inserts && !flips_exist {
+                let deltas: Vec<xivm_algebra::Relation> = self
+                    .snowcaps
+                    .iter()
+                    .map(|m| {
+                        let subset = m.nodes.iter().copied().collect();
+                        let (snowcap_terms, _) = terms(&ctx, &plus, &subset);
+                        eval(&ctx, &plus, &m.nodes, &snowcap_terms, &self.snowcaps)
+                    })
+                    .collect();
                 for (m, d) in self.snowcaps.iter_mut().zip(deltas) {
                     m.rel.rows.extend(d.rows);
                 }
@@ -497,52 +424,40 @@ impl MaintenanceEngine {
     }
 }
 
-/// *Execute Update*, removal half: projects lost bindings to the view
-/// and drops their derivations from the store, mirroring every patch
-/// into the report's counters and (under `collect`) its delta.
-fn remove_bindings(
+/// *Execute Update*, the store patch: projects gained (`Plus`) or lost
+/// (`Minus`) bindings to the view and adds / drops their derivations,
+/// mirroring every patch into the report's counters and (under
+/// `collect`) its delta.
+fn patch_store(
     store: &mut ViewStore,
     pattern: &TreePattern,
-    lost: &xivm_algebra::Relation,
+    sign: Sign,
+    bindings: &xivm_algebra::Relation,
     collect: bool,
     report: &mut UpdateReport,
 ) {
-    if lost.is_empty() {
+    if bindings.is_empty() {
         return;
     }
-    for (t, c) in project_to_view(pattern, lost) {
+    for (t, c) in project_to_view(pattern, bindings) {
         let key = t.id_key();
-        report.derivations_removed += c;
-        if store.remove_derivations(&key, c) {
-            report.tuples_removed += 1;
+        match sign {
+            Sign::Minus => {
+                report.derivations_removed += c;
+                report.tuples_removed += usize::from(store.remove_derivations(&key, c));
+                if collect {
+                    report.delta.removed.push((key, c));
+                }
+            }
+            Sign::Plus => {
+                report.derivations_added += c;
+                report.tuples_added += usize::from(!store.contains(&key));
+                if collect {
+                    report.delta.inserted.push((t.clone(), c));
+                }
+                store.add(t, c);
+            }
         }
-        if collect {
-            report.delta.removed.push((key, c));
-        }
-    }
-}
-
-/// *Execute Update*, insertion half: the twin of [`remove_bindings`]
-/// for gained bindings.
-fn add_bindings(
-    store: &mut ViewStore,
-    pattern: &TreePattern,
-    gained: &xivm_algebra::Relation,
-    collect: bool,
-    report: &mut UpdateReport,
-) {
-    if gained.is_empty() {
-        return;
-    }
-    for (t, c) in project_to_view(pattern, gained) {
-        report.derivations_added += c;
-        if !store.contains(&t.id_key()) {
-            report.tuples_added += 1;
-        }
-        if collect {
-            report.delta.inserted.push((t.clone(), c));
-        }
-        store.add(t, c);
     }
 }
 

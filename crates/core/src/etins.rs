@@ -13,6 +13,7 @@
 
 use crate::snowcap::{best_cover, MaterializedSnowcap};
 use crate::term::Term;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use xivm_algebra::ops;
 use xivm_algebra::Relation;
@@ -47,30 +48,36 @@ pub fn subset_terms(pattern: &TreePattern, subset: &BTreeSet<PatternNodeId>) -> 
     out
 }
 
+/// Supplies a leaf relation of a term: shared (a per-commit cache, a
+/// Δ table) or built on demand.
+pub type Leaf<'a, 'f> = &'f dyn Fn(PatternNodeId) -> Cow<'a, Relation>;
+
 /// Evaluates one term over the sub-pattern `subset_preorder` (pattern
 /// pre-order, parent-closed). `r_leaf` / `delta_leaf` supply the leaf
 /// relations; `materialized` offers snowcap shortcuts for the R-part.
+/// Leaves and snowcaps are joined by reference — none is copied unless
+/// it is the whole result.
 ///
 /// Returns the term's bindings with columns in `subset_preorder`
 /// order; an empty default relation when any intermediate result is
 /// empty.
-pub fn eval_term(
+pub fn eval_term<'a>(
     pattern: &TreePattern,
     subset_preorder: &[PatternNodeId],
     term: &Term,
-    materialized: &[MaterializedSnowcap],
-    r_leaf: &mut dyn FnMut(PatternNodeId) -> Relation,
-    delta_leaf: &mut dyn FnMut(PatternNodeId) -> Relation,
+    materialized: &'a [MaterializedSnowcap],
+    r_leaf: Leaf<'a, '_>,
+    delta_leaf: Leaf<'a, '_>,
 ) -> Relation {
     let r_set: BTreeSet<PatternNodeId> =
         subset_preorder.iter().copied().filter(|n| !term.is_delta(*n)).collect();
     let cover = if r_set.is_empty() { None } else { best_cover(materialized, &r_set) };
 
     let mut placed: Vec<PatternNodeId> = Vec::with_capacity(subset_preorder.len());
-    let mut cur = Relation::default();
+    let mut cur: Cow<'a, Relation> = Cow::Owned(Relation::default());
     if let Some(m) = cover {
         placed.extend(m.nodes.iter().copied());
-        cur = m.rel.clone();
+        cur = Cow::Borrowed(&m.rel);
         if cur.is_empty() {
             return Relation::default();
         }
@@ -95,9 +102,9 @@ pub fn eval_term(
             .position(|&p| p == parent)
             .expect("pre-order placement guarantees the parent is placed");
         if !cur.is_sorted_by_col(pcol) {
-            cur.sort_by_col(pcol);
+            cur.to_mut().sort_by_col(pcol);
         }
-        cur = xivm_algebra::structural_join(&cur, pcol, &leaf, 0, pattern.node(n).edge);
+        cur = Cow::Owned(xivm_algebra::structural_join(&cur, pcol, &leaf, 0, pattern.node(n).edge));
         placed.push(n);
         if cur.is_empty() {
             return Relation::default();
@@ -109,7 +116,7 @@ pub fn eval_term(
         .map(|n| placed.iter().position(|p| p == n).expect("all subset nodes placed"))
         .collect();
     if cols.iter().enumerate().all(|(i, &c)| i == c) {
-        cur
+        cur.into_owned()
     } else {
         ops::project(&cur, &cols)
     }
@@ -117,13 +124,13 @@ pub fn eval_term(
 
 /// Evaluates a list of terms and accumulates their bindings into one
 /// bag relation over `subset_preorder` columns.
-pub fn eval_terms(
+pub fn eval_terms<'a>(
     pattern: &TreePattern,
     subset_preorder: &[PatternNodeId],
     terms: &[Term],
-    materialized: &[MaterializedSnowcap],
-    r_leaf: &mut dyn FnMut(PatternNodeId) -> Relation,
-    delta_leaf: &mut dyn FnMut(PatternNodeId) -> Relation,
+    materialized: &'a [MaterializedSnowcap],
+    r_leaf: Leaf<'a, '_>,
+    delta_leaf: Leaf<'a, '_>,
 ) -> Relation {
     let mut acc = Relation::default();
     for term in terms {
@@ -176,10 +183,9 @@ mod tests {
         let order = p.preorder();
         let full: BTreeSet<_> = order.iter().copied().collect();
         let all_delta = Term::new(full.clone());
-        let rel =
-            eval_term(&p, &order, &all_delta, &[], &mut |_| unreachable!("no R nodes"), &mut |n| {
-                canonical_relation(&d, &p, n)
-            });
+        let rel = eval_term(&p, &order, &all_delta, &[], &|_| unreachable!("no R nodes"), &|n| {
+            Cow::Owned(canonical_relation(&d, &p, n))
+        });
         let direct = xivm_pattern::compile::eval_bindings(&d, &p);
         assert_eq!(rel.len(), direct.len());
         assert_eq!(rel.len(), 1);
@@ -190,33 +196,32 @@ mod tests {
         let d = parse_document("<a><b><c/></b></a>").unwrap();
         let p = parse_pattern("//a{id}//b{id}//c{id}").unwrap();
         let order = p.preorder();
+        let canonical = |n| Cow::Owned(canonical_relation(&d, &p, n));
         // materialize the {a,b} snowcap
         let ab: Vec<PatternNodeId> = order[..2].to_vec();
         let ab_set: BTreeSet<_> = ab.iter().copied().collect();
         let ab_rel = {
             let terms = subset_terms(&p, &ab_set);
             let all = terms.iter().find(|t| t.delta_count() == 2).unwrap(); // all-Δ over {a,b}
-            eval_term(&p, &ab, all, &[], &mut |_| unreachable!(), &mut |n| {
-                canonical_relation(&d, &p, n)
-            })
+            eval_term(&p, &ab, all, &[], &|_| unreachable!(), &canonical)
         };
         let mat = vec![MaterializedSnowcap { nodes: ab, rel: ab_rel }];
         // term Δ{c}: R-part {a,b} should come from the materialization
         let term = Term::from_iter([PatternNodeId(2)]);
-        let mut r_calls = 0;
+        let r_calls = std::cell::Cell::new(0);
         let rel = eval_term(
             &p,
             &order,
             &term,
             &mat,
-            &mut |n| {
-                r_calls += 1;
-                canonical_relation(&d, &p, n)
+            &|n| {
+                r_calls.set(r_calls.get() + 1);
+                canonical(n)
             },
-            &mut |n| canonical_relation(&d, &p, n),
+            &canonical,
         );
         assert_eq!(rel.len(), 1);
-        assert_eq!(r_calls, 0, "R-part entirely covered by the snowcap");
+        assert_eq!(r_calls.get(), 0, "R-part entirely covered by the snowcap");
     }
 
     #[test]
@@ -226,17 +231,14 @@ mod tests {
         let order = p.preorder();
         let full: BTreeSet<_> = order.iter().copied().collect();
         let terms = subset_terms(&p, &full); // Δ{b}, Δ{a,b}
-        let rel =
-            eval_terms(&p, &order, &terms, &[], &mut |n| canonical_relation(&d, &p, n), &mut |n| {
-                canonical_relation(&d, &p, n)
-            });
+        let canonical = |n| Cow::Owned(canonical_relation(&d, &p, n));
+        let rel = eval_terms(&p, &order, &terms, &[], &canonical, &canonical);
         // Δ{b}: 2 bindings; Δ{a,b}: 2 bindings — bag accumulation
         assert_eq!(rel.len(), 4);
         // empty delta leaf kills terms
-        let empty =
-            eval_terms(&p, &order, &terms, &[], &mut |n| canonical_relation(&d, &p, n), &mut |n| {
-                relation_from_nodes(&d, &p, n, &[])
-            });
+        let empty = eval_terms(&p, &order, &terms, &[], &canonical, &|n| {
+            Cow::Owned(relation_from_nodes(&d, &p, n, &[], true))
+        });
         assert!(empty.is_empty());
     }
 }

@@ -8,16 +8,19 @@
 //!
 //! * [`term`] / [`expand`] — the `2^k − 1` union (resp. difference)
 //!   terms obtained by distributing joins over `R ∪ Δ⁺` (`R \ Δ⁻`),
-//!   Sections 3.1 / 4.1;
-//! * [`prune`] — Propositions 3.3, 3.6, 3.8 (insertions) and 4.2, 4.3,
-//!   4.7 (deletions);
+//!   Sections 3.1 / 4.1 ([`expand`] is the reference the engine's
+//!   [`etins::subset_terms`] is tested against);
 //! * [`snowcap`] / [`strategy`] — snowcap enumeration over the
 //!   sub-pattern lattice (Definition 3.11) and materialization
 //!   strategies (Section 3.5 / experiment 6.7);
-//! * [`etins`] — bulk term evaluation with structural joins
-//!   (Algorithm 3 and its deletion counterpart);
-//! * [`pint`] / [`pimt`] / [`pddt`] / [`pdmt`] — the four propagation
-//!   algorithms (Algorithms 1, 4, 5, 6);
+//! * [`etins`] — term enumeration (Propositions 3.3 / 4.2) and bulk
+//!   term evaluation with structural joins (Algorithm 3 and its
+//!   deletion counterpart);
+//! * [`propagate`] — the signed Δ pipeline: the four propagation
+//!   algorithms (Algorithms 1, 4, 5, 6) as one term pipeline with a
+//!   [`propagate::DeltaSide`] (Propositions 3.6, 3.8 / 4.7) and one
+//!   text-refresh pass, over one cache of old-state leaves;
+//! * [`predflip`] — value-predicate flips, exact on the same leaves;
 //! * [`view_store`] — the materialized view with derivation counts;
 //! * [`engine`] — the end-to-end [`engine::MaintenanceEngine`] with the
 //!   per-phase [`timing::Timings`] breakdown reported in Section 6;
@@ -64,12 +67,8 @@ pub mod expand;
 pub mod fault;
 pub mod multiview;
 pub mod parallel;
-pub mod pddt;
-pub mod pdmt;
-pub mod pimt;
-pub mod pint;
 pub mod predflip;
-pub mod prune;
+pub mod propagate;
 pub mod runtime;
 pub mod service;
 pub mod snapshot;

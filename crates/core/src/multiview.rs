@@ -183,11 +183,6 @@ impl MultiViewEngine {
         self.position(name).map(|i| &self.views[i])
     }
 
-    pub fn view_mut(&mut self, name: &str) -> Option<&mut MaintenanceEngine> {
-        let i = self.position(name)?;
-        Some(&mut self.views[i])
-    }
-
     /// The view at a declaration-order position.
     pub fn get(&self, i: usize) -> Option<(&str, &MaintenanceEngine)> {
         self.views.get(i).map(|e| (self.names[i].as_str(), e))
@@ -462,11 +457,9 @@ mod tests {
 
     #[test]
     fn view_lookup() {
-        let (_, mut engine) = multi();
+        let (_, engine) = multi();
         assert!(engine.view("ab").is_some());
         assert!(engine.view("nope").is_none());
-        assert!(engine.view_mut("acb").is_some());
-        assert!(engine.view_mut("nope").is_none());
         assert_eq!(engine.position("c_cont"), Some(2));
         assert_eq!(engine.get(1).map(|(n, _)| n), Some("acb"));
         assert!(!engine.is_empty());

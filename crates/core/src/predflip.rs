@@ -19,15 +19,18 @@
 //!   the differences form the flip sets F↑ / F↓ ([`diff`]);
 //! * lost bindings (old-valid, no deleted node, ≥1 F↓ node) and gained
 //!   bindings (now-valid, no inserted node, ≥1 F↑ node) are computed
-//!   with the same term evaluator used by PINT/PDDT, partitioning by
+//!   with the same term evaluator and old-state leaves as the Δ
+//!   pipeline ([`crate::propagate`]), partitioning by
 //!   *which* predicate positions bind flipped nodes so the term bags
 //!   stay disjoint and derivation counts exact.
 
 use crate::etins::eval_terms;
+use crate::propagate::{Sign, TermContext, Truth};
 use crate::term::Term;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use xivm_algebra::Relation;
-use xivm_pattern::compile::{canonical_node_ids, relation_from_nodes, relation_from_nodes_raw};
+use xivm_pattern::compile::relation_from_nodes;
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::Pul;
 use xivm_xml::{Document, NodeId, NodeKind};
@@ -36,7 +39,8 @@ use xivm_xml::{Document, NodeId, NodeKind};
 /// pairs on the update targets' ancestor chains.
 pub type PredCapture = Vec<(PatternNodeId, NodeId, bool)>;
 
-/// The flip sets of one update.
+/// The flip sets of one update. A pattern node has an entry only when
+/// at least one of its document nodes flipped.
 #[derive(Debug, Default)]
 pub struct Flips {
     /// false → true (per predicate-carrying pattern node).
@@ -47,12 +51,7 @@ pub struct Flips {
 
 impl Flips {
     pub fn any(&self) -> bool {
-        self.up.values().any(|v| !v.is_empty()) || self.down.values().any(|v| !v.is_empty())
-    }
-
-    /// F↑ node set for leaf-building exclusion.
-    pub fn up_set(&self, n: PatternNodeId) -> HashSet<NodeId> {
-        self.up.get(&n).map(|v| v.iter().copied().collect()).unwrap_or_default()
+        !self.up.is_empty() || !self.down.is_empty()
     }
 }
 
@@ -120,117 +119,32 @@ pub fn diff(doc: &Document, pattern: &TreePattern, captured: &PredCapture) -> Fl
     flips
 }
 
-/// "Stayed-true" leaf: surviving old nodes satisfying the predicate
-/// both before and after the update (current-satisfying minus F↑).
-fn stayed_true_leaf(
-    doc: &Document,
-    pattern: &TreePattern,
-    n: PatternNodeId,
-    inserted: &HashSet<NodeId>,
-    flips: &Flips,
-) -> Relation {
-    let up = flips.up_set(n);
-    let ids: Vec<NodeId> = canonical_node_ids(doc, pattern, n)
-        .into_iter()
-        .filter(|id| !inserted.contains(id) && !up.contains(id))
-        .collect();
-    relation_from_nodes(doc, pattern, n, &ids)
-}
-
-/// Old-truth leaf for the deletion phase: nodes whose predicate held
-/// *before* the update — (current-satisfying \ F↑) ∪ F↓ — so PDDT
-/// removes exactly the bindings that were in the old view.
-pub fn old_truth_leaf(
-    doc: &Document,
-    pattern: &TreePattern,
-    n: PatternNodeId,
-    inserted: &HashSet<NodeId>,
-    flips: &Flips,
-) -> Relation {
-    if pattern.node(n).val_pred.is_none() {
-        let ids: Vec<NodeId> = canonical_node_ids(doc, pattern, n)
-            .into_iter()
-            .filter(|id| !inserted.contains(id))
-            .collect();
-        return relation_from_nodes(doc, pattern, n, &ids);
-    }
-    let mut rel = stayed_true_leaf(doc, pattern, n, inserted, flips);
-    if let Some(down) = flips.down.get(&n) {
-        let extra = relation_from_nodes_raw(doc, pattern, n, down);
-        rel.rows.extend(extra.rows);
-        rel.sort_by_col(0);
-    }
-    rel
-}
-
-/// Bindings *lost purely to predicate flips*: old-valid, entirely over
-/// surviving old nodes, using ≥1 F↓ node. Columns in pattern
+/// Bindings lost (`Minus`) or gained (`Plus`) *purely by predicate
+/// flips*, entirely over surviving old nodes: old-valid and using ≥1
+/// F↓ node, resp. now-valid and using ≥1 F↑ node. Columns in pattern
 /// pre-order.
-pub fn removed_by_flips(
-    doc: &Document,
-    pattern: &TreePattern,
-    flips: &Flips,
-    inserted: &HashSet<NodeId>,
-) -> Relation {
-    bindings_by_flips(doc, pattern, flips, inserted, false)
-}
-
-/// Bindings *gained purely by predicate flips*: now-valid, entirely
-/// over surviving old nodes, using ≥1 F↑ node.
-pub fn added_by_flips(
-    doc: &Document,
-    pattern: &TreePattern,
-    flips: &Flips,
-    inserted: &HashSet<NodeId>,
-) -> Relation {
-    bindings_by_flips(doc, pattern, flips, inserted, true)
-}
-
-fn bindings_by_flips(
-    doc: &Document,
-    pattern: &TreePattern,
-    flips: &Flips,
-    inserted: &HashSet<NodeId>,
-    gained: bool,
-) -> Relation {
-    let table = if gained { &flips.up } else { &flips.down };
-    let positions: Vec<PatternNodeId> =
-        table.iter().filter(|(_, v)| !v.is_empty()).map(|(&p, _)| p).collect();
-    if positions.is_empty() {
-        return Relation::default();
-    }
+pub fn bindings_by_flips(ctx: &TermContext<'_>, sign: Sign) -> Relation {
+    let gained = sign == Sign::Plus;
+    let table = if gained { &ctx.flips.up } else { &ctx.flips.down };
+    let positions: Vec<PatternNodeId> = table.keys().copied().collect();
     // All non-empty subsets of flipped positions; bindings are
     // partitioned by exactly which positions bind flipped nodes.
-    let mut terms = Vec::new();
-    for mask in 1u32..(1 << positions.len()) {
-        let subset =
-            positions.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0).map(|(_, &p)| p);
-        terms.push(Term::from_iter(subset));
-    }
-    let order = pattern.preorder();
-    let mut leaf_cache: HashMap<PatternNodeId, Relation> = HashMap::new();
+    let terms: Vec<Term> = (1u32..(1 << positions.len()))
+        .map(|mask| {
+            Term::from_iter(
+                positions.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0).map(|(_, &p)| p),
+            )
+        })
+        .collect();
     eval_terms(
-        pattern,
-        &order,
+        ctx.pattern,
+        &ctx.pattern.preorder(),
         &terms,
         &[],
-        &mut |n| {
-            leaf_cache
-                .entry(n)
-                .or_insert_with(|| stayed_true_leaf(doc, pattern, n, inserted, flips))
-                .clone()
-        },
-        &mut |p| {
-            let ids = &table[&p];
-            if gained {
-                // F↑ nodes satisfy the predicate now: the standard
-                // builder keeps them and materializes val/cont.
-                relation_from_nodes(doc, pattern, p, ids)
-            } else {
-                // F↓ nodes fail the predicate now: bypass the filter.
-                relation_from_nodes_raw(doc, pattern, p, ids)
-            }
-        },
+        &|n| Cow::Borrowed(ctx.old_leaf(n, Truth::Stayed)),
+        // F↑ nodes satisfy the predicate now, so the standard builder
+        // keeps them; F↓ nodes fail it now and bypass the filter.
+        &|p| Cow::Owned(relation_from_nodes(ctx.doc, ctx.pattern, p, &table[&p], gained)),
     )
 }
 

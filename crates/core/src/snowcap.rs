@@ -70,17 +70,6 @@ pub struct MaterializedSnowcap {
     pub rel: Relation,
 }
 
-impl MaterializedSnowcap {
-    pub fn node_set(&self) -> BTreeSet<PatternNodeId> {
-        self.nodes.iter().copied().collect()
-    }
-
-    /// Column index of a pattern node within this snowcap's relation.
-    pub fn col_of(&self, n: PatternNodeId) -> Option<usize> {
-        self.nodes.iter().position(|&x| x == n)
-    }
-}
-
 /// Picks the largest materialized snowcap whose nodes are all within
 /// `r_part` — the best starting point for evaluating a term.
 pub fn best_cover<'a>(

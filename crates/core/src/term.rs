@@ -55,21 +55,9 @@ impl Term {
         self.delta.iter().all(|&n| pattern.node(n).children.iter().all(|c| self.delta.contains(c)))
     }
 
-    /// Δ-nodes whose pattern parent is `R`-bound: the frontier along
-    /// which old data joins new data — the pairs `R_{n1} Δ_{n2}` that
-    /// the ID-driven prunings (Propositions 3.8 / 4.7) inspect.
-    pub fn delta_frontier(&self, pattern: &TreePattern) -> Vec<PatternNodeId> {
-        self.delta
-            .iter()
-            .copied()
-            .filter(|&n| match pattern.node(n).parent {
-                Some(p) => !self.delta.contains(&p),
-                None => false, // the root has no R-parent
-            })
-            .collect()
-    }
-
-    /// `R`-bound proper ancestors of a Δ-node.
+    /// `R`-bound proper ancestors of a Δ-node — with it, the pairs
+    /// `R_{n1} Δ_{n2}` that the ID-driven prunings (Propositions 3.8 /
+    /// 4.7) inspect.
     pub fn r_ancestors_of(&self, pattern: &TreePattern, node: PatternNodeId) -> Vec<PatternNodeId> {
         let mut out = Vec::new();
         let mut cur = pattern.node(node).parent;
@@ -138,14 +126,13 @@ mod tests {
     }
 
     #[test]
-    fn frontier_and_r_ancestors() {
+    fn r_ancestors_skip_delta_bound_nodes() {
         let p = parse_pattern("//a//b//c").unwrap();
         let t = Term::new(ids(&[1, 2]));
-        assert_eq!(t.delta_frontier(&p), vec![PatternNodeId(1)]);
         let anc = t.r_ancestors_of(&p, PatternNodeId(2));
         assert_eq!(anc, vec![PatternNodeId(0)]);
-        // all-delta term has an empty frontier
+        // the all-delta term has no R-bound node at all
         let all = Term::new(ids(&[0, 1, 2]));
-        assert!(all.delta_frontier(&p).is_empty());
+        assert!(all.r_ancestors_of(&p, PatternNodeId(2)).is_empty());
     }
 }

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -44,6 +44,15 @@ struct Hub {
     retained: VecDeque<(u64, Vec<u8>)>,
     retain: usize,
     clients: Vec<TcpStream>,
+}
+
+/// Locks the hub, tolerating poison: `Drop` goes through here, and a
+/// second panic while the first unwinds aborts the process. Every hub
+/// update is a whole step — [`FeedServer::pump`]'s gapless assertion
+/// fires before it touches the mirror — so the state behind a
+/// poisoned lock is the last consistent one.
+fn lock(hub: &Mutex<Hub>) -> MutexGuard<'_, Hub> {
+    hub.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Serves one view's changefeed over TCP — see the crate docs for the
@@ -132,13 +141,13 @@ impl FeedServer {
 
     /// Connected replicas right now.
     pub fn clients(&self) -> usize {
-        self.state.lock().unwrap().clients.len()
+        lock(&self.state).clients.len()
     }
 
     /// The sequence number the server-side mirror (and thus every
     /// fully caught-up replica) reflects.
     pub fn seq(&self) -> u64 {
-        self.state.lock().unwrap().seq
+        lock(&self.state).seq
     }
 
     /// Drains the server's subscription and fans the events out:
@@ -161,7 +170,7 @@ impl FeedServer {
         if events.is_empty() {
             return 0;
         }
-        let mut hub = self.state.lock().unwrap();
+        let mut hub = lock(&self.state);
         let drained = events.len();
         for event in events {
             match &event {
@@ -206,7 +215,7 @@ impl FeedServer {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        self.state.lock().unwrap().clients.clear();
+        lock(&self.state).clients.clear();
     }
 }
 
@@ -250,7 +259,7 @@ fn handshake(mut stream: TcpStream, state: &Mutex<Hub>) -> Result<(), FeedError>
     }
     let (has_state, high_water, view) = wire::parse_hello(&payload)?;
 
-    let mut hub = state.lock().unwrap();
+    let mut hub = lock(state);
     if view != hub.view_name {
         let reason = format!("view {view:?} is not served here (serving {:?})", hub.view_name);
         let _ = wire::write_frame(&mut stream, FrameKind::Deny, reason.as_bytes());
@@ -277,4 +286,36 @@ fn handshake(mut stream: TcpStream, state: &Mutex<Hub>) -> Result<(), FeedError>
     stream.flush()?;
     hub.clients.push(stream);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic under the hub lock (the gapless assertion in `pump`)
+    /// poisons it; the server must keep answering, and `Drop` — which
+    /// takes the same lock — must not turn that into an abort.
+    #[test]
+    fn poisoned_hub_still_answers_and_drops() {
+        let mut db = Database::builder()
+            .document("<a><b/></a>")
+            .view("ab", "//a{id}//b{id}")
+            .build()
+            .unwrap();
+        let view = db.view("ab").unwrap();
+        let mut server = FeedServer::bind("127.0.0.1:0", &mut db, view, 4).unwrap();
+        let state = Arc::clone(&server.state);
+        let poisoner = std::thread::spawn(move || {
+            let _hub = state.lock().unwrap();
+            panic!("poisoning the feed hub");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.state.is_poisoned());
+        assert_eq!(server.clients(), 0);
+        assert_eq!(server.seq(), 0);
+        db.apply("insert <b/> into /a").unwrap();
+        assert_eq!(server.pump(&db), 1);
+        assert_eq!(server.seq(), 1);
+        drop(server);
+    }
 }

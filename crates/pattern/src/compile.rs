@@ -10,17 +10,12 @@
 use crate::pattern::{NodeTest, PatternNodeId, TreePattern};
 use std::sync::Arc;
 use xivm_algebra::ops;
-use xivm_algebra::{Axis, Column, Field, Plan, Predicate, Relation, Schema, Tuple};
+use xivm_algebra::{Axis, Column, Field, Plan, Relation, Schema, Tuple};
 use xivm_xml::{Document, NodeId, NodeKind};
 
 /// Column order of a compiled pattern: pre-order over pattern nodes.
 pub fn column_order(pattern: &TreePattern) -> Vec<PatternNodeId> {
     pattern.preorder()
-}
-
-/// Position of each pattern node in the compiled schema.
-pub fn column_of(pattern: &TreePattern, node: PatternNodeId) -> usize {
-    column_order(pattern).iter().position(|&n| n == node).expect("node belongs to pattern")
 }
 
 /// The document nodes a pattern node's test ranges over: the canonical
@@ -48,16 +43,20 @@ pub fn canonical_node_ids(
 /// exactly when the node's annotations (or value predicate) need them.
 pub fn canonical_relation(doc: &Document, pattern: &TreePattern, node: PatternNodeId) -> Relation {
     let ids = canonical_node_ids(doc, pattern, node);
-    relation_from_nodes(doc, pattern, node, &ids)
+    relation_from_nodes(doc, pattern, node, &ids, true)
 }
 
 /// Builds the node's relation from an explicit node list (used for the
 /// Δ tables, whose contents come from the pending update list).
+/// `apply_pred` is the σ of the node's value predicate: callers pass
+/// `false` only when they reason about predicate truth themselves
+/// (nodes that satisfied the predicate *before* an update).
 pub fn relation_from_nodes(
     doc: &Document,
     pattern: &TreePattern,
     node: PatternNodeId,
     ids: &[NodeId],
+    apply_pred: bool,
 ) -> Relation {
     let pnode = pattern.node(node);
     let want_val = pnode.ann.val || pnode.val_pred.is_some();
@@ -76,42 +75,12 @@ pub fn relation_from_nodes(
             continue;
         }
         let val: Option<Arc<str>> = want_val.then(|| Arc::from(doc.value(n).as_str()));
-        if let (Some(pred), Some(v)) = (&pnode.val_pred, &val) {
-            if v.as_ref() != pred.as_str() {
-                continue;
-            }
+        if apply_pred && pnode.val_pred.as_deref().is_some_and(|pred| val.as_deref() != Some(pred))
+        {
+            continue;
         }
         let cont: Option<Arc<str>> = want_cont.then(|| Arc::from(doc.content(n).as_str()));
         rows.push(Tuple::new(vec![Field::new(dewey, val, cont)]));
-    }
-    let mut rel = Relation::with_rows(schema, rows);
-    if !rel.is_sorted_by_col(0) {
-        rel.sort_by_col(0);
-    }
-    rel
-}
-
-/// Like [`relation_from_nodes`] but *without* the value-predicate
-/// filter — used when the caller reasons about predicate truth itself
-/// (e.g. bindings that satisfied a predicate *before* an update).
-pub fn relation_from_nodes_raw(
-    doc: &Document,
-    pattern: &TreePattern,
-    node: PatternNodeId,
-    ids: &[NodeId],
-) -> Relation {
-    let pnode = pattern.node(node);
-    let want_val = pnode.ann.val;
-    let want_cont = pnode.ann.cont;
-    let schema = Schema::new(vec![Column::with(&pnode.name, want_val, want_cont)]);
-    let mut rows = Vec::with_capacity(ids.len());
-    for &n in ids {
-        if !doc.is_alive(n) {
-            continue;
-        }
-        let val: Option<Arc<str>> = want_val.then(|| Arc::from(doc.value(n).as_str()));
-        let cont: Option<Arc<str>> = want_cont.then(|| Arc::from(doc.content(n).as_str()));
-        rows.push(Tuple::new(vec![Field::new(doc.dewey(n), val, cont)]));
     }
     let mut rel = Relation::with_rows(schema, rows);
     if !rel.is_sorted_by_col(0) {
@@ -153,20 +122,6 @@ where
         placed.push(node);
     }
     plan
-}
-
-/// Predicate σ for value constraints of the pattern, over the full
-/// (pre-order) schema. Value predicates are already pushed into the
-/// scans by [`canonical_relation`], so this is only needed when leaf
-/// relations come from elsewhere.
-pub fn value_selection(pattern: &TreePattern, order: &[PatternNodeId]) -> Predicate {
-    let mut ps = Vec::new();
-    for (i, &n) in order.iter().enumerate() {
-        if let Some(v) = &pattern.node(n).val_pred {
-            ps.push(Predicate::ValEq(i, Arc::from(v.as_str())));
-        }
-    }
-    Predicate::and(ps)
 }
 
 /// Full binding relation of the pattern over the document: one row per
@@ -322,6 +277,5 @@ mod tests {
         let order = column_order(&p);
         let names: Vec<_> = order.iter().map(|&n| p.node(n).name.clone()).collect();
         assert_eq!(names, vec!["a", "b", "c", "d"]);
-        assert_eq!(column_of(&p, order[3]), 3);
     }
 }

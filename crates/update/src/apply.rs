@@ -34,12 +34,6 @@ pub struct ApplyResult {
     pub insert_targets: Vec<DeweyId>,
 }
 
-impl ApplyResult {
-    pub fn is_noop(&self) -> bool {
-        self.inserted.is_empty() && self.deleted.is_empty()
-    }
-}
-
 /// Applies every atomic operation of `pul` to `doc`, in order.
 ///
 /// Operations whose target no longer exists (e.g. removed by an
@@ -155,6 +149,6 @@ mod tests {
         let stmt = UpdateStatement::delete("//missing").unwrap();
         let pul = compute_pul(&d, &stmt);
         let res = apply_pul(&mut d, &pul).unwrap();
-        assert!(res.is_noop());
+        assert!(res.inserted.is_empty() && res.deleted.is_empty());
     }
 }

@@ -6,7 +6,6 @@
 //! holds the IDs of the *deleted* nodes matching `l`. Both are sorted
 //! in document order so they can feed structural joins directly.
 
-use crate::apply::DeletedNode;
 use std::collections::HashMap;
 use xivm_algebra::{Column, Field, Relation, Schema, Tuple};
 use xivm_pattern::compile::relation_from_nodes;
@@ -31,7 +30,7 @@ impl DeltaPlus {
                 .copied()
                 .filter(|&n| node_matches_test(doc, n, pattern.node(pnode).test.clone()))
                 .collect();
-            let rel = relation_from_nodes(doc, pattern, pnode, &matching);
+            let rel = relation_from_nodes(doc, pattern, pnode, &matching, true);
             tables.insert(pnode, rel);
         }
         DeltaPlus { tables }
@@ -59,35 +58,10 @@ pub struct DeltaMinus {
 }
 
 impl DeltaMinus {
-    /// CD−: extracts per-node Δ⁻ ID lists from the deletion log.
-    ///
-    /// Value predicates cannot be re-checked on deleted nodes (their
-    /// content is gone); Δ⁻ over-approximates and the ID-based joins
-    /// against the (predicate-satisfying) view tuples make the result
-    /// exact — this mirrors the paper's Δ⁻ containing only `(n.id)`.
-    pub fn compute(pattern: &TreePattern, deleted: &[DeletedNode]) -> Self {
-        let mut tables: HashMap<PatternNodeId, Vec<DeweyId>> = HashMap::new();
-        for pnode in pattern.node_ids() {
-            let test = &pattern.node(pnode).test;
-            let mut ids: Vec<DeweyId> = deleted
-                .iter()
-                .filter(|d| match test {
-                    NodeTest::Name(name) => d.label == *name,
-                    NodeTest::Wildcard => d.kind == NodeKind::Element,
-                })
-                .map(|d| d.id.clone())
-                .collect();
-            ids.sort_by(|a, b| a.doc_cmp(b));
-            ids.dedup();
-            tables.insert(pnode, ids);
-        }
-        DeltaMinus { tables }
-    }
-
-    /// Predicate-aware CD−, run *before* the PUL is applied: walks each
-    /// delete target's subtree in the still-intact document, so value
-    /// predicates on view nodes can be checked against the data being
-    /// removed (after deletion the values are gone). Returns the Δ⁻
+    /// CD−, predicate-aware because it runs *before* the PUL is applied:
+    /// walks each delete target's subtree in the still-intact document,
+    /// so value predicates on view nodes can be checked against the data
+    /// being removed (after deletion the values are gone). Returns the Δ⁻
     /// tables and the IDs of the deleted subtree roots (the engine's
     /// PDMT only needs the roots: a surviving node's content changed
     /// iff it is a proper ancestor of a deleted root).
@@ -246,12 +220,12 @@ mod tests {
     /// Example 4.6-style Δ⁻ extraction.
     #[test]
     fn delta_minus_from_deletions() {
-        let mut d = parse_document("<a><c><b/></c><f><b/></f></a>").unwrap();
+        let d = parse_document("<a><c><b/></c><f><b/></f></a>").unwrap();
         let stmt = UpdateStatement::delete("//f").unwrap();
         let pul = compute_pul(&d, &stmt);
-        let res = apply_pul(&mut d, &pul).unwrap();
         let v = parse_pattern("//c{id}//b{id}").unwrap();
-        let dm = DeltaMinus::compute(&v, &res.deleted);
+        let (dm, roots) = DeltaMinus::collect(&d, &v, &pul);
+        assert_eq!(roots.len(), 1, "f is the one deleted subtree root");
         let b = v.preorder()[1];
         assert_eq!(dm.ids(b).len(), 1);
         assert!(dm.is_empty(v.root()), "no c was deleted");

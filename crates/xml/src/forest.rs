@@ -41,8 +41,7 @@ impl DeweyForest {
     }
 
     /// Keeps every distinct root, including nested ones. Required for
-    /// [`Self::has_descendant_or_self_root`] /
-    /// [`Self::has_proper_descendant_root`] when roots may nest: the
+    /// [`Self::has_descendant_or_self_root`] when roots may nest: the
     /// maximal-roots reduction would hide an inner root from a probe
     /// that lies strictly between it and an outer root. Not usable
     /// with [`Self::covers`].
@@ -75,30 +74,12 @@ impl DeweyForest {
         pos > 0 && self.roots[pos - 1].is_ancestor_or_self_of(id)
     }
 
-    /// True iff the subtree rooted at `id` contains at least one root
-    /// (including `id` itself).
+    /// True iff the subtree rooted at `id` contains a root, `id`
+    /// itself included (the PIMT / PDMT condition: the stored node is
+    /// an update root or an ancestor of one).
     ///
     /// Roots inside `id`'s subtree form a contiguous doc-order range
     /// starting at the first root ≥ `id`.
-    pub fn intersects_subtree(&self, id: &DeweyId) -> bool {
-        let pos = self.roots.partition_point(|r| r.doc_cmp(id).is_lt());
-        if pos < self.roots.len() && id.is_ancestor_or_self_of(&self.roots[pos]) {
-            return true;
-        }
-        // a root strictly before `id` could still cover it
-        pos > 0 && self.roots[pos - 1].is_ancestor_or_self_of(id)
-    }
-
-    /// True iff the subtree rooted at `id` *properly* contains a root
-    /// (the PDMT condition: a surviving node whose content shrank).
-    pub fn has_proper_descendant_root(&self, id: &DeweyId) -> bool {
-        let pos = self.roots.partition_point(|r| r.doc_cmp(id).is_le());
-        pos < self.roots.len() && id.is_ancestor_of(&self.roots[pos])
-    }
-
-    /// True iff the subtree rooted at `id` contains a root, `id`
-    /// itself included (the PIMT condition: the stored node is an
-    /// insertion target or an ancestor of one).
     pub fn has_descendant_or_self_root(&self, id: &DeweyId) -> bool {
         let pos = self.roots.partition_point(|r| r.doc_cmp(id).is_lt());
         pos < self.roots.len() && id.is_ancestor_or_self_of(&self.roots[pos])
@@ -148,7 +129,7 @@ mod tests {
     #[test]
     fn subtree_intersection_matches_linear_scan() {
         let roots = vec![id(&[(0, 1), (1, 2), (2, 3)]), id(&[(0, 1), (1, 7)])];
-        let f = DeweyForest::new(roots.clone());
+        let f = DeweyForest::with_nested(roots.clone());
         let probes = [
             id(&[(0, 1)]),
             id(&[(0, 1), (1, 2)]),
@@ -158,11 +139,8 @@ mod tests {
             id(&[(0, 1), (1, 7), (2, 8)]),
         ];
         for p in &probes {
-            let expected =
-                roots.iter().any(|r| p.is_ancestor_or_self_of(r) || r.is_ancestor_or_self_of(p));
-            assert_eq!(f.intersects_subtree(p), expected, "{p}");
-            let expected_proper = roots.iter().any(|r| p.is_ancestor_of(r));
-            assert_eq!(f.has_proper_descendant_root(p), expected_proper, "{p}");
+            let expected = roots.iter().any(|r| p.is_ancestor_or_self_of(r));
+            assert_eq!(f.has_descendant_or_self_root(p), expected, "{p}");
         }
     }
 
@@ -179,7 +157,6 @@ mod tests {
         let nested = DeweyForest::with_nested(vec![outer, inner]);
         assert_eq!(nested.len(), 2);
         assert!(nested.has_descendant_or_self_root(&probe));
-        assert!(nested.has_proper_descendant_root(&probe));
         assert!(!nested.has_descendant_or_self_root(&id(&[(0, 1), (1, 9)])));
     }
 
@@ -195,6 +172,6 @@ mod tests {
         let f = DeweyForest::new(vec![]);
         assert!(f.is_empty());
         assert!(!f.covers(&id(&[(0, 1)])));
-        assert!(!f.intersects_subtree(&id(&[(0, 1)])));
+        assert!(!f.has_descendant_or_self_root(&id(&[(0, 1)])));
     }
 }

@@ -50,14 +50,6 @@ impl Node {
     pub fn is_element(&self) -> bool {
         self.kind == NodeKind::Element
     }
-
-    pub fn is_attribute(&self) -> bool {
-        self.kind == NodeKind::Attribute
-    }
-
-    pub fn is_text(&self) -> bool {
-        self.kind == NodeKind::Text
-    }
 }
 
 #[cfg(test)]
@@ -76,9 +68,8 @@ mod tests {
             alive: true,
             max_child_ord: 0,
         };
-        assert!(n.is_text());
         assert!(!n.is_element());
-        assert!(!n.is_attribute());
+        assert!(Node { kind: NodeKind::Element, ..n }.is_element());
     }
 
     #[test]

@@ -1,0 +1,20 @@
+#!/bin/sh
+# Code-line ledger (the PR 12 command): per file, the lines up to the
+# first `#[cfg(test)]`, comment-only and blank lines excluded; then per
+# crate, then the `crates/core/src` total the simplicity PRs quote.
+# Usage: scripts/ledger.sh [repo-root]
+cd "${1:-$(dirname "$0")/..}" || exit 1
+count() {
+    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1" | grep -v '^\s*//' | grep -vc '^\s*$'
+}
+for dir in crates/*/src; do
+    total=0
+    for f in $(find "$dir" -name '*.rs' | sort); do
+        n=$(count "$f")
+        printf '%6d  %s\n' "$n" "$f"
+        total=$((total + n))
+    done
+    printf '%6d  %s TOTAL\n' "$total" "$dir"
+    [ "$dir" = crates/core/src ] && core=$total
+done
+printf '%6d  crates/core/src total\n' "$core"

@@ -491,6 +491,68 @@ proptest! {
         let d2 = parse_document(&s1).unwrap();
         prop_assert_eq!(s1, serialize_document(&d2));
     }
+
+    /// The sign law: the insertion half and the deletion half of the
+    /// engine are one pipeline run with opposite signs. Commit *k*
+    /// inserts a forest tagged with a fresh attribute, commit *k+1*
+    /// deletes exactly that forest: what *k+1* removes is what *k*
+    /// inserted (and, under predicate flips, the other way round),
+    /// derivation for derivation, and every store — stored `val` /
+    /// `cont` included — is back at its pre-*k* snapshot.
+    #[test]
+    fn delete_of_an_insert_is_its_signed_inverse(
+        doc_xml in arb_doc(),
+        prefix in prop::collection::vec(
+            (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
+            0..3
+        ),
+        t in 0usize..TARGETS.len(),
+        f in 0usize..FORESTS.len(),
+        workers in 1usize..5,
+    ) {
+        let mut b = Database::builder().document(doc_xml.as_str()).workers(workers);
+        for (i, p) in PATTERNS.iter().enumerate() {
+            b = b.view(format!("v{i}"), *p);
+        }
+        let mut db = b.build().unwrap();
+        for (t, f, is_insert) in prefix {
+            db.apply(script_statement(t, f, is_insert).as_str()).unwrap();
+        }
+        let before: Vec<ViewStore> =
+            db.handles().into_iter().map(|h| db.store(h).clone()).collect();
+
+        // FORESTS[f] is `<x…`: tag its root element with sl="k".
+        let label = &FORESTS[f][1..2];
+        let tagged = format!("<{label} sl=\"k\"{}", &FORESTS[f][2..]);
+        let ins = db.apply(format!("insert {tagged} into {}", TARGETS[t]).as_str()).unwrap();
+        consistent(&db)?;
+        let del = db.apply(format!("delete //{label}[@sl=\"k\"]").as_str()).unwrap();
+
+        let weights = |entries: Vec<(Vec<DeweyId>, u64)>| {
+            let mut sums = std::collections::HashMap::new();
+            for (key, count) in entries {
+                *sums.entry(key).or_insert(0u64) += count;
+            }
+            sums
+        };
+        let gained = |d: &ViewDelta| weights(d.inserted.iter().map(|(t, c)| (t.id_key(), *c)).collect());
+        let lost = |d: &ViewDelta| weights(d.removed.clone());
+        for (h, snapshot) in db.handles().into_iter().zip(&before) {
+            let (i, d) = (ins.report(h), del.report(h));
+            prop_assert_eq!(lost(&d.delta), gained(&i.delta), "{}: −Δ(k+1) ≠ +Δ(k)", db.name(h));
+            prop_assert_eq!(gained(&d.delta), lost(&i.delta), "{}: +Δ(k+1) ≠ −Δ(k)", db.name(h));
+            prop_assert_eq!(d.derivations_removed, i.derivations_added);
+            prop_assert_eq!(d.derivations_added, i.derivations_removed);
+            prop_assert!(
+                db.store(h).identical_to(snapshot),
+                "view {} did not return to its pre-insert store (doc={doc_xml} \
+                 insert {tagged} into {}, workers={workers}):\n{}",
+                db.name(h),
+                TARGETS[t],
+                db.store(h).diff_description(snapshot)
+            );
+        }
+    }
 }
 
 /// Subscriptions across `independent()` transactions: a rejected
