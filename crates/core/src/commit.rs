@@ -271,6 +271,16 @@ impl Commit {
         self.per_view.iter().filter(|r| r.statically_skipped).count()
     }
 
+    /// Number of views whose propagation took the dynamic relevance
+    /// exit (their reports carry [`UpdateReport::irrelevant`]): the
+    /// applied PUL held none of the view's labels and no stored text
+    /// lay above it, so the engine returned before any per-view work.
+    /// Needs no DTD and no analysis — what [`Self::static_skips`]
+    /// proves ahead of the commit, this observes during it.
+    pub fn dynamic_skips(&self) -> usize {
+        self.per_view.iter().filter(|r| r.irrelevant).count()
+    }
+
     /// The per-view pruning statistics summed over every view —
     /// `(insert side, delete side)`. Benches and tests use this to
     /// assert the Section 3/4 prunings actually fired on a workload

@@ -67,7 +67,7 @@ use xivm_pulopt::ConflictPolicy;
 use xivm_update::builder::UpdateBuilder;
 use xivm_update::statement::parse_statement;
 use xivm_update::{Pul, UpdateStatement};
-use xivm_xml::{parse_document, serialize_document, Document};
+use xivm_xml::{check_forest, parse_document, serialize_document, Document};
 
 // ---------------------------------------------------------------------
 // Deferred inputs: the builder accepts text or ready-made values and
@@ -206,7 +206,7 @@ fn resolve_statement(source: StatementSource) -> Result<UpdateStatement, Error> 
     // Rejecting it here keeps the façade's no-drift guarantee on every
     // path (`apply`, sequential and independent transactions).
     if let UpdateStatement::Insert { xml, .. } | UpdateStatement::Replace { xml, .. } = &stmt {
-        parse_document(&format!("<xivm-forest-check>{xml}</xivm-forest-check>"))?;
+        check_forest(xml)?;
     }
     Ok(stmt)
 }
@@ -467,6 +467,11 @@ impl DatabaseBuilder {
                 PatternSource::Text(text) => parse_pattern(&text)?,
                 PatternSource::Ready(p) => p,
             };
+            // Term expansion asserts this bound inside the first commit
+            // that reaches the view; fail here, with a name, instead.
+            if pattern.len() > crate::etins::MAX_TERM_NODES {
+                return Err(Error::PatternTooLarge { view: spec.name, nodes: pattern.len() });
+            }
             let engine = match spec.mode {
                 ViewMode::Strategy(s) => MaintenanceEngine::new(&doc, pattern, s),
                 ViewMode::CostBased(profile) => {
@@ -1189,6 +1194,28 @@ mod tests {
         assert_eq!(db.store(acb).len(), 8, "Figure 12 lists 8 embeddings");
         assert_eq!(db.pattern(acb).to_text(), "//a{id}[//c{id}]//b{id}");
         assert_eq!(db.name(acb), "acb");
+    }
+
+    /// A view too large for term expansion is a build error naming the
+    /// view, not a panic inside its first commit; the largest accepted
+    /// chain commits at once (30 terms, not 2^30 masks).
+    #[test]
+    fn oversized_patterns_are_rejected_at_build() {
+        let chain = |nodes: usize| "//a".repeat(nodes);
+        let build = |nodes| {
+            Database::builder().document("<a><a/></a>").view("chain", chain(nodes).as_str()).build()
+        };
+        match build(31) {
+            Err(Error::PatternTooLarge { view, nodes }) => {
+                assert_eq!((view.as_str(), nodes), ("chain", 31));
+            }
+            other => panic!("expected PatternTooLarge, got {:?}", other.map(|_| ())),
+        }
+        let mut db = build(30).unwrap();
+        let commit = db.apply("insert <a/> into //a").unwrap();
+        assert_eq!(commit.dynamic_skips(), 0);
+        let h = db.view("chain").unwrap();
+        assert_eq!(commit.report(h).insert_prune.before, 30);
     }
 
     #[test]

@@ -12,17 +12,21 @@
 
 use crate::commit::ViewDelta;
 use crate::error::Error;
+use crate::etins::subset_terms;
 use crate::propagate::{eval, refresh_text, terms, DeltaSide, PruneStats, Sign, TermContext};
 use crate::snowcap::{enumerate_snowcaps, minimal_chain, MaterializedSnowcap};
 use crate::strategy::SnowcapStrategy;
+use crate::term::Term;
 use crate::timing::{timed, Timings};
 use crate::view_store::{TupleKey, ViewStore};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use xivm_pattern::compile::{canonical_relation, compile_plan_over, project_to_view, view_tuples};
-use xivm_pattern::{PatternNodeId, TreePattern};
-use xivm_update::{apply_pul, compute_pul, DeltaMinus, DeltaPlus, Pul, UpdateStatement};
-use xivm_xml::{Document, NodeId};
+use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
+use xivm_update::{
+    apply_pul, compute_pul, ApplyResult, DeltaMinus, DeltaPlus, Pul, UpdateStatement,
+};
+use xivm_xml::{DeweyForest, DeweyId, Document, LabelId};
 
 /// What one propagated update did, and how long each phase took.
 #[derive(Debug, Clone, Default)]
@@ -45,6 +49,13 @@ pub struct UpdateReport {
     /// [`Self::same_outcome`], like timings: a skipped propagation and
     /// a dynamic one that found nothing report the same outcome.
     pub statically_skipped: bool,
+    /// True when [`MaintenanceEngine::finish`] found, from the labels
+    /// of the applied PUL alone, that this commit cannot touch the view
+    /// and returned before any per-view work (no Δ tables, no terms, no
+    /// store copy, no text refresh) — the per-commit, DTD-free twin of
+    /// `statically_skipped`, and excluded from [`Self::same_outcome`]
+    /// like it.
+    pub irrelevant: bool,
     /// True when the view is under deferred maintenance and this
     /// commit batched its PUL instead of propagating: the store is
     /// untouched, the delta is empty, and the change lands later as a
@@ -101,15 +112,16 @@ impl UpdateReport {
 pub struct MaintenanceEngine {
     pattern: TreePattern,
     strategy: SnowcapStrategy,
-    /// Cost-model-chosen sets overriding the strategy's default
-    /// (see [`crate::costmodel`]).
-    custom_sets: Option<Vec<BTreeSet<PatternNodeId>>>,
     /// The materialized view, behind an `Arc` so a database snapshot
     /// can hold it for free: `finish` mutates through
     /// [`Arc::make_mut`], copying the store once iff a snapshot still
     /// holds the previous version (readers never block a commit).
     store: Arc<ViewStore>,
     snowcaps: Vec<MaterializedSnowcap>,
+    /// The pattern's term tables, built by the first propagation that
+    /// needs them (not at creation: most of a catalog's views are never
+    /// reached by a given workload).
+    term_tables: Option<TermTables>,
     /// Ablation switches for the dynamic prunings (Section 6.8).
     pub use_delta_pruning: bool,
     pub use_id_pruning: bool,
@@ -123,19 +135,8 @@ pub struct MaintenanceEngine {
 impl MaintenanceEngine {
     /// Materializes the view and its auxiliary snowcaps over `doc`.
     pub fn new(doc: &Document, pattern: TreePattern, strategy: SnowcapStrategy) -> Self {
-        let store = Arc::new(ViewStore::from_counted(&pattern, view_tuples(doc, &pattern)));
-        let snowcaps =
-            Self::materialize_sets(doc, &pattern, Self::default_sets(&pattern, strategy));
-        MaintenanceEngine {
-            pattern,
-            strategy,
-            custom_sets: None,
-            store,
-            snowcaps,
-            use_delta_pruning: true,
-            use_id_pruning: true,
-            collect_deltas: true,
-        }
+        let sets = Self::default_sets(&pattern, strategy);
+        Self::with_sets(doc, pattern, strategy, sets)
     }
 
     /// Materializes the view with the snowcap set chosen by the cost
@@ -148,14 +149,21 @@ impl MaintenanceEngine {
     ) -> Self {
         let stats = crate::costmodel::DocStats::collect(doc);
         let sets = crate::costmodel::choose_snowcaps(&pattern, &stats, profile);
-        let store = Arc::new(ViewStore::from_counted(&pattern, view_tuples(doc, &pattern)));
-        let snowcaps = Self::materialize_sets(doc, &pattern, sets.clone());
+        Self::with_sets(doc, pattern, SnowcapStrategy::MinimalChain, sets)
+    }
+
+    fn with_sets(
+        doc: &Document,
+        pattern: TreePattern,
+        strategy: SnowcapStrategy,
+        sets: Vec<BTreeSet<PatternNodeId>>,
+    ) -> Self {
         MaintenanceEngine {
+            store: Arc::new(ViewStore::from_counted(&pattern, view_tuples(doc, &pattern))),
+            snowcaps: Self::materialize_sets(doc, &pattern, sets),
             pattern,
-            strategy: SnowcapStrategy::MinimalChain,
-            custom_sets: Some(sets),
-            store,
-            snowcaps,
+            strategy,
+            term_tables: None,
             use_delta_pruning: true,
             use_id_pruning: true,
             collect_deltas: true,
@@ -194,13 +202,15 @@ impl MaintenanceEngine {
             .collect()
     }
 
-    /// The snowcap node sets this engine maintains (strategy default
-    /// or cost-model choice).
-    fn current_sets(&self) -> Vec<BTreeSet<PatternNodeId>> {
-        match &self.custom_sets {
-            Some(s) => s.clone(),
-            None => Self::default_sets(&self.pattern, self.strategy),
-        }
+    /// The maintained snowcaps (strategy default or cost-model choice)
+    /// evaluated from scratch over `doc`.
+    fn rematerialized(
+        doc: &Document,
+        pattern: &TreePattern,
+        snowcaps: &[MaterializedSnowcap],
+    ) -> Vec<MaterializedSnowcap> {
+        let sets = snowcaps.iter().map(|m| m.nodes.iter().copied().collect()).collect();
+        Self::materialize_sets(doc, pattern, sets)
     }
 
     pub fn pattern(&self) -> &TreePattern {
@@ -232,7 +242,7 @@ impl MaintenanceEngine {
     pub fn recompute(&mut self, doc: &Document) {
         self.store =
             Arc::new(ViewStore::from_counted(&self.pattern, view_tuples(doc, &self.pattern)));
-        self.snowcaps = Self::materialize_sets(doc, &self.pattern, self.current_sets());
+        self.snowcaps = Self::rematerialized(doc, &self.pattern, &self.snowcaps);
     }
 
     /// Propagates a statement-level update: computes the PUL ("Find
@@ -250,17 +260,20 @@ impl MaintenanceEngine {
     }
 
     /// Pre-update state this view needs before a PUL touches the
-    /// document: the Δ⁻ tables, the deleted subtree roots and the
-    /// predicate-truth capture. Produced by [`Self::prepare`] and
-    /// consumed by [`Self::finish`]; a multi-view host prepares every
-    /// view, applies the PUL once, then finishes every view.
+    /// document: what only the intact document can still answer about
+    /// this view's value predicates — which deleted nodes satisfied
+    /// them (their Δ⁻) and which nodes above the update roots do (the
+    /// predicate-truth capture). A view without value predicates
+    /// captures nothing. Produced by [`Self::prepare`] and consumed by
+    /// [`Self::finish`]; a multi-view host prepares every view, applies
+    /// the PUL once, then finishes every view.
     pub fn prepare(&self, doc: &Document, pul: &Pul) -> PreparedUpdate {
         #[cfg(any(test, feature = "fault-inject"))]
         crate::fault::prepare_point();
         let start = std::time::Instant::now();
-        let (dminus, delete_roots) = DeltaMinus::collect(doc, &self.pattern, pul);
+        let dminus = DeltaMinus::collect(doc, &self.pattern, pul);
         let pred_capture = crate::predflip::capture(doc, &self.pattern, pul);
-        PreparedUpdate { dminus, delete_roots, pred_capture, prep_time: start.elapsed() }
+        PreparedUpdate { dminus, pred_capture, prep_time: start.elapsed() }
     }
 
     /// Propagates an already-computed (possibly optimizer-reduced,
@@ -284,25 +297,14 @@ impl MaintenanceEngine {
     pub fn finish(
         &mut self,
         doc: &Document,
-        apply_res: &xivm_update::ApplyResult,
+        apply_res: &ApplyResult,
         prepared: PreparedUpdate,
     ) -> UpdateReport {
         #[cfg(any(test, feature = "fault-inject"))]
         crate::fault::finish_point();
-        let PreparedUpdate { dminus, delete_roots, pred_capture, prep_time: t_dm } = prepared;
+        let PreparedUpdate { dminus, pred_capture, prep_time } = prepared;
         let mut report = UpdateReport::default();
-        // Copy-on-write split: if a snapshot still holds this store,
-        // clone it now and patch the copy — the snapshot keeps the
-        // frozen version, and this commit never waits for readers.
-        let store = Arc::make_mut(&mut self.store);
-
-        // --- Compute Delta Tables, part 2: CD+.
-        let (dplus, t_dp) = timed(|| DeltaPlus::compute(doc, &self.pattern, &apply_res.inserted));
-        report.timings.compute_delta_tables = t_dm + t_dp;
-
-        let inserted: HashSet<NodeId> = apply_res.inserted.iter().copied().collect();
-        let has_deletes = !delete_roots.is_empty();
-        let has_inserts = !apply_res.inserted.is_empty();
+        let start = std::time::Instant::now();
 
         // Value-predicate flips (see `predflip`): when text changes
         // under a predicate-carrying node, bindings can appear or
@@ -311,34 +313,87 @@ impl MaintenanceEngine {
         let flips = crate::predflip::diff(doc, &self.pattern, &pred_capture);
         let flips_exist = flips.any();
 
+        // --- Compute Delta Tables: CD+ and the rest of CD−, both read
+        // from the label buckets the apply left behind.
+        let dplus = DeltaPlus::compute(doc, &self.pattern, apply_res);
+        let dminus = dminus.complete(doc, &self.pattern, apply_res);
+        report.timings.compute_delta_tables = prep_time + start.elapsed();
+
+        // Does a `val`/`cont`-storing pattern node's label lie `above`
+        // one of `roots` — on its root path, the root included for an
+        // insertion target, excluded for a deleted root (it is gone)?
+        // Otherwise no stored text changed under these roots: PIMT /
+        // PDMT's condition, judged on labels and Dewey IDs alone. A
+        // wildcard is above anything.
+        let text_above = |roots: &[DeweyId], above: fn(&DeweyId, LabelId) -> bool| {
+            let on_path = |l| roots.iter().any(|r| above(r, l));
+            !roots.is_empty()
+                && self.pattern.cvn().into_iter().any(|n| match &self.pattern.node(n).test {
+                    NodeTest::Wildcard => true,
+                    NodeTest::Name(name) => doc.label_id(name).is_some_and(on_path),
+                })
+        };
+        let (targets, delete_roots) = (&apply_res.insert_targets, &apply_res.delete_roots);
+        let text_at_inserts = text_above(targets, DeweyId::has_self_or_ancestor_labeled);
+        let text_above_deletes = text_above(delete_roots, DeweyId::has_proper_ancestor_labeled);
+
+        // --- The dynamic relevance exit, before anything per-view is
+        // expanded, copied or scanned: every Δ table empty (so every
+        // term is, and every snowcap row stands), no predicate flipped,
+        // no stored text at or above an update root. The text tests
+        // also gate their passes one by one below.
+        if dplus.total_len() + dminus.total_len() == 0
+            && !(flips_exist || text_at_inserts || text_above_deletes)
+        {
+            report.irrelevant = true;
+            return report;
+        }
+
+        // Copy-on-write split: if a snapshot still holds this store,
+        // clone it now and patch the copy — the snapshot keeps the
+        // frozen version, and this commit never waits for readers.
+        let store = Arc::make_mut(&mut self.store);
+
+        let has_deletes = !delete_roots.is_empty();
+        let has_inserts = !targets.is_empty();
+
         // --- Update Lattice, part 1: drop snowcap tuples that bind a
-        // deleted node (any node under a deleted root is gone). Under
-        // flips the snowcaps are rebuilt wholesale at the end instead.
+        // deleted node (any node under a deleted root is gone) — from
+        // the snowcaps one of whose nodes lost something. Under flips
+        // the snowcaps are rebuilt wholesale at the end instead.
         let (_, t_lat1) = timed(|| {
             if has_deletes && !flips_exist {
-                let delete_forest = xivm_xml::DeweyForest::new(delete_roots.clone());
+                let delete_forest = DeweyForest::new(delete_roots.clone());
                 for m in &mut self.snowcaps {
-                    m.rel.rows.retain(|t| !t.fields().iter().any(|f| delete_forest.covers(&f.id)));
+                    if m.nodes.iter().any(|&n| !dminus.is_empty(n)) {
+                        let gone = |f: &xivm_algebra::Field| delete_forest.covers(&f.id);
+                        m.rel.rows.retain(|t| !t.fields().iter().any(gone));
+                    }
                 }
             }
         });
 
-        let full_order = self.pattern.preorder();
-        let full_set: BTreeSet<PatternNodeId> = full_order.iter().copied().collect();
+        let snowcaps = &self.snowcaps;
+        let tables =
+            self.term_tables.get_or_insert_with(|| TermTables::of(&self.pattern, snowcaps));
+        let full_order = &self.pattern.preorder();
 
-        let mut ctx = TermContext::new(doc, &self.pattern, &inserted, &flips);
+        let mut ctx = TermContext::new(doc, &self.pattern, apply_res, &flips);
         ctx.use_delta_pruning = self.use_delta_pruning;
         ctx.use_id_pruning = self.use_id_pruning;
-        let minus = DeltaSide::minus(&dminus, &self.pattern);
+        let minus = DeltaSide::Minus { tables: &dminus };
         let plus = DeltaSide::Plus { tables: &dplus, targets: &apply_res.insert_targets };
 
         // --- Get Update Expression: expand and prune both directions.
-        let (((del_terms, del_stats), (ins_terms, ins_stats)), t_expr) = timed(|| {
-            (
-                if has_deletes { terms(&ctx, &minus, &full_set) } else { Default::default() },
-                if has_inserts { terms(&ctx, &plus, &full_set) } else { Default::default() },
-            )
-        });
+        let expand = |side, wanted: bool| {
+            if wanted {
+                terms(&ctx, side, &tables.full, full_order)
+            } else {
+                Default::default()
+            }
+        };
+        let (((del_terms, del_stats), (ins_terms, ins_stats)), t_expr) =
+            timed(|| (expand(&minus, has_deletes), expand(&plus, has_inserts)));
         report.delete_prune = del_stats;
         report.insert_prune = ins_stats;
         report.timings.get_update_expression = t_expr;
@@ -356,9 +411,11 @@ impl MaintenanceEngine {
         let mut modified_keys: Vec<TupleKey> = Vec::new();
         let (_, t_exec) = timed(|| {
             if has_deletes {
-                let removed = eval(&ctx, &minus, &full_order, &del_terms, mats);
+                let removed = eval(&ctx, &minus, full_order, &del_terms, mats);
                 patch_store(store, &self.pattern, Sign::Minus, &removed, collect, &mut report);
-                modified_keys.extend(refresh_text(store, doc, &self.pattern, &delete_roots));
+            }
+            if text_above_deletes {
+                modified_keys.extend(refresh_text(store, doc, &self.pattern, delete_roots));
             }
             if flips_exist {
                 for sign in [Sign::Minus, Sign::Plus] {
@@ -367,9 +424,10 @@ impl MaintenanceEngine {
                 }
             }
             if has_inserts {
-                let added = eval(&ctx, &plus, &full_order, &ins_terms, mats);
+                let added = eval(&ctx, &plus, full_order, &ins_terms, mats);
                 patch_store(store, &self.pattern, Sign::Plus, &added, collect, &mut report);
-                let targets = &apply_res.insert_targets;
+            }
+            if text_at_inserts {
                 modified_keys.extend(refresh_text(store, doc, &self.pattern, targets));
             }
         });
@@ -398,29 +456,48 @@ impl MaintenanceEngine {
         // bindings. All deltas are computed against the old-surviving
         // materializations before any of them is patched, keeping the
         // term bags disjoint. Under flips, rebuild from scratch.
-        let sets_for_rebuild =
-            (flips_exist && !self.snowcaps.is_empty()).then(|| self.current_sets());
         let (_, t_lat2) = timed(|| {
-            if let Some(sets) = sets_for_rebuild {
-                self.snowcaps = Self::materialize_sets(doc, &self.pattern, sets);
-            } else if has_inserts && !flips_exist {
+            if flips_exist {
+                self.snowcaps = Self::rematerialized(doc, &self.pattern, &self.snowcaps);
+            } else if has_inserts {
                 let deltas: Vec<xivm_algebra::Relation> = self
                     .snowcaps
                     .iter()
-                    .map(|m| {
-                        let subset = m.nodes.iter().copied().collect();
-                        let (snowcap_terms, _) = terms(&ctx, &plus, &subset);
+                    .zip(&tables.snowcaps)
+                    .map(|(m, table)| {
+                        let (snowcap_terms, _) = terms(&ctx, &plus, table, &m.nodes);
                         eval(&ctx, &plus, &m.nodes, &snowcap_terms, &self.snowcaps)
                     })
                     .collect();
                 for (m, d) in self.snowcaps.iter_mut().zip(deltas) {
-                    m.rel.rows.extend(d.rows);
+                    m.absorb(d);
                 }
             }
         });
         report.timings.update_lattice = t_lat1 + t_lat2;
 
         report
+    }
+}
+
+/// The maintenance terms of the pattern and of each maintained snowcap
+/// ([`subset_terms`]): pure functions of the pattern, enumerated once
+/// per engine; a commit only filters them by Δ-emptiness and ID
+/// witnesses ([`terms`]).
+struct TermTables {
+    full: Vec<Term>,
+    /// Aligned with the engine's snowcaps.
+    snowcaps: Vec<Vec<Term>>,
+}
+
+impl TermTables {
+    fn of(pattern: &TreePattern, snowcaps: &[MaterializedSnowcap]) -> Self {
+        let table =
+            |nodes: &[PatternNodeId]| subset_terms(pattern, &nodes.iter().copied().collect());
+        TermTables {
+            full: table(&pattern.preorder()),
+            snowcaps: snowcaps.iter().map(|m| table(&m.nodes)).collect(),
+        }
     }
 }
 
@@ -464,7 +541,6 @@ fn patch_store(
 /// Pre-update state captured by [`MaintenanceEngine::prepare`].
 pub struct PreparedUpdate {
     dminus: DeltaMinus,
-    delete_roots: Vec<xivm_xml::DeweyId>,
     pred_capture: crate::predflip::PredCapture,
     prep_time: std::time::Duration,
 }
@@ -644,22 +720,99 @@ mod tests {
 
     #[test]
     fn snowcaps_stay_consistent_with_document() {
-        let mut doc = parse_document(FIG12).unwrap();
+        // Figure 12's document, then one with two a's, where the {a,c}
+        // snowcap has an order to lose: insert → delete → insert under
+        // the *first* a, whose new rows belong before the second a's.
+        let two_as = "<r><a k=\"1\"><c/><b/></a><a><c><b/></c></a></r>";
+        let cases: [(&str, &[&str]); 2] = [
+            (FIG12, &["insert <c><b/></c> into //f", "delete /a/c"]),
+            (
+                two_as,
+                &[
+                    "insert <c><b/></c> into //a[@k=\"1\"]",
+                    "delete //a[@k=\"1\"]/c",
+                    "insert <c/> into //a[@k=\"1\"]/b",
+                ],
+            ),
+        ];
         let p = parse_pattern("//a{id}[//c{id}]//b{id}").unwrap();
-        let mut engine = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
-        for s in ["insert <c><b/></c> into //f", "delete /a/c"] {
-            let stmt = xivm_update::statement::parse_statement(s).unwrap();
-            engine.apply_statement(&mut doc, &stmt).unwrap();
-            // each snowcap must equal its from-scratch evaluation
-            let fresh = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
-            for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
-                let mut a = m.rel.clone();
-                let mut b = f.rel.clone();
-                xivm_algebra::ops::sort_all(&mut a);
-                xivm_algebra::ops::sort_all(&mut b);
-                assert_eq!(a.rows.len(), b.rows.len(), "snowcap {:?} after {s}", m.nodes);
-                assert_eq!(a.rows, b.rows, "snowcap {:?} after {s}", m.nodes);
+        for (doc_xml, script) in cases {
+            let mut doc = parse_document(doc_xml).unwrap();
+            let mut engine = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
+            for s in script {
+                let stmt = xivm_update::statement::parse_statement(s).unwrap();
+                engine.apply_statement(&mut doc, &stmt).unwrap();
+                // each snowcap must equal its from-scratch evaluation
+                let fresh = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
+                for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
+                    // … and keep the order terms join it on, or every
+                    // later term that starts from it pays a clone and a
+                    // sort
+                    assert!(m.rel.is_sorted_by_col(0), "snowcap {:?} unsorted after {s}", m.nodes);
+                    let mut a = m.rel.clone();
+                    let mut b = f.rel.clone();
+                    xivm_algebra::ops::sort_all(&mut a);
+                    xivm_algebra::ops::sort_all(&mut b);
+                    assert_eq!(a.rows.len(), b.rows.len(), "snowcap {:?} after {s}", m.nodes);
+                    assert_eq!(a.rows, b.rows, "snowcap {:?} after {s}", m.nodes);
+                }
             }
         }
+    }
+
+    /// A sequential transaction's PUL can delete a node it inserted:
+    /// the node was never in the old state, so it is in no Δ⁻ — a Δ⁻
+    /// holding it would subtract a derivation the view never had.
+    #[test]
+    fn deleting_a_same_pul_insertion_loses_nothing() {
+        let mut doc = parse_document("<r><a><b/></a></r>").unwrap();
+        let p = parse_pattern("//a{id}//b{id}").unwrap();
+        let mut engine = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
+        let stmt = |s: &str| xivm_update::statement::parse_statement(s).unwrap();
+        let mut pul = compute_pul(&doc, &stmt("insert <x><b/><b/></x> into //a"));
+        let mut scratch = doc.clone();
+        apply_pul(&mut scratch, &pul).unwrap();
+        pul.ops.extend(compute_pul(&scratch, &stmt("delete //x/b")).ops);
+        let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+        assert_eq!(xivm_xml::serialize_document(&doc), "<r><a><b/><x/></a></r>");
+        assert_eq!((report.derivations_added, report.derivations_removed), (0, 0));
+        let expected = ViewStore::from_counted(&p, view_tuples(&doc, &p));
+        assert!(engine.store().identical_to(&expected));
+    }
+
+    /// The dynamic relevance exit: taken exactly when no pattern label
+    /// occurs in the update and no stored text lies above it — and then
+    /// nothing of the engine moves, not even a snapshot-shared store.
+    #[test]
+    fn irrelevant_updates_exit_before_any_per_view_work() {
+        let doc_xml = "<r><a><b>x</b><z/></a><q><w/></q></r>";
+        let mut doc = parse_document(doc_xml).unwrap();
+        let p = parse_pattern("//a{id}//b{id,val}").unwrap();
+        let mut engine = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
+        let held = engine.store_arc();
+        let mut apply = |engine: &mut MaintenanceEngine, s: &str| {
+            let stmt = xivm_update::statement::parse_statement(s).unwrap();
+            let report = engine.apply_statement(&mut doc, &stmt).unwrap();
+            let expected = ViewStore::from_counted(&p, view_tuples(&doc, &p));
+            assert!(engine.store().same_content_as(&expected), "after {s}");
+            report
+        };
+        // no a, no b, and no b above the roots: exit
+        for s in ["insert <w><y/></w> into //q", "delete //w", "insert <y/> into //z"] {
+            let r = apply(&mut engine, s);
+            assert!(r.irrelevant && r.delta.is_empty(), "{s}");
+            assert_eq!(r.insert_prune.before + r.delete_prune.before, 0, "{s}: no terms");
+        }
+        assert!(Arc::ptr_eq(&held, &engine.store_arc()), "a held store was not copied");
+        assert!(engine.term_tables.is_none(), "no table was built for exits");
+        // a pattern label in the forest, in the deleted subtree, or
+        // stored text above the root: no exit
+        let r = apply(&mut engine, "insert <b>y</b> into //q");
+        assert!(!r.irrelevant && r.delta.is_empty(), "a b outside any a: pruned, not exited");
+        assert!(!apply(&mut engine, "delete //q").irrelevant);
+        let r = apply(&mut engine, "insert <y>z</y> into //a/b");
+        assert!(!r.irrelevant);
+        assert_eq!(r.tuples_modified, 1, "stored val of b grew");
+        assert!(!Arc::ptr_eq(&held, &engine.store_arc()));
     }
 }

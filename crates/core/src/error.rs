@@ -38,6 +38,11 @@ pub enum Error {
     DuplicateView(String),
     /// `Database::builder()` was finished without a document.
     NoDocument,
+    /// A view's pattern has more nodes than term expansion supports
+    /// ([`MAX_TERM_NODES`](crate::etins::MAX_TERM_NODES)): its
+    /// maintenance terms are enumerated per snowcap, exponentially many
+    /// on a star-shaped pattern.
+    PatternTooLarge { view: String, nodes: usize },
     /// Propagation panicked mid-commit (a worker died or a fault was
     /// injected). The database rolled back to the last sealed commit
     /// and recomputed every view, so it remains consistent; the
@@ -76,6 +81,11 @@ impl fmt::Display for Error {
             Error::UnknownView(name) => write!(f, "no view named {name:?} on this database"),
             Error::DuplicateView(name) => write!(f, "view {name:?} declared more than once"),
             Error::NoDocument => write!(f, "database built without a document"),
+            Error::PatternTooLarge { view, nodes } => write!(
+                f,
+                "view {view:?} has {nodes} pattern nodes; at most {} are supported",
+                crate::etins::MAX_TERM_NODES
+            ),
             Error::Panic(msg) => {
                 write!(f, "propagation panicked mid-commit: {msg}")
             }
@@ -160,6 +170,8 @@ mod tests {
         assert!(Error::DuplicateView("Q1".into()).to_string().contains("Q1"));
         assert!(Error::Conflict(Vec::new()).to_string().contains("conflict"));
         assert!(Error::NoDocument.to_string().contains("document"));
+        let too_large = Error::PatternTooLarge { view: "wide".into(), nodes: 31 }.to_string();
+        assert!(too_large.contains("wide") && too_large.contains("31"));
         assert!(Error::Panic("boom".into()).to_string().contains("boom"));
         assert!(Error::Aborted.to_string().contains("aborted"));
         let xml = Error::from(XmlError::DeadNode);

@@ -11,7 +11,7 @@
 //! (Proposition 3.13): a snowcap is just a smaller sub-pattern whose
 //! added bindings come from its own terms.
 
-use crate::snowcap::{best_cover, MaterializedSnowcap};
+use crate::snowcap::{snowcaps_within, MaterializedSnowcap};
 use crate::term::Term;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -19,31 +19,34 @@ use xivm_algebra::ops;
 use xivm_algebra::Relation;
 use xivm_pattern::{PatternNodeId, TreePattern};
 
+/// The largest (sub-)pattern [`subset_terms`] expands. The count of
+/// terms is the count of snowcaps, exponential in the fan-out of a
+/// star-shaped pattern; `DatabaseBuilder::build` rejects larger views
+/// with an [`Error`](crate::error::Error), and the assert below stays
+/// for hosts that drive a `MaintenanceEngine` directly.
+pub const MAX_TERM_NODES: usize = 30;
+
 /// Enumerates the maintenance terms of the sub-pattern induced by
-/// `subset`: non-empty Δ-sets closed under pattern children *within
-/// the subset* (Propositions 3.3 / 4.2 applied to the sub-pattern).
+/// `subset` (the full pattern or one of its snowcaps): non-empty
+/// Δ-sets closed under pattern children *within the subset*
+/// (Propositions 3.3 / 4.2 applied to the sub-pattern). By
+/// Proposition 3.12 their R-parts are exactly the sub-pattern's proper
+/// snowcaps and ∅, so the Δ-sets are enumerated directly as their
+/// complements — a chain of `k` nodes costs `k` sets, not `2^k` masks.
+///
+/// A pure function of the pattern: the engine builds each table once
+/// and [`crate::propagate::terms`] only filters it per commit.
+///
+/// # Panics
+/// If `subset` has more than [`MAX_TERM_NODES`] nodes.
 pub fn subset_terms(pattern: &TreePattern, subset: &BTreeSet<PatternNodeId>) -> Vec<Term> {
-    let nodes: Vec<PatternNodeId> = subset.iter().copied().collect();
-    let k = nodes.len();
-    assert!(k < 31, "term expansion is exponential; sub-pattern too large");
-    let mut out = Vec::new();
-    'mask: for mask in 1u32..(1 << k) {
-        let delta: BTreeSet<PatternNodeId> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, &n)| n)
-            .collect();
-        // descendant-closed within the subset
-        for &n in &delta {
-            for c in &pattern.node(n).children {
-                if subset.contains(c) && !delta.contains(c) {
-                    continue 'mask;
-                }
-            }
-        }
-        out.push(Term::new(delta));
-    }
+    assert!(subset.len() <= MAX_TERM_NODES, "term expansion is exponential; sub-pattern too large");
+    let mut out: Vec<Term> = snowcaps_within(pattern, &|n| subset.contains(&n))
+        .into_iter()
+        .filter(|r_part| r_part.len() < subset.len())
+        .map(|r_part| Term::new(subset.difference(&r_part).copied().collect()))
+        .collect();
+    out.push(Term::new(subset.clone()));
     out.sort();
     out
 }
@@ -54,9 +57,10 @@ pub type Leaf<'a, 'f> = &'f dyn Fn(PatternNodeId) -> Cow<'a, Relation>;
 
 /// Evaluates one term over the sub-pattern `subset_preorder` (pattern
 /// pre-order, parent-closed). `r_leaf` / `delta_leaf` supply the leaf
-/// relations; `materialized` offers snowcap shortcuts for the R-part.
-/// Leaves and snowcaps are joined by reference — none is copied unless
-/// it is the whole result.
+/// relations; `cover` is the materialized snowcap the caller chose
+/// to start the R-part from ([`crate::snowcap::best_cover`]), if any.
+/// Leaves and the snowcap are joined by reference — none is copied
+/// unless it is the whole result.
 ///
 /// Returns the term's bindings with columns in `subset_preorder`
 /// order; an empty default relation when any intermediate result is
@@ -65,14 +69,10 @@ pub fn eval_term<'a>(
     pattern: &TreePattern,
     subset_preorder: &[PatternNodeId],
     term: &Term,
-    materialized: &'a [MaterializedSnowcap],
+    cover: Option<&'a MaterializedSnowcap>,
     r_leaf: Leaf<'a, '_>,
     delta_leaf: Leaf<'a, '_>,
 ) -> Relation {
-    let r_set: BTreeSet<PatternNodeId> =
-        subset_preorder.iter().copied().filter(|n| !term.is_delta(*n)).collect();
-    let cover = if r_set.is_empty() { None } else { best_cover(materialized, &r_set) };
-
     let mut placed: Vec<PatternNodeId> = Vec::with_capacity(subset_preorder.len());
     let mut cur: Cow<'a, Relation> = Cow::Owned(Relation::default());
     if let Some(m) = cover {
@@ -122,22 +122,26 @@ pub fn eval_term<'a>(
     }
 }
 
-/// Evaluates a list of terms and accumulates their bindings into one
-/// bag relation over `subset_preorder` columns.
+/// Evaluates a list of terms from their leaves alone (no snowcap) and
+/// accumulates their bindings into one bag relation over
+/// `subset_preorder` columns.
 pub fn eval_terms<'a>(
     pattern: &TreePattern,
     subset_preorder: &[PatternNodeId],
     terms: &[Term],
-    materialized: &'a [MaterializedSnowcap],
     r_leaf: Leaf<'a, '_>,
     delta_leaf: Leaf<'a, '_>,
 ) -> Relation {
+    bag_union(
+        terms.iter().map(|t| eval_term(pattern, subset_preorder, t, None, r_leaf, delta_leaf)),
+    )
+}
+
+/// The bag union of same-schema relations (empty ones, whatever their
+/// schema, contribute nothing).
+pub fn bag_union(relations: impl Iterator<Item = Relation>) -> Relation {
     let mut acc = Relation::default();
-    for term in terms {
-        let rel = eval_term(pattern, subset_preorder, term, materialized, r_leaf, delta_leaf);
-        if rel.is_empty() {
-            continue;
-        }
+    for rel in relations.filter(|rel| !rel.is_empty()) {
         if acc.schema.arity() == 0 {
             acc = rel;
         } else {
@@ -174,6 +178,22 @@ mod tests {
         assert!(terms.iter().any(|t| t.delta_count() == 2));
     }
 
+    /// The direct enumeration is the mask enumeration, without the
+    /// masks: a 30-node chain has 30 terms (and `2^30` masks).
+    #[test]
+    fn subset_terms_enumerate_complements_of_snowcaps() {
+        for text in ["//a[//b//c]//d", "//a[//b][//c]//d", "//a[//b[//x]//c]//d//e", "//a"] {
+            let p = parse_pattern(text).unwrap();
+            let full: BTreeSet<_> = p.node_ids().collect();
+            assert_eq!(subset_terms(&p, &full), crate::expand::surviving_terms(&p), "{text}");
+        }
+        let chain = parse_pattern(&"//a".repeat(MAX_TERM_NODES)).unwrap();
+        let full: BTreeSet<_> = chain.node_ids().collect();
+        let terms = subset_terms(&chain, &full);
+        assert_eq!(terms.len(), MAX_TERM_NODES);
+        assert!(terms.iter().all(|t| t.is_delta_descendant_closed(&chain)));
+    }
+
     #[test]
     fn eval_term_with_canonical_leaves_matches_direct_join() {
         // With Δ = canonical and R unused, the all-Δ term is just the
@@ -183,7 +203,7 @@ mod tests {
         let order = p.preorder();
         let full: BTreeSet<_> = order.iter().copied().collect();
         let all_delta = Term::new(full.clone());
-        let rel = eval_term(&p, &order, &all_delta, &[], &|_| unreachable!("no R nodes"), &|n| {
+        let rel = eval_term(&p, &order, &all_delta, None, &|_| unreachable!("no R nodes"), &|n| {
             Cow::Owned(canonical_relation(&d, &p, n))
         });
         let direct = xivm_pattern::compile::eval_bindings(&d, &p);
@@ -203,9 +223,9 @@ mod tests {
         let ab_rel = {
             let terms = subset_terms(&p, &ab_set);
             let all = terms.iter().find(|t| t.delta_count() == 2).unwrap(); // all-Δ over {a,b}
-            eval_term(&p, &ab, all, &[], &|_| unreachable!(), &canonical)
+            eval_term(&p, &ab, all, None, &|_| unreachable!(), &canonical)
         };
-        let mat = vec![MaterializedSnowcap { nodes: ab, rel: ab_rel }];
+        let mat = MaterializedSnowcap { nodes: ab, rel: ab_rel };
         // term Δ{c}: R-part {a,b} should come from the materialization
         let term = Term::from_iter([PatternNodeId(2)]);
         let r_calls = std::cell::Cell::new(0);
@@ -213,7 +233,7 @@ mod tests {
             &p,
             &order,
             &term,
-            &mat,
+            Some(&mat),
             &|n| {
                 r_calls.set(r_calls.get() + 1);
                 canonical(n)
@@ -232,11 +252,11 @@ mod tests {
         let full: BTreeSet<_> = order.iter().copied().collect();
         let terms = subset_terms(&p, &full); // Δ{b}, Δ{a,b}
         let canonical = |n| Cow::Owned(canonical_relation(&d, &p, n));
-        let rel = eval_terms(&p, &order, &terms, &[], &canonical, &canonical);
+        let rel = eval_terms(&p, &order, &terms, &canonical, &canonical);
         // Δ{b}: 2 bindings; Δ{a,b}: 2 bindings — bag accumulation
         assert_eq!(rel.len(), 4);
         // empty delta leaf kills terms
-        let empty = eval_terms(&p, &order, &terms, &[], &canonical, &|n| {
+        let empty = eval_terms(&p, &order, &terms, &canonical, &|n| {
             Cow::Owned(relation_from_nodes(&d, &p, n, &[], true))
         });
         assert!(empty.is_empty());

@@ -140,8 +140,7 @@ pub fn bindings_by_flips(ctx: &TermContext<'_>, sign: Sign) -> Relation {
         ctx.pattern,
         &ctx.pattern.preorder(),
         &terms,
-        &[],
-        &|n| Cow::Borrowed(ctx.old_leaf(n, Truth::Stayed)),
+        &|n| Cow::Borrowed(ctx.old_leaf(n, Truth::Stayed, None)),
         // F↑ nodes satisfy the predicate now, so the standard builder
         // keeps them; F↓ nodes fail it now and bypass the filter.
         &|p| Cow::Owned(relation_from_nodes(ctx.doc, ctx.pattern, p, &table[&p], gained)),

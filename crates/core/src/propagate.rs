@@ -22,20 +22,56 @@
 //! relations and relies on Proposition 4.3 to drop the even-k (∪)
 //! terms — sound for membership, while the disjoint form also keeps
 //! the counts exact.
+//!
+//! # Δ-restricted leaves (semi-join reduction)
+//!
+//! A term joins a Δ of a few tuples against R-parts the size of the
+//! document; it need not build them whole. Its Δ-set is
+//! descendant-closed (Propositions 3.3 / 4.2), so its R nodes form a
+//! snowcap, and in any result binding:
+//!
+//! * an R node *above* a Δ node in the pattern binds a proper ancestor
+//!   of that node's Δ tuple (pattern edges are `/` and `//`, and they
+//!   compose to "ancestor") — and a Dewey ID *is* its ancestor list:
+//!   the candidates are the label-matching proper prefixes of the Δ
+//!   IDs, the same reading of the IDs the witnesses of Propositions
+//!   3.8 / 4.7 make, then one `find_node` per distinct prefix;
+//! * an R node off that path (a side branch such as `name` in
+//!   `person[homepage]/name` with Δ = {homepage}) binds a descendant of
+//!   what its pattern parent binds: one binary-searched range of the
+//!   label's canonical list (document order) per parent candidate.
+//!
+//! By induction down the snowcap from the root — which is above every Δ
+//! node — one anchor Δ node restricts every R node of the term to a
+//! superset of what any binding can bind there
+//! (`TermContext::reachable`). The leaf is then built from the
+//! candidates exactly like a whole leaf (same exclusion of same-PUL
+//! insertions, same `relation_from_nodes`), and the unchanged
+//! [`eval_term`] joins leaves of |Δ| · depth rows. No binding is lost:
+//! a structural join only ever discards rows, and every row the
+//! reduction left out would have been discarded by one. The terms stay
+//! disjoint for the same reason — their bags are the same bags.
+//!
+//! Whether a term takes restricted leaves or whole ones (merged onto
+//! the largest covering snowcap) is read off its inputs in [`eval`]:
+//! prefix sets win while |Δ| is small against the relations the merge
+//! would scan, one linear pass wins when a bulk update's Δ rivals
+//! them. Under predicate flips only whole leaves carry the [`Truth`]
+//! corrections, so every term takes them.
 
-use crate::etins::{eval_terms, subset_terms};
+use crate::etins::{bag_union, eval_term};
 use crate::predflip::Flips;
-use crate::snowcap::MaterializedSnowcap;
+use crate::snowcap::{best_cover, MaterializedSnowcap};
 use crate::term::Term;
 use crate::view_store::{TupleKey, ViewStore};
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use xivm_algebra::Relation;
 use xivm_pattern::compile::{canonical_node_ids, relation_from_nodes};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
-use xivm_update::{DeltaMinus, DeltaPlus};
+use xivm_update::{ApplyResult, DeltaMinus, DeltaPlus};
 use xivm_xml::{DeweyForest, DeweyId, Document, LabelId, NodeId};
 
 /// The direction of a store patch: bindings gained or bindings lost.
@@ -96,34 +132,38 @@ pub enum Truth {
 pub struct TermContext<'a> {
     pub doc: &'a Document,
     pub pattern: &'a TreePattern,
-    /// Arena ids of every node this PUL inserted: excluded from the
+    /// The applied PUL: the nodes it created are excluded from the
     /// R-leaves so old-state semantics hold (also under mixed PULs).
-    pub inserted: &'a HashSet<NodeId>,
+    pub applied: &'a ApplyResult,
     pub flips: &'a Flips,
     /// Ablation switches for the dynamic prunings (Section 6.8 studies
     /// the win of dynamic reasoning).
     pub use_delta_pruning: bool,
     pub use_id_pruning: bool,
-    /// Per pattern node, the old-state leaf with no / F↑ / F↑ and F↓
-    /// corrections applied.
-    leaves: Vec<[OnceCell<Relation>; 3]>,
+    /// The commit's one cache of old-state leaves. Per pattern node a
+    /// row of slots, allocated when the node's first leaf is asked for
+    /// (a term touches a few nodes of a large view): the whole leaf
+    /// with no / F↑ / F↑ and F↓ corrections applied, then per direction
+    /// and Δ anchor (`2k` slots) the part of it that anchor's Δ can
+    /// reach.
+    leaves: Vec<OnceCell<Vec<OnceCell<Relation>>>>,
 }
 
 impl<'a> TermContext<'a> {
     pub fn new(
         doc: &'a Document,
         pattern: &'a TreePattern,
-        inserted: &'a HashSet<NodeId>,
+        applied: &'a ApplyResult,
         flips: &'a Flips,
     ) -> Self {
         TermContext {
             doc,
             pattern,
-            inserted,
+            applied,
             flips,
             use_delta_pruning: true,
             use_id_pruning: true,
-            leaves: (0..pattern.len()).map(|_| Default::default()).collect(),
+            leaves: vec![OnceCell::new(); pattern.len()],
         }
     }
 
@@ -131,15 +171,38 @@ impl<'a> TermContext<'a> {
     /// minus same-PUL insertions, minus F↑ unless `truth` is `Now`,
     /// plus F↓ when it is `Before`. Built once per commit; a node no
     /// flip touches has a single old state, whatever `truth` asks.
-    pub fn old_leaf(&self, n: PatternNodeId, truth: Truth) -> &Relation {
+    ///
+    /// With `reach = (side, anchor)` — only asked for when nothing
+    /// flipped — the leaf holds just the candidates a term anchored at
+    /// Δ_`anchor` can bind at `n` (`Self::reachable`), built the same
+    /// way from fewer nodes.
+    pub fn old_leaf(
+        &self,
+        n: PatternNodeId,
+        truth: Truth,
+        reach: Option<(&DeltaSide<'_>, PatternNodeId)>,
+    ) -> &Relation {
         let up = self.flips.up.get(&n).filter(|_| truth != Truth::Now);
         let down = self.flips.down.get(&n).filter(|_| truth == Truth::Before);
-        let slot = usize::from(up.is_some()) + usize::from(down.is_some());
-        self.leaves[n.index()][slot].get_or_init(|| {
+        let slot = match reach {
+            None => usize::from(up.is_some()) + usize::from(down.is_some()),
+            Some((side, anchor)) => {
+                debug_assert!(!self.flips.any(), "reach leaves carry no flip corrections");
+                let direction = usize::from(matches!(side, DeltaSide::Minus { .. }));
+                3 + direction * self.pattern.len() + anchor.index()
+            }
+        };
+        let row = self.leaves[n.index()]
+            .get_or_init(|| vec![OnceCell::new(); 3 + 2 * self.pattern.len()]);
+        row[slot].get_or_init(|| {
             let up: HashSet<NodeId> = up.into_iter().flatten().copied().collect();
-            let ids: Vec<NodeId> = canonical_node_ids(self.doc, self.pattern, n)
+            let candidates = match reach {
+                None => canonical_node_ids(self.doc, self.pattern, n),
+                Some((side, anchor)) => self.reachable(n, side, anchor),
+            };
+            let ids: Vec<NodeId> = candidates
                 .into_iter()
-                .filter(|id| !self.inserted.contains(id) && !up.contains(id))
+                .filter(|id| !self.applied.created(*id) && !up.contains(id))
                 .collect();
             let mut rel = relation_from_nodes(self.doc, self.pattern, n, &ids, true);
             if let Some(down) = down {
@@ -150,6 +213,68 @@ impl<'a> TermContext<'a> {
             rel
         })
     }
+
+    /// The semi-join reduction of R_`n` by Δ_`anchor`: a superset, in
+    /// document order, of the nodes `n` binds in any binding that
+    /// binds `anchor` to a Δ tuple (see the module docs).
+    ///
+    /// * `n` above `anchor` in the pattern: the binding's `n`-node is
+    ///   an ancestor of its Δ tuple, so the candidates are the
+    ///   label-matching proper prefixes of Δ_`anchor`'s IDs — pure ID
+    ///   work, then one [`Document::find_node`] per distinct prefix.
+    /// * `n` off that path (a side branch): the binding's `n`-node lies
+    ///   below its pattern parent's, so the candidates are the
+    ///   label-matching descendants of the parent's reach leaf — one
+    ///   binary-searched range of the canonical list per maximal
+    ///   parent candidate.
+    fn reachable(
+        &self,
+        n: PatternNodeId,
+        side: &DeltaSide<'_>,
+        anchor: PatternNodeId,
+    ) -> Vec<NodeId> {
+        let doc = self.doc;
+        let label = match &self.pattern.node(n).test {
+            NodeTest::Wildcard => None,
+            NodeTest::Name(name) => match doc.label_id(name) {
+                Some(l) => Some(l),
+                None => return Vec::new(), // never seen in the document
+            },
+        };
+        let mut out = Vec::new();
+        if self.pattern.is_ancestor(n, anchor) {
+            // Δ tables are in document order, so a prefix two tuples
+            // share is a prefix of every tuple between them: skipping
+            // the steps shared with the previous tuple visits each
+            // distinct prefix once, in document order.
+            let mut previous: &[xivm_xml::dewey::Step] = &[];
+            for tuple in &side.relation(anchor).rows {
+                let steps = tuple.field(0).id.steps();
+                let shared = steps.iter().zip(previous).take_while(|(a, b)| a == b).count();
+                for depth in shared + 1..steps.len() {
+                    if label.is_none_or(|l| steps[depth - 1].label == l) {
+                        out.extend(doc.find_node(&DeweyId::from_steps(steps[..depth].to_vec())));
+                    }
+                }
+                previous = steps;
+            }
+            return out;
+        }
+        let parent = self.pattern.node(n).parent.expect("the root is above every Δ anchor");
+        let parents = self.old_leaf(parent, Truth::Now, Some((side, anchor)));
+        let below = DeweyForest::new(parents.rows.iter().map(|t| t.field(0).id.clone()).collect());
+        let Some(label) = label else {
+            let elements = canonical_node_ids(doc, self.pattern, n);
+            return elements.into_iter().filter(|&x| below.covers(&doc.dewey(x))).collect();
+        };
+        let list = doc.canonical_nodes(label);
+        for root in below.roots() {
+            let inside = &list[list.partition_point(|&x| doc.dewey(x) <= *root)..];
+            let len = inside.partition_point(|&x| root.is_ancestor_of(&doc.dewey(x)));
+            out.extend_from_slice(&inside[..len]);
+        }
+        out
+    }
 }
 
 /// The Δ side of a term pipeline — the three answers on which
@@ -157,31 +282,22 @@ impl<'a> TermContext<'a> {
 pub enum DeltaSide<'a> {
     /// σ(Δ⁺) tables and the insertion targets `p1 … pk`.
     Plus { tables: &'a DeltaPlus, targets: &'a [DeweyId] },
-    /// Δ⁻ ID lists, and their one-column relations per pattern node.
-    Minus { ids: &'a DeltaMinus, relations: Vec<OnceCell<Relation>> },
+    /// The Δ⁻ tables: the IDs of the deleted nodes, one column each.
+    Minus { tables: &'a DeltaMinus },
 }
 
-impl<'a> DeltaSide<'a> {
-    pub fn minus(ids: &'a DeltaMinus, pattern: &TreePattern) -> Self {
-        DeltaSide::Minus { ids, relations: vec![OnceCell::new(); pattern.len()] }
-    }
-
+impl DeltaSide<'_> {
     /// Δ_n = ∅ — the emptiness test of Proposition 3.6 and its deletion
     /// analogue (Example 4.5: Δ⁻_a = ∅ removes the ΔaΔbΔc term).
     pub fn is_empty(&self, n: PatternNodeId) -> bool {
-        match self {
-            DeltaSide::Plus { tables, .. } => tables.is_empty(n),
-            DeltaSide::Minus { ids, .. } => ids.is_empty(n),
-        }
+        self.relation(n).is_empty()
     }
 
-    /// Δ_n as a relation for structural joins, built once per commit.
-    fn relation(&self, pattern: &TreePattern, n: PatternNodeId) -> &Relation {
+    /// Δ_n as a relation for structural joins.
+    fn relation(&self, n: PatternNodeId) -> &Relation {
         match self {
             DeltaSide::Plus { tables, .. } => tables.table(n),
-            DeltaSide::Minus { ids, relations } => {
-                relations[n.index()].get_or_init(|| ids.relation(pattern, n))
-            }
+            DeltaSide::Minus { tables } => tables.table(n),
         }
     }
 
@@ -197,10 +313,19 @@ impl<'a> DeltaSide<'a> {
             DeltaSide::Plus { targets, .. } => {
                 targets.iter().any(|p| p.has_self_or_ancestor_labeled(anc))
             }
-            DeltaSide::Minus { ids, .. } => {
-                ids.ids(n).iter().any(|id| id.has_proper_ancestor_labeled(anc))
+            DeltaSide::Minus { tables } => {
+                tables.ids(n).any(|id| id.has_proper_ancestor_labeled(anc))
             }
         }
+    }
+
+    /// The Δ node a term's reach leaves are anchored at: the one with
+    /// the smallest table. One anchor per term — every R node is then
+    /// either above it or below a restricted pattern parent (the root
+    /// is above every Δ node).
+    fn anchor(&self, term: &Term) -> PatternNodeId {
+        let size = |n: &&PatternNodeId| self.relation(**n).len();
+        *term.delta_nodes().iter().min_by_key(size).expect("a maintenance term has a Δ node")
     }
 
     /// The truth the R-parts of this side's terms reflect.
@@ -212,17 +337,20 @@ impl<'a> DeltaSide<'a> {
     }
 }
 
-/// "Get Update Expression": the terms of the sub-pattern `subset`
-/// (the full view, or a snowcap when maintaining the lattice) that
-/// survive Propositions 3.3 / 4.2 (built into [`subset_terms`]), the
-/// Δ-emptiness check (Proposition 3.6) and the ID check
-/// (Propositions 3.8 / 4.7).
-pub fn terms(
+/// "Get Update Expression": the terms of `table` — the engine's
+/// once-built [`subset_terms`] of the sub-pattern `subset` (the full
+/// view, or a snowcap when maintaining the lattice), Propositions
+/// 3.3 / 4.2 built in — that survive the Δ-emptiness check
+/// (Proposition 3.6) and the ID check (Propositions 3.8 / 4.7).
+///
+/// [`subset_terms`]: crate::etins::subset_terms
+pub fn terms<'t>(
     ctx: &TermContext<'_>,
     side: &DeltaSide<'_>,
-    subset: &BTreeSet<PatternNodeId>,
-) -> (Vec<Term>, PruneStats) {
-    let mut terms = subset_terms(ctx.pattern, subset);
+    table: &'t [Term],
+    subset: &[PatternNodeId],
+) -> (Vec<&'t Term>, PruneStats) {
+    let mut terms: Vec<&Term> = table.iter().collect();
     let mut stats = PruneStats { before: terms.len(), ..Default::default() };
     if ctx.use_delta_pruning {
         terms.retain(|t| t.delta_nodes().iter().all(|&n| !side.is_empty(n)));
@@ -250,24 +378,72 @@ pub fn terms(
     (terms, stats)
 }
 
+/// How many merged rows one Δ-tuple prefix may cost before reach
+/// leaves stop paying: a prefix is a [`Document::find_node`] descent, a
+/// merged row one comparison of a linear pass. An order of magnitude,
+/// not a tuned value: the point streams sit a factor of a thousand
+/// under the threshold and the bulk updates a factor of ten over it.
+const PREFIX_COST: usize = 8;
+
 /// "Execute Update": evaluates the surviving terms of the sub-pattern
 /// `subset_preorder` (pattern pre-order, parent-closed) into the bag
 /// of bindings to add (`Plus`) or the bag of lost bindings (`Minus`).
+///
+/// Each term's cover — the largest materialized snowcap within its
+/// R-part — is chosen here, once, and the term then picks where its
+/// R-leaves come from by what its inputs show: reach leaves
+/// (`TermContext::reachable`) when its anchor Δ table, times the depth
+/// of its tuples, is small against the largest relation the merge would
+/// scan — a point update on a large document — and whole leaves merged
+/// onto the cover otherwise, where a bulk update's thousands of Δ
+/// tuples make prefix sets dearer than one linear pass. Both arms carry
+/// an end-to-end metric (CHANGES.md, PR 16): forcing reach costs
+/// `bulk_catalog` 11 % of `commit_p50_us`, forcing the merge costs
+/// `point_large` 87 %. Under predicate flips only whole leaves carry
+/// the [`Truth`] corrections, so every term merges.
 pub fn eval(
     ctx: &TermContext<'_>,
     side: &DeltaSide<'_>,
     subset_preorder: &[PatternNodeId],
-    terms: &[Term],
+    terms: &[&Term],
     materialized: &[MaterializedSnowcap],
 ) -> Relation {
-    eval_terms(
-        ctx.pattern,
-        subset_preorder,
-        terms,
-        materialized,
-        &|n| Cow::Borrowed(ctx.old_leaf(n, side.truth())),
-        &|n| Cow::Borrowed(side.relation(ctx.pattern, n)),
-    )
+    bag_union(terms.iter().map(|term| {
+        let in_r = |n| subset_preorder.contains(&n) && !term.is_delta(n);
+        let cover = best_cover(materialized, in_r);
+        let delta = side.relation(side.anchor(term));
+        let prefixes = delta.len() * delta.rows.first().map_or(0, |t| t.field(0).id.depth());
+        let merged = subset_preorder
+            .iter()
+            .filter(|&&n| in_r(n) && cover.is_none_or(|m| !m.nodes.contains(&n)))
+            .map(|&n| match &ctx.pattern.node(n).test {
+                NodeTest::Name(name) => ctx.doc.canonical_nodes_named(name).len(),
+                NodeTest::Wildcard => ctx.doc.arena_len(),
+            })
+            .chain(cover.map(|m| m.rel.len()))
+            .max();
+        let reach = !ctx.flips.any() && merged.is_some_and(|m| prefixes * PREFIX_COST <= m);
+        eval_one(ctx, side, subset_preorder, term, cover, reach)
+    }))
+}
+
+/// One term of [`eval`] on a given arm: reach leaves for every R node
+/// and no snowcap under `reach`, whole leaves joined onto `cover`
+/// otherwise — the entry point the equivalence tests drive both arms
+/// through.
+pub(crate) fn eval_one(
+    ctx: &TermContext<'_>,
+    side: &DeltaSide<'_>,
+    subset_preorder: &[PatternNodeId],
+    term: &Term,
+    cover: Option<&MaterializedSnowcap>,
+    reach: bool,
+) -> Relation {
+    let (reach, cover) =
+        if reach { (Some((side, side.anchor(term))), None) } else { (None, cover) };
+    let r_leaf = |n| Cow::Borrowed(ctx.old_leaf(n, side.truth(), reach));
+    let delta_leaf = |n| Cow::Borrowed(side.relation(n));
+    eval_term(ctx.pattern, subset_preorder, term, cover, &r_leaf, &delta_leaf)
 }
 
 /// PIMT / PDMT: an update strictly inside (or, for an insertion, at) a
@@ -332,10 +508,11 @@ pub fn refresh_text(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::etins::subset_terms;
     use xivm_pattern::compile::view_tuples;
     use xivm_pattern::parse_pattern;
     use xivm_update::statement::parse_statement;
-    use xivm_update::{apply_pul, compute_pul, ApplyResult};
+    use xivm_update::{apply_pul, compute_pul};
     use xivm_xml::parse_document;
 
     /// One statement applied to one document under one view: the
@@ -345,7 +522,6 @@ mod tests {
         doc: Document,
         pattern: TreePattern,
         dminus: DeltaMinus,
-        delete_roots: Vec<DeweyId>,
         res: ApplyResult,
     }
 
@@ -353,27 +529,38 @@ mod tests {
         let mut doc = parse_document(doc_xml).unwrap();
         let pattern = parse_pattern(pattern).unwrap();
         let pul = compute_pul(&doc, &parse_statement(stmt).unwrap());
-        let (dminus, delete_roots) = DeltaMinus::collect(&doc, &pattern, &pul);
+        let dminus = DeltaMinus::collect(&doc, &pattern, &pul);
         let res = apply_pul(&mut doc, &pul).unwrap();
-        Applied { doc, pattern, dminus, delete_roots, res }
+        let dminus = dminus.complete(&doc, &pattern, &res);
+        Applied { doc, pattern, dminus, res }
     }
 
     /// Expands, prunes and evaluates the full view's terms in one
-    /// direction.
+    /// direction. Every surviving term is evaluated on both arms —
+    /// whole leaves and reach leaves — and the two bags must be equal.
     fn run(a: &Applied, sign: Sign, pruning: bool) -> (Relation, Vec<Term>, PruneStats) {
-        let inserted: HashSet<NodeId> = a.res.inserted.iter().copied().collect();
         let flips = Flips::default();
-        let mut ctx = TermContext::new(&a.doc, &a.pattern, &inserted, &flips);
+        let mut ctx = TermContext::new(&a.doc, &a.pattern, &a.res, &flips);
         ctx.use_delta_pruning = pruning;
         ctx.use_id_pruning = pruning;
-        let dplus = DeltaPlus::compute(&a.doc, &a.pattern, &a.res.inserted);
+        let dplus = DeltaPlus::compute(&a.doc, &a.pattern, &a.res);
         let side = match sign {
             Sign::Plus => DeltaSide::Plus { tables: &dplus, targets: &a.res.insert_targets },
-            Sign::Minus => DeltaSide::minus(&a.dminus, &a.pattern),
+            Sign::Minus => DeltaSide::Minus { tables: &a.dminus },
         };
         let order = a.pattern.preorder();
-        let (terms, stats) = terms(&ctx, &side, &order.iter().copied().collect());
-        (eval(&ctx, &side, &order, &terms, &[]), terms, stats)
+        let table = subset_terms(&a.pattern, &order.iter().copied().collect());
+        let (terms, stats) = terms(&ctx, &side, &table, &order);
+        let sorted = |mut rel: Relation| {
+            xivm_algebra::ops::sort_all(&mut rel);
+            rel.rows
+        };
+        for term in &terms {
+            let on = |reach| sorted(eval_one(&ctx, &side, &order, term, None, reach));
+            assert_eq!(on(true), on(false), "{term} of {}", a.pattern.to_text());
+        }
+        let rel = eval(&ctx, &side, &order, &terms, &[]);
+        (rel, terms.into_iter().cloned().collect(), stats)
     }
 
     #[test]
@@ -494,6 +681,70 @@ mod tests {
         assert_eq!(run(&d, Sign::Minus, true).0.len(), 1, "only the f/b witness embedding is lost");
     }
 
+    /// The reach leaves against the whole leaves (`run` compares every
+    /// surviving term's bag on both arms) where the reduction has the
+    /// most to get wrong: a side branch off the Δ path, a wildcard
+    /// above and beside Δ, a value predicate on an R node, nested
+    /// same-label ancestors, a mixed replace — both directions, with
+    /// and without the prunings (unpruned keeps terms whose R-part has
+    /// no witness at all).
+    #[test]
+    fn reach_leaves_equal_whole_leaves() {
+        let doc =
+            "<r><a><c><b/><b/></c><f><c><b/></c><b/></f><a><c/><b>5</b></a></a><a>5<b/></a></r>";
+        let cases = [
+            ("//a{id}[//c{id}]//b{id}", "insert <b/> into //f"),
+            ("//a{id}[//c{id}]//b{id}", "insert <c><b/></c> into //a"),
+            ("//a{id}[//c{id}]//b{id}", "delete //f//b"),
+            ("//a{id}[//c{id}]//b{id}", "delete //c"),
+            ("//a{id}[//c{id}]//b{id}", "replace //f/c with <c><b/><b/></c>"),
+            ("//r{id}/*{id}//b{id}", "insert <b/> into //c"),
+            ("//r{id}/*{id}//b{id}", "delete //f"),
+            ("//*{id}[//c{id}]//b{id}", "insert <b/> into //f"),
+            ("//a[val=\"5\"]//b{id}", "insert <b/> into //a"),
+            ("//a[val=\"5\"]//b{id}", "delete //f"),
+            ("/r{id}//a{id}/b{id,val}", "insert <b>7</b> into //a"),
+        ];
+        for (pattern, stmt) in cases {
+            let a = apply(doc, stmt, pattern);
+            let order = a.pattern.preorder();
+            let expected = xivm_pattern::compile::eval_bindings(&a.doc, &a.pattern).len() as i64
+                - xivm_pattern::compile::eval_bindings(&parse_document(doc).unwrap(), &a.pattern)
+                    .len() as i64;
+            let mut net = 0i64;
+            for pruning in [true, false] {
+                let (gained, _, _) = run(&a, Sign::Plus, pruning);
+                let (lost, _, _) = run(&a, Sign::Minus, pruning);
+                assert!(gained.is_empty() || gained.schema.arity() == order.len());
+                net = gained.len() as i64 - lost.len() as i64;
+            }
+            assert_eq!(net, expected, "{pattern} under {stmt}");
+        }
+    }
+
+    /// The |Δ|-vs-|R| choice: a point update against a long canonical
+    /// list takes reach leaves, a bulk one the merge — and a term with
+    /// no R-part has nothing to reduce.
+    #[test]
+    fn arm_follows_delta_size() {
+        let big = format!("<r><a><b k=\"1\"/>{}</a></r>", "<b/>".repeat(199));
+        let flips = Flips::default();
+        let built_whole = |stmt: &str| {
+            let a = apply(&big, stmt, "//a{id}//b{id}//c{id}");
+            let ctx = TermContext::new(&a.doc, &a.pattern, &a.res, &flips);
+            let dplus = DeltaPlus::compute(&a.doc, &a.pattern, &a.res);
+            let side = DeltaSide::Plus { tables: &dplus, targets: &a.res.insert_targets };
+            let order = a.pattern.preorder();
+            let table = subset_terms(&a.pattern, &order.iter().copied().collect());
+            let (terms, _) = terms(&ctx, &side, &table, &order);
+            assert!(!eval(&ctx, &side, &order, &terms, &[]).is_empty());
+            // slot 0 of the b leaf is its whole old-state relation
+            ctx.leaves[order[1].index()].get().is_some_and(|row| row[0].get().is_some())
+        };
+        assert!(!built_whole("insert <c/> into //b[@k=\"1\"]"), "1 Δ tuple vs 200 b's: reach");
+        assert!(built_whole("insert <c/> into //b"), "200 Δ tuples vs 200 b's: merge");
+    }
+
     /// The view store of `pattern` over `doc_xml`, then `stmt` applied
     /// and the text refreshed: the store and the modified keys.
     fn refreshed(doc_xml: &str, stmt: &str, pattern: &str) -> (ViewStore, Vec<TupleKey>) {
@@ -501,7 +752,8 @@ mod tests {
         let mut store =
             ViewStore::from_counted(&p, view_tuples(&parse_document(doc_xml).unwrap(), &p));
         let a = apply(doc_xml, stmt, pattern);
-        let roots = if a.delete_roots.is_empty() { &a.res.insert_targets } else { &a.delete_roots };
+        let roots =
+            if a.res.delete_roots.is_empty() { &a.res.insert_targets } else { &a.res.delete_roots };
         let keys = refresh_text(&mut store, &a.doc, &p, roots);
         (store, keys)
     }

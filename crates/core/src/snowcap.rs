@@ -23,15 +23,28 @@ pub fn is_snowcap(pattern: &TreePattern, set: &BTreeSet<PatternNodeId>) -> bool 
 
 /// Enumerates every snowcap of the pattern (including the full
 /// pattern itself), in increasing size order.
+pub fn enumerate_snowcaps(pattern: &TreePattern) -> Vec<BTreeSet<PatternNodeId>> {
+    snowcaps_within(pattern, &|_| true)
+}
+
+/// Enumerates the snowcaps of the sub-pattern induced by the nodes
+/// `keep` accepts (itself a snowcap), in increasing size order.
 ///
 /// The recursive structure: a snowcap contains the root, and for each
 /// child subtree independently either skips it entirely or contains a
 /// snowcap of it.
-pub fn enumerate_snowcaps(pattern: &TreePattern) -> Vec<BTreeSet<PatternNodeId>> {
-    fn rec(pattern: &TreePattern, node: PatternNodeId) -> Vec<BTreeSet<PatternNodeId>> {
+pub fn snowcaps_within(
+    pattern: &TreePattern,
+    keep: &dyn Fn(PatternNodeId) -> bool,
+) -> Vec<BTreeSet<PatternNodeId>> {
+    fn rec(
+        pattern: &TreePattern,
+        keep: &dyn Fn(PatternNodeId) -> bool,
+        node: PatternNodeId,
+    ) -> Vec<BTreeSet<PatternNodeId>> {
         let mut result: Vec<BTreeSet<PatternNodeId>> = vec![BTreeSet::from([node])];
-        for &c in &pattern.node(node).children {
-            let child_caps = rec(pattern, c);
+        for &c in pattern.node(node).children.iter().filter(|&&c| keep(c)) {
+            let child_caps = rec(pattern, keep, c);
             let mut extended = Vec::with_capacity(result.len() * (child_caps.len() + 1));
             for base in &result {
                 extended.push(base.clone()); // skip this child subtree
@@ -45,7 +58,7 @@ pub fn enumerate_snowcaps(pattern: &TreePattern) -> Vec<BTreeSet<PatternNodeId>>
         }
         result
     }
-    let mut caps = rec(pattern, pattern.root());
+    let mut caps = rec(pattern, keep, pattern.root());
     caps.sort_by_key(|s| (s.len(), s.iter().map(|n| n.0).collect::<Vec<_>>()));
     caps
 }
@@ -70,16 +83,29 @@ pub struct MaterializedSnowcap {
     pub rel: Relation,
 }
 
+impl MaterializedSnowcap {
+    /// Adds the snowcap's own new bindings, keeping `rel` sorted by its
+    /// first column (the order every term that starts from this
+    /// snowcap joins on): the rows before the first new one stay in
+    /// place and only the rest is re-sorted — nothing, for an append at
+    /// the document's end.
+    pub fn absorb(&mut self, new: Relation) {
+        let Some(first) = new.rows.iter().map(|t| &t.field(0).id).min().cloned() else { return };
+        let rows = &mut self.rel.rows;
+        let keep = rows.partition_point(|t| t.field(0).id <= first);
+        rows.extend(new.rows);
+        rows[keep..].sort_by(|a, b| a.field(0).id.cmp(&b.field(0).id));
+    }
+}
+
 /// Picks the largest materialized snowcap whose nodes are all within
-/// `r_part` — the best starting point for evaluating a term.
-pub fn best_cover<'a>(
-    materialized: &'a [MaterializedSnowcap],
-    r_part: &BTreeSet<PatternNodeId>,
-) -> Option<&'a MaterializedSnowcap> {
-    materialized
-        .iter()
-        .filter(|m| m.nodes.iter().all(|n| r_part.contains(n)))
-        .max_by_key(|m| m.nodes.len())
+/// a term's R-part (`in_r`) — the best starting point for evaluating
+/// it.
+pub fn best_cover(
+    materialized: &[MaterializedSnowcap],
+    in_r: impl Fn(PatternNodeId) -> bool,
+) -> Option<&MaterializedSnowcap> {
+    materialized.iter().filter(|m| m.nodes.iter().all(|&n| in_r(n))).max_by_key(|m| m.nodes.len())
 }
 
 #[cfg(test)]
@@ -155,10 +181,10 @@ mod tests {
             .collect();
         // r_part = {a, b, c} (term Δ{d}): best cover is abc
         let r: BTreeSet<_> = [PatternNodeId(0), PatternNodeId(1), PatternNodeId(2)].into();
-        assert_eq!(best_cover(&mats, &r).unwrap().nodes.len(), 3);
+        assert_eq!(best_cover(&mats, |n| r.contains(&n)).unwrap().nodes.len(), 3);
         // r_part = {a, d}: abc not contained, ab not contained; only a
         let r2: BTreeSet<_> = [PatternNodeId(0), PatternNodeId(3)].into();
-        assert_eq!(best_cover(&mats, &r2).unwrap().nodes.len(), 1);
+        assert_eq!(best_cover(&mats, |n| r2.contains(&n)).unwrap().nodes.len(), 1);
     }
 
     #[test]

@@ -3,35 +3,109 @@
 //! `apply-insert(n, t)` (Section 3.4) copies the forest into its new
 //! context; crucially, the copies receive their Dewey IDs *in the new
 //! context* as a side effect, and those IDs are what the Δ⁺ tables are
-//! built from. Deletions capture the `(ID, label)` of every removed
-//! node before detaching, which is what the Δ⁻ tables are built from.
+//! built from. Deletions capture the ID of every removed node before
+//! detaching, which is what the Δ⁻ tables are built from.
+//!
+//! The apply walks every inserted and every deleted subtree exactly
+//! once, so it is also where the commit's Δ is *extracted*: both walks
+//! leave their nodes bucketed by label ([`LabelBuckets`]), and every
+//! view's Δ⁺ / Δ⁻ tables ([`crate::delta`]) are bucket lookups — one
+//! extraction per commit, not one per view.
 
 use crate::pul::{AtomicOp, Pul};
-use xivm_xml::{parser::parse_forest_into, DeweyId, Document, NodeId, NodeKind, XmlError};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use xivm_pattern::NodeTest;
+use xivm_xml::{parser::parse_forest_into, DeweyId, Document, LabelId, NodeId, NodeKind, XmlError};
 
-/// A node removed by a deletion: everything Δ⁻ extraction needs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeletedNode {
-    pub id: DeweyId,
-    /// Label name (attributes keep their `@` prefix, text nodes are
-    /// `#text`).
-    pub label: String,
-    pub kind: NodeKind,
+/// The nodes one applied PUL inserted (or deleted), bucketed by label.
+/// A label determines its node kind (attribute labels carry an `@`,
+/// text nodes share one pseudo-label), so each bucket has one kind.
+#[derive(Debug, Clone)]
+pub struct LabelBuckets<T> {
+    buckets: HashMap<LabelId, (NodeKind, Vec<T>)>,
 }
 
-/// Outcome of applying a PUL.
+impl<T> Default for LabelBuckets<T> {
+    fn default() -> Self {
+        LabelBuckets { buckets: HashMap::new() }
+    }
+}
+
+impl<T> LabelBuckets<T> {
+    fn push(&mut self, label: LabelId, kind: NodeKind, item: T) {
+        self.buckets.entry(label).or_insert_with(|| (kind, Vec::new())).1.push(item);
+    }
+
+    /// The bucket of `label`.
+    pub fn get(&self, label: LabelId) -> &[T] {
+        self.buckets.get(&label).map_or(&[], |(_, items)| items.as_slice())
+    }
+
+    /// The nodes a pattern node's test ranges over: one bucket for a
+    /// name (none if `doc` never saw the label), every element bucket
+    /// for a wildcard — those in no order across buckets.
+    pub fn matching(&self, doc: &Document, test: &NodeTest) -> Cow<'_, [T]>
+    where
+        T: Clone,
+    {
+        match test {
+            NodeTest::Name(name) => {
+                Cow::Borrowed(doc.label_id(name).map_or(&[][..], |l| self.get(l)))
+            }
+            NodeTest::Wildcard => self
+                .buckets
+                .values()
+                .filter(|(kind, _)| *kind == NodeKind::Element)
+                .flat_map(|(_, items)| items.iter().cloned())
+                .collect(),
+        }
+    }
+
+    /// Total number of bucketed nodes.
+    pub fn len(&self) -> usize {
+        self.buckets.values().map(|(_, items)| items.len()).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.buckets.is_empty()
+    }
+}
+
+/// Outcome of applying a PUL: the update roots and the commit's Δ
+/// extraction.
 #[derive(Debug, Clone, Default)]
 pub struct ApplyResult {
-    /// Every newly created node (roots and descendants), live in the
-    /// updated document.
-    pub inserted: Vec<NodeId>,
     /// Roots of the inserted forests only.
     pub inserted_roots: Vec<NodeId>,
-    /// Every removed node, pre-order within each deleted subtree.
-    pub deleted: Vec<DeletedNode>,
     /// IDs of the nodes that received insertions (the `p1 … pk` of
     /// Proposition 3.8).
     pub insert_targets: Vec<DeweyId>,
+    /// IDs of the delete targets that resolved to a node of the *old*
+    /// state (a surviving node's text changed iff it is a proper
+    /// ancestor of one of these or an insertion target's
+    /// ancestor-or-self).
+    pub delete_roots: Vec<DeweyId>,
+    /// Every newly created node (roots and descendants) in creation
+    /// order — document order within each forest. A node a later
+    /// operation of the same PUL deleted again stays listed, dead.
+    pub inserted: LabelBuckets<NodeId>,
+    /// The ID of every removed node of the old state, in document
+    /// order. Nodes this same PUL had inserted are *not* listed: they
+    /// were never part of the old state, so they belong to no Δ⁻.
+    pub deleted: LabelBuckets<DeweyId>,
+    /// The arena's length before the apply (`None`: nothing applied).
+    /// Nodes are only ever appended, so this PUL created exactly the
+    /// nodes at or past it.
+    first_created: Option<usize>,
+}
+
+impl ApplyResult {
+    /// True iff `node` was created by this PUL (old-state relations
+    /// exclude such nodes).
+    pub fn created(&self, node: NodeId) -> bool {
+        self.first_created.is_some_and(|first| node.index() >= first)
+    }
 }
 
 /// Applies every atomic operation of `pul` to `doc`, in order.
@@ -40,7 +114,7 @@ pub struct ApplyResult {
 /// earlier `del` in the same PUL — XQuery Update applies deletions of
 /// already-deleted nodes as no-ops) are skipped.
 pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError> {
-    let mut result = ApplyResult::default();
+    let mut result = ApplyResult { first_created: Some(doc.arena_len()), ..ApplyResult::default() };
     for op in &pul.ops {
         match op {
             AtomicOp::InsertInto { target, forest } => {
@@ -49,7 +123,10 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
                 };
                 let roots = parse_forest_into(doc, parent, forest)?;
                 for &r in &roots {
-                    result.inserted.extend(doc.descendants_or_self(r));
+                    for n in doc.descendants_or_self(r) {
+                        let node = doc.node(n);
+                        result.inserted.push(node.label, node.kind, n);
+                    }
                 }
                 result.inserted_roots.extend(roots);
                 result.insert_targets.push(target.clone());
@@ -58,17 +135,29 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
                 let Some(target) = doc.find_node(node) else {
                     continue;
                 };
-                // Capture (ID, label, kind) for Δ⁻ before detaching.
-                let doomed = doc.descendants_or_self(target);
-                for &n in &doomed {
-                    result.deleted.push(DeletedNode {
-                        id: doc.dewey(n),
-                        label: doc.label_name(doc.node(n).label).to_owned(),
-                        kind: doc.node(n).kind,
-                    });
+                // A sequential transaction can delete what its own PUL
+                // inserted: such nodes leave the document but enter no
+                // Δ⁻, and such a target is no update root of the old
+                // state (its insertion target already is one).
+                if !result.created(target) {
+                    result.delete_roots.push(node.clone());
+                }
+                // Capture the IDs for Δ⁻ before detaching.
+                for n in doc.descendants_or_self(target) {
+                    if !result.created(n) {
+                        let doomed = doc.node(n);
+                        result.deleted.push(doomed.label, doomed.kind, doc.dewey(n));
+                    }
                 }
                 doc.remove_subtree(target)?;
             }
+        }
+    }
+    // Subtrees are walked in pre-order, but the operations of a PUL
+    // come in any order.
+    for (_, ids) in result.deleted.buckets.values_mut() {
+        if !ids.is_sorted() {
+            ids.sort();
         }
     }
     Ok(result)
@@ -97,13 +186,16 @@ mod tests {
     }
 
     #[test]
-    fn delete_captures_subtree_preorder() {
+    fn delete_buckets_the_subtree_by_label() {
         let mut d = parse_document("<a><c><b/><b/></c><f/></a>").unwrap();
         let stmt = UpdateStatement::delete("//c").unwrap();
         let pul = compute_pul(&d, &stmt);
         let res = apply_pul(&mut d, &pul).unwrap();
-        let labels: Vec<_> = res.deleted.iter().map(|n| n.label.clone()).collect();
-        assert_eq!(labels, vec!["c", "b", "b"]);
+        let (c, b) = (d.label_id("c").unwrap(), d.label_id("b").unwrap());
+        assert_eq!(res.deleted.get(c).len(), 1);
+        assert_eq!(res.deleted.get(b).len(), 2);
+        assert!(res.deleted.get(b)[0] < res.deleted.get(b)[1], "document order");
+        assert_eq!(res.delete_roots, vec![res.deleted.get(c)[0].clone()]);
         assert_eq!(serialize_document(&d), "<a><f/></a>");
     }
 
@@ -119,6 +211,29 @@ mod tests {
         let res = apply_pul(&mut d, &pul).unwrap();
         // b is reported once (as part of c's subtree), not twice
         assert_eq!(res.deleted.len(), 2);
+        assert_eq!(serialize_document(&d), "<a/>");
+    }
+
+    /// A sequential transaction's PUL can delete inside the forest it
+    /// just inserted: those nodes were never in the old state, so they
+    /// enter no Δ⁻ bucket and their root is no delete root — while an
+    /// old node deleted together with them still is.
+    #[test]
+    fn same_pul_insertions_stay_out_of_delta_minus() {
+        let mut d = parse_document("<a><c/></a>").unwrap();
+        let mut pul = compute_pul(&d, &UpdateStatement::insert("//c", "<b><x/></b>").unwrap());
+        let mut scratch = d.clone();
+        apply_pul(&mut scratch, &pul).unwrap();
+        pul.ops.extend(compute_pul(&scratch, &UpdateStatement::delete("//x").unwrap()).ops);
+        let res = apply_pul(&mut d.clone(), &pul).unwrap();
+        assert_eq!(res.inserted.len(), 2, "b and x were created");
+        assert!(res.deleted.is_empty(), "x was never in the old state");
+        assert!(res.delete_roots.is_empty());
+
+        pul.ops.extend(compute_pul(&scratch, &UpdateStatement::delete("//c").unwrap()).ops);
+        let res = apply_pul(&mut d, &pul).unwrap();
+        assert_eq!(res.deleted.len(), 1, "only the old c, not the b inserted under it");
+        assert_eq!(res.delete_roots.len(), 1);
         assert_eq!(serialize_document(&d), "<a/>");
     }
 

@@ -25,7 +25,7 @@ pub mod delta;
 pub mod pul;
 pub mod statement;
 
-pub use apply::{apply_pul, ApplyResult, DeletedNode};
+pub use apply::{apply_pul, ApplyResult, LabelBuckets};
 pub use builder::{element, UpdateBuilder};
 pub use delta::{DeltaMinus, DeltaPlus};
 pub use pul::{compute_pul, AtomicOp, Pul};

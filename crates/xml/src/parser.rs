@@ -13,9 +13,15 @@ use crate::node::NodeId;
 /// Parses `input` into a fresh [`Document`].
 pub fn parse_document(input: &str) -> Result<Document, XmlError> {
     let mut doc = Document::new();
-    let root = parse_into(&mut doc, None, input)?;
-    if root.is_none() {
+    let mut p = Parser::new(input);
+    p.skip_misc();
+    if p.at_end() {
         return Err(XmlError::NoRoot);
+    }
+    p.element(&mut doc, None)?;
+    p.skip_misc();
+    if !p.at_end() {
+        return Err(p.err("content after document root"));
     }
     Ok(doc)
 }
@@ -30,42 +36,65 @@ pub fn parse_forest_into(
     parent: NodeId,
     input: &str,
 ) -> Result<Vec<NodeId>, XmlError> {
-    let mut p = Parser::new(input);
-    let mut roots = Vec::new();
-    loop {
-        p.skip_misc();
-        if p.at_end() {
-            break;
-        }
-        if p.peek() == Some('<') {
-            roots.push(p.element(doc, Some(parent))?);
-        } else {
-            // Top-level text inside a forest: attach as a text node.
-            let text = p.text()?;
-            if !text.trim().is_empty() {
-                roots.push(doc.append_text(parent, &text)?);
-            }
-        }
-    }
-    Ok(roots)
+    Parser::new(input).forest(doc, parent)
 }
 
-fn parse_into(
-    doc: &mut Document,
-    parent: Option<NodeId>,
-    input: &str,
-) -> Result<Option<NodeId>, XmlError> {
-    let mut p = Parser::new(input);
-    p.skip_misc();
-    if p.at_end() {
-        return Ok(None);
+/// Accepts exactly the forests [`parse_forest_into`] accepts, building
+/// nothing: the same parser over a sink that drops what it is handed.
+/// Statement validation uses it to reject a malformed insertion before
+/// anything is applied, at the cost of one scan of the text.
+pub fn check_forest(input: &str) -> Result<(), XmlError> {
+    Parser::new(input).forest(&mut (), ()).map(drop)
+}
+
+/// Where the parser puts what it recognizes: a [`Document`] builds
+/// nodes, `()` builds nothing.
+trait Sink {
+    type Node: Copy;
+    fn element(&mut self, parent: Option<Self::Node>, tag: &str) -> Result<Self::Node, XmlError>;
+    fn attribute(&mut self, node: Self::Node, name: &str, raw: &str) -> Result<(), XmlError>;
+    /// Character data under `parent`; `None` when it is all whitespace
+    /// (such text makes no node).
+    fn text(&mut self, parent: Self::Node, raw: &str) -> Result<Option<Self::Node>, XmlError>;
+}
+
+impl Sink for Document {
+    type Node = NodeId;
+
+    fn element(&mut self, parent: Option<NodeId>, tag: &str) -> Result<NodeId, XmlError> {
+        match parent {
+            Some(p) => self.append_element(p, tag),
+            None => self.set_root(tag),
+        }
     }
-    let root = p.element(doc, parent)?;
-    p.skip_misc();
-    if !p.at_end() {
-        return Err(p.err("content after document root"));
+
+    fn attribute(&mut self, node: NodeId, name: &str, raw: &str) -> Result<(), XmlError> {
+        self.append_attribute(node, name, &unescape(raw)).map(drop)
     }
-    Ok(Some(root))
+
+    fn text(&mut self, parent: NodeId, raw: &str) -> Result<Option<NodeId>, XmlError> {
+        let text = unescape(raw);
+        if text.trim().is_empty() {
+            return Ok(None);
+        }
+        self.append_text(parent, &text).map(Some)
+    }
+}
+
+impl Sink for () {
+    type Node = ();
+
+    fn element(&mut self, _: Option<()>, _: &str) -> Result<(), XmlError> {
+        Ok(())
+    }
+
+    fn attribute(&mut self, _: (), _: &str, _: &str) -> Result<(), XmlError> {
+        Ok(())
+    }
+
+    fn text(&mut self, _: (), _: &str) -> Result<Option<()>, XmlError> {
+        Ok(None)
+    }
 }
 
 struct Parser<'a> {
@@ -151,7 +180,7 @@ impl<'a> Parser<'a> {
         self.pos = (self.pos + end.len()).min(self.bytes.len());
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
+    fn name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':') {
@@ -163,16 +192,35 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap().to_owned())
+        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap())
     }
 
-    fn element(&mut self, doc: &mut Document, parent: Option<NodeId>) -> Result<NodeId, XmlError> {
+    /// A forest: top-level trees and character data, each appended
+    /// under `parent`; the roots it made, in order.
+    fn forest<S: Sink>(&mut self, sink: &mut S, parent: S::Node) -> Result<Vec<S::Node>, XmlError> {
+        let mut roots = Vec::new();
+        loop {
+            self.skip_misc();
+            if self.at_end() {
+                return Ok(roots);
+            }
+            if self.peek() == Some('<') {
+                roots.push(self.element(sink, Some(parent))?);
+            } else {
+                let raw = self.text()?;
+                roots.extend(sink.text(parent, raw)?);
+            }
+        }
+    }
+
+    fn element<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        parent: Option<S::Node>,
+    ) -> Result<S::Node, XmlError> {
         self.expect('<')?;
         let tag = self.name()?;
-        let node = match parent {
-            Some(p) => doc.append_element(p, &tag)?,
-            None => doc.set_root(&tag)?,
-        };
+        let node = sink.element(parent, tag)?;
         // attributes
         loop {
             self.skip_ws();
@@ -202,9 +250,9 @@ impl<'a> Parser<'a> {
                         }
                         self.pos += 1;
                     }
-                    let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap().to_owned();
+                    let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
                     self.pos += 1;
-                    doc.append_attribute(node, &name, &unescape(&raw))?;
+                    sink.attribute(node, name, raw)?;
                 }
                 None => return Err(self.err("unterminated start tag")),
             }
@@ -233,17 +281,16 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if self.peek() == Some('<') {
-                self.element(doc, Some(node))?;
+                self.element(sink, Some(node))?;
             } else {
-                let text = self.text()?;
-                if !text.trim().is_empty() {
-                    doc.append_text(node, &text)?;
-                }
+                let raw = self.text()?;
+                sink.text(node, raw)?;
             }
         }
     }
 
-    fn text(&mut self) -> Result<String, XmlError> {
+    /// The raw (still escaped) character data up to the next `<`.
+    fn text(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c == '<' {
@@ -251,9 +298,8 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in text"))?;
-        Ok(unescape(raw))
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("invalid utf-8 in text"))
     }
 }
 
@@ -370,6 +416,28 @@ mod tests {
         let b_id = d.dewey(b);
         parse_forest_into(&mut d, root, "<c/>").unwrap();
         assert_eq!(d.dewey(b), b_id);
+    }
+
+    #[test]
+    fn check_forest_agrees_with_parsing_the_forest() {
+        let forests = [
+            "<x/><y><z a=\"1\">t &amp; u</z></y>",
+            "top <b/> level",
+            "<!-- c --><?pi?><x/>",
+            "",
+            "<x>",
+            "<x></y>",
+            "</x>",
+            "<x a=1/>",
+            "<x a=\"1/>",
+            "a < b",
+        ];
+        for forest in forests {
+            let mut d = parse_document("<a/>").unwrap();
+            let root = d.root().unwrap();
+            let built = parse_forest_into(&mut d, root, forest).map(drop);
+            assert_eq!(check_forest(forest), built, "{forest:?}");
+        }
     }
 
     #[test]

@@ -178,6 +178,46 @@ proptest! {
         prop_assert_eq!(on.serialize(), off.serialize());
     }
 
+    /// The dynamic relevance exit is the analyzer's per-commit twin and
+    /// needs neither DTD nor conformance: on the *unanalyzed* database
+    /// every report it marks `irrelevant` has an empty delta and is the
+    /// same outcome as the analyzed database's report for that view
+    /// and commit — whether that one was skipped statically, exited
+    /// dynamically or propagated.
+    #[test]
+    fn dynamic_exits_agree_with_the_analyzed_database(
+        doc in arb_conforming_doc(),
+        script in prop::collection::vec(0usize..STATEMENTS.len(), 1..5),
+        workers in 1usize..5,
+    ) {
+        let mut on = build_db(&doc, workers, 1, true);
+        let mut off = build_db(&doc, workers, 1, false);
+        for &s in &script {
+            let text = STATEMENTS[s];
+            let c_on = on.apply(text).unwrap();
+            let c_off = off.apply(text).unwrap();
+            for h in off.handles() {
+                let (r_on, r_off) = (c_on.report(h), c_off.report(h));
+                prop_assert!(!(r_on.statically_skipped && r_on.irrelevant), "one reason per skip");
+                if r_off.irrelevant {
+                    prop_assert!(r_off.delta.is_empty(), "{}: an exit has no delta", off.name(h));
+                    prop_assert!(
+                        r_off.same_outcome(r_on),
+                        "view {} exited dynamically under `{text}` on doc {} but the \
+                         analyzed database reports another outcome",
+                        off.name(h),
+                        doc
+                    );
+                }
+            }
+            prop_assert_eq!(
+                c_off.dynamic_skips(),
+                off.handles().into_iter().filter(|&h| c_off.report(h).irrelevant).count()
+            );
+            consistent(&off)?;
+        }
+    }
+
     /// Independence soundness: a batch the analyzer proves pairwise
     /// independent has zero dynamic conflicts — checked directly on
     /// the raw PULs with `find_conflicts` — and the user-facing
@@ -264,4 +304,11 @@ fn skips_actually_fire_on_this_catalog() {
     let mut db = build_db("<r><a><b/><c/></a><d/></r>", 1, 1, true);
     let commit = db.apply("insert <c/> into //b").unwrap();
     assert!(commit.static_skips() > 0, "the engine must take the proved skips");
+
+    // and without any analysis the dynamic exit recovers skips of its
+    // own: `c` under `b` holds no label of d_only or rd, no text of theirs
+    let mut plain = build_db("<r><a><b/><c/></a><d/></r>", 1, 1, false);
+    let commit = plain.apply("insert <c/> into //b").unwrap();
+    assert_eq!(commit.static_skips(), 0);
+    assert!(commit.dynamic_skips() >= 2, "d_only and rd must exit, got {}", commit.dynamic_skips());
 }

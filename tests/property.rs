@@ -555,6 +555,124 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------
+// The dynamic relevance exit against its references
+// ---------------------------------------------------------------------
+
+/// One commit of the exit property: a single statement of any kind, or
+/// a sequential transaction that deletes inside the forest it inserts.
+fn exit_commit(db: &mut Database, kind: usize, t: usize, f: usize) -> Commit {
+    let (target, forest) = (TARGETS[t], FORESTS[f]);
+    match kind {
+        0 => db.apply(format!("insert {forest} into {target}").as_str()),
+        1 => db.apply(format!("delete {target}").as_str()),
+        2 => db.apply(format!("replace {target} with {forest}").as_str()),
+        // a label no pattern mentions, under nested `//` targets
+        3 => db.apply(format!("insert <e><e/></e> into {target}").as_str()),
+        4 => db.apply("delete //e"),
+        _ => db
+            .transaction()
+            .statement(format!("insert <a m=\"1\"><c><b/></c>{forest}</a> into {target}").as_str())
+            .statement("delete //a[@m=\"1\"]/c")
+            .commit(),
+    }
+    .unwrap()
+}
+
+/// Every snowcap of every engine equals its from-scratch evaluation
+/// over the current document.
+fn snowcaps_fresh(db: &Database) -> Result<(), TestCaseError> {
+    let sorted = |rel: &xivm::algebra::Relation| {
+        let mut rel = rel.clone();
+        xivm::algebra::ops::sort_all(&mut rel);
+        rel.rows
+    };
+    for h in db.handles() {
+        let engine = db.engine(h);
+        let fresh = MaintenanceEngine::new(db.document(), db.pattern(h).clone(), engine.strategy());
+        prop_assert_eq!(engine.snowcaps().len(), fresh.snowcaps().len());
+        for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
+            prop_assert!(
+                sorted(&m.rel) == sorted(&f.rel),
+                "view {} snowcap {:?} diverged from its recomputation",
+                db.name(h),
+                m.nodes
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The exit is invisible: a view whose report says `irrelevant` has
+    /// a store identical to its pre-commit snapshot and an empty delta,
+    /// and every view — exited or not — equals recomputation, store and
+    /// snowcaps, after every commit.
+    #[test]
+    fn irrelevant_reports_leave_the_view_exactly_as_recomputation_has_it(
+        doc_xml in arb_doc(),
+        script in prop::collection::vec(
+            (0usize..6, 0usize..TARGETS.len(), 0usize..FORESTS.len()),
+            1..5
+        ),
+        workers in 1usize..4,
+    ) {
+        let mut b = Database::builder().document(doc_xml.as_str()).workers(workers);
+        for (i, p) in PATTERNS.iter().enumerate() {
+            b = b.view_with_strategy(format!("v{i}"), *p, STRATEGIES[i % STRATEGIES.len()]);
+        }
+        let mut db = b.build().unwrap();
+        for (kind, t, f) in script {
+            let before: Vec<ViewStore> =
+                db.handles().into_iter().map(|h| db.store(h).clone()).collect();
+            let commit = exit_commit(&mut db, kind, t, f);
+            for (h, snapshot) in db.handles().into_iter().zip(&before) {
+                let report = commit.report(h);
+                if report.irrelevant {
+                    prop_assert!(report.delta.is_empty(), "{}: an exit reports no delta", db.name(h));
+                    prop_assert!(
+                        db.store(h).identical_to(snapshot),
+                        "{}: an exited view moved (doc={doc_xml} kind={kind} t={t} f={f})",
+                        db.name(h)
+                    );
+                }
+            }
+            prop_assert_eq!(
+                commit.dynamic_skips(),
+                db.handles().into_iter().filter(|&h| commit.report(h).irrelevant).count()
+            );
+            consistent(&db)?;
+            snowcaps_fresh(&db)?;
+        }
+    }
+}
+
+/// The property above is not vacuous: on this catalog the exit is
+/// taken, and by exactly the views with no label in the update and no
+/// stored text above it.
+#[test]
+fn the_dynamic_exit_fires_on_this_catalog() {
+    let mut b = Database::builder().document("<r><a><b/><d>5</d></a><d><c/></d></r>");
+    for (i, p) in PATTERNS.iter().enumerate() {
+        b = b.view(format!("v{i}"), *p);
+    }
+    let mut db = b.build().unwrap();
+    let handles = db.handles();
+    let exited = |commit: &Commit| -> Vec<usize> {
+        (0..PATTERNS.len()).filter(|&i| commit.report(handles[i]).irrelevant).collect()
+    };
+    // an `e` under b: no pattern names e; only //a{cont} stores text above it
+    let commit = db.apply("insert <e/> into //a/b").unwrap();
+    assert_eq!(exited(&commit), vec![0, 1, 2, 3, 4]);
+    assert_eq!(commit.dynamic_skips(), 5);
+    // a c under the top-level d: patterns 1 and 2 name c, 3 stores d's val
+    let commit = db.apply("insert <c/> into /r/d").unwrap();
+    assert_eq!(exited(&commit), vec![0, 4, 5]);
+    assert_eq!(commit.static_skips(), 0);
+}
+
 /// Subscriptions across `independent()` transactions: a rejected
 /// batch consumes no sequence number and emits no event; committed
 /// batches (conflict-free, or resolved by policy) stream replayable
