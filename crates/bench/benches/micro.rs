@@ -58,6 +58,13 @@ fn xpath_and_views(c: &mut Criterion) {
     c.bench_function("xpath/find_targets_200KB", |b| {
         b.iter(|| black_box(eval_path(&doc, &path).len()))
     });
+    // The point-update shape: one step keyed by `@id`, answered from
+    // the attribute-value index instead of a scan of every person.
+    let by_id = parse_xpath("/site/people/person[@id=\"person40\"]").unwrap();
+    assert_eq!(eval_path(&doc, &by_id).len(), 1);
+    c.bench_function("xpath/find_target_by_id_200KB", |b| {
+        b.iter(|| black_box(eval_path(&doc, &by_id).len()))
+    });
     let q1 = view_pattern("Q1");
     c.bench_function("pattern/eval_q1_200KB", |b| {
         b.iter_batched(|| (), |_| black_box(view_tuples(&doc, &q1).len()), BatchSize::SmallInput)

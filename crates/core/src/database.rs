@@ -1326,6 +1326,55 @@ mod tests {
         check_consistent(&batched);
     }
 
+    /// `tests/property.rs` case 1548 of `transaction_equals_sequential_apply`:
+    /// the third statement is spliced (D6) into the first one's pending
+    /// forest *in front of* the `c` the second deletes, so a document
+    /// left to intern the forest's labels by itself meets `d` before
+    /// `c`, numbers them the other way round than the scratch copy the
+    /// `del` was computed on, and drops the `del` as a stale ID. The
+    /// applying document adopts the planning document's interner — in
+    /// a transaction, and in a deferred view's replay over its base.
+    #[test]
+    fn a_delete_inside_a_spliced_forest_survives_the_batch() {
+        let script =
+            ["insert <a><b/><c/></a> into //b", "delete //a//c", "insert <d>5</d> into //b"];
+        let build = |deferred: bool| {
+            let b = Database::builder().document("<r><b/></r>").view("ab", "//a{id}//b{id}");
+            let b = if deferred {
+                b.view_deferred("ac", "//a{id}//c{id}")
+            } else {
+                b.view("ac", "//a{id}//c{id}")
+            };
+            b.build().unwrap()
+        };
+        let mut one_by_one = build(false);
+        for s in script {
+            one_by_one.apply(s).unwrap();
+        }
+        assert_eq!(one_by_one.serialize(), "<r><b><a><b><d>5</d></b></a><d>5</d></b></r>");
+
+        let mut batched = build(false);
+        let mut tx = batched.transaction();
+        for s in script {
+            tx = tx.statement(s);
+        }
+        tx.commit().unwrap();
+        assert_eq!(batched.serialize(), one_by_one.serialize());
+        check_consistent(&batched);
+
+        let mut replayed = build(true);
+        for s in script {
+            replayed.apply(s).unwrap();
+        }
+        let ac = replayed.view("ac").unwrap();
+        replayed.refresh(ac).unwrap().expect("a batch is pending");
+        check_consistent(&replayed);
+        for db in [&batched, &replayed] {
+            assert!(db.store(ac).same_content_as(one_by_one.store(ac)));
+            db.document().check_invariants().unwrap();
+        }
+    }
+
     #[test]
     fn later_statements_see_earlier_effects() {
         // The second statement targets a node the first one inserts:
@@ -1765,6 +1814,35 @@ mod tests {
         // Nothing pending: refresh is a no-op, no commit.
         assert!(deferred.refresh(acb).unwrap().is_none());
         assert_eq!(deferred.last_seq(), seq_before + 1);
+    }
+
+    /// A consumer thread that panics while holding its queue's lock
+    /// (the plain-delta drain of a lagged feed does) poisons that one
+    /// mutex. The next commit must not die on it: the poisoned
+    /// subscription reads as disconnected and is pruned, everyone
+    /// else keeps receiving.
+    #[test]
+    fn a_consumer_panicking_inside_its_queue_does_not_take_the_commit_down() {
+        let mut db = db();
+        let ab = db.view("ab").unwrap();
+        let healthy = db.subscribe(ab);
+        let doomed = db.subscribe_with(ab, Some(1), SlowConsumerPolicy::DropAndMark);
+        db.apply(SCRIPT[0]).unwrap();
+        db.apply(SCRIPT[1]).unwrap();
+        let queue = std::sync::Arc::clone(&doomed.queue);
+        let consumer = std::thread::spawn(move || queue.drain_deltas());
+        assert!(consumer.join().is_err(), "a lagged feed refuses the plain drain, lock held");
+
+        let commit = db.apply(SCRIPT[2]).unwrap();
+        assert_eq!(commit.seq, 3);
+        assert!(doomed.is_disconnected());
+        assert_eq!((doomed.pending(), doomed.drain().len()), (0, 0));
+        let seqs: Vec<u64> = db.drain(&healthy).iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        db.apply(SCRIPT[3]).unwrap();
+        assert_eq!(db.drain(&healthy).len(), 1);
+        db.unsubscribe(doomed);
+        check_consistent(&db);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xivm_pulopt::{aggregate, find_conflicts, integrate, reduce, ConflictPolicy, ReductionTrace};
 use xivm_update::{apply_pul, compute_pul, Pul, UpdateStatement};
-use xivm_xml::{serialize_document, Document};
+use xivm_xml::{serialize_document, Document, LabelInterner};
 
 /// One submission — the unit that seals as one commit — and how its
 /// statements compose.
@@ -74,6 +74,15 @@ pub(crate) struct CommitPlan<'a> {
     pub(crate) skip: Option<Cow<'a, [bool]>>,
     /// Find Target Nodes time, stamped on every view's report.
     pub(crate) t_find: Duration,
+    /// The interner of the document the PUL's operations were computed
+    /// against, when that is not the document they are applied to (a
+    /// sequential batch's scratch copy, a refresh's live document).
+    /// Structural IDs embed label ids, so the applying document adopts
+    /// it first ([`Document::adopt_labels`]): left to intern the new
+    /// labels itself, in the order the *aggregated* forests mention
+    /// them, it can number them differently and take a later `del` of
+    /// the same PUL for a stale ID.
+    pub(crate) labels: Option<Arc<LabelInterner>>,
 }
 
 impl<'a> CommitPlan<'a> {
@@ -86,6 +95,7 @@ impl<'a> CommitPlan<'a> {
             reduction: ReductionTrace::default(),
             skip: None,
             t_find: Duration::ZERO,
+            labels: None,
         }
     }
 }
@@ -154,6 +164,7 @@ fn plan_sequential<'a>(
         naive_ops,
         reduction,
         skip,
+        labels: scratch.map(|s| s.shared_labels()),
         ..CommitPlan::of(Cow::Owned(optimized))
     })
 }
@@ -222,13 +233,20 @@ fn plan_independent<'a>(
 
 /// Plans a refresh of view `view` (of `views`): the batched PULs
 /// reduced (Figure 14), over the batch's base image, masked to the
-/// one view.
-fn plan_refresh<'a>(p: &DeferredPending, view: usize, views: usize) -> CommitPlan<'a> {
+/// one view. The batch was computed commit by commit against the live
+/// document, whose interner (`live`) the image therefore adopts.
+fn plan_refresh<'a>(
+    p: &DeferredPending,
+    live: &Arc<LabelInterner>,
+    view: usize,
+    views: usize,
+) -> CommitPlan<'a> {
     let (optimized, reduction) = reduce(&p.pul);
     CommitPlan {
         naive_ops: p.naive_ops,
         reduction,
         skip: Some((0..views).map(|j| j != view).collect()),
+        labels: Some(Arc::clone(live)),
         ..CommitPlan::of(Cow::Owned(optimized))
     }
 }
@@ -265,6 +283,7 @@ impl DbInner {
         // document clone held across `apply_pul` makes every touched
         // chunk copy-on-write, so it is taken only then.
         let want_pre = image.is_none() && deferred.contains(&true);
+        let live_labels = doc.shared_labels();
         let (done, outcome) = views.propagate_window(
             image.as_mut().unwrap_or(&mut *doc),
             window.len(),
@@ -278,7 +297,7 @@ impl DbInner {
                     }
                     Batch::Refresh(view) => {
                         let p = pending[view].as_ref().expect("checked above: a batch is pending");
-                        plan_refresh(p, view, deferred.len())
+                        plan_refresh(p, &live_labels, view, deferred.len())
                     }
                 };
                 // A live step leaves the deferred views out (and folds

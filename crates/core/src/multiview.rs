@@ -310,6 +310,9 @@ impl MultiViewEngine {
         };
         if len == 1 {
             let step = plan(0, doc).and_then(|plan| {
+                if let Some(labels) = &plan.labels {
+                    doc.adopt_labels(labels);
+                }
                 let (pul, skip) = (&*plan.pul, plan.skip.as_deref());
                 let prepared = per_view(runtime, self.views.iter(), |i, engine| {
                     (!masked(skip, i)).then(|| engine.prepare(doc, pul))
@@ -338,6 +341,9 @@ impl MultiViewEngine {
         let mut outcome = Ok(());
         for k in 0..len {
             let step = plan(k, doc).and_then(|plan| {
+                if let Some(labels) = &plan.labels {
+                    doc.adopt_labels(labels);
+                }
                 let pre = doc.clone();
                 let (apply_res, t_apply) = timed(|| apply_pul(doc, &plan.pul));
                 let apply_res = apply_res?;

@@ -44,7 +44,7 @@ use crate::commit::{Commit, ViewDelta};
 use crate::database::ViewHandle;
 use std::collections::{HashMap, VecDeque};
 use std::ops::RangeInclusive;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
 
 /// What the commit path does when a bounded subscription queue is
 /// full. Unbounded subscriptions (the default) never consult this.
@@ -225,7 +225,32 @@ struct QueueState {
     disconnected: bool,
 }
 
+/// Marks a queue dead: nothing queued, nothing more to come.
+fn kill(st: &mut QueueState) {
+    st.events.clear();
+    st.lag = None;
+    st.disconnected = true;
+}
+
+/// The guard behind a possibly poisoned lock result. A consumer that
+/// panicked while holding its queue (`drain_deltas` on a lagged feed
+/// does, by contract) must not take the committing thread down with
+/// it at the next `push`: its queue is dead, so it is marked
+/// disconnected — the registry prunes it at the next commit — and the
+/// commit goes on delivering to everyone else.
+fn recover<'a>(result: LockResult<MutexGuard<'a, QueueState>>) -> MutexGuard<'a, QueueState> {
+    result.unwrap_or_else(|poisoned| {
+        let mut st = poisoned.into_inner();
+        kill(&mut st);
+        st
+    })
+}
+
 impl SubQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        recover(self.state.lock())
+    }
+
     fn new(view: usize, capacity: Option<usize>, policy: SlowConsumerPolicy) -> Self {
         SubQueue {
             view,
@@ -243,7 +268,7 @@ impl SubQueue {
     /// is full. Returns `false` when the subscription is (or becomes)
     /// disconnected and should be pruned.
     pub(crate) fn push(&self, event: DeltaEvent) -> bool {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         if st.disconnected {
             return false;
         }
@@ -251,7 +276,7 @@ impl SubQueue {
             while st.events.len() >= cap {
                 match self.policy {
                     SlowConsumerPolicy::Block => {
-                        st = self.space.wait(st).unwrap();
+                        st = recover(self.space.wait(st));
                         if st.disconnected {
                             return false;
                         }
@@ -264,9 +289,7 @@ impl SubQueue {
                         });
                     }
                     SlowConsumerPolicy::Disconnect => {
-                        st.events.clear();
-                        st.lag = None;
-                        st.disconnected = true;
+                        kill(&mut st);
                         return false;
                     }
                 }
@@ -277,7 +300,7 @@ impl SubQueue {
     }
 
     pub(crate) fn drain_feed(&self) -> Vec<FeedEvent> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         let extra = usize::from(st.lag.is_some());
         let mut out = Vec::with_capacity(st.events.len() + extra);
         if let Some((lo, hi)) = st.lag.take() {
@@ -293,7 +316,7 @@ impl SubQueue {
     /// `Block`). Panics if a [`Lagged`] marker is queued — losing the
     /// marker silently would forfeit the gapless-seq contract.
     pub(crate) fn drain_deltas(&self) -> Vec<DeltaEvent> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         if let Some((lo, hi)) = st.lag {
             panic!(
                 "subscription lagged (missed commits {lo}..={hi}): drain the feed with \
@@ -312,7 +335,7 @@ impl SubQueue {
     /// would otherwise leapfrog, so drains still deliver the marker
     /// first and only events with seq strictly beyond it after.
     pub(crate) fn force_lag(&self, lo: u64, hi: u64) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         if st.disconnected {
             return;
         }
@@ -337,11 +360,11 @@ impl SubQueue {
     }
 
     pub(crate) fn pending(&self) -> usize {
-        self.state.lock().unwrap().events.len()
+        self.lock().events.len()
     }
 
     pub(crate) fn disconnected(&self) -> bool {
-        self.state.lock().unwrap().disconnected
+        self.lock().disconnected
     }
 
     /// Marks the queue dead and wakes any producer blocked on it —
@@ -349,11 +372,7 @@ impl SubQueue {
     /// away, so cancelling a `Block`ed subscription can never wedge
     /// the commit path.
     pub(crate) fn disconnect(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.events.clear();
-        st.lag = None;
-        st.disconnected = true;
-        drop(st);
+        kill(&mut self.lock());
         self.space.notify_all();
     }
 }

@@ -213,6 +213,47 @@ mod tests {
         assert_eq!(serialize_document(&seq), serialize_document(&once));
     }
 
+    /// `tests/property.rs` case 1548: the third PUL is spliced (D6)
+    /// into the first one's forest in front of the `c` the second PUL
+    /// deletes. The `del`'s ID carries the label id `c` got on the
+    /// scratch document; a base that interns the spliced forest's
+    /// labels by itself meets `d` first, numbers the two the other way
+    /// round and skips the `del` as stale. Whoever applies an
+    /// aggregated PUL adopts the interner it was computed against.
+    #[test]
+    fn a_del_into_a_spliced_forest_needs_the_scratch_interner() {
+        let base = parse_document("<r><b/></r>").unwrap();
+        let mut scratch = base.clone();
+        let mut combined = Pul::default();
+        for stmt in ["insert <a><b/><c/></a> into //b", "delete //a//c", "insert <d>5</d> into //b"]
+        {
+            let next = pul(&scratch, stmt);
+            apply_pul(&mut scratch, &next).unwrap();
+            combined = aggregate(&base, &combined, &next).0;
+        }
+        let sequential = "<r><b><a><b><d>5</d></b></a><d>5</d></b></r>";
+        assert_eq!(serialize_document(&scratch), sequential);
+        match &combined.ops[0] {
+            AtomicOp::InsertInto { forest, .. } => {
+                assert_eq!(forest, "<a><b><d>5</d></b><c/></a><d>5</d>", "D6 then A1");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+
+        let mut adopting = base.clone();
+        adopting.adopt_labels(&scratch.shared_labels());
+        apply_pul(&mut adopting, &combined).unwrap();
+        assert_eq!(serialize_document(&adopting), sequential);
+
+        let mut alone = base.clone();
+        apply_pul(&mut alone, &combined).unwrap();
+        assert_eq!(
+            serialize_document(&alone),
+            "<r><b><a><b><d>5</d></b><c/></a><d>5</d></b></r>",
+            "the hazard: own numbering, the del is taken for a stale ID"
+        );
+    }
+
     #[test]
     fn unrelated_ops_concatenate() {
         let d = parse_document(DOC).unwrap();

@@ -16,7 +16,8 @@ use crate::pul::{AtomicOp, Pul};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use xivm_pattern::NodeTest;
-use xivm_xml::{parser::parse_forest_into, DeweyId, Document, LabelId, NodeId, NodeKind, XmlError};
+use xivm_xml::parser::parse_forest_into;
+use xivm_xml::{DeweyId, Document, LabelId, NodeId, NodeKind, Step, XmlError};
 
 /// The nodes one applied PUL inserted (or deleted), bucketed by label.
 /// A label determines its node kind (attribute labels carry an `@`,
@@ -121,12 +122,13 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
                 let Some(parent) = doc.find_node(target) else {
                     continue; // target vanished: no-op
                 };
+                // The forest's nodes are exactly the arena slots the
+                // parse appended, in document order.
+                let first = doc.arena_len();
                 let roots = parse_forest_into(doc, parent, forest)?;
-                for &r in &roots {
-                    for n in doc.descendants_or_self(r) {
-                        let node = doc.node(n);
-                        result.inserted.push(node.label, node.kind, n);
-                    }
+                for n in (first..doc.arena_len()).map(|i| NodeId(i as u32)) {
+                    let node = doc.node(n);
+                    result.inserted.push(node.label, node.kind, n);
                 }
                 result.inserted_roots.extend(roots);
                 result.insert_targets.push(target.clone());
@@ -142,14 +144,28 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
                 if !result.created(target) {
                     result.delete_roots.push(node.clone());
                 }
-                // Capture the IDs for Δ⁻ before detaching.
-                for n in doc.descendants_or_self(target) {
-                    if !result.created(n) {
-                        let doomed = doc.node(n);
-                        result.deleted.push(doomed.label, doomed.kind, doc.dewey(n));
+                // The removal is the one walk of the doomed subtree;
+                // it hands the nodes back in pre-order with parent
+                // links, labels and ordinals intact, so the IDs for Δ⁻
+                // are built a step at a time: `open` is the chain of
+                // old nodes from the target down to the node at hand,
+                // `steps` their ID.
+                let mut steps = node.steps()[..node.depth() - 1].to_vec();
+                let mut open: Vec<NodeId> = Vec::new();
+                for n in doc.remove_subtree(target)? {
+                    if result.created(n) {
+                        continue; // in no Δ⁻, and above no old node
                     }
+                    let doomed = doc.node(n);
+                    while open.last().is_some_and(|&up| Some(up) != doomed.parent) {
+                        open.pop();
+                        steps.pop();
+                    }
+                    open.push(n);
+                    steps.push(Step::new(doomed.label, doomed.ord));
+                    let id = DeweyId::from_steps(steps.clone());
+                    result.deleted.push(doomed.label, doomed.kind, id);
                 }
-                doc.remove_subtree(target)?;
             }
         }
     }
@@ -235,6 +251,68 @@ mod tests {
         assert_eq!(res.deleted.len(), 1, "only the old c, not the b inserted under it");
         assert_eq!(res.delete_roots.len(), 1);
         assert_eq!(serialize_document(&d), "<a/>");
+    }
+
+    /// Cost follows |Δ|, as counts: the same one-person insert and
+    /// delete-by-id cost the same number of canonical-list searches
+    /// and value-index probes on a 100 KB and on a 2 MB document — one
+    /// search per *label* of the forest (not per node, not per
+    /// sibling), one probe per keyed step. The counters exist in debug
+    /// builds only (`xivm_xml::canonical::work`).
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_point_update_costs_the_same_searches_and_probes_at_any_document_size() {
+        use xivm_xml::canonical::work;
+        // XMark-shaped (the generator lives downstream of this crate):
+        // `n` keyed persons, then a section that holds every label of
+        // the inserted forest once more, so that no list is merely
+        // appended to.
+        let site = |n: usize| {
+            let person = |i: usize| {
+                format!(
+                    "<person id=\"person{i}\"><name>Jim Lee</name><emailaddress>mailto:person{i}\
+                     @example.org</emailaddress><homepage>http://www.example.org/~person{i}\
+                     </homepage><profile income=\"{}\"><interest category=\"category{}\"/>\
+                     </profile><watches/></person>",
+                    30_000 + i % 977,
+                    i % 20
+                )
+            };
+            let people: String = (0..n).map(person).collect();
+            let xml =
+                format!("<site><people>{people}</people><archive>{}</archive></site>", person(n));
+            (xml.len(), parse_document(&xml).unwrap())
+        };
+        let insert = UpdateStatement::insert(
+            "/site/people",
+            "<person id=\"bench7\"><name>Ann Diaz</name><emailaddress>mailto:bench7@example.org\
+             </emailaddress><homepage>h</homepage><homepage>h2</homepage><watches/></person>",
+        )
+        .unwrap();
+        let delete = UpdateStatement::delete("/site/people/person[@id=\"bench7\"]").unwrap();
+        let counts = |n: usize| {
+            let (bytes, mut d) = site(n);
+            let mut run = |stmt: &UpdateStatement| {
+                work::take();
+                let pul = compute_pul(&d, stmt);
+                assert_eq!(pul.len(), 1);
+                let res = apply_pul(&mut d, &pul).unwrap();
+                (work::take(), res.inserted.len() + res.deleted.len())
+            };
+            let out = (run(&insert), run(&delete));
+            d.check_invariants().unwrap();
+            (bytes, out)
+        };
+        let (small_bytes, small) = counts(400);
+        let (large_bytes, large) = counts(9_000);
+        assert!(small_bytes < 128 << 10 && large_bytes > 2 << 20, "{small_bytes} {large_bytes}");
+        assert_eq!(small, large, "(searches, probes) and |Δ| must not depend on the document");
+        // person @id name #text emailaddress homepage watches: seven
+        // labels over eleven nodes; the delete finds its person by id.
+        let ((insert_work, inserted), (delete_work, deleted)) = small;
+        assert_eq!((inserted, deleted), (11, 11));
+        assert_eq!(insert_work, (7, 0), "one search per label, no lookup");
+        assert_eq!(delete_work, (7, 1), "one search per label, one lookup");
     }
 
     #[test]

@@ -7,46 +7,154 @@
 //! incrementally under updates; `val` / `cont` are materialized lazily
 //! by the algebra layer when a view actually stores them.
 //!
-//! Like the node [`Arena`], the index is copy-on-write: each per-label
-//! list sits behind an [`Arc`], so cloning the index for a snapshot
-//! copies only the list pointers, and a later insert or remove copies
-//! exactly the one list it touches ([`Arc::make_mut`]) — the spine of
-//! the PUL, never the whole index.
+//! A label's live nodes are kept in two orders:
+//!
+//! * **document order**, for every label — the canonical relation
+//!   itself. Pre-order is document order, so the nodes of one label
+//!   inside one subtree are *adjacent* in that label's list: a subtree
+//!   delete removes one run per label, found by one binary search, and
+//!   an inserted forest (whose nodes all land just past the insertion
+//!   target's subtree) is one splice per label — [`insert_run`] and
+//!   [`remove_run`] cost the size of the run plus one search, never a
+//!   search per node. [`doc_cmp`] compares by climbing parent links in
+//!   lock-step and allocates nothing.
+//! * **value order**, for attribute labels only — `(hash of the value,
+//!   node)` pairs, which is what lets the XPath evaluator answer
+//!   `[@a = "v"]` by lookup instead of by scan. Every hit is verified
+//!   against the node's text, so a hash collision costs a comparison
+//!   and can never return a wrong node. Attribute text is immutable
+//!   once created: only insertion and deletion maintain the list.
+//!
+//! Like the node [`Arena`], the index is copy-on-write: each list sits
+//! behind its own [`Arc`], so cloning the index for a snapshot copies
+//! only the list pointers, and a later insert or remove copies exactly
+//! the lists it touches ([`Arc::make_mut`]) — the spine of the PUL,
+//! never the whole index.
+//!
+//! [`insert_run`]: CanonicalIndex::insert_run
+//! [`remove_run`]: CanonicalIndex::remove_run
 
 use crate::arena::Arena;
 use crate::label::LabelId;
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeKind};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
-/// Per-label lists of live nodes in document order.
+/// Per-label lists of live nodes: every label in document order,
+/// attribute labels by value as well.
 #[derive(Debug, Default, Clone)]
 pub struct CanonicalIndex {
     map: HashMap<LabelId, Arc<Vec<NodeId>>>,
+    /// Attribute labels only.
+    values: HashMap<LabelId, Arc<ValueList>>,
 }
 
-/// Compares two arena nodes in document order by climbing to the root
-/// (cheaper than materializing both Dewey IDs).
-fn doc_cmp(nodes: &Arena, a: NodeId, b: NodeId) -> Ordering {
-    if a == b {
-        return Ordering::Equal;
-    }
-    let path = |mut n: NodeId| {
-        let mut ords = Vec::new();
-        loop {
-            let node = &nodes[n.index()];
-            ords.push(node.ord);
-            match node.parent {
-                Some(p) => n = p,
-                None => break,
-            }
+/// One attribute label's `(value hash, node)` pairs as two sorted
+/// runs: `entries[..sorted]`, and a short tail of recent insertions
+/// that is merged in once it outgrows [`TAIL_MAX`] — so an insertion
+/// moves at most the tail, a bulk load orders each list once, and
+/// every lookup is two binary searches.
+#[derive(Debug, Default, Clone)]
+struct ValueList {
+    entries: Vec<(u64, NodeId)>,
+    sorted: usize,
+}
+
+const TAIL_MAX: usize = 64;
+
+impl ValueList {
+    fn extend(&mut self, new: impl Iterator<Item = (u64, NodeId)>) {
+        self.entries.extend(new);
+        self.entries[self.sorted..].sort_unstable();
+        if self.entries.len() - self.sorted > TAIL_MAX {
+            // Two sorted runs: the stable sort is one merge.
+            self.entries.sort();
+            self.sorted = self.entries.len();
         }
-        ords.reverse();
-        ords
-    };
-    let (pa, pb) = (path(a), path(b));
-    pa.cmp(&pb)
+    }
+
+    /// Where `entry` sits, whichever run holds it.
+    fn position(&self, entry: (u64, NodeId)) -> Option<usize> {
+        let (head, tail) = self.entries.split_at(self.sorted);
+        let in_tail = || tail.binary_search(&entry).map(|pos| head.len() + pos);
+        head.binary_search(&entry).or_else(|_| in_tail()).ok()
+    }
+
+    fn remove(&mut self, entry: (u64, NodeId)) {
+        let pos = self.position(entry).expect("a live attribute is indexed");
+        self.sorted -= usize::from(pos < self.sorted);
+        self.entries.remove(pos);
+    }
+
+    /// The nodes filed under `hash`, from both runs.
+    fn hits(&self, hash: u64) -> impl Iterator<Item = NodeId> + '_ {
+        let (head, tail) = self.entries.split_at(self.sorted);
+        [head, tail].into_iter().flat_map(move |run| {
+            let start = run.partition_point(|e| e.0 < hash);
+            run[start..].iter().take_while(move |e| e.0 == hash).map(|e| e.1)
+        })
+    }
+}
+
+fn value_hash(value: &str) -> u64 {
+    #[cfg(test)]
+    if let Some(hasher) = tests::HASHER.get() {
+        return hasher(value);
+    }
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(value)
+}
+
+fn entry_of(nodes: &Arena, id: NodeId) -> (u64, NodeId) {
+    (value_hash(nodes[id.index()].text.as_deref().unwrap_or("")), id)
+}
+
+/// Work counters of the calling thread, for the tests that pin "cost
+/// follows |Δ|" as counts instead of timings. Debug builds only: a
+/// release build carries neither the counters nor the increments.
+#[cfg(debug_assertions)]
+pub mod work {
+    use std::cell::Cell;
+
+    thread_local!(pub(super) static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) });
+
+    /// `(binary searches of a document-order list, value-index
+    /// probes)` since the last call, reset to zero.
+    pub fn take() -> (u64, u64) {
+        COUNTS.take()
+    }
+
+    pub(super) fn count(searches: u64, probes: u64) {
+        COUNTS.set((COUNTS.get().0 + searches, COUNTS.get().1 + probes));
+    }
+}
+
+/// Compares two arena nodes in document order: lifts the deeper one to
+/// the other's depth, climbs both in lock-step to the children of
+/// their lowest common ancestor and compares those ordinals. An
+/// ancestor precedes its descendants. Allocation-free; parent links
+/// and ordinals outlive deletion, so dead nodes compare too.
+pub fn doc_cmp(nodes: &Arena, a: NodeId, b: NodeId) -> Ordering {
+    let parent = |n: NodeId| nodes[n.index()].parent;
+    let depth = |n: NodeId| std::iter::successors(parent(n), |&p| parent(p)).count();
+    let lift = |n: NodeId, by: usize| (0..by).fold(n, |n, _| parent(n).expect("deep enough"));
+    let (da, db) = (depth(a), depth(b));
+    let (mut x, mut y) = (lift(a, da.saturating_sub(db)), lift(b, db.saturating_sub(da)));
+    if x == y {
+        return da.cmp(&db);
+    }
+    while parent(x) != parent(y) {
+        (x, y) = (lift(x, 1), lift(y, 1));
+    }
+    nodes[x.index()].ord.cmp(&nodes[y.index()].ord)
+}
+
+/// Where `id` sits (or would sit) in a document-ordered `list`.
+fn search(nodes: &Arena, list: &[NodeId], id: NodeId) -> usize {
+    #[cfg(debug_assertions)]
+    work::count(1, 0);
+    list.partition_point(|&n| doc_cmp(nodes, n, id) == Ordering::Less)
 }
 
 impl CanonicalIndex {
@@ -54,32 +162,43 @@ impl CanonicalIndex {
         Self::default()
     }
 
-    /// Registers a (new) node under its label, preserving document
-    /// order via binary search. Copy-on-write: a list shared with a
-    /// snapshot is copied before the edit.
-    pub fn insert(&mut self, nodes: &Arena, label: LabelId, id: NodeId) {
-        let list = Arc::make_mut(self.map.entry(label).or_default());
-        // Fast path: appends at document end are the common case when
-        // bulk-loading or running XQuery-Update style insertions.
-        if list.last().is_some_and(|&l| doc_cmp(nodes, l, id) == Ordering::Less) || list.is_empty()
-        {
-            list.push(id);
-            return;
+    /// Registers `run`: new nodes of *one* label that are adjacent in
+    /// document order — a single node, or one label's share of a
+    /// forest — with one search and one splice. Copy-on-write: a list
+    /// shared with a snapshot is copied before the edit.
+    pub fn insert_run(&mut self, nodes: &Arena, run: &[NodeId]) {
+        let Some(&first) = run.first() else { return };
+        let node = &nodes[first.index()];
+        let order = Arc::make_mut(self.map.entry(node.label).or_default());
+        // Appends at document end are the common case when bulk-loading
+        // or running XQuery-Update style insertions.
+        let at_end = order.last().is_none_or(|&l| doc_cmp(nodes, l, first) == Ordering::Less);
+        let pos = if at_end { order.len() } else { search(nodes, order, first) };
+        order.splice(pos..pos, run.iter().copied());
+        if node.kind == NodeKind::Attribute {
+            Arc::make_mut(self.values.entry(node.label).or_default())
+                .extend(run.iter().map(|&n| entry_of(nodes, n)));
         }
-        let pos = list.partition_point(|&n| doc_cmp(nodes, n, id) == Ordering::Less);
-        list.insert(pos, id);
     }
 
-    /// Removes a node from its label's relation (copy-on-write, like
-    /// [`Self::insert`]).
-    pub fn remove(&mut self, label: LabelId, id: NodeId) {
-        if let Some(list) = self.map.get_mut(&label) {
-            if list.contains(&id) {
-                let list = Arc::make_mut(list);
-                if let Some(pos) = list.iter().position(|&n| n == id) {
-                    list.remove(pos);
-                }
-            }
+    /// Removes `run`: one label's share of a subtree, which is one
+    /// contiguous stretch of that label's list (copy-on-write, like
+    /// [`Self::insert_run`]). Call it before the nodes are unlinked.
+    pub fn remove_run(&mut self, nodes: &Arena, run: &[NodeId]) {
+        let Some(&first) = run.first() else { return };
+        let node = &nodes[first.index()];
+        let order =
+            Arc::make_mut(self.map.get_mut(&node.label).expect("a live node's label has a list"));
+        let pos = search(nodes, order, first);
+        assert!(
+            order.get(pos..pos + run.len()) == Some(run),
+            "the {:?} nodes of a subtree must be one run of their canonical relation",
+            node.label
+        );
+        order.drain(pos..pos + run.len());
+        if node.kind == NodeKind::Attribute {
+            let values = self.values.get_mut(&node.label).expect("an attribute label");
+            run.iter().for_each(|&n| Arc::make_mut(values).remove(entry_of(nodes, n)));
         }
     }
 
@@ -88,16 +207,51 @@ impl CanonicalIndex {
         self.map.get(&label).map_or(&[], |v| v.as_slice())
     }
 
-    pub fn contains(&self, label: LabelId, id: NodeId) -> bool {
-        self.map.get(&label).is_some_and(|v| v.contains(&id))
+    /// Is `id` registered — in its label's document-order list and,
+    /// an attribute, under its value?
+    pub fn contains(&self, nodes: &Arena, id: NodeId) -> bool {
+        let node = &nodes[id.index()];
+        let by_value = || self.values.get(&node.label)?.position(entry_of(nodes, id));
+        self.nodes(node.label).binary_search_by(|&n| doc_cmp(nodes, n, id)).is_ok()
+            && (node.kind != NodeKind::Attribute || by_value().is_some())
     }
 
-    /// Validates that every relation is sorted in document order.
+    /// The live `label` attributes whose value is `value`, in no
+    /// particular order.
+    pub fn with_value(&self, nodes: &Arena, label: LabelId, value: &str) -> Vec<NodeId> {
+        #[cfg(debug_assertions)]
+        work::count(0, 1);
+        let Some(values) = self.values.get(&label) else { return Vec::new() };
+        let same = |&n: &NodeId| nodes[n.index()].text.as_deref().unwrap_or("") == value;
+        values.hits(value_hash(value)).filter(same).collect()
+    }
+
+    /// Validates that every relation is sorted in document order and
+    /// that every value list holds exactly its label's attributes,
+    /// each under the hash of its text, in two sorted runs.
     pub fn check_sorted(&self, nodes: &Arena) -> Result<(), String> {
         for (label, list) in &self.map {
             for w in list.windows(2) {
                 if doc_cmp(nodes, w[0], w[1]) != Ordering::Less {
                     return Err(format!("canonical relation for {label:?} out of order"));
+                }
+            }
+            let attributes =
+                list.first().is_some_and(|n| nodes[n.index()].kind == NodeKind::Attribute);
+            let indexed = self.values.get(label).map_or(0, |v| v.entries.len());
+            if indexed != if attributes { list.len() } else { 0 } {
+                return Err(format!("value list for {label:?} has the wrong length"));
+            }
+        }
+        for (label, values) in &self.values {
+            let (head, tail) = values.entries.split_at(values.sorted);
+            if ![head, tail].iter().all(|run| run.windows(2).all(|w| w[0] < w[1])) {
+                return Err(format!("value list for {label:?} out of order"));
+            }
+            for &(hash, n) in &values.entries {
+                let node = &nodes[n.index()];
+                if !node.alive || node.label != *label || entry_of(nodes, n).0 != hash {
+                    return Err(format!("stale value entry {n:?} for {label:?}"));
                 }
             }
         }
@@ -109,6 +263,25 @@ impl CanonicalIndex {
 mod tests {
     use super::*;
     use crate::document::Document;
+    use crate::parser::{parse_document, parse_forest_into};
+    use std::cell::Cell;
+
+    type Hash = fn(&str) -> u64;
+
+    thread_local! {
+        /// Replaces [`value_hash`] on the calling thread (tests only:
+        /// the collision test needs two values in one bucket).
+        pub(super) static HASHER: Cell<Option<Hash>> = const { Cell::new(None) };
+    }
+
+    /// How many document-order lists (`.0`) and value lists (`.1`) two
+    /// indexes physically share (same `Arc`).
+    fn shared(a: &CanonicalIndex, b: &CanonicalIndex) -> (usize, usize) {
+        fn count<T>(a: &HashMap<LabelId, Arc<T>>, b: &HashMap<LabelId, Arc<T>>) -> usize {
+            a.iter().filter(|(l, x)| b.get(l).is_some_and(|y| Arc::ptr_eq(x, y))).count()
+        }
+        (count(&a.map, &b.map), count(&a.values, &b.values))
+    }
 
     #[test]
     fn insert_in_middle_keeps_order() {
@@ -136,36 +309,133 @@ mod tests {
     }
 
     #[test]
-    fn remove_unknown_is_noop() {
-        let mut idx = CanonicalIndex::new();
-        idx.remove(LabelId(3), NodeId(9));
-        assert!(idx.nodes(LabelId(3)).is_empty());
+    fn doc_cmp_agrees_with_dewey_order_on_every_pair() {
+        let mut d = parse_document("<a k=\"1\"><b><c/>t<c><e/></c></b><b/><d><b k=\"2\"/></d></a>")
+            .unwrap();
+        let b = d.canonical_nodes_named("b")[0];
+        parse_forest_into(&mut d, b, "<c><b/></c>").unwrap();
+        let all = d.descendants_or_self(d.root().unwrap());
+        for &x in &all {
+            for &y in &all {
+                assert_eq!(d.doc_cmp(x, y), d.dewey(x).doc_cmp(&d.dewey(y)), "{x:?} vs {y:?}");
+            }
+        }
+        // Dead nodes keep their place: parent links and ordinals survive.
+        let (before, after) = (d.canonical_nodes_named("c")[0], d.canonical_nodes_named("d")[0]);
+        d.remove_subtree(b).unwrap();
+        assert!(d.doc_cmp(before, after).is_lt() && d.doc_cmp(b, before).is_lt());
     }
 
     #[test]
     fn empty_relation_for_unknown_label() {
         let idx = CanonicalIndex::new();
         assert!(idx.nodes(LabelId(42)).is_empty());
-        assert!(!idx.contains(LabelId(42), NodeId(0)));
+        assert!(idx.with_value(&Arena::new(), LabelId(42), "v").is_empty());
     }
 
     #[test]
     fn clone_shares_lists_until_written() {
+        let mut d = parse_document("<a><x k=\"1\"/><y k=\"2\"/></a>").unwrap();
+        let snap = d.clone();
+        // The snapshot shares every list of every label (a, x, y, @k)…
+        assert_eq!(shared(d.canonical_index(), snap.canonical_index()), (4, 1));
+        // …one more x copies only the x list — no value list at all…
+        let root = d.root().unwrap();
+        let x = d.append_element(root, "x").unwrap();
+        assert_eq!(shared(d.canonical_index(), snap.canonical_index()), (3, 1));
+        // …and an attribute copies both lists of its own label.
+        d.append_attribute(x, "k", "3").unwrap();
+        assert_eq!(shared(d.canonical_index(), snap.canonical_index()), (2, 0));
+        // The snapshot answers from its own frozen index.
+        let k = d.label_id("@k").unwrap();
+        assert_eq!(d.attributes_with_value(k, "3").len(), 1);
+        assert!(snap.attributes_with_value(k, "3").is_empty());
+        assert_eq!(snap.canonical_nodes(k).len(), 2);
+    }
+
+    #[test]
+    fn a_subtree_delete_touches_exactly_the_lists_of_its_labels() {
+        let mut d = parse_document(
+            "<r><p id=\"1\"><n>x</n></p><p id=\"2\"><n>y</n><q/></p><z k=\"3\"/><p id=\"4\"/></r>",
+        )
+        .unwrap();
+        let snap = d.clone();
+        let all = shared(d.canonical_index(), snap.canonical_index());
+        assert_eq!(all, (8, 2), "r p @id n #text q z @k");
+        let doomed = d.canonical_nodes_named("p")[1];
+        let removed = d.remove_subtree(doomed).unwrap();
+        assert_eq!(removed.len(), 5, "p @id n #text q");
+        // p, @id, n, #text, q were written; r, z, @k were not — and of
+        // the five only @id has a value list to write.
+        assert_eq!(shared(d.canonical_index(), snap.canonical_index()), (3, 1));
+        assert_eq!(d.canonical_nodes_named("p").len(), 2);
+        assert!(d.canonical_nodes_named("q").is_empty());
+        d.check_invariants().unwrap();
+        snap.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn forests_and_deletes_keep_every_list_sorted() {
+        let mut d = parse_document("<r><p><n/></p><p><n/><n/></p><p/></r>").unwrap();
+        let p = d.canonical_nodes_named("p").to_vec();
+        // In the middle of every list it touches; nested labels.
+        let roots =
+            parse_forest_into(&mut d, p[0], "<n k=\"v\"><p><n k=\"v\"/></p></n>t<n/>").unwrap();
+        d.check_invariants().unwrap();
+        assert_eq!(d.canonical_nodes_named("n").len(), 6);
+        assert_eq!(d.canonical_nodes_named("p")[1], d.children_of(roots[0])[1]);
+        // Delete inside the forest just inserted, then around it.
+        d.remove_subtree(d.children_of(roots[0])[1]).unwrap();
+        d.check_invariants().unwrap();
+        d.remove_subtree(p[1]).unwrap();
+        d.check_invariants().unwrap();
+        d.remove_subtree(p[0]).unwrap();
+        d.check_invariants().unwrap();
+        assert_eq!(crate::serialize_document(&d), "<r><p/></r>");
+        let k = d.label_id("@k").unwrap();
+        assert!(d.attributes_with_value(k, "v").is_empty());
+    }
+
+    #[test]
+    fn value_lists_merge_their_tail_and_remove_from_both_runs() {
         let mut d = Document::new();
-        let r = d.set_root("a").unwrap();
-        d.append_element(r, "x").unwrap();
-        d.append_element(r, "y").unwrap();
-        let mut live = d.clone();
-        // How many per-label lists two indexes physically share (same `Arc`).
-        let shared = |a: &CanonicalIndex, b: &CanonicalIndex| {
-            a.map.iter().filter(|(l, x)| b.map.get(l).is_some_and(|y| Arc::ptr_eq(x, y))).count()
+        let r = d.set_root("r").unwrap();
+        let n = 3 * TAIL_MAX + 7;
+        let attrs: Vec<NodeId> =
+            (0..n).map(|i| d.append_attribute(r, "k", &format!("v{}", i % 50)).unwrap()).collect();
+        d.check_invariants().unwrap();
+        let k = d.label_id("@k").unwrap();
+        let list = &d.canonical_index().values[&k];
+        assert!(list.sorted >= 3 * TAIL_MAX && list.entries.len() == n, "merged thrice");
+        assert_eq!(d.attributes_with_value(k, "v7").len(), n.div_ceil(50));
+        // One from the merged run, one from the tail.
+        d.remove_subtree(attrs[7]).unwrap();
+        d.remove_subtree(attrs[n - 1]).unwrap();
+        d.check_invariants().unwrap();
+        assert_eq!(d.attributes_with_value(k, "v7").len(), n.div_ceil(50) - 1);
+        assert!(!d.attributes_with_value(k, &format!("v{}", (n - 1) % 50)).contains(&attrs[n - 1]));
+    }
+
+    #[test]
+    fn colliding_values_are_told_apart_by_their_text() {
+        HASHER.set(Some(|v| v.len() as u64));
+        let mut d =
+            parse_document("<r><p id=\"ab\"/><p id=\"cd\"/><p id=\"ab\"/><p id=\"xyz\"/></r>")
+                .unwrap();
+        let (id, p) = (d.label_id("@id").unwrap(), d.canonical_nodes_named("p").to_vec());
+        let owners = |d: &Document, v: &str| {
+            let mut o: Vec<_> =
+                d.attributes_with_value(id, v).iter().map(|&a| d.parent_of(a).unwrap()).collect();
+            o.sort();
+            o
         };
-        // The snapshot shares every per-label list with the original…
-        let shared_before = shared(live.canonical_index(), d.canonical_index());
-        assert!(shared_before >= 3, "a, x, y lists all shared, got {shared_before}");
-        // …and inserting one more x copies only the x list.
-        live.append_element(live.root().unwrap(), "x").unwrap();
-        let shared_after = shared(live.canonical_index(), d.canonical_index());
-        assert_eq!(shared_after, shared_before - 1);
+        assert_eq!(owners(&d, "ab"), vec![p[0], p[2]]);
+        assert_eq!(owners(&d, "cd"), vec![p[1]]);
+        assert!(owners(&d, "zz").is_empty(), "same bucket, no such text");
+        d.remove_subtree(p[0]).unwrap();
+        assert_eq!(owners(&d, "ab"), vec![p[2]]);
+        assert_eq!(owners(&d, "cd"), vec![p[1]]);
+        d.check_invariants().unwrap();
+        HASHER.set(None);
     }
 }

@@ -1,12 +1,13 @@
 //! The arena-based XML document store.
 
 use crate::arena::Arena;
-use crate::canonical::CanonicalIndex;
+use crate::canonical::{doc_cmp, CanonicalIndex};
 use crate::dewey::{between_ord, next_sibling_ord, DeweyId};
 use crate::error::XmlError;
 use crate::label::{attribute_label, LabelId, LabelInterner, TEXT_LABEL};
 use crate::node::{Node, NodeId, NodeKind};
 use crate::serializer::serialize_node;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// An ordered labeled tree of element, attribute and text nodes, with
@@ -71,6 +72,24 @@ impl Document {
         self.labels.get(name)
     }
 
+    /// The interner itself, to hand to [`Self::adopt_labels`].
+    pub fn shared_labels(&self) -> Arc<LabelInterner> {
+        Arc::clone(&self.labels)
+    }
+
+    /// Takes over the interner of a document that evolved from a clone
+    /// of this one. Structural IDs embed label ids, so IDs computed
+    /// against that document resolve here only if labels it interned
+    /// on the way get the same ids here — which interning them again,
+    /// in whatever order a later parse meets them, does not guarantee.
+    /// Panics unless `labels` extends this document's interner.
+    pub fn adopt_labels(&mut self, labels: &Arc<LabelInterner>) {
+        let extends = Arc::ptr_eq(&self.labels, labels)
+            || self.labels.iter().all(|(id, name)| labels.get(name) == Some(id));
+        assert!(extends, "an adopted interner must extend the document's own");
+        self.labels = Arc::clone(labels);
+    }
+
     pub fn label_name(&self, id: LabelId) -> &str {
         self.labels.name(id)
     }
@@ -81,29 +100,14 @@ impl Document {
 
     /// Creates the root element. Fails if a root already exists.
     pub fn set_root(&mut self, tag: &str) -> Result<NodeId, XmlError> {
-        if self.root.is_some() {
-            return Err(XmlError::InvalidTarget("document already has a root".into()));
-        }
         let label = self.intern_label(tag);
-        let id = self.push_node(Node {
-            kind: NodeKind::Element,
-            label,
-            ord: next_sibling_ord(None),
-            parent: None,
-            children: Vec::new(),
-            text: None,
-            alive: true,
-            max_child_ord: 0,
-        });
-        self.root = Some(id);
-        self.canonical.insert(&self.nodes, label, id);
-        Ok(id)
+        self.append_node(None, NodeKind::Element, label, None)
     }
 
     /// Appends a new element child after the current last child.
     pub fn append_element(&mut self, parent: NodeId, tag: &str) -> Result<NodeId, XmlError> {
         let label = self.intern_label(tag);
-        self.append_node(parent, NodeKind::Element, label, None)
+        self.append_node(Some(parent), NodeKind::Element, label, None)
     }
 
     /// Appends an attribute node (interned under `@name`).
@@ -114,13 +118,13 @@ impl Document {
         value: &str,
     ) -> Result<NodeId, XmlError> {
         let label = self.intern_label(&attribute_label(name));
-        self.append_node(parent, NodeKind::Attribute, label, Some(value.to_owned()))
+        self.append_node(Some(parent), NodeKind::Attribute, label, Some(value.to_owned()))
     }
 
     /// Appends a text node.
     pub fn append_text(&mut self, parent: NodeId, text: &str) -> Result<NodeId, XmlError> {
         let label = self.intern_label(TEXT_LABEL);
-        self.append_node(parent, NodeKind::Text, label, Some(text.to_owned()))
+        self.append_node(Some(parent), NodeKind::Text, label, Some(text.to_owned()))
     }
 
     /// Inserts a new element *before* an existing child, exercising the
@@ -147,7 +151,7 @@ impl Document {
         let ord = between_ord(left, right)
             .ok_or_else(|| XmlError::InvalidTarget("sibling ordinal gap exhausted".into()))?;
         let label = self.intern_label(tag);
-        let id = self.push_node(Node {
+        let id = self.nodes.push(Node {
             kind: NodeKind::Element,
             label,
             ord,
@@ -158,41 +162,93 @@ impl Document {
             max_child_ord: 0,
         });
         self.nodes.get_mut(parent.index()).children.insert(pos, id);
-        self.canonical.insert(&self.nodes, label, id);
+        self.canonical.insert_run(&self.nodes, &[id]);
         Ok(id)
     }
 
     fn append_node(
         &mut self,
-        parent: NodeId,
+        parent: Option<NodeId>,
         kind: NodeKind,
         label: LabelId,
         text: Option<String>,
     ) -> Result<NodeId, XmlError> {
-        self.check_alive(parent)?;
-        if !self.nodes[parent.index()].is_element() {
-            return Err(XmlError::InvalidTarget("children can only be added to elements".into()));
-        }
-        // Allocate past the highest ordinal *ever* used under this
-        // parent (not just the current last child): ordinals of deleted
-        // children are never reused, so their IDs stay dead forever.
-        let max = self.nodes[parent.index()].max_child_ord;
-        let ord = next_sibling_ord((max > 0).then_some(max));
-        let id = self.push_node(Node {
+        let id = self.push_node(parent, kind, label, text)?;
+        self.canonical.insert_run(&self.nodes, &[id]);
+        Ok(id)
+    }
+
+    /// Appends a node after `parent`'s last child (`None`: as the
+    /// root) *without* registering it in the canonical index: whoever
+    /// calls this owes one [`Self::index_appended`] over the nodes it
+    /// appended, which is how a parsed forest costs one search per
+    /// label instead of one per node.
+    pub(crate) fn push_node(
+        &mut self,
+        parent: Option<NodeId>,
+        kind: NodeKind,
+        label: LabelId,
+        text: Option<String>,
+    ) -> Result<NodeId, XmlError> {
+        let last = match parent {
+            None if self.root.is_some() => {
+                return Err(XmlError::InvalidTarget("document already has a root".into()));
+            }
+            None => None,
+            Some(p) => {
+                self.check_alive(p)?;
+                if !self.nodes[p.index()].is_element() {
+                    return Err(XmlError::InvalidTarget(
+                        "children can only be added to elements".into(),
+                    ));
+                }
+                // Allocate past the highest ordinal *ever* used under
+                // this parent (not just the current last child):
+                // ordinals of deleted children are never reused, so
+                // their IDs stay dead forever.
+                Some(self.nodes[p.index()].max_child_ord).filter(|&max| max > 0)
+            }
+        };
+        let ord = next_sibling_ord(last);
+        let id = self.nodes.push(Node {
             kind,
             label,
             ord,
-            parent: Some(parent),
+            parent,
             children: Vec::new(),
             text,
             alive: true,
             max_child_ord: 0,
         });
-        let pnode = self.nodes.get_mut(parent.index());
-        pnode.children.push(id);
-        pnode.max_child_ord = ord;
-        self.canonical.insert(&self.nodes, label, id);
+        match parent {
+            Some(p) => {
+                let pnode = self.nodes.get_mut(p.index());
+                pnode.children.push(id);
+                pnode.max_child_ord = ord;
+            }
+            None => self.root = Some(id),
+        }
         Ok(id)
+    }
+
+    /// Registers every node from arena slot `first` on — all appended
+    /// by [`Self::push_node`] in document order under one parent (or
+    /// into an empty document), so adjacent in document order — one
+    /// run per label.
+    pub(crate) fn index_appended(&mut self, first: usize) {
+        for run in self.runs_by_label((first..self.nodes.len()).map(|i| NodeId(i as u32))) {
+            self.canonical.insert_run(&self.nodes, &run);
+        }
+    }
+
+    /// `nodes` split by label, each label's share in the given order
+    /// (empty for the labels that do not occur).
+    fn runs_by_label(&self, nodes: impl Iterator<Item = NodeId>) -> Vec<Vec<NodeId>> {
+        let mut runs = vec![Vec::new(); self.labels.len()];
+        for n in nodes {
+            runs[self.nodes[n.index()].label.index()].push(n);
+        }
+        runs
     }
 
     /// Highest sibling ordinal ever allocated under `parent` (deleted
@@ -203,29 +259,34 @@ impl Document {
         self.nodes[parent.index()].max_child_ord
     }
 
-    fn push_node(&mut self, node: Node) -> NodeId {
-        self.nodes.push(node)
-    }
-
     // ------------------------------------------------------------------
     // Deletion
     // ------------------------------------------------------------------
 
     /// Removes the subtree rooted at `node` (XQuery Update `delete`
     /// semantics: all descendants go too). Returns the removed nodes in
-    /// pre-order, which is exactly what Δ⁻ extraction needs.
+    /// pre-order, which is exactly what Δ⁻ extraction needs; their
+    /// parent links, labels and ordinals stay readable.
     pub fn remove_subtree(&mut self, node: NodeId) -> Result<Vec<NodeId>, XmlError> {
         self.check_alive(node)?;
-        if Some(node) == self.root {
-            self.root = None;
-        }
-        if let Some(p) = self.nodes[node.index()].parent {
-            self.nodes.get_mut(p.index()).children.retain(|&c| c != node);
-        }
         let removed = self.descendants_or_self(node);
+        // Pre-order is document order: each label's share of the
+        // subtree is one run of that label's canonical relation.
+        for run in self.runs_by_label(removed.iter().copied()) {
+            self.canonical.remove_run(&self.nodes, &run);
+        }
+        match self.nodes[node.index()].parent {
+            Some(p) => {
+                let ord = self.nodes[node.index()].ord;
+                let at = self.nodes[p.index()]
+                    .children
+                    .binary_search_by_key(&ord, |c| self.nodes[c.index()].ord)
+                    .expect("a live node is among its parent's children");
+                self.nodes.get_mut(p.index()).children.remove(at);
+            }
+            None => self.root = None,
+        }
         for &n in &removed {
-            let label = self.nodes[n.index()].label;
-            self.canonical.remove(label, n);
             self.nodes.get_mut(n.index()).alive = false;
         }
         Ok(removed)
@@ -372,6 +433,18 @@ impl Document {
         }
     }
 
+    /// The live attributes labeled `label` whose value is `value`, in
+    /// no particular order: a lookup in the label's value index, not a
+    /// scan.
+    pub fn attributes_with_value(&self, label: LabelId, value: &str) -> Vec<NodeId> {
+        self.canonical.with_value(&self.nodes, label, value)
+    }
+
+    /// Document order of two nodes, without materializing their IDs.
+    pub fn doc_cmp(&self, a: NodeId, b: NodeId) -> Ordering {
+        doc_cmp(&self.nodes, a, b)
+    }
+
     fn check_alive(&self, id: NodeId) -> Result<(), XmlError> {
         if self.is_alive(id) {
             Ok(())
@@ -402,8 +475,10 @@ impl Document {
                 }
                 last_ord = cn.ord;
             }
-            if !self.canonical.contains(n.label, id) {
-                return Err(format!("node {id:?} missing from canonical relation"));
+            if !self.canonical.contains(&self.nodes, id) {
+                return Err(format!(
+                    "node {id:?} missing from its canonical relation or value list"
+                ));
             }
         }
         self.canonical.check_sorted(&self.nodes)

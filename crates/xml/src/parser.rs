@@ -8,7 +8,8 @@
 
 use crate::document::Document;
 use crate::error::XmlError;
-use crate::node::NodeId;
+use crate::label::{attribute_label, TEXT_LABEL};
+use crate::node::{NodeId, NodeKind};
 
 /// Parses `input` into a fresh [`Document`].
 pub fn parse_document(input: &str) -> Result<Document, XmlError> {
@@ -23,6 +24,7 @@ pub fn parse_document(input: &str) -> Result<Document, XmlError> {
     if !p.at_end() {
         return Err(p.err("content after document root"));
     }
+    doc.index_appended(0);
     Ok(doc)
 }
 
@@ -36,7 +38,13 @@ pub fn parse_forest_into(
     parent: NodeId,
     input: &str,
 ) -> Result<Vec<NodeId>, XmlError> {
-    Parser::new(input).forest(doc, parent)
+    // The nodes are appended unindexed and registered together — one
+    // search per label of the forest — also when the parse fails half
+    // way: what it built so far stays in the document.
+    let first = doc.arena_len();
+    let roots = Parser::new(input).forest(doc, parent);
+    doc.index_appended(first);
+    roots
 }
 
 /// Accepts exactly the forests [`parse_forest_into`] accepts, building
@@ -62,14 +70,13 @@ impl Sink for Document {
     type Node = NodeId;
 
     fn element(&mut self, parent: Option<NodeId>, tag: &str) -> Result<NodeId, XmlError> {
-        match parent {
-            Some(p) => self.append_element(p, tag),
-            None => self.set_root(tag),
-        }
+        let label = self.intern_label(tag);
+        self.push_node(parent, NodeKind::Element, label, None)
     }
 
     fn attribute(&mut self, node: NodeId, name: &str, raw: &str) -> Result<(), XmlError> {
-        self.append_attribute(node, name, &unescape(raw)).map(drop)
+        let label = self.intern_label(&attribute_label(name));
+        self.push_node(Some(node), NodeKind::Attribute, label, Some(unescape(raw))).map(drop)
     }
 
     fn text(&mut self, parent: NodeId, raw: &str) -> Result<Option<NodeId>, XmlError> {
@@ -77,7 +84,8 @@ impl Sink for Document {
         if text.trim().is_empty() {
             return Ok(None);
         }
-        self.append_text(parent, &text).map(Some)
+        let label = self.intern_label(TEXT_LABEL);
+        self.push_node(Some(parent), NodeKind::Text, label, Some(text)).map(Some)
     }
 }
 

@@ -167,37 +167,47 @@ fn arena_with_children(n: usize) -> Arena {
 fn canonical_index_stays_sorted_under_out_of_order_inserts() {
     let nodes = arena_with_children(8);
     let mut index = CanonicalIndex::new();
-    index.insert(&nodes, LabelId(0), NodeId(0));
-    // Insert label-A children back to front: exercises the non-append
+    index.insert_run(&nodes, &[NodeId(0)]);
+    // Insert the children back to front: exercises the non-append
     // binary-search path.
     for i in (0..8).rev() {
-        let node = NodeId(1 + i as u32);
-        index.insert(&nodes, nodes[node.index()].label, node);
+        index.insert_run(&nodes, &[NodeId(1 + i as u32)]);
     }
     index.check_sorted(&nodes).unwrap();
     assert_eq!(index.nodes(LabelId(1)).len(), 4);
     assert_eq!(index.nodes(LabelId(2)).len(), 4);
-    for i in 0..8 {
-        assert!(index.contains(nodes[i + 1].label, NodeId(1 + i as u32)));
+    for i in 0..9 {
+        assert!(index.contains(&nodes, NodeId(i)));
     }
 }
 
 #[test]
-fn canonical_index_remove_deletes_exactly_the_target() {
+fn canonical_index_removes_exactly_the_run() {
     let nodes = arena_with_children(6);
     let mut index = CanonicalIndex::new();
-    for i in 0..6 {
-        let node = NodeId(1 + i as u32);
-        index.insert(&nodes, nodes[node.index()].label, node);
-    }
-    index.remove(LabelId(1), NodeId(3));
-    assert!(!index.contains(LabelId(1), NodeId(3)));
-    assert_eq!(index.nodes(LabelId(1)).len(), 2);
+    // Label A holds children 1, 3, 5; label B 2, 4, 6.
+    index.insert_run(&nodes, &[NodeId(1), NodeId(3), NodeId(5)]);
+    index.insert_run(&nodes, &[NodeId(2), NodeId(4), NodeId(6)]);
+    index.remove_run(&nodes, &[NodeId(3), NodeId(5)]);
+    assert!(!index.contains(&nodes, NodeId(3)) && !index.contains(&nodes, NodeId(5)));
+    assert_eq!(index.nodes(LabelId(1)), &[NodeId(1)]);
     assert_eq!(index.nodes(LabelId(2)).len(), 3);
     index.check_sorted(&nodes).unwrap();
-    // Removing an id that is absent must be a no-op, not a panic.
-    index.remove(LabelId(1), NodeId(3));
-    assert_eq!(index.nodes(LabelId(1)).len(), 2);
+    index.remove_run(&nodes, &[]);
+    assert_eq!(index.nodes(LabelId(1)).len(), 1);
+}
+
+/// The index never guesses: nodes that are not one stretch of their
+/// label's list (here: already removed) are a caller's bug, reported
+/// before anything is drained.
+#[test]
+#[should_panic(expected = "one run of their canonical relation")]
+fn canonical_index_refuses_a_run_it_does_not_hold() {
+    let nodes = arena_with_children(6);
+    let mut index = CanonicalIndex::new();
+    index.insert_run(&nodes, &[NodeId(1), NodeId(3), NodeId(5)]);
+    index.remove_run(&nodes, &[NodeId(3)]);
+    index.remove_run(&nodes, &[NodeId(3)]);
 }
 
 #[test]

@@ -1232,3 +1232,276 @@ proptest! {
 fn db_cleanup(mut db: Database, sub: Subscription) {
     db.unsubscribe(sub);
 }
+
+// ---------------------------------------------------------------------
+// The attribute-value index against the scan it replaced
+// ---------------------------------------------------------------------
+
+/// The XPath evaluator as it was before the value index, as the
+/// reference: label *names* compared per candidate, every step a scan
+/// of the context's children or subtrees, every step's output sorted
+/// and deduplicated by Dewey ID. (`crates/pattern` keeps the same
+/// reference under `#[cfg(test)]`, out of this suite's reach.)
+mod scan {
+    use xivm::algebra::Axis;
+    use xivm::pattern::xpath::{LocationPath, XNodeTest, XPred, XStep};
+    use xivm::xml::{Document, NodeId, NodeKind};
+
+    pub fn eval_path_scan(doc: &Document, path: &LocationPath) -> Vec<NodeId> {
+        let Some(root) = doc.root() else { return Vec::new() };
+        let (first, rest) = path.steps.split_first().expect("paths have steps");
+        let mut context = match first.axis {
+            Axis::Child => vec![root],
+            Axis::Descendant => doc.descendants_or_self(root),
+        };
+        context.retain(|&n| test(doc, n, &first.test) && preds(doc, n, &first.preds));
+        steps(doc, context, rest)
+    }
+
+    fn steps(doc: &Document, mut context: Vec<NodeId>, steps: &[XStep]) -> Vec<NodeId> {
+        for step in steps {
+            let mut out: Vec<NodeId> = Vec::new();
+            for &ctx in &context {
+                match (&step.test, step.axis) {
+                    (XNodeTest::SelfNode, _) => out.push(ctx),
+                    (_, Axis::Child) => out.extend(doc.children_of(ctx)),
+                    (_, Axis::Descendant) => out.extend(&doc.descendants_or_self(ctx)[1..]),
+                }
+            }
+            out.retain(|&n| test(doc, n, &step.test));
+            let mut keyed: Vec<_> = out.into_iter().map(|n| (doc.dewey(n), n)).collect();
+            keyed.sort_by(|a, b| a.0.doc_cmp(&b.0));
+            keyed.dedup_by(|a, b| a.1 == b.1);
+            context = keyed.into_iter().map(|(_, n)| n).collect();
+            context.retain(|&n| preds(doc, n, &step.preds));
+        }
+        context
+    }
+
+    fn test(doc: &Document, node: NodeId, test: &XNodeTest) -> bool {
+        let n = doc.node(node);
+        match test {
+            XNodeTest::Name(name) => n.kind == NodeKind::Element && doc.label_name(n.label) == name,
+            XNodeTest::Wildcard => n.kind == NodeKind::Element,
+            XNodeTest::Attribute(name) => {
+                n.kind == NodeKind::Attribute && doc.label_name(n.label) == format!("@{name}")
+            }
+            XNodeTest::Text => n.kind == NodeKind::Text,
+            XNodeTest::SelfNode => true,
+        }
+    }
+
+    fn preds(doc: &Document, node: NodeId, preds: &[XPred]) -> bool {
+        preds.iter().all(|p| pred(doc, node, p))
+    }
+
+    fn pred(doc: &Document, node: NodeId, p: &XPred) -> bool {
+        let from_here = |path: &LocationPath| steps(doc, vec![node], &path.steps);
+        match p {
+            XPred::Exists(path) => !from_here(path).is_empty(),
+            XPred::ValEq(path, c) => from_here(path).iter().any(|&n| doc.value(n) == *c),
+            XPred::And(a, b) => pred(doc, node, a) && pred(doc, node, b),
+            XPred::Or(a, b) => pred(doc, node, a) || pred(doc, node, b),
+        }
+    }
+}
+
+/// `eval_path == eval_path_scan` on `doc` for every path of `paths`,
+/// and the document's own invariants (the value index checked both
+/// ways among them).
+fn index_equals_scan(doc: &Document, paths: &[&str], when: &str) -> Result<(), TestCaseError> {
+    use xivm::pattern::xpath::{eval_path, parse_xpath};
+    for xp in paths {
+        let path = parse_xpath(xp).expect("probe paths parse");
+        prop_assert_eq!(
+            eval_path(doc, &path),
+            scan::eval_path_scan(doc, &path),
+            "{} {}: {}",
+            xp,
+            when,
+            serialize_document(doc)
+        );
+    }
+    doc.check_invariants().map_err(TestCaseError::fail)
+}
+
+/// [`arb_doc`] with attributes: every start tag draws none, `k`, `j`
+/// or both, with values from a set of three — so values repeat, across
+/// labels and across attribute names.
+fn arb_keyed_doc() -> impl Strategy<Value = String> {
+    (arb_doc(), prop::collection::vec(0usize..12, 48..49)).prop_map(|(xml, picks)| {
+        let mut out = String::with_capacity(xml.len() * 2);
+        let mut tags = 0;
+        let mut rest = xml.as_str();
+        while let Some(lt) = rest.find('<') {
+            let end = lt + rest[lt..].find(['>', '/']).expect("tags close");
+            out.push_str(&rest[..end]);
+            if end > lt + 1 {
+                // a start tag: `end` sits right after its name
+                let pick = picks[tags % picks.len()];
+                tags += 1;
+                if pick % 4 == 1 || pick % 4 == 3 {
+                    out.push_str(&format!(" k=\"v{}\"", pick % 3));
+                }
+                if pick % 4 >= 2 {
+                    out.push_str(&format!(" j=\"v{}\"", (pick / 4) % 3));
+                }
+            }
+            rest = &rest[end..];
+            let gt = rest.find('>').expect("tags close") + 1;
+            out.push_str(&rest[..gt]);
+            rest = &rest[gt..];
+        }
+        out + rest
+    })
+}
+
+/// What the evaluator may and may not ask the index: keyed steps on
+/// both axes and from every kind of context, keys beside and under
+/// `and` / `or`, a value no node has, an attribute name no document
+/// ever saw, and unkeyed paths whose order is by construction or not.
+const KEYED_PROBES: &[&str] = &[
+    "//a[@k=\"v1\"]",
+    "//*[@k=\"v0\"]",
+    "/r[@k=\"v1\"]",
+    "/r/a[@k=\"v0\"]",
+    "/r/a[@k=\"v0\"]/b[@k=\"v1\"]",
+    "//a[@k=\"v1\" and b]",
+    "//a[b and @k=\"v1\"]",
+    "//a[@k=\"v1\" or b]",
+    "//a[(@k=\"v1\" or b) and @j=\"v0\"]",
+    "//b[@k=\"v1\"][@j=\"v1\"]",
+    "//a//b[@k=\"v2\"]",
+    "//a[@k=\"v1\"]//c[@j=\"v2\"]",
+    "//a//a/b[@j=\"v0\"]",
+    "//a[@k=\"v9\"]",
+    "//a[@zz=\"v1\"]",
+    "//zz[@k=\"v1\"]",
+    "//a[b/@k=\"v1\"]",
+    "//a[//@j=\"v2\"]",
+    "//c/.[@j=\"v0\"]",
+    "//@k",
+    "//a/b",
+    "//a//a//b",
+    "//a//b/c",
+];
+
+const KEYED_TARGETS: [&str; 6] = [
+    "//a[@k=\"v1\"]",
+    "//b[@k=\"v0\" and c]",
+    "//c[@j=\"v2\" or b]",
+    "//a//b[@k=\"v2\"]",
+    "/r/a[@j=\"v0\"]",
+    "//d",
+];
+const KEYED_FORESTS: [&str; 4] = [
+    "<b k=\"v1\"/>",
+    "<a k=\"v0\" j=\"v2\"><b k=\"v2\"/><c/></a>",
+    "<c j=\"v1\"><b k=\"v1\" j=\"v1\"/></c>",
+    "<d k=\"v1\">5</d>",
+];
+
+fn keyed_statement(&(t, f, op): &(usize, usize, usize)) -> String {
+    match op {
+        0 => format!("insert {} into {}", KEYED_FORESTS[f], KEYED_TARGETS[t]),
+        1 => format!("delete {}", KEYED_TARGETS[t]),
+        _ => format!("replace {} with {}", KEYED_TARGETS[t], KEYED_FORESTS[f]),
+    }
+}
+
+proptest! {
+    /// The index only narrows: on random keyed documents, before and
+    /// after random insert / delete / replace scripts and a sequential
+    /// transaction, every probe path evaluates to exactly what the
+    /// scan evaluator finds, and the value index matches the document.
+    #[test]
+    fn indexed_xpath_equals_the_scan_it_replaced(
+        doc_xml in arb_keyed_doc(),
+        script in prop::collection::vec(
+            (0usize..KEYED_TARGETS.len(), 0usize..KEYED_FORESTS.len(), 0usize..3),
+            1..6
+        ),
+        batch in prop::collection::vec(
+            (0usize..KEYED_TARGETS.len(), 0usize..KEYED_FORESTS.len(), 0usize..3),
+            2..5
+        ),
+    ) {
+        let mut db = Database::builder()
+            .document(doc_xml.as_str())
+            .view("ab", "//a{id}//b{id}")
+            .build()
+            .unwrap();
+        index_equals_scan(db.document(), KEYED_PROBES, "on the seed")?;
+        for step in &script {
+            let stmt = keyed_statement(step);
+            db.apply(stmt.as_str()).unwrap();
+            index_equals_scan(db.document(), KEYED_PROBES, &format!("after `{stmt}`"))?;
+        }
+        let snapshot = db.snapshot();
+        let frozen = snapshot.serialize();
+        let mut tx = db.transaction();
+        for step in &batch {
+            tx = tx.statement(keyed_statement(step).as_str());
+        }
+        tx.commit().unwrap();
+        index_equals_scan(db.document(), KEYED_PROBES, "after the transaction")?;
+        consistent(&db)?;
+        // The snapshot answers from its own frozen index.
+        prop_assert_eq!(snapshot.serialize(), frozen);
+        index_equals_scan(snapshot.document(), KEYED_PROBES, "in the snapshot")?;
+    }
+}
+
+/// The same equation on the benchmark's document: every Appendix A
+/// target path and the point stream's seven statement shapes
+/// (`benchmark/src/stream.rs`), before and after each statement.
+#[test]
+fn indexed_xpath_equals_scan_on_xmark_appendix_a_and_the_point_stream() {
+    let doc = xivm::xmark::generate_sized(60 * 1024);
+    let catalog = xivm::xmark::all_updates();
+    let mut paths: Vec<&str> = catalog.iter().map(|u| u.path).collect();
+    let stream = [
+        "insert <person id=\"bench7\"><name>Jim Lee</name><emailaddress>mailto:bench7@example.org\
+         </emailaddress><homepage>http://www.example.org/~bench7</homepage><watches/></person> \
+         into /site/people",
+        "replace /site/people/person[@id=\"bench7\"]/name with <name>Ann Diaz</name>",
+        "insert <bidder><date>01/02/2009</date><time>12:00:00</time>\
+         <personref person=\"bench7\"/><increase>4.50</increase></bidder> \
+         into /site/open_auctions/open_auction[@id=\"open_auction1\"]",
+        "insert <item id=\"bench8\"><location>Internal</location><quantity>1</quantity>\
+         <name>gold mint</name><payment>Cash</payment><description><parlist>rare boxed\
+         </parlist></description></item> into /site/regions/namerica",
+        "delete /site/open_auctions/open_auction[@id=\"open_auction1\"]\
+         /bidder[personref/@person=\"bench7\"]",
+        "delete /site/regions/namerica/item[@id=\"bench8\"]",
+        "delete /site/people/person[@id=\"bench7\"]",
+    ];
+    let statements: Vec<UpdateStatement> =
+        stream.iter().map(|s| parse_statement(s).expect("stream statements parse")).collect();
+    let targets: Vec<String> = [
+        "/site/people/person[@id=\"bench7\"]/name",
+        "/site/people/person[@id=\"bench7\"]",
+        "/site/people/person[@id=\"person3\"]",
+        "/site/open_auctions/open_auction[@id=\"open_auction1\"]",
+        "/site/open_auctions/open_auction[@id=\"open_auction1\"]/bidder[personref/@person=\"bench7\"]",
+        "/site/regions/namerica/item[@id=\"bench8\"]",
+        "/site/regions/namerica/item[@id=\"item0\"]",
+        "/site/people",
+        "/site/regions/namerica",
+        "//*[@id=\"bench7\"]",
+        "//personref[@person=\"bench7\"]",
+    ]
+    .map(str::to_owned)
+    .to_vec();
+    paths.extend(targets.iter().map(String::as_str));
+
+    let mut db =
+        Database::builder().document(doc).view("q1", "//person{id}//name{id,val}").build().unwrap();
+    index_equals_scan(db.document(), &paths, "on the seed").unwrap();
+    assert_eq!(db.snapshot().xpath("/site/people/person[@id=\"person3\"]").unwrap().len(), 1);
+    for (stmt, text) in statements.iter().zip(stream) {
+        let commit = db.apply(stmt.clone()).unwrap();
+        assert!(commit.optimized_ops > 0, "`{text}` must find its target");
+        index_equals_scan(db.document(), &paths, &format!("after `{text}`")).unwrap();
+    }
+}

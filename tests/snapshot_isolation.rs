@@ -282,3 +282,34 @@ fn snapshot_surface_matches_database() {
     assert!(snap.xpath("//b{").is_err(), "XPath parse errors surface as Error");
     assert_eq!(snap.document().live_count(), db.document().live_count());
 }
+
+/// A keyed XPath is answered from the attribute-value index, and the
+/// index is part of the frozen image: a snapshot taken before a commit
+/// that deletes `person[@id=…]` still finds the person by that path
+/// and does not see a person inserted later; the live database — and a
+/// snapshot taken after — see the opposite.
+#[test]
+fn snapshot_answers_keyed_xpath_from_its_own_frozen_index() {
+    let doc = xivm::xmark::generate_sized(40 * 1024);
+    let mut db =
+        Database::builder().document(doc).view("q1", "//person{id}//name{id,val}").build().unwrap();
+    let gone = "/site/people/person[@id=\"person2\"]";
+    let late = "/site/people/person[@id=\"late\"]/name";
+    let before = db.snapshot();
+    db.apply(format!("delete {gone}").as_str()).unwrap();
+    db.apply("insert <person id=\"late\"><name>x</name></person> into /site/people").unwrap();
+    let after = db.snapshot();
+
+    assert_eq!(before.xpath(gone).unwrap().len(), 1);
+    assert!(before.xpath(late).unwrap().is_empty());
+    assert!(after.xpath(gone).unwrap().is_empty());
+    assert_eq!(after.xpath(late).unwrap().len(), 1);
+    let live = |path: &str| {
+        let parsed = xivm::pattern::xpath::parse_xpath(path).unwrap();
+        xivm::pattern::xpath::eval_path(db.document(), &parsed).len()
+    };
+    assert_eq!((live(gone), live(late)), (0, 1));
+    for image in [before.document(), after.document(), db.document()] {
+        image.check_invariants().unwrap();
+    }
+}
