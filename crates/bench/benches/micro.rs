@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks for the substrate operators: Dewey ID
-//! operations, the stack-based structural join, XPath target finding
-//! and full pattern evaluation.
+//! operations, the stack-based structural join, XPath target finding,
+//! full pattern evaluation and the application of a bulk PUL.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use xivm_algebra::{structural_join, Axis, Column, Field, Relation, Schema, Tuple};
 use xivm_pattern::compile::view_tuples;
 use xivm_pattern::xpath::{eval_path, parse_xpath};
+use xivm_update::{apply_pul, compute_pul, UpdateStatement};
 use xivm_xmark::{generate_sized, view_pattern};
 use xivm_xml::{dewey::Step, DeweyId, LabelId};
 
@@ -90,5 +91,28 @@ fn chained_joins(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, dewey_ops, struct_join, xpath_and_views, chained_joins);
+/// The two bulk shapes of the Appendix A catalog on the 1 MB document:
+/// one PUL with an operation per person — one edit of the document —
+/// applied to a copy-on-write image of it, as a commit under a
+/// snapshot is.
+fn apply_puls(c: &mut Criterion) {
+    let doc = generate_sized(1 << 20);
+    let persons = doc.canonical_nodes_named("person").len();
+    let delete = compute_pul(&doc, &UpdateStatement::delete("/site/people/person").unwrap());
+    let forest =
+        "<watches><watch open_auction=\"open_auction0\"/></watches><phone>+0 (0) 0</phone>";
+    let insert =
+        compute_pul(&doc, &UpdateStatement::insert("/site/people/person", forest).unwrap());
+    assert_eq!((delete.len(), insert.len()), (persons, persons));
+    c.bench_function("apply/delete_every_person_1MB", |b| {
+        let applied = |mut d| apply_pul(&mut d, &delete).unwrap().delete_roots.len();
+        b.iter_batched(|| doc.clone(), applied, BatchSize::LargeInput)
+    });
+    c.bench_function("apply/insert_under_every_person_1MB", |b| {
+        let applied = |mut d| apply_pul(&mut d, &insert).unwrap().inserted_roots.len();
+        b.iter_batched(|| doc.clone(), applied, BatchSize::LargeInput)
+    });
+}
+
+criterion_group!(benches, dewey_ops, struct_join, xpath_and_views, chained_joins, apply_puls);
 criterion_main!(benches);

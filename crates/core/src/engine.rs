@@ -306,19 +306,6 @@ impl MaintenanceEngine {
         let mut report = UpdateReport::default();
         let start = std::time::Instant::now();
 
-        // Value-predicate flips (see `predflip`): when text changes
-        // under a predicate-carrying node, bindings can appear or
-        // vanish without structural change. Rare; handled exactly on a
-        // slower path that bypasses the snowcap shortcuts.
-        let flips = crate::predflip::diff(doc, &self.pattern, &pred_capture);
-        let flips_exist = flips.any();
-
-        // --- Compute Delta Tables: CD+ and the rest of CD−, both read
-        // from the label buckets the apply left behind.
-        let dplus = DeltaPlus::compute(doc, &self.pattern, apply_res);
-        let dminus = dminus.complete(doc, &self.pattern, apply_res);
-        report.timings.compute_delta_tables = prep_time + start.elapsed();
-
         // Does a `val`/`cont`-storing pattern node's label lie `above`
         // one of `roots` — on its root path, the root included for an
         // insertion target, excluded for a deleted root (it is gone)?
@@ -336,15 +323,42 @@ impl MaintenanceEngine {
         let (targets, delete_roots) = (&apply_res.insert_targets, &apply_res.delete_roots);
         let text_at_inserts = text_above(targets, DeweyId::has_self_or_ancestor_labeled);
         let text_above_deletes = text_above(delete_roots, DeweyId::has_proper_ancestor_labeled);
+        let text_changed = text_at_inserts || text_above_deletes;
 
         // --- The dynamic relevance exit, before anything per-view is
-        // expanded, copied or scanned: every Δ table empty (so every
-        // term is, and every snowcap row stands), no predicate flipped,
-        // no stored text at or above an update root. The text tests
-        // also gate their passes one by one below.
-        if dplus.total_len() + dminus.total_len() == 0
-            && !(flips_exist || text_at_inserts || text_above_deletes)
-        {
+        // built, expanded, copied or scanned. From labels alone: no
+        // pattern node's label among the inserted or deleted nodes (so
+        // every Δ table would be empty, every term with it, and every
+        // snowcap row stands), no predicate truth captured (so none
+        // flipped), no stored text at or above an update root.
+        let touched = |n| {
+            let test = &self.pattern.node(n).test;
+            apply_res.inserted.touches(doc, test) || apply_res.deleted.touches(doc, test)
+        };
+        if pred_capture.is_empty() && !text_changed && !self.pattern.node_ids().any(touched) {
+            report.timings.compute_delta_tables = prep_time + start.elapsed();
+            report.irrelevant = true;
+            return report;
+        }
+
+        // Value-predicate flips (see `predflip`): when text changes
+        // under a predicate-carrying node, bindings can appear or
+        // vanish without structural change. Rare; handled exactly on a
+        // slower path that bypasses the snowcap shortcuts.
+        let flips = crate::predflip::diff(doc, &self.pattern, &pred_capture);
+        let flips_exist = flips.any();
+
+        // --- Compute Delta Tables: CD+ and the rest of CD−, both read
+        // from the label buckets the apply left behind.
+        let dplus = DeltaPlus::compute(doc, &self.pattern, apply_res);
+        let dminus = dminus.complete(doc, &self.pattern, apply_res);
+        report.timings.compute_delta_tables = prep_time + start.elapsed();
+
+        // The same exit, judged on the tables: a touched label whose
+        // nodes all fail their value predicate, or left again within
+        // the PUL, or captured predicates none of which flipped. The
+        // text tests also gate their passes one by one below.
+        if dplus.total_len() + dminus.total_len() == 0 && !(flips_exist || text_changed) {
             report.irrelevant = true;
             return report;
         }

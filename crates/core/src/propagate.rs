@@ -226,7 +226,7 @@ impl<'a> TermContext<'a> {
     ///   below its pattern parent's, so the candidates are the
     ///   label-matching descendants of the parent's reach leaf — one
     ///   binary-searched range of the canonical list per maximal
-    ///   parent candidate.
+    ///   parent candidate ([`Document::canonical_nodes_within`]).
     fn reachable(
         &self,
         n: PatternNodeId,
@@ -267,11 +267,10 @@ impl<'a> TermContext<'a> {
             let elements = canonical_node_ids(doc, self.pattern, n);
             return elements.into_iter().filter(|&x| below.covers(&doc.dewey(x))).collect();
         };
-        let list = doc.canonical_nodes(label);
-        for root in below.roots() {
-            let inside = &list[list.partition_point(|&x| doc.dewey(x) <= *root)..];
-            let len = inside.partition_point(|&x| root.is_ancestor_of(&doc.dewey(x)));
-            out.extend_from_slice(&inside[..len]);
+        // The root itself comes along when it carries the label: still
+        // a superset, and the join drops it.
+        for root in below.roots().iter().filter_map(|root| doc.find_node(root)) {
+            out.extend_from_slice(doc.canonical_nodes_within(label, root));
         }
         out
     }

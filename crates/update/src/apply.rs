@@ -11,12 +11,16 @@
 //! leave their nodes bucketed by label ([`LabelBuckets`]), and every
 //! view's Δ⁺ / Δ⁻ tables ([`crate::delta`]) are bucket lookups — one
 //! extraction per commit, not one per view.
+//!
+//! A PUL is one edit of the document ([`xivm_xml::document::DocumentEdit`]):
+//! each operation changes the tree at once, so the next one resolves
+//! its target against it, and the per-label lists are settled once,
+//! when [`apply_pul`] returns.
 
 use crate::pul::{AtomicOp, Pul};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use xivm_pattern::NodeTest;
-use xivm_xml::parser::parse_forest_into;
 use xivm_xml::{DeweyId, Document, LabelId, NodeId, NodeKind, Step, XmlError};
 
 /// The nodes one applied PUL inserted (or deleted), bucketed by label.
@@ -61,6 +65,17 @@ impl<T> LabelBuckets<T> {
                 .flat_map(|(_, items)| items.iter().cloned())
                 .collect(),
         }
+    }
+
+    /// Whether [`Self::matching`] holds anything, without building it.
+    pub fn touches(&self, doc: &Document, test: &NodeTest) -> bool {
+        !self.is_empty()
+            && match test {
+                NodeTest::Name(name) => doc.label_id(name).is_some_and(|l| !self.get(l).is_empty()),
+                NodeTest::Wildcard => {
+                    self.buckets.values().any(|(kind, _)| *kind == NodeKind::Element)
+                }
+            }
     }
 
     /// Total number of bucketed nodes.
@@ -116,6 +131,8 @@ impl ApplyResult {
 /// already-deleted nodes as no-ops) are skipped.
 pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError> {
     let mut result = ApplyResult { first_created: Some(doc.arena_len()), ..ApplyResult::default() };
+    // Dropped — and the lists settled — on every way out, errors too.
+    let mut doc = doc.edit();
     for op in &pul.ops {
         match op {
             AtomicOp::InsertInto { target, forest } => {
@@ -125,7 +142,7 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
                 // The forest's nodes are exactly the arena slots the
                 // parse appended, in document order.
                 let first = doc.arena_len();
-                let roots = parse_forest_into(doc, parent, forest)?;
+                let roots = doc.insert_forest(parent, forest)?;
                 for n in (first..doc.arena_len()).map(|i| NodeId(i as u32)) {
                     let node = doc.node(n);
                     result.inserted.push(node.label, node.kind, n);
@@ -253,6 +270,27 @@ mod tests {
         assert_eq!(serialize_document(&d), "<a/>");
     }
 
+    /// XMark-shaped (the generator lives downstream of this crate): `n`
+    /// keyed persons, then a section that holds every label of a person
+    /// once more, so that no list is merely appended to. With its size
+    /// in bytes.
+    #[cfg(debug_assertions)]
+    fn site(n: usize) -> (usize, Document) {
+        let person = |i: usize| {
+            format!(
+                "<person id=\"person{i}\"><name>Jim Lee</name><emailaddress>mailto:person{i}\
+                 @example.org</emailaddress><homepage>http://www.example.org/~person{i}\
+                 </homepage><profile income=\"{}\"><interest category=\"category{}\"/>\
+                 </profile><watches/></person>",
+                30_000 + i % 977,
+                i % 20
+            )
+        };
+        let people: String = (0..n).map(person).collect();
+        let xml = format!("<site><people>{people}</people><archive>{}</archive></site>", person(n));
+        (xml.len(), parse_document(&xml).unwrap())
+    }
+
     /// Cost follows |Δ|, as counts: the same one-person insert and
     /// delete-by-id cost the same number of canonical-list searches
     /// and value-index probes on a 100 KB and on a 2 MB document — one
@@ -263,26 +301,6 @@ mod tests {
     #[test]
     fn a_point_update_costs_the_same_searches_and_probes_at_any_document_size() {
         use xivm_xml::canonical::work;
-        // XMark-shaped (the generator lives downstream of this crate):
-        // `n` keyed persons, then a section that holds every label of
-        // the inserted forest once more, so that no list is merely
-        // appended to.
-        let site = |n: usize| {
-            let person = |i: usize| {
-                format!(
-                    "<person id=\"person{i}\"><name>Jim Lee</name><emailaddress>mailto:person{i}\
-                     @example.org</emailaddress><homepage>http://www.example.org/~person{i}\
-                     </homepage><profile income=\"{}\"><interest category=\"category{}\"/>\
-                     </profile><watches/></person>",
-                    30_000 + i % 977,
-                    i % 20
-                )
-            };
-            let people: String = (0..n).map(person).collect();
-            let xml =
-                format!("<site><people>{people}</people><archive>{}</archive></site>", person(n));
-            (xml.len(), parse_document(&xml).unwrap())
-        };
         let insert = UpdateStatement::insert(
             "/site/people",
             "<person id=\"bench7\"><name>Ann Diaz</name><emailaddress>mailto:bench7@example.org\
@@ -313,6 +331,169 @@ mod tests {
         assert_eq!((inserted, deleted), (11, 11));
         assert_eq!(insert_work, (7, 0), "one search per label, no lookup");
         assert_eq!(delete_work, (7, 1), "one search per label, one lookup");
+    }
+
+    /// The twin for a PUL of many operations: deleting fifty persons,
+    /// spread over the document, is one search per label per person —
+    /// the first of a label over its whole list, the others galloping
+    /// on from the one before — on 96 KB as on 2.2 MB.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_fifty_target_delete_costs_the_same_searches_at_any_document_size() {
+        use xivm_xml::canonical::work;
+        let searches = |n: usize| {
+            let (bytes, mut d) = site(n);
+            let persons = d.canonical_nodes_named("person");
+            let doomed = (0..50).map(|i| AtomicOp::Delete { node: d.dewey(persons[i * (n / 50)]) });
+            let pul = Pul::new(doomed.collect());
+            work::take();
+            let res = apply_pul(&mut d, &pul).unwrap();
+            let (searches, _) = work::take();
+            d.check_invariants().unwrap();
+            (bytes, searches, res.deleted.len())
+        };
+        let ((small_bytes, small, small_gone), (large_bytes, large, large_gone)) =
+            (searches(400), searches(9_000));
+        assert!(small_bytes < 128 << 10 && large_bytes > 2 << 20, "{small_bytes} {large_bytes}");
+        assert_eq!((small, small_gone), (large, large_gone));
+        // person @id name #text emailaddress homepage profile @income
+        // interest @category watches: eleven labels over thirteen nodes.
+        assert_eq!((small, small_gone), (50 * 11, 50 * 13));
+    }
+
+    /// `check_invariants`, and every canonical list and value lookup
+    /// equal to those of a reparse of the serialized document — as
+    /// pre-order ranks: the two documents number their nodes apart.
+    fn assert_lists_equal_a_reparse(d: &Document) {
+        d.check_invariants().unwrap();
+        let lists = |d: &Document| {
+            let all = d.descendants_or_self(d.root().unwrap());
+            let rank: HashMap<NodeId, usize> =
+                all.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+            let ranks = |nodes: &[NodeId]| {
+                let mut ranks: Vec<usize> = nodes.iter().map(|n| rank[n]).collect();
+                ranks.sort_unstable();
+                ranks
+            };
+            let mut lists = std::collections::BTreeMap::new();
+            for (label, name) in d.labels().iter() {
+                let nodes = d.canonical_nodes(label);
+                assert!(nodes.is_sorted_by_key(|n| rank[n]), "{name} in document order");
+                for n in nodes.iter().filter(|&&n| d.node(n).kind == NodeKind::Attribute) {
+                    let value = d.value(*n);
+                    let hits = ranks(&d.attributes_with_value(label, &value));
+                    lists.insert(format!("{name}={value}"), hits);
+                }
+                if !nodes.is_empty() {
+                    lists.insert(name.to_owned(), ranks(nodes));
+                }
+            }
+            lists
+        };
+        assert_eq!(lists(d), lists(&parse_document(&serialize_document(d)).unwrap()));
+    }
+
+    fn delete(d: &Document, path: &str) -> Vec<AtomicOp> {
+        compute_pul(d, &UpdateStatement::delete(path).unwrap()).ops
+    }
+
+    fn insert(d: &Document, path: &str, forest: &str) -> Vec<AtomicOp> {
+        compute_pul(d, &UpdateStatement::insert(path, forest).unwrap()).ops
+    }
+
+    const NESTED: &str =
+        "<r><n k=\"1\"/><a k=\"1\"><n/><b k=\"2\"><n k=\"1\">x</n></b><n k=\"2\"/>\
+        <b><n/></b></a><n k=\"1\"/><c/></r>";
+
+    /// What one edit per PUL has to get right that one edit per subtree
+    /// never met. An inner node, then its ancestor: the ancestor's `n`
+    /// and `@k` nodes are no longer one stretch of their lists while
+    /// the inner ones sit dead among them.
+    #[test]
+    fn one_pul_deletes_an_inner_node_and_then_its_ancestor() {
+        let mut d = parse_document(NESTED).unwrap();
+        let pul = Pul::new([delete(&d, "//a/b[@k=\"2\"]"), delete(&d, "//a")].concat());
+        let res = apply_pul(&mut d, &pul).unwrap();
+        assert_eq!((res.delete_roots.len(), res.deleted.len()), (2, 12));
+        assert_eq!(serialize_document(&d), "<r><n k=\"1\"/><n k=\"1\"/><c/></r>");
+        assert_lists_equal_a_reparse(&d);
+    }
+
+    /// The ancestor first: the inner target no longer resolves.
+    #[test]
+    fn one_pul_deletes_an_ancestor_and_then_an_inner_node() {
+        let mut d = parse_document(NESTED).unwrap();
+        let pul = Pul::new([delete(&d, "//a"), delete(&d, "//a/b"), delete(&d, "//c")].concat());
+        let res = apply_pul(&mut d, &pul).unwrap();
+        assert_eq!((res.delete_roots.len(), res.deleted.len()), (2, 13));
+        assert_lists_equal_a_reparse(&d);
+    }
+
+    /// A sequential transaction inserts a forest and deletes it again,
+    /// whole or in part: what never reached a list is not taken out of
+    /// one, and what survives of the forest is indexed once.
+    #[test]
+    fn one_pul_inserts_a_forest_and_deletes_it_again() {
+        let forest = "<a k=\"2\"><n k=\"1\"/><b><n/></b></a><n k=\"2\"/>";
+        for (doomed, left) in [
+            ("//c/a", "<c><n k=\"2\"/></c>"),
+            ("//c/a/b", "<c><a k=\"2\"><n k=\"1\"/></a><n k=\"2\"/></c>"),
+        ] {
+            let mut d = parse_document(NESTED).unwrap();
+            let mut ops = insert(&d, "//c", forest);
+            let mut scratch = d.clone();
+            apply_pul(&mut scratch, &Pul::new(ops.clone())).unwrap();
+            ops.extend(delete(&scratch, doomed));
+            ops.extend(delete(&scratch, "//a/b/n"));
+            let res = apply_pul(&mut d, &Pul::new(ops)).unwrap();
+            assert_eq!(res.deleted.len(), 4, "n, @k, #text and n under the two old b");
+            assert!(serialize_document(&d).ends_with(&format!("{left}</r>")), "{doomed}");
+            assert_lists_equal_a_reparse(&d);
+        }
+    }
+
+    /// Forests land beside dead nodes: under a node whose child, and
+    /// whose following sibling, the same PUL deleted before.
+    #[test]
+    fn one_pul_inserts_beside_the_subtrees_it_deleted() {
+        let mut d = parse_document(NESTED).unwrap();
+        let ops = [
+            delete(&d, "//a/b"),
+            delete(&d, "/r/n"),
+            insert(&d, "//a", "<n k=\"1\"><b k=\"2\"/></n>"),
+            insert(&d, "//a/n", "<n/>"),
+            delete(&d, "//c"),
+            insert(&d, "/r", "<b><n k=\"2\"/></b>"),
+        ];
+        let res = apply_pul(&mut d, &Pul::new(ops.concat())).unwrap();
+        assert_eq!(res.insert_targets.len(), 4);
+        assert_eq!(
+            serialize_document(&d),
+            "<r><a k=\"1\"><n><n/></n><n k=\"2\"><n/></n><n k=\"1\"><b k=\"2\"/></n></a>\
+             <b><n k=\"2\"/></b></r>"
+        );
+        assert_lists_equal_a_reparse(&d);
+    }
+
+    /// A forest that stops parsing half way fails the PUL at that
+    /// operation: what was applied until then — the part of the forest
+    /// that was built included — is in the lists when the error returns.
+    #[test]
+    fn a_failing_operation_leaves_the_lists_settled() {
+        let mut d = parse_document(NESTED).unwrap();
+        let ops = [
+            delete(&d, "//a/b[@k=\"2\"]"),
+            insert(&d, "//a", "<n k=\"1\"/>"),
+            insert(&d, "//c", "<b k=\"2\"><n>y</n><n k=\"1\"></b>"),
+            delete(&d, "/r/n"),
+        ];
+        assert!(matches!(apply_pul(&mut d, &Pul::new(ops.concat())), Err(XmlError::Parse { .. })));
+        assert_eq!(
+            serialize_document(&d),
+            "<r><n k=\"1\"/><a k=\"1\"><n/><n k=\"2\"/><b><n/></b><n k=\"1\"/></a><n k=\"1\"/>\
+             <c><b k=\"2\"><n>y</n><n k=\"1\"/></b></c></r>"
+        );
+        assert_lists_equal_a_reparse(&d);
     }
 
     #[test]

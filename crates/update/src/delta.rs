@@ -11,15 +11,17 @@
 //! one thing the buckets cannot answer is a value predicate on a
 //! *deleted* node — its text is gone once the PUL is applied — so Δ⁻ of
 //! predicate-carrying view nodes is collected before the apply
-//! ([`DeltaMinus::collect`]) and completed after it.
+//! ([`DeltaMinus::collect`]: per such node, the stretch of its label's
+//! canonical list under each delete root) and completed after it.
 //!
 //! [`apply_pul`]: crate::apply::apply_pul
 
 use crate::apply::ApplyResult;
-use std::collections::HashSet;
+use crate::pul::Pul;
+use std::borrow::Cow;
 use xivm_algebra::{Column, Field, Relation, Schema, Tuple};
 use xivm_pattern::compile::relation_from_nodes;
-use xivm_pattern::{NodeTest, PatternNode, PatternNodeId, TreePattern};
+use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_xml::{DeweyId, Document, NodeId, NodeKind};
 
 /// Δ⁺ tables: one relation per pattern node.
@@ -67,15 +69,45 @@ pub struct DeltaMinus {
 
 impl DeltaMinus {
     /// The pre-apply half of CD−: Δ⁻ of the *predicate-carrying* view
-    /// nodes only. Walks each delete target's subtree in the
-    /// still-intact document, so the value predicates can be checked
-    /// against the data being removed (after deletion the values are
-    /// gone). A view without value predicates walks nothing.
-    pub fn collect(doc: &Document, pattern: &TreePattern, pul: &crate::pul::Pul) -> Self {
-        let ids = walk_deleted(doc, pattern, pul, |pn| pn.val_pred.is_some());
-        DeltaMinus {
-            tables: pattern.node_ids().zip(ids).map(|(n, v)| id_table(pattern, n, v)).collect(),
+    /// nodes only, judged on the still-intact document (after deletion
+    /// the values are gone). Reads, per such node, the stretch of its
+    /// label's canonical list under each maximal delete root — nested
+    /// targets overlap — and walks a subtree only for a wildcard. A
+    /// view without value predicates builds nothing.
+    pub fn collect(doc: &Document, pattern: &TreePattern, pul: &Pul) -> Self {
+        if pattern.node_ids().all(|n| pattern.node(n).val_pred.is_none()) {
+            return DeltaMinus::default();
         }
+        let mut roots: Vec<(&DeweyId, NodeId)> = pul
+            .ops
+            .iter()
+            .filter(|op| !op.is_insert())
+            .filter_map(|op| Some((op.target(), doc.find_node(op.target())?)))
+            .collect();
+        roots.sort_by(|a, b| a.0.doc_cmp(b.0));
+        roots.dedup_by(|inner, outer| outer.0.is_ancestor_or_self_of(inner.0));
+        let tables = pattern.node_ids().map(|pnode| {
+            let pn = pattern.node(pnode);
+            // The others are `complete`'s to fill, from the buckets.
+            let Some(pred) = &pn.val_pred else { return Relation::default() };
+            let mut ids = Vec::new();
+            for &(_, root) in &roots {
+                let matching = match &pn.test {
+                    NodeTest::Name(name) => Cow::Borrowed(
+                        doc.label_id(name).map_or(&[][..], |l| doc.canonical_nodes_within(l, root)),
+                    ),
+                    NodeTest::Wildcard => {
+                        let mut all = doc.descendants_or_self(root);
+                        all.retain(|&n| doc.node(n).kind == NodeKind::Element);
+                        Cow::Owned(all)
+                    }
+                };
+                let satisfying = matching.iter().filter(|&&n| doc.value(n) == *pred);
+                ids.extend(satisfying.map(|&n| doc.dewey(n)));
+            }
+            id_table(pattern, pnode, ids)
+        });
+        DeltaMinus { tables: tables.collect() }
     }
 
     /// The post-apply half: every view node without a value predicate
@@ -86,6 +118,7 @@ impl DeltaMinus {
         pattern: &TreePattern,
         applied: &ApplyResult,
     ) -> Self {
+        self.tables.resize_with(pattern.len(), Relation::default);
         for pnode in pattern.node_ids().filter(|&p| pattern.node(p).val_pred.is_none()) {
             let mut ids = applied.deleted.matching(doc, &pattern.node(pnode).test).into_owned();
             if !ids.is_sorted() {
@@ -123,77 +156,79 @@ fn id_table(pattern: &TreePattern, n: PatternNodeId, ids: Vec<DeweyId>) -> Relat
     )
 }
 
-/// Per pattern node that `wanted` selects (the others stay empty), the
-/// IDs of the nodes under `pul`'s delete targets that match its test
-/// and value predicate in `doc`, in document order.
-fn walk_deleted(
-    doc: &Document,
-    pattern: &TreePattern,
-    pul: &crate::pul::Pul,
-    wanted: impl Fn(&PatternNode) -> bool,
-) -> Vec<Vec<DeweyId>> {
-    let mut tables: Vec<Vec<DeweyId>> = vec![Vec::new(); pattern.len()];
-    // Resolve pattern node tests to interned label ids once, so the
-    // per-deleted-node check is an integer comparison.
-    enum Resolved {
-        Label(Option<xivm_xml::LabelId>),
-        Wildcard,
-    }
-    let resolved: Vec<(PatternNodeId, Resolved, Option<&str>)> = pattern
-        .node_ids()
-        .filter(|&pnode| wanted(pattern.node(pnode)))
-        .map(|pnode| {
-            let pn = pattern.node(pnode);
-            let r = match &pn.test {
-                NodeTest::Name(name) => Resolved::Label(doc.label_id(name)),
-                NodeTest::Wildcard => Resolved::Wildcard,
-            };
-            (pnode, r, pn.val_pred.as_deref())
-        })
-        .collect();
-    if resolved.is_empty() {
-        return tables;
-    }
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    for op in &pul.ops {
-        let crate::pul::AtomicOp::Delete { node } = op else {
-            continue;
-        };
-        let Some(target) = doc.find_node(node) else {
-            continue;
-        };
-        for n in doc.descendants_or_self(target) {
-            if !seen.insert(n) {
-                continue; // nested delete targets overlap
-            }
-            let mut id: Option<DeweyId> = None;
-            for (pnode, test, pred) in &resolved {
-                let matches = match test {
-                    Resolved::Label(l) => Some(doc.node(n).label) == *l,
-                    Resolved::Wildcard => doc.node(n).kind == NodeKind::Element,
-                };
-                if !matches || pred.is_some_and(|pred| doc.value(n) != pred) {
-                    continue;
-                }
-                let id = id.get_or_insert_with(|| doc.dewey(n));
-                tables[pnode.index()].push(id.clone());
-            }
-        }
-    }
-    for ids in &mut tables {
-        ids.sort();
-    }
-    tables
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apply::apply_pul;
-    use crate::pul::{compute_pul, Pul};
+    use crate::pul::compute_pul;
     use crate::statement::UpdateStatement;
+    use std::collections::HashSet;
     use xivm_pattern::parse_pattern;
+    use xivm_pattern::PatternNode;
     use xivm_xml::parse_document;
+
+    /// Per pattern node that `wanted` selects (the others stay empty), the
+    /// IDs of the nodes under `pul`'s delete targets that match its test
+    /// and value predicate in `doc`, in document order.
+    fn walk_deleted(
+        doc: &Document,
+        pattern: &TreePattern,
+        pul: &crate::pul::Pul,
+        wanted: impl Fn(&PatternNode) -> bool,
+    ) -> Vec<Vec<DeweyId>> {
+        let mut tables: Vec<Vec<DeweyId>> = vec![Vec::new(); pattern.len()];
+        // Resolve pattern node tests to interned label ids once, so the
+        // per-deleted-node check is an integer comparison.
+        enum Resolved {
+            Label(Option<xivm_xml::LabelId>),
+            Wildcard,
+        }
+        let resolved: Vec<(PatternNodeId, Resolved, Option<&str>)> = pattern
+            .node_ids()
+            .filter(|&pnode| wanted(pattern.node(pnode)))
+            .map(|pnode| {
+                let pn = pattern.node(pnode);
+                let r = match &pn.test {
+                    NodeTest::Name(name) => Resolved::Label(doc.label_id(name)),
+                    NodeTest::Wildcard => Resolved::Wildcard,
+                };
+                (pnode, r, pn.val_pred.as_deref())
+            })
+            .collect();
+        if resolved.is_empty() {
+            return tables;
+        }
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        for op in &pul.ops {
+            let crate::pul::AtomicOp::Delete { node } = op else {
+                continue;
+            };
+            let Some(target) = doc.find_node(node) else {
+                continue;
+            };
+            for n in doc.descendants_or_self(target) {
+                if !seen.insert(n) {
+                    continue; // nested delete targets overlap
+                }
+                let mut id: Option<DeweyId> = None;
+                for (pnode, test, pred) in &resolved {
+                    let matches = match test {
+                        Resolved::Label(l) => Some(doc.node(n).label) == *l,
+                        Resolved::Wildcard => doc.node(n).kind == NodeKind::Element,
+                    };
+                    if !matches || pred.is_some_and(|pred| doc.value(n) != pred) {
+                        continue;
+                    }
+                    let id = id.get_or_insert_with(|| doc.dewey(n));
+                    tables[pnode.index()].push(id.clone());
+                }
+            }
+        }
+        for ids in &mut tables {
+            ids.sort();
+        }
+        tables
+    }
 
     /// `doc` after `stmt`, with the extraction the apply left behind.
     fn applied(doc_xml: &str, stmt: &UpdateStatement) -> (Document, Pul, ApplyResult) {

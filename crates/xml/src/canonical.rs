@@ -11,13 +11,11 @@
 //!
 //! * **document order**, for every label — the canonical relation
 //!   itself. Pre-order is document order, so the nodes of one label
-//!   inside one subtree are *adjacent* in that label's list: a subtree
-//!   delete removes one run per label, found by one binary search, and
-//!   an inserted forest (whose nodes all land just past the insertion
-//!   target's subtree) is one splice per label — [`insert_run`] and
-//!   [`remove_run`] cost the size of the run plus one search, never a
-//!   search per node. [`doc_cmp`] compares by climbing parent links in
-//!   lock-step and allocates nothing.
+//!   inside one subtree are *adjacent* in that label's list: a deleted
+//!   subtree is one *run* per label, and so is an inserted forest
+//!   (whose nodes all land just past the insertion target's subtree).
+//!   [`doc_cmp`] compares by climbing parent links in lock-step and
+//!   allocates nothing.
 //! * **value order**, for attribute labels only — `(hash of the value,
 //!   node)` pairs, which is what lets the XPath evaluator answer
 //!   `[@a = "v"]` by lookup instead of by scan. Every hit is verified
@@ -25,14 +23,32 @@
 //!   and can never return a wrong node. Attribute text is immutable
 //!   once created: only insertion and deletion maintain the list.
 //!
+//! # One edit per label per PUL
+//!
+//! A list changes in one way only, [`CanonicalIndex::edit`]: every run
+//! one edit of the document ([`crate::document::DocumentEdit`] — a
+//! whole PUL, or a single appended node) removes from a label and
+//! every run it adds to it, together. The runs of a PUL nearly always
+//! come in document order, so only one of them is found by a binary
+//! search of the list — the first removed run, the last added one —
+//! and each other by galloping on from its neighbour (runs that come
+//! otherwise — a PUL's operations in any order, a subtree deleted
+//! around one the same PUL deleted before — are re-cut into single
+//! nodes in document order, at a search per node). The list is
+//! rewritten once: one forward compaction over the removed runs, one
+//! back-to-front merge of the added ones, every surviving element
+//! moved at most twice however many runs there are. The value list
+//! drops its entries through the same compaction. Removed nodes may
+//! already be unlinked and dead — parent links and ordinals outlive
+//! deletion, so [`doc_cmp`] still places them — which is what lets the
+//! document do its tree surgery at once and settle the lists at the
+//! end.
+//!
 //! Like the node [`Arena`], the index is copy-on-write: each list sits
 //! behind its own [`Arc`], so cloning the index for a snapshot copies
-//! only the list pointers, and a later insert or remove copies exactly
-//! the lists it touches ([`Arc::make_mut`]) — the spine of the PUL,
-//! never the whole index.
-//!
-//! [`insert_run`]: CanonicalIndex::insert_run
-//! [`remove_run`]: CanonicalIndex::remove_run
+//! only the list pointers, and a later edit copies exactly the lists
+//! it touches ([`Arc::make_mut`]), each once per PUL — the spine of
+//! the PUL, never the whole index.
 
 use crate::arena::Arena;
 use crate::label::LabelId;
@@ -40,6 +56,7 @@ use crate::node::{NodeId, NodeKind};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-label lists of live nodes: every label in document order,
@@ -82,10 +99,13 @@ impl ValueList {
         head.binary_search(&entry).or_else(|_| in_tail()).ok()
     }
 
-    fn remove(&mut self, entry: (u64, NodeId)) {
-        let pos = self.position(entry).expect("a live attribute is indexed");
-        self.sorted -= usize::from(pos < self.sorted);
-        self.entries.remove(pos);
+    fn remove(&mut self, gone: impl Iterator<Item = (u64, NodeId)>) {
+        let mut at: Vec<usize> =
+            gone.map(|e| self.position(e).expect("a live attribute is indexed")).collect();
+        at.sort_unstable();
+        self.sorted -= at.partition_point(|&pos| pos < self.sorted);
+        let mut at = at.into_iter();
+        compact(&mut self.entries, |_, _| at.next().map(|pos| pos..pos + 1));
     }
 
     /// The nodes filed under `hash`, from both runs.
@@ -150,11 +170,92 @@ pub fn doc_cmp(nodes: &Arena, a: NodeId, b: NodeId) -> Ordering {
     nodes[x.index()].ord.cmp(&nodes[y.index()].ord)
 }
 
-/// Where `id` sits (or would sit) in a document-ordered `list`.
-fn search(nodes: &Arena, list: &[NodeId], id: NodeId) -> usize {
+/// Where a search expects its answer.
+#[derive(Clone, Copy)]
+enum Near {
+    Nowhere,
+    Front,
+    Back,
+}
+
+/// Where `id` sits (or would sit) in a document-ordered `list`: a
+/// binary search of all of it, or of the window a gallop from the
+/// front or the back — for an `id` expected a few places from there —
+/// has closed on.
+fn search(nodes: &Arena, list: &[NodeId], id: NodeId, near: Near) -> usize {
     #[cfg(debug_assertions)]
     work::count(1, 0);
-    list.partition_point(|&n| doc_cmp(nodes, n, id) == Ordering::Less)
+    let before = |n: NodeId| doc_cmp(nodes, n, id) == Ordering::Less;
+    let (len, mut step) = (list.len(), 1);
+    let (start, end) = match near {
+        Near::Nowhere => (0, len),
+        Near::Front => {
+            while step < len && before(list[step - 1]) {
+                step *= 2;
+            }
+            (step / 2, step.min(len))
+        }
+        Near::Back => {
+            while step < len && !before(list[len - step]) {
+                step *= 2;
+            }
+            (len.saturating_sub(step), len - step / 2)
+        }
+    };
+    start + list[start..end].partition_point(|&n| before(n))
+}
+
+/// One label's share of an edit, borrowed: the nodes in the order the
+/// edit met them, and the offsets at which its runs start — each run
+/// adjacent in document order (one subtree's share, one forest's) and
+/// not empty.
+pub type Runs<'a> = (&'a [NodeId], &'a [usize]);
+
+fn run<'a>((flat, starts): Runs<'a>, k: usize) -> &'a [NodeId] {
+    &flat[starts[k]..starts.get(k + 1).map_or(flat.len(), |&end| end)]
+}
+
+/// `runs`, if each follows the one before in document order, which is
+/// what lets a search go on from the last. Otherwise (the operations of
+/// a PUL come in any order; a subtree deleted around one deleted before
+/// it is no longer one stretch of the list) the same nodes re-cut into
+/// single-node runs, sorted into `store`.
+fn in_order<'a>(
+    nodes: &Arena,
+    runs: Runs<'a>,
+    store: &'a mut (Vec<NodeId>, Vec<usize>),
+) -> Runs<'a> {
+    let follows = |k: usize| {
+        let before = run(runs, k - 1);
+        doc_cmp(nodes, before[before.len() - 1], run(runs, k)[0]) == Ordering::Less
+    };
+    if (1..runs.1.len()).all(follows) {
+        return runs;
+    }
+    store.0 = runs.0.to_vec();
+    store.0.sort_by(|&a, &b| doc_cmp(nodes, a, b));
+    store.1 = (0..store.0.len()).collect();
+    (&store.0, &store.1)
+}
+
+/// Drops stretches of `list` in one forward pass. `next` names them
+/// in ascending order, disjoint; it is shown the list, of which the
+/// part from the end of the stretch before (its second argument) is
+/// still as it was.
+fn compact<T: Copy>(list: &mut Vec<T>, mut next: impl FnMut(&[T], usize) -> Option<Range<usize>>) {
+    // `list[..write]` is settled, `list[read..]` still to be judged.
+    let (mut write, mut read) = (0, 0);
+    while let Some(gone) = next(list, read) {
+        if write != read {
+            list.copy_within(read..gone.start, write);
+        }
+        write += gone.start - read;
+        read = gone.end;
+    }
+    if write != read {
+        list.copy_within(read.., write);
+        list.truncate(list.len() - (read - write));
+    }
 }
 
 impl CanonicalIndex {
@@ -162,43 +263,60 @@ impl CanonicalIndex {
         Self::default()
     }
 
-    /// Registers `run`: new nodes of *one* label that are adjacent in
-    /// document order — a single node, or one label's share of a
-    /// forest — with one search and one splice. Copy-on-write: a list
-    /// shared with a snapshot is copied before the edit.
-    pub fn insert_run(&mut self, nodes: &Arena, run: &[NodeId]) {
-        let Some(&first) = run.first() else { return };
-        let node = &nodes[first.index()];
-        let order = Arc::make_mut(self.map.entry(node.label).or_default());
-        // Appends at document end are the common case when bulk-loading
-        // or running XQuery-Update style insertions.
-        let at_end = order.last().is_none_or(|&l| doc_cmp(nodes, l, first) == Ordering::Less);
-        let pos = if at_end { order.len() } else { search(nodes, order, first) };
-        order.splice(pos..pos, run.iter().copied());
-        if node.kind == NodeKind::Attribute {
-            Arc::make_mut(self.values.entry(node.label).or_default())
-                .extend(run.iter().map(|&n| entry_of(nodes, n)));
-        }
-    }
+    /// The one way a label's lists change: drops the runs `removed`
+    /// (still in the list; their nodes may be unlinked and dead
+    /// already) and registers the runs `inserted` (new nodes, linked
+    /// and live), with one search per run and one rewrite of the list
+    /// — a forward compaction, then a back-to-front merge. Copy-on-write:
+    /// a list shared with a snapshot is copied first, once.
+    pub fn edit(&mut self, nodes: &Arena, label: LabelId, removed: Runs<'_>, inserted: Runs<'_>) {
+        let Some(&any) = removed.0.first().or(inserted.0.first()) else { return };
+        let order = Arc::make_mut(self.map.entry(label).or_default());
+        let (mut resorted_out, mut resorted_in) = Default::default();
+        let gone = in_order(nodes, removed, &mut resorted_out);
+        let new = in_order(nodes, inserted, &mut resorted_in);
 
-    /// Removes `run`: one label's share of a subtree, which is one
-    /// contiguous stretch of that label's list (copy-on-write, like
-    /// [`Self::insert_run`]). Call it before the nodes are unlinked.
-    pub fn remove_run(&mut self, nodes: &Arena, run: &[NodeId]) {
-        let Some(&first) = run.first() else { return };
-        let node = &nodes[first.index()];
-        let order =
-            Arc::make_mut(self.map.get_mut(&node.label).expect("a live node's label has a list"));
-        let pos = search(nodes, order, first);
-        assert!(
-            order.get(pos..pos + run.len()) == Some(run),
-            "the {:?} nodes of a subtree must be one run of their canonical relation",
-            node.label
-        );
-        order.drain(pos..pos + run.len());
-        if node.kind == NodeKind::Attribute {
-            let values = self.values.get_mut(&node.label).expect("an attribute label");
-            run.iter().for_each(|&n| Arc::make_mut(values).remove(entry_of(nodes, n)));
+        // Forward over the removed runs: the first by a search of the
+        // whole list, each later one galloping on from the one before.
+        let mut runs = 0..gone.1.len();
+        compact(order, |order, from| {
+            let (k, run) = runs.next().map(|k| (k, run(gone, k)))?;
+            let near = if k == 0 { Near::Nowhere } else { Near::Front };
+            let at = from + search(nodes, &order[from..], run[0], near);
+            assert!(
+                order.get(at..at + run.len()) == Some(run),
+                "the {label:?} nodes of a subtree must be one run of their canonical relation"
+            );
+            Some(at..at + run.len())
+        });
+
+        // Backward over the inserted runs, so that every element moves
+        // once: `read` is the end of the old elements not yet placed,
+        // `write` the end of the room left for them and the runs among
+        // them. The last run is searched for in the whole list, each
+        // earlier one galloping back from the one after.
+        let mut read = order.len();
+        order.resize(read + new.0.len(), any);
+        let mut write = order.len();
+        for k in (0..new.1.len()).rev() {
+            let (run, last) = (run(new, k), k + 1 == new.1.len());
+            let old = &order[..read];
+            // Appends at document end are the common case when
+            // bulk-loading or running XQuery-Update style insertions.
+            let at_end =
+                last && old.last().is_none_or(|&l| doc_cmp(nodes, l, run[0]) == Ordering::Less);
+            let near = if last { Near::Nowhere } else { Near::Back };
+            let at = if at_end { read } else { search(nodes, old, run[0], near) };
+            order.copy_within(at..read, write - (read - at));
+            write -= read - at + run.len();
+            read = at;
+            order[write..write + run.len()].copy_from_slice(run);
+        }
+
+        if nodes[any.index()].kind == NodeKind::Attribute {
+            let values = Arc::make_mut(self.values.entry(label).or_default());
+            values.remove(removed.0.iter().map(|&n| entry_of(nodes, n)));
+            values.extend(inserted.0.iter().map(|&n| entry_of(nodes, n)));
         }
     }
 
@@ -272,6 +390,65 @@ mod tests {
         /// Replaces [`value_hash`] on the calling thread (tests only:
         /// the collision test needs two values in one bucket).
         pub(super) static HASHER: Cell<Option<Hash>> = const { Cell::new(None) };
+    }
+
+    /// The per-run maintenance [`CanonicalIndex::edit`] replaced — one
+    /// whole-list search and one splice / drain per label of every
+    /// subtree, one `Vec::remove` per attribute — kept as the reference
+    /// the batched edit is compared with
+    /// (`document::tests::a_batched_edit_equals_the_per_run_reference`).
+    impl CanonicalIndex {
+        pub(crate) fn insert_run(&mut self, nodes: &Arena, run: &[NodeId]) {
+            let Some(&first) = run.first() else { return };
+            let node = &nodes[first.index()];
+            let order = Arc::make_mut(self.map.entry(node.label).or_default());
+            let at_end = order.last().is_none_or(|&l| doc_cmp(nodes, l, first) == Ordering::Less);
+            let pos = if at_end { order.len() } else { search(nodes, order, first, Near::Nowhere) };
+            order.splice(pos..pos, run.iter().copied());
+            if node.kind == NodeKind::Attribute {
+                Arc::make_mut(self.values.entry(node.label).or_default())
+                    .extend(run.iter().map(|&n| entry_of(nodes, n)));
+            }
+        }
+
+        pub(crate) fn remove_run(&mut self, nodes: &Arena, run: &[NodeId]) {
+            let Some(&first) = run.first() else { return };
+            let node = &nodes[first.index()];
+            let order = Arc::make_mut(self.map.get_mut(&node.label).expect("a list"));
+            let pos = search(nodes, order, first, Near::Nowhere);
+            assert!(order.get(pos..pos + run.len()) == Some(run), "one run");
+            order.drain(pos..pos + run.len());
+            if node.kind == NodeKind::Attribute {
+                let values = Arc::make_mut(self.values.get_mut(&node.label).expect("a list"));
+                for &n in run {
+                    let pos = values.position(entry_of(nodes, n)).expect("indexed");
+                    values.sorted -= usize::from(pos < values.sorted);
+                    values.entries.remove(pos);
+                }
+            }
+        }
+
+        /// Both indexes hold the same lists, and the same value
+        /// entries whatever run of its list each sits in.
+        pub(crate) fn assert_same_lists(&self, other: &CanonicalIndex) {
+            let non_empty = |map: &HashMap<LabelId, Arc<Vec<NodeId>>>| -> HashMap<_, _> {
+                map.iter().filter(|(_, l)| !l.is_empty()).map(|(k, l)| (*k, l.clone())).collect()
+            };
+            assert_eq!(non_empty(&self.map), non_empty(&other.map));
+            let entries = |values: &HashMap<LabelId, Arc<ValueList>>| -> HashMap<_, _> {
+                let sorted = |v: &Arc<ValueList>| {
+                    let mut e = v.entries.clone();
+                    e.sort_unstable();
+                    e
+                };
+                values
+                    .iter()
+                    .filter(|(_, v)| !v.entries.is_empty())
+                    .map(|(k, v)| (*k, sorted(v)))
+                    .collect()
+            };
+            assert_eq!(entries(&self.values), entries(&other.values));
+        }
     }
 
     /// How many document-order lists (`.0`) and value lists (`.1`) two
@@ -351,6 +528,49 @@ mod tests {
         assert_eq!(d.attributes_with_value(k, "3").len(), 1);
         assert!(snap.attributes_with_value(k, "3").is_empty());
         assert_eq!(snap.canonical_nodes(k).len(), 2);
+    }
+
+    /// [`clone_shares_lists_until_written`] for an edit of many
+    /// subtrees: a k-target delete under a snapshot copies each touched
+    /// order / value list exactly once. The edit asks for a list once,
+    /// when it ends — until then the live document still shares every
+    /// list — so the copy that takes it out from under the snapshot is
+    /// the only one.
+    #[test]
+    fn a_many_target_delete_copies_each_touched_list_once() {
+        let people: String = (0..40)
+            .map(|i| format!("<p id=\"{}\"><n>x</n><q k=\"{}\"/></p>", i % 7, i % 3))
+            .collect();
+        let mut d = parse_document(&format!("<r><z id=\"9\"/>{people}<w/></r>")).unwrap();
+        let snap = d.clone();
+        assert_eq!(
+            shared(d.canonical_index(), snap.canonical_index()),
+            (9, 2),
+            "r z @id p n # q @k w"
+        );
+        let lists = |d: &Document| -> Vec<*const Vec<NodeId>> {
+            ["p", "@id", "n", "q", "@k"]
+                .iter()
+                .map(|l| Arc::as_ptr(&d.canonical_index().map[&d.label_id(l).unwrap()]))
+                .collect()
+        };
+        let before = lists(&d);
+        let doomed: Vec<NodeId> = d.canonical_nodes_named("p").iter().copied().step_by(2).collect();
+        let mut edit = d.edit();
+        for p in doomed {
+            assert_eq!(edit.remove_subtree(p).unwrap().len(), 6);
+            // Nothing is copied, or even touched, until the edit ends.
+            assert_eq!(lists(&edit), before);
+        }
+        drop(edit);
+        assert!(lists(&d).iter().zip(&before).all(|(now, then)| now != then));
+        assert_eq!(lists(&snap), before, "the snapshot kept the originals");
+        // r, z and w were not written; of the value lists, both were.
+        assert_eq!(shared(d.canonical_index(), snap.canonical_index()), (3, 0));
+        assert_eq!(d.canonical_nodes_named("p").len(), 20);
+        assert_eq!(snap.canonical_nodes_named("p").len(), 40);
+        d.check_invariants().unwrap();
+        snap.check_invariants().unwrap();
     }
 
     #[test]

@@ -8,6 +8,8 @@ use crate::label::{attribute_label, LabelId, LabelInterner, TEXT_LABEL};
 use crate::node::{Node, NodeId, NodeKind};
 use crate::serializer::serialize_node;
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// An ordered labeled tree of element, attribute and text nodes, with
@@ -162,7 +164,7 @@ impl Document {
             max_child_ord: 0,
         });
         self.nodes.get_mut(parent.index()).children.insert(pos, id);
-        self.canonical.insert_run(&self.nodes, &[id]);
+        self.canonical.edit(&self.nodes, label, (&[], &[]), (&[id], &[0]));
         Ok(id)
     }
 
@@ -174,15 +176,15 @@ impl Document {
         text: Option<String>,
     ) -> Result<NodeId, XmlError> {
         let id = self.push_node(parent, kind, label, text)?;
-        self.canonical.insert_run(&self.nodes, &[id]);
+        self.canonical.edit(&self.nodes, label, (&[], &[]), (&[id], &[0]));
         Ok(id)
     }
 
     /// Appends a node after `parent`'s last child (`None`: as the
-    /// root) *without* registering it in the canonical index: whoever
-    /// calls this owes one [`Self::index_appended`] over the nodes it
-    /// appended, which is how a parsed forest costs one search per
-    /// label instead of one per node.
+    /// root) *without* registering it in the canonical index: only
+    /// for the parser, through [`DocumentEdit::appending`], which is
+    /// how a parsed forest costs one search per label instead of one
+    /// per node.
     pub(crate) fn push_node(
         &mut self,
         parent: Option<NodeId>,
@@ -231,26 +233,6 @@ impl Document {
         Ok(id)
     }
 
-    /// Registers every node from arena slot `first` on — all appended
-    /// by [`Self::push_node`] in document order under one parent (or
-    /// into an empty document), so adjacent in document order — one
-    /// run per label.
-    pub(crate) fn index_appended(&mut self, first: usize) {
-        for run in self.runs_by_label((first..self.nodes.len()).map(|i| NodeId(i as u32))) {
-            self.canonical.insert_run(&self.nodes, &run);
-        }
-    }
-
-    /// `nodes` split by label, each label's share in the given order
-    /// (empty for the labels that do not occur).
-    fn runs_by_label(&self, nodes: impl Iterator<Item = NodeId>) -> Vec<Vec<NodeId>> {
-        let mut runs = vec![Vec::new(); self.labels.len()];
-        for n in nodes {
-            runs[self.nodes[n.index()].label.index()].push(n);
-        }
-        runs
-    }
-
     /// Highest sibling ordinal ever allocated under `parent` (deleted
     /// children included): appended children always receive ordinals
     /// strictly beyond this value, in [`crate::dewey::ORD_STRIDE`]
@@ -263,33 +245,17 @@ impl Document {
     // Deletion
     // ------------------------------------------------------------------
 
-    /// Removes the subtree rooted at `node` (XQuery Update `delete`
-    /// semantics: all descendants go too). Returns the removed nodes in
-    /// pre-order, which is exactly what Δ⁻ extraction needs; their
-    /// parent links, labels and ordinals stay readable.
+    /// Opens an edit: the unit in which the per-label lists change.
+    /// See [`DocumentEdit`].
+    pub fn edit(&mut self) -> DocumentEdit<'_> {
+        let first_created = self.nodes.len();
+        DocumentEdit { doc: self, first_created, forests: Vec::new(), lists: HashMap::new() }
+    }
+
+    /// Removes the subtree rooted at `node`: an edit of one subtree
+    /// ([`DocumentEdit::remove_subtree`]).
     pub fn remove_subtree(&mut self, node: NodeId) -> Result<Vec<NodeId>, XmlError> {
-        self.check_alive(node)?;
-        let removed = self.descendants_or_self(node);
-        // Pre-order is document order: each label's share of the
-        // subtree is one run of that label's canonical relation.
-        for run in self.runs_by_label(removed.iter().copied()) {
-            self.canonical.remove_run(&self.nodes, &run);
-        }
-        match self.nodes[node.index()].parent {
-            Some(p) => {
-                let ord = self.nodes[node.index()].ord;
-                let at = self.nodes[p.index()]
-                    .children
-                    .binary_search_by_key(&ord, |c| self.nodes[c.index()].ord)
-                    .expect("a live node is among its parent's children");
-                self.nodes.get_mut(p.index()).children.remove(at);
-            }
-            None => self.root = None,
-        }
-        for &n in &removed {
-            self.nodes.get_mut(n.index()).alive = false;
-        }
-        Ok(removed)
+        self.edit().remove_subtree(node)
     }
 
     // ------------------------------------------------------------------
@@ -433,6 +399,19 @@ impl Document {
         }
     }
 
+    /// The part of [`Self::canonical_nodes`] inside the subtree of
+    /// `root`, `root` itself included: one stretch of the list, found
+    /// by two binary searches that compare by parent links (no ID is
+    /// built). Empty under a dead root — its nodes left the list.
+    pub fn canonical_nodes_within(&self, label: LabelId, root: NodeId) -> &[NodeId] {
+        let list = self.canonical.nodes(label);
+        let inside = &list[list.partition_point(|&n| self.doc_cmp(n, root) == Ordering::Less)..];
+        let under = |&n: &NodeId| {
+            std::iter::successors(Some(n), |&up| self.parent_of(up)).any(|up| up == root)
+        };
+        &inside[..inside.partition_point(under)]
+    }
+
     /// The live attributes labeled `label` whose value is `value`, in
     /// no particular order: a lookup in the label's value index, not a
     /// scan.
@@ -482,6 +461,122 @@ impl Document {
             }
         }
         self.canonical.check_sorted(&self.nodes)
+    }
+}
+
+/// One label's share of an edit ([`crate::canonical::Runs`], owned):
+/// the nodes, and the offsets at which each subtree's (or forest's)
+/// run starts.
+#[derive(Debug, Default)]
+struct RunList {
+    nodes: Vec<NodeId>,
+    starts: Vec<usize>,
+    /// What the last run was opened for.
+    open: usize,
+}
+
+impl RunList {
+    /// Adds `node` to the run of `key`, opening it if the last node
+    /// went to another.
+    fn push(&mut self, key: usize, node: NodeId) {
+        if self.starts.is_empty() || self.open != key {
+            self.starts.push(self.nodes.len());
+            self.open = key;
+        }
+        self.nodes.push(node);
+    }
+}
+
+/// One edit of a [`Document`] — a whole PUL, or one forest, or one
+/// subtree — and the unit in which its per-label lists change.
+///
+/// The tree itself changes at once: a forest's nodes are pushed and
+/// linked, a removed subtree is unlinked and marked dead, so
+/// [`Document::find_node`] and every traversal (reachable through
+/// `Deref`) see each operation as soon as it is made. The canonical
+/// and value lists are settled when the edit is dropped — early
+/// returns included — once per label ([`CanonicalIndex::edit`]): until
+/// then they still hold the removed nodes and lack the new ones, and
+/// nothing should read them through the guard.
+pub struct DocumentEdit<'a> {
+    doc: &'a mut Document,
+    /// The arena's length when the edit opened: it created exactly the
+    /// nodes at or past it, none of which the lists hold yet.
+    first_created: usize,
+    /// The arena offsets at which the forests appended so far start.
+    forests: Vec<usize>,
+    /// By label: the old nodes removed so far, one run per subtree;
+    /// and, once the edit ends, the created nodes still alive, one run
+    /// per forest.
+    lists: HashMap<LabelId, [RunList; 2]>,
+}
+
+impl Deref for DocumentEdit<'_> {
+    type Target = Document;
+
+    fn deref(&self) -> &Document {
+        self.doc
+    }
+}
+
+impl DocumentEdit<'_> {
+    /// The document, to push a forest of unindexed nodes into
+    /// ([`Document::push_node`]) under one live parent: all that is
+    /// pushed until the next call — or the end of the edit — is one
+    /// forest, adjacent in document order.
+    pub(crate) fn appending(&mut self) -> &mut Document {
+        self.forests.push(self.doc.nodes.len());
+        self.doc
+    }
+
+    /// Removes the subtree rooted at `node` (XQuery Update `delete`
+    /// semantics: all descendants go too). Returns the removed nodes in
+    /// pre-order, which is exactly what Δ⁻ extraction needs; their
+    /// parent links, labels and ordinals stay readable.
+    pub fn remove_subtree(&mut self, node: NodeId) -> Result<Vec<NodeId>, XmlError> {
+        self.doc.check_alive(node)?;
+        let removed = self.doc.descendants_or_self(node);
+        let nodes = &mut self.doc.nodes;
+        // Pre-order is document order: each label's share of the
+        // subtree is one run of that label's canonical relation. Nodes
+        // this edit created are in no list yet, and never will be.
+        for &n in removed.iter().filter(|n| n.index() < self.first_created) {
+            self.lists.entry(nodes[n.index()].label).or_default()[0].push(node.index(), n);
+        }
+        match nodes[node.index()].parent {
+            Some(p) => {
+                let ord = nodes[node.index()].ord;
+                let at = nodes[p.index()]
+                    .children
+                    .binary_search_by_key(&ord, |c| nodes[c.index()].ord)
+                    .expect("a live node is among its parent's children");
+                nodes.get_mut(p.index()).children.remove(at);
+            }
+            None => self.doc.root = None,
+        }
+        for &n in &removed {
+            nodes.get_mut(n.index()).alive = false;
+        }
+        Ok(removed)
+    }
+}
+
+/// Settles the lists: per label, the runs removed and the runs — one
+/// per forest — of the created nodes still alive, in one
+/// [`CanonicalIndex::edit`]. Panics only where the index was already
+/// broken.
+impl Drop for DocumentEdit<'_> {
+    fn drop(&mut self) {
+        let Document { nodes, canonical, .. } = &mut *self.doc;
+        let ends = self.forests.iter().skip(1).copied().chain([nodes.len()]);
+        for (&start, end) in self.forests.iter().zip(ends) {
+            for (i, node) in (start..end).map(|i| (i, &nodes[i])).filter(|(_, n)| n.alive) {
+                self.lists.entry(node.label).or_default()[1].push(start, NodeId(i as u32));
+            }
+        }
+        for (&label, [gone, new]) in &self.lists {
+            canonical.edit(nodes, label, (&gone.nodes, &gone.starts), (&new.nodes, &new.starts));
+        }
     }
 }
 
@@ -614,5 +709,99 @@ mod tests {
     fn content_serializes_subtree() {
         let (d, _, c, _) = sample();
         assert_eq!(d.content(c), "<c><b/></c>");
+    }
+
+    /// The range accessor against its definition — filter the list by
+    /// Dewey prefix — on every (label, node) pair, dead roots included.
+    #[test]
+    fn canonical_nodes_within_is_the_list_filtered_by_dewey_prefix() {
+        let mut d = crate::parse_document(
+            "<a k=\"1\"><b><c/>t<c k=\"2\"><b/></c></b><b/><d><b k=\"3\"><c/></b>u</d><c/></a>",
+        )
+        .unwrap();
+        let all = d.descendants_or_self(d.root().unwrap());
+        let labels: Vec<LabelId> = d.labels().iter().map(|(l, _)| l).collect();
+        let check = |d: &Document| {
+            for &root in &all {
+                let prefix = d.dewey(root);
+                for &l in &labels {
+                    let filtered: Vec<NodeId> = d
+                        .canonical_nodes(l)
+                        .iter()
+                        .copied()
+                        .filter(|&n| prefix.is_ancestor_or_self_of(&d.dewey(n)))
+                        .collect();
+                    assert_eq!(d.canonical_nodes_within(l, root), filtered, "{l:?} in {root:?}");
+                }
+            }
+        };
+        check(&d);
+        // Dead roots (the first b and all under it) hold nothing; the
+        // ranges around them close up.
+        d.remove_subtree(d.canonical_nodes_named("b")[0]).unwrap();
+        check(&d);
+    }
+
+    /// The batched edit against the per-run maintenance it replaced
+    /// (`canonical::tests`): random mixed edits — nested and repeated
+    /// delete targets, forests under nodes the edit created or is
+    /// about to delete, duplicate attribute values — leave the lists
+    /// the reference leaves when it is told of every subtree and forest
+    /// at once; a snapshot taken before keeps its own.
+    #[test]
+    fn a_batched_edit_equals_the_per_run_reference() {
+        const SEED: &str = "<r k=\"v0\"><a k=\"v1\"><b j=\"v1\">x</b><a><b k=\"v1\"/><c/></a></a>\
+            <c j=\"v0\"><b/><b k=\"v0\"><c k=\"v1\"/></b></c><a/><b j=\"v1\">y</b></r>";
+        const FORESTS: [&str; 4] = [
+            "<b k=\"v1\"/>",
+            "<a k=\"v0\" j=\"v1\"><b k=\"v1\"/>z<c/></a><b/>",
+            "<c j=\"v1\"><b k=\"v1\" j=\"v1\"/></c>",
+            "w",
+        ];
+        let by_label = |d: &Document, nodes: &[NodeId]| {
+            let mut runs: HashMap<LabelId, Vec<NodeId>> = HashMap::new();
+            nodes.iter().for_each(|&n| runs.entry(d.nodes[n.index()].label).or_default().push(n));
+            runs
+        };
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |below: usize| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) as usize % below
+        };
+        for case in 0..300 {
+            let mut d = crate::parse_document(SEED).unwrap();
+            for _edit in 0..3 {
+                let snapshot = d.clone();
+                let mut reference = d.canonical.clone();
+                let mut edit = d.edit();
+                for _op in 0..1 + draw(6) {
+                    // Any node ever made, dead ones too (a no-op), the
+                    // root excepted.
+                    let target = NodeId(1 + draw(edit.arena_len() - 1) as u32);
+                    if draw(2) == 0 {
+                        let Ok(removed) = edit.remove_subtree(target) else { continue };
+                        for run in by_label(&edit, &removed).values() {
+                            reference.remove_run(&edit.nodes, run);
+                        }
+                    } else {
+                        let first = edit.arena_len();
+                        if edit.insert_forest(target, FORESTS[draw(FORESTS.len())]).is_err() {
+                            continue; // a dead or a non-element parent
+                        }
+                        let made: Vec<NodeId> =
+                            (first..edit.arena_len()).map(|i| NodeId(i as u32)).collect();
+                        for run in by_label(&edit, &made).values() {
+                            reference.insert_run(&edit.nodes, run);
+                        }
+                    }
+                }
+                drop(edit);
+                d.canonical.assert_same_lists(&reference);
+                d.check_invariants().unwrap_or_else(|e| panic!("case {case}: {e}"));
+                snapshot
+                    .check_invariants()
+                    .unwrap_or_else(|e| panic!("case {case}, snapshot: {e}"));
+            }
+        }
     }
 }

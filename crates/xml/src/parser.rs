@@ -6,7 +6,7 @@
 //! latter three are skipped). Namespaces, CDATA sections and DTD
 //! internal subsets are out of scope (see DESIGN.md §8).
 
-use crate::document::Document;
+use crate::document::{Document, DocumentEdit};
 use crate::error::XmlError;
 use crate::label::{attribute_label, TEXT_LABEL};
 use crate::node::{NodeId, NodeKind};
@@ -19,12 +19,11 @@ pub fn parse_document(input: &str) -> Result<Document, XmlError> {
     if p.at_end() {
         return Err(XmlError::NoRoot);
     }
-    p.element(&mut doc, None)?;
+    p.element(doc.edit().appending(), None)?;
     p.skip_misc();
     if !p.at_end() {
         return Err(p.err("content after document root"));
     }
-    doc.index_appended(0);
     Ok(doc)
 }
 
@@ -38,13 +37,17 @@ pub fn parse_forest_into(
     parent: NodeId,
     input: &str,
 ) -> Result<Vec<NodeId>, XmlError> {
-    // The nodes are appended unindexed and registered together — one
-    // search per label of the forest — also when the parse fails half
-    // way: what it built so far stays in the document.
-    let first = doc.arena_len();
-    let roots = Parser::new(input).forest(doc, parent);
-    doc.index_appended(first);
-    roots
+    doc.edit().insert_forest(parent, input)
+}
+
+impl DocumentEdit<'_> {
+    /// [`parse_forest_into`] as one operation of a larger edit. The
+    /// nodes are appended unindexed and registered when the edit ends —
+    /// one search per label of the forest — also when the parse fails
+    /// half way: what it built so far stays in the document.
+    pub fn insert_forest(&mut self, parent: NodeId, input: &str) -> Result<Vec<NodeId>, XmlError> {
+        Parser::new(input).forest(self.appending(), parent)
+    }
 }
 
 /// Accepts exactly the forests [`parse_forest_into`] accepts, building

@@ -163,15 +163,24 @@ fn arena_with_children(n: usize) -> Arena {
     nodes.into_iter().collect()
 }
 
+/// One run of one label through the index's one entry point.
+fn insert_run(index: &mut CanonicalIndex, nodes: &Arena, run: &[NodeId]) {
+    index.edit(nodes, nodes[run[0].index()].label, (&[], &[]), (run, &[0]));
+}
+
+fn remove_run(index: &mut CanonicalIndex, nodes: &Arena, run: &[NodeId]) {
+    index.edit(nodes, nodes[run[0].index()].label, (run, &[0]), (&[], &[]));
+}
+
 #[test]
 fn canonical_index_stays_sorted_under_out_of_order_inserts() {
     let nodes = arena_with_children(8);
     let mut index = CanonicalIndex::new();
-    index.insert_run(&nodes, &[NodeId(0)]);
+    insert_run(&mut index, &nodes, &[NodeId(0)]);
     // Insert the children back to front: exercises the non-append
     // binary-search path.
     for i in (0..8).rev() {
-        index.insert_run(&nodes, &[NodeId(1 + i as u32)]);
+        insert_run(&mut index, &nodes, &[NodeId(1 + i as u32)]);
     }
     index.check_sorted(&nodes).unwrap();
     assert_eq!(index.nodes(LabelId(1)).len(), 4);
@@ -186,14 +195,14 @@ fn canonical_index_removes_exactly_the_run() {
     let nodes = arena_with_children(6);
     let mut index = CanonicalIndex::new();
     // Label A holds children 1, 3, 5; label B 2, 4, 6.
-    index.insert_run(&nodes, &[NodeId(1), NodeId(3), NodeId(5)]);
-    index.insert_run(&nodes, &[NodeId(2), NodeId(4), NodeId(6)]);
-    index.remove_run(&nodes, &[NodeId(3), NodeId(5)]);
+    insert_run(&mut index, &nodes, &[NodeId(1), NodeId(3), NodeId(5)]);
+    insert_run(&mut index, &nodes, &[NodeId(2), NodeId(4), NodeId(6)]);
+    remove_run(&mut index, &nodes, &[NodeId(3), NodeId(5)]);
     assert!(!index.contains(&nodes, NodeId(3)) && !index.contains(&nodes, NodeId(5)));
     assert_eq!(index.nodes(LabelId(1)), &[NodeId(1)]);
     assert_eq!(index.nodes(LabelId(2)).len(), 3);
     index.check_sorted(&nodes).unwrap();
-    index.remove_run(&nodes, &[]);
+    index.edit(&nodes, LabelId(1), (&[], &[]), (&[], &[]));
     assert_eq!(index.nodes(LabelId(1)).len(), 1);
 }
 
@@ -205,9 +214,9 @@ fn canonical_index_removes_exactly_the_run() {
 fn canonical_index_refuses_a_run_it_does_not_hold() {
     let nodes = arena_with_children(6);
     let mut index = CanonicalIndex::new();
-    index.insert_run(&nodes, &[NodeId(1), NodeId(3), NodeId(5)]);
-    index.remove_run(&nodes, &[NodeId(3)]);
-    index.remove_run(&nodes, &[NodeId(3)]);
+    insert_run(&mut index, &nodes, &[NodeId(1), NodeId(3), NodeId(5)]);
+    remove_run(&mut index, &nodes, &[NodeId(3)]);
+    remove_run(&mut index, &nodes, &[NodeId(3)]);
 }
 
 #[test]

@@ -186,19 +186,25 @@ fn fmt_ns(ns: f64) -> String {
 /// Entry point mirroring `criterion::Criterion`.
 #[derive(Default)]
 pub struct Criterion {
-    _private: (),
+    /// Only benchmarks whose id contains this run.
+    filter: Option<String>,
 }
 
 impl Criterion {
-    /// No-op in the shim; real criterion parses `--bench`/filters here.
+    /// Like real criterion, takes the first free argument
+    /// (`cargo bench -- <filter>`) as a substring filter on benchmark
+    /// ids; the flags cargo adds (`--bench`) are skipped.
     pub fn configure_from_args(self) -> Self {
-        self
+        Criterion { filter: std::env::args().skip(1).find(|a| !a.starts_with('-')) }
     }
 
     pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        if self.filter.as_ref().is_some_and(|wanted| !id.contains(wanted.as_str())) {
+            return self;
+        }
         let mut b = Bencher::default();
         f(&mut b);
         let s = b.stats();

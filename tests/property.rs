@@ -1452,6 +1452,83 @@ proptest! {
     }
 }
 
+/// Every canonical list of `doc` is the pre-order walk filtered by
+/// label, and every value lookup the attributes the walk finds — the
+/// lists by their definition, whoever maintained them.
+fn lists_equal_the_walk(doc: &Document, when: &str) -> Result<(), TestCaseError> {
+    use std::collections::BTreeMap;
+    use xivm::xml::{NodeId, NodeKind};
+    let walk = doc.root().map(|r| doc.descendants_or_self(r)).unwrap_or_default();
+    let mut by_label: BTreeMap<LabelId, Vec<NodeId>> = BTreeMap::new();
+    let mut by_value: BTreeMap<(LabelId, String), Vec<NodeId>> = BTreeMap::new();
+    for &n in &walk {
+        by_label.entry(doc.node(n).label).or_default().push(n);
+        if doc.node(n).kind == NodeKind::Attribute {
+            by_value.entry((doc.node(n).label, doc.value(n))).or_default().push(n);
+        }
+    }
+    for (label, _) in doc.labels().iter() {
+        let expected = by_label.remove(&label).unwrap_or_default();
+        prop_assert_eq!(doc.canonical_nodes(label), &expected[..], "{:?} {}", label, when);
+        for value in ["v0", "v1", "v2", "5"] {
+            let mut hits = doc.attributes_with_value(label, value);
+            hits.sort();
+            let mut expected = by_value.remove(&(label, value.to_owned())).unwrap_or_default();
+            expected.sort();
+            prop_assert_eq!(hits, expected, "{:?}={} {}", label, value, when);
+        }
+    }
+    prop_assert!(by_value.is_empty(), "values outside the probe set: {:?}", by_value);
+    doc.check_invariants().map_err(TestCaseError::fail)
+}
+
+proptest! {
+    /// A PUL is one edit: applied whole — its lists settled once, at
+    /// the end — a random mixed PUL (targets that nest and repeat,
+    /// forests under nodes an earlier operation created or a later one
+    /// deletes, attribute values that repeat) leaves the canonical and
+    /// value lists exactly as applying its operations one edit each
+    /// does, both as the pre-order walk defines them; the snapshot
+    /// taken before keeps its own.
+    #[test]
+    fn a_pul_applied_as_one_edit_equals_its_operations_one_by_one(
+        doc_xml in arb_keyed_doc(),
+        steps in prop::collection::vec(
+            (0usize..KEYED_TARGETS.len(), 0usize..KEYED_FORESTS.len(), 0usize..3, 0usize..2),
+            1..7
+        ),
+    ) {
+        use xivm::update::{apply_pul, compute_pul, statement::parse_statement, Pul};
+        let seed = parse_document(&doc_xml).unwrap();
+        // `stale` steps read their targets off the seed, the others off
+        // the document as the steps before left it.
+        let mut evolved = seed.clone();
+        let mut ops = Vec::new();
+        for &(t, f, op, stale) in &steps {
+            let stmt = parse_statement(&keyed_statement(&(t, f, op))).unwrap();
+            let pul = compute_pul(if stale == 1 { &seed } else { &evolved }, &stmt);
+            apply_pul(&mut evolved, &pul).unwrap();
+            ops.extend(pul.ops);
+        }
+        let (mut whole, mut one_by_one) = (seed.clone(), seed.clone());
+        whole.adopt_labels(&evolved.shared_labels());
+        one_by_one.adopt_labels(&evolved.shared_labels());
+        apply_pul(&mut whole, &Pul::new(ops.clone())).unwrap();
+        for op in ops {
+            apply_pul(&mut one_by_one, &Pul::new(vec![op])).unwrap();
+        }
+        prop_assert_eq!(serialize_document(&whole), serialize_document(&evolved));
+        lists_equal_the_walk(&whole, "as one edit")?;
+        lists_equal_the_walk(&one_by_one, "one by one")?;
+        for (label, _) in whole.labels().iter() {
+            // Node for node: both made the same nodes in the same order.
+            prop_assert_eq!(whole.canonical_nodes(label), one_by_one.canonical_nodes(label));
+        }
+        prop_assert_eq!(serialize_document(&seed), doc_xml.as_str());
+        lists_equal_the_walk(&seed, "in the snapshot")?;
+    }
+}
+
 /// The same equation on the benchmark's document: every Appendix A
 /// target path and the point stream's seven statement shapes
 /// (`benchmark/src/stream.rs`), before and after each statement.
