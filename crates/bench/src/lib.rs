@@ -3,7 +3,10 @@
 //! Every figure of the paper's evaluation has a dedicated runner under
 //! `benches/` (plain `harness = false` binaries, so `cargo bench`
 //! regenerates every figure); this crate holds the measurement and
-//! table-printing helpers they share.
+//! table-printing helpers they share. The runners are the reproduction
+//! artifact only: what the product costs end to end and layer by layer
+//! is measured by the standalone `benchmark/` package (contract in
+//! `BENCHMARK.json`), not here.
 //!
 //! Runner ↔ figure map: `fig18_19_breakdown` (phase breakdowns),
 //! `fig20_21_all_views` (all view/update pairs), `fig22_23_path_depth`
@@ -11,10 +14,9 @@
 //! `fig25_scalability` (document-size ladder), `fig26_27_vs_full`
 //! (vs. recomputation), `fig28_vs_ivma` (vs. node-at-a-time IVMA),
 //! `fig29_32_snowcaps` (snowcaps vs. leaves only), `fig33_35_pul_rules`
-//! (PUL reduction rules), `fig_parallel` (multi-view worker-pool
-//! sweep), plus `tablea_testset`, `ablation` and the `micro`
-//! criterion benches. Environment knobs (`XIVM_FULL`, `XIVM_BENCH_MS`,
-//! `XIVM_WORKERS`) and the committed-baseline workflow are documented
+//! (PUL reduction rules), plus `tablea_testset`, `ablation` and the
+//! `micro` criterion benches. Environment knobs (`XIVM_FULL`,
+//! `XIVM_BENCH_MS`) and the committed-baseline workflow are documented
 //! in the README's **Benchmarks** section; the `xivm_bench` row of
 //! `ARCHITECTURE.md` (repository root) places the runners in the
 //! workspace-wide picture.
@@ -95,31 +97,6 @@ pub fn averaged<F: FnMut() -> Timings>(n: usize, mut f: F) -> Timings {
     }
 }
 
-/// Summary statistics over one measurement's repetitions. A mean
-/// alone hides warm-up spikes and scheduler noise; the sweep runners
-/// report the spread alongside it.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RepStats {
-    pub mean: f64,
-    pub min: f64,
-    pub median: f64,
-    pub stddev: f64,
-}
-
-/// Mean/min/median/population-stddev of the per-repetition values.
-pub fn rep_stats(values: &[f64]) -> RepStats {
-    if values.is_empty() {
-        return RepStats::default();
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let n = sorted.len();
-    let mean = sorted.iter().sum::<f64>() / n as f64;
-    let median = if n % 2 == 1 { sorted[n / 2] } else { (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0 };
-    let var = sorted.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-    RepStats { mean, min: sorted[0], median, stddev: var.sqrt() }
-}
-
 /// Number of repetitions per measurement (5 in the paper; 3 in quick
 /// mode to keep `cargo bench` short).
 pub fn repetitions() -> usize {
@@ -146,18 +123,6 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(t.execute_update, Duration::from_millis(10));
-    }
-
-    #[test]
-    fn rep_stats_summarize() {
-        assert_eq!(rep_stats(&[]), RepStats::default());
-        let s = rep_stats(&[3.0, 1.0, 2.0]);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 2.0);
-        assert!((s.stddev - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        let even = rep_stats(&[4.0, 1.0, 3.0, 2.0]);
-        assert_eq!(even.median, 2.5);
     }
 
     #[test]

@@ -48,7 +48,6 @@
 //! ```
 
 use crate::commit::Commit;
-use crate::costmodel::UpdateProfile;
 use crate::engine::MaintenanceEngine;
 use crate::error::Error;
 use crate::executor::Batch;
@@ -215,16 +214,10 @@ fn resolve_statement(source: StatementSource) -> Result<UpdateStatement, Error> 
 // Builder
 // ---------------------------------------------------------------------
 
-/// How a view's auxiliary snowcaps are chosen at materialization time.
-enum ViewMode {
-    Strategy(SnowcapStrategy),
-    CostBased(UpdateProfile),
-}
-
 struct ViewSpec {
     name: String,
     pattern: PatternSource,
-    mode: ViewMode,
+    strategy: SnowcapStrategy,
     deferred: bool,
 }
 
@@ -269,16 +262,12 @@ pub(crate) struct DeferredPending {
     pub(crate) commits: u64,
 }
 
-/// Builder for [`Database`] — see [`Database::builder`].
-///
-/// `cost_based(..)` sets the materialization mode for the views
-/// declared *after* it (like a CLI flag); views declared before it use
-/// [`SnowcapStrategy::MinimalChain`], and `view_with_strategy(..)`
-/// picks a strategy for one view.
+/// Builder for [`Database`] — see [`Database::builder`]. Views use
+/// [`SnowcapStrategy::MinimalChain`] unless declared through
+/// [`Self::view_with_strategy`].
 pub struct DatabaseBuilder {
     document: Option<DocumentSource>,
     views: Vec<ViewSpec>,
-    default_profile: Option<UpdateProfile>,
     workers: Option<usize>,
     pipeline: Option<usize>,
     sub_capacity: Option<usize>,
@@ -291,7 +280,6 @@ impl Default for DatabaseBuilder {
         DatabaseBuilder {
             document: None,
             views: Vec::new(),
-            default_profile: None,
             workers: None,
             pipeline: None,
             sub_capacity: None,
@@ -339,27 +327,26 @@ impl DatabaseBuilder {
         self
     }
 
-    /// The mode of a view declared without an explicit strategy: the
-    /// cost model once [`Self::cost_based`] was called, else
-    /// [`SnowcapStrategy::MinimalChain`].
-    fn default_mode(&self) -> ViewMode {
-        match &self.default_profile {
-            Some(p) => ViewMode::CostBased(p.clone()),
-            None => ViewMode::Strategy(SnowcapStrategy::MinimalChain),
-        }
-    }
-
-    /// Declares a named view using the current default materialization
-    /// mode. Pattern text errors surface at [`Self::build`].
-    pub fn view(mut self, name: impl Into<String>, pattern: impl Into<PatternSource>) -> Self {
-        let mode = self.default_mode();
+    fn push_view(
+        mut self,
+        name: impl Into<String>,
+        pattern: impl Into<PatternSource>,
+        strategy: SnowcapStrategy,
+        deferred: bool,
+    ) -> Self {
         self.views.push(ViewSpec {
             name: name.into(),
             pattern: pattern.into(),
-            mode,
-            deferred: false,
+            strategy,
+            deferred,
         });
         self
+    }
+
+    /// Declares a named view under [`SnowcapStrategy::MinimalChain`].
+    /// Pattern text errors surface at [`Self::build`].
+    pub fn view(self, name: impl Into<String>, pattern: impl Into<PatternSource>) -> Self {
+        self.push_view(name, pattern, SnowcapStrategy::MinimalChain, false)
     }
 
     /// Declares a named view that starts in
@@ -367,43 +354,18 @@ impl DatabaseBuilder {
     /// instead of maintaining it, and [`DbInner::refresh`] folds the
     /// batch in one pass, on the caller's own cadence. Equivalent to `.view(..)` followed by
     /// [`DbInner::set_maintenance`] before the first commit.
-    pub fn view_deferred(
-        mut self,
-        name: impl Into<String>,
-        pattern: impl Into<PatternSource>,
-    ) -> Self {
-        let mode = self.default_mode();
-        self.views.push(ViewSpec {
-            name: name.into(),
-            pattern: pattern.into(),
-            mode,
-            deferred: true,
-        });
-        self
+    pub fn view_deferred(self, name: impl Into<String>, pattern: impl Into<PatternSource>) -> Self {
+        self.push_view(name, pattern, SnowcapStrategy::MinimalChain, true)
     }
 
-    /// Declares a named view with an explicit snowcap strategy,
-    /// overriding the current default mode.
+    /// Declares a named view with an explicit snowcap strategy.
     pub fn view_with_strategy(
-        mut self,
+        self,
         name: impl Into<String>,
         pattern: impl Into<PatternSource>,
         strategy: SnowcapStrategy,
     ) -> Self {
-        self.views.push(ViewSpec {
-            name: name.into(),
-            pattern: pattern.into(),
-            mode: ViewMode::Strategy(strategy),
-            deferred: false,
-        });
-        self
-    }
-
-    /// Makes subsequently declared views choose their snowcaps with
-    /// the Section 3.5 cost model under the given update profile.
-    pub fn cost_based(mut self, profile: UpdateProfile) -> Self {
-        self.default_profile = Some(profile);
-        self
+        self.push_view(name, pattern, strategy, false)
     }
 
     /// Sets the worker pool size for per-view propagation (see
@@ -472,13 +434,7 @@ impl DatabaseBuilder {
             if pattern.len() > crate::etins::MAX_TERM_NODES {
                 return Err(Error::PatternTooLarge { view: spec.name, nodes: pattern.len() });
             }
-            let engine = match spec.mode {
-                ViewMode::Strategy(s) => MaintenanceEngine::new(&doc, pattern, s),
-                ViewMode::CostBased(profile) => {
-                    MaintenanceEngine::new_cost_based(&doc, pattern, &profile)
-                }
-            };
-            engines.push((spec.name, engine));
+            engines.push((spec.name, MaintenanceEngine::new(&doc, pattern, spec.strategy)));
         }
         // The DTD is validated whenever supplied (catching grammar
         // typos early), the analyzer built only when analysis is on.
@@ -1447,23 +1403,6 @@ mod tests {
         assert!(commit.delta(acb).is_empty());
         assert_eq!(commit.report(acb).tuples_added, 0);
         assert_eq!(db.serialize(), FIG12);
-    }
-
-    #[test]
-    fn cost_based_views_are_maintained() {
-        let doc = parse_document(FIG12).unwrap();
-        let pattern = parse_pattern("//a{id}[//c{id}]//b{id}").unwrap();
-        let log = vec![parse_statement("insert <b/> into //c").unwrap()];
-        let profile = UpdateProfile::from_log(&doc, &pattern, &log);
-        let mut db = Database::builder()
-            .document(doc)
-            .cost_based(profile)
-            .view("acb", pattern)
-            .build()
-            .unwrap();
-        db.apply("insert <c><b/></c> into /a/f").unwrap();
-        db.apply("delete /a/c").unwrap();
-        check_consistent(&db);
     }
 
     #[test]

@@ -70,8 +70,7 @@ pub struct UpdateReport {
     /// The view's Δ for this update: every store patch the engine made
     /// (insertions, removals, text modifications), complete enough
     /// that replaying it on a pre-update snapshot reproduces the
-    /// post-update store exactly. Empty when the engine's
-    /// `collect_deltas` switch is off.
+    /// post-update store exactly.
     pub delta: ViewDelta,
 }
 
@@ -125,39 +124,12 @@ pub struct MaintenanceEngine {
     /// Ablation switches for the dynamic prunings (Section 6.8).
     pub use_delta_pruning: bool,
     pub use_id_pruning: bool,
-    /// Whether [`Self::finish`] harvests the per-view [`ViewDelta`]
-    /// into its report (on by default; the `Database` façade relies on
-    /// it). Turning it off skips the tuple clones the report costs —
-    /// the `fig_delta` bench measures that overhead.
-    pub collect_deltas: bool,
 }
 
 impl MaintenanceEngine {
     /// Materializes the view and its auxiliary snowcaps over `doc`.
     pub fn new(doc: &Document, pattern: TreePattern, strategy: SnowcapStrategy) -> Self {
         let sets = Self::default_sets(&pattern, strategy);
-        Self::with_sets(doc, pattern, strategy, sets)
-    }
-
-    /// Materializes the view with the snowcap set chosen by the cost
-    /// model (Section 3.5's deferred optimization, implemented in
-    /// [`crate::costmodel`]) for the given update profile.
-    pub fn new_cost_based(
-        doc: &Document,
-        pattern: TreePattern,
-        profile: &crate::costmodel::UpdateProfile,
-    ) -> Self {
-        let stats = crate::costmodel::DocStats::collect(doc);
-        let sets = crate::costmodel::choose_snowcaps(&pattern, &stats, profile);
-        Self::with_sets(doc, pattern, SnowcapStrategy::MinimalChain, sets)
-    }
-
-    fn with_sets(
-        doc: &Document,
-        pattern: TreePattern,
-        strategy: SnowcapStrategy,
-        sets: Vec<BTreeSet<PatternNodeId>>,
-    ) -> Self {
         MaintenanceEngine {
             store: Arc::new(ViewStore::from_counted(&pattern, view_tuples(doc, &pattern))),
             snowcaps: Self::materialize_sets(doc, &pattern, sets),
@@ -166,7 +138,6 @@ impl MaintenanceEngine {
             term_tables: None,
             use_delta_pruning: true,
             use_id_pruning: true,
-            collect_deltas: true,
         }
     }
 
@@ -202,8 +173,7 @@ impl MaintenanceEngine {
             .collect()
     }
 
-    /// The maintained snowcaps (strategy default or cost-model choice)
-    /// evaluated from scratch over `doc`.
+    /// The maintained snowcaps evaluated from scratch over `doc`.
     fn rematerialized(
         doc: &Document,
         pattern: &TreePattern,
@@ -413,20 +383,18 @@ impl MaintenanceEngine {
         report.timings.get_update_expression = t_expr;
 
         // --- Execute Update: evaluate terms and patch the store.
-        // Every patch is mirrored into `report.delta` (when
-        // `collect_deltas` is on): all removal phases run before all
-        // insertion phases here, so replaying the delta's removals
-        // then insertions then modifications onto a pre-update
-        // snapshot reproduces the store exactly. Under flips the
+        // Every patch is mirrored into `report.delta`: all removal
+        // phases run before all insertion phases here, so replaying the
+        // delta's removals then insertions then modifications onto a
+        // pre-update snapshot reproduces the store exactly. Under flips the
         // materializations embed stale predicate truth: the R-parts
         // come from the leaves alone.
         let mats: &[MaterializedSnowcap] = if flips_exist { &[] } else { &self.snowcaps };
-        let collect = self.collect_deltas;
         let mut modified_keys: Vec<TupleKey> = Vec::new();
         let (_, t_exec) = timed(|| {
             if has_deletes {
                 let removed = eval(&ctx, &minus, full_order, &del_terms, mats);
-                patch_store(store, &self.pattern, Sign::Minus, &removed, collect, &mut report);
+                patch_store(store, &self.pattern, Sign::Minus, &removed, &mut report);
             }
             if text_above_deletes {
                 modified_keys.extend(refresh_text(store, doc, &self.pattern, delete_roots));
@@ -434,12 +402,12 @@ impl MaintenanceEngine {
             if flips_exist {
                 for sign in [Sign::Minus, Sign::Plus] {
                     let flipped = crate::predflip::bindings_by_flips(&ctx, sign);
-                    patch_store(store, &self.pattern, sign, &flipped, collect, &mut report);
+                    patch_store(store, &self.pattern, sign, &flipped, &mut report);
                 }
             }
             if has_inserts {
                 let added = eval(&ctx, &plus, full_order, &ins_terms, mats);
-                patch_store(store, &self.pattern, Sign::Plus, &added, collect, &mut report);
+                patch_store(store, &self.pattern, Sign::Plus, &added, &mut report);
             }
             if text_at_inserts {
                 modified_keys.extend(refresh_text(store, doc, &self.pattern, targets));
@@ -452,19 +420,17 @@ impl MaintenanceEngine {
         // contents (a key both refresh passes touched appears once).
         // A modified tuple later removed by a predicate flip is
         // already covered by the delta's `removed` entries.
-        if self.collect_deltas {
-            let mut seen: HashSet<TupleKey> = HashSet::new();
-            for key in modified_keys {
-                if seen.insert(key.clone()) {
-                    if let Some(tuple) = store.tuple(&key) {
-                        report.delta.modified.push((key, tuple.clone()));
-                    }
+        let mut seen: HashSet<TupleKey> = HashSet::new();
+        for key in modified_keys {
+            if seen.insert(key.clone()) {
+                if let Some(tuple) = store.tuple(&key) {
+                    report.delta.modified.push((key, tuple.clone()));
                 }
             }
-            // Hash-store walk order differs between databases; the
-            // published delta is canonical (document order).
-            report.delta.canonicalize();
         }
+        // Hash-store walk order differs between databases; the
+        // published delta is canonical (document order).
+        report.delta.canonicalize();
 
         // --- Update Lattice, part 2: add each snowcap's own new
         // bindings. All deltas are computed against the old-surviving
@@ -517,14 +483,12 @@ impl TermTables {
 
 /// *Execute Update*, the store patch: projects gained (`Plus`) or lost
 /// (`Minus`) bindings to the view and adds / drops their derivations,
-/// mirroring every patch into the report's counters and (under
-/// `collect`) its delta.
+/// mirroring every patch into the report's counters and its delta.
 fn patch_store(
     store: &mut ViewStore,
     pattern: &TreePattern,
     sign: Sign,
     bindings: &xivm_algebra::Relation,
-    collect: bool,
     report: &mut UpdateReport,
 ) {
     if bindings.is_empty() {
@@ -536,16 +500,12 @@ fn patch_store(
             Sign::Minus => {
                 report.derivations_removed += c;
                 report.tuples_removed += usize::from(store.remove_derivations(&key, c));
-                if collect {
-                    report.delta.removed.push((key, c));
-                }
+                report.delta.removed.push((key, c));
             }
             Sign::Plus => {
                 report.derivations_added += c;
                 report.tuples_added += usize::from(!store.contains(&key));
-                if collect {
-                    report.delta.inserted.push((t.clone(), c));
-                }
+                report.delta.inserted.push((t.clone(), c));
                 store.add(t, c);
             }
         }

@@ -56,7 +56,6 @@
 #![deny(unsafe_code)]
 
 pub mod commit;
-pub mod costmodel;
 pub mod database;
 pub mod engine;
 pub mod error;

@@ -157,15 +157,6 @@ impl MultiViewEngine {
         runtime.as_ref().expect("runtime just ensured")
     }
 
-    /// Toggles per-view Δ harvesting on every hosted engine (see
-    /// [`MaintenanceEngine::collect_deltas`]). On by default; the
-    /// `fig_delta` bench turns it off to measure the report overhead.
-    pub fn set_collect_deltas(&mut self, collect: bool) {
-        for engine in &mut self.views {
-            engine.collect_deltas = collect;
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.views.len()
     }

@@ -2,6 +2,16 @@
 //! (Section 3.5; compared experimentally in Section 6.7).
 
 /// Which lattice nodes the engine materializes and maintains.
+///
+/// [`MinimalChain`](Self::MinimalChain) is the façade's default because
+/// the benchmark says so: with no snowcap materialized under any
+/// strategy (issue-19 scratch prototype, 4 alternating pairs, seed 1)
+/// a `point_large` commit got cheaper (`commit_p50_us` 111 → 62 µs) but
+/// `speedup_vs_recompute_insert` fell 2.73 → 2.26 there and 2.57 → 2.25
+/// on `bulk_catalog`, and `replica_mixed` `commit_p95_us` rose
+/// 177 → 396 µs — six `worse` verdicts. The other two variants are
+/// Figures 29–32's alternatives and the references `tests/property.rs`
+/// drives the chain against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnowcapStrategy {
     /// The experiments' "Snowcaps" alternative: a minimal chain of

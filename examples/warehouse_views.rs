@@ -1,26 +1,22 @@
-//! Warehouse scenario: several views over one document, chosen
-//! auxiliary structures, and durable snapshots.
+//! Warehouse scenario: several views over one document, and durable
+//! snapshots.
 //!
-//! Demonstrates the façade over the three extensions built on top of
-//! the paper's core: many named views maintained in one shared pass
-//! per update, cost-based snowcap selection from a workload log, and
-//! binary view snapshots.
+//! Demonstrates the façade over two extensions built on top of the
+//! paper's core: many named views maintained in one shared pass per
+//! update, and binary view snapshots.
 //!
 //! ```sh
 //! cargo run --release --example warehouse_views
 //! ```
 
-use xivm::core::costmodel::{choose_snowcaps, DocStats};
 use xivm::core::snapshot::{decode_store, encode_store};
 use xivm::prelude::*;
 use xivm::xmark::{generate_sized, update_by_name, view_pattern};
 
 fn main() -> Result<(), Error> {
-    let doc = generate_sized(150 * 1024);
-
     // --- several views, one maintenance pass per update ---------------
     let mut warehouse = Database::builder()
-        .document(doc.clone())
+        .document(generate_sized(150 * 1024))
         .view("Q1", view_pattern("Q1"))
         .view("Q2", view_pattern("Q2"))
         .view("Q6", view_pattern("Q6"))
@@ -43,33 +39,16 @@ fn main() -> Result<(), Error> {
         );
     }
 
-    // --- cost-based snowcap choice from a workload log ----------------
-    let pattern = view_pattern("Q2");
-    let log = vec![update_by_name("X2_L").insert_stmt(), update_by_name("X4_O").insert_stmt()];
-    let stats = DocStats::collect(&doc);
-    let profile = UpdateProfile::from_log(&doc, &pattern, &log);
-    let chosen = choose_snowcaps(&pattern, &stats, &profile);
-    println!("\ncost model chose {} snowcap(s) for Q2 under this workload profile", chosen.len());
-    let mut db =
-        Database::builder().document(doc).cost_based(profile).view("Q2", pattern).build()?;
-    let q2 = db.view("Q2")?;
-    let commit = db.apply(update_by_name("X2_L").insert_stmt())?;
-    let report = commit.report(q2);
-    println!(
-        "  maintained Q2 in {:.3} ms (+{} tuples)",
-        report.timings.maintenance_total().as_secs_f64() * 1e3,
-        report.tuples_added
-    );
-
     // --- durable snapshots ---------------------------------------------
-    let bytes = encode_store(db.store(q2));
+    let q2 = warehouse.store(warehouse.view("Q2")?);
+    let bytes = encode_store(q2);
     let restored = decode_store(&bytes).expect("snapshot decodes");
-    assert!(db.store(q2).same_content_as(&restored));
+    assert!(q2.same_content_as(&restored));
     println!(
         "\nsnapshotted Q2: {} tuples in {} bytes ({} bytes/tuple), restored losslessly",
-        db.store(q2).len(),
+        q2.len(),
         bytes.len(),
-        bytes.len() / db.store(q2).len().max(1)
+        bytes.len() / q2.len().max(1)
     );
     Ok(())
 }

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Code-line ledger (the PR 12 command): per file, the lines up to the
 # first `#[cfg(test)]`, comment-only and blank lines excluded; then per
-# crate, then the `crates/core/src` total the simplicity PRs quote.
+# crate, then the three totals the simplicity PRs quote: `crates/core/src`
+# code lines, `crates/bench/benches` lines (`wc -l`) and the number of
+# `[[bench]]` targets.
 # Usage: scripts/ledger.sh [repo-root]
 cd "${1:-$(dirname "$0")/..}" || exit 1
 count() {
@@ -18,3 +20,5 @@ for dir in crates/*/src; do
     [ "$dir" = crates/core/src ] && core=$total
 done
 printf '%6d  crates/core/src total\n' "$core"
+printf '%6d  crates/bench/benches lines\n' "$(cat crates/bench/benches/*.rs | wc -l)"
+printf '%6d  [[bench]] targets\n' "$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)"

@@ -93,11 +93,8 @@ impl Stats {
     }
 }
 
-/// Linear-interpolated percentile of an ascending-sorted slice. Public
-/// so latency-style bench runners (e.g. `fig_async`) can report
-/// p50/p99 over their own per-event samples with the same estimator
-/// the shim uses internally.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// Linear-interpolated percentile of an ascending-sorted slice.
+fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

@@ -107,7 +107,6 @@
 //! |---|---|
 //! | `parse_document(xml)?` + owning a `Document` | `Database::builder().document(xml)` |
 //! | `parse_pattern(p)?` + `MaintenanceEngine::new(&doc, p, strat)` | `.view(name, p)` / `.view_with_strategy(name, p, strat)` |
-//! | `MaintenanceEngine::new_cost_based(&doc, p, &profile)` | `.cost_based(profile).view(name, p)` |
 //! | `MultiViewEngine::new(&doc, views)` | one builder with several `.view(..)` calls |
 //! | `engine.apply_statement(&mut doc, &parse_statement(s)?)?` | `db.apply(s)?` |
 //! | `compute_pul` + `pulopt::reduce` + `propagate_pul` | `db.transaction().statement(..)...commit()?` |
@@ -193,7 +192,6 @@ pub mod prelude {
     pub use xivm_circuit::{
         Circuit, CircuitBuilder, CircuitExt, Datum, DerivedStore, Row, RowDelta,
     };
-    pub use xivm_core::costmodel::UpdateProfile;
     pub use xivm_core::database::{Database, DatabaseBuilder, Transaction, ViewHandle};
     pub use xivm_core::{
         AnalysisReport, AnalyzeMode, Analyzer, Commit, DatabaseSnapshot, DeltaEvent, Error,

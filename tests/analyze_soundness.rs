@@ -312,3 +312,30 @@ fn skips_actually_fire_on_this_catalog() {
     assert_eq!(commit.static_skips(), 0);
     assert!(commit.dynamic_skips() >= 2, "d_only and rd must exit, got {}", commit.dynamic_skips());
 }
+
+/// On the paper's seven-view XMark catalog under its DTD, a stream
+/// drawn from one view's Appendix A update set is statically skipped
+/// on four of the seven views at every commit: 40 of each stream's 70
+/// (commit, view) slots, the share a skewed workload saves.
+#[test]
+fn skewed_xmark_streams_skip_four_of_seven_views() {
+    use xivm::xmark::{generate_sized, updates_for_view, view_pattern, VIEW_NAMES, XMARK_DTD};
+    let doc = generate_sized(40 * 1024);
+    for view in ["Q1", "Q4", "Q17"] {
+        let mut b =
+            Database::builder().document(doc.clone()).dtd(XMARK_DTD).analyze(AnalyzeMode::Warn);
+        for v in VIEW_NAMES {
+            b = b.view(v, view_pattern(v));
+        }
+        let mut db = b.build().expect("catalog database builds");
+        let mut commits = 0;
+        for u in updates_for_view(view) {
+            for stmt in [u.insert_stmt(), u.delete_stmt()] {
+                let commit = db.apply(stmt).expect("catalog update applies");
+                assert!(commit.static_skips() >= 4, "{view}-only, {}: 4 of 7 views", u.name);
+                commits += 1;
+            }
+        }
+        assert_eq!(commits * VIEW_NAMES.len(), 70, "{view}-only: ten commits over seven views");
+    }
+}

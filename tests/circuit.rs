@@ -386,3 +386,59 @@ fn xmark_catalog_pipeline_equals_recompute() {
     }
     circuit.detach(&mut db);
 }
+
+/// The `derived_views` circuit shape (project → count → join → sum over
+/// the open-auction subtree), plus a `max` over the per-auction bid
+/// counts so the re-scan odometer has a node to read. One commit of
+/// `K` auction inserts feeds it the same 3·`K` delta rows and costs no
+/// extremum re-scan whether the document — and with it every source
+/// store — is 40 KB or 4× that: circuit work follows |Δ|, as a count.
+#[test]
+fn circuit_work_is_flat_across_document_sizes() {
+    const K: usize = 8;
+    // (source store rows, delta rows entering the circuit)
+    let measure = |bytes: usize| {
+        let mut db = Database::builder()
+            .document(generate_sized(bytes))
+            .view("sellers", "/site/open_auctions/open_auction{id}/seller/@person{id,val}")
+            .view("bidders", "/site/open_auctions/open_auction{id}/bidder{id}")
+            .build()
+            .expect("auction database builds");
+        let mut b = db.circuit();
+        let sellers = b.source("sellers").expect("sellers view");
+        let bidders = b.source("bidders").expect("bidders view");
+        let seller_of = b.project(sellers, vec![0, 2]);
+        let bids_per_auction = b.count(bidders, |r| r.project(&[0]));
+        let joined = b.join(seller_of, bids_per_auction, |r| r.project(&[0]), |r| r.project(&[0]));
+        b.sum(joined, |r| r.project(&[1]), |r| r.datum(3).as_int().unwrap_or(0));
+        let most_bids =
+            b.max(bids_per_auction, |_| Row::empty(), |r| r.datum(1).as_int().unwrap_or(0));
+        let mut circuit = b.build();
+        let store_rows = circuit.store(sellers).len() + circuit.store(bidders).len();
+
+        let mut tx = db.transaction();
+        for i in 0..K {
+            tx = tx.statement(format!(
+                "insert <open_auction id=\"flat{i}\"><seller person=\"person0\"/>\
+                 <bidder><increase>1.50</increase></bidder>\
+                 <bidder><increase>4.50</increase></bidder>\
+                 </open_auction> into /site/open_auctions"
+            ));
+        }
+        let commit = tx.commit().expect("insert batch commits");
+        let delta_rows: usize = db.handles().iter().map(|&h| commit.delta(h).len()).sum();
+        assert_eq!(circuit.sync(&mut db), commit.seq);
+        assert_eq!(
+            circuit.rescans(most_bids),
+            Some(0),
+            "{bytes} B: an insert-only commit retracts no extremum"
+        );
+        circuit.detach(&mut db);
+        (store_rows, delta_rows)
+    };
+    let (small_store, small_delta) = measure(40 * 1024);
+    let (large_store, large_delta) = measure(160 * 1024);
+    assert_eq!(small_delta, 3 * K, "one seller row and two bidder rows per auction");
+    assert_eq!(large_delta, small_delta, "delta rows do not depend on the document");
+    assert!(large_store >= 3 * small_store, "stores {small_store} → {large_store} did grow");
+}

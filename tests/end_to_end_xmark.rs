@@ -235,24 +235,6 @@ fn q1_annotation_variants_maintained_correctly() {
 }
 
 #[test]
-fn cost_based_database_is_maintained_correctly() {
-    let doc0 = generate_sized(20 * 1024);
-    let pattern = view_pattern("Q2");
-    // profile extracted from a representative statement log
-    let log =
-        vec![updates_for_view("Q2")[0].insert_stmt(), updates_for_view("Q2")[1].insert_stmt()];
-    let profile = UpdateProfile::from_log(&doc0, &pattern, &log);
-    let mut db =
-        Database::builder().document(doc0).cost_based(profile).view("Q2", pattern).build().unwrap();
-    for u in updates_for_view("Q2") {
-        for stmt in [u.insert_stmt(), u.delete_stmt()] {
-            db.apply(stmt).unwrap();
-            assert_consistent(&db, &format!("cost-based {}", u.name));
-        }
-    }
-}
-
-#[test]
 fn multi_view_database_on_xmark_workload() {
     let mut builder = Database::builder().document(generate_sized(20 * 1024));
     for v in VIEW_NAMES {

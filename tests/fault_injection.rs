@@ -15,7 +15,8 @@
 //! * subscription feeds stay gapless: consumers see exactly the sealed
 //!   commits, in order, with consecutive sequence numbers;
 //! * [`fault::SEAL_DELAY`] shows submission returning well before the
-//!   seal completes (the latency decoupling `fig_async` measures);
+//!   seal completes (the latency decoupling the benchmark's
+//!   `core.service.submit_us` measures);
 //! * when the recovery itself panics ([`fault::RECOVER_PANIC`]) the
 //!   service is poisoned: every ticket resolves, `flush()` and later
 //!   submissions return the panic, and a synchronous access panics
