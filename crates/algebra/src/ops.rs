@@ -55,15 +55,7 @@ pub fn dupelim(input: &Relation) -> Relation {
 /// s — sorts by the document order of all ID columns, left to right
 /// ("the order dictated by the IDs of the bindings of all nodes").
 pub fn sort_all(input: &mut Relation) {
-    input.rows.sort_by(|a, b| {
-        for i in 0..a.arity() {
-            let c = a.field(i).id.doc_cmp(&b.field(i).id);
-            if c.is_ne() {
-                return c;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    input.rows.sort_by(Tuple::doc_cmp);
 }
 
 /// × — n-ary cartesian product.

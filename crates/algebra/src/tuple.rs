@@ -1,5 +1,6 @@
 //! Tuples and their fields.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 use xivm_xml::DeweyId;
 
@@ -73,6 +74,36 @@ impl Tuple {
     pub fn id_key(&self) -> Vec<DeweyId> {
         self.fields.iter().map(|f| f.id.clone()).collect()
     }
+
+    /// Document-order comparison of two same-arity tuples:
+    /// lexicographic over their ID columns, left to right ("the order
+    /// dictated by the IDs of the bindings of all nodes"). The one row
+    /// order of everything the system hands out — `s`, `e_v`, the view
+    /// store's cursor and published deltas all sort by it.
+    #[inline]
+    pub fn doc_cmp(&self, other: &Tuple) -> Ordering {
+        cmp_ids(self.fields.iter().zip(&other.fields))
+    }
+
+    /// The mirror of [`Self::doc_cmp`]: the same comparison with the
+    /// *last* column the most significant — the order a join leaves its
+    /// output in and wants its input in, kept by materialized snowcaps.
+    #[inline]
+    pub fn doc_cmp_rev(&self, other: &Tuple) -> Ordering {
+        cmp_ids(self.fields.iter().zip(&other.fields).rev())
+    }
+}
+
+/// The first ID pair that differs decides, by [`DeweyId::doc_cmp`].
+#[inline]
+fn cmp_ids<'a>(pairs: impl Iterator<Item = (&'a Field, &'a Field)>) -> Ordering {
+    for (a, b) in pairs {
+        let c = a.id.doc_cmp(&b.id);
+        if c.is_ne() {
+            return c;
+        }
+    }
+    Ordering::Equal
 }
 
 #[cfg(test)]
@@ -97,6 +128,21 @@ mod tests {
         assert_eq!(p.arity(), 2);
         assert_eq!(p.field(0).id, id(&[(0, 1), (2, 3)]));
         assert_eq!(p.field(1).id, id(&[(0, 1)]));
+    }
+
+    #[test]
+    fn doc_cmp_is_lexicographic_over_id_columns() {
+        let t = |x: u64, y: u64, val: &str| {
+            Tuple::new(vec![
+                Field::new(id(&[(0, x)]), Some(val.into()), None),
+                Field::id_only(id(&[(1, y)])),
+            ])
+        };
+        assert_eq!(t(1, 2, "z").doc_cmp(&t(2, 1, "a")), Ordering::Less, "column 0 decides");
+        assert_eq!(t(1, 2, "a").doc_cmp(&t(1, 1, "a")), Ordering::Greater, "then column 1");
+        assert_eq!(t(1, 1, "a").doc_cmp(&t(1, 1, "b")), Ordering::Equal, "IDs only");
+        assert_eq!(t(1, 2, "a").doc_cmp_rev(&t(2, 1, "a")), Ordering::Greater, "last column first");
+        assert_eq!(t(1, 1, "a").doc_cmp_rev(&t(2, 1, "a")), Ordering::Less, "then column 0");
     }
 
     #[test]

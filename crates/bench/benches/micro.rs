@@ -1,10 +1,13 @@
 //! Criterion micro-benchmarks for the substrate operators: Dewey ID
 //! operations, the stack-based structural join, XPath target finding,
-//! full pattern evaluation and the application of a bulk PUL.
+//! full pattern evaluation, the application of a bulk PUL and the
+//! engine's half of a point commit.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use std::cell::RefCell;
 use std::hint::black_box;
 use xivm_algebra::{structural_join, Axis, Column, Field, Relation, Schema, Tuple};
+use xivm_core::{MaintenanceEngine, SnowcapStrategy};
 use xivm_pattern::compile::view_tuples;
 use xivm_pattern::xpath::{eval_path, parse_xpath};
 use xivm_update::{apply_pul, compute_pul, UpdateStatement};
@@ -114,5 +117,58 @@ fn apply_puls(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, dewey_ops, struct_join, xpath_and_views, chained_joins, apply_puls);
+/// `MaintenanceEngine::finish` for one bidder leaving / entering the
+/// middle open auction of the 2 MB document under Q2 — the point commit
+/// whose lattice upkeep must follow |Δ|, not the snowcaps (the largest
+/// holds a row per bidder of the document). Only `finish` is timed: the
+/// statement that restores the state, the PUL, `prepare` and the apply
+/// are the batch's setup.
+fn lattice_upkeep(c: &mut Criterion) {
+    let doc = generate_sized(2 << 20);
+    let auction = format!(
+        "/site/open_auctions/open_auction[@id=\"open_auction{}\"]",
+        doc.canonical_nodes_named("open_auction").len() / 2
+    );
+    let bidder = "<bidder><date>01/01/2009</date><time>12:00:00</time>\
+                  <personref person=\"bench0\"/><increase>4.50</increase></bidder>";
+    let insert = UpdateStatement::insert(&auction, bidder).unwrap();
+    let delete =
+        UpdateStatement::delete(&format!("{auction}/bidder[personref/@person=\"bench0\"]"))
+            .unwrap();
+    let engine = MaintenanceEngine::new(&doc, view_pattern("Q2"), SnowcapStrategy::MinimalChain);
+    let state = RefCell::new((engine, doc));
+    for (id, undo, timed) in [
+        ("lattice/point_delete_2MB", &insert, &delete),
+        ("lattice/point_insert_2MB", &delete, &insert),
+    ] {
+        c.bench_function(id, |b| {
+            let staged = || {
+                let (engine, doc) = &mut *state.borrow_mut();
+                engine.apply_statement(doc, undo).unwrap();
+                let pul = compute_pul(doc, timed);
+                assert_eq!(pul.len(), 1, "{id}: one bidder");
+                let prepared = engine.prepare(doc, &pul);
+                (apply_pul(doc, &pul).unwrap(), prepared)
+            };
+            let finish = |(applied, prepared)| {
+                let (engine, doc) = &mut *state.borrow_mut();
+                let report = engine.finish(doc, &applied, prepared);
+                report.tuples_added + report.tuples_removed
+            };
+            b.iter_batched(staged, finish, BatchSize::SmallInput)
+        });
+        let (engine, doc) = &mut *state.borrow_mut();
+        engine.apply_statement(doc, undo).unwrap();
+    }
+}
+
+criterion_group!(
+    benches,
+    dewey_ops,
+    struct_join,
+    xpath_and_views,
+    chained_joins,
+    apply_puls,
+    lattice_upkeep
+);
 criterion_main!(benches);

@@ -90,9 +90,11 @@ impl ViewDelta {
     /// insertions carry identical fields (all read the same
     /// post-update document).
     pub(crate) fn canonicalize(&mut self) {
-        self.inserted.sort_by(|a, b| crate::view_store::doc_order(&a.0, &b.0).then(a.1.cmp(&b.1)));
-        self.removed.sort_by(|a, b| doc_key_cmp(&a.0, &b.0).then(a.1.cmp(&b.1)));
-        self.modified.sort_by(|a, b| doc_key_cmp(&a.0, &b.0));
+        self.inserted.sort_by(|a, b| a.0.doc_cmp(&b.0).then(a.1.cmp(&b.1)));
+        // A key is its tuple's ID columns and `DeweyId`'s `Ord` is
+        // document order: the same comparison on the other two.
+        self.removed.sort();
+        self.modified.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
     /// Applies the delta to a store. Replaying onto a snapshot of the
@@ -163,18 +165,6 @@ impl WeightedChange<'_> {
             WeightedChange::Modify { tuple, .. } => Some(tuple),
         }
     }
-}
-
-/// Document-order comparison of two tuple keys (lexicographic over
-/// their ID columns, shorter key first on a shared prefix).
-fn doc_key_cmp(a: &TupleKey, b: &TupleKey) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        let c = x.doc_cmp(y);
-        if c.is_ne() {
-            return c;
-        }
-    }
-    a.len().cmp(&b.len())
 }
 
 /// What one committed update (a single statement or a whole

@@ -7,8 +7,13 @@
 //! (PINT + PIMT for insertions, PDDT + PDMT for deletions — the
 //! combined PINT/MT and PDDT/MT the paper actually runs, here one
 //! signed pipeline: [`crate::propagate`]), and keep the materialized
-//! snowcaps current. Each phase is timed, producing the
-//! breakdowns of the Section 6 experiments.
+//! snowcaps current — one signed routine too (Proposition 3.13): a
+//! snowcap loses and gains the bindings of *its own* Δ⁻ / Δ⁺ terms, and
+//! is patched in place through its row order
+//! ([`MaterializedSnowcap`]), so a point commit's lattice upkeep
+//! follows |Δ|; only a deletion that rivals a snowcap falls back to a
+//! pass over its rows. Each phase is timed, producing the breakdowns of
+//! the Section 6 experiments.
 
 use crate::commit::ViewDelta;
 use crate::error::Error;
@@ -168,7 +173,7 @@ impl MaintenanceEngine {
                     pattern.preorder().into_iter().filter(|n| set.contains(n)).collect();
                 let plan =
                     compile_plan_over(pattern, &nodes, |n| canonical_relation(doc, pattern, n));
-                MaterializedSnowcap { nodes, rel: plan.eval() }
+                MaterializedSnowcap::new(nodes, plan.eval())
             })
             .collect()
     }
@@ -341,25 +346,8 @@ impl MaintenanceEngine {
         let has_deletes = !delete_roots.is_empty();
         let has_inserts = !targets.is_empty();
 
-        // --- Update Lattice, part 1: drop snowcap tuples that bind a
-        // deleted node (any node under a deleted root is gone) — from
-        // the snowcaps one of whose nodes lost something. Under flips
-        // the snowcaps are rebuilt wholesale at the end instead.
-        let (_, t_lat1) = timed(|| {
-            if has_deletes && !flips_exist {
-                let delete_forest = DeweyForest::new(delete_roots.clone());
-                for m in &mut self.snowcaps {
-                    if m.nodes.iter().any(|&n| !dminus.is_empty(n)) {
-                        let gone = |f: &xivm_algebra::Field| delete_forest.covers(&f.id);
-                        m.rel.rows.retain(|t| !t.fields().iter().any(gone));
-                    }
-                }
-            }
-        });
-
-        let snowcaps = &self.snowcaps;
         let tables =
-            self.term_tables.get_or_insert_with(|| TermTables::of(&self.pattern, snowcaps));
+            self.term_tables.get_or_insert_with(|| TermTables::of(&self.pattern, &self.snowcaps));
         let full_order = &self.pattern.preorder();
 
         let mut ctx = TermContext::new(doc, &self.pattern, apply_res, &flips);
@@ -367,6 +355,16 @@ impl MaintenanceEngine {
         ctx.use_id_pruning = self.use_id_pruning;
         let minus = DeltaSide::Minus { tables: &dminus };
         let plus = DeltaSide::Plus { tables: &dplus, targets: &apply_res.insert_targets };
+
+        // --- Update Lattice, part 1: every snowcap loses the bindings
+        // of its own Δ⁻ terms, so the R-parts of every term below see
+        // the old surviving state. Under flips the snowcaps are rebuilt
+        // wholesale at the end instead.
+        let (_, t_lat1) = timed(|| {
+            if has_deletes && !flips_exist {
+                maintain_lattice(&ctx, &minus, &tables.snowcaps, &mut self.snowcaps);
+            }
+        });
 
         // --- Get Update Expression: expand and prune both directions.
         let expand = |side, wanted: bool| {
@@ -432,26 +430,13 @@ impl MaintenanceEngine {
         // published delta is canonical (document order).
         report.delta.canonicalize();
 
-        // --- Update Lattice, part 2: add each snowcap's own new
-        // bindings. All deltas are computed against the old-surviving
-        // materializations before any of them is patched, keeping the
-        // term bags disjoint. Under flips, rebuild from scratch.
+        // --- Update Lattice, part 2: every snowcap gains the bindings
+        // of its own Δ⁺ terms. Under flips, rebuild from scratch.
         let (_, t_lat2) = timed(|| {
             if flips_exist {
                 self.snowcaps = Self::rematerialized(doc, &self.pattern, &self.snowcaps);
             } else if has_inserts {
-                let deltas: Vec<xivm_algebra::Relation> = self
-                    .snowcaps
-                    .iter()
-                    .zip(&tables.snowcaps)
-                    .map(|(m, table)| {
-                        let (snowcap_terms, _) = terms(&ctx, &plus, table, &m.nodes);
-                        eval(&ctx, &plus, &m.nodes, &snowcap_terms, &self.snowcaps)
-                    })
-                    .collect();
-                for (m, d) in self.snowcaps.iter_mut().zip(deltas) {
-                    m.absorb(d);
-                }
+                maintain_lattice(&ctx, &plus, &tables.snowcaps, &mut self.snowcaps);
             }
         });
         report.timings.update_lattice = t_lat1 + t_lat2;
@@ -478,6 +463,45 @@ impl TermTables {
             full: table(&pattern.preorder()),
             snowcaps: snowcaps.iter().map(|m| table(&m.nodes)).collect(),
         }
+    }
+}
+
+/// *Update Lattice*, one sign (Proposition 3.13): every snowcap a Δ
+/// reaches loses (`Minus`) or gains (`Plus`) the bindings of its own
+/// terms, whose R-parts start from the strictly smaller snowcaps. Those
+/// must hold the old surviving state — without the deleted bindings,
+/// without the inserted ones — so losses are taken in increasing size
+/// (every cover a term can pick is already pruned) and gains in
+/// decreasing size (none has gained yet): the term bags stay disjoint.
+///
+/// The rows are dropped or merged in place through the snowcap's row
+/// order, so the work follows |Δ| — except for a deletion that rivals
+/// the snowcap ([`DeltaSide::small_against`]), which takes one pass over
+/// every row instead. Both arms carry an end-to-end metric (CHANGES.md,
+/// PR 20): forcing the terms costs `bulk_catalog` and `point_small`,
+/// forcing the pass costs `point_large` its whole gain.
+fn maintain_lattice(
+    ctx: &TermContext<'_>,
+    side: &DeltaSide<'_>,
+    tables: &[Vec<Term>],
+    snowcaps: &mut [MaterializedSnowcap],
+) {
+    let losing = matches!(side, DeltaSide::Minus { .. });
+    let patch = if losing { MaterializedSnowcap::remove } else { MaterializedSnowcap::absorb };
+    let gone = std::cell::LazyCell::new(|| DeweyForest::new(ctx.applied.delete_roots.clone()));
+    for k in 0..snowcaps.len() {
+        let i = if losing { k } else { snowcaps.len() - 1 - k };
+        let (smaller, rest) = snowcaps.split_at_mut(i);
+        let m = &mut rest[0];
+        if m.nodes.iter().all(|&n| side.is_empty(n)) {
+            continue;
+        }
+        if losing && !side.small_against(&m.nodes, m.rel.len()) {
+            m.remove_under(&gone);
+            continue;
+        }
+        let (own, _) = terms(ctx, side, &tables[i], &m.nodes);
+        patch(m, eval(ctx, side, &m.nodes, &own, smaller));
     }
 }
 
@@ -692,11 +716,15 @@ mod tests {
         );
     }
 
+    /// After every propagated PUL each snowcap equals its from-scratch
+    /// evaluation row for row — content *and* the full document order
+    /// the removals search by — under every strategy.
     #[test]
     fn snowcaps_stay_consistent_with_document() {
         // Figure 12's document, then one with two a's, where the {a,c}
         // snowcap has an order to lose: insert → delete → insert under
-        // the *first* a, whose new rows belong before the second a's.
+        // the *first* a, whose new rows belong before the second a's;
+        // then a replace (Δ⁻ and Δ⁺ in one PUL).
         let two_as = "<r><a k=\"1\"><c/><b/></a><a><c><b/></c></a></r>";
         let cases: [(&str, &[&str]); 2] = [
             (FIG12, &["insert <c><b/></c> into //f", "delete /a/c"]),
@@ -706,30 +734,40 @@ mod tests {
                     "insert <c><b/></c> into //a[@k=\"1\"]",
                     "delete //a[@k=\"1\"]/c",
                     "insert <c/> into //a[@k=\"1\"]/b",
+                    "replace //a[@k=\"1\"]/b with <c><b/><b/></c>",
                 ],
             ),
         ];
         let p = parse_pattern("//a{id}[//c{id}]//b{id}").unwrap();
-        for (doc_xml, script) in cases {
-            let mut doc = parse_document(doc_xml).unwrap();
-            let mut engine = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
-            for s in script {
-                let stmt = xivm_update::statement::parse_statement(s).unwrap();
-                engine.apply_statement(&mut doc, &stmt).unwrap();
-                // each snowcap must equal its from-scratch evaluation
-                let fresh = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
+        let stmt = |s: &str| xivm_update::statement::parse_statement(s).unwrap();
+        for strategy in [
+            SnowcapStrategy::MinimalChain,
+            SnowcapStrategy::LeavesOnly,
+            SnowcapStrategy::AllSnowcaps,
+        ] {
+            let check = |engine: &MaintenanceEngine, doc: &Document, after: &str| {
+                let fresh = MaintenanceEngine::new(doc, p.clone(), strategy);
+                assert_eq!(engine.snowcaps().len(), fresh.snowcaps().len());
                 for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
-                    // … and keep the order terms join it on, or every
-                    // later term that starts from it pays a clone and a
-                    // sort
-                    assert!(m.rel.is_sorted_by_col(0), "snowcap {:?} unsorted after {s}", m.nodes);
-                    let mut a = m.rel.clone();
-                    let mut b = f.rel.clone();
-                    xivm_algebra::ops::sort_all(&mut a);
-                    xivm_algebra::ops::sort_all(&mut b);
-                    assert_eq!(a.rows.len(), b.rows.len(), "snowcap {:?} after {s}", m.nodes);
-                    assert_eq!(a.rows, b.rows, "snowcap {:?} after {s}", m.nodes);
+                    assert_eq!(m.rel.rows, f.rel.rows, "{strategy:?} {:?} after {after}", m.nodes);
                 }
+            };
+            for (doc_xml, script) in cases {
+                let mut doc = parse_document(doc_xml).unwrap();
+                let mut engine = MaintenanceEngine::new(&doc, p.clone(), strategy);
+                for s in script {
+                    engine.apply_statement(&mut doc, &stmt(s)).unwrap();
+                    check(&engine, &doc, s);
+                }
+                // A sequential transaction's PUL that deletes part of
+                // its own insertion: those rows were never gained, so
+                // they are not lost either.
+                let mut pul = compute_pul(&doc, &stmt("insert <c><b k=\"x\"/><b/></c> into //a"));
+                let mut scratch = doc.clone();
+                apply_pul(&mut scratch, &pul).unwrap();
+                pul.ops.extend(compute_pul(&scratch, &stmt("delete //b[@k=\"x\"]")).ops);
+                engine.propagate_pul(&mut doc, &pul).unwrap();
+                check(&engine, &doc, "insert, then delete of the inserted");
             }
         }
     }

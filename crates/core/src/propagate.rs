@@ -327,6 +327,27 @@ impl DeltaSide<'_> {
         *term.delta_nodes().iter().min_by_key(size).expect("a maintenance term has a Δ node")
     }
 
+    /// What following Δ_n costs, in the Dewey prefixes its tuples have:
+    /// |Δ_n| times their depth.
+    fn prefixes(&self, n: PatternNodeId) -> usize {
+        let delta = self.relation(n);
+        delta.len() * delta.rows.first().map_or(0, |t| t.field(0).id.depth())
+    }
+
+    /// The choice [`eval`] makes per term, made per snowcap by lattice
+    /// upkeep: is evaluating the snowcap's own terms cheaper than one
+    /// pass over its `rows`? A term is anchored at one Δ table within
+    /// `nodes` and reads a leaf for each of the snowcap's columns off
+    /// that table's prefixes, so the largest table sets the cost — and a
+    /// snowcap of a few dozen rows (a small document, whatever the
+    /// update) goes to the pass, as does any snowcap a bulk Δ rivals.
+    /// Measured break-even for a one-tuple Δ⁻: 60–100 rows per touched
+    /// snowcap on Q1, Q2, Q13 and Q17 (CHANGES.md, PR 20).
+    pub(crate) fn small_against(&self, nodes: &[PatternNodeId], rows: usize) -> bool {
+        let largest = nodes.iter().map(|&n| self.prefixes(n)).max().unwrap_or(0);
+        largest * nodes.len() * PREFIX_COST <= rows
+    }
+
     /// The truth the R-parts of this side's terms reflect.
     fn truth(&self) -> Truth {
         match self {
@@ -410,8 +431,7 @@ pub fn eval(
     bag_union(terms.iter().map(|term| {
         let in_r = |n| subset_preorder.contains(&n) && !term.is_delta(n);
         let cover = best_cover(materialized, in_r);
-        let delta = side.relation(side.anchor(term));
-        let prefixes = delta.len() * delta.rows.first().map_or(0, |t| t.field(0).id.depth());
+        let prefixes = side.prefixes(side.anchor(term));
         let merged = subset_preorder
             .iter()
             .filter(|&&n| in_r(n) && cover.is_none_or(|m| !m.nodes.contains(&n)))
@@ -742,6 +762,39 @@ mod tests {
         };
         assert!(!built_whole("insert <c/> into //b[@k=\"1\"]"), "1 Δ tuple vs 200 b's: reach");
         assert!(built_whole("insert <c/> into //b"), "200 Δ tuples vs 200 b's: merge");
+    }
+
+    /// Lattice upkeep's two prune arms — the snowcap's own Δ⁻ terms,
+    /// dropped by binary search, and the pass over every row — leave the
+    /// same relation, and which one a snowcap takes follows |Δ⁻|
+    /// against its rows.
+    #[test]
+    fn snowcap_prune_arms_agree_and_follow_delta_size() {
+        use crate::engine::MaintenanceEngine;
+        use crate::strategy::SnowcapStrategy;
+        let big = format!("<r><a><b k=\"1\"/>{}</a></r>", "<b/>".repeat(199));
+        let pattern = "//a{id}//b{id}//c{id}";
+        let flips = Flips::default();
+        for (stmt, by_delta, left) in
+            [("delete //b[@k=\"1\"]", true, 199), ("delete //b", false, 0)]
+        {
+            let a = apply(&big, stmt, pattern);
+            let old = parse_document(&big).unwrap();
+            let engine =
+                MaintenanceEngine::new(&old, a.pattern.clone(), SnowcapStrategy::MinimalChain);
+            let [smaller @ .., ab] = engine.snowcaps() else { panic!("the chain a, ab") };
+            assert_eq!(ab.rel.len(), 200);
+            let ctx = TermContext::new(&a.doc, &a.pattern, &a.res, &flips);
+            let side = DeltaSide::Minus { tables: &a.dminus };
+            assert_eq!(side.small_against(&ab.nodes, ab.rel.len()), by_delta, "{stmt}");
+            let table = subset_terms(&a.pattern, &ab.nodes.iter().copied().collect());
+            let (own, _) = terms(&ctx, &side, &table, &ab.nodes);
+            let (mut by_terms, mut by_pass) = (ab.clone(), ab.clone());
+            by_terms.remove(eval(&ctx, &side, &ab.nodes, &own, smaller));
+            by_pass.remove_under(&DeweyForest::new(a.res.delete_roots.clone()));
+            assert_eq!(by_terms.rel.rows, by_pass.rel.rows, "{stmt}");
+            assert_eq!(by_terms.rel.len(), left, "{stmt}");
+        }
     }
 
     /// The view store of `pattern` over `doc_xml`, then `stmt` applied

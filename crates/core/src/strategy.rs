@@ -1,7 +1,13 @@
 //! Materialization strategies for the sub-pattern lattice
 //! (Section 3.5; compared experimentally in Section 6.7).
 
-/// Which lattice nodes the engine materializes and maintains.
+/// Which lattice nodes the engine materializes and maintains. Whatever
+/// is materialized is kept in full document order and maintained from
+/// its own Δ terms, in place ([`MaterializedSnowcap`]): upkeep follows
+/// |Δ| under every strategy, so the strategies differ in how many
+/// relations a commit patches, not in how each is patched.
+///
+/// [`MaterializedSnowcap`]: crate::snowcap::MaterializedSnowcap
 ///
 /// [`MinimalChain`](Self::MinimalChain) is the façade's default because
 /// the benchmark says so: with no snowcap materialized under any

@@ -135,7 +135,7 @@ impl ViewStore {
     /// allocated for the sort; the yielded tuples are borrows.
     pub fn cursor(&self) -> Cursor<'_> {
         let mut refs: Vec<(&Tuple, u64)> = self.iter().collect();
-        refs.sort_by(|a, b| doc_order(a.0, b.0));
+        refs.sort_by(|a, b| a.0.doc_cmp(b.0));
         Cursor { inner: refs.into_iter() }
     }
 
@@ -186,18 +186,6 @@ impl ViewStore {
         }
         out
     }
-}
-
-/// Document-order comparison of two same-arity tuples by their ID
-/// columns (shared with delta canonicalization in `crate::commit`).
-pub(crate) fn doc_order(a: &Tuple, b: &Tuple) -> std::cmp::Ordering {
-    for i in 0..a.arity() {
-        let c = a.field(i).id.doc_cmp(&b.field(i).id);
-        if c.is_ne() {
-            return c;
-        }
-    }
-    std::cmp::Ordering::Equal
 }
 
 /// Borrowing document-order iterator over a [`ViewStore`] — see

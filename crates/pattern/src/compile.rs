@@ -149,15 +149,7 @@ pub fn project_to_view(pattern: &TreePattern, bindings: &Relation) -> Vec<(Tuple
         .collect();
     let projected = ops::project(bindings, &cols);
     let mut counted = ops::dupelim_count(&projected);
-    counted.sort_by(|a, b| {
-        for i in 0..a.0.arity() {
-            let c = a.0.field(i).id.doc_cmp(&b.0.field(i).id);
-            if c.is_ne() {
-                return c;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    counted.sort_by(|a, b| a.0.doc_cmp(&b.0));
     counted
 }
 
