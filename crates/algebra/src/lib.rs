@@ -13,12 +13,14 @@
 //!
 //! Module map: [`relation`] / [`mod@tuple`] (ordered bags over schemas),
 //! [`logical`] + [`ops`] + [`predicate`] (the algebra **A**),
-//! [`structjoin`] (the physical operator).
+//! [`structjoin`] (the physical operator), [`ordered`] (sorted rows
+//! patched in place — what snowcaps and the view store are kept by).
 //! The workspace-wide picture, with this crate's row, lives in
 //! `ARCHITECTURE.md` at the repository root.
 
 pub mod logical;
 pub mod ops;
+pub mod ordered;
 pub mod predicate;
 pub mod relation;
 pub mod structjoin;

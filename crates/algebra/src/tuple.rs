@@ -29,7 +29,7 @@ impl Field {
 }
 
 /// A tuple over a view schema: one [`Field`] per view column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Tuple {
     fields: Vec<Field>,
 }
@@ -82,7 +82,15 @@ impl Tuple {
     /// store's cursor and published deltas all sort by it.
     #[inline]
     pub fn doc_cmp(&self, other: &Tuple) -> Ordering {
-        cmp_ids(self.fields.iter().zip(&other.fields))
+        cmp_ids(self.fields.iter().zip(&other.fields).map(|(a, b)| (&a.id, &b.id)))
+    }
+
+    /// [`Self::doc_cmp`] against a bare [`Self::id_key`]: how a keyed
+    /// change finds its tuple among ordered rows. A key of another
+    /// arity equals no tuple.
+    #[inline]
+    pub fn key_cmp(&self, key: &[DeweyId]) -> Ordering {
+        cmp_ids(self.fields.iter().map(|f| &f.id).zip(key)).then(self.fields.len().cmp(&key.len()))
     }
 
     /// The mirror of [`Self::doc_cmp`]: the same comparison with the
@@ -90,15 +98,15 @@ impl Tuple {
     /// output in and wants its input in, kept by materialized snowcaps.
     #[inline]
     pub fn doc_cmp_rev(&self, other: &Tuple) -> Ordering {
-        cmp_ids(self.fields.iter().zip(&other.fields).rev())
+        cmp_ids(self.fields.iter().zip(&other.fields).rev().map(|(a, b)| (&a.id, &b.id)))
     }
 }
 
 /// The first ID pair that differs decides, by [`DeweyId::doc_cmp`].
 #[inline]
-fn cmp_ids<'a>(pairs: impl Iterator<Item = (&'a Field, &'a Field)>) -> Ordering {
+fn cmp_ids<'a>(pairs: impl Iterator<Item = (&'a DeweyId, &'a DeweyId)>) -> Ordering {
     for (a, b) in pairs {
-        let c = a.id.doc_cmp(&b.id);
+        let c = a.doc_cmp(b);
         if c.is_ne() {
             return c;
         }
@@ -143,6 +151,10 @@ mod tests {
         assert_eq!(t(1, 1, "a").doc_cmp(&t(1, 1, "b")), Ordering::Equal, "IDs only");
         assert_eq!(t(1, 2, "a").doc_cmp_rev(&t(2, 1, "a")), Ordering::Greater, "last column first");
         assert_eq!(t(1, 1, "a").doc_cmp_rev(&t(2, 1, "a")), Ordering::Less, "then column 0");
+        let key = t(1, 2, "a").id_key();
+        assert_eq!(t(1, 2, "z").key_cmp(&key), Ordering::Equal);
+        assert_eq!(t(1, 1, "a").key_cmp(&key), Ordering::Less);
+        assert_eq!(t(1, 2, "a").key_cmp(&key[..1]), Ordering::Greater, "another arity: no match");
     }
 
     #[test]

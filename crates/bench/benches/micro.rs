@@ -1,18 +1,18 @@
 //! Criterion micro-benchmarks for the substrate operators: Dewey ID
 //! operations, the stack-based structural join, XPath target finding,
-//! full pattern evaluation, the application of a bulk PUL and the
-//! engine's half of a point commit.
+//! full pattern evaluation, the application of a bulk PUL, the
+//! engine's half of a point commit and the view store's share of it.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::cell::RefCell;
 use std::hint::black_box;
 use xivm_algebra::{structural_join, Axis, Column, Field, Relation, Schema, Tuple};
-use xivm_core::{MaintenanceEngine, SnowcapStrategy};
+use xivm_core::{MaintenanceEngine, SnowcapStrategy, ViewStore};
 use xivm_pattern::compile::view_tuples;
 use xivm_pattern::xpath::{eval_path, parse_xpath};
 use xivm_update::{apply_pul, compute_pul, UpdateStatement};
 use xivm_xmark::{generate_sized, view_pattern};
-use xivm_xml::{dewey::Step, DeweyId, LabelId};
+use xivm_xml::{dewey::Step, DeweyId, Document, LabelId};
 
 fn dewey_ops(c: &mut Criterion) {
     let deep =
@@ -117,14 +117,9 @@ fn apply_puls(c: &mut Criterion) {
     });
 }
 
-/// `MaintenanceEngine::finish` for one bidder leaving / entering the
-/// middle open auction of the 2 MB document under Q2 — the point commit
-/// whose lattice upkeep must follow |Δ|, not the snowcaps (the largest
-/// holds a row per bidder of the document). Only `finish` is timed: the
-/// statement that restores the state, the PUL, `prepare` and the apply
-/// are the batch's setup.
-fn lattice_upkeep(c: &mut Criterion) {
-    let doc = generate_sized(2 << 20);
+/// The point commit of the 2 MB targets: one bidder into, and out of,
+/// the document's middle open auction.
+fn middle_bidder(doc: &Document) -> (UpdateStatement, UpdateStatement) {
     let auction = format!(
         "/site/open_auctions/open_auction[@id=\"open_auction{}\"]",
         doc.canonical_nodes_named("open_auction").len() / 2
@@ -135,6 +130,18 @@ fn lattice_upkeep(c: &mut Criterion) {
     let delete =
         UpdateStatement::delete(&format!("{auction}/bidder[personref/@person=\"bench0\"]"))
             .unwrap();
+    (insert, delete)
+}
+
+/// `MaintenanceEngine::finish` for one bidder leaving / entering the
+/// middle open auction of the 2 MB document under Q2 — the point commit
+/// whose lattice upkeep must follow |Δ|, not the snowcaps (the largest
+/// holds a row per bidder of the document). Only `finish` is timed: the
+/// statement that restores the state, the PUL, `prepare` and the apply
+/// are the batch's setup.
+fn lattice_upkeep(c: &mut Criterion) {
+    let doc = generate_sized(2 << 20);
+    let (insert, delete) = middle_bidder(&doc);
     let engine = MaintenanceEngine::new(&doc, view_pattern("Q2"), SnowcapStrategy::MinimalChain);
     let state = RefCell::new((engine, doc));
     for (id, undo, timed) in [
@@ -162,6 +169,40 @@ fn lattice_upkeep(c: &mut Criterion) {
     }
 }
 
+/// The view store alone under that commit: the bidder's Q2 rows merged
+/// into and taken out of the 2 MB store (the writers every commit and
+/// every replay go through), and the read — a full cursor, every row's
+/// count summed.
+fn store_patches(c: &mut Criterion) {
+    let mut doc = generate_sized(2 << 20);
+    let (insert, _) = middle_bidder(&doc);
+    let mut engine =
+        MaintenanceEngine::new(&doc, view_pattern("Q2"), SnowcapStrategy::MinimalChain);
+    let rows = engine.apply_statement(&mut doc, &insert).unwrap().delta.inserted;
+    assert!(!rows.is_empty(), "the bidder is in Q2");
+    let keys: Vec<_> = rows.iter().map(|(t, count)| (t.id_key(), *count)).collect();
+    // Between targets the store is without the bidder's rows.
+    let store = RefCell::new(engine.store().clone());
+    store.borrow_mut().remove(&keys);
+    c.bench_function("store/point_insert_2MB", |b| {
+        let without = || {
+            store.borrow_mut().remove(&keys);
+            rows.clone()
+        };
+        b.iter_batched(without, |rows| store.borrow_mut().absorb(rows), BatchSize::SmallInput)
+    });
+    store.borrow_mut().remove(&keys);
+    c.bench_function("store/point_delete_2MB", |b| {
+        let with = || {
+            store.borrow_mut().absorb(rows.clone());
+        };
+        b.iter_batched(with, |()| store.borrow_mut().remove(&keys), BatchSize::SmallInput)
+    });
+    // (`count()` alone is the slice's length: sum the counts to visit the rows.)
+    let scan = |store: &ViewStore| store.cursor().map(|(_, count)| count).sum::<u64>();
+    c.bench_function("store/scan_2MB", |b| b.iter(|| scan(black_box(&store.borrow()))));
+}
+
 criterion_group!(
     benches,
     dewey_ops,
@@ -169,6 +210,7 @@ criterion_group!(
     xpath_and_views,
     chained_joins,
     apply_puls,
-    lattice_upkeep
+    lattice_upkeep,
+    store_patches
 );
 criterion_main!(benches);

@@ -453,7 +453,7 @@ impl Circuit {
                 OpState::Source(src) => {
                     let vs = store_of(src.view);
                     let schema = vs.schema();
-                    vs.iter().map(|(t, c)| (Row::from_tuple(t, schema), c as i64)).collect()
+                    vs.cursor().map(|(t, c)| (Row::from_tuple(t, schema), c as i64)).collect()
                 }
                 OpState::Filter { input, pred } => out[*input]
                     .iter()

@@ -61,7 +61,7 @@ impl SourceState {
     pub(crate) fn seed_delta(&self) -> RowDelta {
         let schema = self.mirror.schema();
         RowDelta::new(
-            self.mirror.iter().map(|(t, c)| (Row::from_tuple(t, schema), c as i64)).collect(),
+            self.mirror.cursor().map(|(t, c)| (Row::from_tuple(t, schema), c as i64)).collect(),
         )
     }
 

@@ -81,14 +81,15 @@ impl ViewDelta {
     }
 
     /// Sorts every section into document order, making the delta a
-    /// canonical value: propagation walks hash stores, whose iteration
-    /// order differs between otherwise-identical databases, and the
-    /// façade promises bit-identical commits for equivalent updates
-    /// (sequential vs parallel, textual vs typed). Safe because replay
-    /// is order-insensitive within a section: removals for one key
-    /// commute (the count is a saturating sum) and same-key
-    /// insertions carry identical fields (all read the same
-    /// post-update document).
+    /// canonical value: a commit patches the store in several passes
+    /// (deletions, predicate flips, insertions) whose entries land here
+    /// one pass after the other, and the façade promises bit-identical
+    /// commits for equivalent updates (sequential vs parallel, textual
+    /// vs typed). It is also the order [`Self::replay`] hands the
+    /// store's writers. Safe because replay is order-insensitive within
+    /// a section: removals for one key commute (the count is a
+    /// saturating sum) and same-key insertions carry identical fields
+    /// (all read the same post-update document).
     pub(crate) fn canonicalize(&mut self) {
         self.inserted.sort_by(|a, b| a.0.doc_cmp(&b.0).then(a.1.cmp(&b.1)));
         // A key is its tuple's ID columns and `DeweyId`'s `Ord` is
@@ -97,21 +98,17 @@ impl ViewDelta {
         self.modified.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
-    /// Applies the delta to a store. Replaying onto a snapshot of the
+    /// Applies the delta to a store, through the writers propagation
+    /// itself patches it with ([`ViewStore::remove`],
+    /// [`ViewStore::absorb`]). Replaying onto a snapshot of the
     /// pre-commit store yields the post-commit store exactly; the
     /// order (removals, then insertions, then modifications) matches
     /// the order propagation patched the original.
     pub fn replay(&self, store: &mut ViewStore) {
-        for (key, count) in &self.removed {
-            store.remove_derivations(key, *count);
-        }
-        for (tuple, count) in &self.inserted {
-            store.add(tuple.clone(), *count);
-        }
-        for (key, tuple) in &self.modified {
-            if let Some(stored) = store.tuple_mut(key) {
-                *stored = tuple.clone();
-            }
+        store.remove(&self.removed);
+        store.absorb(self.inserted.clone());
+        for (_, tuple) in &self.modified {
+            store.replace(tuple);
         }
     }
 }
@@ -323,14 +320,12 @@ mod tests {
     #[test]
     fn replay_applies_removals_insertions_and_modifications() {
         let pattern = parse_pattern("//a{id}").unwrap();
-        let mut store = ViewStore::new(&pattern);
-        store.add(tup(1), 2);
-        store.add(tup(2), 1);
+        let mut store = ViewStore::from_counted(&pattern, vec![(tup(1), 2), (tup(2), 1)]);
 
         let mut patched = tup(2);
         patched.field_mut(0).val = Some("new".into());
         let delta = ViewDelta {
-            inserted: vec![(tup(3), 1), (tup(1), 1)],
+            inserted: vec![(tup(1), 1), (tup(3), 1)],
             removed: vec![(tup(1).id_key(), 2)],
             modified: vec![(tup(2).id_key(), patched.clone())],
         };
@@ -338,9 +333,9 @@ mod tests {
         assert!(!delta.is_empty());
         delta.replay(&mut store);
 
-        assert_eq!(store.count_of(&tup(1).id_key()), Some(1), "2 removed, then 1 re-added");
-        assert_eq!(store.count_of(&tup(3).id_key()), Some(1));
-        assert_eq!(store.tuple(&tup(2).id_key()), Some(&patched));
+        assert_eq!(store.get(&tup(1).id_key()), Some((&tup(1), 1)), "2 removed, then 1 re-added");
+        assert_eq!(store.get(&tup(3).id_key()), Some((&tup(3), 1)));
+        assert_eq!(store.get(&tup(2).id_key()), Some((&patched, 1)));
     }
 
     #[test]
@@ -379,8 +374,7 @@ mod tests {
     #[test]
     fn empty_delta_replays_to_identity() {
         let pattern = parse_pattern("//a{id}").unwrap();
-        let mut store = ViewStore::new(&pattern);
-        store.add(tup(1), 1);
+        let mut store = ViewStore::from_counted(&pattern, vec![(tup(1), 1)]);
         let snapshot = store.clone();
         ViewDelta::default().replay(&mut store);
         assert!(store.identical_to(&snapshot));

@@ -1680,13 +1680,11 @@ mod tests {
         let mut db = db();
         let ab = db.view("ab").unwrap();
         db.apply("insert <b/> into /a/c").unwrap();
-        let ords: Vec<_> = db.cursor(ab).map(|(t, c)| (t.id_key(), c)).collect();
-        let cloned: Vec<_> = db.store(ab).sorted_tuples();
-        assert_eq!(ords.len(), cloned.len());
-        for ((k, c), (t, c2)) in ords.iter().zip(cloned.iter()) {
-            assert_eq!(k, &t.id_key());
-            assert_eq!(c, c2);
-        }
+        let read: Vec<_> = db.cursor(ab).collect();
+        assert!(read.windows(2).all(|w| w[0].0.doc_cmp(w[1].0).is_lt()), "document order");
+        let pattern = db.pattern(ab).clone();
+        let fresh = view_tuples(db.document(), &pattern);
+        assert_eq!(read, fresh.iter().map(|(t, c)| (t, *c)).collect::<Vec<_>>());
     }
 
     // -----------------------------------------------------------------

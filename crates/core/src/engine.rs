@@ -24,7 +24,7 @@ use crate::strategy::SnowcapStrategy;
 use crate::term::Term;
 use crate::timing::{timed, Timings};
 use crate::view_store::{TupleKey, ViewStore};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use xivm_pattern::compile::{canonical_relation, compile_plan_over, project_to_view, view_tuples};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
@@ -418,16 +418,13 @@ impl MaintenanceEngine {
         // contents (a key both refresh passes touched appears once).
         // A modified tuple later removed by a predicate flip is
         // already covered by the delta's `removed` entries.
-        let mut seen: HashSet<TupleKey> = HashSet::new();
+        modified_keys.sort();
+        modified_keys.dedup();
         for key in modified_keys {
-            if seen.insert(key.clone()) {
-                if let Some(tuple) = store.tuple(&key) {
-                    report.delta.modified.push((key, tuple.clone()));
-                }
+            if let Some((tuple, _)) = store.get(&key) {
+                report.delta.modified.push((key, tuple.clone()));
             }
         }
-        // Hash-store walk order differs between databases; the
-        // published delta is canonical (document order).
         report.delta.canonicalize();
 
         // --- Update Lattice, part 2: every snowcap gains the bindings
@@ -506,8 +503,9 @@ fn maintain_lattice(
 }
 
 /// *Execute Update*, the store patch: projects gained (`Plus`) or lost
-/// (`Minus`) bindings to the view and adds / drops their derivations,
-/// mirroring every patch into the report's counters and its delta.
+/// (`Minus`) bindings to the view — `e_v`, so counted and in the store's
+/// order — and hands the run to the store's writer, mirroring it into
+/// the report's counters and its delta.
 fn patch_store(
     store: &mut ViewStore,
     pattern: &TreePattern,
@@ -518,20 +516,19 @@ fn patch_store(
     if bindings.is_empty() {
         return;
     }
-    for (t, c) in project_to_view(pattern, bindings) {
-        let key = t.id_key();
-        match sign {
-            Sign::Minus => {
-                report.derivations_removed += c;
-                report.tuples_removed += usize::from(store.remove_derivations(&key, c));
-                report.delta.removed.push((key, c));
-            }
-            Sign::Plus => {
-                report.derivations_added += c;
-                report.tuples_added += usize::from(!store.contains(&key));
-                report.delta.inserted.push((t.clone(), c));
-                store.add(t, c);
-            }
+    let projected = project_to_view(pattern, bindings);
+    let derivations: u64 = projected.iter().map(|(_, c)| c).sum();
+    match sign {
+        Sign::Minus => {
+            let lost: Vec<_> = projected.into_iter().map(|(t, c)| (t.id_key(), c)).collect();
+            report.derivations_removed += derivations;
+            report.tuples_removed += store.remove(&lost);
+            report.delta.removed.extend(lost);
+        }
+        Sign::Plus => {
+            report.derivations_added += derivations;
+            report.delta.inserted.extend(projected.iter().cloned());
+            report.tuples_added += store.absorb(projected);
         }
     }
 }

@@ -476,8 +476,8 @@ pub(crate) fn eval_one(
 ///
 /// Patches the affected fields by re-reading the (already updated)
 /// document and returns the keys of the modified tuples (for the
-/// commit report's Δ), walking the store in place — no tuple is cloned
-/// and no key snapshot is taken.
+/// commit report's Δ, in the store's order), walking the store in
+/// place — no tuple is cloned, and a key only for a tuple that changed.
 pub fn refresh_text(
     store: &mut ViewStore,
     doc: &Document,
@@ -500,15 +500,14 @@ pub fn refresh_text(
     // inner root would never be refreshed.
     let forest = DeweyForest::with_nested(roots.to_vec());
     let mut modified = Vec::new();
-    for (key, tuple) in store.tuples_mut() {
+    for tuple in store.tuples_mut() {
         let mut touched = false;
         for &(col, want_val, want_cont) in &cvn_cols {
-            let id = &key[col];
-            if !forest.has_descendant_or_self_root(id) {
+            let field = tuple.field_mut(col);
+            if !forest.has_descendant_or_self_root(&field.id) {
                 continue;
             }
-            let Some(node) = doc.find_node(id) else { continue };
-            let field = tuple.field_mut(col);
+            let Some(node) = doc.find_node(&field.id) else { continue };
             if want_val {
                 field.val = Some(Arc::from(doc.value(node).as_str()));
             }
@@ -518,7 +517,7 @@ pub fn refresh_text(
             touched = true;
         }
         if touched {
-            modified.push(key.clone());
+            modified.push(tuple.id_key());
         }
     }
     modified
@@ -811,7 +810,7 @@ mod tests {
     }
 
     fn text(store: &ViewStore, row: usize, col: usize) -> (Option<Arc<str>>, Option<Arc<str>>) {
-        let f = store.sorted_tuples()[row].0.field(col).clone();
+        let f = store.cursor().nth(row).unwrap().0.field(col).clone();
         (f.val, f.cont)
     }
 

@@ -124,15 +124,27 @@ pub fn decode_store(bytes: &[u8]) -> Result<ViewStore, SnapshotError> {
     }
     let schema = Schema::new(columns);
     let n = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes")) as usize;
-    let mut store = ViewStore::from_schema(schema);
+    // Only what an encoder writes is a store: rows strictly in document
+    // order, each with at least one derivation.
+    let mut rows: Vec<(Tuple, u64)> = Vec::new();
     for _ in 0..n {
-        let count = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
+        let pos = r.pos;
+        let count = r.u64()?;
+        if count == 0 {
+            return Err(SnapshotError::Corrupt { what: "zero count", pos });
+        }
         let mut fields = Vec::with_capacity(arity);
         for _ in 0..arity {
             fields.push(read_field(&mut r)?);
         }
-        store.add(Tuple::new(fields), count);
+        let tuple = Tuple::new(fields);
+        if rows.last().is_some_and(|(prev, _)| prev.doc_cmp(&tuple).is_ge()) {
+            return Err(SnapshotError::Corrupt { what: "row order", pos });
+        }
+        rows.push((tuple, count));
     }
+    let mut store = ViewStore::from_schema(schema);
+    store.absorb(rows);
     if r.pos != bytes.len() {
         return Err(SnapshotError::Corrupt { what: "trailing bytes", pos: r.pos });
     }
@@ -527,6 +539,32 @@ mod tests {
             decode_store(&trailing).map(|_| ()).unwrap_err(),
             SnapshotError::Corrupt { what: "trailing bytes", pos: bytes.len() }
         );
+    }
+
+    /// Frames no encoder writes: a key twice, rows out of order, a row
+    /// without a derivation.
+    #[test]
+    fn rows_out_of_order_and_zero_counts_are_rejected() {
+        let store = sample_store();
+        let rows: Vec<(Tuple, u64)> = store.cursor().map(|(t, c)| (t.clone(), c)).collect();
+        let image = |rows: &[(Tuple, u64)]| {
+            let mut out = encode_store(&ViewStore::from_schema(store.schema().clone()));
+            out.truncate(out.len() - 8);
+            out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+            for (t, count) in rows {
+                out.extend_from_slice(&count.to_le_bytes());
+                t.fields().iter().for_each(|f| write_field(&mut out, f));
+            }
+            out
+        };
+        let what = |rows: &[(Tuple, u64)]| match decode_store(&image(rows)) {
+            Err(SnapshotError::Corrupt { what, .. }) => what,
+            other => panic!("accepted or misreported: {:?}", other.map(|s| s.len())),
+        };
+        assert_eq!(image(&rows), encode_store(&store), "the frames below differ in rows only");
+        assert_eq!(what(&[rows[0].clone(), rows[0].clone()]), "row order", "a key twice");
+        assert_eq!(what(&[rows[1].clone(), rows[0].clone()]), "row order");
+        assert_eq!(what(&[(rows[0].0.clone(), 0)]), "zero count");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! lets both be applied without visiting the rows that stay.
 
 use std::collections::BTreeSet;
-use xivm_algebra::{Relation, Tuple};
+use xivm_algebra::{ordered, Relation, Tuple};
 use xivm_pattern::{PatternNodeId, TreePattern};
 use xivm_xml::DeweyForest;
 
@@ -114,58 +114,24 @@ impl MaterializedSnowcap {
     }
 
     /// Adds the snowcap's own new bindings: sorts the few new rows,
-    /// then merges them in from the back — each found by a search that
-    /// gallops back from the previous one (a handful of comparisons for
-    /// a point insertion, two per row when a bulk one rivals the rows
-    /// behind it) — shifting the old rows behind each into place. Rows
-    /// before the first new one are never touched; an append at the
-    /// document's end moves nothing.
+    /// then merges them in from the back ([`ordered::absorb`]) — a
+    /// handful of comparisons for a point insertion, two per row when a
+    /// bulk one rivals the rows behind it. Rows before the first new one
+    /// are never touched; an append at the document's end moves nothing.
     pub fn absorb(&mut self, mut new: Relation) {
         new.rows.sort_by(Tuple::doc_cmp_rev);
-        let rows = &mut self.rel.rows;
-        // From the largest new row down: old rows `..end` are not yet
-        // placed, slots `end..end + j + 1` are free, and `j` new rows
-        // go before this one.
-        let mut end = rows.len();
-        rows.resize_with(end + new.len(), || Tuple::new(Vec::new()));
-        for (j, row) in new.rows.into_iter().enumerate().rev() {
-            let mut step = 1;
-            while step <= end && rows[end - step].doc_cmp_rev(&row).is_gt() {
-                step *= 2;
-            }
-            let (lo, hi) = (end.saturating_sub(step), end - step / 2);
-            let at = lo + rows[lo..hi].partition_point(|t| t.doc_cmp_rev(&row).is_le());
-            for i in (at..end).rev() {
-                rows.swap(i, i + j + 1);
-            }
-            rows[at + j] = row;
-            end = at;
-        }
+        let again = |_: &mut Tuple, _| debug_assert!(false, "a binding is gained once");
+        ordered::absorb(&mut self.rel.rows, new.rows, Tuple::doc_cmp_rev, again);
     }
 
     /// Drops the snowcap's own lost bindings — `lost`, each one a row
-    /// of this relation — found by binary search and closed up by one
-    /// forward compaction from the first of them.
+    /// of this relation — found by search and closed up by one forward
+    /// compaction from the first of them ([`ordered::remove`]).
     pub fn remove(&mut self, mut lost: Relation) {
         lost.rows.sort_by(Tuple::doc_cmp_rev);
-        let rows = &mut self.rel.rows;
-        let (mut holes, mut from) = (Vec::with_capacity(lost.len()), 0);
-        for row in &lost.rows {
-            from += rows[from..].partition_point(|t| t.doc_cmp_rev(row).is_lt());
-            // A lost binding is a row of its snowcap, and is lost once.
-            debug_assert!(rows.get(from).is_some_and(|t| t.doc_cmp_rev(row).is_eq()), "not a row");
-            holes.push(from);
-            from += 1;
-        }
-        let Some(&first) = holes.first() else { return };
-        let (mut write, mut holes) = (first, holes.into_iter().peekable());
-        for read in first..rows.len() {
-            if holes.next_if_eq(&read).is_none() {
-                rows.swap(write, read);
-                write += 1;
-            }
-        }
-        rows.truncate(write);
+        let dropped =
+            ordered::remove(&mut self.rel.rows, &lost.rows, Tuple::doc_cmp_rev, |_, _| true);
+        debug_assert_eq!(dropped, lost.len(), "a lost binding is a row, and is lost once");
     }
 
     /// The other removal, for a deletion that rivals the snowcap: one

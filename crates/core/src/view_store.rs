@@ -1,10 +1,24 @@
 //! The materialized view store: projected tuples with derivation
-//! counts (Section 2.2).
+//! counts (Section 2.2), kept in the order the view is read in.
+//!
+//! **Invariant**: the rows are strictly increasing in
+//! [`Tuple::doc_cmp`] — one row per key, in document order over the
+//! stored columns left to right — and every derivation count is ≥ 1
+//! (no writer leaves a zero behind; a run to absorb must carry none).
+//! `e_v` ends with a sort, so the store *is* the view's value: a read
+//! ([`ViewStore::cursor`]) borrows the rows, and the two writers
+//! ([`ViewStore::absorb`], [`ViewStore::remove`]) keep the order through
+//! the search-and-shift routines of [`xivm_algebra::ordered`], so a
+//! commit pays for the rows it changes and those behind them, not for a
+//! sort of all of them.
+//!
+//! Left to right here, mirrored in the snowcaps
+//! ([`crate::snowcap::MaterializedSnowcap`]): a view is an *output* —
+//! readers, deltas and the wire all want `e_v`'s order; a snowcap is a
+//! join *input*, and the joins want the last column first.
 
-use std::collections::HashMap;
-use xivm_algebra::{Schema, Tuple};
-use xivm_pattern::compile::view_schema;
-use xivm_pattern::TreePattern;
+use xivm_algebra::{ordered, Schema, Tuple};
+use xivm_pattern::{compile::view_schema, TreePattern};
 use xivm_xml::DeweyId;
 
 /// Key of a view tuple: the structural IDs of its stored nodes.
@@ -16,27 +30,33 @@ pub type TupleKey = Vec<DeweyId>;
 #[derive(Debug, Clone, Default)]
 pub struct ViewStore {
     schema: Schema,
-    tuples: HashMap<TupleKey, (Tuple, u64)>,
+    rows: Vec<(Tuple, u64)>,
+}
+
+/// One run for a writer, and the store's own invariant: strictly
+/// increasing keys.
+fn strictly_ordered(rows: &[(Tuple, u64)]) -> bool {
+    rows.is_sorted_by(|a, b| a.0.doc_cmp(&b.0).is_lt())
 }
 
 impl ViewStore {
     /// An empty store with the view's projected schema.
     pub fn new(pattern: &TreePattern) -> Self {
-        ViewStore { schema: view_schema(pattern), tuples: HashMap::new() }
+        ViewStore::from_schema(view_schema(pattern))
     }
 
     /// An empty store over an explicit schema (snapshot decoding).
     pub fn from_schema(schema: Schema) -> Self {
-        ViewStore { schema, tuples: HashMap::new() }
+        ViewStore { schema, rows: Vec::new() }
     }
 
     /// Builds a store from already-counted tuples (initial
-    /// materialization or full recomputation).
-    pub fn from_counted(pattern: &TreePattern, counted: Vec<(Tuple, u64)>) -> Self {
+    /// materialization or full recomputation). `e_v`'s output is in
+    /// order already — the sort is then the one pass that finds it so.
+    pub fn from_counted(pattern: &TreePattern, mut counted: Vec<(Tuple, u64)>) -> Self {
         let mut s = ViewStore::new(pattern);
-        for (t, c) in counted {
-            s.add(t, c);
-        }
+        counted.sort_by(|a, b| a.0.doc_cmp(&b.0));
+        s.absorb(counted);
         s
     }
 
@@ -45,168 +65,112 @@ impl ViewStore {
     }
 
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows.is_empty()
     }
 
     /// Sum of derivation counts (number of underlying embeddings).
     pub fn total_derivations(&self) -> u64 {
-        self.tuples.values().map(|(_, c)| c).sum()
+        self.rows.iter().map(|(_, c)| c).sum()
     }
 
-    pub fn count_of(&self, key: &TupleKey) -> Option<u64> {
-        self.tuples.get(key).map(|(_, c)| *c)
+    /// The stored tuple and its derivation count behind a key, found by
+    /// binary search.
+    pub fn get(&self, key: &[DeweyId]) -> Option<(&Tuple, u64)> {
+        let at = self.rows.binary_search_by(|(t, _)| t.key_cmp(key)).ok()?;
+        Some((&self.rows[at].0, self.rows[at].1))
     }
 
-    pub fn contains(&self, key: &TupleKey) -> bool {
-        self.tuples.contains_key(key)
-    }
-
-    /// Adds `count` derivations of a tuple (ET-INS's final step: an
-    /// existing tuple's count grows, a new tuple enters with its
-    /// count).
-    pub fn add(&mut self, tuple: Tuple, count: u64) {
-        debug_assert_eq!(tuple.arity(), self.schema.arity());
-        let key = tuple.id_key();
-        self.tuples.entry(key).and_modify(|(_, c)| *c += count).or_insert((tuple, count));
-    }
-
-    /// Removes `count` derivations; the tuple disappears when its
-    /// derivation count reaches zero (Algorithm 5's final loop).
-    /// Returns true when the tuple was removed entirely.
-    pub fn remove_derivations(&mut self, key: &TupleKey, count: u64) -> bool {
-        match self.tuples.get_mut(key) {
-            None => false,
-            Some((_, c)) => {
-                *c = c.saturating_sub(count);
-                if *c == 0 {
-                    self.tuples.remove(key);
-                    true
-                } else {
-                    false
-                }
-            }
+    /// Adds derivations (ET-INS's final step): the count of a tuple
+    /// already stored grows, a new tuple enters with its count, at its
+    /// place. `run` is one strictly ordered run — `e_v`'s output, a
+    /// delta's `inserted` section — and is merged in as one; any other
+    /// (no engine publishes one) entry by entry. Returns how many
+    /// tuples entered.
+    pub fn absorb(&mut self, run: Vec<(Tuple, u64)>) -> usize {
+        if !strictly_ordered(&run) {
+            return run.into_iter().map(|entry| self.absorb(vec![entry])).sum();
         }
+        let by_doc_order = |a: &(Tuple, u64), b: &(Tuple, u64)| a.0.doc_cmp(&b.0);
+        let entered = ordered::absorb(&mut self.rows, run, by_doc_order, |row, new| row.1 += new.1);
+        debug_assert!(strictly_ordered(&self.rows));
+        entered
     }
 
-    /// Mutable access for PIMT / PDMT val-and-cont patching.
-    pub fn tuple_mut(&mut self, key: &TupleKey) -> Option<&mut Tuple> {
-        self.tuples.get_mut(key).map(|(t, _)| t)
+    /// Removes derivations (Algorithm 5's final loop): a tuple leaves
+    /// when its count reaches zero; a key that is no tuple is ignored.
+    /// `run` is one strictly ordered run — a delta's `removed` section —
+    /// and is taken out as one; any other entry by entry. Returns how
+    /// many tuples left.
+    pub fn remove(&mut self, run: &[(TupleKey, u64)]) -> usize {
+        if !run.is_sorted_by(|a, b| a.0 < b.0) {
+            return run.iter().map(|entry| self.remove(std::slice::from_ref(entry))).sum();
+        }
+        let take = |row: &mut (Tuple, u64), lost: &(TupleKey, u64)| {
+            row.1 = row.1.saturating_sub(lost.1);
+            row.1 == 0
+        };
+        let left = ordered::remove(&mut self.rows, run, |row, lost| row.0.key_cmp(&lost.0), take);
+        debug_assert!(strictly_ordered(&self.rows));
+        left
     }
 
-    /// The stored tuple behind a key, if present.
-    pub fn tuple(&self, key: &TupleKey) -> Option<&Tuple> {
-        self.tuples.get(key).map(|(t, _)| t)
+    /// Overwrites the stored tuple that binds the same nodes as `tuple`
+    /// (PIMT / PDMT replayed: same IDs, new `val` / `cont`). False when
+    /// there is none.
+    pub fn replace(&mut self, tuple: &Tuple) -> bool {
+        let found = self.rows.binary_search_by(|(t, _)| t.doc_cmp(tuple));
+        found.map(|at| self.rows[at].0 = tuple.clone()).is_ok()
     }
 
-    /// The stored tuple *and* its derivation count behind a key — one
-    /// lookup where [`Self::tuple`] + [`Self::count_of`] would pay two.
-    pub fn get(&self, key: &TupleKey) -> Option<(&Tuple, u64)> {
-        self.tuples.get(key).map(|(t, c)| (t, *c))
+    /// The stored tuples in order, for in-place `val` / `cont` patching
+    /// (PIMT / PDMT). IDs must stay as they are: they are the order.
+    pub(crate) fn tuples_mut(&mut self) -> impl Iterator<Item = &mut Tuple> {
+        self.rows.iter_mut().map(|(t, _)| t)
     }
 
-    /// All current keys (snapshot, so the store can be mutated while
-    /// iterating). Prefer [`Self::iter`] / [`Self::tuples_mut`] when
-    /// no structural mutation happens mid-walk — they borrow instead
-    /// of cloning every key.
-    pub fn keys(&self) -> Vec<TupleKey> {
-        self.tuples.keys().cloned().collect()
-    }
-
-    /// Borrowing iterator over the stored tuples and their derivation
-    /// counts, in arbitrary order. Allocation-free.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, u64)> {
-        self.tuples.values().map(|(t, c)| (t, *c))
-    }
-
-    /// Borrowing mutable walk over the stored tuples (key + tuple),
-    /// for in-place `val` / `cont` patching (PIMT / PDMT). Derivation
-    /// counts and keys stay fixed — only tuple fields may change.
-    pub fn tuples_mut(&mut self) -> impl Iterator<Item = (&TupleKey, &mut Tuple)> {
-        self.tuples.iter_mut().map(|(k, (t, _))| (k, t))
-    }
-
-    /// Borrowing cursor over the tuples in document order — the
-    /// canonical external representation (`e_v` ends with a sort)
-    /// without cloning a single tuple. One `Vec` of references is
-    /// allocated for the sort; the yielded tuples are borrows.
+    /// The view's value: a borrowing cursor over the tuples and their
+    /// derivation counts in document order — `e_v`'s output, read off
+    /// the rows as they are kept.
     pub fn cursor(&self) -> Cursor<'_> {
-        let mut refs: Vec<(&Tuple, u64)> = self.iter().collect();
-        refs.sort_by(|a, b| a.0.doc_cmp(b.0));
-        Cursor { inner: refs.into_iter() }
+        self.rows.iter().map(|(t, c)| (t, *c))
     }
 
-    /// Tuples with counts, sorted by document order — the owning
-    /// (cloning) form of [`Self::cursor`], kept for callers that need
-    /// the data to outlive the store borrow.
-    pub fn sorted_tuples(&self) -> Vec<(Tuple, u64)> {
-        self.cursor().map(|(t, c)| (t.clone(), c)).collect()
-    }
-
-    /// Compares content (keys and counts) with another store — the
-    /// test oracle for "incremental == recomputed".
+    /// Compares content (keys and counts, position by position) with
+    /// another store — the test oracle for "incremental == recomputed".
     pub fn same_content_as(&self, other: &ViewStore) -> bool {
-        self.tuples.len() == other.tuples.len()
-            && self
-                .tuples
-                .iter()
-                .all(|(k, (_, c))| other.tuples.get(k).is_some_and(|(_, oc)| oc == c))
+        let same = |(a, b): (&(Tuple, u64), &(Tuple, u64))| a.1 == b.1 && a.0.doc_cmp(&b.0).is_eq();
+        self.len() == other.len() && self.rows.iter().zip(&other.rows).all(same)
     }
 
     /// Strict equality: keys, derivation counts *and* every stored
-    /// `val` / `cont` field must match. The oracle for "snapshot plus
-    /// replayed deltas reproduces the post-commit store exactly".
+    /// `val` / `cont` field must match, position by position. The oracle
+    /// for "snapshot plus replayed deltas reproduces the post-commit
+    /// store exactly".
     pub fn identical_to(&self, other: &ViewStore) -> bool {
-        self.tuples.len() == other.tuples.len()
-            && self
-                .tuples
-                .iter()
-                .all(|(k, (t, c))| other.tuples.get(k).is_some_and(|(ot, oc)| oc == c && ot == t))
+        self.rows == other.rows
     }
 
-    /// Detailed difference description for test failures.
+    /// Detailed difference description for test failures: the tuples
+    /// of each side that the other lacks or counts differently.
     pub fn diff_description(&self, other: &ViewStore) -> String {
-        let mut out = String::new();
-        for (k, (_, c)) in &self.tuples {
-            match other.tuples.get(k) {
-                None => out.push_str(&format!("only in left (count {c}): {k:?}\n")),
-                Some((_, oc)) if oc != c => {
-                    out.push_str(&format!("count mismatch {c} vs {oc}: {k:?}\n"))
-                }
-                _ => {}
-            }
-        }
-        for (k, (_, c)) in &other.tuples {
-            if !self.tuples.contains_key(k) {
-                out.push_str(&format!("only in right (count {c}): {k:?}\n"));
-            }
-        }
-        out
+        let unmatched = |side: &str, a: &ViewStore, b: &ViewStore| -> String {
+            a.cursor()
+                .filter(|(t, c)| b.get(&t.id_key()).map(|(_, bc)| bc) != Some(*c))
+                .map(|(t, c)| format!("{side} only (count {c}): {:?}\n", t.id_key()))
+                .collect()
+        };
+        unmatched("left", self, other) + &unmatched("right", other, self)
     }
 }
 
 /// Borrowing document-order iterator over a [`ViewStore`] — see
 /// [`ViewStore::cursor`].
-pub struct Cursor<'a> {
-    inner: std::vec::IntoIter<(&'a Tuple, u64)>,
-}
-
-impl<'a> Iterator for Cursor<'a> {
-    type Item = (&'a Tuple, u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Cursor<'_> {}
+pub type Cursor<'a> =
+    std::iter::Map<std::slice::Iter<'a, (Tuple, u64)>, fn(&'a (Tuple, u64)) -> (&'a Tuple, u64)>;
 
 #[cfg(test)]
 mod tests {
@@ -219,90 +183,78 @@ mod tests {
         Tuple::new(vec![Field::id_only(DeweyId::from_steps(vec![Step::new(LabelId(0), ord)]))])
     }
 
-    fn store() -> ViewStore {
-        ViewStore::new(&parse_pattern("//a{id}").unwrap())
+    fn store(rows: &[(u64, u64)]) -> ViewStore {
+        let pattern = parse_pattern("//a{id}").unwrap();
+        ViewStore::from_counted(&pattern, rows.iter().map(|&(o, c)| (tup(o), c)).collect())
+    }
+
+    fn rows(s: &ViewStore) -> Vec<(u64, u64)> {
+        s.cursor().map(|(t, c)| (t.field(0).id.steps()[0].ord, c)).collect()
     }
 
     #[test]
-    fn add_accumulates_counts() {
-        let mut s = store();
-        s.add(tup(1), 2);
-        s.add(tup(1), 3);
-        s.add(tup(2), 1);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.count_of(&tup(1).id_key()), Some(5));
-        assert_eq!(s.total_derivations(), 6);
+    fn absorb_accumulates_counts_and_reports_the_tuples_that_entered() {
+        let mut s = store(&[]);
+        assert_eq!(s.absorb(vec![(tup(1), 2), (tup(2), 1)]), 2);
+        assert_eq!(s.absorb(vec![(tup(1), 3), (tup(5), 1)]), 1);
+        assert_eq!(rows(&s), vec![(1, 5), (2, 1), (5, 1)]);
+        assert_eq!(s.get(&tup(1).id_key()).unwrap().1, 5);
+        assert_eq!(s.total_derivations(), 7);
     }
 
     #[test]
     fn get_returns_tuple_and_count_together() {
-        let mut s = store();
-        s.add(tup(1), 2);
+        let s = store(&[(1, 2), (3, 1)]);
         let (t, c) = s.get(&tup(1).id_key()).unwrap();
-        assert_eq!(t, &tup(1));
-        assert_eq!(c, 2);
-        assert!(s.get(&tup(9).id_key()).is_none());
+        assert_eq!((t, c), (&tup(1), 2));
+        assert!(s.get(&tup(2).id_key()).is_none());
+        assert!(s.get(&[]).is_none(), "a key of another arity is no tuple");
     }
 
     #[test]
-    fn remove_derivations_until_zero() {
-        let mut s = store();
-        s.add(tup(1), 2);
-        assert!(!s.remove_derivations(&tup(1).id_key(), 1));
-        assert_eq!(s.count_of(&tup(1).id_key()), Some(1));
-        assert!(s.remove_derivations(&tup(1).id_key(), 1));
-        assert!(!s.contains(&tup(1).id_key()));
-        // removing a missing tuple is a no-op
-        assert!(!s.remove_derivations(&tup(9).id_key(), 4));
+    fn remove_drops_a_tuple_when_its_count_reaches_zero() {
+        let mut s = store(&[(1, 2), (2, 1)]);
+        assert_eq!(s.remove(&[(tup(1).id_key(), 1)]), 0);
+        assert_eq!(s.get(&tup(1).id_key()).unwrap().1, 1);
+        // a missing key is a no-op; the same key twice in one run sums
+        let run = [(tup(1).id_key(), 1), (tup(2).id_key(), 1), (tup(9).id_key(), 4)];
+        assert_eq!(s.remove(&run), 2);
+        assert!(s.is_empty());
+        let mut s = store(&[(1, 3), (2, 1)]);
+        assert_eq!(s.remove(&[(tup(1).id_key(), 2), (tup(1).id_key(), 1)]), 1);
+        assert_eq!(rows(&s), vec![(2, 1)]);
     }
 
+    /// The writers are total: a run no engine publishes — out of order,
+    /// a key twice — is applied entry by entry.
     #[test]
-    fn sorted_tuples_in_doc_order() {
-        let mut s = store();
-        s.add(tup(5), 1);
-        s.add(tup(1), 1);
-        s.add(tup(3), 1);
-        let ords: Vec<u64> =
-            s.sorted_tuples().iter().map(|(t, _)| t.field(0).id.steps()[0].ord).collect();
-        assert_eq!(ords, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn cursor_borrows_in_doc_order_and_matches_sorted_tuples() {
-        let mut s = store();
-        s.add(tup(5), 1);
-        s.add(tup(1), 2);
-        s.add(tup(3), 1);
-        let cursor_ords: Vec<(u64, u64)> =
-            s.cursor().map(|(t, c)| (t.field(0).id.steps()[0].ord, c)).collect();
-        assert_eq!(cursor_ords, vec![(1, 2), (3, 1), (5, 1)]);
-        let cloned: Vec<(u64, u64)> =
-            s.sorted_tuples().iter().map(|(t, c)| (t.field(0).id.steps()[0].ord, *c)).collect();
-        assert_eq!(cursor_ords, cloned);
+    fn runs_in_any_order_land_in_document_order() {
+        let mut s = store(&[(5, 1), (1, 2), (3, 1), (1, 1)]);
+        assert_eq!(rows(&s), vec![(1, 3), (3, 1), (5, 1)]);
+        assert_eq!(s.absorb(vec![(tup(4), 1), (tup(2), 1), (tup(4), 1)]), 2);
+        assert_eq!(rows(&s), vec![(1, 3), (2, 1), (3, 1), (4, 2), (5, 1)]);
+        assert_eq!(s.remove(&[(tup(5).id_key(), 1), (tup(1).id_key(), 3)]), 2);
+        assert_eq!(rows(&s), vec![(2, 1), (3, 1), (4, 2)]);
         assert_eq!(s.cursor().len(), 3);
-        assert_eq!(s.iter().count(), 3);
     }
 
     #[test]
-    fn tuples_mut_patches_fields_in_place() {
-        let mut s = store();
-        s.add(tup(1), 1);
-        for (_, t) in s.tuples_mut() {
-            t.field_mut(0).val = Some("patched".into());
-        }
-        let key = tup(1).id_key();
-        assert_eq!(s.tuple(&key).unwrap().field(0).val.as_deref(), Some("patched"));
-        assert!(s.tuple(&tup(9).id_key()).is_none());
+    fn replace_patches_fields_in_place() {
+        let mut s = store(&[(1, 1)]);
+        let mut patched = tup(1);
+        patched.field_mut(0).val = Some("patched".into());
+        assert!(s.replace(&patched));
+        assert_eq!(s.get(&tup(1).id_key()), Some((&patched, 1)));
+        assert!(!s.replace(&tup(9)));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn identical_to_sees_field_differences_content_comparison_ignores() {
-        let mut a = store();
-        let mut b = store();
-        a.add(tup(1), 1);
-        b.add(tup(1), 1);
+        let a = store(&[(1, 1)]);
+        let mut b = store(&[(1, 1)]);
         assert!(a.identical_to(&b));
-        for (_, t) in b.tuples_mut() {
+        for t in b.tuples_mut() {
             t.field_mut(0).val = Some("changed".into());
         }
         assert!(a.same_content_as(&b), "keys and counts still agree");
@@ -311,13 +263,12 @@ mod tests {
 
     #[test]
     fn content_comparison() {
-        let mut a = store();
-        let mut b = store();
-        a.add(tup(1), 2);
-        b.add(tup(1), 2);
+        let a = store(&[(1, 2)]);
+        let mut b = store(&[(1, 2)]);
         assert!(a.same_content_as(&b));
-        b.add(tup(2), 1);
+        b.absorb(vec![(tup(2), 1)]);
         assert!(!a.same_content_as(&b));
-        assert!(b.diff_description(&a).contains("only in left"));
+        assert!(b.diff_description(&a).contains("left only"));
+        assert!(!a.same_content_as(&store(&[(1, 3)])));
     }
 }

@@ -165,17 +165,14 @@ impl IvmaView {
     // ------------------------------------------------------------------
 
     fn propagate_single_insert(&mut self, doc: &Document, node: NodeId) {
-        for emb in self.embeddings_through(doc, node) {
-            let tuple = self.project(doc, &emb);
-            self.store.add(tuple, 1);
-        }
+        let gained = self.embeddings_through(doc, node);
+        self.store.absorb(gained.iter().map(|emb| (self.project(doc, emb), 1)).collect());
     }
 
     fn propagate_single_delete(&mut self, doc: &Document, node: NodeId) {
-        for emb in self.embeddings_through(doc, node) {
-            let key = self.key_of(doc, &emb);
-            self.store.remove_derivations(&key, 1);
-        }
+        let lost = self.embeddings_through(doc, node);
+        let lost: Vec<_> = lost.iter().map(|emb| (self.key_of(doc, emb), 1)).collect();
+        self.store.remove(&lost);
     }
 
     /// All embeddings in which `node` is the image of at least one
@@ -253,8 +250,7 @@ impl IvmaView {
             self.extend(doc, 0, pos, n, Some(&before_map), &mut assignment, &mut found);
             for emb in found {
                 if first_pair_index(&lost, &emb) == Some(i) {
-                    let key = self.key_of(doc, &emb);
-                    self.store.remove_derivations(&key, 1);
+                    self.store.remove(&[(self.key_of(doc, &emb), 1)]);
                 }
             }
         }
@@ -266,8 +262,7 @@ impl IvmaView {
             self.extend(doc, 0, pos, n, None, &mut assignment, &mut found);
             for emb in found {
                 if first_pair_index(&gained, &emb) == Some(i) {
-                    let tuple = self.project(doc, &emb);
-                    self.store.add(tuple, 1);
+                    self.store.absorb(vec![(self.project(doc, &emb), 1)]);
                 }
             }
         }

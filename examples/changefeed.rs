@@ -125,7 +125,7 @@ fn main() -> Result<(), Error> {
         replica.store().unwrap().len(),
         replica.seq()
     );
-    for (tuple, count) in replica.store().unwrap().sorted_tuples() {
+    for (tuple, count) in replica.store().unwrap().cursor() {
         let sku = tuple.field(1).val.as_deref().unwrap_or("?");
         println!("  sku {sku:<8} x{count}");
     }

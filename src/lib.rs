@@ -127,7 +127,8 @@
 //! | `tx.commit()? : TransactionReport` | `tx.commit()? : Commit` (same counters, plus `seq` and per-view deltas) |
 //! | re-reading `db.store(h)` and diffing after a commit | `commit.delta(h)` — replayable, O(\|Δ\|) |
 //! | polling stores for changes | `db.subscribe(h)` + `db.drain(&sub)` |
-//! | `db.store(h).sorted_tuples()` (clones every tuple) | `db.cursor(h)` (borrowing, document order) |
+//! | `db.store(h).sorted_tuples()` / `.iter()` / `.keys()` (gone: the store is kept in document order) | `db.cursor(h)` — a borrow of the rows, nothing sorted or cloned |
+//! | `store.add(t, c)` / `store.remove_derivations(&k, c)` / `store.tuple_mut(&k)` | `store.absorb(run)` / `store.remove(&run)` / `store.replace(&t)` — what `delta.replay(&mut store)` calls |
 //! | `format!("insert {xml} into {path}")` | `insert(element(..)).into(path)` — see [`update::builder`] |
 //!
 //! ## Static analysis

@@ -20,9 +20,7 @@ fn doc_bytes() -> usize {
 /// interner, and two equivalent update orders (sequential vs batched)
 /// may intern the same names at different ids.
 fn fingerprint(db: &Database, h: xivm::ViewHandle) -> Vec<String> {
-    db.store(h)
-        .sorted_tuples()
-        .iter()
+    db.cursor(h)
         .map(|(t, c)| {
             let fields: Vec<String> = t
                 .fields()

@@ -48,14 +48,15 @@ fn example_4_5() {
 fn example_4_8() {
     let mut db = single_view("<a><c><b/></c><f><b/></f></a>", "//a{id}[//b]");
     let v = db.view("v").unwrap();
-    let key = db.store(v).sorted_tuples()[0].0.id_key();
-    assert_eq!(db.store(v).count_of(&key), Some(2), "two b-witnesses");
+    let key = db.cursor(v).next().unwrap().0.id_key();
+    let count = |db: &Database| db.store(v).get(&key).map(|(_, count)| count);
+    assert_eq!(count(&db), Some(2), "two b-witnesses");
 
     db.apply("delete //c//b").unwrap();
-    assert_eq!(db.store(v).count_of(&key), Some(1), "count drops to 1, tuple stays");
+    assert_eq!(count(&db), Some(1), "count drops to 1, tuple stays");
 
     db.apply("delete //f//b").unwrap();
-    assert_eq!(db.store(v).count_of(&key), None, "count reaches 0, tuple removed");
+    assert_eq!(count(&db), None, "count reaches 0, tuple removed");
 }
 
 /// Example 3.1 / 3.2: inserting xml1 into a document, only the three
@@ -85,7 +86,7 @@ fn example_3_14() {
     let report = report_of(&db, &commit);
     assert_eq!(report.tuples_added, 0, "no Δ⁺ relation affects the view");
     assert_eq!(report.tuples_modified, 1, "but c.cont changed");
-    let cont = db.store(v).sorted_tuples()[0].0.field(2).cont.clone().unwrap();
+    let cont = db.cursor(v).next().unwrap().0.field(2).cont.clone().unwrap();
     assert!(cont.contains("some value"));
 }
 
@@ -109,7 +110,7 @@ fn figures_3_and_4() {
         .build()
         .unwrap();
     let v = db.view("papers").unwrap();
-    let tuples = db.store(v).sorted_tuples();
+    let tuples: Vec<_> = db.cursor(v).collect();
     assert_eq!(tuples.len(), 3, "one row per (paper, affiliation) pair");
     assert_eq!(tuples[0].0.field(1).cont.as_deref(), Some("<affiliation>X</affiliation>"));
 }
@@ -169,9 +170,7 @@ fn batched_transaction_preserves_view_and_shrinks_the_pul() {
     // are private to each document's interner, and the optimizer may
     // reorder (or drop) the operations that intern them.
     let render = |db: &Database, h: xivm::ViewHandle| -> Vec<String> {
-        db.store(h)
-            .sorted_tuples()
-            .iter()
+        db.cursor(h)
             .map(|(t, c)| {
                 let ids: Vec<String> = t
                     .fields()

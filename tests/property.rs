@@ -67,9 +67,7 @@ fn script_statement(t: usize, f: usize, is_insert: bool) -> String {
 /// label names at different ids. Comparing across databases therefore
 /// has to go through label *names*.
 fn fingerprint(db: &Database, h: ViewHandle) -> Vec<String> {
-    db.store(h)
-        .sorted_tuples()
-        .iter()
+    db.cursor(h)
         .map(|(t, c)| {
             let fields: Vec<String> = t
                 .fields()
@@ -129,6 +127,42 @@ proptest! {
             db.apply(stmt.as_str()).unwrap();
             consistent(&db)?;
             db.document().check_invariants().map_err(TestCaseError::fail)?;
+        }
+    }
+
+    /// Order is part of the oracle: after every commit of a random
+    /// stream, under every snowcap strategy, the view is read in strict
+    /// document order and equals its recomputation row for row —
+    /// neither side sorted by the test.
+    #[test]
+    fn the_store_is_read_in_document_order_row_for_row(
+        doc_xml in arb_doc(),
+        pattern_idx in 0usize..PATTERNS.len(),
+        script in prop::collection::vec(
+            (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
+            1..6
+        ),
+    ) {
+        let mut b = Database::builder().document(doc_xml.as_str());
+        for strategy in STRATEGIES {
+            b = b.view_with_strategy(format!("{strategy:?}"), PATTERNS[pattern_idx], strategy);
+        }
+        let mut db = b.build().unwrap();
+        for (t, f, is_insert) in script {
+            let stmt = script_statement(t, f, is_insert);
+            db.apply(stmt.as_str()).unwrap();
+            for h in db.handles() {
+                let read: Vec<_> = db.cursor(h).collect();
+                prop_assert!(
+                    read.windows(2).all(|w| w[0].0.doc_cmp(w[1].0).is_lt()),
+                    "{} out of order after {stmt}", db.name(h)
+                );
+                let fresh = xivm::ivma::recompute::recompute_store(db.document(), db.pattern(h));
+                prop_assert!(
+                    db.cursor(h).eq(fresh.cursor()),
+                    "{} after {stmt}:\n{}", db.name(h), db.store(h).diff_description(&fresh)
+                );
+            }
         }
     }
 
@@ -316,6 +350,7 @@ proptest! {
                 "snapshot + Σ deltas must equal the final store exactly \
                  (doc={doc_xml} script={script:?} workers={workers} batched={batched})"
             );
+            prop_assert!(replica.cursor().eq(db.cursor(h)), "and row for row, in its order");
         }
         consistent(&db)?;
     }
