@@ -85,14 +85,6 @@ impl Tuple {
         cmp_ids(self.fields.iter().zip(&other.fields).map(|(a, b)| (&a.id, &b.id)))
     }
 
-    /// [`Self::doc_cmp`] against a bare [`Self::id_key`]: how a keyed
-    /// change finds its tuple among ordered rows. A key of another
-    /// arity equals no tuple.
-    #[inline]
-    pub fn key_cmp(&self, key: &[DeweyId]) -> Ordering {
-        cmp_ids(self.fields.iter().map(|f| &f.id).zip(key)).then(self.fields.len().cmp(&key.len()))
-    }
-
     /// The mirror of [`Self::doc_cmp`]: the same comparison with the
     /// *last* column the most significant — the order a join leaves its
     /// output in and wants its input in, kept by materialized snowcaps.
@@ -151,10 +143,6 @@ mod tests {
         assert_eq!(t(1, 1, "a").doc_cmp(&t(1, 1, "b")), Ordering::Equal, "IDs only");
         assert_eq!(t(1, 2, "a").doc_cmp_rev(&t(2, 1, "a")), Ordering::Greater, "last column first");
         assert_eq!(t(1, 1, "a").doc_cmp_rev(&t(2, 1, "a")), Ordering::Less, "then column 0");
-        let key = t(1, 2, "a").id_key();
-        assert_eq!(t(1, 2, "z").key_cmp(&key), Ordering::Equal);
-        assert_eq!(t(1, 1, "a").key_cmp(&key), Ordering::Less);
-        assert_eq!(t(1, 2, "a").key_cmp(&key[..1]), Ordering::Greater, "another arity: no match");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::cell::RefCell;
 use std::hint::black_box;
 use xivm_algebra::{structural_join, Axis, Column, Field, Relation, Schema, Tuple};
-use xivm_core::{MaintenanceEngine, SnowcapStrategy, ViewStore};
+use xivm_core::{MaintenanceEngine, SnowcapStrategy, ViewDelta, ViewStore};
 use xivm_pattern::compile::view_tuples;
 use xivm_pattern::xpath::{eval_path, parse_xpath};
 use xivm_update::{apply_pul, compute_pul, UpdateStatement};
@@ -170,33 +170,26 @@ fn lattice_upkeep(c: &mut Criterion) {
 }
 
 /// The view store alone under that commit: the bidder's Q2 rows merged
-/// into and taken out of the 2 MB store (the writers every commit and
-/// every replay go through), and the read — a full cursor, every row's
-/// count summed.
+/// into and taken out of the 2 MB store by the two commits' own deltas
+/// (the one writer every commit and every replay goes through), and the
+/// read — a full cursor, every row's count summed.
 fn store_patches(c: &mut Criterion) {
     let mut doc = generate_sized(2 << 20);
-    let (insert, _) = middle_bidder(&doc);
+    let (insert, delete) = middle_bidder(&doc);
     let mut engine =
         MaintenanceEngine::new(&doc, view_pattern("Q2"), SnowcapStrategy::MinimalChain);
-    let rows = engine.apply_statement(&mut doc, &insert).unwrap().delta.inserted;
-    assert!(!rows.is_empty(), "the bidder is in Q2");
-    let keys: Vec<_> = rows.iter().map(|(t, count)| (t.id_key(), *count)).collect();
+    let gained = engine.apply_statement(&mut doc, &insert).unwrap().delta;
+    let lost = engine.apply_statement(&mut doc, &delete).unwrap().delta;
+    assert!(!gained.is_empty() && !lost.is_empty(), "the bidder is in Q2");
     // Between targets the store is without the bidder's rows.
     let store = RefCell::new(engine.store().clone());
-    store.borrow_mut().remove(&keys);
+    let patch = |delta: &ViewDelta| store.borrow_mut().patch(delta.rows());
     c.bench_function("store/point_insert_2MB", |b| {
-        let without = || {
-            store.borrow_mut().remove(&keys);
-            rows.clone()
-        };
-        b.iter_batched(without, |rows| store.borrow_mut().absorb(rows), BatchSize::SmallInput)
+        b.iter_batched(|| patch(&lost), |_| patch(&gained), BatchSize::SmallInput)
     });
-    store.borrow_mut().remove(&keys);
+    patch(&lost);
     c.bench_function("store/point_delete_2MB", |b| {
-        let with = || {
-            store.borrow_mut().absorb(rows.clone());
-        };
-        b.iter_batched(with, |()| store.borrow_mut().remove(&keys), BatchSize::SmallInput)
+        b.iter_batched(|| patch(&gained), |_| patch(&lost), BatchSize::SmallInput)
     });
     // (`count()` alone is the slice's length: sum the counts to visit the rows.)
     let scan = |store: &ViewStore| store.cursor().map(|(_, count)| count).sum::<u64>();

@@ -15,7 +15,7 @@
 //! consuming upstream [`RowDelta`]s and emitting its own — views over
 //! views, all the way up, in the Z-set weight algebra the changefeed
 //! already speaks (insert `+count`, delete `−count`, modify `0`; see
-//! [`xivm_core::ViewDelta::weights`]).
+//! [`xivm_core::ViewDelta::rows`]).
 //!
 //! ```
 //! use xivm_core::Database;

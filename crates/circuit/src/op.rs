@@ -25,9 +25,9 @@
 
 use crate::row::{Datum, Row};
 use crate::zset::RowDelta;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use xivm_core::view_store::TupleKey;
+use xivm_algebra::Tuple;
 use xivm_core::{DeltaEvent, Subscription, ViewDelta, ViewHandle, ViewStore};
 
 /// A row predicate (filter condition).
@@ -66,26 +66,20 @@ impl SourceState {
     }
 
     /// Folds one commit's view delta into the mirror and returns the
-    /// equivalent row Z-set change, in O(|Δ|): only keys named by the
-    /// delta's weighted entries are touched.
+    /// equivalent row Z-set change, in O(|Δ|): only the tuples the
+    /// delta's run names are looked up, before and after its replay.
     pub(crate) fn advance(&mut self, delta: &ViewDelta) -> RowDelta {
-        let affected: HashSet<TupleKey> = delta.weights().map(|(_, change)| change.key()).collect();
-        let mut raw = Vec::with_capacity(affected.len() * 2);
-        {
-            let schema = self.mirror.schema();
-            for key in &affected {
-                if let Some((t, c)) = self.mirror.get(key) {
-                    raw.push((Row::from_tuple(t, schema), -(c as i64)));
-                }
-            }
-        }
+        // A key's negative and non-negative entries are neighbours.
+        let mut keys: Vec<&Tuple> = delta.rows().iter().map(|(t, _)| t).collect();
+        keys.dedup_by(|b, a| a.doc_cmp(b).is_eq());
+        let mut raw = Vec::with_capacity(keys.len() * 2);
+        let mut rows_of = |mirror: &ViewStore, sign: i64| {
+            let stored = keys.iter().filter_map(|key| mirror.get(key));
+            raw.extend(stored.map(|(t, c)| (Row::from_tuple(t, mirror.schema()), sign * c as i64)));
+        };
+        rows_of(&self.mirror, -1);
         delta.replay(&mut self.mirror);
-        let schema = self.mirror.schema();
-        for key in &affected {
-            if let Some((t, c)) = self.mirror.get(key) {
-                raw.push((Row::from_tuple(t, schema), c as i64));
-            }
-        }
+        rows_of(&self.mirror, 1);
         RowDelta::new(raw)
     }
 }

@@ -16,151 +16,86 @@
 //! transactions at every worker count. Consumers therefore never need
 //! to re-read and diff whole stores; they read O(|Δ|) per commit.
 //!
+//! **The run's invariant.** A delta is one run of `(tuple, weight)`,
+//! strictly increasing in [`Tuple::doc_cmp`] with a key's negative
+//! entry before its non-negative one — so at most one of each per key.
+//! Weight `< 0`: that many derivations lost, the tuple carrying IDs
+//! only (`val` / `cont` are `None`). Weight `> 0`: derivations gained.
+//! Weight `0`: the stored text of a surviving tuple changed. Every
+//! non-negative entry carries the tuple's post-commit contents, and a
+//! weight-0 entry names a tuple of the post-commit store.
+//!
 //! [`Database::apply`]: crate::database::DbInner::apply
 //! [`Transaction::commit`]: crate::database::Transaction::commit
 
 use crate::database::ViewHandle;
 use crate::engine::UpdateReport;
-use crate::view_store::{TupleKey, ViewStore};
+use crate::view_store::{run_cmp, ViewStore};
 use std::sync::Arc;
 use xivm_algebra::Tuple;
 use xivm_pulopt::ReductionTrace;
 
-/// The net effect of one commit on one materialized view.
-///
-/// The three parts mirror how propagation patches the store: tuples
-/// (or additional derivations of existing tuples) inserted, derivation
-/// counts removed (dropping the tuple when its count reaches zero),
-/// and surviving tuples whose stored `val` / `cont` text changed
-/// (PIMT / PDMT). [`Self::replay`] applies them in that order.
+/// The net effect of one commit on one materialized view: one signed
+/// run (the module's invariant), the Z-set shape — PINT's gains
+/// positive, PDDT's losses negative, PIMT / PDMT's text changes at
+/// weight 0.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ViewDelta {
-    /// Tuples added with their derivation counts (Δ⁺ side: PINT).
-    pub inserted: Vec<(Tuple, u64)>,
-    /// Derivation counts removed per tuple key (Δ⁻ side: PDDT). A
-    /// tuple whose count reaches zero leaves the view.
-    pub removed: Vec<(TupleKey, u64)>,
-    /// Surviving tuples whose stored text changed (PIMT / PDMT), with
-    /// their post-commit contents.
-    pub modified: Vec<(TupleKey, Tuple)>,
+    /// Private so that only [`Self::new`] and the checking frame
+    /// decoder make one: a published delta is a canonical run.
+    pub(crate) rows: Vec<(Tuple, i64)>,
 }
 
 impl ViewDelta {
+    /// The one consolidation: signed changes in any order — a commit
+    /// patches its store in several passes (deletions, predicate flips,
+    /// insertions, text refresh) — become the canonical run, so
+    /// equivalent updates (sequential vs parallel, textual vs typed)
+    /// publish bit-identical deltas. A key's entries of one side sum
+    /// their weights and keep the contents of the last (the sort is
+    /// stable: the latest pass read the latest text); negative entries
+    /// drop their text.
+    pub fn new(mut changes: Vec<(Tuple, i64)>) -> Self {
+        changes.sort_by(run_cmp);
+        changes.dedup_by(|later, kept| {
+            let same = run_cmp(kept, later).is_eq();
+            if same {
+                *kept = (std::mem::take(&mut later.0), kept.1 + later.1);
+            }
+            same
+        });
+        for (tuple, _) in changes.iter_mut().filter(|e| e.1 < 0) {
+            for col in 0..tuple.arity() {
+                let field = tuple.field_mut(col);
+                (field.val, field.cont) = (None, None);
+            }
+        }
+        ViewDelta { rows: changes }
+    }
+
+    /// The run: `(tuple, weight)` in document order (the module's
+    /// invariant).
+    pub fn rows(&self) -> &[(Tuple, i64)] {
+        &self.rows
+    }
+
     /// True when the commit did not touch this view at all.
     pub fn is_empty(&self) -> bool {
-        self.inserted.is_empty() && self.removed.is_empty() && self.modified.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Number of delta entries (insertions + removals + modifications)
-    /// — the O(|Δ|) a consumer processes instead of re-reading the
-    /// store.
+    /// Number of delta entries — the O(|Δ|) a consumer processes
+    /// instead of re-reading the store.
     pub fn len(&self) -> usize {
-        self.inserted.len() + self.removed.len() + self.modified.len()
+        self.rows.len()
     }
 
-    /// The delta as a stream of weighted changes in the Z-set weight
-    /// algebra: an insertion weighs `+count` (the derivations added),
-    /// a removal weighs `−count` (the derivations dropped), and a
-    /// modification weighs `0` — the tuple's membership is unchanged,
-    /// only its stored text moved. Entries come in replay order
-    /// (removals, then insertions, then modifications), so a consumer
-    /// folding them over a replica sees exactly what [`Self::replay`]
-    /// would do, without hand-matching the three-way split.
-    pub fn weights(&self) -> impl Iterator<Item = (i64, WeightedChange<'_>)> {
-        let removed = self
-            .removed
-            .iter()
-            .map(|(key, count)| (-(*count as i64), WeightedChange::Remove { key, count: *count }));
-        let inserted = self
-            .inserted
-            .iter()
-            .map(|(tuple, count)| (*count as i64, WeightedChange::Insert { tuple, count: *count }));
-        let modified =
-            self.modified.iter().map(|(key, tuple)| (0, WeightedChange::Modify { key, tuple }));
-        removed.chain(inserted).chain(modified)
-    }
-
-    /// Sorts every section into document order, making the delta a
-    /// canonical value: a commit patches the store in several passes
-    /// (deletions, predicate flips, insertions) whose entries land here
-    /// one pass after the other, and the façade promises bit-identical
-    /// commits for equivalent updates (sequential vs parallel, textual
-    /// vs typed). It is also the order [`Self::replay`] hands the
-    /// store's writers. Safe because replay is order-insensitive within
-    /// a section: removals for one key commute (the count is a
-    /// saturating sum) and same-key insertions carry identical fields
-    /// (all read the same post-update document).
-    pub(crate) fn canonicalize(&mut self) {
-        self.inserted.sort_by(|a, b| a.0.doc_cmp(&b.0).then(a.1.cmp(&b.1)));
-        // A key is its tuple's ID columns and `DeweyId`'s `Ord` is
-        // document order: the same comparison on the other two.
-        self.removed.sort();
-        self.modified.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-
-    /// Applies the delta to a store, through the writers propagation
-    /// itself patches it with ([`ViewStore::remove`],
-    /// [`ViewStore::absorb`]). Replaying onto a snapshot of the
-    /// pre-commit store yields the post-commit store exactly; the
-    /// order (removals, then insertions, then modifications) matches
-    /// the order propagation patched the original.
+    /// Applies the delta to a store, through the writer propagation
+    /// itself patches it with ([`ViewStore::patch`]). Replaying onto a
+    /// snapshot of the pre-commit store yields the post-commit store
+    /// exactly.
     pub fn replay(&self, store: &mut ViewStore) {
-        store.remove(&self.removed);
-        store.absorb(self.inserted.clone());
-        for (_, tuple) in &self.modified {
-            store.replace(tuple);
-        }
-    }
-}
-
-/// One entry of [`ViewDelta::weights`]: a view change with its Z-set
-/// weight (insert `+count`, delete `−count`, modify `0`). Borrows from
-/// the delta, so iterating a delta allocates nothing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WeightedChange<'a> {
-    /// `count` derivations of `tuple` entered the view (weight
-    /// `+count`).
-    Insert { tuple: &'a Tuple, count: u64 },
-    /// `count` derivations left the tuple behind `key` (weight
-    /// `−count`); the tuple disappears when its derivation count hits
-    /// zero.
-    Remove { key: &'a TupleKey, count: u64 },
-    /// The tuple behind `key` survived with changed stored text
-    /// (weight `0`); `tuple` is its post-commit contents.
-    Modify { key: &'a TupleKey, tuple: &'a Tuple },
-}
-
-impl WeightedChange<'_> {
-    /// The Z-set weight of this change (also the first element of the
-    /// [`ViewDelta::weights`] pair, duplicated here for call sites
-    /// holding only the change).
-    pub fn weight(&self) -> i64 {
-        match self {
-            WeightedChange::Insert { count, .. } => *count as i64,
-            WeightedChange::Remove { count, .. } => -(*count as i64),
-            WeightedChange::Modify { .. } => 0,
-        }
-    }
-
-    /// The key of the view tuple this change touches (computed from
-    /// the tuple's ID columns for insertions).
-    pub fn key(&self) -> TupleKey {
-        match self {
-            WeightedChange::Insert { tuple, .. } => tuple.id_key(),
-            WeightedChange::Remove { key, .. } => (*key).clone(),
-            WeightedChange::Modify { key, .. } => (*key).clone(),
-        }
-    }
-
-    /// The tuple contents carried by this change — the inserted tuple
-    /// or a modification's post-commit contents; removals carry only a
-    /// key.
-    pub fn tuple(&self) -> Option<&Tuple> {
-        match self {
-            WeightedChange::Insert { tuple, .. } => Some(tuple),
-            WeightedChange::Remove { .. } => None,
-            WeightedChange::Modify { tuple, .. } => Some(tuple),
-        }
+        store.patch(&self.rows);
     }
 }
 
@@ -317,58 +252,54 @@ mod tests {
         Tuple::new(vec![Field::id_only(DeweyId::from_steps(vec![Step::new(LabelId(0), ord)]))])
     }
 
-    #[test]
-    fn replay_applies_removals_insertions_and_modifications() {
-        let pattern = parse_pattern("//a{id}").unwrap();
-        let mut store = ViewStore::from_counted(&pattern, vec![(tup(1), 2), (tup(2), 1)]);
-
-        let mut patched = tup(2);
-        patched.field_mut(0).val = Some("new".into());
-        let delta = ViewDelta {
-            inserted: vec![(tup(1), 1), (tup(3), 1)],
-            removed: vec![(tup(1).id_key(), 2)],
-            modified: vec![(tup(2).id_key(), patched.clone())],
-        };
-        assert_eq!(delta.len(), 4);
-        assert!(!delta.is_empty());
-        delta.replay(&mut store);
-
-        assert_eq!(store.get(&tup(1).id_key()), Some((&tup(1), 1)), "2 removed, then 1 re-added");
-        assert_eq!(store.get(&tup(3).id_key()), Some((&tup(3), 1)));
-        assert_eq!(store.get(&tup(2).id_key()), Some((&patched, 1)));
+    fn with_val(ord: u64, val: &str) -> Tuple {
+        let mut t = tup(ord);
+        t.field_mut(0).val = Some(val.into());
+        t
     }
 
     #[test]
-    fn weights_follow_the_snippet_algebra_in_replay_order() {
-        let mut patched = tup(2);
-        patched.field_mut(0).val = Some("new".into());
-        let delta = ViewDelta {
-            inserted: vec![(tup(3), 1), (tup(1), 2)],
-            removed: vec![(tup(4).id_key(), 3)],
-            modified: vec![(tup(2).id_key(), patched.clone())],
-        };
+    fn replay_applies_losses_gains_and_text_changes() {
+        let pattern = parse_pattern("//a{id}").unwrap();
+        let mut store = ViewStore::from_counted(&pattern, vec![(tup(1), 2), (tup(2), 1)]);
 
-        let entries: Vec<(i64, WeightedChange<'_>)> = delta.weights().collect();
-        assert_eq!(entries.len(), delta.len());
+        let delta = ViewDelta::new(vec![
+            (tup(3), 1),
+            (tup(1), 1),
+            (with_val(2, "new"), 0),
+            (with_val(1, "gone"), -2),
+        ]);
+        assert_eq!(delta.len(), 4);
+        assert!(!delta.is_empty());
         assert_eq!(
-            entries.iter().map(|(w, _)| *w).collect::<Vec<_>>(),
-            vec![-3, 1, 2, 0],
-            "removals first, then insertions, then modifications"
+            delta.rows,
+            vec![(tup(1), -2), (tup(1), 1), (with_val(2, "new"), 0), (tup(3), 1)],
+            "document order, a key's loss first and without its text"
         );
-        for (w, change) in &entries {
-            assert_eq!(*w, change.weight(), "pair weight matches the change's own");
-        }
+        delta.replay(&mut store);
 
-        assert_eq!(entries[0].1.key(), tup(4).id_key());
-        assert_eq!(entries[0].1.tuple(), None, "removals carry only a key");
-        assert_eq!(entries[1].1.tuple(), Some(&tup(3)));
-        assert_eq!(entries[2].1.key(), tup(1).id_key());
-        assert_eq!(entries[3].1.tuple(), Some(&patched));
-        assert_eq!(entries[3].1.key(), tup(2).id_key());
+        assert_eq!(store.get(&tup(1)), Some((&tup(1), 1)), "2 lost, then 1 gained");
+        assert_eq!(store.get(&tup(3)), Some((&tup(3), 1)));
+        assert_eq!(store.get(&tup(2)), Some((&with_val(2, "new"), 1)));
+    }
 
-        // The weights sum to the store's net derivation change.
-        assert_eq!(entries.iter().map(|(w, _)| *w).sum::<i64>(), 0);
-        assert!(ViewDelta::default().weights().next().is_none());
+    /// The consolidation: per key and side the weights sum, and the
+    /// last contents a commit's passes produced are the ones published.
+    #[test]
+    fn new_sums_a_keys_entries_per_side_and_keeps_the_latest_contents() {
+        let delta = ViewDelta::new(vec![
+            (tup(1), -1),
+            (with_val(2, "first"), 2),
+            (tup(1), -2),
+            (with_val(2, "refreshed"), 0),
+            (with_val(1, "back"), 3),
+        ]);
+        assert_eq!(
+            delta.rows,
+            vec![(tup(1), -3), (with_val(1, "back"), 3), (with_val(2, "refreshed"), 2)]
+        );
+        assert_eq!(delta.rows.iter().map(|(_, w)| w).sum::<i64>(), 2, "the net derivation change");
+        assert_eq!(ViewDelta::new(Vec::new()), ViewDelta::default());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! let commit = db.apply("delete /a/f/c").unwrap();
 //! assert_eq!(commit.seq, 1);
-//! assert_eq!(commit.delta(acb).removed.len(), 5);
+//! assert_eq!(commit.delta(acb).rows().iter().map(|(_, w)| w).sum::<i64>(), -5);
 //! assert_eq!(db.store(acb).len(), 3);
 //!
 //! // Typed statements skip the stringly round-trip entirely:
@@ -1467,7 +1467,7 @@ mod tests {
         let commit = db.apply("delete /a/f/c").unwrap();
         let delta = commit.delta(acb);
         assert!(!delta.is_empty());
-        assert_eq!(delta.removed.iter().map(|(_, c)| *c).sum::<u64>(), 5, "Example 4.5");
+        assert_eq!(delta.rows().iter().map(|(_, w)| w).sum::<i64>(), -5, "Example 4.5");
         delta.replay(&mut snapshot);
         assert!(snapshot.identical_to(db.store(acb)), "snapshot + delta == post-commit store");
     }

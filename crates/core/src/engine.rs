@@ -23,7 +23,7 @@ use crate::snowcap::{enumerate_snowcaps, minimal_chain, MaterializedSnowcap};
 use crate::strategy::SnowcapStrategy;
 use crate::term::Term;
 use crate::timing::{timed, Timings};
-use crate::view_store::{TupleKey, ViewStore};
+use crate::view_store::ViewStore;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use xivm_pattern::compile::{canonical_relation, compile_plan_over, project_to_view, view_tuples};
@@ -73,10 +73,11 @@ pub struct UpdateReport {
     /// [`DeltaEvent::folded`](crate::subscribe::DeltaEvent::folded).
     pub coalesced: Option<std::ops::RangeInclusive<u64>>,
     /// The view's Δ for this update: every store patch the engine made
-    /// (insertions, removals, text modifications), complete enough
-    /// that replaying it on a pre-update snapshot reproduces the
-    /// post-update store exactly.
-    pub delta: ViewDelta,
+    /// as one signed run, complete enough that replaying it on a
+    /// pre-update snapshot reproduces the post-update store exactly.
+    /// Built once per commit and shared from here on — subscribers and
+    /// feeds hold this allocation.
+    pub delta: Arc<ViewDelta>,
 }
 
 impl UpdateReport {
@@ -296,9 +297,15 @@ impl MaintenanceEngine {
                 })
         };
         let (targets, delete_roots) = (&apply_res.insert_targets, &apply_res.delete_roots);
-        let text_at_inserts = text_above(targets, DeweyId::has_self_or_ancestor_labeled);
-        let text_above_deletes = text_above(delete_roots, DeweyId::has_proper_ancestor_labeled);
-        let text_changed = text_at_inserts || text_above_deletes;
+        let mut text_roots = Vec::new();
+        if text_above(delete_roots, DeweyId::has_proper_ancestor_labeled) {
+            text_roots.extend_from_slice(delete_roots);
+        }
+        if text_above(targets, DeweyId::has_self_or_ancestor_labeled) {
+            text_roots.extend_from_slice(targets);
+        }
+        let text_roots = DeweyForest::with_nested(text_roots);
+        let text_changed = !text_roots.is_empty();
 
         // --- The dynamic relevance exit, before anything per-view is
         // built, expanded, copied or scanned. From labels alone: no
@@ -381,59 +388,53 @@ impl MaintenanceEngine {
         report.timings.get_update_expression = t_expr;
 
         // --- Execute Update: evaluate terms and patch the store.
-        // Every patch is mirrored into `report.delta`: all removal
-        // phases run before all insertion phases here, so replaying the
-        // delta's removals then insertions then modifications onto a
-        // pre-update snapshot reproduces the store exactly. Under flips the
-        // materializations embed stale predicate truth: the R-parts
-        // come from the leaves alone.
+        // Every patch is mirrored into `changes`, the commit's Δ. Under
+        // flips the materializations embed stale predicate truth: the
+        // R-parts come from the leaves alone. The text refresh comes
+        // last, over the rows the commit leaves: its weight-0 entries
+        // name tuples of the post-commit store, with their final text.
         let mats: &[MaterializedSnowcap] = if flips_exist { &[] } else { &self.snowcaps };
-        let mut modified_keys: Vec<TupleKey> = Vec::new();
+        let mut changes = Vec::new();
         let (_, t_exec) = timed(|| {
             if has_deletes {
-                let removed = eval(&ctx, &minus, full_order, &del_terms, mats);
-                patch_store(store, &self.pattern, Sign::Minus, &removed, &mut report);
-            }
-            if text_above_deletes {
-                modified_keys.extend(refresh_text(store, doc, &self.pattern, delete_roots));
+                let lost = eval(&ctx, &minus, full_order, &del_terms, mats);
+                patch_store(store, &self.pattern, Sign::Minus, &lost, &mut report, &mut changes);
             }
             if flips_exist {
                 for sign in [Sign::Minus, Sign::Plus] {
                     let flipped = crate::predflip::bindings_by_flips(&ctx, sign);
-                    patch_store(store, &self.pattern, sign, &flipped, &mut report);
+                    patch_store(store, &self.pattern, sign, &flipped, &mut report, &mut changes);
                 }
             }
             if has_inserts {
-                let added = eval(&ctx, &plus, full_order, &ins_terms, mats);
-                patch_store(store, &self.pattern, Sign::Plus, &added, &mut report);
+                let gained = eval(&ctx, &plus, full_order, &ins_terms, mats);
+                patch_store(store, &self.pattern, Sign::Plus, &gained, &mut report, &mut changes);
             }
-            if text_at_inserts {
-                modified_keys.extend(refresh_text(store, doc, &self.pattern, targets));
+            if text_changed {
+                let (stored, before) = (self.pattern.stored_nodes(), changes.len());
+                let publish = |t: &xivm_algebra::Tuple| changes.push((t.clone(), 0));
+                refresh_text(store.tuples_mut(), &stored, doc, &self.pattern, &text_roots, publish);
+                report.tuples_modified = changes.len() - before;
             }
         });
-        report.tuples_modified = modified_keys.len();
         report.timings.execute_update = t_exec;
-
-        // Text modifications enter the delta with their *final*
-        // contents (a key both refresh passes touched appears once).
-        // A modified tuple later removed by a predicate flip is
-        // already covered by the delta's `removed` entries.
-        modified_keys.sort();
-        modified_keys.dedup();
-        for key in modified_keys {
-            if let Some((tuple, _)) = store.get(&key) {
-                report.delta.modified.push((key, tuple.clone()));
-            }
-        }
-        report.delta.canonicalize();
+        report.delta = Arc::new(ViewDelta::new(changes));
 
         // --- Update Lattice, part 2: every snowcap gains the bindings
-        // of its own Δ⁺ terms. Under flips, rebuild from scratch.
+        // of its own Δ⁺ terms, and the text its rows carry for the view
+        // is refreshed like the store's — a later commit's R-parts hand
+        // it to new tuples. Under flips, rebuild from scratch.
         let (_, t_lat2) = timed(|| {
             if flips_exist {
                 self.snowcaps = Self::rematerialized(doc, &self.pattern, &self.snowcaps);
-            } else if has_inserts {
+                return;
+            }
+            if has_inserts {
                 maintain_lattice(&ctx, &plus, &tables.snowcaps, &mut self.snowcaps);
+            }
+            for m in &mut self.snowcaps {
+                let rows = m.rel.rows.iter_mut();
+                refresh_text(rows, &m.nodes, doc, &self.pattern, &text_roots, |_| ());
             }
         });
         report.timings.update_lattice = t_lat1 + t_lat2;
@@ -504,33 +505,31 @@ fn maintain_lattice(
 
 /// *Execute Update*, the store patch: projects gained (`Plus`) or lost
 /// (`Minus`) bindings to the view — `e_v`, so counted and in the store's
-/// order — and hands the run to the store's writer, mirroring it into
-/// the report's counters and its delta.
+/// order — signs the counts and hands the run to the store's writer,
+/// mirroring it into the report's counters and the commit's Δ.
 fn patch_store(
     store: &mut ViewStore,
     pattern: &TreePattern,
     sign: Sign,
     bindings: &xivm_algebra::Relation,
     report: &mut UpdateReport,
+    changes: &mut Vec<(xivm_algebra::Tuple, i64)>,
 ) {
     if bindings.is_empty() {
         return;
     }
-    let projected = project_to_view(pattern, bindings);
-    let derivations: u64 = projected.iter().map(|(_, c)| c).sum();
-    match sign {
-        Sign::Minus => {
-            let lost: Vec<_> = projected.into_iter().map(|(t, c)| (t.id_key(), c)).collect();
-            report.derivations_removed += derivations;
-            report.tuples_removed += store.remove(&lost);
-            report.delta.removed.extend(lost);
-        }
-        Sign::Plus => {
-            report.derivations_added += derivations;
-            report.delta.inserted.extend(projected.iter().cloned());
-            report.tuples_added += store.absorb(projected);
-        }
-    }
+    let (signed, derivations) = match sign {
+        Sign::Minus => (-1, &mut report.derivations_removed),
+        Sign::Plus => (1, &mut report.derivations_added),
+    };
+    let at = changes.len();
+    changes.extend(
+        project_to_view(pattern, bindings).into_iter().map(|(t, c)| (t, signed * c as i64)),
+    );
+    *derivations += changes[at..].iter().map(|(_, w)| w.unsigned_abs()).sum::<u64>();
+    let (entered, left) = store.patch(&changes[at..]);
+    report.tuples_added += entered;
+    report.tuples_removed += left;
 }
 
 /// Pre-update state captured by [`MaintenanceEngine::prepare`].
@@ -658,6 +657,30 @@ mod tests {
             SnowcapStrategy::MinimalChain,
         );
         assert_eq!(r2.tuples_modified, 1);
+    }
+
+    /// Text a snowcap carries is refreshed with the store's: the later
+    /// commit's R-part hands `c`'s value to a new tuple (first view) and
+    /// onto a stored one whose count grows (second view).
+    #[test]
+    fn text_reaches_later_tuples_through_the_snowcaps_fresh() {
+        for pattern in ["//a{id}[//c{id,val}]//b{id}", "//a{id}[//c{id,val}][//b]"] {
+            for strategy in [SnowcapStrategy::MinimalChain, SnowcapStrategy::AllSnowcaps] {
+                let mut doc = parse_document("<a><c>x</c><b/></a>").unwrap();
+                let p = parse_pattern(pattern).unwrap();
+                let mut engine = MaintenanceEngine::new(&doc, p.clone(), strategy);
+                for s in ["insert <t>y</t> into //c", "insert <b/> into /a"] {
+                    let stmt = xivm_update::statement::parse_statement(s).unwrap();
+                    engine.apply_statement(&mut doc, &stmt).unwrap();
+                }
+                let expected = ViewStore::from_counted(&p, view_tuples(&doc, &p));
+                assert!(engine.store().identical_to(&expected), "{pattern} {strategy:?}");
+                let fresh = MaintenanceEngine::new(&doc, p.clone(), strategy);
+                for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
+                    assert_eq!(m.rel.rows, f.rel.rows, "{pattern} {strategy:?} {:?}", m.nodes);
+                }
+            }
+        }
     }
 
     #[test]

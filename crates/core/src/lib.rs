@@ -78,7 +78,7 @@ pub mod term;
 pub mod timing;
 pub mod view_store;
 
-pub use commit::{Commit, ViewDelta, WeightedChange};
+pub use commit::{Commit, ViewDelta};
 pub use database::{Database, DatabaseBuilder, MaintenanceMode, Transaction, ViewHandle};
 // The static-analysis surface the `analyze(..)` builder knob exposes
 // (the analyses themselves live in `xivm_analyze`).

@@ -63,12 +63,11 @@ use crate::etins::{bag_union, eval_term};
 use crate::predflip::Flips;
 use crate::snowcap::{best_cover, MaterializedSnowcap};
 use crate::term::Term;
-use crate::view_store::{TupleKey, ViewStore};
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::sync::Arc;
-use xivm_algebra::Relation;
+use xivm_algebra::{Relation, Tuple};
 use xivm_pattern::compile::{canonical_node_ids, relation_from_nodes};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::{ApplyResult, DeltaMinus, DeltaPlus};
@@ -474,37 +473,36 @@ pub(crate) fn eval_one(
 /// ID comparison, enabled by storing IDs alongside every `val` /
 /// `cont` (Algorithm 4's precondition).
 ///
-/// Patches the affected fields by re-reading the (already updated)
-/// document and returns the keys of the modified tuples (for the
-/// commit report's Δ, in the store's order), walking the store in
-/// place — no tuple is cloned, and a key only for a tuple that changed.
-pub fn refresh_text(
-    store: &mut ViewStore,
+/// Patches the affected fields of `rows` — the view store's tuples, or
+/// a snowcap's, whose columns bind the pattern nodes `columns` — in
+/// place by re-reading the (already updated) document, and hands each
+/// tuple it refreshed to `refreshed`, in the rows' order. `roots` keeps
+/// nested roots ([`DeweyForest::with_nested`]: `insert into //a` hits an
+/// `a` inside another `a`), or tuples strictly between an outer and an
+/// inner root would never be refreshed.
+pub fn refresh_text<'a>(
+    rows: impl Iterator<Item = &'a mut Tuple>,
+    columns: &[PatternNodeId],
     doc: &Document,
     pattern: &TreePattern,
-    roots: &[DeweyId],
-) -> Vec<TupleKey> {
+    roots: &DeweyForest,
+    mut refreshed: impl FnMut(&Tuple),
+) {
     // If cvn is empty, updates cannot modify view tuples (Section 3.6).
-    let stored = pattern.stored_nodes();
-    let cvn_cols: Vec<(usize, bool, bool)> = stored
+    let cvn_cols: Vec<(usize, bool, bool)> = columns
         .iter()
         .enumerate()
         .map(|(col, &n)| (col, pattern.node(n).ann.val, pattern.node(n).ann.cont))
         .filter(|&(_, val, cont)| val || cont)
         .collect();
     if cvn_cols.is_empty() || roots.is_empty() {
-        return Vec::new();
+        return;
     }
-    // Roots may nest (`insert into //a` hits an `a` inside another
-    // `a`): keep every one, or tuples strictly between an outer and an
-    // inner root would never be refreshed.
-    let forest = DeweyForest::with_nested(roots.to_vec());
-    let mut modified = Vec::new();
-    for tuple in store.tuples_mut() {
+    for tuple in rows {
         let mut touched = false;
         for &(col, want_val, want_cont) in &cvn_cols {
             let field = tuple.field_mut(col);
-            if !forest.has_descendant_or_self_root(&field.id) {
+            if !roots.has_descendant_or_self_root(&field.id) {
                 continue;
             }
             let Some(node) = doc.find_node(&field.id) else { continue };
@@ -517,16 +515,16 @@ pub fn refresh_text(
             touched = true;
         }
         if touched {
-            modified.push(tuple.id_key());
+            refreshed(tuple);
         }
     }
-    modified
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::etins::subset_terms;
+    use crate::view_store::ViewStore;
     use xivm_pattern::compile::view_tuples;
     use xivm_pattern::parse_pattern;
     use xivm_update::statement::parse_statement;
@@ -797,15 +795,17 @@ mod tests {
     }
 
     /// The view store of `pattern` over `doc_xml`, then `stmt` applied
-    /// and the text refreshed: the store and the modified keys.
-    fn refreshed(doc_xml: &str, stmt: &str, pattern: &str) -> (ViewStore, Vec<TupleKey>) {
+    /// and the text refreshed: the store and the Δ's weight-0 entries.
+    fn refreshed(doc_xml: &str, stmt: &str, pattern: &str) -> (ViewStore, Vec<(Tuple, i64)>) {
         let p = parse_pattern(pattern).unwrap();
         let mut store =
             ViewStore::from_counted(&p, view_tuples(&parse_document(doc_xml).unwrap(), &p));
         let a = apply(doc_xml, stmt, pattern);
         let roots =
             if a.res.delete_roots.is_empty() { &a.res.insert_targets } else { &a.res.delete_roots };
-        let keys = refresh_text(&mut store, &a.doc, &p, roots);
+        let (roots, mut keys) = (DeweyForest::with_nested(roots.clone()), Vec::new());
+        let keep = |t: &Tuple| keys.push((t.clone(), 0));
+        refresh_text(store.tuples_mut(), &p.stored_nodes(), &a.doc, &p, &roots, keep);
         (store, keys)
     }
 

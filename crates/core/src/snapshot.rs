@@ -34,7 +34,7 @@ use crate::commit::ViewDelta;
 use crate::database::ViewHandle;
 use crate::error::Error;
 use crate::subscribe::{DeltaEvent, FeedEvent, Lagged};
-use crate::view_store::{Cursor, TupleKey, ViewStore};
+use crate::view_store::{run_cmp, Cursor, ViewStore};
 use std::sync::Arc;
 use xivm_algebra::{Column, Field, Schema, Tuple};
 use xivm_pattern::xpath::{eval_path, parse_xpath};
@@ -47,7 +47,7 @@ const VERSION: u16 = 1;
 /// same family as the store image, distinct so a store image fed to the
 /// event decoder (or vice versa) fails loudly at the first four bytes.
 const EVENT_MAGIC: &[u8; 4] = b"XIVE";
-const EVENT_VERSION: u16 = 1;
+const EVENT_VERSION: u16 = 2;
 
 /// Snapshot and wire-frame decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,11 +94,7 @@ pub fn encode_store(store: &ViewStore) -> Vec<u8> {
     out.extend_from_slice(&(tuples.len() as u64).to_le_bytes());
     for (t, count) in tuples {
         out.extend_from_slice(&count.to_le_bytes());
-        for field in t.fields() {
-            write_bytes(&mut out, &field.id.encode());
-            write_opt_str(&mut out, field.val.as_deref());
-            write_opt_str(&mut out, field.cont.as_deref());
-        }
+        t.fields().iter().for_each(|field| write_field(&mut out, field));
     }
     out
 }
@@ -109,11 +105,11 @@ pub fn decode_store(bytes: &[u8]) -> Result<ViewStore, SnapshotError> {
     if r.take(4)? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
+    let version = r.u16()?;
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let arity = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes")) as usize;
+    let arity = r.u16()? as usize;
     let mut columns = Vec::with_capacity(arity);
     for _ in 0..arity {
         let pos = r.pos;
@@ -123,7 +119,7 @@ pub fn decode_store(bytes: &[u8]) -> Result<ViewStore, SnapshotError> {
         columns.push(Column::with(name, flags & 1 != 0, flags & 2 != 0));
     }
     let schema = Schema::new(columns);
-    let n = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes")) as usize;
+    let n = r.u64()?;
     // Only what an encoder writes is a store: rows strictly in document
     // order, each with at least one derivation.
     let mut rows: Vec<(Tuple, u64)> = Vec::new();
@@ -133,22 +129,16 @@ pub fn decode_store(bytes: &[u8]) -> Result<ViewStore, SnapshotError> {
         if count == 0 {
             return Err(SnapshotError::Corrupt { what: "zero count", pos });
         }
-        let mut fields = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            fields.push(read_field(&mut r)?);
-        }
-        let tuple = Tuple::new(fields);
+        let tuple = read_fields(&mut r, arity)?;
         if rows.last().is_some_and(|(prev, _)| prev.doc_cmp(&tuple).is_ge()) {
             return Err(SnapshotError::Corrupt { what: "row order", pos });
         }
         rows.push((tuple, count));
     }
-    let mut store = ViewStore::from_schema(schema);
-    store.absorb(rows);
     if r.pos != bytes.len() {
         return Err(SnapshotError::Corrupt { what: "trailing bytes", pos: r.pos });
     }
-    Ok(store)
+    Ok(ViewStore::from_rows(schema, rows))
 }
 
 fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
@@ -206,22 +196,23 @@ fn read_opt_str(r: &mut Reader<'_>) -> Result<Option<Arc<str>>, SnapshotError> {
     Ok(Some(Arc::from(s)))
 }
 
-fn read_dewey(r: &mut Reader<'_>) -> Result<DeweyId, SnapshotError> {
-    let pos = r.pos;
-    DeweyId::decode(r.bytes_field()?).ok_or(SnapshotError::Corrupt { what: "dewey id", pos })
-}
-
 fn write_field(out: &mut Vec<u8>, field: &Field) {
     write_bytes(out, &field.id.encode());
     write_opt_str(out, field.val.as_deref());
     write_opt_str(out, field.cont.as_deref());
 }
 
-fn read_field(r: &mut Reader<'_>) -> Result<Field, SnapshotError> {
-    let id = read_dewey(r)?;
-    let val = read_opt_str(r)?;
-    let cont = read_opt_str(r)?;
-    Ok(Field::new(id, val, cont))
+/// One tuple's fields, `arity` of them (a store image states it once,
+/// an event frame per tuple).
+fn read_fields(r: &mut Reader<'_>, arity: usize) -> Result<Tuple, SnapshotError> {
+    let mut fields = Vec::with_capacity(arity.min(256));
+    for _ in 0..arity {
+        let pos = r.pos;
+        let id = DeweyId::decode(r.bytes_field()?)
+            .ok_or(SnapshotError::Corrupt { what: "dewey id", pos })?;
+        fields.push(Field::new(id, read_opt_str(r)?, read_opt_str(r)?));
+    }
+    Ok(Tuple::new(fields))
 }
 
 // ---------------------------------------------------------------------
@@ -235,31 +226,6 @@ fn write_tuple(out: &mut Vec<u8>, tuple: &Tuple) {
     }
 }
 
-fn read_tuple(r: &mut Reader<'_>) -> Result<Tuple, SnapshotError> {
-    let arity = r.u16()? as usize;
-    let mut fields = Vec::with_capacity(arity.min(256));
-    for _ in 0..arity {
-        fields.push(read_field(r)?);
-    }
-    Ok(Tuple::new(fields))
-}
-
-fn write_key(out: &mut Vec<u8>, key: &TupleKey) {
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    for id in key {
-        write_bytes(out, &id.encode());
-    }
-}
-
-fn read_key(r: &mut Reader<'_>) -> Result<TupleKey, SnapshotError> {
-    let n = r.u16()? as usize;
-    let mut key = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        key.push(read_dewey(r)?);
-    }
-    Ok(key)
-}
-
 const EVENT_KIND_DELTA: u8 = 0;
 const EVENT_KIND_LAGGED: u8 = 1;
 
@@ -270,13 +236,12 @@ const EVENT_KIND_LAGGED: u8 = 1;
 /// ```text
 /// magic "XIVE" · version u16 · kind u8
 /// kind 0 (delta):  seq u64 · folded u8 (0|1) [· lo u64 · hi u64]
-///                  inserted u64 · per: count u64 · tuple
-///                  removed  u64 · per: key · count u64
-///                  modified u64 · per: key · tuple
+///                  entries u64 · per entry: weight i64 · tuple
 /// kind 1 (lagged): lo u64 · hi u64
 /// tuple: arity u16 · per field: dewey · val · cont   (as encode_store)
-/// key:   len u16 · per id: dewey (len-prefixed)
 /// ```
+///
+/// The entries are the delta's run ([`ViewDelta::rows`]), in its order.
 pub fn encode_event(event: &FeedEvent) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
     out.extend_from_slice(EVENT_MAGIC);
@@ -293,20 +258,9 @@ pub fn encode_event(event: &FeedEvent) -> Vec<u8> {
                     out.extend_from_slice(&range.end().to_le_bytes());
                 }
             }
-            let d = &e.delta;
-            out.extend_from_slice(&(d.inserted.len() as u64).to_le_bytes());
-            for (tuple, count) in &d.inserted {
-                out.extend_from_slice(&count.to_le_bytes());
-                write_tuple(&mut out, tuple);
-            }
-            out.extend_from_slice(&(d.removed.len() as u64).to_le_bytes());
-            for (key, count) in &d.removed {
-                write_key(&mut out, key);
-                out.extend_from_slice(&count.to_le_bytes());
-            }
-            out.extend_from_slice(&(d.modified.len() as u64).to_le_bytes());
-            for (key, tuple) in &d.modified {
-                write_key(&mut out, key);
+            out.extend_from_slice(&(e.delta.rows.len() as u64).to_le_bytes());
+            for (tuple, weight) in &e.delta.rows {
+                out.extend_from_slice(&weight.to_le_bytes());
                 write_tuple(&mut out, tuple);
             }
         }
@@ -353,20 +307,27 @@ pub fn decode_event(bytes: &[u8]) -> Result<FeedEvent, SnapshotError> {
                 }
                 _ => return Err(SnapshotError::Corrupt { what: "folded flag", pos: folded_pos }),
             };
-            let mut delta = ViewDelta::default();
+            // Only what an encoder writes is a delta: the run's
+            // invariant, as far as a frame alone can show it.
+            let mut rows: Vec<(Tuple, i64)> = Vec::new();
             for _ in 0..r.u64()? {
-                let count = r.u64()?;
-                delta.inserted.push((read_tuple(&mut r)?, count));
+                let pos = r.pos;
+                let (weight, arity) = (r.u64()? as i64, r.u16()? as usize);
+                let entry = (read_fields(&mut r, arity)?, weight);
+                let text = |f: &Field| f.val.is_some() || f.cont.is_some();
+                let what = if rows.first().is_some_and(|(t, _)| t.arity() != entry.0.arity()) {
+                    "tuple arity"
+                } else if rows.last().is_some_and(|prev| run_cmp(prev, &entry).is_ge()) {
+                    "entry order"
+                } else if entry.1 < 0 && entry.0.fields().iter().any(text) {
+                    "text on a negative entry"
+                } else {
+                    rows.push(entry);
+                    continue;
+                };
+                return Err(SnapshotError::Corrupt { what, pos });
             }
-            for _ in 0..r.u64()? {
-                let key = read_key(&mut r)?;
-                delta.removed.push((key, r.u64()?));
-            }
-            for _ in 0..r.u64()? {
-                let key = read_key(&mut r)?;
-                delta.modified.push((key, read_tuple(&mut r)?));
-            }
-            FeedEvent::Delta(DeltaEvent { seq, folded, delta: Arc::new(delta) })
+            FeedEvent::Delta(DeltaEvent { seq, folded, delta: Arc::new(ViewDelta { rows }) })
         }
         EVENT_KIND_LAGGED => {
             let lo = r.u64()?;
@@ -548,7 +509,7 @@ mod tests {
         let store = sample_store();
         let rows: Vec<(Tuple, u64)> = store.cursor().map(|(t, c)| (t.clone(), c)).collect();
         let image = |rows: &[(Tuple, u64)]| {
-            let mut out = encode_store(&ViewStore::from_schema(store.schema().clone()));
+            let mut out = encode_store(&ViewStore::from_rows(store.schema().clone(), Vec::new()));
             out.truncate(out.len() - 8);
             out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
             for (t, count) in rows {
@@ -585,24 +546,26 @@ mod tests {
         assert!(c.to_string().contains('x') && c.to_string().contains('7'));
     }
 
+    /// A delta over the sample store's tuples: a loss, a gain on the
+    /// same key, a text change, a gain.
+    fn sample_delta() -> ViewDelta {
+        let tuples: Vec<Tuple> = sample_store().cursor().map(|(t, _)| t.clone()).collect();
+        ViewDelta::new(vec![
+            (tuples[0].clone(), 1),
+            (tuples[1].clone(), -2),
+            (tuples[1].clone(), 1),
+            (tuples[2].clone(), 0),
+        ])
+    }
+
     #[test]
     fn event_frames_roundtrip() {
         use crate::subscribe::{DeltaEvent, FeedEvent, Lagged};
 
-        let store = sample_store();
-        let tuples: Vec<(Tuple, u64)> = store.cursor().map(|(t, c)| (t.clone(), c)).collect();
-        let mut delta = ViewDelta::default();
-        delta.inserted.push(tuples[0].clone());
-        delta.removed.push((tuples[1].0.id_key(), 2));
-        delta.modified.push((tuples[2].0.id_key(), tuples[2].0.clone()));
-
+        let delta = Arc::new(sample_delta());
         for event in [
-            FeedEvent::Delta(DeltaEvent { seq: 42, folded: None, delta: Arc::new(delta.clone()) }),
-            FeedEvent::Delta(DeltaEvent {
-                seq: 9,
-                folded: Some(3..=9),
-                delta: Arc::new(delta.clone()),
-            }),
+            FeedEvent::Delta(DeltaEvent { seq: 42, folded: None, delta: Arc::clone(&delta) }),
+            FeedEvent::Delta(DeltaEvent { seq: 9, folded: Some(3..=9), delta }),
             FeedEvent::Delta(DeltaEvent { seq: 1, folded: None, delta: Arc::default() }),
             FeedEvent::Lagged(Lagged { missed_range: 4..=17 }),
         ] {
@@ -615,9 +578,7 @@ mod tests {
                 (FeedEvent::Delta(a), FeedEvent::Delta(b)) => {
                     assert_eq!(a.seq, b.seq);
                     assert_eq!(a.folded, b.folded);
-                    assert_eq!(a.delta.inserted, b.delta.inserted);
-                    assert_eq!(a.delta.removed, b.delta.removed);
-                    assert_eq!(a.delta.modified, b.delta.modified);
+                    assert_eq!(a.delta, b.delta);
                 }
                 (FeedEvent::Lagged(a), FeedEvent::Lagged(b)) => {
                     assert_eq!(a.missed_range, b.missed_range);
@@ -625,6 +586,39 @@ mod tests {
                 _ => panic!("event kind changed in flight"),
             }
         }
+    }
+
+    /// Frames no encoder writes: each breaks the run's invariant in a
+    /// way the frame alone shows, and each is named at its entry.
+    #[test]
+    fn delta_frames_outside_the_runs_invariant_are_rejected() {
+        use crate::subscribe::{DeltaEvent, FeedEvent};
+
+        let frame = |rows: Vec<(Tuple, i64)>| {
+            let delta = Arc::new(ViewDelta { rows });
+            encode_event(&FeedEvent::Delta(DeltaEvent { seq: 1, folded: None, delta }))
+        };
+        let what = |rows: Vec<(Tuple, i64)>| match decode_event(&frame(rows)) {
+            Err(SnapshotError::Corrupt { what, pos }) => {
+                assert!(pos > 15, "reported at the entry, not the header");
+                what
+            }
+            other => panic!("accepted or misreported: {other:?}"),
+        };
+        let good = sample_delta().rows;
+        assert!(decode_event(&frame(good.clone())).is_ok());
+        let (first, loss, gain) = (good[0].clone(), good[1].clone(), good[2].clone());
+        assert_eq!(what(vec![loss.clone(), first.clone()]), "entry order");
+        assert_eq!(what(vec![gain.clone(), loss.clone()]), "entry order", "a gain before its loss");
+        assert_eq!(what(vec![first.clone(), (first.0.clone(), 0)]), "entry order", "a key twice");
+        assert_eq!(what(vec![loss.clone(), (loss.0.clone(), -1)]), "entry order", "two losses");
+        assert_eq!(what(vec![(gain.0.clone(), -1)]), "text on a negative entry");
+        let shorter = Tuple::new(gain.0.fields()[..1].to_vec());
+        assert_eq!(what(vec![first, (shorter, 1)]), "tuple arity");
+        // the version before the one section: refused whole
+        let mut old = frame(good);
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(decode_event(&old).unwrap_err(), SnapshotError::UnsupportedVersion(1));
     }
 
     #[test]

@@ -111,8 +111,8 @@ impl FeedEvent {
 /// One commit as seen by a subscription: the commit's sequence number
 /// and the subscribed view's delta (empty when the commit did not
 /// touch the view). The delta is `Arc`-shared: all subscriptions of
-/// one view receive the same allocation, so fan-out to N subscribers
-/// costs one delta clone, not N.
+/// one view receive the allocation the commit's own report holds, so
+/// fan-out to N subscribers copies no delta.
 ///
 /// # The gapless-seq contract
 ///
@@ -406,8 +406,8 @@ impl SubscriptionRegistry {
 
     /// Appends one event per live subscription for a finished commit.
     /// Every commit reports on every view (no-op commits carry empty
-    /// deltas), so sequence numbers stay gapless. Each distinct view's
-    /// delta is cloned once and shared across its subscribers. A full
+    /// deltas), so sequence numbers stay gapless. Every subscriber of a
+    /// view holds the commit's own delta allocation. A full
     /// `Block` queue makes this call wait for its consumer; the other
     /// policies never wait, so a stalled reader cannot wedge the
     /// commit path unless it explicitly opted into backpressure.
@@ -417,12 +417,10 @@ impl SubscriptionRegistry {
             return;
         }
         let per_view = commit.per_view();
-        let mut shared: HashMap<usize, Arc<ViewDelta>> = HashMap::new();
         for queue in self.subs.values() {
-            let delta = Arc::clone(shared.entry(queue.view).or_insert_with(|| {
-                Arc::new(per_view.get(queue.view).map(|r| r.delta.clone()).unwrap_or_default())
-            }));
-            let folded = per_view.get(queue.view).and_then(|r| r.coalesced.clone());
+            let report = per_view.get(queue.view);
+            let delta = report.map(|r| Arc::clone(&r.delta)).unwrap_or_default();
+            let folded = report.and_then(|r| r.coalesced.clone());
             queue.push(DeltaEvent { seq: commit.seq, folded, delta });
         }
     }

@@ -3,26 +3,21 @@
 //!
 //! **Invariant**: the rows are strictly increasing in
 //! [`Tuple::doc_cmp`] — one row per key, in document order over the
-//! stored columns left to right — and every derivation count is ≥ 1
-//! (no writer leaves a zero behind; a run to absorb must carry none).
+//! stored columns left to right — and every derivation count is ≥ 1.
 //! `e_v` ends with a sort, so the store *is* the view's value: a read
-//! ([`ViewStore::cursor`]) borrows the rows, and the two writers
-//! ([`ViewStore::absorb`], [`ViewStore::remove`]) keep the order through
-//! the search-and-shift routines of [`xivm_algebra::ordered`], so a
-//! commit pays for the rows it changes and those behind them, not for a
-//! sort of all of them.
+//! ([`ViewStore::cursor`]) borrows the rows, and the one writer
+//! ([`ViewStore::patch`]) keeps the order through the search-and-shift
+//! routines of [`xivm_algebra::ordered`], so a commit pays for the rows
+//! it changes and those behind them, not for a sort of all of them.
 //!
 //! Left to right here, mirrored in the snowcaps
 //! ([`crate::snowcap::MaterializedSnowcap`]): a view is an *output* —
 //! readers, deltas and the wire all want `e_v`'s order; a snowcap is a
 //! join *input*, and the joins want the last column first.
 
+use std::cmp::Ordering;
 use xivm_algebra::{ordered, Schema, Tuple};
 use xivm_pattern::{compile::view_schema, TreePattern};
-use xivm_xml::DeweyId;
-
-/// Key of a view tuple: the structural IDs of its stored nodes.
-pub type TupleKey = Vec<DeweyId>;
 
 /// A materialized view: tuples over the stored (annotated) columns,
 /// each carrying its derivation count — "the number of reasons why the
@@ -33,31 +28,38 @@ pub struct ViewStore {
     rows: Vec<(Tuple, u64)>,
 }
 
-/// One run for a writer, and the store's own invariant: strictly
-/// increasing keys.
-fn strictly_ordered(rows: &[(Tuple, u64)]) -> bool {
-    rows.is_sorted_by(|a, b| a.0.doc_cmp(&b.0).is_lt())
+/// The store's invariant: strictly increasing keys, and no row without
+/// a derivation.
+fn well_formed(rows: &[(Tuple, u64)]) -> bool {
+    rows.is_sorted_by(|a, b| a.0.doc_cmp(&b.0).is_lt()) && rows.iter().all(|row| row.1 > 0)
+}
+
+/// The order of a signed run ([`crate::commit::ViewDelta`]): document
+/// order, a key's negative entry before its non-negative one. A run is
+/// strictly increasing in it — at most one entry per key and side.
+pub(crate) fn run_cmp(a: &(Tuple, i64), b: &(Tuple, i64)) -> Ordering {
+    a.0.doc_cmp(&b.0).then((a.1 >= 0).cmp(&(b.1 >= 0)))
 }
 
 impl ViewStore {
     /// An empty store with the view's projected schema.
     pub fn new(pattern: &TreePattern) -> Self {
-        ViewStore::from_schema(view_schema(pattern))
+        ViewStore::from_rows(view_schema(pattern), Vec::new())
     }
 
-    /// An empty store over an explicit schema (snapshot decoding).
-    pub fn from_schema(schema: Schema) -> Self {
-        ViewStore { schema, rows: Vec::new() }
+    /// A store over an explicit schema and rows that already satisfy the
+    /// invariant (snapshot decoding checks them as it reads).
+    pub(crate) fn from_rows(schema: Schema, rows: Vec<(Tuple, u64)>) -> Self {
+        debug_assert!(well_formed(&rows));
+        ViewStore { schema, rows }
     }
 
-    /// Builds a store from already-counted tuples (initial
+    /// Builds a store from already-counted tuples, one per key (initial
     /// materialization or full recomputation). `e_v`'s output is in
     /// order already — the sort is then the one pass that finds it so.
     pub fn from_counted(pattern: &TreePattern, mut counted: Vec<(Tuple, u64)>) -> Self {
-        let mut s = ViewStore::new(pattern);
         counted.sort_by(|a, b| a.0.doc_cmp(&b.0));
-        s.absorb(counted);
-        s
+        ViewStore::from_rows(view_schema(pattern), counted)
     }
 
     pub fn schema(&self) -> &Schema {
@@ -77,53 +79,36 @@ impl ViewStore {
         self.rows.iter().map(|(_, c)| c).sum()
     }
 
-    /// The stored tuple and its derivation count behind a key, found by
-    /// binary search.
-    pub fn get(&self, key: &[DeweyId]) -> Option<(&Tuple, u64)> {
-        let at = self.rows.binary_search_by(|(t, _)| t.key_cmp(key)).ok()?;
+    /// The stored tuple that binds the same nodes as `tuple`, and its
+    /// derivation count, found by binary search.
+    pub fn get(&self, tuple: &Tuple) -> Option<(&Tuple, u64)> {
+        let at = self.rows.binary_search_by(|(t, _)| t.doc_cmp(tuple)).ok()?;
         Some((&self.rows[at].0, self.rows[at].1))
     }
 
-    /// Adds derivations (ET-INS's final step): the count of a tuple
-    /// already stored grows, a new tuple enters with its count, at its
-    /// place. `run` is one strictly ordered run — `e_v`'s output, a
-    /// delta's `inserted` section — and is merged in as one; any other
-    /// (no engine publishes one) entry by entry. Returns how many
-    /// tuples entered.
-    pub fn absorb(&mut self, run: Vec<(Tuple, u64)>) -> usize {
-        if !strictly_ordered(&run) {
-            return run.into_iter().map(|entry| self.absorb(vec![entry])).sum();
-        }
-        let by_doc_order = |a: &(Tuple, u64), b: &(Tuple, u64)| a.0.doc_cmp(&b.0);
-        let entered = ordered::absorb(&mut self.rows, run, by_doc_order, |row, new| row.1 += new.1);
-        debug_assert!(strictly_ordered(&self.rows));
-        entered
-    }
-
-    /// Removes derivations (Algorithm 5's final loop): a tuple leaves
-    /// when its count reaches zero; a key that is no tuple is ignored.
-    /// `run` is one strictly ordered run — a delta's `removed` section —
-    /// and is taken out as one; any other entry by entry. Returns how
-    /// many tuples left.
-    pub fn remove(&mut self, run: &[(TupleKey, u64)]) -> usize {
-        if !run.is_sorted_by(|a, b| a.0 < b.0) {
-            return run.iter().map(|entry| self.remove(std::slice::from_ref(entry))).sum();
-        }
-        let take = |row: &mut (Tuple, u64), lost: &(TupleKey, u64)| {
-            row.1 = row.1.saturating_sub(lost.1);
+    /// The one writer: applies a signed run (the shape and order of
+    /// [`crate::commit::ViewDelta::rows`]). A negative entry takes
+    /// derivations from its tuple, which leaves when none remain
+    /// (Algorithm 5's final loop; a key that is no tuple is ignored). A
+    /// non-negative one adds its weight and overwrites the stored
+    /// `val` / `cont` with the contents it carries — a new tuple enters
+    /// at its place (ET-INS's final step), and weight 0 is a text change
+    /// alone (PIMT / PDMT), which must name a stored tuple. Returns how
+    /// many tuples entered and how many left.
+    pub fn patch(&mut self, run: &[(Tuple, i64)]) -> (usize, usize) {
+        debug_assert!(run.is_sorted_by(|a, b| run_cmp(a, b).is_lt()), "not a canonical run");
+        let lost: Vec<&(Tuple, i64)> = run.iter().filter(|e| e.1 < 0).collect();
+        let take = |row: &mut (Tuple, u64), lost: &&(Tuple, i64)| {
+            row.1 = row.1.saturating_sub(lost.1.unsigned_abs());
             row.1 == 0
         };
-        let left = ordered::remove(&mut self.rows, run, |row, lost| row.0.key_cmp(&lost.0), take);
-        debug_assert!(strictly_ordered(&self.rows));
-        left
-    }
-
-    /// Overwrites the stored tuple that binds the same nodes as `tuple`
-    /// (PIMT / PDMT replayed: same IDs, new `val` / `cont`). False when
-    /// there is none.
-    pub fn replace(&mut self, tuple: &Tuple) -> bool {
-        let found = self.rows.binary_search_by(|(t, _)| t.doc_cmp(tuple));
-        found.map(|at| self.rows[at].0 = tuple.clone()).is_ok()
+        let left = ordered::remove(&mut self.rows, &lost, |row, lost| row.0.doc_cmp(&lost.0), take);
+        let rest = run.iter().filter(|e| e.1 >= 0).map(|(t, w)| (t.clone(), *w as u64)).collect();
+        let by_doc_order = |a: &(Tuple, u64), b: &(Tuple, u64)| a.0.doc_cmp(&b.0);
+        let add = |row: &mut (Tuple, u64), new: (Tuple, u64)| *row = (new.0, row.1 + new.1);
+        let entered = ordered::absorb(&mut self.rows, rest, by_doc_order, add);
+        debug_assert!(well_formed(&self.rows), "a weight-0 entry names a stored tuple");
+        (entered, left)
     }
 
     /// The stored tuples in order, for in-place `val` / `cont` patching
@@ -159,7 +144,7 @@ impl ViewStore {
     pub fn diff_description(&self, other: &ViewStore) -> String {
         let unmatched = |side: &str, a: &ViewStore, b: &ViewStore| -> String {
             a.cursor()
-                .filter(|(t, c)| b.get(&t.id_key()).map(|(_, bc)| bc) != Some(*c))
+                .filter(|(t, c)| b.get(t).map(|(_, bc)| bc) != Some(*c))
                 .map(|(t, c)| format!("{side} only (count {c}): {:?}\n", t.id_key()))
                 .collect()
         };
@@ -177,10 +162,16 @@ mod tests {
     use super::*;
     use xivm_algebra::Field;
     use xivm_pattern::parse_pattern;
-    use xivm_xml::{dewey::Step, LabelId};
+    use xivm_xml::{dewey::Step, DeweyId, LabelId};
 
     fn tup(ord: u64) -> Tuple {
         Tuple::new(vec![Field::id_only(DeweyId::from_steps(vec![Step::new(LabelId(0), ord)]))])
+    }
+
+    fn with_val(ord: u64, val: &str) -> Tuple {
+        let mut t = tup(ord);
+        t.field_mut(0).val = Some(val.into());
+        t
     }
 
     fn store(rows: &[(u64, u64)]) -> ViewStore {
@@ -193,60 +184,66 @@ mod tests {
     }
 
     #[test]
-    fn absorb_accumulates_counts_and_reports_the_tuples_that_entered() {
+    fn positive_weights_add_counts_and_report_the_tuples_that_entered() {
         let mut s = store(&[]);
-        assert_eq!(s.absorb(vec![(tup(1), 2), (tup(2), 1)]), 2);
-        assert_eq!(s.absorb(vec![(tup(1), 3), (tup(5), 1)]), 1);
+        assert_eq!(s.patch(&[(tup(1), 2), (tup(2), 1)]), (2, 0));
+        assert_eq!(s.patch(&[(tup(1), 3), (tup(5), 1)]), (1, 0));
         assert_eq!(rows(&s), vec![(1, 5), (2, 1), (5, 1)]);
-        assert_eq!(s.get(&tup(1).id_key()).unwrap().1, 5);
+        assert_eq!(s.get(&tup(1)).unwrap().1, 5);
         assert_eq!(s.total_derivations(), 7);
     }
 
     #[test]
     fn get_returns_tuple_and_count_together() {
         let s = store(&[(1, 2), (3, 1)]);
-        let (t, c) = s.get(&tup(1).id_key()).unwrap();
+        let (t, c) = s.get(&with_val(1, "only the IDs are the key")).unwrap();
         assert_eq!((t, c), (&tup(1), 2));
-        assert!(s.get(&tup(2).id_key()).is_none());
-        assert!(s.get(&[]).is_none(), "a key of another arity is no tuple");
+        assert!(s.get(&tup(2)).is_none());
     }
 
     #[test]
-    fn remove_drops_a_tuple_when_its_count_reaches_zero() {
+    fn negative_weights_take_counts_and_a_tuple_leaves_at_zero() {
         let mut s = store(&[(1, 2), (2, 1)]);
-        assert_eq!(s.remove(&[(tup(1).id_key(), 1)]), 0);
-        assert_eq!(s.get(&tup(1).id_key()).unwrap().1, 1);
-        // a missing key is a no-op; the same key twice in one run sums
-        let run = [(tup(1).id_key(), 1), (tup(2).id_key(), 1), (tup(9).id_key(), 4)];
-        assert_eq!(s.remove(&run), 2);
+        assert_eq!(s.patch(&[(tup(1), -1)]), (0, 0), "part of a count: the tuple stays");
+        assert_eq!(s.get(&tup(1)).unwrap().1, 1);
+        // a key that is no tuple is ignored; more than the count is all of it
+        assert_eq!(s.patch(&[(tup(1), -1), (tup(2), -3), (tup(9), -4)]), (0, 2));
         assert!(s.is_empty());
-        let mut s = store(&[(1, 3), (2, 1)]);
-        assert_eq!(s.remove(&[(tup(1).id_key(), 2), (tup(1).id_key(), 1)]), 1);
-        assert_eq!(rows(&s), vec![(2, 1)]);
     }
 
-    /// The writers are total: a run no engine publishes — out of order,
-    /// a key twice — is applied entry by entry.
+    /// One run, both signs: a key's loss lands before its gain, so a
+    /// tuple can leave and come back with other text in one patch.
     #[test]
-    fn runs_in_any_order_land_in_document_order() {
-        let mut s = store(&[(5, 1), (1, 2), (3, 1), (1, 1)]);
-        assert_eq!(rows(&s), vec![(1, 3), (3, 1), (5, 1)]);
-        assert_eq!(s.absorb(vec![(tup(4), 1), (tup(2), 1), (tup(4), 1)]), 2);
-        assert_eq!(rows(&s), vec![(1, 3), (2, 1), (3, 1), (4, 2), (5, 1)]);
-        assert_eq!(s.remove(&[(tup(5).id_key(), 1), (tup(1).id_key(), 3)]), 2);
-        assert_eq!(rows(&s), vec![(2, 1), (3, 1), (4, 2)]);
+    fn a_run_of_both_signs_is_applied_losses_first() {
+        let mut s = store(&[(1, 2), (3, 1), (5, 1)]);
+        let run = [(tup(1), -2), (with_val(1, "back"), 1), (tup(2), 1), (tup(3), -1), (tup(5), 4)];
+        assert_eq!(s.patch(&run), (2, 2), "1 left and re-entered, 2 entered, 3 left");
+        assert_eq!(rows(&s), vec![(1, 1), (2, 1), (5, 5)]);
+        assert_eq!(s.get(&tup(1)), Some((&with_val(1, "back"), 1)));
         assert_eq!(s.cursor().len(), 3);
     }
 
     #[test]
-    fn replace_patches_fields_in_place() {
-        let mut s = store(&[(1, 1)]);
-        let mut patched = tup(1);
-        patched.field_mut(0).val = Some("patched".into());
-        assert!(s.replace(&patched));
-        assert_eq!(s.get(&tup(1).id_key()), Some((&patched, 1)));
-        assert!(!s.replace(&tup(9)));
-        assert_eq!(s.len(), 1);
+    fn weight_zero_overwrites_the_text_and_nothing_else() {
+        let mut s = store(&[(1, 3), (2, 1)]);
+        assert_eq!(s.patch(&[(with_val(1, "patched"), 0)]), (0, 0));
+        assert_eq!(s.get(&tup(1)), Some((&with_val(1, "patched"), 3)));
+        assert_eq!(rows(&s), vec![(1, 3), (2, 1)]);
+        // a gain carries the post-commit text too
+        assert_eq!(s.patch(&[(with_val(1, "again"), 1)]), (0, 0));
+        assert_eq!(s.get(&tup(1)), Some((&with_val(1, "again"), 4)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "names a stored tuple")]
+    fn weight_zero_for_an_absent_key_is_a_bug() {
+        store(&[(1, 1)]).patch(&[(tup(9), 0)]);
+    }
+
+    #[test]
+    fn from_counted_sorts_its_rows() {
+        assert_eq!(rows(&store(&[(5, 1), (1, 2), (3, 1)])), vec![(1, 2), (3, 1), (5, 1)]);
     }
 
     #[test]
@@ -266,7 +263,7 @@ mod tests {
         let a = store(&[(1, 2)]);
         let mut b = store(&[(1, 2)]);
         assert!(a.same_content_as(&b));
-        b.absorb(vec![(tup(2), 1)]);
+        b.patch(&[(tup(2), 1)]);
         assert!(!a.same_content_as(&b));
         assert!(b.diff_description(&a).contains("left only"));
         assert!(!a.same_content_as(&store(&[(1, 3)])));

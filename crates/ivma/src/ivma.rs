@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use xivm_algebra::{Field, Tuple};
-use xivm_core::ViewStore;
+use xivm_core::{ViewDelta, ViewStore};
 use xivm_pattern::compile::view_tuples;
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::{compute_pul, AtomicOp, UpdateStatement};
@@ -166,13 +166,18 @@ impl IvmaView {
 
     fn propagate_single_insert(&mut self, doc: &Document, node: NodeId) {
         let gained = self.embeddings_through(doc, node);
-        self.store.absorb(gained.iter().map(|emb| (self.project(doc, emb), 1)).collect());
+        self.patch(gained.iter().map(|emb| (self.project(doc, emb), 1)).collect());
     }
 
     fn propagate_single_delete(&mut self, doc: &Document, node: NodeId) {
         let lost = self.embeddings_through(doc, node);
-        let lost: Vec<_> = lost.iter().map(|emb| (self.key_of(doc, emb), 1)).collect();
-        self.store.remove(&lost);
+        self.patch(lost.iter().map(|emb| (self.key_of(doc, emb), -1)).collect());
+    }
+
+    /// Embeddings in any order, many to a tuple: consolidated into one
+    /// signed run for the store's writer.
+    fn patch(&mut self, changes: Vec<(Tuple, i64)>) {
+        ViewDelta::new(changes).replay(&mut self.store);
     }
 
     /// All embeddings in which `node` is the image of at least one
@@ -250,7 +255,7 @@ impl IvmaView {
             self.extend(doc, 0, pos, n, Some(&before_map), &mut assignment, &mut found);
             for emb in found {
                 if first_pair_index(&lost, &emb) == Some(i) {
-                    self.store.remove(&[(self.key_of(doc, &emb), 1)]);
+                    self.patch(vec![(self.key_of(doc, &emb), -1)]);
                 }
             }
         }
@@ -262,7 +267,7 @@ impl IvmaView {
             self.extend(doc, 0, pos, n, None, &mut assignment, &mut found);
             for emb in found {
                 if first_pair_index(&gained, &emb) == Some(i) {
-                    self.store.absorb(vec![(self.project(doc, &emb), 1)]);
+                    self.patch(vec![(self.project(doc, &emb), 1)]);
                 }
             }
         }
@@ -387,15 +392,17 @@ impl IvmaView {
         doc.value(n) == *pred
     }
 
-    fn key_of(&self, doc: &Document, emb: &[NodeId]) -> Vec<xivm_xml::DeweyId> {
-        self.pattern
+    fn key_of(&self, doc: &Document, emb: &[NodeId]) -> Tuple {
+        let fields = self
+            .pattern
             .stored_nodes()
             .iter()
             .map(|&s| {
                 let pos = self.order.iter().position(|&n| n == s).expect("stored in order");
-                doc.dewey(emb[pos])
+                Field::id_only(doc.dewey(emb[pos]))
             })
-            .collect()
+            .collect();
+        Tuple::new(fields)
     }
 
     fn project(&self, doc: &Document, emb: &[NodeId]) -> Tuple {

@@ -273,6 +273,11 @@ fn read_varint(bytes: &mut &[u8]) -> Option<u64> {
             return None;
         }
         let byte = bytes.get_u8();
+        // The tenth byte holds bit 63 and nothing else: a larger payload
+        // would be shifted out, a second encoding of the same value.
+        if shift == 63 && byte > 1 {
+            return None;
+        }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Some(v);
@@ -374,6 +379,20 @@ mod tests {
         let mut enc = id(&[(1, 2)]).encode().to_vec();
         enc.push(0);
         assert_eq!(DeweyId::decode(&enc), None);
+    }
+
+    /// One value, one encoding: the tenth byte of a varint carries one
+    /// bit. `0x7f` there used to decode to `u64::MAX` too, six bits
+    /// shifted out.
+    #[test]
+    fn decode_rejects_a_varint_that_overflows() {
+        let ord = |tenth: u8| [&[1, 0][..], &[0xff; 9], &[tenth]].concat();
+        let max = id(&[(0, u64::MAX)]);
+        assert_eq!(max.encode().as_ref(), ord(0x01));
+        assert_eq!(DeweyId::decode(&ord(0x01)), Some(max));
+        assert_eq!(DeweyId::decode(&ord(0x7f)), None);
+        assert_eq!(DeweyId::decode(&ord(0x02)), None);
+        assert_eq!(DeweyId::decode(&[&ord(0x81)[..], &[0]].concat()), None, "an eleventh byte");
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn main() -> Result<(), Error> {
 
     println!("\nshipped {} commits; per-event weights:", db.last_seq());
     for event in db.drain(&feed) {
-        let net: i64 = event.delta.weights().map(|(weight, _)| weight).sum();
+        let net: i64 = event.delta.rows().iter().map(|(_, weight)| weight).sum();
         println!(
             "  commit #{}: net weight {:+}{}",
             event.seq,

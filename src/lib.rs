@@ -25,7 +25,7 @@
 //! // The returned `Commit` carries the exact per-view delta.
 //! let commit = db.apply("delete /a/f/c")?;
 //! assert_eq!(commit.seq, 1);
-//! assert_eq!(commit.delta(acb).removed.len(), 5);
+//! assert_eq!(commit.delta(acb).rows().iter().map(|(_, w)| w).sum::<i64>(), -5);
 //! assert_eq!(db.store(acb).len(), 3);
 //!
 //! // Typed statements: no stringly-typed round-trip.
@@ -128,7 +128,8 @@
 //! | re-reading `db.store(h)` and diffing after a commit | `commit.delta(h)` — replayable, O(\|Δ\|) |
 //! | polling stores for changes | `db.subscribe(h)` + `db.drain(&sub)` |
 //! | `db.store(h).sorted_tuples()` / `.iter()` / `.keys()` (gone: the store is kept in document order) | `db.cursor(h)` — a borrow of the rows, nothing sorted or cloned |
-//! | `store.add(t, c)` / `store.remove_derivations(&k, c)` / `store.tuple_mut(&k)` | `store.absorb(run)` / `store.remove(&run)` / `store.replace(&t)` — what `delta.replay(&mut store)` calls |
+//! | `store.add(t, c)` / `store.remove_derivations(&k, c)` / `store.tuple_mut(&k)`, then `store.absorb(run)` / `store.remove(&run)` / `store.replace(&t)` | `store.patch(&run)` — the one writer, what `delta.replay(&mut store)` calls |
+//! | `delta.inserted` / `delta.removed` / `delta.modified` (and the weighted iterator and the ID-vector key type that read them) | `delta.rows(): &[(Tuple, i64)]` — one run in document order: weight `> 0` derivations gained, `< 0` lost (the tuple carries IDs only), `0` stored text changed; `store.get(&tuple)` looks a key up by a tuple's IDs |
 //! | `format!("insert {xml} into {path}")` | `insert(element(..)).into(path)` — see [`update::builder`] |
 //!
 //! ## Static analysis
@@ -180,7 +181,7 @@ pub use xivm_xml as xml;
 pub use xivm_core::{
     AnalysisReport, AnalyzeMode, Analyzer, Commit, Database, DatabaseBuilder, DatabaseSnapshot,
     DeltaEvent, Error, FeedEvent, Lagged, MaintenanceMode, SlowConsumerPolicy, Subscription,
-    Ticket, Transaction, ViewDelta, ViewHandle, WeightedChange,
+    Ticket, Transaction, ViewDelta, ViewHandle,
 };
 pub use xivm_feed::{FeedServer, ReplicaClient};
 
@@ -197,7 +198,7 @@ pub mod prelude {
     pub use xivm_core::{
         AnalysisReport, AnalyzeMode, Analyzer, Commit, DatabaseSnapshot, DeltaEvent, Error,
         FeedEvent, Lagged, MaintenanceEngine, MaintenanceMode, MultiViewEngine, SlowConsumerPolicy,
-        SnowcapStrategy, Subscription, Ticket, UpdateReport, ViewDelta, ViewStore, WeightedChange,
+        SnowcapStrategy, Subscription, Ticket, UpdateReport, ViewDelta, ViewStore,
     };
     pub use xivm_feed::{FeedError, FeedServer, ReplicaClient};
     pub use xivm_pattern::{parse_pattern, TreePattern};

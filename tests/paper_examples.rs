@@ -48,7 +48,7 @@ fn example_4_5() {
 fn example_4_8() {
     let mut db = single_view("<a><c><b/></c><f><b/></f></a>", "//a{id}[//b]");
     let v = db.view("v").unwrap();
-    let key = db.cursor(v).next().unwrap().0.id_key();
+    let key = db.cursor(v).next().unwrap().0.clone();
     let count = |db: &Database| db.store(v).get(&key).map(|(_, count)| count);
     assert_eq!(count(&db), Some(2), "two b-witnesses");
 

@@ -101,6 +101,44 @@ fn consistent(db: &Database) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The invariant of a published delta, checked on every view of a
+/// commit just sealed on `db`: one run in document order with at most
+/// one entry per key and side, a key's loss first and ID-only, every
+/// other entry the post-commit stored tuple, the weights the report's
+/// derivation counters — and a frame that decodes to the same delta.
+fn run_invariant(db: &Database, commit: &Commit) -> Result<(), TestCaseError> {
+    use std::sync::Arc;
+    use xivm::core::snapshot::{decode_event, encode_event};
+    for h in db.handles() {
+        let (report, name) = (commit.report(h), db.name(h));
+        let rows = report.delta.rows();
+        let in_order = |w: &[(xivm::algebra::Tuple, i64)]| {
+            w[0].0.doc_cmp(&w[1].0).then((w[0].1 >= 0).cmp(&(w[1].1 >= 0))).is_lt()
+        };
+        prop_assert!(rows.windows(2).all(in_order), "{name}: not a canonical run: {rows:?}");
+        for (tuple, weight) in rows {
+            if *weight < 0 {
+                let bare = tuple.fields().iter().all(|f| f.val.is_none() && f.cont.is_none());
+                prop_assert!(bare, "{name}: a negative entry carries text: {tuple:?}");
+            } else {
+                let stored = db.store(h).get(tuple).map(|(t, _)| t);
+                prop_assert_eq!(stored, Some(tuple), "{}: not the post-commit tuple", name);
+            }
+        }
+        let sum = |sign: i64| rows.iter().map(|(_, w)| (w * sign).max(0) as u64).sum::<u64>();
+        prop_assert_eq!(sum(1), report.derivations_added, "{}: Σ positive", name);
+        prop_assert_eq!(sum(-1), report.derivations_removed, "{}: Σ |negative|", name);
+
+        let delta = Arc::clone(&report.delta);
+        let event = FeedEvent::Delta(DeltaEvent { seq: commit.seq, folded: None, delta });
+        match decode_event(&encode_event(&event)) {
+            Ok(FeedEvent::Delta(back)) => prop_assert_eq!(&back.delta, &report.delta),
+            other => prop_assert!(false, "{name}: the delta's frame decoded to {other:?}"),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -289,12 +327,13 @@ proptest! {
     /// update scripts — applied one by one or batched, at any worker
     /// count — replaying each commit's per-view deltas onto snapshots
     /// of the pre-commit stores reproduces the post-commit stores
-    /// *exactly* (keys, derivation counts and stored text), and the
-    /// commit sequence numbers are gapless.
+    /// *exactly* (keys, derivation counts and stored text), the commit
+    /// sequence numbers are gapless, and every delta is a canonical run
+    /// ([`run_invariant`]) — under every snowcap strategy.
     #[test]
     fn deltas_replay_to_store(
         doc_xml in arb_doc(),
-        view_idxs in prop::collection::vec(0usize..PATTERNS.len(), 1..4),
+        view_idxs in prop::collection::vec((0usize..PATTERNS.len(), 0usize..3), 1..4),
         script in prop::collection::vec(
             (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
             1..4
@@ -303,8 +342,8 @@ proptest! {
         batched in prop::bool::ANY,
     ) {
         let mut b = Database::builder().document(doc_xml.as_str()).workers(workers);
-        for (i, &p) in view_idxs.iter().enumerate() {
-            b = b.view(format!("v{i}"), PATTERNS[p]);
+        for (i, &(p, strategy)) in view_idxs.iter().enumerate() {
+            b = b.view_with_strategy(format!("v{i}"), PATTERNS[p], STRATEGIES[strategy]);
         }
         let mut db = b.build().unwrap();
         // replicas start as snapshots; from here on only deltas flow
@@ -322,11 +361,13 @@ proptest! {
             let commit = tx.commit().unwrap();
             expected_commits += 1;
             prop_assert_eq!(commit.seq, expected_commits);
+            run_invariant(&db, &commit)?;
         } else {
             for &(t, f, is_insert) in &script {
                 let commit = db.apply(script_statement(t, f, is_insert).as_str()).unwrap();
                 expected_commits += 1;
                 prop_assert_eq!(commit.seq, expected_commits, "gapless sequence numbers");
+                run_invariant(&db, &commit)?;
                 // per-commit replay of the commit's own deltas
                 for (replica, h) in replicas.iter_mut().zip(db.handles()) {
                     commit.delta(h).replay(replica);
@@ -563,19 +604,21 @@ proptest! {
         consistent(&db)?;
         let del = db.apply(format!("delete //{label}[@sl=\"k\"]").as_str()).unwrap();
 
-        let weights = |entries: Vec<(Vec<DeweyId>, u64)>| {
-            let mut sums = std::collections::HashMap::new();
-            for (key, count) in entries {
-                *sums.entry(key).or_insert(0u64) += count;
-            }
-            sums
+        // A run's derivation changes of one sign, as IDs and |weight|,
+        // in the run's order (its weight-0 text entries aside).
+        let signed = |d: &ViewDelta, sign: i64| -> Vec<(Vec<DeweyId>, i64)> {
+            let of_sign = d.rows().iter().filter(|(_, w)| w * sign > 0);
+            of_sign.map(|(t, w)| (t.id_key(), w * sign)).collect()
         };
-        let gained = |d: &ViewDelta| weights(d.inserted.iter().map(|(t, c)| (t.id_key(), *c)).collect());
-        let lost = |d: &ViewDelta| weights(d.removed.clone());
         for (h, snapshot) in db.handles().into_iter().zip(&before) {
             let (i, d) = (ins.report(h), del.report(h));
-            prop_assert_eq!(lost(&d.delta), gained(&i.delta), "{}: −Δ(k+1) ≠ +Δ(k)", db.name(h));
-            prop_assert_eq!(gained(&d.delta), lost(&i.delta), "{}: +Δ(k+1) ≠ −Δ(k)", db.name(h));
+            let (lost, gained) = (-1, 1);
+            prop_assert_eq!(
+                signed(&d.delta, lost), signed(&i.delta, gained), "{}: −Δ(k+1) ≠ +Δ(k)", db.name(h)
+            );
+            prop_assert_eq!(
+                signed(&d.delta, gained), signed(&i.delta, lost), "{}: +Δ(k+1) ≠ −Δ(k)", db.name(h)
+            );
             prop_assert_eq!(d.derivations_removed, i.derivations_added);
             prop_assert_eq!(d.derivations_added, i.derivations_removed);
             prop_assert!(
@@ -828,17 +871,21 @@ fn multiple_subscribers_on_one_view_share_the_delta_allocation() {
     let s2 = db.subscribe(ab);
     let other = db.subscribe(ac);
 
-    db.apply("insert <b/> into /a/c").unwrap();
-    db.apply_pipelined(["insert <c><b/></c> into /a", "delete /a/f/b"]).unwrap();
+    let mut commits = vec![db.apply("insert <b/> into /a/c").unwrap()];
+    commits.extend(db.apply_pipelined(["insert <c><b/></c> into /a", "delete /a/f/b"]).unwrap());
 
     let (e1, e2, eo) = (db.drain(&s1), db.drain(&s2), db.drain(&other));
     assert_eq!(e1.len(), 3);
     assert_eq!(e2.len(), 3);
-    for (a, b) in e1.iter().zip(&e2) {
-        assert_eq!(a.seq, b.seq);
+    for ((a, b), commit) in e1.iter().zip(&e2).zip(&commits) {
+        assert_eq!((a.seq, b.seq), (commit.seq, commit.seq));
         assert!(
             std::sync::Arc::ptr_eq(&a.delta, &b.delta),
             "same-view subscribers must share one allocation per commit"
+        );
+        assert!(
+            std::sync::Arc::ptr_eq(&a.delta, &commit.report(ab).delta),
+            "and it is the commit's own delta, not a copy of it"
         );
     }
     for (a, o) in e1.iter().zip(&eo) {
