@@ -23,7 +23,6 @@ use std::collections::BTreeSet;
 use xivm_algebra::Axis;
 use xivm_pattern::xpath::{LocationPath, XNodeTest, XPred, XStep};
 use xivm_update::UpdateStatement;
-use xivm_xml::Document;
 
 /// Label abstraction of one location path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -406,27 +405,13 @@ fn destroy_closure(schema: Option<&SchemaInfo>, finals: &Labels) -> Labels {
     }
 }
 
-/// Labels of an XML forest: parse it into a scratch document with the
-/// same parser `apply_pul` uses and collect element and attribute
-/// labels (text nodes affect only the enclosing string values, which
-/// `touch_scope` covers). `Any` when the forest does not parse — the
-/// runtime will reject it anyway, but the verdict must stay sound.
+/// Labels of an XML forest: its element and attribute labels, read by
+/// the parser `apply_pul` uses without building a document (text nodes
+/// affect only the enclosing string values, which `touch_scope`
+/// covers). `Any` when the forest does not parse — the runtime will
+/// reject it anyway, but the verdict must stay sound.
 fn forest_labels(xml: &str) -> Labels {
-    let mut scratch = Document::new();
-    let Ok(root) = scratch.set_root("xivm-forest-scan") else { return Labels::Any };
-    let Ok(roots) = xivm_xml::parser::parse_forest_into(&mut scratch, root, xml) else {
-        return Labels::Any;
-    };
-    let mut out = BTreeSet::new();
-    for r in roots {
-        for n in scratch.descendants_or_self(r) {
-            let name = scratch.label_name(scratch.node(n).label);
-            if name != xivm_xml::TEXT_LABEL {
-                out.insert(name.to_owned());
-            }
-        }
-    }
-    Labels::Set(out)
+    xivm_xml::parser::forest_labels(xml).map_or(Labels::Any, Labels::Set)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the substrate operators: Dewey ID
 //! operations, the stack-based structural join, XPath target finding,
 //! full pattern evaluation, the application of a bulk PUL, the
-//! engine's half of a point commit and the view store's share of it.
+//! engine's half of a point commit, the view store's share of it and
+//! what a held document image adds to its apply.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::cell::RefCell;
@@ -10,7 +11,7 @@ use xivm_algebra::{structural_join, Axis, Column, Field, Relation, Schema, Tuple
 use xivm_core::{MaintenanceEngine, SnowcapStrategy, ViewDelta, ViewStore};
 use xivm_pattern::compile::view_tuples;
 use xivm_pattern::xpath::{eval_path, parse_xpath};
-use xivm_update::{apply_pul, compute_pul, UpdateStatement};
+use xivm_update::{apply_pul, compute_pul, Pul, UpdateStatement};
 use xivm_xmark::{generate_sized, view_pattern};
 use xivm_xml::{dewey::Step, DeweyId, Document, LabelId};
 
@@ -196,6 +197,50 @@ fn store_patches(c: &mut Criterion) {
     c.bench_function("store/scan_2MB", |b| b.iter(|| scan(black_box(&store.borrow()))));
 }
 
+/// The image tax at the document layer: that point commit's PULs —
+/// the bidder in, then out, alternating — applied to the 2 MB document
+/// alone and under a held `Document::clone`, whose every touched chunk
+/// and list the apply then copies; the clone, and the drop of an image
+/// the document has moved away from, each timed by itself.
+fn image_tax(c: &mut Criterion) {
+    let doc = generate_sized(2 << 20);
+    let (insert, delete) = middle_bidder(&doc);
+    // The document, the image held of it, and whether the bidder is in.
+    let state = RefCell::new((doc, None::<Document>, false));
+    // The alternation's next PUL over the document as it stands, the
+    // old image let go and — to `hold` — a new one taken.
+    let next = |hold: bool| {
+        let (doc, image, present) = &mut *state.borrow_mut();
+        *image = None;
+        let pul = compute_pul(doc, if *present { &delete } else { &insert });
+        assert_eq!(pul.len(), 1, "one bidder");
+        *present = !*present;
+        *image = hold.then(|| doc.clone());
+        pul
+    };
+    let apply = |pul: Pul| {
+        let applied = apply_pul(&mut state.borrow_mut().0, &pul).unwrap();
+        applied.inserted.len() + applied.deleted.len()
+    };
+    c.bench_function("image/apply_free_2MB", |b| {
+        b.iter_batched(|| next(false), apply, BatchSize::SmallInput)
+    });
+    c.bench_function("image/apply_held_2MB", |b| {
+        b.iter_batched(|| next(true), apply, BatchSize::SmallInput)
+    });
+    c.bench_function("image/clone_2MB", |b| {
+        let clone = |_| {
+            let (doc, image, _) = &mut *state.borrow_mut();
+            *image = Some(doc.clone());
+        };
+        b.iter_batched(|| state.borrow_mut().1 = None, clone, BatchSize::SmallInput)
+    });
+    c.bench_function("image/drop_held_2MB", |b| {
+        let drop_image = |_| state.borrow_mut().1 = None;
+        b.iter_batched(|| apply(next(true)), drop_image, BatchSize::SmallInput)
+    });
+}
+
 criterion_group!(
     benches,
     dewey_ops,
@@ -204,6 +249,7 @@ criterion_group!(
     chained_joins,
     apply_puls,
     lattice_upkeep,
-    store_patches
+    store_patches,
+    image_tax
 );
 criterion_main!(benches);

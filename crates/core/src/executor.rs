@@ -18,6 +18,20 @@
 //! chain for longer ones — see
 //! [`MultiViewEngine::propagate_window`](crate::multiview::MultiViewEngine)),
 //! the deferred fold, the deferred markers and the seal.
+//!
+//! # Who may take a document image
+//!
+//! A [`Document`] clone held while `apply_pul` runs makes the apply
+//! copy every chunk, list and — for a new label — interner it touches,
+//! so a commit takes one only for a reader: a deferred batch *being
+//! opened* reads the pre-image as its base (one commit per refresh
+//! cycle; the image moves into the batch), a chained window's pool jobs
+//! read the chain, a refresh replays over a clone of its base, the
+//! async service keeps its recovery pre-image
+//! ([`crate::service`]), and a snapshot is the caller's. Nothing else
+//! — not a live window's planning, not a batch already open — holds an
+//! image or the live interner across an apply; `executor::tests` pins
+//! that as counts.
 
 use crate::commit::Commit;
 use crate::database::{DbInner, DeferredPending, Statics};
@@ -271,23 +285,26 @@ impl DbInner {
     ) -> Result<(), Error> {
         let DbInner { doc, views, commits, subs, statics, deferred, pending, .. } = self;
         // A refresh replays its batch over the view's last-maintained
-        // image, not the live document; nothing pending, no commit.
-        let mut image = match window {
+        // image, not the live document — whose interner the image
+        // adopts, the one thing a window holds of the live document
+        // past planning; nothing pending, no commit.
+        let (mut image, live_labels) = match window {
             [Batch::Refresh(view)] => match &pending[*view] {
-                Some(p) => Some(p.base.clone()),
+                Some(p) => (Some(p.base.clone()), Some(doc.shared_labels())),
                 None => return Ok(()),
             },
-            _ => None,
+            _ => (None, None),
         };
-        // The pre-image exists to seed a deferred batch's base; a
-        // document clone held across `apply_pul` makes every touched
-        // chunk copy-on-write, so it is taken only then.
-        let want_pre = image.is_none() && deferred.contains(&true);
-        let live_labels = doc.shared_labels();
+        // A live window folds its PULs into the deferred views'
+        // batches, and only a batch it opens reads a pre-image.
+        // Decided once, here: a step whose PUL is empty leaves its slot
+        // empty for the step after it.
+        let folds = image.is_none() && deferred.contains(&true);
+        let seeds = folds && deferred.iter().zip(&*pending).any(|(d, p)| *d && p.is_none());
         let (done, outcome) = views.propagate_window(
             image.as_mut().unwrap_or(&mut *doc),
             window.len(),
-            want_pre,
+            seeds,
             |k, doc| {
                 let mut plan = match window[k] {
                     Batch::Single(stmt) => plan_single(statics.as_ref(), doc, stmt),
@@ -297,13 +314,14 @@ impl DbInner {
                     }
                     Batch::Refresh(view) => {
                         let p = pending[view].as_ref().expect("checked above: a batch is pending");
-                        plan_refresh(p, &live_labels, view, deferred.len())
+                        let live = live_labels.as_ref().expect("taken with the image");
+                        plan_refresh(p, live, view, deferred.len())
                     }
                 };
                 // A live step leaves the deferred views out (and folds
                 // its PUL into their batches below); a refresh step is
                 // already masked to exactly its view.
-                if want_pre {
+                if folds {
                     plan.skip = Some(merge_skip(plan.skip, deferred));
                 }
                 Ok(plan)
@@ -330,7 +348,7 @@ impl DbInner {
                     }
                 }
             } else {
-                fold_pending(pending, deferred, pre.as_ref(), &plan.pul, *commits + 1);
+                fold_pending(pending, deferred, pre, &plan.pul, *commits + 1);
                 mark_deferred(&mut reports, deferred);
             }
             let commit = seal_commit(commits, subs, names, &plan, reports);
@@ -358,18 +376,20 @@ fn merge_skip<'a>(statik: Option<Cow<'a, [bool]>>, deferred: &'a [bool]) -> Cow<
 
 /// Folds one sealing commit's PUL into every deferred view's pending
 /// batch (Figure 16 aggregation over the batch's base document).
-/// `pre` is the document *before* this commit's PUL applied; `seq`
-/// the sequence number the commit is sealing as.
+/// `pre` is the document *before* this commit's PUL applied — which
+/// the last batch opened here keeps as its base — and `seq` the
+/// sequence number the commit is sealing as.
 fn fold_pending(
     pending: &mut [Option<DeferredPending>],
     deferred: &[bool],
-    pre: Option<&Document>,
+    mut pre: Option<Document>,
     pul: &Pul,
     seq: u64,
 ) {
     if pul.is_empty() {
         return; // nothing to replay; the view's store is already right
     }
+    let mut empty = pending.iter().zip(deferred).filter(|(p, d)| **d && p.is_none()).count();
     for (slot, _) in pending.iter_mut().zip(deferred).filter(|(_, d)| **d) {
         match slot {
             Some(p) => {
@@ -378,8 +398,13 @@ fn fold_pending(
                 p.commits += 1;
             }
             None => {
+                empty -= 1;
+                let base = if empty == 0 { pre.take() } else { pre.clone() };
                 *slot = Some(DeferredPending {
-                    base: pre.expect("a view is deferred => pre-image captured").clone(),
+                    base: base.expect(
+                        "a slot empties and a view defers only between windows, so this \
+                         window found the slot empty as it opened and kept its pre-images",
+                    ),
                     pul: pul.clone(),
                     naive_ops: pul.len(),
                     first_seq: seq,
@@ -422,4 +447,247 @@ fn seal_commit(
     );
     subs.record(&commit);
     commit
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::database::{Database, MaintenanceMode};
+    use crate::view_store::ViewStore;
+    use xivm_pattern::compile::view_tuples;
+
+    const FIG12: &str = "<a><c><b/><b/></c><f><c><b/></c><b/></f></a>";
+    const VIEWS: [(&str, &str); 3] = [
+        ("ab", "//a{id}//b{id}"),
+        ("acb", "//a{id}[//c{id}]//b{id}"),
+        ("cb", "//c{id}//b{id,val}"),
+    ];
+    const SCRIPT: [&str; 4] = [
+        "insert <b/> into /a/c",
+        "insert <c><b/></c> into /a/f",
+        "delete /a/f/c/b",
+        "insert <b>x</b> into /a",
+    ];
+    /// A statement whose target path selects nothing: an empty PUL,
+    /// which seals a commit and leaves every deferred slot as it was.
+    const NOTHING: &str = "delete //zzz";
+
+    /// The three views over Figure 12, those named in `deferred`
+    /// declared deferred.
+    fn db(deferred: &[&str], pipeline: usize) -> Database {
+        let mut b = Database::builder().document(FIG12).workers(1).pipeline(pipeline);
+        for (name, pattern) in VIEWS {
+            b = if deferred.contains(&name) {
+                b.view_deferred(name, pattern)
+            } else {
+                b.view(name, pattern)
+            };
+        }
+        b.build().unwrap()
+    }
+
+    /// Deferred refresh equals immediate maintenance: once everything
+    /// pending is refreshed, `deferred` holds the document and the
+    /// stores of `immediate` — which ran the same statements with no
+    /// view deferred — and both are sound.
+    fn assert_converged(deferred: &mut Database, immediate: &Database) {
+        deferred.refresh_all().unwrap();
+        assert_eq!(deferred.serialize(), immediate.serialize());
+        deferred.document().check_invariants().unwrap();
+        for (d, i) in deferred.handles().into_iter().zip(immediate.handles()) {
+            let name = deferred.name(d);
+            assert_eq!(deferred.deferred_commits(d), 0, "{name}");
+            assert!(deferred.store(d).same_content_as(immediate.store(i)), "{name}");
+            let pattern = deferred.pattern(d);
+            let fresh = ViewStore::from_counted(pattern, view_tuples(deferred.document(), pattern));
+            assert!(deferred.store(d).same_content_as(&fresh), "{name} vs recomputation");
+        }
+    }
+
+    /// A view deferred between two commits has an empty slot the next
+    /// window must seed — whatever the other slots hold.
+    #[test]
+    fn a_view_deferred_between_two_commits_seeds_its_batch() {
+        let (mut deferred, mut immediate) = (db(&["acb"], 1), db(&[], 1));
+        let cb = deferred.view("cb").unwrap();
+        for (k, s) in SCRIPT.into_iter().enumerate() {
+            if k == 2 {
+                assert!(deferred.set_maintenance(cb, MaintenanceMode::Deferred).unwrap().is_none());
+            }
+            deferred.apply(s).unwrap();
+            immediate.apply(s).unwrap();
+        }
+        assert_eq!(deferred.deferred_commits(deferred.view("acb").unwrap()), 4);
+        assert_eq!(deferred.deferred_commits(cb), 2);
+        assert_converged(&mut deferred, &immediate);
+    }
+
+    /// The first commit after a refresh targets nothing: its empty PUL
+    /// leaves the slot empty, and the commit after it — another window,
+    /// or a later step of the same one — still finds a pre-image.
+    #[test]
+    fn an_empty_commit_after_a_refresh_leaves_the_seeding_to_the_next() {
+        for pipeline in [1, 4] {
+            let (mut deferred, mut immediate) = (db(&["acb"], pipeline), db(&[], 1));
+            let acb = deferred.view("acb").unwrap();
+            deferred.apply(SCRIPT[0]).unwrap();
+            deferred.refresh(acb).unwrap().expect("a batch was pending");
+            // One window at depth 4, four windows of one at depth 1.
+            let after = [NOTHING, SCRIPT[1], NOTHING, SCRIPT[2]];
+            assert_eq!(deferred.apply_pipelined(after).unwrap().len(), 4);
+            assert_eq!(deferred.deferred_commits(acb), 2, "the empty commits fold nothing");
+            // …and as separate `apply` calls.
+            deferred.refresh(acb).unwrap().expect("a batch was pending");
+            deferred.apply(NOTHING).unwrap();
+            assert_eq!(deferred.deferred_commits(acb), 0);
+            deferred.apply(SCRIPT[3]).unwrap();
+            for s in [SCRIPT[0], NOTHING, SCRIPT[1], NOTHING, SCRIPT[2], NOTHING, SCRIPT[3]] {
+                immediate.apply(s).unwrap();
+            }
+            assert_converged(&mut deferred, &immediate);
+        }
+    }
+
+    /// Two deferred views refreshed at different times: one slot empty,
+    /// one full, in either order, and both empty at once (the image is
+    /// shared out to every batch the commit opens).
+    #[test]
+    fn deferred_views_refreshed_at_different_times_each_keep_their_base() {
+        for pipeline in [1, 4] {
+            let (mut deferred, mut immediate) = (db(&["acb", "cb"], pipeline), db(&[], 1));
+            let (acb, cb) = (deferred.view("acb").unwrap(), deferred.view("cb").unwrap());
+            deferred.apply(SCRIPT[0]).unwrap();
+            deferred.refresh(acb).unwrap().expect("a batch was pending");
+            deferred.apply_pipelined([SCRIPT[1], SCRIPT[2]]).unwrap();
+            assert_eq!((deferred.deferred_commits(acb), deferred.deferred_commits(cb)), (2, 3));
+            deferred.refresh(cb).unwrap().expect("a batch was pending");
+            deferred.apply(SCRIPT[3]).unwrap();
+            assert_eq!((deferred.deferred_commits(acb), deferred.deferred_commits(cb)), (3, 1));
+            for s in SCRIPT {
+                immediate.apply(s).unwrap();
+            }
+            assert_converged(&mut deferred, &immediate);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The image tax, as counts (`xivm_xml::arena::work`: debug builds)
+    // -----------------------------------------------------------------
+
+    /// `<site>` over `n` people of four nodes each — several arena
+    /// chunks — under one immediate view, and `deferred` if asked.
+    #[cfg(debug_assertions)]
+    fn people(n: usize, deferred: bool, pipeline: usize) -> Database {
+        let people: String = (0..n).map(|i| format!("<p id=\"p{i}\"><n>x</n></p>")).collect();
+        let b = Database::builder()
+            .document(format!("<site>{people}</site>").as_str())
+            .workers(1)
+            .pipeline(pipeline)
+            .view("pn", "//p{id}//n{id,val}");
+        let b = if deferred { b.view_deferred("late", "//site{id}//n{id}") } else { b };
+        b.build().unwrap()
+    }
+
+    #[cfg(debug_assertions)]
+    fn into(person: usize, forest: &str) -> String {
+        format!("insert {forest} into /site/p[@id=\"p{person}\"]")
+    }
+
+    /// (a) Nothing reads an image — no snapshot, no deferred view, no
+    /// subscription — so a commit takes none and copies nothing for
+    /// one: inserts (known labels and new ones), deletes, a
+    /// transaction.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_commit_nobody_watches_takes_no_image_and_copies_nothing() {
+        use xivm_xml::arena::work::{self, Copies};
+        let mut db = people(400, false, 1);
+        work::take();
+        for s in [
+            into(7, "<n>y</n>"),
+            into(300, "<fresh k=\"1\"><n>z</n></fresh>"),
+            "delete /site/p[@id=\"p7\"]/n".to_owned(),
+            "delete /site/p[@id=\"p300\"]".to_owned(),
+        ] {
+            db.apply(s.as_str()).unwrap();
+            assert_eq!(work::take(), Copies::default(), "{s}");
+        }
+        db.transaction().statement(into(8, "<n>y</n>").as_str()).commit().unwrap();
+        assert_eq!(work::take(), Copies::default(), "a transaction of one statement");
+        db.document().check_invariants().unwrap();
+    }
+
+    /// (b) Under one deferred view, only the commit that opens a batch
+    /// takes an image — one, which the batch keeps as its base — and
+    /// every later one copies exactly the chunks the base still shared
+    /// with the live document.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn only_the_commit_that_opens_a_deferred_batch_takes_an_image() {
+        use xivm_xml::arena::work;
+        let mut db = people(400, true, 1);
+        let late = db.view("late").unwrap();
+        for round in 0..2 {
+            work::take();
+            db.apply(into(7, "<n>y</n>").as_str()).unwrap();
+            assert_eq!(work::take().clones, 1, "round {round}: the pre-image, moved into the base");
+            let shared = |db: &Database| {
+                let base = &db.pending[late.index()].as_ref().expect("a batch is open").base;
+                base.shared_chunks_with(db.document())
+            };
+            let mut copied = Vec::new();
+            for person in [7, 7, 300, 200, 200] {
+                let before = shared(&db);
+                db.apply(into(person, "<n>y</n>").as_str()).unwrap();
+                let counts = work::take();
+                assert_eq!(counts.clones, 0, "round {round}, p{person}");
+                assert_eq!(
+                    counts.chunks as usize,
+                    before - shared(&db),
+                    "round {round}, p{person}"
+                );
+                copied.push(counts.chunks);
+            }
+            assert_eq!(copied, [0, 0, 1, 1, 0], "round {round}: one chunk per new place");
+            assert_eq!(db.deferred_commits(late), 6);
+            db.refresh(late).unwrap().expect("a batch was pending");
+        }
+    }
+
+    /// (c) A chained window of four freezes five images — each step's
+    /// post-image is the next one's pre-image — and a deferred view
+    /// adds none: the batch's base is one of the five.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_window_of_four_freezes_five_images() {
+        use xivm_xml::arena::work;
+        for deferred in [false, true] {
+            let mut db = people(400, deferred, 4);
+            let window = [7, 100, 200, 300].map(|p| into(p, "<n>y</n>"));
+            work::take();
+            assert_eq!(db.apply_pipelined(window.iter().map(String::as_str)).unwrap().len(), 4);
+            assert_eq!(work::take().clones, 5, "deferred: {deferred}");
+        }
+    }
+
+    /// (d) Under a held image an insert whose labels all exist leaves
+    /// the interner shared; one that interns new labels copies it once.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_interner_is_copied_only_for_a_new_label_under_a_held_image() {
+        use std::sync::Arc;
+        use xivm_xml::arena::work;
+        let mut db = people(400, false, 1);
+        let held = db.snapshot();
+        let before = db.document().shared_labels();
+        work::take();
+        db.apply(into(7, "<n>y</n><p id=\"q\"/>").as_str()).unwrap();
+        assert!(Arc::ptr_eq(&before, &db.document().shared_labels()));
+        let counts = work::take();
+        assert_eq!(counts.interners, 0);
+        assert!(counts.chunks > 0 && counts.lists > 0, "the image is held: {counts:?}");
+        db.apply(into(7, "<fresh k=\"1\"><other/></fresh>").as_str()).unwrap();
+        assert!(!Arc::ptr_eq(&before, &db.document().shared_labels()));
+        assert_eq!(work::take().interners, 1, "three new labels, one copy");
+        assert_eq!(held.document().label_id("fresh"), None);
+    }
 }

@@ -10,6 +10,11 @@
 //! [`MultiViewEngine`] is the low-level multi-view host; the
 //! [`crate::database::Database`] façade owns one (together with the
 //! document) and is the recommended entry point.
+//!
+//! Of the document images a commit may hold (`executor.rs` has
+//! the whole discipline) this module takes two kinds: the pre-image of
+//! an in-place step, only when the caller has a reader for it, and the
+//! `len + 1` images of a chained window, which its pool jobs read.
 
 use crate::engine::{MaintenanceEngine, UpdateReport};
 use crate::error::Error;
@@ -35,14 +40,11 @@ pub(crate) struct Propagated<'a> {
     pub(crate) reports: Vec<UpdateReport>,
 }
 
-/// One applied commit of a chained window: its plan, the frozen
-/// copy-on-write document images from *before* and *after* its apply
-/// (what its `prepare` and its `finish` read), the apply result, and
-/// the calling thread's apply time.
+/// One applied commit of a chained window: its plan, the apply
+/// result, and the calling thread's apply time. Its `prepare` and its
+/// `finish` read the window's images before and after it.
 struct WindowStep<'a> {
     plan: CommitPlan<'a>,
-    pre: Document,
-    post: Document,
     apply_res: ApplyResult,
     t_apply: Duration,
 }
@@ -273,9 +275,11 @@ impl MultiViewEngine {
     ///   copy-on-write).
     /// * **chain** (`len >= 2`): the calling thread applies the PULs
     ///   one after another, freezing a cheap O(chunks) copy-on-write
-    ///   image (see [`xivm_xml::Arena`]) before and after every apply;
-    ///   then one pool job per view chains `prepare(pre₍ⱼ₎)` →
-    ///   `finish(post₍ⱼ₎)` through every commit *j* in order — commit
+    ///   image (see [`xivm_xml::Arena`]) before the first apply and
+    ///   after every one — `len + 1` images, step *j*'s post-image
+    ///   being step *j + 1*'s pre-image; then one pool job per view
+    ///   chains `prepare(pre₍ⱼ₎)` → `finish(post₍ⱼ₎)` through every
+    ///   commit *j* in order — commit
     ///   *k+len−1*'s prepare on one view overlaps commit *k*'s finish
     ///   on another, and each view still sees the commits strictly in
     ///   order.
@@ -327,18 +331,19 @@ impl MultiViewEngine {
         }
         // Phase A (calling thread): each step's prepare must read the
         // document *before* its own apply and its finish the document
-        // *after* — both versions stay alive, frozen, for the pool.
+        // *after* — `images[k]` and `images[k + 1]`, frozen for the
+        // pool: one step's post-image is the next one's pre-image.
         let mut steps: Vec<WindowStep<'a>> = Vec::with_capacity(len);
+        let mut images: Vec<Document> = Vec::with_capacity(len + 1);
         let mut outcome = Ok(());
         for k in 0..len {
             let step = plan(k, doc).and_then(|plan| {
                 if let Some(labels) = &plan.labels {
                     doc.adopt_labels(labels);
                 }
-                let pre = doc.clone();
+                images.push(doc.clone());
                 let (apply_res, t_apply) = timed(|| apply_pul(doc, &plan.pul));
-                let apply_res = apply_res?;
-                Ok(WindowStep { plan, pre, post: doc.clone(), apply_res, t_apply })
+                Ok(WindowStep { plan, apply_res: apply_res?, t_apply })
             });
             match step {
                 Ok(step) => steps.push(step),
@@ -348,17 +353,19 @@ impl MultiViewEngine {
                 }
             }
         }
+        images.push(doc.clone());
         // Phase B (pool): each view walks the whole window in commit
         // order; a masked step never touches the view's engine.
         let chains = per_view(runtime, self.views.iter_mut(), |i, engine| {
             steps
                 .iter()
-                .map(|step| {
+                .zip(images.windows(2))
+                .map(|(step, around)| {
                     if masked(step.plan.skip.as_deref(), i) {
                         return UpdateReport::skipped();
                     }
-                    let prepared = engine.prepare(&step.pre, &step.plan.pul);
-                    engine.finish(&step.post, &step.apply_res, prepared)
+                    let prepared = engine.prepare(&around[0], &step.plan.pul);
+                    engine.finish(&around[1], &step.apply_res, prepared)
                 })
                 .collect::<Vec<_>>()
         });
@@ -366,11 +373,12 @@ impl MultiViewEngine {
         let mut chains: Vec<_> = chains.into_iter().map(Vec::into_iter).collect();
         let done = steps
             .into_iter()
-            .map(|step| {
+            .zip(images)
+            .map(|(step, pre)| {
                 let mut reports: Vec<UpdateReport> =
                     chains.iter_mut().map(|c| c.next().expect("a report per commit")).collect();
                 reports.iter_mut().for_each(|r| stamp(r, step.plan.t_find, step.t_apply));
-                Propagated { plan: step.plan, pre: want_pre.then_some(step.pre), reports }
+                Propagated { plan: step.plan, pre: want_pre.then_some(pre), reports }
             })
             .collect();
         (done, outcome)

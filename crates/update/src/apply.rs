@@ -19,8 +19,8 @@
 
 use crate::pul::{AtomicOp, Pul};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use xivm_pattern::NodeTest;
+use xivm_xml::label::LabelMap;
 use xivm_xml::{DeweyId, Document, LabelId, NodeId, NodeKind, Step, XmlError};
 
 /// The nodes one applied PUL inserted (or deleted), bucketed by label.
@@ -28,12 +28,12 @@ use xivm_xml::{DeweyId, Document, LabelId, NodeId, NodeKind, Step, XmlError};
 /// text nodes share one pseudo-label), so each bucket has one kind.
 #[derive(Debug, Clone)]
 pub struct LabelBuckets<T> {
-    buckets: HashMap<LabelId, (NodeKind, Vec<T>)>,
+    buckets: LabelMap<(NodeKind, Vec<T>)>,
 }
 
 impl<T> Default for LabelBuckets<T> {
     fn default() -> Self {
-        LabelBuckets { buckets: HashMap::new() }
+        LabelBuckets { buckets: LabelMap::default() }
     }
 }
 
@@ -368,7 +368,7 @@ mod tests {
         d.check_invariants().unwrap();
         let lists = |d: &Document| {
             let all = d.descendants_or_self(d.root().unwrap());
-            let rank: HashMap<NodeId, usize> =
+            let rank: std::collections::HashMap<NodeId, usize> =
                 all.iter().enumerate().map(|(i, &n)| (n, i)).collect();
             let ranks = |nodes: &[NodeId]| {
                 let mut ranks: Vec<usize> = nodes.iter().map(|n| rank[n]).collect();

@@ -22,6 +22,45 @@ const CHUNK_BITS: usize = 8;
 pub const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: usize = CHUNK_SIZE - 1;
 
+/// What the calling thread copied for document images, for the tests
+/// that pin "a commit pays for an image only where something reads it"
+/// as counts instead of timings. Debug builds only, like
+/// [`crate::canonical::work`].
+#[cfg(debug_assertions)]
+pub mod work {
+    use std::cell::Cell;
+
+    /// Copies since the last [`take`].
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct Copies {
+        /// [`Document`](crate::Document) images taken (`clone`).
+        pub clones: u64,
+        /// Arena chunks copied because an image still shared them…
+        pub chunks: u64,
+        /// …and the nodes deep-cloned with them.
+        pub nodes: u64,
+        /// Canonical and value lists copied for the same reason…
+        pub lists: u64,
+        /// …and their elements.
+        pub list_elements: u64,
+        /// Copies of the label interner.
+        pub interners: u64,
+    }
+
+    thread_local!(static COUNTS: Cell<Copies> = Cell::default());
+
+    /// The counts since the last call, reset to zero.
+    pub fn take() -> Copies {
+        COUNTS.take()
+    }
+
+    pub(crate) fn count(add: impl FnOnce(&mut Copies)) {
+        let mut counts = COUNTS.get();
+        add(&mut counts);
+        COUNTS.set(counts);
+    }
+}
+
 /// A growable node store with O(chunks) clone and per-chunk
 /// copy-on-write (see the module docs).
 #[derive(Debug, Default, Clone)]
@@ -58,7 +97,17 @@ impl Arena {
     #[inline]
     pub fn get_mut(&mut self, index: usize) -> &mut Node {
         assert!(index < self.len, "node index {index} out of bounds ({})", self.len);
-        &mut Arc::make_mut(&mut self.chunks[index >> CHUNK_BITS])[index & CHUNK_MASK]
+        &mut Self::own(&mut self.chunks[index >> CHUNK_BITS])[index & CHUNK_MASK]
+    }
+
+    /// The chunk for writing: copied first if an image shares it.
+    #[inline]
+    fn own(chunk: &mut Arc<Vec<Node>>) -> &mut Vec<Node> {
+        #[cfg(debug_assertions)]
+        if Arc::strong_count(chunk) > 1 {
+            work::count(|c| (c.chunks, c.nodes) = (c.chunks + 1, c.nodes + chunk.len() as u64));
+        }
+        Arc::make_mut(chunk)
     }
 
     /// Appends a node, returning its id. Appending into a shared tail
@@ -71,7 +120,7 @@ impl Arena {
             chunk.push(node);
             self.chunks.push(Arc::new(chunk));
         } else {
-            Arc::make_mut(self.chunks.last_mut().expect("tail chunk exists")).push(node);
+            Self::own(self.chunks.last_mut().expect("tail chunk exists")).push(node);
         }
         self.len += 1;
         id

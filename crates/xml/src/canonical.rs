@@ -258,6 +258,18 @@ fn compact<T: Copy>(list: &mut Vec<T>, mut next: impl FnMut(&[T], usize) -> Opti
     }
 }
 
+/// A list for writing: copied first if an image shares it.
+fn own<T: Clone>(list: &mut Arc<T>, _len: impl Fn(&T) -> usize) -> &mut T {
+    #[cfg(debug_assertions)]
+    if Arc::strong_count(list) > 1 {
+        let elements = _len(list) as u64;
+        crate::arena::work::count(|c| {
+            (c.lists, c.list_elements) = (c.lists + 1, c.list_elements + elements)
+        });
+    }
+    Arc::make_mut(list)
+}
+
 impl CanonicalIndex {
     pub fn new() -> Self {
         Self::default()
@@ -271,7 +283,7 @@ impl CanonicalIndex {
     /// a list shared with a snapshot is copied first, once.
     pub fn edit(&mut self, nodes: &Arena, label: LabelId, removed: Runs<'_>, inserted: Runs<'_>) {
         let Some(&any) = removed.0.first().or(inserted.0.first()) else { return };
-        let order = Arc::make_mut(self.map.entry(label).or_default());
+        let order = own(self.map.entry(label).or_default(), Vec::len);
         let (mut resorted_out, mut resorted_in) = Default::default();
         let gone = in_order(nodes, removed, &mut resorted_out);
         let new = in_order(nodes, inserted, &mut resorted_in);
@@ -314,7 +326,7 @@ impl CanonicalIndex {
         }
 
         if nodes[any.index()].kind == NodeKind::Attribute {
-            let values = Arc::make_mut(self.values.entry(label).or_default());
+            let values = own(self.values.entry(label).or_default(), |v| v.entries.len());
             values.remove(removed.0.iter().map(|&n| entry_of(nodes, n)));
             values.extend(inserted.0.iter().map(|&n| entry_of(nodes, n)));
         }

@@ -4,11 +4,10 @@ use crate::arena::Arena;
 use crate::canonical::{doc_cmp, CanonicalIndex};
 use crate::dewey::{between_ord, next_sibling_ord, DeweyId};
 use crate::error::XmlError;
-use crate::label::{attribute_label, LabelId, LabelInterner, TEXT_LABEL};
+use crate::label::{attribute_label, LabelId, LabelInterner, LabelMap, TEXT_LABEL};
 use crate::node::{Node, NodeId, NodeKind};
 use crate::serializer::serialize_node;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -17,7 +16,9 @@ use std::sync::Arc;
 ///
 /// Deletion marks nodes dead rather than reclaiming arena slots, so
 /// `NodeId`s held by in-flight operations never dangle; all traversal
-/// APIs skip dead nodes.
+/// APIs skip dead nodes. A dead slot keeps what places it — kind,
+/// label, ordinal, parent link — and gives its payload (child list,
+/// text) back, so a later copy of its chunk does not copy the dead.
 ///
 /// `Clone` is a cheap copy-on-write snapshot, not a deep copy: the
 /// node [`Arena`] shares its chunks and the [`CanonicalIndex`] its
@@ -25,12 +26,25 @@ use std::sync::Arc;
 /// later mutation copies only the chunks and lists it touches. A held
 /// clone is a frozen, immutable image of the document at clone time —
 /// the MVCC substrate behind database snapshots and deep pipelining.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Document {
     nodes: Arena,
     root: Option<NodeId>,
     labels: Arc<LabelInterner>,
     canonical: CanonicalIndex,
+}
+
+impl Clone for Document {
+    fn clone(&self) -> Self {
+        #[cfg(debug_assertions)]
+        crate::arena::work::count(|c| c.clones += 1);
+        Document {
+            nodes: self.nodes.clone(),
+            root: self.root,
+            labels: Arc::clone(&self.labels),
+            canonical: self.canonical.clone(),
+        }
+    }
 }
 
 impl Document {
@@ -66,7 +80,17 @@ impl Document {
         self.nodes.chunk_count()
     }
 
+    /// The id of `name`, interned if new. A known name is answered
+    /// from the shared interner; only a new one copies an interner an
+    /// image still holds.
     pub fn intern_label(&mut self, name: &str) -> LabelId {
+        if let Some(id) = self.labels.get(name) {
+            return id;
+        }
+        #[cfg(debug_assertions)]
+        if Arc::strong_count(&self.labels) > 1 {
+            crate::arena::work::count(|c| c.interners += 1);
+        }
         Arc::make_mut(&mut self.labels).intern(name)
     }
 
@@ -249,7 +273,7 @@ impl Document {
     /// See [`DocumentEdit`].
     pub fn edit(&mut self) -> DocumentEdit<'_> {
         let first_created = self.nodes.len();
-        DocumentEdit { doc: self, first_created, forests: Vec::new(), lists: HashMap::new() }
+        DocumentEdit { doc: self, first_created, forests: Vec::new(), lists: LabelMap::default() }
     }
 
     /// Removes the subtree rooted at `node`: an edit of one subtree
@@ -433,13 +457,17 @@ impl Document {
     }
 
     /// Verifies internal invariants (parent/child symmetry, ordinal
-    /// monotonicity, canonical-index consistency). Used by tests.
+    /// monotonicity, canonical-index consistency, dead nodes hold no
+    /// children and no text). Used by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, n) in self.nodes.iter().enumerate() {
+            let id = NodeId(i as u32);
             if !n.alive {
+                if !n.children.is_empty() || n.text.is_some() {
+                    return Err(format!("dead node {id:?} still holds children or text"));
+                }
                 continue;
             }
-            let id = NodeId(i as u32);
             let mut last_ord = 0u64;
             for &c in &n.children {
                 let cn = &self.nodes[c.index()];
@@ -508,7 +536,7 @@ pub struct DocumentEdit<'a> {
     /// By label: the old nodes removed so far, one run per subtree;
     /// and, once the edit ends, the created nodes still alive, one run
     /// per forest.
-    lists: HashMap<LabelId, [RunList; 2]>,
+    lists: LabelMap<[RunList; 2]>,
 }
 
 impl Deref for DocumentEdit<'_> {
@@ -532,17 +560,13 @@ impl DocumentEdit<'_> {
     /// Removes the subtree rooted at `node` (XQuery Update `delete`
     /// semantics: all descendants go too). Returns the removed nodes in
     /// pre-order, which is exactly what Δ⁻ extraction needs; their
-    /// parent links, labels and ordinals stay readable.
+    /// kinds, labels, ordinals and parent links stay readable, their
+    /// child lists and text do not: a dead node holds neither (an
+    /// attribute keeps its text until the edit ends, for the value
+    /// list to drop it by).
     pub fn remove_subtree(&mut self, node: NodeId) -> Result<Vec<NodeId>, XmlError> {
         self.doc.check_alive(node)?;
-        let removed = self.doc.descendants_or_self(node);
         let nodes = &mut self.doc.nodes;
-        // Pre-order is document order: each label's share of the
-        // subtree is one run of that label's canonical relation. Nodes
-        // this edit created are in no list yet, and never will be.
-        for &n in removed.iter().filter(|n| n.index() < self.first_created) {
-            self.lists.entry(nodes[n.index()].label).or_default()[0].push(node.index(), n);
-        }
         match nodes[node.index()].parent {
             Some(p) => {
                 let ord = nodes[node.index()].ord;
@@ -554,8 +578,24 @@ impl DocumentEdit<'_> {
             }
             None => self.doc.root = None,
         }
-        for &n in &removed {
-            nodes.get_mut(n.index()).alive = false;
+        // One walk, one write per node: it dies, gives its payload
+        // back — its child list to the walk — and is noted for its
+        // label's list. Pre-order is document order: each label's share
+        // of the subtree is one run of that label's canonical relation.
+        // Nodes this edit created are in no list yet, and never will be.
+        let (mut removed, mut stack) = (Vec::new(), vec![node]);
+        while let Some(n) = stack.pop() {
+            let dead = nodes.get_mut(n.index());
+            dead.alive = false;
+            if dead.kind != NodeKind::Attribute {
+                dead.text = None;
+            }
+            // reversed, so that pop yields document order
+            stack.extend(std::mem::take(&mut dead.children).into_iter().rev());
+            if n.index() < self.first_created {
+                self.lists.entry(dead.label).or_default()[0].push(node.index(), n);
+            }
+            removed.push(n);
         }
         Ok(removed)
     }
@@ -563,19 +603,27 @@ impl DocumentEdit<'_> {
 
 /// Settles the lists: per label, the runs removed and the runs — one
 /// per forest — of the created nodes still alive, in one
-/// [`CanonicalIndex::edit`]. Panics only where the index was already
-/// broken.
+/// [`CanonicalIndex::edit`], which is the last reader of a removed
+/// attribute's text. Panics only where the index was already broken.
 impl Drop for DocumentEdit<'_> {
     fn drop(&mut self) {
         let Document { nodes, canonical, .. } = &mut *self.doc;
         let ends = self.forests.iter().skip(1).copied().chain([nodes.len()]);
         for (&start, end) in self.forests.iter().zip(ends) {
-            for (i, node) in (start..end).map(|i| (i, &nodes[i])).filter(|(_, n)| n.alive) {
-                self.lists.entry(node.label).or_default()[1].push(start, NodeId(i as u32));
+            for i in start..end {
+                let node = &nodes[i];
+                if node.alive {
+                    self.lists.entry(node.label).or_default()[1].push(start, NodeId(i as u32));
+                } else if node.text.is_some() {
+                    nodes.get_mut(i).text = None; // an attribute this edit made and removed
+                }
             }
         }
         for (&label, [gone, new]) in &self.lists {
             canonical.edit(nodes, label, (&gone.nodes, &gone.starts), (&new.nodes, &new.starts));
+            if gone.nodes.first().is_some_and(|n| nodes[n.index()].kind == NodeKind::Attribute) {
+                gone.nodes.iter().for_each(|n| nodes.get_mut(n.index()).text = None);
+            }
         }
     }
 }
@@ -644,6 +692,48 @@ mod tests {
         let b_label = d.label_id("b").unwrap();
         assert_eq!(d.canonical_nodes(b_label).len(), 1);
         d.check_invariants().unwrap();
+    }
+
+    /// A dead node is empty and nobody reads it: a subtree with
+    /// attributes removed under a held image leaves slots that hold only
+    /// what places them, the image keeps the old text, the value index
+    /// loses exactly the removed entries, and what is left reads like a
+    /// from-scratch parse of it.
+    #[test]
+    fn a_removed_subtree_gives_its_payload_back_under_a_held_image() {
+        const OLD: &str = "<r><p id=\"1\"><n k=\"x\">one</n></p>\
+            <p id=\"2\"><n k=\"x\">two</n><q id=\"1\"/></p><p id=\"3\"/></r>";
+        let mut d = crate::parse_document(OLD).unwrap();
+        let image = d.clone();
+        let removed = d.remove_subtree(d.canonical_nodes_named("p")[1]).unwrap();
+        assert_eq!(removed.len(), 7, "p @id n @k #text q @id");
+        for &n in &removed {
+            let (dead, was) = (d.node(n), image.node(n));
+            assert!(!dead.alive && dead.children.is_empty() && dead.text.is_none(), "{n:?}");
+            assert_eq!(
+                (dead.kind, dead.label, dead.ord, dead.parent),
+                (was.kind, was.label, was.ord, was.parent)
+            );
+        }
+        d.check_invariants().unwrap();
+        image.check_invariants().unwrap();
+        assert_eq!(crate::serialize_document(&image), OLD);
+        for (name, value, before, after) in
+            [("@id", "1", 2, 1), ("@id", "2", 1, 0), ("@id", "3", 1, 1), ("@k", "x", 2, 1)]
+        {
+            let label = d.label_id(name).unwrap();
+            assert_eq!(image.attributes_with_value(label, value).len(), before, "{name}={value}");
+            assert_eq!(d.attributes_with_value(label, value).len(), after, "{name}={value}");
+        }
+        let left = crate::serialize_document(&d);
+        assert_eq!(left, "<r><p id=\"1\"><n k=\"x\">one</n></p><p id=\"3\"/></r>");
+        let fresh = crate::parse_document(&left).unwrap();
+        let relation = |doc: &Document, name: &str| -> Vec<String> {
+            doc.canonical_nodes_named(name).iter().map(|&n| doc.content(n)).collect()
+        };
+        for (_, name) in d.labels().iter() {
+            assert_eq!(relation(&d, name), relation(&fresh, name), "{name}");
+        }
     }
 
     #[test]
@@ -759,7 +849,7 @@ mod tests {
             "w",
         ];
         let by_label = |d: &Document, nodes: &[NodeId]| {
-            let mut runs: HashMap<LabelId, Vec<NodeId>> = HashMap::new();
+            let mut runs: LabelMap<Vec<NodeId>> = LabelMap::default();
             nodes.iter().for_each(|&n| runs.entry(d.nodes[n.index()].label).or_default().push(n));
             runs
         };

@@ -6,6 +6,7 @@
 //! with a single integer comparison.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Pseudo-label under which all text nodes are registered.
 pub const TEXT_LABEL: &str = "#text";
@@ -19,6 +20,31 @@ impl LabelId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// A map keyed by [`LabelId`], for the maps a walk writes once per
+/// node (an edit's per-label runs, a PUL's Δ buckets). Ids are dense
+/// and handed out by the interner — input chooses names, never ids —
+/// so one multiplication spreads them; SipHash here was a tenth of a
+/// bulk delete's apply.
+pub type LabelMap<V> = HashMap<LabelId, V, BuildHasherDefault<LabelHasher>>;
+
+/// The hasher of [`LabelMap`]: Fibonacci hashing of the id.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct LabelHasher(u64);
+
+impl Hasher for LabelHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(self.0 as u32 ^ u32::from(b)));
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
@@ -99,6 +125,15 @@ mod tests {
         assert_eq!(li.name(id), "open_auction");
         assert_eq!(li.get("open_auction"), Some(id));
         assert_eq!(li.get("missing"), None);
+    }
+
+    #[test]
+    fn a_label_map_keeps_dense_ids_apart() {
+        let mut map: LabelMap<u32> = LabelMap::default();
+        (0..1000).for_each(|i| *map.entry(LabelId(i)).or_default() += i);
+        (0..1000).for_each(|i| *map.entry(LabelId(i)).or_default() += 1);
+        assert_eq!(map.len(), 1000);
+        assert!((0..1000).all(|i| map[&LabelId(i)] == i + 1));
     }
 
     #[test]

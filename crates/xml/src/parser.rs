@@ -10,6 +10,7 @@ use crate::document::{Document, DocumentEdit};
 use crate::error::XmlError;
 use crate::label::{attribute_label, TEXT_LABEL};
 use crate::node::{NodeId, NodeKind};
+use std::collections::BTreeSet;
 
 /// Parses `input` into a fresh [`Document`].
 pub fn parse_document(input: &str) -> Result<Document, XmlError> {
@@ -58,8 +59,18 @@ pub fn check_forest(input: &str) -> Result<(), XmlError> {
     Parser::new(input).forest(&mut (), ()).map(drop)
 }
 
+/// The labels of the forest's elements and attributes (those spelled
+/// as interned, `@name`), for exactly the forests [`parse_forest_into`]
+/// accepts: the same parser over a sink that keeps the names and builds
+/// no node. What the static analyzer reads of an insertion.
+pub fn forest_labels(input: &str) -> Result<BTreeSet<String>, XmlError> {
+    let mut labels = BTreeSet::new();
+    Parser::new(input).forest(&mut labels, ())?;
+    Ok(labels)
+}
+
 /// Where the parser puts what it recognizes: a [`Document`] builds
-/// nodes, `()` builds nothing.
+/// nodes, `()` builds nothing, a set of names keeps the labels.
 trait Sink {
     type Node: Copy;
     fn element(&mut self, parent: Option<Self::Node>, tag: &str) -> Result<Self::Node, XmlError>;
@@ -100,6 +111,26 @@ impl Sink for () {
     }
 
     fn attribute(&mut self, _: (), _: &str, _: &str) -> Result<(), XmlError> {
+        Ok(())
+    }
+
+    fn text(&mut self, _: (), _: &str) -> Result<Option<()>, XmlError> {
+        Ok(None)
+    }
+}
+
+impl Sink for BTreeSet<String> {
+    type Node = ();
+
+    fn element(&mut self, _: Option<()>, tag: &str) -> Result<(), XmlError> {
+        if !self.contains(tag) {
+            self.insert(tag.to_owned());
+        }
+        Ok(())
+    }
+
+    fn attribute(&mut self, _: (), name: &str, _: &str) -> Result<(), XmlError> {
+        self.insert(attribute_label(name));
         Ok(())
     }
 
@@ -429,10 +460,14 @@ mod tests {
         assert_eq!(d.dewey(b), b_id);
     }
 
+    /// The two building-nothing sinks against the document sink: the
+    /// same verdict, and — where the forest parses — the labels of
+    /// exactly the nodes it would build, text nodes aside.
     #[test]
-    fn check_forest_agrees_with_parsing_the_forest() {
+    fn check_forest_and_forest_labels_agree_with_parsing_the_forest() {
         let forests = [
             "<x/><y><z a=\"1\">t &amp; u</z></y>",
+            "<x a=\"1\"><x b=\"2\" a=\"3\"/>t</x>",
             "top <b/> level",
             "<!-- c --><?pi?><x/>",
             "",
@@ -446,8 +481,13 @@ mod tests {
         for forest in forests {
             let mut d = parse_document("<a/>").unwrap();
             let root = d.root().unwrap();
-            let built = parse_forest_into(&mut d, root, forest).map(drop);
-            assert_eq!(check_forest(forest), built, "{forest:?}");
+            let built = parse_forest_into(&mut d, root, forest).map(|_| {
+                let made = d.descendants_or_self(root).into_iter().skip(1);
+                let labels = made.map(|n| d.label_name(d.node(n).label).to_owned());
+                labels.filter(|l| l != TEXT_LABEL).collect::<BTreeSet<_>>()
+            });
+            assert_eq!(check_forest(forest), built.clone().map(drop), "{forest:?}");
+            assert_eq!(forest_labels(forest), built, "{forest:?}");
         }
     }
 

@@ -517,3 +517,60 @@ fn panic_in_recovery_poisons_the_service_instead_of_hanging() {
 
     fault::disarm_all();
 }
+
+/// `service::recover` drops the pending deferred batches (the
+/// recomputed stores absorbed them), so the commits after a recovered
+/// panic — through the service and through `apply` alike, an empty one
+/// among them — must seed a new batch with a pre-image of their own:
+/// refreshed, the deferred view equals its immediate twin.
+#[test]
+fn commits_after_a_recovered_panic_seed_a_new_deferred_batch() {
+    let _guard = fault::exclusive();
+    fault::disarm_all();
+
+    for pipeline in [1, 4] {
+        let mut db = Database::builder()
+            .document(DOC)
+            .workers(2)
+            .pipeline(pipeline)
+            .view_deferred(VIEWS[0].0, VIEWS[0].1)
+            .view(VIEWS[1].0, VIEWS[1].1)
+            .build()
+            .expect("fixture database");
+        let acb = db.view("acb").expect("view");
+        db.apply(stmt(0).as_str()).expect("base commit");
+        assert_eq!(db.deferred_commits(acb), 1);
+
+        fault::arm(fault::PREPARE_PANIC);
+        let failing = db.apply_async([stmt(1)]).expect("submit failing");
+        assert!(matches!(failing.wait(), Err(Error::Panic(_))));
+        assert!(matches!(db.flush(), Err(Error::Panic(_))));
+        assert_eq!(db.deferred_commits(acb), 0, "recovery absorbed the batch");
+        assert_consistent(&db, "after recovery");
+
+        let nothing = "delete //zzz".to_owned();
+        let after = [nothing, stmt(2), stmt(3)];
+        let tickets: Vec<Ticket> =
+            after[..2].iter().map(|s| db.apply_async([s.as_str()]).expect("submit")).collect();
+        db.flush().expect("clean tail");
+        assert!(tickets.iter().all(|t| t.wait().is_ok()));
+        db.apply(after[2].as_str()).expect("synchronous commit");
+        assert_eq!(db.deferred_commits(acb), 2, "the empty commit folds nothing");
+
+        db.refresh(acb).expect("refresh").expect("a batch was pending");
+        db.document().check_invariants().expect("document invariants");
+        assert_consistent(&db, "after the refresh");
+        let mut replay = build_db(1, 1);
+        for s in [stmt(0)].iter().chain(&after) {
+            replay.apply(s.as_str()).expect("replay statement");
+        }
+        assert_eq!(db.last_seq(), replay.last_seq() + 1, "the sealed commits and the refresh");
+        assert_eq!(db.serialize(), replay.serialize());
+        for (name, _) in VIEWS {
+            let (h, rh) = (db.view(name).expect("view"), replay.view(name).expect("view"));
+            assert!(db.store(h).same_content_as(replay.store(rh)), "view {name} vs replay");
+        }
+    }
+
+    fault::disarm_all();
+}
