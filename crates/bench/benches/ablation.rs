@@ -55,8 +55,7 @@ fn run_pruned(doc: &Document, pruning: bool, reps: usize) -> (f64, usize) {
     for _ in 0..reps {
         let mut d = doc.clone();
         let mut engine = MaintenanceEngine::new(&d, pattern.clone(), SnowcapStrategy::MinimalChain);
-        engine.use_delta_pruning = pruning;
-        engine.use_id_pruning = pruning;
+        engine.dynamic_pruning = pruning;
         let report = engine.apply_statement(&mut d, &stmt).expect("propagation succeeds");
         total += ms(report.timings.maintenance_total());
         terms = report.delete_prune.after_id_reasoning;

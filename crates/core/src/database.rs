@@ -378,20 +378,12 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Sets the pipeline depth for
-    /// [`Database::apply_pipelined`](DbInner::apply_pipelined): the
-    /// number of commits allowed in flight. 1 (the default) disables
-    /// pipelining; any depth >= 2 runs windows of up to `depth`
-    /// commits on copy-on-write document snapshots, overlapping each
-    /// commit's propagation with up to `depth - 1` successors, one
-    /// chained pool job per view. An explicit setting overrides the
-    /// `XIVM_PIPELINE` environment variable; the value is clamped
-    /// into `1..=`[`crate::runtime::MAX_PIPELINE_DEPTH`] (see
-    /// [`crate::runtime::clamp_pipeline`]) and
-    /// [`Database::pipeline_depth`](DbInner::pipeline_depth) reports
-    /// the clamped, effective
-    /// depth. Results — commits, stores, subscription streams — are
-    /// bit-identical at every depth.
+    /// Sets the pipeline depth: how many queued
+    /// [`Database::apply_async`] submissions the commit service seals
+    /// as one window, under one recovery image (see
+    /// [`crate::service`]). 1 is the default and 0 means 1. Results —
+    /// commits, stores, subscription streams — are bit-identical at
+    /// every depth.
     pub fn pipeline(mut self, depth: usize) -> Self {
         self.pipeline = Some(depth);
         self
@@ -464,7 +456,7 @@ impl DatabaseBuilder {
                 doc,
                 commits: 0,
                 subs: SubscriptionRegistry::default(),
-                pipeline: crate::runtime::effective_pipeline(self.pipeline),
+                pipeline: self.pipeline.unwrap_or(1).max(1),
                 sub_capacity: effective_sub_capacity(self.sub_capacity),
                 statics,
                 deferred,
@@ -522,7 +514,7 @@ pub struct DbInner {
     /// sequence number.
     pub(crate) commits: u64,
     pub(crate) subs: SubscriptionRegistry,
-    /// Pipeline depth for [`Self::apply_pipelined`] (1 = off).
+    /// Async submissions sealed per service window (≥ 1).
     pub(crate) pipeline: usize,
     /// Default queue bound for [`Database::subscribe`] (`None` =
     /// unbounded), from `subscription_capacity` / `XIVM_SUB_CAPACITY`.
@@ -802,22 +794,16 @@ impl DbInner {
         self.views.workers()
     }
 
-    /// The *effective* pipeline depth [`Self::apply_pipelined`] runs
-    /// at (builder's `.pipeline(depth)`, else `XIVM_PIPELINE`, else
-    /// 1 = off — clamped into
-    /// `1..=`[`crate::runtime::MAX_PIPELINE_DEPTH`]). What this
-    /// reports is exactly what runs: an unachievable request is
-    /// clamped at configuration time, never silently ignored later.
+    /// The pipeline depth: async submissions sealed per service window
+    /// (the builder's `.pipeline(depth)`, else 1).
     pub fn pipeline_depth(&self) -> usize {
         self.pipeline
     }
 
-    /// Changes the pipeline depth (clamped into
-    /// `1..=`[`crate::runtime::MAX_PIPELINE_DEPTH`], see
-    /// [`crate::runtime::clamp_pipeline`]). Purely a scheduling knob:
-    /// results are bit-identical at every depth.
+    /// Changes the pipeline depth (0 means 1). Purely a scheduling
+    /// knob: results are bit-identical at every depth.
     pub fn set_pipeline(&mut self, depth: usize) {
-        self.pipeline = crate::runtime::clamp_pipeline(depth);
+        self.pipeline = depth.max(1);
     }
 
     /// Threads ever spawned by this database's propagation runtime —
@@ -879,32 +865,19 @@ impl DbInner {
 
     /// Applies a stream of statements as *individual commits* — one
     /// [`Commit`] per statement, exactly as a loop of [`Self::apply`]
-    /// would produce — with up to [`Self::pipeline_depth`] consecutive
-    /// commits in flight ([`DatabaseBuilder::pipeline`] /
-    /// `XIVM_PIPELINE`). The stream is cut into windows of that many
-    /// statements and each window goes to the same commit executor
-    /// every other front-end uses: within a window the document
-    /// advances commit by commit on the calling thread, freezing cheap
-    /// copy-on-write snapshots around every apply, and the window's
-    /// propagations drain on the worker pool as one chained job per
-    /// view — commit *k + depth − 1*'s `prepare` on one view overlaps
-    /// commit *k*'s `finish` on another (see [`crate::runtime`] and
-    /// [`crate::multiview::MultiViewEngine`]).
-    ///
-    /// Pipelining is purely a scheduling mode: commits (sequence
-    /// numbers, counters, per-view deltas), stores and subscription
-    /// streams are bit-identical to the sequential pass — commits are
-    /// sealed strictly in order, so changefeeds stay gapless. A window
-    /// of one — depth 1, a one-statement batch, the odd statement at
-    /// the end — *is* [`Self::apply`]'s in-place pass, and within a
-    /// longer window each view still sees the commits strictly in
-    /// order.
+    /// would produce. The stream goes to the same commit executor every
+    /// other front-end uses as one window, which seals it step by step:
+    /// each statement is planned against the live document, propagated
+    /// in place and sealed before the next is planned. Commits
+    /// (sequence numbers, counters, per-view deltas), stores and
+    /// subscription streams are bit-identical to the loop of `apply`,
+    /// and changefeeds stay gapless.
     ///
     /// The whole batch is parsed and validated up front: a malformed
     /// statement rejects everything before anything is applied (no
     /// commit, no event). An apply error mid-stream (not reachable
     /// through the validated statement forms, but the document layer
-    /// is fallible) stops the pipeline: commits sealed before the
+    /// is fallible) stops the stream: commits sealed before the
     /// failure *remain applied* — their sequence numbers are consumed
     /// and their events already fanned out, observable via
     /// [`Self::last_seq`] and any subscription feed — but their
@@ -922,9 +895,7 @@ impl DbInner {
             .collect::<Result<_, _>>()?;
         let batches: Vec<Batch<'_>> = stmts.iter().map(Batch::Single).collect();
         let mut commits = Vec::with_capacity(stmts.len());
-        for window in batches.chunks(self.pipeline) {
-            self.seal_window(window, |_, _, commit| commits.push(commit))?;
-        }
+        self.seal_window(&batches, |_, _, commit| commits.push(commit))?;
         Ok(commits)
     }
 

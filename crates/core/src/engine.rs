@@ -127,9 +127,8 @@ pub struct MaintenanceEngine {
     /// needs them (not at creation: most of a catalog's views are never
     /// reached by a given workload).
     term_tables: Option<TermTables>,
-    /// Ablation switches for the dynamic prunings (Section 6.8).
-    pub use_delta_pruning: bool,
-    pub use_id_pruning: bool,
+    /// Ablation switch for the dynamic prunings (Section 6.8).
+    pub dynamic_pruning: bool,
 }
 
 impl MaintenanceEngine {
@@ -142,8 +141,7 @@ impl MaintenanceEngine {
             pattern,
             strategy,
             term_tables: None,
-            use_delta_pruning: true,
-            use_id_pruning: true,
+            dynamic_pruning: true,
         }
     }
 
@@ -358,8 +356,7 @@ impl MaintenanceEngine {
         let full_order = &self.pattern.preorder();
 
         let mut ctx = TermContext::new(doc, &self.pattern, apply_res, &flips);
-        ctx.use_delta_pruning = self.use_delta_pruning;
-        ctx.use_id_pruning = self.use_id_pruning;
+        ctx.dynamic_pruning = self.dynamic_pruning;
         let minus = DeltaSide::Minus { tables: &dminus };
         let plus = DeltaSide::Plus { tables: &dplus, targets: &apply_res.insert_targets };
 

@@ -1,23 +1,22 @@
 //! The one commit path: planners turn a submission into a
 //! [`CommitPlan`], and one executor — [`DbInner::seal_window`] — seals
-//! a window of plans.
+//! a window of plans, one step at a time.
 //!
 //! Every front-end is a window: [`apply`](DbInner::apply) and
 //! [`Transaction::commit`](crate::database::Transaction::commit) seal
-//! a window of one, [`apply_pipelined`](DbInner::apply_pipelined)
-//! chunks its statements at the pipeline depth, the async service
-//! hands over drained queue chunks whatever their submissions' shapes,
-//! and [`refresh`](DbInner::refresh) is a one-step window over the
-//! deferred view's last-maintained image. The planners
-//! ([`plan_single`], [`plan_sequential`], [`plan_independent`],
-//! [`plan_refresh`]) own the paper's §5 optimizer — Figure 16
-//! aggregation, Figure 15 conflicts, Figure 14 reduction — and the
-//! static skip verdicts; everything after planning happens here and
-//! only here: the static ∨ deferred mask merge, the pre-image, the
-//! propagation (in place for a window of one, the copy-on-write image
-//! chain for longer ones — see
-//! [`MultiViewEngine::propagate_window`](crate::multiview::MultiViewEngine)),
-//! the deferred fold, the deferred markers and the seal.
+//! a window of one, [`apply_pipelined`](DbInner::apply_pipelined) one
+//! window of all its statements, the async service one window per
+//! drained queue chunk whatever its submissions' shapes, and
+//! [`refresh`](DbInner::refresh) a one-step window over the deferred
+//! view's last-maintained image. The planners ([`plan_single`],
+//! [`plan_sequential`], [`plan_independent`], [`plan_refresh`]) own
+//! the paper's §5 optimizer — Figure 16 aggregation, Figure 15
+//! conflicts, Figure 14 reduction — and the static skip verdicts;
+//! everything after planning happens here and only here: the static ∨
+//! deferred mask merge, the pre-image, the in-place propagation
+//! ([`MultiViewEngine::propagate`](crate::multiview::MultiViewEngine)),
+//! the deferred fold, the deferred markers and the seal. Step *k + 1*
+//! is planned only after step *k* has sealed.
 //!
 //! # Who may take a document image
 //!
@@ -25,13 +24,12 @@
 //! copy every chunk, list and — for a new label — interner it touches,
 //! so a commit takes one only for a reader: a deferred batch *being
 //! opened* reads the pre-image as its base (one commit per refresh
-//! cycle; the image moves into the batch), a chained window's pool jobs
-//! read the chain, a refresh replays over a clone of its base, the
-//! async service keeps its recovery pre-image
+//! cycle; the image moves into the batch), a refresh replays over a
+//! clone of its base, the async service keeps its recovery pre-image
 //! ([`crate::service`]), and a snapshot is the caller's. Nothing else
-//! — not a live window's planning, not a batch already open — holds an
-//! image or the live interner across an apply; `executor::tests` pins
-//! that as counts.
+//! — not a step's planning, not a batch already open — holds an image
+//! or the live interner across an apply; `executor::tests` pins that
+//! as counts.
 
 use crate::commit::Commit;
 use crate::database::{DbInner, DeferredPending, Statics};
@@ -272,64 +270,52 @@ impl DbInner {
     /// static and deferred masks, captures a pre-image, propagates,
     /// folds deferred batches and seals.
     ///
-    /// A step that fails to plan (a conflict) or to apply stops the
-    /// window: the steps before it still seal, nothing after it runs,
-    /// and the error comes back. A window of one therefore either
-    /// seals its commit or leaves the database untouched (up to
-    /// `apply_pul`'s own non-atomicity, which statement validation
-    /// rules out).
+    /// One step per batch, in order: plan against the live document,
+    /// propagate in place, fold or mark the deferred views, seal,
+    /// `on_sealed` — step *k + 1* is planned only after step *k* has
+    /// sealed. A step that fails to plan (a conflict) or to apply
+    /// stops the window: the steps before it have sealed, nothing
+    /// after it runs, and the error comes back. A window of one
+    /// therefore either seals its commit or leaves the database
+    /// untouched (up to `apply_pul`'s own non-atomicity, which
+    /// statement validation rules out).
     pub(crate) fn seal_window(
         &mut self,
         window: &[Batch<'_>],
         mut on_sealed: impl FnMut(usize, Pul, Commit),
     ) -> Result<(), Error> {
         let DbInner { doc, views, commits, subs, statics, deferred, pending, .. } = self;
-        // A refresh replays its batch over the view's last-maintained
-        // image, not the live document — whose interner the image
-        // adopts, the one thing a window holds of the live document
-        // past planning; nothing pending, no commit.
-        let (mut image, live_labels) = match window {
-            [Batch::Refresh(view)] => match &pending[*view] {
-                Some(p) => (Some(p.base.clone()), Some(doc.shared_labels())),
-                None => return Ok(()),
-            },
-            _ => (None, None),
-        };
-        // A live window folds its PULs into the deferred views'
-        // batches, and only a batch it opens reads a pre-image.
-        // Decided once, here: a step whose PUL is empty leaves its slot
-        // empty for the step after it.
-        let folds = image.is_none() && deferred.contains(&true);
-        let seeds = folds && deferred.iter().zip(&*pending).any(|(d, p)| *d && p.is_none());
-        let (done, outcome) = views.propagate_window(
-            image.as_mut().unwrap_or(&mut *doc),
-            window.len(),
-            seeds,
-            |k, doc| {
-                let mut plan = match window[k] {
-                    Batch::Single(stmt) => plan_single(statics.as_ref(), doc, stmt),
-                    Batch::Sequential(stmts) => plan_sequential(statics.as_ref(), doc, stmts)?,
-                    Batch::Independent(stmts, policy) => {
-                        plan_independent(statics, doc, stmts, policy)?
-                    }
-                    Batch::Refresh(view) => {
-                        let p = pending[view].as_ref().expect("checked above: a batch is pending");
-                        let live = live_labels.as_ref().expect("taken with the image");
-                        plan_refresh(p, live, view, deferred.len())
-                    }
-                };
-                // A live step leaves the deferred views out (and folds
-                // its PUL into their batches below); a refresh step is
-                // already masked to exactly its view.
-                if folds {
-                    plan.skip = Some(merge_skip(plan.skip, deferred));
+        let defers = deferred.contains(&true);
+        for (k, batch) in window.iter().enumerate() {
+            // A refresh replays its batch over the view's last-maintained
+            // image, not the live document — whose interner the image
+            // adopts; nothing pending, no commit.
+            let mut image = None;
+            let mut plan = match *batch {
+                Batch::Single(stmt) => plan_single(statics.as_ref(), doc, stmt),
+                Batch::Sequential(stmts) => plan_sequential(statics.as_ref(), doc, stmts)?,
+                Batch::Independent(stmts, policy) => plan_independent(statics, doc, stmts, policy)?,
+                Batch::Refresh(view) => {
+                    let Some(p) = &pending[view] else { continue };
+                    image = Some(p.base.clone());
+                    plan_refresh(p, &doc.shared_labels(), view, deferred.len())
                 }
-                Ok(plan)
-            },
-        );
-        let names = views.shared_names();
-        for (k, Propagated { plan, pre, mut reports }) in done.into_iter().enumerate() {
-            if let Batch::Refresh(view) = window[k] {
+            };
+            // A live step leaves the deferred views out (and folds its
+            // PUL into their batches below); a refresh step is already
+            // masked to exactly its view.
+            let folds = image.is_none() && defers;
+            if folds {
+                plan.skip = Some(merge_skip(plan.skip, deferred));
+            }
+            // Only a batch this step opens reads its pre-image: a
+            // deferred slot empty now, and a PUL to fold into it.
+            let seeds = folds
+                && !plan.pul.is_empty()
+                && deferred.iter().zip(&*pending).any(|(d, p)| *d && p.is_none());
+            let target = image.as_mut().unwrap_or(&mut *doc);
+            let Propagated { plan, pre, mut reports } = views.propagate(target, plan, seeds)?;
+            if let Batch::Refresh(view) = *batch {
                 // Transaction equivalence (Section 5): replaying the
                 // aggregated batch over the base must reconstruct the
                 // live document bit-identically, Dewey assignment
@@ -351,10 +337,10 @@ impl DbInner {
                 fold_pending(pending, deferred, pre, &plan.pul, *commits + 1);
                 mark_deferred(&mut reports, deferred);
             }
-            let commit = seal_commit(commits, subs, names, &plan, reports);
+            let commit = seal_commit(commits, subs, views.shared_names(), &plan, reports);
             on_sealed(k, plan.pul.into_owned(), commit);
         }
-        outcome
+        Ok(())
     }
 }
 
@@ -401,10 +387,7 @@ fn fold_pending(
                 empty -= 1;
                 let base = if empty == 0 { pre.take() } else { pre.clone() };
                 *slot = Some(DeferredPending {
-                    base: base.expect(
-                        "a slot empties and a view defers only between windows, so this \
-                         window found the slot empty as it opened and kept its pre-images",
-                    ),
+                    base: base.expect("the step took its pre-image: this slot was empty"),
                     pul: pul.clone(),
                     naive_ops: pul.len(),
                     first_seq: seq,
@@ -473,8 +456,8 @@ mod tests {
 
     /// The three views over Figure 12, those named in `deferred`
     /// declared deferred.
-    fn db(deferred: &[&str], pipeline: usize) -> Database {
-        let mut b = Database::builder().document(FIG12).workers(1).pipeline(pipeline);
+    fn db(deferred: &[&str]) -> Database {
+        let mut b = Database::builder().document(FIG12).workers(1);
         for (name, pattern) in VIEWS {
             b = if deferred.contains(&name) {
                 b.view_deferred(name, pattern)
@@ -504,10 +487,10 @@ mod tests {
     }
 
     /// A view deferred between two commits has an empty slot the next
-    /// window must seed — whatever the other slots hold.
+    /// step must seed — whatever the other slots hold.
     #[test]
     fn a_view_deferred_between_two_commits_seeds_its_batch() {
-        let (mut deferred, mut immediate) = (db(&["acb"], 1), db(&[], 1));
+        let (mut deferred, mut immediate) = (db(&["acb"]), db(&[]));
         let cb = deferred.view("cb").unwrap();
         for (k, s) in SCRIPT.into_iter().enumerate() {
             if k == 2 {
@@ -522,29 +505,27 @@ mod tests {
     }
 
     /// The first commit after a refresh targets nothing: its empty PUL
-    /// leaves the slot empty, and the commit after it — another window,
-    /// or a later step of the same one — still finds a pre-image.
+    /// leaves the slot empty, and the commit after it — a later step of
+    /// the same window, or another window — still finds a pre-image.
     #[test]
     fn an_empty_commit_after_a_refresh_leaves_the_seeding_to_the_next() {
-        for pipeline in [1, 4] {
-            let (mut deferred, mut immediate) = (db(&["acb"], pipeline), db(&[], 1));
-            let acb = deferred.view("acb").unwrap();
-            deferred.apply(SCRIPT[0]).unwrap();
-            deferred.refresh(acb).unwrap().expect("a batch was pending");
-            // One window at depth 4, four windows of one at depth 1.
-            let after = [NOTHING, SCRIPT[1], NOTHING, SCRIPT[2]];
-            assert_eq!(deferred.apply_pipelined(after).unwrap().len(), 4);
-            assert_eq!(deferred.deferred_commits(acb), 2, "the empty commits fold nothing");
-            // …and as separate `apply` calls.
-            deferred.refresh(acb).unwrap().expect("a batch was pending");
-            deferred.apply(NOTHING).unwrap();
-            assert_eq!(deferred.deferred_commits(acb), 0);
-            deferred.apply(SCRIPT[3]).unwrap();
-            for s in [SCRIPT[0], NOTHING, SCRIPT[1], NOTHING, SCRIPT[2], NOTHING, SCRIPT[3]] {
-                immediate.apply(s).unwrap();
-            }
-            assert_converged(&mut deferred, &immediate);
+        let (mut deferred, mut immediate) = (db(&["acb"]), db(&[]));
+        let acb = deferred.view("acb").unwrap();
+        deferred.apply(SCRIPT[0]).unwrap();
+        deferred.refresh(acb).unwrap().expect("a batch was pending");
+        // One window of four…
+        let after = [NOTHING, SCRIPT[1], NOTHING, SCRIPT[2]];
+        assert_eq!(deferred.apply_pipelined(after).unwrap().len(), 4);
+        assert_eq!(deferred.deferred_commits(acb), 2, "the empty commits fold nothing");
+        // …and separate `apply` calls.
+        deferred.refresh(acb).unwrap().expect("a batch was pending");
+        deferred.apply(NOTHING).unwrap();
+        assert_eq!(deferred.deferred_commits(acb), 0);
+        deferred.apply(SCRIPT[3]).unwrap();
+        for s in [SCRIPT[0], NOTHING, SCRIPT[1], NOTHING, SCRIPT[2], NOTHING, SCRIPT[3]] {
+            immediate.apply(s).unwrap();
         }
+        assert_converged(&mut deferred, &immediate);
     }
 
     /// Two deferred views refreshed at different times: one slot empty,
@@ -552,21 +533,19 @@ mod tests {
     /// shared out to every batch the commit opens).
     #[test]
     fn deferred_views_refreshed_at_different_times_each_keep_their_base() {
-        for pipeline in [1, 4] {
-            let (mut deferred, mut immediate) = (db(&["acb", "cb"], pipeline), db(&[], 1));
-            let (acb, cb) = (deferred.view("acb").unwrap(), deferred.view("cb").unwrap());
-            deferred.apply(SCRIPT[0]).unwrap();
-            deferred.refresh(acb).unwrap().expect("a batch was pending");
-            deferred.apply_pipelined([SCRIPT[1], SCRIPT[2]]).unwrap();
-            assert_eq!((deferred.deferred_commits(acb), deferred.deferred_commits(cb)), (2, 3));
-            deferred.refresh(cb).unwrap().expect("a batch was pending");
-            deferred.apply(SCRIPT[3]).unwrap();
-            assert_eq!((deferred.deferred_commits(acb), deferred.deferred_commits(cb)), (3, 1));
-            for s in SCRIPT {
-                immediate.apply(s).unwrap();
-            }
-            assert_converged(&mut deferred, &immediate);
+        let (mut deferred, mut immediate) = (db(&["acb", "cb"]), db(&[]));
+        let (acb, cb) = (deferred.view("acb").unwrap(), deferred.view("cb").unwrap());
+        deferred.apply(SCRIPT[0]).unwrap();
+        deferred.refresh(acb).unwrap().expect("a batch was pending");
+        deferred.apply_pipelined([SCRIPT[1], SCRIPT[2]]).unwrap();
+        assert_eq!((deferred.deferred_commits(acb), deferred.deferred_commits(cb)), (2, 3));
+        deferred.refresh(cb).unwrap().expect("a batch was pending");
+        deferred.apply(SCRIPT[3]).unwrap();
+        assert_eq!((deferred.deferred_commits(acb), deferred.deferred_commits(cb)), (3, 1));
+        for s in SCRIPT {
+            immediate.apply(s).unwrap();
         }
+        assert_converged(&mut deferred, &immediate);
     }
 
     // -----------------------------------------------------------------
@@ -576,12 +555,11 @@ mod tests {
     /// `<site>` over `n` people of four nodes each — several arena
     /// chunks — under one immediate view, and `deferred` if asked.
     #[cfg(debug_assertions)]
-    fn people(n: usize, deferred: bool, pipeline: usize) -> Database {
+    fn people(n: usize, deferred: bool) -> Database {
         let people: String = (0..n).map(|i| format!("<p id=\"p{i}\"><n>x</n></p>")).collect();
         let b = Database::builder()
             .document(format!("<site>{people}</site>").as_str())
             .workers(1)
-            .pipeline(pipeline)
             .view("pn", "//p{id}//n{id,val}");
         let b = if deferred { b.view_deferred("late", "//site{id}//n{id}") } else { b };
         b.build().unwrap()
@@ -600,7 +578,7 @@ mod tests {
     #[test]
     fn a_commit_nobody_watches_takes_no_image_and_copies_nothing() {
         use xivm_xml::arena::work::{self, Copies};
-        let mut db = people(400, false, 1);
+        let mut db = people(400, false);
         work::take();
         for s in [
             into(7, "<n>y</n>"),
@@ -624,7 +602,7 @@ mod tests {
     #[test]
     fn only_the_commit_that_opens_a_deferred_batch_takes_an_image() {
         use xivm_xml::arena::work;
-        let mut db = people(400, true, 1);
+        let mut db = people(400, true);
         let late = db.view("late").unwrap();
         for round in 0..2 {
             work::take();
@@ -653,19 +631,31 @@ mod tests {
         }
     }
 
-    /// (c) A chained window of four freezes five images — each step's
-    /// post-image is the next one's pre-image — and a deferred view
-    /// adds none: the batch's base is one of the five.
+    /// (c) A pipelined window of four walks its steps in place: it
+    /// takes no image of its own, and under a deferred view exactly
+    /// one — the base of the batch it opens, whichever step opens it —
+    /// or none if the batch was open before the window.
     #[cfg(debug_assertions)]
     #[test]
-    fn a_window_of_four_freezes_five_images() {
+    fn a_pipelined_window_takes_an_image_only_to_open_a_batch() {
         use xivm_xml::arena::work;
-        for deferred in [false, true] {
-            let mut db = people(400, deferred, 4);
-            let window = [7, 100, 200, 300].map(|p| into(p, "<n>y</n>"));
+        let window = [7, 100, 200, 300].map(|p| into(p, "<n>y</n>"));
+        let mut nothing_first = window.clone();
+        nothing_first[0] = NOTHING.to_owned();
+        for (deferred, open_before, stmts, clones) in [
+            (false, false, &window, 0),
+            (true, false, &window, 1),
+            (true, true, &window, 0),
+            (true, false, &nothing_first, 1),
+        ] {
+            let mut db = people(400, deferred);
+            if open_before {
+                db.apply(into(1, "<n>y</n>").as_str()).unwrap();
+            }
             work::take();
-            assert_eq!(db.apply_pipelined(window.iter().map(String::as_str)).unwrap().len(), 4);
-            assert_eq!(work::take().clones, 5, "deferred: {deferred}");
+            assert_eq!(db.apply_pipelined(stmts.iter().map(String::as_str)).unwrap().len(), 4);
+            let case = format!("deferred: {deferred}, open before: {open_before}, {}", stmts[0]);
+            assert_eq!(work::take().clones, clones, "{case}");
         }
     }
 
@@ -676,7 +666,7 @@ mod tests {
     fn the_interner_is_copied_only_for_a_new_label_under_a_held_image() {
         use std::sync::Arc;
         use xivm_xml::arena::work;
-        let mut db = people(400, false, 1);
+        let mut db = people(400, false);
         let held = db.snapshot();
         let before = db.document().shared_labels();
         work::take();

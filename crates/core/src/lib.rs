@@ -28,9 +28,7 @@
 //!   multi-view pass (Section 3.5) and its worker-pool fan-out: the
 //!   per-view phases run one job per view on the persistent
 //!   [`runtime::Runtime`] pool (lazy-started, zero spawns in steady
-//!   state), bit-identical to the sequential pass — including the
-//!   pipelined commit mode that overlaps the `finish` of one commit
-//!   with the `prepare` of the next;
+//!   state), bit-identical to the sequential pass;
 //! * [`database`] — the [`database::Database`] façade owning the
 //!   document and all named views, with batched
 //!   [`database::Transaction`]s through the Section 5 PUL optimizer;

@@ -12,9 +12,8 @@
 //! document) and is the recommended entry point.
 //!
 //! Of the document images a commit may hold (`executor.rs` has
-//! the whole discipline) this module takes two kinds: the pre-image of
-//! an in-place step, only when the caller has a reader for it, and the
-//! `len + 1` images of a chained window, which its pool jobs read.
+//! the whole discipline) this module takes one: the pre-image of a
+//! step, only when the caller has a reader for it.
 
 use crate::engine::{MaintenanceEngine, UpdateReport};
 use crate::error::Error;
@@ -26,27 +25,17 @@ use crate::timing::timed;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 use xivm_pattern::TreePattern;
-use xivm_update::{apply_pul, ApplyResult, Pul, UpdateStatement};
+use xivm_update::{apply_pul, Pul, UpdateStatement};
 use xivm_xml::Document;
 
-/// One propagated step of [`MultiViewEngine::propagate_window`]: the
-/// plan it ran, the document before its apply (only when asked for)
-/// and the per-view reports in declaration order.
+/// One propagated step of [`MultiViewEngine::propagate`]: the plan it
+/// ran, the document before its apply (only when asked for) and the
+/// per-view reports in declaration order.
 pub(crate) struct Propagated<'a> {
     pub(crate) plan: CommitPlan<'a>,
     pub(crate) pre: Option<Document>,
     pub(crate) reports: Vec<UpdateReport>,
-}
-
-/// One applied commit of a chained window: its plan, the apply
-/// result, and the calling thread's apply time. Its `prepare` and its
-/// `finish` read the window's images before and after it.
-struct WindowStep<'a> {
-    plan: CommitPlan<'a>,
-    apply_res: ApplyResult,
-    t_apply: Duration,
 }
 
 /// Is view `i` left out of the step under `skip` (`None` = no mask)?
@@ -223,9 +212,8 @@ impl MultiViewEngine {
         doc: &mut Document,
         stmt: &UpdateStatement,
     ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        let window =
-            self.propagate_window(doc, 1, false, |_, doc| Ok(plan_single(None, doc, stmt)));
-        self.named(window)
+        let step = self.propagate(doc, plan_single(None, doc, stmt), false)?;
+        Ok(self.named(step.reports))
     }
 
     /// Propagates an already-computed (possibly optimizer-reduced,
@@ -241,147 +229,55 @@ impl MultiViewEngine {
         doc: &mut Document,
         pul: &Pul,
     ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        let window =
-            self.propagate_window(doc, 1, false, |_, _| Ok(CommitPlan::of(Cow::Borrowed(pul))));
-        self.named(window)
+        let step = self.propagate(doc, CommitPlan::of(Cow::Borrowed(pul)), false)?;
+        Ok(self.named(step.reports))
     }
 
-    /// The reports of a window of one, paired with the view names.
-    fn named(
-        &self,
-        (mut done, outcome): (Vec<Propagated<'_>>, Result<(), Error>),
-    ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        outcome?;
-        let reports = done.pop().expect("a window of one propagates one step").reports;
-        Ok(self.names.iter().cloned().zip(reports).collect())
+    /// Declaration-ordered reports, paired with the view names.
+    fn named(&self, reports: Vec<UpdateReport>) -> Vec<(String, UpdateReport)> {
+        self.names.iter().cloned().zip(reports).collect()
     }
 
-    /// The one propagation entry: walks a window of `len` consecutive
-    /// commits over `doc`. `plan(k, doc)` produces step *k*'s
-    /// [`CommitPlan`] against the document *as of its turn* — after
-    /// step *k − 1* applied — so planning happens inside the walk.
-    /// `plan.skip[i]` leaves view `i` out of that step: its
-    /// prepare/finish never run and it reports
+    /// The one propagation entry: one commit, in place over `doc`.
+    /// Every view's `prepare` against the intact document, one
+    /// `apply_pul` on `doc` itself, every view's `finish` against the
+    /// result — each phase fanned out one job per view
+    /// ([`crate::parallel`]'s `per_view`). `plan.skip[i]` leaves view
+    /// `i` out: its prepare/finish never run and it reports
     /// [`UpdateReport::skipped`].
     ///
-    /// Two schedules, selected by the window length alone, both fanned
-    /// out one job per view ([`crate::parallel`]'s `per_view`):
-    ///
-    /// * **in place** (`len == 1`): every view's `prepare` against the
-    ///   intact document, one `apply_pul` on `doc` itself, every
-    ///   view's `finish` against the result. No document image is
-    ///   created unless `want_pre` asks for the pre-apply one (a clone
-    ///   held across `apply_pul` makes every touched chunk
-    ///   copy-on-write).
-    /// * **chain** (`len >= 2`): the calling thread applies the PULs
-    ///   one after another, freezing a cheap O(chunks) copy-on-write
-    ///   image (see [`xivm_xml::Arena`]) before the first apply and
-    ///   after every one — `len + 1` images, step *j*'s post-image
-    ///   being step *j + 1*'s pre-image; then one pool job per view
-    ///   chains `prepare(pre₍ⱼ₎)` → `finish(post₍ⱼ₎)` through every
-    ///   commit *j* in order — commit
-    ///   *k+len−1*'s prepare on one view overlaps commit *k*'s finish
-    ///   on another, and each view still sees the commits strictly in
-    ///   order.
-    ///
-    /// Returns the propagated steps in order, each with its plan, its
-    /// reports (find/apply timings stamped) and — under `want_pre` —
-    /// the document before its apply. If a step fails to plan or
-    /// apply, the steps before it still propagate and come back beside
-    /// the error — exactly like a sequential loop that stops at the
-    /// first failing statement.
-    pub(crate) fn propagate_window<'a>(
+    /// No document image is created unless `want_pre` asks for the
+    /// pre-apply one (a clone held across `apply_pul` makes every
+    /// touched chunk copy-on-write). Returns the plan, that image and
+    /// the reports, find/apply timings stamped.
+    pub(crate) fn propagate<'a>(
         &mut self,
         doc: &mut Document,
-        len: usize,
+        plan: CommitPlan<'a>,
         want_pre: bool,
-        mut plan: impl FnMut(usize, &Document) -> Result<CommitPlan<'a>, Error>,
-    ) -> (Vec<Propagated<'a>>, Result<(), Error>) {
+    ) -> Result<Propagated<'a>, Error> {
         let runtime =
             Self::ensure_runtime(&mut self.runtime, &mut self.retired_spawns, self.workers);
-        let stamp = |report: &mut UpdateReport, t_find, t_apply| {
-            report.timings.find_target_nodes = t_find;
-            report.timings.apply_document = t_apply;
-        };
-        if len == 1 {
-            let step = plan(0, doc).and_then(|plan| {
-                if let Some(labels) = &plan.labels {
-                    doc.adopt_labels(labels);
-                }
-                let (pul, skip) = (&*plan.pul, plan.skip.as_deref());
-                let prepared = per_view(runtime, self.views.iter(), |i, engine| {
-                    (!masked(skip, i)).then(|| engine.prepare(doc, pul))
-                });
-                let pre = want_pre.then(|| doc.clone());
-                let (apply_res, t_apply) = timed(|| apply_pul(doc, pul));
-                let apply_res = apply_res?;
-                let finish = self.views.iter_mut().zip(prepared);
-                let mut reports =
-                    per_view(runtime, finish, |_, (engine, prepared)| match prepared {
-                        Some(prepared) => engine.finish(doc, &apply_res, prepared),
-                        None => UpdateReport::skipped(),
-                    });
-                reports.iter_mut().for_each(|r| stamp(r, plan.t_find, t_apply));
-                Ok(Propagated { plan, pre, reports })
-            });
-            return match step {
-                Ok(step) => (vec![step], Ok(())),
-                Err(e) => (Vec::new(), Err(e)),
-            };
+        if let Some(labels) = &plan.labels {
+            doc.adopt_labels(labels);
         }
-        // Phase A (calling thread): each step's prepare must read the
-        // document *before* its own apply and its finish the document
-        // *after* — `images[k]` and `images[k + 1]`, frozen for the
-        // pool: one step's post-image is the next one's pre-image.
-        let mut steps: Vec<WindowStep<'a>> = Vec::with_capacity(len);
-        let mut images: Vec<Document> = Vec::with_capacity(len + 1);
-        let mut outcome = Ok(());
-        for k in 0..len {
-            let step = plan(k, doc).and_then(|plan| {
-                if let Some(labels) = &plan.labels {
-                    doc.adopt_labels(labels);
-                }
-                images.push(doc.clone());
-                let (apply_res, t_apply) = timed(|| apply_pul(doc, &plan.pul));
-                Ok(WindowStep { plan, apply_res: apply_res?, t_apply })
-            });
-            match step {
-                Ok(step) => steps.push(step),
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        images.push(doc.clone());
-        // Phase B (pool): each view walks the whole window in commit
-        // order; a masked step never touches the view's engine.
-        let chains = per_view(runtime, self.views.iter_mut(), |i, engine| {
-            steps
-                .iter()
-                .zip(images.windows(2))
-                .map(|(step, around)| {
-                    if masked(step.plan.skip.as_deref(), i) {
-                        return UpdateReport::skipped();
-                    }
-                    let prepared = engine.prepare(&around[0], &step.plan.pul);
-                    engine.finish(&around[1], &step.apply_res, prepared)
-                })
-                .collect::<Vec<_>>()
+        let (pul, skip) = (&*plan.pul, plan.skip.as_deref());
+        let prepared = per_view(runtime, self.views.iter(), |i, engine| {
+            (!masked(skip, i)).then(|| engine.prepare(doc, pul))
         });
-        // View-major chains back to per-commit, declaration-ordered reports.
-        let mut chains: Vec<_> = chains.into_iter().map(Vec::into_iter).collect();
-        let done = steps
-            .into_iter()
-            .zip(images)
-            .map(|(step, pre)| {
-                let mut reports: Vec<UpdateReport> =
-                    chains.iter_mut().map(|c| c.next().expect("a report per commit")).collect();
-                reports.iter_mut().for_each(|r| stamp(r, step.plan.t_find, step.t_apply));
-                Propagated { plan: step.plan, pre: want_pre.then_some(pre), reports }
-            })
-            .collect();
-        (done, outcome)
+        let pre = want_pre.then(|| doc.clone());
+        let (apply_res, t_apply) = timed(|| apply_pul(doc, pul));
+        let apply_res = apply_res?;
+        let finish = self.views.iter_mut().zip(prepared);
+        let mut reports = per_view(runtime, finish, |_, (engine, prepared)| match prepared {
+            Some(prepared) => engine.finish(doc, &apply_res, prepared),
+            None => UpdateReport::skipped(),
+        });
+        for report in &mut reports {
+            report.timings.find_target_nodes = plan.t_find;
+            report.timings.apply_document = t_apply;
+        }
+        Ok(Propagated { plan, pre, reports })
     }
 
     /// The Figure 15 partition of the views under `pul`: views in
@@ -560,32 +456,16 @@ mod tests {
 
         // PULs with an internal Figure 15 conflict: `partition` still
         // puts the first two views in one group, and the one-job-per-
-        // view schedules — in place, then a chained window of two —
-        // must not care.
-        let in_place: Drive = Box::new(|doc, engine| {
+        // view schedule — one step, then two in a row — must not care.
+        let step = |doc: &mut Document, engine: &mut MultiViewEngine| {
             let pul = nlo_pul(doc);
             assert_eq!(engine.partition(doc, &pul), vec![vec![0, 1], vec![2]]);
-            vec![engine.propagate_pul(doc, &pul).unwrap()]
-        });
-        let chained: Drive = Box::new(|doc, engine| {
-            let mut planned = Vec::new();
-            let (done, outcome) = engine.propagate_window(doc, 2, false, |_, doc| {
-                let pul = nlo_pul(doc);
-                planned.push((doc.clone(), pul.clone()));
-                Ok(CommitPlan::of(Cow::Owned(pul)))
-            });
-            outcome.unwrap();
-            assert_eq!(done.len(), 2);
-            for (pre, pul) in &planned {
-                assert_eq!(engine.partition(pre, pul), vec![vec![0, 1], vec![2]]);
-            }
-            let names = engine.names();
-            done.into_iter()
-                .map(|step| names.iter().map(|n| n.to_string()).zip(step.reports).collect())
-                .collect()
-        });
-        assert_matches_sequential(grouped, &[in_place]);
-        assert_matches_sequential(grouped, &[chained]);
+            engine.propagate_pul(doc, &pul).unwrap()
+        };
+        let one: Drive = Box::new(move |doc, engine| vec![step(doc, engine)]);
+        let two: Drive = Box::new(move |doc, engine| vec![step(doc, engine), step(doc, engine)]);
+        assert_matches_sequential(grouped, &[one]);
+        assert_matches_sequential(grouped, &[two]);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! * [`effective_workers`] (re-exported from [`crate::runtime`])
 //!   resolves the worker count from the `Database` builder knob and
 //!   the `XIVM_WORKERS` environment variable;
-//! * `per_view` (crate-internal) is the one fan-out every schedule of
-//!   `MultiViewEngine::propagate_window` goes through — prepare,
-//!   finish, and the chained prepare → finish walk of a window: one
-//!   job per view on the persistent [`Runtime`] pool, jobs behind a
+//! * `per_view` (crate-internal) is the one fan-out both phases of
+//!   `MultiViewEngine::propagate` go through — prepare, then finish:
+//!   one job per view on the persistent [`Runtime`] pool, jobs behind a
 //!   shared atomic cursor so an idle worker claims the next unclaimed
 //!   one, results returned by declaration-order index.
 //!

@@ -135,10 +135,10 @@ pub struct TermContext<'a> {
     /// R-leaves so old-state semantics hold (also under mixed PULs).
     pub applied: &'a ApplyResult,
     pub flips: &'a Flips,
-    /// Ablation switches for the dynamic prunings (Section 6.8 studies
-    /// the win of dynamic reasoning).
-    pub use_delta_pruning: bool,
-    pub use_id_pruning: bool,
+    /// Ablation switch for the dynamic prunings, Δ-emptiness and ID
+    /// reasoning together (Section 6.8 studies the win of dynamic
+    /// reasoning).
+    pub dynamic_pruning: bool,
     /// The commit's one cache of old-state leaves. Per pattern node a
     /// row of slots, allocated when the node's first leaf is asked for
     /// (a term touches a few nodes of a large view): the whole leaf
@@ -160,8 +160,7 @@ impl<'a> TermContext<'a> {
             pattern,
             applied,
             flips,
-            use_delta_pruning: true,
-            use_id_pruning: true,
+            dynamic_pruning: true,
             leaves: vec![OnceCell::new(); pattern.len()],
         }
     }
@@ -370,12 +369,11 @@ pub fn terms<'t>(
     subset: &[PatternNodeId],
 ) -> (Vec<&'t Term>, PruneStats) {
     let mut terms: Vec<&Term> = table.iter().collect();
-    let mut stats = PruneStats { before: terms.len(), ..Default::default() };
-    if ctx.use_delta_pruning {
+    let before = terms.len();
+    let mut after_delta_emptiness = before;
+    if ctx.dynamic_pruning {
         terms.retain(|t| t.delta_nodes().iter().all(|&n| !side.is_empty(n)));
-    }
-    stats.after_delta_emptiness = terms.len();
-    if ctx.use_id_pruning {
+        after_delta_emptiness = terms.len();
         // Keep terms whose every (R-ancestor within `subset`, Δ-node)
         // pair is witnessed.
         terms.retain(|t| {
@@ -393,7 +391,7 @@ pub fn terms<'t>(
             })
         });
     }
-    stats.after_id_reasoning = terms.len();
+    let stats = PruneStats { before, after_delta_emptiness, after_id_reasoning: terms.len() };
     (terms, stats)
 }
 
@@ -557,8 +555,7 @@ mod tests {
     fn run(a: &Applied, sign: Sign, pruning: bool) -> (Relation, Vec<Term>, PruneStats) {
         let flips = Flips::default();
         let mut ctx = TermContext::new(&a.doc, &a.pattern, &a.res, &flips);
-        ctx.use_delta_pruning = pruning;
-        ctx.use_id_pruning = pruning;
+        ctx.dynamic_pruning = pruning;
         let dplus = DeltaPlus::compute(&a.doc, &a.pattern, &a.res);
         let side = match sign {
             Sign::Plus => DeltaSide::Plus { tables: &dplus, targets: &a.res.insert_targets },

@@ -50,41 +50,6 @@ pub fn env_workers() -> Option<usize> {
     std::env::var("XIVM_WORKERS").ok().and_then(|v| v.parse().ok())
 }
 
-/// Upper bound on the pipeline depth. Every in-flight commit of a
-/// window holds two copy-on-write document snapshots (pre- and
-/// post-apply), so the depth bounds the snapshot working set; beyond
-/// this, extra depth only adds memory without any remaining overlap
-/// to extract.
-pub const MAX_PIPELINE_DEPTH: usize = 64;
-
-/// Resolves the effective pipeline depth: an explicit configuration
-/// (the `Database` builder's `.pipeline(depth)`) wins, otherwise the
-/// `XIVM_PIPELINE` environment variable, otherwise 1 (no pipelining).
-/// The result is clamped into `1..=MAX_PIPELINE_DEPTH` (see
-/// [`clamp_pipeline`]) — never silently ignored: whatever this
-/// returns is exactly the depth the pipeline runs at and the depth
-/// `Database::pipeline_depth` reports.
-pub fn effective_pipeline(configured: Option<usize>) -> usize {
-    clamp_pipeline(configured.or_else(env_pipeline).unwrap_or(1))
-}
-
-/// Clamps a requested pipeline depth into `1..=`[`MAX_PIPELINE_DEPTH`].
-/// Zero (a documented "off" spelling) clamps to 1 silently; an
-/// over-the-cap request is clamped too, with a diagnostic on stderr in
-/// debug builds so an unachievable depth never goes unnoticed.
-pub fn clamp_pipeline(depth: usize) -> usize {
-    let clamped = depth.clamp(1, MAX_PIPELINE_DEPTH);
-    if cfg!(debug_assertions) && depth > MAX_PIPELINE_DEPTH {
-        eprintln!("xivm: pipeline depth {depth} clamped to {clamped} (MAX_PIPELINE_DEPTH)");
-    }
-    clamped
-}
-
-/// The `XIVM_PIPELINE` environment override, when set and parseable.
-pub fn env_pipeline() -> Option<usize> {
-    std::env::var("XIVM_PIPELINE").ok().and_then(|v| v.parse().ok())
-}
-
 /// A batch of jobs in flight: claimed through `cursor`, completion
 /// tracked in `done`, first panic payload parked in `panic`.
 struct Batch {
@@ -317,8 +282,6 @@ mod tests {
     fn knob_resolution_clamps_and_prefers_explicit() {
         assert_eq!(effective_workers(Some(3)), 3);
         assert_eq!(effective_workers(Some(0)), 1);
-        assert_eq!(effective_pipeline(Some(4)), 4);
-        assert_eq!(effective_pipeline(Some(0)), 1);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! thread, returning a [`Ticket`] immediately. The service drains its
 //! queue in submission order, handing the executor
 //! (`DbInner::seal_window`) one window of up to the database's
-//! pipeline depth at a time — the same windows [`apply_pipelined`]
-//! seals. A window holds submissions of any shape: a one-statement
-//! submission plans like `apply`, a multi-statement (or empty) one
-//! like a sequential transaction, and both ride the same copy-on-write
-//! image chain. Commits seal **strictly in sequence order**, so
+//! pipeline depth at a time — sealed step by step like an
+//! [`apply_pipelined`] window, under one recovery image. A window
+//! holds submissions of any shape: a one-statement submission plans
+//! like `apply`, a multi-statement (or empty) one like a sequential
+//! transaction. Commits seal **strictly in sequence order**, so
 //! subscription feeds stay gapless no matter how the work was
-//! scheduled.
+//! scheduled, and each publishes its seal as it happens, so
+//! [`Database::commit_barrier`] returns once its commit has sealed.
 //!
 //! The synchronous API stays safe through an **ownership hand-off**:
 //! the database core ([`DbInner`]) is always in exactly one of three
@@ -40,10 +41,11 @@
 //!   the failing ticket carries it;
 //! * a **panic** mid-propagation (a worker died, or a
 //!   `crate::fault` failpoint fired) — the service catches it,
-//!   rolls the document back to the last *sealed* commit, replays the
-//!   sealed prefix of the window, recomputes every view from scratch
-//!   and seals nothing else from that window; the failing ticket
-//!   carries [`Error::Panic`] with the panic message;
+//!   rolls the document back to the last *sealed* commit — a panic at
+//!   step *k* of a window keeps the steps before *k*, which it
+//!   replays — recomputes every view from scratch and seals nothing
+//!   else from that window; the failing ticket carries
+//!   [`Error::Panic`] with the panic message;
 //! * an earlier submission in the queue failed — the reserved
 //!   sequence number can no longer be honored, so the ticket aborts
 //!   with [`Error::Aborted`] (resubmit for a fresh seq);
@@ -64,6 +66,7 @@
 //! fourth fails loudly rather than hanging, under injected panics.
 //!
 //! [`Database::apply_async`]: crate::database::Database::apply_async
+//! [`Database::commit_barrier`]: crate::database::Database::commit_barrier
 //! [`DbInner`]: crate::database::DbInner
 //! [`apply_pipelined`]: crate::database::DbInner::apply_pipelined
 //! [`Runtime`]: crate::runtime::Runtime
@@ -376,22 +379,19 @@ fn service_loop(shared: Arc<Shared>) {
 /// tickets left unresolved).
 fn drain_batch(db: &mut DbInner, batch: &[Submission], shared: &Shared) -> Result<(), Error> {
     for window in batch.chunks(db.pipeline) {
-        seal_window(db, window)?;
-        // Publish progress so `commit_barrier` waiters wake per
-        // window, not per batch.
-        shared.lock().last_sealed = db.commits;
-        shared.done.notify_all();
+        seal_window(db, window, shared)?;
     }
     Ok(())
 }
 
 /// Seals one window of submissions through the executor
-/// ([`DbInner::seal_window`]), fulfilling each ticket as its commit
-/// seals (strictly in order). A clean engine error leaves the commits
-/// before it sealed and the document untouched by anything after; on a
-/// panic the database is rolled back to the sealed prefix and every
-/// view recomputed.
-fn seal_window(db: &mut DbInner, window: &[Submission]) -> Result<(), Error> {
+/// ([`DbInner::seal_window`]), fulfilling each ticket and publishing
+/// the sealed high-water mark as its commit seals (strictly in order),
+/// so a `commit_barrier` waiter never waits on a later commit of the
+/// window. A clean engine error leaves the commits before it sealed and
+/// the document untouched by anything after; on a panic the database
+/// is rolled back to the sealed prefix and every view recomputed.
+fn seal_window(db: &mut DbInner, window: &[Submission], shared: &Shared) -> Result<(), Error> {
     #[cfg(any(test, feature = "fault-inject"))]
     crate::fault::seal_point();
     let batches: Vec<Batch<'_>> = window.iter().map(|s| Batch::of(&s.stmts)).collect();
@@ -401,8 +401,11 @@ fn seal_window(db: &mut DbInner, window: &[Submission]) -> Result<(), Error> {
     let mut sealed: Vec<Pul> = Vec::with_capacity(window.len());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         db.seal_window(&batches, |k, pul, commit| {
+            let seq = commit.seq;
             window[k].ticket.fulfill(Ok(commit));
             sealed.push(pul);
+            shared.lock().last_sealed = seq;
+            shared.done.notify_all();
         })
     }));
     outcome.unwrap_or_else(|payload| {

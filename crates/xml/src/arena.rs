@@ -1,8 +1,8 @@
 //! Chunked copy-on-write node arena.
 //!
 //! [`Document`](crate::Document) snapshots need to be cheap: the MVCC
-//! layer clones the document once per pipelined commit and once per
-//! reader snapshot. A flat `Vec<Node>` would make every clone O(nodes),
+//! layer clones the document once per reader snapshot, deferred batch
+//! and async seal window. A flat `Vec<Node>` would make every clone O(nodes),
 //! so the arena stores nodes in fixed-size chunks behind [`Arc`]s —
 //! cloning an [`Arena`] copies only the chunk *pointers* (O(nodes /
 //! [`CHUNK_SIZE`])), and the first mutation of a chunk after a clone

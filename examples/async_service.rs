@@ -2,8 +2,8 @@
 //!
 //! An ingest thread rarely wants to pay the full maintenance latency
 //! per commit. [`Database::apply_async`] validates and enqueues, the
-//! service thread seals strictly in order through the pipelined
-//! copy-on-write machinery, and the producer holds a [`Ticket`] it can
+//! service thread seals strictly in order, up to the pipeline depth of
+//! queued submissions per window, and the producer holds a [`Ticket`] it can
 //! wait on — or not. Consumers pick what happens when they fall
 //! behind a bounded feed: `Block` the sealer, take a `Lagged` marker
 //! and re-seed from a snapshot, or get disconnected.

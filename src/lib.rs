@@ -40,9 +40,8 @@
 //!     .commit()?;
 //! assert!(commit.optimized_ops < commit.naive_ops);
 //!
-//! // Or one commit per statement with consecutive commits pipelined
-//! // (finish of commit k overlaps prepare of commit k+1 on the
-//! // worker pool) — bit-identical to a loop of `apply`.
+//! // Or one commit per statement, sealed as one window — bit-identical
+//! // to a loop of `apply`.
 //! let commits = db.apply_pipelined(["insert <b/> into /a/f", "delete /a/f"])?;
 //! assert_eq!(commits.len(), 2);
 //!
@@ -63,21 +62,19 @@
 //! pool: set `.workers(n)` on the builder (or the `XIVM_WORKERS`
 //! environment variable) and the per-view phases run on long-lived
 //! pool threads (lazy-started, zero spawns in steady state, joined on
-//! drop), one job per view. With
-//! `.pipeline(depth)` (or `XIVM_PIPELINE`) at 2 or more,
+//! drop), one job per view (a view writes only its own store, so no
+//! two views need ordering). Every commit — one
+//! [`Database::apply`](xivm_core::database::DbInner::apply), or each
+//! statement of
 //! [`Database::apply_pipelined`](xivm_core::database::DbInner::apply_pipelined)
-//! additionally keeps up to `depth`
-//! consecutive commits in flight on copy-on-write document snapshots:
-//! one job per view chains `prepare`/`finish` through the window, so
-//! commit *k+depth−1* on one view overlaps commit *k* on another (a
-//! view writes only its own store, so no two views need ordering).
-//! Both are pure scheduling modes — results
-//! (including every commit's deltas and subscription streams) are
-//! bit-identical to the sequential pass at every worker count and
-//! depth, which the differential soak harness (`tests/soak.rs`)
-//! verifies (see [`core::parallel`] and [`core::runtime`]).
+//! — is planned, propagated in place and sealed before the next is
+//! planned. The pool is a pure scheduling mode — results (including
+//! every commit's deltas and subscription streams) are bit-identical to
+//! the sequential pass at every worker count, which the differential
+//! soak harness (`tests/soak.rs`) verifies (see [`core::parallel`] and
+//! [`core::runtime`]).
 //! [`Database::snapshot`](xivm_core::database::DbInner::snapshot)
-//! freezes the same copy-on-write images into
+//! freezes the document as a copy-on-write image into
 //! a [`DatabaseSnapshot`] readers can hold — cursors, stores and
 //! XPath against a gapless commit boundary — without ever blocking a
 //! commit.
@@ -115,8 +112,14 @@
 //!
 //! `MultiViewEngine::apply_statement` and `propagate_pul` are the
 //! multi-view host's only two public propagation entry points; each is
-//! a window of one over the same propagation pass the façade's commit
-//! executor drives, so a façade commit is bit-identical to them.
+//! one call of the same in-place step the façade's commit executor
+//! drives, so a façade commit is bit-identical to them.
+//!
+//! | removed knob | what to do instead |
+//! |---|---|
+//! | `runtime::MAX_PIPELINE_DEPTH`, `runtime::clamp_pipeline`, `runtime::env_pipeline`, `runtime::effective_pipeline` | nothing: `.pipeline(depth)` / `set_pipeline(depth)` take any depth ≥ 1 (0 means 1) |
+//! | `XIVM_PIPELINE` | `.pipeline(depth)` on the builder (default 1) |
+//! | `MaintenanceEngine::{use_delta_pruning, use_id_pruning}`, `TermContext::{use_delta_pruning, use_id_pruning}` | `dynamic_pruning`, both prunings at once |
 //!
 //! ## Migrating from the string-first façade (pre-delta API)
 //!

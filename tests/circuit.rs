@@ -10,7 +10,7 @@
 //!   against [`Circuit::recompute`] at each commit; the per-commit
 //!   sorted node states are recorded as the reference trace.
 //! - **pipelined**: the same workload through
-//!   [`Database::apply_pipelined`] at depth 4, the circuit stepped one
+//!   [`Database::apply_pipelined`] as one window, the circuit stepped one
 //!   commit at a time with [`Circuit::sync_to`] — every intermediate
 //!   barrier must reproduce the recorded sequential state exactly.
 //!
@@ -18,8 +18,8 @@
 //! deterministic catalogs of predicates / key extractors / value
 //! functions, so a failing case shrinks to a minimal circuit. A
 //! deterministic XMark leg runs the paper's 7-view catalog through a
-//! Filter → Join → Aggregate pipeline under the `XIVM_WORKERS` /
-//! `XIVM_PIPELINE` env knobs the CI matrix sets.
+//! Filter → Join → Aggregate pipeline under the `XIVM_WORKERS` env
+//! knob the CI matrix sets.
 
 use proptest::prelude::*;
 use xivm::circuit::Node;
@@ -199,7 +199,7 @@ proptest! {
 
     /// `circuit_equals_recompute`: after every commit, every derived
     /// store equals full recomputation — on sequential databases with
-    /// 1–4 workers, and through pipelined batches at depth 4 where
+    /// 1–4 workers, and through pipelined batches where
     /// every intermediate `sync_to` barrier must reproduce the
     /// sequential trace.
     #[test]
@@ -313,9 +313,9 @@ fn xmark_doc_bytes() -> usize {
 }
 
 /// The paper's 7-view XMark catalog through a Filter → Join →
-/// Aggregate pipeline, on a database that picks `XIVM_WORKERS` /
-/// `XIVM_PIPELINE` up from the environment (the CI circuit job sets
-/// both). Every catalog view sees insert *and* delete traffic; every
+/// Aggregate pipeline, on a database that picks `XIVM_WORKERS` up from
+/// the environment (the CI circuit job sets it). Every catalog view
+/// sees insert *and* delete traffic; every
 /// commit is checked against recomputation.
 #[test]
 fn xmark_catalog_pipeline_equals_recompute() {

@@ -14,6 +14,8 @@
 //!   commit counter — checked against a fresh database;
 //! * subscription feeds stay gapless: consumers see exactly the sealed
 //!   commits, in order, with consecutive sequence numbers;
+//! * `commit_barrier(seq)` returns as commit `seq` seals, not when its
+//!   window ends;
 //! * [`fault::SEAL_DELAY`] shows submission returning well before the
 //!   seal completes (the latency decoupling the benchmark's
 //!   `core.service.submit_us` measures);
@@ -146,9 +148,10 @@ fn prepare_panic_fails_window_and_database_recovers() {
     }
     assert!(db.flush().is_ok(), "flush reports each failure exactly once");
 
-    // The first submission was at the head of the panicking window
-    // (zero commits seal when a pipelined window dies), so it carries
-    // the panic; everything behind it aborted.
+    // The window seals step by step: a panic at step k keeps the
+    // steps before k sealed, and recovery replays exactly those. The
+    // first prepare is step 0's, so nothing sealed: the first
+    // submission carries the panic and everything behind it aborted.
     let first = tickets[0].wait();
     assert!(matches!(first, Err(Error::Panic(_))), "first ticket: {first:?}");
     assert_eq!(
@@ -424,6 +427,60 @@ fn blocked_consumer_survives_panicking_window() {
     assert_eq!(seen, vec![1, 2, 3, 4, 5], "gapless despite the failed commit in between");
     assert_equals_replay(&db, &sealed, "after blocked-consumer run");
     assert_consistent(&db, "after blocked-consumer run");
+
+    fault::disarm_all();
+}
+
+/// `commit_barrier(seq)` returns once commit `seq` seals, not when its
+/// window ends: the window's second commit blocks on a full `Block`
+/// queue nobody drains for 2 s, and a barrier on its first commit must
+/// not wait for that.
+#[test]
+fn commit_barrier_returns_when_its_commit_seals_not_when_its_window_ends() {
+    let _guard = fault::exclusive();
+    fault::disarm_all();
+
+    let mut db = build_db(2, 4);
+    let h = db.view("acb").expect("view");
+    // Nothing drains before the helper wakes: commit 1 and the
+    // window's first commit fill the queue, its second one blocks.
+    let feed = db.subscribe_with(h, Some(2), SlowConsumerPolicy::Block);
+
+    // The short sleep lets the service take commit 1 alone; SEAL_DELAY
+    // then holds it 40ms inside that window, so the next four
+    // submissions enqueue behind it as one batch — one depth-4 window,
+    // commits 2–5. (However the queue splits, commits 1 and 2 never
+    // block, so the barrier below is timing-independent on this tree.)
+    fault::arm(fault::SEAL_DELAY);
+    let first = db.apply_async([stmt(0)]).expect("submit");
+    std::thread::sleep(Duration::from_millis(10));
+    let window: Vec<Ticket> = (1..5).map(|i| db.apply_async([stmt(i)]).expect("submit")).collect();
+    assert_eq!(window[0].seq, 2);
+
+    let consumer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_secs(2));
+        let mut seqs = Vec::new();
+        while seqs.len() < 5 {
+            seqs.extend(drained_seqs(&feed));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        seqs
+    });
+
+    let start = Instant::now();
+    assert!(db.commit_barrier(2) >= 2, "commit 2 sealed");
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "the barrier waited {waited:?} for commit 3's fan-out"
+    );
+
+    db.flush().expect("the window seals once the helper drains");
+    assert_eq!(first.wait().expect("sealed").seq, 1);
+    for (k, ticket) in window.iter().enumerate() {
+        assert_eq!(ticket.wait().expect("sealed").seq, k as u64 + 2);
+    }
+    assert_eq!(consumer.join().expect("helper thread"), vec![1, 2, 3, 4, 5]);
 
     fault::disarm_all();
 }

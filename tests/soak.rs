@@ -2,12 +2,11 @@
 //!
 //! Four executions of the same workload — **sequential** (1 worker,
 //! statements applied one by one), **pooled** (N persistent workers,
-//! statements applied one by one), **pipelined** (N workers,
-//! `Database::apply_pipelined` with up to D consecutive commits in
-//! flight on copy-on-write document snapshots) and **async-service**
-//! (N workers, the statements submitted through
-//! `Database::apply_async` — grouped into submissions of 0, 1 or 4
-//! statements, so empty and multi-statement commits share windows
+//! statements applied one by one), **pipelined** (N workers, the
+//! stream handed to `Database::apply_pipelined` as one window) and
+//! **async-service** (N workers, the statements submitted through
+//! `Database::apply_async` at depth D — grouped into submissions of 0,
+//! 1 or 4 statements, so empty and multi-statement commits share windows
 //! with single ones — with randomized `flush()` / `wait()` /
 //! synchronous-read / synchronous-commit interleavings and bounded
 //! `Block` subscriptions drained from consumer threads) — must be
@@ -496,10 +495,7 @@ proptest! {
 
 /// Deterministic full grid: every (workers, depth) point in 1–8 × 1–8
 /// over a fixed workload whose statements produce multi-group *and*
-/// single-group (conflicting) schedules, so both the overlapped and
-/// the degenerate pipeline paths run. Depths above the statement
-/// count exercise the partial-window path (the last window is
-/// shorter than the depth).
+/// single-group (conflicting) schedules.
 #[test]
 fn full_worker_depth_grid() {
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
@@ -632,11 +628,11 @@ fn multi_op_statements_pipeline_equals_sequential() {
     }
 }
 
-/// A database built *without* explicit `.workers(..)` / `.pipeline(..)`
-/// picks both up from `XIVM_WORKERS` / `XIVM_PIPELINE` — the knobs the
-/// CI soak job sets — and must still be observationally identical to
-/// the explicit 1-worker sequential reference. Locally (no env vars)
-/// this degenerates to sequential-vs-sequential; under CI's
+/// A database built *without* explicit `.workers(..)` picks the
+/// worker count up from `XIVM_WORKERS` — the knob the CI soak job
+/// sets — and must still be observationally identical to the explicit
+/// 1-worker sequential reference. Locally (no env vars) this
+/// degenerates to sequential-vs-sequential; under CI's
 /// `XIVM_WORKERS=4` it is a real pooled-vs-sequential differential.
 #[test]
 fn env_configured_databases_agree_with_sequential() {
@@ -653,17 +649,13 @@ fn env_configured_databases_agree_with_sequential() {
     // moving under a tight `XIVM_SUB_CAPACITY`
     let groups = submissions(&script, &[]);
     for pipelined in [false, true] {
-        let mut db = {
+        let db = {
             let mut b = Database::builder().document(doc);
             for (i, &p) in views.iter().enumerate() {
                 b = b.view(format!("v{i}"), PATTERNS[p]);
             }
             b.build().unwrap()
         };
-        if pipelined {
-            let depth = db.pipeline_depth().max(2);
-            db.set_pipeline(depth);
-        }
         let got = drive(db, &groups, pipelined);
         assert_equivalent(&reference, &got, &format!("env-default pipelined={pipelined}")).unwrap();
     }
@@ -713,12 +705,9 @@ fn database_moves_across_threads_with_tickets_in_flight() {
 /// Regression for the silent pipeline-depth cap: depth 8 must be a
 /// *real* effective depth — `pipeline_depth()` reports exactly what
 /// runs — and a depth-8 pipelined run over an 8-statement script must
-/// equal the sequential outcome. Unachievable depths are clamped at
-/// the documented `MAX_PIPELINE_DEPTH`, never silently ignored.
+/// equal the sequential outcome.
 #[test]
 fn depth_eight_is_effective_and_equivalent_to_sequential() {
-    use xivm::core::runtime::MAX_PIPELINE_DEPTH;
-
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
     let views = [0usize, 1, 2, 3];
     let script: Vec<ScriptStep> = vec![
@@ -736,20 +725,10 @@ fn depth_eight_is_effective_and_equivalent_to_sequential() {
     // The knob reports the depth that actually runs…
     let db = build_db(doc, &views, 4, 8);
     assert_eq!(db.pipeline_depth(), 8, "depth 8 must be effective, not silently capped");
-    // …zero still spells "off"…
+    // …and zero still spells "off".
     let mut db = db;
     db.set_pipeline(0);
     assert_eq!(db.pipeline_depth(), 1);
-    // …and an unachievable depth clamps to the documented maximum.
-    db.set_pipeline(MAX_PIPELINE_DEPTH + 1000);
-    assert_eq!(db.pipeline_depth(), MAX_PIPELINE_DEPTH);
-    let built = Database::builder()
-        .document(doc)
-        .view("v", PATTERNS[0])
-        .pipeline(MAX_PIPELINE_DEPTH + 1)
-        .build()
-        .unwrap();
-    assert_eq!(built.pipeline_depth(), MAX_PIPELINE_DEPTH);
 
     // Depth 8 ≡ sequential, observationally.
     let reference = run_workload(doc, &views, &script, 1, 1, false);
