@@ -4,10 +4,19 @@
 //!
 //! Expected shape: full recomputation is prohibitive in most
 //! scenarios; incremental maintenance wins, and by more on deletions.
+//!
+//! Both sides are charged the same work: finding the update's targets
+//! (`compute_pul`), then either the five maintenance phases or `e_v`
+//! over the updated document; applying the PUL is charged to neither.
+//! Per pair the runner prints the phases, the share of the view the
+//! update's Δ reaches (tuples added or removed ÷ the view's tuples
+//! before) and the arm `finish` took: `terms` (the Δ terms) or
+//! `recompute` (a deletion that rivalled the view,
+//! `UpdateReport::recomputed`).
 
 use std::time::Instant;
-use xivm_bench::{averaged, figure_header, ms, repetitions, row};
-use xivm_core::SnowcapStrategy;
+use xivm_bench::{averaged, figure_header, ms, phase_cells, repetitions, row, PHASE_COLUMNS};
+use xivm_core::{MaintenanceEngine, SnowcapStrategy, UpdateReport};
 use xivm_ivma::recompute_store;
 use xivm_update::{apply_pul, compute_pul};
 use xivm_xmark::sizes::reference_size;
@@ -23,12 +32,10 @@ fn main() {
             figure,
             &format!("{algo} versus full re-computation, {} document", size.label),
         );
-        row(&[
-            "pair".to_owned(),
-            "incremental_ms".to_owned(),
-            "full_recompute_ms".to_owned(),
-            "speedup".to_owned(),
-        ]);
+        let mut header = vec!["pair".to_owned()];
+        header.extend(PHASE_COLUMNS.iter().map(|s| s.to_string()));
+        header.extend(["full_recompute_ms", "speedup", "delta_share", "arm"].map(str::to_owned));
+        row(&header);
         for view in ["Q1", "Q2", "Q4"] {
             let pattern = view_pattern(view);
             // the catalog pairs plus a low-selectivity variant: the
@@ -45,19 +52,27 @@ fn main() {
                 .chain(std::iter::once(narrow))
                 .collect::<Vec<_>>();
             for (uname, stmt) in stmts {
-                // incremental
+                // incremental: target finding plus the five phases
+                let mut last: Option<(usize, UpdateReport)> = None;
                 let inc = averaged(reps, || {
-                    xivm_bench::run_once(&doc, &pattern, &stmt, SnowcapStrategy::MinimalChain)
-                        .timings
+                    let mut d = doc.clone();
+                    let mut engine =
+                        MaintenanceEngine::new(&d, pattern.clone(), SnowcapStrategy::MinimalChain);
+                    let rows = engine.store().len();
+                    let report = engine.apply_statement(&mut d, &stmt).expect("propagation");
+                    let timings = report.timings;
+                    last = Some((rows, report));
+                    timings
                 });
                 let inc_ms = ms(inc.maintenance_total());
-                // full recomputation: apply the update, then evaluate
-                // the view from scratch (target finding included, as
-                // it is part of applying the update either way)
+                // full recomputation: target finding plus `e_v` over
+                // the updated document
                 let mut full_ms = 0.0;
                 for _ in 0..reps {
                     let mut d = doc.clone();
+                    let start = Instant::now();
                     let pul = compute_pul(&d, &stmt);
+                    full_ms += ms(start.elapsed());
                     apply_pul(&mut d, &pul).expect("update applies");
                     let start = Instant::now();
                     let store = recompute_store(&d, &pattern);
@@ -65,12 +80,17 @@ fn main() {
                     std::hint::black_box(store.len());
                 }
                 full_ms /= reps as f64;
-                row(&[
-                    format!("{view}_{uname}"),
-                    format!("{inc_ms:.3}"),
+                let (rows, report) = last.expect("at least one repetition");
+                let reached = report.tuples_added + report.tuples_removed;
+                let mut cells = vec![format!("{view}_{uname}")];
+                cells.extend(phase_cells(&inc));
+                cells.extend([
                     format!("{full_ms:.3}"),
                     format!("{:.2}", full_ms / inc_ms.max(1e-6)),
+                    format!("{:.3}", reached as f64 / rows.max(1) as f64),
+                    if report.recomputed { "recompute" } else { "terms" }.to_owned(),
                 ]);
+                row(&cells);
             }
         }
     }

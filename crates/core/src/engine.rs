@@ -14,12 +14,22 @@
 //! follows |Δ|; only a deletion that rivals a snowcap falls back to a
 //! pass over its rows. Each phase is timed, producing the breakdowns of
 //! the Section 6 experiments.
+//!
+//! A deletion has two arms. The Δ⁻ terms cost what the deletion reaches;
+//! a deletion that rivals the view — most of one of its labels and of
+//! its rows gone, as Figure 27's bulk deletes do — reaches nearly all of
+//! it, and recomputing the view from the post-state is cheaper. `finish`
+//! picks per commit and per view, from the apply's label buckets, the
+//! canonical list lengths and the store's rows, with no option to set.
+//! Either way the view publishes the same Δ (see
+//! [`MaintenanceEngine::finish`]), so a subscriber, replica or circuit
+//! cannot tell which arm ran.
 
 use crate::commit::ViewDelta;
 use crate::error::Error;
 use crate::etins::subset_terms;
 use crate::propagate::{eval, refresh_text, terms, DeltaSide, PruneStats, Sign, TermContext};
-use crate::snowcap::{enumerate_snowcaps, minimal_chain, MaterializedSnowcap};
+use crate::snowcap::{binds_deleted, enumerate_snowcaps, minimal_chain, MaterializedSnowcap};
 use crate::strategy::SnowcapStrategy;
 use crate::term::Term;
 use crate::timing::{timed, Timings};
@@ -72,6 +82,12 @@ pub struct UpdateReport {
     /// `lo..=hi` into one propagation. Forwarded onto the view's
     /// [`DeltaEvent::folded`](crate::subscribe::DeltaEvent::folded).
     pub coalesced: Option<std::ops::RangeInclusive<u64>>,
+    /// True when [`MaintenanceEngine::finish`] answered this deletion by
+    /// recomputing the view from the post-state instead of evaluating
+    /// its Δ⁻ terms — the deletion rivalled the view. Both arms publish
+    /// the same store, delta and counters, so it is excluded from
+    /// [`Self::same_outcome`], like the timings.
+    pub recomputed: bool,
     /// The view's Δ for this update: every store patch the engine made
     /// as one signed run, complete enough that replaying it on a
     /// pre-update snapshot reproduces the post-update store exactly.
@@ -129,6 +145,11 @@ pub struct MaintenanceEngine {
     term_tables: Option<TermTables>,
     /// Ablation switch for the dynamic prunings (Section 6.8).
     pub dynamic_pruning: bool,
+    /// Test-only override of [`Self::rivalled_by`]: `Some(true)` sends
+    /// every eligible deletion to the recomputation arm, `Some(false)`
+    /// none — how the tests run one deletion through both.
+    #[cfg(test)]
+    force_recompute: Option<bool>,
 }
 
 impl MaintenanceEngine {
@@ -142,6 +163,8 @@ impl MaintenanceEngine {
             strategy,
             term_tables: None,
             dynamic_pruning: true,
+            #[cfg(test)]
+            force_recompute: None,
         }
     }
 
@@ -264,6 +287,16 @@ impl MaintenanceEngine {
     /// Completes propagation after the PUL was applied to the document
     /// (the counterpart of [`Self::prepare`]).
     ///
+    /// A deletion takes one of two arms, chosen per commit and per view
+    /// from sizes the step already holds: the Δ⁻ terms, or — when the
+    /// PUL only deletes, no predicate flipped and the deletion rivals
+    /// the view (`rivalled_by`) — a recomputation from the post-state.
+    /// Both publish the same Δ: a pure, flip-free deletion only loses
+    /// bindings, so the merge of the old rows with the new holds exactly
+    /// the losses the terms would find, and the text refresh is the same
+    /// rule over the same rows; only [`UpdateReport::recomputed`] tells
+    /// them apart.
+    ///
     /// Takes the document read-only: this phase only mutates the
     /// engine's own store and snowcaps, which is what lets a
     /// multi-view host fan `finish` out across threads
@@ -327,6 +360,17 @@ impl MaintenanceEngine {
         // slower path that bypasses the snowcap shortcuts.
         let flips = crate::predflip::diff(doc, &self.pattern, &pred_capture);
         let flips_exist = flips.any();
+
+        // --- The recomputation arm: a pure, flip-free deletion that
+        // rivals the view is answered by `e_v` over the post-state, not by
+        // its Δ⁻ terms — before any Δ table is built.
+        if targets.is_empty() && !flips_exist {
+            if let Some(emptied) = self.rivalled_by(doc, apply_res) {
+                report.timings.compute_delta_tables = prep_time + start.elapsed();
+                self.recompute_deletion(doc, apply_res, emptied, &text_roots, &mut report);
+                return report;
+            }
+        }
 
         // --- Compute Delta Tables: CD+ and the rest of CD−, both read
         // from the label buckets the apply left behind.
@@ -438,7 +482,113 @@ impl MaintenanceEngine {
 
         report
     }
+
+    /// Does a pure deletion rival the view? If so, whether every row
+    /// binds a deleted node. Judged in two steps from sizes the commit
+    /// already holds. The labels: some pattern label lost [`RIVAL`] nodes
+    /// for each one it kept (the apply's `deleted` bucket against the
+    /// post-state canonical list) — a point deletion stops here, at one
+    /// list length per label it deleted. Then the rows: one in [`RIVAL`]
+    /// binds a deleted node — every one, without a look, once a pattern
+    /// label has no node left. That keeps on the terms a deletion that
+    /// empties a label elsewhere (every person's `name`, under a view of
+    /// items' names), which they answer with nothing, cheaply. A
+    /// wildcard's labels are not judged.
+    fn rivalled_by(&self, doc: &Document, apply_res: &ApplyResult) -> Option<bool> {
+        // The buckets first, without a name lookup: a point deletion
+        // leaves a few labels, none of which lost that many.
+        let rivalling: Vec<LabelId> = (apply_res.deleted.iter())
+            .filter(|&(l, lost)| lost.len() >= RIVAL * doc.canonical_nodes(l).len())
+            .map(|(l, _)| l)
+            .collect();
+        let mut ours = Vec::new();
+        for n in self.pattern.node_ids().filter(|_| !rivalling.is_empty()) {
+            let NodeTest::Name(name) = &self.pattern.node(n).test else { return None };
+            ours.extend(doc.label_id(name).filter(|l| rivalling.contains(l)));
+        }
+        let lost_most = !ours.is_empty();
+        let emptied = ours.into_iter().any(|l| doc.canonical_nodes(l).is_empty());
+        #[cfg(test)]
+        let lost_most = self.force_recompute.unwrap_or(lost_most);
+        if !lost_most {
+            return None;
+        }
+        // A label with no node left leaves no row: no need to look.
+        let lost = |(t, _): &(&xivm_algebra::Tuple, u64)| binds_deleted(t, &apply_res.deleted);
+        let hit = if emptied { self.store.len() } else { self.store.cursor().filter(lost).count() };
+        let rivals = hit * RIVAL >= self.store.len();
+        #[cfg(test)]
+        let rivals = self.force_recompute.unwrap_or(rivals);
+        rivals.then_some(hit == self.store.len())
+    }
+
+    /// The recomputation arm of [`Self::finish`], for a pure, flip-free
+    /// deletion: the store is rebuilt by `e_v` over the post-state, and
+    /// the Δ is one merge of the old rows with the new — each key that
+    /// lost derivations at `c_new − c_old` (its old tuple moved into the
+    /// entry), each surviving row whose `val` / `cont` column lies at or
+    /// above a text root at weight 0 ([`refresh_text`]'s rule). Such a
+    /// deletion only loses bindings, and the snowcaps lose theirs by
+    /// [`MaterializedSnowcap::remove_under`] — exact here — then have
+    /// their text refreshed: store, Δ, counters and snowcaps are those
+    /// of the Δ⁻ terms, bit for bit. A row binding a deleted node loses
+    /// every derivation, so when every row does (an empty view too) the
+    /// view is empty without evaluating anything.
+    fn recompute_deletion(
+        &mut self,
+        doc: &Document,
+        apply_res: &ApplyResult,
+        emptied: bool,
+        text_roots: &DeweyForest,
+        report: &mut UpdateReport,
+    ) {
+        report.recomputed = true;
+        let pattern = &self.pattern;
+        let (_, t_exec) = timed(|| {
+            let fresh = if emptied { Vec::new() } else { view_tuples(doc, pattern) };
+            let fresh = ViewStore::from_counted(pattern, fresh);
+            let old = std::mem::replace(&mut self.store, Arc::new(fresh));
+            let stored = pattern.stored_nodes();
+            let cvn: Vec<usize> =
+                (0..stored.len()).filter(|&c| pattern.node(stored[c]).ann.stores_text()).collect();
+            let text = |t: &xivm_algebra::Tuple| {
+                cvn.iter().any(|&c| text_roots.has_descendant_or_self_root(&t.field(c).id))
+            };
+            let (mut changes, mut kept) = (Vec::new(), self.store.cursor().peekable());
+            for (tuple, was) in Arc::unwrap_or_clone(old).into_rows() {
+                let now = kept.next_if(|(t, _)| t.doc_cmp(&tuple).is_eq());
+                let is = now.map_or(0, |(_, c)| c);
+                report.tuples_removed += usize::from(now.is_none());
+                report.derivations_removed += was - is;
+                if is < was {
+                    changes.push((tuple, is as i64 - was as i64));
+                }
+                if let Some((t, _)) = now.filter(|(t, _)| text(t)) {
+                    changes.push((t.clone(), 0));
+                    report.tuples_modified += 1;
+                }
+            }
+            debug_assert!(kept.next().is_none(), "a pure deletion gains no tuple");
+            report.delta = Arc::new(ViewDelta::new(changes));
+        });
+        let (_, t_lat) = timed(|| {
+            for m in &mut self.snowcaps {
+                m.remove_under(&apply_res.deleted);
+                refresh_text(m.rel.rows.iter_mut(), &m.nodes, doc, pattern, text_roots, |_| ());
+            }
+        });
+        report.timings.execute_update = t_exec;
+        report.timings.update_lattice = t_lat;
+    }
 }
+
+/// When a pure deletion rivals a view ([`MaintenanceEngine::finish`]
+/// then recomputes it): a pattern label lost `RIVAL` nodes per node it
+/// kept, and one store row in `RIVAL` binds a deleted node. A round
+/// number, not a tuned one, like `DeltaSide::small_against`'s: on the 21
+/// Appendix A deletes × 7 catalog views, 64 KB to 2 MB, the arms it picks
+/// cost within 3 % of the cheaper arm per pair (CHANGES.md, PR 26).
+const RIVAL: usize = 2;
 
 /// The maintenance terms of the pattern and of each maintained snowcap
 /// ([`subset_terms`]): pure functions of the pattern, enumerated once
@@ -483,7 +633,6 @@ fn maintain_lattice(
 ) {
     let losing = matches!(side, DeltaSide::Minus { .. });
     let patch = if losing { MaterializedSnowcap::remove } else { MaterializedSnowcap::absorb };
-    let gone = std::cell::LazyCell::new(|| DeweyForest::new(ctx.applied.delete_roots.clone()));
     for k in 0..snowcaps.len() {
         let i = if losing { k } else { snowcaps.len() - 1 - k };
         let (smaller, rest) = snowcaps.split_at_mut(i);
@@ -492,7 +641,7 @@ fn maintain_lattice(
             continue;
         }
         if losing && !side.small_against(&m.nodes, m.rel.len()) {
-            m.remove_under(&gone);
+            m.remove_under(&ctx.applied.deleted);
             continue;
         }
         let (own, _) = terms(ctx, side, &tables[i], &m.nodes);
@@ -843,5 +992,141 @@ mod tests {
         assert!(!r.irrelevant);
         assert_eq!(r.tuples_modified, 1, "stored val of b grew");
         assert!(!Arc::ptr_eq(&held, &engine.store_arc()));
+    }
+
+    const STRATEGIES: [SnowcapStrategy; 3] =
+        [SnowcapStrategy::MinimalChain, SnowcapStrategy::LeavesOnly, SnowcapStrategy::AllSnowcaps];
+
+    /// Runs `pul` over `doc` under `pattern` three times — the Δ⁻ terms
+    /// forced, the recomputation forced, and the engine's own choice —
+    /// and checks that all three leave the same store (identical to a
+    /// fresh one, and to the old one with the Δ replayed), the same Δ
+    /// and counters, and the same snowcaps, row for row. Returns whether
+    /// the forced recomputation ran and whether the engine chose it.
+    fn both_arms(
+        doc: &Document,
+        pattern: &TreePattern,
+        pul: &Pul,
+        strategy: SnowcapStrategy,
+    ) -> (bool, bool) {
+        let run = |force| {
+            let mut doc = doc.clone();
+            let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
+            engine.force_recompute = force;
+            let held = engine.store_arc();
+            let report = engine.propagate_pul(&mut doc, pul).unwrap();
+            let mut replayed = (*held).clone();
+            report.delta.replay(&mut replayed);
+            assert!(replayed.identical_to(engine.store()), "{force:?}: the Δ replays");
+            (doc, engine, report)
+        };
+        let what = format!("{} under {strategy:?}", pattern.to_text());
+        let (post, by_terms, terms) = run(Some(false));
+        assert!(!terms.recomputed, "{what}");
+        let fresh = MaintenanceEngine::new(&post, pattern.clone(), strategy);
+        assert!(
+            by_terms.store().identical_to(fresh.store()),
+            "{what}:\n{}",
+            by_terms.store().diff_description(fresh.store())
+        );
+        let mut recomputed = [false; 2];
+        for (arm, force) in [Some(true), None].into_iter().enumerate() {
+            let (_, engine, report) = run(force);
+            assert!(engine.store().identical_to(by_terms.store()), "{what} {force:?}");
+            assert_eq!(report.delta, terms.delta, "{what} {force:?}");
+            assert!(report.same_outcome(&terms), "{what} {force:?}: counters");
+            for (m, t) in engine.snowcaps().iter().zip(by_terms.snowcaps()) {
+                assert_eq!(m.rel.rows, t.rel.rows, "{what} {force:?} {:?}", m.nodes);
+            }
+            recomputed[arm] = report.recomputed;
+        }
+        (recomputed[0], recomputed[1])
+    }
+
+    fn pul_of(doc: &Document, stmt: &str) -> Pul {
+        compute_pul(doc, &xivm_update::statement::parse_statement(stmt).unwrap())
+    }
+
+    /// The 21 Appendix A deletes × the 7 catalog views, under every
+    /// strategy, on a small XMark document that first took each
+    /// update's insertion (nested `name`s and `increase`s, as the
+    /// benchmark runs them): both arms agree everywhere, and the
+    /// engine's own choice takes the recomputation for some of them.
+    #[test]
+    fn both_arms_agree_on_the_appendix_a_deletes() {
+        let base = xivm_xmark::generate_sized(12 * 1024);
+        let (mut forced, mut chosen) = (0, 0);
+        for update in xivm_xmark::all_updates() {
+            let mut doc = base.clone();
+            let insert = compute_pul(&doc, &update.insert_stmt());
+            apply_pul(&mut doc, &insert).unwrap();
+            let pul = compute_pul(&doc, &update.delete_stmt());
+            for view in xivm_xmark::VIEW_NAMES {
+                let pattern = xivm_xmark::view_pattern(view);
+                for strategy in STRATEGIES {
+                    let (f, c) = both_arms(&doc, &pattern, &pul, strategy);
+                    (forced, chosen) = (forced + usize::from(f), chosen + usize::from(c));
+                }
+            }
+        }
+        assert!(forced > chosen && chosen > 0, "forced {forced}, chosen {chosen}");
+    }
+
+    /// Figure 12-sized cases where the merge has the most to get right:
+    /// `val` / `cont` columns above the deleted roots (weight-0 entries),
+    /// a value predicate, nested text roots, counts that drop without
+    /// the tuple leaving — and a flipping predicate, which no force
+    /// sends to the recomputation.
+    #[test]
+    fn both_arms_agree_on_small_documents() {
+        let nested = "<r><a><a><b>x</b><c>y</c></a><b/><c>z</c></a><a><b/></a></r>";
+        let cases = [
+            (FIG12, "//a{id}[//c{id}]//b{id}", "delete /a/f/c", true),
+            (FIG12, "//a{id}[//c{id}]//b{id}", "delete //b", true),
+            (FIG12, "//a{id,cont}[//b]", "delete //c", true),
+            (nested, "//a{id,cont}//b{id}", "delete //c", true),
+            (nested, "//a{id,val}[//b]", "delete //b", true),
+            (nested, "//r{id}//a{id,val}/b{id,cont}", "delete //a/a", true),
+            ("<a><b><c>x</c><d>z</d></b></a>", "//b{id,val}[//c{id,val}]", "delete //d", true),
+            (
+                "<r><a>5<b/></a><a>3<b/></a><t/></r>",
+                "//a{id,val}[val=\"5\"]//b{id}",
+                "delete //b",
+                true,
+            ),
+            ("<r><a>5<x>1</x><b/></a></r>", "//a{id}[val=\"5\"]//x", "delete //x", false),
+        ];
+        for (doc_xml, pattern, stmt, recomputes) in cases {
+            let doc = parse_document(doc_xml).unwrap();
+            let pattern = parse_pattern(pattern).unwrap();
+            for strategy in STRATEGIES {
+                let (forced, _) = both_arms(&doc, &pattern, &pul_of(&doc, stmt), strategy);
+                assert_eq!(forced, recomputes, "{stmt} on {doc_xml}");
+            }
+        }
+    }
+
+    /// Which deletions take the recomputation: one that empties the
+    /// view's label and most of its rows does; a point deletion, one
+    /// that empties the label only where the view is not, one under a
+    /// wildcard view, and a PUL that also inserts do not.
+    #[test]
+    fn a_deletion_that_rivals_the_view_recomputes_it() {
+        let doc = parse_document(&format!(
+            "<r><a><b k=\"1\"/>{}</a><z>{}</z><t/></r>",
+            "<b/>".repeat(9),
+            "<b/><b/>".repeat(20)
+        ))
+        .unwrap();
+        let chosen = |pattern: &str, stmt: &str| {
+            let pattern = parse_pattern(pattern).unwrap();
+            both_arms(&doc, &pattern, &pul_of(&doc, stmt), SnowcapStrategy::MinimalChain).1
+        };
+        assert!(chosen("//a{id}//b{id}", "delete //b"), "a mass deletion");
+        assert!(chosen("//a{id}[//b]", "delete //a"), "the whole view");
+        assert!(!chosen("//a{id}//b{id}", "delete //b[@k=\"1\"]"), "a point deletion");
+        assert!(!chosen("//a{id}//b{id}", "delete //z"), "most b's, none of the view's");
+        assert!(!chosen("//a{id}/*{id}", "delete //b"), "a wildcard view");
+        assert!(!chosen("//a{id}//b{id}", "replace //a with <a/>"), "a PUL that inserts");
     }
 }

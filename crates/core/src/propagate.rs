@@ -785,7 +785,7 @@ mod tests {
             let (own, _) = terms(&ctx, &side, &table, &ab.nodes);
             let (mut by_terms, mut by_pass) = (ab.clone(), ab.clone());
             by_terms.remove(eval(&ctx, &side, &ab.nodes, &own, smaller));
-            by_pass.remove_under(&DeweyForest::new(a.res.delete_roots.clone()));
+            by_pass.remove_under(&a.res.deleted);
             assert_eq!(by_terms.rel.rows, by_pass.rel.rows, "{stmt}");
             assert_eq!(by_terms.rel.len(), left, "{stmt}");
         }

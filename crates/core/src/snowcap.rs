@@ -13,7 +13,8 @@
 use std::collections::BTreeSet;
 use xivm_algebra::{ordered, Relation, Tuple};
 use xivm_pattern::{PatternNodeId, TreePattern};
-use xivm_xml::DeweyForest;
+use xivm_update::LabelBuckets;
+use xivm_xml::DeweyId;
 
 /// True iff `set` is a snowcap of `pattern`: non-empty and closed
 /// under taking parents.
@@ -135,11 +136,20 @@ impl MaterializedSnowcap {
     }
 
     /// The other removal, for a deletion that rivals the snowcap: one
-    /// pass over every row, dropping those that bind a node under
-    /// `gone` (any node under a deleted root is gone).
-    pub fn remove_under(&mut self, gone: &DeweyForest) {
-        self.rel.rows.retain(|t| !t.fields().iter().any(|f| gone.covers(&f.id)));
+    /// pass over every row, dropping those that bind a node under a
+    /// deleted root — one the apply's `deleted` buckets hold.
+    pub fn remove_under(&mut self, deleted: &LabelBuckets<DeweyId>) {
+        self.rel.rows.retain(|t| !binds_deleted(t, deleted));
     }
+}
+
+/// Does `tuple` bind a node an applied PUL deleted — one of its
+/// `deleted` buckets, so that every derivation of the tuple went too? A
+/// lookup per column: one probe of the column's label, which finds no
+/// bucket for a label the PUL left alone, then a binary search.
+pub(crate) fn binds_deleted(tuple: &Tuple, deleted: &LabelBuckets<DeweyId>) -> bool {
+    let gone = |id: &DeweyId| id.label().is_some_and(|l| deleted.get(l).binary_search(id).is_ok());
+    tuple.fields().iter().any(|f| gone(&f.id))
 }
 
 /// Picks the largest materialized snowcap whose nodes are all within

@@ -117,6 +117,12 @@ impl ViewStore {
         self.rows.iter_mut().map(|(t, _)| t)
     }
 
+    /// The rows, given up — for a commit that replaced the store and
+    /// moves the old tuples into its Δ.
+    pub(crate) fn into_rows(self) -> Vec<(Tuple, u64)> {
+        self.rows
+    }
+
     /// The view's value: a borrowing cursor over the tuples and their
     /// derivation counts in document order — `e_v`'s output, read off
     /// the rows as they are kept.

@@ -78,6 +78,11 @@ impl<T> LabelBuckets<T> {
             }
     }
 
+    /// Every bucket, `(label, nodes)`, in no order across labels.
+    pub fn iter(&self) -> impl Iterator<Item = (LabelId, &[T])> {
+        self.buckets.iter().map(|(&label, (_, items))| (label, items.as_slice()))
+    }
+
     /// Total number of bucketed nodes.
     pub fn len(&self) -> usize {
         self.buckets.values().map(|(_, items)| items.len()).sum()

@@ -747,6 +747,68 @@ fn the_dynamic_exit_fires_on_this_catalog() {
     assert_eq!(commit.static_skips(), 0);
 }
 
+// ---------------------------------------------------------------------
+// Mass deletions: the recomputation arm against the oracles
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Deleting every node of one label, then of each other label in a
+    /// random order — every one of them, or those under a random label —
+    /// under every view plus two that store text above the deleted
+    /// nodes (random strategies): after each commit every delta is a
+    /// canonical run that replays onto the previous store to the new
+    /// one, and every store and snowcap equals its recomputation,
+    /// whichever arm `finish` took. Not vacuous: the document holds every
+    /// label, so the first deletion empties a view without predicates
+    /// that stores it, and that view takes the recomputation arm.
+    #[test]
+    fn mass_deletions_equal_recomputation(
+        doc_xml in arb_doc(),
+        order in prop::collection::vec((0u32..1000, 0usize..5), 4..5),
+        strategies in prop::collection::vec(0usize..3, 8..9),
+        workers in 1usize..3,
+    ) {
+        let doc_xml = doc_xml.replace("</r>", "<a><b/><c/><d>5</d></a></r>");
+        let mut b = Database::builder().document(doc_xml.as_str()).workers(workers);
+        let patterns = PATTERNS.iter().chain(&["//a{id,cont}//b{id}", "//c{id,val}//b{id}"]);
+        for (i, p) in patterns.enumerate() {
+            b = b.view_with_strategy(format!("v{i}"), *p, STRATEGIES[strategies[i]]);
+        }
+        let mut db = b.build().unwrap();
+        let mut labels = [0, 1, 2, 3];
+        labels.sort_by_key(|&l| order[l].0);
+        let mut recomputed = 0;
+        for (k, l) in labels.into_iter().enumerate() {
+            let label = ["a", "b", "c", "d"][l];
+            let statement = match ["a", "b", "c", "d"].get(order[l].1) {
+                Some(above) if k > 0 => format!("delete //{above}//{label}"),
+                _ => format!("delete //{label}"),
+            };
+            let mut replicas: Vec<ViewStore> =
+                db.handles().into_iter().map(|h| db.store(h).clone()).collect();
+            let commit = db.apply(statement.as_str()).unwrap();
+            run_invariant(&db, &commit)?;
+            for (replica, h) in replicas.iter_mut().zip(db.handles()) {
+                commit.delta(h).replay(replica);
+                prop_assert!(replica.identical_to(db.store(h)), "{}: the Δ replays", db.name(h));
+                let pattern = db.pattern(h);
+                let fresh = ViewStore::from_counted(pattern, view_tuples(db.document(), pattern));
+                prop_assert!(
+                    db.store(h).identical_to(&fresh),
+                    "{} after {statement} (doc={doc_xml}):\n{}",
+                    db.name(h),
+                    db.store(h).diff_description(&fresh)
+                );
+                recomputed += usize::from(commit.report(h).recomputed);
+            }
+            snowcaps_fresh(&db)?;
+        }
+        prop_assert!(recomputed > 0, "no deletion took the recomputation arm (doc={doc_xml})");
+    }
+}
+
 /// Subscriptions across `independent()` transactions: a rejected
 /// batch consumes no sequence number and emits no event; committed
 /// batches (conflict-free, or resolved by policy) stream replayable
