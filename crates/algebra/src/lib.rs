@@ -18,6 +18,8 @@
 //! The workspace-wide picture, with this crate's row, lives in
 //! `ARCHITECTURE.md` at the repository root.
 
+#![forbid(unsafe_code)]
+
 pub mod logical;
 pub mod ops;
 pub mod ordered;

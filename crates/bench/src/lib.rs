@@ -21,6 +21,8 @@
 //! `ARCHITECTURE.md` (repository root) places the runners in the
 //! workspace-wide picture.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 use xivm_core::{MaintenanceEngine, SnowcapStrategy, Timings, UpdateReport};
 use xivm_pattern::TreePattern;

@@ -55,6 +55,8 @@
 //! workspace-wide picture; `tests/circuit.rs` of the umbrella crate
 //! holds the `circuit_equals_recompute` property suite.
 
+#![forbid(unsafe_code)]
+
 mod circuit;
 mod op;
 mod row;

@@ -232,7 +232,6 @@ fn pipelined_commits_replay_identically() -> Result<(), Error> {
         .view("orders", "//order{id,cont}")
         .view("skus", "//order{id}/sku{id,val}")
         .view("qtys", "//order{id}/qty{id,val}")
-        .workers(2)
         .pipeline(4)
         .build()?;
     let ShopCircuit { mut circuit, .. } = shop_circuit(&mut db)?;

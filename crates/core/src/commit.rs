@@ -13,7 +13,7 @@
 //! pre-commit [`ViewStore`] reproduces the post-commit store exactly
 //! (keys, derivation counts and stored `val` / `cont` fields) — the
 //! property suite checks this for random documents, view sets and
-//! transactions at every worker count. Consumers therefore never need
+//! transactions at every pipeline depth. Consumers therefore never need
 //! to re-read and diff whole stores; they read O(|Δ|) per commit.
 //!
 //! **The run's invariant.** A delta is one run of `(tuple, weight)`,
@@ -50,7 +50,7 @@ impl ViewDelta {
     /// The one consolidation: signed changes in any order — a commit
     /// patches its store in several passes (deletions, predicate flips,
     /// insertions, text refresh) — become the canonical run, so
-    /// equivalent updates (sequential vs parallel, textual vs typed)
+    /// equivalent updates (sequential vs pipelined, textual vs typed)
     /// publish bit-identical deltas. A key's entries of one side sum
     /// their weights and keep the contents of the last (the sort is
     /// stable: the latest pass read the latest text); negative entries
@@ -223,7 +223,7 @@ impl Commit {
     /// derivation counters, bit-identical deltas). Timings are
     /// ignored — they legitimately differ between runs. This is the
     /// commit-level comparison of the differential soak harness:
-    /// sequential, pooled and pipelined executions of the same
+    /// sequential, pipelined and async executions of the same
     /// statement stream must produce pairwise `same_outcome` commits.
     pub fn same_outcome(&self, other: &Commit) -> bool {
         self.seq == other.seq

@@ -268,7 +268,6 @@ pub(crate) struct DeferredPending {
 pub struct DatabaseBuilder {
     document: Option<DocumentSource>,
     views: Vec<ViewSpec>,
-    workers: Option<usize>,
     pipeline: Option<usize>,
     sub_capacity: Option<usize>,
     dtd: Option<DtdSource>,
@@ -280,7 +279,6 @@ impl Default for DatabaseBuilder {
         DatabaseBuilder {
             document: None,
             views: Vec::new(),
-            workers: None,
             pipeline: None,
             sub_capacity: None,
             dtd: None,
@@ -368,13 +366,10 @@ impl DatabaseBuilder {
         self.push_view(name, pattern, strategy, false)
     }
 
-    /// Sets the worker pool size for per-view propagation (see
-    /// [`crate::parallel`]). 1 means sequential; an explicit setting
-    /// overrides the `XIVM_WORKERS` environment variable, which is the
-    /// default when this is never called. Propagation results are
-    /// bit-identical at every worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
+    /// Accepted and ignored: the views propagate one after another on
+    /// the committing thread. Kept only because `benchmark/` calls it;
+    /// the ROADMAP's `[benchmark]` item removes it.
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -446,8 +441,7 @@ impl DatabaseBuilder {
             }
             Some(Statics { analyzer, report, conflict_scans_skipped: 0 })
         };
-        let mut views = MultiViewEngine::from_engines(engines);
-        views.set_workers(crate::runtime::effective_workers(self.workers));
+        let views = MultiViewEngine::from_engines(engines);
         let pending = deferred.iter().map(|_| None).collect();
         Ok(Database {
             service: ServiceHandle::new(),
@@ -788,12 +782,6 @@ impl DbInner {
         self.views.get(view.0).expect("handle from this database").1
     }
 
-    /// The worker pool size used for per-view propagation (builder's
-    /// `.workers(n)`, else `XIVM_WORKERS`, else 1).
-    pub fn workers(&self) -> usize {
-        self.views.workers()
-    }
-
     /// The pipeline depth: async submissions sealed per service window
     /// (the builder's `.pipeline(depth)`, else 1).
     pub fn pipeline_depth(&self) -> usize {
@@ -806,12 +794,11 @@ impl DbInner {
         self.pipeline = depth.max(1);
     }
 
-    /// Threads ever spawned by this database's propagation runtime —
-    /// monotonic, and flat across steady-state propagations (the
-    /// persistent pool spawns on first use only; see
-    /// [`crate::runtime`]). 0 for sequential databases.
+    /// Always 0: propagation spawns no threads. Kept only because
+    /// `benchmark/` calls it; the ROADMAP's `[benchmark]` item removes
+    /// it.
     pub fn threads_spawned(&self) -> u64 {
-        self.views.threads_spawned()
+        0
     }
 
     /// Number of live subscriptions (every commit fans its deltas out
@@ -1376,31 +1363,78 @@ mod tests {
         assert_eq!(db.serialize(), FIG12);
     }
 
+    /// `.workers(n)`, `set_workers(n)` and `threads_spawned()` are kept
+    /// only for `benchmark/` and change nothing: under `.workers(4)` a
+    /// database commits, stores and streams what the default build
+    /// does — through apply, `apply_pipelined`, a transaction and
+    /// `apply_async` — and an engine told `set_workers(4)` reports and
+    /// stores what the default engine does. No thread is spawned.
     #[test]
-    fn worker_knob_keeps_results_identical() {
-        let build = |workers: usize| {
-            Database::builder()
-                .document(FIG12)
-                .view("ab", "//a{id}//b{id}")
-                .view("acb", "//a{id}[//c{id}]//b{id}")
-                .view("c_cont", "//c{id,cont}")
-                .workers(workers)
-                .build()
-                .unwrap()
+    fn the_worker_shims_change_nothing() {
+        const VIEWS: [(&str, &str); 3] = [
+            ("ab", "//a{id}//b{id}"),
+            ("acb", "//a{id}[//c{id}]//b{id}"),
+            ("c_cont", "//c{id,cont}"),
+        ];
+        let drive = |b: DatabaseBuilder| {
+            let mut db =
+                VIEWS.iter().fold(b.document(FIG12), |b, (n, p)| b.view(*n, *p)).build().unwrap();
+            let subs: Vec<Subscription> = db
+                .handles()
+                .into_iter()
+                .map(|h| db.subscribe_with(h, None, SlowConsumerPolicy::Block))
+                .collect();
+            let mut commits = vec![db.apply("insert <b/> into //c").unwrap()];
+            commits
+                .extend(db.apply_pipelined(["delete /a/f", "insert <c><b/></c> into /a"]).unwrap());
+            let tx = db.transaction().statement("insert <b/> into /a/c").statement("delete /a/c/b");
+            commits.push(tx.commit().unwrap());
+            commits.push(db.apply_async(["insert <f><b/></f> into /a"]).unwrap().wait().unwrap());
+            db.flush().unwrap();
+            let streams: Vec<Vec<_>> = subs
+                .iter()
+                .map(|s| db.drain(s).into_iter().map(|e| (e.seq, e.delta)).collect())
+                .collect();
+            (db, commits, streams)
         };
-        let mut seq = build(1);
-        assert_eq!(seq.workers(), 1);
-        let mut par = build(4);
-        assert_eq!(par.workers(), 4);
-        for script in ["insert <b/> into //c", "delete /a/f", "insert <c><b/></c> into /a"] {
-            seq.apply(script).unwrap();
-            par.apply(script).unwrap();
+        let (shimmed, shimmed_commits, shimmed_streams) = drive(Database::builder().workers(4));
+        let (default, commits, streams) = drive(Database::builder());
+        assert_eq!(shimmed_commits.len(), commits.len());
+        for (a, b) in shimmed_commits.iter().zip(&commits) {
+            assert!(a.same_outcome(b), "commit {} diverged", a.seq);
         }
-        assert_eq!(seq.serialize(), par.serialize());
-        for (a, b) in seq.handles().into_iter().zip(par.handles()) {
-            assert!(seq.store(a).same_content_as(par.store(b)));
+        assert_eq!(shimmed_streams, streams);
+        assert_eq!(shimmed.serialize(), default.serialize());
+        for (a, b) in shimmed.handles().into_iter().zip(default.handles()) {
+            assert!(shimmed.store(a).identical_to(default.store(b)), "{}", shimmed.name(a));
         }
-        check_consistent(&par);
+        assert_eq!(shimmed.threads_spawned(), 0);
+        check_consistent(&shimmed);
+
+        let engine = |doc: &Document| {
+            let views = VIEWS.map(|(n, p)| {
+                (n.to_owned(), parse_pattern(p).unwrap(), SnowcapStrategy::MinimalChain)
+            });
+            MultiViewEngine::new(doc, views)
+        };
+        let mut shimmed_doc = parse_document(FIG12).unwrap();
+        let mut default_doc = shimmed_doc.clone();
+        let (mut shimmed_mv, mut default_mv) = (engine(&shimmed_doc), engine(&default_doc));
+        shimmed_mv.set_workers(4);
+        for text in ["insert <b/> into //c", "delete /a/f", "insert <c><b/></c> into /a"] {
+            let stmt = parse_statement(text).unwrap();
+            let a = shimmed_mv.apply_statement(&mut shimmed_doc, &stmt).unwrap();
+            let b = default_mv.apply_statement(&mut default_doc, &stmt).unwrap();
+            assert_eq!(a.len(), b.len());
+            for ((n1, r1), (n2, r2)) in a.iter().zip(&b) {
+                assert!(n1 == n2 && r1.same_outcome(r2), "{n1} diverged after {text}");
+            }
+        }
+        assert_eq!(serialize_document(&shimmed_doc), serialize_document(&default_doc));
+        for name in default_mv.names() {
+            let (a, b) = (shimmed_mv.view(name).unwrap(), default_mv.view(name).unwrap());
+            assert!(a.store().identical_to(b.store()), "{name}");
+        }
     }
 
     #[test]
@@ -1582,7 +1616,6 @@ mod tests {
                 .analyze(mode)
                 .view("ab", "//a{id}//b{id}")
                 .view("f_only", "//f{id}")
-                .workers(2)
                 .pipeline(3)
                 .build()
                 .unwrap()

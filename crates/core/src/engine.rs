@@ -114,8 +114,8 @@ impl UpdateReport {
     /// Timings and prune statistics are ignored — they legitimately
     /// differ between runs (and between scheduling modes). This is
     /// the per-view half of [`Commit::same_outcome`], the comparison
-    /// the differential soak harness makes between sequential, pooled
-    /// and pipelined executions.
+    /// the differential soak harness makes between sequential,
+    /// pipelined and async executions.
     ///
     /// [`Commit::same_outcome`]: crate::commit::Commit::same_outcome
     pub fn same_outcome(&self, other: &UpdateReport) -> bool {
@@ -298,9 +298,9 @@ impl MaintenanceEngine {
     /// them apart.
     ///
     /// Takes the document read-only: this phase only mutates the
-    /// engine's own store and snowcaps, which is what lets a
-    /// multi-view host fan `finish` out across threads
-    /// (see [`crate::parallel`]).
+    /// engine's own store and snowcaps, so a multi-view host runs the
+    /// views' `finish` in any order against one applied document
+    /// (see [`crate::multiview`]).
     pub fn finish(
         &mut self,
         doc: &Document,

@@ -43,8 +43,8 @@ pub enum Error {
     /// maintenance terms are enumerated per snowcap, exponentially many
     /// on a star-shaped pattern.
     PatternTooLarge { view: String, nodes: usize },
-    /// Propagation panicked mid-commit (a worker died or a fault was
-    /// injected). The database rolled back to the last sealed commit
+    /// Propagation panicked mid-commit (a view's maintenance died or a
+    /// fault was injected). The database rolled back to the last sealed commit
     /// and recomputed every view, so it remains consistent; the
     /// payload is the panic message. The one exception: if that
     /// recovery itself panicked the async service is *poisoned* —

@@ -457,7 +457,7 @@ mod tests {
     /// The three views over Figure 12, those named in `deferred`
     /// declared deferred.
     fn db(deferred: &[&str]) -> Database {
-        let mut b = Database::builder().document(FIG12).workers(1);
+        let mut b = Database::builder().document(FIG12);
         for (name, pattern) in VIEWS {
             b = if deferred.contains(&name) {
                 b.view_deferred(name, pattern)
@@ -559,7 +559,6 @@ mod tests {
         let people: String = (0..n).map(|i| format!("<p id=\"p{i}\"><n>x</n></p>")).collect();
         let b = Database::builder()
             .document(format!("<site>{people}</site>").as_str())
-            .workers(1)
             .view("pn", "//p{id}//n{id,val}");
         let b = if deferred { b.view_deferred("late", "//site{id}//n{id}") } else { b };
         b.build().unwrap()

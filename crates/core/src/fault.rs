@@ -5,9 +5,9 @@
 //! the places a production deployment can die mid-commit:
 //!
 //! * [`PREPARE_PANIC`] — panic inside [`MaintenanceEngine::prepare`]
-//!   (a worker dies while reading the pre-apply snapshot);
+//!   (a view dies while reading the pre-apply document);
 //! * [`FINISH_PANIC`] — panic inside [`MaintenanceEngine::finish`]
-//!   (a worker dies while patching its store);
+//!   (a view dies while patching its store);
 //! * [`SEAL_DELAY`] — sleep before the async service seals a window
 //!   (a slow seal, for observing submit-vs-seal latency);
 //! * [`RECOVER_PANIC`] — panic inside the async service's post-panic
@@ -16,7 +16,7 @@
 //!   service instead of hanging it.
 //!
 //! Points are **one-shot**: arming sets a bit, the first propagation
-//! that reaches the point trips it (exactly one worker, atomically)
+//! that reaches the point trips it (exactly one view, atomically)
 //! and the bit clears — so the recovery path that follows runs clean
 //! (unless [`RECOVER_PANIC`] is armed for it).
 //! Arm programmatically with [`arm`] or through the environment
@@ -101,8 +101,8 @@ pub fn any_armed() -> bool {
 }
 
 /// Atomically claims `bit`: returns true for exactly one caller per
-/// arming, clearing the bit — several pool workers can race through a
-/// point, but only one trips it.
+/// arming, clearing the bit — every view of a commit passes the
+/// point, and so may other threads, but only one trips it.
 fn trip(bit: u32) -> bool {
     ensure_env();
     if ARMED.load(Ordering::Relaxed) & bit == 0 {

@@ -24,11 +24,10 @@
 //! * [`view_store`] — the materialized view with derivation counts;
 //! * [`engine`] — the end-to-end [`engine::MaintenanceEngine`] with the
 //!   per-phase [`timing::Timings`] breakdown reported in Section 6;
-//! * [`multiview`] / [`parallel`] / [`runtime`] — the shared
-//!   multi-view pass (Section 3.5) and its worker-pool fan-out: the
-//!   per-view phases run one job per view on the persistent
-//!   [`runtime::Runtime`] pool (lazy-started, zero spawns in steady
-//!   state), bit-identical to the sequential pass;
+//! * [`multiview`] / [`parallel`] — the shared multi-view pass
+//!   (Section 3.5: one PUL, one document apply, then each view's own
+//!   phases in a plain loop) and the Figure 15 conflict rules lifted
+//!   to views, an analysis the pass does not consult;
 //! * [`database`] — the [`database::Database`] façade owning the
 //!   document and all named views, with batched
 //!   [`database::Transaction`]s through the Section 5 PUL optimizer;
@@ -47,11 +46,9 @@
 //!   panic containment (and, under `cfg(test)` / the `fault-inject`
 //!   feature, the `fault` failpoints that prove it).
 //!
-//! The crate is `deny(unsafe_code)`: the one allowed exception is the
-//! audited lifetime erasure that lets the persistent pool run scoped
-//! jobs (`runtime::Runtime::run`).
+//! The crate is `forbid(unsafe_code)`.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod commit;
 pub mod database;
@@ -66,7 +63,6 @@ pub mod multiview;
 pub mod parallel;
 pub mod predflip;
 pub mod propagate;
-pub mod runtime;
 pub mod service;
 pub mod snapshot;
 pub mod snowcap;
@@ -83,7 +79,6 @@ pub use database::{Database, DatabaseBuilder, MaintenanceMode, Transaction, View
 pub use engine::{MaintenanceEngine, PreparedUpdate, UpdateReport};
 pub use error::Error;
 pub use multiview::MultiViewEngine;
-pub use runtime::Runtime;
 pub use service::Ticket;
 pub use snapshot::DatabaseSnapshot;
 pub use strategy::SnowcapStrategy;

@@ -18,8 +18,7 @@
 use crate::engine::{MaintenanceEngine, UpdateReport};
 use crate::error::Error;
 use crate::executor::{plan_single, CommitPlan};
-use crate::parallel::{self, per_view};
-use crate::runtime::Runtime;
+use crate::parallel;
 use crate::strategy::SnowcapStrategy;
 use crate::timing::timed;
 use std::borrow::Cow;
@@ -47,16 +46,6 @@ fn masked(skip: Option<&[bool]>, i: usize) -> bool {
 ///
 /// Views are looked up by name through an index map; iteration orders
 /// (`names()`, per-view reports) remain the declaration order.
-///
-/// The per-view propagation phases fan out across the persistent
-/// [`Runtime`] worker pool, one job per view, when
-/// [`Self::set_workers`] (or the `XIVM_WORKERS` environment variable)
-/// asks for more than one worker — see [`crate::parallel`] and
-/// [`crate::runtime`]. The pool is lazy-started on the first
-/// propagation that needs it and lives until the engine is dropped
-/// (or a resize retires it), so steady-state propagation spawns zero
-/// new threads. Results are bit-identical to the sequential pass
-/// either way.
 pub struct MultiViewEngine {
     views: Vec<MaintenanceEngine>,
     /// View names, declaration order — shared with every sealed
@@ -65,15 +54,6 @@ pub struct MultiViewEngine {
     /// Name → position in `views`. On duplicate names the first
     /// declaration wins, matching the previous linear-scan behavior.
     index: HashMap<String, usize>,
-    /// Worker pool size for the per-view phases (1 = sequential).
-    workers: usize,
-    /// The persistent worker pool, created lazily at the configured
-    /// size by [`Self::ensure_runtime`] and replaced there when
-    /// [`Self::set_workers`] changed the size.
-    runtime: Option<Runtime>,
-    /// Threads spawned by runtimes this engine has already retired
-    /// (resize) — keeps [`Self::threads_spawned`] monotonic.
-    retired_spawns: u64,
 }
 
 impl MultiViewEngine {
@@ -100,53 +80,13 @@ impl MultiViewEngine {
         for (i, name) in names.iter().enumerate() {
             index.entry(name.clone()).or_insert(i);
         }
-        MultiViewEngine {
-            views,
-            names: names.into(),
-            index,
-            workers: parallel::effective_workers(None),
-            runtime: None,
-            retired_spawns: 0,
-        }
+        MultiViewEngine { views, names: names.into(), index }
     }
 
-    /// Sets the worker pool size for the per-view propagation phases
-    /// (clamped to at least 1; 1 = sequential). Overrides the
-    /// `XIVM_WORKERS` default picked up at construction. A live pool
-    /// of a different size is retired (its threads joined) and a new
-    /// one lazy-started by the next propagation.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured worker pool size.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Threads ever spawned by this engine's pools (current and
-    /// retired) — monotonic. Flat across steady-state propagations:
-    /// the pool spawns on first use only.
-    pub fn threads_spawned(&self) -> u64 {
-        self.retired_spawns + self.runtime.as_ref().map_or(0, Runtime::threads_spawned)
-    }
-
-    /// Lazy-starts (or resizes) the pool to the configured worker
-    /// count. A free function over the fields so callers can keep
-    /// disjoint borrows of `self.views` alive.
-    fn ensure_runtime<'rt>(
-        runtime: &'rt mut Option<Runtime>,
-        retired_spawns: &mut u64,
-        workers: usize,
-    ) -> &'rt Runtime {
-        if runtime.as_ref().is_none_or(|r| r.size() != workers) {
-            if let Some(old) = runtime.take() {
-                *retired_spawns += old.threads_spawned();
-            }
-            *runtime = Some(Runtime::new(workers));
-        }
-        runtime.as_ref().expect("runtime just ensured")
-    }
+    /// Accepted and ignored: the views propagate one after another on
+    /// the calling thread. Kept only because `benchmark/` calls it; the
+    /// ROADMAP's `[benchmark]` item removes it.
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     pub fn len(&self) -> usize {
         self.views.len()
@@ -219,11 +159,7 @@ impl MultiViewEngine {
     /// Propagates an already-computed (possibly optimizer-reduced,
     /// Section 5) PUL to all views in one shared pass: per-view
     /// pre-update capture, one document update, per-view Δ extraction.
-    ///
-    /// With more than one configured worker the per-view phases fan
-    /// out across the worker pool, one job per view; reports come back
-    /// in declaration order and every view's state is bit-identical to
-    /// the sequential pass.
+    /// Reports come back in declaration order.
     pub fn propagate_pul(
         &mut self,
         doc: &mut Document,
@@ -241,9 +177,9 @@ impl MultiViewEngine {
     /// The one propagation entry: one commit, in place over `doc`.
     /// Every view's `prepare` against the intact document, one
     /// `apply_pul` on `doc` itself, every view's `finish` against the
-    /// result — each phase fanned out one job per view
-    /// ([`crate::parallel`]'s `per_view`). `plan.skip[i]` leaves view
-    /// `i` out: its prepare/finish never run and it reports
+    /// result — each phase one plain loop over the views in
+    /// declaration order. `plan.skip[i]` leaves view `i` out: its
+    /// prepare/finish never run and it reports
     /// [`UpdateReport::skipped`].
     ///
     /// No document image is created unless `want_pre` asks for the
@@ -256,23 +192,28 @@ impl MultiViewEngine {
         plan: CommitPlan<'a>,
         want_pre: bool,
     ) -> Result<Propagated<'a>, Error> {
-        let runtime =
-            Self::ensure_runtime(&mut self.runtime, &mut self.retired_spawns, self.workers);
         if let Some(labels) = &plan.labels {
             doc.adopt_labels(labels);
         }
         let (pul, skip) = (&*plan.pul, plan.skip.as_deref());
-        let prepared = per_view(runtime, self.views.iter(), |i, engine| {
-            (!masked(skip, i)).then(|| engine.prepare(doc, pul))
-        });
+        let prepared: Vec<_> = self
+            .views
+            .iter()
+            .enumerate()
+            .map(|(i, engine)| (!masked(skip, i)).then(|| engine.prepare(doc, pul)))
+            .collect();
         let pre = want_pre.then(|| doc.clone());
         let (apply_res, t_apply) = timed(|| apply_pul(doc, pul));
         let apply_res = apply_res?;
-        let finish = self.views.iter_mut().zip(prepared);
-        let mut reports = per_view(runtime, finish, |_, (engine, prepared)| match prepared {
-            Some(prepared) => engine.finish(doc, &apply_res, prepared),
-            None => UpdateReport::skipped(),
-        });
+        let mut reports: Vec<UpdateReport> = self
+            .views
+            .iter_mut()
+            .zip(prepared)
+            .map(|(engine, prepared)| match prepared {
+                Some(prepared) => engine.finish(doc, &apply_res, prepared),
+                None => UpdateReport::skipped(),
+            })
+            .collect();
         for report in &mut reports {
             report.timings.find_target_nodes = plan.t_find;
             report.timings.apply_document = t_apply;
@@ -285,9 +226,9 @@ impl MultiViewEngine {
     /// sharing a group care about two distinct conflicting operations
     /// of it ([`crate::parallel::schedule_groups`]; the per-view op
     /// projections are on [`crate::parallel::PropagationPlan`]).
-    /// **Analysis only — the scheduler does not consult it**: every
-    /// view writes only its own state, so propagation always runs one
-    /// job per view whatever this returns.
+    /// **Analysis only — propagation does not consult it**: every view
+    /// writes only its own state, so the views propagate in
+    /// declaration order whatever this returns.
     pub fn partition(&self, doc: &Document, pul: &Pul) -> Vec<Vec<usize>> {
         let patterns: Vec<&TreePattern> = self.views.iter().map(|e| e.pattern()).collect();
         parallel::schedule_groups(doc, pul, &patterns)
@@ -404,44 +345,50 @@ mod tests {
     type Drive<'a> =
         Box<dyn Fn(&mut Document, &mut MultiViewEngine) -> Vec<Vec<(String, UpdateReport)>> + 'a>;
 
-    /// Drives a fresh fixture through `steps` at 1 worker and — below,
-    /// at and beyond the view count — at 2, 3 and 8: documents, reports
-    /// and stores must agree after every step.
-    fn assert_matches_sequential(fixture: fn() -> (Document, MultiViewEngine), steps: &[Drive]) {
-        for workers in [1usize, 2, 3, 8] {
-            let (mut seq_doc, mut seq) = fixture();
-            let (mut par_doc, mut par) = fixture();
-            seq.set_workers(1);
-            par.set_workers(workers);
-            for (k, step) in steps.iter().enumerate() {
-                let seq_reports = step(&mut seq_doc, &mut seq).concat();
-                let par_reports = step(&mut par_doc, &mut par).concat();
+    /// Drives a fresh fixture through `steps` and, beside it, each of
+    /// its views alone in a one-view engine over its own copy of the
+    /// document: documents, reports and stores must agree after every
+    /// step — sharing the PUL and the apply changes nothing a view sees.
+    fn assert_matches_each_view_alone(
+        fixture: fn() -> (Document, MultiViewEngine),
+        steps: &[Drive],
+    ) {
+        let (mut doc, mut shared) = fixture();
+        let mut alone: Vec<(Document, MultiViewEngine)> = (0..shared.len())
+            .map(|i| {
+                let (name, engine) = shared.get(i).unwrap();
+                let view = (name.to_owned(), engine.pattern().clone(), engine.strategy());
+                (doc.clone(), MultiViewEngine::new(&doc, [view]))
+            })
+            .collect();
+        for (k, step) in steps.iter().enumerate() {
+            let reports = step(&mut doc, &mut shared).concat();
+            let order: Vec<&str> =
+                reports.iter().take(shared.len()).map(|(n, _)| n.as_str()).collect();
+            assert_eq!(order, shared.names(), "report order must stay declaration order");
+            for (i, (lone_doc, lone)) in alone.iter_mut().enumerate() {
+                let lone_reports = step(lone_doc, lone).concat();
                 assert_eq!(
-                    xivm_xml::serialize_document(&seq_doc),
-                    xivm_xml::serialize_document(&par_doc)
+                    xivm_xml::serialize_document(&doc),
+                    xivm_xml::serialize_document(lone_doc)
                 );
-                assert_eq!(seq_reports.len(), par_reports.len());
-                for ((n1, r1), (n2, r2)) in seq_reports.iter().zip(&par_reports) {
-                    assert_eq!(n1, n2, "report order must stay declaration order");
-                    assert!(r1.same_outcome(r2), "{n1} after step {k} at {workers} workers");
+                let own = reports.iter().skip(i).step_by(shared.len());
+                assert_eq!(own.len(), lone_reports.len());
+                for ((n1, r1), (n2, r2)) in own.zip(&lone_reports) {
+                    assert_eq!(n1, n2);
+                    assert!(r1.same_outcome(r2), "{n1} after step {k}");
                 }
-                for name in seq.names() {
-                    assert!(
-                        seq.view(name)
-                            .unwrap()
-                            .store()
-                            .same_content_as(par.view(name).unwrap().store()),
-                        "view {name} diverged under {workers} workers after step {k}"
-                    );
-                }
+                let (name, engine) = lone.get(0).unwrap();
+                assert!(
+                    shared.view(name).unwrap().store().same_content_as(engine.store()),
+                    "view {name} diverged from its lone run after step {k}"
+                );
             }
-            // one job per view: the pool tops up to min(workers, views) - 1
-            assert_eq!(par.threads_spawned(), (workers.min(par.len()) - 1) as u64);
         }
     }
 
     #[test]
-    fn parallel_propagation_matches_sequential_exactly() {
+    fn the_shared_pass_matches_each_view_alone() {
         // Single-statement PULs: every view is its own Figure 15 group.
         let statements =
             ["insert <b/> into //c", "delete /a/f/c", "insert <c><b/></c> into /a", "delete //b"]
@@ -452,29 +399,26 @@ mod tests {
                 Box::new(move |doc, engine| vec![engine.apply_statement(doc, stmt).unwrap()])
             })
             .collect();
-        assert_matches_sequential(multi, &steps);
+        assert_matches_each_view_alone(multi, &steps);
 
-        // PULs with an internal Figure 15 conflict: `partition` still
-        // puts the first two views in one group, and the one-job-per-
-        // view schedule — one step, then two in a row — must not care.
+        // PULs with an internal Figure 15 conflict: `partition` puts the
+        // first two views in one group — before the first step and
+        // after it — and the view-by-view pass, one step, then two in a
+        // row, must not care.
+        let (mut doc, mut engine) = grouped();
+        for _ in 0..2 {
+            let pul = nlo_pul(&doc);
+            assert_eq!(engine.partition(&doc, &pul), vec![vec![0, 1], vec![2]]);
+            engine.propagate_pul(&mut doc, &pul).unwrap();
+        }
         let step = |doc: &mut Document, engine: &mut MultiViewEngine| {
             let pul = nlo_pul(doc);
-            assert_eq!(engine.partition(doc, &pul), vec![vec![0, 1], vec![2]]);
             engine.propagate_pul(doc, &pul).unwrap()
         };
         let one: Drive = Box::new(move |doc, engine| vec![step(doc, engine)]);
         let two: Drive = Box::new(move |doc, engine| vec![step(doc, engine), step(doc, engine)]);
-        assert_matches_sequential(grouped, &[one]);
-        assert_matches_sequential(grouped, &[two]);
-    }
-
-    #[test]
-    fn workers_knob_clamps_and_reports() {
-        let (_, mut engine) = multi();
-        engine.set_workers(0);
-        assert_eq!(engine.workers(), 1);
-        engine.set_workers(4);
-        assert_eq!(engine.workers(), 4);
+        assert_matches_each_view_alone(grouped, &[one]);
+        assert_matches_each_view_alone(grouped, &[two]);
     }
 
     #[test]

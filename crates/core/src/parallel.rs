@@ -1,41 +1,23 @@
-//! Parallel multi-view propagation: the per-view fan-out of the
-//! shared [`crate::multiview::MultiViewEngine`] pass, and the Figure 15
-//! conflict rules lifted to views.
+//! The Figure 15 conflict rules lifted to the views of one
+//! [`crate::multiview::MultiViewEngine`] pass.
 //!
 //! Section 3.5's multi-view setting shares the view-independent work
 //! of an update (one PUL, one document mutation) and leaves each view
-//! its own Δ-table extraction and term evaluation — which touch only
-//! that view's store and snowcaps and read the document immutably.
-//! That makes the per-view phases independent by construction, so
-//! **the view is the only scheduling unit**:
-//!
-//! * [`effective_workers`] (re-exported from [`crate::runtime`])
-//!   resolves the worker count from the `Database` builder knob and
-//!   the `XIVM_WORKERS` environment variable;
-//! * `per_view` (crate-internal) is the one fan-out both phases of
-//!   `MultiViewEngine::propagate` go through — prepare, then finish:
-//!   one job per view on the persistent [`Runtime`] pool, jobs behind a
-//!   shared atomic cursor so an idle worker claims the next unclaimed
-//!   one, results returned by declaration-order index.
-//!
-//! Separately, and **not consulted by the scheduler**,
-//! [`PropagationPlan`] / [`schedule_groups`] are an *analysis*: each
-//! view is projected to the PUL operations whose label footprint can
-//! touch it, and two views are grouped exactly when their projections
-//! contain two *distinct* operations related by a Figure 15 conflict
-//! ([`xivm_pulopt::partition`]). The groups say which views care about
-//! order-dependent operations of one PUL;
+//! its own Δ-table extraction and term evaluation, which
+//! `MultiViewEngine::propagate` runs view after view.
+//! [`PropagationPlan`] / [`schedule_groups`] are an *analysis* of that
+//! pass: each view is projected to the PUL operations whose label
+//! footprint can touch it, and two views are grouped exactly when
+//! their projections contain two *distinct* operations related by a
+//! Figure 15 conflict ([`xivm_pulopt::partition`]). The groups say
+//! which views care about order-dependent operations of one PUL;
 //! [`MultiViewEngine::partition`](crate::multiview::MultiViewEngine::partition)
 //! exposes them and the bench runners report their count.
 
-use crate::runtime::{Job, Runtime};
 use std::collections::HashSet;
-use std::sync::Mutex;
 use xivm_pattern::TreePattern;
 use xivm_update::{AtomicOp, Pul};
 use xivm_xml::{Document, LabelId};
-
-pub use crate::runtime::{effective_workers, env_workers};
 
 /// Caps the subtree walk when computing a deletion's label footprint;
 /// a larger subtree falls back to "touches everything" so the
@@ -185,8 +167,8 @@ impl PropagationPlan {
 /// for single-statement PULs: no two of its ops can be order-dependent,
 /// so every view is its own group). When conflicts exist, footprints
 /// are computed only for the ops involved in them — ops outside every
-/// conflict pair can never group two views. An analysis only: the
-/// propagation scheduler does not call it.
+/// conflict pair can never group two views. An analysis only:
+/// propagation does not call it.
 pub fn schedule_groups(doc: &Document, pul: &Pul, patterns: &[&TreePattern]) -> Vec<Vec<usize>> {
     let pairs = xivm_pulopt::internal_conflict_pairs(pul);
     if pairs.is_empty() {
@@ -199,55 +181,12 @@ pub fn schedule_groups(doc: &Document, pul: &Pul, patterns: &[&TreePattern]) -> 
     xivm_pulopt::partition_projections(pul, &projections)
 }
 
-/// The one per-view fan-out: runs `job(i, view)` for every view, one
-/// pool job per view, and returns the results in declaration order.
-/// Views never share mutable state (a view's `prepare` reads `&self`
-/// and a frozen document, its `finish` writes only its own store and
-/// snowcaps), so the jobs need no ordering among themselves and the
-/// outcome is bit-identical to the sequential pass however they
-/// interleave. With one worker or one view this is a plain loop — no
-/// job, no slot, no lock.
-///
-/// A panicking job follows [`Runtime`]'s batch semantics: the batch
-/// drains and the first payload resumes on the calling thread.
-pub(crate) fn per_view<V: Send, R: Send>(
-    runtime: &Runtime,
-    views: impl ExactSizeIterator<Item = V>,
-    job: impl Fn(usize, V) -> R + Sync,
-) -> Vec<R> {
-    if runtime.size() <= 1 || views.len() <= 1 {
-        return views.enumerate().map(|(i, view)| job(i, view)).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..views.len()).map(|_| Mutex::new(None)).collect();
-    let job = &job;
-    let jobs: Vec<Job<'_>> = views
-        .zip(&slots)
-        .enumerate()
-        .map(|(i, (view, slot))| {
-            Box::new(move || {
-                *slot.lock().expect("result slot unpoisoned") = Some(job(i, view));
-            }) as Job<'_>
-        })
-        .collect();
-    runtime.run(jobs);
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("result slot unpoisoned").expect("every view ran"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xivm_pattern::parse_pattern;
     use xivm_update::{compute_pul, statement::parse_statement};
     use xivm_xml::parse_document;
-
-    #[test]
-    fn explicit_worker_count_wins_and_zero_clamps() {
-        assert_eq!(effective_workers(Some(3)), 3);
-        assert_eq!(effective_workers(Some(0)), 1);
-    }
 
     #[test]
     fn wildcard_patterns_project_to_every_op() {

@@ -25,13 +25,12 @@
 //! observe (and a writer can never interleave with) a half-drained
 //! queue because, while one is being drained, there is no core on the
 //! owner's side to reach — the compiler, not a convention, vouches
-//! for that (the crate is `deny(unsafe_code)`, and what crosses into
+//! for that (the crate is `forbid(unsafe_code)`, and what crosses into
 //! the service thread is `Send` by auto trait). The service thread
 //! itself is lazy — spawned on the first `apply_async`, joined when the
 //! `Database` drops (after draining what was queued, whichever side
 //! holds the core) — so purely synchronous databases never pay for
-//! it, and steady-state async traffic reuses one thread plus the
-//! persistent [`Runtime`] pool.
+//! it, and steady-state async traffic reuses that one thread.
 //!
 //! # Failure containment
 //!
@@ -39,8 +38,8 @@
 //!
 //! * an [`Error`] from the engine (e.g. a fallible document apply) —
 //!   the failing ticket carries it;
-//! * a **panic** mid-propagation (a worker died, or a
-//!   `crate::fault` failpoint fired) — the service catches it,
+//! * a **panic** mid-propagation (a view's `prepare` or `finish` died,
+//!   or a `crate::fault` failpoint fired) — the service catches it,
 //!   rolls the document back to the last *sealed* commit — a panic at
 //!   step *k* of a window keeps the steps before *k*, which it
 //!   replays — recomputes every view from scratch and seals nothing
@@ -69,7 +68,6 @@
 //! [`Database::commit_barrier`]: crate::database::Database::commit_barrier
 //! [`DbInner`]: crate::database::DbInner
 //! [`apply_pipelined`]: crate::database::DbInner::apply_pipelined
-//! [`Runtime`]: crate::runtime::Runtime
 
 use crate::commit::Commit;
 use crate::database::DbInner;

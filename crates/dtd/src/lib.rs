@@ -15,6 +15,8 @@
 //! [`check`] (the runtime check of Section 3.3). See the
 //! `xivm_dtd` table in `ARCHITECTURE.md` at the repository root.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod check;
 pub mod grammar;

@@ -44,6 +44,8 @@
 //! assert!(replica.identical_to(db.store(ab)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod wire;
 
 mod client;

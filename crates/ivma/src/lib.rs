@@ -12,6 +12,8 @@
 //! `xivm_bench`; their rows in `ARCHITECTURE.md` (repository root)
 //! place them in the workspace-wide picture.
 
+#![forbid(unsafe_code)]
+
 pub mod ivma;
 pub mod recompute;
 

@@ -16,6 +16,8 @@
 //!   [`xivm_algebra::Plan`]s ([`compile`]), and an embedding-based
 //!   reference evaluator ([`embed`]) used as a testing oracle.
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod embed;
 pub mod parse_pattern;

@@ -12,12 +12,14 @@
 //! * **Partitioning** ([`partition`]): the Figure 15 rules lifted to
 //!   per-view op projections of one shared PUL — which views care
 //!   about order-dependent operations of it (an analysis; propagation
-//!   runs one job per view regardless);
+//!   runs the views in declaration order regardless);
 //! * **Aggregation rules** ([`mod@aggregate`]): A1, A2 and D6 (Figure 16)
 //!   — merge two PULs to be run sequentially into one.
 //!
 //! The optimized PUL is then handed to the maintenance engine instead
 //! of the original (Figure 13's CP → OR → PINT/PDDT pipeline).
+
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod conflict;

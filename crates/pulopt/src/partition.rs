@@ -14,7 +14,7 @@
 //! This is an analysis (`xivm_core::parallel::schedule_groups`,
 //! `MultiViewEngine::partition`), not a scheduler input: a view's
 //! maintenance writes only that view's store, so `xivm_core`
-//! propagates one job per view whatever the groups are.
+//! propagates the views in declaration order whatever the groups are.
 
 use xivm_update::Pul;
 

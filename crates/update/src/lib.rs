@@ -19,6 +19,8 @@
 //! apply → optimize → propagate pipeline drawn in `ARCHITECTURE.md`
 //! at the repository root.
 
+#![forbid(unsafe_code)]
+
 pub mod apply;
 pub mod builder;
 pub mod delta;

@@ -21,6 +21,8 @@
 //! in minutes. The `xivm_xmark` table in `ARCHITECTURE.md`
 //! (repository root) maps every module to its Appendix A anchor.
 
+#![forbid(unsafe_code)]
+
 pub mod dtd;
 pub mod generator;
 pub mod sizes;

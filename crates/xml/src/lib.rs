@@ -13,6 +13,8 @@
 //! lists they touch — the substrate for MVCC snapshots and deep
 //! commit pipelining in the layers above.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod canonical;
 pub mod dewey;

@@ -21,7 +21,6 @@ fn main() -> Result<(), Error> {
     let mut db = Database::builder()
         .document("<market><feed/><log/></market>")
         .view("prices", "//feed{id}/tick{id,val}")
-        .workers(2)
         .pipeline(4)
         .build()?;
     let prices = db.view("prices")?;

@@ -58,21 +58,16 @@
 //! [`ViewDelta`]s, failures are the workspace-wide [`Error`] enum
 //! (`Xml`, `Pattern`, `Statement`, `Conflict`, `UnknownView`, …).
 //!
-//! Propagation to many views fans out across a *persistent* worker
-//! pool: set `.workers(n)` on the builder (or the `XIVM_WORKERS`
-//! environment variable) and the per-view phases run on long-lived
-//! pool threads (lazy-started, zero spawns in steady state, joined on
-//! drop), one job per view (a view writes only its own store, so no
-//! two views need ordering). Every commit — one
+//! Every commit — one
 //! [`Database::apply`](xivm_core::database::DbInner::apply), or each
 //! statement of
 //! [`Database::apply_pipelined`](xivm_core::database::DbInner::apply_pipelined)
 //! — is planned, propagated in place and sealed before the next is
-//! planned. The pool is a pure scheduling mode — results (including
-//! every commit's deltas and subscription streams) are bit-identical to
-//! the sequential pass at every worker count, which the differential
-//! soak harness (`tests/soak.rs`) verifies (see [`core::parallel`] and
-//! [`core::runtime`]).
+//! planned: one PUL, one document apply, then each view's own phases
+//! one view after another on the committing thread (see
+//! [`core::multiview`]). Pipelined, transactional and async commits are
+//! bit-identical to the sequential pass, which the differential soak
+//! harness (`tests/soak.rs`) verifies.
 //! [`Database::snapshot`](xivm_core::database::DbInner::snapshot)
 //! freezes the document as a copy-on-write image into
 //! a [`DatabaseSnapshot`] readers can hold — cursors, stores and
@@ -119,6 +114,9 @@
 //! |---|---|
 //! | `runtime::MAX_PIPELINE_DEPTH`, `runtime::clamp_pipeline`, `runtime::env_pipeline`, `runtime::effective_pipeline` | nothing: `.pipeline(depth)` / `set_pipeline(depth)` take any depth ≥ 1 (0 means 1) |
 //! | `XIVM_PIPELINE` | `.pipeline(depth)` on the builder (default 1) |
+//! | `XIVM_WORKERS` | nothing: the views propagate one after another on the committing thread |
+//! | `core::runtime::{Runtime, effective_workers, env_workers}` (and `parallel::{effective_workers, env_workers}`) | nothing: there is no worker pool |
+//! | `Database::workers()`, `MultiViewEngine::workers()` | nothing: `.workers(n)` / `set_workers(n)` are still accepted and ignored, and `threads_spawned()` is always 0 |
 //! | `MaintenanceEngine::{use_delta_pruning, use_id_pruning}`, `TermContext::{use_delta_pruning, use_id_pruning}` | `dynamic_pruning`, both prunings at once |
 //!
 //! ## Migrating from the string-first façade (pre-delta API)
@@ -167,6 +165,8 @@
 //! The member crates remain available under their re-exported names:
 //! [`xml`], [`algebra`], [`pattern`], [`update`], [`core`],
 //! [`pulopt`], [`dtd`], [`xmark`], [`ivma`], [`analyze`], [`feed`].
+
+#![forbid(unsafe_code)]
 
 pub use xivm_algebra as algebra;
 pub use xivm_analyze as analyze;

@@ -13,7 +13,7 @@
 //! * **transparency** — a database built with `.analyze(Warn)` (skip
 //!   masks and the conflict-scan fast path active) produces commits
 //!   bit-identical to one built without analysis, on the plain,
-//!   pipelined and transactional paths at every worker count.
+//!   pipelined and transactional paths.
 
 use proptest::prelude::*;
 use xivm::analyze::Analyzer;
@@ -100,8 +100,8 @@ fn make_analyzer() -> Analyzer {
     Analyzer::new(Some(&dtd), patterns.iter().map(|(n, p)| (*n, p)))
 }
 
-fn build_db(doc: &str, workers: usize, pipeline: usize, analyze: bool) -> Database {
-    let mut b = Database::builder().document(doc).workers(workers).pipeline(pipeline);
+fn build_db(doc: &str, pipeline: usize, analyze: bool) -> Database {
+    let mut b = Database::builder().document(doc).pipeline(pipeline);
     if analyze {
         b = b.dtd(DTD).analyze(AnalyzeMode::Warn);
     }
@@ -138,11 +138,10 @@ proptest! {
     fn static_verdicts_are_sound(
         doc in arb_conforming_doc(),
         script in prop::collection::vec(0usize..STATEMENTS.len(), 1..5),
-        workers in 1usize..5,
     ) {
         let analyzer = make_analyzer();
-        let mut on = build_db(&doc, workers, 1, true);
-        let mut off = build_db(&doc, workers, 1, false);
+        let mut on = build_db(&doc, 1, true);
+        let mut off = build_db(&doc, 1, false);
         for &s in &script {
             let text = STATEMENTS[s];
             let stmt = parse_statement(text).unwrap();
@@ -188,10 +187,9 @@ proptest! {
     fn dynamic_exits_agree_with_the_analyzed_database(
         doc in arb_conforming_doc(),
         script in prop::collection::vec(0usize..STATEMENTS.len(), 1..5),
-        workers in 1usize..5,
     ) {
-        let mut on = build_db(&doc, workers, 1, true);
-        let mut off = build_db(&doc, workers, 1, false);
+        let mut on = build_db(&doc, 1, true);
+        let mut off = build_db(&doc, 1, false);
         for &s in &script {
             let text = STATEMENTS[s];
             let c_on = on.apply(text).unwrap();
@@ -250,8 +248,8 @@ proptest! {
             }
         }
         // and through the façade: scan skipped, outcome identical
-        let mut on = build_db(&doc, 1, 1, true);
-        let mut off = build_db(&doc, 1, 1, false);
+        let mut on = build_db(&doc, 1, true);
+        let mut off = build_db(&doc, 1, false);
         let commit_with = |db: &mut Database| {
             let mut tx = db.transaction().independent();
             for &i in &picks {
@@ -275,10 +273,9 @@ proptest! {
     fn pipelined_masks_are_bit_identical(
         doc in arb_conforming_doc(),
         script in prop::collection::vec(0usize..STATEMENTS.len(), 2..6),
-        workers in 1usize..4,
     ) {
-        let mut on = build_db(&doc, workers, 4, true);
-        let mut off = build_db(&doc, workers, 4, false);
+        let mut on = build_db(&doc, 4, true);
+        let mut off = build_db(&doc, 4, false);
         let stmts: Vec<&str> = script.iter().map(|&i| STATEMENTS[i]).collect();
         let cs_on = on.apply_pipelined(stmts.clone()).unwrap();
         let cs_off = off.apply_pipelined(stmts).unwrap();
@@ -301,13 +298,13 @@ fn skips_actually_fire_on_this_catalog() {
     let verdicts = analyzer.verdicts(&analyzer.statement_shape(&stmt));
     assert!(verdicts.iter().any(|v| v.can_skip()), "the catalog must exercise Irrelevant");
 
-    let mut db = build_db("<r><a><b/><c/></a><d/></r>", 1, 1, true);
+    let mut db = build_db("<r><a><b/><c/></a><d/></r>", 1, true);
     let commit = db.apply("insert <c/> into //b").unwrap();
     assert!(commit.static_skips() > 0, "the engine must take the proved skips");
 
     // and without any analysis the dynamic exit recovers skips of its
     // own: `c` under `b` holds no label of d_only or rd, no text of theirs
-    let mut plain = build_db("<r><a><b/><c/></a><d/></r>", 1, 1, false);
+    let mut plain = build_db("<r><a><b/><c/></a><d/></r>", 1, false);
     let commit = plain.apply("insert <c/> into //b").unwrap();
     assert_eq!(commit.static_skips(), 0);
     assert!(commit.dynamic_skips() >= 2, "d_only and rd must exit, got {}", commit.dynamic_skips());

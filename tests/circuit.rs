@@ -5,8 +5,8 @@
 //!
 //! Two legs per case, soak.rs-style:
 //!
-//! - **sequential**: statements applied one by one on a pooled
-//!   database (1–4 workers, depth 1), the circuit synced and checked
+//! - **sequential**: statements applied one by one (depth 1), the
+//!   circuit synced and checked
 //!   against [`Circuit::recompute`] at each commit; the per-commit
 //!   sorted node states are recorded as the reference trace.
 //! - **pipelined**: the same workload through
@@ -18,8 +18,8 @@
 //! deterministic catalogs of predicates / key extractors / value
 //! functions, so a failing case shrinks to a minimal circuit. A
 //! deterministic XMark leg runs the paper's 7-view catalog through a
-//! Filter → Join → Aggregate pipeline under the `XIVM_WORKERS` env
-//! knob the CI matrix sets.
+//! Filter → Join → Aggregate pipeline on a database built with no
+//! knob set.
 
 use proptest::prelude::*;
 use xivm::circuit::Node;
@@ -129,8 +129,8 @@ fn value_fn(sel: usize) -> impl Fn(&Row) -> i64 + Send + Sync + 'static {
 /// out, fan in and stack aggregates over aggregates.
 type OpDraw = (usize, usize, usize, usize);
 
-fn build_db(doc_xml: &str, view_idxs: &[usize], workers: usize, pipeline: usize) -> Database {
-    let mut b = Database::builder().document(doc_xml).workers(workers).pipeline(pipeline);
+fn build_db(doc_xml: &str, view_idxs: &[usize], pipeline: usize) -> Database {
+    let mut b = Database::builder().document(doc_xml).pipeline(pipeline);
     for (i, &p) in view_idxs.iter().enumerate() {
         b = b.view(format!("v{i}"), PATTERNS[p]);
     }
@@ -198,9 +198,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// `circuit_equals_recompute`: after every commit, every derived
-    /// store equals full recomputation — on sequential databases with
-    /// 1–4 workers, and through pipelined batches where
-    /// every intermediate `sync_to` barrier must reproduce the
+    /// store equals full recomputation — applied one by one, and
+    /// through pipelined batches where every intermediate `sync_to` barrier must reproduce the
     /// sequential trace.
     #[test]
     fn circuit_equals_recompute(
@@ -214,11 +213,10 @@ proptest! {
             (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
             1..6
         ),
-        workers in 1usize..5,
     ) {
         // Sequential leg: sync + check at every commit, recording the
         // per-commit node states as the reference trace.
-        let mut db = build_db(&doc_xml, &view_idxs, workers, 1);
+        let mut db = build_db(&doc_xml, &view_idxs, 1);
         let mut circuit = build_circuit(&mut db, view_idxs.len(), &plan);
         check_against_recompute(&circuit, &db, "after seed")?;
 
@@ -228,14 +226,14 @@ proptest! {
             db.apply(stmt.as_str()).expect("statement applies");
             let synced = circuit.sync(&mut db);
             prop_assert_eq!(synced, db.last_seq(), "sync reaches the last commit");
-            check_against_recompute(&circuit, &db, &format!("after `{stmt}` (w={workers})"))?;
+            check_against_recompute(&circuit, &db, &format!("after `{stmt}`"))?;
             trace.push(node_states(&circuit));
         }
         circuit.detach(&mut db);
 
         // Pipelined leg: same workload in one depth-4 batch; stepping
         // the barrier one commit at a time must replay the trace.
-        let mut piped = build_db(&doc_xml, &view_idxs, workers, 4);
+        let mut piped = build_db(&doc_xml, &view_idxs, 4);
         let mut pcircuit = build_circuit(&mut piped, view_idxs.len(), &plan);
         piped
             .apply_pipelined(statements.iter().map(String::as_str))
@@ -247,9 +245,8 @@ proptest! {
             prop_assert_eq!(
                 &got,
                 want,
-                "pipelined barrier at seq {} diverged from the sequential trace (w={})",
-                seq,
-                workers
+                "pipelined barrier at seq {} diverged from the sequential trace",
+                seq
             );
         }
         check_against_recompute(&pcircuit, &piped, "pipelined leg, fully synced")?;
@@ -273,7 +270,7 @@ proptest! {
         ),
         cut in 1usize..4,
     ) {
-        let mut db = build_db(&doc_xml, &view_idxs, 2, 1);
+        let mut db = build_db(&doc_xml, &view_idxs, 1);
         let mut circuit = build_circuit(&mut db, view_idxs.len(), &plan);
         let statements: Vec<String> = script.iter().map(script_statement).collect();
         let cut = cut.min(statements.len());
@@ -305,7 +302,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic XMark leg (runs under the CI env-knob matrix)
+// Deterministic XMark leg
 // ---------------------------------------------------------------------
 
 fn xmark_doc_bytes() -> usize {
@@ -313,10 +310,9 @@ fn xmark_doc_bytes() -> usize {
 }
 
 /// The paper's 7-view XMark catalog through a Filter → Join →
-/// Aggregate pipeline, on a database that picks `XIVM_WORKERS` up from
-/// the environment (the CI circuit job sets it). Every catalog view
-/// sees insert *and* delete traffic; every
-/// commit is checked against recomputation.
+/// Aggregate pipeline, on a database built with no knob set. Every
+/// catalog view sees insert *and* delete traffic; every commit is
+/// checked against recomputation.
 #[test]
 fn xmark_catalog_pipeline_equals_recompute() {
     let mut b = Database::builder().document(generate_sized(xmark_doc_bytes()));

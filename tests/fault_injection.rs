@@ -50,8 +50,8 @@ fn stmt(i: usize) -> String {
     }
 }
 
-fn build_db(workers: usize, pipeline: usize) -> Database {
-    let mut b = Database::builder().document(DOC).workers(workers).pipeline(pipeline);
+fn build_db(pipeline: usize) -> Database {
+    let mut b = Database::builder().document(DOC).pipeline(pipeline);
     for (name, pattern) in VIEWS {
         b = b.view(name, pattern);
     }
@@ -75,7 +75,7 @@ fn assert_consistent(db: &Database, context: &str) {
 /// The database must equal a fresh one sequentially replaying exactly
 /// the statements whose commits sealed.
 fn assert_equals_replay(db: &Database, sealed_stmts: &[String], context: &str) {
-    let mut replay = build_db(1, 1);
+    let mut replay = build_db(1);
     for s in sealed_stmts {
         replay.apply(s.as_str()).expect("replay statement");
     }
@@ -118,7 +118,7 @@ fn prepare_panic_fails_window_and_database_recovers() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(2, 4);
+    let mut db = build_db(4);
     let h = db.view("acb").expect("view");
     let feed = db.subscribe(h);
     let base: Vec<String> = (0..2).map(stmt).collect();
@@ -196,7 +196,7 @@ fn finish_panic_preserves_sealed_prefix() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(2, 1);
+    let mut db = build_db(1);
     let h = db.view("cb").expect("view");
     let feed = db.subscribe(h);
     db.apply(stmt(0).as_str()).expect("base commit");
@@ -253,7 +253,7 @@ fn panic_in_async_transaction_rolls_back_whole_batch() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(1, 1);
+    let mut db = build_db(1);
     let base = stmt(0);
     db.apply(base.as_str()).expect("base commit");
 
@@ -270,7 +270,7 @@ fn panic_in_async_transaction_rolls_back_whole_batch() {
     let t2 = db.apply_async([stmt(1), stmt(2)]).expect("resubmit transaction");
     let commit = t2.wait().expect("transaction seals");
     assert_eq!(commit.seq, 2);
-    let mut replay = build_db(1, 1);
+    let mut replay = build_db(1);
     replay.apply(base.as_str()).expect("replay base");
     replay
         .transaction()
@@ -295,7 +295,7 @@ fn panic_in_mixed_shape_window_preserves_the_sealed_mixed_window() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(2, 4);
+    let mut db = build_db(4);
     let h = db.view("acb").expect("view");
     // Explicitly unbounded: a whole window fans out before this
     // thread drains (the CI async matrix defaults to capacity 1).
@@ -345,7 +345,7 @@ fn panic_in_mixed_shape_window_preserves_the_sealed_mixed_window() {
 
     // The synchronous replay of exactly the first four submissions,
     // each in its own shape.
-    let mut replay = build_db(1, 1);
+    let mut replay = build_db(1);
     for (stmts, _) in &first {
         match stmts.as_slice() {
             [s] => replay.apply(s.as_str()).expect("replay statement"),
@@ -378,7 +378,7 @@ fn blocked_consumer_survives_panicking_window() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(2, 2);
+    let mut db = build_db(2);
     let h = db.view("acb").expect("view");
     let feed = db.subscribe_with(h, Some(1), SlowConsumerPolicy::Block);
 
@@ -440,7 +440,7 @@ fn commit_barrier_returns_when_its_commit_seals_not_when_its_window_ends() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(2, 4);
+    let mut db = build_db(4);
     let h = db.view("acb").expect("view");
     // Nothing drains before the helper wakes: commit 1 and the
     // window's first commit fill the queue, its second one blocks.
@@ -493,7 +493,7 @@ fn submission_returns_before_delayed_seal() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(1, 1);
+    let mut db = build_db(1);
     fault::arm(fault::SEAL_DELAY);
 
     let start = Instant::now();
@@ -533,7 +533,7 @@ fn panic_in_recovery_poisons_the_service_instead_of_hanging() {
 
     let (report, observed) = mpsc::channel();
     let scenario = std::thread::spawn(move || {
-        let mut db = build_db(2, 4);
+        let mut db = build_db(4);
         db.apply(stmt(0).as_str()).expect("base commit");
 
         // SEAL_DELAY holds the service before its first window, so all
@@ -588,7 +588,6 @@ fn commits_after_a_recovered_panic_seed_a_new_deferred_batch() {
     for pipeline in [1, 4] {
         let mut db = Database::builder()
             .document(DOC)
-            .workers(2)
             .pipeline(pipeline)
             .view_deferred(VIEWS[0].0, VIEWS[0].1)
             .view(VIEWS[1].0, VIEWS[1].1)
@@ -617,7 +616,7 @@ fn commits_after_a_recovered_panic_seed_a_new_deferred_batch() {
         db.refresh(acb).expect("refresh").expect("a batch was pending");
         db.document().check_invariants().expect("document invariants");
         assert_consistent(&db, "after the refresh");
-        let mut replay = build_db(1, 1);
+        let mut replay = build_db(1);
         for s in [stmt(0)].iter().chain(&after) {
             replay.apply(s.as_str()).expect("replay statement");
         }

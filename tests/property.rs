@@ -259,73 +259,10 @@ proptest! {
         batched.document().check_invariants().map_err(TestCaseError::fail)?;
     }
 
-    /// Parallel propagation output is identical to sequential, for
-    /// random documents × random view sets × random PULs — including
-    /// the degenerate 1-worker pool and more views than workers.
-    /// Statements run both one-by-one (raw PULs) and batched through
-    /// a transaction (optimizer-reduced PULs).
-    #[test]
-    fn parallel_propagation_equals_sequential(
-        doc_xml in arb_doc(),
-        view_idxs in prop::collection::vec(0usize..PATTERNS.len(), 1..6),
-        script in prop::collection::vec(
-            (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
-            1..4
-        ),
-        workers in 1usize..6,
-        batched in prop::bool::ANY,
-    ) {
-        // duplicate patterns are fine (and interesting): names differ
-        let build = |workers: usize| {
-            let mut b = Database::builder().document(doc_xml.as_str()).workers(workers);
-            for (i, &p) in view_idxs.iter().enumerate() {
-                b = b.view(format!("v{i}"), PATTERNS[p]);
-            }
-            b.build().unwrap()
-        };
-        let mut seq = build(1);
-        let mut par = build(workers);
-        prop_assert_eq!(par.workers(), workers);
-        if batched {
-            let (mut tx_seq, mut tx_par) = (seq.transaction(), par.transaction());
-            for &(t, f, is_insert) in &script {
-                tx_seq = tx_seq.statement(script_statement(t, f, is_insert).as_str());
-                tx_par = tx_par.statement(script_statement(t, f, is_insert).as_str());
-            }
-            tx_seq.commit().unwrap();
-            tx_par.commit().unwrap();
-        } else {
-            for &(t, f, is_insert) in &script {
-                let stmt = script_statement(t, f, is_insert);
-                let seq_reports = seq.apply(stmt.as_str()).unwrap();
-                let par_reports = par.apply(stmt.as_str()).unwrap();
-                // reports come back in declaration order with equal
-                // counters and deltas (timings legitimately differ)
-                for ((n1, r1), (n2, r2)) in seq_reports.iter().zip(par_reports.iter()) {
-                    prop_assert_eq!(n1, n2);
-                    prop_assert_eq!(r1.tuples_added, r2.tuples_added);
-                    prop_assert_eq!(r1.tuples_removed, r2.tuples_removed);
-                    prop_assert_eq!(r1.tuples_modified, r2.tuples_modified);
-                    prop_assert_eq!(r1.derivations_added, r2.derivations_added);
-                    prop_assert_eq!(r1.derivations_removed, r2.derivations_removed);
-                    prop_assert_eq!(&r1.delta, &r2.delta, "deltas must be bit-identical");
-                }
-            }
-        }
-        prop_assert_eq!(seq.serialize(), par.serialize());
-        for (a, b) in seq.handles().into_iter().zip(par.handles()) {
-            prop_assert!(
-                fingerprint(&seq, a) == fingerprint(&par, b),
-                "view {} diverged under {workers} workers: doc={doc_xml} script={script:?}",
-                seq.name(a)
-            );
-        }
-        consistent(&par)?;
-    }
-
-    /// The delta-first contract: for random documents, view sets and
-    /// update scripts — applied one by one or batched, at any worker
-    /// count — replaying each commit's per-view deltas onto snapshots
+    /// The delta-first contract: for random documents, view sets (up
+    /// to five views, duplicate patterns included: names differ) and
+    /// update scripts — applied one by one or batched through a
+    /// transaction — replaying each commit's per-view deltas onto snapshots
     /// of the pre-commit stores reproduces the post-commit stores
     /// *exactly* (keys, derivation counts and stored text), the commit
     /// sequence numbers are gapless, and every delta is a canonical run
@@ -333,15 +270,14 @@ proptest! {
     #[test]
     fn deltas_replay_to_store(
         doc_xml in arb_doc(),
-        view_idxs in prop::collection::vec((0usize..PATTERNS.len(), 0usize..3), 1..4),
+        view_idxs in prop::collection::vec((0usize..PATTERNS.len(), 0usize..3), 1..6),
         script in prop::collection::vec(
             (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
             1..4
         ),
-        workers in 1usize..5,
         batched in prop::bool::ANY,
     ) {
-        let mut b = Database::builder().document(doc_xml.as_str()).workers(workers);
+        let mut b = Database::builder().document(doc_xml.as_str());
         for (i, &(p, strategy)) in view_idxs.iter().enumerate() {
             b = b.view_with_strategy(format!("v{i}"), PATTERNS[p], STRATEGIES[strategy]);
         }
@@ -389,7 +325,7 @@ proptest! {
             prop_assert!(
                 replica.identical_to(db.store(h)),
                 "snapshot + Σ deltas must equal the final store exactly \
-                 (doc={doc_xml} script={script:?} workers={workers} batched={batched})"
+                 (doc={doc_xml} script={script:?} batched={batched})"
             );
             prop_assert!(replica.cursor().eq(db.cursor(h)), "and row for row, in its order");
         }
@@ -584,9 +520,8 @@ proptest! {
         ),
         t in 0usize..TARGETS.len(),
         f in 0usize..FORESTS.len(),
-        workers in 1usize..5,
     ) {
-        let mut b = Database::builder().document(doc_xml.as_str()).workers(workers);
+        let mut b = Database::builder().document(doc_xml.as_str());
         for (i, p) in PATTERNS.iter().enumerate() {
             b = b.view(format!("v{i}"), *p);
         }
@@ -624,7 +559,7 @@ proptest! {
             prop_assert!(
                 db.store(h).identical_to(snapshot),
                 "view {} did not return to its pre-insert store (doc={doc_xml} \
-                 insert {tagged} into {}, workers={workers}):\n{}",
+                 insert {tagged} into {}):\n{}",
                 db.name(h),
                 TARGETS[t],
                 db.store(h).diff_description(snapshot)
@@ -691,9 +626,8 @@ proptest! {
             (0usize..6, 0usize..TARGETS.len(), 0usize..FORESTS.len()),
             1..5
         ),
-        workers in 1usize..4,
     ) {
-        let mut b = Database::builder().document(doc_xml.as_str()).workers(workers);
+        let mut b = Database::builder().document(doc_xml.as_str());
         for (i, p) in PATTERNS.iter().enumerate() {
             b = b.view_with_strategy(format!("v{i}"), *p, STRATEGIES[i % STRATEGIES.len()]);
         }
@@ -768,10 +702,9 @@ proptest! {
         doc_xml in arb_doc(),
         order in prop::collection::vec((0u32..1000, 0usize..5), 4..5),
         strategies in prop::collection::vec(0usize..3, 8..9),
-        workers in 1usize..3,
     ) {
         let doc_xml = doc_xml.replace("</r>", "<a><b/><c/><d>5</d></a></r>");
-        let mut b = Database::builder().document(doc_xml.as_str()).workers(workers);
+        let mut b = Database::builder().document(doc_xml.as_str());
         let patterns = PATTERNS.iter().chain(&["//a{id,cont}//b{id}", "//c{id,val}//b{id}"]);
         for (i, p) in patterns.enumerate() {
             b = b.view_with_strategy(format!("v{i}"), *p, STRATEGIES[strategies[i]]);
@@ -875,7 +808,6 @@ fn unsubscribe_between_overlapped_commits() {
         .view("ab", "//a{id}//b{id}")
         .view("acb", "//a{id}[//c{id}]//b{id}")
         .view("c_cont", "//c{id,cont}")
-        .workers(3)
         .pipeline(3)
         .build()
         .unwrap();
@@ -923,7 +855,6 @@ fn multiple_subscribers_on_one_view_share_the_delta_allocation() {
         .document("<a><c><b/><b/></c><f><b/></f></a>")
         .view("ab", "//a{id}//b{id}")
         .view("ac", "//a{id}//c{id}")
-        .workers(2)
         .pipeline(2)
         .build()
         .unwrap();
@@ -967,7 +898,6 @@ fn rejected_pipelined_batch_emits_nothing() {
     let mut db = Database::builder()
         .document("<a><c><b/><b/></c><f><c><b/></c><b/></f></a>")
         .view("acb", "//a{id}[//c{id}]//b{id}")
-        .workers(2)
         .pipeline(2)
         .build()
         .unwrap();
@@ -1009,12 +939,10 @@ proptest! {
     fn drop_and_mark_reports_exact_lag_and_snapshot_reseed_reconverges(
         capacity in 1usize..4,
         overflow in 1usize..5,
-        workers in 1usize..4,
     ) {
         let mut db = Database::builder()
             .document("<r><a><b/></a><a><c/></a></r>")
             .view("ab", PATTERNS[0])
-            .workers(workers)
             .build()
             .unwrap();
         let h = db.view("ab").unwrap();
@@ -1084,7 +1012,6 @@ fn block_policy_backpressure_waits_and_loses_nothing() {
     let mut db = Database::builder()
         .document("<r><a><b/></a></r>")
         .view("ab", PATTERNS[0])
-        .workers(2)
         .pipeline(2)
         .build()
         .unwrap();
@@ -1180,7 +1107,6 @@ proptest! {
         let mut db = Database::builder()
             .document("<r><a><b/></a><a><c/></a></r>")
             .view("ab", PATTERNS[0])
-            .workers(2)
             .pipeline(pipeline)
             .build()
             .unwrap();

@@ -1,10 +1,9 @@
-//! Differential soak harness for the persistent propagation runtime.
+//! Differential soak harness for the commit front-ends.
 //!
-//! Four executions of the same workload — **sequential** (1 worker,
-//! statements applied one by one), **pooled** (N persistent workers,
-//! statements applied one by one), **pipelined** (N workers, the
-//! stream handed to `Database::apply_pipelined` as one window) and
-//! **async-service** (N workers, the statements submitted through
+//! Three executions of the same workload — **sequential** (statements
+//! applied one by one), **pipelined** (the stream handed to
+//! `Database::apply_pipelined` as one window at depth D) and
+//! **async-service** (the statements submitted through
 //! `Database::apply_async` at depth D — grouped into submissions of 0,
 //! 1 or 4 statements, so empty and multi-statement commits share windows
 //! with single ones — with randomized `flush()` / `wait()` /
@@ -22,10 +21,8 @@
 //! Random documents × view sets × statement streams are generated by
 //! the proptest shim, so a failing case records its raw draw sequence
 //! and the shim's greedy shrinker minimizes it
-//! (`PROPTEST_MAX_SHRINK_ITERS` bounds the budget). A deterministic
-//! grid test additionally covers every (workers, depth) point in
-//! 1–8 × 1–8, and a spawn-counter test pins the pool's defining
-//! property: steady-state propagation spawns zero new threads.
+//! (`PROPTEST_MAX_SHRINK_ITERS` bounds the budget). Deterministic
+//! sweeps additionally cover every depth in 1–8, pipelined and async.
 
 use proptest::prelude::*;
 use xivm::pattern::compile::view_tuples;
@@ -117,8 +114,8 @@ struct Observation {
     db: Database,
 }
 
-fn build_db(doc_xml: &str, view_idxs: &[usize], workers: usize, pipeline: usize) -> Database {
-    let mut b = Database::builder().document(doc_xml).workers(workers).pipeline(pipeline);
+fn build_db(doc_xml: &str, view_idxs: &[usize], pipeline: usize) -> Database {
+    let mut b = Database::builder().document(doc_xml).pipeline(pipeline);
     for (i, &p) in view_idxs.iter().enumerate() {
         b = b.view(format!("v{i}"), PATTERNS[p]);
     }
@@ -133,11 +130,10 @@ fn run_workload(
     doc_xml: &str,
     view_idxs: &[usize],
     script: &[ScriptStep],
-    workers: usize,
     pipeline: usize,
     pipelined: bool,
 ) -> Observation {
-    run_submissions(doc_xml, view_idxs, &submissions(script, &[]), workers, pipeline, pipelined)
+    run_submissions(doc_xml, view_idxs, &submissions(script, &[]), pipeline, pipelined)
 }
 
 /// [`run_workload`] over explicit submissions, one commit each: a
@@ -149,11 +145,10 @@ fn run_submissions(
     doc_xml: &str,
     view_idxs: &[usize],
     groups: &[Vec<String>],
-    workers: usize,
     pipeline: usize,
     pipelined: bool,
 ) -> Observation {
-    drive(build_db(doc_xml, view_idxs, workers, pipeline), groups, pipelined)
+    drive(build_db(doc_xml, view_idxs, pipeline), groups, pipelined)
 }
 
 /// One submission as one synchronous commit: a single statement
@@ -172,7 +167,7 @@ fn commit_sync(db: &mut Database, group: &[String]) -> Commit {
 
 /// The synchronous drive behind [`run_submissions`], over a database
 /// the caller built (the env-default test hands in one that never saw
-/// `.workers(..)` / `.pipeline(..)`).
+/// `.pipeline(..)`).
 fn drive(mut db: Database, groups: &[Vec<String>], pipelined: bool) -> Observation {
     let (commits, streams) = if pipelined {
         assert!(groups.iter().all(|g| g.len() == 1), "apply_pipelined commits per statement");
@@ -240,12 +235,11 @@ fn run_workload_async(
     doc_xml: &str,
     view_idxs: &[usize],
     groups: &[Vec<String>],
-    workers: usize,
     pipeline: usize,
     capacity: Option<usize>,
     interleave: &[u8],
 ) -> Observation {
-    let mut db = build_db(doc_xml, view_idxs, workers, pipeline);
+    let mut db = build_db(doc_xml, view_idxs, pipeline);
     let expected = groups.len();
     let consumers: Vec<std::thread::JoinHandle<(Vec<DeltaEvent>, Subscription)>> = db
         .handles()
@@ -431,34 +425,29 @@ fn assert_sound(obs: &Observation, commits: usize) -> Result<(), TestCaseError> 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The soak property: random workloads, random worker counts
-    /// (1–8) and pipeline depths (1–8, the lifted window depths).
-    /// Sequential is the reference; pooled and pipelined runs must be
-    /// observationally identical to it, and the reference itself must
-    /// match recomputation.
+    /// The soak property: random workloads and pipeline depths (1–8,
+    /// the lifted window depths). Sequential is the reference; the
+    /// pipelined run must be observationally identical to it, and the
+    /// reference itself must match recomputation.
     #[test]
-    fn sequential_pooled_pipelined_agree(
+    fn sequential_and_pipelined_agree(
         doc_xml in arb_doc(),
         view_idxs in prop::collection::vec(0usize..PATTERNS.len(), 1..5),
         script in prop::collection::vec(
             (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
             1..7
         ),
-        workers in 1usize..9,
         depth in 1usize..9,
     ) {
-        let reference = run_workload(&doc_xml, &view_idxs, &script, 1, 1, false);
+        let reference = run_workload(&doc_xml, &view_idxs, &script, 1, false);
         assert_sound(&reference, script.len())?;
 
-        let pooled = run_workload(&doc_xml, &view_idxs, &script, workers, 1, false);
-        assert_equivalent(&reference, &pooled, &format!("pooled w={workers}"))?;
-
-        let pipelined = run_workload(&doc_xml, &view_idxs, &script, workers, depth, true);
-        assert_equivalent(&reference, &pipelined, &format!("pipelined w={workers} d={depth}"))?;
+        let pipelined = run_workload(&doc_xml, &view_idxs, &script, depth, true);
+        assert_equivalent(&reference, &pipelined, &format!("pipelined d={depth}"))?;
     }
 
     /// The async-service leg of the soak: the same workload submitted
-    /// through `apply_async` — random worker counts, pipeline depths,
+    /// through `apply_async` — random pipeline depths,
     /// subscription capacities (1, 4 or unbounded), submission shapes
     /// (0, 1 or 4 statements) and per-submission `flush()` / `wait()` /
     /// synchronous-read / synchronous-commit interleavings — must be observationally identical to the
@@ -473,7 +462,6 @@ proptest! {
             (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
             1..7
         ),
-        workers in 1usize..9,
         depth in 1usize..9,
         capacity_sel in 0usize..3,
         interleave in prop::collection::vec(0u8..5, 7..8),
@@ -481,23 +469,19 @@ proptest! {
     ) {
         let capacity = [Some(1), Some(4), None][capacity_sel];
         let groups = submissions(&script, &shapes);
-        let reference = run_submissions(&doc_xml, &view_idxs, &groups, 1, 1, false);
+        let reference = run_submissions(&doc_xml, &view_idxs, &groups, 1, false);
         assert_sound(&reference, groups.len())?;
         let serviced =
-            run_workload_async(&doc_xml, &view_idxs, &groups, workers, depth, capacity, &interleave);
-        assert_equivalent(
-            &reference,
-            &serviced,
-            &format!("async w={workers} d={depth} cap={capacity:?}"),
-        )?;
+            run_workload_async(&doc_xml, &view_idxs, &groups, depth, capacity, &interleave);
+        assert_equivalent(&reference, &serviced, &format!("async d={depth} cap={capacity:?}"))?;
     }
 }
 
-/// Deterministic full grid: every (workers, depth) point in 1–8 × 1–8
-/// over a fixed workload whose statements produce multi-group *and*
-/// single-group (conflicting) schedules.
+/// Deterministic depth sweep: every pipeline depth in 1–8 over a fixed
+/// workload whose statements produce multi-group *and* single-group
+/// (conflicting) Figure 15 partitions.
 #[test]
-fn full_worker_depth_grid() {
+fn full_depth_sweep() {
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
     let views = [0usize, 1, 3, 5];
     let script: Vec<ScriptStep> = vec![
@@ -508,30 +492,21 @@ fn full_worker_depth_grid() {
         (0, 3, true),  // insert <d>5</d> into //a
         (1, 0, false), // delete //b
     ];
-    let reference = run_workload(doc, &views, &script, 1, 1, false);
+    let reference = run_workload(doc, &views, &script, 1, false);
     assert_sound(&reference, script.len()).unwrap();
-    for workers in 1..=8 {
-        for depth in 1..=8 {
-            let pooled = run_workload(doc, &views, &script, workers, 1, false);
-            assert_equivalent(&reference, &pooled, &format!("grid pooled w={workers}")).unwrap();
-            let pipelined = run_workload(doc, &views, &script, workers, depth, true);
-            assert_equivalent(
-                &reference,
-                &pipelined,
-                &format!("grid pipelined w={workers} d={depth}"),
-            )
-            .unwrap();
-        }
+    for depth in 1..=8 {
+        let pipelined = run_workload(doc, &views, &script, depth, true);
+        assert_equivalent(&reference, &pipelined, &format!("sweep pipelined d={depth}")).unwrap();
     }
 }
 
-/// Deterministic async grid: every (workers, depth) point in 1–8 ×
-/// 1–8 over the same fixed workload as [`full_worker_depth_grid`],
-/// submitted through the async service with the subscription capacity
-/// cycling through {1, 4, unbounded} and the submission grouping
-/// cycling through four shape patterns (all single; a four-statement
-/// and an empty commit in the middle, at the head, at the tail of a
-/// window) across grid points, and a fixed interleave mixing
+/// Deterministic async grid: every (depth, capacity) point in 1–8 ×
+/// {1, 4, unbounded} over the same fixed workload as
+/// [`full_depth_sweep`], submitted through the async service with the
+/// submission grouping cycling through four shape patterns (all
+/// single; a four-statement and an empty commit in the middle, at the
+/// head, at the tail of a window) across grid points — every capacity
+/// meets every shape — and a fixed interleave mixing
 /// fire-and-forget, a mid-stream wait, a mid-stream synchronous read,
 /// a mid-stream flush and a synchronous commit between two bursts.
 /// Bit-identical to the sequential reference of the same grouping
@@ -551,66 +526,23 @@ fn full_async_grid_agrees_with_sequential() {
         .iter()
         .map(|s| {
             let groups = submissions(&script, s);
-            let reference = run_submissions(doc, &views, &groups, 1, 1, false);
+            let reference = run_submissions(doc, &views, &groups, 1, false);
             assert_sound(&reference, groups.len()).unwrap();
             (groups, reference)
         })
         .collect();
-    for workers in 1..=8 {
-        for depth in 1..=8 {
-            let capacity = capacities[(workers + depth) % capacities.len()];
-            let (groups, reference) = &cases[(workers + 2 * depth) % cases.len()];
-            let serviced =
-                run_workload_async(doc, &views, groups, workers, depth, capacity, &interleave);
+    for depth in 1..=8 {
+        for (c, &capacity) in capacities.iter().enumerate() {
+            let (groups, reference) = &cases[(depth + c) % cases.len()];
+            let serviced = run_workload_async(doc, &views, groups, depth, capacity, &interleave);
             assert_equivalent(
                 reference,
                 &serviced,
-                &format!("async grid w={workers} d={depth} cap={capacity:?}"),
+                &format!("async grid d={depth} cap={capacity:?}"),
             )
             .unwrap();
         }
     }
-}
-
-/// The pool's defining property: threads are spawned once, on the
-/// first propagation that can use them, and *never again* — neither
-/// by further applies, nor by pipelined batches, nor by transactions.
-#[test]
-fn steady_state_propagation_spawns_zero_new_threads() {
-    let doc = "<r><a><c><b/></c></a><a><b/></a></r>";
-    let mut db = build_db(doc, &[0, 1, 2], 4, 2);
-    assert_eq!(db.threads_spawned(), 0, "construction must not spawn (lazy start)");
-
-    db.apply("insert <b/> into //c").unwrap();
-    let warm = db.threads_spawned();
-    assert!(warm > 0, "a 4-worker propagation over 3 views must start the pool");
-    assert!(warm <= 3, "at most workers - 1 threads (the caller participates)");
-
-    for _ in 0..10 {
-        db.apply("insert <b/> into //c").unwrap();
-        db.apply("delete //c//b").unwrap();
-    }
-    db.apply_pipelined(["insert <c><b/></c> into //a", "delete //a//c", "insert <b/> into //a"])
-        .unwrap();
-    db.transaction().statement("insert <b/> into //a").statement("delete //b").commit().unwrap();
-    assert_eq!(db.threads_spawned(), warm, "steady-state propagation must spawn zero new threads");
-
-    // The async service seals through the same pool: a burst of
-    // submissions grows the spawn counter by exactly nothing.
-    let tickets: Vec<Ticket> =
-        (0..6).map(|_| db.apply_async(["insert <b/> into //c"]).unwrap()).collect();
-    db.flush().unwrap();
-    for t in tickets {
-        t.wait().unwrap();
-    }
-    assert_eq!(db.threads_spawned(), warm, "async sealing must reuse the warm pool");
-
-    // sequential databases never spawn at all
-    let mut seq = build_db(doc, &[0, 1], 1, 1);
-    for _ in 0..5 {
-        seq.apply("insert <b/> into //a").unwrap();
-    }
-    assert_eq!(seq.threads_spawned(), 0, "1-worker databases stay threadless");
 }
 
 /// Pipelining a workload whose every statement expands to a multi-op
@@ -621,26 +553,25 @@ fn steady_state_propagation_spawns_zero_new_threads() {
 fn multi_op_statements_pipeline_equals_sequential() {
     let doc = "<r><a><c><b/><b/></c></a><a><b/><c/></a></r>";
     let views = [0usize, 1, 2];
-    let reference = run_workload(doc, &views, &[(1, 2, true), (0, 0, false)], 1, 1, false);
+    let reference = run_workload(doc, &views, &[(1, 2, true), (0, 0, false)], 1, false);
     for depth in 2..=4 {
-        let pipelined = run_workload(doc, &views, &[(1, 2, true), (0, 0, false)], 4, depth, true);
+        let pipelined = run_workload(doc, &views, &[(1, 2, true), (0, 0, false)], depth, true);
         assert_equivalent(&reference, &pipelined, &format!("multi-op d={depth}")).unwrap();
     }
 }
 
-/// A database built *without* explicit `.workers(..)` picks the
-/// worker count up from `XIVM_WORKERS` — the knob the CI soak job
-/// sets — and must still be observationally identical to the explicit
-/// 1-worker sequential reference. Locally (no env vars) this
-/// degenerates to sequential-vs-sequential; under CI's
-/// `XIVM_WORKERS=4` it is a real pooled-vs-sequential differential.
+/// A database built with no knob set — its subscription capacity
+/// picked up from `XIVM_SUB_CAPACITY`, the variable the CI async
+/// matrix sets — must still be observationally identical to the
+/// explicit depth-1 sequential reference, applied one by one and
+/// pipelined.
 #[test]
 fn env_configured_databases_agree_with_sequential() {
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d></a></r>";
     let views = [0usize, 1, 2, 4];
     let script: Vec<ScriptStep> =
         vec![(1, 2, true), (0, 0, false), (3, 3, true), (2, 1, false), (0, 2, true)];
-    let reference = run_workload(doc, &views, &script, 1, 1, false);
+    let reference = run_workload(doc, &views, &script, 1, false);
     assert_sound(&reference, script.len()).unwrap();
 
     // same workload through env-default databases, applied one by one
@@ -679,9 +610,9 @@ fn database_moves_across_threads_with_tickets_in_flight() {
     let views = [0usize, 1, 3, 5];
     let script: Vec<ScriptStep> =
         vec![(0, 1, true), (2, 0, false), (1, 2, true), (3, 3, false), (0, 3, true), (1, 0, false)];
-    let reference = run_workload(doc, &views, &script, 1, 1, false);
+    let reference = run_workload(doc, &views, &script, 1, false);
 
-    let mut db = build_db(doc, &views, 4, 4);
+    let mut db = build_db(doc, &views, 4);
     let subs: Vec<Subscription> = db
         .handles()
         .into_iter()
@@ -723,7 +654,7 @@ fn depth_eight_is_effective_and_equivalent_to_sequential() {
     assert_eq!(script.len(), 8, "one full window at depth 8");
 
     // The knob reports the depth that actually runs…
-    let db = build_db(doc, &views, 4, 8);
+    let db = build_db(doc, &views, 8);
     assert_eq!(db.pipeline_depth(), 8, "depth 8 must be effective, not silently capped");
     // …and zero still spells "off".
     let mut db = db;
@@ -731,9 +662,9 @@ fn depth_eight_is_effective_and_equivalent_to_sequential() {
     assert_eq!(db.pipeline_depth(), 1);
 
     // Depth 8 ≡ sequential, observationally.
-    let reference = run_workload(doc, &views, &script, 1, 1, false);
+    let reference = run_workload(doc, &views, &script, 1, false);
     assert_sound(&reference, script.len()).unwrap();
-    let deep = run_workload(doc, &views, &script, 4, 8, true);
+    let deep = run_workload(doc, &views, &script, 8, true);
     assert_equivalent(&reference, &deep, "depth-8 window").unwrap();
 }
 
@@ -742,8 +673,8 @@ fn depth_eight_is_effective_and_equivalent_to_sequential() {
 #[test]
 fn degenerate_pipelined_batches_match_apply() {
     let doc = "<r><a><b/></a></r>";
-    let mut plain = build_db(doc, &[0], 4, 3);
-    let mut piped = build_db(doc, &[0], 4, 3);
+    let mut plain = build_db(doc, &[0], 3);
+    let mut piped = build_db(doc, &[0], 3);
 
     let empty = piped.apply_pipelined(Vec::<&str>::new()).unwrap();
     assert!(empty.is_empty(), "empty batches commit nothing");
@@ -778,12 +709,10 @@ proptest! {
         ),
         kill_mask in prop::collection::vec(prop::bool::ANY, 14..15),
         retain in 1usize..6,
-        workers in 1usize..4,
     ) {
         let mut db = Database::builder()
             .document(doc_xml.as_str())
             .view("v", PATTERNS[pattern_idx])
-            .workers(workers)
             .build()
             .unwrap();
         let h = db.view("v").unwrap();
@@ -881,7 +810,6 @@ fn deferred_refresh_soak_across_sealing_modes() {
                 .document(DOC)
                 .view_deferred("v", PATTERNS[1])
                 .view("w", PATTERNS[0])
-                .workers(2)
                 .pipeline(if mode == "pipelined_d1" { 1 } else { 4 });
             if analyze {
                 b = b.dtd(DTD).analyze(AnalyzeMode::Warn);
