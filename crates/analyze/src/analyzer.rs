@@ -1,10 +1,12 @@
 //! The analysis façade: one [`Analyzer`] per (DTD, view catalog).
 //!
-//! Build it once, then ask it about statements as they arrive: a
-//! [`StatementShape`] costs one path walk (no document access), a
-//! skip mask one relevance check per view. The `Database` façade keeps
-//! an `Analyzer` behind its `analyze(Strict|Warn)` builder knob; the
-//! `analyze_lint` example drives the same API as a CI gate.
+//! Build it once, then ask it about statements: a [`StatementShape`]
+//! costs one path walk (no document access), a skip mask one relevance
+//! check per view. The `Database` façade builds one behind its
+//! `analyze(Strict|Warn)` builder knob only to lint the catalog at
+//! `build()` ([`Analyzer::report`]) and then drops it — no commit asks
+//! it anything; the `analyze_lint` example drives the same API as a CI
+//! gate.
 
 use crate::independence;
 use crate::relevance::{relevance, RelevanceMatrix, Verdict};
@@ -59,15 +61,15 @@ impl Analyzer {
     }
 
     /// Skip mask for one statement shape: `mask[i] == true` means view
-    /// `i` is statically irrelevant and the engine may skip its
-    /// maintenance entirely.
+    /// `i` is statically irrelevant — on a DTD-conforming document the
+    /// statement cannot change it.
     pub fn skip_mask(&self, shape: &StatementShape) -> Vec<bool> {
         self.views.iter().map(|v| relevance(v, shape).can_skip()).collect()
     }
 
     /// Are the statements of a batch provably pairwise independent
-    /// (Figure 15 lifted to shapes)? `true` authorizes skipping the
-    /// runtime pairwise conflict scan.
+    /// (Figure 15 lifted to shapes)? `true` means the runtime pairwise
+    /// conflict scan finds nothing on any DTD-conforming document.
     pub fn batch_independent(&self, statements: &[UpdateStatement]) -> bool {
         let shapes: Vec<StatementShape> =
             statements.iter().map(|s| self.statement_shape(s)).collect();

@@ -7,10 +7,12 @@
 //! a proper ancestor of an insertion target (NLO); deletions never
 //! conflict with each other. Here the same three rules are asked of
 //! label sets: if no rule can fire for *any* pair of target nodes in
-//! any conforming document, the statements are provably independent
-//! and the runtime conflict scan can be skipped. Anything else is
-//! [`Independence::Unknown`] and falls back to the dynamic check —
-//! the lifted rules only ever say "safe", never "conflict".
+//! any conforming document, the statements are provably independent:
+//! the runtime conflict scan would find nothing. Anything else is
+//! [`Independence::Unknown`], which claims nothing — the lifted rules
+//! only ever say "safe", never "conflict". The `Database` façade runs
+//! the runtime scan on every independent batch all the same: nothing
+//! checks that its document conforms.
 
 use crate::shape::StatementShape;
 
@@ -52,8 +54,9 @@ pub fn independent(a: &StatementShape, b: &StatementShape) -> Independence {
     }
 }
 
-/// True when *every* pair in the batch is statically independent —
-/// the precondition for skipping the runtime pairwise conflict scan.
+/// True when *every* pair in the batch is statically independent: on
+/// a conforming document the runtime pairwise conflict scan finds
+/// nothing.
 pub fn pairwise_independent(shapes: &[StatementShape]) -> bool {
     for (i, a) in shapes.iter().enumerate() {
         for b in &shapes[i + 1..] {

@@ -13,14 +13,11 @@
 //!    match no valid document is *dead* and reported as a finding.
 //! 2. **Static relevance** — for every (view, statement label-shape)
 //!    pair a [`Verdict`]: *irrelevant* / *relevant* / *unknown*,
-//!    derived from label alphabets, axes and DTD reachability. The
-//!    `Database` façade consults the verdicts to skip footprint
-//!    computation and delta harvesting for statically-irrelevant
-//!    views.
+//!    derived from label alphabets, axes and DTD reachability.
 //! 3. **Static independence** — the Figure 15 IO / LO / NLO rules
 //!    lifted from concrete Dewey targets to path/label shapes
-//!    ([`independence`]): provably-disjoint batches skip the runtime
-//!    conflict scan, *unknown* falls back to the dynamic check.
+//!    ([`independence`]): a batch proved independent cannot conflict,
+//!    *unknown* claims nothing.
 //!
 //! Every verdict is **conservative for DTD-conforming documents**:
 //! static *irrelevant* implies the runtime [`ViewDelta`] is empty and
@@ -30,6 +27,15 @@
 //! gracefully: only label-alphabet reasoning applies (absolute
 //! child-axis paths stay precise, descendant axes and deletions widen
 //! to *unknown*).
+//!
+//! Nothing skips work on a verdict. Nothing checks that a document or
+//! an insert conforms, so a verdict can be wrong about the document a
+//! database actually holds. The `Database` façade runs the analyzer
+//! once, as a lint at `build()` (dead views, the matrix on its
+//! `AnalysisReport`), and its commits skip a view only through the
+//! engine's dynamic relevance exit, which needs no DTD; the
+//! `analyze_soundness` suite checks that the exit takes every slot the
+//! matrix calls *irrelevant*.
 //!
 //! [`ViewDelta`]: https://docs.rs/xivm_core
 //!

@@ -1,14 +1,15 @@
 //! The static relevance matrix: which statements can touch which
 //! views.
 //!
-//! The runtime engine answers this per commit with label footprints
-//! (`op_footprint` / `touches` in `xivm_core::parallel`); here the
-//! same question is answered *once*, from shapes alone. A verdict of
-//! [`Verdict::Irrelevant`] is a proof obligation: for every
-//! DTD-conforming document, applying the statement leaves the view's
-//! extent — tuples *and* stored text — unchanged, so the engine can
-//! skip footprint computation, maintenance and delta harvesting for
-//! that view entirely.
+//! The runtime engine answers this per commit, from the labels the
+//! applied PUL touched (the dynamic relevance exit of
+//! `MaintenanceEngine::finish`); here the same question is answered
+//! *once*, from shapes alone. A verdict of [`Verdict::Irrelevant`] is a
+//! proof obligation: for every DTD-conforming document, applying the
+//! statement leaves the view's extent — tuples *and* stored text —
+//! unchanged. It is a claim, not a schedule: nothing checks that a
+//! document conforms, so the engine skips on the dynamic exit alone,
+//! which takes every slot this matrix calls irrelevant.
 
 use crate::shape::StatementShape;
 use crate::view::ViewSummary;
@@ -17,7 +18,7 @@ use std::fmt;
 /// Outcome of one (view, statement) relevance check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Provably no effect on the view — the engine may skip it.
+    /// Provably no effect on the view, on any DTD-conforming document.
     Irrelevant,
     /// The label sets overlap with both sides precisely known; the
     /// statement plausibly affects the view.
@@ -28,8 +29,8 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// Only [`Verdict::Irrelevant`] authorizes skipping runtime work;
-    /// `Relevant` and `Unknown` both fall back to the dynamic path.
+    /// Only [`Verdict::Irrelevant`] claims the view unchanged;
+    /// `Relevant` and `Unknown` claim nothing.
     pub fn can_skip(self) -> bool {
         matches!(self, Verdict::Irrelevant)
     }

@@ -8,11 +8,10 @@ use std::fmt;
 pub enum AnalyzeMode {
     /// Error-severity findings (dead views) abort `build()`.
     Strict,
-    /// Findings are recorded on the report but never abort; static
-    /// skip and independence fast paths stay active.
+    /// Findings are recorded on the report but never abort.
     Warn,
-    /// No analysis: no findings, no static fast paths. The default —
-    /// analysis is opt-in per database.
+    /// No analysis: no findings, no report. The default — the lint is
+    /// opt-in per database.
     #[default]
     Off,
 }
@@ -51,7 +50,7 @@ impl fmt::Display for Finding {
 }
 
 /// Everything one analysis run produced: findings plus the relevance
-/// matrix the engine's skip masks are derived from.
+/// matrix.
 #[derive(Debug, Clone)]
 pub struct AnalysisReport {
     pub findings: Vec<Finding>,

@@ -184,21 +184,19 @@ impl Commit {
         self.iter().filter(|(_, r)| !r.delta.is_empty()).map(|(n, _)| n).collect()
     }
 
-    /// Number of views the static analyzer let this commit skip
-    /// entirely (their reports carry
-    /// [`UpdateReport::statically_skipped`]): no footprint work, no Δ
-    /// extraction, no delta harvest. 0 on databases built without
-    /// `analyze(..)`.
+    /// Always 0: no commit consults the static analyzer, so no view is
+    /// skipped ahead of the commit — [`Self::dynamic_skips`] counts the
+    /// views that were skipped. Kept only because `benchmark/` calls
+    /// it; the ROADMAP's `[benchmark]` item removes it.
     pub fn static_skips(&self) -> usize {
-        self.per_view.iter().filter(|r| r.statically_skipped).count()
+        0
     }
 
     /// Number of views whose propagation took the dynamic relevance
     /// exit (their reports carry [`UpdateReport::irrelevant`]): the
     /// applied PUL held none of the view's labels and no stored text
     /// lay above it, so the engine returned before any per-view work.
-    /// Needs no DTD and no analysis — what [`Self::static_skips`]
-    /// proves ahead of the commit, this observes during it.
+    /// Needs no DTD and holds on every document.
     pub fn dynamic_skips(&self) -> usize {
         self.per_view.iter().filter(|r| r.irrelevant).count()
     }

@@ -294,32 +294,32 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Declares the DTD the documents conform to (grammar text or a
-    /// parsed [`Dtd`]). Optional; it sharpens every static analysis
-    /// [`Self::analyze`] enables — satisfiability of view patterns and
-    /// statement targets, relevance verdicts, independence — but the
-    /// analyzer degrades gracefully to label-alphabet reasoning
-    /// without one. Parse errors surface at [`Self::build`].
+    /// Declares the DTD the catalog is linted against (grammar text or
+    /// a parsed [`Dtd`]). Optional; it sharpens the build-time lint
+    /// [`Self::analyze`] enables — a view pattern no conforming
+    /// document can match is found only with one — but the analyzer
+    /// degrades gracefully to label-alphabet reasoning without it.
+    /// Nothing checks the document or a statement against it, and no
+    /// commit reads it. Parse errors surface at [`Self::build`].
     pub fn dtd(mut self, dtd: impl Into<DtdSource>) -> Self {
         self.dtd = Some(dtd.into());
         self
     }
 
-    /// Turns on static analysis over the (DTD, view catalog) pair —
-    /// see [`xivm_analyze`]. Under [`AnalyzeMode::Warn`] findings are
-    /// recorded on [`DbInner::analysis_report`] and the engine uses
-    /// the relevance matrix to *skip* maintenance of views a
-    /// statement provably cannot touch, plus the lifted Figure 15
-    /// rules to skip the runtime conflict scan of provably-independent
-    /// transactions. [`AnalyzeMode::Strict`] additionally fails
-    /// [`Self::build`] with [`Error::Analysis`] on error-severity
-    /// findings (views that can never hold a tuple). The default is
-    /// [`AnalyzeMode::Off`]: no analysis, no static fast paths.
+    /// Lints the (DTD, view catalog) pair once, at [`Self::build`] —
+    /// see [`xivm_analyze`]. Under [`AnalyzeMode::Warn`] the findings
+    /// are recorded on [`DbInner::analysis_report`];
+    /// [`AnalyzeMode::Strict`] additionally fails the build with
+    /// [`Error::Analysis`] on error-severity findings (views that can
+    /// never hold a tuple). The default is [`AnalyzeMode::Off`]: no
+    /// lint.
     ///
-    /// Every static verdict is conservative for DTD-conforming
-    /// documents: skipped work is work whose result is provably
-    /// empty, so commits, stores and subscription streams are
-    /// bit-identical with analysis on and off.
+    /// The lint is all it does: no commit consults the analyzer. A
+    /// view a statement cannot touch is skipped by the engine's
+    /// dynamic relevance exit ([`Commit::dynamic_skips`]), which needs
+    /// no DTD and holds whether or not the document conforms, so
+    /// commits, stores and subscription streams are the same in every
+    /// mode.
     pub fn analyze(mut self, mode: AnalyzeMode) -> Self {
         self.analyze = mode;
         self
@@ -424,13 +424,14 @@ impl DatabaseBuilder {
             engines.push((spec.name, MaintenanceEngine::new(&doc, pattern, spec.strategy)));
         }
         // The DTD is validated whenever supplied (catching grammar
-        // typos early), the analyzer built only when analysis is on.
+        // typos early), the catalog linted only when analysis is on;
+        // the analyzer does not outlive the build.
         let dtd = match self.dtd {
             Some(DtdSource::Text(text)) => Some(parse_dtd(&text)?),
             Some(DtdSource::Ready(dtd)) => Some(*dtd),
             None => None,
         };
-        let statics = if self.analyze == AnalyzeMode::Off {
+        let analysis = if self.analyze == AnalyzeMode::Off {
             None
         } else {
             let analyzer =
@@ -439,7 +440,7 @@ impl DatabaseBuilder {
             if self.analyze == AnalyzeMode::Strict && report.has_errors() {
                 return Err(Error::Analysis(report.errors().cloned().collect()));
             }
-            Some(Statics { analyzer, report, conflict_scans_skipped: 0 })
+            Some(report)
         };
         let views = MultiViewEngine::from_engines(engines);
         let pending = deferred.iter().map(|_| None).collect();
@@ -452,7 +453,7 @@ impl DatabaseBuilder {
                 subs: SubscriptionRegistry::default(),
                 pipeline: self.pipeline.unwrap_or(1).max(1),
                 sub_capacity: effective_sub_capacity(self.sub_capacity),
-                statics,
+                analysis,
                 deferred,
                 pending,
             })),
@@ -513,29 +514,17 @@ pub struct DbInner {
     /// Default queue bound for [`Database::subscribe`] (`None` =
     /// unbounded), from `subscription_capacity` / `XIVM_SUB_CAPACITY`.
     pub(crate) sub_capacity: Option<usize>,
-    /// The static analyzer and its build-time report, when the builder
-    /// enabled analysis (`None` = [`AnalyzeMode::Off`]).
-    pub(crate) statics: Option<Statics>,
+    /// The build-time lint report, when the builder enabled analysis
+    /// (`None` = [`AnalyzeMode::Off`]).
+    pub(crate) analysis: Option<AnalysisReport>,
     /// `deferred[i]` = view `i` is under
-    /// [`MaintenanceMode::Deferred`]: the mask every commit ORs into
-    /// its skip verdict, kept here (and changed only by
+    /// [`MaintenanceMode::Deferred`]: the mask every live commit
+    /// propagates under, kept here (and changed only by
     /// [`Self::set_maintenance`]) rather than rebuilt per commit.
     pub(crate) deferred: Vec<bool>,
     /// Per-view accumulated deferred batch (`None` = nothing pending;
     /// always `None` for [`MaintenanceMode::Immediate`] views).
     pub(crate) pending: Vec<Option<DeferredPending>>,
-}
-
-/// Everything [`DatabaseBuilder::analyze`] sets up: the analyzer over
-/// the (DTD, catalog) pair, its build-time report, and the counters
-/// the static fast paths maintain.
-pub(crate) struct Statics {
-    pub(crate) analyzer: Analyzer,
-    pub(crate) report: AnalysisReport,
-    /// Independent-mode batches whose runtime pairwise conflict scan
-    /// was skipped because the statement shapes were provably
-    /// pairwise independent (lifted Figure 15).
-    pub(crate) conflict_scans_skipped: u64,
 }
 
 /// An XML document plus a set of named materialized views, maintained
@@ -811,14 +800,7 @@ impl DbInner {
     /// the relevance matrix over an empty workload), when the builder
     /// enabled [`DatabaseBuilder::analyze`].
     pub fn analysis_report(&self) -> Option<&AnalysisReport> {
-        self.statics.as_ref().map(|s| &s.report)
-    }
-
-    /// Independent-mode transactions whose runtime pairwise conflict
-    /// scan was skipped because static analysis proved the batch
-    /// pairwise independent. 0 with analysis off.
-    pub fn conflict_scans_skipped(&self) -> u64 {
-        self.statics.as_ref().map_or(0, |s| s.conflict_scans_skipped)
+        self.analysis.as_ref()
     }
 
     /// Applies one update statement (text, an [`UpdateStatement`], or
@@ -1541,8 +1523,7 @@ mod tests {
         db.unsubscribe(sub2);
     }
 
-    /// A DTD the `FIG12` document conforms to (all-star content
-    /// models, so the test scripts stay conformance-preserving).
+    /// A DTD the `FIG12` document conforms to.
     const FIG12_DTD: &str = "a -> (c | f | b)*\nc -> b*\nf -> (c | b)*\nb -> ()";
 
     fn analyzing_db(mode: AnalyzeMode) -> Database {
@@ -1573,9 +1554,12 @@ mod tests {
             .build()
             .unwrap();
         assert!(warn.analysis_report().unwrap().has_errors());
-        // a live catalog passes Strict
-        let ok = analyzing_db(AnalyzeMode::Strict);
+        // a live catalog passes Strict, and its commits skip `f_only`
+        // through the dynamic exit, not through a static verdict
+        let mut ok = analyzing_db(AnalyzeMode::Strict);
         assert!(!ok.analysis_report().unwrap().has_errors());
+        let commit = ok.apply("insert <b/> into /a/c").unwrap();
+        assert_eq!((commit.dynamic_skips(), commit.static_skips()), (1, 0));
         // no analysis by default
         assert!(db().analysis_report().is_none());
         // a malformed DTD errors regardless of mode
@@ -1583,86 +1567,6 @@ mod tests {
             Database::builder().document(FIG12).dtd("nonsense").view("v", "//a{id}").build(),
             Err(Error::Dtd(_))
         ));
-    }
-
-    #[test]
-    fn static_skips_are_outcome_identical_to_the_dynamic_path() {
-        let mut on = analyzing_db(AnalyzeMode::Warn);
-        let mut off = Database::builder()
-            .document(FIG12)
-            .view("ab", "//a{id}//b{id}")
-            .view("f_only", "//f{id}")
-            .build()
-            .unwrap();
-        let mut saw_skip = false;
-        for script in ["insert <b/> into /a/c", "delete /a/f/c", "delete //b"] {
-            let c_on = on.apply(script).unwrap();
-            let c_off = off.apply(script).unwrap();
-            assert!(c_on.same_outcome(&c_off), "outcomes diverged under {script}");
-            saw_skip |= c_on.static_skips() > 0;
-            assert_eq!(c_off.static_skips(), 0, "no skips without analyze(..)");
-            check_consistent(&on);
-        }
-        assert!(saw_skip, "the f_only view is statically irrelevant to every script statement");
-        assert_eq!(on.serialize(), off.serialize());
-    }
-
-    #[test]
-    fn pipelined_static_skips_stay_bit_identical() {
-        let build = |mode: AnalyzeMode| {
-            Database::builder()
-                .document(FIG12)
-                .dtd(FIG12_DTD)
-                .analyze(mode)
-                .view("ab", "//a{id}//b{id}")
-                .view("f_only", "//f{id}")
-                .pipeline(3)
-                .build()
-                .unwrap()
-        };
-        let mut on = build(AnalyzeMode::Warn);
-        let mut off = build(AnalyzeMode::Off);
-        let script =
-            ["insert <b/> into /a/c", "delete /a/f/c", "insert <c><b/></c> into /a", "delete //b"];
-        let cs_on = on.apply_pipelined(script).unwrap();
-        let cs_off = off.apply_pipelined(script).unwrap();
-        assert_eq!(cs_on.len(), cs_off.len());
-        let mut skips = 0;
-        for (a, b) in cs_on.iter().zip(&cs_off) {
-            assert!(a.same_outcome(b), "pipelined outcomes diverged at seq {}", a.seq);
-            skips += a.static_skips();
-        }
-        assert!(skips > 0, "pipelined windows must honor the skip masks");
-        assert_eq!(on.serialize(), off.serialize());
-        check_consistent(&on);
-    }
-
-    #[test]
-    fn independent_transactions_skip_the_conflict_scan_when_provable() {
-        let mut db = analyzing_db(AnalyzeMode::Warn);
-        assert_eq!(db.conflict_scans_skipped(), 0);
-        // insert-into-c vs delete-of-b: no IO / LO / NLO rule can fire
-        // for any label pair, so the pairwise scan is skipped.
-        db.transaction()
-            .independent()
-            .statement("insert <b/> into /a/c")
-            .statement("delete //f/b")
-            .commit()
-            .unwrap();
-        assert_eq!(db.conflict_scans_skipped(), 1);
-        check_consistent(&db);
-        // a genuinely conflicting batch still fails: the static check
-        // returns Unknown and the dynamic scan runs.
-        let err = db
-            .transaction()
-            .independent()
-            .statement("delete /a/f")
-            .statement("insert <b/> into /a/f")
-            .commit()
-            .unwrap_err();
-        assert!(matches!(err, Error::Conflict(_)));
-        assert_eq!(db.conflict_scans_skipped(), 1, "unknown batches fall back to the scan");
-        check_consistent(&db);
     }
 
     #[test]

@@ -58,24 +58,19 @@ pub struct UpdateReport {
     /// Raw embeddings (derivations) added / removed.
     pub derivations_added: u64,
     pub derivations_removed: u64,
-    /// True when the static analyzer proved the update irrelevant to
-    /// this view and the engine skipped its maintenance entirely (no
-    /// prepare, no Δ extraction, no delta harvest). Excluded from
-    /// [`Self::same_outcome`], like timings: a skipped propagation and
-    /// a dynamic one that found nothing report the same outcome.
-    pub statically_skipped: bool,
     /// True when [`MaintenanceEngine::finish`] found, from the labels
     /// of the applied PUL alone, that this commit cannot touch the view
     /// and returned before any per-view work (no Δ tables, no terms, no
-    /// store copy, no text refresh) — the per-commit, DTD-free twin of
-    /// `statically_skipped`, and excluded from [`Self::same_outcome`]
-    /// like it.
+    /// store copy, no text refresh). Needs no DTD and holds on every
+    /// document. Excluded from [`Self::same_outcome`], like timings: an
+    /// exit and a propagation that found nothing report the same
+    /// outcome.
     pub irrelevant: bool,
     /// True when the view is under deferred maintenance and this
     /// commit batched its PUL instead of propagating: the store is
     /// untouched, the delta is empty, and the change lands later as a
     /// refresh commit. Excluded from [`Self::same_outcome`], like
-    /// `statically_skipped`.
+    /// `irrelevant`.
     pub deferred: bool,
     /// `Some(lo..=hi)` on the report a refresh commit makes for its
     /// deferred view: this delta folds the document changes of commits
@@ -97,12 +92,6 @@ pub struct UpdateReport {
 }
 
 impl UpdateReport {
-    /// The report of a statically-skipped propagation: default
-    /// counters, empty delta, [`Self::statically_skipped`] set.
-    pub fn skipped() -> UpdateReport {
-        UpdateReport { statically_skipped: true, ..UpdateReport::default() }
-    }
-
     /// The report of a deferred (batched, not propagated) view for one
     /// commit: default counters, empty delta, [`Self::deferred`] set.
     pub fn deferred_marker() -> UpdateReport {

@@ -11,12 +11,14 @@
 //! view's last-maintained image. The planners ([`plan_single`],
 //! [`plan_sequential`], [`plan_independent`], [`plan_refresh`]) own
 //! the paper's §5 optimizer — Figure 16 aggregation, Figure 15
-//! conflicts, Figure 14 reduction — and the static skip verdicts;
-//! everything after planning happens here and only here: the static ∨
-//! deferred mask merge, the pre-image, the in-place propagation
+//! conflicts, Figure 14 reduction; everything after planning happens
+//! here and only here: the deferred mask, the pre-image, the in-place
+//! propagation
 //! ([`MultiViewEngine::propagate`](crate::multiview::MultiViewEngine)),
 //! the deferred fold, the deferred markers and the seal. Step *k + 1*
-//! is planned only after step *k* has sealed.
+//! is planned only after step *k* has sealed. No planner consults the
+//! static analyzer: a view a statement cannot touch is skipped by
+//! `finish`'s dynamic relevance exit, which needs no DTD.
 //!
 //! # Who may take a document image
 //!
@@ -32,7 +34,7 @@
 //! as counts.
 
 use crate::commit::Commit;
-use crate::database::{DbInner, DeferredPending, Statics};
+use crate::database::{DbInner, DeferredPending};
 use crate::engine::UpdateReport;
 use crate::error::Error;
 use crate::multiview::Propagated;
@@ -80,9 +82,8 @@ pub(crate) struct CommitPlan<'a> {
     pub(crate) statements: usize,
     pub(crate) naive_ops: usize,
     pub(crate) reduction: ReductionTrace,
-    /// `skip[i]` leaves view `i` out of the step. Planners put the
-    /// static irrelevance verdict here; the executor ORs the deferred
-    /// views in.
+    /// `skip[i]` leaves view `i` out of the step: the deferred views
+    /// of a live step, every view but its own on a refresh.
     pub(crate) skip: Option<Cow<'a, [bool]>>,
     /// Find Target Nodes time, stamped on every view's report.
     pub(crate) t_find: Duration,
@@ -112,29 +113,11 @@ impl<'a> CommitPlan<'a> {
     }
 }
 
-/// The static skip mask for one statement: `mask[i] == true` for every
-/// view the statement provably cannot touch; `None` when analysis is
-/// off or nothing is skippable.
-fn static_mask(statics: Option<&Statics>, stmt: &UpdateStatement) -> Option<Cow<'static, [bool]>> {
-    let st = statics?;
-    let mask = st.analyzer.skip_mask(&st.analyzer.statement_shape(stmt));
-    mask.contains(&true).then_some(Cow::Owned(mask))
-}
-
 /// Plans one statement: its PUL (the target lookup, timed once for
-/// every view) and its static mask.
-pub(crate) fn plan_single<'a>(
-    statics: Option<&Statics>,
-    doc: &Document,
-    stmt: &UpdateStatement,
-) -> CommitPlan<'a> {
+/// every view).
+pub(crate) fn plan_single<'a>(doc: &Document, stmt: &UpdateStatement) -> CommitPlan<'a> {
     let (pul, t_find) = timed(|| compute_pul(doc, stmt));
-    CommitPlan {
-        statements: 1,
-        skip: static_mask(statics, stmt),
-        t_find,
-        ..CommitPlan::of(Cow::Owned(pul))
-    }
+    CommitPlan { statements: 1, t_find, ..CommitPlan::of(Cow::Owned(pul)) }
 }
 
 /// Plans a batch with sequential composition: each statement's targets
@@ -142,11 +125,7 @@ pub(crate) fn plan_single<'a>(
 /// per-statement PULs are folded with the Figure 16 aggregation rules
 /// into one PUL over the pre-transaction document and reduced
 /// (Figure 14).
-fn plan_sequential<'a>(
-    statics: Option<&Statics>,
-    doc: &Document,
-    stmts: &[UpdateStatement],
-) -> Result<CommitPlan<'a>, Error> {
+fn plan_sequential<'a>(doc: &Document, stmts: &[UpdateStatement]) -> Result<CommitPlan<'a>, Error> {
     // The scratch copy exists only to give *later* statements the
     // evolved state, so it is cloned lazily and never advanced past
     // the second-to-last statement.
@@ -162,20 +141,10 @@ fn plan_sequential<'a>(
         combined = if i == 0 { pul } else { aggregate(doc, &combined, &pul).0 };
     }
     let (optimized, reduction) = reduce(&combined);
-    // Static skipping is sound per *statement shape*; a
-    // multi-statement sequential batch can evolve the document through
-    // non-conforming intermediate states (statement 1 may create the
-    // very context statement 2 targets), so only single-statement
-    // batches consult the matrix.
-    let skip = match stmts {
-        [stmt] => static_mask(statics, stmt),
-        _ => None,
-    };
     Ok(CommitPlan {
         statements: stmts.len(),
         naive_ops,
         reduction,
-        skip,
         labels: scratch.map(|s| s.shared_labels()),
         ..CommitPlan::of(Cow::Owned(optimized))
     })
@@ -186,31 +155,21 @@ fn plan_sequential<'a>(
 /// (IO / LO / NLO) are checked under `policy`, and the surviving
 /// operations integrate into one reduced PUL.
 fn plan_independent<'a>(
-    statics: &mut Option<Statics>,
     doc: &Document,
     stmts: &[UpdateStatement],
     policy: ConflictPolicy,
 ) -> Result<CommitPlan<'a>, Error> {
     let puls: Vec<Pul> = stmts.iter().map(|s| compute_pul(doc, s)).collect();
     let naive_ops = puls.iter().map(Pul::len).sum();
-    if policy == ConflictPolicy::Fail && !stmts.is_empty() {
-        // Static independence fast path (lifted Figure 15): if no
-        // IO / LO / NLO rule can fire for any target pair in any
-        // conforming document, the pairwise scan would provably find
-        // nothing — skip it.
-        match statics.as_mut().filter(|st| st.analyzer.batch_independent(stmts)) {
-            Some(st) => st.conflict_scans_skipped += 1,
-            None => {
-                let mut conflicts = Vec::new();
-                for i in 0..puls.len() {
-                    for j in i + 1..puls.len() {
-                        conflicts.extend(find_conflicts(&puls[i], &puls[j]));
-                    }
-                }
-                if !conflicts.is_empty() {
-                    return Err(Error::Conflict(conflicts));
-                }
+    if policy == ConflictPolicy::Fail {
+        let mut conflicts = Vec::new();
+        for i in 0..puls.len() {
+            for j in i + 1..puls.len() {
+                conflicts.extend(find_conflicts(&puls[i], &puls[j]));
             }
+        }
+        if !conflicts.is_empty() {
+            return Err(Error::Conflict(conflicts));
         }
     }
     let mut iter = puls.into_iter();
@@ -218,27 +177,10 @@ fn plan_independent<'a>(
     let combined =
         iter.try_fold(first, |acc, next| integrate(&acc, &next, policy).map_err(Error::Conflict))?;
     let (optimized, reduction) = reduce(&combined);
-    // Every statement's PUL is computed against the same (conforming)
-    // snapshot and the combined effect is a subset of the union of
-    // per-statement effects, so a view is skippable iff *every*
-    // statement is irrelevant to it — the element-wise AND of the
-    // per-statement masks.
-    let skip = statics.as_ref().and_then(|st| {
-        let mut masks =
-            stmts.iter().map(|s| st.analyzer.skip_mask(&st.analyzer.statement_shape(s)));
-        let mut acc = masks.next()?;
-        for mask in masks {
-            for (a, b) in acc.iter_mut().zip(mask) {
-                *a &= b;
-            }
-        }
-        acc.contains(&true).then_some(Cow::Owned(acc))
-    });
     Ok(CommitPlan {
         statements: stmts.len(),
         naive_ops,
         reduction,
-        skip,
         ..CommitPlan::of(Cow::Owned(optimized))
     })
 }
@@ -266,9 +208,9 @@ fn plan_refresh<'a>(
 impl DbInner {
     /// Seals a window of consecutive commits, handing each sealed
     /// [`Commit`] (with its window position and the PUL it applied) to
-    /// `on_sealed` strictly in order. The only place that merges the
-    /// static and deferred masks, captures a pre-image, propagates,
-    /// folds deferred batches and seals.
+    /// `on_sealed` strictly in order. The only place that masks the
+    /// deferred views, captures a pre-image, propagates, folds deferred
+    /// batches and seals.
     ///
     /// One step per batch, in order: plan against the live document,
     /// propagate in place, fold or mark the deferred views, seal,
@@ -284,7 +226,7 @@ impl DbInner {
         window: &[Batch<'_>],
         mut on_sealed: impl FnMut(usize, Pul, Commit),
     ) -> Result<(), Error> {
-        let DbInner { doc, views, commits, subs, statics, deferred, pending, .. } = self;
+        let DbInner { doc, views, commits, subs, deferred, pending, .. } = self;
         let defers = deferred.contains(&true);
         for (k, batch) in window.iter().enumerate() {
             // A refresh replays its batch over the view's last-maintained
@@ -292,9 +234,9 @@ impl DbInner {
             // adopts; nothing pending, no commit.
             let mut image = None;
             let mut plan = match *batch {
-                Batch::Single(stmt) => plan_single(statics.as_ref(), doc, stmt),
-                Batch::Sequential(stmts) => plan_sequential(statics.as_ref(), doc, stmts)?,
-                Batch::Independent(stmts, policy) => plan_independent(statics, doc, stmts, policy)?,
+                Batch::Single(stmt) => plan_single(doc, stmt),
+                Batch::Sequential(stmts) => plan_sequential(doc, stmts)?,
+                Batch::Independent(stmts, policy) => plan_independent(doc, stmts, policy)?,
                 Batch::Refresh(view) => {
                     let Some(p) = &pending[view] else { continue };
                     image = Some(p.base.clone());
@@ -306,7 +248,7 @@ impl DbInner {
             // masked to exactly its view.
             let folds = image.is_none() && defers;
             if folds {
-                plan.skip = Some(merge_skip(plan.skip, deferred));
+                plan.skip = Some(Cow::Borrowed(deferred));
             }
             // Only a batch this step opens reads its pre-image: a
             // deferred slot empty now, and a PUL to fold into it.
@@ -341,22 +283,6 @@ impl DbInner {
             on_sealed(k, plan.pul.into_owned(), commit);
         }
         Ok(())
-    }
-}
-
-/// Static irrelevance and deferral compose: a view is left out of the
-/// pass if either says so. Borrows the database's deferred mask when
-/// there is no static verdict to OR it into.
-fn merge_skip<'a>(statik: Option<Cow<'a, [bool]>>, deferred: &'a [bool]) -> Cow<'a, [bool]> {
-    match statik {
-        None => Cow::Borrowed(deferred),
-        Some(mask) => {
-            let mut mask = mask.into_owned();
-            for (x, y) in mask.iter_mut().zip(deferred) {
-                *x |= y;
-            }
-            Cow::Owned(mask)
-        }
     }
 }
 

@@ -74,8 +74,6 @@ pub mod view_store;
 
 pub use commit::{Commit, ViewDelta};
 pub use database::{Database, DatabaseBuilder, MaintenanceMode, Transaction, ViewHandle};
-// The static-analysis surface the `analyze(..)` builder knob exposes
-// (the analyses themselves live in `xivm_analyze`).
 pub use engine::{MaintenanceEngine, PreparedUpdate, UpdateReport};
 pub use error::Error;
 pub use multiview::MultiViewEngine;
@@ -86,4 +84,6 @@ pub use subscribe::{DeltaEvent, FeedEvent, Lagged, SlowConsumerPolicy, Subscript
 pub use term::Term;
 pub use timing::Timings;
 pub use view_store::{Cursor, ViewStore};
+// The build-time lint the `analyze(..)` builder knob runs (the analyses
+// themselves live in `xivm_analyze`).
 pub use xivm_analyze::{AnalysisReport, AnalyzeMode, Analyzer};

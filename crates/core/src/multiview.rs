@@ -152,7 +152,7 @@ impl MultiViewEngine {
         doc: &mut Document,
         stmt: &UpdateStatement,
     ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        let step = self.propagate(doc, plan_single(None, doc, stmt), false)?;
+        let step = self.propagate(doc, plan_single(doc, stmt), false)?;
         Ok(self.named(step.reports))
     }
 
@@ -180,7 +180,8 @@ impl MultiViewEngine {
     /// result — each phase one plain loop over the views in
     /// declaration order. `plan.skip[i]` leaves view `i` out: its
     /// prepare/finish never run and it reports
-    /// [`UpdateReport::skipped`].
+    /// `UpdateReport::default()`, which the executor replaces with the
+    /// deferred marker or a refresh's report.
     ///
     /// No document image is created unless `want_pre` asks for the
     /// pre-apply one (a clone held across `apply_pul` makes every
@@ -211,7 +212,7 @@ impl MultiViewEngine {
             .zip(prepared)
             .map(|(engine, prepared)| match prepared {
                 Some(prepared) => engine.finish(doc, &apply_res, prepared),
-                None => UpdateReport::skipped(),
+                None => UpdateReport::default(),
             })
             .collect();
         for report in &mut reports {

@@ -8,8 +8,9 @@
 //! * **deadness** — a view pattern unsatisfiable against the XMark
 //!   DTD is a catalog defect (error); a statement whose target selects
 //!   nothing in any conforming document is a no-op (warning);
-//! * **relevance** — the static (view × statement) matrix whose
-//!   `Irrelevant` entries the engine turns into maintenance skips;
+//! * **relevance** — the static (view × statement) matrix; the engine
+//!   skips no view on it (its commits skip through the dynamic
+//!   relevance exit, which takes every `Irrelevant` entry);
 //! * **independence** — the Figure 15 rules lifted to label shapes.
 //!
 //! Exits non-zero on any error-severity finding, so CI fails when a

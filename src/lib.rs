@@ -118,6 +118,9 @@
 //! | `core::runtime::{Runtime, effective_workers, env_workers}` (and `parallel::{effective_workers, env_workers}`) | nothing: there is no worker pool |
 //! | `Database::workers()`, `MultiViewEngine::workers()` | nothing: `.workers(n)` / `set_workers(n)` are still accepted and ignored, and `threads_spawned()` is always 0 |
 //! | `MaintenanceEngine::{use_delta_pruning, use_id_pruning}`, `TermContext::{use_delta_pruning, use_id_pruning}` | `dynamic_pruning`, both prunings at once |
+//! | `UpdateReport::statically_skipped`, `UpdateReport::skipped()` | `UpdateReport::irrelevant`: no commit skips a view on a static verdict; the dynamic exit skips it |
+//! | `Database::conflict_scans_skipped()` | nothing: `transaction().independent()` always runs the Figure 15 pairwise scan |
+//! | `Commit::static_skips()` (still accepted, always 0) | `Commit::dynamic_skips()` |
 //!
 //! ## Migrating from the string-first façade (pre-delta API)
 //!
@@ -136,16 +139,17 @@
 //! ## Static analysis
 //!
 //! With a DTD on the builder (`.dtd(text)`) and `.analyze(mode)`,
-//! [`analyze`] checks the catalog once at `build()` — dead views
+//! [`analyze`] lints the catalog once at `build()`: dead views
 //! (unsatisfiable against the schema) become findings that fail
-//! `AnalyzeMode::Strict` builds — and derives a static relevance
-//! matrix the engine consults on every commit to skip provably
-//! unaffected views, plus Figure 15 independence labels that let
-//! provably disjoint `transaction().independent()` batches skip the
-//! pairwise conflict scan. Both fast paths are pure scheduling:
-//! commits are bit-identical with analysis on or off (verified by
-//! `tests/analyze_soundness.rs`). `cargo run --example analyze_lint`
-//! runs the same checks as a CI gate over the XMark catalog.
+//! `AnalyzeMode::Strict` builds, and the static relevance matrix is
+//! recorded on `analysis_report()`. No commit consults the analyzer.
+//! Its verdicts hold only for DTD-conforming documents, and nothing
+//! checks conformance; a view an update cannot touch is skipped by the
+//! engine's dynamic relevance exit instead (`Commit::dynamic_skips`),
+//! which needs no DTD and is exact on every document.
+//! `tests/analyze_soundness.rs` checks that the exit takes every skip a
+//! verdict would allow. `cargo run --example analyze_lint` runs the
+//! same checks as a CI gate over the XMark catalog.
 //!
 //! ## Replication & deferred views
 //!

@@ -1,22 +1,26 @@
 //! Soundness of the static analyzer against the dynamic engine.
 //!
 //! Every verdict `xivm_analyze` emits is a claim about *all*
-//! DTD-conforming documents; this suite checks those claims against
-//! the runtime on random conforming documents and random
-//! conformance-preserving update scripts:
+//! DTD-conforming documents. No commit consults one: `.analyze(..)` is
+//! a build-time lint, and a commit leaves a view out only through the
+//! engine's dynamic relevance exit, which needs no DTD. This suite
+//! checks the claims against the runtime on random conforming documents
+//! and random conformance-preserving update scripts, and checks that
+//! the exit already takes every skip they would allow:
 //!
 //! * **relevance** — a view proved `Irrelevant` to a statement has an
-//!   empty dynamic delta when the statement runs without any static
-//!   machinery;
+//!   empty dynamic delta, and takes the dynamic exit, on a database
+//!   built with `.analyze(Warn)` and on one built without a DTD alike;
 //! * **independence** — a batch proved pairwise independent has zero
 //!   dynamic `find_conflicts` hits between any two of its PULs;
-//! * **transparency** — a database built with `.analyze(Warn)` (skip
-//!   masks and the conflict-scan fast path active) produces commits
-//!   bit-identical to one built without analysis, on the plain,
-//!   pipelined and transactional paths.
+//! * **transparency** — a database built with `.analyze(Warn)` commits
+//!   exactly what one built without analysis does;
+//! * **conformance** — nothing checks a document or a statement against
+//!   the DTD, so an analyzing database whose document breaks it must
+//!   still equal its recomputation, stored text included.
 
 use proptest::prelude::*;
-use xivm::analyze::Analyzer;
+use xivm::analyze::{Analyzer, Verdict};
 use xivm::pattern::compile::view_tuples;
 use xivm::prelude::*;
 use xivm::pulopt::find_conflicts;
@@ -100,8 +104,8 @@ fn make_analyzer() -> Analyzer {
     Analyzer::new(Some(&dtd), patterns.iter().map(|(n, p)| (*n, p)))
 }
 
-fn build_db(doc: &str, pipeline: usize, analyze: bool) -> Database {
-    let mut b = Database::builder().document(doc).pipeline(pipeline);
+fn build_db(doc: &str, analyze: bool) -> Database {
+    let mut b = Database::builder().document(doc);
     if analyze {
         b = b.dtd(DTD).analyze(AnalyzeMode::Warn);
     }
@@ -111,13 +115,14 @@ fn build_db(doc: &str, pipeline: usize, analyze: bool) -> Database {
     b.build().unwrap()
 }
 
-/// Every view of `db` must equal its from-scratch evaluation.
+/// Every view of `db` must equal its from-scratch evaluation, stored
+/// `val` / `cont` text included.
 fn consistent(db: &Database) -> Result<(), TestCaseError> {
     for h in db.handles() {
         let pattern = db.pattern(h).clone();
         let expected = ViewStore::from_counted(&pattern, view_tuples(db.document(), &pattern));
         prop_assert!(
-            db.store(h).same_content_as(&expected),
+            db.store(h).identical_to(&expected),
             "view {} diverged:\n{}",
             db.name(h),
             db.store(h).diff_description(&expected)
@@ -131,17 +136,17 @@ proptest! {
 
     /// Relevance soundness and transparency: a view the analyzer
     /// proves `Irrelevant` to a statement has an *empty dynamic
-    /// delta* (measured on a database with no static machinery at
-    /// all), and the analyzing database — which skips exactly those
-    /// views — stays bit-identical to the plain one.
+    /// delta* (measured on a database built without a DTD), and the
+    /// analyzing database — which consults no verdict when it commits —
+    /// stays bit-identical to the plain one.
     #[test]
     fn static_verdicts_are_sound(
         doc in arb_conforming_doc(),
         script in prop::collection::vec(0usize..STATEMENTS.len(), 1..5),
     ) {
         let analyzer = make_analyzer();
-        let mut on = build_db(&doc, 1, true);
-        let mut off = build_db(&doc, 1, false);
+        let mut on = build_db(&doc, true);
+        let mut off = build_db(&doc, false);
         for &s in &script {
             let text = STATEMENTS[s];
             let stmt = parse_statement(text).unwrap();
@@ -149,7 +154,7 @@ proptest! {
             let c_on = on.apply(text).unwrap();
             let c_off = off.apply(text).unwrap();
             prop_assert!(c_on.same_outcome(&c_off), "outcomes diverged under `{text}`");
-            prop_assert_eq!(c_off.static_skips(), 0, "no skips without analyze(..)");
+            prop_assert_eq!(c_on.static_skips(), 0, "no commit skips on a static verdict");
             for (i, h) in off.handles().into_iter().enumerate() {
                 if verdicts[i].can_skip() {
                     prop_assert!(
@@ -177,50 +182,51 @@ proptest! {
         prop_assert_eq!(on.serialize(), off.serialize());
     }
 
-    /// The dynamic relevance exit is the analyzer's per-commit twin and
-    /// needs neither DTD nor conformance: on the *unanalyzed* database
-    /// every report it marks `irrelevant` has an empty delta and is the
-    /// same outcome as the analyzed database's report for that view
-    /// and commit — whether that one was skipped statically, exited
-    /// dynamically or propagated.
+    /// An `Irrelevant` verdict is a dynamic exit: every view the
+    /// analyzer proves irrelevant to a statement takes the engine's
+    /// relevance exit at that commit, on the analyzing database and on
+    /// the one built without a DTD alike — the exit, which needs no
+    /// conformance, already skips everything a static verdict would.
+    /// Every exit has an empty delta.
     #[test]
     fn dynamic_exits_agree_with_the_analyzed_database(
         doc in arb_conforming_doc(),
         script in prop::collection::vec(0usize..STATEMENTS.len(), 1..5),
     ) {
-        let mut on = build_db(&doc, 1, true);
-        let mut off = build_db(&doc, 1, false);
+        let analyzer = make_analyzer();
+        let mut on = build_db(&doc, true);
+        let mut off = build_db(&doc, false);
         for &s in &script {
             let text = STATEMENTS[s];
+            let stmt = parse_statement(text).unwrap();
+            let verdicts = analyzer.verdicts(&analyzer.statement_shape(&stmt));
             let c_on = on.apply(text).unwrap();
             let c_off = off.apply(text).unwrap();
-            for h in off.handles() {
-                let (r_on, r_off) = (c_on.report(h), c_off.report(h));
-                prop_assert!(!(r_on.statically_skipped && r_on.irrelevant), "one reason per skip");
-                if r_off.irrelevant {
-                    prop_assert!(r_off.delta.is_empty(), "{}: an exit has no delta", off.name(h));
+            for (h, verdict) in off.handles().into_iter().zip(verdicts) {
+                for (side, commit) in [("analyzed", &c_on), ("plain", &c_off)] {
+                    let r = commit.report(h);
                     prop_assert!(
-                        r_off.same_outcome(r_on),
-                        "view {} exited dynamically under `{text}` on doc {} but the \
-                         analyzed database reports another outcome",
+                        !verdict.can_skip() || r.irrelevant,
+                        "view {} is irrelevant to `{text}` but the {side} database did not \
+                         exit on doc {}",
                         off.name(h),
                         doc
                     );
+                    prop_assert!(!r.irrelevant || r.delta.is_empty(), "an exit has no delta");
                 }
             }
             prop_assert_eq!(
                 c_off.dynamic_skips(),
                 off.handles().into_iter().filter(|&h| c_off.report(h).irrelevant).count()
             );
+            consistent(&on)?;
             consistent(&off)?;
         }
     }
 
     /// Independence soundness: a batch the analyzer proves pairwise
     /// independent has zero dynamic conflicts — checked directly on
-    /// the raw PULs with `find_conflicts` — and the user-facing
-    /// `independent()` transaction commits identically with the scan
-    /// skipped (analysis on) or run (analysis off).
+    /// the raw PULs with `find_conflicts`.
     #[test]
     fn static_independence_implies_no_dynamic_conflicts(
         doc in arb_conforming_doc(),
@@ -247,92 +253,145 @@ proptest! {
                 );
             }
         }
-        // and through the façade: scan skipped, outcome identical
-        let mut on = build_db(&doc, 1, true);
-        let mut off = build_db(&doc, 1, false);
-        let commit_with = |db: &mut Database| {
-            let mut tx = db.transaction().independent();
-            for &i in &picks {
-                tx = tx.statement(STATEMENTS[i]);
-            }
-            tx.commit().unwrap()
-        };
-        let c_on = commit_with(&mut on);
-        let c_off = commit_with(&mut off);
-        prop_assert!(c_on.same_outcome(&c_off));
-        prop_assert_eq!(on.conflict_scans_skipped(), 1, "the provable batch skips the scan");
-        prop_assert_eq!(off.conflict_scans_skipped(), 0);
-        prop_assert_eq!(on.serialize(), off.serialize());
-        consistent(&on)?;
-    }
-
-    /// Transparency on the overlapped path: with pipelining at depth 4
-    /// the per-commit skip masks ride the window steps, and every
-    /// commit stays bit-identical to the unanalyzed database.
-    #[test]
-    fn pipelined_masks_are_bit_identical(
-        doc in arb_conforming_doc(),
-        script in prop::collection::vec(0usize..STATEMENTS.len(), 2..6),
-    ) {
-        let mut on = build_db(&doc, 4, true);
-        let mut off = build_db(&doc, 4, false);
-        let stmts: Vec<&str> = script.iter().map(|&i| STATEMENTS[i]).collect();
-        let cs_on = on.apply_pipelined(stmts.clone()).unwrap();
-        let cs_off = off.apply_pipelined(stmts).unwrap();
-        prop_assert_eq!(cs_on.len(), cs_off.len());
-        for (a, b) in cs_on.iter().zip(&cs_off) {
-            prop_assert!(a.same_outcome(b), "pipelined outcomes diverged at seq {}", a.seq);
-        }
-        prop_assert_eq!(on.serialize(), off.serialize());
-        consistent(&on)?;
     }
 }
 
 /// The suite is not vacuous: on this catalog the analyzer does prove
-/// skips (d_only × subtree-of-a statements) and the engine does take
-/// them.
+/// skips (d_only × subtree-of-a statements), and the dynamic exit takes
+/// every one of them, with or without a DTD on the builder.
 #[test]
 fn skips_actually_fire_on_this_catalog() {
     let analyzer = make_analyzer();
     let stmt = parse_statement("insert <c/> into //b").unwrap();
     let verdicts = analyzer.verdicts(&analyzer.statement_shape(&stmt));
     assert!(verdicts.iter().any(|v| v.can_skip()), "the catalog must exercise Irrelevant");
-
-    let mut db = build_db("<r><a><b/><c/></a><d/></r>", 1, true);
-    let commit = db.apply("insert <c/> into //b").unwrap();
-    assert!(commit.static_skips() > 0, "the engine must take the proved skips");
-
-    // and without any analysis the dynamic exit recovers skips of its
-    // own: `c` under `b` holds no label of d_only or rd, no text of theirs
-    let mut plain = build_db("<r><a><b/><c/></a><d/></r>", 1, false);
-    let commit = plain.apply("insert <c/> into //b").unwrap();
-    assert_eq!(commit.static_skips(), 0);
-    assert!(commit.dynamic_skips() >= 2, "d_only and rd must exit, got {}", commit.dynamic_skips());
+    for analyze in [true, false] {
+        let mut db = build_db("<r><a><b/><c/></a><d/></r>", analyze);
+        let commit = db.apply(&stmt).unwrap();
+        for (h, verdict) in db.handles().into_iter().zip(&verdicts) {
+            let exited = commit.report(h).irrelevant;
+            assert!(!verdict.can_skip() || exited, "{}: a proved skip is an exit", db.name(h));
+        }
+        // `c` under `b` holds no label of d_only or rd, no text of theirs
+        assert!(
+            commit.dynamic_skips() >= 2,
+            "d_only and rd must exit, got {}",
+            commit.dynamic_skips()
+        );
+    }
 }
 
-/// On the paper's seven-view XMark catalog under its DTD, a stream
-/// drawn from one view's Appendix A update set is statically skipped
-/// on four of the seven views at every commit: 40 of each stream's 70
-/// (commit, view) slots, the share a skewed workload saves.
+/// On the paper's seven-view XMark catalog under its DTD, every view
+/// slot the analyzer calls `Irrelevant` is a dynamic exit — on a
+/// database built without a DTD and on one built with
+/// `.dtd(XMARK_DTD).analyze(Warn)` alike — over the 21 Appendix A
+/// updates, each inserted then deleted. A stream drawn from one view's
+/// update set exits on at least four of the seven views at every
+/// commit: the share a skewed workload saves, with no DTD needed.
 #[test]
-fn skewed_xmark_streams_skip_four_of_seven_views() {
-    use xivm::xmark::{generate_sized, updates_for_view, view_pattern, VIEW_NAMES, XMARK_DTD};
+fn static_irrelevance_on_the_xmark_catalog_is_a_dynamic_exit() {
+    use xivm::xmark::{
+        all_updates, generate_sized, updates_for_view, view_pattern, xmark_dtd, VIEW_NAMES,
+        XMARK_DTD,
+    };
     let doc = generate_sized(40 * 1024);
-    for view in ["Q1", "Q4", "Q17"] {
-        let mut b =
-            Database::builder().document(doc.clone()).dtd(XMARK_DTD).analyze(AnalyzeMode::Warn);
-        for v in VIEW_NAMES {
-            b = b.view(v, view_pattern(v));
+    let patterns = VIEW_NAMES.map(view_pattern);
+    let analyzer = Analyzer::new(Some(&xmark_dtd()), VIEW_NAMES.into_iter().zip(&patterns));
+    let build = |analyze: bool| {
+        let mut b = Database::builder().document(doc.clone());
+        if analyze {
+            b = b.dtd(XMARK_DTD).analyze(AnalyzeMode::Warn);
         }
-        let mut db = b.build().expect("catalog database builds");
-        let mut commits = 0;
-        for u in updates_for_view(view) {
+        for (v, p) in VIEW_NAMES.into_iter().zip(&patterns) {
+            b = b.view(v, p.clone());
+        }
+        b.build().expect("catalog database builds")
+    };
+    let streams = [("all", all_updates()), ("Q1", updates_for_view("Q1"))]
+        .into_iter()
+        .chain(["Q4", "Q17"].map(|v| (v, updates_for_view(v))));
+    let mut proved = 0;
+    for (stream, updates) in streams {
+        let mut dbs = [build(false), build(true)];
+        for u in &updates {
             for stmt in [u.insert_stmt(), u.delete_stmt()] {
-                let commit = db.apply(stmt).expect("catalog update applies");
-                assert!(commit.static_skips() >= 4, "{view}-only, {}: 4 of 7 views", u.name);
-                commits += 1;
+                let verdicts = analyzer.verdicts(&analyzer.statement_shape(&stmt));
+                for db in &mut dbs {
+                    let commit = db.apply(&stmt).expect("catalog update applies");
+                    for (h, verdict) in db.handles().into_iter().zip(&verdicts) {
+                        if *verdict == Verdict::Irrelevant {
+                            proved += 1;
+                            assert!(
+                                commit.report(h).irrelevant,
+                                "{stream}, {} on {}: an Irrelevant slot is an exit",
+                                u.name,
+                                db.name(h)
+                            );
+                        }
+                    }
+                    if stream != "all" {
+                        let exits = commit.dynamic_skips();
+                        assert!(exits >= 4, "{stream}-only, {}: {exits} of 7 views exit", u.name);
+                    }
+                }
             }
         }
-        assert_eq!(commits * VIEW_NAMES.len(), 70, "{view}-only: ten commits over seven views");
     }
+    assert!(proved > 0, "the catalog must exercise Irrelevant");
+}
+
+// ---------------------------------------------------------------------
+// Documents that break the DTD: the analyzing database still equals
+// its recomputation
+// ---------------------------------------------------------------------
+
+/// `seed` under the suite's DTD with `.analyze(Warn)` and the one view
+/// `pattern`, after `statements`: the view equals its recomputation,
+/// stored text included.
+fn stays_recomputed(seed: &str, pattern: &str, statements: &[&str]) {
+    let mut db = Database::builder()
+        .document(seed)
+        .dtd(DTD)
+        .analyze(AnalyzeMode::Warn)
+        .view("v", pattern)
+        .build()
+        .unwrap();
+    for s in statements {
+        db.apply(*s).unwrap();
+    }
+    let h = db.view("v").unwrap();
+    let expected =
+        ViewStore::from_counted(db.pattern(h), view_tuples(db.document(), db.pattern(h)));
+    assert!(
+        db.store(h).identical_to(&expected),
+        "{seed} after {statements:?}: {:?} vs recomputed {:?}",
+        db.cursor(h).collect::<Vec<_>>(),
+        expected.cursor().collect::<Vec<_>>()
+    );
+}
+
+/// A `b` under a `d` breaks `d -> d*`, so the analyzer calls the view
+/// irrelevant to `delete //b`; but the deleted `x` was part of the `d`'s
+/// stored value.
+#[test]
+fn a_deletion_under_a_non_conforming_node_refreshes_stored_text() {
+    stays_recomputed("<r><d><b>x</b></d></r>", "//r{id}//d{id,val}", &["delete //b"]);
+}
+
+/// An `a` under a `d` in the seed: no conforming document has an `a`
+/// below a `d`, so the analyzer calls the view irrelevant to an insert
+/// there — and the insert makes a row.
+#[test]
+fn a_non_conforming_seed_is_maintained() {
+    stays_recomputed("<r><d><a/></d></r>", "//a{id}//b{id}", &["insert <b/> into //d/a"]);
+}
+
+/// The same `a` under a `d`, put there by an insert nothing checks.
+#[test]
+fn a_non_conforming_insert_is_maintained() {
+    stays_recomputed(
+        "<r><d/></r>",
+        "//a{id}//b{id}",
+        &["insert <a/> into /r/d", "insert <b/> into //d/a"],
+    );
 }

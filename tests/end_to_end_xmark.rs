@@ -46,7 +46,7 @@ fn assert_consistent(db: &Database, context: &str) {
         let pattern = db.pattern(h).clone();
         let expected = ViewStore::from_counted(&pattern, view_tuples(db.document(), &pattern));
         assert!(
-            db.store(h).same_content_as(&expected),
+            db.store(h).identical_to(&expected),
             "{context}: view {} diverged:\n{}",
             db.name(h),
             db.store(h).diff_description(&expected)

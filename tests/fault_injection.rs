@@ -66,7 +66,7 @@ fn assert_consistent(db: &Database, context: &str) {
         let pattern = db.pattern(h).clone();
         let expected = ViewStore::from_counted(&pattern, view_tuples(db.document(), &pattern));
         assert!(
-            db.store(h).same_content_as(&expected),
+            db.store(h).identical_to(&expected),
             "{context}: view {name} diverged from recount oracle"
         );
     }

@@ -73,7 +73,7 @@ fn examples_3_1_and_3_2() {
     // new embeddings: outer a and b with new c, plus all-new chains
     let pattern = db.pattern(v).clone();
     let expected = ViewStore::from_counted(&pattern, view_tuples(db.document(), &pattern));
-    assert!(db.store(v).same_content_as(&expected));
+    assert!(db.store(v).identical_to(&expected));
     assert!(!db.store(v).is_empty());
 }
 
@@ -185,7 +185,7 @@ fn batched_transaction_preserves_view_and_shrinks_the_pul() {
     // and both agree with recomputation
     let pattern = batched.pattern(bv).clone();
     let fresh = ViewStore::from_counted(&pattern, view_tuples(batched.document(), &pattern));
-    assert!(batched.store(bv).same_content_as(&fresh));
+    assert!(batched.store(bv).identical_to(&fresh));
 }
 
 /// Example 5.2's conflicting pair must be rejected when a batch is

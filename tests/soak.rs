@@ -406,7 +406,7 @@ fn assert_sound(obs: &Observation, commits: usize) -> Result<(), TestCaseError> 
         let pattern = obs.db.pattern(h).clone();
         let expected = ViewStore::from_counted(&pattern, view_tuples(obs.db.document(), &pattern));
         prop_assert!(
-            obs.db.store(h).same_content_as(&expected),
+            obs.db.store(h).identical_to(&expected),
             "view {} diverged from recomputation",
             obs.db.name(h)
         );
@@ -757,24 +757,15 @@ proptest! {
 /// view refreshed every few commits, across every commit front-end
 /// (sequential `apply`, `apply_pipelined` windows at depth 4 and at
 /// depth 1, `apply_async` through the service thread, one-statement
-/// sequential and independent `transaction()`s) and with static
-/// analysis off and on, must land every combination on the
-/// immediate-maintenance reference bit-identically — and on the
-/// from-scratch recomputation oracle. Under one analysis setting the
-/// front-ends must also agree with each other on everything the seal
-/// leaves behind: `deferred_commits` before every refresh, the summed
-/// `static_skips()`, and both views' event streams.
+/// sequential and independent `transaction()`s), must land every
+/// front-end on the immediate-maintenance reference bit-identically —
+/// and on the from-scratch recomputation oracle. The front-ends must
+/// also agree with each other on everything the seal leaves behind:
+/// `deferred_commits` before every refresh and both views' event
+/// streams.
 #[test]
 fn deferred_refresh_soak_across_sealing_modes() {
     const DOC: &str = "<r><a><b/><c/></a><a><d>5</d></a></r>";
-    // Star-only content models covering the document and every forest
-    // the script inserts where it inserts it, so each intermediate
-    // document conforms and the analyzer's verdicts apply.
-    const DTD: &str = "r -> a*\n\
-                       a -> (a | b | c | d)*\n\
-                       b -> a*\n\
-                       c -> (b | c)*\n\
-                       d -> d*";
     let script: Vec<ScriptStep> =
         (0..24).map(|i| (i % TARGETS.len(), i % FORESTS.len(), i % 3 != 0)).collect();
     let statements: Vec<String> = script.iter().map(script_statement).collect();
@@ -797,83 +788,70 @@ fn deferred_refresh_soak_across_sealing_modes() {
     #[derive(Debug, PartialEq)]
     struct Sealed {
         deferred_commits: Vec<u64>,
-        static_skips: usize,
         /// One stream per view.
         events: Vec<Vec<Event>>,
     }
 
-    for analyze in [false, true] {
-        let mut agreed: Option<Sealed> = None;
-        for mode in ["apply", "pipelined", "pipelined_d1", "async", "tx", "tx_independent"] {
-            let label = format!("{mode} analyze={analyze}");
-            let mut b = Database::builder()
-                .document(DOC)
-                .view_deferred("v", PATTERNS[1])
-                .view("w", PATTERNS[0])
-                .pipeline(if mode == "pipelined_d1" { 1 } else { 4 });
-            if analyze {
-                b = b.dtd(DTD).analyze(AnalyzeMode::Warn);
-            }
-            let mut db = b.build().unwrap();
-            let v = db.view("v").unwrap();
-            // Explicitly unbounded: a whole chunk seals before this
-            // thread drains.
-            let subs: Vec<Subscription> = db
-                .handles()
-                .into_iter()
-                .map(|h| db.subscribe_with(h, None, SlowConsumerPolicy::Block))
-                .collect();
-            let mut sealed =
-                Sealed { deferred_commits: Vec::new(), static_skips: 0, events: Vec::new() };
-            for chunk in statements.chunks(5) {
-                let texts = chunk.iter().map(String::as_str);
-                let commits: Vec<Commit> = match mode {
-                    "apply" => texts.map(|s| db.apply(s).unwrap()).collect(),
-                    "pipelined" | "pipelined_d1" => db.apply_pipelined(texts).unwrap(),
-                    "async" => {
-                        let tickets: Vec<Ticket> =
-                            texts.map(|s| db.apply_async([s]).unwrap()).collect();
-                        db.flush().unwrap();
-                        tickets.iter().map(|t| t.wait().unwrap()).collect()
-                    }
-                    "tx" => {
-                        texts.map(|s| db.transaction().statement(s).commit().unwrap()).collect()
-                    }
-                    _ => texts
-                        .map(|s| db.transaction().independent().statement(s).commit().unwrap())
-                        .collect(),
-                };
-                sealed.static_skips += commits.iter().map(Commit::static_skips).sum::<usize>();
-                sealed.deferred_commits.push(db.deferred_commits(v));
-                db.refresh(v).unwrap();
-            }
-            db.refresh_all().unwrap();
-            assert_eq!(db.deferred_commits(v), 0, "{label}: nothing left pending");
-            for sub in subs {
-                let events = db.drain(&sub);
-                sealed.events.push(
-                    events.into_iter().map(|e| (e.seq, e.folded, (*e.delta).clone())).collect(),
-                );
-                db.unsubscribe(sub);
-            }
+    let mut agreed: Option<Sealed> = None;
+    for mode in ["apply", "pipelined", "pipelined_d1", "async", "tx", "tx_independent"] {
+        let mut db = Database::builder()
+            .document(DOC)
+            .view_deferred("v", PATTERNS[1])
+            .view("w", PATTERNS[0])
+            .pipeline(if mode == "pipelined_d1" { 1 } else { 4 })
+            .build()
+            .unwrap();
+        let v = db.view("v").unwrap();
+        // Explicitly unbounded: a whole chunk seals before this
+        // thread drains.
+        let subs: Vec<Subscription> = db
+            .handles()
+            .into_iter()
+            .map(|h| db.subscribe_with(h, None, SlowConsumerPolicy::Block))
+            .collect();
+        let mut sealed = Sealed { deferred_commits: Vec::new(), events: Vec::new() };
+        for chunk in statements.chunks(5) {
+            let texts = chunk.iter().map(String::as_str);
+            let commits: Vec<Commit> = match mode {
+                "apply" => texts.map(|s| db.apply(s).unwrap()).collect(),
+                "pipelined" | "pipelined_d1" => db.apply_pipelined(texts).unwrap(),
+                "async" => {
+                    let tickets: Vec<Ticket> =
+                        texts.map(|s| db.apply_async([s]).unwrap()).collect();
+                    db.flush().unwrap();
+                    tickets.iter().map(|t| t.wait().unwrap()).collect()
+                }
+                "tx" => texts.map(|s| db.transaction().statement(s).commit().unwrap()).collect(),
+                _ => texts
+                    .map(|s| db.transaction().independent().statement(s).commit().unwrap())
+                    .collect(),
+            };
+            assert_eq!(commits.len(), chunk.len(), "{mode}: one commit per statement");
+            sealed.deferred_commits.push(db.deferred_commits(v));
+            db.refresh(v).unwrap();
+        }
+        db.refresh_all().unwrap();
+        assert_eq!(db.deferred_commits(v), 0, "{mode}: nothing left pending");
+        for sub in subs {
+            let events = db.drain(&sub);
+            sealed
+                .events
+                .push(events.into_iter().map(|e| (e.seq, e.folded, (*e.delta).clone())).collect());
+            db.unsubscribe(sub);
+        }
 
-            let pattern = db.pattern(v).clone();
-            let expected = ViewStore::from_counted(&pattern, view_tuples(db.document(), &pattern));
-            assert!(db.store(v).same_content_as(&expected), "{label}: diverged from recomputation");
-            assert!(
-                db.store(v).identical_to(reference.store(ref_v)),
-                "{label}: deferred != immediate"
-            );
-            let w = db.view("w").unwrap();
-            assert!(
-                db.store(w).identical_to(reference.store(ref_w)),
-                "{label}: immediate view diverged"
-            );
-            assert_eq!(sealed.static_skips > 0, analyze, "{label}: skips fire iff analysis is on");
-            match &agreed {
-                None => agreed = Some(sealed),
-                Some(first) => assert_eq!(first, &sealed, "{label}: front-ends disagree"),
-            }
+        let pattern = db.pattern(v).clone();
+        let expected = ViewStore::from_counted(&pattern, view_tuples(db.document(), &pattern));
+        assert!(db.store(v).identical_to(&expected), "{mode}: diverged from recomputation");
+        assert!(db.store(v).identical_to(reference.store(ref_v)), "{mode}: deferred != immediate");
+        let w = db.view("w").unwrap();
+        assert!(
+            db.store(w).identical_to(reference.store(ref_w)),
+            "{mode}: immediate view diverged"
+        );
+        match &agreed {
+            None => agreed = Some(sealed),
+            Some(first) => assert_eq!(first, &sealed, "{mode}: front-ends disagree"),
         }
     }
 }
