@@ -13,8 +13,8 @@
 //! pre-commit [`ViewStore`] reproduces the post-commit store exactly
 //! (keys, derivation counts and stored `val` / `cont` fields) — the
 //! property suite checks this for random documents, view sets and
-//! transactions at every pipeline depth. Consumers therefore never need
-//! to re-read and diff whole stores; they read O(|Δ|) per commit.
+//! transactions. Consumers therefore never need to re-read and diff
+//! whole stores; they read O(|Δ|) per commit.
 //!
 //! **The run's invariant.** A delta is one run of `(tuple, weight)`,
 //! strictly increasing in [`Tuple::doc_cmp`] with a key's negative

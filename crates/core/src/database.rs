@@ -268,7 +268,6 @@ pub(crate) struct DeferredPending {
 pub struct DatabaseBuilder {
     document: Option<DocumentSource>,
     views: Vec<ViewSpec>,
-    pipeline: Option<usize>,
     sub_capacity: Option<usize>,
     dtd: Option<DtdSource>,
     analyze: AnalyzeMode,
@@ -279,7 +278,6 @@ impl Default for DatabaseBuilder {
         DatabaseBuilder {
             document: None,
             views: Vec::new(),
-            pipeline: None,
             sub_capacity: None,
             dtd: None,
             analyze: AnalyzeMode::Off,
@@ -373,14 +371,12 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Sets the pipeline depth: how many queued
-    /// [`Database::apply_async`] submissions the commit service seals
-    /// as one window, under one recovery image (see
-    /// [`crate::service`]). 1 is the default and 0 means 1. Results —
-    /// commits, stores, subscription streams — are bit-identical at
-    /// every depth.
-    pub fn pipeline(mut self, depth: usize) -> Self {
-        self.pipeline = Some(depth);
+    /// Accepted and ignored: the commit service seals each drained
+    /// queue of [`Database::apply_async`] submissions as one window,
+    /// under one recovery image (see [`crate::service`]), whatever its
+    /// length. Kept only because `benchmark/` calls it; the ROADMAP's
+    /// `[benchmark]` item removes it.
+    pub fn pipeline(self, _depth: usize) -> Self {
         self
     }
 
@@ -451,7 +447,6 @@ impl DatabaseBuilder {
                 doc,
                 commits: 0,
                 subs: SubscriptionRegistry::default(),
-                pipeline: self.pipeline.unwrap_or(1).max(1),
                 sub_capacity: effective_sub_capacity(self.sub_capacity),
                 analysis,
                 deferred,
@@ -509,8 +504,6 @@ pub struct DbInner {
     /// sequence number.
     pub(crate) commits: u64,
     pub(crate) subs: SubscriptionRegistry,
-    /// Async submissions sealed per service window (≥ 1).
-    pub(crate) pipeline: usize,
     /// Default queue bound for [`Database::subscribe`] (`None` =
     /// unbounded), from `subscription_capacity` / `XIVM_SUB_CAPACITY`.
     pub(crate) sub_capacity: Option<usize>,
@@ -584,13 +577,13 @@ impl Database {
     /// commit**, returning a [`Ticket`] immediately — before any
     /// propagation runs. The commit seals in the background, strictly
     /// in submission order, through the same commit executor as every
-    /// synchronous front-end: the service thread cuts its queue into
-    /// windows of up to [`DbInner::pipeline_depth`] submissions —
-    /// whatever their shapes — and each window seals like an
-    /// [`DbInner::apply_pipelined`] window. A one-statement submission
-    /// commits like [`DbInner::apply`], a multi-statement (or empty)
-    /// one like a sequential [`DbInner::transaction`], and both share
-    /// windows with their neighbours.
+    /// synchronous front-end: each time the service thread wakes it
+    /// drains its whole queue — whatever the submissions' shapes — and
+    /// seals it as one window, like an [`DbInner::apply_pipelined`]
+    /// window. A one-statement submission commits like
+    /// [`DbInner::apply`], a multi-statement (or empty) one like a
+    /// sequential [`DbInner::transaction`], and both share windows with
+    /// their neighbours.
     ///
     /// The ticket carries the reserved sequence number; await the
     /// sealed [`Commit`] with [`Ticket::wait`], or everything at once
@@ -769,18 +762,6 @@ impl DbInner {
     /// (timings, snowcaps, prune statistics).
     pub fn engine(&self, view: ViewHandle) -> &MaintenanceEngine {
         self.views.get(view.0).expect("handle from this database").1
-    }
-
-    /// The pipeline depth: async submissions sealed per service window
-    /// (the builder's `.pipeline(depth)`, else 1).
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline
-    }
-
-    /// Changes the pipeline depth (0 means 1). Purely a scheduling
-    /// knob: results are bit-identical at every depth.
-    pub fn set_pipeline(&mut self, depth: usize) {
-        self.pipeline = depth.max(1);
     }
 
     /// Always 0: propagation spawns no threads. Kept only because
@@ -1345,14 +1326,15 @@ mod tests {
         assert_eq!(db.serialize(), FIG12);
     }
 
-    /// `.workers(n)`, `set_workers(n)` and `threads_spawned()` are kept
-    /// only for `benchmark/` and change nothing: under `.workers(4)` a
-    /// database commits, stores and streams what the default build
-    /// does — through apply, `apply_pipelined`, a transaction and
-    /// `apply_async` — and an engine told `set_workers(4)` reports and
-    /// stores what the default engine does. No thread is spawned.
+    /// `.workers(n)`, `.pipeline(depth)`, `set_workers(n)` and
+    /// `threads_spawned()` are kept only for `benchmark/` and change
+    /// nothing: under `.workers(4).pipeline(4)` a database commits,
+    /// stores and streams what the default build does — through apply,
+    /// `apply_pipelined`, a transaction and `apply_async` — and an
+    /// engine told `set_workers(4)` reports and stores what the default
+    /// engine does. No thread is spawned.
     #[test]
-    fn the_worker_shims_change_nothing() {
+    fn the_benchmark_shims_change_nothing() {
         const VIEWS: [(&str, &str); 3] = [
             ("ab", "//a{id}//b{id}"),
             ("acb", "//a{id}[//c{id}]//b{id}"),
@@ -1379,7 +1361,8 @@ mod tests {
                 .collect();
             (db, commits, streams)
         };
-        let (shimmed, shimmed_commits, shimmed_streams) = drive(Database::builder().workers(4));
+        let (shimmed, shimmed_commits, shimmed_streams) =
+            drive(Database::builder().workers(4).pipeline(4));
         let (default, commits, streams) = drive(Database::builder());
         assert_eq!(shimmed_commits.len(), commits.len());
         for (a, b) in shimmed_commits.iter().zip(&commits) {
@@ -1713,30 +1696,20 @@ mod tests {
 
     #[test]
     fn transactions_and_pipelined_applies_defer_identically() {
-        for pipeline in [1, 4] {
-            let mut immediate = db();
-            let mut deferred = Database::builder()
-                .document(FIG12)
-                .view("ab", "//a{id}//b{id}")
-                .view_deferred("acb", "//a{id}[//c{id}]//b{id}")
-                .pipeline(pipeline)
-                .build()
-                .unwrap();
-            let acb = deferred.view("acb").unwrap();
-            deferred.apply_pipelined(SCRIPT).unwrap();
-            for s in SCRIPT {
-                immediate.apply(s).unwrap();
-            }
-            let tx = ["insert <b/> into /a/c", "delete //f//b"];
-            immediate.transaction().statement(tx[0]).statement(tx[1]).commit().unwrap();
-            deferred.transaction().statement(tx[0]).statement(tx[1]).commit().unwrap();
-
-            deferred.refresh(acb).unwrap().expect("pending");
-            check_consistent(&deferred);
-            assert!(deferred
-                .store(acb)
-                .identical_to(immediate.store(immediate.view("acb").unwrap())));
+        let mut immediate = db();
+        let mut deferred = deferred_db();
+        let acb = deferred.view("acb").unwrap();
+        deferred.apply_pipelined(SCRIPT).unwrap();
+        for s in SCRIPT {
+            immediate.apply(s).unwrap();
         }
+        let tx = ["insert <b/> into /a/c", "delete //f//b"];
+        immediate.transaction().statement(tx[0]).statement(tx[1]).commit().unwrap();
+        deferred.transaction().statement(tx[0]).statement(tx[1]).commit().unwrap();
+
+        deferred.refresh(acb).unwrap().expect("pending");
+        check_consistent(&deferred);
+        assert!(deferred.store(acb).identical_to(immediate.store(immediate.view("acb").unwrap())));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`Transaction::commit`](crate::database::Transaction::commit) seal
 //! a window of one, [`apply_pipelined`](DbInner::apply_pipelined) one
 //! window of all its statements, the async service one window per
-//! drained queue chunk whatever its submissions' shapes, and
+//! drained queue whatever its submissions' shapes, and
 //! [`refresh`](DbInner::refresh) a one-step window over the deferred
 //! view's last-maintained image. The planners ([`plan_single`],
 //! [`plan_sequential`], [`plan_independent`], [`plan_refresh`]) own
@@ -27,8 +27,9 @@
 //! so a commit takes one only for a reader: a deferred batch *being
 //! opened* reads the pre-image as its base (one commit per refresh
 //! cycle; the image moves into the batch), a refresh replays over a
-//! clone of its base, the async service keeps its recovery pre-image
-//! ([`crate::service`]), and a snapshot is the caller's. Nothing else
+//! clone of its base, the async service keeps one recovery pre-image
+//! per drained queue ([`crate::service`]), and a snapshot is the
+//! caller's. Nothing else
 //! — not a step's planning, not a batch already open — holds an image
 //! or the live interner across an apply; `executor::tests` pins that
 //! as counts.

@@ -8,8 +8,10 @@
 //!   (a view dies while reading the pre-apply document);
 //! * [`FINISH_PANIC`] — panic inside [`MaintenanceEngine::finish`]
 //!   (a view dies while patching its store);
-//! * [`SEAL_DELAY`] — sleep before the async service seals a window
-//!   (a slow seal, for observing submit-vs-seal latency);
+//! * [`SEAL_DELAY`] — sleep before the async service drains its queue
+//!   (a slow seal, for observing submit-vs-seal latency; whatever is
+//!   submitted meanwhile joins the drained batch, so a test can shape
+//!   one window);
 //! * [`RECOVER_PANIC`] — panic inside the async service's post-panic
 //!   recovery (the from-scratch recompute dies on the same document
 //!   the window did): the unrecoverable case, which poisons the
@@ -18,7 +20,10 @@
 //! Points are **one-shot**: arming sets a bit, the first propagation
 //! that reaches the point trips it (exactly one view, atomically)
 //! and the bit clears — so the recovery path that follows runs clean
-//! (unless [`RECOVER_PANIC`] is armed for it).
+//! (unless [`RECOVER_PANIC`] is armed for it). [`arm_at`] lets the
+//! point pass its first *k − 1* reaches instead: every view of every
+//! step reaches `prepare` / `finish` once, so a panic can land on a
+//! later step of a window than its first.
 //! Arm programmatically with [`arm`] or through the environment
 //! (`XIVM_FAULT=prepare_panic,finish_panic,seal_delay,recover_panic`,
 //! read once at first use). Tests that arm faults must serialize on
@@ -41,12 +46,16 @@ use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 pub const PREPARE_PANIC: u32 = 1 << 0;
 /// Panic at the start of `MaintenanceEngine::finish`.
 pub const FINISH_PANIC: u32 = 1 << 1;
-/// Sleep ~40ms before the async service seals a window.
+/// Sleep ~40ms before the async service drains its queue.
 pub const SEAL_DELAY: u32 = 1 << 2;
 /// Panic at the start of the async service's post-panic recovery.
 pub const RECOVER_PANIC: u32 = 1 << 3;
 
 static ARMED: AtomicU32 = AtomicU32::new(0);
+/// Per point (indexed by its bit's position), the reaches it still
+/// lets pass before it trips; written by every arming of the point,
+/// read only while it is armed.
+static PASSES: [AtomicU32; 4] = [const { AtomicU32::new(0) }; 4];
 static ENV_INIT: Once = Once::new();
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
@@ -81,10 +90,20 @@ pub fn exclusive() -> MutexGuard<'static, ()> {
 }
 
 /// Arms the given failpoint bits (OR-ed into the armed set). Each
-/// armed point trips exactly once, then disarms itself.
+/// armed point trips exactly once, at its next reach, then disarms
+/// itself.
 pub fn arm(bits: u32) {
+    (0..PASSES.len()).filter(|i| bits & 1 << i != 0).for_each(|i| arm_at(1 << i, 1));
+}
+
+/// Arms the one failpoint `bit` to trip at its `k`-th reach from now
+/// (`k ≥ 1`; `arm_at(bit, 1)` is `arm(bit)`), letting the reaches
+/// before it pass.
+pub fn arm_at(bit: u32, k: u32) {
+    assert!(bit.is_power_of_two() && k >= 1);
     ensure_env();
-    ARMED.fetch_or(bits, Ordering::SeqCst);
+    PASSES[bit.trailing_zeros() as usize].store(k - 1, Ordering::SeqCst);
+    ARMED.fetch_or(bit, Ordering::SeqCst);
 }
 
 /// Clears every armed failpoint (tests call this on their way out so
@@ -101,11 +120,16 @@ pub fn any_armed() -> bool {
 }
 
 /// Atomically claims `bit`: returns true for exactly one caller per
-/// arming, clearing the bit — every view of a commit passes the
-/// point, and so may other threads, but only one trips it.
+/// arming — the reach that finds no passes left — clearing the bit;
+/// every view of a commit passes the point, and so may other threads,
+/// but only one trips it.
 fn trip(bit: u32) -> bool {
     ensure_env();
     if ARMED.load(Ordering::Relaxed) & bit == 0 {
+        return false;
+    }
+    let passes = &PASSES[bit.trailing_zeros() as usize];
+    if passes.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)).is_ok() {
         return false;
     }
     ARMED.fetch_and(!bit, Ordering::SeqCst) & bit != 0
@@ -125,7 +149,7 @@ pub(crate) fn finish_point() {
     }
 }
 
-/// The failpoint before the async service seals a window.
+/// The failpoint before the async service drains its queue.
 pub(crate) fn seal_point() {
     if trip(SEAL_DELAY) {
         std::thread::sleep(std::time::Duration::from_millis(SEAL_DELAY_MS));
@@ -156,5 +180,19 @@ mod tests {
         assert!(trip(SEAL_DELAY));
         assert!(!any_armed());
         disarm_all();
+    }
+
+    #[test]
+    fn a_point_armed_at_k_trips_at_its_kth_reach_only() {
+        let _guard = exclusive();
+        disarm_all();
+        arm_at(FINISH_PANIC, 3);
+        arm(PREPARE_PANIC);
+        assert_eq!([0; 4].map(|_| trip(FINISH_PANIC)), [false, false, true, false]);
+        assert!(trip(PREPARE_PANIC), "the other points keep their own count");
+        arm_at(FINISH_PANIC, 2);
+        disarm_all();
+        assert!(!trip(FINISH_PANIC) && !trip(FINISH_PANIC), "disarmed mid-count");
+        assert!(!any_armed());
     }
 }

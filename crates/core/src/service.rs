@@ -2,14 +2,18 @@
 //!
 //! [`Database::apply_async`] validates a batch, reserves the next
 //! sequence number and hands the statements to a background service
-//! thread, returning a [`Ticket`] immediately. The service drains its
-//! queue in submission order, handing the executor
-//! (`DbInner::seal_window`) one window of up to the database's
-//! pipeline depth at a time — sealed step by step like an
-//! [`apply_pipelined`] window, under one recovery image. A window
-//! holds submissions of any shape: a one-statement submission plans
-//! like `apply`, a multi-statement (or empty) one like a sequential
-//! transaction. Commits seal **strictly in sequence order**, so
+//! thread, returning a [`Ticket`] immediately. Each time the service
+//! wakes it drains its whole queue and hands the executor
+//! (`DbInner::seal_window`) that batch as **one window** — sealed step
+//! by step like an [`apply_pipelined`] window, under one recovery
+//! image. The window's size is whatever queued up while the previous
+//! one sealed; there is no knob for it. A window holds submissions of
+//! any shape: a one-statement submission plans like `apply`, a
+//! multi-statement (or empty) one like a sequential transaction. While
+//! the image is held, the live document copies an arena chunk or a
+//! canonical list the first time the window writes it and never again,
+//! so however long a window runs its extra memory stays bounded by one
+//! document image. Commits seal **strictly in sequence order**, so
 //! subscription feeds stay gapless no matter how the work was
 //! scheduled, and each publishes its seal as it happens, so
 //! [`Database::commit_barrier`] returns once its commit has sealed.
@@ -42,8 +46,9 @@
 //!   or a `crate::fault` failpoint fired) — the service catches it,
 //!   rolls the document back to the last *sealed* commit — a panic at
 //!   step *k* of a window keeps the steps before *k*, which it
-//!   replays — recomputes every view from scratch and seals nothing
-//!   else from that window; the failing ticket carries
+//!   replays onto the window's image under the live label interner —
+//!   recomputes every view from scratch and seals nothing else from
+//!   that window; the failing ticket carries
 //!   [`Error::Panic`] with the panic message;
 //! * an earlier submission in the queue failed — the reserved
 //!   sequence number can no longer be honored, so the ticket aborts
@@ -326,12 +331,21 @@ fn service_loop(shared: Arc<Shared>) {
                 }
                 st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
+            // `fault::SEAL_DELAY` holds the drain off, unlocked, so what
+            // is submitted meanwhile joins this batch. Only this thread
+            // drains the queue: it is still non-empty afterwards.
+            #[cfg(any(test, feature = "fault-inject"))]
+            let mut st = {
+                drop(st);
+                crate::fault::seal_point();
+                shared.lock()
+            };
             st.busy = true;
             let db =
                 st.parked.take().expect("the core is parked with the queue's first submission");
             (db, st.queue.drain(..).collect())
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| drain_batch(&mut db, &batch, &shared)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| seal_window(&mut db, &batch, &shared)));
         let mut st = shared.lock();
         st.busy = false;
         let error = match outcome {
@@ -371,27 +385,16 @@ fn service_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Drains one batch in submission order, a window of up to the
-/// database's pipeline depth at a time, whatever the submissions'
-/// shapes, and stops at the first failure (the caller resolves the
-/// tickets left unresolved).
-fn drain_batch(db: &mut DbInner, batch: &[Submission], shared: &Shared) -> Result<(), Error> {
-    for window in batch.chunks(db.pipeline) {
-        seal_window(db, window, shared)?;
-    }
-    Ok(())
-}
-
-/// Seals one window of submissions through the executor
-/// ([`DbInner::seal_window`]), fulfilling each ticket and publishing
-/// the sealed high-water mark as its commit seals (strictly in order),
-/// so a `commit_barrier` waiter never waits on a later commit of the
-/// window. A clean engine error leaves the commits before it sealed and
-/// the document untouched by anything after; on a panic the database
-/// is rolled back to the sealed prefix and every view recomputed.
+/// Seals one drained batch of submissions, whatever their shapes, as
+/// one window through the executor ([`DbInner::seal_window`]),
+/// fulfilling each ticket and publishing the sealed high-water mark as
+/// its commit seals (strictly in order), so a `commit_barrier` waiter
+/// never waits on a later commit of the window. It stops at the first
+/// failure (the caller resolves the tickets left unresolved): a clean
+/// engine error leaves the commits before it sealed and the document
+/// untouched by anything after; on a panic the database is rolled back
+/// to the sealed prefix and every view recomputed.
 fn seal_window(db: &mut DbInner, window: &[Submission], shared: &Shared) -> Result<(), Error> {
-    #[cfg(any(test, feature = "fault-inject"))]
-    crate::fault::seal_point();
     let batches: Vec<Batch<'_>> = window.iter().map(|s| Batch::of(&s.stmts)).collect();
     let pre = db.doc.clone();
     // The PULs of the commits that sealed, in order: what `recover`
@@ -418,10 +421,16 @@ fn seal_window(db: &mut DbInner, window: &[Submission], shared: &Shared) -> Resu
 /// view from scratch against it. Stores sealed before the panic stay
 /// exactly as sealed; the half-propagated state of the panicking
 /// window is discarded wholesale.
+///
+/// The replay runs under the live document's label interner, which
+/// extends `pre`'s: a sealed step planned on a scratch copy adopted
+/// that copy's interner before its apply (`CommitPlan::labels`), and
+/// its PUL's IDs resolve only under the same label ids.
 fn recover(db: &mut DbInner, pre: Document, sealed: &[Pul]) {
     #[cfg(any(test, feature = "fault-inject"))]
     crate::fault::recover_point();
     let mut doc = pre;
+    doc.adopt_labels(&db.doc.shared_labels());
     for pul in sealed {
         if apply_pul(&mut doc, pul).is_err() {
             break;

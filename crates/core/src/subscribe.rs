@@ -123,7 +123,7 @@ impl FeedEvent {
 /// *consecutive*: the first event of a subscription carries the seq
 /// after [`Database::last_seq`] at subscribe time, and each following
 /// event carries the previous seq plus one, with no reordering across
-/// drains. This holds at every pipeline depth
+/// drains. This holds for every commit front-end
 /// (pipelined and async hosts seal commits strictly in order), so a
 /// consumer that folds events in drain order reconstructs every
 /// intermediate store state exactly — circuit sources and replicas

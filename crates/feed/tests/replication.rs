@@ -231,7 +231,6 @@ fn async_commits_replicate_identically() {
         .document(DOC)
         .view("ab", "//a{id}//b{id}")
         .view("acb", "//a{id}[//c{id}]//b{id}")
-        .pipeline(4)
         .build()
         .unwrap();
     let ab = db.view("ab").unwrap();

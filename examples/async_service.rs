@@ -2,9 +2,9 @@
 //!
 //! An ingest thread rarely wants to pay the full maintenance latency
 //! per commit. [`Database::apply_async`] validates and enqueues, the
-//! service thread seals strictly in order, up to the pipeline depth of
-//! queued submissions per window, and the producer holds a [`Ticket`] it can
-//! wait on — or not. Consumers pick what happens when they fall
+//! service thread seals strictly in order, each drained queue as one
+//! window, and the producer holds a [`Ticket`] it can wait on — or
+//! not. Consumers pick what happens when they fall
 //! behind a bounded feed: `Block` the sealer, take a `Lagged` marker
 //! and re-seed from a snapshot, or get disconnected.
 //!
@@ -21,7 +21,6 @@ fn main() -> Result<(), Error> {
     let mut db = Database::builder()
         .document("<market><feed/><log/></market>")
         .view("prices", "//feed{id}/tick{id,val}")
-        .pipeline(4)
         .build()?;
     let prices = db.view("prices")?;
 

@@ -78,9 +78,10 @@
 //! submission from sealing: it validates, reserves a sequence number
 //! and returns a [`Ticket`] immediately while a background service
 //! thread seals commits strictly in order through the same commit
-//! executor every synchronous front-end uses — its queue is cut into
-//! windows of up to `depth` submissions whatever their shapes, so
-//! single-, multi-statement and empty submissions share windows.
+//! executor every synchronous front-end uses — each time it wakes it
+//! seals its whole drained queue as one window, under one recovery
+//! image, whatever the submissions' shapes, so single-,
+//! multi-statement and empty submissions share windows.
 //! Await one commit with [`Ticket::wait`], everything with
 //! `Database::flush`, or a specific seq with
 //! `Database::commit_barrier`. Subscription queues can be bounded
@@ -112,8 +113,8 @@
 //!
 //! | removed knob | what to do instead |
 //! |---|---|
-//! | `runtime::MAX_PIPELINE_DEPTH`, `runtime::clamp_pipeline`, `runtime::env_pipeline`, `runtime::effective_pipeline` | nothing: `.pipeline(depth)` / `set_pipeline(depth)` take any depth ≥ 1 (0 means 1) |
-//! | `XIVM_PIPELINE` | `.pipeline(depth)` on the builder (default 1) |
+//! | `runtime::MAX_PIPELINE_DEPTH`, `runtime::clamp_pipeline`, `runtime::env_pipeline`, `runtime::effective_pipeline`, `XIVM_PIPELINE` | nothing: there is no pipeline depth |
+//! | `Database::pipeline_depth()`, `Database::set_pipeline(depth)` | nothing: the async service seals each drained queue as one window; `.pipeline(depth)` is still accepted and ignored |
 //! | `XIVM_WORKERS` | nothing: the views propagate one after another on the committing thread |
 //! | `core::runtime::{Runtime, effective_workers, env_workers}` (and `parallel::{effective_workers, env_workers}`) | nothing: there is no worker pool |
 //! | `Database::workers()`, `MultiViewEngine::workers()` | nothing: `.workers(n)` / `set_workers(n)` are still accepted and ignored, and `threads_spawned()` is always 0 |

@@ -5,7 +5,7 @@
 //!
 //! Two legs per case, soak.rs-style:
 //!
-//! - **sequential**: statements applied one by one (depth 1), the
+//! - **sequential**: statements applied one by one, the
 //!   circuit synced and checked
 //!   against [`Circuit::recompute`] at each commit; the per-commit
 //!   sorted node states are recorded as the reference trace.
@@ -129,8 +129,8 @@ fn value_fn(sel: usize) -> impl Fn(&Row) -> i64 + Send + Sync + 'static {
 /// out, fan in and stack aggregates over aggregates.
 type OpDraw = (usize, usize, usize, usize);
 
-fn build_db(doc_xml: &str, view_idxs: &[usize], pipeline: usize) -> Database {
-    let mut b = Database::builder().document(doc_xml).pipeline(pipeline);
+fn build_db(doc_xml: &str, view_idxs: &[usize]) -> Database {
+    let mut b = Database::builder().document(doc_xml);
     for (i, &p) in view_idxs.iter().enumerate() {
         b = b.view(format!("v{i}"), PATTERNS[p]);
     }
@@ -216,7 +216,7 @@ proptest! {
     ) {
         // Sequential leg: sync + check at every commit, recording the
         // per-commit node states as the reference trace.
-        let mut db = build_db(&doc_xml, &view_idxs, 1);
+        let mut db = build_db(&doc_xml, &view_idxs);
         let mut circuit = build_circuit(&mut db, view_idxs.len(), &plan);
         check_against_recompute(&circuit, &db, "after seed")?;
 
@@ -231,9 +231,9 @@ proptest! {
         }
         circuit.detach(&mut db);
 
-        // Pipelined leg: same workload in one depth-4 batch; stepping
-        // the barrier one commit at a time must replay the trace.
-        let mut piped = build_db(&doc_xml, &view_idxs, 4);
+        // Pipelined leg: same workload in one window; stepping the
+        // barrier one commit at a time must replay the trace.
+        let mut piped = build_db(&doc_xml, &view_idxs);
         let mut pcircuit = build_circuit(&mut piped, view_idxs.len(), &plan);
         piped
             .apply_pipelined(statements.iter().map(String::as_str))
@@ -270,7 +270,7 @@ proptest! {
         ),
         cut in 1usize..4,
     ) {
-        let mut db = build_db(&doc_xml, &view_idxs, 1);
+        let mut db = build_db(&doc_xml, &view_idxs);
         let mut circuit = build_circuit(&mut db, view_idxs.len(), &plan);
         let statements: Vec<String> = script.iter().map(script_statement).collect();
         let cut = cut.min(statements.len());

@@ -6,6 +6,10 @@
 //!
 //! * a panicking window drains cleanly — the service survives, later
 //!   submissions seal, and `Database` drop still joins everything;
+//! * a panic at step *k* of a window ([`fault::arm_at`] lets a point
+//!   pass its first reaches) keeps the steps before *k*: recovery
+//!   replays their PULs onto the window's image, in the shapes they
+//!   had and under the label interner they were applied with;
 //! * the failure surfaces on the failing ticket's `wait()` as
 //!   [`Error::Panic`], on everything queued behind it as
 //!   [`Error::Aborted`], and exactly once on `flush()`;
@@ -50,8 +54,8 @@ fn stmt(i: usize) -> String {
     }
 }
 
-fn build_db(pipeline: usize) -> Database {
-    let mut b = Database::builder().document(DOC).pipeline(pipeline);
+fn build_db() -> Database {
+    let mut b = Database::builder().document(DOC);
     for (name, pattern) in VIEWS {
         b = b.view(name, pattern);
     }
@@ -75,7 +79,7 @@ fn assert_consistent(db: &Database, context: &str) {
 /// The database must equal a fresh one sequentially replaying exactly
 /// the statements whose commits sealed.
 fn assert_equals_replay(db: &Database, sealed_stmts: &[String], context: &str) {
-    let mut replay = build_db(1);
+    let mut replay = build_db();
     for s in sealed_stmts {
         replay.apply(s.as_str()).expect("replay statement");
     }
@@ -118,7 +122,7 @@ fn prepare_panic_fails_window_and_database_recovers() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(4);
+    let mut db = build_db();
     let h = db.view("acb").expect("view");
     let feed = db.subscribe(h);
     let base: Vec<String> = (0..2).map(stmt).collect();
@@ -131,10 +135,9 @@ fn prepare_panic_fails_window_and_database_recovers() {
         feed_seqs.extend(drained_seqs(&feed));
     }
 
-    // SEAL_DELAY makes the schedule deterministic: whatever prefix of
-    // the submissions lands in the service's first batch, the 40ms
-    // sleep before its first window lets the remaining apply_async
-    // calls enqueue — so every ticket is in flight when the armed
+    // SEAL_DELAY makes the schedule deterministic: the 40ms sleep
+    // before the service drains its queue lets every apply_async call
+    // enqueue, so all four tickets are one window when the armed
     // prepare panics, and none can slip into a clean later batch.
     fault::arm(fault::PREPARE_PANIC | fault::SEAL_DELAY);
     let tickets: Vec<Ticket> = (0..4).map(|i| db.apply_async([stmt(i)]).expect("submit")).collect();
@@ -196,7 +199,7 @@ fn finish_panic_preserves_sealed_prefix() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(1);
+    let mut db = build_db();
     let h = db.view("cb").expect("view");
     let feed = db.subscribe(h);
     db.apply(stmt(0).as_str()).expect("base commit");
@@ -253,7 +256,7 @@ fn panic_in_async_transaction_rolls_back_whole_batch() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(1);
+    let mut db = build_db();
     let base = stmt(0);
     db.apply(base.as_str()).expect("base commit");
 
@@ -270,7 +273,7 @@ fn panic_in_async_transaction_rolls_back_whole_batch() {
     let t2 = db.apply_async([stmt(1), stmt(2)]).expect("resubmit transaction");
     let commit = t2.wait().expect("transaction seals");
     assert_eq!(commit.seq, 2);
-    let mut replay = build_db(1);
+    let mut replay = build_db();
     replay.apply(base.as_str()).expect("replay base");
     replay
         .transaction()
@@ -284,69 +287,62 @@ fn panic_in_async_transaction_rolls_back_whole_batch() {
     fault::disarm_all();
 }
 
-/// A panic in a depth-4 window of *mixed-shape* submissions — single,
-/// multi-statement and single again — after an equally mixed window
-/// sealed: the sealed window survives exactly (recovery replays the
-/// sealed commits in the shape they had), the failing window fails as
-/// a whole, and the database equals the synchronous replay of the
-/// sealed submissions through `apply` / `transaction()`.
+/// A panic mid-way through one window of *mixed-shape* submissions —
+/// one queue shaped [1, 3, 1, 1, 1, 4, 1] whose fifth step panics: the
+/// four commits sealed before it survive exactly — recovery rebuilds
+/// them by replaying their PULs onto the window's image, in the shapes
+/// they had — the rest of the window fails, and the database equals the
+/// synchronous replay of the sealed submissions through `apply` /
+/// `transaction()`.
 #[test]
 fn panic_in_mixed_shape_window_preserves_the_sealed_mixed_window() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(4);
+    let mut db = build_db();
     let h = db.view("acb").expect("view");
-    // Explicitly unbounded: a whole window fans out before this
+    // Explicitly unbounded: the sealed commits fan out before this
     // thread drains (the CI async matrix defaults to capacity 1).
     let feed = db.subscribe_with(h, None, SlowConsumerPolicy::Block);
-    let submit =
-        |db: &mut Database, shapes: &[usize], next: &mut usize| -> Vec<(Vec<String>, Ticket)> {
-            shapes
-                .iter()
-                .map(|&n| {
-                    let stmts: Vec<String> = (*next..*next + n).map(stmt).collect();
-                    *next += n;
-                    let ticket = db.apply_async(stmts.iter().map(String::as_str)).expect("submit");
-                    (stmts, ticket)
-                })
-                .collect()
-        };
 
-    // SEAL_DELAY holds the service before its first window, so all
-    // four submissions are queued when it wakes: one depth-4 window
-    // shaped [1, 3, 1, 1].
-    let mut next = 0;
+    // SEAL_DELAY holds the service before it drains its queue, so the
+    // seven submissions are one window. Every step reaches `finish`
+    // once per view: the fifth step's first reach is the ninth.
+    fault::arm_at(fault::FINISH_PANIC, 4 * VIEWS.len() as u32 + 1);
     fault::arm(fault::SEAL_DELAY);
-    let first = submit(&mut db, &[1, 3, 1, 1], &mut next);
-    db.flush().expect("first window seals cleanly");
-
-    // Same trick for the second window, shaped [1, 4, 1], with a
-    // finish panic waiting inside it.
-    fault::arm(fault::FINISH_PANIC | fault::SEAL_DELAY);
-    let second = submit(&mut db, &[1, 4, 1], &mut next);
+    let mut next = 0;
+    let submissions: Vec<(Vec<String>, Ticket)> = [1, 3, 1, 1, 1, 4, 1]
+        .into_iter()
+        .map(|n| {
+            let stmts: Vec<String> = (next..next + n).map(stmt).collect();
+            next += n;
+            let ticket = db.apply_async(stmts.iter().map(String::as_str)).expect("submit");
+            (stmts, ticket)
+        })
+        .collect();
     assert!(matches!(db.flush(), Err(Error::Panic(_))));
 
-    for (k, (stmts, ticket)) in first.iter().enumerate() {
-        let commit = ticket.wait().expect("first window sealed");
+    let (sealed, failed) = submissions.split_at(4);
+    for (k, (stmts, ticket)) in sealed.iter().enumerate() {
+        let commit = ticket.wait().expect("the steps before the panic sealed");
         assert_eq!(commit.seq, k as u64 + 1);
         assert_eq!(commit.seq, ticket.seq, "Commit::seq is exactly Ticket::seq");
         assert_eq!(commit.statements, stmts.len());
     }
-    match second[0].1.wait() {
+    match failed[0].1.wait() {
         Err(Error::Panic(msg)) => {
             assert!(msg.contains("injected fault: panic in finish"), "panic message: {msg}")
         }
-        other => panic!("the window's head should carry the injected panic, got {other:?}"),
+        other => panic!("the fifth submission should carry the injected panic, got {other:?}"),
     }
-    for (_, ticket) in &second[1..] {
+    for (_, ticket) in &failed[1..] {
         assert!(matches!(ticket.wait(), Err(Error::Aborted)), "queued-behind tickets abort");
     }
 
     // The synchronous replay of exactly the first four submissions,
     // each in its own shape.
-    let mut replay = build_db(1);
-    for (stmts, _) in &first {
+    let mut replay = build_db();
+    for (stmts, _) in sealed {
         match stmts.as_slice() {
             [s] => replay.apply(s.as_str()).expect("replay statement"),
             many => many
@@ -369,6 +365,55 @@ fn panic_in_mixed_shape_window_preserves_the_sealed_mixed_window() {
     fault::disarm_all();
 }
 
+/// The sequential transaction of `tests/property.rs` case 1548 seals as
+/// step 1 of a window, and step 2 panics. The transaction's third
+/// statement is spliced into the first one's forest in front of the
+/// `c` the second deletes, so its `del` addresses `c` by label ids the
+/// planning copy numbered; the live document adopted that interner
+/// before the apply. Recovery replays the sealed PUL onto the window's
+/// image, and must do so under the same interner: a replay left to
+/// intern the forest's labels itself numbers them the other way round,
+/// drops the `del` as a stale ID and brings back the `<c/>` commit 1
+/// deleted and published as deleted.
+#[test]
+fn a_mid_window_panic_replays_a_spliced_delete_under_the_live_labels() {
+    let _guard = fault::exclusive();
+    fault::disarm_all();
+
+    let tx = ["insert <a><b/><c/></a> into //b", "delete //a//c", "insert <d>5</d> into //b"];
+    let build = || {
+        Database::builder()
+            .document("<r><b/></r>")
+            .view("ab", "//a{id}//b{id}")
+            .view("ac", "//a{id}//c{id}")
+            .build()
+            .expect("fixture database")
+    };
+    let mut db = build();
+    // One window (SEAL_DELAY holds the drain): the transaction, then a
+    // statement whose `finish` panics at the step's first view.
+    fault::arm_at(fault::FINISH_PANIC, 3);
+    fault::arm(fault::SEAL_DELAY);
+    let sealed = db.apply_async(tx).expect("submit transaction");
+    let failing = db.apply_async(["insert <e/> into /r"]).expect("submit");
+    assert!(matches!(db.flush(), Err(Error::Panic(_))));
+    assert_eq!(sealed.wait().expect("step 1 sealed").seq, 1);
+    assert!(matches!(failing.wait(), Err(Error::Panic(_))));
+
+    let mut replay = build();
+    tx.iter().fold(replay.transaction(), |t, s| t.statement(*s)).commit().expect("replay");
+    assert_eq!(replay.serialize(), "<r><b><a><b><d>5</d></b></a><d>5</d></b></r>");
+    assert_eq!(db.last_seq(), 1);
+    assert_eq!(db.serialize(), replay.serialize(), "the deleted <c/> stays deleted");
+    db.document().check_invariants().expect("document invariants");
+    for name in ["ab", "ac"] {
+        let (h, rh) = (db.view(name).expect("view"), replay.view(name).expect("view"));
+        assert!(db.store(h).identical_to(replay.store(rh)), "view {name} differs from replay");
+    }
+
+    fault::disarm_all();
+}
+
 /// A panicking window drains cleanly even while a capacity-1 `Block`
 /// subscription is being drained from another thread: the service
 /// never wedges, and the consumer sees exactly the sealed commits with
@@ -378,7 +423,7 @@ fn blocked_consumer_survives_panicking_window() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(2);
+    let mut db = build_db();
     let h = db.view("acb").expect("view");
     let feed = db.subscribe_with(h, Some(1), SlowConsumerPolicy::Block);
 
@@ -440,17 +485,16 @@ fn commit_barrier_returns_when_its_commit_seals_not_when_its_window_ends() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(4);
+    let mut db = build_db();
     let h = db.view("acb").expect("view");
-    // Nothing drains before the helper wakes: commit 1 and the
-    // window's first commit fill the queue, its second one blocks.
+    // Nothing drains before the helper wakes: commits 1 and 2 fill the
+    // queue, commit 3 blocks.
     let feed = db.subscribe_with(h, Some(2), SlowConsumerPolicy::Block);
 
-    // The short sleep lets the service take commit 1 alone; SEAL_DELAY
-    // then holds it 40ms inside that window, so the next four
-    // submissions enqueue behind it as one batch — one depth-4 window,
-    // commits 2–5. (However the queue splits, commits 1 and 2 never
-    // block, so the barrier below is timing-independent on this tree.)
+    // SEAL_DELAY holds the service 40ms before it drains its queue, so
+    // the four submissions made 10ms after the first join it: one
+    // window, commits 1–5. (However the queue splits, commits 1 and 2
+    // never block, so the barrier below is timing-independent.)
     fault::arm(fault::SEAL_DELAY);
     let first = db.apply_async([stmt(0)]).expect("submit");
     std::thread::sleep(Duration::from_millis(10));
@@ -493,7 +537,7 @@ fn submission_returns_before_delayed_seal() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    let mut db = build_db(1);
+    let mut db = build_db();
     fault::arm(fault::SEAL_DELAY);
 
     let start = Instant::now();
@@ -533,11 +577,11 @@ fn panic_in_recovery_poisons_the_service_instead_of_hanging() {
 
     let (report, observed) = mpsc::channel();
     let scenario = std::thread::spawn(move || {
-        let mut db = build_db(4);
+        let mut db = build_db();
         db.apply(stmt(0).as_str()).expect("base commit");
 
-        // SEAL_DELAY holds the service before its first window, so all
-        // three submissions are accepted before the service dies.
+        // SEAL_DELAY holds the service before it drains its queue, so
+        // all three submissions are accepted before the service dies.
         fault::arm(fault::FINISH_PANIC | fault::RECOVER_PANIC | fault::SEAL_DELAY);
         let tickets: Vec<Ticket> =
             (1..4).map(|i| db.apply_async([stmt(i)]).expect("submit")).collect();
@@ -585,47 +629,44 @@ fn commits_after_a_recovered_panic_seed_a_new_deferred_batch() {
     let _guard = fault::exclusive();
     fault::disarm_all();
 
-    for pipeline in [1, 4] {
-        let mut db = Database::builder()
-            .document(DOC)
-            .pipeline(pipeline)
-            .view_deferred(VIEWS[0].0, VIEWS[0].1)
-            .view(VIEWS[1].0, VIEWS[1].1)
-            .build()
-            .expect("fixture database");
-        let acb = db.view("acb").expect("view");
-        db.apply(stmt(0).as_str()).expect("base commit");
-        assert_eq!(db.deferred_commits(acb), 1);
+    let mut db = Database::builder()
+        .document(DOC)
+        .view_deferred(VIEWS[0].0, VIEWS[0].1)
+        .view(VIEWS[1].0, VIEWS[1].1)
+        .build()
+        .expect("fixture database");
+    let acb = db.view("acb").expect("view");
+    db.apply(stmt(0).as_str()).expect("base commit");
+    assert_eq!(db.deferred_commits(acb), 1);
 
-        fault::arm(fault::PREPARE_PANIC);
-        let failing = db.apply_async([stmt(1)]).expect("submit failing");
-        assert!(matches!(failing.wait(), Err(Error::Panic(_))));
-        assert!(matches!(db.flush(), Err(Error::Panic(_))));
-        assert_eq!(db.deferred_commits(acb), 0, "recovery absorbed the batch");
-        assert_consistent(&db, "after recovery");
+    fault::arm(fault::PREPARE_PANIC);
+    let failing = db.apply_async([stmt(1)]).expect("submit failing");
+    assert!(matches!(failing.wait(), Err(Error::Panic(_))));
+    assert!(matches!(db.flush(), Err(Error::Panic(_))));
+    assert_eq!(db.deferred_commits(acb), 0, "recovery absorbed the batch");
+    assert_consistent(&db, "after recovery");
 
-        let nothing = "delete //zzz".to_owned();
-        let after = [nothing, stmt(2), stmt(3)];
-        let tickets: Vec<Ticket> =
-            after[..2].iter().map(|s| db.apply_async([s.as_str()]).expect("submit")).collect();
-        db.flush().expect("clean tail");
-        assert!(tickets.iter().all(|t| t.wait().is_ok()));
-        db.apply(after[2].as_str()).expect("synchronous commit");
-        assert_eq!(db.deferred_commits(acb), 2, "the empty commit folds nothing");
+    let nothing = "delete //zzz".to_owned();
+    let after = [nothing, stmt(2), stmt(3)];
+    let tickets: Vec<Ticket> =
+        after[..2].iter().map(|s| db.apply_async([s.as_str()]).expect("submit")).collect();
+    db.flush().expect("clean tail");
+    assert!(tickets.iter().all(|t| t.wait().is_ok()));
+    db.apply(after[2].as_str()).expect("synchronous commit");
+    assert_eq!(db.deferred_commits(acb), 2, "the empty commit folds nothing");
 
-        db.refresh(acb).expect("refresh").expect("a batch was pending");
-        db.document().check_invariants().expect("document invariants");
-        assert_consistent(&db, "after the refresh");
-        let mut replay = build_db(1);
-        for s in [stmt(0)].iter().chain(&after) {
-            replay.apply(s.as_str()).expect("replay statement");
-        }
-        assert_eq!(db.last_seq(), replay.last_seq() + 1, "the sealed commits and the refresh");
-        assert_eq!(db.serialize(), replay.serialize());
-        for (name, _) in VIEWS {
-            let (h, rh) = (db.view(name).expect("view"), replay.view(name).expect("view"));
-            assert!(db.store(h).same_content_as(replay.store(rh)), "view {name} vs replay");
-        }
+    db.refresh(acb).expect("refresh").expect("a batch was pending");
+    db.document().check_invariants().expect("document invariants");
+    assert_consistent(&db, "after the refresh");
+    let mut replay = build_db();
+    for s in [stmt(0)].iter().chain(&after) {
+        replay.apply(s.as_str()).expect("replay statement");
+    }
+    assert_eq!(db.last_seq(), replay.last_seq() + 1, "the sealed commits and the refresh");
+    assert_eq!(db.serialize(), replay.serialize());
+    for (name, _) in VIEWS {
+        let (h, rh) = (db.view(name).expect("view"), replay.view(name).expect("view"));
+        assert!(db.store(h).same_content_as(replay.store(rh)), "view {name} vs replay");
     }
 
     fault::disarm_all();

@@ -808,7 +808,6 @@ fn unsubscribe_between_overlapped_commits() {
         .view("ab", "//a{id}//b{id}")
         .view("acb", "//a{id}[//c{id}]//b{id}")
         .view("c_cont", "//c{id,cont}")
-        .pipeline(3)
         .build()
         .unwrap();
     let ab = db.view("ab").unwrap();
@@ -855,7 +854,6 @@ fn multiple_subscribers_on_one_view_share_the_delta_allocation() {
         .document("<a><c><b/><b/></c><f><b/></f></a>")
         .view("ab", "//a{id}//b{id}")
         .view("ac", "//a{id}//c{id}")
-        .pipeline(2)
         .build()
         .unwrap();
     let ab = db.view("ab").unwrap();
@@ -898,7 +896,6 @@ fn rejected_pipelined_batch_emits_nothing() {
     let mut db = Database::builder()
         .document("<a><c><b/><b/></c><f><c><b/></c><b/></f></a>")
         .view("acb", "//a{id}[//c{id}]//b{id}")
-        .pipeline(2)
         .build()
         .unwrap();
     let acb = db.view("acb").unwrap();
@@ -1009,12 +1006,8 @@ fn block_policy_backpressure_waits_and_loses_nothing() {
     use std::time::{Duration, Instant};
 
     const PAUSE: Duration = Duration::from_millis(50);
-    let mut db = Database::builder()
-        .document("<r><a><b/></a></r>")
-        .view("ab", PATTERNS[0])
-        .pipeline(2)
-        .build()
-        .unwrap();
+    let mut db =
+        Database::builder().document("<r><a><b/></a></r>").view("ab", PATTERNS[0]).build().unwrap();
     let h = db.view("ab").unwrap();
     let sub = db.subscribe_with(h, Some(1), SlowConsumerPolicy::Block);
 
@@ -1101,13 +1094,11 @@ proptest! {
     fn lagged_marker_resumes_exactly_past_the_missed_range(
         capacity in 1usize..4,
         overflow in 2usize..6,
-        pipeline in 1usize..5,
         use_async in prop::bool::ANY,
     ) {
         let mut db = Database::builder()
             .document("<r><a><b/></a><a><c/></a></r>")
             .view("ab", PATTERNS[0])
-            .pipeline(pipeline)
             .build()
             .unwrap();
         let h = db.view("ab").unwrap();

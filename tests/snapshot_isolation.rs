@@ -69,8 +69,8 @@ fn script_statement(&(t, f, is_insert): &ScriptStep) -> String {
     }
 }
 
-fn build_db(doc_xml: &str, view_idxs: &[usize], pipeline: usize) -> Database {
-    let mut b = Database::builder().document(doc_xml).pipeline(pipeline);
+fn build_db(doc_xml: &str, view_idxs: &[usize]) -> Database {
+    let mut b = Database::builder().document(doc_xml);
     for (i, &p) in view_idxs.iter().enumerate() {
         b = b.view(format!("v{i}"), PATTERNS[p]);
     }
@@ -97,7 +97,7 @@ proptest! {
             1..6
         ),
     ) {
-        let mut db = build_db(&doc_xml, &view_idxs, 1);
+        let mut db = build_db(&doc_xml, &view_idxs);
         // Seed: replicas of every store before the first commit.
         let mut replicas: Vec<ViewStore> =
             db.handles().into_iter().map(|h| db.store(h).clone()).collect();
@@ -147,11 +147,10 @@ proptest! {
             2..7
         ),
         split in 0usize..6,
-        depth in 1usize..5,
         pipelined in prop::bool::ANY,
     ) {
         let split = split.min(script.len() - 1);
-        let mut db = build_db(&doc_xml, &view_idxs, depth);
+        let mut db = build_db(&doc_xml, &view_idxs);
         for step in &script[..split] {
             db.apply(script_statement(step).as_str()).unwrap();
         }
@@ -197,7 +196,7 @@ fn snapshot_reader_survives_100_concurrent_commits() {
     use std::sync::Arc;
 
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
-    let mut db = build_db(doc, &[0, 1, 2, 3], 4);
+    let mut db = build_db(doc, &[0, 1, 2, 3]);
     db.apply("insert <b/> into //c").unwrap();
 
     let snap = db.snapshot();
@@ -261,7 +260,7 @@ fn snapshot_reader_survives_100_concurrent_commits() {
 #[test]
 fn snapshot_surface_matches_database() {
     let doc = "<r><a><c><b/></c></a><a><b/></a></r>";
-    let mut db = build_db(doc, &[0, 1], 1);
+    let mut db = build_db(doc, &[0, 1]);
     db.apply("insert <b/> into //c").unwrap();
     let snap = db.snapshot();
 

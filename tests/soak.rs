@@ -2,11 +2,12 @@
 //!
 //! Three executions of the same workload — **sequential** (statements
 //! applied one by one), **pipelined** (the stream handed to
-//! `Database::apply_pipelined` as one window at depth D) and
-//! **async-service** (the statements submitted through
-//! `Database::apply_async` at depth D — grouped into submissions of 0,
-//! 1 or 4 statements, so empty and multi-statement commits share windows
-//! with single ones — with randomized `flush()` / `wait()` /
+//! `Database::apply_pipelined` in windows of up to D statements, one
+//! call each) and **async-service** (the statements submitted through
+//! `Database::apply_async`, whose service seals each drained queue as
+//! one window — grouped into submissions of 0, 1 or 4 statements, so
+//! empty and multi-statement commits share windows with single ones —
+//! with randomized `flush()` / `wait()` /
 //! synchronous-read / synchronous-commit interleavings and bounded
 //! `Block` subscriptions drained from consumer threads) — must be
 //! observationally indistinguishable: identical documents, identical
@@ -22,7 +23,9 @@
 //! the proptest shim, so a failing case records its raw draw sequence
 //! and the shim's greedy shrinker minimizes it
 //! (`PROPTEST_MAX_SHRINK_ITERS` bounds the budget). Deterministic
-//! sweeps additionally cover every depth in 1–8, pipelined and async.
+//! sweeps additionally cover every window length a fixed stream can be
+//! cut into, pipelined, and every subscription capacity × submission
+//! shape × interleaving, async.
 
 use proptest::prelude::*;
 use xivm::pattern::compile::view_tuples;
@@ -114,41 +117,38 @@ struct Observation {
     db: Database,
 }
 
-fn build_db(doc_xml: &str, view_idxs: &[usize], pipeline: usize) -> Database {
-    let mut b = Database::builder().document(doc_xml).pipeline(pipeline);
+fn build_db(doc_xml: &str, view_idxs: &[usize]) -> Database {
+    let mut b = Database::builder().document(doc_xml);
     for (i, &p) in view_idxs.iter().enumerate() {
         b = b.view(format!("v{i}"), PATTERNS[p]);
     }
     b.build().expect("soak database builds")
 }
 
-/// Runs the script, one commit per statement — `pipelined: false`
-/// applies statements one by one, `pipelined: true` hands the whole
-/// stream to `apply_pipelined`. Every view carries a subscription
-/// from before the first commit.
+/// Runs the script, one commit per statement — `window: None` applies
+/// statements one by one, `Some(d)` hands the stream to
+/// `apply_pipelined` in windows of up to `d` statements. Every view
+/// carries a subscription from before the first commit.
 fn run_workload(
     doc_xml: &str,
     view_idxs: &[usize],
     script: &[ScriptStep],
-    pipeline: usize,
-    pipelined: bool,
+    window: Option<usize>,
 ) -> Observation {
-    run_submissions(doc_xml, view_idxs, &submissions(script, &[]), pipeline, pipelined)
+    run_submissions(doc_xml, view_idxs, &submissions(script, &[]), window)
 }
 
 /// [`run_workload`] over explicit submissions, one commit each: a
 /// one-statement submission goes through `apply`, any other through a
 /// sequential `transaction()` — the synchronous reference for the
-/// async leg's grouping. (`pipelined: true` takes single statements
-/// only.)
+/// async leg's grouping. (A `window` takes single statements only.)
 fn run_submissions(
     doc_xml: &str,
     view_idxs: &[usize],
     groups: &[Vec<String>],
-    pipeline: usize,
-    pipelined: bool,
+    window: Option<usize>,
 ) -> Observation {
-    drive(build_db(doc_xml, view_idxs, pipeline), groups, pipelined)
+    drive(build_db(doc_xml, view_idxs), groups, window)
 }
 
 /// One submission as one synchronous commit: a single statement
@@ -166,24 +166,25 @@ fn commit_sync(db: &mut Database, group: &[String]) -> Commit {
 }
 
 /// The synchronous drive behind [`run_submissions`], over a database
-/// the caller built (the env-default test hands in one that never saw
-/// `.pipeline(..)`).
-fn drive(mut db: Database, groups: &[Vec<String>], pipelined: bool) -> Observation {
-    let (commits, streams) = if pipelined {
+/// the caller built (the env-default test hands in one whose
+/// subscription capacity comes from the environment).
+fn drive(mut db: Database, groups: &[Vec<String>], window: Option<usize>) -> Observation {
+    let (commits, streams) = if let Some(window) = window {
         assert!(groups.iter().all(|g| g.len() == 1), "apply_pipelined commits per statement");
-        let statements: Vec<&String> = groups.iter().flatten().collect();
-        // One call applies the whole batch, so nothing can drain
+        let statements: Vec<&str> = groups.iter().flatten().map(String::as_str).collect();
+        // One call applies a whole window, so nothing can drain
         // mid-flight from this thread: these subscriptions must be
         // explicitly unbounded (a tight `XIVM_SUB_CAPACITY` default
-        // would stall the batch against its own submitter).
+        // would stall the window against its own submitter).
         let subs: Vec<Subscription> = db
             .handles()
             .into_iter()
             .map(|h| db.subscribe_with(h, None, SlowConsumerPolicy::Block))
             .collect();
-        let commits = db
-            .apply_pipelined(statements.iter().map(|s| s.as_str()))
-            .expect("pipelined batch applies");
+        let mut commits = Vec::with_capacity(statements.len());
+        for chunk in statements.chunks(window) {
+            commits.extend(db.apply_pipelined(chunk.iter().copied()).expect("window applies"));
+        }
         let streams = subs.iter().map(|sub| db.drain(sub)).collect();
         for sub in subs {
             db.unsubscribe(sub);
@@ -235,11 +236,10 @@ fn run_workload_async(
     doc_xml: &str,
     view_idxs: &[usize],
     groups: &[Vec<String>],
-    pipeline: usize,
     capacity: Option<usize>,
     interleave: &[u8],
 ) -> Observation {
-    let mut db = build_db(doc_xml, view_idxs, pipeline);
+    let mut db = build_db(doc_xml, view_idxs);
     let expected = groups.len();
     let consumers: Vec<std::thread::JoinHandle<(Vec<DeltaEvent>, Subscription)>> = db
         .handles()
@@ -425,10 +425,10 @@ fn assert_sound(obs: &Observation, commits: usize) -> Result<(), TestCaseError> 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The soak property: random workloads and pipeline depths (1–8,
-    /// the lifted window depths). Sequential is the reference; the
-    /// pipelined run must be observationally identical to it, and the
-    /// reference itself must match recomputation.
+    /// The soak property: random workloads, pipelined in windows of up
+    /// to 1–8 statements. Sequential is the reference; the pipelined
+    /// run must be observationally identical to it, and the reference
+    /// itself must match recomputation.
     #[test]
     fn sequential_and_pipelined_agree(
         doc_xml in arb_doc(),
@@ -439,18 +439,18 @@ proptest! {
         ),
         depth in 1usize..9,
     ) {
-        let reference = run_workload(&doc_xml, &view_idxs, &script, 1, false);
+        let reference = run_workload(&doc_xml, &view_idxs, &script, None);
         assert_sound(&reference, script.len())?;
 
-        let pipelined = run_workload(&doc_xml, &view_idxs, &script, depth, true);
+        let pipelined = run_workload(&doc_xml, &view_idxs, &script, Some(depth));
         assert_equivalent(&reference, &pipelined, &format!("pipelined d={depth}"))?;
     }
 
     /// The async-service leg of the soak: the same workload submitted
-    /// through `apply_async` — random pipeline depths,
-    /// subscription capacities (1, 4 or unbounded), submission shapes
-    /// (0, 1 or 4 statements) and per-submission `flush()` / `wait()` /
-    /// synchronous-read / synchronous-commit interleavings — must be observationally identical to the
+    /// through `apply_async` — random subscription capacities (1, 4 or
+    /// unbounded), submission shapes (0, 1 or 4 statements) and
+    /// per-submission `flush()` / `wait()` / synchronous-read /
+    /// synchronous-commit interleavings — must be observationally identical to the
     /// sequential reference applying the same grouping through
     /// `apply` / `transaction()`, consumer threads and backpressure
     /// included.
@@ -462,24 +462,23 @@ proptest! {
             (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
             1..7
         ),
-        depth in 1usize..9,
         capacity_sel in 0usize..3,
         interleave in prop::collection::vec(0u8..5, 7..8),
         shapes in prop::collection::vec(0usize..SHAPES.len(), 0..7),
     ) {
         let capacity = [Some(1), Some(4), None][capacity_sel];
         let groups = submissions(&script, &shapes);
-        let reference = run_submissions(&doc_xml, &view_idxs, &groups, 1, false);
+        let reference = run_submissions(&doc_xml, &view_idxs, &groups, None);
         assert_sound(&reference, groups.len())?;
-        let serviced =
-            run_workload_async(&doc_xml, &view_idxs, &groups, depth, capacity, &interleave);
-        assert_equivalent(&reference, &serviced, &format!("async d={depth} cap={capacity:?}"))?;
+        let serviced = run_workload_async(&doc_xml, &view_idxs, &groups, capacity, &interleave);
+        assert_equivalent(&reference, &serviced, &format!("async cap={capacity:?}"))?;
     }
 }
 
-/// Deterministic depth sweep: every pipeline depth in 1–8 over a fixed
-/// workload whose statements produce multi-group *and* single-group
-/// (conflicting) Figure 15 partitions.
+/// Deterministic depth sweep: every window length a fixed six-statement
+/// stream can be cut into — six windows of one up to one window of all
+/// six — over a workload whose statements produce multi-group *and*
+/// single-group (conflicting) Figure 15 partitions.
 #[test]
 fn full_depth_sweep() {
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
@@ -492,55 +491,46 @@ fn full_depth_sweep() {
         (0, 3, true),  // insert <d>5</d> into //a
         (1, 0, false), // delete //b
     ];
-    let reference = run_workload(doc, &views, &script, 1, false);
+    let reference = run_workload(doc, &views, &script, None);
     assert_sound(&reference, script.len()).unwrap();
-    for depth in 1..=8 {
-        let pipelined = run_workload(doc, &views, &script, depth, true);
+    for depth in 1..=script.len() {
+        let pipelined = run_workload(doc, &views, &script, Some(depth));
         assert_equivalent(&reference, &pipelined, &format!("sweep pipelined d={depth}")).unwrap();
     }
 }
 
-/// Deterministic async grid: every (depth, capacity) point in 1–8 ×
-/// {1, 4, unbounded} over the same fixed workload as
-/// [`full_depth_sweep`], submitted through the async service with the
-/// submission grouping cycling through four shape patterns (all
-/// single; a four-statement and an empty commit in the middle, at the
-/// head, at the tail of a window) across grid points — every capacity
-/// meets every shape — and a fixed interleave mixing
+/// Deterministic async grid: every subscription capacity in
+/// {1, 4, unbounded} × four submission groupings (all single; a
+/// four-statement and an empty commit in the middle, at the head, at
+/// the tail of the stream) × two interleavings — one mixing
 /// fire-and-forget, a mid-stream wait, a mid-stream synchronous read,
-/// a mid-stream flush and a synchronous commit between two bursts.
-/// Bit-identical to the sequential reference of the same grouping
-/// everywhere.
+/// a mid-stream flush and a synchronous commit between two bursts, and
+/// pure fire-and-forget, which hands the service the stream in as few
+/// drained queues as it can — over the same fixed workload as
+/// [`full_depth_sweep`]. Bit-identical to the sequential reference of
+/// the same grouping everywhere.
 #[test]
 fn full_async_grid_agrees_with_sequential() {
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
     let views = [0usize, 1, 3, 5];
     let script: Vec<ScriptStep> =
         vec![(0, 1, true), (2, 0, false), (1, 2, true), (3, 3, false), (0, 3, true), (1, 0, false)];
-    let interleave = [0u8, 2, 3, 1, 4, 0];
+    let interleavings: [&[u8]; 2] = [&[0, 2, 3, 1, 4, 0], &[0]];
     let capacities = [Some(1), Some(4), None];
     // Indices into SHAPES: [] = six single commits; the others mix a
-    // four-statement and an empty commit into a depth-4 window.
+    // four-statement and an empty commit into the first four
+    // submissions.
     let shapes: [&[usize]; 4] = [&[], &[1, 4, 0, 1], &[4, 0, 1, 1], &[1, 1, 0, 4]];
-    let cases: Vec<(Vec<Vec<String>>, Observation)> = shapes
-        .iter()
-        .map(|s| {
-            let groups = submissions(&script, s);
-            let reference = run_submissions(doc, &views, &groups, 1, false);
-            assert_sound(&reference, groups.len()).unwrap();
-            (groups, reference)
-        })
-        .collect();
-    for depth in 1..=8 {
-        for (c, &capacity) in capacities.iter().enumerate() {
-            let (groups, reference) = &cases[(depth + c) % cases.len()];
-            let serviced = run_workload_async(doc, &views, groups, depth, capacity, &interleave);
-            assert_equivalent(
-                reference,
-                &serviced,
-                &format!("async grid d={depth} cap={capacity:?}"),
-            )
-            .unwrap();
+    for (s, shape) in shapes.iter().enumerate() {
+        let groups = submissions(&script, shape);
+        let reference = run_submissions(doc, &views, &groups, None);
+        assert_sound(&reference, groups.len()).unwrap();
+        for capacity in capacities {
+            for (i, interleave) in interleavings.iter().enumerate() {
+                let serviced = run_workload_async(doc, &views, &groups, capacity, interleave);
+                let label = format!("async grid shape {s} cap={capacity:?} interleaving {i}");
+                assert_equivalent(&reference, &serviced, &label).unwrap();
+            }
         }
     }
 }
@@ -548,14 +538,15 @@ fn full_async_grid_agrees_with_sequential() {
 /// Pipelining a workload whose every statement expands to a multi-op
 /// PUL touching all views' labels (an `ins↘` on each of three `//b`,
 /// then a `del` of each of two `//a`) must be exactly equivalent to
-/// the sequential order at depths 2–4.
+/// the sequential order, in windows of one statement and of both.
 #[test]
 fn multi_op_statements_pipeline_equals_sequential() {
     let doc = "<r><a><c><b/><b/></c></a><a><b/><c/></a></r>";
     let views = [0usize, 1, 2];
-    let reference = run_workload(doc, &views, &[(1, 2, true), (0, 0, false)], 1, false);
-    for depth in 2..=4 {
-        let pipelined = run_workload(doc, &views, &[(1, 2, true), (0, 0, false)], depth, true);
+    let script = [(1, 2, true), (0, 0, false)];
+    let reference = run_workload(doc, &views, &script, None);
+    for depth in 1..=2 {
+        let pipelined = run_workload(doc, &views, &script, Some(depth));
         assert_equivalent(&reference, &pipelined, &format!("multi-op d={depth}")).unwrap();
     }
 }
@@ -563,15 +554,14 @@ fn multi_op_statements_pipeline_equals_sequential() {
 /// A database built with no knob set — its subscription capacity
 /// picked up from `XIVM_SUB_CAPACITY`, the variable the CI async
 /// matrix sets — must still be observationally identical to the
-/// explicit depth-1 sequential reference, applied one by one and
-/// pipelined.
+/// sequential reference, applied one by one and pipelined.
 #[test]
 fn env_configured_databases_agree_with_sequential() {
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d></a></r>";
     let views = [0usize, 1, 2, 4];
     let script: Vec<ScriptStep> =
         vec![(1, 2, true), (0, 0, false), (3, 3, true), (2, 1, false), (0, 2, true)];
-    let reference = run_workload(doc, &views, &script, 1, false);
+    let reference = run_workload(doc, &views, &script, None);
     assert_sound(&reference, script.len()).unwrap();
 
     // same workload through env-default databases, applied one by one
@@ -579,7 +569,7 @@ fn env_configured_databases_agree_with_sequential() {
     // pipelined (explicitly unbounded ones) — `drive` keeps both legs
     // moving under a tight `XIVM_SUB_CAPACITY`
     let groups = submissions(&script, &[]);
-    for pipelined in [false, true] {
+    for window in [None, Some(script.len())] {
         let db = {
             let mut b = Database::builder().document(doc);
             for (i, &p) in views.iter().enumerate() {
@@ -587,8 +577,8 @@ fn env_configured_databases_agree_with_sequential() {
             }
             b.build().unwrap()
         };
-        let got = drive(db, &groups, pipelined);
-        assert_equivalent(&reference, &got, &format!("env-default pipelined={pipelined}")).unwrap();
+        let got = drive(db, &groups, window);
+        assert_equivalent(&reference, &got, &format!("env-default window={window:?}")).unwrap();
     }
 }
 
@@ -610,9 +600,9 @@ fn database_moves_across_threads_with_tickets_in_flight() {
     let views = [0usize, 1, 3, 5];
     let script: Vec<ScriptStep> =
         vec![(0, 1, true), (2, 0, false), (1, 2, true), (3, 3, false), (0, 3, true), (1, 0, false)];
-    let reference = run_workload(doc, &views, &script, 1, false);
+    let reference = run_workload(doc, &views, &script, None);
 
-    let mut db = build_db(doc, &views, 4);
+    let mut db = build_db(doc, &views);
     let subs: Vec<Subscription> = db
         .handles()
         .into_iter()
@@ -633,48 +623,13 @@ fn database_moves_across_threads_with_tickets_in_flight() {
     assert_equivalent(&reference, &got, "moved across threads").unwrap();
 }
 
-/// Regression for the silent pipeline-depth cap: depth 8 must be a
-/// *real* effective depth — `pipeline_depth()` reports exactly what
-/// runs — and a depth-8 pipelined run over an 8-statement script must
-/// equal the sequential outcome.
-#[test]
-fn depth_eight_is_effective_and_equivalent_to_sequential() {
-    let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
-    let views = [0usize, 1, 2, 3];
-    let script: Vec<ScriptStep> = vec![
-        (0, 1, true),
-        (2, 0, false),
-        (1, 2, true),
-        (3, 3, false),
-        (0, 3, true),
-        (1, 0, false),
-        (0, 0, true),
-        (2, 1, true),
-    ];
-    assert_eq!(script.len(), 8, "one full window at depth 8");
-
-    // The knob reports the depth that actually runs…
-    let db = build_db(doc, &views, 8);
-    assert_eq!(db.pipeline_depth(), 8, "depth 8 must be effective, not silently capped");
-    // …and zero still spells "off".
-    let mut db = db;
-    db.set_pipeline(0);
-    assert_eq!(db.pipeline_depth(), 1);
-
-    // Depth 8 ≡ sequential, observationally.
-    let reference = run_workload(doc, &views, &script, 1, false);
-    assert_sound(&reference, script.len()).unwrap();
-    let deep = run_workload(doc, &views, &script, 8, true);
-    assert_equivalent(&reference, &deep, "depth-8 window").unwrap();
-}
-
 /// `apply_pipelined` on empty and single-statement batches (the other
 /// degenerate pipeline inputs) matches `apply` exactly.
 #[test]
 fn degenerate_pipelined_batches_match_apply() {
     let doc = "<r><a><b/></a></r>";
-    let mut plain = build_db(doc, &[0], 3);
-    let mut piped = build_db(doc, &[0], 3);
+    let mut plain = build_db(doc, &[0]);
+    let mut piped = build_db(doc, &[0]);
 
     let empty = piped.apply_pipelined(Vec::<&str>::new()).unwrap();
     assert!(empty.is_empty(), "empty batches commit nothing");
@@ -755,8 +710,8 @@ proptest! {
 
 /// Deferred-refresh soak: the same fixed workload with the deferred
 /// view refreshed every few commits, across every commit front-end
-/// (sequential `apply`, `apply_pipelined` windows at depth 4 and at
-/// depth 1, `apply_async` through the service thread, one-statement
+/// (sequential `apply`, `apply_pipelined` windows of five statements,
+/// `apply_async` through the service thread, one-statement
 /// sequential and independent `transaction()`s), must land every
 /// front-end on the immediate-maintenance reference bit-identically —
 /// and on the from-scratch recomputation oracle. The front-ends must
@@ -793,12 +748,11 @@ fn deferred_refresh_soak_across_sealing_modes() {
     }
 
     let mut agreed: Option<Sealed> = None;
-    for mode in ["apply", "pipelined", "pipelined_d1", "async", "tx", "tx_independent"] {
+    for mode in ["apply", "pipelined", "async", "tx", "tx_independent"] {
         let mut db = Database::builder()
             .document(DOC)
             .view_deferred("v", PATTERNS[1])
             .view("w", PATTERNS[0])
-            .pipeline(if mode == "pipelined_d1" { 1 } else { 4 })
             .build()
             .unwrap();
         let v = db.view("v").unwrap();
@@ -814,7 +768,7 @@ fn deferred_refresh_soak_across_sealing_modes() {
             let texts = chunk.iter().map(String::as_str);
             let commits: Vec<Commit> = match mode {
                 "apply" => texts.map(|s| db.apply(s).unwrap()).collect(),
-                "pipelined" | "pipelined_d1" => db.apply_pipelined(texts).unwrap(),
+                "pipelined" => db.apply_pipelined(texts).unwrap(),
                 "async" => {
                     let tickets: Vec<Ticket> =
                         texts.map(|s| db.apply_async([s]).unwrap()).collect();
