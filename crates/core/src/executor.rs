@@ -606,4 +606,35 @@ mod tests {
         assert_eq!(work::take().interners, 1, "three new labels, one copy");
         assert_eq!(held.document().label_id("fresh"), None);
     }
+
+    /// (e) Deleting every person kills every node of arena chunks 1–5
+    /// (chunk 0 keeps `<site>`, chunk 6 is the tail): the commit
+    /// releases them. A release is not a copy — with nobody watching
+    /// the commit copies nothing — and under a held snapshot the kill
+    /// copies each chunk it writes once, the release drops the copies,
+    /// and the snapshot keeps reading its own.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_commit_that_kills_whole_chunks_releases_them() {
+        use xivm_xml::arena::work::{self, Copies};
+        for held in [false, true] {
+            let mut db = people(400, false);
+            assert_eq!(db.document().chunk_count(), 7);
+            let (seed, snapshot) = (db.serialize(), held.then(|| db.snapshot()));
+            work::take();
+            db.apply("delete /site/p").unwrap();
+            let counts = work::take();
+            assert_eq!(db.document().released_chunks(), 5);
+            match &snapshot {
+                None => assert_eq!(counts, Copies { released: 5, ..Copies::default() }),
+                Some(snapshot) => {
+                    assert_eq!((counts.clones, counts.chunks, counts.released), (0, 7, 5));
+                    assert_eq!(snapshot.serialize(), seed);
+                    snapshot.document().check_invariants().unwrap();
+                }
+            }
+            assert_eq!(db.serialize(), "<site/>");
+            db.document().check_invariants().unwrap();
+        }
+    }
 }

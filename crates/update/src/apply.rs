@@ -134,7 +134,25 @@ impl ApplyResult {
 /// Operations whose target no longer exists (e.g. removed by an
 /// earlier `del` in the same PUL — XQuery Update applies deletions of
 /// already-deleted nodes as no-ops) are skipped.
+///
+/// A PUL that could allocate past the [`NodeId`] index space is
+/// refused before its first write ([`XmlError::IndexSpaceExhausted`]).
+/// Slots are never reused, but a node takes at least one byte of its
+/// forest, so the arena's length plus the forests' bytes bounds the
+/// slots the PUL can reach.
 pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError> {
+    let wanted: usize = pul
+        .ops
+        .iter()
+        .map(|op| match op {
+            AtomicOp::InsertInto { forest, .. } => forest.len(),
+            AtomicOp::Delete { .. } => 0,
+        })
+        .sum();
+    let used = doc.arena_len();
+    if used as u64 + wanted as u64 > index_space() {
+        return Err(XmlError::IndexSpaceExhausted { used, wanted });
+    }
     let mut result = ApplyResult { first_created: Some(doc.arena_len()), ..ApplyResult::default() };
     // Dropped — and the lists settled — on every way out, errors too.
     let mut doc = doc.edit();
@@ -201,12 +219,51 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
     Ok(result)
 }
 
+/// How many arena slots a document may reach: [`arena::INDEX_SPACE`],
+/// or in tests a ceiling small enough to reach.
+///
+/// [`arena::INDEX_SPACE`]: xivm_xml::arena::INDEX_SPACE
+fn index_space() -> u64 {
+    #[cfg(test)]
+    if let Some(ceiling) = tests::CEILING.get() {
+        return ceiling;
+    }
+    xivm_xml::arena::INDEX_SPACE
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pul::compute_pul;
     use crate::statement::UpdateStatement;
+    use std::cell::Cell;
     use xivm_xml::{parse_document, serialize_document};
+
+    thread_local! {
+        /// Replaces the index space on the calling thread.
+        pub(super) static CEILING: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// A PUL that could outgrow the index space fails whole: the
+    /// document is untouched, deletions ahead of the insertion
+    /// included. One that fits the room left applies.
+    #[test]
+    fn a_pul_that_could_outgrow_the_index_space_is_refused_before_any_write() {
+        const SEED: &str = "<r><a><b/></a><c/></r>";
+        let mut d = parse_document(SEED).unwrap();
+        let forest = "<x><y/></x>";
+        let ops = [delete(&d, "//a"), insert(&d, "//c", forest)].concat();
+        let room = (d.arena_len() + forest.len()) as u64;
+        CEILING.set(Some(room - 1));
+        let refused = apply_pul(&mut d, &Pul::new(ops.clone()));
+        assert_eq!(refused.unwrap_err(), XmlError::IndexSpaceExhausted { used: 4, wanted: 11 });
+        assert_eq!((serialize_document(&d), d.arena_len()), (SEED.to_owned(), 4));
+        d.check_invariants().unwrap();
+        CEILING.set(Some(room));
+        assert_eq!(apply_pul(&mut d, &Pul::new(ops)).unwrap().inserted.len(), 2);
+        assert_eq!(serialize_document(&d), "<r><c><x><y/></x></c></r>");
+        CEILING.set(None);
+    }
 
     #[test]
     fn insert_assigns_ids_in_new_context() {

@@ -359,6 +359,39 @@ mod tests {
         }
     }
 
+    /// A sequential transaction's PUL inserts 800 nodes and deletes
+    /// them again, with one old node and a surviving forest beside
+    /// them: the two arena chunks the dead forest filled are released
+    /// when the apply returns, and Δ⁺ / Δ⁻ hold exactly the survivor
+    /// and the old node — the dead ones are still listed in
+    /// `inserted`, read as dead, and skipped.
+    #[test]
+    fn a_pul_that_inserts_and_deletes_again_more_than_a_chunk_keeps_its_delta_exact() {
+        let mut d = parse_document("<r><t/><u><b/></u></r>").unwrap();
+        let forest: String = (0..200).map(|i| format!("<a k=\"{i}\"><b/>x</a>")).collect();
+        let mut pul = compute_pul(&d, &UpdateStatement::insert("//t", &forest).unwrap());
+        pul.ops
+            .extend(compute_pul(&d, &UpdateStatement::insert("//u", "<a><b/></a>").unwrap()).ops);
+        let mut scratch = d.clone();
+        apply_pul(&mut scratch, &pul).unwrap();
+        for doomed in ["//t/a", "//u/b"] {
+            pul.ops.extend(compute_pul(&scratch, &UpdateStatement::delete(doomed).unwrap()).ops);
+        }
+        let before = d.clone();
+        let res = apply_pul(&mut d, &pul).unwrap();
+        assert_eq!(xivm_xml::serialize_document(&d), "<r><t/><u><a><b/></a></u></r>");
+        assert_eq!((d.chunk_count(), d.released_chunks()), (4, 2), "chunks 1 and 2 held only a");
+        assert_eq!(res.inserted.len(), 802, "every created node, dead or alive");
+        d.check_invariants().unwrap();
+
+        let v = parse_pattern("//a{id}//b{id}").unwrap();
+        let (a, b) = (v.root(), v.preorder()[1]);
+        let dp = delta_plus(&d, &v, &res);
+        assert_eq!((dp.table(a).len(), dp.table(b).len()), (1, 1), "the survivors only");
+        let dm = DeltaMinus::collect(&before, &v, &pul).complete(&d, &v, &res);
+        assert_eq!((dm.ids(a).count(), dm.ids(b).count()), (0, 1), "the old u/b only");
+    }
+
     #[test]
     fn wildcard_delta_matches_elements_only() {
         let stmt = UpdateStatement::insert("//t", "<i k=\"9\">txt</i>").unwrap();

@@ -39,10 +39,12 @@
 //! back-to-front merge of the added ones, every surviving element
 //! moved at most twice however many runs there are. The value list
 //! drops its entries through the same compaction. Removed nodes may
-//! already be unlinked and dead — parent links and ordinals outlive
-//! deletion, so [`doc_cmp`] still places them — which is what lets the
-//! document do its tree surgery at once and settle the lists at the
-//! end.
+//! already be unlinked and dead — their parent links and ordinals
+//! outlive deletion until the edit ends, so [`doc_cmp`] still places
+//! them — which is what lets the document do its tree surgery at once
+//! and settle the lists at the end. Only after that may the arena free
+//! a chunk whose nodes all died (`Arena::release_dead`): from then on
+//! a dead node has no place, and no list holds it.
 //!
 //! Like the node [`Arena`], the index is copy-on-write: each list sits
 //! behind its own [`Arc`], so cloning the index for a snapshot copies
@@ -154,7 +156,9 @@ pub mod work {
 /// the other's depth, climbs both in lock-step to the children of
 /// their lowest common ancestor and compares those ordinals. An
 /// ancestor precedes its descendants. Allocation-free; parent links
-/// and ordinals outlive deletion, so dead nodes compare too.
+/// and ordinals outlive deletion until the edit that deleted a node
+/// ends, so nodes it killed compare too. A node that died in an
+/// earlier edit may read as the arena's tombstone and has no place.
 pub fn doc_cmp(nodes: &Arena, a: NodeId, b: NodeId) -> Ordering {
     let parent = |n: NodeId| nodes[n.index()].parent;
     let depth = |n: NodeId| std::iter::successors(parent(n), |&p| parent(p)).count();

@@ -14,11 +14,18 @@ use std::sync::Arc;
 /// An ordered labeled tree of element, attribute and text nodes, with
 /// update-stable Dewey identifiers and per-label canonical relations.
 ///
-/// Deletion marks nodes dead rather than reclaiming arena slots, so
-/// `NodeId`s held by in-flight operations never dangle; all traversal
-/// APIs skip dead nodes. A dead slot keeps what places it — kind,
-/// label, ordinal, parent link — and gives its payload (child list,
-/// text) back, so a later copy of its chunk does not copy the dead.
+/// Deletion marks nodes dead, and their slots die for good: a
+/// `NodeId` is never handed to another node, so ids held by in-flight
+/// operations never dangle, and all traversal APIs skip dead nodes.
+/// Until the edit that killed it ends, a dead slot keeps what places
+/// it — kind, label, ordinal, parent link — and gives its payload
+/// (child list, text) back, so a later copy of its chunk does not copy
+/// the dead. Once every slot of an arena chunk is dead, the edit's end
+/// frees the whole chunk (`Arena::release_dead`). So a read of a node
+/// that died in an earlier edit — [`Self::node`], [`Self::dewey`],
+/// [`Self::doc_cmp`], [`Self::parent_of`] — promises only
+/// `alive == false`: it may read the tombstone (no parent, label 0,
+/// ordinal 0) instead of what the node was.
 ///
 /// `Clone` is a cheap copy-on-write snapshot, not a deep copy: the
 /// node [`Arena`] shares its chunks and the [`CanonicalIndex`] its
@@ -68,16 +75,22 @@ impl Document {
 
     /// How many node-arena chunks this document physically shares with
     /// `other`: a fresh clone shares every chunk; each chunk a
-    /// mutation touched after the clone drops out. See
-    /// [`Arena::shared_chunks_with`].
+    /// mutation touched after the clone drops out, and so does each
+    /// chunk released since. See [`Arena::shared_chunks_with`].
     pub fn shared_chunks_with(&self, other: &Document) -> usize {
         self.nodes.shared_chunks_with(&other.nodes)
     }
 
-    /// Total arena chunk count — the cost of one [`Clone`] in pointer
-    /// copies.
+    /// Total arena chunk count, released chunks included — the cost
+    /// of one [`Clone`] in pointer copies.
     pub fn chunk_count(&self) -> usize {
         self.nodes.chunk_count()
+    }
+
+    /// How many of [`Self::chunk_count`] were freed because all their
+    /// nodes died (`Arena::release_dead`).
+    pub fn released_chunks(&self) -> usize {
+        self.nodes.released_chunks()
     }
 
     /// The id of `name`, interned if new. A known name is answered
@@ -290,6 +303,8 @@ impl Document {
         self.root
     }
 
+    /// The node in slot `id`; see the type docs for a node that died
+    /// in an earlier edit.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
@@ -428,6 +443,9 @@ impl Document {
     /// by two binary searches that compare by parent links (no ID is
     /// built). Empty under a dead root — its nodes left the list.
     pub fn canonical_nodes_within(&self, label: LabelId, root: NodeId) -> &[NodeId] {
+        if !self.is_alive(root) {
+            return &[];
+        }
         let list = self.canonical.nodes(label);
         let inside = &list[list.partition_point(|&n| self.doc_cmp(n, root) == Ordering::Less)..];
         let under = |&n: &NodeId| {
@@ -444,6 +462,7 @@ impl Document {
     }
 
     /// Document order of two nodes, without materializing their IDs.
+    /// Nodes that died in an earlier edit have no place left to compare.
     pub fn doc_cmp(&self, a: NodeId, b: NodeId) -> Ordering {
         doc_cmp(&self.nodes, a, b)
     }
@@ -458,8 +477,10 @@ impl Document {
 
     /// Verifies internal invariants (parent/child symmetry, ordinal
     /// monotonicity, canonical-index consistency, dead nodes hold no
-    /// children and no text). Used by tests.
+    /// children and no text, each arena chunk counts its dead). Used
+    /// by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.nodes.check_dead_counts()?;
         for (i, n) in self.nodes.iter().enumerate() {
             let id = NodeId(i as u32);
             if !n.alive {
@@ -560,10 +581,10 @@ impl DocumentEdit<'_> {
     /// Removes the subtree rooted at `node` (XQuery Update `delete`
     /// semantics: all descendants go too). Returns the removed nodes in
     /// pre-order, which is exactly what Δ⁻ extraction needs; their
-    /// kinds, labels, ordinals and parent links stay readable, their
-    /// child lists and text do not: a dead node holds neither (an
-    /// attribute keeps its text until the edit ends, for the value
-    /// list to drop it by).
+    /// kinds, labels, ordinals and parent links stay readable until
+    /// the edit ends, their child lists and text do not: a dead node
+    /// holds neither (an attribute keeps its text until the edit ends,
+    /// for the value list to drop it by).
     pub fn remove_subtree(&mut self, node: NodeId) -> Result<Vec<NodeId>, XmlError> {
         self.doc.check_alive(node)?;
         let nodes = &mut self.doc.nodes;
@@ -585,8 +606,7 @@ impl DocumentEdit<'_> {
         // Nodes this edit created are in no list yet, and never will be.
         let (mut removed, mut stack) = (Vec::new(), vec![node]);
         while let Some(n) = stack.pop() {
-            let dead = nodes.get_mut(n.index());
-            dead.alive = false;
+            let dead = nodes.kill(n.index());
             if dead.kind != NodeKind::Attribute {
                 dead.text = None;
             }
@@ -604,7 +624,9 @@ impl DocumentEdit<'_> {
 /// Settles the lists: per label, the runs removed and the runs — one
 /// per forest — of the created nodes still alive, in one
 /// [`CanonicalIndex::edit`], which is the last reader of a removed
-/// attribute's text. Panics only where the index was already broken.
+/// attribute's text and of the removed nodes' places. Then frees the
+/// chunks left all dead (`Arena::release_dead`). Panics only where
+/// the index was already broken.
 impl Drop for DocumentEdit<'_> {
     fn drop(&mut self) {
         let Document { nodes, canonical, .. } = &mut *self.doc;
@@ -625,6 +647,7 @@ impl Drop for DocumentEdit<'_> {
                 gone.nodes.iter().for_each(|n| nodes.get_mut(n.index()).text = None);
             }
         }
+        nodes.release_dead();
     }
 }
 
@@ -830,6 +853,77 @@ mod tests {
         // ranges around them close up.
         d.remove_subtree(d.canonical_nodes_named("b")[0]).unwrap();
         check(&d);
+    }
+
+    /// `<r>` over 300 `<p id><n>x</n></p>`: four nodes each, five
+    /// arena chunks. Person `i` holds slots `4i + 1 ..= 4i + 4`.
+    const PEOPLE: usize = 300;
+
+    fn people() -> (String, Document) {
+        let people: String = (0..PEOPLE).map(|i| format!("<p id=\"{i}\"><n>x</n></p>")).collect();
+        let xml = format!("<r>{people}</r>");
+        let d = crate::parse_document(&xml).unwrap();
+        assert_eq!(d.chunk_count(), 5);
+        (xml, d)
+    }
+
+    /// Deleting persons 63..=127 in one edit kills every slot of chunk
+    /// 1 (256..512) and some of chunks 0 and 2. The lists are settled
+    /// from the dead nodes' places first; then chunk 1, and only it, is
+    /// freed. Its nodes then read as dead and placeless, the rest of
+    /// the document as before, and an image taken before the edit keeps
+    /// reading all of them.
+    #[test]
+    fn a_chunk_whose_nodes_all_died_is_freed_once_the_edit_settles() {
+        let (xml, mut d) = people();
+        let image = d.clone();
+        let doomed = d.canonical_nodes_named("p")[63..128].to_vec();
+        let mut edit = d.edit();
+        for &p in &doomed {
+            assert_eq!(edit.remove_subtree(p).unwrap().len(), 4);
+        }
+        assert_eq!(edit.released_chunks(), 0, "the lists still read the dead places");
+        drop(edit);
+        assert_eq!((d.chunk_count(), d.released_chunks()), (5, 1));
+        d.check_invariants().unwrap();
+
+        let gone = doomed[10]; // slot 293
+        assert!(!d.is_alive(gone) && d.parent_of(gone).is_none());
+        assert_eq!(d.node(gone).label, LabelId(0));
+        let n = d.label_id("n").unwrap();
+        assert!(d.canonical_nodes_within(n, gone).is_empty());
+        assert!(d.canonical_nodes_within(n, doomed[0]).is_empty(), "dead, not released");
+        assert_eq!(image.parent_of(gone), image.root());
+        assert_eq!(image.canonical_nodes_within(n, gone).len(), 1);
+        image.check_invariants().unwrap();
+        assert_eq!(crate::serialize_document(&image), xml);
+
+        let left: String = (0..PEOPLE)
+            .filter(|i| !(63..128).contains(i))
+            .map(|i| format!("<p id=\"{i}\"><n>x</n></p>"))
+            .collect();
+        assert_eq!(crate::serialize_document(&d), format!("<r>{left}</r>"));
+        let p = d.append_element(d.root().unwrap(), "p").unwrap();
+        assert_eq!(p.index(), 4 * PEOPLE + 1, "slots are never reused");
+        d.check_invariants().unwrap();
+    }
+
+    /// One edit inserts a 600-node forest and removes it again: the
+    /// full chunk it filled is freed when the edit ends, the tail it
+    /// left is not, and what is left is the seed.
+    #[test]
+    fn a_forest_inserted_and_removed_in_one_edit_frees_the_chunks_it_filled() {
+        let mut d = crate::parse_document("<r><a/></r>").unwrap();
+        let forest: String = (0..200).map(|i| format!("<p k=\"{i}\">x</p>")).collect();
+        let mut edit = d.edit();
+        let roots = edit.insert_forest(NodeId(1), &forest).unwrap();
+        for root in roots {
+            edit.remove_subtree(root).unwrap();
+        }
+        drop(edit);
+        assert_eq!((d.arena_len(), d.chunk_count(), d.released_chunks()), (602, 3, 1));
+        assert_eq!(crate::serialize_document(&d), "<r><a/></r>");
+        d.check_invariants().unwrap();
     }
 
     /// The batched edit against the per-run maintenance it replaced

@@ -18,6 +18,10 @@ pub enum XmlError {
     InvalidTarget(String),
     /// The document has no root yet.
     NoRoot,
+    /// An update could allocate more nodes than a
+    /// [`NodeId`](crate::NodeId) can number: `used` slots are taken and
+    /// it may need up to `wanted` more. Refused before any write.
+    IndexSpaceExhausted { used: usize, wanted: usize },
 }
 
 impl fmt::Display for XmlError {
@@ -29,6 +33,10 @@ impl fmt::Display for XmlError {
             XmlError::DeadNode => write!(f, "operation on a deleted or unknown node"),
             XmlError::InvalidTarget(what) => write!(f, "invalid target node: {what}"),
             XmlError::NoRoot => write!(f, "document has no root element"),
+            XmlError::IndexSpaceExhausted { used, wanted } => write!(
+                f,
+                "node id space exhausted: {used} slots used, the update may need {wanted} more"
+            ),
         }
     }
 }
@@ -53,5 +61,7 @@ mod tests {
         assert!(XmlError::DeadNode.to_string().contains("deleted"));
         assert!(XmlError::NoRoot.to_string().contains("root"));
         assert!(XmlError::InvalidTarget("text".into()).to_string().contains("text"));
+        let full = XmlError::IndexSpaceExhausted { used: 9, wanted: 4 };
+        assert!(full.to_string().contains("9 slots used") && full.to_string().contains("4 more"));
     }
 }
