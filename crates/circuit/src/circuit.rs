@@ -9,10 +9,11 @@
 //! through the same incremental step functions (incremental from
 //! empty ≡ full evaluation), then [`Circuit::sync`] /
 //! [`Circuit::sync_to`] replay committed deltas — gapless, in commit
-//! order — keeping every node's [`DerivedStore`] exact in O(|Δ|) per
-//! commit.
+//! order — keeping every node's [`DerivedStore`] exact, at a cost that
+//! follows |Δ|: a change is found by a search, and only the rows behind
+//! it move.
 
-use crate::op::{Extremum, JoinState, OpState, SourceState};
+use crate::op::{view_rows, Extremum, JoinState, OpState, RowFn, SourceState, ValueFn};
 use crate::row::Row;
 use crate::zset::{DerivedStore, RowDelta};
 use std::collections::HashMap;
@@ -78,7 +79,8 @@ impl<'db> CircuitBuilder<'db> {
     /// A source node over a view, by name.
     pub fn source(&mut self, view: &str) -> Result<Node, Error> {
         let handle = self.db.view(view)?;
-        Ok(self.push(OpState::Source(SourceState::new(handle)), format!("source({view})")))
+        let source = SourceState::new(handle, self.db.store(handle).schema().clone());
+        Ok(self.push(OpState::Source(source), format!("source({view})")))
     }
 
     /// Keeps the input rows satisfying `pred`.
@@ -124,18 +126,15 @@ impl<'db> CircuitBuilder<'db> {
         )
     }
 
-    /// Counts derivations per group; output rows are `key ++ count`.
-    /// Group by [`Row::empty`] for a global count.
+    /// Counts derivations per group — a [`Self::sum`] of 1 per
+    /// derivation; output rows are `key ++ count`. Group by
+    /// [`Row::empty`] for a global count.
     pub fn count(
         &mut self,
         input: Node,
         key: impl Fn(&Row) -> Row + Send + Sync + 'static,
     ) -> Node {
-        self.check(input);
-        self.push(
-            OpState::Count { input: input.0, key: Arc::new(key), groups: HashMap::new() },
-            "count".into(),
-        )
+        self.aggregate(input, Arc::new(key), Arc::new(|_| 1), "count")
     }
 
     /// Sums `value` per group (weighted by derivations); output rows
@@ -146,16 +145,13 @@ impl<'db> CircuitBuilder<'db> {
         key: impl Fn(&Row) -> Row + Send + Sync + 'static,
         value: impl Fn(&Row) -> i64 + Send + Sync + 'static,
     ) -> Node {
+        self.aggregate(input, Arc::new(key), Arc::new(value), "sum")
+    }
+
+    fn aggregate(&mut self, input: Node, key: RowFn, value: ValueFn, label: &str) -> Node {
         self.check(input);
-        self.push(
-            OpState::Sum {
-                input: input.0,
-                key: Arc::new(key),
-                value: Arc::new(value),
-                groups: HashMap::new(),
-            },
-            "sum".into(),
-        )
+        let groups = HashMap::new();
+        self.push(OpState::Sum { input: input.0, key, value, groups }, label.into())
     }
 
     /// Minimum of `value` per group; output rows are `key ++ min`.
@@ -181,13 +177,7 @@ impl<'db> CircuitBuilder<'db> {
         self.extreme(input, Extremum::Max, Arc::new(key), Arc::new(value))
     }
 
-    fn extreme(
-        &mut self,
-        input: Node,
-        kind: Extremum,
-        key: crate::op::RowFn,
-        value: crate::op::ValueFn,
-    ) -> Node {
+    fn extreme(&mut self, input: Node, kind: Extremum, key: RowFn, value: ValueFn) -> Node {
         self.check(input);
         let label = if kind == Extremum::Min { "min" } else { "max" };
         self.push(
@@ -211,20 +201,11 @@ impl<'db> CircuitBuilder<'db> {
         let CircuitBuilder { db, mut nodes } = self;
         for slot in &mut nodes {
             if let OpState::Source(src) = &mut slot.op {
-                src.mirror = db.store(src.view).clone();
                 src.sub = Some(db.subscribe(src.view));
             }
         }
         let mut circuit = Circuit { nodes, synced: db.last_seq() };
-        let seeds = circuit
-            .nodes
-            .iter()
-            .map(|slot| match &slot.op {
-                OpState::Source(src) => Some(src.seed_delta()),
-                _ => None,
-            })
-            .collect();
-        circuit.propagate(seeds);
+        circuit.seed(&|view| db.store(view));
         circuit
     }
 }
@@ -270,9 +251,10 @@ impl Circuit {
         &self.nodes[node.0].store
     }
 
-    /// A node's contents sorted by [`Row`]'s total order.
-    pub fn rows(&self, node: Node) -> Vec<(Row, i64)> {
-        self.nodes[node.0].store.sorted_rows()
+    /// A node's contents in [`Row`]'s total order, as the store keeps
+    /// them.
+    pub fn rows(&self, node: Node) -> &[(Row, i64)] {
+        self.nodes[node.0].store.rows()
     }
 
     /// A node's display label (`source(name)`, `filter`, `join`, …).
@@ -321,12 +303,14 @@ impl Circuit {
     /// [`Database::last_seq`](xivm_core::database::DbInner::last_seq),
     /// nor moves backwards).
     ///
-    /// If any source subscription *lagged* (bounded queue under
-    /// [`SlowConsumerPolicy::DropAndMark`](xivm_core::SlowConsumerPolicy):
-    /// some events were dropped), the incremental replay is
+    /// If any source subscription *lagged* — the sources subscribe with
+    /// [`SlowConsumerPolicy::Block`](xivm_core::SlowConsumerPolicy), so
+    /// the one cause is recovery from a panicked async window, which
+    /// marks the feeds of a deferred view whose pending batch its
+    /// recomputed store absorbed — the incremental replay is
     /// impossible, so the whole circuit re-seeds from a fresh
     /// [`Database::snapshot`](xivm_core::database::DbInner::snapshot)
-    /// instead: every mirror and derived store
+    /// instead: every derived store
     /// is rebuilt at the snapshot boundary, and the returned
     /// [`Self::synced`] is the snapshot's seq — which may *overshoot*
     /// the requested `seq`, the price of the dropped prefix.
@@ -360,7 +344,7 @@ impl Circuit {
                             event.seq, next,
                             "subscription feed out of sequence: circuit synced against a database that did not build it"
                         );
-                        Some(src.advance(&event.delta))
+                        Some(src.advance(&event.delta, &slot.store))
                     }
                     _ => None,
                 });
@@ -372,19 +356,13 @@ impl Circuit {
     }
 
     /// Lag recovery: rebuilds the whole circuit at a fresh snapshot
-    /// boundary. Incremental state and derived stores are discarded,
-    /// every source mirror is reset to the snapshot's (gapless) view
-    /// stores, and the seeds run through the same incremental step
-    /// functions as [`CircuitBuilder::build`] — so the recovered
-    /// circuit is bit-identical to one built at that seq.
+    /// boundary, through [`Self::seed`] — so the recovered circuit is
+    /// bit-identical to one built at that seq.
     fn reseed_from_snapshot(&mut self, db: &mut Database) -> u64 {
         let snap = db.snapshot();
         for slot in &mut self.nodes {
-            slot.store = DerivedStore::new();
-            slot.op.reset();
             if let OpState::Source(src) = &mut slot.op {
                 src.buffer.clear();
-                src.mirror = snap.store(src.view).clone();
                 // Anything still queued at or below the snapshot seq
                 // is already inside the snapshot; a second Lagged
                 // marker is subsumed by the reseed.
@@ -399,17 +377,26 @@ impl Circuit {
                 }
             }
         }
-        let seeds = self
-            .nodes
-            .iter()
-            .map(|slot| match &slot.op {
-                OpState::Source(src) => Some(src.seed_delta()),
-                _ => None,
-            })
-            .collect();
-        self.propagate(seeds);
+        self.seed(&|view| snap.store(view));
         self.synced = snap.seq();
         self.synced
+    }
+
+    /// Discards every node's store and incremental state, then pushes
+    /// each source view's full contents through the same incremental
+    /// step functions a commit takes (incremental from empty ≡ full
+    /// evaluation).
+    fn seed<'a>(&mut self, store_of: &dyn Fn(ViewHandle) -> &'a ViewStore) {
+        let mut seeds = Vec::with_capacity(self.nodes.len());
+        for slot in &mut self.nodes {
+            slot.store = DerivedStore::new();
+            slot.op.reset();
+            seeds.push(match &slot.op {
+                OpState::Source(src) => Some(RowDelta::new(view_rows(store_of(src.view)))),
+                _ => None,
+            });
+        }
+        self.propagate(seeds);
     }
 
     /// One in-order pass: every node consumes its inputs' deltas for
@@ -450,11 +437,7 @@ impl Circuit {
         let mut out: Vec<DerivedStore> = Vec::with_capacity(self.nodes.len());
         for slot in &self.nodes {
             let raw: Vec<(Row, i64)> = match &slot.op {
-                OpState::Source(src) => {
-                    let vs = store_of(src.view);
-                    let schema = vs.schema();
-                    vs.cursor().map(|(t, c)| (Row::from_tuple(t, schema), c as i64)).collect()
-                }
+                OpState::Source(src) => view_rows(store_of(src.view)),
                 OpState::Filter { input, pred } => out[*input]
                     .iter()
                     .filter(|(r, _)| pred(r))
@@ -475,17 +458,6 @@ impl Circuit {
                         }
                     }
                     raw
-                }
-                OpState::Count { input, key, .. } => {
-                    let mut groups: HashMap<Row, i64> = HashMap::new();
-                    for (r, w) in out[*input].iter() {
-                        *groups.entry(key(r)).or_insert(0) += w;
-                    }
-                    groups
-                        .into_iter()
-                        .filter(|(_, c)| *c > 0)
-                        .map(|(k, c)| (k.with(crate::row::Datum::Int(c)), 1))
-                        .collect()
                 }
                 OpState::Sum { input, key, value, .. } => {
                     let mut groups: HashMap<Row, (i64, i64)> = HashMap::new();

@@ -11,11 +11,14 @@
 //! grouped [`CircuitBuilder::count`] / [`CircuitBuilder::sum`], and
 //! [`CircuitBuilder::min`] / [`CircuitBuilder::max`] with a
 //! re-scan-on-retraction fallback. Every node materializes its result
-//! as a [`DerivedStore`] and maintains it in O(|Δ|) per commit by
-//! consuming upstream [`RowDelta`]s and emitting its own — views over
-//! views, all the way up, in the Z-set weight algebra the changefeed
-//! already speaks (insert `+count`, delete `−count`, modify `0`; see
-//! [`xivm_core::ViewDelta::rows`]).
+//! as a [`DerivedStore`] — one run of rows in order, patched in place
+//! by the routines the view store is patched by — and maintains it per
+//! commit by consuming upstream [`RowDelta`]s and emitting its own:
+//! views over views, all the way up, in the Z-set weight algebra the
+//! changefeed already speaks (insert `+count`, delete `−count`, modify
+//! `0`; see [`xivm_core::ViewDelta::rows`]). A source node's store is
+//! the one copy of its view the circuit holds: each view delta is read
+//! against it, key by key, with no mirror of the view beside it.
 //!
 //! ```
 //! use xivm_core::Database;

@@ -5,18 +5,20 @@
 //! and emits its own output delta, touching only state reachable from
 //! the changed rows:
 //!
-//! * **source** — mirrors one view store and converts each
-//!   [`ViewDelta`] into a row Z-set change: for every affected tuple
-//!   key, retract the pre-commit row with its old derivation count and
-//!   insert the post-commit row with the new one (so count changes
-//!   *and* `val`/`cont` modifications both become row replacements);
+//! * **source** — converts each [`ViewDelta`] into a row Z-set change
+//!   against its own store, the view's one copy in the circuit: for
+//!   every affected tuple key, retract the pre-commit row with its old
+//!   derivation count and insert the post-commit row with the new one
+//!   (so count changes *and* `val`/`cont` modifications both become row
+//!   replacements);
 //! * **filter** / **map** — stateless; a map's output is consolidated
 //!   because distinct inputs may collapse onto one image row;
 //! * **join** — bilinear: `Δout = ΔL ⋈ R ∪ L′ ⋈ ΔR` (with `L′ = L +
 //!   ΔL`), over two per-side hash indexes keyed by the extracted join
 //!   key;
-//! * **count** / **sum** — one state entry per group; a changed group
-//!   retracts its old aggregate row and inserts the new one;
+//! * **sum** — one state entry per group (derivations, total); a
+//!   changed group retracts its old aggregate row and inserts the new
+//!   one. A **count** is the sum of 1 per derivation;
 //! * **min** / **max** — per group a support multiset of values plus
 //!   the cached extremum. Insertions only *improve* the extremum
 //!   (cheap compare); retracting the extremum itself forces a re-scan
@@ -24,10 +26,10 @@
 //!   only when the current best disappears.
 
 use crate::row::{Datum, Row};
-use crate::zset::RowDelta;
+use crate::zset::{DerivedStore, RowDelta};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use xivm_algebra::Tuple;
+use xivm_algebra::Schema;
 use xivm_core::{DeltaEvent, Subscription, ViewDelta, ViewHandle, ViewStore};
 
 /// A row predicate (filter condition).
@@ -38,50 +40,64 @@ pub type RowFn = Arc<dyn Fn(&Row) -> Row + Send + Sync>;
 /// An integer extractor (sum / min / max argument).
 pub type ValueFn = Arc<dyn Fn(&Row) -> i64 + Send + Sync>;
 
-/// A circuit source: one subscribed view, mirrored tuple-for-tuple so
-/// each incoming [`ViewDelta`] can be re-expressed as old-row
-/// retractions plus new-row insertions.
+/// A circuit source: one subscribed view. It keeps no copy of the
+/// view — its node's [`DerivedStore`] holds the view's tuples as rows,
+/// in the view's own order — and re-expresses each incoming
+/// [`ViewDelta`] against that store as old-row retractions plus
+/// new-row insertions.
 pub(crate) struct SourceState {
     pub(crate) view: ViewHandle,
+    schema: Schema,
     pub(crate) sub: Option<Subscription>,
-    pub(crate) mirror: ViewStore,
     /// Events drained from the database but not yet consumed by a
     /// `sync_to` barrier (their seq exceeds the requested target).
     pub(crate) buffer: VecDeque<DeltaEvent>,
 }
 
 impl SourceState {
-    pub(crate) fn new(view: ViewHandle) -> Self {
-        SourceState { view, sub: None, mirror: ViewStore::default(), buffer: VecDeque::new() }
+    pub(crate) fn new(view: ViewHandle, schema: Schema) -> Self {
+        SourceState { view, schema, sub: None, buffer: VecDeque::new() }
     }
 
-    /// The mirror's full contents as one delta — the seed that runs
-    /// the initial materialization through the same incremental code
-    /// path (incremental from empty ≡ full evaluation).
-    pub(crate) fn seed_delta(&self) -> RowDelta {
-        let schema = self.mirror.schema();
-        RowDelta::new(
-            self.mirror.cursor().map(|(t, c)| (Row::from_tuple(t, schema), c as i64)).collect(),
-        )
-    }
-
-    /// Folds one commit's view delta into the mirror and returns the
-    /// equivalent row Z-set change, in O(|Δ|): only the tuples the
-    /// delta's run names are looked up, before and after its replay.
-    pub(crate) fn advance(&mut self, delta: &ViewDelta) -> RowDelta {
-        // A key's negative and non-negative entries are neighbours.
-        let mut keys: Vec<&Tuple> = delta.rows().iter().map(|(t, _)| t).collect();
-        keys.dedup_by(|b, a| a.doc_cmp(b).is_eq());
-        let mut raw = Vec::with_capacity(keys.len() * 2);
-        let mut rows_of = |mirror: &ViewStore, sign: i64| {
-            let stored = keys.iter().filter_map(|key| mirror.get(key));
-            raw.extend(stored.map(|(t, c)| (Row::from_tuple(t, mirror.schema()), sign * c as i64)));
-        };
-        rows_of(&self.mirror, -1);
-        delta.replay(&mut self.mirror);
-        rows_of(&self.mirror, 1);
+    /// The row change of one commit's view delta, read against `rows`,
+    /// the node's store before the commit, in O(|Δ| log |rows|): each
+    /// key the run names is found once by its IDs, and
+    /// [`ViewStore::patch`]'s rules give its row after the commit — a
+    /// loss takes from the count, a gain adds to it and brings the
+    /// post-commit text, and weight 0 is that text alone. A changed
+    /// count or text retracts the old row and inserts the new one.
+    pub(crate) fn advance(&self, delta: &ViewDelta, rows: &DerivedStore) -> RowDelta {
+        let mut raw = Vec::with_capacity(2 * delta.len());
+        let mut run = delta.rows().iter().peekable();
+        while let Some(entry @ (tuple, weight)) = run.next() {
+            // A key's negative entry comes right before its non-negative one.
+            let (lost, gained) = match *weight {
+                w if w < 0 => (-w, run.next_if(|(next, _)| next.doc_cmp(tuple).is_eq())),
+                _ => (0, Some(entry)),
+            };
+            let old = rows.rows().binary_search_by(|(row, _)| row.ids_cmp(tuple));
+            let old = old.ok().map(|at| &rows.rows()[at]);
+            let count = old.map_or(0, |(_, c)| (c - lost).max(0)) + gained.map_or(0, |(_, w)| *w);
+            if let Some((row, c)) = old {
+                raw.push((row.clone(), -c));
+            }
+            if count > 0 {
+                let row = match gained {
+                    Some((t, _)) => Row::from_tuple(t, &self.schema),
+                    None => old.expect("a count kept is a row kept").0.clone(),
+                };
+                raw.push((row, count));
+            }
+        }
         RowDelta::new(raw)
     }
+}
+
+/// A view store's tuples as rows, in its order — what a source node
+/// holds, and the seed that runs a materialization through the same
+/// incremental code path (incremental from empty ≡ full evaluation).
+pub(crate) fn view_rows(store: &ViewStore) -> Vec<(Row, i64)> {
+    store.cursor().map(|(t, c)| (Row::from_tuple(t, store.schema()), c as i64)).collect()
 }
 
 /// A hash join's per-side state: input rows with their weights,
@@ -189,11 +205,6 @@ pub(crate) enum OpState {
         f: RowFn,
     },
     Join(JoinState),
-    Count {
-        input: usize,
-        key: RowFn,
-        groups: HashMap<Row, i64>,
-    },
     Sum {
         input: usize,
         key: RowFn,
@@ -217,7 +228,6 @@ impl OpState {
             OpState::Source(_) => Vec::new(),
             OpState::Filter { input, .. }
             | OpState::Map { input, .. }
-            | OpState::Count { input, .. }
             | OpState::Sum { input, .. }
             | OpState::Extreme { input, .. } => vec![*input],
             OpState::Join(j) => vec![j.left, j.right],
@@ -244,7 +254,6 @@ impl OpState {
                 let (left, right) = (j.left, j.right);
                 j.step(&deltas[left], &deltas[right])
             }
-            OpState::Count { input, key, groups } => step_count(groups, key, &deltas[*input]),
             OpState::Sum { input, key, value, groups } => {
                 step_sum(groups, key, value, &deltas[*input])
             }
@@ -265,8 +274,8 @@ impl OpState {
 
     /// Discards all incremental state so the node can be re-seeded
     /// from scratch — the snapshot-recovery path a [`Lagged`] source
-    /// triggers. Source mirrors/buffers are reset by the circuit (it
-    /// holds the snapshot); the `rescans` odometer survives, it counts
+    /// triggers. Source buffers are reset by the circuit (it holds the
+    /// snapshot); the `rescans` odometer survives, it counts
     /// work actually paid.
     ///
     /// [`Lagged`]: xivm_core::Lagged
@@ -277,37 +286,10 @@ impl OpState {
                 j.left_index.clear();
                 j.right_index.clear();
             }
-            OpState::Count { groups, .. } => groups.clear(),
             OpState::Sum { groups, .. } => groups.clear(),
             OpState::Extreme { groups, .. } => groups.clear(),
         }
     }
-}
-
-fn step_count(groups: &mut HashMap<Row, i64>, key: &RowFn, delta: &RowDelta) -> RowDelta {
-    let mut touched: HashMap<Row, i64> = HashMap::new();
-    for (r, w) in delta.iter() {
-        *touched.entry(key(r)).or_insert(0) += w;
-    }
-    let mut raw = Vec::new();
-    for (k, dw) in touched {
-        if dw == 0 {
-            continue;
-        }
-        let old = groups.get(&k).copied().unwrap_or(0);
-        let new = old + dw;
-        assert!(new >= 0, "count aggregate went negative for group {k}");
-        if old > 0 {
-            raw.push((k.with(Datum::Int(old)), -1));
-        }
-        if new > 0 {
-            raw.push((k.with(Datum::Int(new)), 1));
-            groups.insert(k, new);
-        } else {
-            groups.remove(&k);
-        }
-    }
-    RowDelta::new(raw)
 }
 
 fn step_sum(
@@ -417,6 +399,47 @@ fn step_extreme(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xivm_algebra::{Field, Tuple};
+    use xivm_core::Database;
+    use xivm_xml::{dewey::Step, DeweyId, LabelId};
+
+    /// The source's only state is its rows: each run read against them
+    /// leaves them equal to the view store the same run is replayed
+    /// onto, row for row — the losses that take part of a count, all of
+    /// it or more, a key that is no tuple, a text change alone, and a
+    /// tuple that leaves and comes back with other text in one run.
+    #[test]
+    fn a_source_reads_each_run_against_its_own_rows() {
+        let db = Database::builder().document("<r/>").view("v", "//a{id,val}").build().unwrap();
+        let view = db.view("v").unwrap();
+        let mut store = db.store(view).clone();
+        let schema = store.schema().clone();
+        let source = SourceState::new(view, schema.clone());
+        let t = |ord: u64, val: Option<&str>| {
+            let id = DeweyId::from_steps(vec![Step::new(LabelId(0), ord)]);
+            Tuple::new(vec![Field::new(id, val.map(Into::into), None)])
+        };
+        let row = |ord: u64, val: &str| Row::from_tuple(&t(ord, Some(val)), &schema);
+        let runs = [
+            vec![(t(1, Some("a")), 2), (t(2, Some("b")), 1), (t(3, None), 1)],
+            vec![(t(1, Some("z")), 0), (t(2, None), -1), (t(3, None), 2), (t(9, None), -4)],
+            vec![(t(1, None), -5), (t(1, Some("back")), 1), (t(3, None), -1)],
+            vec![(t(1, None), -1), (t(3, None), -2), (t(4, Some("d")), 1)],
+        ];
+        let mut rows = DerivedStore::new();
+        for (i, run) in runs.into_iter().enumerate() {
+            let delta = ViewDelta::new(run);
+            let change = source.advance(&delta, &rows);
+            if i == 1 {
+                let text_change = &change.entries()[..2];
+                assert_eq!(text_change, &[(row(1, "a"), -2), (row(1, "z"), 2)]);
+            }
+            rows.apply(&change);
+            delta.replay(&mut store);
+            assert_eq!(rows.rows(), view_rows(&store), "after run {i}");
+        }
+        assert_eq!(rows.rows(), &[(row(4, "d"), 1)]);
+    }
 
     fn rows(pairs: &[(i64, i64, i64)]) -> RowDelta {
         // (group, value, weight) triples
@@ -443,10 +466,11 @@ mod tests {
     #[test]
     fn count_retracts_old_and_inserts_new_group_rows() {
         let mut groups = HashMap::new();
-        let key = group_key();
-        let d1 = step_count(&mut groups, &key, &rows(&[(1, 10, 1), (1, 11, 1), (2, 20, 1)]));
+        let (key, one): (_, ValueFn) = (group_key(), Arc::new(|_: &Row| 1));
+        let step_count = |groups: &mut _, delta| step_sum(groups, &key, &one, &delta);
+        let d1 = step_count(&mut groups, rows(&[(1, 10, 1), (1, 11, 1), (2, 20, 1)]));
         assert_eq!(d1.entries(), &[(agg_row(1, 2), 1), (agg_row(2, 1), 1)]);
-        let d2 = step_count(&mut groups, &key, &rows(&[(1, 10, -1), (2, 20, -1)]));
+        let d2 = step_count(&mut groups, rows(&[(1, 10, -1), (2, 20, -1)]));
         assert_eq!(d2.entries(), &[(agg_row(1, 1), 1), (agg_row(1, 2), -1), (agg_row(2, 1), -1)]);
         assert!(!groups.contains_key(&Row::new(vec![Datum::Int(2)])), "empty group dropped");
     }

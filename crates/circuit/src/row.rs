@@ -12,8 +12,10 @@
 //!
 //! Rows are plain data: hashable (join/aggregate state keys), cheaply
 //! clonable (`Arc`-shared strings, structural IDs), and totally
-//! ordered ([`Datum`] orders by variant rank, IDs in document order)
-//! so sorted row dumps and consolidated deltas are deterministic.
+//! ordered, datum by datum, so every delta and store is one sorted
+//! run. The rows of one view's tuples fall in the view's own document
+//! order: two rows first differ at a structural ID, because one node
+//! carries one `val` / `cont` in one state of the document.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -24,7 +26,11 @@ use xivm_xml::DeweyId;
 /// One circuit value: a document node ID, a text value, an integer
 /// (aggregate results), or null (a stored annotation the node does not
 /// have, e.g. `val` of an element with no text).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The order is total: variants in declaration order (`Null < Int <
+/// Str < Id`), integers numerically, strings lexicographically, IDs in
+/// document order ([`DeweyId`]'s `Ord` is [`DeweyId::doc_cmp`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Datum {
     Null,
     Int(i64),
@@ -33,17 +39,6 @@ pub enum Datum {
 }
 
 impl Datum {
-    /// Variant rank for the cross-variant order (`Null < Int < Str <
-    /// Id`).
-    fn rank(&self) -> u8 {
-        match self {
-            Datum::Null => 0,
-            Datum::Int(_) => 1,
-            Datum::Str(_) => 2,
-            Datum::Id(_) => 3,
-        }
-    }
-
     /// The integer behind an `Int` datum.
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -90,28 +85,6 @@ impl From<Arc<str>> for Datum {
 impl From<DeweyId> for Datum {
     fn from(id: DeweyId) -> Self {
         Datum::Id(id)
-    }
-}
-
-impl Ord for Datum {
-    /// Total order: variants by rank, integers numerically, strings
-    /// lexicographically, IDs in document order ([`DeweyId`] itself
-    /// has no `Ord`; [`DeweyId::doc_cmp`] is total over the IDs of one
-    /// document).
-    fn cmp(&self, other: &Self) -> Ordering {
-        match (self, other) {
-            (Datum::Null, Datum::Null) => Ordering::Equal,
-            (Datum::Int(a), Datum::Int(b)) => a.cmp(b),
-            (Datum::Str(a), Datum::Str(b)) => a.as_ref().cmp(b.as_ref()),
-            (Datum::Id(a), Datum::Id(b)) => a.doc_cmp(b).then_with(|| a.depth().cmp(&b.depth())),
-            _ => self.rank().cmp(&other.rank()),
-        }
-    }
-}
-
-impl PartialOrd for Datum {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -163,6 +136,15 @@ impl Row {
             }
         }
         Row(datums)
+    }
+
+    /// Orders a row flattened from a view tuple against a tuple of the
+    /// same view by their structural IDs alone — [`Tuple::doc_cmp`],
+    /// whatever text either side carries.
+    pub(crate) fn ids_cmp(&self, tuple: &Tuple) -> Ordering {
+        let ids = self.0.iter().filter_map(Datum::as_id);
+        let mut pairs = ids.zip(tuple.fields()).map(|(id, field)| id.doc_cmp(&field.id));
+        pairs.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
     }
 
     pub fn arity(&self) -> usize {
@@ -288,6 +270,21 @@ mod tests {
                 Datum::Str("<c/>".into()),
             ]
         );
+    }
+
+    #[test]
+    fn ids_cmp_orders_by_structural_ids_alone() {
+        let schema = Schema::new(vec![Column::with("a", true, false), Column::id_only("b")]);
+        let tuple = |a: u64, b: u64, val: &str| {
+            Tuple::new(vec![
+                Field::new(id(&[a]), Some(val.into()), None),
+                Field::id_only(id(&[a, b])),
+            ])
+        };
+        let row = Row::from_tuple(&tuple(1, 2, "old"), &schema);
+        assert!(row.ids_cmp(&tuple(1, 2, "new")).is_eq(), "the text is no part of the key");
+        assert!(row.ids_cmp(&tuple(1, 3, "a")).is_lt(), "then the second column decides");
+        assert!(row.ids_cmp(&tuple(0, 9, "z")).is_gt(), "the first column first");
     }
 
     #[test]

@@ -1,21 +1,25 @@
 //! Z-sets: weighted row collections, as deltas and as materialized
-//! stores.
+//! stores — both one run of rows strictly increasing in [`Row`]'s total
+//! order.
 //!
 //! Everything a circuit moves or keeps is a Z-set — a mapping from
 //! [`Row`]s to integer weights. A [`RowDelta`] is the *change* one
 //! commit induces on one node (weights of either sign, consolidated:
-//! unique rows, no zero weights, sorted); a [`DerivedStore`] is the
+//! one entry per row, no zero weights); a [`DerivedStore`] is the
 //! node's current contents (weights strictly positive — the
-//! derivation-count generalization of a set). Applying a node's
-//! output delta to its store per commit is the circuit invariant:
-//! `store_after = store_before + Δ`, checked against full
+//! derivation-count generalization of a set). A store is patched in
+//! place by the routines the view store is patched by
+//! ([`xivm_algebra::ordered`]), so a commit pays for the rows it
+//! changes and those behind them, and a read sorts nothing. Applying a
+//! node's output delta to its store per commit is the circuit
+//! invariant: `store_after = store_before + Δ`, checked against full
 //! recomputation by the property suite.
 
 use crate::row::Row;
-use std::collections::HashMap;
+use xivm_algebra::ordered;
 
 /// The change of one circuit node over one commit: a consolidated
-/// Z-set (unique rows, non-zero weights, sorted by [`Row`]'s total
+/// Z-set (one entry per row, non-zero weights, in [`Row`]'s total
 /// order, so equal deltas compare equal and iteration is
 /// deterministic).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -24,16 +28,19 @@ pub struct RowDelta {
 }
 
 impl RowDelta {
-    /// Consolidates raw `(row, weight)` pairs: weights of equal rows
-    /// are summed, rows with weight zero vanish, the rest sort.
-    pub fn new(raw: Vec<(Row, i64)>) -> Self {
-        let mut acc: HashMap<Row, i64> = HashMap::with_capacity(raw.len());
-        for (row, weight) in raw {
-            *acc.entry(row).or_insert(0) += weight;
-        }
-        let mut entries: Vec<(Row, i64)> = acc.into_iter().filter(|(_, w)| *w != 0).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        RowDelta { entries }
+    /// Consolidates raw `(row, weight)` pairs: they sort, the weights
+    /// of equal rows sum, and rows whose weights cancel vanish.
+    pub fn new(mut raw: Vec<(Row, i64)>) -> Self {
+        raw.sort_by(|a, b| a.0.cmp(&b.0));
+        raw.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        raw.retain(|e| e.1 != 0);
+        RowDelta { entries: raw }
     }
 
     pub fn empty() -> Self {
@@ -58,7 +65,8 @@ impl RowDelta {
     }
 }
 
-/// The materialized contents of one circuit node: a positive Z-set.
+/// The materialized contents of one circuit node: a positive Z-set,
+/// kept as one run in [`Row`]'s total order.
 ///
 /// Weights play the role view stores give derivation counts: "the
 /// number of reasons the row is in the result". A row with weight 3
@@ -66,9 +74,9 @@ impl RowDelta {
 /// 3 pre-images — either way, one more reason is `+1`, not a
 /// duplicate-eliminating no-op, which is what makes deletion
 /// propagate without rescanning.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DerivedStore {
-    rows: HashMap<Row, i64>,
+    rows: Vec<(Row, i64)>,
 }
 
 impl DerivedStore {
@@ -85,64 +93,68 @@ impl DerivedStore {
         self.rows.is_empty()
     }
 
-    /// The weight of a row, 0 when absent.
+    /// The weight of a row, 0 when absent (a binary search).
     pub fn weight_of(&self, row: &Row) -> i64 {
-        self.rows.get(row).copied().unwrap_or(0)
+        self.rows.binary_search_by(|(r, _)| r.cmp(row)).map_or(0, |at| self.rows[at].1)
     }
 
     pub fn contains(&self, row: &Row) -> bool {
-        self.rows.contains_key(row)
+        self.weight_of(row) != 0
     }
 
-    /// Borrowing iterator, arbitrary order.
+    /// The contents as they are kept: rows in [`Row`]'s total order,
+    /// each with its weight.
+    pub fn rows(&self) -> &[(Row, i64)] {
+        &self.rows
+    }
+
+    /// Borrowing iterator over [`Self::rows`].
     pub fn iter(&self) -> impl Iterator<Item = (&Row, i64)> {
         self.rows.iter().map(|(r, w)| (r, *w))
     }
 
-    /// The contents sorted by [`Row`]'s total order — the canonical
-    /// external representation.
-    pub fn sorted_rows(&self) -> Vec<(Row, i64)> {
-        let mut rows: Vec<(Row, i64)> = self.rows.iter().map(|(r, w)| (r.clone(), *w)).collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
-
-    /// Applies one commit's delta. Panics if any row's weight would go
-    /// negative — a sound circuit never retracts more derivations than
-    /// it inserted, so a negative weight is an operator bug, not a
-    /// data condition.
+    /// Applies one commit's delta: the retractions through
+    /// [`ordered::remove`], the insertions through [`ordered::absorb`].
+    /// Panics if a row's weight would go negative — a sound circuit
+    /// never retracts more derivations than it inserted, so a negative
+    /// weight is an operator bug, not a data condition.
     pub fn apply(&mut self, delta: &RowDelta) {
-        for (row, weight) in delta.iter() {
-            let w = self.rows.entry(row.clone()).or_insert(0);
-            *w += weight;
-            assert!(*w >= 0, "derived store weight went negative for {row}");
-            if *w == 0 {
-                self.rows.remove(row);
-            }
-        }
+        let lost: Vec<&(Row, i64)> = delta.entries.iter().filter(|e| e.1 < 0).collect();
+        let mut taken = 0;
+        let take = |row: &mut (Row, i64), lost: &&(Row, i64)| {
+            taken += 1;
+            row.1 += lost.1;
+            assert!(row.1 >= 0, "derived store weight went negative for {}", row.0);
+            row.1 == 0
+        };
+        ordered::remove(&mut self.rows, &lost, |row, lost| row.0.cmp(&lost.0), take);
+        assert_eq!(
+            taken,
+            lost.len(),
+            "derived store weight went negative: a retracted row is absent"
+        );
+        let gained = delta.entries.iter().filter(|e| e.1 > 0).cloned().collect();
+        ordered::absorb(&mut self.rows, gained, |a, b| a.0.cmp(&b.0), |row, new| row.1 += new.1);
     }
 
     /// Bit-identical comparison: same rows, same weights. The test
     /// oracle for "incremental == recomputed".
     pub fn same_content_as(&self, other: &DerivedStore) -> bool {
-        self.rows.len() == other.rows.len()
-            && self.rows.iter().all(|(r, w)| other.rows.get(r) == Some(w))
+        self == other
     }
 
     /// Detailed difference description for test failures.
     pub fn diff_description(&self, other: &DerivedStore) -> String {
         let mut out = String::new();
-        for (r, w) in &self.rows {
-            match other.rows.get(r) {
-                None => out.push_str(&format!("only in left (weight {w}): {r}\n")),
-                Some(ow) if ow != w => out.push_str(&format!("weight mismatch {w} vs {ow}: {r}\n")),
+        for (r, w) in self.iter() {
+            match other.weight_of(r) {
+                0 => out.push_str(&format!("only in left (weight {w}): {r}\n")),
+                ow if ow != w => out.push_str(&format!("weight mismatch {w} vs {ow}: {r}\n")),
                 _ => {}
             }
         }
-        for (r, w) in &other.rows {
-            if !self.rows.contains_key(r) {
-                out.push_str(&format!("only in right (weight {w}): {r}\n"));
-            }
+        for (r, w) in other.iter().filter(|(r, _)| !self.contains(r)) {
+            out.push_str(&format!("only in right (weight {w}): {r}\n"));
         }
         out
     }
@@ -177,14 +189,56 @@ mod tests {
         s.apply(&RowDelta::new(vec![(row(1), -2)]));
         assert!(!s.contains(&row(1)));
         assert_eq!(s.weight_of(&row(1)), 0);
-        assert_eq!(s.sorted_rows(), vec![(row(2), 1)]);
+        assert_eq!(s.rows(), &[(row(2), 1)]);
     }
 
     #[test]
     #[should_panic(expected = "negative")]
     fn store_rejects_negative_weights() {
         let mut s = DerivedStore::new();
+        s.apply(&RowDelta::new(vec![(row(1), 1)]));
+        s.apply(&RowDelta::new(vec![(row(1), -2)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "negative")]
+    fn store_rejects_retracting_an_absent_row() {
+        let mut s = DerivedStore::new();
+        s.apply(&RowDelta::new(vec![(row(2), 1)]));
         s.apply(&RowDelta::new(vec![(row(1), -1)]));
+    }
+
+    /// The store stays one strictly ordered run under mixed patches, and
+    /// equals the same contents consolidated in one go.
+    #[test]
+    fn patches_keep_the_rows_in_order_and_agree_with_a_rebuild() {
+        let mut s = DerivedStore::new();
+        let mut all = Vec::new();
+        for round in 0..30i64 {
+            let gained: Vec<(Row, i64)> =
+                (0..5).map(|k| (row((round * 7 + k * 11) % 50), 1)).collect();
+            let gained = RowDelta::new(gained);
+            s.apply(&gained);
+            all.extend(gained.entries().iter().cloned());
+            let lost: Vec<(Row, i64)> = s
+                .rows()
+                .iter()
+                .skip(round as usize % 3)
+                .step_by(4)
+                .map(|(r, _)| (r.clone(), -1))
+                .collect();
+            s.apply(&RowDelta::new(lost.clone()));
+            all.extend(lost);
+            assert!(s.rows().windows(2).all(|w| w[0].0 < w[1].0), "round {round}");
+            assert!(s.rows().iter().all(|(_, w)| *w > 0), "round {round}");
+            let mut rebuilt = DerivedStore::new();
+            rebuilt.apply(&RowDelta::new(all.clone()));
+            assert!(
+                s.same_content_as(&rebuilt),
+                "round {round}:\n{}",
+                s.diff_description(&rebuilt)
+            );
+        }
     }
 
     #[test]
@@ -192,7 +246,7 @@ mod tests {
         let mut a = DerivedStore::new();
         let mut b = DerivedStore::new();
         a.apply(&RowDelta::new(vec![(row(1), 2), (row(2), 1)]));
-        b.apply(&RowDelta::new(a.sorted_rows()));
+        b.apply(&RowDelta::new(a.rows().to_vec()));
         assert!(a.same_content_as(&b));
         b.apply(&RowDelta::new(vec![(row(2), 4), (row(3), 4)]));
         assert!(!a.same_content_as(&b));

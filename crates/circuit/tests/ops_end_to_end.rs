@@ -139,11 +139,11 @@ fn every_operator_tracks_recompute_commit_by_commit() -> Result<(), Error> {
                         .weight_of(&Row::new(vec![Datum::Str("mate".into()), Datum::Int(1)])),
                     1
                 );
-                pairs_before_spam = Some(circuit.rows(pairs));
+                pairs_before_spam = Some(circuit.rows(pairs).to_vec());
             }
             1 => {
                 assert_eq!(
-                    Some(circuit.rows(pairs)),
+                    Some(circuit.rows(pairs).to_vec()),
                     pairs_before_spam,
                     "spam is filtered out before the join"
                 );

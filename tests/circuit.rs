@@ -187,7 +187,7 @@ fn check_against_recompute(
 
 /// Sorted per-node states — the cross-leg comparison currency.
 fn node_states(circuit: &Circuit) -> Vec<Vec<(Row, i64)>> {
-    circuit.nodes().into_iter().map(|n| circuit.rows(n)).collect()
+    circuit.nodes().into_iter().map(|n| circuit.rows(n).to_vec()).collect()
 }
 
 // ---------------------------------------------------------------------

@@ -671,3 +671,58 @@ fn commits_after_a_recovered_panic_seed_a_new_deferred_batch() {
 
     fault::disarm_all();
 }
+
+/// Recovery tells the feeds of a deferred view which commits they can
+/// no longer rebuild (a `Lagged` marker: the recomputed store absorbed
+/// the batch without a refresh commit), so a circuit over that view
+/// re-seeds from a snapshot on its next sync. Every node then equals its
+/// recomputation, and the commits after it fold in as usual.
+#[test]
+fn a_circuit_over_a_deferred_view_reseeds_after_a_recovered_panic() {
+    let _guard = fault::exclusive();
+    fault::disarm_all();
+
+    let mut db = Database::builder()
+        .document(DOC)
+        .view_deferred(VIEWS[0].0, VIEWS[0].1)
+        .view(VIEWS[1].0, VIEWS[1].1)
+        .build()
+        .expect("fixture database");
+    let acb = db.view("acb").expect("view");
+    let witness = db.subscribe_with(acb, None, SlowConsumerPolicy::DropAndMark);
+    let mut b = db.circuit();
+    let deferred = b.source(VIEWS[0].0).expect("deferred source");
+    let immediate = b.source(VIEWS[1].0).expect("immediate source");
+    let per_root = b.count(deferred, |r| r.project(&[0]));
+    b.join(per_root, immediate, |r| r.project(&[0]), |r| r.project(&[0]));
+    let mut circuit = b.build();
+    let check = |circuit: &Circuit, db: &Database, context: &str| {
+        let oracle = circuit.recompute(db);
+        for node in circuit.nodes() {
+            assert!(
+                circuit.store(node).same_content_as(&oracle[node.index()]),
+                "{context}: node n{} ({}) diverged:\n{}",
+                node.index(),
+                circuit.label(node),
+                circuit.store(node).diff_description(&oracle[node.index()])
+            );
+        }
+    };
+
+    db.apply(stmt(0).as_str()).expect("base commit");
+    fault::arm(fault::PREPARE_PANIC);
+    let failing = db.apply_async([stmt(1)]).expect("submit failing");
+    assert!(matches!(failing.wait(), Err(Error::Panic(_))));
+    assert!(matches!(db.flush(), Err(Error::Panic(_))));
+    fault::disarm_all();
+    let lagged = witness.drain().into_iter().any(|ev| matches!(ev, FeedEvent::Lagged(_)));
+    assert!(lagged, "recovery marks the deferred view's feeds");
+
+    assert_eq!(circuit.sync(&mut db), db.last_seq());
+    check(&circuit, &db, "after the reseed");
+    db.apply(stmt(2).as_str()).expect("commit after recovery");
+    db.refresh(acb).expect("refresh").expect("a batch was pending");
+    assert_eq!(circuit.sync(&mut db), db.last_seq());
+    check(&circuit, &db, "after the refresh");
+    circuit.detach(&mut db);
+}
