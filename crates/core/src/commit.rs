@@ -48,8 +48,8 @@ pub struct ViewDelta {
 
 impl ViewDelta {
     /// The one consolidation: signed changes in any order — a commit
-    /// patches its store in several passes (deletions, predicate flips,
-    /// insertions, text refresh) — become the canonical run, so
+    /// patches its store in several passes (deletions, insertions, text
+    /// refresh) — become the canonical run, so
     /// equivalent updates (sequential vs pipelined, textual vs typed)
     /// publish bit-identical deltas. A key's entries of one side sum
     /// their weights and keep the contents of the last (the sort is

@@ -48,13 +48,12 @@
 //! ```
 
 use crate::commit::Commit;
-use crate::engine::MaintenanceEngine;
+use crate::engine::{MaintenanceEngine, SnowcapStrategy};
 use crate::error::Error;
 use crate::executor::Batch;
 use crate::multiview::MultiViewEngine;
 use crate::service::{ServiceHandle, Ticket};
 use crate::snapshot::DatabaseSnapshot;
-use crate::strategy::SnowcapStrategy;
 use crate::subscribe::{DeltaEvent, SlowConsumerPolicy, Subscription, SubscriptionRegistry};
 use crate::view_store::{Cursor, ViewStore};
 use std::ops::{Deref, DerefMut};

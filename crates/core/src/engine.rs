@@ -15,25 +15,28 @@
 //! pass over its rows. Each phase is timed, producing the breakdowns of
 //! the Section 6 experiments.
 //!
-//! A deletion has two arms. The Δ⁻ terms cost what the deletion reaches;
-//! a deletion that rivals the view — most of one of its labels and of
-//! its rows gone, as Figure 27's bulk deletes do — reaches nearly all of
-//! it, and recomputing the view from the post-state is cheaper. `finish`
-//! picks per commit and per view, from the apply's label buckets, the
-//! canonical list lengths and the store's rows, with no option to set.
-//! Either way the view publishes the same Δ (see
-//! [`MaintenanceEngine::finish`]), so a subscriber, replica or circuit
-//! cannot tell which arm ran.
+//! Beside the terms there is one exceptional arm: recomputing the view
+//! from the post-state and merging old rows with new into the Δ. Two
+//! commits take it. A deletion that rivals the view — most of one of its
+//! labels and of its rows gone, as Figure 27's bulk deletes do — reaches
+//! nearly all of it through its Δ⁻ terms, and the recomputation is
+//! cheaper; `finish` judges that per commit and per view, from the
+//! apply's label buckets, the canonical list lengths and the store's
+//! rows, with no option to set, and both arms publish the same Δ. A
+//! commit that flips a value predicate ([`crate::predflip`]) changes
+//! bindings no Δ table holds, which the paper's algorithms never meet;
+//! the recomputation answers it exactly (see
+//! [`MaintenanceEngine::finish`]).
 
 use crate::commit::ViewDelta;
 use crate::error::Error;
 use crate::etins::subset_terms;
 use crate::propagate::{eval, refresh_text, terms, DeltaSide, PruneStats, Sign, TermContext};
 use crate::snowcap::{binds_deleted, enumerate_snowcaps, minimal_chain, MaterializedSnowcap};
-use crate::strategy::SnowcapStrategy;
 use crate::term::Term;
 use crate::timing::{timed, Timings};
 use crate::view_store::ViewStore;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use xivm_pattern::compile::{canonical_relation, compile_plan_over, project_to_view, view_tuples};
@@ -77,11 +80,14 @@ pub struct UpdateReport {
     /// `lo..=hi` into one propagation. Forwarded onto the view's
     /// [`DeltaEvent::folded`](crate::subscribe::DeltaEvent::folded).
     pub coalesced: Option<std::ops::RangeInclusive<u64>>,
-    /// True when [`MaintenanceEngine::finish`] answered this deletion by
+    /// True when [`MaintenanceEngine::finish`] answered this commit by
     /// recomputing the view from the post-state instead of evaluating
-    /// its Δ⁻ terms — the deletion rivalled the view. Both arms publish
-    /// the same store, delta and counters, so it is excluded from
-    /// [`Self::same_outcome`], like the timings.
+    /// its terms: a pure deletion rivalled the view, or a value predicate
+    /// flipped. For such a deletion both arms publish the same store,
+    /// delta and counters, so it is excluded from [`Self::same_outcome`],
+    /// like the timings. A flip commit's delta is the net change per key,
+    /// and so are [`Self::derivations_added`] / [`Self::derivations_removed`]:
+    /// a key that lost and gained derivations in one commit nets them.
     pub recomputed: bool,
     /// The view's Δ for this update: every store patch the engine made
     /// as one signed run, complete enough that replaying it on a
@@ -117,6 +123,47 @@ impl UpdateReport {
     }
 }
 
+/// The materialization strategy for the sub-pattern lattice (Section
+/// 3.5; compared experimentally in Section 6.7): which lattice nodes the
+/// engine materializes and maintains. Whatever is materialized is kept
+/// in full document order and maintained from its own Δ terms, in place
+/// ([`MaterializedSnowcap`]): upkeep follows |Δ| under every strategy,
+/// so the strategies differ in how many relations a commit patches, not
+/// in how each is patched.
+///
+/// [`MinimalChain`](Self::MinimalChain) is the façade's default because
+/// the benchmark says so: with no snowcap materialized under any
+/// strategy (a prototype, 4 alternating pairs, seed 1) a `point_large`
+/// commit got cheaper (`commit_p50_us` 111 → 62 µs) but
+/// `speedup_vs_recompute_insert` fell 2.73 → 2.26 there and 2.57 → 2.25
+/// on `bulk_catalog`, and `replica_mixed` `commit_p95_us` rose
+/// 177 → 396 µs — six `worse` verdicts. The other two variants are
+/// Figures 29–32's alternatives and the references `tests/property.rs`
+/// drives the chain against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnowcapStrategy {
+    /// The experiments' "Snowcaps" alternative: a minimal chain of
+    /// snowcaps, one per level (pre-order prefixes of sizes 1…k−1),
+    /// plus the view itself.
+    MinimalChain,
+    /// Every snowcap of the lattice (the upper bound of Section 3.5's
+    /// discussion — expensive to keep, cheapest to read).
+    AllSnowcaps,
+    /// The experiments' "Leaves" alternative: nothing but the
+    /// canonical relations; term R-parts are recomputed on the fly.
+    LeavesOnly,
+}
+
+impl SnowcapStrategy {
+    pub fn name(self) -> &'static str {
+        match self {
+            SnowcapStrategy::MinimalChain => "snowcaps",
+            SnowcapStrategy::AllSnowcaps => "all-snowcaps",
+            SnowcapStrategy::LeavesOnly => "leaves",
+        }
+    }
+}
+
 /// A materialized view plus the auxiliary structures needed to
 /// maintain it incrementally.
 pub struct MaintenanceEngine {
@@ -135,8 +182,10 @@ pub struct MaintenanceEngine {
     /// Ablation switch for the dynamic prunings (Section 6.8).
     pub dynamic_pruning: bool,
     /// Test-only override of [`Self::rivalled_by`]: `Some(true)` sends
-    /// every eligible deletion to the recomputation arm, `Some(false)`
-    /// none — how the tests run one deletion through both.
+    /// every pure deletion to the recomputation arm, `Some(false)` none
+    /// — how the tests run one deletion through both. A commit that
+    /// flipped a predicate recomputes whatever the force says: there is
+    /// no terms arm to keep it on.
     #[cfg(test)]
     force_recompute: Option<bool>,
 }
@@ -276,15 +325,15 @@ impl MaintenanceEngine {
     /// Completes propagation after the PUL was applied to the document
     /// (the counterpart of [`Self::prepare`]).
     ///
-    /// A deletion takes one of two arms, chosen per commit and per view
-    /// from sizes the step already holds: the Δ⁻ terms, or — when the
-    /// PUL only deletes, no predicate flipped and the deletion rivals
-    /// the view (`rivalled_by`) — a recomputation from the post-state.
-    /// Both publish the same Δ: a pure, flip-free deletion only loses
-    /// bindings, so the merge of the old rows with the new holds exactly
-    /// the losses the terms would find, and the text refresh is the same
-    /// rule over the same rows; only [`UpdateReport::recomputed`] tells
-    /// them apart.
+    /// A commit takes the terms or — when a captured value predicate
+    /// flipped, or the PUL only deletes and the deletion rivals the view
+    /// (`rivalled_by`, from sizes the step already holds) — a
+    /// recomputation from the post-state, whose Δ is a merge of the old
+    /// rows with the new. [`UpdateReport::recomputed`] says which ran. On
+    /// a rivalling deletion the two agree bit for bit: a pure deletion
+    /// with no flip only loses bindings, so the merge holds exactly the
+    /// losses the Δ⁻ terms would find, and the text refresh is the same
+    /// rule over the same rows.
     ///
     /// Takes the document read-only: this phase only mutates the
     /// engine's own store and snowcaps, so a multi-view host runs the
@@ -343,22 +392,17 @@ impl MaintenanceEngine {
             return report;
         }
 
-        // Value-predicate flips (see `predflip`): when text changes
-        // under a predicate-carrying node, bindings can appear or
-        // vanish without structural change. Rare; handled exactly on a
-        // slower path that bypasses the snowcap shortcuts.
-        let flips = crate::predflip::diff(doc, &self.pattern, &pred_capture);
-        let flips_exist = flips.any();
-
-        // --- The recomputation arm: a pure, flip-free deletion that
-        // rivals the view is answered by `e_v` over the post-state, not by
-        // its Δ⁻ terms — before any Δ table is built.
-        if targets.is_empty() && !flips_exist {
-            if let Some(emptied) = self.rivalled_by(doc, apply_res) {
-                report.timings.compute_delta_tables = prep_time + start.elapsed();
-                self.recompute_deletion(doc, apply_res, emptied, &text_roots, &mut report);
-                return report;
-            }
+        // --- The recomputation arm, before any Δ table is built: a
+        // commit that flipped a value predicate (see `predflip`), or a
+        // pure deletion that rivals the view, is answered by `e_v` over
+        // the post-state, not by its terms.
+        let flipped = crate::predflip::flipped(doc, &self.pattern, &pred_capture);
+        let rivalled =
+            if flipped || !targets.is_empty() { None } else { self.rivalled_by(doc, apply_res) };
+        if flipped || rivalled.is_some() {
+            report.timings.compute_delta_tables = prep_time + start.elapsed();
+            self.recompute_commit(doc, apply_res, rivalled, &text_roots, &mut report);
+            return report;
         }
 
         // --- Compute Delta Tables: CD+ and the rest of CD−, both read
@@ -371,7 +415,7 @@ impl MaintenanceEngine {
         // nodes all fail their value predicate, or left again within
         // the PUL, or captured predicates none of which flipped. The
         // text tests also gate their passes one by one below.
-        if dplus.total_len() + dminus.total_len() == 0 && !(flips_exist || text_changed) {
+        if dplus.total_len() + dminus.total_len() == 0 && !text_changed {
             report.irrelevant = true;
             return report;
         }
@@ -388,17 +432,16 @@ impl MaintenanceEngine {
             self.term_tables.get_or_insert_with(|| TermTables::of(&self.pattern, &self.snowcaps));
         let full_order = &self.pattern.preorder();
 
-        let mut ctx = TermContext::new(doc, &self.pattern, apply_res, &flips);
+        let mut ctx = TermContext::new(doc, &self.pattern, apply_res);
         ctx.dynamic_pruning = self.dynamic_pruning;
         let minus = DeltaSide::Minus { tables: &dminus };
         let plus = DeltaSide::Plus { tables: &dplus, targets: &apply_res.insert_targets };
 
         // --- Update Lattice, part 1: every snowcap loses the bindings
         // of its own Δ⁻ terms, so the R-parts of every term below see
-        // the old surviving state. Under flips the snowcaps are rebuilt
-        // wholesale at the end instead.
+        // the old surviving state.
         let (_, t_lat1) = timed(|| {
-            if has_deletes && !flips_exist {
+            if has_deletes {
                 maintain_lattice(&ctx, &minus, &tables.snowcaps, &mut self.snowcaps);
             }
         });
@@ -418,26 +461,18 @@ impl MaintenanceEngine {
         report.timings.get_update_expression = t_expr;
 
         // --- Execute Update: evaluate terms and patch the store.
-        // Every patch is mirrored into `changes`, the commit's Δ. Under
-        // flips the materializations embed stale predicate truth: the
-        // R-parts come from the leaves alone. The text refresh comes
-        // last, over the rows the commit leaves: its weight-0 entries
-        // name tuples of the post-commit store, with their final text.
-        let mats: &[MaterializedSnowcap] = if flips_exist { &[] } else { &self.snowcaps };
+        // Every patch is mirrored into `changes`, the commit's Δ. The
+        // text refresh comes last, over the rows the commit leaves: its
+        // weight-0 entries name tuples of the post-commit store, with
+        // their final text.
         let mut changes = Vec::new();
         let (_, t_exec) = timed(|| {
             if has_deletes {
-                let lost = eval(&ctx, &minus, full_order, &del_terms, mats);
+                let lost = eval(&ctx, &minus, full_order, &del_terms, &self.snowcaps);
                 patch_store(store, &self.pattern, Sign::Minus, &lost, &mut report, &mut changes);
             }
-            if flips_exist {
-                for sign in [Sign::Minus, Sign::Plus] {
-                    let flipped = crate::predflip::bindings_by_flips(&ctx, sign);
-                    patch_store(store, &self.pattern, sign, &flipped, &mut report, &mut changes);
-                }
-            }
             if has_inserts {
-                let gained = eval(&ctx, &plus, full_order, &ins_terms, mats);
+                let gained = eval(&ctx, &plus, full_order, &ins_terms, &self.snowcaps);
                 patch_store(store, &self.pattern, Sign::Plus, &gained, &mut report, &mut changes);
             }
             if text_changed {
@@ -453,12 +488,8 @@ impl MaintenanceEngine {
         // --- Update Lattice, part 2: every snowcap gains the bindings
         // of its own Δ⁺ terms, and the text its rows carry for the view
         // is refreshed like the store's — a later commit's R-parts hand
-        // it to new tuples. Under flips, rebuild from scratch.
+        // it to new tuples.
         let (_, t_lat2) = timed(|| {
-            if flips_exist {
-                self.snowcaps = Self::rematerialized(doc, &self.pattern, &self.snowcaps);
-                return;
-            }
             if has_inserts {
                 maintain_lattice(&ctx, &plus, &tables.snowcaps, &mut self.snowcaps);
             }
@@ -511,30 +542,36 @@ impl MaintenanceEngine {
         rivals.then_some(hit == self.store.len())
     }
 
-    /// The recomputation arm of [`Self::finish`], for a pure, flip-free
-    /// deletion: the store is rebuilt by `e_v` over the post-state, and
-    /// the Δ is one merge of the old rows with the new — each key that
-    /// lost derivations at `c_new − c_old` (its old tuple moved into the
-    /// entry), each surviving row whose `val` / `cont` column lies at or
-    /// above a text root at weight 0 ([`refresh_text`]'s rule). Such a
-    /// deletion only loses bindings, and the snowcaps lose theirs by
+    /// The recomputation arm of [`Self::finish`]: the store is rebuilt by
+    /// `e_v` over the post-state, and the Δ is one merge of the old rows
+    /// with the new — each key that lost derivations at `c_new − c_old`
+    /// carrying its old tuple (moved into the entry), each key that
+    /// gained some at `c_new − c_old` carrying its new contents, and each
+    /// post-commit row whose `val` / `cont` column lies at or above a text
+    /// root at weight 0 ([`refresh_text`]'s rule). The counters follow
+    /// the merge, so they net a key's losses against its gains.
+    ///
+    /// `deletion` is `Some(emptied)` for a pure deletion that rivals the
+    /// view, `None` for a commit that flipped a predicate. Such a deletion
+    /// only loses bindings, and the snowcaps lose theirs by
     /// [`MaterializedSnowcap::remove_under`] — exact here — then have
-    /// their text refreshed: store, Δ, counters and snowcaps are those
-    /// of the Δ⁻ terms, bit for bit. A row binding a deleted node loses
-    /// every derivation, so when every row does (an empty view too) the
-    /// view is empty without evaluating anything.
-    fn recompute_deletion(
+    /// their text refreshed: store, Δ, counters and snowcaps are those of
+    /// the Δ⁻ terms, bit for bit. A row binding a deleted node loses every
+    /// derivation, so when every row does (`emptied`, an empty view too)
+    /// the view is empty without evaluating anything. After a flip the
+    /// snowcaps are evaluated afresh.
+    fn recompute_commit(
         &mut self,
         doc: &Document,
         apply_res: &ApplyResult,
-        emptied: bool,
+        deletion: Option<bool>,
         text_roots: &DeweyForest,
         report: &mut UpdateReport,
     ) {
         report.recomputed = true;
         let pattern = &self.pattern;
         let (_, t_exec) = timed(|| {
-            let fresh = if emptied { Vec::new() } else { view_tuples(doc, pattern) };
+            let fresh = if deletion == Some(true) { Vec::new() } else { view_tuples(doc, pattern) };
             let fresh = ViewStore::from_counted(pattern, fresh);
             let old = std::mem::replace(&mut self.store, Arc::new(fresh));
             let stored = pattern.stored_nodes();
@@ -543,24 +580,44 @@ impl MaintenanceEngine {
             let text = |t: &xivm_algebra::Tuple| {
                 cvn.iter().any(|&c| text_roots.has_descendant_or_self_root(&t.field(c).id))
             };
-            let (mut changes, mut kept) = (Vec::new(), self.store.cursor().peekable());
-            for (tuple, was) in Arc::unwrap_or_clone(old).into_rows() {
-                let now = kept.next_if(|(t, _)| t.doc_cmp(&tuple).is_eq());
-                let is = now.map_or(0, |(_, c)| c);
-                report.tuples_removed += usize::from(now.is_none());
-                report.derivations_removed += was - is;
-                if is < was {
+            let mut changes = Vec::new();
+            let mut old = Arc::unwrap_or_clone(old).into_rows().into_iter().peekable();
+            let mut new = self.store.cursor().peekable();
+            loop {
+                // One key per step: its old row, its new row, or both.
+                let order = match (old.peek(), new.peek()) {
+                    (Some((o, _)), Some((n, _))) => o.doc_cmp(n),
+                    (Some(_), None) => Ordering::Less,
+                    (None, Some(_)) => Ordering::Greater,
+                    (None, None) => break,
+                };
+                let gone = if order.is_le() { old.next() } else { None };
+                let now = if order.is_ge() { new.next() } else { None };
+                let (was, is) = (gone.as_ref().map_or(0, |(_, c)| *c), now.map_or(0, |(_, c)| c));
+                report.tuples_added += usize::from(was == 0);
+                report.tuples_removed += usize::from(is == 0);
+                if let Some((tuple, _)) = gone.filter(|_| is < was) {
+                    report.derivations_removed += was - is;
                     changes.push((tuple, is as i64 - was as i64));
                 }
-                if let Some((t, _)) = now.filter(|(t, _)| text(t)) {
-                    changes.push((t.clone(), 0));
+                let Some((tuple, _)) = now else { continue };
+                if is > was {
+                    report.derivations_added += is - was;
+                    changes.push((tuple.clone(), (is - was) as i64));
+                }
+                if text(tuple) {
+                    changes.push((tuple.clone(), 0));
                     report.tuples_modified += 1;
                 }
             }
-            debug_assert!(kept.next().is_none(), "a pure deletion gains no tuple");
+            debug_assert!(deletion.is_none() || report.derivations_added == 0, "a deletion gains");
             report.delta = Arc::new(ViewDelta::new(changes));
         });
         let (_, t_lat) = timed(|| {
+            if deletion.is_none() {
+                self.snowcaps = Self::rematerialized(doc, pattern, &self.snowcaps);
+                return;
+            }
             for m in &mut self.snowcaps {
                 m.remove_under(&apply_res.deleted);
                 refresh_text(m.rel.rows.iter_mut(), &m.nodes, doc, pattern, text_roots, |_| ());
@@ -983,6 +1040,13 @@ mod tests {
         assert!(!Arc::ptr_eq(&held, &engine.store_arc()));
     }
 
+    #[test]
+    fn strategy_names_are_stable() {
+        assert_eq!(SnowcapStrategy::MinimalChain.name(), "snowcaps");
+        assert_eq!(SnowcapStrategy::LeavesOnly.name(), "leaves");
+        assert_eq!(SnowcapStrategy::AllSnowcaps.name(), "all-snowcaps");
+    }
+
     const STRATEGIES: [SnowcapStrategy; 3] =
         [SnowcapStrategy::MinimalChain, SnowcapStrategy::LeavesOnly, SnowcapStrategy::AllSnowcaps];
 
@@ -1064,33 +1128,105 @@ mod tests {
     /// Figure 12-sized cases where the merge has the most to get right:
     /// `val` / `cont` columns above the deleted roots (weight-0 entries),
     /// a value predicate, nested text roots, counts that drop without
-    /// the tuple leaving — and a flipping predicate, which no force
-    /// sends to the recomputation.
+    /// the tuple leaving.
     #[test]
     fn both_arms_agree_on_small_documents() {
         let nested = "<r><a><a><b>x</b><c>y</c></a><b/><c>z</c></a><a><b/></a></r>";
         let cases = [
-            (FIG12, "//a{id}[//c{id}]//b{id}", "delete /a/f/c", true),
-            (FIG12, "//a{id}[//c{id}]//b{id}", "delete //b", true),
-            (FIG12, "//a{id,cont}[//b]", "delete //c", true),
-            (nested, "//a{id,cont}//b{id}", "delete //c", true),
-            (nested, "//a{id,val}[//b]", "delete //b", true),
-            (nested, "//r{id}//a{id,val}/b{id,cont}", "delete //a/a", true),
-            ("<a><b><c>x</c><d>z</d></b></a>", "//b{id,val}[//c{id,val}]", "delete //d", true),
-            (
-                "<r><a>5<b/></a><a>3<b/></a><t/></r>",
-                "//a{id,val}[val=\"5\"]//b{id}",
-                "delete //b",
-                true,
-            ),
-            ("<r><a>5<x>1</x><b/></a></r>", "//a{id}[val=\"5\"]//x", "delete //x", false),
+            (FIG12, "//a{id}[//c{id}]//b{id}", "delete /a/f/c"),
+            (FIG12, "//a{id}[//c{id}]//b{id}", "delete //b"),
+            (FIG12, "//a{id,cont}[//b]", "delete //c"),
+            (nested, "//a{id,cont}//b{id}", "delete //c"),
+            (nested, "//a{id,val}[//b]", "delete //b"),
+            (nested, "//r{id}//a{id,val}/b{id,cont}", "delete //a/a"),
+            ("<a><b><c>x</c><d>z</d></b></a>", "//b{id,val}[//c{id,val}]", "delete //d"),
+            ("<r><a>5<b/></a><a>3<b/></a><t/></r>", "//a{id,val}[val=\"5\"]//b{id}", "delete //b"),
         ];
-        for (doc_xml, pattern, stmt, recomputes) in cases {
+        for (doc_xml, pattern, stmt) in cases {
             let doc = parse_document(doc_xml).unwrap();
             let pattern = parse_pattern(pattern).unwrap();
             for strategy in STRATEGIES {
                 let (forced, _) = both_arms(&doc, &pattern, &pul_of(&doc, stmt), strategy);
-                assert_eq!(forced, recomputes, "{stmt} on {doc_xml}");
+                assert!(forced, "{stmt} on {doc_xml}");
+            }
+        }
+    }
+
+    /// A commit that flips a value predicate takes the recomputation
+    /// arm, whatever else its PUL does: flipped down or up by an insert,
+    /// up by a delete, under a `cont` column above the flipped node, in a
+    /// PUL that also inserts structure, and a key that loses a derivation
+    /// to the flip while gaining one from an insert (the Δ nets them).
+    /// Under every strategy: the store is a fresh engine's, the Δ (of the
+    /// length given) replays onto the held pre-commit store, the counters
+    /// are the net change, and the snowcaps are fresh ones row for row.
+    #[test]
+    fn a_flipped_predicate_recomputes_the_view() {
+        let two_as = "<r><c><a k=\"1\">5<b/></a><a>5<b/></a></c></r>";
+        let cases: [(&str, &str, &[&str], usize); 6] = [
+            ("<r><a>5<b/></a></r>", "//a{id}[val=\"5\"]//b{id}", &["insert <t>1</t> into //a"], 1),
+            (
+                "<r><a><b/></a></r>",
+                "//a{id,val}[val=\"5\"]//b{id}",
+                &["insert <t>5</t> into //a"],
+                1,
+            ),
+            ("<r><a>5<x>1</x><b/></a></r>", "//a{id}[val=\"5\"]//b{id}", &["delete //x"], 1),
+            // (c, b1) lost, (c, b2) kept with c's new content
+            (
+                two_as,
+                "//c{id,cont}//a[val=\"5\"]//b{id}",
+                &["insert <t>1</t> into //a[@k=\"1\"]"],
+                2,
+            ),
+            // the outer a's (a, b) lost, the inner a's gained
+            (
+                "<r><a>5<b/></a></r>",
+                "//a{id}[val=\"5\"]//b{id}",
+                &["insert <a>5<b/></a> into //a"],
+                2,
+            ),
+            // c loses the old a's derivation and gains the new one's
+            (
+                "<r><c><a>5</a></c></r>",
+                "//c{id}[//a[val=\"5\"]]",
+                &["insert <t>1</t> into //a", "insert <a>5</a> into //c"],
+                0,
+            ),
+        ];
+        for (doc_xml, pattern, stmts, entries) in cases {
+            let pattern = parse_pattern(pattern).unwrap();
+            for strategy in STRATEGIES {
+                let mut doc = parse_document(doc_xml).unwrap();
+                // statements on disjoint targets: one PUL, as a
+                // transaction's would be
+                let mut pul = Pul::default();
+                stmts.iter().for_each(|s| pul.ops.extend(pul_of(&doc, s).ops));
+                let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
+                engine.force_recompute = Some(false);
+                let held = engine.store_arc();
+                let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+                let what = format!("{stmts:?} on {doc_xml} under {strategy:?}");
+                assert!(report.recomputed && !report.irrelevant, "{what}");
+                assert_eq!(report.delta.len(), entries, "{what}");
+                let fresh = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
+                assert!(
+                    engine.store().identical_to(fresh.store()),
+                    "{what}:\n{}",
+                    engine.store().diff_description(fresh.store())
+                );
+                let mut replayed = (*held).clone();
+                report.delta.replay(&mut replayed);
+                assert!(replayed.identical_to(engine.store()), "{what}: the Δ replays");
+                let net = |store: &ViewStore| store.total_derivations() as i64;
+                let counted = report.derivations_added as i64 - report.derivations_removed as i64;
+                assert_eq!(counted, net(engine.store()) - net(&held), "{what}: net derivations");
+                let added = report.tuples_added as i64 - report.tuples_removed as i64;
+                assert_eq!(added, engine.store().len() as i64 - held.len() as i64, "{what}");
+                assert_eq!(engine.snowcaps().len(), fresh.snowcaps().len());
+                for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
+                    assert_eq!(m.rel.rows, f.rel.rows, "{what} {:?}", m.nodes);
+                }
             }
         }
     }

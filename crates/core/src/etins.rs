@@ -122,21 +122,6 @@ pub fn eval_term<'a>(
     }
 }
 
-/// Evaluates a list of terms from their leaves alone (no snowcap) and
-/// accumulates their bindings into one bag relation over
-/// `subset_preorder` columns.
-pub fn eval_terms<'a>(
-    pattern: &TreePattern,
-    subset_preorder: &[PatternNodeId],
-    terms: &[Term],
-    r_leaf: Leaf<'a, '_>,
-    delta_leaf: Leaf<'a, '_>,
-) -> Relation {
-    bag_union(
-        terms.iter().map(|t| eval_term(pattern, subset_preorder, t, None, r_leaf, delta_leaf)),
-    )
-}
-
 /// The bag union of same-schema relations (empty ones, whatever their
 /// schema, contribute nothing).
 pub fn bag_union(relations: impl Iterator<Item = Relation>) -> Relation {
@@ -154,16 +139,155 @@ pub fn bag_union(relations: impl Iterator<Item = Relation>) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snowcap::{enumerate_snowcaps, is_snowcap};
     use xivm_pattern::compile::{canonical_relation, relation_from_nodes};
     use xivm_pattern::parse_pattern;
     use xivm_xml::parse_document;
+
+    // --- The reference expansion (Sections 3.1 and 4.1). Distributing
+    // the view's joins over `R_a ∪ Δ⁺_a` (insertions) or `R_a \ Δ⁻_a`
+    // (deletions) produces `2^k` terms; dropping the pure-R term (the
+    // view itself) leaves `2^k − 1` maintenance terms, of which the
+    // update-independent prunings (Propositions 3.3 / 4.2) keep
+    // `surviving_terms` — what `subset_terms` enumerates directly.
+
+    /// Builds a term from its Δ-node set.
+    fn term_of(nodes: impl IntoIterator<Item = PatternNodeId>) -> Term {
+        Term::new(nodes.into_iter().collect())
+    }
+
+    /// The `R`-bound nodes, in pattern pre-order (the `t_R`
+    /// sub-expression of Proposition 3.12).
+    fn r_part(t: &Term, pattern: &TreePattern) -> Vec<PatternNodeId> {
+        pattern.preorder().into_iter().filter(|&n| !t.is_delta(n)).collect()
+    }
+
+    /// True iff the Δ-set is *descendant-closed*: every pattern child of
+    /// a Δ-node is also a Δ-node. Equivalently, the R-part is a snowcap
+    /// (Proposition 3.12) — terms violating this are pruned by
+    /// Proposition 3.3 (insertions) / Proposition 4.2 (deletions),
+    /// because XQuery updates add or remove whole subtrees.
+    fn is_delta_descendant_closed(t: &Term, pattern: &TreePattern) -> bool {
+        let closed = |n: &PatternNodeId| pattern.node(*n).children.iter().all(|&c| t.is_delta(c));
+        t.delta_nodes().iter().all(closed)
+    }
+
+    /// All `2^k − 1` maintenance terms (every non-empty Δ-node subset),
+    /// before any pruning.
+    fn all_terms(pattern: &TreePattern) -> Vec<Term> {
+        let nodes: Vec<PatternNodeId> = pattern.preorder();
+        let k = nodes.len();
+        assert!(k < 31, "term expansion is exponential; view too large");
+        let mut out: Vec<Term> = (1u32..(1 << k))
+            .map(|mask| {
+                let delta = nodes.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0);
+                term_of(delta.map(|(_, &n)| n))
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The terms surviving the update-independent pruning: Δ-sets closed
+    /// under pattern descendants (Proposition 3.3 for insertions,
+    /// Proposition 4.2 for deletions — the criterion is the same because
+    /// both XQuery insertion and deletion move whole subtrees).
+    fn surviving_terms(pattern: &TreePattern) -> Vec<Term> {
+        all_terms(pattern).into_iter().filter(|t| is_delta_descendant_closed(t, pattern)).collect()
+    }
+
+    #[test]
+    fn expansion_counts() {
+        let p = parse_pattern("//a//b//c").unwrap();
+        assert_eq!(all_terms(&p).len(), 7, "2^3 - 1");
+        // chain: surviving Δ-sets are suffixes {c}, {b,c}, {a,b,c}
+        assert_eq!(surviving_terms(&p).len(), 3);
+    }
+
+    /// Example 3.2: for v1 = //a//b//c only RaRbΔc, RaΔbΔc and
+    /// ΔaΔbΔc survive.
+    #[test]
+    fn example_3_2_surviving_terms() {
+        let p = parse_pattern("//a//b//c").unwrap();
+        let surv = surviving_terms(&p);
+        let mut sizes: Vec<usize> = surv.iter().map(|t| t.delta_count()).collect();
+        sizes.sort();
+        assert_eq!(sizes, vec![1, 2, 3]);
+        // the singleton Δ must be c (node 2)
+        let singleton = surv.iter().find(|t| t.delta_count() == 1).unwrap();
+        assert!(singleton.is_delta(PatternNodeId(2)));
+    }
+
+    /// Proposition 3.12: surviving terms ↔ proper snowcaps ∪ {∅}.
+    #[test]
+    fn surviving_terms_biject_with_snowcaps() {
+        for pat in ["//a//b//c", "//a[//b//c]//d", "//a[//b][//c]//d", "//a"] {
+            let p = parse_pattern(pat).unwrap();
+            let surv = surviving_terms(&p);
+            // snowcaps exclude ∅ but include the full pattern; terms
+            // exclude the full-R term but include all-Δ. Counts match.
+            assert_eq!(surv.len(), enumerate_snowcaps(&p).len(), "{pat}");
+            // and each survivor's R-part is a snowcap or empty
+            for t in &surv {
+                let r = r_part(t, &p);
+                if !r.is_empty() {
+                    assert!(is_snowcap(&p, &r.iter().copied().collect()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_node_view() {
+        let p = parse_pattern("//a{id}").unwrap();
+        assert_eq!(all_terms(&p).len(), 1);
+        assert_eq!(surviving_terms(&p).len(), 1);
+    }
+
+    fn ids(v: &[usize]) -> BTreeSet<PatternNodeId> {
+        v.iter().map(|&i| PatternNodeId(i)).collect()
+    }
+
+    #[test]
+    fn descendant_closure_on_chain() {
+        // //a//b//c : nodes 0,1,2
+        let p = parse_pattern("//a//b//c").unwrap();
+        let closed = |v: &[usize]| is_delta_descendant_closed(&Term::new(ids(v)), &p);
+        assert!(closed(&[2]));
+        assert!(closed(&[1, 2]));
+        assert!(closed(&[0, 1, 2]));
+        // Δ_a R_b violates the XQuery-update semantics (Prop 3.3)
+        assert!(!closed(&[0]));
+        assert!(!closed(&[1]));
+        assert!(!closed(&[0, 2]));
+    }
+
+    #[test]
+    fn descendant_closure_on_branching() {
+        // //a[//b//c]//d : 0=a,1=b,2=c,3=d
+        let p = parse_pattern("//a[//b//c]//d").unwrap();
+        let closed = |v: &[usize]| is_delta_descendant_closed(&Term::new(ids(v)), &p);
+        assert!(closed(&[3]));
+        assert!(closed(&[2, 3]));
+        assert!(closed(&[1, 2]));
+        assert!(!closed(&[1, 3]), "b without c");
+    }
+
+    #[test]
+    fn r_part_complements_delta_in_preorder() {
+        let p = parse_pattern("//a[//b//c]//d").unwrap();
+        let t = Term::new(ids(&[2, 3]));
+        let names: Vec<_> = r_part(&t, &p).iter().map(|&n| p.node(n).name.clone()).collect();
+        assert_eq!(names, vec!["a", "b"]);
+        assert_eq!(t.delta_count(), 2);
+    }
 
     #[test]
     fn subset_terms_on_full_pattern_match_expand() {
         let p = parse_pattern("//a[//b//c]//d").unwrap();
         let full: BTreeSet<_> = p.node_ids().collect();
         let got = subset_terms(&p, &full);
-        let expected = crate::expand::surviving_terms(&p);
+        let expected = surviving_terms(&p);
         assert_eq!(got, expected);
     }
 
@@ -185,13 +309,13 @@ mod tests {
         for text in ["//a[//b//c]//d", "//a[//b][//c]//d", "//a[//b[//x]//c]//d//e", "//a"] {
             let p = parse_pattern(text).unwrap();
             let full: BTreeSet<_> = p.node_ids().collect();
-            assert_eq!(subset_terms(&p, &full), crate::expand::surviving_terms(&p), "{text}");
+            assert_eq!(subset_terms(&p, &full), surviving_terms(&p), "{text}");
         }
         let chain = parse_pattern(&"//a".repeat(MAX_TERM_NODES)).unwrap();
         let full: BTreeSet<_> = chain.node_ids().collect();
         let terms = subset_terms(&chain, &full);
         assert_eq!(terms.len(), MAX_TERM_NODES);
-        assert!(terms.iter().all(|t| t.is_delta_descendant_closed(&chain)));
+        assert!(terms.iter().all(|t| is_delta_descendant_closed(t, &chain)));
     }
 
     #[test]
@@ -227,7 +351,7 @@ mod tests {
         };
         let mat = MaterializedSnowcap { nodes: ab, rel: ab_rel };
         // term Δ{c}: R-part {a,b} should come from the materialization
-        let term = Term::from_iter([PatternNodeId(2)]);
+        let term = term_of([PatternNodeId(2)]);
         let r_calls = std::cell::Cell::new(0);
         let rel = eval_term(
             &p,
@@ -245,20 +369,20 @@ mod tests {
     }
 
     #[test]
-    fn eval_terms_accumulates() {
+    fn bag_union_accumulates_terms() {
         let d = parse_document("<a><b/><b/></a>").unwrap();
         let p = parse_pattern("//a{id}//b{id}").unwrap();
         let order = p.preorder();
         let full: BTreeSet<_> = order.iter().copied().collect();
         let terms = subset_terms(&p, &full); // Δ{b}, Δ{a,b}
-        let canonical = |n| Cow::Owned(canonical_relation(&d, &p, n));
-        let rel = eval_terms(&p, &order, &terms, &canonical, &canonical);
+        let canonical = |n| -> Cow<'static, Relation> { Cow::Owned(canonical_relation(&d, &p, n)) };
+        let eval_all = |delta_leaf: Leaf<'static, '_>| {
+            bag_union(terms.iter().map(|t| eval_term(&p, &order, t, None, &canonical, delta_leaf)))
+        };
         // Δ{b}: 2 bindings; Δ{a,b}: 2 bindings — bag accumulation
-        assert_eq!(rel.len(), 4);
+        assert_eq!(eval_all(&canonical).len(), 4);
         // empty delta leaf kills terms
-        let empty = eval_terms(&p, &order, &terms, &canonical, &|n| {
-            Cow::Owned(relation_from_nodes(&d, &p, n, &[], true))
-        });
+        let empty = eval_all(&|n| Cow::Owned(relation_from_nodes(&d, &p, n, &[], true)));
         assert!(empty.is_empty());
     }
 }

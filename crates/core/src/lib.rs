@@ -6,21 +6,20 @@
 //! transforms the materialized `v(d)` into `v(d')` without
 //! recomputation:
 //!
-//! * [`term`] / [`expand`] — the `2^k − 1` union (resp. difference)
-//!   terms obtained by distributing joins over `R ∪ Δ⁺` (`R \ Δ⁻`),
-//!   Sections 3.1 / 4.1 ([`expand`] is the reference the engine's
-//!   [`etins::subset_terms`] is tested against);
-//! * [`snowcap`] / [`strategy`] — snowcap enumeration over the
-//!   sub-pattern lattice (Definition 3.11) and materialization
-//!   strategies (Section 3.5 / experiment 6.7);
-//! * [`etins`] — term enumeration (Propositions 3.3 / 4.2) and bulk
-//!   term evaluation with structural joins (Algorithm 3 and its
-//!   deletion counterpart);
+//! * [`term`] — the union (resp. difference) terms obtained by
+//!   distributing joins over `R ∪ Δ⁺` (`R \ Δ⁻`), Sections 3.1 / 4.1;
+//! * [`snowcap`] — snowcap enumeration over the sub-pattern lattice
+//!   (Definition 3.11); the materialization strategies (Section 3.5 /
+//!   experiment 6.7) are [`engine::SnowcapStrategy`];
+//! * [`etins`] — term enumeration (Propositions 3.3 / 4.2, tested
+//!   against the full `2^k − 1` expansion) and term evaluation with
+//!   structural joins (Algorithm 3 and its deletion counterpart);
 //! * [`propagate`] — the signed Δ pipeline: the four propagation
 //!   algorithms (Algorithms 1, 4, 5, 6) as one term pipeline with a
 //!   [`propagate::DeltaSide`] (Propositions 3.6, 3.8 / 4.7) and one
 //!   text-refresh pass, over one cache of old-state leaves;
-//! * [`predflip`] — value-predicate flips, exact on the same leaves;
+//! * [`predflip`] — whether a commit flipped a value predicate, which
+//!   sends it to the engine's recomputation arm;
 //! * [`view_store`] — the materialized view with derivation counts;
 //! * [`engine`] — the end-to-end [`engine::MaintenanceEngine`] with the
 //!   per-phase [`timing::Timings`] breakdown reported in Section 6;
@@ -56,7 +55,6 @@ pub mod engine;
 pub mod error;
 pub mod etins;
 mod executor;
-pub mod expand;
 #[cfg(any(test, feature = "fault-inject"))]
 pub mod fault;
 pub mod multiview;
@@ -66,7 +64,6 @@ pub mod propagate;
 pub mod service;
 pub mod snapshot;
 pub mod snowcap;
-pub mod strategy;
 pub mod subscribe;
 pub mod term;
 pub mod timing;
@@ -74,12 +71,11 @@ pub mod view_store;
 
 pub use commit::{Commit, ViewDelta};
 pub use database::{Database, DatabaseBuilder, MaintenanceMode, Transaction, ViewHandle};
-pub use engine::{MaintenanceEngine, PreparedUpdate, UpdateReport};
+pub use engine::{MaintenanceEngine, PreparedUpdate, SnowcapStrategy, UpdateReport};
 pub use error::Error;
 pub use multiview::MultiViewEngine;
 pub use service::Ticket;
 pub use snapshot::DatabaseSnapshot;
-pub use strategy::SnowcapStrategy;
 pub use subscribe::{DeltaEvent, FeedEvent, Lagged, SlowConsumerPolicy, Subscription};
 pub use term::Term;
 pub use timing::Timings;

@@ -15,11 +15,10 @@
 //! the whole discipline) this module takes one: the pre-image of a
 //! step, only when the caller has a reader for it.
 
-use crate::engine::{MaintenanceEngine, UpdateReport};
+use crate::engine::{MaintenanceEngine, SnowcapStrategy, UpdateReport};
 use crate::error::Error;
 use crate::executor::{plan_single, CommitPlan};
 use crate::parallel;
-use crate::strategy::SnowcapStrategy;
 use crate::timing::timed;
 use std::borrow::Cow;
 use std::collections::HashMap;

@@ -10,27 +10,15 @@
 //! workloads never flip predicates); handling it is required for the
 //! engine to be *exact* on the full dialect.
 //!
-//! The treatment stays bulk-algebraic:
-//!
-//! * before the PUL is applied, predicate truth is captured for every
-//!   predicate-labeled node on the ancestor chains of the update
-//!   targets ([`capture`]);
-//! * after application, the surviving captured nodes are re-checked;
-//!   the differences form the flip sets F↑ / F↓ ([`diff`]);
-//! * lost bindings (old-valid, no deleted node, ≥1 F↓ node) and gained
-//!   bindings (now-valid, no inserted node, ≥1 F↑ node) are computed
-//!   with the same term evaluator and old-state leaves as the Δ
-//!   pipeline ([`crate::propagate`]), partitioning by
-//!   *which* predicate positions bind flipped nodes so the term bags
-//!   stay disjoint and derivation counts exact.
+//! Two steps bracket the PUL: before it is applied, predicate truth is
+//! captured for every predicate-labeled node on the ancestor chains of
+//! the update targets ([`capture`]); after, the surviving captured
+//! nodes are re-checked ([`flipped`]). A flip is rare — no benchmark
+//! workload makes one — so the engine answers a commit with one by
+//! recomputing the view from the post-state
+//! ([`crate::engine::MaintenanceEngine::finish`]), exact on any PUL.
 
-use crate::etins::eval_terms;
-use crate::propagate::{Sign, TermContext, Truth};
-use crate::term::Term;
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-use xivm_algebra::Relation;
-use xivm_pattern::compile::relation_from_nodes;
+use std::collections::HashSet;
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::Pul;
 use xivm_xml::{Document, NodeId, NodeKind};
@@ -38,22 +26,6 @@ use xivm_xml::{Document, NodeId, NodeKind};
 /// Pre-update predicate truth for `(pattern node, document node)`
 /// pairs on the update targets' ancestor chains.
 pub type PredCapture = Vec<(PatternNodeId, NodeId, bool)>;
-
-/// The flip sets of one update. A pattern node has an entry only when
-/// at least one of its document nodes flipped.
-#[derive(Debug, Default)]
-pub struct Flips {
-    /// false → true (per predicate-carrying pattern node).
-    pub up: HashMap<PatternNodeId, Vec<NodeId>>,
-    /// true → false.
-    pub down: HashMap<PatternNodeId, Vec<NodeId>>,
-}
-
-impl Flips {
-    pub fn any(&self) -> bool {
-        !self.up.is_empty() || !self.down.is_empty()
-    }
-}
 
 /// Captures predicate truth on the ancestor-or-self chains of every
 /// update target (for deletions: of the target's parent — the target
@@ -99,52 +71,14 @@ pub fn capture(doc: &Document, pattern: &TreePattern, pul: &Pul) -> PredCapture 
     out
 }
 
-/// Re-checks the captured nodes against the updated document and
-/// returns the flip sets (deleted nodes are skipped — structural
-/// removal is PDDT's business).
-pub fn diff(doc: &Document, pattern: &TreePattern, captured: &PredCapture) -> Flips {
-    let mut flips = Flips::default();
-    for &(p, n, was) in captured {
-        if !doc.is_alive(n) {
-            continue;
-        }
+/// Did a captured predicate change its truth under the applied PUL?
+/// Re-checks the captured nodes against the updated document (deleted
+/// nodes are skipped — structural removal is the Δ⁻ terms' business).
+pub fn flipped(doc: &Document, pattern: &TreePattern, captured: &PredCapture) -> bool {
+    captured.iter().any(|&(p, n, was)| {
         let pred = pattern.node(p).val_pred.as_deref().expect("captured nodes carry predicates");
-        let now = doc.value(n) == pred;
-        if was && !now {
-            flips.down.entry(p).or_default().push(n);
-        } else if !was && now {
-            flips.up.entry(p).or_default().push(n);
-        }
-    }
-    flips
-}
-
-/// Bindings lost (`Minus`) or gained (`Plus`) *purely by predicate
-/// flips*, entirely over surviving old nodes: old-valid and using ≥1
-/// F↓ node, resp. now-valid and using ≥1 F↑ node. Columns in pattern
-/// pre-order.
-pub fn bindings_by_flips(ctx: &TermContext<'_>, sign: Sign) -> Relation {
-    let gained = sign == Sign::Plus;
-    let table = if gained { &ctx.flips.up } else { &ctx.flips.down };
-    let positions: Vec<PatternNodeId> = table.keys().copied().collect();
-    // All non-empty subsets of flipped positions; bindings are
-    // partitioned by exactly which positions bind flipped nodes.
-    let terms: Vec<Term> = (1u32..(1 << positions.len()))
-        .map(|mask| {
-            Term::from_iter(
-                positions.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0).map(|(_, &p)| p),
-            )
-        })
-        .collect();
-    eval_terms(
-        ctx.pattern,
-        &ctx.pattern.preorder(),
-        &terms,
-        &|n| Cow::Borrowed(ctx.old_leaf(n, Truth::Stayed, None)),
-        // F↑ nodes satisfy the predicate now, so the standard builder
-        // keeps them; F↓ nodes fail it now and bypass the filter.
-        &|p| Cow::Owned(relation_from_nodes(ctx.doc, ctx.pattern, p, &table[&p], gained)),
-    )
+        doc.is_alive(n) && (doc.value(n) == pred) != was
+    })
 }
 
 #[cfg(test)]
@@ -155,7 +89,7 @@ mod tests {
     use xivm_xml::parse_document;
 
     #[test]
-    fn capture_and_diff_detect_a_flip() {
+    fn capture_and_flipped_detect_a_flip() {
         let mut doc = parse_document("<r><a><d>5</d></a></r>").unwrap();
         let p = parse_pattern("//a{id}[//d[val=\"5\"]]//b{id}").unwrap();
         let stmt = UpdateStatement::insert("//d", "<d>5</d>").unwrap();
@@ -164,10 +98,7 @@ mod tests {
         assert_eq!(cap.len(), 1, "the outer d is on the target chain");
         assert!(cap[0].2, "outer d satisfied [val=5] before");
         apply_pul(&mut doc, &pul).unwrap();
-        let flips = diff(&doc, &p, &cap);
-        assert!(flips.any());
-        let d_node = p.preorder()[1];
-        assert_eq!(flips.down.get(&d_node).map(Vec::len), Some(1), "value became 55");
+        assert!(flipped(&doc, &p, &cap), "value became 55");
     }
 
     #[test]

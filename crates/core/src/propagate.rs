@@ -56,16 +56,18 @@
 //! the largest covering snowcap) is read off its inputs in [`eval`]:
 //! prefix sets win while |Δ| is small against the relations the merge
 //! would scan, one linear pass wins when a bulk update's Δ rivals
-//! them. Under predicate flips only whole leaves carry the [`Truth`]
-//! corrections, so every term takes them.
+//! them.
+//!
+//! A commit that flips a value predicate never reaches this pipeline:
+//! the engine recomputes the view instead ([`crate::predflip`]), so
+//! every old-state leaf holds one predicate truth — the nodes' truth
+//! now, which was their truth before.
 
 use crate::etins::{bag_union, eval_term};
-use crate::predflip::Flips;
 use crate::snowcap::{best_cover, MaterializedSnowcap};
 use crate::term::Term;
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::HashSet;
 use std::sync::Arc;
 use xivm_algebra::{Relation, Tuple};
 use xivm_pattern::compile::{canonical_node_ids, relation_from_nodes};
@@ -107,22 +109,6 @@ impl PruneStats {
     }
 }
 
-/// Which predicate truth an old-state leaf reflects. The three differ
-/// only on nodes whose value predicate flipped under this update (see
-/// [`crate::predflip`]); everywhere else they are one relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Truth {
-    /// Old nodes satisfying the predicate now — the R-parts of
-    /// insertion terms.
-    Now,
-    /// Satisfying it both before and now (`Now \ F↑`) — the R-parts of
-    /// the flip terms.
-    Stayed,
-    /// Satisfying it before (`Stayed ∪ F↓`) — the R-parts of deletion
-    /// terms, so they lose exactly the bindings the old view held.
-    Before,
-}
-
 /// Everything one view's propagation of one PUL needs to see, both
 /// directions: built once per [`finish`], it also owns the commit's
 /// cache of old-state R-leaves.
@@ -134,81 +120,54 @@ pub struct TermContext<'a> {
     /// The applied PUL: the nodes it created are excluded from the
     /// R-leaves so old-state semantics hold (also under mixed PULs).
     pub applied: &'a ApplyResult,
-    pub flips: &'a Flips,
     /// Ablation switch for the dynamic prunings, Δ-emptiness and ID
     /// reasoning together (Section 6.8 studies the win of dynamic
     /// reasoning).
     pub dynamic_pruning: bool,
     /// The commit's one cache of old-state leaves. Per pattern node a
     /// row of slots, allocated when the node's first leaf is asked for
-    /// (a term touches a few nodes of a large view): the whole leaf
-    /// with no / F↑ / F↑ and F↓ corrections applied, then per direction
-    /// and Δ anchor (`2k` slots) the part of it that anchor's Δ can
-    /// reach.
+    /// (a term touches a few nodes of a large view): the whole leaf,
+    /// then per direction and Δ anchor (`2k` slots) the part of it that
+    /// anchor's Δ can reach.
     leaves: Vec<OnceCell<Vec<OnceCell<Relation>>>>,
 }
 
 impl<'a> TermContext<'a> {
-    pub fn new(
-        doc: &'a Document,
-        pattern: &'a TreePattern,
-        applied: &'a ApplyResult,
-        flips: &'a Flips,
-    ) -> Self {
+    pub fn new(doc: &'a Document, pattern: &'a TreePattern, applied: &'a ApplyResult) -> Self {
         TermContext {
             doc,
             pattern,
             applied,
-            flips,
             dynamic_pruning: true,
             leaves: vec![OnceCell::new(); pattern.len()],
         }
     }
 
     /// The old-state R-leaf of `n`: its current canonical relation
-    /// minus same-PUL insertions, minus F↑ unless `truth` is `Now`,
-    /// plus F↓ when it is `Before`. Built once per commit; a node no
-    /// flip touches has a single old state, whatever `truth` asks.
+    /// minus same-PUL insertions, built once per commit.
     ///
-    /// With `reach = (side, anchor)` — only asked for when nothing
-    /// flipped — the leaf holds just the candidates a term anchored at
-    /// Δ_`anchor` can bind at `n` (`Self::reachable`), built the same
-    /// way from fewer nodes.
+    /// With `reach = (side, anchor)` the leaf holds just the candidates a
+    /// term anchored at Δ_`anchor` can bind at `n` (`Self::reachable`),
+    /// built the same way from fewer nodes.
     pub fn old_leaf(
         &self,
         n: PatternNodeId,
-        truth: Truth,
         reach: Option<(&DeltaSide<'_>, PatternNodeId)>,
     ) -> &Relation {
-        let up = self.flips.up.get(&n).filter(|_| truth != Truth::Now);
-        let down = self.flips.down.get(&n).filter(|_| truth == Truth::Before);
-        let slot = match reach {
-            None => usize::from(up.is_some()) + usize::from(down.is_some()),
-            Some((side, anchor)) => {
-                debug_assert!(!self.flips.any(), "reach leaves carry no flip corrections");
-                let direction = usize::from(matches!(side, DeltaSide::Minus { .. }));
-                3 + direction * self.pattern.len() + anchor.index()
-            }
-        };
+        let slot = reach.map_or(0, |(side, anchor)| {
+            let direction = usize::from(matches!(side, DeltaSide::Minus { .. }));
+            1 + direction * self.pattern.len() + anchor.index()
+        });
         let row = self.leaves[n.index()]
-            .get_or_init(|| vec![OnceCell::new(); 3 + 2 * self.pattern.len()]);
+            .get_or_init(|| vec![OnceCell::new(); 1 + 2 * self.pattern.len()]);
         row[slot].get_or_init(|| {
-            let up: HashSet<NodeId> = up.into_iter().flatten().copied().collect();
             let candidates = match reach {
                 None => canonical_node_ids(self.doc, self.pattern, n),
                 Some((side, anchor)) => self.reachable(n, side, anchor),
             };
-            let ids: Vec<NodeId> = candidates
-                .into_iter()
-                .filter(|id| !self.applied.created(*id) && !up.contains(id))
-                .collect();
-            let mut rel = relation_from_nodes(self.doc, self.pattern, n, &ids, true);
-            if let Some(down) = down {
-                // F↓ nodes fail the predicate now: bypass the filter.
-                rel.rows.extend(relation_from_nodes(self.doc, self.pattern, n, down, false).rows);
-                rel.sort_by_col(0);
-            }
-            rel
+            let ids: Vec<NodeId> =
+                candidates.into_iter().filter(|id| !self.applied.created(*id)).collect();
+            relation_from_nodes(self.doc, self.pattern, n, &ids, true)
         })
     }
 
@@ -259,7 +218,7 @@ impl<'a> TermContext<'a> {
             return out;
         }
         let parent = self.pattern.node(n).parent.expect("the root is above every Δ anchor");
-        let parents = self.old_leaf(parent, Truth::Now, Some((side, anchor)));
+        let parents = self.old_leaf(parent, Some((side, anchor)));
         let below = DeweyForest::new(parents.rows.iter().map(|t| t.field(0).id.clone()).collect());
         let Some(label) = label else {
             let elements = canonical_node_ids(doc, self.pattern, n);
@@ -345,14 +304,6 @@ impl DeltaSide<'_> {
         let largest = nodes.iter().map(|&n| self.prefixes(n)).max().unwrap_or(0);
         largest * nodes.len() * PREFIX_COST <= rows
     }
-
-    /// The truth the R-parts of this side's terms reflect.
-    fn truth(&self) -> Truth {
-        match self {
-            DeltaSide::Plus { .. } => Truth::Now,
-            DeltaSide::Minus { .. } => Truth::Before,
-        }
-    }
 }
 
 /// "Get Update Expression": the terms of `table` — the engine's
@@ -416,8 +367,7 @@ const PREFIX_COST: usize = 8;
 /// tuples make prefix sets dearer than one linear pass. Both arms carry
 /// an end-to-end metric (CHANGES.md, PR 16): forcing reach costs
 /// `bulk_catalog` 11 % of `commit_p50_us`, forcing the merge costs
-/// `point_large` 87 %. Under predicate flips only whole leaves carry
-/// the [`Truth`] corrections, so every term merges.
+/// `point_large` 87 %.
 pub fn eval(
     ctx: &TermContext<'_>,
     side: &DeltaSide<'_>,
@@ -438,7 +388,7 @@ pub fn eval(
             })
             .chain(cover.map(|m| m.rel.len()))
             .max();
-        let reach = !ctx.flips.any() && merged.is_some_and(|m| prefixes * PREFIX_COST <= m);
+        let reach = merged.is_some_and(|m| prefixes * PREFIX_COST <= m);
         eval_one(ctx, side, subset_preorder, term, cover, reach)
     }))
 }
@@ -457,7 +407,7 @@ pub(crate) fn eval_one(
 ) -> Relation {
     let (reach, cover) =
         if reach { (Some((side, side.anchor(term))), None) } else { (None, cover) };
-    let r_leaf = |n| Cow::Borrowed(ctx.old_leaf(n, side.truth(), reach));
+    let r_leaf = |n| Cow::Borrowed(ctx.old_leaf(n, reach));
     let delta_leaf = |n| Cow::Borrowed(side.relation(n));
     eval_term(ctx.pattern, subset_preorder, term, cover, &r_leaf, &delta_leaf)
 }
@@ -553,8 +503,7 @@ mod tests {
     /// direction. Every surviving term is evaluated on both arms —
     /// whole leaves and reach leaves — and the two bags must be equal.
     fn run(a: &Applied, sign: Sign, pruning: bool) -> (Relation, Vec<Term>, PruneStats) {
-        let flips = Flips::default();
-        let mut ctx = TermContext::new(&a.doc, &a.pattern, &a.res, &flips);
+        let mut ctx = TermContext::new(&a.doc, &a.pattern, &a.res);
         ctx.dynamic_pruning = pruning;
         let dplus = DeltaPlus::compute(&a.doc, &a.pattern, &a.res);
         let side = match sign {
@@ -741,10 +690,9 @@ mod tests {
     #[test]
     fn arm_follows_delta_size() {
         let big = format!("<r><a><b k=\"1\"/>{}</a></r>", "<b/>".repeat(199));
-        let flips = Flips::default();
         let built_whole = |stmt: &str| {
             let a = apply(&big, stmt, "//a{id}//b{id}//c{id}");
-            let ctx = TermContext::new(&a.doc, &a.pattern, &a.res, &flips);
+            let ctx = TermContext::new(&a.doc, &a.pattern, &a.res);
             let dplus = DeltaPlus::compute(&a.doc, &a.pattern, &a.res);
             let side = DeltaSide::Plus { tables: &dplus, targets: &a.res.insert_targets };
             let order = a.pattern.preorder();
@@ -764,11 +712,9 @@ mod tests {
     /// against its rows.
     #[test]
     fn snowcap_prune_arms_agree_and_follow_delta_size() {
-        use crate::engine::MaintenanceEngine;
-        use crate::strategy::SnowcapStrategy;
+        use crate::engine::{MaintenanceEngine, SnowcapStrategy};
         let big = format!("<r><a><b k=\"1\"/>{}</a></r>", "<b/>".repeat(199));
         let pattern = "//a{id}//b{id}//c{id}";
-        let flips = Flips::default();
         for (stmt, by_delta, left) in
             [("delete //b[@k=\"1\"]", true, 199), ("delete //b", false, 0)]
         {
@@ -778,7 +724,7 @@ mod tests {
                 MaintenanceEngine::new(&old, a.pattern.clone(), SnowcapStrategy::MinimalChain);
             let [smaller @ .., ab] = engine.snowcaps() else { panic!("the chain a, ab") };
             assert_eq!(ab.rel.len(), 200);
-            let ctx = TermContext::new(&a.doc, &a.pattern, &a.res, &flips);
+            let ctx = TermContext::new(&a.doc, &a.pattern, &a.res);
             let side = DeltaSide::Minus { tables: &a.dminus };
             assert_eq!(side.small_against(&ab.nodes, ab.rel.len()), by_delta, "{stmt}");
             let table = subset_terms(&a.pattern, &ab.nodes.iter().copied().collect());

@@ -444,9 +444,9 @@ impl SubscriptionRegistry {
 
     /// Number of live (not yet cancelled or policy-disconnected)
     /// subscriptions. This is exactly the fan-out the next commit
-    /// pays — a pipelined host records commits strictly in sequence
-    /// order, so an unsubscribe between two overlapped commits takes
-    /// effect at the next sealed commit, never mid-stream.
+    /// pays — commits are sealed one at a time, in sequence order, so
+    /// an unsubscribe takes effect at the next sealed commit, never
+    /// mid-stream.
     pub(crate) fn live(&self) -> usize {
         self.subs.values().filter(|q| !q.disconnected()).count()
     }

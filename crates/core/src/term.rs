@@ -20,12 +20,6 @@ impl Term {
         Term { delta }
     }
 
-    /// Builds a term from its Δ-node set.
-    #[allow(clippy::should_implement_trait)] // deliberate: bare collect() would hide the Δ semantics
-    pub fn from_iter(nodes: impl IntoIterator<Item = PatternNodeId>) -> Self {
-        Term { delta: nodes.into_iter().collect() }
-    }
-
     /// The Δ-bound nodes.
     pub fn delta_nodes(&self) -> &BTreeSet<PatternNodeId> {
         &self.delta
@@ -38,21 +32,6 @@ impl Term {
 
     pub fn is_delta(&self, n: PatternNodeId) -> bool {
         self.delta.contains(&n)
-    }
-
-    /// The `R`-bound nodes, in pattern pre-order (this is the `t_R`
-    /// sub-expression of Proposition 3.12).
-    pub fn r_part(&self, pattern: &TreePattern) -> Vec<PatternNodeId> {
-        pattern.preorder().into_iter().filter(|n| !self.delta.contains(n)).collect()
-    }
-
-    /// True iff the Δ-set is *descendant-closed*: every pattern child
-    /// of a Δ-node is also a Δ-node. Equivalently, the R-part is a
-    /// snowcap (Proposition 3.12) — terms violating this are pruned by
-    /// Proposition 3.3 (insertions) / Proposition 4.2 (deletions),
-    /// because XQuery updates add or remove whole subtrees.
-    pub fn is_delta_descendant_closed(&self, pattern: &TreePattern) -> bool {
-        self.delta.iter().all(|&n| pattern.node(n).children.iter().all(|c| self.delta.contains(c)))
     }
 
     /// `R`-bound proper ancestors of a Δ-node — with it, the pairs
@@ -91,38 +70,6 @@ mod tests {
 
     fn ids(v: &[usize]) -> BTreeSet<PatternNodeId> {
         v.iter().map(|&i| PatternNodeId(i)).collect()
-    }
-
-    #[test]
-    fn descendant_closure_on_chain() {
-        // //a//b//c : nodes 0,1,2
-        let p = parse_pattern("//a//b//c").unwrap();
-        assert!(Term::new(ids(&[2])).is_delta_descendant_closed(&p));
-        assert!(Term::new(ids(&[1, 2])).is_delta_descendant_closed(&p));
-        assert!(Term::new(ids(&[0, 1, 2])).is_delta_descendant_closed(&p));
-        // Δ_a R_b violates the XQuery-update semantics (Prop 3.3)
-        assert!(!Term::new(ids(&[0])).is_delta_descendant_closed(&p));
-        assert!(!Term::new(ids(&[1])).is_delta_descendant_closed(&p));
-        assert!(!Term::new(ids(&[0, 2])).is_delta_descendant_closed(&p));
-    }
-
-    #[test]
-    fn descendant_closure_on_branching() {
-        // //a[//b//c]//d : 0=a,1=b,2=c,3=d
-        let p = parse_pattern("//a[//b//c]//d").unwrap();
-        assert!(Term::new(ids(&[3])).is_delta_descendant_closed(&p));
-        assert!(Term::new(ids(&[2, 3])).is_delta_descendant_closed(&p));
-        assert!(Term::new(ids(&[1, 2])).is_delta_descendant_closed(&p));
-        assert!(!Term::new(ids(&[1, 3])).is_delta_descendant_closed(&p), "b without c");
-    }
-
-    #[test]
-    fn r_part_complements_delta_in_preorder() {
-        let p = parse_pattern("//a[//b//c]//d").unwrap();
-        let t = Term::new(ids(&[2, 3]));
-        let names: Vec<_> = t.r_part(&p).iter().map(|&n| p.node(n).name.clone()).collect();
-        assert_eq!(names, vec!["a", "b"]);
-        assert_eq!(t.delta_count(), 2);
     }
 
     #[test]
