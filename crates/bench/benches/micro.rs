@@ -98,7 +98,9 @@ fn chained_joins(c: &mut Criterion) {
 /// The two bulk shapes of the Appendix A catalog on the 1 MB document:
 /// one PUL with an operation per person — one edit of the document —
 /// applied to a copy-on-write image of it, as a commit under a
-/// snapshot is.
+/// snapshot is. And a dense delete that keeps half of each list: every
+/// other person, a removed run per two elements of the person labels'
+/// lists, which the edit sweeps instead of searching run by run.
 fn apply_puls(c: &mut Criterion) {
     let doc = generate_sized(1 << 20);
     let persons = doc.canonical_nodes_named("person").len();
@@ -110,6 +112,11 @@ fn apply_puls(c: &mut Criterion) {
     assert_eq!((delete.len(), insert.len()), (persons, persons));
     c.bench_function("apply/delete_every_person_1MB", |b| {
         let applied = |mut d| apply_pul(&mut d, &delete).unwrap().delete_roots.len();
+        b.iter_batched(|| doc.clone(), applied, BatchSize::LargeInput)
+    });
+    let every_other = Pul::new(delete.ops.iter().step_by(2).cloned().collect());
+    c.bench_function("apply/delete_every_other_person_1MB", |b| {
+        let applied = |mut d| apply_pul(&mut d, &every_other).unwrap().delete_roots.len();
         b.iter_batched(|| doc.clone(), applied, BatchSize::LargeInput)
     });
     c.bench_function("apply/insert_under_every_person_1MB", |b| {

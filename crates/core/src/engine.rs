@@ -42,7 +42,8 @@ use std::sync::Arc;
 use xivm_pattern::compile::{canonical_relation, compile_plan_over, project_to_view, view_tuples};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::{
-    apply_pul, compute_pul, ApplyResult, DeltaMinus, DeltaPlus, Pul, UpdateStatement,
+    apply_pul_for, compute_pul, ApplyResult, DeltaLabels, DeltaMinus, DeltaPlus, Pul,
+    UpdateStatement,
 };
 use xivm_xml::{DeweyForest, DeweyId, Document, LabelId};
 
@@ -83,9 +84,10 @@ pub struct UpdateReport {
     /// True when [`MaintenanceEngine::finish`] answered this commit by
     /// recomputing the view from the post-state instead of evaluating
     /// its terms: a pure deletion rivalled the view, or a value predicate
-    /// flipped. For such a deletion both arms publish the same store,
-    /// delta and counters, so it is excluded from [`Self::same_outcome`],
-    /// like the timings. A flip commit's delta is the net change per key,
+    /// flipped — or might have: an unreduced PUL deleted inside a node,
+    /// then the node, under a view with one. For such a deletion both
+    /// arms publish the same store, delta and counters, so it is
+    /// excluded from [`Self::same_outcome`], like the timings. A flip commit's delta is the net change per key,
     /// and so are [`Self::derivations_added`] / [`Self::derivations_removed`]:
     /// a key that lost and gained derivations in one commit nets them.
     pub recomputed: bool,
@@ -295,27 +297,30 @@ impl MaintenanceEngine {
     }
 
     /// Pre-update state this view needs before a PUL touches the
-    /// document: what only the intact document can still answer about
-    /// this view's value predicates — which deleted nodes satisfied
-    /// them (their Δ⁻) and which nodes above the update roots do (the
-    /// predicate-truth capture). A view without value predicates
-    /// captures nothing. Produced by [`Self::prepare`] and consumed by
-    /// [`Self::finish`]; a multi-view host prepares every view, applies
-    /// the PUL once, then finishes every view.
+    /// document: the truth of its value predicates on the nodes above
+    /// the update roots ([`crate::predflip::capture`]) — the one thing
+    /// the apply cannot hand over, as the nodes stay. Which deleted
+    /// nodes satisfied a predicate is the apply's to say: its removal
+    /// walk reads their values ([`xivm_update::DeltaLabels`]). A view
+    /// without value predicates, or a PUL none of whose targets has one
+    /// of their labels on its path, captures nothing and reads no node.
+    /// Produced by [`Self::prepare`] and consumed by [`Self::finish`]; a
+    /// multi-view host prepares every view, applies the PUL once, then
+    /// finishes every view.
     pub fn prepare(&self, doc: &Document, pul: &Pul) -> PreparedUpdate {
         #[cfg(any(test, feature = "fault-inject"))]
         crate::fault::prepare_point();
         let start = std::time::Instant::now();
-        let dminus = DeltaMinus::collect(doc, &self.pattern, pul);
         let pred_capture = crate::predflip::capture(doc, &self.pattern, pul);
-        PreparedUpdate { dminus, pred_capture, prep_time: start.elapsed() }
+        PreparedUpdate { pred_capture, prep_time: start.elapsed() }
     }
 
     /// Propagates an already-computed (possibly optimizer-reduced,
     /// Section 5) pending update list.
     pub fn propagate_pul(&mut self, doc: &mut Document, pul: &Pul) -> Result<UpdateReport, Error> {
         let prepared = self.prepare(doc, pul);
-        let (apply_res, t_apply) = timed(|| apply_pul(doc, pul));
+        let wanted = DeltaLabels::of(doc, [&self.pattern]);
+        let (apply_res, t_apply) = timed(|| apply_pul_for(doc, pul, &wanted));
         let apply_res = apply_res?;
         let mut report = self.finish(doc, &apply_res, prepared);
         report.timings.apply_document = t_apply;
@@ -323,10 +328,16 @@ impl MaintenanceEngine {
     }
 
     /// Completes propagation after the PUL was applied to the document
-    /// (the counterpart of [`Self::prepare`]).
+    /// (the counterpart of [`Self::prepare`]). `apply_res` must hold
+    /// the Δ⁻ entries of this view's labels, valued where a pattern
+    /// node carries a value predicate: [`xivm_update::apply_pul`]'s, or
+    /// those of [`DeltaLabels::of`] over a set of views including this.
     ///
     /// A commit takes the terms or — when a captured value predicate
-    /// flipped, or the PUL only deletes and the deletion rivals the view
+    /// flipped, or the view has one and the PUL removed a node from
+    /// inside a subtree it removed later ([`ApplyResult::nested_delete`]:
+    /// the values the apply read above the first are not the old ones),
+    /// or the PUL only deletes and the deletion rivals the view
     /// (`rivalled_by`, from sizes the step already holds) — a
     /// recomputation from the post-state, whose Δ is a merge of the old
     /// rows with the new. [`UpdateReport::recomputed`] says which ran. On
@@ -347,7 +358,7 @@ impl MaintenanceEngine {
     ) -> UpdateReport {
         #[cfg(any(test, feature = "fault-inject"))]
         crate::fault::finish_point();
-        let PreparedUpdate { dminus, pred_capture, prep_time } = prepared;
+        let PreparedUpdate { pred_capture, prep_time } = prepared;
         let mut report = UpdateReport::default();
         let start = std::time::Instant::now();
 
@@ -393,10 +404,13 @@ impl MaintenanceEngine {
         }
 
         // --- The recomputation arm, before any Δ table is built: a
-        // commit that flipped a value predicate (see `predflip`), or a
-        // pure deletion that rivals the view, is answered by `e_v` over
-        // the post-state, not by its terms.
-        let flipped = crate::predflip::flipped(doc, &self.pattern, &pred_capture);
+        // commit that flipped a value predicate (see `predflip`) or left
+        // Δ⁻ values unread (a nested delete under a view with a value
+        // predicate), or a pure deletion that rivals the view, is
+        // answered by `e_v` over the post-state, not by its terms.
+        let valued = || self.pattern.node_ids().any(|n| self.pattern.node(n).val_pred.is_some());
+        let flipped = (apply_res.nested_delete && valued())
+            || crate::predflip::flipped(doc, &self.pattern, &pred_capture);
         let rivalled =
             if flipped || !targets.is_empty() { None } else { self.rivalled_by(doc, apply_res) };
         if flipped || rivalled.is_some() {
@@ -405,10 +419,10 @@ impl MaintenanceEngine {
             return report;
         }
 
-        // --- Compute Delta Tables: CD+ and the rest of CD−, both read
-        // from the label buckets the apply left behind.
+        // --- Compute Delta Tables: CD+ and CD−, both read from the
+        // label buckets the apply left behind.
         let dplus = DeltaPlus::compute(doc, &self.pattern, apply_res);
-        let dminus = dminus.complete(doc, &self.pattern, apply_res);
+        let dminus = DeltaMinus::compute(doc, &self.pattern, apply_res);
         report.timings.compute_delta_tables = prep_time + start.elapsed();
 
         // The same exit, judged on the tables: a touched label whose
@@ -670,7 +684,11 @@ impl TermTables {
 /// the snowcap ([`DeltaSide::small_against`]), which takes one pass over
 /// every row instead. Both arms carry an end-to-end metric (CHANGES.md,
 /// PR 20): forcing the terms costs `bulk_catalog` and `point_small`,
-/// forcing the pass costs `point_large` its whole gain.
+/// forcing the pass costs `point_large` its whole gain. A deletion's
+/// own terms are pruned before either arm: when none survives the ID
+/// witnesses — the deleted nodes lie under none of the snowcap's
+/// ancestors, as an item's `name` under a person snowcap — the snowcap
+/// loses nothing, and neither arm runs.
 fn maintain_lattice(
     ctx: &TermContext<'_>,
     side: &DeltaSide<'_>,
@@ -686,11 +704,14 @@ fn maintain_lattice(
         if m.nodes.iter().all(|&n| side.is_empty(n)) {
             continue;
         }
+        let (own, _) = terms(ctx, side, &tables[i], &m.nodes);
+        if own.is_empty() {
+            continue;
+        }
         if losing && !side.small_against(&m.nodes, m.rel.len()) {
             m.remove_under(&ctx.applied.deleted);
             continue;
         }
-        let (own, _) = terms(ctx, side, &tables[i], &m.nodes);
         patch(m, eval(ctx, side, &m.nodes, &own, smaller));
     }
 }
@@ -724,9 +745,10 @@ fn patch_store(
     report.tuples_removed += left;
 }
 
-/// Pre-update state captured by [`MaintenanceEngine::prepare`].
+/// Pre-update state captured by [`MaintenanceEngine::prepare`]: the
+/// predicate truths a flip is judged against, and the time taking them
+/// took. Nothing of Δ⁻: that is the apply's to extract.
 pub struct PreparedUpdate {
-    dminus: DeltaMinus,
     pred_capture: crate::predflip::PredCapture,
     prep_time: std::time::Duration,
 }
@@ -735,6 +757,7 @@ pub struct PreparedUpdate {
 mod tests {
     use super::*;
     use xivm_pattern::parse_pattern;
+    use xivm_update::apply_pul;
     use xivm_xml::parse_document;
 
     /// Oracle: after any propagated update, the store must equal the
@@ -1227,6 +1250,85 @@ mod tests {
                 for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
                     assert_eq!(m.rel.rows, f.rel.rows, "{what} {:?}", m.nodes);
                 }
+            }
+        }
+    }
+
+    /// A Δ⁻ no term of a snowcap survives — its deleted nodes lie under
+    /// none of the snowcap's ancestors — costs the snowcap nothing: no
+    /// pass over its rows (a snowcap of a few rows would take one), the
+    /// rows untouched. The same deletion of the person names the
+    /// snowcap holds still takes the pass.
+    #[test]
+    fn a_witness_less_delta_minus_leaves_the_snowcap_untouched() {
+        let person = |i| format!("<person><name>p{i}</name><email/></person>");
+        let item = |i| format!("<item><name>i{i}</name></item>");
+        let xml = format!(
+            "<site><people>{}</people><items>{}</items></site>",
+            (0..6).map(person).collect::<String>(),
+            (0..6).map(item).collect::<String>()
+        );
+        let pattern = parse_pattern("//person{id}[//name{id}]//email{id}").unwrap();
+        for strategy in [SnowcapStrategy::MinimalChain, SnowcapStrategy::AllSnowcaps] {
+            let mut doc = parse_document(&xml).unwrap();
+            let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
+            let before: Vec<_> = engine.snowcaps().iter().map(|m| m.rel.rows.clone()).collect();
+            let stmt = |s: &str| xivm_update::statement::parse_statement(s).unwrap();
+            crate::snowcap::tests::PASSES.set(0);
+            let report = engine.apply_statement(&mut doc, &stmt("delete //item/name")).unwrap();
+            assert!(report.delta.is_empty() && !report.irrelevant, "{strategy:?}");
+            assert_eq!(crate::snowcap::tests::PASSES.get(), 0, "{strategy:?}: no pass");
+            for (m, rows) in engine.snowcaps().iter().zip(&before) {
+                assert_eq!(&m.rel.rows, rows, "{strategy:?} {:?}", m.nodes);
+            }
+            engine.force_recompute = Some(false);
+            engine.apply_statement(&mut doc, &stmt("delete //person/name")).unwrap();
+            assert!(
+                crate::snowcap::tests::PASSES.get() > 0,
+                "{strategy:?}: the name snowcap's pass"
+            );
+            let fresh = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
+            for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
+                assert_eq!(m.rel.rows, f.rel.rows, "{strategy:?} {:?}", m.nodes);
+            }
+        }
+    }
+
+    /// An unreduced PUL that deletes inside a node and then the node
+    /// leaves the apply reading the node's value without the inner text
+    /// ("5", not "51"): a view with a value predicate answers the commit
+    /// by recomputation, forced terms or not — on the terms it would
+    /// keep the row of the deleted `a`, whose Δ⁻ value fails `[val=51]`.
+    /// A view without a predicate keeps to its terms.
+    #[test]
+    fn a_nested_delete_under_a_value_predicate_recomputes_the_view() {
+        let doc =
+            parse_document("<r><a>5<x>1</x><b/></a><a>51<b/></a><a>51<b/></a><a>5<b/></a></r>")
+                .unwrap();
+        let mut ops = pul_of(&doc, "delete //a/x").ops;
+        ops.push(pul_of(&doc, "delete /r/a").ops.swap_remove(0)); // the a around the x
+        let pul = Pul::new(ops);
+        for (pattern, recomputed) in
+            [("//a{id}[val=\"51\"]//b{id}", true), ("//a{id}//b{id}", false)]
+        {
+            let pattern = parse_pattern(pattern).unwrap();
+            for strategy in STRATEGIES {
+                let mut doc = doc.clone();
+                let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
+                engine.force_recompute = Some(false);
+                let held = engine.store_arc();
+                let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+                let what = format!("{} under {strategy:?}", pattern.to_text());
+                assert_eq!(report.recomputed, recomputed, "{what}");
+                let fresh = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
+                assert!(
+                    engine.store().identical_to(fresh.store()),
+                    "{what}:\n{}",
+                    engine.store().diff_description(fresh.store())
+                );
+                let mut replayed = (*held).clone();
+                report.delta.replay(&mut replayed);
+                assert!(replayed.identical_to(engine.store()), "{what}: the Δ replays");
             }
         }
     }

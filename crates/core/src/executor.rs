@@ -45,7 +45,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 use xivm_pulopt::{aggregate, find_conflicts, integrate, reduce, ConflictPolicy, ReductionTrace};
-use xivm_update::{apply_pul, compute_pul, Pul, UpdateStatement};
+use xivm_update::{apply_pul_for, compute_pul, DeltaLabels, Pul, UpdateStatement};
 use xivm_xml::{serialize_document, Document, LabelInterner};
 
 /// One submission — the unit that seals as one commit — and how its
@@ -136,7 +136,7 @@ fn plan_sequential<'a>(doc: &Document, stmts: &[UpdateStatement]) -> Result<Comm
     for (i, stmt) in stmts.iter().enumerate() {
         let pul = compute_pul(scratch.as_ref().unwrap_or(doc), stmt);
         if i + 1 < stmts.len() {
-            apply_pul(scratch.get_or_insert_with(|| doc.clone()), &pul)?;
+            apply_pul_for(scratch.get_or_insert_with(|| doc.clone()), &pul, &DeltaLabels::none())?;
         }
         naive_ops += pul.len();
         combined = if i == 0 { pul } else { aggregate(doc, &combined, &pul).0 };

@@ -24,7 +24,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use xivm_pattern::TreePattern;
-use xivm_update::{apply_pul, Pul, UpdateStatement};
+use xivm_update::{apply_pul_for, DeltaLabels, Pul, UpdateStatement};
 use xivm_xml::Document;
 
 /// One propagated step of [`MultiViewEngine::propagate`]: the plan it
@@ -175,10 +175,12 @@ impl MultiViewEngine {
 
     /// The one propagation entry: one commit, in place over `doc`.
     /// Every view's `prepare` against the intact document, one
-    /// `apply_pul` on `doc` itself, every view's `finish` against the
-    /// result — each phase one plain loop over the views in
-    /// declaration order. `plan.skip[i]` leaves view `i` out: its
-    /// prepare/finish never run and it reports
+    /// `apply_pul_for` on `doc` itself — the one Δ⁻ extraction every
+    /// view reads, for the labels the views' patterns name
+    /// ([`DeltaLabels::of`]) — every view's `finish` against the result,
+    /// each phase one plain loop over the views in declaration order.
+    /// `plan.skip[i]` leaves view `i` out: its prepare/finish never run,
+    /// its labels are not extracted, and it reports
     /// `UpdateReport::default()`, which the executor replaces with the
     /// deferred marker or a refresh's report.
     ///
@@ -203,7 +205,17 @@ impl MultiViewEngine {
             .map(|(i, engine)| (!masked(skip, i)).then(|| engine.prepare(doc, pul)))
             .collect();
         let pre = want_pre.then(|| doc.clone());
-        let (apply_res, t_apply) = timed(|| apply_pul(doc, pul));
+        let (apply_res, t_apply) = timed(|| {
+            // Only a removal reads the labels: an insert-only PUL skips
+            // resolving them.
+            let wanted = if pul.ops.iter().all(|op| op.is_insert()) {
+                DeltaLabels::none()
+            } else {
+                let unmasked = self.views.iter().enumerate().filter(|&(i, _)| !masked(skip, i));
+                DeltaLabels::of(doc, unmasked.map(|(_, engine)| engine.pattern()))
+            };
+            apply_pul_for(doc, pul, &wanted)
+        });
         let apply_res = apply_res?;
         let mut reports: Vec<UpdateReport> = self
             .views

@@ -13,15 +13,21 @@
 //! Two steps bracket the PUL: before it is applied, predicate truth is
 //! captured for every predicate-labeled node on the ancestor chains of
 //! the update targets ([`capture`]); after, the surviving captured
-//! nodes are re-checked ([`flipped`]). A flip is rare — no benchmark
-//! workload makes one — so the engine answers a commit with one by
-//! recomputing the view from the post-state
+//! nodes are re-checked ([`flipped`]). The capture reads the targets'
+//! Dewey IDs first — an ID is its root path's labels — and touches the
+//! document only for an operation with a predicate's label on that
+//! path; a catalog's bulk deletes of persons or items, under views
+//! whose predicates sit on other paths, read nothing. The *removed*
+//! nodes' truth is no concern here: the apply hands their pre-apply
+//! values to Δ⁻ (`xivm_update::DeltaLabels`). A flip is rare — no
+//! benchmark workload makes one — so the engine answers a commit with
+//! one by recomputing the view from the post-state
 //! ([`crate::engine::MaintenanceEngine::finish`]), exact on any PUL.
 
 use std::collections::HashSet;
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::Pul;
-use xivm_xml::{Document, NodeId, NodeKind};
+use xivm_xml::{Document, LabelId, NodeId, NodeKind};
 
 /// Pre-update predicate truth for `(pattern node, document node)`
 /// pairs on the update targets' ancestor chains.
@@ -29,37 +35,47 @@ pub type PredCapture = Vec<(PatternNodeId, NodeId, bool)>;
 
 /// Captures predicate truth on the ancestor-or-self chains of every
 /// update target (for deletions: of the target's parent — the target
-/// itself disappears). Runs against the still-intact document.
+/// itself disappears). Runs against the still-intact document, and
+/// reads it only for a target whose ID carries a predicate's label on
+/// that chain (any element label, under a wildcard predicate).
 pub fn capture(doc: &Document, pattern: &TreePattern, pul: &Pul) -> PredCapture {
-    let preds: Vec<(PatternNodeId, Option<&str>, &str)> = pattern
+    // Labels resolved once: `None` for a wildcard. A name the document
+    // never saw labels no node.
+    let preds: Vec<(PatternNodeId, Option<LabelId>, &str)> = pattern
         .node_ids()
         .filter_map(|p| {
             let pn = pattern.node(p);
-            pn.val_pred.as_ref().map(|v| {
-                let label = match &pn.test {
-                    NodeTest::Name(n) => Some(n.as_str()),
-                    NodeTest::Wildcard => None,
-                };
-                (p, label, v.as_str())
-            })
+            let pred = pn.val_pred.as_deref()?;
+            match &pn.test {
+                NodeTest::Name(n) => Some((p, Some(doc.label_id(n)?), pred)),
+                NodeTest::Wildcard => Some((p, None, pred)),
+            }
         })
         .collect();
     if preds.is_empty() {
         return Vec::new();
     }
+    let wildcard = preds.iter().any(|&(_, label, _)| label.is_none());
     let mut seen: HashSet<(PatternNodeId, NodeId)> = HashSet::new();
     let mut out = Vec::new();
     for op in &pul.ops {
+        let steps = op.target().steps();
+        let chain = if op.is_insert() { steps } else { &steps[..steps.len().saturating_sub(1)] };
+        let labeled = |s: &xivm_xml::dewey::Step| preds.iter().any(|p| p.1 == Some(s.label));
+        if chain.is_empty() || !(wildcard || chain.iter().any(labeled)) {
+            continue;
+        }
         let Some(target) = doc.find_node(op.target()) else {
             continue;
         };
         let start = if op.is_insert() { Some(target) } else { doc.parent_of(target) };
         let mut cur = start;
         while let Some(n) = cur {
+            let node = doc.node(n);
             for &(p, label, pred) in &preds {
                 let matches = match label {
-                    Some(l) => doc.label_name(doc.node(n).label) == l,
-                    None => doc.node(n).kind == NodeKind::Element,
+                    Some(l) => node.label == l,
+                    None => node.kind == NodeKind::Element,
                 };
                 if matches && seen.insert((p, n)) {
                     out.push((p, n, doc.value(n) == pred));
@@ -108,6 +124,27 @@ mod tests {
         let stmt = UpdateStatement::insert("//b", "<c/>").unwrap();
         let pul = compute_pul(&doc, &stmt);
         assert!(capture(&doc, &p, &pul).is_empty());
+    }
+
+    /// The label paths first: a target with no predicate label on its
+    /// chain is not looked up — a delete of a `d` itself, whose chain
+    /// starts at its parent, included — and one with a label is.
+    #[test]
+    fn only_targets_with_a_predicate_label_on_their_chain_are_read() {
+        let doc = parse_document("<r><d>5<x/></d><e><d>5</d></e></r>").unwrap();
+        let p = parse_pattern("//d{id}[val=\"5\"]").unwrap();
+        let captured = |stmt: &str| {
+            let stmt = xivm_update::statement::parse_statement(stmt).unwrap();
+            capture(&doc, &p, &compute_pul(&doc, &stmt)).len()
+        };
+        assert_eq!(captured("delete //d"), 0, "the d's own chain starts above it");
+        assert_eq!(captured("delete //e"), 0);
+        assert_eq!(captured("insert <y/> into //e"), 0);
+        assert_eq!(captured("delete //d/x"), 1);
+        assert_eq!(captured("insert <y/> into //d"), 2);
+        let wildcard = parse_pattern("//*{id}[val=\"5\"]").unwrap();
+        let stmt = UpdateStatement::delete("//e/d").unwrap();
+        assert_eq!(capture(&doc, &wildcard, &compute_pul(&doc, &stmt)).len(), 2, "e and r");
     }
 
     #[test]

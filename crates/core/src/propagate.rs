@@ -493,9 +493,8 @@ mod tests {
         let mut doc = parse_document(doc_xml).unwrap();
         let pattern = parse_pattern(pattern).unwrap();
         let pul = compute_pul(&doc, &parse_statement(stmt).unwrap());
-        let dminus = DeltaMinus::collect(&doc, &pattern, &pul);
         let res = apply_pul(&mut doc, &pul).unwrap();
-        let dminus = dminus.complete(&doc, &pattern, &res);
+        let dminus = DeltaMinus::compute(&doc, &pattern, &res);
         Applied { doc, pattern, dminus, res }
     }
 

@@ -82,7 +82,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use xivm_update::{apply_pul, Pul, UpdateStatement};
+use xivm_update::{apply_pul_for, DeltaLabels, Pul, UpdateStatement};
 use xivm_xml::Document;
 
 /// A claim on one future commit, returned by
@@ -432,7 +432,7 @@ fn recover(db: &mut DbInner, pre: Document, sealed: &[Pul]) {
     let mut doc = pre;
     doc.adopt_labels(&db.doc.shared_labels());
     for pul in sealed {
-        if apply_pul(&mut doc, pul).is_err() {
+        if apply_pul_for(&mut doc, pul, &DeltaLabels::none()).is_err() {
             break;
         }
     }

@@ -139,6 +139,8 @@ impl MaterializedSnowcap {
     /// pass over every row, dropping those that bind a node under a
     /// deleted root — one the apply's `deleted` buckets hold.
     pub fn remove_under(&mut self, deleted: &LabelBuckets<DeweyId>) {
+        #[cfg(test)]
+        tests::PASSES.set(tests::PASSES.get() + 1);
         self.rel.rows.retain(|t| !binds_deleted(t, deleted));
     }
 }
@@ -163,8 +165,14 @@ pub fn best_cover(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// How many [`MaterializedSnowcap::remove_under`] passes the
+        /// calling thread made: which removal a test's Δ⁻ took.
+        pub(crate) static PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
     use xivm_pattern::parse_pattern;
 
     fn names(pattern: &TreePattern, set: &BTreeSet<PatternNodeId>) -> String {

@@ -10,7 +10,12 @@
 //! once, so it is also where the commit's Δ is *extracted*: both walks
 //! leave their nodes bucketed by label ([`LabelBuckets`]), and every
 //! view's Δ⁺ / Δ⁻ tables ([`crate::delta`]) are bucket lookups — one
-//! extraction per commit, not one per view.
+//! extraction per commit, not one per view. The removal walk is also
+//! the last reader of the removed text, so it hands each removed node
+//! of a label that carries a value predicate its pre-apply string
+//! value: σ(Δ⁻) is a bucket lookup too, and no view reads the document
+//! before the apply. [`DeltaLabels`] says which labels the views read;
+//! the walk builds IDs and values for those alone.
 //!
 //! A PUL is one edit of the document ([`xivm_xml::document::DocumentEdit`]):
 //! each operation changes the tree at once, so the next one resolves
@@ -19,7 +24,8 @@
 
 use crate::pul::{AtomicOp, Pul};
 use std::borrow::Cow;
-use xivm_pattern::NodeTest;
+use std::ops::Range;
+use xivm_pattern::{NodeTest, TreePattern};
 use xivm_xml::label::LabelMap;
 use xivm_xml::{DeweyId, Document, LabelId, NodeId, NodeKind, Step, XmlError};
 
@@ -47,6 +53,12 @@ impl<T> LabelBuckets<T> {
         self.buckets.get(&label).map_or(&[], |(_, items)| items.as_slice())
     }
 
+    /// The labels whose buckets hold elements — a wildcard's.
+    pub(crate) fn element_labels(&self) -> impl Iterator<Item = LabelId> + '_ {
+        let elements = self.buckets.iter().filter(|(_, (kind, _))| *kind == NodeKind::Element);
+        elements.map(|(&label, _)| label)
+    }
+
     /// The nodes a pattern node's test ranges over: one bucket for a
     /// name (none if `doc` never saw the label), every element bucket
     /// for a wildcard — those in no order across buckets.
@@ -58,12 +70,9 @@ impl<T> LabelBuckets<T> {
             NodeTest::Name(name) => {
                 Cow::Borrowed(doc.label_id(name).map_or(&[][..], |l| self.get(l)))
             }
-            NodeTest::Wildcard => self
-                .buckets
-                .values()
-                .filter(|(kind, _)| *kind == NodeKind::Element)
-                .flat_map(|(_, items)| items.iter().cloned())
-                .collect(),
+            NodeTest::Wildcard => {
+                self.element_labels().flat_map(|l| self.get(l).iter().cloned()).collect()
+            }
         }
     }
 
@@ -72,9 +81,7 @@ impl<T> LabelBuckets<T> {
         !self.is_empty()
             && match test {
                 NodeTest::Name(name) => doc.label_id(name).is_some_and(|l| !self.get(l).is_empty()),
-                NodeTest::Wildcard => {
-                    self.buckets.values().any(|(kind, _)| *kind == NodeKind::Element)
-                }
+                NodeTest::Wildcard => self.element_labels().next().is_some(),
             }
     }
 
@@ -90,6 +97,126 @@ impl<T> LabelBuckets<T> {
 
     pub fn is_empty(&self) -> bool {
         self.buckets.is_empty()
+    }
+}
+
+/// A set of labels: every one, or those marked.
+#[derive(Debug, Clone)]
+enum LabelSet {
+    All,
+    Only(Vec<bool>),
+}
+
+impl LabelSet {
+    fn contains(&self, label: LabelId) -> bool {
+        match self {
+            LabelSet::All => true,
+            LabelSet::Only(marked) => marked.get(label.index()).copied().unwrap_or(false),
+        }
+    }
+
+    fn insert(&mut self, label: LabelId) {
+        if let LabelSet::Only(marked) = self {
+            if marked.len() <= label.index() {
+                marked.resize(label.index() + 1, false);
+            }
+            marked[label.index()] = true;
+        }
+    }
+}
+
+/// What the removal walk extracts: the labels whose removed nodes get a
+/// Δ⁻ entry — an ID in [`ApplyResult::deleted`] — and of those the
+/// labels whose entries carry the node's pre-apply string value
+/// ([`ApplyResult::deleted_valued`]). No view reads another label's
+/// removed nodes, so building their IDs is wasted work.
+#[derive(Debug, Clone)]
+pub struct DeltaLabels {
+    ids: LabelSet,
+    values: LabelSet,
+}
+
+impl DeltaLabels {
+    /// Every label, every removed element and attribute valued: what
+    /// [`apply_pul`] extracts, enough for any view.
+    pub fn all() -> Self {
+        DeltaLabels { ids: LabelSet::All, values: LabelSet::All }
+    }
+
+    /// No label: an apply whose Δ⁻ nobody reads (a scratch copy, a
+    /// replay).
+    pub fn none() -> Self {
+        DeltaLabels { ids: LabelSet::Only(Vec::new()), values: LabelSet::Only(Vec::new()) }
+    }
+
+    /// What the views of `patterns` read from a PUL applied to `doc`:
+    /// the labels their pattern nodes name — every label under a
+    /// wildcard — valued where the node carries a value predicate. A
+    /// label `doc` never saw labels no node the PUL can remove.
+    pub fn of<'a>(doc: &Document, patterns: impl IntoIterator<Item = &'a TreePattern>) -> Self {
+        let mut wanted = DeltaLabels::none();
+        for pattern in patterns {
+            for n in pattern.node_ids() {
+                let node = pattern.node(n);
+                let valued = node.val_pred.is_some();
+                match &node.test {
+                    NodeTest::Wildcard => {
+                        wanted.ids = LabelSet::All;
+                        if valued {
+                            wanted.values = LabelSet::All;
+                        }
+                    }
+                    NodeTest::Name(name) => {
+                        let Some(label) = doc.label_id(name) else { continue };
+                        wanted.ids.insert(label);
+                        if valued {
+                            wanted.values.insert(label);
+                        }
+                    }
+                }
+            }
+        }
+        wanted
+    }
+}
+
+/// The pre-apply string values of the removed nodes of valued labels.
+#[derive(Debug, Clone, Default)]
+struct DeletedValues {
+    /// The removed text nodes' text, in the order the walk met them,
+    /// while a valued node was open: an element's value is one stretch.
+    text: String,
+    /// The removed attributes' values, one after another.
+    attributes: String,
+    /// Per valued label, aligned with its `deleted` bucket: each node's
+    /// stretch of `text` (`attributes` for an attribute label).
+    ranges: LabelMap<Vec<Range<usize>>>,
+}
+
+impl DeletedValues {
+    /// Starts the value of a removed node of a valued label: an
+    /// attribute's is its text, whole; an element's is the text the walk
+    /// meets until it closes the element — true then. A text node gets
+    /// no value of its own.
+    fn open(&mut self, label: LabelId, kind: NodeKind, text: &str) -> bool {
+        let range = match kind {
+            NodeKind::Attribute => {
+                self.attributes.push_str(text);
+                self.attributes.len() - text.len()..self.attributes.len()
+            }
+            NodeKind::Element => self.text.len()..self.text.len(),
+            NodeKind::Text => return false,
+        };
+        self.ranges.entry(label).or_default().push(range);
+        kind == NodeKind::Element
+    }
+
+    /// Ends the value of an element `open` started (`value`: its label
+    /// and bucket index), and says whether there was one.
+    fn close(&mut self, value: Option<(LabelId, usize)>) -> bool {
+        let Some((label, k)) = value else { return false };
+        self.ranges.get_mut(&label).expect("opened with a range")[k].end = self.text.len();
+        true
     }
 }
 
@@ -111,10 +238,20 @@ pub struct ApplyResult {
     /// order — document order within each forest. A node a later
     /// operation of the same PUL deleted again stays listed, dead.
     pub inserted: LabelBuckets<NodeId>,
-    /// The ID of every removed node of the old state, in document
-    /// order. Nodes this same PUL had inserted are *not* listed: they
-    /// were never part of the old state, so they belong to no Δ⁻.
+    /// The ID of every removed node of the old state whose label the
+    /// apply was asked for ([`DeltaLabels`]), in document order. Nodes
+    /// this same PUL had inserted are *not* listed: they were never
+    /// part of the old state, so they belong to no Δ⁻.
     pub deleted: LabelBuckets<DeweyId>,
+    /// True when an operation removed a subtree from inside which an
+    /// earlier operation of the PUL had removed an old node — the pair
+    /// reduction rule O3 drops. The walk of the later subtree no longer
+    /// meets the earlier one's text, so the values of the nodes above
+    /// it are not their pre-apply values: a view with a value predicate
+    /// answers such a commit by recomputation.
+    pub nested_delete: bool,
+    /// The values of the valued labels' `deleted` entries.
+    values: DeletedValues,
     /// The arena's length before the apply (`None`: nothing applied).
     /// Nodes are only ever appended, so this PUL created exactly the
     /// nodes at or past it.
@@ -127,9 +264,23 @@ impl ApplyResult {
     pub fn created(&self, node: NodeId) -> bool {
         self.first_created.is_some_and(|first| node.index() >= first)
     }
+
+    /// The removed nodes labeled `label`, in document order, each with
+    /// its string value in the old state. Panics on a label with removed
+    /// nodes that the apply was not asked to value ([`DeltaLabels`]).
+    pub fn deleted_valued(&self, label: LabelId) -> impl Iterator<Item = (&DeweyId, &str)> {
+        let ids = self.deleted.get(label);
+        let ranges = self.values.ranges.get(&label).map_or(&[][..], Vec::as_slice);
+        assert!(ranges.len() == ids.len(), "the apply was not asked to value {label:?}");
+        let attribute =
+            self.deleted.buckets.get(&label).is_some_and(|(kind, _)| *kind == NodeKind::Attribute);
+        let text = if attribute { &self.values.attributes } else { &self.values.text };
+        ids.iter().zip(ranges).map(move |(id, range)| (id, &text[range.clone()]))
+    }
 }
 
-/// Applies every atomic operation of `pul` to `doc`, in order.
+/// Applies every atomic operation of `pul` to `doc`, in order, with
+/// the complete Δ extraction ([`DeltaLabels::all`]).
 ///
 /// Operations whose target no longer exists (e.g. removed by an
 /// earlier `del` in the same PUL — XQuery Update applies deletions of
@@ -141,7 +292,18 @@ impl ApplyResult {
 /// forest, so the arena's length plus the forests' bytes bounds the
 /// slots the PUL can reach.
 pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError> {
-    let wanted: usize = pul
+    apply_pul_for(doc, pul, &DeltaLabels::all())
+}
+
+/// [`apply_pul`], extracting Δ⁻ entries for the labels `wanted` names
+/// alone: a label no view reads gets no ID built, and only a valued
+/// label's entries carry values.
+pub fn apply_pul_for(
+    doc: &mut Document,
+    pul: &Pul,
+    wanted: &DeltaLabels,
+) -> Result<ApplyResult, XmlError> {
+    let forests: usize = pul
         .ops
         .iter()
         .map(|op| match op {
@@ -150,8 +312,8 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
         })
         .sum();
     let used = doc.arena_len();
-    if used as u64 + wanted as u64 > index_space() {
-        return Err(XmlError::IndexSpaceExhausted { used, wanted });
+    if used as u64 + forests as u64 > index_space() {
+        return Err(XmlError::IndexSpaceExhausted { used, wanted: forests });
     }
     let mut result = ApplyResult { first_created: Some(doc.arena_len()), ..ApplyResult::default() };
     // Dropped — and the lists settled — on every way out, errors too.
@@ -184,39 +346,94 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
                 if !result.created(target) {
                     result.delete_roots.push(node.clone());
                 }
-                // The removal is the one walk of the doomed subtree;
-                // it hands the nodes back in pre-order with parent
-                // links, labels and ordinals intact, so the IDs for Δ⁻
-                // are built a step at a time: `open` is the chain of
-                // old nodes from the target down to the node at hand,
-                // `steps` their ID.
-                let mut steps = node.steps()[..node.depth() - 1].to_vec();
-                let mut open: Vec<NodeId> = Vec::new();
-                for n in doc.remove_subtree(target)? {
-                    if result.created(n) {
-                        continue; // in no Δ⁻, and above no old node
-                    }
-                    let doomed = doc.node(n);
-                    while open.last().is_some_and(|&up| Some(up) != doomed.parent) {
-                        open.pop();
-                        steps.pop();
-                    }
-                    open.push(n);
-                    steps.push(Step::new(doomed.label, doomed.ord));
-                    let id = DeweyId::from_steps(steps.clone());
-                    result.deleted.push(doomed.label, doomed.kind, id);
-                }
+                let removed = doc.remove_subtree(target)?;
+                extract_removed(&doc, node, &removed, wanted, &mut result);
             }
         }
     }
     // Subtrees are walked in pre-order, but the operations of a PUL
     // come in any order.
-    for (_, ids) in result.deleted.buckets.values_mut() {
-        if !ids.is_sorted() {
-            ids.sort();
+    let ApplyResult { deleted, values, .. } = &mut result;
+    for (label, (_, ids)) in &mut deleted.buckets {
+        if ids.is_sorted() {
+            continue;
+        }
+        match values.ranges.get_mut(label) {
+            None => ids.sort(),
+            Some(ranges) => {
+                let mut both: Vec<_> =
+                    std::mem::take(ids).into_iter().zip(std::mem::take(ranges)).collect();
+                both.sort_by(|a, b| a.0.cmp(&b.0));
+                (*ids, *ranges) = both.into_iter().unzip();
+            }
         }
     }
+    result.nested_delete = nests(&result.delete_roots);
     Ok(result)
+}
+
+/// The removal walk: the nodes of the subtree rooted at `root` that the
+/// edit just removed, handed back in pre-order with parent links,
+/// labels, ordinals and text intact. Each old node of a wanted label
+/// gets its ID — built a step at a time: `open` is the chain of old
+/// nodes from the target down to the node at hand, `steps` their ID —
+/// and, of a valued label, its string value: the stretch of removed
+/// text the walk appends while the node is open.
+fn extract_removed(
+    doc: &Document,
+    root: &DeweyId,
+    removed: &[NodeId],
+    wanted: &DeltaLabels,
+    result: &mut ApplyResult,
+) {
+    let mut steps = root.steps()[..root.depth() - 1].to_vec();
+    // Each open node with, for a valued element, where its value goes:
+    // its label and its index in that label's bucket.
+    let mut open: Vec<(NodeId, Option<(LabelId, usize)>)> = Vec::new();
+    let mut valued_open = 0;
+    for &n in removed {
+        if result.created(n) {
+            continue; // in no Δ⁻, and above no old node
+        }
+        let doomed = doc.node(n);
+        while open.last().is_some_and(|&(up, _)| Some(up) != doomed.parent) {
+            let (_, value) = open.pop().expect("not empty");
+            valued_open -= usize::from(result.values.close(value));
+            steps.pop();
+        }
+        steps.push(Step::new(doomed.label, doomed.ord));
+        let text = doomed.text.as_deref().unwrap_or("");
+        if doomed.kind == NodeKind::Text && valued_open > 0 {
+            result.values.text.push_str(text);
+        }
+        let mut value = None;
+        if wanted.ids.contains(doomed.label) {
+            result.deleted.push(doomed.label, doomed.kind, DeweyId::from_steps(steps.clone()));
+            if wanted.values.contains(doomed.label) {
+                let k = result.deleted.get(doomed.label).len() - 1;
+                value = result
+                    .values
+                    .open(doomed.label, doomed.kind, text)
+                    .then_some((doomed.label, k));
+                valued_open += usize::from(value.is_some());
+            }
+        }
+        open.push((n, value));
+    }
+    for (_, value) in open {
+        result.values.close(value);
+    }
+}
+
+/// Does one of `roots` lie inside another? Sorted, a root's descendants
+/// follow it directly.
+fn nests(roots: &[DeweyId]) -> bool {
+    let nested = |roots: &[&DeweyId]| roots.windows(2).any(|w| w[0].is_ancestor_of(w[1]));
+    let mut sorted: Vec<&DeweyId> = roots.iter().collect();
+    if !sorted.is_sorted() {
+        sorted.sort();
+    }
+    nested(&sorted)
 }
 
 /// How many arena slots a document may reach: [`arena::INDEX_SPACE`],
@@ -556,6 +773,58 @@ mod tests {
              <c><b k=\"2\"><n>y</n><n k=\"1\"/></b></c></r>"
         );
         assert_lists_equal_a_reparse(&d);
+    }
+
+    /// The removal walk values the removed nodes of valued labels with
+    /// their pre-apply string value — an element's text descendants, an
+    /// attribute's own text — and builds no ID for a label nobody asked
+    /// for. Operations out of document order leave the buckets sorted,
+    /// values with their IDs; nodes the PUL inserted add no text.
+    #[test]
+    fn the_removal_walk_values_the_labels_asked_for() {
+        let xml = "<r><a k=\"1\">x<b>y<a>z</a></b>w</a><a k=\"2\">v</a><c>u</c></r>";
+        let d = parse_document(xml).unwrap();
+        let mut ops = insert(&d, "//b", "<t>new</t>");
+        ops.extend(delete(&d, "/r/a[@k=\"2\"]"));
+        ops.extend(delete(&d, "/r/a[@k=\"1\"]"));
+        let pul = Pul::new(ops);
+        let pattern = xivm_pattern::parse_pattern("//a{id}[val=\"v\"]//@k{id}[val=\"1\"]").unwrap();
+        let own = DeltaLabels::of(&d, [&pattern]);
+        for (wanted, ids) in [(DeltaLabels::all(), 11), (own, 5)] {
+            let mut d = d.clone();
+            let res = apply_pul_for(&mut d, &pul, &wanted).unwrap();
+            assert_eq!(
+                res.deleted.len(),
+                ids,
+                "a a a @k @k, and b and five #text when all are asked"
+            );
+            let (a, k) = (d.label_id("a").unwrap(), d.label_id("@k").unwrap());
+            let valued = |l| res.deleted_valued(l).map(|(_, v)| v.to_owned()).collect::<Vec<_>>();
+            assert_eq!(valued(a), ["xyzw", "z", "v"], "document order");
+            assert_eq!(valued(k), ["1", "2"]);
+            assert!(res.deleted.get(a).is_sorted());
+            assert!(!res.nested_delete);
+            assert_eq!(serialize_document(&d), "<r><c>u</c></r>");
+        }
+    }
+
+    /// Deleting inside a node and then the node — the pair reduction
+    /// rule O3 drops — is flagged: the outer walk no longer meets the
+    /// inner text. The other order, and disjoint targets, are not.
+    #[test]
+    fn a_delete_inside_a_node_then_of_the_node_is_flagged() {
+        let d = parse_document("<r><a>5<x>1</x></a><c/></r>").unwrap();
+        let flagged = |paths: &[&str]| {
+            let ops = paths.iter().flat_map(|p| delete(&d, p)).collect();
+            let res = apply_pul(&mut d.clone(), &Pul::new(ops)).unwrap();
+            let a = d.label_id("a").unwrap();
+            let value = res.deleted_valued(a).map(|(_, v)| v.to_owned()).next();
+            (res.nested_delete, value)
+        };
+        assert_eq!(flagged(&["//x", "//a"]), (true, Some("5".to_owned())), "not the old 51");
+        assert_eq!(flagged(&["//a", "//x"]), (false, Some("51".to_owned())));
+        assert_eq!(flagged(&["//c", "//x"]), (false, None));
+        assert_eq!(flagged(&["//x", "//c", "/r"]), (true, Some("5".to_owned())));
     }
 
     #[test]

@@ -7,18 +7,18 @@
 //! in document order so they can feed structural joins directly.
 //!
 //! Both are read from the label buckets [`apply_pul`] leaves behind
-//! ([`ApplyResult`]): a table is one bucket lookup per view node. The
-//! one thing the buckets cannot answer is a value predicate on a
-//! *deleted* node — its text is gone once the PUL is applied — so Δ⁻ of
-//! predicate-carrying view nodes is collected before the apply
-//! ([`DeltaMinus::collect`]: per such node, the stretch of its label's
-//! canonical list under each delete root) and completed after it.
+//! ([`ApplyResult`]): a table is one bucket lookup per view node. A
+//! value predicate on a *deleted* node is judged on the value the
+//! removal walk read before the text went ([`ApplyResult::deleted_valued`]),
+//! so Δ⁻ is one post-apply [`DeltaMinus::compute`], like Δ⁺.
+//! [`walk_deleted`] is the reference both are checked against: a walk
+//! of the intact document under every delete target.
 //!
 //! [`apply_pul`]: crate::apply::apply_pul
 
 use crate::apply::ApplyResult;
-use crate::pul::Pul;
-use std::borrow::Cow;
+use crate::pul::{AtomicOp, Pul};
+use std::collections::HashSet;
 use xivm_algebra::{Column, Field, Relation, Schema, Tuple};
 use xivm_pattern::compile::relation_from_nodes;
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
@@ -68,65 +68,31 @@ pub struct DeltaMinus {
 }
 
 impl DeltaMinus {
-    /// The pre-apply half of CD−: Δ⁻ of the *predicate-carrying* view
-    /// nodes only, judged on the still-intact document (after deletion
-    /// the values are gone). Reads, per such node, the stretch of its
-    /// label's canonical list under each maximal delete root — nested
-    /// targets overlap — and walks a subtree only for a wildcard. A
-    /// view without value predicates builds nothing.
-    pub fn collect(doc: &Document, pattern: &TreePattern, pul: &Pul) -> Self {
-        if pattern.node_ids().all(|n| pattern.node(n).val_pred.is_none()) {
-            return DeltaMinus::default();
-        }
-        let mut roots: Vec<(&DeweyId, NodeId)> = pul
-            .ops
-            .iter()
-            .filter(|op| !op.is_insert())
-            .filter_map(|op| Some((op.target(), doc.find_node(op.target())?)))
-            .collect();
-        roots.sort_by(|a, b| a.0.doc_cmp(b.0));
-        roots.dedup_by(|inner, outer| outer.0.is_ancestor_or_self_of(inner.0));
+    /// CD−: builds per-node Δ⁻ relations from the deleted nodes' label
+    /// buckets (`doc` is the updated document; it only resolves names).
+    /// A predicate-carrying node keeps the deleted nodes whose pre-apply
+    /// value satisfies it — the apply must have valued its label, as
+    /// [`DeltaLabels::of`](crate::apply::DeltaLabels::of) asks.
+    pub fn compute(doc: &Document, pattern: &TreePattern, applied: &ApplyResult) -> Self {
         let tables = pattern.node_ids().map(|pnode| {
             let pn = pattern.node(pnode);
-            // The others are `complete`'s to fill, from the buckets.
-            let Some(pred) = &pn.val_pred else { return Relation::default() };
-            let mut ids = Vec::new();
-            for &(_, root) in &roots {
-                let matching = match &pn.test {
-                    NodeTest::Name(name) => Cow::Borrowed(
-                        doc.label_id(name).map_or(&[][..], |l| doc.canonical_nodes_within(l, root)),
-                    ),
-                    NodeTest::Wildcard => {
-                        let mut all = doc.descendants_or_self(root);
-                        all.retain(|&n| doc.node(n).kind == NodeKind::Element);
-                        Cow::Owned(all)
-                    }
-                };
-                let satisfying = matching.iter().filter(|&&n| doc.value(n) == *pred);
-                ids.extend(satisfying.map(|&n| doc.dewey(n)));
+            let mut ids = match &pn.val_pred {
+                None => applied.deleted.matching(doc, &pn.test).into_owned(),
+                Some(pred) => {
+                    let labels: Vec<_> = match &pn.test {
+                        NodeTest::Name(name) => doc.label_id(name).into_iter().collect(),
+                        NodeTest::Wildcard => applied.deleted.element_labels().collect(),
+                    };
+                    let valued = labels.into_iter().flat_map(|l| applied.deleted_valued(l));
+                    valued.filter(|(_, value)| value == pred).map(|(id, _)| id.clone()).collect()
+                }
+            };
+            if !ids.is_sorted() {
+                ids.sort(); // a wildcard's buckets, concatenated
             }
             id_table(pattern, pnode, ids)
         });
         DeltaMinus { tables: tables.collect() }
-    }
-
-    /// The post-apply half: every view node without a value predicate
-    /// reads its Δ⁻ from the deleted nodes' label buckets.
-    pub fn complete(
-        mut self,
-        doc: &Document,
-        pattern: &TreePattern,
-        applied: &ApplyResult,
-    ) -> Self {
-        self.tables.resize_with(pattern.len(), Relation::default);
-        for pnode in pattern.node_ids().filter(|&p| pattern.node(p).val_pred.is_none()) {
-            let mut ids = applied.deleted.matching(doc, &pattern.node(pnode).test).into_owned();
-            if !ids.is_sorted() {
-                ids.sort(); // a wildcard's buckets, concatenated
-            }
-            self.tables[pnode.index()] = id_table(pattern, pnode, ids);
-        }
-        self
     }
 
     pub fn table(&self, n: PatternNodeId) -> &Relation {
@@ -156,79 +122,57 @@ fn id_table(pattern: &TreePattern, n: PatternNodeId, ids: Vec<DeweyId>) -> Relat
     )
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::apply::apply_pul;
-    use crate::pul::compute_pul;
-    use crate::statement::UpdateStatement;
-    use std::collections::HashSet;
-    use xivm_pattern::parse_pattern;
-    use xivm_pattern::PatternNode;
-    use xivm_xml::parse_document;
-
-    /// Per pattern node that `wanted` selects (the others stay empty), the
-    /// IDs of the nodes under `pul`'s delete targets that match its test
-    /// and value predicate in `doc`, in document order.
-    fn walk_deleted(
-        doc: &Document,
-        pattern: &TreePattern,
-        pul: &crate::pul::Pul,
-        wanted: impl Fn(&PatternNode) -> bool,
-    ) -> Vec<Vec<DeweyId>> {
-        let mut tables: Vec<Vec<DeweyId>> = vec![Vec::new(); pattern.len()];
-        // Resolve pattern node tests to interned label ids once, so the
-        // per-deleted-node check is an integer comparison.
-        enum Resolved {
-            Label(Option<xivm_xml::LabelId>),
-            Wildcard,
-        }
-        let resolved: Vec<(PatternNodeId, Resolved, Option<&str>)> = pattern
-            .node_ids()
-            .filter(|&pnode| wanted(pattern.node(pnode)))
-            .map(|pnode| {
-                let pn = pattern.node(pnode);
-                let r = match &pn.test {
-                    NodeTest::Name(name) => Resolved::Label(doc.label_id(name)),
-                    NodeTest::Wildcard => Resolved::Wildcard,
+/// The reference CD−: per pattern node, the IDs of the nodes under
+/// `pul`'s delete targets that match its test and value predicate in
+/// `doc` — the document *before* the apply — in document order. A
+/// walk of every deleted subtree per commit, against which the tables
+/// [`DeltaMinus::compute`] reads off the apply are tested.
+pub fn walk_deleted(doc: &Document, pattern: &TreePattern, pul: &Pul) -> Vec<Vec<DeweyId>> {
+    let mut tables: Vec<Vec<DeweyId>> = vec![Vec::new(); pattern.len()];
+    // Names resolved once: `None` for a wildcard, `Some(None)` for a
+    // label the document never saw.
+    let tests: Vec<_> = pattern
+        .node_ids()
+        .map(|p| match &pattern.node(p).test {
+            NodeTest::Name(name) => Some(doc.label_id(name)),
+            NodeTest::Wildcard => None,
+        })
+        .collect();
+    let mut seen: HashSet<NodeId> = HashSet::new();
+    for op in &pul.ops {
+        let AtomicOp::Delete { node } = op else { continue };
+        let Some(target) = doc.find_node(node) else { continue };
+        for n in doc.descendants_or_self(target) {
+            if !seen.insert(n) {
+                continue; // nested delete targets overlap
+            }
+            let node = doc.node(n);
+            for (pnode, test) in pattern.node_ids().zip(&tests) {
+                let matches = match test {
+                    Some(label) => *label == Some(node.label),
+                    None => node.kind == NodeKind::Element,
                 };
-                (pnode, r, pn.val_pred.as_deref())
-            })
-            .collect();
-        if resolved.is_empty() {
-            return tables;
-        }
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        for op in &pul.ops {
-            let crate::pul::AtomicOp::Delete { node } = op else {
-                continue;
-            };
-            let Some(target) = doc.find_node(node) else {
-                continue;
-            };
-            for n in doc.descendants_or_self(target) {
-                if !seen.insert(n) {
-                    continue; // nested delete targets overlap
-                }
-                let mut id: Option<DeweyId> = None;
-                for (pnode, test, pred) in &resolved {
-                    let matches = match test {
-                        Resolved::Label(l) => Some(doc.node(n).label) == *l,
-                        Resolved::Wildcard => doc.node(n).kind == NodeKind::Element,
-                    };
-                    if !matches || pred.is_some_and(|pred| doc.value(n) != pred) {
-                        continue;
-                    }
-                    let id = id.get_or_insert_with(|| doc.dewey(n));
-                    tables[pnode.index()].push(id.clone());
+                let pred = pattern.node(pnode).val_pred.as_ref();
+                if matches && pred.is_none_or(|pred| doc.value(n) == *pred) {
+                    tables[pnode.index()].push(doc.dewey(n));
                 }
             }
         }
-        for ids in &mut tables {
-            ids.sort();
-        }
-        tables
     }
+    for ids in &mut tables {
+        ids.sort();
+    }
+    tables
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::apply::{apply_pul, apply_pul_for, DeltaLabels};
+    use crate::pul::compute_pul;
+    use crate::statement::UpdateStatement;
+    use xivm_pattern::parse_pattern;
+    use xivm_xml::parse_document;
 
     /// `doc` after `stmt`, with the extraction the apply left behind.
     fn applied(doc_xml: &str, stmt: &UpdateStatement) -> (Document, Pul, ApplyResult) {
@@ -271,14 +215,19 @@ mod tests {
         dp
     }
 
-    /// Δ⁻ from the pre-apply predicate walk plus the buckets, checked
-    /// against the reference CD−: the pre-apply walk over *every* view
-    /// node.
+    /// Δ⁻ from the buckets, checked against the reference CD−: the
+    /// pre-apply walk, under both extractions — the complete one and
+    /// the pattern's own labels.
     fn delta_minus(doc_xml: &str, pattern: &TreePattern, stmt: &UpdateStatement) -> DeltaMinus {
         let before = parse_document(doc_xml).unwrap();
-        let (after, pul, res) = applied(doc_xml, stmt);
-        let dm = DeltaMinus::collect(&before, pattern, &pul).complete(&after, pattern, &res);
-        let walked = walk_deleted(&before, pattern, &pul, |_| true);
+        let pul = compute_pul(&before, stmt);
+        let mut after = before.clone();
+        let own = apply_pul_for(&mut after, &pul, &DeltaLabels::of(&before, [pattern])).unwrap();
+        let dm = DeltaMinus::compute(&after, pattern, &own);
+        let (after, _, res) = applied(doc_xml, stmt);
+        let complete = DeltaMinus::compute(&after, pattern, &res);
+        assert_eq!(dm.tables, complete.tables, "own labels ≠ every label");
+        let walked = walk_deleted(&before, pattern, &pul);
         for (n, ids) in pattern.node_ids().zip(&walked) {
             assert_eq!(&dm.ids(n).cloned().collect::<Vec<_>>(), ids, "buckets ≠ walk");
         }
@@ -388,7 +337,9 @@ mod tests {
         let (a, b) = (v.root(), v.preorder()[1]);
         let dp = delta_plus(&d, &v, &res);
         assert_eq!((dp.table(a).len(), dp.table(b).len()), (1, 1), "the survivors only");
-        let dm = DeltaMinus::collect(&before, &v, &pul).complete(&d, &v, &res);
+        let dm = DeltaMinus::compute(&d, &v, &res);
+        let walked = walk_deleted(&before, &v, &pul);
+        assert_eq!(dm.ids(b).cloned().collect::<Vec<_>>(), walked[b.index()]);
         assert_eq!((dm.ids(a).count(), dm.ids(b).count()), (0, 1), "the old u/b only");
     }
 

@@ -27,8 +27,8 @@ pub mod delta;
 pub mod pul;
 pub mod statement;
 
-pub use apply::{apply_pul, ApplyResult, LabelBuckets};
+pub use apply::{apply_pul, apply_pul_for, ApplyResult, DeltaLabels, LabelBuckets};
 pub use builder::{element, UpdateBuilder};
-pub use delta::{DeltaMinus, DeltaPlus};
+pub use delta::{walk_deleted, DeltaMinus, DeltaPlus};
 pub use pul::{compute_pul, AtomicOp, Pul};
 pub use statement::UpdateStatement;

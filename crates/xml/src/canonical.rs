@@ -38,13 +38,17 @@
 //! rewritten once: one forward compaction over the removed runs, one
 //! back-to-front merge of the added ones, every surviving element
 //! moved at most twice however many runs there are. The value list
-//! drops its entries through the same compaction. Removed nodes may
-//! already be unlinked and dead — their parent links and ordinals
-//! outlive deletion until the edit ends, so [`doc_cmp`] still places
-//! them — which is what lets the document do its tree surgery at once
-//! and settle the lists at the end. Only after that may the arena free
-//! a chunk whose nodes all died (`Arena::release_dead`): from then on
-//! a dead node has no place, and no list holds it.
+//! drops its entries through the same compaction. A *dense* removal —
+//! a run for every `DENSE` (8) elements of the list, as a bulk delete of
+//! a label makes — searches for none of its runs: the removed nodes
+//! are exactly the list's dead ones, so one liveness sweep drops them
+//! from both lists. Removed nodes may already be unlinked and dead —
+//! their parent links and ordinals outlive deletion until the edit
+//! ends, so [`doc_cmp`] still places them — which is what lets the
+//! document do its tree surgery at once and settle the lists at the
+//! end. Only after that may the arena free a chunk whose nodes all died
+//! (`Arena::release_dead`): from then on a dead node has no place, and
+//! no list holds it.
 //!
 //! Like the node [`Arena`], the index is copy-on-write: each list sits
 //! behind its own [`Arc`], so cloning the index for a snapshot copies
@@ -99,6 +103,13 @@ impl ValueList {
         let (head, tail) = self.entries.split_at(self.sorted);
         let in_tail = || tail.binary_search(&entry).map(|pos| head.len() + pos);
         head.binary_search(&entry).or_else(|_| in_tail()).ok()
+    }
+
+    /// Drops the entries of dead nodes: a dense removal's sweep.
+    fn retain_live(&mut self, nodes: &Arena) {
+        let live = |e: &(u64, NodeId)| nodes[e.1.index()].alive;
+        self.sorted = self.entries[..self.sorted].iter().filter(|e| live(e)).count();
+        self.entries.retain(live);
     }
 
     fn remove(&mut self, gone: impl Iterator<Item = (u64, NodeId)>) {
@@ -174,6 +185,13 @@ pub fn doc_cmp(nodes: &Arena, a: NodeId, b: NodeId) -> Ordering {
     nodes[x.index()].ord.cmp(&nodes[y.index()].ord)
 }
 
+/// When a removal sweeps its list instead of searching for its runs:
+/// one removed run for every `DENSE` elements of the list. A round
+/// number, not a tuned one, like the engine's `RIVAL`: a search costs
+/// a few `doc_cmp`s for each of ⌈log₂ n⌉ steps, a swept element one
+/// liveness read.
+const DENSE: usize = 8;
+
 /// Where a search expects its answer.
 #[derive(Clone, Copy)]
 enum Near {
@@ -242,6 +260,16 @@ fn in_order<'a>(
     (&store.0, &store.1)
 }
 
+/// Does a removal of `runs` runs from a list of `len` elements sweep
+/// it? In tests, whatever `tests::SWEEP` forces.
+fn sweeps(runs: usize, len: usize) -> bool {
+    #[cfg(test)]
+    if let Some(forced) = tests::SWEEP.get() {
+        return forced;
+    }
+    runs * DENSE >= len
+}
+
 /// Drops stretches of `list` in one forward pass. `next` names them
 /// in ascending order, disjoint; it is shown the list, of which the
 /// part from the end of the stretch before (its second argument) is
@@ -282,29 +310,46 @@ impl CanonicalIndex {
     /// The one way a label's lists change: drops the runs `removed`
     /// (still in the list; their nodes may be unlinked and dead
     /// already) and registers the runs `inserted` (new nodes, linked
-    /// and live), with one search per run and one rewrite of the list
-    /// — a forward compaction, then a back-to-front merge. Copy-on-write:
-    /// a list shared with a snapshot is copied first, once.
+    /// and live), with one search per run and one rewrite of the list —
+    /// a forward compaction, then a back-to-front merge. A dense removal
+    /// (see `DENSE`) of dead nodes — as every edit of a document
+    /// hands over — is one liveness sweep instead of its searches.
+    /// Copy-on-write: a list shared with a snapshot is copied first, once.
     pub fn edit(&mut self, nodes: &Arena, label: LabelId, removed: Runs<'_>, inserted: Runs<'_>) {
         let Some(&any) = removed.0.first().or(inserted.0.first()) else { return };
         let order = own(self.map.entry(label).or_default(), Vec::len);
+        let sweep = !removed.0.is_empty()
+            && sweeps(removed.1.len(), order.len())
+            && removed.0.iter().all(|n| !nodes[n.index()].alive);
         let (mut resorted_out, mut resorted_in) = Default::default();
-        let gone = in_order(nodes, removed, &mut resorted_out);
         let new = in_order(nodes, inserted, &mut resorted_in);
 
-        // Forward over the removed runs: the first by a search of the
-        // whole list, each later one galloping on from the one before.
-        let mut runs = 0..gone.1.len();
-        compact(order, |order, from| {
-            let (k, run) = runs.next().map(|k| (k, run(gone, k)))?;
-            let near = if k == 0 { Near::Nowhere } else { Near::Front };
-            let at = from + search(nodes, &order[from..], run[0], near);
+        if sweep {
+            // Until the edit ends, the list's dead nodes are exactly the
+            // ones it removed.
+            let len = order.len();
+            order.retain(|n| nodes[n.index()].alive);
             assert!(
-                order.get(at..at + run.len()) == Some(run),
+                len - order.len() == removed.0.len(),
                 "the {label:?} nodes of a subtree must be one run of their canonical relation"
             );
-            Some(at..at + run.len())
-        });
+        } else {
+            // Forward over the removed runs: the first by a search of
+            // the whole list, each later one galloping on from the one
+            // before.
+            let gone = in_order(nodes, removed, &mut resorted_out);
+            let mut runs = 0..gone.1.len();
+            compact(order, |order, from| {
+                let (k, run) = runs.next().map(|k| (k, run(gone, k)))?;
+                let near = if k == 0 { Near::Nowhere } else { Near::Front };
+                let at = from + search(nodes, &order[from..], run[0], near);
+                assert!(
+                    order.get(at..at + run.len()) == Some(run),
+                    "the {label:?} nodes of a subtree must be one run of their canonical relation"
+                );
+                Some(at..at + run.len())
+            });
+        }
 
         // Backward over the inserted runs, so that every element moves
         // once: `read` is the end of the old elements not yet placed,
@@ -331,7 +376,11 @@ impl CanonicalIndex {
 
         if nodes[any.index()].kind == NodeKind::Attribute {
             let values = own(self.values.entry(label).or_default(), |v| v.entries.len());
-            values.remove(removed.0.iter().map(|&n| entry_of(nodes, n)));
+            if sweep {
+                values.retain_live(nodes);
+            } else {
+                values.remove(removed.0.iter().map(|&n| entry_of(nodes, n)));
+            }
             values.extend(inserted.0.iter().map(|&n| entry_of(nodes, n)));
         }
     }
@@ -406,6 +455,9 @@ mod tests {
         /// Replaces [`value_hash`] on the calling thread (tests only:
         /// the collision test needs two values in one bucket).
         pub(super) static HASHER: Cell<Option<Hash>> = const { Cell::new(None) };
+        /// Forces [`sweeps`]' answer on the calling thread: both arms of
+        /// a removal, on one edit.
+        pub(super) static SWEEP: Cell<Option<bool>> = const { Cell::new(None) };
     }
 
     /// The per-run maintenance [`CanonicalIndex::edit`] replaced — one
@@ -650,6 +702,46 @@ mod tests {
         d.check_invariants().unwrap();
         assert_eq!(d.attributes_with_value(k, "v7").len(), n.div_ceil(50) - 1);
         assert!(!d.attributes_with_value(k, &format!("v{}", (n - 1) % 50)).contains(&attrs[n - 1]));
+    }
+
+    /// The two arms of a removal — the liveness sweep of a dense one,
+    /// the search per run of a sparse one — leave identical lists and
+    /// value lists, whichever a removal would take by itself: every `b`,
+    /// one `a`, attributes, and runs that come out of order (subtrees
+    /// backwards, a node deleted before an ancestor of it).
+    #[test]
+    fn sweep_and_gallop_leave_the_same_lists() {
+        let people: String = (0..40)
+            .map(|i| format!("<a k=\"{}\"><b j=\"{}\">t</b><c><b/></c></a>", i % 3, i % 5))
+            .collect();
+        let seed = format!("<r><b/>{people}<c j=\"1\"/></r>");
+        type Doomed = fn(&Document) -> Vec<NodeId>;
+        fn named(d: &Document, name: &str) -> Vec<NodeId> {
+            d.canonical_nodes_named(name).to_vec()
+        }
+        let cases: [(&str, Doomed); 5] = [
+            ("every b", |d| named(d, "b")),
+            ("one a", |d| vec![named(d, "a")[20]]),
+            ("every other @j", |d| named(d, "@j").into_iter().step_by(2).collect()),
+            ("a's backwards", |d| named(d, "a").into_iter().rev().step_by(3).collect()),
+            ("a c, then its a", |d| vec![named(d, "c")[7], named(d, "a")[7], named(d, "c")[2]]),
+        ];
+        for (what, doomed) in cases {
+            let lists = |sweep: Option<bool>| {
+                let mut d = parse_document(&seed).unwrap();
+                let nodes = doomed(&d);
+                SWEEP.set(sweep);
+                let mut edit = d.edit();
+                nodes.into_iter().for_each(|n| assert!(edit.remove_subtree(n).is_ok()));
+                drop(edit);
+                SWEEP.set(None);
+                d.check_invariants().unwrap_or_else(|e| panic!("{what} {sweep:?}: {e}"));
+                d
+            };
+            let (swept, galloped) = (lists(Some(true)), lists(Some(false)));
+            swept.canonical_index().assert_same_lists(galloped.canonical_index());
+            lists(None).canonical_index().assert_same_lists(swept.canonical_index());
+        }
     }
 
     #[test]

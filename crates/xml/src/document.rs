@@ -581,10 +581,10 @@ impl DocumentEdit<'_> {
     /// Removes the subtree rooted at `node` (XQuery Update `delete`
     /// semantics: all descendants go too). Returns the removed nodes in
     /// pre-order, which is exactly what Δ⁻ extraction needs; their
-    /// kinds, labels, ordinals and parent links stay readable until
-    /// the edit ends, their child lists and text do not: a dead node
-    /// holds neither (an attribute keeps its text until the edit ends,
-    /// for the value list to drop it by).
+    /// kinds, labels, ordinals, parent links and text stay readable
+    /// until the edit ends, their child lists do not — an attribute's
+    /// text for the value list to drop it by, a text node's for the
+    /// extraction to read the removed elements' values from.
     pub fn remove_subtree(&mut self, node: NodeId) -> Result<Vec<NodeId>, XmlError> {
         self.doc.check_alive(node)?;
         let nodes = &mut self.doc.nodes;
@@ -599,17 +599,14 @@ impl DocumentEdit<'_> {
             }
             None => self.doc.root = None,
         }
-        // One walk, one write per node: it dies, gives its payload
-        // back — its child list to the walk — and is noted for its
-        // label's list. Pre-order is document order: each label's share
-        // of the subtree is one run of that label's canonical relation.
-        // Nodes this edit created are in no list yet, and never will be.
+        // One walk, one write per node: it dies, gives its child list
+        // back to the walk and is noted for its label's list. Pre-order
+        // is document order: each label's share of the subtree is one
+        // run of that label's canonical relation. Nodes this edit
+        // created are in no list yet, and never will be.
         let (mut removed, mut stack) = (Vec::new(), vec![node]);
         while let Some(n) = stack.pop() {
             let dead = nodes.kill(n.index());
-            if dead.kind != NodeKind::Attribute {
-                dead.text = None;
-            }
             // reversed, so that pop yields document order
             stack.extend(std::mem::take(&mut dead.children).into_iter().rev());
             if n.index() < self.first_created {
@@ -624,9 +621,10 @@ impl DocumentEdit<'_> {
 /// Settles the lists: per label, the runs removed and the runs — one
 /// per forest — of the created nodes still alive, in one
 /// [`CanonicalIndex::edit`], which is the last reader of a removed
-/// attribute's text and of the removed nodes' places. Then frees the
-/// chunks left all dead (`Arena::release_dead`). Panics only where
-/// the index was already broken.
+/// attribute's text and of the removed nodes' places; then the removed
+/// text goes. Then frees the chunks left all dead
+/// (`Arena::release_dead`). Panics only where the index was already
+/// broken.
 impl Drop for DocumentEdit<'_> {
     fn drop(&mut self) {
         let Document { nodes, canonical, .. } = &mut *self.doc;
@@ -637,13 +635,13 @@ impl Drop for DocumentEdit<'_> {
                 if node.alive {
                     self.lists.entry(node.label).or_default()[1].push(start, NodeId(i as u32));
                 } else if node.text.is_some() {
-                    nodes.get_mut(i).text = None; // an attribute this edit made and removed
+                    nodes.get_mut(i).text = None; // text this edit made and removed
                 }
             }
         }
         for (&label, [gone, new]) in &self.lists {
             canonical.edit(nodes, label, (&gone.nodes, &gone.starts), (&new.nodes, &new.starts));
-            if gone.nodes.first().is_some_and(|n| nodes[n.index()].kind == NodeKind::Attribute) {
+            if gone.nodes.first().is_some_and(|n| nodes[n.index()].kind != NodeKind::Element) {
                 gone.nodes.iter().for_each(|n| nodes.get_mut(n.index()).text = None);
             }
         }

@@ -742,6 +742,111 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------
+// Δ⁻ read off the apply against the pre-apply walk
+// ---------------------------------------------------------------------
+
+/// Views with value predicates over `arb_doc`'s text ("5", "x" and
+/// their concatenations), on the deleted nodes, above them and under a
+/// wildcard — each maintained beside a predicate-free one.
+const VALUED_PATTERNS: [&str; 5] = [
+    "//a{id}[val=\"5\"]//b{id}",
+    "//a{id}[//d[val=\"5\"]]//b{id}",
+    "//d{id,val}[val=\"5\"]",
+    "//*{id}[val=\"x\"]//c{id}",
+    "//r{id}//a{id}[val=\"5x\"]",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// One unreduced PUL — random statements' operations, all read off
+    /// the seed, so targets nest, repeat and follow in any order, and
+    /// with `nested` a text node deleted before the element around it,
+    /// the pair rule O3 would drop — applied once: per pattern node,
+    /// the Δ⁻ the apply extracts (every label, and the labels of the
+    /// views alone) equals `walk_deleted` over the intact document; a
+    /// predicate-carrying node is exempt only on a commit the apply
+    /// flags. Propagated through a multi-view engine, every store equals
+    /// its recomputation, and a flagged commit that reaches a view with
+    /// a value predicate is answered by recomputing it.
+    #[test]
+    fn delta_minus_from_the_apply_equals_the_pre_apply_walk(
+        doc_xml in arb_doc(),
+        pattern_idx in 0usize..VALUED_PATTERNS.len(),
+        steps in prop::collection::vec(
+            (0usize..TARGETS.len(), 0usize..FORESTS.len(), 0usize..3),
+            1..4
+        ),
+        nested in (0usize..3, 0usize..64),
+        strategy in 0usize..3,
+    ) {
+        use xivm::core::MultiViewEngine;
+        use xivm::update::{
+            apply_pul, apply_pul_for, compute_pul, walk_deleted, AtomicOp, DeltaLabels, DeltaMinus,
+            Pul,
+        };
+        let seed = parse_document(&doc_xml).unwrap();
+        let mut ops = Vec::new();
+        for &(t, f, insert) in &steps {
+            let stmt = parse_statement(&script_statement(t, f, insert == 0)).unwrap();
+            ops.extend(compute_pul(&seed, &stmt).ops);
+        }
+        let texts = seed.canonical_nodes_named(xivm::xml::TEXT_LABEL);
+        if nested.0 > 0 && !texts.is_empty() {
+            let text = texts[nested.1 % texts.len()];
+            let around = seed.parent_of(text).unwrap();
+            let (text, around) = (seed.dewey(text), seed.dewey(around));
+            let at = ops.len().min(nested.1 % (ops.len() + 1));
+            ops.insert(at, AtomicOp::Delete { node: around });
+            ops.insert(at, AtomicOp::Delete { node: text });
+        }
+        let pul = Pul::new(ops);
+        let valued = parse_pattern(VALUED_PATTERNS[pattern_idx]).unwrap();
+        let plain = parse_pattern("//a{id}//b{id}").unwrap();
+        let walked = walk_deleted(&seed, &valued, &pul);
+        let mut flagged = false;
+        for wanted in [DeltaLabels::all(), DeltaLabels::of(&seed, [&valued, &plain])] {
+            let mut post = seed.clone();
+            let applied = apply_pul_for(&mut post, &pul, &wanted).unwrap();
+            flagged = applied.nested_delete;
+            let dminus = DeltaMinus::compute(&post, &valued, &applied);
+            for n in valued.node_ids() {
+                if flagged && valued.node(n).val_pred.is_some() {
+                    continue;
+                }
+                let ids: Vec<_> = dminus.ids(n).cloned().collect();
+                let what = format!("{n:?} of {} (doc={doc_xml})", valued.to_text());
+                prop_assert_eq!(&ids, &walked[n.index()], "{}", what);
+            }
+        }
+        let mut post = seed.clone();
+        prop_assert_eq!(apply_pul(&mut post, &pul).unwrap().nested_delete, flagged);
+
+        let mut doc = seed.clone();
+        let views = [("valued", &valued), ("plain", &plain)]
+            .map(|(name, p)| (name.to_owned(), p.clone(), STRATEGIES[strategy]));
+        let mut engine = MultiViewEngine::new(&doc, views);
+        let reports = engine.propagate_pul(&mut doc, &pul).unwrap();
+        prop_assert_eq!(serialize_document(&doc), serialize_document(&post));
+        for (name, report) in &reports {
+            let view = engine.view(name).unwrap();
+            let fresh = xivm::ivma::recompute_store(&doc, view.pattern());
+            prop_assert!(
+                view.store().identical_to(&fresh),
+                "{} after {:?} (doc={}):\n{}",
+                name,
+                pul.ops,
+                doc_xml,
+                view.store().diff_description(&fresh)
+            );
+            if name == "valued" && flagged && !report.irrelevant {
+                prop_assert!(report.recomputed, "a flagged commit recomputes (doc={})", doc_xml);
+            }
+        }
+    }
+}
+
 /// Subscriptions across `independent()` transactions: a rejected
 /// batch consumes no sequence number and emits no event; committed
 /// batches (conflict-free, or resolved by policy) stream replayable
