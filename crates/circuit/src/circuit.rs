@@ -18,7 +18,9 @@ use crate::row::Row;
 use crate::zset::{DerivedStore, RowDelta};
 use std::collections::HashMap;
 use std::sync::Arc;
-use xivm_core::{Database, DatabaseSnapshot, Error, FeedEvent, ViewHandle, ViewStore};
+use xivm_core::{
+    Database, DatabaseSnapshot, Error, FeedEvent, SlowConsumerPolicy, ViewHandle, ViewStore,
+};
 
 /// A reference to one node of a [`Circuit`] (or a circuit under
 /// construction). Like [`ViewHandle`], a node is only meaningful on
@@ -197,11 +199,18 @@ impl<'db> CircuitBuilder<'db> {
     /// views' current contents, and returns the running circuit,
     /// synced to
     /// [`Database::last_seq`](xivm_core::database::DbInner::last_seq).
+    ///
+    /// The source subscriptions are **unbounded**
+    /// ([`SlowConsumerPolicy::Block`] without a capacity), whatever the
+    /// database's default subscription capacity: only [`Circuit::sync`]
+    /// drains them, and it runs on the thread that commits, so a bound
+    /// would block that thread's next commit on a queue only it can
+    /// empty.
     pub fn build(self) -> Circuit {
         let CircuitBuilder { db, mut nodes } = self;
         for slot in &mut nodes {
             if let OpState::Source(src) = &mut slot.op {
-                src.sub = Some(db.subscribe(src.view));
+                src.sub = Some(db.subscribe_with(src.view, None, SlowConsumerPolicy::Block));
             }
         }
         let mut circuit = Circuit { nodes, synced: db.last_seq() };
@@ -296,15 +305,17 @@ impl Circuit {
     /// stores are readable *at* a known commit boundary — e.g. the
     /// [`DatabaseSnapshot::seq`] of a snapshot taken earlier, pairing
     /// frozen base-view reads with derived stores at the same seq.
-    /// Pipelined commits seal strictly in order, so after
-    /// `apply_pipelined` a barrier at any intermediate seq reproduces
-    /// exactly that prefix. Returns the new [`Self::synced`] (which
+    /// Commits seal strictly in order, so after any number of commits
+    /// a barrier at any intermediate seq reproduces exactly that
+    /// prefix; the source subscriptions are unbounded
+    /// ([`CircuitBuilder::build`]), so those commits never wait for the
+    /// sync. Returns the new [`Self::synced`] (which
     /// never exceeds
     /// [`Database::last_seq`](xivm_core::database::DbInner::last_seq),
     /// nor moves backwards).
     ///
     /// If any source subscription *lagged* — the sources subscribe with
-    /// [`SlowConsumerPolicy::Block`](xivm_core::SlowConsumerPolicy), so
+    /// [`SlowConsumerPolicy::Block`], so
     /// the one cause is recovery from a panicked async window, which
     /// marks the feeds of a deferred view whose pending batch its
     /// recomputed store absorbed — the incremental replay is

@@ -53,7 +53,7 @@
 //! be read at the same boundary as a
 //! [`DatabaseSnapshot`](xivm_core::DatabaseSnapshot) (whose
 //! recomputation oracle is [`Circuit::recompute_at`]) and replay
-//! deterministically under pipelined commits. The `xivm_circuit` row
+//! deterministically however many commits landed since the last sync. The `xivm_circuit` row
 //! of `ARCHITECTURE.md` (repository root) places the crate in the
 //! workspace-wide picture; `tests/circuit.rs` of the umbrella crate
 //! holds the `circuit_equals_recompute` property suite.

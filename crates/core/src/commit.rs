@@ -50,7 +50,7 @@ impl ViewDelta {
     /// The one consolidation: signed changes in any order — a commit
     /// patches its store in several passes (deletions, insertions, text
     /// refresh) — become the canonical run, so
-    /// equivalent updates (sequential vs pipelined, textual vs typed)
+    /// equivalent updates (synchronous vs async, textual vs typed)
     /// publish bit-identical deltas. A key's entries of one side sum
     /// their weights and keep the contents of the last (the sort is
     /// stable: the latest pass read the latest text); negative entries
@@ -221,7 +221,7 @@ impl Commit {
     /// derivation counters, bit-identical deltas). Timings are
     /// ignored — they legitimately differ between runs. This is the
     /// commit-level comparison of the differential soak harness:
-    /// sequential, pipelined and async executions of the same
+    /// sequential and async executions of the same
     /// statement stream must produce pairwise `same_outcome` commits.
     pub fn same_outcome(&self, other: &Commit) -> bool {
         self.seq == other.seq

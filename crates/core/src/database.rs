@@ -237,7 +237,7 @@ pub enum MaintenanceMode {
     /// propagation pass and seals it as its own commit, whose single
     /// [`DeltaEvent`] carries the coalesced delta plus
     /// [`DeltaEvent::folded`] naming exactly the commits it covers.
-    /// Commit latency drops because the view leaves the seal window;
+    /// Commit latency drops because the view leaves the commit path;
     /// reads of its store are stale until the next refresh.
     Deferred,
 }
@@ -371,8 +371,8 @@ impl DatabaseBuilder {
     }
 
     /// Accepted and ignored: the commit service seals each drained
-    /// queue of [`Database::apply_async`] submissions as one window,
-    /// under one recovery image (see [`crate::service`]), whatever its
+    /// queue of [`Database::apply_async`] submissions in order under
+    /// one recovery image (see [`crate::service`]), whatever its
     /// length. Kept only because `benchmark/` calls it; the ROADMAP's
     /// `[benchmark]` item removes it.
     pub fn pipeline(self, _depth: usize) -> Self {
@@ -578,10 +578,10 @@ impl Database {
     /// in submission order, through the same commit executor as every
     /// synchronous front-end: each time the service thread wakes it
     /// drains its whole queue — whatever the submissions' shapes — and
-    /// seals it as one window, like an [`DbInner::apply_pipelined`]
-    /// window. A one-statement submission commits like
-    /// [`DbInner::apply`], a multi-statement (or empty) one like a
-    /// sequential [`DbInner::transaction`], and both share windows with
+    /// seals it submission by submission under one recovery image. A
+    /// one-statement submission commits like [`DbInner::apply`], a
+    /// multi-statement (or empty) one like a sequential
+    /// [`DbInner::transaction`], and both share drained queues with
     /// their neighbours.
     ///
     /// The ticket carries the reserved sequence number; await the
@@ -789,14 +789,7 @@ impl DbInner {
     /// report and exact delta.
     pub fn apply(&mut self, statement: impl Into<StatementSource>) -> Result<Commit, Error> {
         let stmt = resolve_statement(statement.into())?;
-        self.seal_one(Batch::Single(&stmt))
-    }
-
-    /// Seals a window of one statement batch and returns its commit.
-    fn seal_one(&mut self, batch: Batch<'_>) -> Result<Commit, Error> {
-        let mut sealed = None;
-        self.seal_window(&[batch], |_, _, commit| sealed = Some(commit))?;
-        Ok(sealed.expect("a window of one statement batch seals one commit"))
+        Ok(self.seal(Batch::Single(&stmt))?.1)
     }
 
     /// Starts a batched transaction: statements are collected and, at
@@ -810,42 +803,6 @@ impl DbInner {
             isolation: Isolation::Sequential,
             policy: ConflictPolicy::Fail,
         }
-    }
-
-    /// Applies a stream of statements as *individual commits* — one
-    /// [`Commit`] per statement, exactly as a loop of [`Self::apply`]
-    /// would produce. The stream goes to the same commit executor every
-    /// other front-end uses as one window, which seals it step by step:
-    /// each statement is planned against the live document, propagated
-    /// in place and sealed before the next is planned. Commits
-    /// (sequence numbers, counters, per-view deltas), stores and
-    /// subscription streams are bit-identical to the loop of `apply`,
-    /// and changefeeds stay gapless.
-    ///
-    /// The whole batch is parsed and validated up front: a malformed
-    /// statement rejects everything before anything is applied (no
-    /// commit, no event). An apply error mid-stream (not reachable
-    /// through the validated statement forms, but the document layer
-    /// is fallible) stops the stream: commits sealed before the
-    /// failure *remain applied* — their sequence numbers are consumed
-    /// and their events already fanned out, observable via
-    /// [`Self::last_seq`] and any subscription feed — but their
-    /// `Commit` values are not carried by the `Err`, so callers that
-    /// need per-commit reports under that failure mode should drain a
-    /// subscription rather than rely on the returned `Vec`.
-    pub fn apply_pipelined<I>(&mut self, statements: I) -> Result<Vec<Commit>, Error>
-    where
-        I: IntoIterator,
-        I::Item: Into<StatementSource>,
-    {
-        let stmts: Vec<UpdateStatement> = statements
-            .into_iter()
-            .map(|s| resolve_statement(s.into()))
-            .collect::<Result<_, _>>()?;
-        let batches: Vec<Batch<'_>> = stmts.iter().map(Batch::Single).collect();
-        let mut commits = Vec::with_capacity(stmts.len());
-        self.seal_window(&batches, |_, _, commit| commits.push(commit))?;
-        Ok(commits)
     }
 
     /// The sequence number of the last successful commit (0 before the
@@ -930,9 +887,10 @@ impl DbInner {
     /// `Immediate` views): no commit, no sequence number.
     pub fn refresh(&mut self, view: ViewHandle) -> Result<Option<Commit>, Error> {
         assert!(view.index() < self.views.len(), "handle from this database");
-        let mut sealed = None;
-        self.seal_window(&[Batch::Refresh(view.index())], |_, _, commit| sealed = Some(commit))?;
-        Ok(sealed)
+        if self.pending[view.index()].is_none() {
+            return Ok(None);
+        }
+        Ok(Some(self.seal(Batch::Refresh(view.index()))?.1))
     }
 
     /// [`Self::refresh`] for every view with a pending batch, in
@@ -1023,10 +981,11 @@ impl<'db> Transaction<'db> {
         let Transaction { db, statements, isolation, policy } = self;
         let parsed: Vec<UpdateStatement> =
             statements.into_iter().map(resolve_statement).collect::<Result<_, _>>()?;
-        db.seal_one(match isolation {
+        let batch = match isolation {
             Isolation::Sequential => Batch::Sequential(&parsed),
             Isolation::Independent => Batch::Independent(&parsed, policy),
-        })
+        };
+        Ok(db.seal(batch)?.1)
     }
 }
 
@@ -1328,12 +1287,15 @@ mod tests {
     /// `.workers(n)`, `.pipeline(depth)`, `set_workers(n)` and
     /// `threads_spawned()` are kept only for `benchmark/` and change
     /// nothing: under `.workers(4).pipeline(4)` a database commits,
-    /// stores and streams what the default build does — through apply,
-    /// `apply_pipelined`, a transaction and `apply_async` — and an
+    /// stores and streams what the default build does — through
+    /// `apply`, a transaction and `apply_async` — and an
     /// engine told `set_workers(4)` reports and stores what the default
     /// engine does. No thread is spawned.
     #[test]
     fn the_benchmark_shims_change_nothing() {
+        // Its commit service must not take another test's armed
+        // `fault::SEAL_DELAY`.
+        let _guard = crate::fault::exclusive();
         const VIEWS: [(&str, &str); 3] = [
             ("ab", "//a{id}//b{id}"),
             ("acb", "//a{id}[//c{id}]//b{id}"),
@@ -1347,9 +1309,10 @@ mod tests {
                 .into_iter()
                 .map(|h| db.subscribe_with(h, None, SlowConsumerPolicy::Block))
                 .collect();
-            let mut commits = vec![db.apply("insert <b/> into //c").unwrap()];
-            commits
-                .extend(db.apply_pipelined(["delete /a/f", "insert <c><b/></c> into /a"]).unwrap());
+            let mut commits: Vec<Commit> =
+                ["insert <b/> into //c", "delete /a/f", "insert <c><b/></c> into /a"]
+                    .map(|s| db.apply(s).unwrap())
+                    .into();
             let tx = db.transaction().statement("insert <b/> into /a/c").statement("delete /a/c/b");
             commits.push(tx.commit().unwrap());
             commits.push(db.apply_async(["insert <f><b/></f> into /a"]).unwrap().wait().unwrap());
@@ -1694,12 +1657,12 @@ mod tests {
     }
 
     #[test]
-    fn transactions_and_pipelined_applies_defer_identically() {
+    fn transactions_and_applies_defer_identically() {
         let mut immediate = db();
         let mut deferred = deferred_db();
         let acb = deferred.view("acb").unwrap();
-        deferred.apply_pipelined(SCRIPT).unwrap();
         for s in SCRIPT {
+            deferred.apply(s).unwrap();
             immediate.apply(s).unwrap();
         }
         let tx = ["insert <b/> into /a/c", "delete //f//b"];

@@ -111,8 +111,8 @@ impl UpdateReport {
     /// Timings and prune statistics are ignored — they legitimately
     /// differ between runs (and between scheduling modes). This is
     /// the per-view half of [`Commit::same_outcome`], the comparison
-    /// the differential soak harness makes between sequential,
-    /// pipelined and async executions.
+    /// the differential soak harness makes between sequential and
+    /// async executions.
     ///
     /// [`Commit::same_outcome`]: crate::commit::Commit::same_outcome
     pub fn same_outcome(&self, other: &UpdateReport) -> bool {

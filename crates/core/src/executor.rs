@@ -1,24 +1,22 @@
 //! The one commit path: planners turn a submission into a
-//! [`CommitPlan`], and one executor — [`DbInner::seal_window`] — seals
-//! a window of plans, one step at a time.
+//! [`CommitPlan`], and one executor — [`DbInner::seal`] — seals it as
+//! one commit.
 //!
-//! Every front-end is a window: [`apply`](DbInner::apply) and
+//! [`apply`](DbInner::apply) and
 //! [`Transaction::commit`](crate::database::Transaction::commit) seal
-//! a window of one, [`apply_pipelined`](DbInner::apply_pipelined) one
-//! window of all its statements, the async service one window per
-//! drained queue whatever its submissions' shapes, and
-//! [`refresh`](DbInner::refresh) a one-step window over the deferred
-//! view's last-maintained image. The planners ([`plan_single`],
-//! [`plan_sequential`], [`plan_independent`], [`plan_refresh`]) own
-//! the paper's §5 optimizer — Figure 16 aggregation, Figure 15
-//! conflicts, Figure 14 reduction; everything after planning happens
-//! here and only here: the deferred mask, the pre-image, the in-place
-//! propagation
+//! one batch each, [`refresh`](DbInner::refresh) one over the deferred
+//! view's last-maintained image, and the async service
+//! ([`crate::service`]) one per submission of each queue it drains, in
+//! order. The planners ([`plan_single`], [`plan_sequential`],
+//! [`plan_independent`], [`plan_refresh`]) own the paper's §5
+//! optimizer — Figure 16 aggregation, Figure 15 conflicts, Figure 14
+//! reduction; everything after planning happens here and only here:
+//! the deferred mask, the plan's label interner, the pre-image, the
+//! in-place propagation
 //! ([`MultiViewEngine::propagate`](crate::multiview::MultiViewEngine)),
-//! the deferred fold, the deferred markers and the seal. Step *k + 1*
-//! is planned only after step *k* has sealed. No planner consults the
-//! static analyzer: a view a statement cannot touch is skipped by
-//! `finish`'s dynamic relevance exit, which needs no DTD.
+//! the deferred fold, the deferred markers and the seal. No planner
+//! consults the static analyzer: a view a statement cannot touch is
+//! skipped by `finish`'s dynamic relevance exit, which needs no DTD.
 //!
 //! # Who may take a document image
 //!
@@ -30,7 +28,7 @@
 //! clone of its base, the async service keeps one recovery pre-image
 //! per drained queue ([`crate::service`]), and a snapshot is the
 //! caller's. Nothing else
-//! — not a step's planning, not a batch already open — holds an image
+//! — not a commit's planning, not a batch already open — holds an image
 //! or the live interner across an apply; `executor::tests` pins that
 //! as counts.
 
@@ -38,10 +36,8 @@ use crate::commit::Commit;
 use crate::database::{DbInner, DeferredPending};
 use crate::engine::UpdateReport;
 use crate::error::Error;
-use crate::multiview::Propagated;
 use crate::subscribe::SubscriptionRegistry;
 use crate::timing::timed;
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 use xivm_pulopt::{aggregate, find_conflicts, integrate, reduce, ConflictPolicy, ReductionTrace};
@@ -60,7 +56,8 @@ pub(crate) enum Batch<'a> {
     /// conflict rules.
     Independent(&'a [UpdateStatement], ConflictPolicy),
     /// The pending batch of the deferred view at this index, folded
-    /// over its last-maintained image. Only valid as a window of one.
+    /// over its last-maintained image. Sealed only while one is
+    /// pending.
     Refresh(usize),
 }
 
@@ -76,16 +73,12 @@ impl<'a> Batch<'a> {
 }
 
 /// What a planner hands the executor: the optimized PUL over the
-/// document as of the step's turn, the commit's counters, and the
-/// views to leave out of the propagation.
-pub(crate) struct CommitPlan<'a> {
-    pub(crate) pul: Cow<'a, Pul>,
+/// document as of the commit's turn and the commit's counters.
+pub(crate) struct CommitPlan {
+    pub(crate) pul: Pul,
     pub(crate) statements: usize,
     pub(crate) naive_ops: usize,
     pub(crate) reduction: ReductionTrace,
-    /// `skip[i]` leaves view `i` out of the step: the deferred views
-    /// of a live step, every view but its own on a refresh.
-    pub(crate) skip: Option<Cow<'a, [bool]>>,
     /// Find Target Nodes time, stamped on every view's report.
     pub(crate) t_find: Duration,
     /// The interner of the document the PUL's operations were computed
@@ -99,15 +92,14 @@ pub(crate) struct CommitPlan<'a> {
     pub(crate) labels: Option<Arc<LabelInterner>>,
 }
 
-impl<'a> CommitPlan<'a> {
-    /// A plan that propagates `pul` as it stands to every view.
-    pub(crate) fn of(pul: Cow<'a, Pul>) -> Self {
+impl CommitPlan {
+    /// A plan that propagates `pul` as it stands.
+    fn of(pul: Pul) -> Self {
         CommitPlan {
             naive_ops: pul.len(),
             pul,
             statements: 0,
             reduction: ReductionTrace::default(),
-            skip: None,
             t_find: Duration::ZERO,
             labels: None,
         }
@@ -116,9 +108,9 @@ impl<'a> CommitPlan<'a> {
 
 /// Plans one statement: its PUL (the target lookup, timed once for
 /// every view).
-pub(crate) fn plan_single<'a>(doc: &Document, stmt: &UpdateStatement) -> CommitPlan<'a> {
+fn plan_single(doc: &Document, stmt: &UpdateStatement) -> CommitPlan {
     let (pul, t_find) = timed(|| compute_pul(doc, stmt));
-    CommitPlan { statements: 1, t_find, ..CommitPlan::of(Cow::Owned(pul)) }
+    CommitPlan { statements: 1, t_find, ..CommitPlan::of(pul) }
 }
 
 /// Plans a batch with sequential composition: each statement's targets
@@ -126,7 +118,7 @@ pub(crate) fn plan_single<'a>(doc: &Document, stmt: &UpdateStatement) -> CommitP
 /// per-statement PULs are folded with the Figure 16 aggregation rules
 /// into one PUL over the pre-transaction document and reduced
 /// (Figure 14).
-fn plan_sequential<'a>(doc: &Document, stmts: &[UpdateStatement]) -> Result<CommitPlan<'a>, Error> {
+fn plan_sequential(doc: &Document, stmts: &[UpdateStatement]) -> Result<CommitPlan, Error> {
     // The scratch copy exists only to give *later* statements the
     // evolved state, so it is cloned lazily and never advanced past
     // the second-to-last statement.
@@ -147,7 +139,7 @@ fn plan_sequential<'a>(doc: &Document, stmts: &[UpdateStatement]) -> Result<Comm
         naive_ops,
         reduction,
         labels: scratch.map(|s| s.shared_labels()),
-        ..CommitPlan::of(Cow::Owned(optimized))
+        ..CommitPlan::of(optimized)
     })
 }
 
@@ -155,11 +147,11 @@ fn plan_sequential<'a>(doc: &Document, stmts: &[UpdateStatement]) -> Result<Comm
 /// computed against the same snapshot, the Figure 15 conflict rules
 /// (IO / LO / NLO) are checked under `policy`, and the surviving
 /// operations integrate into one reduced PUL.
-fn plan_independent<'a>(
+fn plan_independent(
     doc: &Document,
     stmts: &[UpdateStatement],
     policy: ConflictPolicy,
-) -> Result<CommitPlan<'a>, Error> {
+) -> Result<CommitPlan, Error> {
     let puls: Vec<Pul> = stmts.iter().map(|s| compute_pul(doc, s)).collect();
     let naive_ops = puls.iter().map(Pul::len).sum();
     if policy == ConflictPolicy::Fail {
@@ -178,112 +170,94 @@ fn plan_independent<'a>(
     let combined =
         iter.try_fold(first, |acc, next| integrate(&acc, &next, policy).map_err(Error::Conflict))?;
     let (optimized, reduction) = reduce(&combined);
-    Ok(CommitPlan {
-        statements: stmts.len(),
-        naive_ops,
-        reduction,
-        ..CommitPlan::of(Cow::Owned(optimized))
-    })
+    Ok(CommitPlan { statements: stmts.len(), naive_ops, reduction, ..CommitPlan::of(optimized) })
 }
 
-/// Plans a refresh of view `view` (of `views`): the batched PULs
-/// reduced (Figure 14), over the batch's base image, masked to the
-/// one view. The batch was computed commit by commit against the live
-/// document, whose interner (`live`) the image therefore adopts.
-fn plan_refresh<'a>(
-    p: &DeferredPending,
-    live: &Arc<LabelInterner>,
-    view: usize,
-    views: usize,
-) -> CommitPlan<'a> {
+/// Plans a refresh: the deferred batch's PULs reduced (Figure 14),
+/// over the batch's base image. The batch was computed commit by
+/// commit against the live document, whose interner (`live`) the image
+/// therefore adopts.
+fn plan_refresh(p: &DeferredPending, live: &Arc<LabelInterner>) -> CommitPlan {
     let (optimized, reduction) = reduce(&p.pul);
     CommitPlan {
         naive_ops: p.naive_ops,
         reduction,
-        skip: Some((0..views).map(|j| j != view).collect()),
         labels: Some(Arc::clone(live)),
-        ..CommitPlan::of(Cow::Owned(optimized))
+        ..CommitPlan::of(optimized)
     }
 }
 
 impl DbInner {
-    /// Seals a window of consecutive commits, handing each sealed
-    /// [`Commit`] (with its window position and the PUL it applied) to
-    /// `on_sealed` strictly in order. The only place that masks the
-    /// deferred views, captures a pre-image, propagates, folds deferred
-    /// batches and seals.
+    /// Seals one batch as one commit and returns it with the PUL it
+    /// applied. The only place that masks the deferred views, adopts a
+    /// plan's label interner, captures a pre-image, propagates, folds
+    /// deferred batches and seals.
     ///
-    /// One step per batch, in order: plan against the live document,
-    /// propagate in place, fold or mark the deferred views, seal,
-    /// `on_sealed` — step *k + 1* is planned only after step *k* has
-    /// sealed. A step that fails to plan (a conflict) or to apply
-    /// stops the window: the steps before it have sealed, nothing
-    /// after it runs, and the error comes back. A window of one
-    /// therefore either seals its commit or leaves the database
-    /// untouched (up to `apply_pul`'s own non-atomicity, which
-    /// statement validation rules out).
-    pub(crate) fn seal_window(
-        &mut self,
-        window: &[Batch<'_>],
-        mut on_sealed: impl FnMut(usize, Pul, Commit),
-    ) -> Result<(), Error> {
+    /// Plan against the live document, propagate in place, fold or mark
+    /// the deferred views, seal. A batch that fails to plan (a conflict)
+    /// or to apply leaves the database untouched (up to `apply_pul`'s
+    /// own non-atomicity, which statement validation rules out) and
+    /// the error comes back. A [`Batch::Refresh`] is sealed only while
+    /// its view has a batch pending.
+    pub(crate) fn seal(&mut self, batch: Batch<'_>) -> Result<(Pul, Commit), Error> {
         let DbInner { doc, views, commits, subs, deferred, pending, .. } = self;
-        let defers = deferred.contains(&true);
-        for (k, batch) in window.iter().enumerate() {
-            // A refresh replays its batch over the view's last-maintained
-            // image, not the live document — whose interner the image
-            // adopts; nothing pending, no commit.
-            let mut image = None;
-            let mut plan = match *batch {
-                Batch::Single(stmt) => plan_single(doc, stmt),
-                Batch::Sequential(stmts) => plan_sequential(doc, stmts)?,
-                Batch::Independent(stmts, policy) => plan_independent(doc, stmts, policy)?,
-                Batch::Refresh(view) => {
-                    let Some(p) = &pending[view] else { continue };
-                    image = Some(p.base.clone());
-                    plan_refresh(p, &doc.shared_labels(), view, deferred.len())
-                }
-            };
-            // A live step leaves the deferred views out (and folds its
-            // PUL into their batches below); a refresh step is already
-            // masked to exactly its view.
-            let folds = image.is_none() && defers;
-            if folds {
-                plan.skip = Some(Cow::Borrowed(deferred));
+        // A refresh replays its batch over the view's last-maintained
+        // image, not the live document, masked to exactly its view; a
+        // live commit leaves the deferred views out (and folds its PUL
+        // into their batches below).
+        let (plan, mut image, mask) = match batch {
+            Batch::Single(stmt) => (plan_single(doc, stmt), None, None),
+            Batch::Sequential(stmts) => (plan_sequential(doc, stmts)?, None, None),
+            Batch::Independent(stmts, policy) => {
+                (plan_independent(doc, stmts, policy)?, None, None)
             }
-            // Only a batch this step opens reads its pre-image: a
-            // deferred slot empty now, and a PUL to fold into it.
-            let seeds = folds
-                && !plan.pul.is_empty()
-                && deferred.iter().zip(&*pending).any(|(d, p)| *d && p.is_none());
-            let target = image.as_mut().unwrap_or(&mut *doc);
-            let Propagated { plan, pre, mut reports } = views.propagate(target, plan, seeds)?;
-            if let Batch::Refresh(view) = *batch {
-                // Transaction equivalence (Section 5): replaying the
-                // aggregated batch over the base must reconstruct the
-                // live document bit-identically, Dewey assignment
-                // included.
-                debug_assert_eq!(
-                    image.as_ref().map(serialize_document),
-                    Some(serialize_document(doc)),
-                    "aggregated deferred batch must reconstruct the live document"
-                );
-                let p = pending[view].take().expect("planned from it");
-                for (j, report) in reports.iter_mut().enumerate() {
-                    if j == view {
-                        report.coalesced = Some(p.first_seq..=*commits);
-                    } else {
-                        *report = UpdateReport::default();
-                    }
-                }
-            } else {
-                fold_pending(pending, deferred, pre, &plan.pul, *commits + 1);
-                mark_deferred(&mut reports, deferred);
+            Batch::Refresh(view) => {
+                let p = pending[view].as_ref().expect("a refresh seals a pending batch");
+                let mask = (0..deferred.len()).map(|j| j != view).collect::<Vec<_>>();
+                (plan_refresh(p, &doc.shared_labels()), Some(p.base.clone()), Some(mask))
             }
-            let commit = seal_commit(commits, subs, views.shared_names(), &plan, reports);
-            on_sealed(k, plan.pul.into_owned(), commit);
+        };
+        let folds = image.is_none() && deferred.contains(&true);
+        let skip = if folds { Some(&deferred[..]) } else { mask.as_deref() };
+        let target = image.as_mut().unwrap_or(&mut *doc);
+        // Structural IDs embed label ids: the applying document takes
+        // the interner the PUL was computed under (`CommitPlan::labels`).
+        if let Some(labels) = &plan.labels {
+            target.adopt_labels(labels);
         }
-        Ok(())
+        // Only a batch this commit opens reads its pre-image: a
+        // deferred slot empty now, and a PUL to fold into it.
+        let pre = (folds
+            && !plan.pul.is_empty()
+            && deferred.iter().zip(&*pending).any(|(d, p)| *d && p.is_none()))
+        .then(|| target.clone());
+        let mut reports = views.propagate(target, &plan.pul, skip)?;
+        for report in &mut reports {
+            report.timings.find_target_nodes = plan.t_find;
+        }
+        if let Batch::Refresh(view) = batch {
+            // Transaction equivalence (Section 5): replaying the
+            // aggregated batch over the base must reconstruct the live
+            // document bit-identically, Dewey assignment included.
+            debug_assert_eq!(
+                image.as_ref().map(serialize_document),
+                Some(serialize_document(doc)),
+                "aggregated deferred batch must reconstruct the live document"
+            );
+            let p = pending[view].take().expect("planned from it");
+            for (j, report) in reports.iter_mut().enumerate() {
+                if j == view {
+                    report.coalesced = Some(p.first_seq..=*commits);
+                } else {
+                    *report = UpdateReport::default();
+                }
+            }
+        } else {
+            fold_pending(pending, deferred, pre, &plan.pul, *commits + 1);
+            mark_deferred(&mut reports, deferred);
+        }
+        let commit = seal_commit(commits, subs, views.shared_names(), &plan, reports);
+        Ok((plan.pul, commit))
     }
 }
 
@@ -314,7 +288,7 @@ fn fold_pending(
                 empty -= 1;
                 let base = if empty == 0 { pre.take() } else { pre.clone() };
                 *slot = Some(DeferredPending {
-                    base: base.expect("the step took its pre-image: this slot was empty"),
+                    base: base.expect("the commit took its pre-image: this slot was empty"),
                     pul: pul.clone(),
                     naive_ops: pul.len(),
                     first_seq: seq,
@@ -334,7 +308,7 @@ fn mark_deferred(reports: &mut [UpdateReport], deferred: &[bool]) {
     }
 }
 
-/// Seals one propagated step: bumps the sequence counter, builds the
+/// Seals one propagated commit: bumps the sequence counter, builds the
 /// [`Commit`] and fans its deltas out to the subscriptions. Sealing
 /// strictly in commit order is what keeps subscription streams
 /// gapless under overlap.
@@ -342,7 +316,7 @@ fn seal_commit(
     commits: &mut u64,
     subs: &mut SubscriptionRegistry,
     names: &Arc<[String]>,
-    plan: &CommitPlan<'_>,
+    plan: &CommitPlan,
     reports: Vec<UpdateReport>,
 ) -> Commit {
     *commits += 1;
@@ -432,17 +406,22 @@ mod tests {
     }
 
     /// The first commit after a refresh targets nothing: its empty PUL
-    /// leaves the slot empty, and the commit after it — a later step of
-    /// the same window, or another window — still finds a pre-image.
+    /// leaves the slot empty, and the commit after it — a later
+    /// submission of the same async window, or a later `apply` — still
+    /// finds a pre-image.
     #[test]
     fn an_empty_commit_after_a_refresh_leaves_the_seeding_to_the_next() {
         let (mut deferred, mut immediate) = (db(&["acb"]), db(&[]));
         let acb = deferred.view("acb").unwrap();
         deferred.apply(SCRIPT[0]).unwrap();
         deferred.refresh(acb).unwrap().expect("a batch was pending");
-        // One window of four…
-        let after = [NOTHING, SCRIPT[1], NOTHING, SCRIPT[2]];
-        assert_eq!(deferred.apply_pipelined(after).unwrap().len(), 4);
+        // Submissions the service seals in order, under one recovery
+        // image…
+        for s in [NOTHING, SCRIPT[1], NOTHING, SCRIPT[2]] {
+            deferred.apply_async([s]).unwrap();
+        }
+        deferred.flush().unwrap();
+        assert_eq!(deferred.last_seq(), 6);
         assert_eq!(deferred.deferred_commits(acb), 2, "the empty commits fold nothing");
         // …and separate `apply` calls.
         deferred.refresh(acb).unwrap().expect("a batch was pending");
@@ -464,7 +443,9 @@ mod tests {
         let (acb, cb) = (deferred.view("acb").unwrap(), deferred.view("cb").unwrap());
         deferred.apply(SCRIPT[0]).unwrap();
         deferred.refresh(acb).unwrap().expect("a batch was pending");
-        deferred.apply_pipelined([SCRIPT[1], SCRIPT[2]]).unwrap();
+        for s in [SCRIPT[1], SCRIPT[2]] {
+            deferred.apply(s).unwrap();
+        }
         assert_eq!((deferred.deferred_commits(acb), deferred.deferred_commits(cb)), (2, 3));
         deferred.refresh(cb).unwrap().expect("a batch was pending");
         deferred.apply(SCRIPT[3]).unwrap();
@@ -557,18 +538,21 @@ mod tests {
         }
     }
 
-    /// (c) A pipelined window of four walks its steps in place: it
-    /// takes no image of its own, and under a deferred view exactly
-    /// one — the base of the batch it opens, whichever step opens it —
-    /// or none if the batch was open before the window.
+    /// (c) An async window of three submissions walks them in place:
+    /// on top of the service's one recovery image it takes an image
+    /// only to open a deferred batch — one, whichever submission opens
+    /// it — and none if the batch was open before the window.
+    /// `fault::SEAL_DELAY` holds the drain off until all three are
+    /// queued.
     #[cfg(debug_assertions)]
     #[test]
-    fn a_pipelined_window_takes_an_image_only_to_open_a_batch() {
-        use xivm_xml::arena::work;
-        let window = [7, 100, 200, 300].map(|p| into(p, "<n>y</n>"));
+    fn an_async_window_takes_an_image_only_to_open_a_batch() {
+        use crate::fault;
+        let _guard = fault::exclusive();
+        let window = [7, 100, 200].map(|p| into(p, "<n>y</n>"));
         let mut nothing_first = window.clone();
         nothing_first[0] = NOTHING.to_owned();
-        for (deferred, open_before, stmts, clones) in [
+        for (deferred, open_before, stmts, opens) in [
             (false, false, &window, 0),
             (true, false, &window, 1),
             (true, true, &window, 0),
@@ -578,11 +562,18 @@ mod tests {
             if open_before {
                 db.apply(into(1, "<n>y</n>").as_str()).unwrap();
             }
-            work::take();
-            assert_eq!(db.apply_pipelined(stmts.iter().map(String::as_str)).unwrap().len(), 4);
+            fault::WINDOW_CLONES.lock().unwrap().clear();
+            fault::arm(fault::SEAL_DELAY);
+            for s in stmts {
+                db.apply_async([s.as_str()]).unwrap();
+            }
+            db.flush().unwrap();
             let case = format!("deferred: {deferred}, open before: {open_before}, {}", stmts[0]);
-            assert_eq!(work::take().clones, clones, "{case}");
+            assert_eq!(db.last_seq(), 3 + open_before as u64, "{case}");
+            let clones = fault::WINDOW_CLONES.lock().unwrap().clone();
+            assert_eq!(clones, [1 + opens], "{case}: one window");
         }
+        fault::disarm_all();
     }
 
     /// (d) Under a held image an insert whose labels all exist leaves

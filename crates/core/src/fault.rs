@@ -62,6 +62,12 @@ static EXCLUSIVE: Mutex<()> = Mutex::new(());
 /// How long [`SEAL_DELAY`] sleeps.
 pub const SEAL_DELAY_MS: u64 = 40;
 
+/// Per window the async service sealed, the document images its thread
+/// took (`xivm_xml::arena::work` counts per thread), for the unit tests
+/// that pin the image rule; they hold [`exclusive`] while they read it.
+#[cfg(all(test, debug_assertions))]
+pub(crate) static WINDOW_CLONES: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
 fn ensure_env() {
     ENV_INIT.call_once(|| {
         if let Ok(spec) = std::env::var("XIVM_FAULT") {

@@ -30,9 +30,10 @@
 //! * [`database`] — the [`database::Database`] façade owning the
 //!   document and all named views, with batched
 //!   [`database::Transaction`]s through the Section 5 PUL optimizer;
-//!   every front-end (apply, transaction, pipelined, async, refresh)
-//!   hands a window of submissions to the one crate-internal commit
-//!   executor (`executor`: planners → `CommitPlan` → seal);
+//!   every front-end (apply, transaction, refresh, and the async
+//!   service once per submission it drains) hands one batch at a time
+//!   to the one crate-internal commit executor (`executor`: planners →
+//!   `CommitPlan` → `seal`);
 //! * [`commit`] / [`subscribe`] — the delta-first client surface:
 //!   every apply / commit returns a [`commit::Commit`] carrying each
 //!   view's exact [`commit::ViewDelta`], and

@@ -9,32 +9,20 @@
 //!
 //! [`MultiViewEngine`] is the low-level multi-view host; the
 //! [`crate::database::Database`] façade owns one (together with the
-//! document) and is the recommended entry point.
-//!
-//! Of the document images a commit may hold (`executor.rs` has
-//! the whole discipline) this module takes one: the pre-image of a
-//! step, only when the caller has a reader for it.
+//! document) and is the recommended entry point. Its one job is the
+//! shared step — prepare every view, apply the PUL once, finish every
+//! view; planning, document images and sealing are the executor's
+//! (`executor.rs`).
 
 use crate::engine::{MaintenanceEngine, SnowcapStrategy, UpdateReport};
 use crate::error::Error;
-use crate::executor::{plan_single, CommitPlan};
 use crate::parallel;
 use crate::timing::timed;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use xivm_pattern::TreePattern;
-use xivm_update::{apply_pul_for, DeltaLabels, Pul, UpdateStatement};
+use xivm_update::{apply_pul_for, compute_pul, DeltaLabels, Pul, UpdateStatement};
 use xivm_xml::Document;
-
-/// One propagated step of [`MultiViewEngine::propagate`]: the plan it
-/// ran, the document before its apply (only when asked for) and the
-/// per-view reports in declaration order.
-pub(crate) struct Propagated<'a> {
-    pub(crate) plan: CommitPlan<'a>,
-    pub(crate) pre: Option<Document>,
-    pub(crate) reports: Vec<UpdateReport>,
-}
 
 /// Is view `i` left out of the step under `skip` (`None` = no mask)?
 fn masked(skip: Option<&[bool]>, i: usize) -> bool {
@@ -151,8 +139,12 @@ impl MultiViewEngine {
         doc: &mut Document,
         stmt: &UpdateStatement,
     ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        let step = self.propagate(doc, plan_single(doc, stmt), false)?;
-        Ok(self.named(step.reports))
+        let (pul, t_find) = timed(|| compute_pul(doc, stmt));
+        let mut reports = self.propagate(doc, &pul, None)?;
+        for report in &mut reports {
+            report.timings.find_target_nodes = t_find;
+        }
+        Ok(self.named(reports))
     }
 
     /// Propagates an already-computed (possibly optimizer-reduced,
@@ -164,8 +156,8 @@ impl MultiViewEngine {
         doc: &mut Document,
         pul: &Pul,
     ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        let step = self.propagate(doc, CommitPlan::of(Cow::Borrowed(pul)), false)?;
-        Ok(self.named(step.reports))
+        let reports = self.propagate(doc, pul, None)?;
+        Ok(self.named(reports))
     }
 
     /// Declaration-ordered reports, paired with the view names.
@@ -179,32 +171,25 @@ impl MultiViewEngine {
     /// view reads, for the labels the views' patterns name
     /// ([`DeltaLabels::of`]) — every view's `finish` against the result,
     /// each phase one plain loop over the views in declaration order.
-    /// `plan.skip[i]` leaves view `i` out: its prepare/finish never run,
-    /// its labels are not extracted, and it reports
+    /// `skip[i]` leaves view `i` out: its prepare/finish never run, its
+    /// labels are not extracted, and it reports
     /// `UpdateReport::default()`, which the executor replaces with the
     /// deferred marker or a refresh's report.
     ///
-    /// No document image is created unless `want_pre` asks for the
-    /// pre-apply one (a clone held across `apply_pul` makes every
-    /// touched chunk copy-on-write). Returns the plan, that image and
-    /// the reports, find/apply timings stamped.
-    pub(crate) fn propagate<'a>(
+    /// Takes no document image. Returns the per-view reports, the apply
+    /// time stamped.
+    pub(crate) fn propagate(
         &mut self,
         doc: &mut Document,
-        plan: CommitPlan<'a>,
-        want_pre: bool,
-    ) -> Result<Propagated<'a>, Error> {
-        if let Some(labels) = &plan.labels {
-            doc.adopt_labels(labels);
-        }
-        let (pul, skip) = (&*plan.pul, plan.skip.as_deref());
+        pul: &Pul,
+        skip: Option<&[bool]>,
+    ) -> Result<Vec<UpdateReport>, Error> {
         let prepared: Vec<_> = self
             .views
             .iter()
             .enumerate()
             .map(|(i, engine)| (!masked(skip, i)).then(|| engine.prepare(doc, pul)))
             .collect();
-        let pre = want_pre.then(|| doc.clone());
         let (apply_res, t_apply) = timed(|| {
             // Only a removal reads the labels: an insert-only PUL skips
             // resolving them.
@@ -217,20 +202,19 @@ impl MultiViewEngine {
             apply_pul_for(doc, pul, &wanted)
         });
         let apply_res = apply_res?;
-        let mut reports: Vec<UpdateReport> = self
+        Ok(self
             .views
             .iter_mut()
             .zip(prepared)
-            .map(|(engine, prepared)| match prepared {
-                Some(prepared) => engine.finish(doc, &apply_res, prepared),
-                None => UpdateReport::default(),
+            .map(|(engine, prepared)| {
+                let mut report = match prepared {
+                    Some(prepared) => engine.finish(doc, &apply_res, prepared),
+                    None => UpdateReport::default(),
+                };
+                report.timings.apply_document = t_apply;
+                report
             })
-            .collect();
-        for report in &mut reports {
-            report.timings.find_target_nodes = plan.t_find;
-            report.timings.apply_document = t_apply;
-        }
-        Ok(Propagated { plan, pre, reports })
+            .collect())
     }
 
     /// The Figure 15 partition of the views under `pul`: views in

@@ -3,17 +3,17 @@
 //! [`Database::apply_async`] validates a batch, reserves the next
 //! sequence number and hands the statements to a background service
 //! thread, returning a [`Ticket`] immediately. Each time the service
-//! wakes it drains its whole queue and hands the executor
-//! (`DbInner::seal_window`) that batch as **one window** — sealed step
-//! by step like an [`apply_pipelined`] window, under one recovery
-//! image. The window's size is whatever queued up while the previous
-//! one sealed; there is no knob for it. A window holds submissions of
-//! any shape: a one-statement submission plans like `apply`, a
-//! multi-statement (or empty) one like a sequential transaction. While
-//! the image is held, the live document copies an arena chunk or a
-//! canonical list the first time the window writes it and never again,
-//! so however long a window runs its extra memory stays bounded by one
-//! document image. Commits seal **strictly in sequence order**, so
+//! wakes it drains its whole queue — a *window* — and seals it with its
+//! own loop over the executor (`DbInner::seal`), one submission after
+//! another, under one recovery image. The window's size is whatever
+//! queued up while the previous one sealed; there is no knob for it. A
+//! window holds submissions of any shape: a one-statement submission
+//! plans like `apply`, a multi-statement (or empty) one like a
+//! sequential transaction. While the image is held, the live document
+//! copies an arena chunk or a canonical list the first time the window
+//! writes it and never again, so however long a window runs its extra
+//! memory stays bounded by one document image. Commits seal **strictly
+//! in sequence order**, so
 //! subscription feeds stay gapless no matter how the work was
 //! scheduled, and each publishes its seal as it happens, so
 //! [`Database::commit_barrier`] returns once its commit has sealed.
@@ -72,7 +72,6 @@
 //! [`Database::apply_async`]: crate::database::Database::apply_async
 //! [`Database::commit_barrier`]: crate::database::Database::commit_barrier
 //! [`DbInner`]: crate::database::DbInner
-//! [`apply_pipelined`]: crate::database::DbInner::apply_pipelined
 
 use crate::commit::Commit;
 use crate::database::DbInner;
@@ -345,7 +344,12 @@ fn service_loop(shared: Arc<Shared>) {
                 st.parked.take().expect("the core is parked with the queue's first submission");
             (db, st.queue.drain(..).collect())
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| seal_window(&mut db, &batch, &shared)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| seal_queue(&mut db, &batch, &shared)));
+        #[cfg(all(test, debug_assertions))]
+        crate::fault::WINDOW_CLONES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(xivm_xml::arena::work::take().clones);
         let mut st = shared.lock();
         st.busy = false;
         let error = match outcome {
@@ -354,7 +358,7 @@ fn service_loop(shared: Arc<Shared>) {
                 st.parked = Some(db);
                 result.err()
             }
-            // A panic past `seal_window`'s own containment (recovery
+            // A panic past `seal_queue`'s own containment (recovery
             // itself died): the core is in no state to hand back and
             // drops with this iteration; the service is poisoned.
             Err(payload) => {
@@ -385,29 +389,30 @@ fn service_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Seals one drained batch of submissions, whatever their shapes, as
-/// one window through the executor ([`DbInner::seal_window`]),
-/// fulfilling each ticket and publishing the sealed high-water mark as
-/// its commit seals (strictly in order), so a `commit_barrier` waiter
-/// never waits on a later commit of the window. It stops at the first
-/// failure (the caller resolves the tickets left unresolved): a clean
-/// engine error leaves the commits before it sealed and the document
-/// untouched by anything after; on a panic the database is rolled back
-/// to the sealed prefix and every view recomputed.
-fn seal_window(db: &mut DbInner, window: &[Submission], shared: &Shared) -> Result<(), Error> {
-    let batches: Vec<Batch<'_>> = window.iter().map(|s| Batch::of(&s.stmts)).collect();
+/// Seals one drained window of submissions, whatever their shapes,
+/// one [`DbInner::seal`] each, in order, fulfilling each ticket and
+/// publishing the sealed high-water mark as its commit seals, so a
+/// `commit_barrier` waiter never waits on a later commit of the
+/// window. It stops at the first failure (the caller resolves the
+/// tickets left unresolved): a clean engine error leaves the commits
+/// before it sealed and the document untouched by anything after; on
+/// a panic the database is rolled back to the sealed prefix and every
+/// view recomputed.
+fn seal_queue(db: &mut DbInner, window: &[Submission], shared: &Shared) -> Result<(), Error> {
     let pre = db.doc.clone();
     // The PULs of the commits that sealed, in order: what `recover`
     // replays onto `pre` — whatever shape each submission had.
     let mut sealed: Vec<Pul> = Vec::with_capacity(window.len());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        db.seal_window(&batches, |k, pul, commit| {
+        for sub in window {
+            let (pul, commit) = db.seal(Batch::of(&sub.stmts))?;
             let seq = commit.seq;
-            window[k].ticket.fulfill(Ok(commit));
+            sub.ticket.fulfill(Ok(commit));
             sealed.push(pul);
             shared.lock().last_sealed = seq;
             shared.done.notify_all();
-        })
+        }
+        Ok(())
     }));
     outcome.unwrap_or_else(|payload| {
         recover(db, pre, &sealed);

@@ -40,10 +40,14 @@
 //!     .commit()?;
 //! assert!(commit.optimized_ops < commit.naive_ops);
 //!
-//! // Or one commit per statement, sealed as one window — bit-identical
-//! // to a loop of `apply`.
-//! let commits = db.apply_pipelined(["insert <b/> into /a/f", "delete /a/f"])?;
-//! assert_eq!(commits.len(), 2);
+//! // Or one commit per submission through the async commit service:
+//! // `apply_async` returns a ticket at once, `flush` waits until
+//! // everything submitted has sealed, in order.
+//! for s in ["insert <b/> into /a/f", "delete /a/f"] {
+//!     db.apply_async([s])?;
+//! }
+//! db.flush()?;
+//! assert_eq!(db.last_seq(), 5);
 //!
 //! // The changefeed: one event per commit, gapless sequence numbers,
 //! // O(|delta|) per event — never a store clone.
@@ -59,15 +63,14 @@
 //! (`Xml`, `Pattern`, `Statement`, `Conflict`, `UnknownView`, …).
 //!
 //! Every commit — one
-//! [`Database::apply`](xivm_core::database::DbInner::apply), or each
-//! statement of
-//! [`Database::apply_pipelined`](xivm_core::database::DbInner::apply_pipelined)
-//! — is planned, propagated in place and sealed before the next is
-//! planned: one PUL, one document apply, then each view's own phases
-//! one view after another on the committing thread (see
-//! [`core::multiview`]). Pipelined, transactional and async commits are
-//! bit-identical to the sequential pass, which the differential soak
-//! harness (`tests/soak.rs`) verifies.
+//! [`Database::apply`](xivm_core::database::DbInner::apply), one
+//! transaction, or each submission the async service drains — is
+//! planned, propagated in place and sealed before the next is planned:
+//! one PUL, one document apply, then each view's own phases one view
+//! after another on the committing thread (see [`core::multiview`]).
+//! Async commits are bit-identical to the same submissions committed
+//! synchronously, which the differential soak harness
+//! (`tests/soak.rs`) verifies.
 //! [`Database::snapshot`](xivm_core::database::DbInner::snapshot)
 //! freezes the document as a copy-on-write image into
 //! a [`DatabaseSnapshot`] readers can hold — cursors, stores and
@@ -115,6 +118,7 @@
 //! |---|---|
 //! | `runtime::MAX_PIPELINE_DEPTH`, `runtime::clamp_pipeline`, `runtime::env_pipeline`, `runtime::effective_pipeline`, `XIVM_PIPELINE` | nothing: there is no pipeline depth |
 //! | `Database::pipeline_depth()`, `Database::set_pipeline(depth)` | nothing: the async service seals each drained queue as one window; `.pipeline(depth)` is still accepted and ignored |
+//! | `Database::apply_pipelined(statements)` | a loop of `db.apply(s)?` — the same commits, one per statement — or one `db.apply_async([s])?` per statement and a `db.flush()?` |
 //! | `XIVM_WORKERS` | nothing: the views propagate one after another on the committing thread |
 //! | `core::runtime::{Runtime, effective_workers, env_workers}` (and `parallel::{effective_workers, env_workers}`) | nothing: there is no worker pool |
 //! | `Database::workers()`, `MultiViewEngine::workers()` | nothing: `.workers(n)` / `set_workers(n)` are still accepted and ignored, and `threads_spawned()` is always 0 |

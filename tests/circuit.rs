@@ -9,10 +9,11 @@
 //!   circuit synced and checked
 //!   against [`Circuit::recompute`] at each commit; the per-commit
 //!   sorted node states are recorded as the reference trace.
-//! - **pipelined**: the same workload through
-//!   [`Database::apply_pipelined`] as one window, the circuit stepped one
-//!   commit at a time with [`Circuit::sync_to`] — every intermediate
-//!   barrier must reproduce the recorded sequential state exactly.
+//! - **batched**: the same workload committed through a loop of
+//!   [`Database::apply`] with no sync in between, then the circuit
+//!   stepped one commit at a time with [`Circuit::sync_to`] — every
+//!   intermediate barrier must reproduce the recorded sequential state
+//!   exactly.
 //!
 //! Operator DAGs are drawn as integer tuples interpreted against
 //! deterministic catalogs of predicates / key extractors / value
@@ -139,7 +140,7 @@ fn build_db(doc_xml: &str, view_idxs: &[usize]) -> Database {
 
 /// Interprets the drawn plan into a circuit over `n_views` sources.
 /// Identical draws yield identical circuits — the sequential and
-/// pipelined legs call this with the same plan.
+/// batched legs call this with the same plan.
 fn build_circuit(db: &mut Database, n_views: usize, plan: &[OpDraw]) -> Circuit {
     let mut b = db.circuit();
     let mut nodes: Vec<Node> = Vec::new();
@@ -198,9 +199,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// `circuit_equals_recompute`: after every commit, every derived
-    /// store equals full recomputation — applied one by one, and
-    /// through pipelined batches where every intermediate `sync_to` barrier must reproduce the
-    /// sequential trace.
+    /// store equals full recomputation — synced after every commit, and
+    /// after a whole batch of commits, where every intermediate
+    /// `sync_to` barrier must reproduce the sequential trace.
     #[test]
     fn circuit_equals_recompute(
         doc_xml in arb_doc(),
@@ -231,26 +232,27 @@ proptest! {
         }
         circuit.detach(&mut db);
 
-        // Pipelined leg: same workload in one window; stepping the
-        // barrier one commit at a time must replay the trace.
-        let mut piped = build_db(&doc_xml, &view_idxs);
-        let mut pcircuit = build_circuit(&mut piped, view_idxs.len(), &plan);
-        piped
-            .apply_pipelined(statements.iter().map(String::as_str))
-            .expect("pipelined batch applies");
+        // Batched leg: the same workload committed before any sync;
+        // stepping the barrier one commit at a time must replay the
+        // trace.
+        let mut batched = build_db(&doc_xml, &view_idxs);
+        let mut bcircuit = build_circuit(&mut batched, view_idxs.len(), &plan);
+        for stmt in &statements {
+            batched.apply(stmt.as_str()).expect("statement applies");
+        }
         for (i, want) in trace.iter().enumerate() {
             let seq = (i + 1) as u64;
-            prop_assert_eq!(pcircuit.sync_to(&mut piped, seq), seq);
-            let got = node_states(&pcircuit);
+            prop_assert_eq!(bcircuit.sync_to(&mut batched, seq), seq);
+            let got = node_states(&bcircuit);
             prop_assert_eq!(
                 &got,
                 want,
-                "pipelined barrier at seq {} diverged from the sequential trace",
+                "batched barrier at seq {} diverged from the sequential trace",
                 seq
             );
         }
-        check_against_recompute(&pcircuit, &piped, "pipelined leg, fully synced")?;
-        pcircuit.detach(&mut piped);
+        check_against_recompute(&bcircuit, &batched, "batched leg, fully synced")?;
+        bcircuit.detach(&mut batched);
     }
 
     /// Snapshot pairing under random workloads: a circuit synced to a
@@ -437,4 +439,36 @@ fn circuit_work_is_flat_across_document_sizes() {
     assert_eq!(small_delta, 3 * K, "one seller row and two bidder rows per auction");
     assert_eq!(large_delta, small_delta, "delta rows do not depend on the document");
     assert!(large_store >= 3 * small_store, "stores {small_store} → {large_store} did grow");
+}
+
+/// A database whose default subscription queue holds one event: a
+/// circuit over it still lets the thread that owns both commit three
+/// times before its first `sync`. The sources subscribe unbounded, so
+/// no commit waits on a queue only that thread drains. The commits run
+/// on a spawned thread so that a blocked commit fails the test at the
+/// timeout instead of hanging the suite.
+#[test]
+fn a_bounded_default_queue_does_not_block_commits_before_a_sync() {
+    let (sent, received) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut db = Database::builder()
+            .document("<r><a><b/></a><a><c/></a></r>")
+            .view("v0", PATTERNS[0])
+            .view("v1", PATTERNS[1])
+            .subscription_capacity(1)
+            .build()
+            .expect("bounded database builds");
+        let mut circuit = build_circuit(&mut db, 2, &[(2, 0, 1, 0), (3, 2, 0, 1)]);
+        for stmt in ["insert <b/> into //a", "insert <c><b/></c> into //a", "delete //a//c"] {
+            db.apply(stmt).expect("statement applies");
+        }
+        let synced = circuit.sync(&mut db);
+        sent.send((synced, circuit, db)).expect("the test thread waits");
+    });
+    let (synced, circuit, mut db) = received
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("three commits before a sync must not block the committing thread");
+    assert_eq!(synced, 3);
+    check_against_recompute(&circuit, &db, "after three commits and one sync").unwrap();
+    circuit.detach(&mut db);
 }

@@ -902,10 +902,10 @@ fn deltas_subscription_across_independent_transactions() {
     db.unsubscribe(feed);
 }
 
-/// Unsubscribing between two *overlapped* (pipelined) batches: the
-/// cancelled feed stops cleanly at a commit boundary, the surviving
-/// feed keeps a gapless, replayable stream across both batches, and
-/// a subscriber added between batches sees exactly the later commits.
+/// Unsubscribing between two batches of commits: the cancelled feed
+/// stops cleanly at a commit boundary, the surviving feed keeps a
+/// gapless, replayable stream across both batches, and a subscriber
+/// added between batches sees exactly the later commits.
 #[test]
 fn unsubscribe_between_overlapped_commits() {
     let mut db = Database::builder()
@@ -921,10 +921,11 @@ fn unsubscribe_between_overlapped_commits() {
     assert_eq!(db.subscriptions(), 2);
     let mut replica = db.store(ab).clone();
 
-    db.apply_pipelined(["insert <b/> into /a/c", "delete /a/f/c", "insert <c><b/></c> into /a"])
-        .unwrap();
+    for s in ["insert <b/> into /a/c", "delete /a/f/c", "insert <c><b/></c> into /a"] {
+        db.apply(s).unwrap();
+    }
 
-    // drop one feed between the overlapped batches: its events are
+    // drop one feed between the two batches: its events are
     // discarded with it, the other feed is untouched
     let drained_early = db.drain(&early);
     assert_eq!(drained_early.len(), 3);
@@ -932,11 +933,13 @@ fn unsubscribe_between_overlapped_commits() {
     assert_eq!(db.subscriptions(), 1);
 
     let late = db.subscribe(ab);
-    db.apply_pipelined(["insert <b/> into //c", "delete //c//b"]).unwrap();
+    for s in ["insert <b/> into //c", "delete //c//b"] {
+        db.apply(s).unwrap();
+    }
 
     let events = db.drain(&survivor);
     let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-    assert_eq!(seqs, vec![1, 2, 3, 4, 5], "gapless across both overlapped batches");
+    assert_eq!(seqs, vec![1, 2, 3, 4, 5], "gapless across both batches");
     for e in &events {
         e.delta.replay(&mut replica);
     }
@@ -951,8 +954,7 @@ fn unsubscribe_between_overlapped_commits() {
 }
 
 /// N subscribers of one view cost one delta allocation per commit
-/// (`Arc`-shared), on the plain path and on the pipelined path alike
-/// — and subscribers of *different* views never alias.
+/// (`Arc`-shared) — and subscribers of *different* views never alias.
 #[test]
 fn multiple_subscribers_on_one_view_share_the_delta_allocation() {
     let mut db = Database::builder()
@@ -967,8 +969,10 @@ fn multiple_subscribers_on_one_view_share_the_delta_allocation() {
     let s2 = db.subscribe(ab);
     let other = db.subscribe(ac);
 
-    let mut commits = vec![db.apply("insert <b/> into /a/c").unwrap()];
-    commits.extend(db.apply_pipelined(["insert <c><b/></c> into /a", "delete /a/f/b"]).unwrap());
+    let commits: Vec<Commit> =
+        ["insert <b/> into /a/c", "insert <c><b/></c> into /a", "delete /a/f/b"]
+            .map(|s| db.apply(s).unwrap())
+            .into();
 
     let (e1, e2, eo) = (db.drain(&s1), db.drain(&s2), db.drain(&other));
     assert_eq!(e1.len(), 3);
@@ -992,12 +996,12 @@ fn multiple_subscribers_on_one_view_share_the_delta_allocation() {
     db.unsubscribe(other);
 }
 
-/// A rejected pipelined batch is a perfect no-op: a malformed
+/// A rejected async submission is a perfect no-op: a malformed
 /// statement (parse error or unparseable insert forest) rejects the
-/// *whole* batch before anything is applied — no commit, no sequence
+/// *whole* batch before anything is scheduled — no ticket, no sequence
 /// number, no event, no document or view change.
 #[test]
-fn rejected_pipelined_batch_emits_nothing() {
+fn rejected_async_submission_emits_nothing() {
     let mut db = Database::builder()
         .document("<a><c><b/><b/></c><f><c><b/></c><b/></f></a>")
         .view("acb", "//a{id}[//c{id}]//b{id}")
@@ -1007,9 +1011,9 @@ fn rejected_pipelined_batch_emits_nothing() {
     let feed = db.subscribe(acb);
     let before = db.serialize();
 
-    let parse_err = db.apply_pipelined(["insert <b/> into /a/c", "frobnicate //a", "delete /a/f"]);
+    let parse_err = db.apply_async(["insert <b/> into /a/c", "frobnicate //a", "delete /a/f"]);
     assert!(matches!(parse_err, Err(Error::Statement(_))));
-    let forest_err = db.apply_pipelined(["delete /a/f", "insert <b><broken> into /a/c"]);
+    let forest_err = db.apply_async(["delete /a/f", "insert <b><broken> into /a/c"]);
     assert!(matches!(forest_err, Err(Error::Xml(_))));
 
     assert_eq!(db.serialize(), before, "rejected batches must touch nothing");
@@ -1017,8 +1021,9 @@ fn rejected_pipelined_batch_emits_nothing() {
     assert_eq!(db.pending(&feed), 0, "no event is emitted");
 
     // and the database still works afterwards
-    let commits = db.apply_pipelined(["insert <b/> into /a/c", "delete /a/f"]).unwrap();
-    assert_eq!(commits.len(), 2);
+    let tickets = ["insert <b/> into /a/c", "delete /a/f"].map(|s| db.apply_async([s]).unwrap());
+    assert_eq!(tickets.map(|t| t.seq), [1, 2]);
+    db.flush().unwrap();
     let events = db.drain(&feed);
     assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2]);
     db.unsubscribe(feed);
@@ -1189,8 +1194,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// The resume contract the socket replication layer builds on:
-    /// whatever sealed the commits — the pipelined window path or the
-    /// async service thread — a [`DropAndMark`] overflow delivers the
+    /// whatever sealed the commits — a loop of `apply` or the async
+    /// service thread — a [`DropAndMark`] overflow delivers the
     /// `Lagged` marker first, the very next delta's `seq` is exactly
     /// `missed_range.end() + 1`, and the tail runs gapless to the last
     /// commit. A consumer that re-seeds at the marker never replays a
@@ -1218,7 +1223,9 @@ proptest! {
             }
             db.flush().unwrap();
         } else {
-            db.apply_pipelined(stmts.iter().map(|s| s.as_str())).unwrap();
+            for s in &stmts {
+                db.apply(s.as_str()).unwrap();
+            }
         }
         prop_assert_eq!(db.last_seq(), total as u64);
 

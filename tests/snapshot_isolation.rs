@@ -8,8 +8,8 @@
 //!    `deltas_replay_to_store` in `tests/property.rs`, pointed at the
 //!    frozen image instead of the live store).
 //! 2. **Isolation** — reads through a snapshot (document, stores) are
-//!    unaffected by any number of commits applied afterwards, sealed
-//!    one by one or pipelined; and a reader *thread* holding a
+//!    unaffected by any number of commits applied afterwards; and a
+//!    reader *thread* holding a
 //!    snapshot observes no torn or blocking state across ≥ 100
 //!    concurrent commits.
 
@@ -136,8 +136,7 @@ proptest! {
     }
 
     /// (2) Isolation: a snapshot taken mid-stream reads identically
-    /// before and after the rest of the script commits — whether the
-    /// suffix lands one by one or pipelined.
+    /// before and after the rest of the script commits.
     #[test]
     fn snapshot_reads_are_unaffected_by_later_commits(
         doc_xml in arb_doc(),
@@ -147,7 +146,6 @@ proptest! {
             2..7
         ),
         split in 0usize..6,
-        pipelined in prop::bool::ANY,
     ) {
         let split = split.min(script.len() - 1);
         let mut db = build_db(&doc_xml, &view_idxs);
@@ -162,13 +160,8 @@ proptest! {
             db.handles().into_iter().map(|h| snap.store(h).clone()).collect();
 
         // Land the suffix on the live database.
-        let suffix: Vec<String> = script[split..].iter().map(script_statement).collect();
-        if pipelined {
-            db.apply_pipelined(suffix.iter().map(String::as_str)).unwrap();
-        } else {
-            for s in &suffix {
-                db.apply(s.as_str()).unwrap();
-            }
+        for step in &script[split..] {
+            db.apply(script_statement(step).as_str()).unwrap();
         }
         prop_assert_eq!(db.last_seq(), script.len() as u64);
 
@@ -187,7 +180,7 @@ proptest! {
 
 /// (2b) The acceptance bar for the MVCC layer: a reader *thread*
 /// holding a snapshot observes no torn or blocking state while the
-/// writer lands ≥ 100 commits concurrently (plain and pipelined).
+/// writer lands ≥ 100 commits concurrently.
 /// Every read of the frozen image — document text, store contents,
 /// XPath — must keep returning exactly the captured state.
 #[test]
@@ -233,7 +226,7 @@ fn snapshot_reader_survives_100_concurrent_commits() {
     };
 
     // ≥ 100 concurrent commits while the reader hammers the snapshot:
-    // 60 plain applies + 4 pipelined windows of 10.
+    // 60 point applies + 4 runs of 10 applies over whole subtrees.
     for _ in 0..30 {
         db.apply("insert <b/> into //c").unwrap();
         db.apply("delete //c//b").unwrap();
@@ -242,7 +235,9 @@ fn snapshot_reader_survives_100_concurrent_commits() {
         let batch: Vec<&str> = std::iter::repeat_n("insert <c><b/></c> into //a", 5)
             .chain(std::iter::repeat_n("delete //a//c", 5))
             .collect();
-        db.apply_pipelined(batch).unwrap();
+        for s in batch {
+            db.apply(s).unwrap();
+        }
     }
     assert!(db.last_seq() >= 101, "the writer really landed 100+ commits");
 

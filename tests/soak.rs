@@ -1,16 +1,15 @@
 //! Differential soak harness for the commit front-ends.
 //!
-//! Three executions of the same workload — **sequential** (statements
-//! applied one by one), **pipelined** (the stream handed to
-//! `Database::apply_pipelined` in windows of up to D statements, one
-//! call each) and **async-service** (the statements submitted through
-//! `Database::apply_async`, whose service seals each drained queue as
-//! one window — grouped into submissions of 0, 1 or 4 statements, so
-//! empty and multi-statement commits share windows with single ones —
-//! with randomized `flush()` / `wait()` /
-//! synchronous-read / synchronous-commit interleavings and bounded
-//! `Block` subscriptions drained from consumer threads) — must be
-//! observationally indistinguishable: identical documents, identical
+//! Two executions of the same workload — **sequential** (statements
+//! applied one by one) and **async-service** (the statements submitted
+//! through `Database::apply_async`, whose service seals each drained
+//! queue — a *window* — submission by submission under one recovery
+//! image — grouped into submissions of 0, 1 or 4 statements, so empty
+//! and multi-statement commits share windows with single ones — with
+//! randomized `flush()` / `wait()` / synchronous-read /
+//! synchronous-commit interleavings and bounded `Block` subscriptions
+//! drained from consumer threads) — must be observationally
+//! indistinguishable: identical documents, identical
 //! view stores, pairwise [`Commit::same_outcome`] commits (sequence
 //! numbers, statement/optimizer counters, per-view counters and
 //! bit-identical deltas) and identical, gapless subscription
@@ -24,12 +23,13 @@
 //! and the shim's greedy shrinker minimizes it
 //! (`PROPTEST_MAX_SHRINK_ITERS` bounds the budget). Deterministic
 //! sweeps additionally cover every window length a fixed stream can be
-//! cut into, pipelined, and every subscription capacity × submission
-//! shape × interleaving, async.
+//! cut into — each window held together by [`fault::SEAL_DELAY`] — and
+//! every subscription capacity × submission shape × interleaving.
 
 use proptest::prelude::*;
 use xivm::pattern::compile::view_tuples;
 use xivm::prelude::*;
+use xivm_core::fault;
 
 // ---------------------------------------------------------------------
 // Workload generation (same small alphabets as tests/property.rs so
@@ -126,9 +126,9 @@ fn build_db(doc_xml: &str, view_idxs: &[usize]) -> Database {
 }
 
 /// Runs the script, one commit per statement — `window: None` applies
-/// statements one by one, `Some(d)` hands the stream to
-/// `apply_pipelined` in windows of up to `d` statements. Every view
-/// carries a subscription from before the first commit.
+/// statements one by one, `Some(d)` submits them to the async service
+/// in windows of up to `d` submissions. Every view carries a
+/// subscription from before the first commit.
 fn run_workload(
     doc_xml: &str,
     view_idxs: &[usize],
@@ -141,7 +141,7 @@ fn run_workload(
 /// [`run_workload`] over explicit submissions, one commit each: a
 /// one-statement submission goes through `apply`, any other through a
 /// sequential `transaction()` — the synchronous reference for the
-/// async leg's grouping. (A `window` takes single statements only.)
+/// async leg's grouping — or, under a `window`, through `apply_async`.
 fn run_submissions(
     doc_xml: &str,
     view_idxs: &[usize],
@@ -165,26 +165,31 @@ fn commit_sync(db: &mut Database, group: &[String]) -> Commit {
     }
 }
 
-/// The synchronous drive behind [`run_submissions`], over a database
+/// The drive behind [`run_submissions`], over a database
 /// the caller built (the env-default test hands in one whose
 /// subscription capacity comes from the environment).
 fn drive(mut db: Database, groups: &[Vec<String>], window: Option<usize>) -> Observation {
     let (commits, streams) = if let Some(window) = window {
-        assert!(groups.iter().all(|g| g.len() == 1), "apply_pipelined commits per statement");
-        let statements: Vec<&str> = groups.iter().flatten().map(String::as_str).collect();
-        // One call applies a whole window, so nothing can drain
-        // mid-flight from this thread: these subscriptions must be
-        // explicitly unbounded (a tight `XIVM_SUB_CAPACITY` default
-        // would stall the window against its own submitter).
+        // Each window is held off by `fault::SEAL_DELAY` until all of
+        // its submissions are queued, and this thread drains only once
+        // every window sealed: these subscriptions must be explicitly
+        // unbounded (a tight `XIVM_SUB_CAPACITY` default would stall
+        // the service against a consumer that is not reading yet).
+        let _shaping = fault::exclusive();
         let subs: Vec<Subscription> = db
             .handles()
             .into_iter()
             .map(|h| db.subscribe_with(h, None, SlowConsumerPolicy::Block))
             .collect();
-        let mut commits = Vec::with_capacity(statements.len());
-        for chunk in statements.chunks(window) {
-            commits.extend(db.apply_pipelined(chunk.iter().copied()).expect("window applies"));
+        let mut tickets = Vec::with_capacity(groups.len());
+        for chunk in groups.chunks(window) {
+            fault::arm(fault::SEAL_DELAY);
+            for group in chunk {
+                tickets.push(db.apply_async(group.iter().map(String::as_str)).expect("submits"));
+            }
+            db.flush().expect("window seals");
         }
+        let commits = tickets.iter().map(|t| t.wait().expect("async commit seals")).collect();
         let streams = subs.iter().map(|sub| db.drain(sub)).collect();
         for sub in subs {
             db.unsubscribe(sub);
@@ -425,27 +430,6 @@ fn assert_sound(obs: &Observation, commits: usize) -> Result<(), TestCaseError> 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The soak property: random workloads, pipelined in windows of up
-    /// to 1–8 statements. Sequential is the reference; the pipelined
-    /// run must be observationally identical to it, and the reference
-    /// itself must match recomputation.
-    #[test]
-    fn sequential_and_pipelined_agree(
-        doc_xml in arb_doc(),
-        view_idxs in prop::collection::vec(0usize..PATTERNS.len(), 1..5),
-        script in prop::collection::vec(
-            (0usize..TARGETS.len(), 0usize..FORESTS.len(), prop::bool::ANY),
-            1..7
-        ),
-        depth in 1usize..9,
-    ) {
-        let reference = run_workload(&doc_xml, &view_idxs, &script, None);
-        assert_sound(&reference, script.len())?;
-
-        let pipelined = run_workload(&doc_xml, &view_idxs, &script, Some(depth));
-        assert_equivalent(&reference, &pipelined, &format!("pipelined d={depth}"))?;
-    }
-
     /// The async-service leg of the soak: the same workload submitted
     /// through `apply_async` — random subscription capacities (1, 4 or
     /// unbounded), submission shapes (0, 1 or 4 statements) and
@@ -476,9 +460,9 @@ proptest! {
 }
 
 /// Deterministic depth sweep: every window length a fixed six-statement
-/// stream can be cut into — six windows of one up to one window of all
-/// six — over a workload whose statements produce multi-group *and*
-/// single-group (conflicting) Figure 15 partitions.
+/// stream can be cut into — six async windows of one up to one window
+/// of all six — over a workload whose statements produce multi-group
+/// *and* single-group (conflicting) Figure 15 partitions.
 #[test]
 fn full_depth_sweep() {
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d><b/></a></r>";
@@ -494,8 +478,8 @@ fn full_depth_sweep() {
     let reference = run_workload(doc, &views, &script, None);
     assert_sound(&reference, script.len()).unwrap();
     for depth in 1..=script.len() {
-        let pipelined = run_workload(doc, &views, &script, Some(depth));
-        assert_equivalent(&reference, &pipelined, &format!("sweep pipelined d={depth}")).unwrap();
+        let windowed = run_workload(doc, &views, &script, Some(depth));
+        assert_equivalent(&reference, &windowed, &format!("sweep windows d={depth}")).unwrap();
     }
 }
 
@@ -535,10 +519,11 @@ fn full_async_grid_agrees_with_sequential() {
     }
 }
 
-/// Pipelining a workload whose every statement expands to a multi-op
+/// Submitting a workload whose every statement expands to a multi-op
 /// PUL touching all views' labels (an `ins↘` on each of three `//b`,
-/// then a `del` of each of two `//a`) must be exactly equivalent to
-/// the sequential order, in windows of one statement and of both.
+/// then a `del` of each of two `//a`) through the async service must be
+/// exactly equivalent to the sequential order, in windows of one
+/// statement and of both.
 #[test]
 fn multi_op_statements_pipeline_equals_sequential() {
     let doc = "<r><a><c><b/><b/></c></a><a><b/><c/></a></r>";
@@ -546,15 +531,15 @@ fn multi_op_statements_pipeline_equals_sequential() {
     let script = [(1, 2, true), (0, 0, false)];
     let reference = run_workload(doc, &views, &script, None);
     for depth in 1..=2 {
-        let pipelined = run_workload(doc, &views, &script, Some(depth));
-        assert_equivalent(&reference, &pipelined, &format!("multi-op d={depth}")).unwrap();
+        let windowed = run_workload(doc, &views, &script, Some(depth));
+        assert_equivalent(&reference, &windowed, &format!("multi-op d={depth}")).unwrap();
     }
 }
 
 /// A database built with no knob set — its subscription capacity
 /// picked up from `XIVM_SUB_CAPACITY`, the variable the CI async
 /// matrix sets — must still be observationally identical to the
-/// sequential reference, applied one by one and pipelined.
+/// sequential reference, applied one by one and as one async window.
 #[test]
 fn env_configured_databases_agree_with_sequential() {
     let doc = "<r><a><c><b/><b/></c><f><c><b/></c><b/></f></a><a><d>5</d></a></r>";
@@ -565,9 +550,9 @@ fn env_configured_databases_agree_with_sequential() {
     assert_sound(&reference, script.len()).unwrap();
 
     // same workload through env-default databases, applied one by one
-    // (env-default subscriptions, drained after every commit) and
-    // pipelined (explicitly unbounded ones) — `drive` keeps both legs
-    // moving under a tight `XIVM_SUB_CAPACITY`
+    // (env-default subscriptions, drained after every commit) and as
+    // one async window (explicitly unbounded ones) — `drive` keeps
+    // both legs moving under a tight `XIVM_SUB_CAPACITY`
     let groups = submissions(&script, &[]);
     for window in [None, Some(script.len())] {
         let db = {
@@ -621,25 +606,6 @@ fn database_moves_across_threads_with_tickets_in_flight() {
     let commits = tickets.iter().map(|t| t.wait().expect("async commit seals")).collect();
     let got = Observation { commits, ..reader.join().expect("reader thread") };
     assert_equivalent(&reference, &got, "moved across threads").unwrap();
-}
-
-/// `apply_pipelined` on empty and single-statement batches (the other
-/// degenerate pipeline inputs) matches `apply` exactly.
-#[test]
-fn degenerate_pipelined_batches_match_apply() {
-    let doc = "<r><a><b/></a></r>";
-    let mut plain = build_db(doc, &[0]);
-    let mut piped = build_db(doc, &[0]);
-
-    let empty = piped.apply_pipelined(Vec::<&str>::new()).unwrap();
-    assert!(empty.is_empty(), "empty batches commit nothing");
-    assert_eq!(piped.last_seq(), 0, "and consume no sequence number");
-
-    let a = plain.apply("insert <b/> into //a").unwrap();
-    let b = piped.apply_pipelined(["insert <b/> into //a"]).unwrap();
-    assert_eq!(b.len(), 1);
-    assert!(a.same_outcome(&b[0]), "single-statement batch == apply");
-    assert_eq!(plain.serialize(), piped.serialize());
 }
 
 // ---------------------------------------------------------------------
@@ -710,8 +676,8 @@ proptest! {
 
 /// Deferred-refresh soak: the same fixed workload with the deferred
 /// view refreshed every few commits, across every commit front-end
-/// (sequential `apply`, `apply_pipelined` windows of five statements,
-/// `apply_async` through the service thread, one-statement
+/// (sequential `apply`, `apply_async` through the service thread,
+/// one-statement
 /// sequential and independent `transaction()`s), must land every
 /// front-end on the immediate-maintenance reference bit-identically —
 /// and on the from-scratch recomputation oracle. The front-ends must
@@ -748,7 +714,7 @@ fn deferred_refresh_soak_across_sealing_modes() {
     }
 
     let mut agreed: Option<Sealed> = None;
-    for mode in ["apply", "pipelined", "async", "tx", "tx_independent"] {
+    for mode in ["apply", "async", "tx", "tx_independent"] {
         let mut db = Database::builder()
             .document(DOC)
             .view_deferred("v", PATTERNS[1])
@@ -768,7 +734,6 @@ fn deferred_refresh_soak_across_sealing_modes() {
             let texts = chunk.iter().map(String::as_str);
             let commits: Vec<Commit> = match mode {
                 "apply" => texts.map(|s| db.apply(s).unwrap()).collect(),
-                "pipelined" => db.apply_pipelined(texts).unwrap(),
                 "async" => {
                     let tickets: Vec<Ticket> =
                         texts.map(|s| db.apply_async([s]).unwrap()).collect();
