@@ -8,11 +8,13 @@
 //! Both sides are charged the same work: finding the update's targets
 //! (`compute_pul`), then either the five maintenance phases or `e_v`
 //! over the updated document; applying the PUL is charged to neither.
-//! Per pair the runner prints the phases, the share of the view the
-//! update's Δ reaches (tuples added or removed ÷ the view's tuples
-//! before) and the arm `finish` took: `terms` (the Δ terms) or
-//! `recompute` (a deletion that rivalled the view,
-//! `UpdateReport::recomputed`).
+//! Per pair the runner prints the phases, the incremental side's apply
+//! (`apply_document_ms`: the apply also builds the view's Δ⁺ and Δ⁻
+//! entries, so part of what "Compute Delta Tables" once held runs
+//! there), the share of the view the update's Δ reaches (tuples added
+//! or removed ÷ the view's tuples before) and the arm `finish` took:
+//! `terms` (the Δ terms) or `recompute` (a deletion that rivalled the
+//! view, `UpdateReport::recomputed`).
 
 use std::time::Instant;
 use xivm_bench::{averaged, figure_header, ms, phase_cells, repetitions, row, PHASE_COLUMNS};
@@ -34,7 +36,10 @@ fn main() {
         );
         let mut header = vec!["pair".to_owned()];
         header.extend(PHASE_COLUMNS.iter().map(|s| s.to_string()));
-        header.extend(["full_recompute_ms", "speedup", "delta_share", "arm"].map(str::to_owned));
+        header.extend(
+            ["apply_document_ms", "full_recompute_ms", "speedup", "delta_share", "arm"]
+                .map(str::to_owned),
+        );
         row(&header);
         for view in ["Q1", "Q2", "Q4"] {
             let pattern = view_pattern(view);
@@ -85,6 +90,7 @@ fn main() {
                 let mut cells = vec![format!("{view}_{uname}")];
                 cells.extend(phase_cells(&inc));
                 cells.extend([
+                    format!("{:.3}", ms(inc.apply_document)),
                     format!("{full_ms:.3}"),
                     format!("{:.2}", full_ms / inc_ms.max(1e-6)),
                     format!("{:.3}", reached as f64 / rows.max(1) as f64),

@@ -11,8 +11,11 @@ use xivm_algebra::{structural_join, Axis, Column, Field, Relation, Schema, Tuple
 use xivm_core::{MaintenanceEngine, SnowcapStrategy, ViewDelta, ViewStore};
 use xivm_pattern::compile::view_tuples;
 use xivm_pattern::xpath::{eval_path, parse_xpath};
-use xivm_update::{apply_pul, compute_pul, Pul, UpdateStatement};
-use xivm_xmark::{generate_sized, view_pattern};
+use xivm_pattern::TreePattern;
+use xivm_update::{
+    apply_pul, apply_pul_for, compute_pul, DeltaLabels, DeltaPlus, Pul, UpdateStatement,
+};
+use xivm_xmark::{generate_sized, update_by_name, view_pattern, VIEW_NAMES};
 use xivm_xml::{dewey::Step, DeweyId, Document, LabelId};
 
 fn dewey_ops(c: &mut Criterion) {
@@ -95,7 +98,7 @@ fn chained_joins(c: &mut Criterion) {
     });
 }
 
-/// The two bulk shapes of the Appendix A catalog on the 1 MB document:
+/// The bulk shapes of the Appendix A catalog on the 1 MB document:
 /// one PUL with an operation per person — one edit of the document —
 /// applied to a copy-on-write image of it, as a commit under a
 /// snapshot is. And a dense delete that keeps half of each list: every
@@ -121,6 +124,19 @@ fn apply_puls(c: &mut Criterion) {
     });
     c.bench_function("apply/insert_under_every_person_1MB", |b| {
         let applied = |mut d| apply_pul(&mut d, &insert).unwrap().inserted_roots.len();
+        b.iter_batched(|| doc.clone(), applied, BatchSize::LargeInput)
+    });
+    // X2_L's insert under every bidder as the catalog's seven views
+    // take it: the apply extracts their labels, then each view reads
+    // its Δ⁺ tables.
+    let views: Vec<TreePattern> = VIEW_NAMES.iter().map(|v| view_pattern(v)).collect();
+    let wanted = DeltaLabels::of(&doc, &views);
+    let x2_l = compute_pul(&doc, &update_by_name("X2_L").insert_stmt());
+    c.bench_function("apply/insert_under_every_bidder_1MB_seven_views", |b| {
+        let applied = |mut d| {
+            let applied = apply_pul_for(&mut d, &x2_l, &wanted).unwrap();
+            views.iter().map(|v| DeltaPlus::compute(&d, v, &applied).total_len()).sum::<usize>()
+        };
         b.iter_batched(|| doc.clone(), applied, BatchSize::LargeInput)
     });
 }

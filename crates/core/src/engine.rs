@@ -329,9 +329,10 @@ impl MaintenanceEngine {
 
     /// Completes propagation after the PUL was applied to the document
     /// (the counterpart of [`Self::prepare`]). `apply_res` must hold
-    /// the Δ⁻ entries of this view's labels, valued where a pattern
-    /// node carries a value predicate: [`xivm_update::apply_pul`]'s, or
-    /// those of [`DeltaLabels::of`] over a set of views including this.
+    /// the Δ⁺ and Δ⁻ entries of this view's labels, valued where a
+    /// pattern node reads a value and with content where it stores it:
+    /// [`xivm_update::apply_pul`]'s, or those of [`DeltaLabels::of`]
+    /// over a set of views including this.
     ///
     /// A commit takes the terms or — when a captured value predicate
     /// flipped, or the view has one and the PUL removed a node from
@@ -420,7 +421,8 @@ impl MaintenanceEngine {
         }
 
         // --- Compute Delta Tables: CD+ and CD−, both read from the
-        // label buckets the apply left behind.
+        // label buckets the apply left behind — IDs, values and contents
+        // included.
         let dplus = DeltaPlus::compute(doc, &self.pattern, apply_res);
         let dminus = DeltaMinus::compute(doc, &self.pattern, apply_res);
         report.timings.compute_delta_tables = prep_time + start.elapsed();

@@ -19,10 +19,10 @@ use crate::error::Error;
 use crate::parallel;
 use crate::timing::timed;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use xivm_pattern::TreePattern;
 use xivm_update::{apply_pul_for, compute_pul, DeltaLabels, Pul, UpdateStatement};
-use xivm_xml::Document;
+use xivm_xml::{Document, LabelInterner};
 
 /// Is view `i` left out of the step under `skip` (`None` = no mask)?
 fn masked(skip: Option<&[bool]>, i: usize) -> bool {
@@ -41,6 +41,18 @@ pub struct MultiViewEngine {
     /// Name → position in `views`. On duplicate names the first
     /// declaration wins, matching the previous linear-scan behavior.
     index: HashMap<String, usize>,
+    /// The labels the unmasked views read, as last resolved.
+    wanted: Option<Wanted>,
+}
+
+/// [`DeltaLabels::of`] the views `skip` leaves in, resolved against the
+/// label interner `labels` points at. The `Weak` keeps that allocation
+/// from being reused, and while it is held a new label moves the
+/// interner (`Arc::make_mut`): the same address is the same labels.
+struct Wanted {
+    labels: Weak<LabelInterner>,
+    skip: Option<Vec<bool>>,
+    delta_labels: DeltaLabels,
 }
 
 impl MultiViewEngine {
@@ -67,7 +79,7 @@ impl MultiViewEngine {
         for (i, name) in names.iter().enumerate() {
             index.entry(name.clone()).or_insert(i);
         }
-        MultiViewEngine { views, names: names.into(), index }
+        MultiViewEngine { views, names: names.into(), index, wanted: None }
     }
 
     /// Accepted and ignored: the views propagate one after another on
@@ -167,10 +179,12 @@ impl MultiViewEngine {
 
     /// The one propagation entry: one commit, in place over `doc`.
     /// Every view's `prepare` against the intact document, one
-    /// `apply_pul_for` on `doc` itself — the one Δ⁻ extraction every
-    /// view reads, for the labels the views' patterns name
-    /// ([`DeltaLabels::of`]) — every view's `finish` against the result,
-    /// each phase one plain loop over the views in declaration order.
+    /// `apply_pul_for` on `doc` itself — the one Δ⁺ and Δ⁻ extraction
+    /// every view reads, for the labels the views' patterns name
+    /// ([`DeltaLabels::of`], resolved again only when the mask or the
+    /// label interner changed) — every view's `finish` against the
+    /// result, each phase one plain loop over the views in declaration
+    /// order.
     /// `skip[i]` leaves view `i` out: its prepare/finish never run, its
     /// labels are not extracted, and it reports
     /// `UpdateReport::default()`, which the executor replaces with the
@@ -191,15 +205,22 @@ impl MultiViewEngine {
             .map(|(i, engine)| (!masked(skip, i)).then(|| engine.prepare(doc, pul)))
             .collect();
         let (apply_res, t_apply) = timed(|| {
-            // Only a removal reads the labels: an insert-only PUL skips
-            // resolving them.
-            let wanted = if pul.ops.iter().all(|op| op.is_insert()) {
-                DeltaLabels::none()
-            } else {
+            let fresh = self.wanted.as_ref().is_some_and(|w| {
+                std::ptr::eq(w.labels.as_ptr(), doc.labels()) && w.skip.as_deref() == skip
+            });
+            if !fresh {
                 let unmasked = self.views.iter().enumerate().filter(|&(i, _)| !masked(skip, i));
-                DeltaLabels::of(doc, unmasked.map(|(_, engine)| engine.pattern()))
-            };
-            apply_pul_for(doc, pul, &wanted)
+                self.wanted = Some(Wanted {
+                    labels: Arc::downgrade(&doc.shared_labels()),
+                    skip: skip.map(<[bool]>::to_vec),
+                    delta_labels: DeltaLabels::of(
+                        doc,
+                        unmasked.map(|(_, engine)| engine.pattern()),
+                    ),
+                });
+            }
+            let wanted = &self.wanted.as_ref().expect("resolved above").delta_labels;
+            apply_pul_for(doc, pul, wanted)
         });
         let apply_res = apply_res?;
         Ok(self

@@ -10,12 +10,22 @@
 //! once, so it is also where the commit's Δ is *extracted*: both walks
 //! leave their nodes bucketed by label ([`LabelBuckets`]), and every
 //! view's Δ⁺ / Δ⁻ tables ([`crate::delta`]) are bucket lookups — one
-//! extraction per commit, not one per view. The removal walk is also
-//! the last reader of the removed text, so it hands each removed node
-//! of a label that carries a value predicate its pre-apply string
-//! value: σ(Δ⁻) is a bucket lookup too, and no view reads the document
-//! before the apply. [`DeltaLabels`] says which labels the views read;
-//! the walk builds IDs and values for those alone.
+//! extraction per commit, not one per view. [`DeltaLabels`] says which
+//! labels the views read; the walks build IDs and values for those
+//! alone.
+//!
+//! An insertion's forest text is parsed once per PUL, into a template
+//! that each operation carrying the same text grafts under its target
+//! ([`xivm_xml::ForestTemplate`]). The graft builds each copy's ID from
+//! the target's and the template path, and a template node's value and
+//! content are read once, off its first copy, and shared by every copy
+//! ([`Added`]) — unless a later operation of the PUL changes a copy,
+//! when the copies are valued as the document holds them.
+//!
+//! The removal walk is the last reader of the removed text, so it hands
+//! each removed node of a label that carries a value predicate its
+//! pre-apply string value: σ(Δ⁻) is a bucket lookup too, and no view
+//! reads the document before the apply.
 //!
 //! A PUL is one edit of the document ([`xivm_xml::document::DocumentEdit`]):
 //! each operation changes the tree at once, so the next one resolves
@@ -24,10 +34,12 @@
 
 use crate::pul::{AtomicOp, Pul};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 use xivm_pattern::{NodeTest, TreePattern};
 use xivm_xml::label::LabelMap;
-use xivm_xml::{DeweyId, Document, LabelId, NodeId, NodeKind, Step, XmlError};
+use xivm_xml::{DeweyId, Document, ForestTemplate, LabelId, NodeId, NodeKind, Step, XmlError};
 
 /// The nodes one applied PUL inserted (or deleted), bucketed by label.
 /// A label determines its node kind (attribute labels carry an `@`,
@@ -100,83 +112,99 @@ impl<T> LabelBuckets<T> {
     }
 }
 
-/// A set of labels: every one, or those marked.
-#[derive(Debug, Clone)]
-enum LabelSet {
-    All,
-    Only(Vec<bool>),
-}
+/// What the apply extracts for one label's nodes, as flags.
+type Want = u8;
+/// A removed node gets a Δ⁻ entry: its ID.
+const REMOVED: Want = 1;
+/// ... carrying its pre-apply string value.
+const REMOVED_VALUE: Want = 2;
+/// An inserted node gets a Δ⁺ entry: its ID.
+const INSERTED: Want = 4;
+/// ... carrying its string value.
+const INSERTED_VALUE: Want = 8;
+/// ... carrying its content.
+const INSERTED_CONTENT: Want = 16;
+const EVERYTHING: Want = 31;
 
-impl LabelSet {
-    fn contains(&self, label: LabelId) -> bool {
-        match self {
-            LabelSet::All => true,
-            LabelSet::Only(marked) => marked.get(label.index()).copied().unwrap_or(false),
-        }
-    }
-
-    fn insert(&mut self, label: LabelId) {
-        if let LabelSet::Only(marked) = self {
-            if marked.len() <= label.index() {
-                marked.resize(label.index() + 1, false);
-            }
-            marked[label.index()] = true;
-        }
-    }
-}
-
-/// What the removal walk extracts: the labels whose removed nodes get a
-/// Δ⁻ entry — an ID in [`ApplyResult::deleted`] — and of those the
-/// labels whose entries carry the node's pre-apply string value
-/// ([`ApplyResult::deleted_valued`]). No view reads another label's
-/// removed nodes, so building their IDs is wasted work.
-#[derive(Debug, Clone)]
+/// What the apply extracts, per label: which removed nodes get a Δ⁻
+/// entry — an ID in [`ApplyResult::deleted`] — and of those which carry
+/// their pre-apply string value ([`ApplyResult::deleted_valued`]); which
+/// inserted nodes get a Δ⁺ entry ([`ApplyResult::added`]) and whether
+/// it carries the node's value and content. No view reads another
+/// label's nodes, so building their IDs is wasted work.
+///
+/// Resolved against a document when built; a label interned since —
+/// one an inserted forest introduces — is looked up by name.
+#[derive(Debug, Clone, Default)]
 pub struct DeltaLabels {
-    ids: LabelSet,
-    values: LabelSet,
+    /// What every label gets: everything under [`Self::all`], a
+    /// wildcard pattern node's share under [`Self::of`].
+    every: Want,
+    /// By label id, for the labels interned when resolved.
+    by_label: Vec<Want>,
+    /// By name, the labels the patterns name.
+    by_name: HashMap<String, Want>,
 }
 
 impl DeltaLabels {
-    /// Every label, every removed element and attribute valued: what
-    /// [`apply_pul`] extracts, enough for any view.
+    /// Every label, every removed element and attribute valued, every
+    /// inserted node valued and with its content: what [`apply_pul`]
+    /// extracts, enough for any view.
     pub fn all() -> Self {
-        DeltaLabels { ids: LabelSet::All, values: LabelSet::All }
+        DeltaLabels { every: EVERYTHING, ..DeltaLabels::default() }
     }
 
-    /// No label: an apply whose Δ⁻ nobody reads (a scratch copy, a
+    /// No label: an apply whose Δ nobody reads (a scratch copy, a
     /// replay).
     pub fn none() -> Self {
-        DeltaLabels { ids: LabelSet::Only(Vec::new()), values: LabelSet::Only(Vec::new()) }
+        DeltaLabels::default()
     }
 
     /// What the views of `patterns` read from a PUL applied to `doc`:
     /// the labels their pattern nodes name — every label under a
-    /// wildcard — valued where the node carries a value predicate. A
-    /// label `doc` never saw labels no node the PUL can remove.
+    /// wildcard — removed nodes valued where the node carries a value
+    /// predicate, inserted ones where it stores `val` or carries one,
+    /// and with their content where it stores `cont`.
     pub fn of<'a>(doc: &Document, patterns: impl IntoIterator<Item = &'a TreePattern>) -> Self {
         let mut wanted = DeltaLabels::none();
         for pattern in patterns {
             for n in pattern.node_ids() {
                 let node = pattern.node(n);
-                let valued = node.val_pred.is_some();
+                let mut want = REMOVED | INSERTED;
+                if node.val_pred.is_some() {
+                    want |= REMOVED_VALUE | INSERTED_VALUE;
+                }
+                if node.ann.val {
+                    want |= INSERTED_VALUE;
+                }
+                if node.ann.cont {
+                    want |= INSERTED_CONTENT;
+                }
                 match &node.test {
-                    NodeTest::Wildcard => {
-                        wanted.ids = LabelSet::All;
-                        if valued {
-                            wanted.values = LabelSet::All;
-                        }
-                    }
+                    NodeTest::Wildcard => wanted.every |= want,
                     NodeTest::Name(name) => {
-                        let Some(label) = doc.label_id(name) else { continue };
-                        wanted.ids.insert(label);
-                        if valued {
-                            wanted.values.insert(label);
-                        }
+                        *wanted.by_name.entry(name.clone()).or_default() |= want
                     }
                 }
             }
         }
+        wanted.by_label = vec![0; doc.labels().len()];
+        for (name, &want) in &wanted.by_name {
+            if let Some(label) = doc.label_id(name) {
+                wanted.by_label[label.index()] = want;
+            }
+        }
         wanted
+    }
+
+    /// What `label`'s nodes get; `doc` names a label interned since.
+    fn of_label(&self, doc: &Document, label: LabelId) -> Want {
+        let named = match self.by_label.get(label.index()) {
+            Some(&want) => want,
+            None if self.by_name.is_empty() => 0,
+            None => self.by_name.get(doc.label_name(label)).copied().unwrap_or(0),
+        };
+        self.every | named
     }
 }
 
@@ -220,6 +248,21 @@ impl DeletedValues {
     }
 }
 
+/// One inserted node's Δ⁺ entry ([`ApplyResult::added`]). A forest
+/// inserted under many targets is one template: its copies' IDs are
+/// built from the target's ID and the template path as the graft goes,
+/// and the value and content of a template node are read once, off its
+/// first copy, and shared by every copy.
+#[derive(Debug, Clone)]
+pub struct Added {
+    pub node: NodeId,
+    pub id: DeweyId,
+    /// The string value, if the apply was asked for it.
+    pub val: Option<Arc<str>>,
+    /// The content, if the apply was asked for it.
+    pub cont: Option<Arc<str>>,
+}
+
 /// Outcome of applying a PUL: the update roots and the commit's Δ
 /// extraction.
 #[derive(Debug, Clone, Default)]
@@ -238,6 +281,10 @@ pub struct ApplyResult {
     /// order — document order within each forest. A node a later
     /// operation of the same PUL deleted again stays listed, dead.
     pub inserted: LabelBuckets<NodeId>,
+    /// The Δ⁺ entry of every created node whose label the apply was
+    /// asked for ([`DeltaLabels`]), in document order: the node, its ID
+    /// and — where asked — its value and content in the new state.
+    pub added: LabelBuckets<Added>,
     /// The ID of every removed node of the old state whose label the
     /// apply was asked for ([`DeltaLabels`]), in document order. Nodes
     /// this same PUL had inserted are *not* listed: they were never
@@ -252,6 +299,10 @@ pub struct ApplyResult {
     pub nested_delete: bool,
     /// The values of the valued labels' `deleted` entries.
     values: DeletedValues,
+    /// True when an operation inserted into, or deleted, a node the PUL
+    /// had created: the copies of a forest may then differ from the one
+    /// their shared value and content were read off.
+    copies_changed: bool,
     /// The arena's length before the apply (`None`: nothing applied).
     /// Nodes are only ever appended, so this PUL created exactly the
     /// nodes at or past it.
@@ -295,7 +346,7 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
     apply_pul_for(doc, pul, &DeltaLabels::all())
 }
 
-/// [`apply_pul`], extracting Δ⁻ entries for the labels `wanted` names
+/// [`apply_pul`], extracting Δ entries for the labels `wanted` names
 /// alone: a label no view reads gets no ID built, and only a valued
 /// label's entries carry values.
 pub fn apply_pul_for(
@@ -318,19 +369,48 @@ pub fn apply_pul_for(
     let mut result = ApplyResult { first_created: Some(doc.arena_len()), ..ApplyResult::default() };
     // Dropped — and the lists settled — on every way out, errors too.
     let mut doc = doc.edit();
-    for op in &pul.ops {
+    // The forest text last parsed, as a template.
+    let mut template: Option<Template> = None;
+    for (k, op) in pul.ops.iter().enumerate() {
         match op {
             AtomicOp::InsertInto { target, forest } => {
                 let Some(parent) = doc.find_node(target) else {
                     continue; // target vanished: no-op
                 };
-                // The forest's nodes are exactly the arena slots the
-                // parse appended, in document order.
+                result.copies_changed |= result.created(parent);
                 let first = doc.arena_len();
-                let roots = doc.insert_forest(parent, forest)?;
-                for n in (first..doc.arena_len()).map(|i| NodeId(i as u32)) {
-                    let node = doc.node(n);
-                    result.inserted.push(node.label, node.kind, n);
+                if template.as_ref().is_none_or(|t| t.text != *forest) {
+                    template = None;
+                    // Under a node that is no element, and for a forest
+                    // that does not parse, the streaming parse fails as
+                    // it always did — having built what it built — or,
+                    // for a forest of no nodes, builds nothing.
+                    if doc.node(parent).is_element() {
+                        if let Ok(parsed) = doc.parse_template(forest) {
+                            template = Some(Template::new(&doc, forest, parsed, wanted));
+                        }
+                    }
+                }
+                // Unless the next insertion carries the same text, this
+                // copy is the template's last: it takes the strings.
+                let next = pul.ops[k + 1..].iter().find(|op| op.is_insert());
+                let last = !next.is_some_and(
+                    |op| matches!(op, AtomicOp::InsertInto { forest: next, .. } if next == forest),
+                );
+                let roots = match &mut template {
+                    Some(t) => {
+                        let roots = doc.graft(parent, &mut t.parsed, last)?;
+                        t.extract(&doc, target, first, &mut result);
+                        roots
+                    }
+                    None => {
+                        let roots = doc.insert_forest(parent, forest)?;
+                        debug_assert_eq!(doc.arena_len(), first, "only a failing parse builds");
+                        roots
+                    }
+                };
+                if last {
+                    template = None;
                 }
                 result.inserted_roots.extend(roots);
                 result.insert_targets.push(target.clone());
@@ -343,7 +423,9 @@ pub fn apply_pul_for(
                 // inserted: such nodes leave the document but enter no
                 // Δ⁻, and such a target is no update root of the old
                 // state (its insertion target already is one).
-                if !result.created(target) {
+                if result.created(target) {
+                    result.copies_changed = true;
+                } else {
                     result.delete_roots.push(node.clone());
                 }
                 let removed = doc.remove_subtree(target)?;
@@ -351,8 +433,27 @@ pub fn apply_pul_for(
             }
         }
     }
+    // A copy a later operation changed no longer has its template's
+    // text: every copy is valued in the new state, as it stands.
+    if result.copies_changed {
+        for (_, entries) in result.added.buckets.values_mut() {
+            for entry in entries.iter_mut().filter(|e| doc.is_alive(e.node)) {
+                if entry.val.is_some() {
+                    entry.val = Some(doc.value(entry.node).into());
+                }
+                if entry.cont.is_some() {
+                    entry.cont = Some(doc.content(entry.node).into());
+                }
+            }
+        }
+    }
     // Subtrees are walked in pre-order, but the operations of a PUL
     // come in any order.
+    for (_, entries) in result.added.buckets.values_mut() {
+        if !entries.is_sorted_by(|a, b| a.id <= b.id) {
+            entries.sort_by(|a, b| a.id.cmp(&b.id));
+        }
+    }
     let ApplyResult { deleted, values, .. } = &mut result;
     for (label, (_, ids)) in &mut deleted.buckets {
         if ids.is_sorted() {
@@ -370,6 +471,69 @@ pub fn apply_pul_for(
     }
     result.nested_delete = nests(&result.delete_roots);
     Ok(result)
+}
+
+/// A forest text parsed once and grafted under each of the targets of
+/// the operations that carry it, one after another.
+struct Template<'p> {
+    text: &'p str,
+    parsed: ForestTemplate,
+    /// Per template node, what its copies' Δ⁺ entries carry — resolved
+    /// after the parse, which interned the labels the forest introduces.
+    wants: Vec<Want>,
+    /// Per template node, the value and content every copy shares:
+    /// read off the first copy, as asked.
+    shared: Vec<Texts>,
+}
+
+/// An [`Added`] entry's value and content.
+type Texts = (Option<Arc<str>>, Option<Arc<str>>);
+
+impl<'p> Template<'p> {
+    fn new(doc: &Document, text: &'p str, parsed: ForestTemplate, wanted: &DeltaLabels) -> Self {
+        let wants = parsed.nodes().iter().map(|n| wanted.of_label(doc, n.label)).collect();
+        Template { text, parsed, wants, shared: Vec::new() }
+    }
+
+    /// Records the copy just grafted at arena slots `first..` under the
+    /// node `target` identifies: every node in `inserted`, and a Δ⁺
+    /// entry for each of a wanted label, its ID the target's plus the
+    /// template path — a step at a time, as the removal walk does.
+    fn extract(
+        &mut self,
+        doc: &Document,
+        target: &DeweyId,
+        first: usize,
+        result: &mut ApplyResult,
+    ) {
+        let copy = |i: usize| NodeId((first + i) as u32);
+        if self.shared.is_empty() {
+            let read = |i: usize, flag: Want, of: fn(&Document, NodeId) -> String| {
+                (self.wants[i] & flag != 0).then(|| Arc::from(of(doc, copy(i))))
+            };
+            self.shared = (0..self.wants.len())
+                .map(|i| {
+                    (
+                        read(i, INSERTED_VALUE, Document::value),
+                        read(i, INSERTED_CONTENT, Document::content),
+                    )
+                })
+                .collect();
+        }
+        let mut steps = target.steps().to_vec();
+        let base = steps.len();
+        for (i, node) in self.parsed.nodes().iter().enumerate() {
+            let n = copy(i);
+            result.inserted.push(node.label, node.kind, n);
+            steps.truncate(base + node.depth);
+            steps.push(Step::new(node.label, doc.node(n).ord));
+            if self.wants[i] & INSERTED != 0 {
+                let (val, cont) = self.shared[i].clone();
+                let id = DeweyId::from_steps(steps.clone());
+                result.added.push(node.label, node.kind, Added { node: n, id, val, cont });
+            }
+        }
+    }
 }
 
 /// The removal walk: the nodes of the subtree rooted at `root` that the
@@ -407,9 +571,10 @@ fn extract_removed(
             result.values.text.push_str(text);
         }
         let mut value = None;
-        if wanted.ids.contains(doomed.label) {
+        let want = wanted.of_label(doc, doomed.label);
+        if want & REMOVED != 0 {
             result.deleted.push(doomed.label, doomed.kind, DeweyId::from_steps(steps.clone()));
-            if wanted.values.contains(doomed.label) {
+            if want & REMOVED_VALUE != 0 {
                 let k = result.deleted.get(doomed.label).len() - 1;
                 value = result
                     .values
@@ -773,6 +938,110 @@ mod tests {
              <c><b k=\"2\"><n>y</n><n k=\"1\"/></b></c></r>"
         );
         assert_lists_equal_a_reparse(&d);
+    }
+
+    /// `pul` applied as before templates: each forest parsed anew under
+    /// its target, in one edit.
+    fn parse_per_target(d: &mut Document, pul: &Pul) {
+        let mut edit = d.edit();
+        for op in &pul.ops {
+            match op {
+                AtomicOp::InsertInto { target, forest } => {
+                    if let Some(parent) = edit.find_node(target) {
+                        edit.insert_forest(parent, forest).unwrap();
+                    }
+                }
+                AtomicOp::Delete { node } => {
+                    if let Some(n) = edit.find_node(node) {
+                        edit.remove_subtree(n).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    /// `pul` applied to `seed` by grafting leaves what parsing each
+    /// forest under its target leaves: the serialization, every node's
+    /// Dewey ID, the arena and the lists. And every Δ⁺ entry reads what
+    /// the document holds: its node's ID, value and content.
+    fn assert_grafting_equals_parsing(seed: &str, pul: &Pul) -> (Document, ApplyResult) {
+        let mut parsed = parse_document(seed).unwrap();
+        parse_per_target(&mut parsed, pul);
+        let mut grafted = parse_document(seed).unwrap();
+        let res = apply_pul(&mut grafted, pul).unwrap();
+        assert_eq!(serialize_document(&grafted), serialize_document(&parsed));
+        let ids = |d: &Document| -> Vec<DeweyId> {
+            d.descendants_or_self(d.root().unwrap()).into_iter().map(|n| d.dewey(n)).collect()
+        };
+        assert_eq!(ids(&grafted), ids(&parsed));
+        assert_eq!(grafted.arena_len(), parsed.arena_len());
+        assert_lists_equal_a_reparse(&grafted);
+        assert_lists_equal_a_reparse(&parsed);
+        assert_eq!(res.added.len(), res.inserted.len(), "every created node has its entry");
+        for (_, entries) in res.added.iter() {
+            for e in entries.iter().filter(|e| grafted.is_alive(e.node)) {
+                assert_eq!(e.id, grafted.dewey(e.node));
+                assert_eq!(e.val.as_deref(), Some(grafted.value(e.node).as_str()), "{}", e.id);
+                assert_eq!(e.cont.as_deref(), Some(grafted.content(e.node).as_str()), "{}", e.id);
+            }
+        }
+        (grafted, res)
+    }
+
+    /// One forest under three targets, one of them inside another: the
+    /// outer copy lands after the inner target, the inner one inside it.
+    #[test]
+    fn a_forest_grafted_under_nested_targets_equals_parsing_it_under_each() {
+        const SEED: &str = "<r><a k=\"1\"><b/><a><c/></a></a><a/></r>";
+        let d = parse_document(SEED).unwrap();
+        let pul = Pul::new(insert(&d, "//a", "<n k=\"2\"><b>x</b><c/></n><b/>"));
+        assert_eq!(pul.len(), 3);
+        let (_, res) = assert_grafting_equals_parsing(SEED, &pul);
+        assert_eq!((res.inserted_roots.len(), res.inserted.len()), (6, 18));
+    }
+
+    /// Attributes (quoted either way, escaped), entities, comments and
+    /// whitespace-only text, which makes no node, between and inside
+    /// the trees, and character data at the top level.
+    #[test]
+    fn a_forest_with_attributes_entities_and_blank_text_grafts_as_it_parses() {
+        const SEED: &str = "<r><p/><q><p/></q><p>t</p></r>";
+        let forest = "\n  <i k=\"a&amp;b\" j='&quot;x&apos;'>\n    <n>1 &lt; 2</n>  <!-- c -->\n\
+                      <m/>\t</i>\n <i/>  y &gt; z ";
+        let d = parse_document(SEED).unwrap();
+        let (_, res) = assert_grafting_equals_parsing(SEED, &Pul::new(insert(&d, "//p", forest)));
+        assert_eq!(res.inserted.len(), 3 * 8, "i @k @j n #text m i #text, per target");
+    }
+
+    /// Later operations of the PUL insert into a grafted copy, delete
+    /// inside another — each alone, then both — and add the same forest
+    /// once more: each copy ends as the streaming parse leaves it, and
+    /// the entries of the changed copies read their new text, not the
+    /// template's.
+    #[test]
+    fn later_operations_on_grafted_copies_equal_parsing_each_forest() {
+        const SEED: &str = "<r><p/><p/><p/></r>";
+        let forest = "<a><b>1</b><c>2</c></a>";
+        let d = parse_document(SEED).unwrap();
+        let grafted = insert(&d, "//p", forest);
+        let mut scratch = d.clone();
+        apply_pul(&mut scratch, &Pul::new(grafted.clone())).unwrap();
+        let (b, c) = (scratch.canonical_nodes_named("b")[0], scratch.canonical_nodes_named("c")[1]);
+        let into_b = AtomicOp::InsertInto { target: scratch.dewey(b), forest: "<c>3</c>".into() };
+        let c_gone = AtomicOp::Delete { node: scratch.dewey(c) };
+        for (later, values) in [
+            (vec![into_b.clone()], ["132", "12", "12", "12"]),
+            (vec![c_gone.clone()], ["12", "1", "12", "12"]),
+            (vec![into_b, c_gone], ["132", "1", "12", "12"]),
+        ] {
+            let mut ops = grafted.clone();
+            ops.extend(later);
+            ops.extend(insert(&d, "/r", forest));
+            let (d, res) = assert_grafting_equals_parsing(SEED, &Pul::new(ops));
+            let a = res.added.get(d.label_id("a").unwrap());
+            let got: Vec<_> = a.iter().map(|e| e.val.as_deref().unwrap()).collect();
+            assert_eq!(got, values, "document order: three p, then r");
+        }
     }
 
     /// The removal walk values the removed nodes of valued labels with

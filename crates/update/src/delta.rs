@@ -7,20 +7,25 @@
 //! in document order so they can feed structural joins directly.
 //!
 //! Both are read from the label buckets [`apply_pul`] leaves behind
-//! ([`ApplyResult`]): a table is one bucket lookup per view node. A
-//! value predicate on a *deleted* node is judged on the value the
-//! removal walk read before the text went ([`ApplyResult::deleted_valued`]),
-//! so Δ⁻ is one post-apply [`DeltaMinus::compute`], like Δ⁺.
-//! [`walk_deleted`] is the reference both are checked against: a walk
-//! of the intact document under every delete target.
+//! ([`ApplyResult`]): a table is one bucket lookup per view node, plus
+//! σ and the anchored-root filter. An inserted node's entry carries the
+//! ID the graft built and the value and content its forest node shares
+//! with every copy ([`ApplyResult::added`]), so [`DeltaPlus::compute`]
+//! reads no document text. A value predicate on a *deleted* node is
+//! judged on the value the removal walk read before the text went
+//! ([`ApplyResult::deleted_valued`]), so Δ⁻ is one post-apply
+//! [`DeltaMinus::compute`], like Δ⁺. The references they are checked
+//! against: `relation_from_nodes` over [`ApplyResult::inserted`] for
+//! Δ⁺, which reads every node off the document, and [`walk_deleted`]
+//! for Δ⁻, a walk of the intact document under every delete target.
 //!
 //! [`apply_pul`]: crate::apply::apply_pul
 
 use crate::apply::ApplyResult;
 use crate::pul::{AtomicOp, Pul};
 use std::collections::HashSet;
-use xivm_algebra::{Column, Field, Relation, Schema, Tuple};
-use xivm_pattern::compile::relation_from_nodes;
+use std::sync::Arc;
+use xivm_algebra::{Axis, Column, Field, Relation, Schema, Tuple};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_xml::{DeweyId, Document, NodeId, NodeKind};
 
@@ -31,18 +36,48 @@ pub struct DeltaPlus {
 }
 
 impl DeltaPlus {
-    /// CD+ (Algorithm 2): builds per-node Δ⁺ relations from the
-    /// inserted nodes' label buckets (live in `doc`: the document was
-    /// just updated; a node the same PUL deleted again is skipped).
+    /// CD+ (Algorithm 2): builds per-node Δ⁺ relations from the entries
+    /// the apply built for the inserted nodes ([`ApplyResult::added`]),
+    /// keeping those alive in `doc` — the updated document — that pass
+    /// the node's value predicate and, for a `/`-anchored root, sit at
+    /// the root. The apply must have been asked for the node's label,
+    /// and for its value and content where the node reads them, as
+    /// [`DeltaLabels::of`](crate::apply::DeltaLabels::of) asks.
     pub fn compute(doc: &Document, pattern: &TreePattern, applied: &ApplyResult) -> Self {
-        let tables = pattern
-            .node_ids()
-            .map(|pnode| {
-                let matching = applied.inserted.matching(doc, &pattern.node(pnode).test);
-                relation_from_nodes(doc, pattern, pnode, &matching, true)
-            })
-            .collect();
-        DeltaPlus { tables }
+        let tables = pattern.node_ids().map(|pnode| {
+            let pn = pattern.node(pnode);
+            let want_val = pn.ann.val || pn.val_pred.is_some();
+            let anchored = pnode == pattern.root() && pn.edge == Axis::Child;
+            let labels: Vec<_> = match &pn.test {
+                NodeTest::Name(name) => doc.label_id(name).into_iter().collect(),
+                NodeTest::Wildcard => applied.inserted.element_labels().collect(),
+            };
+            let mut rows = Vec::new();
+            for label in labels {
+                let added = applied.added.get(label);
+                let asked = added.len() == applied.inserted.get(label).len();
+                assert!(asked, "the apply was not asked for {label:?}");
+                for entry in added {
+                    if !doc.is_alive(entry.node) || (anchored && entry.id.depth() != 1) {
+                        continue;
+                    }
+                    let read = |text: &Option<Arc<str>>| text.clone().expect("asked for");
+                    let val = want_val.then(|| read(&entry.val));
+                    if pn.val_pred.as_deref().is_some_and(|pred| val.as_deref() != Some(pred)) {
+                        continue;
+                    }
+                    let cont = pn.ann.cont.then(|| read(&entry.cont));
+                    rows.push(Tuple::new(vec![Field::new(entry.id.clone(), val, cont)]));
+                }
+            }
+            let schema = Schema::new(vec![Column::with(&pn.name, want_val, pn.ann.cont)]);
+            let mut table = Relation::with_rows(schema, rows);
+            if !table.is_sorted_by_col(0) {
+                table.sort_by_col(0); // a wildcard's buckets, concatenated
+            }
+            table
+        });
+        DeltaPlus { tables: tables.collect() }
     }
 
     pub fn table(&self, n: PatternNodeId) -> &Relation {
@@ -171,6 +206,7 @@ mod tests {
     use crate::apply::{apply_pul, apply_pul_for, DeltaLabels};
     use crate::pul::compute_pul;
     use crate::statement::UpdateStatement;
+    use xivm_pattern::compile::relation_from_nodes;
     use xivm_pattern::parse_pattern;
     use xivm_xml::parse_document;
 
@@ -270,6 +306,23 @@ mod tests {
         let dp = delta_plus(&d, &v, &res);
         assert!(dp.is_empty(v.root()), "new a fails [val=5], σ(Δ⁺_a) is empty");
         assert_eq!(dp.table(v.preorder()[1]).len(), 2);
+    }
+
+    /// Labels the seed never saw, introduced by the forest and named by
+    /// the view: the view's own extraction, resolved before the apply,
+    /// still gives their copies entries — valued, with content — and
+    /// leaves out the label nobody names.
+    #[test]
+    fn labels_the_forest_introduces_are_extracted_for_the_view_naming_them() {
+        let before = parse_document("<r><t/><t/></r>").unwrap();
+        let stmt = UpdateStatement::insert("//t", "<e k=\"1\">5<f/></e>").unwrap();
+        let pul = compute_pul(&before, &stmt);
+        let v = parse_pattern("//e{id,val}[val=\"5\"]//f{id,cont}").unwrap();
+        let mut after = before.clone();
+        let res = apply_pul_for(&mut after, &pul, &DeltaLabels::of(&before, [&v])).unwrap();
+        let dp = delta_plus(&after, &v, &res);
+        assert_eq!((dp.table(v.root()).len(), dp.table(v.preorder()[1]).len()), (2, 2));
+        assert_eq!(res.added.len(), 4, "e and f, not @k or #text");
     }
 
     /// Example 4.6-style Δ⁻ extraction.

@@ -27,7 +27,7 @@ pub mod delta;
 pub mod pul;
 pub mod statement;
 
-pub use apply::{apply_pul, apply_pul_for, ApplyResult, DeltaLabels, LabelBuckets};
+pub use apply::{apply_pul, apply_pul_for, Added, ApplyResult, DeltaLabels, LabelBuckets};
 pub use builder::{element, UpdateBuilder};
 pub use delta::{walk_deleted, DeltaMinus, DeltaPlus};
 pub use pul::{compute_pul, AtomicOp, Pul};

@@ -569,6 +569,11 @@ impl Deref for DocumentEdit<'_> {
 }
 
 impl DocumentEdit<'_> {
+    /// [`Document::intern_label`] within the edit.
+    pub fn intern_label(&mut self, name: &str) -> LabelId {
+        self.doc.intern_label(name)
+    }
+
     /// The document, to push a forest of unindexed nodes into
     /// ([`Document::push_node`]) under one live parent: all that is
     /// pushed until the next call — or the end of the edit — is one

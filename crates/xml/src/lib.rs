@@ -34,5 +34,5 @@ pub use error::XmlError;
 pub use forest::DeweyForest;
 pub use label::{LabelId, LabelInterner, TEXT_LABEL};
 pub use node::{Node, NodeId, NodeKind};
-pub use parser::{check_forest, parse_document};
+pub use parser::{check_forest, parse_document, ForestTemplate};
 pub use serializer::{serialize_document, serialize_node};

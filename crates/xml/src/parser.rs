@@ -5,10 +5,16 @@
 //! comments, processing instructions and doctype declarations (the
 //! latter three are skipped). Namespaces, CDATA sections and DTD
 //! internal subsets are out of scope (see DESIGN.md §8).
+//!
+//! A forest inserted under many targets is parsed once: the parse
+//! builds a [`ForestTemplate`] — labels interned, text unescaped,
+//! whitespace-only text dropped — and [`DocumentEdit::graft`] appends a
+//! copy of it under each target, node for node what the streaming
+//! parse ([`DocumentEdit::insert_forest`]) of its text would build.
 
 use crate::document::{Document, DocumentEdit};
 use crate::error::XmlError;
-use crate::label::{attribute_label, TEXT_LABEL};
+use crate::label::{attribute_label, LabelId, TEXT_LABEL};
 use crate::node::{NodeId, NodeKind};
 use std::collections::BTreeSet;
 
@@ -48,6 +54,115 @@ impl DocumentEdit<'_> {
     /// half way: what it built so far stays in the document.
     pub fn insert_forest(&mut self, parent: NodeId, input: &str) -> Result<Vec<NodeId>, XmlError> {
         Parser::new(input).forest(self.appending(), parent)
+    }
+
+    /// Parses `input` once, for [`Self::graft`]: its labels are interned
+    /// here in the order the streaming parse would intern them, and no
+    /// node is built. A malformed forest fails as the streaming parse
+    /// fails, having interned the labels it met before the error.
+    pub fn parse_template(&mut self, input: &str) -> Result<ForestTemplate, XmlError> {
+        let mut sink = TemplateSink { edit: self, nodes: Vec::new() };
+        Parser::new(input).forest(&mut sink, None)?;
+        Ok(ForestTemplate { nodes: sink.nodes })
+    }
+
+    /// Appends a copy of `template` under `parent` — the nodes, ordinals
+    /// and lists [`Self::insert_forest`] of its text would build there,
+    /// at arena slots `first + i` for its node `i`, `first` being the
+    /// arena's length before. `last`: no copy follows, so this one takes
+    /// the template's strings instead of cloning them.
+    pub fn graft(
+        &mut self,
+        parent: NodeId,
+        template: &mut ForestTemplate,
+        last: bool,
+    ) -> Result<Vec<NodeId>, XmlError> {
+        let doc = self.appending();
+        let first = doc.arena_len();
+        let mut roots = Vec::new();
+        for node in &mut template.nodes {
+            let up = node.parent.map_or(parent, |p| NodeId((first + p) as u32));
+            let text = if last { node.text.take() } else { node.text.clone() };
+            let copy = doc.push_node(Some(up), node.kind, node.label, text)?;
+            if node.parent.is_none() {
+                roots.push(copy);
+            }
+        }
+        Ok(roots)
+    }
+}
+
+/// A parsed forest ([`DocumentEdit::parse_template`]), to be copied
+/// under any number of parents ([`DocumentEdit::graft`]).
+#[derive(Debug)]
+pub struct ForestTemplate {
+    nodes: Vec<TemplateNode>,
+}
+
+/// One node of a [`ForestTemplate`], in document order.
+#[derive(Debug)]
+pub struct TemplateNode {
+    pub kind: NodeKind,
+    /// Interned in the document the template was parsed for.
+    pub label: LabelId,
+    /// How many template nodes lie above it: 0 for a root.
+    pub depth: usize,
+    /// The template index of the node's parent; `None` for a root.
+    parent: Option<usize>,
+    text: Option<String>,
+}
+
+impl ForestTemplate {
+    /// The nodes in document order: node `i` of a copy is at arena slot
+    /// `first + i` ([`DocumentEdit::graft`]).
+    pub fn nodes(&self) -> &[TemplateNode] {
+        &self.nodes
+    }
+}
+
+/// The template's sink: interns into the edit, builds template nodes.
+/// A node is its template index; `None` is the parent of the roots.
+struct TemplateSink<'e, 'd> {
+    edit: &'e mut DocumentEdit<'d>,
+    nodes: Vec<TemplateNode>,
+}
+
+impl TemplateSink<'_, '_> {
+    fn push(
+        &mut self,
+        parent: Option<usize>,
+        kind: NodeKind,
+        label: LabelId,
+        text: Option<String>,
+    ) -> usize {
+        let depth = parent.map_or(0, |p| self.nodes[p].depth + 1);
+        self.nodes.push(TemplateNode { kind, label, parent, depth, text });
+        self.nodes.len() - 1
+    }
+}
+
+impl Sink for TemplateSink<'_, '_> {
+    type Node = Option<usize>;
+
+    fn element(
+        &mut self,
+        parent: Option<Option<usize>>,
+        tag: &str,
+    ) -> Result<Self::Node, XmlError> {
+        let label = self.edit.intern_label(tag);
+        Ok(Some(self.push(parent.flatten(), NodeKind::Element, label, None)))
+    }
+
+    fn attribute(&mut self, node: Option<usize>, name: &str, raw: &str) -> Result<(), XmlError> {
+        let label = self.edit.intern_label(&attribute_label(name));
+        self.push(node, NodeKind::Attribute, label, Some(unescape(raw)));
+        Ok(())
+    }
+
+    fn text(&mut self, parent: Option<usize>, raw: &str) -> Result<Option<Self::Node>, XmlError> {
+        let Some(text) = text_node(raw) else { return Ok(None) };
+        let label = self.edit.intern_label(TEXT_LABEL);
+        Ok(Some(Some(self.push(parent, NodeKind::Text, label, Some(text)))))
     }
 }
 
@@ -94,10 +209,7 @@ impl Sink for Document {
     }
 
     fn text(&mut self, parent: NodeId, raw: &str) -> Result<Option<NodeId>, XmlError> {
-        let text = unescape(raw);
-        if text.trim().is_empty() {
-            return Ok(None);
-        }
+        let Some(text) = text_node(raw) else { return Ok(None) };
         let label = self.intern_label(TEXT_LABEL);
         self.push_node(Some(parent), NodeKind::Text, label, Some(text)).map(Some)
     }
@@ -345,6 +457,12 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The text of the node character data makes: none when it is all
+/// whitespace.
+fn text_node(raw: &str) -> Option<String> {
+    Some(unescape(raw)).filter(|text| !text.trim().is_empty())
+}
+
 fn unescape(s: &str) -> String {
     if !s.contains('&') {
         return s.to_owned();
@@ -488,6 +606,49 @@ mod tests {
             });
             assert_eq!(check_forest(forest), built.clone().map(drop), "{forest:?}");
             assert_eq!(forest_labels(forest), built, "{forest:?}");
+        }
+    }
+
+    /// A template grafted under two parents builds what parsing the
+    /// forest under each builds — nodes, ordinals, lists — and a forest
+    /// the template parse refuses fails the streaming parse the same way.
+    #[test]
+    fn a_grafted_template_builds_what_parsing_under_each_parent_builds() {
+        let forests = [
+            "<x/><y><z a=\"1\">t &amp; u</z></y>",
+            "<x a=\"1\"><x b=\"2\" a=\"3\"/>t</x>",
+            "top <b/> level",
+            " <!-- c --><?pi?><x>\n </x> ",
+            "",
+            "<x>",
+            "<x a=1/>",
+        ];
+        for forest in forests {
+            let mut parsed = parse_document("<a><p/><q/></a>").unwrap();
+            let mut grafted = parsed.clone();
+            let (p, q) = (NodeId(1), NodeId(2));
+            let streamed = {
+                let mut edit = parsed.edit();
+                edit.insert_forest(p, forest).and_then(|_| edit.insert_forest(q, forest))
+            };
+            let mut edit = grafted.edit();
+            match edit.parse_template(forest) {
+                Ok(mut template) => {
+                    edit.graft(p, &mut template, false).unwrap();
+                    edit.graft(q, &mut template, true).unwrap();
+                    drop(edit);
+                    assert!(streamed.is_ok(), "{forest:?}");
+                    assert_eq!(serialize_document(&grafted), serialize_document(&parsed));
+                    assert_eq!(grafted.arena_len(), parsed.arena_len(), "{forest:?}");
+                    let ids = |d: &Document| {
+                        let all = d.descendants_or_self(d.root().unwrap());
+                        all.into_iter().map(|n| d.dewey(n)).collect::<Vec<_>>()
+                    };
+                    assert_eq!(ids(&grafted), ids(&parsed), "{forest:?}");
+                    grafted.check_invariants().unwrap();
+                }
+                Err(e) => assert_eq!(streamed.unwrap_err(), e, "{forest:?}"),
+            }
         }
     }
 

@@ -847,6 +847,111 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------
+// Δ⁺ read off the apply against the per-view tables
+// ---------------------------------------------------------------------
+
+/// Views over `arb_doc` and the forests below: `val` and `cont` on
+/// inserted nodes and above them, value predicates, a wildcard, a
+/// `/`-anchored root, and `e`, a label only the forests introduce.
+const PLUS_PATTERNS: [&str; 7] = [
+    "//a{id,val}//b{id}",
+    "//a{id,cont}[//b]",
+    "//a{id}[val=\"5\"]//b{id,val}",
+    "//*{id,val}//c{id,cont}",
+    "/r{id}//a{id,cont}",
+    "//e{id,val}//b{id,cont}",
+    "//a{id}//e{id}[val=\"x\"]",
+];
+
+/// `FORESTS`, and two that introduce `e`, one with an attribute.
+const PLUS_FORESTS: [&str; 6] = [
+    "<b/>",
+    "<a><b/><c/></a>",
+    "<c><b/></c>",
+    "<d>5</d>",
+    "<e k=\"1\">5<b/></e>",
+    "<a><e>x</e>5</a>",
+];
+
+/// `TARGETS`, and the `e` nodes a forest inserted.
+const PLUS_TARGETS: [&str; 5] = ["//a", "//b", "//a//c", "//d", "//e"];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// One unreduced PUL of up to three statements, each read off the
+    /// seed or — as a sequential transaction does — off the document the
+    /// statements before it left: so forests land under many targets,
+    /// under nested ones, under nodes the PUL inserted, and lose nodes
+    /// to a later delete. Applied once, per pattern node, the Δ⁺ the
+    /// apply extracts (every label, and the views' own labels resolved
+    /// against the seed) equals `relation_from_nodes` over the created
+    /// nodes. Propagated through a multi-view engine, every store
+    /// equals its recomputation.
+    #[test]
+    fn delta_plus_from_the_apply_equals_the_per_view_tables(
+        doc_xml in arb_doc(),
+        pattern_idx in 0usize..PLUS_PATTERNS.len(),
+        steps in prop::collection::vec(
+            (0usize..PLUS_TARGETS.len(), 0usize..PLUS_FORESTS.len(), 0usize..3, 0usize..2),
+            1..4
+        ),
+        strategy in 0usize..3,
+    ) {
+        use xivm::core::MultiViewEngine;
+        use xivm::pattern::compile::relation_from_nodes;
+        use xivm::update::{apply_pul, apply_pul_for, compute_pul, DeltaLabels, DeltaPlus, Pul};
+        let seed = parse_document(&doc_xml).unwrap();
+        let mut evolved = seed.clone();
+        let mut ops = Vec::new();
+        for &(t, f, delete, evolving) in &steps {
+            let stmt = if delete == 0 {
+                format!("delete {}", PLUS_TARGETS[t])
+            } else {
+                format!("insert {} into {}", PLUS_FORESTS[f], PLUS_TARGETS[t])
+            };
+            let stmt = parse_statement(&stmt).unwrap();
+            let step = compute_pul(if evolving == 0 { &seed } else { &evolved }, &stmt);
+            apply_pul(&mut evolved, &step).unwrap();
+            ops.extend(step.ops);
+        }
+        let pul = Pul::new(ops);
+        let view = parse_pattern(PLUS_PATTERNS[pattern_idx]).unwrap();
+        let plain = parse_pattern("//a{id}//b{id}").unwrap();
+        for wanted in [DeltaLabels::all(), DeltaLabels::of(&seed, [&view, &plain])] {
+            let mut post = seed.clone();
+            let applied = apply_pul_for(&mut post, &pul, &wanted).unwrap();
+            let dplus = DeltaPlus::compute(&post, &view, &applied);
+            for n in view.node_ids() {
+                let created = applied.inserted.matching(&post, &view.node(n).test);
+                let reference = relation_from_nodes(&post, &view, n, &created, true);
+                let what = format!("{n:?} of {} after {:?} (doc={doc_xml})", view.to_text(), pul.ops);
+                prop_assert_eq!(dplus.table(n), &reference, "{}", what);
+            }
+        }
+
+        let mut doc = seed.clone();
+        let views = [("view", &view), ("plain", &plain)]
+            .map(|(name, p)| (name.to_owned(), p.clone(), STRATEGIES[strategy]));
+        let mut engine = MultiViewEngine::new(&doc, views);
+        engine.propagate_pul(&mut doc, &pul).unwrap();
+        prop_assert_eq!(serialize_document(&doc), serialize_document(&evolved));
+        for name in ["view", "plain"] {
+            let view = engine.view(name).unwrap();
+            let fresh = xivm::ivma::recompute_store(&doc, view.pattern());
+            prop_assert!(
+                view.store().identical_to(&fresh),
+                "{} after {:?} (doc={}):\n{}",
+                name,
+                pul.ops,
+                doc_xml,
+                view.store().diff_description(&fresh)
+            );
+        }
+    }
+}
+
 /// Subscriptions across `independent()` transactions: a rejected
 /// batch consumes no sequence number and emits no event; committed
 /// batches (conflict-free, or resolved by policy) stream replayable
