@@ -23,9 +23,11 @@
 //! cheaper; `finish` judges that per commit and per view, from the
 //! apply's label buckets, the canonical list lengths and the store's
 //! rows, with no option to set, and both arms publish the same Δ. A
-//! commit that flips a value predicate ([`crate::predflip`]) changes
-//! bindings no Δ table holds, which the paper's algorithms never meet;
-//! the recomputation answers it exactly (see
+//! commit that flips a value predicate changes bindings no Δ table
+//! holds, which the paper's algorithms never meet; `finish` sends every
+//! commit that moved text under a node of a predicate's label — judged,
+//! like PIMT / PDMT's condition, on Dewey IDs alone — to the
+//! recomputation, which answers it exactly (see
 //! [`MaintenanceEngine::finish`]).
 
 use crate::commit::ViewDelta;
@@ -84,8 +86,8 @@ pub struct UpdateReport {
     /// True when [`MaintenanceEngine::finish`] answered this commit by
     /// recomputing the view from the post-state instead of evaluating
     /// its terms: a pure deletion rivalled the view, or a value predicate
-    /// flipped — or might have: an unreduced PUL deleted inside a node,
-    /// then the node, under a view with one. For such a deletion both
+    /// may have flipped — the PUL moved text under a node of its label
+    /// ([`xivm_update::ApplyResult::text_moved`]). For such a deletion both
     /// arms publish the same store, delta and counters, so it is
     /// excluded from [`Self::same_outcome`], like the timings. A flip commit's delta is the net change per key,
     /// and so are [`Self::derivations_added`] / [`Self::derivations_removed`]:
@@ -186,8 +188,8 @@ pub struct MaintenanceEngine {
     /// Test-only override of [`Self::rivalled_by`]: `Some(true)` sends
     /// every pure deletion to the recomputation arm, `Some(false)` none
     /// — how the tests run one deletion through both. A commit that
-    /// flipped a predicate recomputes whatever the force says: there is
-    /// no terms arm to keep it on.
+    /// may have flipped a predicate recomputes whatever the force says:
+    /// there is no terms arm to keep it on.
     #[cfg(test)]
     force_recompute: Option<bool>,
 }
@@ -296,52 +298,42 @@ impl MaintenanceEngine {
         Ok(report)
     }
 
-    /// Pre-update state this view needs before a PUL touches the
-    /// document: the truth of its value predicates on the nodes above
-    /// the update roots ([`crate::predflip::capture`]) — the one thing
-    /// the apply cannot hand over, as the nodes stay. Which deleted
-    /// nodes satisfied a predicate is the apply's to say: its removal
-    /// walk reads their values ([`xivm_update::DeltaLabels`]). A view
-    /// without value predicates, or a PUL none of whose targets has one
-    /// of their labels on its path, captures nothing and reads no node.
-    /// Produced by [`Self::prepare`] and consumed by [`Self::finish`]; a
-    /// multi-view host prepares every view, applies the PUL once, then
-    /// finishes every view.
-    pub fn prepare(&self, doc: &Document, pul: &Pul) -> PreparedUpdate {
-        #[cfg(any(test, feature = "fault-inject"))]
-        crate::fault::prepare_point();
-        let start = std::time::Instant::now();
-        let pred_capture = crate::predflip::capture(doc, &self.pattern, pul);
-        PreparedUpdate { pred_capture, prep_time: start.elapsed() }
+    /// Accepted and ignored: reads nothing and returns at once. A view
+    /// needs nothing of the pre-apply document that the apply does not
+    /// hand [`Self::finish`]. Kept only because `benchmark/` calls it;
+    /// the ROADMAP's `[benchmark]` item removes it.
+    pub fn prepare(&self, _doc: &Document, _pul: &Pul) -> PreparedUpdate {
+        PreparedUpdate
     }
 
     /// Propagates an already-computed (possibly optimizer-reduced,
     /// Section 5) pending update list.
     pub fn propagate_pul(&mut self, doc: &mut Document, pul: &Pul) -> Result<UpdateReport, Error> {
-        let prepared = self.prepare(doc, pul);
         let wanted = DeltaLabels::of(doc, [&self.pattern]);
         let (apply_res, t_apply) = timed(|| apply_pul_for(doc, pul, &wanted));
         let apply_res = apply_res?;
-        let mut report = self.finish(doc, &apply_res, prepared);
+        let mut report = self.finish(doc, &apply_res, PreparedUpdate);
         report.timings.apply_document = t_apply;
         Ok(report)
     }
 
-    /// Completes propagation after the PUL was applied to the document
-    /// (the counterpart of [`Self::prepare`]). `apply_res` must hold
-    /// the Δ⁺ and Δ⁻ entries of this view's labels, valued where a
-    /// pattern node reads a value and with content where it stores it:
-    /// [`xivm_update::apply_pul`]'s, or those of [`DeltaLabels::of`]
-    /// over a set of views including this.
+    /// Propagates the PUL to the view after it was applied to the
+    /// document. `apply_res` must hold the Δ⁺ and Δ⁻ entries of this
+    /// view's labels, valued where a pattern node reads a value and with
+    /// content where it stores it: [`xivm_update::apply_pul`]'s, or
+    /// those of [`DeltaLabels::of`] over a set of views including this.
+    /// `_prepared` is ignored ([`Self::prepare`]).
     ///
-    /// A commit takes the terms or — when a captured value predicate
-    /// flipped, or the view has one and the PUL removed a node from
-    /// inside a subtree it removed later ([`ApplyResult::nested_delete`]:
-    /// the values the apply read above the first are not the old ones),
-    /// or the PUL only deletes and the deletion rivals the view
-    /// (`rivalled_by`, from sizes the step already holds) — a
-    /// recomputation from the post-state, whose Δ is a merge of the old
-    /// rows with the new. [`UpdateReport::recomputed`] says which ran. On
+    /// A commit takes the terms or — when a value predicate's label lies
+    /// at or above a node the apply moved text under
+    /// ([`ApplyResult::text_moved`]), or the PUL only deletes and the
+    /// deletion rivals the view (`rivalled_by`, from sizes the step
+    /// already holds) — a recomputation from the post-state, whose Δ is
+    /// a merge of the old rows with the new. Only there can a node's
+    /// string value, and so a predicate's truth, have changed, and only
+    /// there can a Δ⁻ value be stale: an unreduced PUL that deleted
+    /// inside a node, then the node, removed text under it first.
+    /// [`UpdateReport::recomputed`] says which arm ran. On
     /// a rivalling deletion the two agree bit for bit: a pure deletion
     /// with no flip only loses bindings, so the merge holds exactly the
     /// losses the Δ⁻ terms would find, and the text refresh is the same
@@ -355,67 +347,70 @@ impl MaintenanceEngine {
         &mut self,
         doc: &Document,
         apply_res: &ApplyResult,
-        prepared: PreparedUpdate,
+        _prepared: PreparedUpdate,
     ) -> UpdateReport {
         #[cfg(any(test, feature = "fault-inject"))]
         crate::fault::finish_point();
-        let PreparedUpdate { pred_capture, prep_time } = prepared;
         let mut report = UpdateReport::default();
         let start = std::time::Instant::now();
 
-        // Does a `val`/`cont`-storing pattern node's label lie `above`
-        // one of `roots` — on its root path, the root included for an
-        // insertion target, excluded for a deleted root (it is gone)?
-        // Otherwise no stored text changed under these roots: PIMT /
-        // PDMT's condition, judged on labels and Dewey IDs alone. A
-        // wildcard is above anything.
-        let text_above = |roots: &[DeweyId], above: fn(&DeweyId, LabelId) -> bool| {
-            let on_path = |l| roots.iter().any(|r| above(r, l));
-            !roots.is_empty()
-                && self.pattern.cvn().into_iter().any(|n| match &self.pattern.node(n).test {
-                    NodeTest::Wildcard => true,
-                    NodeTest::Name(name) => doc.label_id(name).is_some_and(on_path),
-                })
-        };
+        // Does the label of one of `nodes` lie `above` one of `roots` —
+        // on its root path, the root included or not as `above` says?
+        // PIMT / PDMT's condition, judged on labels and Dewey IDs alone.
+        // A wildcard is above anything.
+        let above =
+            |nodes: &[PatternNodeId], roots: &[DeweyId], above: fn(&DeweyId, LabelId) -> bool| {
+                let on_path = |l| roots.iter().any(|r| above(r, l));
+                !roots.is_empty()
+                    && nodes.iter().any(|&n| match &self.pattern.node(n).test {
+                        NodeTest::Wildcard => true,
+                        NodeTest::Name(name) => doc.label_id(name).is_some_and(on_path),
+                    })
+            };
+        // Stored text changed only under a `val` / `cont` column's label
+        // at or above an insertion target, or strictly above a deleted
+        // root (it is gone).
         let (targets, delete_roots) = (&apply_res.insert_targets, &apply_res.delete_roots);
+        let stored = &self.pattern.cvn();
         let mut text_roots = Vec::new();
-        if text_above(delete_roots, DeweyId::has_proper_ancestor_labeled) {
+        if above(stored, delete_roots, DeweyId::has_proper_ancestor_labeled) {
             text_roots.extend_from_slice(delete_roots);
         }
-        if text_above(targets, DeweyId::has_self_or_ancestor_labeled) {
+        if above(stored, targets, DeweyId::has_self_or_ancestor_labeled) {
             text_roots.extend_from_slice(targets);
         }
         let text_roots = DeweyForest::with_nested(text_roots);
         let text_changed = !text_roots.is_empty();
+        // A value predicate may have flipped, or a Δ⁻ value gone stale,
+        // only under a predicate's label at or above where text moved.
+        let valued: Vec<_> =
+            self.pattern.node_ids().filter(|&n| self.pattern.node(n).val_pred.is_some()).collect();
+        let flipped = above(&valued, &apply_res.text_moved, DeweyId::has_self_or_ancestor_labeled);
 
         // --- The dynamic relevance exit, before anything per-view is
         // built, expanded, copied or scanned. From labels alone: no
         // pattern node's label among the inserted or deleted nodes (so
         // every Δ table would be empty, every term with it, and every
-        // snowcap row stands), no predicate truth captured (so none
-        // flipped), no stored text at or above an update root.
+        // snowcap row stands), no predicate that may have flipped, no
+        // stored text at or above an update root.
         let touched = |n| {
             let test = &self.pattern.node(n).test;
             apply_res.inserted.touches(doc, test) || apply_res.deleted.touches(doc, test)
         };
-        if pred_capture.is_empty() && !text_changed && !self.pattern.node_ids().any(touched) {
-            report.timings.compute_delta_tables = prep_time + start.elapsed();
+        if !flipped && !text_changed && !self.pattern.node_ids().any(touched) {
+            report.timings.compute_delta_tables = start.elapsed();
             report.irrelevant = true;
             return report;
         }
 
         // --- The recomputation arm, before any Δ table is built: a
-        // commit that flipped a value predicate (see `predflip`) or left
-        // Δ⁻ values unread (a nested delete under a view with a value
-        // predicate), or a pure deletion that rivals the view, is
-        // answered by `e_v` over the post-state, not by its terms.
-        let valued = || self.pattern.node_ids().any(|n| self.pattern.node(n).val_pred.is_some());
-        let flipped = (apply_res.nested_delete && valued())
-            || crate::predflip::flipped(doc, &self.pattern, &pred_capture);
+        // commit that may have flipped a value predicate, or a pure
+        // deletion that rivals the view, is answered by `e_v` over the
+        // post-state, not by its terms.
         let rivalled =
             if flipped || !targets.is_empty() { None } else { self.rivalled_by(doc, apply_res) };
         if flipped || rivalled.is_some() {
-            report.timings.compute_delta_tables = prep_time + start.elapsed();
+            report.timings.compute_delta_tables = start.elapsed();
             self.recompute_commit(doc, apply_res, rivalled, &text_roots, &mut report);
             return report;
         }
@@ -425,12 +420,12 @@ impl MaintenanceEngine {
         // included.
         let dplus = DeltaPlus::compute(doc, &self.pattern, apply_res);
         let dminus = DeltaMinus::compute(doc, &self.pattern, apply_res);
-        report.timings.compute_delta_tables = prep_time + start.elapsed();
+        report.timings.compute_delta_tables = start.elapsed();
 
         // The same exit, judged on the tables: a touched label whose
         // nodes all fail their value predicate, or left again within
-        // the PUL, or captured predicates none of which flipped. The
-        // text tests also gate their passes one by one below.
+        // the PUL. The text tests also gate their passes one by one
+        // below.
         if dplus.total_len() + dminus.total_len() == 0 && !text_changed {
             report.irrelevant = true;
             return report;
@@ -568,14 +563,14 @@ impl MaintenanceEngine {
     /// the merge, so they net a key's losses against its gains.
     ///
     /// `deletion` is `Some(emptied)` for a pure deletion that rivals the
-    /// view, `None` for a commit that flipped a predicate. Such a deletion
+    /// view, `None` for one that may have flipped a predicate. Such a deletion
     /// only loses bindings, and the snowcaps lose theirs by
     /// [`MaterializedSnowcap::remove_under`] — exact here — then have
     /// their text refreshed: store, Δ, counters and snowcaps are those of
     /// the Δ⁻ terms, bit for bit. A row binding a deleted node loses every
     /// derivation, so when every row does (`emptied`, an empty view too)
-    /// the view is empty without evaluating anything. After a flip the
-    /// snowcaps are evaluated afresh.
+    /// the view is empty without evaluating anything. After a possible
+    /// flip the snowcaps are evaluated afresh.
     fn recompute_commit(
         &mut self,
         doc: &Document,
@@ -747,13 +742,9 @@ fn patch_store(
     report.tuples_removed += left;
 }
 
-/// Pre-update state captured by [`MaintenanceEngine::prepare`]: the
-/// predicate truths a flip is judged against, and the time taking them
-/// took. Nothing of Δ⁻: that is the apply's to extract.
-pub struct PreparedUpdate {
-    pred_capture: crate::predflip::PredCapture,
-    prep_time: std::time::Duration,
-}
+/// What [`MaintenanceEngine::prepare`] hands [`MaintenanceEngine::finish`]:
+/// nothing. Kept only because `benchmark/` calls the pair.
+pub struct PreparedUpdate;
 
 #[cfg(test)]
 mod tests {
@@ -1332,6 +1323,57 @@ mod tests {
                 report.delta.replay(&mut replayed);
                 assert!(replayed.identical_to(engine.store()), "{what}: the Δ replays");
             }
+        }
+    }
+
+    /// Which commits the flip rule sends to the recomputation: those that
+    /// insert a text node at or under a node of a predicate's label, or
+    /// remove an old one from strictly under it — any element's, under a
+    /// wildcard predicate. Each row's PUL is its statements' operations,
+    /// all read off the seed and unreduced, and the terms forced wherever
+    /// the rule lets them run; the store ends as a fresh engine's.
+    #[test]
+    fn the_flip_rule_recomputes_exactly_where_text_moved_under_a_predicate_label() {
+        const D: &str = "//d{id}[val=\"5\"]";
+        let rows: [(&str, &str, &[&str], bool); 14] = [
+            ("<r><d>5<x/></d></r>", D, &["insert <t>1</t> into //d"], true),
+            ("<r><d>5<x/></d></r>", D, &["insert <y/> into //d"], false),
+            ("<r><d>5<x>1</x></d></r>", D, &["delete //x"], true),
+            (
+                "<r><a>5<b/></a><a>3<b/></a><t/></r>",
+                "//a{id,val}[val=\"5\"]//b{id}",
+                &["delete //b"],
+                false,
+            ),
+            ("<r><d>5<x>1</x></d><d>5</d></r>", D, &["delete //d"], false),
+            ("<r><d>5<x>1</x></d><d>5</d></r>", D, &["delete //x", "delete /r/d"], true),
+            ("<r><d>5<x/></d><d>5</d></r>", D, &["delete //x", "delete /r/d"], false),
+            ("<r><d>5<x/></d><e><d>5</d></e></r>", "//*{id}[val=\"5\"]", &["delete //e/d"], true),
+            (
+                "<r><d>5<x/></d><e><d>5</d></e></r>",
+                "//*{id}[val=\"5\"]",
+                &["insert <y/> into //e"],
+                false,
+            ),
+            // the chain cases: no predicate label on a chain, or no text
+            ("<r><d>5<x/></d><e><d>5</d></e></r>", D, &["delete //e"], false),
+            ("<r><d>5<x/></d><e><d>5</d></e></r>", D, &["insert <y/> into //e"], false),
+            ("<r><d>5<x/></d><e><d>5</d></e></r>", D, &["insert <y>5</y> into //e"], false),
+            ("<r><d>5<x/></d><e><d>5</d></e></r>", D, &["delete //d/x"], false),
+            ("<r><d>5<x/></d><e><d>5</d></e></r>", D, &["insert <y>1</y> into //e/d"], true),
+        ];
+        for (doc_xml, pattern, stmts, recomputes) in rows {
+            let pattern = parse_pattern(pattern).unwrap();
+            let mut doc = parse_document(doc_xml).unwrap();
+            let pul = Pul::new(stmts.iter().flat_map(|s| pul_of(&doc, s).ops).collect());
+            let mut engine =
+                MaintenanceEngine::new(&doc, pattern.clone(), SnowcapStrategy::MinimalChain);
+            engine.force_recompute = Some(false);
+            let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+            let what = format!("{stmts:?} on {doc_xml} under {}", pattern.to_text());
+            assert_eq!(report.recomputed, recomputes, "{what}");
+            let fresh = MaintenanceEngine::new(&doc, pattern, SnowcapStrategy::MinimalChain);
+            assert!(engine.store().identical_to(fresh.store()), "{what}");
         }
     }
 

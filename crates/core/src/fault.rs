@@ -4,8 +4,9 @@
 //! release builds carry no trace of it. Four points exist, mirroring
 //! the places a production deployment can die mid-commit:
 //!
-//! * [`PREPARE_PANIC`] — panic inside [`MaintenanceEngine::prepare`]
-//!   (a view dies while reading the pre-apply document);
+//! * [`PREPARE_PANIC`] — panic at the start of a commit's propagation,
+//!   before the apply ([`MultiViewEngine`]'s one entry: a commit dies
+//!   before it touched the document);
 //! * [`FINISH_PANIC`] — panic inside [`MaintenanceEngine::finish`]
 //!   (a view dies while patching its store);
 //! * [`SEAL_DELAY`] — sleep before the async service drains its queue
@@ -21,9 +22,9 @@
 //! that reaches the point trips it (exactly one view, atomically)
 //! and the bit clears — so the recovery path that follows runs clean
 //! (unless [`RECOVER_PANIC`] is armed for it). [`arm_at`] lets the
-//! point pass its first *k − 1* reaches instead: every view of every
-//! step reaches `prepare` / `finish` once, so a panic can land on a
-//! later step of a window than its first.
+//! point pass its first *k − 1* reaches instead: every step reaches the
+//! prepare point once and `finish` once per view, so a panic can land
+//! on a later step of a window than its first.
 //! Arm programmatically with [`arm`] or through the environment
 //! (`XIVM_FAULT=prepare_panic,finish_panic,seal_delay,recover_panic`,
 //! read once at first use). Tests that arm faults must serialize on
@@ -36,13 +37,13 @@
 //! subscriptions stay gapless, and a failed recovery fails every
 //! later call loudly.
 //!
-//! [`MaintenanceEngine::prepare`]: crate::engine::MaintenanceEngine::prepare
+//! [`MultiViewEngine`]: crate::multiview::MultiViewEngine
 //! [`MaintenanceEngine::finish`]: crate::engine::MaintenanceEngine::finish
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 
-/// Panic at the start of `MaintenanceEngine::prepare`.
+/// Panic at the start of a commit's propagation, before the apply.
 pub const PREPARE_PANIC: u32 = 1 << 0;
 /// Panic at the start of `MaintenanceEngine::finish`.
 pub const FINISH_PANIC: u32 = 1 << 1;
@@ -141,7 +142,7 @@ fn trip(bit: u32) -> bool {
     ARMED.fetch_and(!bit, Ordering::SeqCst) & bit != 0
 }
 
-/// The failpoint inside `MaintenanceEngine::prepare`.
+/// The failpoint before a commit's apply.
 pub(crate) fn prepare_point() {
     if trip(PREPARE_PANIC) {
         panic!("injected fault: panic in prepare");

@@ -18,11 +18,13 @@
 //!   algorithms (Algorithms 1, 4, 5, 6) as one term pipeline with a
 //!   [`propagate::DeltaSide`] (Propositions 3.6, 3.8 / 4.7) and one
 //!   text-refresh pass, over one cache of old-state leaves;
-//! * [`predflip`] — whether a commit flipped a value predicate, which
-//!   sends it to the engine's recomputation arm;
 //! * [`view_store`] — the materialized view with derivation counts;
 //! * [`engine`] — the end-to-end [`engine::MaintenanceEngine`] with the
-//!   per-phase [`timing::Timings`] breakdown reported in Section 6;
+//!   per-phase [`timing::Timings`] breakdown reported in Section 6, and
+//!   its one exceptional arm: the recomputation that answers a commit
+//!   which may have flipped a value predicate — one that moved text
+//!   under a node of the predicate's label, read off the apply's Dewey
+//!   IDs — or whose deletion rivals the view;
 //! * [`multiview`] / [`parallel`] — the shared multi-view pass
 //!   (Section 3.5: one PUL, one document apply, then each view's own
 //!   phases in a plain loop) and the Figure 15 conflict rules lifted
@@ -60,7 +62,6 @@ mod executor;
 pub mod fault;
 pub mod multiview;
 pub mod parallel;
-pub mod predflip;
 pub mod propagate;
 pub mod service;
 pub mod snapshot;

@@ -10,11 +10,10 @@
 //! [`MultiViewEngine`] is the low-level multi-view host; the
 //! [`crate::database::Database`] façade owns one (together with the
 //! document) and is the recommended entry point. Its one job is the
-//! shared step — prepare every view, apply the PUL once, finish every
-//! view; planning, document images and sealing are the executor's
-//! (`executor.rs`).
+//! shared step — apply the PUL once, then finish every view; planning,
+//! document images and sealing are the executor's (`executor.rs`).
 
-use crate::engine::{MaintenanceEngine, SnowcapStrategy, UpdateReport};
+use crate::engine::{MaintenanceEngine, PreparedUpdate, SnowcapStrategy, UpdateReport};
 use crate::error::Error;
 use crate::parallel;
 use crate::timing::timed;
@@ -160,9 +159,9 @@ impl MultiViewEngine {
     }
 
     /// Propagates an already-computed (possibly optimizer-reduced,
-    /// Section 5) PUL to all views in one shared pass: per-view
-    /// pre-update capture, one document update, per-view Δ extraction.
-    /// Reports come back in declaration order.
+    /// Section 5) PUL to all views in one shared pass: one document
+    /// update, then each view's own propagation. Reports come back in
+    /// declaration order.
     pub fn propagate_pul(
         &mut self,
         doc: &mut Document,
@@ -177,15 +176,14 @@ impl MultiViewEngine {
         self.names.iter().cloned().zip(reports).collect()
     }
 
-    /// The one propagation entry: one commit, in place over `doc`.
-    /// Every view's `prepare` against the intact document, one
-    /// `apply_pul_for` on `doc` itself — the one Δ⁺ and Δ⁻ extraction
-    /// every view reads, for the labels the views' patterns name
+    /// The one propagation entry: one commit, in place over `doc`. One
+    /// `apply_pul_for` on `doc` itself — the commit's one read of the
+    /// pre-apply document and the one Δ⁺ and Δ⁻ extraction every view
+    /// reads, for the labels the views' patterns name
     /// ([`DeltaLabels::of`], resolved again only when the mask or the
-    /// label interner changed) — every view's `finish` against the
-    /// result, each phase one plain loop over the views in declaration
-    /// order.
-    /// `skip[i]` leaves view `i` out: its prepare/finish never run, its
+    /// label interner changed) — then every view's `finish` against the
+    /// result, one plain loop over the views in declaration order.
+    /// `skip[i]` leaves view `i` out: its `finish` never runs, its
     /// labels are not extracted, and it reports
     /// `UpdateReport::default()`, which the executor replaces with the
     /// deferred marker or a refresh's report.
@@ -198,12 +196,8 @@ impl MultiViewEngine {
         pul: &Pul,
         skip: Option<&[bool]>,
     ) -> Result<Vec<UpdateReport>, Error> {
-        let prepared: Vec<_> = self
-            .views
-            .iter()
-            .enumerate()
-            .map(|(i, engine)| (!masked(skip, i)).then(|| engine.prepare(doc, pul)))
-            .collect();
+        #[cfg(any(test, feature = "fault-inject"))]
+        crate::fault::prepare_point();
         let (apply_res, t_apply) = timed(|| {
             let fresh = self.wanted.as_ref().is_some_and(|w| {
                 std::ptr::eq(w.labels.as_ptr(), doc.labels()) && w.skip.as_deref() == skip
@@ -226,11 +220,12 @@ impl MultiViewEngine {
         Ok(self
             .views
             .iter_mut()
-            .zip(prepared)
-            .map(|(engine, prepared)| {
-                let mut report = match prepared {
-                    Some(prepared) => engine.finish(doc, &apply_res, prepared),
-                    None => UpdateReport::default(),
+            .enumerate()
+            .map(|(i, engine)| {
+                let mut report = if masked(skip, i) {
+                    UpdateReport::default()
+                } else {
+                    engine.finish(doc, &apply_res, PreparedUpdate)
                 };
                 report.timings.apply_document = t_apply;
                 report

@@ -58,10 +58,12 @@
 //! would scan, one linear pass wins when a bulk update's Δ rivals
 //! them.
 //!
-//! A commit that flips a value predicate never reaches this pipeline:
-//! the engine recomputes the view instead ([`crate::predflip`]), so
-//! every old-state leaf holds one predicate truth — the nodes' truth
-//! now, which was their truth before.
+//! A commit that may flip a value predicate never reaches this
+//! pipeline: one that moved text under a node of the predicate's label
+//! is answered by the engine's recomputation instead
+//! ([`crate::engine::MaintenanceEngine::finish`]), so every old-state
+//! leaf holds one predicate truth — the nodes' truth now, which was
+//! their truth before.
 
 use crate::etins::{bag_union, eval_term};
 use crate::snowcap::{best_cover, MaterializedSnowcap};

@@ -42,7 +42,7 @@
 //!
 //! * an [`Error`] from the engine (e.g. a fallible document apply) —
 //!   the failing ticket carries it;
-//! * a **panic** mid-propagation (a view's `prepare` or `finish` died,
+//! * a **panic** mid-propagation (the apply or a view's `finish` died,
 //!   or a `crate::fault` failpoint fired) — the service catches it,
 //!   rolls the document back to the last *sealed* commit — a panic at
 //!   step *k* of a window keeps the steps before *k*, which it

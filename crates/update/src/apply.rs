@@ -25,7 +25,9 @@
 //! The removal walk is the last reader of the removed text, so it hands
 //! each removed node of a label that carries a value predicate its
 //! pre-apply string value: σ(Δ⁻) is a bucket lookup too, and no view
-//! reads the document before the apply.
+//! reads the document before the apply. Both walks note where text
+//! moved ([`ApplyResult::text_moved`]): a value predicate can change its
+//! truth only at or above those nodes.
 //!
 //! A PUL is one edit of the document ([`xivm_xml::document::DocumentEdit`]):
 //! each operation changes the tree at once, so the next one resolves
@@ -290,13 +292,13 @@ pub struct ApplyResult {
     /// this same PUL had inserted are *not* listed: they were never
     /// part of the old state, so they belong to no Δ⁻.
     pub deleted: LabelBuckets<DeweyId>,
-    /// True when an operation removed a subtree from inside which an
-    /// earlier operation of the PUL had removed an old node — the pair
-    /// reduction rule O3 drops. The walk of the later subtree no longer
-    /// meets the earlier one's text, so the values of the nodes above
-    /// it are not their pre-apply values: a view with a value predicate
-    /// answers such a commit by recomputation.
-    pub nested_delete: bool,
+    /// Where text moved: each insertion target whose forest holds a text
+    /// node, and the parent of each delete root whose removed subtree
+    /// held an old one. A surviving node's string value changed only if
+    /// it is one of these or an ancestor of one; and a removed node's
+    /// [`Self::deleted_valued`] value misses old text only then — when
+    /// an earlier operation removed text under it.
+    pub text_moved: Vec<DeweyId>,
     /// The values of the valued labels' `deleted` entries.
     values: DeletedValues,
     /// True when an operation inserted into, or deleted, a node the PUL
@@ -401,6 +403,7 @@ pub fn apply_pul_for(
                     Some(t) => {
                         let roots = doc.graft(parent, &mut t.parsed, last)?;
                         t.extract(&doc, target, first, &mut result);
+                        result.text_moved.extend(t.has_text.then(|| target.clone()));
                         roots
                     }
                     None => {
@@ -429,7 +432,9 @@ pub fn apply_pul_for(
                     result.delete_roots.push(node.clone());
                 }
                 let removed = doc.remove_subtree(target)?;
-                extract_removed(&doc, node, &removed, wanted, &mut result);
+                if extract_removed(&doc, node, &removed, wanted, &mut result) {
+                    result.text_moved.extend(node.parent());
+                }
             }
         }
     }
@@ -469,7 +474,6 @@ pub fn apply_pul_for(
             }
         }
     }
-    result.nested_delete = nests(&result.delete_roots);
     Ok(result)
 }
 
@@ -484,6 +488,8 @@ struct Template<'p> {
     /// Per template node, the value and content every copy shares:
     /// read off the first copy, as asked.
     shared: Vec<Texts>,
+    /// Whether the forest holds a text node.
+    has_text: bool,
 }
 
 /// An [`Added`] entry's value and content.
@@ -492,7 +498,8 @@ type Texts = (Option<Arc<str>>, Option<Arc<str>>);
 impl<'p> Template<'p> {
     fn new(doc: &Document, text: &'p str, parsed: ForestTemplate, wanted: &DeltaLabels) -> Self {
         let wants = parsed.nodes().iter().map(|n| wanted.of_label(doc, n.label)).collect();
-        Template { text, parsed, wants, shared: Vec::new() }
+        let has_text = parsed.nodes().iter().any(|n| n.kind == NodeKind::Text);
+        Template { text, parsed, wants, shared: Vec::new(), has_text }
     }
 
     /// Records the copy just grafted at arena slots `first..` under the
@@ -542,19 +549,21 @@ impl<'p> Template<'p> {
 /// gets its ID — built a step at a time: `open` is the chain of old
 /// nodes from the target down to the node at hand, `steps` their ID —
 /// and, of a valued label, its string value: the stretch of removed
-/// text the walk appends while the node is open.
+/// text the walk appends while the node is open. Says whether the
+/// subtree held an old text node.
 fn extract_removed(
     doc: &Document,
     root: &DeweyId,
     removed: &[NodeId],
     wanted: &DeltaLabels,
     result: &mut ApplyResult,
-) {
+) -> bool {
     let mut steps = root.steps()[..root.depth() - 1].to_vec();
     // Each open node with, for a valued element, where its value goes:
     // its label and its index in that label's bucket.
     let mut open: Vec<(NodeId, Option<(LabelId, usize)>)> = Vec::new();
     let mut valued_open = 0;
+    let mut held_text = false;
     for &n in removed {
         if result.created(n) {
             continue; // in no Δ⁻, and above no old node
@@ -567,6 +576,7 @@ fn extract_removed(
         }
         steps.push(Step::new(doomed.label, doomed.ord));
         let text = doomed.text.as_deref().unwrap_or("");
+        held_text |= doomed.kind == NodeKind::Text;
         if doomed.kind == NodeKind::Text && valued_open > 0 {
             result.values.text.push_str(text);
         }
@@ -588,17 +598,7 @@ fn extract_removed(
     for (_, value) in open {
         result.values.close(value);
     }
-}
-
-/// Does one of `roots` lie inside another? Sorted, a root's descendants
-/// follow it directly.
-fn nests(roots: &[DeweyId]) -> bool {
-    let nested = |roots: &[&DeweyId]| roots.windows(2).any(|w| w[0].is_ancestor_of(w[1]));
-    let mut sorted: Vec<&DeweyId> = roots.iter().collect();
-    if !sorted.is_sorted() {
-        sorted.sort();
-    }
-    nested(&sorted)
+    held_text
 }
 
 /// How many arena slots a document may reach: [`arena::INDEX_SPACE`],
@@ -1072,28 +1072,33 @@ mod tests {
             assert_eq!(valued(a), ["xyzw", "z", "v"], "document order");
             assert_eq!(valued(k), ["1", "2"]);
             assert!(res.deleted.get(a).is_sorted());
-            assert!(!res.nested_delete);
             assert_eq!(serialize_document(&d), "<r><c>u</c></r>");
         }
     }
 
-    /// Deleting inside a node and then the node — the pair reduction
-    /// rule O3 drops — is flagged: the outer walk no longer meets the
-    /// inner text. The other order, and disjoint targets, are not.
+    /// Text moves under an insertion target whose forest holds a text
+    /// node and above a delete root whose subtree held old text — never
+    /// for a forest or subtree without. Deleting inside a node and then
+    /// the node, the pair reduction rule O3 drops, leaves the outer walk
+    /// reading the node's value without the inner text: the node is
+    /// where the inner delete moved text.
     #[test]
-    fn a_delete_inside_a_node_then_of_the_node_is_flagged() {
-        let d = parse_document("<r><a>5<x>1</x></a><c/></r>").unwrap();
-        let flagged = |paths: &[&str]| {
-            let ops = paths.iter().flat_map(|p| delete(&d, p)).collect();
-            let res = apply_pul(&mut d.clone(), &Pul::new(ops)).unwrap();
+    fn text_moves_under_insertion_targets_and_above_delete_roots() {
+        let d = parse_document("<r><a>5<x>1</x><y/></a><c/></r>").unwrap();
+        let moved = |ops: &[Vec<AtomicOp>]| {
+            let res = apply_pul(&mut d.clone(), &Pul::new(ops.concat())).unwrap();
             let a = d.label_id("a").unwrap();
             let value = res.deleted_valued(a).map(|(_, v)| v.to_owned()).next();
-            (res.nested_delete, value)
+            let name = |id: &DeweyId| d.label_name(id.label().unwrap());
+            (res.text_moved.iter().map(name).collect::<Vec<_>>().join(" "), value)
         };
-        assert_eq!(flagged(&["//x", "//a"]), (true, Some("5".to_owned())), "not the old 51");
-        assert_eq!(flagged(&["//a", "//x"]), (false, Some("51".to_owned())));
-        assert_eq!(flagged(&["//c", "//x"]), (false, None));
-        assert_eq!(flagged(&["//x", "//c", "/r"]), (true, Some("5".to_owned())));
+        let a = |v: &str| Some(v.to_owned());
+        assert_eq!(moved(&[delete(&d, "//x"), delete(&d, "//a")]), ("a r".into(), a("5")));
+        assert_eq!(moved(&[delete(&d, "//a"), delete(&d, "//x")]), ("r".into(), a("51")));
+        assert_eq!(moved(&[delete(&d, "//y"), delete(&d, "//c")]), ("".into(), None));
+        assert_eq!(moved(&[delete(&d, "//x"), delete(&d, "/r")]), ("a".into(), a("5")));
+        let inserts = [insert(&d, "//c", "<t>1</t>"), insert(&d, "//y", "<t/>")];
+        assert_eq!(moved(&inserts), ("c".into(), None));
     }
 
     #[test]

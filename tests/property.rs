@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use xivm::pattern::compile::view_tuples;
+use xivm::pattern::PatternNodeId;
 use xivm::prelude::*;
 use xivm::xml::dewey::Step;
-use xivm::xml::{DeweyId, LabelId};
+use xivm::xml::{DeweyId, LabelId, NodeId, NodeKind};
 
 // ---------------------------------------------------------------------
 // Random document generation (small alphabets so patterns hit)
@@ -766,10 +767,11 @@ proptest! {
     /// the pair rule O3 would drop — applied once: per pattern node,
     /// the Δ⁻ the apply extracts (every label, and the labels of the
     /// views alone) equals `walk_deleted` over the intact document; a
-    /// predicate-carrying node is exempt only on a commit the apply
-    /// flags. Propagated through a multi-view engine, every store equals
-    /// its recomputation, and a flagged commit that reaches a view with
-    /// a value predicate is answered by recomputing it.
+    /// predicate-carrying node is exempt only when delete roots nest and
+    /// the flip rule fires (a nested delete that removed text under the
+    /// node first). Propagated through a multi-view engine, every store
+    /// equals its recomputation, and every commit the rule flags is
+    /// answered by recomputing the view with the predicate.
     #[test]
     fn delta_minus_from_the_apply_equals_the_pre_apply_walk(
         doc_xml in arb_doc(),
@@ -805,14 +807,17 @@ proptest! {
         let valued = parse_pattern(VALUED_PATTERNS[pattern_idx]).unwrap();
         let plain = parse_pattern("//a{id}//b{id}").unwrap();
         let walked = walk_deleted(&seed, &valued, &pul);
-        let mut flagged = false;
+        let mut post = seed.clone();
+        let moved = apply_pul(&mut post, &pul).unwrap().text_moved;
+        let fires = flip_rule_fires(&post, &valued, &moved);
         for wanted in [DeltaLabels::all(), DeltaLabels::of(&seed, [&valued, &plain])] {
             let mut post = seed.clone();
             let applied = apply_pul_for(&mut post, &pul, &wanted).unwrap();
-            flagged = applied.nested_delete;
+            prop_assert_eq!(&applied.text_moved, &moved, "whatever the labels asked");
+            let stale = fires && nests(&applied.delete_roots);
             let dminus = DeltaMinus::compute(&post, &valued, &applied);
             for n in valued.node_ids() {
-                if flagged && valued.node(n).val_pred.is_some() {
+                if stale && valued.node(n).val_pred.is_some() {
                     continue;
                 }
                 let ids: Vec<_> = dminus.ids(n).cloned().collect();
@@ -820,8 +825,6 @@ proptest! {
                 prop_assert_eq!(&ids, &walked[n.index()], "{}", what);
             }
         }
-        let mut post = seed.clone();
-        prop_assert_eq!(apply_pul(&mut post, &pul).unwrap().nested_delete, flagged);
 
         let mut doc = seed.clone();
         let views = [("valued", &valued), ("plain", &plain)]
@@ -840,8 +843,137 @@ proptest! {
                 doc_xml,
                 view.store().diff_description(&fresh)
             );
-            if name == "valued" && flagged && !report.irrelevant {
+            if name == "valued" && fires {
                 prop_assert!(report.recomputed, "a flagged commit recomputes (doc={})", doc_xml);
+            }
+        }
+    }
+}
+
+/// Does one of `roots` lie inside another?
+fn nests(roots: &[DeweyId]) -> bool {
+    roots.iter().any(|r| roots.iter().any(|s| r.is_ancestor_of(s)))
+}
+
+/// The flip rule as the engine states it: a value predicate's label —
+/// any element's, for a wildcard — at or above a node the apply moved
+/// text under.
+fn flip_rule_fires(doc: &Document, pattern: &TreePattern, moved: &[DeweyId]) -> bool {
+    use xivm::pattern::NodeTest;
+    let valued = pattern.node_ids().filter(|&n| pattern.node(n).val_pred.is_some());
+    valued.into_iter().any(|n| match &pattern.node(n).test {
+        NodeTest::Wildcard => !moved.is_empty(),
+        NodeTest::Name(name) => doc
+            .label_id(name)
+            .is_some_and(|l| moved.iter().any(|r| r.has_self_or_ancestor_labeled(l))),
+    })
+}
+
+// ---------------------------------------------------------------------
+// Predicate flips against the capture they replaced
+// ---------------------------------------------------------------------
+
+/// The reference the flip rule replaced: every node of `doc` a value
+/// predicate of `pattern` ranges over, with the predicate's truth there.
+fn predicate_truths(doc: &Document, pattern: &TreePattern) -> Vec<(PatternNodeId, NodeId, bool)> {
+    use xivm::pattern::NodeTest;
+    let mut truths = Vec::new();
+    for p in pattern.node_ids() {
+        let node = pattern.node(p);
+        let Some(pred) = node.val_pred.as_deref() else { continue };
+        for n in doc.descendants_or_self(doc.root().unwrap()) {
+            let ranged = match &node.test {
+                NodeTest::Name(name) => doc.label_id(name) == Some(doc.node(n).label),
+                NodeTest::Wildcard => doc.node(n).kind == NodeKind::Element,
+            };
+            if ranged {
+                truths.push((p, n, doc.value(n) == pred));
+            }
+        }
+    }
+    truths
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// One unreduced PUL of up to four statements, each read off the
+    /// seed or off the document the statements before it left — so
+    /// forests land under nodes the PUL inserted — and with `nested` a
+    /// text node deleted before the element around it. For every old
+    /// node a value predicate ranges over that survives, the truth of
+    /// the predicate before and after is compared (the capture the flip
+    /// rule replaced, over every such node, not only those above the
+    /// targets): a change comes with `recomputed` on the view's report.
+    /// Every store equals its recomputation.
+    #[test]
+    fn every_predicate_flip_recomputes_its_view(
+        doc_xml in arb_doc(),
+        pattern_idx in 0usize..VALUED_PATTERNS.len(),
+        steps in prop::collection::vec(
+            (0usize..PLUS_TARGETS.len(), 0usize..PLUS_FORESTS.len(), 0usize..3, 0usize..2),
+            1..5
+        ),
+        nested in (0usize..3, 0usize..64),
+        strategy in 0usize..3,
+    ) {
+        use xivm::core::MultiViewEngine;
+        use xivm::update::{apply_pul, compute_pul, AtomicOp, Pul};
+        let seed = parse_document(&doc_xml).unwrap();
+        let mut evolved = seed.clone();
+        let mut ops = Vec::new();
+        for &(t, f, delete, evolving) in &steps {
+            let stmt = if delete == 0 {
+                format!("delete {}", PLUS_TARGETS[t])
+            } else {
+                format!("insert {} into {}", PLUS_FORESTS[f], PLUS_TARGETS[t])
+            };
+            let stmt = parse_statement(&stmt).unwrap();
+            let step = compute_pul(if evolving == 0 { &seed } else { &evolved }, &stmt);
+            apply_pul(&mut evolved, &step).unwrap();
+            ops.extend(step.ops);
+        }
+        let texts = seed.canonical_nodes_named(xivm::xml::TEXT_LABEL);
+        if nested.0 > 0 && !texts.is_empty() {
+            let text = texts[nested.1 % texts.len()];
+            let around = seed.dewey(seed.parent_of(text).unwrap());
+            let at = ops.len().min(nested.1 % (ops.len() + 1));
+            ops.insert(at, AtomicOp::Delete { node: around });
+            ops.insert(at, AtomicOp::Delete { node: seed.dewey(text) });
+        }
+        let pul = Pul::new(ops);
+        let valued = parse_pattern(VALUED_PATTERNS[pattern_idx]).unwrap();
+        let plain = parse_pattern("//a{id}//b{id}").unwrap();
+        let before = predicate_truths(&seed, &valued);
+
+        let mut doc = seed.clone();
+        let views = [("valued", &valued), ("plain", &plain)]
+            .map(|(name, p)| (name.to_owned(), p.clone(), STRATEGIES[strategy]));
+        let mut engine = MultiViewEngine::new(&doc, views);
+        let reports = engine.propagate_pul(&mut doc, &pul).unwrap();
+        let flipped = before.iter().any(|&(p, n, was)| {
+            let pred = valued.node(p).val_pred.as_deref().unwrap();
+            doc.is_alive(n) && (doc.value(n) == pred) != was
+        });
+        for (name, report) in &reports {
+            let view = engine.view(name).unwrap();
+            let fresh = xivm::ivma::recompute_store(&doc, view.pattern());
+            prop_assert!(
+                view.store().identical_to(&fresh),
+                "{} after {:?} (doc={}):\n{}",
+                name,
+                pul.ops,
+                doc_xml,
+                view.store().diff_description(&fresh)
+            );
+            if name == "valued" && flipped {
+                prop_assert!(
+                    report.recomputed,
+                    "a flip on {} after {:?} went unseen (doc={})",
+                    valued.to_text(),
+                    pul.ops,
+                    doc_xml
+                );
             }
         }
     }
