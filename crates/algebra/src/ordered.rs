@@ -12,6 +12,7 @@
 //! arrives; the view store adds to and subtracts from a row's count.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// The place of a target among the ordered `rows[..end]`, `ord` giving a
 /// row's order relative to it: `Ok(i)` when `rows[i]` equals the target,
@@ -36,6 +37,38 @@ pub fn seek_back<T>(
     // rows between the last two probes, the greater one first.
     let lo = if step <= end { end - step + 1 } else { 0 };
     rows[lo..end - step / 2].binary_search_by(ord).map(|i| lo + i).map_err(|i| lo + i)
+}
+
+/// `rows.partition_point(pred)`, probing rows `1, 2, 4, …` from the
+/// front before bisecting between the last two probes: about `2·log₂ d`
+/// tests for an answer `d` rows in — [`seek_back`]'s mirror, for
+/// searches that walk forward through the rows.
+pub fn seek_front<T>(rows: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
+    let mut step = 1;
+    while step <= rows.len() && pred(&rows[step - 1]) {
+        step *= 2;
+    }
+    let lo = step / 2;
+    lo + rows[lo..rows.len().min(step - 1)].partition_point(pred)
+}
+
+/// Moves the rows at `ranges` — ascending and disjoint — out of `rows`,
+/// in order: the stretch from the first range's start to the last one's
+/// end is drained, the rows between the ranges put back, so the rows
+/// behind it move once, a block at a time, and the rows before it never.
+pub fn take<T>(rows: &mut Vec<T>, ranges: &[Range<usize>]) -> Vec<T> {
+    let (Some(first), Some(last)) = (ranges.first(), ranges.last()) else { return Vec::new() };
+    let (mut taken, mut kept, mut next) = (Vec::new(), Vec::new(), ranges.iter().peekable());
+    for (i, row) in (first.start..).zip(rows.drain(first.start..last.end)) {
+        while next.next_if(|r| r.end <= i).is_some() {}
+        if next.peek().is_some_and(|r| r.start <= i) {
+            taken.push(row);
+        } else {
+            kept.push(row);
+        }
+    }
+    rows.splice(first.start..first.start, kept);
+    taken
 }
 
 /// Exchanges `block[..mid]` and `block[mid..]`, one of them `gap` slots
@@ -210,6 +243,32 @@ mod tests {
         assert_eq!(remove_counted(&mut rows, &[(1, 1)], &calls), 0);
         assert_eq!(absorb_counted(&mut rows, vec![(7, 1), (9, 2)], &calls), 2);
         assert_eq!(rows, vec![(7, 1), (9, 2)]);
+    }
+
+    #[test]
+    fn seek_front_is_partition_point_in_a_logarithm_of_the_answer() {
+        let rows: Vec<u32> = (0..1000).collect();
+        for answer in [0, 1, 2, 3, 7, 8, 500, 999, 1000] {
+            let calls = Cell::new(0);
+            let pred = |r: &u32| {
+                calls.set(calls.get() + 1);
+                *r < answer
+            };
+            assert_eq!(seek_front(&rows, pred), answer as usize);
+            let bound = 2 * (answer as f64 + 1.0).log2().ceil() as usize + 2;
+            assert!(calls.get() <= bound, "answer {answer}: {} > {bound}", calls.get());
+        }
+        assert_eq!(seek_front(&[] as &[u32], |_| true), 0);
+    }
+
+    #[test]
+    fn take_moves_the_ranges_out_in_order() {
+        let mut rows: Vec<u32> = (0..10).collect();
+        assert_eq!(take(&mut rows, &[1..3, 3..4, 7..10]), vec![1, 2, 3, 7, 8, 9]);
+        assert_eq!(rows, vec![0, 4, 5, 6]);
+        assert!(take(&mut rows, &[]).is_empty());
+        assert_eq!(take(&mut rows, &[0..1, 1..4]), vec![0, 4, 5, 6]);
+        assert!(rows.is_empty());
     }
 
     #[test]

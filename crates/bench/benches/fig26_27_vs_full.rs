@@ -13,8 +13,9 @@
 //! entries, so part of what "Compute Delta Tables" once held runs
 //! there), the share of the view the update's Δ reaches (tuples added
 //! or removed ÷ the view's tuples before) and the arm `finish` took:
-//! `terms` (the Δ terms) or `recompute` (a deletion that rivalled the
-//! view, `UpdateReport::recomputed`).
+//! `terms` (the Δ terms — on a deletion, the bound rows by range plus
+//! the witness terms) or `recompute` (a commit that may have flipped a
+//! value predicate, `UpdateReport::recomputed`).
 
 use std::time::Instant;
 use xivm_bench::{averaged, figure_header, ms, phase_cells, repetitions, row, PHASE_COLUMNS};

@@ -7,22 +7,25 @@
 //! (PINT + PIMT for insertions, PDDT + PDMT for deletions — the
 //! combined PINT/MT and PDDT/MT the paper actually runs, here one
 //! signed pipeline: [`crate::propagate`]), and keep the materialized
-//! snowcaps current — one signed routine too (Proposition 3.13): a
-//! snowcap loses and gains the bindings of *its own* Δ⁻ / Δ⁺ terms, and
-//! is patched in place through its row order
+//! snowcaps current (Proposition 3.13): a snowcap gains the bindings of
+//! *its own* Δ⁺ terms, and is patched in place through its row order
 //! ([`MaterializedSnowcap`]), so a point commit's lattice upkeep
-//! follows |Δ|; only a deletion that rivals a snowcap falls back to a
-//! pass over its rows. Each phase is timed, producing the breakdowns of
-//! the Section 6 experiments.
+//! follows |Δ|. Each phase is timed, producing the breakdowns of the
+//! Section 6 experiments.
+//!
+//! A deletion is decided on IDs first, as PDDT / PDMT decide it. A
+//! stored column binds the same node in every derivation of its row, so
+//! a row — of the store or of a snowcap, whose rows bind every node —
+//! that binds a node at or under a delete root lost every derivation:
+//! those *bound* losses are taken out by range, found by binary search
+//! on the document-ordered rows (`by_id`). Only the *witness*
+//! losses — derivations of a row that stays, through an unstored
+//! branch such as a predicate — are evaluated, by the Δ⁻ terms whose
+//! Δ-set holds no stored node. The two are disjoint, and together they
+//! are the full Δ⁻ terms, row for row.
 //!
 //! Beside the terms there is one exceptional arm: recomputing the view
-//! from the post-state and merging old rows with new into the Δ. Two
-//! commits take it. A deletion that rivals the view — most of one of its
-//! labels and of its rows gone, as Figure 27's bulk deletes do — reaches
-//! nearly all of it through its Δ⁻ terms, and the recomputation is
-//! cheaper; `finish` judges that per commit and per view, from the
-//! apply's label buckets, the canonical list lengths and the store's
-//! rows, with no option to set, and both arms publish the same Δ. A
+//! from the post-state and merging old rows with new into the Δ. A
 //! commit that flips a value predicate changes bindings no Δ table
 //! holds, which the paper's algorithms never meet; `finish` sends every
 //! commit that moved text under a node of a predicate's label — judged,
@@ -30,11 +33,12 @@
 //! recomputation, which answers it exactly (see
 //! [`MaintenanceEngine::finish`]).
 
+use crate::by_id::{self, Near};
 use crate::commit::ViewDelta;
 use crate::error::Error;
 use crate::etins::subset_terms;
 use crate::propagate::{eval, refresh_text, terms, DeltaSide, PruneStats, Sign, TermContext};
-use crate::snowcap::{binds_deleted, enumerate_snowcaps, minimal_chain, MaterializedSnowcap};
+use crate::snowcap::{enumerate_snowcaps, minimal_chain, MaterializedSnowcap};
 use crate::term::Term;
 use crate::timing::{timed, Timings};
 use crate::view_store::ViewStore;
@@ -85,13 +89,13 @@ pub struct UpdateReport {
     pub coalesced: Option<std::ops::RangeInclusive<u64>>,
     /// True when [`MaintenanceEngine::finish`] answered this commit by
     /// recomputing the view from the post-state instead of evaluating
-    /// its terms: a pure deletion rivalled the view, or a value predicate
-    /// may have flipped — the PUL moved text under a node of its label
-    /// ([`xivm_update::ApplyResult::text_moved`]). For such a deletion both
-    /// arms publish the same store, delta and counters, so it is
-    /// excluded from [`Self::same_outcome`], like the timings. A flip commit's delta is the net change per key,
-    /// and so are [`Self::derivations_added`] / [`Self::derivations_removed`]:
-    /// a key that lost and gained derivations in one commit nets them.
+    /// its terms — only when a value predicate may have flipped: the PUL
+    /// moved text under a node of its label
+    /// ([`xivm_update::ApplyResult::text_moved`]). Excluded from
+    /// [`Self::same_outcome`], like the timings. A flip commit's delta is
+    /// the net change per key, and so are [`Self::derivations_added`] /
+    /// [`Self::derivations_removed`]: a key that lost and gained
+    /// derivations in one commit nets them.
     pub recomputed: bool,
     /// The view's Δ for this update: every store patch the engine made
     /// as one signed run, complete enough that replaying it on a
@@ -185,13 +189,6 @@ pub struct MaintenanceEngine {
     term_tables: Option<TermTables>,
     /// Ablation switch for the dynamic prunings (Section 6.8).
     pub dynamic_pruning: bool,
-    /// Test-only override of [`Self::rivalled_by`]: `Some(true)` sends
-    /// every pure deletion to the recomputation arm, `Some(false)` none
-    /// — how the tests run one deletion through both. A commit that
-    /// may have flipped a predicate recomputes whatever the force says:
-    /// there is no terms arm to keep it on.
-    #[cfg(test)]
-    force_recompute: Option<bool>,
 }
 
 impl MaintenanceEngine {
@@ -205,8 +202,6 @@ impl MaintenanceEngine {
             strategy,
             term_tables: None,
             dynamic_pruning: true,
-            #[cfg(test)]
-            force_recompute: None,
         }
     }
 
@@ -324,20 +319,18 @@ impl MaintenanceEngine {
     /// those of [`DeltaLabels::of`] over a set of views including this.
     /// `_prepared` is ignored ([`Self::prepare`]).
     ///
-    /// A commit takes the terms or — when a value predicate's label lies
-    /// at or above a node the apply moved text under
-    /// ([`ApplyResult::text_moved`]), or the PUL only deletes and the
-    /// deletion rivals the view (`rivalled_by`, from sizes the step
-    /// already holds) — a recomputation from the post-state, whose Δ is
-    /// a merge of the old rows with the new. Only there can a node's
-    /// string value, and so a predicate's truth, have changed, and only
-    /// there can a Δ⁻ value be stale: an unreduced PUL that deleted
-    /// inside a node, then the node, removed text under it first.
-    /// [`UpdateReport::recomputed`] says which arm ran. On
-    /// a rivalling deletion the two agree bit for bit: a pure deletion
-    /// with no flip only loses bindings, so the merge holds exactly the
-    /// losses the Δ⁻ terms would find, and the text refresh is the same
-    /// rule over the same rows.
+    /// A deletion's bound losses — every row, of the store and of each
+    /// snowcap, with a stored column at or under a maximal delete root —
+    /// leave by range, moved into the Δ at weight −count; the Δ⁻ terms
+    /// run only for the witness losses, their Δ-sets free of stored
+    /// nodes. A commit takes that path or — when a value predicate's
+    /// label lies at or above a node the apply moved text under
+    /// ([`ApplyResult::text_moved`]) — a recomputation from the
+    /// post-state, whose Δ is a merge of the old rows with the new. Only
+    /// there can a node's string value, and so a predicate's truth, have
+    /// changed, and only there can a Δ⁻ value be stale: an unreduced PUL
+    /// that deleted inside a node, then the node, removed text under it
+    /// first. [`UpdateReport::recomputed`] says which arm ran.
     ///
     /// Takes the document read-only: this phase only mutates the
     /// engine's own store and snowcaps, so a multi-view host runs the
@@ -404,29 +397,42 @@ impl MaintenanceEngine {
         }
 
         // --- The recomputation arm, before any Δ table is built: a
-        // commit that may have flipped a value predicate, or a pure
-        // deletion that rivals the view, is answered by `e_v` over the
-        // post-state, not by its terms.
-        let rivalled =
-            if flipped || !targets.is_empty() { None } else { self.rivalled_by(doc, apply_res) };
-        if flipped || rivalled.is_some() {
+        // commit that may have flipped a value predicate is answered by
+        // `e_v` over the post-state, not by its terms.
+        if flipped {
             report.timings.compute_delta_tables = start.elapsed();
-            self.recompute_commit(doc, apply_res, rivalled, &text_roots, &mut report);
+            self.recompute_commit(doc, &text_roots, &mut report);
             return report;
         }
 
-        // --- Compute Delta Tables: CD+ and CD−, both read from the
-        // label buckets the apply left behind — IDs, values and contents
-        // included.
+        // --- Compute Delta Tables: CD+, and CD− for the witness nodes,
+        // both read from the label buckets the apply left behind — IDs,
+        // values and contents included. The bound losses are found by
+        // range on the store: every row with a stored column at or under
+        // a (maximal) delete root.
         let dplus = DeltaPlus::compute(doc, &self.pattern, apply_res);
         let dminus = DeltaMinus::compute(doc, &self.pattern, apply_res);
+        let (roots, pattern) = (&DeweyForest::maximal(delete_roots)[..], &self.pattern);
+        let cols: Vec<_> = pattern.stored_nodes().into_iter().enumerate().collect();
+        let near = Near::Under(&apply_res.deleted);
+        let bound = by_id::find(self.store.rows(), &cols, pattern, doc, roots, near);
         report.timings.compute_delta_tables = start.elapsed();
 
-        // The same exit, judged on the tables: a touched label whose
-        // nodes all fail their value predicate, or left again within
-        // the PUL. The text tests also gate their passes one by one
-        // below.
-        if dplus.total_len() + dminus.total_len() == 0 && !text_changed {
+        // --- Update Lattice, part 1: a snowcap row binds every node of
+        // its snowcap, so the rows binding a deleted node are all it
+        // loses — taken out by range, so the R-parts of every term below
+        // see the old surviving state.
+        let deleted = &apply_res.deleted;
+        let remove = |m: &mut MaterializedSnowcap| m.remove_under(pattern, doc, roots, deleted);
+        let losing = self.snowcaps.iter_mut().filter(|_| !roots.is_empty());
+        let (lost_rows, t_lat1) = timed(|| losing.map(remove).sum::<usize>());
+
+        // The same exit, judged on the tables and the ranges: a touched
+        // label whose nodes all fail their value predicate, left again
+        // within the PUL, or bound by no row. The text tests also gate
+        // their passes one by one below.
+        let found = dplus.total_len() + usize::from(dminus.kept_any()) + bound.len() + lost_rows;
+        if found == 0 && !text_changed {
             report.irrelevant = true;
             return report;
         }
@@ -448,16 +454,10 @@ impl MaintenanceEngine {
         let minus = DeltaSide::Minus { tables: &dminus };
         let plus = DeltaSide::Plus { tables: &dplus, targets: &apply_res.insert_targets };
 
-        // --- Update Lattice, part 1: every snowcap loses the bindings
-        // of its own Δ⁻ terms, so the R-parts of every term below see
-        // the old surviving state.
-        let (_, t_lat1) = timed(|| {
-            if has_deletes {
-                maintain_lattice(&ctx, &minus, &tables.snowcaps, &mut self.snowcaps);
-            }
-        });
-
         // --- Get Update Expression: expand and prune both directions.
+        // On the deletion side Δ-emptiness keeps the witness terms alone:
+        // a term with a stored node in its Δ-set would find only rows the
+        // range took, and a stored node's Δ⁻ table is empty.
         let expand = |side, wanted: bool| {
             if wanted {
                 terms(&ctx, side, &tables.full, full_order)
@@ -471,13 +471,20 @@ impl MaintenanceEngine {
         report.insert_prune = ins_stats;
         report.timings.get_update_expression = t_expr;
 
-        // --- Execute Update: evaluate terms and patch the store.
-        // Every patch is mirrored into `changes`, the commit's Δ. The
-        // text refresh comes last, over the rows the commit leaves: its
-        // weight-0 entries name tuples of the post-commit store, with
-        // their final text.
+        // --- Execute Update: move the bound losses out of the store,
+        // evaluate terms and patch the store. Every patch is mirrored
+        // into `changes`, the commit's Δ — a removed row moves into it at
+        // weight −count. The text refresh comes last, over the rows the
+        // commit leaves: its weight-0 entries name tuples of the
+        // post-commit store, with their final text.
         let mut changes = Vec::new();
         let (_, t_exec) = timed(|| {
+            let taken = store.take(&bound);
+            report.tuples_removed += taken.len();
+            for (tuple, count) in taken {
+                report.derivations_removed += count;
+                changes.push((tuple, -(count as i64)));
+            }
             if has_deletes {
                 let lost = eval(&ctx, &minus, full_order, &del_terms, &self.snowcaps);
                 patch_store(store, &self.pattern, Sign::Minus, &lost, &mut report, &mut changes);
@@ -487,9 +494,9 @@ impl MaintenanceEngine {
                 patch_store(store, &self.pattern, Sign::Plus, &gained, &mut report, &mut changes);
             }
             if text_changed {
-                let (stored, before) = (self.pattern.stored_nodes(), changes.len());
+                let before = changes.len();
                 let publish = |t: &xivm_algebra::Tuple| changes.push((t.clone(), 0));
-                refresh_text(store.tuples_mut(), &stored, doc, &self.pattern, &text_roots, publish);
+                refresh_text(store.rows_mut(), &cols, doc, &self.pattern, &text_roots, publish);
                 report.tuples_modified = changes.len() - before;
             }
         });
@@ -504,9 +511,9 @@ impl MaintenanceEngine {
             if has_inserts {
                 maintain_lattice(&ctx, &plus, &tables.snowcaps, &mut self.snowcaps);
             }
-            for m in &mut self.snowcaps {
-                let rows = m.rel.rows.iter_mut();
-                refresh_text(rows, &m.nodes, doc, &self.pattern, &text_roots, |_| ());
+            for m in self.snowcaps.iter_mut().filter(|_| text_changed) {
+                let cols = m.cols();
+                refresh_text(&mut m.rel.rows, &cols, doc, &self.pattern, &text_roots, |_| ());
             }
         });
         report.timings.update_lattice = t_lat1 + t_lat2;
@@ -514,76 +521,26 @@ impl MaintenanceEngine {
         report
     }
 
-    /// Does a pure deletion rival the view? If so, whether every row
-    /// binds a deleted node. Judged in two steps from sizes the commit
-    /// already holds. The labels: some pattern label lost [`RIVAL`] nodes
-    /// for each one it kept (the apply's `deleted` bucket against the
-    /// post-state canonical list) — a point deletion stops here, at one
-    /// list length per label it deleted. Then the rows: one in [`RIVAL`]
-    /// binds a deleted node — every one, without a look, once a pattern
-    /// label has no node left. That keeps on the terms a deletion that
-    /// empties a label elsewhere (every person's `name`, under a view of
-    /// items' names), which they answer with nothing, cheaply. A
-    /// wildcard's labels are not judged.
-    fn rivalled_by(&self, doc: &Document, apply_res: &ApplyResult) -> Option<bool> {
-        // The buckets first, without a name lookup: a point deletion
-        // leaves a few labels, none of which lost that many.
-        let rivalling: Vec<LabelId> = (apply_res.deleted.iter())
-            .filter(|&(l, lost)| lost.len() >= RIVAL * doc.canonical_nodes(l).len())
-            .map(|(l, _)| l)
-            .collect();
-        let mut ours = Vec::new();
-        for n in self.pattern.node_ids().filter(|_| !rivalling.is_empty()) {
-            let NodeTest::Name(name) = &self.pattern.node(n).test else { return None };
-            ours.extend(doc.label_id(name).filter(|l| rivalling.contains(l)));
-        }
-        let lost_most = !ours.is_empty();
-        let emptied = ours.into_iter().any(|l| doc.canonical_nodes(l).is_empty());
-        #[cfg(test)]
-        let lost_most = self.force_recompute.unwrap_or(lost_most);
-        if !lost_most {
-            return None;
-        }
-        // A label with no node left leaves no row: no need to look.
-        let lost = |(t, _): &(&xivm_algebra::Tuple, u64)| binds_deleted(t, &apply_res.deleted);
-        let hit = if emptied { self.store.len() } else { self.store.cursor().filter(lost).count() };
-        let rivals = hit * RIVAL >= self.store.len();
-        #[cfg(test)]
-        let rivals = self.force_recompute.unwrap_or(rivals);
-        rivals.then_some(hit == self.store.len())
-    }
-
-    /// The recomputation arm of [`Self::finish`]: the store is rebuilt by
-    /// `e_v` over the post-state, and the Δ is one merge of the old rows
-    /// with the new — each key that lost derivations at `c_new − c_old`
-    /// carrying its old tuple (moved into the entry), each key that
-    /// gained some at `c_new − c_old` carrying its new contents, and each
-    /// post-commit row whose `val` / `cont` column lies at or above a text
-    /// root at weight 0 ([`refresh_text`]'s rule). The counters follow
-    /// the merge, so they net a key's losses against its gains.
-    ///
-    /// `deletion` is `Some(emptied)` for a pure deletion that rivals the
-    /// view, `None` for one that may have flipped a predicate. Such a deletion
-    /// only loses bindings, and the snowcaps lose theirs by
-    /// [`MaterializedSnowcap::remove_under`] — exact here — then have
-    /// their text refreshed: store, Δ, counters and snowcaps are those of
-    /// the Δ⁻ terms, bit for bit. A row binding a deleted node loses every
-    /// derivation, so when every row does (`emptied`, an empty view too)
-    /// the view is empty without evaluating anything. After a possible
-    /// flip the snowcaps are evaluated afresh.
+    /// The recomputation arm of [`Self::finish`], for a commit that may
+    /// have flipped a value predicate: the store is rebuilt by `e_v` over
+    /// the post-state, and the Δ is one merge of the old rows with the
+    /// new — each key that lost derivations at `c_new − c_old` carrying
+    /// its old tuple (moved into the entry), each key that gained some at
+    /// `c_new − c_old` carrying its new contents, and each post-commit
+    /// row whose `val` / `cont` column lies at or above a text root at
+    /// weight 0 ([`refresh_text`]'s rule). The counters follow the merge,
+    /// so they net a key's losses against its gains. The snowcaps are
+    /// evaluated afresh.
     fn recompute_commit(
         &mut self,
         doc: &Document,
-        apply_res: &ApplyResult,
-        deletion: Option<bool>,
         text_roots: &DeweyForest,
         report: &mut UpdateReport,
     ) {
         report.recomputed = true;
         let pattern = &self.pattern;
         let (_, t_exec) = timed(|| {
-            let fresh = if deletion == Some(true) { Vec::new() } else { view_tuples(doc, pattern) };
-            let fresh = ViewStore::from_counted(pattern, fresh);
+            let fresh = ViewStore::from_counted(pattern, view_tuples(doc, pattern));
             let old = std::mem::replace(&mut self.store, Arc::new(fresh));
             let stored = pattern.stored_nodes();
             let cvn: Vec<usize> =
@@ -621,31 +578,14 @@ impl MaintenanceEngine {
                     report.tuples_modified += 1;
                 }
             }
-            debug_assert!(deletion.is_none() || report.derivations_added == 0, "a deletion gains");
             report.delta = Arc::new(ViewDelta::new(changes));
         });
-        let (_, t_lat) = timed(|| {
-            if deletion.is_none() {
-                self.snowcaps = Self::rematerialized(doc, pattern, &self.snowcaps);
-                return;
-            }
-            for m in &mut self.snowcaps {
-                m.remove_under(&apply_res.deleted);
-                refresh_text(m.rel.rows.iter_mut(), &m.nodes, doc, pattern, text_roots, |_| ());
-            }
-        });
+        let (_, t_lat) =
+            timed(|| self.snowcaps = Self::rematerialized(doc, pattern, &self.snowcaps));
         report.timings.execute_update = t_exec;
         report.timings.update_lattice = t_lat;
     }
 }
-
-/// When a pure deletion rivals a view ([`MaintenanceEngine::finish`]
-/// then recomputes it): a pattern label lost `RIVAL` nodes per node it
-/// kept, and one store row in `RIVAL` binds a deleted node. A round
-/// number, not a tuned one, like `DeltaSide::small_against`'s: on the 21
-/// Appendix A deletes × 7 catalog views, 64 KB to 2 MB, the arms it picks
-/// cost within 3 % of the cheaper arm per pair (CHANGES.md, PR 26).
-const RIVAL: usize = 2;
 
 /// The maintenance terms of the pattern and of each maintained snowcap
 /// ([`subset_terms`]): pure functions of the pattern, enumerated once
@@ -668,48 +608,33 @@ impl TermTables {
     }
 }
 
-/// *Update Lattice*, one sign (Proposition 3.13): every snowcap a Δ
-/// reaches loses (`Minus`) or gains (`Plus`) the bindings of its own
-/// terms, whose R-parts start from the strictly smaller snowcaps. Those
-/// must hold the old surviving state — without the deleted bindings,
-/// without the inserted ones — so losses are taken in increasing size
-/// (every cover a term can pick is already pruned) and gains in
-/// decreasing size (none has gained yet): the term bags stay disjoint.
-///
-/// The rows are dropped or merged in place through the snowcap's row
-/// order, so the work follows |Δ| — except for a deletion that rivals
-/// the snowcap ([`DeltaSide::small_against`]), which takes one pass over
-/// every row instead. Both arms carry an end-to-end metric (CHANGES.md,
-/// PR 20): forcing the terms costs `bulk_catalog` and `point_small`,
-/// forcing the pass costs `point_large` its whole gain. A deletion's
-/// own terms are pruned before either arm: when none survives the ID
-/// witnesses — the deleted nodes lie under none of the snowcap's
-/// ancestors, as an item's `name` under a person snowcap — the snowcap
-/// loses nothing, and neither arm runs.
+/// *Update Lattice*, the gains (Proposition 3.13): every snowcap a Δ⁺
+/// reaches gains the bindings of its own terms, whose R-parts start from
+/// the strictly smaller snowcaps. Those must hold the old surviving state
+/// — without the inserted bindings — so gains are taken in decreasing
+/// size (none has gained yet): the term bags stay disjoint. The rows are
+/// merged in place through the snowcap's row order, so the work follows
+/// |Δ|. The snowcap's own terms are pruned first: when none survives the
+/// ID witnesses — the insertion targets lie under none of the snowcap's
+/// ancestors — the snowcap gains nothing. The losses need no terms: a
+/// deletion takes out by range every row that binds a deleted node
+/// ([`MaterializedSnowcap::remove_under`]).
 fn maintain_lattice(
     ctx: &TermContext<'_>,
     side: &DeltaSide<'_>,
     tables: &[Vec<Term>],
     snowcaps: &mut [MaterializedSnowcap],
 ) {
-    let losing = matches!(side, DeltaSide::Minus { .. });
-    let patch = if losing { MaterializedSnowcap::remove } else { MaterializedSnowcap::absorb };
-    for k in 0..snowcaps.len() {
-        let i = if losing { k } else { snowcaps.len() - 1 - k };
+    for i in (0..snowcaps.len()).rev() {
         let (smaller, rest) = snowcaps.split_at_mut(i);
         let m = &mut rest[0];
         if m.nodes.iter().all(|&n| side.is_empty(n)) {
             continue;
         }
         let (own, _) = terms(ctx, side, &tables[i], &m.nodes);
-        if own.is_empty() {
-            continue;
+        if !own.is_empty() {
+            m.absorb(eval(ctx, side, &m.nodes, &own, smaller));
         }
-        if losing && !side.small_against(&m.nodes, m.rel.len()) {
-            m.remove_under(&ctx.applied.deleted);
-            continue;
-        }
-        patch(m, eval(ctx, side, &m.nodes, &own, smaller));
     }
 }
 
@@ -751,7 +676,7 @@ mod tests {
     use super::*;
     use xivm_pattern::parse_pattern;
     use xivm_update::apply_pul;
-    use xivm_xml::parse_document;
+    use xivm_xml::{parse_document, NodeId};
 
     /// Oracle: after any propagated update, the store must equal the
     /// from-scratch evaluation on the updated document.
@@ -1049,7 +974,8 @@ mod tests {
         // stored text above the root: no exit
         let r = apply(&mut engine, "insert <b>y</b> into //q");
         assert!(!r.irrelevant && r.delta.is_empty(), "a b outside any a: pruned, not exited");
-        assert!(!apply(&mut engine, "delete //q").irrelevant);
+        // the b deleted again: no row binds it, and the ranges exit
+        assert!(apply(&mut engine, "delete //q").irrelevant);
         let r = apply(&mut engine, "insert <y>z</y> into //a/b");
         assert!(!r.irrelevant);
         assert_eq!(r.tuples_modified, 1, "stored val of b grew");
@@ -1066,50 +992,53 @@ mod tests {
     const STRATEGIES: [SnowcapStrategy; 3] =
         [SnowcapStrategy::MinimalChain, SnowcapStrategy::LeavesOnly, SnowcapStrategy::AllSnowcaps];
 
-    /// Runs `pul` over `doc` under `pattern` three times — the Δ⁻ terms
-    /// forced, the recomputation forced, and the engine's own choice —
-    /// and checks that all three leave the same store (identical to a
-    /// fresh one, and to the old one with the Δ replayed), the same Δ
-    /// and counters, and the same snowcaps, row for row. Returns whether
-    /// the forced recomputation ran and whether the engine chose it.
-    fn both_arms(
+    /// Runs `pul` over `doc` under `pattern` and checks what it did
+    /// against the references: the store is identical to a recomputation
+    /// (`recompute_store`'s) and holds the keys and counts of the
+    /// embedding oracle, the Δ replays onto the held store, its weights
+    /// and the store's size are the report's counters, each loss is what
+    /// its key lost (the commits here only delete), and every snowcap is
+    /// a fresh one, row for row. Returns the report.
+    fn one_arm(
         doc: &Document,
         pattern: &TreePattern,
         pul: &Pul,
         strategy: SnowcapStrategy,
-    ) -> (bool, bool) {
-        let run = |force| {
-            let mut doc = doc.clone();
-            let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
-            engine.force_recompute = force;
-            let held = engine.store_arc();
-            let report = engine.propagate_pul(&mut doc, pul).unwrap();
-            let mut replayed = (*held).clone();
-            report.delta.replay(&mut replayed);
-            assert!(replayed.identical_to(engine.store()), "{force:?}: the Δ replays");
-            (doc, engine, report)
-        };
+    ) -> UpdateReport {
+        let mut doc = doc.clone();
+        let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
+        let held = engine.store_arc();
+        let report = engine.propagate_pul(&mut doc, pul).unwrap();
         let what = format!("{} under {strategy:?}", pattern.to_text());
-        let (post, by_terms, terms) = run(Some(false));
-        assert!(!terms.recomputed, "{what}");
-        let fresh = MaintenanceEngine::new(&post, pattern.clone(), strategy);
+        let fresh = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
+        let store = engine.store();
         assert!(
-            by_terms.store().identical_to(fresh.store()),
+            store.identical_to(fresh.store()),
             "{what}:\n{}",
-            by_terms.store().diff_description(fresh.store())
+            store.diff_description(fresh.store())
         );
-        let mut recomputed = [false; 2];
-        for (arm, force) in [Some(true), None].into_iter().enumerate() {
-            let (_, engine, report) = run(force);
-            assert!(engine.store().identical_to(by_terms.store()), "{what} {force:?}");
-            assert_eq!(report.delta, terms.delta, "{what} {force:?}");
-            assert!(report.same_outcome(&terms), "{what} {force:?}: counters");
-            for (m, t) in engine.snowcaps().iter().zip(by_terms.snowcaps()) {
-                assert_eq!(m.rel.rows, t.rel.rows, "{what} {force:?} {:?}", m.nodes);
-            }
-            recomputed[arm] = report.recomputed;
+        let keys: Vec<_> = store.cursor().map(|(t, c)| (t.id_key(), c)).collect();
+        assert_eq!(keys, xivm_pattern::embed::view_tuples_by_embedding(&doc, pattern), "{what}");
+        let mut replayed = (*held).clone();
+        report.delta.replay(&mut replayed);
+        assert!(replayed.identical_to(store), "{what}: the Δ replays");
+        let rows = report.delta.rows();
+        let weights = |sign: i64| rows.iter().map(|(_, w)| (w * sign).max(0) as u64).sum::<u64>();
+        let counted = (report.derivations_added, report.derivations_removed);
+        assert_eq!((weights(1), weights(-1)), counted, "{what}: Σ weights");
+        let net = report.tuples_added as i64 - report.tuples_removed as i64;
+        assert_eq!(net, store.len() as i64 - held.len() as i64, "{what}: tuples");
+        // a loss takes at most the derivations its key held, and all of
+        // them when the key left
+        for (tuple, weight) in rows.iter().filter(|(_, w)| *w < 0) {
+            let was = held.get(tuple).map_or(0, |(_, c)| c);
+            let is = store.get(tuple).map_or(0, |(_, c)| c);
+            assert_eq!(weight.unsigned_abs(), was - is, "{what}: {:?}", tuple.id_key());
         }
-        (recomputed[0], recomputed[1])
+        for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
+            assert_eq!(m.rel.rows, f.rel.rows, "{what} {:?}", m.nodes);
+        }
+        report
     }
 
     fn pul_of(doc: &Document, stmt: &str) -> Pul {
@@ -1119,12 +1048,13 @@ mod tests {
     /// The 21 Appendix A deletes × the 7 catalog views, under every
     /// strategy, on a small XMark document that first took each
     /// update's insertion (nested `name`s and `increase`s, as the
-    /// benchmark runs them): both arms agree everywhere, and the
-    /// engine's own choice takes the recomputation for some of them.
+    /// benchmark runs them): every commit agrees with the references —
+    /// among them commits that thinned a view by range alone (no witness
+    /// term evaluated), and witness terms that survived their pruning.
     #[test]
-    fn both_arms_agree_on_the_appendix_a_deletes() {
+    fn the_appendix_a_deletes_agree_with_the_references() {
         let base = xivm_xmark::generate_sized(12 * 1024);
-        let (mut forced, mut chosen) = (0, 0);
+        let (mut by_range, mut witnessed) = (0, 0);
         for update in xivm_xmark::all_updates() {
             let mut doc = base.clone();
             let insert = compute_pul(&doc, &update.insert_stmt());
@@ -1133,28 +1063,37 @@ mod tests {
             for view in xivm_xmark::VIEW_NAMES {
                 let pattern = xivm_xmark::view_pattern(view);
                 for strategy in STRATEGIES {
-                    let (f, c) = both_arms(&doc, &pattern, &pul, strategy);
-                    (forced, chosen) = (forced + usize::from(f), chosen + usize::from(c));
+                    let report = one_arm(&doc, &pattern, &pul, strategy);
+                    let bound_only = report.delete_prune.after_id_reasoning == 0;
+                    by_range += usize::from(bound_only && report.tuples_removed > 0);
+                    witnessed += report.delete_prune.after_id_reasoning;
                 }
             }
         }
-        assert!(forced > chosen && chosen > 0, "forced {forced}, chosen {chosen}");
+        assert!(by_range > 0 && witnessed > 0, "by range {by_range}, witness terms {witnessed}");
     }
 
-    /// Figure 12-sized cases where the merge has the most to get right:
-    /// `val` / `cont` columns above the deleted roots (weight-0 entries),
-    /// a value predicate, nested text roots, counts that drop without
-    /// the tuple leaving.
+    /// Figure 12-sized cases with the most to get right: `val` / `cont`
+    /// columns above the deleted roots (weight-0 entries), a value
+    /// predicate, nested text roots, counts that drop without the tuple
+    /// leaving, a stored column below an unstored one, witness branches
+    /// beside stored ones, sibling stored columns (Q13's shape), a
+    /// wildcard. None takes the recomputation, and each loses something.
     #[test]
-    fn both_arms_agree_on_small_documents() {
+    fn deletions_on_small_documents_agree_with_the_references() {
         let nested = "<r><a><a><b>x</b><c>y</c></a><b/><c>z</c></a><a><b/></a></r>";
         let cases = [
             (FIG12, "//a{id}[//c{id}]//b{id}", "delete /a/f/c"),
             (FIG12, "//a{id}[//c{id}]//b{id}", "delete //b"),
             (FIG12, "//a{id,cont}[//b]", "delete //c"),
+            (FIG12, "//a{id}[//c]//b{id}", "delete //c"),
+            (FIG12, "//a[//c]//b{id}", "delete /a/f"),
             (nested, "//a{id,cont}//b{id}", "delete //c"),
             (nested, "//a{id,val}[//b]", "delete //b"),
             (nested, "//r{id}//a{id,val}/b{id,cont}", "delete //a/a"),
+            (nested, "//r{id}[//b{id,val}][//c{id,cont}]", "delete //a/a/c"),
+            (FIG12, "//a{id}[//b{id,val}][//c{id,cont}]", "delete /a/f/c/b"),
+            (nested, "//r{id}/*{id}//c{id,val}", "delete //a/a"),
             ("<a><b><c>x</c><d>z</d></b></a>", "//b{id,val}[//c{id,val}]", "delete //d"),
             ("<r><a>5<b/></a><a>3<b/></a><t/></r>", "//a{id,val}[val=\"5\"]//b{id}", "delete //b"),
         ];
@@ -1162,8 +1101,8 @@ mod tests {
             let doc = parse_document(doc_xml).unwrap();
             let pattern = parse_pattern(pattern).unwrap();
             for strategy in STRATEGIES {
-                let (forced, _) = both_arms(&doc, &pattern, &pul_of(&doc, stmt), strategy);
-                assert!(forced, "{stmt} on {doc_xml}");
+                let report = one_arm(&doc, &pattern, &pul_of(&doc, stmt), strategy);
+                assert!(!report.recomputed && !report.delta.is_empty(), "{stmt} on {doc_xml}");
             }
         }
     }
@@ -1219,7 +1158,6 @@ mod tests {
                 let mut pul = Pul::default();
                 stmts.iter().for_each(|s| pul.ops.extend(pul_of(&doc, s).ops));
                 let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
-                engine.force_recompute = Some(false);
                 let held = engine.store_arc();
                 let report = engine.propagate_pul(&mut doc, &pul).unwrap();
                 let what = format!("{stmts:?} on {doc_xml} under {strategy:?}");
@@ -1247,44 +1185,87 @@ mod tests {
         }
     }
 
-    /// A Δ⁻ no term of a snowcap survives — its deleted nodes lie under
-    /// none of the snowcap's ancestors — costs the snowcap nothing: no
-    /// pass over its rows (a snowcap of a few rows would take one), the
-    /// rows untouched. The same deletion of the person names the
-    /// snowcap holds still takes the pass.
+    /// A deletion visits the rows it takes and nothing more: deleting
+    /// the items' names, which no row binds, examines no store or
+    /// snowcap row one by one (binary searches aside) and leaves every
+    /// snowcap as it was; deleting the persons' names examines a block
+    /// per person and the rows it takes (a name outside both keeps the
+    /// label alive, or every row binding one would go unsearched).
     #[test]
-    fn a_witness_less_delta_minus_leaves_the_snowcap_untouched() {
+    fn a_deletion_examines_only_the_rows_it_takes() {
+        use crate::by_id::tests::EXAMINED;
         let person = |i| format!("<person><name>p{i}</name><email/></person>");
         let item = |i| format!("<item><name>i{i}</name></item>");
         let xml = format!(
-            "<site><people>{}</people><items>{}</items></site>",
+            "<site><name/><people>{}</people><items>{}</items></site>",
             (0..6).map(person).collect::<String>(),
             (0..6).map(item).collect::<String>()
         );
         let pattern = parse_pattern("//person{id}[//name{id}]//email{id}").unwrap();
+        let rows = |e: &MaintenanceEngine| {
+            e.store().len() + e.snowcaps().iter().map(|m| m.rel.len()).sum::<usize>()
+        };
         for strategy in [SnowcapStrategy::MinimalChain, SnowcapStrategy::AllSnowcaps] {
             let mut doc = parse_document(&xml).unwrap();
             let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
             let before: Vec<_> = engine.snowcaps().iter().map(|m| m.rel.rows.clone()).collect();
             let stmt = |s: &str| xivm_update::statement::parse_statement(s).unwrap();
-            crate::snowcap::tests::PASSES.set(0);
+            EXAMINED.set(0);
             let report = engine.apply_statement(&mut doc, &stmt("delete //item/name")).unwrap();
-            assert!(report.delta.is_empty() && !report.irrelevant, "{strategy:?}");
-            assert_eq!(crate::snowcap::tests::PASSES.get(), 0, "{strategy:?}: no pass");
+            assert!(report.delta.is_empty() && report.irrelevant, "{strategy:?}");
+            assert_eq!(EXAMINED.get(), 0, "{strategy:?}: no row visited");
             for (m, rows) in engine.snowcaps().iter().zip(&before) {
                 assert_eq!(&m.rel.rows, rows, "{strategy:?} {:?}", m.nodes);
             }
-            engine.force_recompute = Some(false);
+            let held = rows(&engine);
+            EXAMINED.set(0);
             engine.apply_statement(&mut doc, &stmt("delete //person/name")).unwrap();
-            assert!(
-                crate::snowcap::tests::PASSES.get() > 0,
-                "{strategy:?}: the name snowcap's pass"
-            );
+            let taken = held - rows(&engine);
+            assert_eq!(taken, 12, "{strategy:?}: six store rows and six snowcap rows");
+            // per deleted name, one block of one row in the store: the
+            // person's, searched for the name column (the email column
+            // lost no node, and is not searched)
+            assert_eq!(EXAMINED.get(), taken + 6, "{strategy:?}");
             let fresh = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
             for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
                 assert_eq!(m.rel.rows, f.rel.rows, "{strategy:?} {:?}", m.nodes);
             }
         }
+    }
+
+    /// Cost as counts: deleting one person by `@id` from XMark documents
+    /// of 16 KB and 256 KB under the seven catalog views examines the
+    /// same store and snowcap rows at both sizes — the rows it takes out;
+    /// only the binary searches grow with the document.
+    #[test]
+    fn a_point_deletion_examines_as_many_rows_at_every_size() {
+        use crate::by_id::tests::EXAMINED;
+        let examined = |bytes| {
+            // the first person without a homepage: one name, in Q1's
+            // view and not in Q17's, at every size
+            let doc = xivm_xmark::generate_sized(bytes);
+            let homepage = doc.label_id("homepage");
+            let persons = doc.canonical_nodes_named("person");
+            let bare = |&p: &NodeId| {
+                doc.children_of(p).iter().all(|&c| Some(doc.node(c).label) != homepage)
+            };
+            let i = persons.iter().position(bare).unwrap();
+            let pul = pul_of(&doc, &format!("delete /site/people/person[@id=\"person{i}\"]"));
+            assert_eq!(pul.ops.len(), 1);
+            EXAMINED.set(0);
+            for view in xivm_xmark::VIEW_NAMES {
+                let pattern = xivm_xmark::view_pattern(view);
+                let mut doc = doc.clone();
+                let mut engine =
+                    MaintenanceEngine::new(&doc, pattern, SnowcapStrategy::MinimalChain);
+                engine.propagate_pul(&mut doc, &pul).unwrap();
+            }
+            EXAMINED.get()
+        };
+        // Q1: the name row, and the person's rows of the {…, person}
+        // and {…, person, @id} snowcaps; Q17: its {…, person} row
+        assert_eq!(examined(16 * 1024), 4);
+        assert_eq!(examined(256 * 1024), 4);
     }
 
     /// An unreduced PUL that deletes inside a node and then the node
@@ -1308,7 +1289,6 @@ mod tests {
             for strategy in STRATEGIES {
                 let mut doc = doc.clone();
                 let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
-                engine.force_recompute = Some(false);
                 let held = engine.store_arc();
                 let report = engine.propagate_pul(&mut doc, &pul).unwrap();
                 let what = format!("{} under {strategy:?}", pattern.to_text());
@@ -1368,36 +1348,11 @@ mod tests {
             let pul = Pul::new(stmts.iter().flat_map(|s| pul_of(&doc, s).ops).collect());
             let mut engine =
                 MaintenanceEngine::new(&doc, pattern.clone(), SnowcapStrategy::MinimalChain);
-            engine.force_recompute = Some(false);
             let report = engine.propagate_pul(&mut doc, &pul).unwrap();
             let what = format!("{stmts:?} on {doc_xml} under {}", pattern.to_text());
             assert_eq!(report.recomputed, recomputes, "{what}");
             let fresh = MaintenanceEngine::new(&doc, pattern, SnowcapStrategy::MinimalChain);
             assert!(engine.store().identical_to(fresh.store()), "{what}");
         }
-    }
-
-    /// Which deletions take the recomputation: one that empties the
-    /// view's label and most of its rows does; a point deletion, one
-    /// that empties the label only where the view is not, one under a
-    /// wildcard view, and a PUL that also inserts do not.
-    #[test]
-    fn a_deletion_that_rivals_the_view_recomputes_it() {
-        let doc = parse_document(&format!(
-            "<r><a><b k=\"1\"/>{}</a><z>{}</z><t/></r>",
-            "<b/>".repeat(9),
-            "<b/><b/>".repeat(20)
-        ))
-        .unwrap();
-        let chosen = |pattern: &str, stmt: &str| {
-            let pattern = parse_pattern(pattern).unwrap();
-            both_arms(&doc, &pattern, &pul_of(&doc, stmt), SnowcapStrategy::MinimalChain).1
-        };
-        assert!(chosen("//a{id}//b{id}", "delete //b"), "a mass deletion");
-        assert!(chosen("//a{id}[//b]", "delete //a"), "the whole view");
-        assert!(!chosen("//a{id}//b{id}", "delete //b[@k=\"1\"]"), "a point deletion");
-        assert!(!chosen("//a{id}//b{id}", "delete //z"), "most b's, none of the view's");
-        assert!(!chosen("//a{id}/*{id}", "delete //b"), "a wildcard view");
-        assert!(!chosen("//a{id}//b{id}", "replace //a with <a/>"), "a PUL that inserts");
     }
 }

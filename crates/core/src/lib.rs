@@ -52,6 +52,7 @@
 
 #![forbid(unsafe_code)]
 
+mod by_id;
 pub mod commit;
 pub mod database;
 pub mod engine;

@@ -64,7 +64,15 @@
 //! ([`crate::engine::MaintenanceEngine::finish`]), so every old-state
 //! leaf holds one predicate truth — the nodes' truth now, which was
 //! their truth before.
+//!
+//! On the deletion side the pipeline sees only the *witness* terms,
+//! whose Δ-set holds no stored node — CD− builds no other table
+//! ([`DeltaMinus::compute`]). A binding with a deleted stored node
+//! belongs to a row every derivation of which went, and the engine takes
+//! such rows out by range (`by_id`); the Δ⁻ terms here find the
+//! derivations of the rows that stay.
 
+use crate::by_id::{self, Near, Row};
 use crate::etins::{bag_union, eval_term};
 use crate::snowcap::{best_cover, MaterializedSnowcap};
 use crate::term::Term;
@@ -241,14 +249,18 @@ pub enum DeltaSide<'a> {
     /// σ(Δ⁺) tables and the insertion targets `p1 … pk`.
     Plus { tables: &'a DeltaPlus, targets: &'a [DeweyId] },
     /// The Δ⁻ tables: the IDs of the deleted nodes, one column each.
-    Minus { tables: &'a DeltaMinus },
+    Minus { tables: &'a DeltaMinus<'a> },
 }
 
 impl DeltaSide<'_> {
     /// Δ_n = ∅ — the emptiness test of Proposition 3.6 and its deletion
-    /// analogue (Example 4.5: Δ⁻_a = ∅ removes the ΔaΔbΔc term).
+    /// analogue (Example 4.5: Δ⁻_a = ∅ removes the ΔaΔbΔc term), judged
+    /// also for a Δ⁻ node whose table is not built.
     pub fn is_empty(&self, n: PatternNodeId) -> bool {
-        self.relation(n).is_empty()
+        match self {
+            DeltaSide::Plus { tables, .. } => tables.is_empty(n),
+            DeltaSide::Minus { tables } => tables.is_empty(n),
+        }
     }
 
     /// Δ_n as a relation for structural joins.
@@ -271,9 +283,7 @@ impl DeltaSide<'_> {
             DeltaSide::Plus { targets, .. } => {
                 targets.iter().any(|p| p.has_self_or_ancestor_labeled(anc))
             }
-            DeltaSide::Minus { tables } => {
-                tables.ids(n).any(|id| id.has_proper_ancestor_labeled(anc))
-            }
+            DeltaSide::Minus { tables } => tables.any(n, |id| id.has_proper_ancestor_labeled(anc)),
         }
     }
 
@@ -291,20 +301,6 @@ impl DeltaSide<'_> {
     fn prefixes(&self, n: PatternNodeId) -> usize {
         let delta = self.relation(n);
         delta.len() * delta.rows.first().map_or(0, |t| t.field(0).id.depth())
-    }
-
-    /// The choice [`eval`] makes per term, made per snowcap by lattice
-    /// upkeep: is evaluating the snowcap's own terms cheaper than one
-    /// pass over its `rows`? A term is anchored at one Δ table within
-    /// `nodes` and reads a leaf for each of the snowcap's columns off
-    /// that table's prefixes, so the largest table sets the cost — and a
-    /// snowcap of a few dozen rows (a small document, whatever the
-    /// update) goes to the pass, as does any snowcap a bulk Δ rivals.
-    /// Measured break-even for a one-tuple Δ⁻: 60–100 rows per touched
-    /// snowcap on Q1, Q2, Q13 and Q17 (CHANGES.md, PR 20).
-    pub(crate) fn small_against(&self, nodes: &[PatternNodeId], rows: usize) -> bool {
-        let largest = nodes.iter().map(|&n| self.prefixes(n)).max().unwrap_or(0);
-        largest * nodes.len() * PREFIX_COST <= rows
     }
 }
 
@@ -327,6 +323,26 @@ pub fn terms<'t>(
     if ctx.dynamic_pruning {
         terms.retain(|t| t.delta_nodes().iter().all(|&n| !side.is_empty(n)));
         after_delta_emptiness = terms.len();
+        // A lost Δ⁻ node without a table is one the view stores at or
+        // below: its terms find only rows the engine takes by range. And
+        // after a deletion an R node whose label has no node left binds
+        // nothing.
+        if let DeltaSide::Minus { tables } = side {
+            let left: Vec<bool> = (ctx.pattern.node_ids())
+                .map(|n| match &ctx.pattern.node(n).test {
+                    NodeTest::Name(name) => !ctx.doc.canonical_nodes_named(name).is_empty(),
+                    NodeTest::Wildcard => true,
+                })
+                .collect();
+            let bound = |t: &Term, n: PatternNodeId| {
+                if t.is_delta(n) {
+                    tables.is_kept(n)
+                } else {
+                    left[n.index()]
+                }
+            };
+            terms.retain(|t| subset.iter().all(|&n| bound(t, n)));
+        }
         // Keep terms whose every (R-ancestor within `subset`, Δ-node)
         // pair is witnessed.
         terms.retain(|t| {
@@ -423,49 +439,56 @@ pub(crate) fn eval_one(
 /// ID comparison, enabled by storing IDs alongside every `val` /
 /// `cont` (Algorithm 4's precondition).
 ///
-/// Patches the affected fields of `rows` — the view store's tuples, or
-/// a snowcap's, whose columns bind the pattern nodes `columns` — in
-/// place by re-reading the (already updated) document, and hands each
-/// tuple it refreshed to `refreshed`, in the rows' order. `roots` keeps
+/// Patches the affected fields of `rows` — the view store's rows, or a
+/// snowcap's, ordered by the columns `cols` (field and pattern node,
+/// the most significant first) — in place by re-reading the (already
+/// updated) document, and hands each tuple it refreshed to
+/// `refreshed`, in the rows' order. Only the rows a text column of
+/// which binds one of the roots' ancestors are visited, found by
+/// searching the roots' prefixes ([`by_id::find`]). `roots` keeps
 /// nested roots ([`DeweyForest::with_nested`]: `insert into //a` hits an
 /// `a` inside another `a`), or tuples strictly between an outer and an
 /// inner root would never be refreshed.
-pub fn refresh_text<'a>(
-    rows: impl Iterator<Item = &'a mut Tuple>,
-    columns: &[PatternNodeId],
+pub(crate) fn refresh_text<R: Row>(
+    rows: &mut [R],
+    cols: &[(usize, PatternNodeId)],
     doc: &Document,
     pattern: &TreePattern,
     roots: &DeweyForest,
     mut refreshed: impl FnMut(&Tuple),
 ) {
     // If cvn is empty, updates cannot modify view tuples (Section 3.6).
-    let cvn_cols: Vec<(usize, bool, bool)> = columns
+    let cvn_cols: Vec<(usize, bool, bool)> = cols
         .iter()
-        .enumerate()
-        .map(|(col, &n)| (col, pattern.node(n).ann.val, pattern.node(n).ann.cont))
+        .map(|&(col, n)| (col, pattern.node(n).ann.val, pattern.node(n).ann.cont))
         .filter(|&(_, val, cont)| val || cont)
         .collect();
     if cvn_cols.is_empty() || roots.is_empty() {
         return;
     }
-    for tuple in rows {
-        let mut touched = false;
-        for &(col, want_val, want_cont) in &cvn_cols {
-            let field = tuple.field_mut(col);
-            if !roots.has_descendant_or_self_root(&field.id) {
-                continue;
+    for range in by_id::find(rows, cols, pattern, doc, roots.roots(), Near::Above) {
+        for row in &mut rows[range] {
+            #[cfg(test)]
+            by_id::tests::EXAMINED.set(by_id::tests::EXAMINED.get() + 1);
+            let tuple = row.tuple_mut();
+            let mut touched = false;
+            for &(col, want_val, want_cont) in &cvn_cols {
+                let field = tuple.field_mut(col);
+                if !roots.has_descendant_or_self_root(&field.id) {
+                    continue;
+                }
+                let Some(node) = doc.find_node(&field.id) else { continue };
+                if want_val {
+                    field.val = Some(Arc::from(doc.value(node).as_str()));
+                }
+                if want_cont {
+                    field.cont = Some(Arc::from(doc.content(node).as_str()));
+                }
+                touched = true;
             }
-            let Some(node) = doc.find_node(&field.id) else { continue };
-            if want_val {
-                field.val = Some(Arc::from(doc.value(node).as_str()));
+            if touched {
+                refreshed(tuple);
             }
-            if want_cont {
-                field.cont = Some(Arc::from(doc.content(node).as_str()));
-            }
-            touched = true;
-        }
-        if touched {
-            refreshed(tuple);
         }
     }
 }
@@ -483,11 +506,10 @@ mod tests {
 
     /// One statement applied to one document under one view: the
     /// updated document plus everything `finish` would hand the
-    /// pipeline.
+    /// pipeline (the tests build the complete Δ⁻ tables from it).
     struct Applied {
         doc: Document,
         pattern: TreePattern,
-        dminus: DeltaMinus,
         res: ApplyResult,
     }
 
@@ -496,8 +518,7 @@ mod tests {
         let pattern = parse_pattern(pattern).unwrap();
         let pul = compute_pul(&doc, &parse_statement(stmt).unwrap());
         let res = apply_pul(&mut doc, &pul).unwrap();
-        let dminus = DeltaMinus::compute(&doc, &pattern, &res);
-        Applied { doc, pattern, dminus, res }
+        Applied { doc, pattern, res }
     }
 
     /// Expands, prunes and evaluates the full view's terms in one
@@ -507,9 +528,10 @@ mod tests {
         let mut ctx = TermContext::new(&a.doc, &a.pattern, &a.res);
         ctx.dynamic_pruning = pruning;
         let dplus = DeltaPlus::compute(&a.doc, &a.pattern, &a.res);
+        let dminus = DeltaMinus::complete(&a.doc, &a.pattern, &a.res);
         let side = match sign {
             Sign::Plus => DeltaSide::Plus { tables: &dplus, targets: &a.res.insert_targets },
-            Sign::Minus => DeltaSide::Minus { tables: &a.dminus },
+            Sign::Minus => DeltaSide::Minus { tables: &dminus },
         };
         let order = a.pattern.preorder();
         let table = subset_terms(&a.pattern, &order.iter().copied().collect());
@@ -707,18 +729,15 @@ mod tests {
         assert!(built_whole("insert <c/> into //b"), "200 Δ tuples vs 200 b's: merge");
     }
 
-    /// Lattice upkeep's two prune arms — the snowcap's own Δ⁻ terms,
-    /// dropped by binary search, and the pass over every row — leave the
-    /// same relation, and which one a snowcap takes follows |Δ⁻|
-    /// against its rows.
+    /// Lattice upkeep's losses by range are the snowcap's own Δ⁻ terms
+    /// over the complete tables, binding for binding, for a point and a
+    /// bulk deletion.
     #[test]
-    fn snowcap_prune_arms_agree_and_follow_delta_size() {
+    fn snowcap_losses_by_range_equal_its_own_delta_minus_terms() {
         use crate::engine::{MaintenanceEngine, SnowcapStrategy};
         let big = format!("<r><a><b k=\"1\"/>{}</a></r>", "<b/>".repeat(199));
         let pattern = "//a{id}//b{id}//c{id}";
-        for (stmt, by_delta, left) in
-            [("delete //b[@k=\"1\"]", true, 199), ("delete //b", false, 0)]
-        {
+        for (stmt, left) in [("delete //b[@k=\"1\"]", 199), ("delete //b", 0)] {
             let a = apply(&big, stmt, pattern);
             let old = parse_document(&big).unwrap();
             let engine =
@@ -726,15 +745,19 @@ mod tests {
             let [smaller @ .., ab] = engine.snowcaps() else { panic!("the chain a, ab") };
             assert_eq!(ab.rel.len(), 200);
             let ctx = TermContext::new(&a.doc, &a.pattern, &a.res);
-            let side = DeltaSide::Minus { tables: &a.dminus };
-            assert_eq!(side.small_against(&ab.nodes, ab.rel.len()), by_delta, "{stmt}");
+            let dminus = DeltaMinus::complete(&a.doc, &a.pattern, &a.res);
+            let side = DeltaSide::Minus { tables: &dminus };
             let table = subset_terms(&a.pattern, &ab.nodes.iter().copied().collect());
             let (own, _) = terms(&ctx, &side, &table, &ab.nodes);
-            let (mut by_terms, mut by_pass) = (ab.clone(), ab.clone());
-            by_terms.remove(eval(&ctx, &side, &ab.nodes, &own, smaller));
-            by_pass.remove_under(&a.res.deleted);
-            assert_eq!(by_terms.rel.rows, by_pass.rel.rows, "{stmt}");
-            assert_eq!(by_terms.rel.len(), left, "{stmt}");
+            let lost = eval(&ctx, &side, &ab.nodes, &own, smaller);
+            let mut by_range = ab.clone();
+            let roots = DeweyForest::new(a.res.delete_roots.clone());
+            let taken = by_range.remove_under(&a.pattern, &a.doc, roots.roots(), &a.res.deleted);
+            assert_eq!(taken, lost.len(), "{stmt}");
+            let mut kept = ab.rel.rows.clone();
+            kept.retain(|t| !lost.rows.contains(t));
+            assert_eq!(by_range.rel.rows, kept, "{stmt}");
+            assert_eq!(kept.len(), left, "{stmt}");
         }
     }
 
@@ -749,7 +772,8 @@ mod tests {
             if a.res.delete_roots.is_empty() { &a.res.insert_targets } else { &a.res.delete_roots };
         let (roots, mut keys) = (DeweyForest::with_nested(roots.clone()), Vec::new());
         let keep = |t: &Tuple| keys.push((t.clone(), 0));
-        refresh_text(store.tuples_mut(), &p.stored_nodes(), &a.doc, &p, &roots, keep);
+        let cols: Vec<_> = p.stored_nodes().into_iter().enumerate().collect();
+        refresh_text(store.rows_mut(), &cols, &a.doc, &p, &roots, keep);
         (store, keys)
     }
 

@@ -6,15 +6,17 @@
 //! insertion terms exactly with snowcaps, and Proposition 3.13 shows
 //! snowcaps can be maintained from smaller snowcaps, the lattice
 //! leaves and the Δ relations — which is how the engine maintains them,
-//! in both directions: the rows a [`MaterializedSnowcap`] gains or
-//! loses are the value of its own Δ⁺ / Δ⁻ terms, and its row order
-//! lets both be applied without visiting the rows that stay.
+//! in both directions: the rows a [`MaterializedSnowcap`] gains are the
+//! value of its own Δ⁺ terms, the rows it loses are those that bind a
+//! deleted node, and its row order lets both be applied without
+//! visiting the rows that stay.
 
+use crate::by_id::{self, Near};
 use std::collections::BTreeSet;
 use xivm_algebra::{ordered, Relation, Tuple};
 use xivm_pattern::{PatternNodeId, TreePattern};
 use xivm_update::LabelBuckets;
-use xivm_xml::DeweyId;
+use xivm_xml::{DeweyId, Document};
 
 /// True iff `set` is a snowcap of `pattern`: non-empty and closed
 /// under taking parents.
@@ -84,7 +86,7 @@ pub fn minimal_chain(pattern: &TreePattern) -> Vec<BTreeSet<PatternNodeId>> {
 /// Its rows are in one total order — [`Tuple::doc_cmp_rev`], document
 /// order over *all* ID columns with the last column the most
 /// significant; one row per binding, so it is strict — established by
-/// [`Self::new`], kept by [`Self::absorb`] and by both removals. That is
+/// [`Self::new`], kept by [`Self::absorb`] and [`Self::remove_under`]. That is
 /// what lets a commit find the rows it loses or the places of those it
 /// gains by binary search instead of visiting every row.
 ///
@@ -125,33 +127,29 @@ impl MaterializedSnowcap {
         ordered::absorb(&mut self.rel.rows, new.rows, Tuple::doc_cmp_rev, again);
     }
 
-    /// Drops the snowcap's own lost bindings — `lost`, each one a row
-    /// of this relation — found by search and closed up by one forward
-    /// compaction from the first of them ([`ordered::remove`]).
-    pub fn remove(&mut self, mut lost: Relation) {
-        lost.rows.sort_by(Tuple::doc_cmp_rev);
-        let dropped =
-            ordered::remove(&mut self.rel.rows, &lost.rows, Tuple::doc_cmp_rev, |_, _| true);
-        debug_assert_eq!(dropped, lost.len(), "a lost binding is a row, and is lost once");
+    /// Drops every row that binds a node at or under one of `roots` —
+    /// the maximal delete roots of a commit, whose removed nodes are in
+    /// `deleted` — and returns how many went. A row binds every node of
+    /// the snowcap, so it is lost exactly then; the rows are found by
+    /// range on the row order (`by_id::find`), keyed on the major
+    /// column, without visiting the rows that stay.
+    pub fn remove_under(
+        &mut self,
+        pattern: &TreePattern,
+        doc: &Document,
+        roots: &[DeweyId],
+        deleted: &LabelBuckets<DeweyId>,
+    ) -> usize {
+        let near = Near::Under(deleted);
+        let lost = by_id::find(&self.rel.rows, &self.cols(), pattern, doc, roots, near);
+        by_id::take(&mut self.rel.rows, &lost).len()
     }
 
-    /// The other removal, for a deletion that rivals the snowcap: one
-    /// pass over every row, dropping those that bind a node under a
-    /// deleted root — one the apply's `deleted` buckets hold.
-    pub fn remove_under(&mut self, deleted: &LabelBuckets<DeweyId>) {
-        #[cfg(test)]
-        tests::PASSES.set(tests::PASSES.get() + 1);
-        self.rel.rows.retain(|t| !binds_deleted(t, deleted));
+    /// The columns in the order the rows are sorted by, each with its
+    /// pattern node: the last one the most significant.
+    pub(crate) fn cols(&self) -> Vec<(usize, PatternNodeId)> {
+        self.nodes.iter().copied().enumerate().rev().collect()
     }
-}
-
-/// Does `tuple` bind a node an applied PUL deleted — one of its
-/// `deleted` buckets, so that every derivation of the tuple went too? A
-/// lookup per column: one probe of the column's label, which finds no
-/// bucket for a label the PUL left alone, then a binary search.
-pub(crate) fn binds_deleted(tuple: &Tuple, deleted: &LabelBuckets<DeweyId>) -> bool {
-    let gone = |id: &DeweyId| id.label().is_some_and(|l| deleted.get(l).binary_search(id).is_ok());
-    tuple.fields().iter().any(|f| gone(&f.id))
 }
 
 /// Picks the largest materialized snowcap whose nodes are all within
@@ -165,14 +163,9 @@ pub fn best_cover(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
-    thread_local! {
-        /// How many [`MaterializedSnowcap::remove_under`] passes the
-        /// calling thread made: which removal a test's Δ⁻ took.
-        pub(crate) static PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
     use xivm_pattern::parse_pattern;
 
     fn names(pattern: &TreePattern, set: &BTreeSet<PatternNodeId>) -> String {

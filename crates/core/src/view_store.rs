@@ -5,10 +5,11 @@
 //! [`Tuple::doc_cmp`] — one row per key, in document order over the
 //! stored columns left to right — and every derivation count is ≥ 1.
 //! `e_v` ends with a sort, so the store *is* the view's value: a read
-//! ([`ViewStore::cursor`]) borrows the rows, and the one writer
-//! ([`ViewStore::patch`]) keeps the order through the search-and-shift
-//! routines of [`xivm_algebra::ordered`], so a commit pays for the rows
-//! it changes and those behind them, not for a sort of all of them.
+//! ([`ViewStore::cursor`]) borrows the rows, and the two writers keep
+//! the order: [`ViewStore::patch`] through the search-and-shift
+//! routines of [`xivm_algebra::ordered`], and `take`, which moves out a
+//! deletion's bound losses by range. A commit pays for the rows it
+//! changes and those behind them, not for a sort of all of them.
 //!
 //! Left to right here, mirrored in the snowcaps
 //! ([`crate::snowcap::MaterializedSnowcap`]): a view is an *output* —
@@ -86,7 +87,7 @@ impl ViewStore {
         Some((&self.rows[at].0, self.rows[at].1))
     }
 
-    /// The one writer: applies a signed run (the shape and order of
+    /// The writer of signed runs: applies one (the shape and order of
     /// [`crate::commit::ViewDelta::rows`]). A negative entry takes
     /// derivations from its tuple, which leaves when none remain
     /// (Algorithm 5's final loop; a key that is no tuple is ignored). A
@@ -111,10 +112,22 @@ impl ViewStore {
         (entered, left)
     }
 
-    /// The stored tuples in order, for in-place `val` / `cont` patching
-    /// (PIMT / PDMT). IDs must stay as they are: they are the order.
-    pub(crate) fn tuples_mut(&mut self) -> impl Iterator<Item = &mut Tuple> {
-        self.rows.iter_mut().map(|(t, _)| t)
+    /// The rows in order, for the searches by ID ([`crate::by_id`]).
+    pub(crate) fn rows(&self) -> &[(Tuple, u64)] {
+        &self.rows
+    }
+
+    /// The rows in order, for in-place `val` / `cont` patching (PIMT /
+    /// PDMT). IDs and counts must stay as they are: they are the order
+    /// and the view.
+    pub(crate) fn rows_mut(&mut self) -> &mut [(Tuple, u64)] {
+        &mut self.rows
+    }
+
+    /// Moves the rows at `ranges` (ascending, disjoint) out of the store
+    /// — a deletion's bound losses, found by [`crate::by_id::find`].
+    pub(crate) fn take(&mut self, ranges: &[std::ops::Range<usize>]) -> Vec<(Tuple, u64)> {
+        crate::by_id::take(&mut self.rows, ranges)
     }
 
     /// The rows, given up — for a commit that replaced the store and
@@ -257,7 +270,7 @@ mod tests {
         let a = store(&[(1, 1)]);
         let mut b = store(&[(1, 1)]);
         assert!(a.identical_to(&b));
-        for t in b.tuples_mut() {
+        for (t, _) in b.rows_mut() {
             t.field_mut(0).val = Some("changed".into());
         }
         assert!(a.same_content_as(&b), "keys and counts still agree");

@@ -23,6 +23,7 @@
 
 use crate::apply::ApplyResult;
 use crate::pul::{AtomicOp, Pul};
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 use xivm_algebra::{Axis, Column, Field, Relation, Schema, Tuple};
@@ -96,42 +97,91 @@ impl DeltaPlus {
 }
 
 /// Δ⁻ tables: per pattern node, the IDs of deleted matching nodes as
-/// a one-column, ID-only relation for structural joins.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaMinus {
-    tables: Vec<Relation>,
+/// a one-column, ID-only relation for structural joins — and whether
+/// any deleted node matches it, also where no table is kept. A table is
+/// built when it is first read: a term pruned before evaluation reads
+/// none of its own.
+#[derive(Debug)]
+pub struct DeltaMinus<'a> {
+    doc: &'a Document,
+    pattern: &'a TreePattern,
+    applied: &'a ApplyResult,
+    /// Per pattern node: whether its table is kept, whether a deleted
+    /// node matches it, and the table once read.
+    kept: Vec<bool>,
+    lost: Vec<bool>,
+    tables: Vec<OnceCell<Relation>>,
 }
 
-impl DeltaMinus {
-    /// CD−: builds per-node Δ⁻ relations from the deleted nodes' label
-    /// buckets (`doc` is the updated document; it only resolves names).
-    /// A predicate-carrying node keeps the deleted nodes whose pre-apply
-    /// value satisfies it — the apply must have valued its label, as
-    /// [`DeltaLabels::of`](crate::apply::DeltaLabels::of) asks.
-    pub fn compute(doc: &Document, pattern: &TreePattern, applied: &ApplyResult) -> Self {
-        let tables = pattern.node_ids().map(|pnode| {
-            let pn = pattern.node(pnode);
-            let mut ids = match &pn.val_pred {
-                None => applied.deleted.matching(doc, &pn.test).into_owned(),
-                Some(pred) => {
-                    let labels: Vec<_> = match &pn.test {
-                        NodeTest::Name(name) => doc.label_id(name).into_iter().collect(),
-                        NodeTest::Wildcard => applied.deleted.element_labels().collect(),
-                    };
-                    let valued = labels.into_iter().flat_map(|l| applied.deleted_valued(l));
-                    valued.filter(|(_, value)| value == pred).map(|(id, _)| id.clone()).collect()
-                }
-            };
+impl<'a> DeltaMinus<'a> {
+    /// CD− for the *witness* nodes: the pattern nodes below which the
+    /// view stores nothing. Every other node's table is left empty, its
+    /// emptiness ([`Self::is_empty`]) still judged. A row that binds a
+    /// deleted node at a stored column lost every derivation, and the
+    /// engine removes it by range; a Δ-set is descendant-closed, so a
+    /// term with a stored node in it finds only such rows. The terms
+    /// left — every Δ node a witness — find the derivations a surviving
+    /// row lost ([`Self::complete`] keeps every table).
+    pub fn compute(doc: &'a Document, pattern: &'a TreePattern, applied: &'a ApplyResult) -> Self {
+        let stored = |n, s| pattern.node(s).ann.any() && (s == n || pattern.is_ancestor(n, s));
+        Self::new(doc, pattern, applied, |n| !pattern.node_ids().any(|s| stored(n, s)))
+    }
+
+    /// CD− for every pattern node: per node, the deleted nodes' IDs from
+    /// their label buckets (`doc` is the updated document; it only
+    /// resolves names). A predicate-carrying node keeps the deleted nodes
+    /// whose pre-apply value satisfies it — the apply must have valued
+    /// its label, as [`DeltaLabels::of`](crate::apply::DeltaLabels::of)
+    /// asks. The full Δ⁻ terms over these tables are the reference the
+    /// engine's range-plus-witness deletion is checked against.
+    pub fn complete(doc: &'a Document, pattern: &'a TreePattern, applied: &'a ApplyResult) -> Self {
+        Self::new(doc, pattern, applied, |_| true)
+    }
+
+    fn new(
+        doc: &'a Document,
+        pattern: &'a TreePattern,
+        applied: &'a ApplyResult,
+        kept: impl Fn(PatternNodeId) -> bool,
+    ) -> Self {
+        let kept = pattern.node_ids().map(kept).collect();
+        let tables = vec![OnceCell::new(); pattern.len()];
+        let mut minus = DeltaMinus { doc, pattern, applied, kept, lost: Vec::new(), tables };
+        minus.lost = pattern.node_ids().map(|n| minus.matching(n).next().is_some()).collect();
+        minus
+    }
+
+    /// The deleted nodes that pass `n`'s test and value predicate, by
+    /// label bucket.
+    fn matching(&self, n: PatternNodeId) -> Box<dyn Iterator<Item = &'a DeweyId> + 'a> {
+        let (pn, deleted) = (self.pattern.node(n), &self.applied.deleted);
+        let labels: Vec<_> = match &pn.test {
+            NodeTest::Name(name) => self.doc.label_id(name).into_iter().collect(),
+            NodeTest::Wildcard => deleted.element_labels().collect(),
+        };
+        match pn.val_pred.as_deref() {
+            None => Box::new(labels.into_iter().flat_map(move |l| deleted.get(l))),
+            Some(pred) => Box::new(
+                (labels.into_iter().flat_map(|l| self.applied.deleted_valued(l)))
+                    .filter(move |(_, value)| *value == pred)
+                    .map(|(id, _)| id),
+            ),
+        }
+    }
+
+    /// Δ⁻_n in document order, built on first read — empty where no
+    /// table is kept.
+    pub fn table(&self, n: PatternNodeId) -> &Relation {
+        self.tables[n.index()].get_or_init(|| {
+            let mut ids: Vec<DeweyId> = Vec::new();
+            if self.kept[n.index()] {
+                ids.extend(self.matching(n).cloned());
+            }
             if !ids.is_sorted() {
                 ids.sort(); // a wildcard's buckets, concatenated
             }
-            id_table(pattern, pnode, ids)
-        });
-        DeltaMinus { tables: tables.collect() }
-    }
-
-    pub fn table(&self, n: PatternNodeId) -> &Relation {
-        &self.tables[n.index()]
+            id_table(self.pattern, n, ids)
+        })
     }
 
     /// The deleted nodes matching `n`, in document order.
@@ -139,12 +189,30 @@ impl DeltaMinus {
         self.table(n).rows.iter().map(|t| &t.field(0).id)
     }
 
-    pub fn is_empty(&self, n: PatternNodeId) -> bool {
-        self.table(n).is_empty()
+    /// Whether a node of `n`'s kept table passes `test` — read off the
+    /// buckets, without building the table.
+    pub fn any(&self, n: PatternNodeId, test: impl FnMut(&DeweyId) -> bool) -> bool {
+        self.kept[n.index()] && self.matching(n).any(test)
     }
 
+    /// Whether `n`'s table is kept ([`Self::compute`]: `n` is a witness).
+    pub fn is_kept(&self, n: PatternNodeId) -> bool {
+        self.kept[n.index()]
+    }
+
+    /// No deleted node matches `n` — whether or not its table is kept.
+    pub fn is_empty(&self, n: PatternNodeId) -> bool {
+        !self.lost[n.index()]
+    }
+
+    /// Some kept table holds a node — known without building any.
+    pub fn kept_any(&self) -> bool {
+        self.kept.iter().zip(&self.lost).any(|(&kept, &lost)| kept && lost)
+    }
+
+    /// Total number of Δ⁻ tuples in the kept tables (building them all).
     pub fn total_len(&self) -> usize {
-        self.tables.iter().map(|r| r.len()).sum()
+        self.pattern.node_ids().map(|n| self.table(n).len()).sum()
     }
 }
 
@@ -253,21 +321,31 @@ mod tests {
 
     /// Δ⁻ from the buckets, checked against the reference CD−: the
     /// pre-apply walk, under both extractions — the complete one and
-    /// the pattern's own labels.
-    fn delta_minus(doc_xml: &str, pattern: &TreePattern, stmt: &UpdateStatement) -> DeltaMinus {
+    /// the pattern's own labels. Returns the tables, by pattern node.
+    fn delta_minus(doc_xml: &str, pattern: &TreePattern, stmt: &UpdateStatement) -> Vec<Relation> {
         let before = parse_document(doc_xml).unwrap();
         let pul = compute_pul(&before, stmt);
         let mut after = before.clone();
         let own = apply_pul_for(&mut after, &pul, &DeltaLabels::of(&before, [pattern])).unwrap();
-        let dm = DeltaMinus::compute(&after, pattern, &own);
+        let dm = DeltaMinus::complete(&after, pattern, &own);
         let (after, _, res) = applied(doc_xml, stmt);
-        let complete = DeltaMinus::compute(&after, pattern, &res);
-        assert_eq!(dm.tables, complete.tables, "own labels ≠ every label");
+        let complete = DeltaMinus::complete(&after, pattern, &res);
+        for n in pattern.node_ids() {
+            assert_eq!(dm.table(n), complete.table(n), "own labels ≠ every label");
+        }
         let walked = walk_deleted(&before, pattern, &pul);
         for (n, ids) in pattern.node_ids().zip(&walked) {
             assert_eq!(&dm.ids(n).cloned().collect::<Vec<_>>(), ids, "buckets ≠ walk");
         }
-        dm
+        // the witness tables: the complete ones where nothing is stored
+        // at or below the node, empty elsewhere
+        let witness = DeltaMinus::compute(&after, pattern, &own);
+        for n in pattern.node_ids() {
+            let stored = |s| pattern.node(s).ann.any() && (s == n || pattern.is_ancestor(n, s));
+            let expected = if pattern.node_ids().any(stored) { 0 } else { dm.table(n).len() };
+            assert_eq!(witness.table(n).rows, dm.table(n).rows[..expected], "{n:?}");
+        }
+        pattern.node_ids().map(|n| dm.table(n).clone()).collect()
     }
 
     /// Example 3.1: inserting <a><b/><b><c/></b></a> yields Δ⁺ tables
@@ -332,14 +410,14 @@ mod tests {
         let stmt = UpdateStatement::delete("//f").unwrap();
         let v = parse_pattern("//c{id}//b{id}").unwrap();
         let dm = delta_minus(doc_xml, &v, &stmt);
-        let b = v.preorder()[1];
-        assert_eq!(dm.ids(b).count(), 1);
-        assert!(dm.is_empty(v.root()), "no c was deleted");
+        let b = v.preorder()[1].index();
+        assert_eq!(dm[b].len(), 1);
+        assert!(dm[v.root().index()].is_empty(), "no c was deleted");
         // The single deleted b has no c ancestor in its label path.
         let d = parse_document(doc_xml).unwrap();
         let c_lbl = d.label_id("c").unwrap();
-        assert!(!dm.ids(b).next().unwrap().has_proper_ancestor_labeled(c_lbl));
-        let rel = dm.table(b);
+        assert!(!dm[b].rows[0].field(0).id.has_proper_ancestor_labeled(c_lbl));
+        let rel = &dm[b];
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.schema.columns[0].name, "b");
     }
@@ -355,9 +433,9 @@ mod tests {
             let v = parse_pattern(pattern).unwrap();
             let dm = delta_minus(doc_xml, &v, &stmt);
             let roots = if pattern.starts_with("//*") { 5 } else { 2 };
-            assert_eq!(dm.ids(v.root()).count(), roots, "{pattern}: every node once");
+            assert_eq!(dm[v.root().index()].len(), roots, "{pattern}: every node once");
             let bs = if pattern.contains("val") { 2 } else { 3 };
-            assert_eq!(dm.ids(v.preorder()[1]).count(), bs, "{pattern}");
+            assert_eq!(dm[v.preorder()[1].index()].len(), bs, "{pattern}");
         }
     }
 
@@ -390,7 +468,7 @@ mod tests {
         let (a, b) = (v.root(), v.preorder()[1]);
         let dp = delta_plus(&d, &v, &res);
         assert_eq!((dp.table(a).len(), dp.table(b).len()), (1, 1), "the survivors only");
-        let dm = DeltaMinus::compute(&d, &v, &res);
+        let dm = DeltaMinus::complete(&d, &v, &res);
         let walked = walk_deleted(&before, &v, &pul);
         assert_eq!(dm.ids(b).cloned().collect::<Vec<_>>(), walked[b.index()]);
         assert_eq!((dm.ids(a).count(), dm.ids(b).count()), (0, 1), "the old u/b only");

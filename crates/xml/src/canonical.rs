@@ -187,7 +187,8 @@ pub fn doc_cmp(nodes: &Arena, a: NodeId, b: NodeId) -> Ordering {
 
 /// When a removal sweeps its list instead of searching for its runs:
 /// one removed run for every `DENSE` elements of the list. A round
-/// number, not a tuned one, like the engine's `RIVAL`: a search costs
+/// number, not a tuned one, like the term evaluation's `PREFIX_COST`
+/// (`xivm_core::propagate`): a search costs
 /// a few `doc_cmp`s for each of ⌈log₂ n⌉ steps, a swept element one
 /// liveness read.
 const DENSE: usize = 8;

@@ -161,6 +161,16 @@ impl DeweyId {
         self.steps.len().cmp(&other.steps.len())
     }
 
+    /// Where the node lies against the subtree of the node whose
+    /// root-first steps are `root` (an ID's prefix will do, uncopied), in
+    /// document order: `Less` before it, `Equal` in it (at its root
+    /// included), `Greater` after it.
+    pub fn cmp_subtree(&self, root: &[Step]) -> Ordering {
+        let by_ord =
+            self.steps.iter().zip(root).map(|(a, b)| a.ord.cmp(&b.ord)).find(|o| o.is_ne());
+        by_ord.unwrap_or(self.steps.len().cmp(&root.len()).min(Ordering::Equal))
+    }
+
     /// Compact variable-length encoding (property 4). Each step is a
     /// LEB128 label id followed by a LEB128 ordinal.
     pub fn encode(&self) -> Bytes {
@@ -296,6 +306,31 @@ mod tests {
 
     fn id(parts: &[(u32, u64)]) -> DeweyId {
         DeweyId::from_steps(parts.iter().map(|&(a, b)| Step::new(l(a), b)).collect())
+    }
+
+    /// A subtree is one stretch of document order: before it, in it (its
+    /// root and every descendant), after it — an ancestor of the root
+    /// comes before.
+    #[test]
+    fn cmp_subtree_places_a_node_against_a_subtree() {
+        let root = id(&[(0, 1), (1, 5)]);
+        let cases = [
+            (id(&[(0, 1)]), Ordering::Less),
+            (id(&[(0, 1), (1, 4), (2, 9)]), Ordering::Less),
+            (id(&[(0, 1), (1, 5)]), Ordering::Equal),
+            (id(&[(0, 1), (1, 5), (2, 1), (3, 3)]), Ordering::Equal),
+            (id(&[(0, 1), (1, 6)]), Ordering::Greater),
+            (id(&[(0, 2)]), Ordering::Greater),
+        ];
+        for (node, place) in cases {
+            assert_eq!(node.cmp_subtree(root.steps()), place, "{node}");
+            let expected = if root.is_ancestor_or_self_of(&node) {
+                Ordering::Equal
+            } else {
+                node.doc_cmp(&root)
+            };
+            assert_eq!(place, expected, "{node}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! this index reduces them to binary searches over the maximal roots.
 
 use crate::dewey::DeweyId;
+use std::borrow::Cow;
 
 /// An immutable set of subtree roots in document order.
 ///
@@ -49,6 +50,17 @@ impl DeweyForest {
         roots.sort_by(|a, b| a.doc_cmp(b));
         roots.dedup();
         DeweyForest { roots, reduced: false }
+    }
+
+    /// The maximal elements of `roots`, in document order, as
+    /// [`Self::new`] reduces them — `roots` itself, uncopied, when it is
+    /// that already (a statement's delete targets usually are).
+    pub fn maximal(roots: &[DeweyId]) -> Cow<'_, [DeweyId]> {
+        if roots.windows(2).all(|w| w[0] < w[1] && !w[0].is_ancestor_of(&w[1])) {
+            Cow::Borrowed(roots)
+        } else {
+            Cow::Owned(DeweyForest::new(roots.to_vec()).roots)
+        }
     }
 
     pub fn is_empty(&self) -> bool {
@@ -158,6 +170,23 @@ mod tests {
         assert_eq!(nested.len(), 2);
         assert!(nested.has_descendant_or_self_root(&probe));
         assert!(!nested.has_descendant_or_self_root(&id(&[(0, 1), (1, 9)])));
+    }
+
+    #[test]
+    fn maximal_borrows_reduced_roots_and_reduces_the_others() {
+        let (a, b, c) =
+            (id(&[(0, 1), (1, 2)]), id(&[(0, 1), (1, 2), (2, 3)]), id(&[(0, 1), (1, 7)]));
+        let reduced = [a.clone(), c.clone()];
+        assert!(matches!(DeweyForest::maximal(&reduced), Cow::Borrowed(_)));
+        for roots in [
+            vec![c.clone(), a.clone()],
+            vec![a.clone(), b, c.clone()],
+            vec![a.clone(), a.clone(), c.clone()],
+        ] {
+            let maximal = DeweyForest::maximal(&roots);
+            assert!(matches!(maximal, Cow::Owned(_)));
+            assert_eq!(&maximal[..], &reduced[..]);
+        }
     }
 
     #[test]

@@ -713,7 +713,7 @@ proptest! {
         let mut db = b.build().unwrap();
         let mut labels = [0, 1, 2, 3];
         labels.sort_by_key(|&l| order[l].0);
-        let mut recomputed = 0;
+        let mut emptied = 0;
         for (k, l) in labels.into_iter().enumerate() {
             let label = ["a", "b", "c", "d"][l];
             let statement = match ["a", "b", "c", "d"].get(order[l].1) {
@@ -725,6 +725,10 @@ proptest! {
             let commit = db.apply(statement.as_str()).unwrap();
             run_invariant(&db, &commit)?;
             for (replica, h) in replicas.iter_mut().zip(db.handles()) {
+                // a commit that evaluated no witness term lost by range alone
+                let report = commit.report(h);
+                let by_range = !report.recomputed && report.delete_prune.after_id_reasoning == 0;
+                emptied += usize::from(by_range && !replica.is_empty() && db.store(h).is_empty());
                 commit.delta(h).replay(replica);
                 prop_assert!(replica.identical_to(db.store(h)), "{}: the Δ replays", db.name(h));
                 let pattern = db.pattern(h);
@@ -735,11 +739,10 @@ proptest! {
                     db.name(h),
                     db.store(h).diff_description(&fresh)
                 );
-                recomputed += usize::from(commit.report(h).recomputed);
             }
             snowcaps_fresh(&db)?;
         }
-        prop_assert!(recomputed > 0, "no deletion took the recomputation arm (doc={doc_xml})");
+        prop_assert!(emptied > 0, "no commit emptied a non-empty view by range (doc={doc_xml})");
     }
 }
 
@@ -815,7 +818,8 @@ proptest! {
             let applied = apply_pul_for(&mut post, &pul, &wanted).unwrap();
             prop_assert_eq!(&applied.text_moved, &moved, "whatever the labels asked");
             let stale = fires && nests(&applied.delete_roots);
-            let dminus = DeltaMinus::compute(&post, &valued, &applied);
+            let dminus = DeltaMinus::complete(&post, &valued, &applied);
+            let witness = DeltaMinus::compute(&post, &valued, &applied);
             for n in valued.node_ids() {
                 if stale && valued.node(n).val_pred.is_some() {
                     continue;
@@ -823,6 +827,12 @@ proptest! {
                 let ids: Vec<_> = dminus.ids(n).cloned().collect();
                 let what = format!("{n:?} of {} (doc={doc_xml})", valued.to_text());
                 prop_assert_eq!(&ids, &walked[n.index()], "{}", what);
+                // the witness tables: the complete one below which the
+                // view stores nothing, empty elsewhere
+                let stored = |s| valued.node(s).ann.any() && (s == n || valued.is_ancestor(n, s));
+                let kept = if valued.node_ids().any(stored) { 0 } else { ids.len() };
+                let ids: Vec<_> = witness.ids(n).cloned().collect();
+                prop_assert_eq!(&ids[..], &walked[n.index()][..kept], "witness {}", what);
             }
         }
 
@@ -846,6 +856,94 @@ proptest! {
             if name == "valued" && fires {
                 prop_assert!(report.recomputed, "a flagged commit recomputes (doc={})", doc_xml);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// A deletion's losses by range plus witness terms against the full Δ⁻
+// ---------------------------------------------------------------------
+
+/// Views whose deletions lose rows both ways: stored columns beside
+/// unstored predicate branches (the witnesses), two stored columns on
+/// sibling branches under an unstored node (Q13's shape), a wildcard.
+const WITNESS_PATTERNS: [&str; 6] = [
+    "//a{id}[//d]//b{id}",
+    "//a[/@k]//b{id,val}",
+    "//a[/b{id,val}][/c{id,cont}]",
+    "//r{id}/*{id}[//d]//b{id}",
+    "//a{id}[//d[val=\"5\"]]//c{id,cont}",
+    "//*{id}[/c]",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Random subtree deletes — one unreduced PUL of up to five
+    /// operations read off the seed, so roots nest and repeat — under
+    /// views with witness branches: the losses the engine publishes (the
+    /// rows bound to a deleted node, taken by range, plus the witness
+    /// terms) equal the full Δ⁻ terms over every pattern node's table,
+    /// evaluated on whole leaves, row for row with the counts; the store
+    /// and every snowcap are identical to their recomputation. A commit
+    /// the flip rule sends to the recomputation is checked against
+    /// recomputation alone.
+    #[test]
+    fn range_plus_witness_equals_the_full_delta_minus_terms(
+        doc_xml in arb_doc(),
+        keyed in 0usize..4,
+        pattern_idx in 0usize..WITNESS_PATTERNS.len(),
+        picks in prop::collection::vec(0usize..1000, 1..6),
+        strategy in 0usize..3,
+    ) {
+        use xivm::core::etins::subset_terms;
+        use xivm::core::propagate::{eval, terms, DeltaSide, TermContext};
+        use xivm::pattern::compile::project_to_view;
+        use xivm::update::{apply_pul, AtomicOp, DeltaMinus, Pul};
+        let doc_xml = doc_xml.replacen("<a>", "<a k=\"1\">", keyed);
+        let seed = parse_document(&doc_xml).unwrap();
+        let nodes = seed.descendants_or_self(seed.root().unwrap());
+        let pick = |p: usize| seed.dewey(nodes[1 + p % (nodes.len() - 1)]);
+        let pul = Pul::new(picks.iter().map(|&p| AtomicOp::Delete { node: pick(p) }).collect());
+        if nodes.len() < 2 {
+            return Ok(());
+        }
+        let pattern = parse_pattern(WITNESS_PATTERNS[pattern_idx]).unwrap();
+
+        let mut post = seed.clone();
+        let applied = apply_pul(&mut post, &pul).unwrap();
+        let complete = DeltaMinus::complete(&post, &pattern, &applied);
+        let ctx = TermContext::new(&post, &pattern, &applied);
+        let side = DeltaSide::Minus { tables: &complete };
+        let order = pattern.preorder();
+        let table = subset_terms(&pattern, &order.iter().copied().collect());
+        let (full, _) = terms(&ctx, &side, &table, &order);
+        let lost = eval(&ctx, &side, &order, &full, &[]);
+        let reference: Vec<_> = if lost.is_empty() { Vec::new() } else { project_to_view(&pattern, &lost) }
+            .into_iter()
+            .map(|(t, c)| (t.id_key(), c))
+            .collect();
+
+        let mut doc = seed.clone();
+        let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), STRATEGIES[strategy]);
+        let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+        let what = format!("{} after {:?} (doc={doc_xml})", pattern.to_text(), pul.ops);
+        if !report.recomputed {
+            let lost: Vec<_> = report.delta.rows().iter()
+                .filter(|(_, w)| *w < 0)
+                .map(|(t, w)| (t.id_key(), w.unsigned_abs()))
+                .collect();
+            prop_assert_eq!(lost, reference, "{}", what);
+        }
+        let fresh = MaintenanceEngine::new(&doc, pattern.clone(), STRATEGIES[strategy]);
+        prop_assert!(
+            engine.store().identical_to(fresh.store()),
+            "{}:\n{}",
+            what,
+            engine.store().diff_description(fresh.store())
+        );
+        for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
+            prop_assert!(m.rel.rows == f.rel.rows, "{} snowcap {:?}", what, m.nodes);
         }
     }
 }
