@@ -6,7 +6,7 @@
 //!    snowcap vs. leaves only (extends Section 6.7's two-way
 //!    comparison with the third corner).
 
-use xivm_bench::{figure_header, ms, repetitions, row};
+use xivm_bench::{figure_header, host, ms, propagate_statement, repetitions, row};
 use xivm_core::{MaintenanceEngine, SnowcapStrategy};
 use xivm_xmark::sizes::small_size;
 use xivm_xmark::{generate_sized, update_by_name, view_pattern};
@@ -56,7 +56,7 @@ fn run_pruned(doc: &Document, pruning: bool, reps: usize) -> (f64, usize) {
         let mut d = doc.clone();
         let mut engine = MaintenanceEngine::new(&d, pattern.clone(), SnowcapStrategy::MinimalChain);
         engine.dynamic_pruning = pruning;
-        let report = engine.apply_statement(&mut d, &stmt).expect("propagation succeeds");
+        let report = propagate_statement(&mut host(engine), &mut d, &stmt);
         total += ms(report.timings.maintenance_total());
         terms = report.delete_prune.after_id_reasoning;
     }

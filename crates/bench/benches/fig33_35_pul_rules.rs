@@ -9,7 +9,7 @@
 //! overlap percentage grows.
 
 use std::time::Instant;
-use xivm_bench::{figure_header, ms, repetitions, row};
+use xivm_bench::{figure_header, host, ms, repetitions, row};
 use xivm_core::{MaintenanceEngine, SnowcapStrategy};
 use xivm_pulopt::reduce;
 use xivm_update::{compute_pul, Pul, UpdateStatement};
@@ -106,15 +106,17 @@ fn build_sequence(doc: &Document, rule: &str, pct: usize) -> Pul {
     }
 }
 
-/// Propagates the sequence to a fresh Q1 engine, optionally reducing
-/// it first (reduction time included). Returns (avg ms, ops after).
+/// Propagates the sequence to a fresh Q1 view through the product's
+/// step (a one-view host), optionally reducing it first (reduction time
+/// included). Returns (avg ms, ops after).
 fn run(doc: &Document, pul: &Pul, optimize: bool, reps: usize) -> (f64, usize) {
     let pattern = view_pattern("Q1");
     let mut total = 0.0;
     let mut ops_after = pul.len();
     for _ in 0..reps {
         let mut d = doc.clone();
-        let mut engine = MaintenanceEngine::new(&d, pattern.clone(), SnowcapStrategy::MinimalChain);
+        let engine = MaintenanceEngine::new(&d, pattern.clone(), SnowcapStrategy::MinimalChain);
+        let mut host = host(engine);
         let start = Instant::now();
         let effective = if optimize {
             let (reduced, trace) = reduce(pul);
@@ -123,9 +125,9 @@ fn run(doc: &Document, pul: &Pul, optimize: bool, reps: usize) -> (f64, usize) {
         } else {
             pul.clone()
         };
-        let report = engine.propagate_pul(&mut d, &effective).expect("propagation succeeds");
+        let reports = host.propagate_pul(&mut d, &effective).expect("propagation succeeds");
         total += ms(start.elapsed());
-        std::hint::black_box(report.tuples_added);
+        std::hint::black_box(reports[0].1.tuples_added);
     }
     (total / reps as f64, ops_after)
 }

@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::cell::RefCell;
 use std::hint::black_box;
 use xivm_algebra::{structural_join, Axis, Column, Field, Relation, Schema, Tuple};
+use xivm_bench::{host, propagate_statement};
 use xivm_core::{MaintenanceEngine, SnowcapStrategy, ViewDelta, ViewStore};
 use xivm_pattern::compile::view_tuples;
 use xivm_pattern::xpath::{eval_path, parse_xpath};
@@ -175,7 +176,7 @@ fn lattice_upkeep(c: &mut Criterion) {
         c.bench_function(id, |b| {
             let staged = || {
                 let (engine, doc) = &mut *state.borrow_mut();
-                engine.apply_statement(doc, undo).unwrap();
+                commit(engine, doc, undo);
                 let pul = compute_pul(doc, timed);
                 assert_eq!(pul.len(), 1, "{id}: one bidder");
                 let prepared = engine.prepare(doc, &pul);
@@ -189,8 +190,17 @@ fn lattice_upkeep(c: &mut Criterion) {
             b.iter_batched(staged, finish, BatchSize::SmallInput)
         });
         let (engine, doc) = &mut *state.borrow_mut();
-        engine.apply_statement(doc, undo).unwrap();
+        commit(engine, doc, undo);
     }
+}
+
+/// One statement committed to `engine`'s view as the timed step above
+/// takes it: the PUL applied, every label's Δ extracted, then `finish`.
+fn commit(engine: &mut MaintenanceEngine, doc: &mut Document, stmt: &UpdateStatement) {
+    let pul = compute_pul(doc, stmt);
+    let prepared = engine.prepare(doc, &pul);
+    let applied = apply_pul(doc, &pul).unwrap();
+    engine.finish(doc, &applied, prepared);
 }
 
 /// The view store alone under that commit: the bidder's Q2 rows merged
@@ -200,13 +210,13 @@ fn lattice_upkeep(c: &mut Criterion) {
 fn store_patches(c: &mut Criterion) {
     let mut doc = generate_sized(2 << 20);
     let (insert, delete) = middle_bidder(&doc);
-    let mut engine =
-        MaintenanceEngine::new(&doc, view_pattern("Q2"), SnowcapStrategy::MinimalChain);
-    let gained = engine.apply_statement(&mut doc, &insert).unwrap().delta;
-    let lost = engine.apply_statement(&mut doc, &delete).unwrap().delta;
+    let mut host =
+        host(MaintenanceEngine::new(&doc, view_pattern("Q2"), SnowcapStrategy::MinimalChain));
+    let gained = propagate_statement(&mut host, &mut doc, &insert).delta;
+    let lost = propagate_statement(&mut host, &mut doc, &delete).delta;
     assert!(!gained.is_empty() && !lost.is_empty(), "the bidder is in Q2");
     // Between targets the store is without the bidder's rows.
-    let store = RefCell::new(engine.store().clone());
+    let store = RefCell::new(host.get(0).unwrap().1.store().clone());
     let patch = |delta: &ViewDelta| store.borrow_mut().patch(delta.rows());
     c.bench_function("store/point_insert_2MB", |b| {
         b.iter_batched(|| patch(&lost), |_| patch(&gained), BatchSize::SmallInput)

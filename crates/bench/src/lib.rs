@@ -3,7 +3,10 @@
 //! Every figure of the paper's evaluation has a dedicated runner under
 //! `benches/` (plain `harness = false` binaries, so `cargo bench`
 //! regenerates every figure); this crate holds the measurement and
-//! table-printing helpers they share. The runners are the reproduction
+//! table-printing helpers they share. Every runner propagates through
+//! the product's own step — a [`MultiViewEngine`] hosting the view, the
+//! `propagate` a façade commit takes ([`propagate_statement`]) — or
+//! times a layer of it alone (`micro`). The runners are the reproduction
 //! artifact only: what the product costs end to end and layer by layer
 //! is measured by the standalone `benchmark/` package (contract in
 //! `BENCHMARK.json`), not here.
@@ -24,9 +27,10 @@
 #![forbid(unsafe_code)]
 
 use std::time::Duration;
-use xivm_core::{MaintenanceEngine, SnowcapStrategy, Timings, UpdateReport};
+use xivm_core::timing::timed;
+use xivm_core::{MaintenanceEngine, MultiViewEngine, SnowcapStrategy, Timings, UpdateReport};
 use xivm_pattern::TreePattern;
-use xivm_update::UpdateStatement;
+use xivm_update::{compute_pul, UpdateStatement};
 use xivm_xml::Document;
 
 /// Milliseconds with two decimals — the unit of the paper's plots.
@@ -68,8 +72,8 @@ pub fn phase_cells(t: &Timings) -> Vec<String> {
 }
 
 /// Runs one (document, view, statement) propagation on fresh copies
-/// and returns the report. The document build and view
-/// materialization are excluded from the measured phases by
+/// and returns the report ([`propagate_statement`]). The document build
+/// and view materialization are excluded from the measured phases by
 /// construction.
 pub fn run_once(
     doc: &Document,
@@ -78,8 +82,30 @@ pub fn run_once(
     strategy: SnowcapStrategy,
 ) -> UpdateReport {
     let mut doc = doc.clone();
-    let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
-    engine.apply_statement(&mut doc, stmt).expect("propagation succeeds")
+    let mut host = host(MaintenanceEngine::new(&doc, pattern.clone(), strategy));
+    propagate_statement(&mut host, &mut doc, stmt)
+}
+
+/// `engine`'s view hosted alone: a one-view [`MultiViewEngine`], the
+/// host every `Database` commit propagates through.
+pub fn host(engine: MaintenanceEngine) -> MultiViewEngine {
+    MultiViewEngine::from_engines(vec![(String::new(), engine)])
+}
+
+/// One statement committed to the first view of `host` as the façade
+/// commits it: the PUL computed, its time stamped as `find_target_nodes`
+/// on the report, then one [`MultiViewEngine::propagate_pul`] — the step
+/// every `Database` commit takes.
+pub fn propagate_statement(
+    host: &mut MultiViewEngine,
+    doc: &mut Document,
+    stmt: &UpdateStatement,
+) -> UpdateReport {
+    let (pul, t_find) = timed(|| compute_pul(doc, stmt));
+    let mut reports = host.propagate_pul(doc, &pul).expect("propagation succeeds");
+    let mut report = reports.swap_remove(0).1;
+    report.timings.find_target_nodes = t_find;
+    report
 }
 
 /// Averages a measurement over `n` runs (the paper averages over five
@@ -135,5 +161,43 @@ mod tests {
         let before = xivm_xml::serialize_document(&doc);
         let _ = run_once(&doc, &p, &stmt, SnowcapStrategy::MinimalChain);
         assert_eq!(xivm_xml::serialize_document(&doc), before);
+    }
+
+    /// The figures measure what the product computes: `run_once` on an
+    /// Appendix A pair reports the outcome `Database::apply` commits for
+    /// the same document, view, statement and strategy, and leaves the
+    /// same store.
+    #[test]
+    fn run_once_commits_what_the_database_commits() {
+        use xivm_core::Database;
+        let doc = xivm_xmark::generate_sized(30 * 1024);
+        for (view, update) in [("Q1", "X1_L"), ("Q2", "X2_L")] {
+            let pattern = xivm_xmark::view_pattern(view);
+            let update = xivm_xmark::update_by_name(update);
+            for stmt in [update.insert_stmt(), update.delete_stmt()] {
+                for strategy in [
+                    SnowcapStrategy::MinimalChain,
+                    SnowcapStrategy::AllSnowcaps,
+                    SnowcapStrategy::LeavesOnly,
+                ] {
+                    let mut d = doc.clone();
+                    let mut lone = host(MaintenanceEngine::new(&d, pattern.clone(), strategy));
+                    propagate_statement(&mut lone, &mut d, &stmt);
+                    let mut db = Database::builder()
+                        .document(doc.clone())
+                        .view_with_strategy(view, pattern.clone(), strategy)
+                        .build()
+                        .unwrap();
+                    let h = db.view(view).unwrap();
+                    let commit = db.apply(&stmt).unwrap();
+                    let what = format!("{view} × {stmt:?} under {strategy:?}");
+                    let report = run_once(&doc, &pattern, &stmt, strategy);
+                    assert!(!report.delta.is_empty(), "{what}: the pair reaches the view");
+                    assert!(report.same_outcome(commit.report(h)), "{what}");
+                    assert!(lone.get(0).unwrap().1.store().identical_to(db.store(h)), "{what}");
+                    assert_eq!(xivm_xml::serialize_document(&d), db.serialize(), "{what}");
+                }
+            }
+        }
     }
 }

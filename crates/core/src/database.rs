@@ -1085,6 +1085,17 @@ mod tests {
         assert!(matches!(db.apply("frobnicate //a"), Err(Error::Statement(_))));
     }
 
+    /// The target lookup runs once per commit, and every view's report
+    /// carries its time.
+    #[test]
+    fn a_commit_stamps_one_find_time_on_every_view() {
+        let mut db = db();
+        let commit = db.apply("insert <b/> into //c").unwrap();
+        let t0 = commit.report(db.view("ab").unwrap()).timings.find_target_nodes;
+        assert!(!t0.is_zero());
+        assert!(db.handles().into_iter().all(|h| commit.report(h).timings.find_target_nodes == t0));
+    }
+
     /// `apply-pul` is not atomic, so a malformed insert forest must be
     /// rejected *before* anything touches the document — on every
     /// mutation path.
@@ -1350,8 +1361,9 @@ mod tests {
         shimmed_mv.set_workers(4);
         for text in ["insert <b/> into //c", "delete /a/f", "insert <c><b/></c> into /a"] {
             let stmt = parse_statement(text).unwrap();
-            let a = shimmed_mv.apply_statement(&mut shimmed_doc, &stmt).unwrap();
-            let b = default_mv.apply_statement(&mut default_doc, &stmt).unwrap();
+            let pul = xivm_update::compute_pul(&default_doc, &stmt);
+            let a = shimmed_mv.propagate_pul(&mut shimmed_doc, &pul).unwrap();
+            let b = default_mv.propagate_pul(&mut default_doc, &pul).unwrap();
             assert_eq!(a.len(), b.len());
             for ((n1, r1), (n2, r2)) in a.iter().zip(&b) {
                 assert!(n1 == n2 && r1.same_outcome(r2), "{n1} diverged after {text}");

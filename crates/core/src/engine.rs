@@ -35,7 +35,6 @@
 
 use crate::by_id::{self, Near};
 use crate::commit::ViewDelta;
-use crate::error::Error;
 use crate::etins::subset_terms;
 use crate::propagate::{eval, refresh_text, terms, DeltaSide, PruneStats, Sign, TermContext};
 use crate::snowcap::{enumerate_snowcaps, minimal_chain, MaterializedSnowcap};
@@ -47,10 +46,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use xivm_pattern::compile::{canonical_relation, compile_plan_over, project_to_view, view_tuples};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
-use xivm_update::{
-    apply_pul_for, compute_pul, ApplyResult, DeltaLabels, DeltaMinus, DeltaPlus, Pul,
-    UpdateStatement,
-};
+use xivm_update::{ApplyResult, DeltaMinus, DeltaPlus, Pul};
 use xivm_xml::{DeweyForest, DeweyId, Document, LabelId};
 
 /// What one propagated update did, and how long each phase took.
@@ -173,7 +169,9 @@ impl SnowcapStrategy {
 }
 
 /// A materialized view plus the auxiliary structures needed to
-/// maintain it incrementally.
+/// maintain it incrementally. It applies no PUL: its host — a
+/// [`MultiViewEngine`](crate::MultiViewEngine) of one view or many — applies it once and calls
+/// each view's [`Self::finish`].
 pub struct MaintenanceEngine {
     pattern: TreePattern,
     strategy: SnowcapStrategy,
@@ -279,20 +277,6 @@ impl MaintenanceEngine {
         self.snowcaps = Self::rematerialized(doc, &self.pattern, &self.snowcaps);
     }
 
-    /// Propagates a statement-level update: computes the PUL ("Find
-    /// Target Nodes"), applies it to the document, and maintains the
-    /// view.
-    pub fn apply_statement(
-        &mut self,
-        doc: &mut Document,
-        stmt: &UpdateStatement,
-    ) -> Result<UpdateReport, Error> {
-        let (pul, t_find) = timed(|| compute_pul(doc, stmt));
-        let mut report = self.propagate_pul(doc, &pul)?;
-        report.timings.find_target_nodes = t_find;
-        Ok(report)
-    }
-
     /// Accepted and ignored: reads nothing and returns at once. A view
     /// needs nothing of the pre-apply document that the apply does not
     /// hand [`Self::finish`]. Kept only because `benchmark/` calls it;
@@ -301,22 +285,13 @@ impl MaintenanceEngine {
         PreparedUpdate
     }
 
-    /// Propagates an already-computed (possibly optimizer-reduced,
-    /// Section 5) pending update list.
-    pub fn propagate_pul(&mut self, doc: &mut Document, pul: &Pul) -> Result<UpdateReport, Error> {
-        let wanted = DeltaLabels::of(doc, [&self.pattern]);
-        let (apply_res, t_apply) = timed(|| apply_pul_for(doc, pul, &wanted));
-        let apply_res = apply_res?;
-        let mut report = self.finish(doc, &apply_res, PreparedUpdate);
-        report.timings.apply_document = t_apply;
-        Ok(report)
-    }
-
     /// Propagates the PUL to the view after it was applied to the
     /// document. `apply_res` must hold the Δ⁺ and Δ⁻ entries of this
     /// view's labels, valued where a pattern node reads a value and with
     /// content where it stores it: [`xivm_update::apply_pul`]'s, or
-    /// those of [`DeltaLabels::of`] over a set of views including this.
+    /// those of [`xivm_update::DeltaLabels::of`] over a set of views
+    /// including this, which is what a
+    /// [`MultiViewEngine`](crate::MultiViewEngine) hands it.
     /// `_prepared` is ignored ([`Self::prepare`]).
     ///
     /// A deletion's bound losses — every row, of the store and of each
@@ -433,6 +408,7 @@ impl MaintenanceEngine {
         // their passes one by one below.
         let found = dplus.total_len() + usize::from(dminus.kept_any()) + bound.len() + lost_rows;
         if found == 0 && !text_changed {
+            report.timings.update_lattice = t_lat1;
             report.irrelevant = true;
             return report;
         }
@@ -674,9 +650,32 @@ pub struct PreparedUpdate;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MultiViewEngine;
     use xivm_pattern::parse_pattern;
-    use xivm_update::apply_pul;
+    use xivm_update::{apply_pul, compute_pul};
     use xivm_xml::{parse_document, NodeId};
+
+    /// One view hosted alone, as every caller outside the façade hosts
+    /// it: a one-view [`MultiViewEngine`], the product's step.
+    fn hosted(doc: &Document, pattern: &TreePattern, strategy: SnowcapStrategy) -> MultiViewEngine {
+        MultiViewEngine::new(doc, [(String::new(), pattern.clone(), strategy)])
+    }
+
+    /// The hosted view.
+    fn view(host: &MultiViewEngine) -> &MaintenanceEngine {
+        host.get(0).expect("one view").1
+    }
+
+    /// One commit of `pul` through the host: the view's report.
+    fn propagate(host: &mut MultiViewEngine, doc: &mut Document, pul: &Pul) -> UpdateReport {
+        host.propagate_pul(doc, pul).unwrap().swap_remove(0).1
+    }
+
+    /// One commit of the statement `stmt` through the host.
+    fn apply(host: &mut MultiViewEngine, doc: &mut Document, stmt: &str) -> UpdateReport {
+        let pul = pul_of(doc, stmt);
+        propagate(host, doc, &pul)
+    }
 
     /// Oracle: after any propagated update, the store must equal the
     /// from-scratch evaluation on the updated document.
@@ -688,16 +687,15 @@ mod tests {
     ) -> UpdateReport {
         let mut doc = parse_document(doc_xml).unwrap();
         let p = parse_pattern(pattern).unwrap();
-        let mut engine = MaintenanceEngine::new(&doc, p.clone(), strategy);
+        let mut host = hosted(&doc, &p, strategy);
         let mut last = UpdateReport::default();
         for s in stmts {
-            let stmt = xivm_update::statement::parse_statement(s).unwrap();
-            last = engine.apply_statement(&mut doc, &stmt).unwrap();
+            last = apply(&mut host, &mut doc, s);
             let expected = ViewStore::from_counted(&p, view_tuples(&doc, &p));
             assert!(
-                engine.store().same_content_as(&expected),
+                view(&host).store().same_content_as(&expected),
                 "{pattern} after {s}:\n{}",
-                engine.store().diff_description(&expected)
+                view(&host).store().diff_description(&expected)
             );
         }
         last
@@ -801,11 +799,11 @@ mod tests {
             for strategy in [SnowcapStrategy::MinimalChain, SnowcapStrategy::AllSnowcaps] {
                 let mut doc = parse_document("<a><c>x</c><b/></a>").unwrap();
                 let p = parse_pattern(pattern).unwrap();
-                let mut engine = MaintenanceEngine::new(&doc, p.clone(), strategy);
+                let mut host = hosted(&doc, &p, strategy);
                 for s in ["insert <t>y</t> into //c", "insert <b/> into /a"] {
-                    let stmt = xivm_update::statement::parse_statement(s).unwrap();
-                    engine.apply_statement(&mut doc, &stmt).unwrap();
+                    apply(&mut host, &mut doc, s);
                 }
+                let engine = view(&host);
                 let expected = ViewStore::from_counted(&p, view_tuples(&doc, &p));
                 assert!(engine.store().identical_to(&expected), "{pattern} {strategy:?}");
                 let fresh = MaintenanceEngine::new(&doc, p.clone(), strategy);
@@ -907,10 +905,10 @@ mod tests {
             };
             for (doc_xml, script) in cases {
                 let mut doc = parse_document(doc_xml).unwrap();
-                let mut engine = MaintenanceEngine::new(&doc, p.clone(), strategy);
+                let mut host = hosted(&doc, &p, strategy);
                 for s in script {
-                    engine.apply_statement(&mut doc, &stmt(s)).unwrap();
-                    check(&engine, &doc, s);
+                    apply(&mut host, &mut doc, s);
+                    check(view(&host), &doc, s);
                 }
                 // A sequential transaction's PUL that deletes part of
                 // its own insertion: those rows were never gained, so
@@ -919,8 +917,8 @@ mod tests {
                 let mut scratch = doc.clone();
                 apply_pul(&mut scratch, &pul).unwrap();
                 pul.ops.extend(compute_pul(&scratch, &stmt("delete //b[@k=\"x\"]")).ops);
-                engine.propagate_pul(&mut doc, &pul).unwrap();
-                check(&engine, &doc, "insert, then delete of the inserted");
+                propagate(&mut host, &mut doc, &pul);
+                check(view(&host), &doc, "insert, then delete of the inserted");
             }
         }
     }
@@ -932,17 +930,17 @@ mod tests {
     fn deleting_a_same_pul_insertion_loses_nothing() {
         let mut doc = parse_document("<r><a><b/></a></r>").unwrap();
         let p = parse_pattern("//a{id}//b{id}").unwrap();
-        let mut engine = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
+        let mut host = hosted(&doc, &p, SnowcapStrategy::MinimalChain);
         let stmt = |s: &str| xivm_update::statement::parse_statement(s).unwrap();
         let mut pul = compute_pul(&doc, &stmt("insert <x><b/><b/></x> into //a"));
         let mut scratch = doc.clone();
         apply_pul(&mut scratch, &pul).unwrap();
         pul.ops.extend(compute_pul(&scratch, &stmt("delete //x/b")).ops);
-        let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+        let report = propagate(&mut host, &mut doc, &pul);
         assert_eq!(xivm_xml::serialize_document(&doc), "<r><a><b/><x/></a></r>");
         assert_eq!((report.derivations_added, report.derivations_removed), (0, 0));
         let expected = ViewStore::from_counted(&p, view_tuples(&doc, &p));
-        assert!(engine.store().identical_to(&expected));
+        assert!(view(&host).store().identical_to(&expected));
     }
 
     /// The dynamic relevance exit: taken exactly when no pattern label
@@ -953,33 +951,36 @@ mod tests {
         let doc_xml = "<r><a><b>x</b><z/></a><q><w/></q></r>";
         let mut doc = parse_document(doc_xml).unwrap();
         let p = parse_pattern("//a{id}//b{id,val}").unwrap();
-        let mut engine = MaintenanceEngine::new(&doc, p.clone(), SnowcapStrategy::MinimalChain);
-        let held = engine.store_arc();
-        let mut apply = |engine: &mut MaintenanceEngine, s: &str| {
-            let stmt = xivm_update::statement::parse_statement(s).unwrap();
-            let report = engine.apply_statement(&mut doc, &stmt).unwrap();
+        let mut host = hosted(&doc, &p, SnowcapStrategy::MinimalChain);
+        let held = view(&host).store_arc();
+        let mut step = |host: &mut MultiViewEngine, s: &str| {
+            let report = apply(host, &mut doc, s);
             let expected = ViewStore::from_counted(&p, view_tuples(&doc, &p));
-            assert!(engine.store().same_content_as(&expected), "after {s}");
+            assert!(view(host).store().same_content_as(&expected), "after {s}");
             report
         };
         // no a, no b, and no b above the roots: exit
         for s in ["insert <w><y/></w> into //q", "delete //w", "insert <y/> into //z"] {
-            let r = apply(&mut engine, s);
+            let r = step(&mut host, s);
             assert!(r.irrelevant && r.delta.is_empty(), "{s}");
             assert_eq!(r.insert_prune.before + r.delete_prune.before, 0, "{s}: no terms");
         }
-        assert!(Arc::ptr_eq(&held, &engine.store_arc()), "a held store was not copied");
-        assert!(engine.term_tables.is_none(), "no table was built for exits");
+        assert!(Arc::ptr_eq(&held, &view(&host).store_arc()), "a held store was not copied");
+        assert!(view(&host).term_tables.is_none(), "no table was built for exits");
         // a pattern label in the forest, in the deleted subtree, or
         // stored text above the root: no exit
-        let r = apply(&mut engine, "insert <b>y</b> into //q");
+        let r = step(&mut host, "insert <b>y</b> into //q");
         assert!(!r.irrelevant && r.delta.is_empty(), "a b outside any a: pruned, not exited");
-        // the b deleted again: no row binds it, and the ranges exit
-        assert!(apply(&mut engine, "delete //q").irrelevant);
-        let r = apply(&mut engine, "insert <y>z</y> into //a/b");
+        // the b deleted again: no row binds it, and the ranges exit —
+        // after the {a} snowcap was searched, which the lattice phase
+        // is charged
+        let r = step(&mut host, "delete //q");
+        assert!(r.irrelevant);
+        assert!(!r.timings.update_lattice.is_zero(), "the snowcap search is timed");
+        let r = step(&mut host, "insert <y>z</y> into //a/b");
         assert!(!r.irrelevant);
         assert_eq!(r.tuples_modified, 1, "stored val of b grew");
-        assert!(!Arc::ptr_eq(&held, &engine.store_arc()));
+        assert!(!Arc::ptr_eq(&held, &view(&host).store_arc()));
     }
 
     #[test]
@@ -1006,9 +1007,10 @@ mod tests {
         strategy: SnowcapStrategy,
     ) -> UpdateReport {
         let mut doc = doc.clone();
-        let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
-        let held = engine.store_arc();
-        let report = engine.propagate_pul(&mut doc, pul).unwrap();
+        let mut host = hosted(&doc, pattern, strategy);
+        let held = view(&host).store_arc();
+        let report = propagate(&mut host, &mut doc, pul);
+        let engine = view(&host);
         let what = format!("{} under {strategy:?}", pattern.to_text());
         let fresh = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
         let store = engine.store();
@@ -1157,9 +1159,10 @@ mod tests {
                 // transaction's would be
                 let mut pul = Pul::default();
                 stmts.iter().for_each(|s| pul.ops.extend(pul_of(&doc, s).ops));
-                let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
-                let held = engine.store_arc();
-                let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+                let mut host = hosted(&doc, &pattern, strategy);
+                let held = view(&host).store_arc();
+                let report = propagate(&mut host, &mut doc, &pul);
+                let engine = view(&host);
                 let what = format!("{stmts:?} on {doc_xml} under {strategy:?}");
                 assert!(report.recomputed && !report.irrelevant, "{what}");
                 assert_eq!(report.delta.len(), entries, "{what}");
@@ -1207,27 +1210,27 @@ mod tests {
         };
         for strategy in [SnowcapStrategy::MinimalChain, SnowcapStrategy::AllSnowcaps] {
             let mut doc = parse_document(&xml).unwrap();
-            let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
-            let before: Vec<_> = engine.snowcaps().iter().map(|m| m.rel.rows.clone()).collect();
-            let stmt = |s: &str| xivm_update::statement::parse_statement(s).unwrap();
+            let mut host = hosted(&doc, &pattern, strategy);
+            let before: Vec<_> =
+                view(&host).snowcaps().iter().map(|m| m.rel.rows.clone()).collect();
             EXAMINED.set(0);
-            let report = engine.apply_statement(&mut doc, &stmt("delete //item/name")).unwrap();
+            let report = apply(&mut host, &mut doc, "delete //item/name");
             assert!(report.delta.is_empty() && report.irrelevant, "{strategy:?}");
             assert_eq!(EXAMINED.get(), 0, "{strategy:?}: no row visited");
-            for (m, rows) in engine.snowcaps().iter().zip(&before) {
+            for (m, rows) in view(&host).snowcaps().iter().zip(&before) {
                 assert_eq!(&m.rel.rows, rows, "{strategy:?} {:?}", m.nodes);
             }
-            let held = rows(&engine);
+            let held = rows(view(&host));
             EXAMINED.set(0);
-            engine.apply_statement(&mut doc, &stmt("delete //person/name")).unwrap();
-            let taken = held - rows(&engine);
+            apply(&mut host, &mut doc, "delete //person/name");
+            let taken = held - rows(view(&host));
             assert_eq!(taken, 12, "{strategy:?}: six store rows and six snowcap rows");
             // per deleted name, one block of one row in the store: the
             // person's, searched for the name column (the email column
             // lost no node, and is not searched)
             assert_eq!(EXAMINED.get(), taken + 6, "{strategy:?}");
             let fresh = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
-            for (m, f) in engine.snowcaps().iter().zip(fresh.snowcaps()) {
+            for (m, f) in view(&host).snowcaps().iter().zip(fresh.snowcaps()) {
                 assert_eq!(m.rel.rows, f.rel.rows, "{strategy:?} {:?}", m.nodes);
             }
         }
@@ -1256,9 +1259,8 @@ mod tests {
             for view in xivm_xmark::VIEW_NAMES {
                 let pattern = xivm_xmark::view_pattern(view);
                 let mut doc = doc.clone();
-                let mut engine =
-                    MaintenanceEngine::new(&doc, pattern, SnowcapStrategy::MinimalChain);
-                engine.propagate_pul(&mut doc, &pul).unwrap();
+                let mut host = hosted(&doc, &pattern, SnowcapStrategy::MinimalChain);
+                propagate(&mut host, &mut doc, &pul);
             }
             EXAMINED.get()
         };
@@ -1288,9 +1290,10 @@ mod tests {
             let pattern = parse_pattern(pattern).unwrap();
             for strategy in STRATEGIES {
                 let mut doc = doc.clone();
-                let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
-                let held = engine.store_arc();
-                let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+                let mut host = hosted(&doc, &pattern, strategy);
+                let held = view(&host).store_arc();
+                let report = propagate(&mut host, &mut doc, &pul);
+                let engine = view(&host);
                 let what = format!("{} under {strategy:?}", pattern.to_text());
                 assert_eq!(report.recomputed, recomputed, "{what}");
                 let fresh = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
@@ -1346,9 +1349,9 @@ mod tests {
             let pattern = parse_pattern(pattern).unwrap();
             let mut doc = parse_document(doc_xml).unwrap();
             let pul = Pul::new(stmts.iter().flat_map(|s| pul_of(&doc, s).ops).collect());
-            let mut engine =
-                MaintenanceEngine::new(&doc, pattern.clone(), SnowcapStrategy::MinimalChain);
-            let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+            let mut host = hosted(&doc, &pattern, SnowcapStrategy::MinimalChain);
+            let report = propagate(&mut host, &mut doc, &pul);
+            let engine = view(&host);
             let what = format!("{stmts:?} on {doc_xml} under {}", pattern.to_text());
             assert_eq!(report.recomputed, recomputes, "{what}");
             let fresh = MaintenanceEngine::new(&doc, pattern, SnowcapStrategy::MinimalChain);

@@ -20,7 +20,7 @@ use crate::timing::timed;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use xivm_pattern::TreePattern;
-use xivm_update::{apply_pul_for, compute_pul, DeltaLabels, Pul, UpdateStatement};
+use xivm_update::{apply_pul_for, DeltaLabels, Pul};
 use xivm_xml::{Document, LabelInterner};
 
 /// Is view `i` left out of the step under `skip` (`None` = no mask)?
@@ -141,27 +141,14 @@ impl MultiViewEngine {
         }
     }
 
-    /// Propagates one statement to *all* views: the target path is
-    /// evaluated once, the document updated once, and each view
-    /// finishes its own propagation. Returns per-view reports in
-    /// declaration order.
-    pub fn apply_statement(
-        &mut self,
-        doc: &mut Document,
-        stmt: &UpdateStatement,
-    ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        let (pul, t_find) = timed(|| compute_pul(doc, stmt));
-        let mut reports = self.propagate(doc, &pul, None)?;
-        for report in &mut reports {
-            report.timings.find_target_nodes = t_find;
-        }
-        Ok(self.named(reports))
-    }
-
     /// Propagates an already-computed (possibly optimizer-reduced,
     /// Section 5) PUL to all views in one shared pass: one document
     /// update, then each view's own propagation. Reports come back in
-    /// declaration order.
+    /// declaration order. The one public way to apply a PUL and finish
+    /// views outside the façade: one call of `propagate`, the step every
+    /// façade commit takes. A statement's PUL is
+    /// [`xivm_update::compute_pul`]'s; stamping its time as
+    /// `find_target_nodes` is the caller's.
     pub fn propagate_pul(
         &mut self,
         doc: &mut Document,
@@ -254,7 +241,18 @@ mod tests {
     use xivm_pattern::compile::view_tuples;
     use xivm_pattern::parse_pattern;
     use xivm_update::statement::parse_statement;
+    use xivm_update::{compute_pul, UpdateStatement};
     use xivm_xml::parse_document;
+
+    /// One statement through the host: its PUL, then one propagation.
+    fn apply(
+        engine: &mut MultiViewEngine,
+        doc: &mut Document,
+        stmt: &UpdateStatement,
+    ) -> Vec<(String, UpdateReport)> {
+        let pul = compute_pul(doc, stmt);
+        engine.propagate_pul(doc, &pul).unwrap()
+    }
 
     fn multi() -> (Document, MultiViewEngine) {
         let doc = parse_document("<a><c><b/><b/></c><f><c><b/></c><b/></f></a>").unwrap();
@@ -287,7 +285,7 @@ mod tests {
         assert_eq!(engine.len(), 3);
         for stmt_text in ["delete /a/f/c", "insert <c><b/></c> into /a/f", "delete //b"] {
             let stmt = parse_statement(stmt_text).unwrap();
-            let reports = engine.apply_statement(&mut doc, &stmt).unwrap();
+            let reports = apply(&mut engine, &mut doc, &stmt);
             assert_eq!(reports.len(), 3);
             for name in engine.names() {
                 let pattern = engine.view(name).unwrap().pattern().clone();
@@ -298,15 +296,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn shared_target_finding_reports_identical_find_times() {
-        let (mut doc, mut engine) = multi();
-        let stmt = parse_statement("insert <b/> into //c").unwrap();
-        let reports = engine.apply_statement(&mut doc, &stmt).unwrap();
-        let t0 = reports[0].1.timings.find_target_nodes;
-        assert!(reports.iter().all(|(_, r)| r.timings.find_target_nodes == t0));
     }
 
     #[test]
@@ -324,7 +313,7 @@ mod tests {
         let (mut doc, mut engine) = multi();
         assert_eq!(engine.names(), vec!["ab", "acb", "c_cont"]);
         let stmt = parse_statement("insert <b/> into //c").unwrap();
-        let reports = engine.apply_statement(&mut doc, &stmt).unwrap();
+        let reports = apply(&mut engine, &mut doc, &stmt);
         let order: Vec<&str> = reports.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(order, vec!["ab", "acb", "c_cont"]);
     }
@@ -346,9 +335,8 @@ mod tests {
     /// on the first `x` of `doc`: `delete //x` (op 0) NLO-conflicts
     /// with `insert <w/> into //y` (op 1) below it.
     fn nlo_pul(doc: &Document) -> Pul {
-        let first = |text: &str| {
-            xivm_update::compute_pul(doc, &parse_statement(text).unwrap()).ops.swap_remove(0)
-        };
+        let first =
+            |text: &str| compute_pul(doc, &parse_statement(text).unwrap()).ops.swap_remove(0);
         Pul::new(vec![first("delete //x"), first("insert <w/> into //y")])
     }
 
@@ -407,9 +395,7 @@ mod tests {
                 .map(|text| parse_statement(text).unwrap());
         let steps: Vec<Drive> = statements
             .iter()
-            .map(|stmt| -> Drive {
-                Box::new(move |doc, engine| vec![engine.apply_statement(doc, stmt).unwrap()])
-            })
+            .map(|stmt| -> Drive { Box::new(move |doc, engine| vec![apply(engine, doc, stmt)]) })
             .collect();
         assert_matches_each_view_alone(multi, &steps);
 
@@ -441,7 +427,7 @@ mod tests {
         // insert has one op: no distinct conflicting pair, so every
         // view is its own group.
         let stmt = parse_statement("insert <b/> into //c").unwrap();
-        let pul = xivm_update::compute_pul(&doc, &stmt);
+        let pul = compute_pul(&doc, &stmt);
         let groups = engine.partition(&doc, &pul);
         assert_eq!(groups, vec![vec![0], vec![1], vec![2]]);
     }

@@ -109,10 +109,17 @@
 //! | `engine.store()` | `db.store(db.view(name)?)` |
 //! | `XmlError` for every failure | [`Error`] with per-class variants |
 //!
-//! `MultiViewEngine::apply_statement` and `propagate_pul` are the
-//! multi-view host's only two public propagation entry points; each is
-//! one call of the same in-place step the façade's commit executor
-//! drives, so a façade commit is bit-identical to them.
+//! | removed propagation entry | what to do instead |
+//! |---|---|
+//! | `MaintenanceEngine::apply_statement(&mut doc, &stmt)` | `compute_pul(&doc, &stmt)` + a one-view `MultiViewEngine::propagate_pul`, or `db.apply(stmt)?` |
+//! | `MaintenanceEngine::propagate_pul(&mut doc, &pul)` | a one-view `MultiViewEngine::propagate_pul(&mut doc, &pul)` (`MultiViewEngine::from_engines` wraps an engine), or `db.apply(..)?` |
+//! | `MultiViewEngine::apply_statement(&mut doc, &stmt)` | `compute_pul(&doc, &stmt)` + `MultiViewEngine::propagate_pul`, or `db.apply(stmt)?` |
+//!
+//! `MultiViewEngine::propagate_pul` is the one public propagation entry
+//! point left outside the façade: one call of the same in-place step
+//! the façade's commit executor drives, so a façade commit is
+//! bit-identical to it. `MaintenanceEngine` is one view's state and its
+//! `finish`; it applies no PUL.
 //!
 //! | removed knob | what to do instead |
 //! |---|---|

@@ -925,8 +925,10 @@ proptest! {
             .collect();
 
         let mut doc = seed.clone();
-        let mut engine = MaintenanceEngine::new(&doc, pattern.clone(), STRATEGIES[strategy]);
-        let report = engine.propagate_pul(&mut doc, &pul).unwrap();
+        let view = (String::new(), pattern.clone(), STRATEGIES[strategy]);
+        let mut host = MultiViewEngine::new(&doc, [view]);
+        let report = host.propagate_pul(&mut doc, &pul).unwrap().swap_remove(0).1;
+        let engine = host.get(0).unwrap().1;
         let what = format!("{} after {:?} (doc={doc_xml})", pattern.to_text(), pul.ops);
         if !report.recomputed {
             let lost: Vec<_> = report.delta.rows().iter()
