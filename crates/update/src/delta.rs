@@ -28,7 +28,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use xivm_algebra::{Axis, Column, Field, Relation, Schema, Tuple};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
-use xivm_xml::{DeweyId, Document, NodeId, NodeKind};
+use xivm_xml::{DeweyId, Document, LabelId, NodeId, NodeKind};
 
 /// Δ⁺ tables: one relation per pattern node.
 #[derive(Debug, Clone, Default)]
@@ -96,6 +96,16 @@ impl DeltaPlus {
     }
 }
 
+/// Whether `n` is a *witness*: a pattern node at and below which the
+/// view stores nothing. The only nodes whose Δ⁻ table the engine builds
+/// ([`DeltaMinus::compute`]), so the only labels, besides a value
+/// predicate's, whose removed nodes need their IDs
+/// ([`DeltaLabels::of`](crate::apply::DeltaLabels::of)).
+pub fn is_witness(pattern: &TreePattern, n: PatternNodeId) -> bool {
+    let stored = |s| pattern.node(s).ann.any() && (s == n || pattern.is_ancestor(n, s));
+    !pattern.node_ids().any(stored)
+}
+
 /// Δ⁻ tables: per pattern node, the IDs of deleted matching nodes as
 /// a one-column, ID-only relation for structural joins — and whether
 /// any deleted node matches it, also where no table is kept. A table is
@@ -123,42 +133,62 @@ impl<'a> DeltaMinus<'a> {
     /// left — every Δ node a witness — find the derivations a surviving
     /// row lost ([`Self::complete`] keeps every table).
     pub fn compute(doc: &'a Document, pattern: &'a TreePattern, applied: &'a ApplyResult) -> Self {
-        let stored = |n, s| pattern.node(s).ann.any() && (s == n || pattern.is_ancestor(n, s));
-        Self::new(doc, pattern, applied, |n| !pattern.node_ids().any(|s| stored(n, s)))
+        Self::new(doc, pattern, applied, |n| is_witness(pattern, n))
     }
 
     /// CD− for every pattern node: per node, the deleted nodes' IDs from
     /// their label buckets (`doc` is the updated document; it only
     /// resolves names). A predicate-carrying node keeps the deleted nodes
-    /// whose pre-apply value satisfies it — the apply must have valued
-    /// its label, as [`DeltaLabels::of`](crate::apply::DeltaLabels::of)
-    /// asks. The full Δ⁻ terms over these tables are the reference the
-    /// engine's range-plus-witness deletion is checked against.
+    /// whose pre-apply value satisfies it. The apply must have built the
+    /// IDs of every label the pattern names, and valued a predicate's:
+    /// [`DeltaLabels::all`](crate::apply::DeltaLabels::all) does,
+    /// [`DeltaLabels::of`](crate::apply::DeltaLabels::of) only for the
+    /// witnesses. The full Δ⁻ terms over these tables are the reference
+    /// the engine's range-plus-witness deletion is checked against.
     pub fn complete(doc: &'a Document, pattern: &'a TreePattern, applied: &'a ApplyResult) -> Self {
         Self::new(doc, pattern, applied, |_| true)
     }
 
+    /// A node's loss is judged on its labels' counts, or for a value
+    /// predicate on the values; a kept table's labels must have IDs.
     fn new(
         doc: &'a Document,
         pattern: &'a TreePattern,
         applied: &'a ApplyResult,
         kept: impl Fn(PatternNodeId) -> bool,
     ) -> Self {
-        let kept = pattern.node_ids().map(kept).collect();
+        let kept: Vec<bool> = pattern.node_ids().map(kept).collect();
         let tables = vec![OnceCell::new(); pattern.len()];
         let mut minus = DeltaMinus { doc, pattern, applied, kept, lost: Vec::new(), tables };
-        minus.lost = pattern.node_ids().map(|n| minus.matching(n).next().is_some()).collect();
+        let deleted = &applied.deleted;
+        for n in pattern.node_ids().filter(|n| minus.kept[n.index()]) {
+            for label in minus.labels(n) {
+                let asked = deleted.get(label).len() == deleted.count(label);
+                assert!(asked, "the apply was not asked for the IDs of {label:?}");
+            }
+        }
+        minus.lost = (pattern.node_ids())
+            .map(|n| match pattern.node(n).val_pred {
+                Some(_) => minus.matching(n).next().is_some(),
+                None => deleted.touches(doc, &pattern.node(n).test),
+            })
+            .collect();
         minus
+    }
+
+    /// The labels `n`'s test ranges over among the deleted nodes.
+    fn labels(&self, n: PatternNodeId) -> Vec<LabelId> {
+        match &self.pattern.node(n).test {
+            NodeTest::Name(name) => self.doc.label_id(name).into_iter().collect(),
+            NodeTest::Wildcard => self.applied.deleted.element_labels().collect(),
+        }
     }
 
     /// The deleted nodes that pass `n`'s test and value predicate, by
     /// label bucket.
     fn matching(&self, n: PatternNodeId) -> Box<dyn Iterator<Item = &'a DeweyId> + 'a> {
         let (pn, deleted) = (self.pattern.node(n), &self.applied.deleted);
-        let labels: Vec<_> = match &pn.test {
-            NodeTest::Name(name) => self.doc.label_id(name).into_iter().collect(),
-            NodeTest::Wildcard => deleted.element_labels().collect(),
-        };
+        let labels = self.labels(n);
         match pn.val_pred.as_deref() {
             None => Box::new(labels.into_iter().flat_map(move |l| deleted.get(l))),
             Some(pred) => Box::new(
@@ -319,33 +349,33 @@ mod tests {
         dp
     }
 
-    /// Δ⁻ from the buckets, checked against the reference CD−: the
-    /// pre-apply walk, under both extractions — the complete one and
-    /// the pattern's own labels. Returns the tables, by pattern node.
+    /// Δ⁻ from the buckets, checked against the reference CD−, the
+    /// pre-apply walk, under both extractions: the complete one
+    /// ([`DeltaLabels::all`]) builds every table the walk builds; the
+    /// pattern's own ([`DeltaLabels::of`]) builds the IDs of its
+    /// witnesses and predicates alone, so its witness tables equal the
+    /// walk's — the other tables are empty — and every node's loss
+    /// agrees with the walk. Returns the complete tables, by pattern
+    /// node.
     fn delta_minus(doc_xml: &str, pattern: &TreePattern, stmt: &UpdateStatement) -> Vec<Relation> {
         let before = parse_document(doc_xml).unwrap();
         let pul = compute_pul(&before, stmt);
-        let mut after = before.clone();
-        let own = apply_pul_for(&mut after, &pul, &DeltaLabels::of(&before, [pattern])).unwrap();
-        let dm = DeltaMinus::complete(&after, pattern, &own);
+        let walked = walk_deleted(&before, pattern, &pul);
         let (after, _, res) = applied(doc_xml, stmt);
         let complete = DeltaMinus::complete(&after, pattern, &res);
-        for n in pattern.node_ids() {
-            assert_eq!(dm.table(n), complete.table(n), "own labels ≠ every label");
-        }
-        let walked = walk_deleted(&before, pattern, &pul);
         for (n, ids) in pattern.node_ids().zip(&walked) {
-            assert_eq!(&dm.ids(n).cloned().collect::<Vec<_>>(), ids, "buckets ≠ walk");
+            assert_eq!(&complete.ids(n).cloned().collect::<Vec<_>>(), ids, "buckets ≠ walk");
         }
-        // the witness tables: the complete ones where nothing is stored
-        // at or below the node, empty elsewhere
+        let mut after = before.clone();
+        let own = apply_pul_for(&mut after, &pul, &DeltaLabels::of(&before, [pattern])).unwrap();
         let witness = DeltaMinus::compute(&after, pattern, &own);
-        for n in pattern.node_ids() {
+        for (n, ids) in pattern.node_ids().zip(&walked) {
             let stored = |s| pattern.node(s).ann.any() && (s == n || pattern.is_ancestor(n, s));
-            let expected = if pattern.node_ids().any(stored) { 0 } else { dm.table(n).len() };
-            assert_eq!(witness.table(n).rows, dm.table(n).rows[..expected], "{n:?}");
+            let expected = if pattern.node_ids().any(stored) { &[] } else { &ids[..] };
+            assert_eq!(witness.ids(n).cloned().collect::<Vec<_>>(), expected, "{n:?}");
+            assert_eq!(witness.is_empty(n), ids.is_empty(), "{n:?} lost nodes");
         }
-        pattern.node_ids().map(|n| dm.table(n).clone()).collect()
+        pattern.node_ids().map(|n| complete.table(n).clone()).collect()
     }
 
     /// Example 3.1: inserting <a><b/><b><c/></b></a> yields Δ⁺ tables
@@ -403,7 +433,9 @@ mod tests {
         assert_eq!(res.added.len(), 4, "e and f, not @k or #text");
     }
 
-    /// Example 4.6-style Δ⁻ extraction.
+    /// Example 4.6-style Δ⁻ extraction; and under a view whose `f`
+    /// branch stores nothing, a witness, the deleted `f` has its ID in
+    /// the view's own extraction too.
     #[test]
     fn delta_minus_from_deletions() {
         let doc_xml = "<a><c><b/></c><f><b/></f></a>";
@@ -420,6 +452,10 @@ mod tests {
         let rel = &dm[b];
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.schema.columns[0].name, "b");
+        let w = parse_pattern("//a{id}[//f]//b{id}").unwrap();
+        let f = w.node_ids().find(|&n| w.node(n).name == "f").unwrap();
+        assert!(is_witness(&w, f));
+        assert_eq!(delta_minus(doc_xml, &w, &stmt)[f.index()].len(), 1, "the deleted f");
     }
 
     /// `delete //a` hits an `a` inside an `a`: the inner subtree is

@@ -96,6 +96,7 @@ fn tombstone() -> &'static Arc<Chunk> {
             label: LabelId(0),
             ord: 0,
             parent: None,
+            depth: 0,
             children: Vec::new(),
             text: None,
             alive: false,
@@ -279,6 +280,7 @@ mod tests {
             label: LabelId(0),
             ord,
             parent: None,
+            depth: 0,
             children: Vec::new(),
             text: None,
             alive: true,

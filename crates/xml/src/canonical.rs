@@ -163,26 +163,33 @@ pub mod work {
     }
 }
 
-/// Compares two arena nodes in document order: lifts the deeper one to
-/// the other's depth, climbs both in lock-step to the children of
-/// their lowest common ancestor and compares those ordinals. An
-/// ancestor precedes its descendants. Allocation-free; parent links
-/// and ordinals outlive deletion until the edit that deleted a node
-/// ends, so nodes it killed compare too. A node that died in an
-/// earlier edit may read as the arena's tombstone and has no place.
+/// Compares two arena nodes in document order: lifts the deeper one by
+/// the difference of their depths (each node stores its own), climbs
+/// both in lock-step to the children of their lowest common ancestor
+/// and compares those ordinals. An ancestor precedes its descendants.
+/// Allocation-free; parent links, depths and ordinals outlive deletion
+/// until the edit that deleted a node ends, so nodes it killed compare
+/// too. A node that died in an earlier edit may read as the arena's
+/// tombstone and has no place.
 pub fn doc_cmp(nodes: &Arena, a: NodeId, b: NodeId) -> Ordering {
     let parent = |n: NodeId| nodes[n.index()].parent;
-    let depth = |n: NodeId| std::iter::successors(parent(n), |&p| parent(p)).count();
-    let lift = |n: NodeId, by: usize| (0..by).fold(n, |n, _| parent(n).expect("deep enough"));
-    let (da, db) = (depth(a), depth(b));
-    let (mut x, mut y) = (lift(a, da.saturating_sub(db)), lift(b, db.saturating_sub(da)));
+    let (da, db) = (nodes[a.index()].depth, nodes[b.index()].depth);
+    let (mut x, mut y) =
+        (lift(nodes, a, da.saturating_sub(db)), lift(nodes, b, db.saturating_sub(da)));
     if x == y {
         return da.cmp(&db);
     }
-    while parent(x) != parent(y) {
-        (x, y) = (lift(x, 1), lift(y, 1));
+    let (mut px, mut py) = (parent(x), parent(y));
+    while px != py {
+        (x, y) = (px.expect("deep enough"), py.expect("deep enough"));
+        (px, py) = (parent(x), parent(y));
     }
     nodes[x.index()].ord.cmp(&nodes[y.index()].ord)
+}
+
+/// The ancestor `by` levels above `n`; `n` itself for 0.
+pub(crate) fn lift(nodes: &Arena, n: NodeId, by: u16) -> NodeId {
+    (0..by).fold(n, |n, _| nodes[n.index()].parent.expect("deep enough"))
 }
 
 /// When a removal sweeps its list instead of searching for its runs:

@@ -1,7 +1,7 @@
 //! The arena-based XML document store.
 
 use crate::arena::Arena;
-use crate::canonical::{doc_cmp, CanonicalIndex};
+use crate::canonical::{doc_cmp, lift, CanonicalIndex};
 use crate::dewey::{between_ord, next_sibling_ord, DeweyId};
 use crate::error::XmlError;
 use crate::label::{attribute_label, LabelId, LabelInterner, LabelMap, TEXT_LABEL};
@@ -157,13 +157,13 @@ impl Document {
         value: &str,
     ) -> Result<NodeId, XmlError> {
         let label = self.intern_label(&attribute_label(name));
-        self.append_node(Some(parent), NodeKind::Attribute, label, Some(value.to_owned()))
+        self.append_node(Some(parent), NodeKind::Attribute, label, Some(value.into()))
     }
 
     /// Appends a text node.
     pub fn append_text(&mut self, parent: NodeId, text: &str) -> Result<NodeId, XmlError> {
         let label = self.intern_label(TEXT_LABEL);
-        self.append_node(Some(parent), NodeKind::Text, label, Some(text.to_owned()))
+        self.append_node(Some(parent), NodeKind::Text, label, Some(text.into()))
     }
 
     /// Inserts a new element *before* an existing child, exercising the
@@ -189,12 +189,14 @@ impl Document {
         };
         let ord = between_ord(left, right)
             .ok_or_else(|| XmlError::InvalidTarget("sibling ordinal gap exhausted".into()))?;
+        let depth = self.child_depth(parent)?;
         let label = self.intern_label(tag);
         let id = self.nodes.push(Node {
             kind: NodeKind::Element,
             label,
             ord,
             parent: Some(parent),
+            depth,
             children: Vec::new(),
             text: None,
             alive: true,
@@ -210,7 +212,7 @@ impl Document {
         parent: Option<NodeId>,
         kind: NodeKind,
         label: LabelId,
-        text: Option<String>,
+        text: Option<Arc<str>>,
     ) -> Result<NodeId, XmlError> {
         let id = self.push_node(parent, kind, label, text)?;
         self.canonical.edit(&self.nodes, label, (&[], &[]), (&[id], &[0]));
@@ -227,13 +229,13 @@ impl Document {
         parent: Option<NodeId>,
         kind: NodeKind,
         label: LabelId,
-        text: Option<String>,
+        text: Option<Arc<str>>,
     ) -> Result<NodeId, XmlError> {
-        let last = match parent {
+        let (last, depth) = match parent {
             None if self.root.is_some() => {
                 return Err(XmlError::InvalidTarget("document already has a root".into()));
             }
-            None => None,
+            None => (None, 0),
             Some(p) => {
                 self.check_alive(p)?;
                 if !self.nodes[p.index()].is_element() {
@@ -245,7 +247,8 @@ impl Document {
                 // this parent (not just the current last child):
                 // ordinals of deleted children are never reused, so
                 // their IDs stay dead forever.
-                Some(self.nodes[p.index()].max_child_ord).filter(|&max| max > 0)
+                let last = Some(self.nodes[p.index()].max_child_ord).filter(|&max| max > 0);
+                (last, self.child_depth(p)?)
             }
         };
         let ord = next_sibling_ord(last);
@@ -254,6 +257,7 @@ impl Document {
             label,
             ord,
             parent,
+            depth,
             children: Vec::new(),
             text,
             alive: true,
@@ -268,6 +272,13 @@ impl Document {
             None => self.root = Some(id),
         }
         Ok(id)
+    }
+
+    /// The depth of a child of `parent`; a document nests at most
+    /// `u16::MAX` levels below its root.
+    fn child_depth(&self, parent: NodeId) -> Result<u16, XmlError> {
+        let depth = self.nodes[parent.index()].depth.checked_add(1);
+        depth.ok_or_else(|| XmlError::InvalidTarget("the document nests too deep".into()))
     }
 
     /// Highest sibling ordinal ever allocated under `parent` (deleted
@@ -339,7 +350,7 @@ impl Document {
 
     /// Materializes the full Dewey ID of a node by climbing to the root.
     pub fn dewey(&self, id: NodeId) -> DeweyId {
-        let mut steps = Vec::new();
+        let mut steps = Vec::with_capacity(usize::from(self.nodes[id.index()].depth) + 1);
         let mut cur = Some(id);
         while let Some(c) = cur {
             let n = &self.nodes[c.index()];
@@ -395,7 +406,7 @@ impl Document {
     pub fn value(&self, id: NodeId) -> String {
         let n = &self.nodes[id.index()];
         match n.kind {
-            NodeKind::Text | NodeKind::Attribute => n.text.clone().unwrap_or_default(),
+            NodeKind::Text | NodeKind::Attribute => n.text.as_deref().unwrap_or("").to_owned(),
             NodeKind::Element => {
                 let mut out = String::new();
                 self.collect_text(id, &mut out);
@@ -441,15 +452,19 @@ impl Document {
     /// The part of [`Self::canonical_nodes`] inside the subtree of
     /// `root`, `root` itself included: one stretch of the list, found
     /// by two binary searches that compare by parent links (no ID is
-    /// built). Empty under a dead root — its nodes left the list.
+    /// built): a node is inside when it reaches `root` climbing by the
+    /// difference of their depths. Empty under a dead root — its nodes
+    /// left the list.
     pub fn canonical_nodes_within(&self, label: LabelId, root: NodeId) -> &[NodeId] {
         if !self.is_alive(root) {
             return &[];
         }
         let list = self.canonical.nodes(label);
         let inside = &list[list.partition_point(|&n| self.doc_cmp(n, root) == Ordering::Less)..];
+        let top = self.nodes[root.index()].depth;
         let under = |&n: &NodeId| {
-            std::iter::successors(Some(n), |&up| self.parent_of(up)).any(|up| up == root)
+            let below = self.nodes[n.index()].depth.checked_sub(top);
+            below.is_some_and(|by| lift(&self.nodes, n, by) == root)
         };
         &inside[..inside.partition_point(under)]
     }
@@ -476,9 +491,9 @@ impl Document {
     }
 
     /// Verifies internal invariants (parent/child symmetry, ordinal
-    /// monotonicity, canonical-index consistency, dead nodes hold no
-    /// children and no text, each arena chunk counts its dead). Used
-    /// by tests.
+    /// monotonicity, depths — 0 at the root, the parent's plus one below
+    /// it —, canonical-index consistency, dead nodes hold no children
+    /// and no text, each arena chunk counts its dead). Used by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.nodes.check_dead_counts()?;
         for (i, n) in self.nodes.iter().enumerate() {
@@ -488,6 +503,10 @@ impl Document {
                     return Err(format!("dead node {id:?} still holds children or text"));
                 }
                 continue;
+            }
+            let depth = n.parent.map_or(Some(0), |p| self.nodes[p.index()].depth.checked_add(1));
+            if Some(n.depth) != depth {
+                return Err(format!("node {id:?} at depth {}, not {depth:?}", n.depth));
             }
             let mut last_ord = 0u64;
             for &c in &n.children {
@@ -585,12 +604,24 @@ impl DocumentEdit<'_> {
 
     /// Removes the subtree rooted at `node` (XQuery Update `delete`
     /// semantics: all descendants go too). Returns the removed nodes in
-    /// pre-order, which is exactly what Δ⁻ extraction needs; their
-    /// kinds, labels, ordinals, parent links and text stay readable
-    /// until the edit ends, their child lists do not — an attribute's
-    /// text for the value list to drop it by, a text node's for the
-    /// extraction to read the removed elements' values from.
+    /// pre-order; their kinds, labels, ordinals, depths, parent links
+    /// and text stay readable until the edit ends, their child lists do
+    /// not — an attribute's text for the value list to drop it by.
     pub fn remove_subtree(&mut self, node: NodeId) -> Result<Vec<NodeId>, XmlError> {
+        let mut removed = Vec::new();
+        self.remove_subtree_with(node, |n, _| removed.push(n))?;
+        Ok(removed)
+    }
+
+    /// [`Self::remove_subtree`], handing each node to `visit` as it
+    /// dies, in pre-order — already dead and childless, with its kind,
+    /// label, ordinal, depth and text: what Δ⁻ extraction reads, in the
+    /// walk that removes them.
+    pub fn remove_subtree_with(
+        &mut self,
+        node: NodeId,
+        mut visit: impl FnMut(NodeId, &Node),
+    ) -> Result<(), XmlError> {
         self.doc.check_alive(node)?;
         let nodes = &mut self.doc.nodes;
         match nodes[node.index()].parent {
@@ -605,11 +636,11 @@ impl DocumentEdit<'_> {
             None => self.doc.root = None,
         }
         // One walk, one write per node: it dies, gives its child list
-        // back to the walk and is noted for its label's list. Pre-order
-        // is document order: each label's share of the subtree is one
-        // run of that label's canonical relation. Nodes this edit
-        // created are in no list yet, and never will be.
-        let (mut removed, mut stack) = (Vec::new(), vec![node]);
+        // back to the walk, is noted for its label's list and is handed
+        // to `visit`. Pre-order is document order: each label's share
+        // of the subtree is one run of that label's canonical relation.
+        // Nodes this edit created are in no list yet, and never will be.
+        let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             let dead = nodes.kill(n.index());
             // reversed, so that pop yields document order
@@ -617,9 +648,9 @@ impl DocumentEdit<'_> {
             if n.index() < self.first_created {
                 self.lists.entry(dead.label).or_default()[0].push(node.index(), n);
             }
-            removed.push(n);
+            visit(n, dead);
         }
-        Ok(removed)
+        Ok(())
     }
 }
 
@@ -760,6 +791,18 @@ mod tests {
         for (_, name) in d.labels().iter() {
             assert_eq!(relation(&d, name), relation(&fresh, name), "{name}");
         }
+    }
+
+    /// Depths are `u16`: under a node `u16::MAX` levels below the root,
+    /// the deepest a document holds, no child is pushed.
+    #[test]
+    fn a_document_nests_at_most_u16_max_levels_below_its_root() {
+        let (mut d, a, c, _) = sample();
+        d.nodes.get_mut(a.index()).depth = u16::MAX;
+        let refused = |r: Result<NodeId, XmlError>| matches!(r, Err(XmlError::InvalidTarget(_)));
+        assert!(refused(d.append_element(a, "z")));
+        assert!(refused(d.append_text(a, "t")));
+        assert!(refused(d.insert_element_before(a, c, "z")));
     }
 
     #[test]

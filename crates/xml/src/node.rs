@@ -1,6 +1,7 @@
 //! Arena node representation.
 
 use crate::label::LabelId;
+use std::sync::Arc;
 
 /// Index of a node in a [`crate::Document`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,12 +32,19 @@ pub struct Node {
     /// Gap-allocated ordinal among siblings (see [`crate::dewey`]).
     pub ord: u64,
     pub parent: Option<NodeId>,
+    /// How many nodes lie above it: 0 for a root, its parent's depth
+    /// plus one otherwise. Set once, when the node is pushed — nodes
+    /// never move — so document order compares without climbing to the
+    /// root ([`crate::canonical::doc_cmp`]).
+    pub depth: u16,
     /// Children in document order. Attribute nodes come first by
     /// construction (they are parsed before element content).
     pub children: Vec<NodeId>,
     /// Text content for [`NodeKind::Text`], attribute value for
-    /// [`NodeKind::Attribute`], unused for elements.
-    pub text: Option<String>,
+    /// [`NodeKind::Attribute`], unused for elements. Shared: the copies
+    /// of a grafted forest, and a copy-on-write copy of a chunk, point
+    /// at the same string.
+    pub text: Option<Arc<str>>,
     /// Deleted nodes stay in the arena but are marked dead; canonical
     /// relations and traversals skip them.
     pub alive: bool,
@@ -63,6 +71,7 @@ mod tests {
             label: LabelId(0),
             ord: 1,
             parent: None,
+            depth: 0,
             children: vec![],
             text: Some("hi".into()),
             alive: true,
@@ -70,6 +79,13 @@ mod tests {
         };
         assert!(!n.is_element());
         assert!(Node { kind: NodeKind::Element, ..n }.is_element());
+    }
+
+    /// The fields are laid out in 72 bytes: a node is what a chunk copy
+    /// moves, 256 at a time.
+    #[test]
+    fn a_node_fits_in_72_bytes() {
+        assert!(std::mem::size_of::<Node>() <= 72, "{}", std::mem::size_of::<Node>());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::error::XmlError;
 use crate::label::{attribute_label, LabelId, TEXT_LABEL};
 use crate::node::{NodeId, NodeKind};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Parses `input` into a fresh [`Document`].
 pub fn parse_document(input: &str) -> Result<Document, XmlError> {
@@ -69,21 +70,18 @@ impl DocumentEdit<'_> {
     /// Appends a copy of `template` under `parent` — the nodes, ordinals
     /// and lists [`Self::insert_forest`] of its text would build there,
     /// at arena slots `first + i` for its node `i`, `first` being the
-    /// arena's length before. `last`: no copy follows, so this one takes
-    /// the template's strings instead of cloning them.
+    /// arena's length before. Every copy shares the template's strings.
     pub fn graft(
         &mut self,
         parent: NodeId,
-        template: &mut ForestTemplate,
-        last: bool,
+        template: &ForestTemplate,
     ) -> Result<Vec<NodeId>, XmlError> {
         let doc = self.appending();
         let first = doc.arena_len();
         let mut roots = Vec::new();
-        for node in &mut template.nodes {
+        for node in &template.nodes {
             let up = node.parent.map_or(parent, |p| NodeId((first + p) as u32));
-            let text = if last { node.text.take() } else { node.text.clone() };
-            let copy = doc.push_node(Some(up), node.kind, node.label, text)?;
+            let copy = doc.push_node(Some(up), node.kind, node.label, node.text.clone())?;
             if node.parent.is_none() {
                 roots.push(copy);
             }
@@ -109,7 +107,7 @@ pub struct TemplateNode {
     pub depth: usize,
     /// The template index of the node's parent; `None` for a root.
     parent: Option<usize>,
-    text: Option<String>,
+    text: Option<Arc<str>>,
 }
 
 impl ForestTemplate {
@@ -133,7 +131,7 @@ impl TemplateSink<'_, '_> {
         parent: Option<usize>,
         kind: NodeKind,
         label: LabelId,
-        text: Option<String>,
+        text: Option<Arc<str>>,
     ) -> usize {
         let depth = parent.map_or(0, |p| self.nodes[p].depth + 1);
         self.nodes.push(TemplateNode { kind, label, parent, depth, text });
@@ -458,14 +456,15 @@ impl<'a> Parser<'a> {
 }
 
 /// The text of the node character data makes: none when it is all
-/// whitespace.
-fn text_node(raw: &str) -> Option<String> {
-    Some(unescape(raw)).filter(|text| !text.trim().is_empty())
+/// whitespace (no entity unescapes to whitespace).
+fn text_node(raw: &str) -> Option<Arc<str>> {
+    (!raw.trim().is_empty()).then(|| unescape(raw))
 }
 
-fn unescape(s: &str) -> String {
+/// `s` with its entities replaced, allocated once when it has none.
+fn unescape(s: &str) -> Arc<str> {
     if !s.contains('&') {
-        return s.to_owned();
+        return s.into();
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -489,7 +488,7 @@ fn unescape(s: &str) -> String {
         rest = &rest[consumed..];
     }
     out.push_str(rest);
-    out
+    out.into()
 }
 
 #[cfg(test)]
@@ -633,9 +632,9 @@ mod tests {
             };
             let mut edit = grafted.edit();
             match edit.parse_template(forest) {
-                Ok(mut template) => {
-                    edit.graft(p, &mut template, false).unwrap();
-                    edit.graft(q, &mut template, true).unwrap();
+                Ok(template) => {
+                    edit.graft(p, &template).unwrap();
+                    edit.graft(q, &template).unwrap();
                     drop(edit);
                     assert!(streamed.is_ok(), "{forest:?}");
                     assert_eq!(serialize_document(&grafted), serialize_document(&parsed));
@@ -654,7 +653,7 @@ mod tests {
 
     #[test]
     fn unescape_handles_lone_ampersand() {
-        assert_eq!(unescape("a&b"), "a&b");
-        assert_eq!(unescape("no entities"), "no entities");
+        assert_eq!(&*unescape("a&b"), "a&b");
+        assert_eq!(&*unescape("no entities"), "no entities");
     }
 }

@@ -141,6 +141,7 @@ fn arena_with_children(n: usize) -> Arena {
         label: LabelId(0),
         ord: 1,
         parent: None,
+        depth: 0,
         children: Vec::new(),
         text: None,
         alive: true,
@@ -152,6 +153,7 @@ fn arena_with_children(n: usize) -> Arena {
             label: LabelId(1 + (i as u32 % 2)),
             ord: (i as u64 + 1) * 100,
             parent: Some(NodeId(0)),
+            depth: 1,
             children: Vec::new(),
             text: None,
             alive: true,

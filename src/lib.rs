@@ -121,6 +121,13 @@
 //! bit-identical to it. `MaintenanceEngine` is one view's state and its
 //! `finish`; it applies no PUL.
 //!
+//! | changed in the substrate | what to do |
+//! |---|---|
+//! | `Node::text: Option<String>` is `Option<Arc<str>>` (copies share one string) | nothing for readers that use `node.text.as_deref()`; build one with `Some(s.into())` |
+//! | `Node` has a new field, `depth: u16` (0 at the root, the parent's + 1 below it) | set it in a hand-built `Node` literal; nodes the `Document` builds get it at push |
+//! | `ApplyResult::deleted` under `DeltaLabels::of` counts every named label's removed nodes but holds IDs only for witness and predicate labels | `deleted.count(label)` for how many; `apply_pul` (`DeltaLabels::all()`) still builds every ID, and `DeltaMinus::complete` needs it |
+//! | `DocumentEdit::graft(parent, &mut template, last)` | `graft(parent, &template)`: every copy shares the template's strings |
+//!
 //! | removed knob | what to do instead |
 //! |---|---|
 //! | `runtime::MAX_PIPELINE_DEPTH`, `runtime::clamp_pipeline`, `runtime::env_pipeline`, `runtime::effective_pipeline`, `XIVM_PIPELINE` | nothing: there is no pipeline depth |
