@@ -28,14 +28,15 @@
 //! column gallops on from the last one, so a deletion that removes most
 //! rows costs about one pass over them. The cost is
 //! O(|roots| · depth · log |rows| + blocks + rows found); no value is
-//! read and no join runs.
+//! read and no join runs. The rows of the blocks stepped through are
+//! counted in [`Work::rows`].
 
 use std::ops::Range;
-use xivm_algebra::ordered::{self, seek_front};
+use xivm_algebra::ordered::seek_front;
 use xivm_algebra::Tuple;
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::LabelBuckets;
-use xivm_xml::{DeweyId, Document, LabelId, Step};
+use xivm_xml::{DeweyId, Document, LabelId, Step, Work};
 
 /// Which rows [`find`] looks for, relative to the roots.
 #[derive(Clone, Copy)]
@@ -75,7 +76,8 @@ impl Row for (Tuple, u64) {
 /// The rows of `rows` that bind a node `near` one of `roots` (in
 /// document order), as ascending, disjoint ranges. `cols` names each
 /// column — its field and its pattern node — in the order the rows are
-/// sorted by, the most significant first.
+/// sorted by, the most significant first. The rows of the blocks the
+/// searches step through are counted in `work`.
 pub(crate) fn find<R: Row>(
     rows: &[R],
     cols: &[(usize, PatternNodeId)],
@@ -83,6 +85,7 @@ pub(crate) fn find<R: Row>(
     doc: &Document,
     roots: &[DeweyId],
     near: Near,
+    work: &mut Work,
 ) -> Vec<Range<usize>> {
     if roots.is_empty() {
         return Vec::new();
@@ -94,7 +97,7 @@ pub(crate) fn find<R: Row>(
         NodeTest::Name(name) => Some(doc.label_id(name)),
     });
     let (labels, found) = (labels.collect(), Vec::new());
-    let mut search = Search { rows, cols, pattern, labels, near, from: 0, found };
+    let mut search = Search { rows, cols, pattern, labels, near, from: 0, found, work };
     for (j, &(_, n)) in cols.iter().enumerate() {
         // Above a root only text columns count; under one, a column no
         // other column lies below is reached by every binding under it.
@@ -143,14 +146,6 @@ pub(crate) fn find<R: Row>(
     found
 }
 
-/// Moves the rows at `ranges` out of `rows` ([`ordered::take`]).
-pub(crate) fn take<R>(rows: &mut Vec<R>, ranges: &[Range<usize>]) -> Vec<R> {
-    let taken = ordered::take(rows, ranges);
-    #[cfg(test)]
-    tests::EXAMINED.set(tests::EXAMINED.get() + taken.len());
-    taken
-}
-
 struct Search<'a, R> {
     rows: &'a [R],
     cols: &'a [(usize, PatternNodeId)],
@@ -161,6 +156,7 @@ struct Search<'a, R> {
     /// the roots come in document order, so the next root's lie after.
     from: usize,
     found: Vec<Range<usize>>,
+    work: &'a mut Work,
 }
 
 impl<R: Row> Search<'_, R> {
@@ -196,8 +192,7 @@ impl<R: Row> Search<'_, R> {
             }
             let mut i = block.start;
             while i < block.end {
-                #[cfg(test)]
-                tests::EXAMINED.set(tests::EXAMINED.get() + 1);
+                self.work.rows += 1;
                 let value = id(&rows[i], field);
                 let end = i + seek_front(&rows[i..block.end], |r| id(r, field) == value);
                 self.seek(i..end, k + 1, j, root);
@@ -220,14 +215,4 @@ impl<R: Row> Search<'_, R> {
 
 fn id<R: Row>(row: &R, field: usize) -> &DeweyId {
     &row.tuple().field(field).id
-}
-
-#[cfg(test)]
-pub(crate) mod tests {
-    thread_local! {
-        /// The rows the calling thread's searches visited one by one:
-        /// each block they stepped through and each row taken out. The
-        /// searches themselves are not counted.
-        pub(crate) static EXAMINED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
 }

@@ -34,6 +34,7 @@ use crate::view_store::{run_cmp, ViewStore};
 use std::sync::Arc;
 use xivm_algebra::Tuple;
 use xivm_pulopt::ReductionTrace;
+use xivm_xml::Work;
 
 /// The net effect of one commit on one materialized view: one signed
 /// run (the module's invariant), the Z-set shape — PINT's gains
@@ -121,25 +122,15 @@ pub struct Commit {
     pub reduction: ReductionTrace,
     /// The database's view names, declaration order — one shared
     /// allocation for every commit it seals.
-    names: Arc<[String]>,
+    pub(crate) names: Arc<[String]>,
     /// One report per view, indexed like [`ViewHandle`].
-    per_view: Vec<UpdateReport>,
+    pub(crate) per_view: Vec<UpdateReport>,
+    /// The commit's own work: its planning's probes, its apply and the
+    /// document images it took ([`Self::work`] adds the views').
+    pub(crate) work: Work,
 }
 
 impl Commit {
-    pub(crate) fn new(
-        seq: u64,
-        statements: usize,
-        naive_ops: usize,
-        optimized_ops: usize,
-        reduction: ReductionTrace,
-        names: Arc<[String]>,
-        per_view: Vec<UpdateReport>,
-    ) -> Self {
-        debug_assert_eq!(names.len(), per_view.len());
-        Commit { seq, statements, naive_ops, optimized_ops, reduction, names, per_view }
-    }
-
     /// Number of views this commit reported on — every view of the
     /// database, in declaration order (empty transactions included:
     /// they report default, delta-free entries for every view).
@@ -185,44 +176,38 @@ impl Commit {
     }
 
     /// Always 0: no commit consults the static analyzer, so no view is
-    /// skipped ahead of the commit — [`Self::dynamic_skips`] counts the
+    /// skipped ahead of the commit — [`Work::dynamic_skips`] counts the
     /// views that were skipped. Kept only because `benchmark/` calls
     /// it; the ROADMAP's `[benchmark]` item removes it.
     pub fn static_skips(&self) -> usize {
         0
     }
 
-    /// Number of views whose propagation took the dynamic relevance
-    /// exit (their reports carry [`UpdateReport::irrelevant`]): the
-    /// applied PUL held none of the view's labels and no stored text
-    /// lay above it, so the engine returned before any per-view work.
-    /// Needs no DTD and holds on every document.
-    pub fn dynamic_skips(&self) -> usize {
-        self.per_view.iter().filter(|r| r.irrelevant).count()
-    }
-
-    /// The per-view pruning statistics summed over every view —
-    /// `(insert side, delete side)`. Benches and tests use this to
-    /// assert the Section 3/4 prunings actually fired on a workload
-    /// without walking per-view reports.
-    pub fn prune_totals(&self) -> (crate::propagate::PruneStats, crate::propagate::PruneStats) {
-        let mut ins = crate::propagate::PruneStats::default();
-        let mut del = crate::propagate::PruneStats::default();
-        for r in &self.per_view {
-            ins.absorb(&r.insert_prune);
-            del.absorb(&r.delete_prune);
+    /// What the commit did, as counts: its apply and the document
+    /// images it took, every view's [`UpdateReport::work`], and the
+    /// views whose propagation took the dynamic relevance exit (their
+    /// reports carry [`UpdateReport::irrelevant`]: the applied PUL held
+    /// none of the view's labels and no stored text lay above it, so
+    /// the engine returned before any per-view work — which needs no
+    /// DTD and holds on every document).
+    pub fn work(&self) -> Work {
+        let mut work = self.work;
+        for report in &self.per_view {
+            work += report.work;
+            work.dynamic_skips += u64::from(report.irrelevant);
         }
-        (ins, del)
+        work
     }
 
     /// True when two commits describe the same observable outcome:
     /// equal sequencing, statement and optimizer counters, reduction
     /// trace, and per-view reports (names in order, tuple /
-    /// derivation counters, bit-identical deltas). Timings are
-    /// ignored — they legitimately differ between runs. This is the
-    /// commit-level comparison of the differential soak harness:
-    /// sequential and async executions of the same
-    /// statement stream must produce pairwise `same_outcome` commits.
+    /// derivation counters, bit-identical deltas). Timings and
+    /// [`Self::work`] are ignored — they legitimately differ between
+    /// runs (a service window's first commit counts its recovery image).
+    /// This is the commit-level comparison of the differential soak
+    /// harness: sequential and async executions of the same statement
+    /// stream must produce pairwise `same_outcome` commits.
     pub fn same_outcome(&self, other: &Commit) -> bool {
         self.seq == other.seq
             && self.statements == other.statements

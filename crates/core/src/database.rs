@@ -313,7 +313,7 @@ impl DatabaseBuilder {
     ///
     /// The lint is all it does: no commit consults the analyzer. A
     /// view a statement cannot touch is skipped by the engine's
-    /// dynamic relevance exit ([`Commit::dynamic_skips`]), which needs
+    /// dynamic relevance exit ([`Commit::work`]'s `dynamic_skips`), which needs
     /// no DTD and holds whether or not the document conforms, so
     /// commits, stores and subscription streams are the same in every
     /// mode.
@@ -1048,7 +1048,7 @@ mod tests {
         }
         let mut db = build(30).unwrap();
         let commit = db.apply("insert <a/> into //a").unwrap();
-        assert_eq!(commit.dynamic_skips(), 0);
+        assert_eq!(commit.work().dynamic_skips, 0);
         let h = db.view("chain").unwrap();
         assert_eq!(commit.report(h).insert_prune.before, 30);
     }
@@ -1516,7 +1516,7 @@ mod tests {
         let mut ok = analyzing_db(AnalyzeMode::Strict);
         assert!(!ok.analysis_report().unwrap().has_errors());
         let commit = ok.apply("insert <b/> into /a/c").unwrap();
-        assert_eq!((commit.dynamic_skips(), commit.static_skips()), (1, 0));
+        assert_eq!((commit.work().dynamic_skips, commit.static_skips()), (1, 0));
         // no analysis by default
         assert!(db().analysis_report().is_none());
         // a malformed DTD errors regardless of mode
@@ -1524,20 +1524,6 @@ mod tests {
             Database::builder().document(FIG12).dtd("nonsense").view("v", "//a{id}").build(),
             Err(Error::Dtd(_))
         ));
-    }
-
-    #[test]
-    fn prune_totals_aggregate_per_view_statistics() {
-        let mut db = db();
-        let commit = db.apply("insert <b/> into /a/c").unwrap();
-        let (ins, del) = commit.prune_totals();
-        assert!(ins.before > 0, "insertion terms were expanded");
-        assert!(
-            ins.after_id_reasoning <= ins.before && del.after_id_reasoning <= del.before,
-            "pruning never adds terms"
-        );
-        let per_view_before: usize = commit.iter().map(|(_, r)| r.insert_prune.before).sum();
-        assert_eq!(ins.before, per_view_before, "totals are the per-view sums");
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use xivm_pattern::compile::{canonical_relation, compile_plan_over, project_to_view, view_tuples};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::{ApplyResult, DeltaMinus, DeltaPlus, Pul};
-use xivm_xml::{DeweyForest, DeweyId, Document, LabelId};
+use xivm_xml::{DeweyForest, DeweyId, Document, LabelId, Work};
 
 /// What one propagated update did, and how long each phase took.
 #[derive(Debug, Clone, Default)]
@@ -99,6 +99,10 @@ pub struct UpdateReport {
     /// Built once per commit and shared from here on — subscribers and
     /// feeds hold this allocation.
     pub delta: Arc<ViewDelta>,
+    /// What the view's propagation did: the store and snowcap rows it
+    /// examined one by one, and the bindings its terms emitted.
+    /// Excluded from [`Self::same_outcome`], like the timings.
+    pub work: Work,
 }
 
 impl UpdateReport {
@@ -390,15 +394,17 @@ impl MaintenanceEngine {
         let (roots, pattern) = (&DeweyForest::maximal(delete_roots)[..], &self.pattern);
         let cols: Vec<_> = pattern.stored_nodes().into_iter().enumerate().collect();
         let near = Near::Under(&apply_res.deleted);
-        let bound = by_id::find(self.store.rows(), &cols, pattern, doc, roots, near);
+        let bound =
+            by_id::find(self.store.rows(), &cols, pattern, doc, roots, near, &mut report.work);
         report.timings.compute_delta_tables = start.elapsed();
 
         // --- Update Lattice, part 1: a snowcap row binds every node of
         // its snowcap, so the rows binding a deleted node are all it
         // loses — taken out by range, so the R-parts of every term below
         // see the old surviving state.
-        let deleted = &apply_res.deleted;
-        let remove = |m: &mut MaterializedSnowcap| m.remove_under(pattern, doc, roots, deleted);
+        let (deleted, work) = (&apply_res.deleted, &mut report.work);
+        let remove =
+            |m: &mut MaterializedSnowcap| m.remove_under(pattern, doc, roots, deleted, work);
         let losing = self.snowcaps.iter_mut().filter(|_| !roots.is_empty());
         let (lost_rows, t_lat1) = timed(|| losing.map(remove).sum::<usize>());
 
@@ -457,6 +463,7 @@ impl MaintenanceEngine {
         let (_, t_exec) = timed(|| {
             let taken = store.take(&bound);
             report.tuples_removed += taken.len();
+            report.work.rows += taken.len() as u64;
             for (tuple, count) in taken {
                 report.derivations_removed += count;
                 changes.push((tuple, -(count as i64)));
@@ -472,7 +479,8 @@ impl MaintenanceEngine {
             if text_changed {
                 let before = changes.len();
                 let publish = |t: &xivm_algebra::Tuple| changes.push((t.clone(), 0));
-                refresh_text(store.rows_mut(), &cols, doc, &self.pattern, &text_roots, publish);
+                let (rows, work) = (store.rows_mut(), &mut report.work);
+                refresh_text(rows, &cols, doc, &self.pattern, &text_roots, work, publish);
                 report.tuples_modified = changes.len() - before;
             }
         });
@@ -484,12 +492,13 @@ impl MaintenanceEngine {
         // is refreshed like the store's — a later commit's R-parts hand
         // it to new tuples.
         let (_, t_lat2) = timed(|| {
+            let work = &mut report.work;
             if has_inserts {
-                maintain_lattice(&ctx, &plus, &tables.snowcaps, &mut self.snowcaps);
+                maintain_lattice(&ctx, &plus, &tables.snowcaps, &mut self.snowcaps, work);
             }
             for m in self.snowcaps.iter_mut().filter(|_| text_changed) {
                 let cols = m.cols();
-                refresh_text(&mut m.rel.rows, &cols, doc, &self.pattern, &text_roots, |_| ());
+                refresh_text(&mut m.rel.rows, &cols, doc, &self.pattern, &text_roots, work, |_| ());
             }
         });
         report.timings.update_lattice = t_lat1 + t_lat2;
@@ -594,12 +603,14 @@ impl TermTables {
 /// ID witnesses — the insertion targets lie under none of the snowcap's
 /// ancestors — the snowcap gains nothing. The losses need no terms: a
 /// deletion takes out by range every row that binds a deleted node
-/// ([`MaterializedSnowcap::remove_under`]).
+/// ([`MaterializedSnowcap::remove_under`]). The bindings gained are
+/// counted in `work`, as emitted.
 fn maintain_lattice(
     ctx: &TermContext<'_>,
     side: &DeltaSide<'_>,
     tables: &[Vec<Term>],
     snowcaps: &mut [MaterializedSnowcap],
+    work: &mut Work,
 ) {
     for i in (0..snowcaps.len()).rev() {
         let (smaller, rest) = snowcaps.split_at_mut(i);
@@ -609,7 +620,9 @@ fn maintain_lattice(
         }
         let (own, _) = terms(ctx, side, &tables[i], &m.nodes);
         if !own.is_empty() {
-            m.absorb(eval(ctx, side, &m.nodes, &own, smaller));
+            let gained = eval(ctx, side, &m.nodes, &own, smaller);
+            work.tuples += gained.len() as u64;
+            m.absorb(gained);
         }
     }
 }
@@ -617,7 +630,8 @@ fn maintain_lattice(
 /// *Execute Update*, the store patch: projects gained (`Plus`) or lost
 /// (`Minus`) bindings to the view — `e_v`, so counted and in the store's
 /// order — signs the counts and hands the run to the store's writer,
-/// mirroring it into the report's counters and the commit's Δ.
+/// mirroring it into the report's counters and the commit's Δ. The
+/// bindings are counted as emitted, the run's rows as patched.
 fn patch_store(
     store: &mut ViewStore,
     pattern: &TreePattern,
@@ -638,6 +652,8 @@ fn patch_store(
         project_to_view(pattern, bindings).into_iter().map(|(t, c)| (t, signed * c as i64)),
     );
     *derivations += changes[at..].iter().map(|(_, w)| w.unsigned_abs()).sum::<u64>();
+    report.work.tuples += bindings.len() as u64;
+    report.work.rows += (changes.len() - at) as u64;
     let (entered, left) = store.patch(&changes[at..]);
     report.tuples_added += entered;
     report.tuples_removed += left;
@@ -1196,7 +1212,6 @@ mod tests {
     /// label alive, or every row binding one would go unsearched).
     #[test]
     fn a_deletion_examines_only_the_rows_it_takes() {
-        use crate::by_id::tests::EXAMINED;
         let person = |i| format!("<person><name>p{i}</name><email/></person>");
         let item = |i| format!("<item><name>i{i}</name></item>");
         let xml = format!(
@@ -1213,22 +1228,20 @@ mod tests {
             let mut host = hosted(&doc, &pattern, strategy);
             let before: Vec<_> =
                 view(&host).snowcaps().iter().map(|m| m.rel.rows.clone()).collect();
-            EXAMINED.set(0);
             let report = apply(&mut host, &mut doc, "delete //item/name");
             assert!(report.delta.is_empty() && report.irrelevant, "{strategy:?}");
-            assert_eq!(EXAMINED.get(), 0, "{strategy:?}: no row visited");
+            assert_eq!(report.work.rows, 0, "{strategy:?}: no row visited");
             for (m, rows) in view(&host).snowcaps().iter().zip(&before) {
                 assert_eq!(&m.rel.rows, rows, "{strategy:?} {:?}", m.nodes);
             }
             let held = rows(view(&host));
-            EXAMINED.set(0);
-            apply(&mut host, &mut doc, "delete //person/name");
-            let taken = held - rows(view(&host));
+            let report = apply(&mut host, &mut doc, "delete //person/name");
+            let taken = (held - rows(view(&host))) as u64;
             assert_eq!(taken, 12, "{strategy:?}: six store rows and six snowcap rows");
             // per deleted name, one block of one row in the store: the
             // person's, searched for the name column (the email column
             // lost no node, and is not searched)
-            assert_eq!(EXAMINED.get(), taken + 6, "{strategy:?}");
+            assert_eq!(report.work.rows, taken + 6, "{strategy:?}");
             let fresh = MaintenanceEngine::new(&doc, pattern.clone(), strategy);
             for (m, f) in view(&host).snowcaps().iter().zip(fresh.snowcaps()) {
                 assert_eq!(m.rel.rows, f.rel.rows, "{strategy:?} {:?}", m.nodes);
@@ -1242,7 +1255,6 @@ mod tests {
     /// only the binary searches grow with the document.
     #[test]
     fn a_point_deletion_examines_as_many_rows_at_every_size() {
-        use crate::by_id::tests::EXAMINED;
         let examined = |bytes| {
             // the first person without a homepage: one name, in Q1's
             // view and not in Q17's, at every size
@@ -1255,14 +1267,13 @@ mod tests {
             let i = persons.iter().position(bare).unwrap();
             let pul = pul_of(&doc, &format!("delete /site/people/person[@id=\"person{i}\"]"));
             assert_eq!(pul.ops.len(), 1);
-            EXAMINED.set(0);
-            for view in xivm_xmark::VIEW_NAMES {
+            let examined = xivm_xmark::VIEW_NAMES.map(|view| {
                 let pattern = xivm_xmark::view_pattern(view);
                 let mut doc = doc.clone();
                 let mut host = hosted(&doc, &pattern, SnowcapStrategy::MinimalChain);
-                propagate(&mut host, &mut doc, &pul);
-            }
-            EXAMINED.get()
+                propagate(&mut host, &mut doc, &pul).work.rows
+            });
+            examined.iter().sum::<u64>()
         };
         // Q1: the name row, and the person's rows of the {…, person}
         // and {…, person, @id} snowcaps; Q17: its {…, person} row

@@ -41,8 +41,8 @@ use crate::timing::timed;
 use std::sync::Arc;
 use std::time::Duration;
 use xivm_pulopt::{aggregate, find_conflicts, integrate, reduce, ConflictPolicy, ReductionTrace};
-use xivm_update::{apply_pul_for, compute_pul, DeltaLabels, Pul, UpdateStatement};
-use xivm_xml::{serialize_document, Document, LabelInterner};
+use xivm_update::{apply_pul_for, compute_pul_counted, DeltaLabels, Pul, UpdateStatement};
+use xivm_xml::{serialize_document, Document, LabelInterner, Work};
 
 /// One submission — the unit that seals as one commit — and how its
 /// statements compose.
@@ -90,6 +90,9 @@ pub(crate) struct CommitPlan {
     /// them, it can number them differently and take a later `del` of
     /// the same PUL for a stale ID.
     pub(crate) labels: Option<Arc<LabelInterner>>,
+    /// What planning did: its target finding's value-index probes, and
+    /// a sequential batch's scratch copy.
+    pub(crate) work: Work,
 }
 
 impl CommitPlan {
@@ -102,6 +105,7 @@ impl CommitPlan {
             reduction: ReductionTrace::default(),
             t_find: Duration::ZERO,
             labels: None,
+            work: Work::default(),
         }
     }
 }
@@ -109,8 +113,9 @@ impl CommitPlan {
 /// Plans one statement: its PUL (the target lookup, timed once for
 /// every view).
 fn plan_single(doc: &Document, stmt: &UpdateStatement) -> CommitPlan {
-    let (pul, t_find) = timed(|| compute_pul(doc, stmt));
-    CommitPlan { statements: 1, t_find, ..CommitPlan::of(pul) }
+    let mut work = Work::default();
+    let (pul, t_find) = timed(|| compute_pul_counted(doc, stmt, &mut work));
+    CommitPlan { statements: 1, t_find, work, ..CommitPlan::of(pul) }
 }
 
 /// Plans a batch with sequential composition: each statement's targets
@@ -122,11 +127,11 @@ fn plan_sequential(doc: &Document, stmts: &[UpdateStatement]) -> Result<CommitPl
     // The scratch copy exists only to give *later* statements the
     // evolved state, so it is cloned lazily and never advanced past
     // the second-to-last statement.
-    let mut naive_ops = 0usize;
+    let (mut naive_ops, mut work) = (0usize, Work::default());
     let mut scratch: Option<Document> = None;
     let mut combined = Pul::default();
     for (i, stmt) in stmts.iter().enumerate() {
-        let pul = compute_pul(scratch.as_ref().unwrap_or(doc), stmt);
+        let pul = compute_pul_counted(scratch.as_ref().unwrap_or(doc), stmt, &mut work);
         if i + 1 < stmts.len() {
             apply_pul_for(scratch.get_or_insert_with(|| doc.clone()), &pul, &DeltaLabels::none())?;
         }
@@ -138,6 +143,8 @@ fn plan_sequential(doc: &Document, stmts: &[UpdateStatement]) -> Result<CommitPl
         statements: stmts.len(),
         naive_ops,
         reduction,
+        // The scratch copy, if one was taken, is the plan's one image.
+        work: Work { images: u64::from(scratch.is_some()), ..work },
         labels: scratch.map(|s| s.shared_labels()),
         ..CommitPlan::of(optimized)
     })
@@ -152,7 +159,8 @@ fn plan_independent(
     stmts: &[UpdateStatement],
     policy: ConflictPolicy,
 ) -> Result<CommitPlan, Error> {
-    let puls: Vec<Pul> = stmts.iter().map(|s| compute_pul(doc, s)).collect();
+    let mut work = Work::default();
+    let puls: Vec<Pul> = stmts.iter().map(|s| compute_pul_counted(doc, s, &mut work)).collect();
     let naive_ops = puls.iter().map(Pul::len).sum();
     if policy == ConflictPolicy::Fail {
         let mut conflicts = Vec::new();
@@ -170,7 +178,8 @@ fn plan_independent(
     let combined =
         iter.try_fold(first, |acc, next| integrate(&acc, &next, policy).map_err(Error::Conflict))?;
     let (optimized, reduction) = reduce(&combined);
-    Ok(CommitPlan { statements: stmts.len(), naive_ops, reduction, ..CommitPlan::of(optimized) })
+    let plan = CommitPlan::of(optimized);
+    Ok(CommitPlan { statements: stmts.len(), naive_ops, reduction, work, ..plan })
 }
 
 /// Plans a refresh: the deferred batch's PULs reduced (Figure 14),
@@ -231,7 +240,10 @@ impl DbInner {
             && !plan.pul.is_empty()
             && deferred.iter().zip(&*pending).any(|(d, p)| *d && p.is_none()))
         .then(|| target.clone());
-        let mut reports = views.propagate(target, &plan.pul, skip)?;
+        let (mut reports, mut work) = views.propagate(target, &plan.pul, skip)?;
+        // The images cloned here: a refresh's copy of its base, a pre-image.
+        work += plan.work;
+        work.images += u64::from(image.is_some()) + u64::from(pre.is_some());
         for report in &mut reports {
             report.timings.find_target_nodes = plan.t_find;
         }
@@ -253,10 +265,10 @@ impl DbInner {
                 }
             }
         } else {
-            fold_pending(pending, deferred, pre, &plan.pul, *commits + 1);
+            work.images += fold_pending(pending, deferred, pre, &plan.pul, *commits + 1);
             mark_deferred(&mut reports, deferred);
         }
-        let commit = seal_commit(commits, subs, views.shared_names(), &plan, reports);
+        let commit = seal_commit(commits, subs, views.shared_names(), &plan, reports, work);
         Ok((plan.pul, commit))
     }
 }
@@ -265,18 +277,21 @@ impl DbInner {
 /// batch (Figure 16 aggregation over the batch's base document).
 /// `pre` is the document *before* this commit's PUL applied — which
 /// the last batch opened here keeps as its base — and `seq` the
-/// sequence number the commit is sealing as.
+/// sequence number the commit is sealing as. Returns the copies of
+/// `pre` it took for the other batches opened here.
 fn fold_pending(
     pending: &mut [Option<DeferredPending>],
     deferred: &[bool],
     mut pre: Option<Document>,
     pul: &Pul,
     seq: u64,
-) {
+) -> u64 {
     if pul.is_empty() {
-        return; // nothing to replay; the view's store is already right
+        return 0; // nothing to replay; the view's store is already right
     }
     let mut empty = pending.iter().zip(deferred).filter(|(p, d)| **d && p.is_none()).count();
+    // Every batch opened here but the last takes a copy of `pre`.
+    let copies = empty.saturating_sub(1) as u64;
     for (slot, _) in pending.iter_mut().zip(deferred).filter(|(_, d)| **d) {
         match slot {
             Some(p) => {
@@ -297,6 +312,7 @@ fn fold_pending(
             }
         }
     }
+    copies
 }
 
 /// Replaces deferred views' reports (the propagation pass saw them as
@@ -318,17 +334,20 @@ fn seal_commit(
     names: &Arc<[String]>,
     plan: &CommitPlan,
     reports: Vec<UpdateReport>,
+    work: Work,
 ) -> Commit {
     *commits += 1;
-    let commit = Commit::new(
-        *commits,
-        plan.statements,
-        plan.naive_ops,
-        plan.pul.len(),
-        plan.reduction,
-        Arc::clone(names),
-        reports,
-    );
+    debug_assert_eq!(names.len(), reports.len());
+    let commit = Commit {
+        seq: *commits,
+        statements: plan.statements,
+        naive_ops: plan.naive_ops,
+        optimized_ops: plan.pul.len(),
+        reduction: plan.reduction,
+        names: Arc::clone(names),
+        per_view: reports,
+        work,
+    };
     subs.record(&commit);
     commit
 }
@@ -338,6 +357,7 @@ mod tests {
     use crate::database::{Database, MaintenanceMode};
     use crate::view_store::ViewStore;
     use xivm_pattern::compile::view_tuples;
+    use xivm_xml::Work;
 
     const FIG12: &str = "<a><c><b/><b/></c><f><c><b/></c><b/></f></a>";
     const VIEWS: [(&str, &str); 3] = [
@@ -457,12 +477,11 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // The image tax, as counts (`xivm_xml::arena::work`: debug builds)
+    // The image tax, as counts (`Commit::work`)
     // -----------------------------------------------------------------
 
     /// `<site>` over `n` people of four nodes each — several arena
     /// chunks — under one immediate view, and `deferred` if asked.
-    #[cfg(debug_assertions)]
     fn people(n: usize, deferred: bool) -> Database {
         let people: String = (0..n).map(|i| format!("<p id=\"p{i}\"><n>x</n></p>")).collect();
         let b = Database::builder()
@@ -472,32 +491,39 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[cfg(debug_assertions)]
     fn into(person: usize, forest: &str) -> String {
         format!("insert {forest} into /site/p[@id=\"p{person}\"]")
+    }
+
+    /// The copies a commit made for images: none of the other work.
+    fn copies(work: Work) -> Work {
+        let Work { images, chunks, lists, interners, released, .. } = work;
+        Work { images, chunks, lists, interners, released, ..Work::default() }
     }
 
     /// (a) Nothing reads an image — no snapshot, no deferred view, no
     /// subscription — so a commit takes none and copies nothing for
     /// one: inserts (known labels and new ones), deletes, a
-    /// transaction.
-    #[cfg(debug_assertions)]
+    /// transaction; one of two statements takes its scratch copy only.
     #[test]
     fn a_commit_nobody_watches_takes_no_image_and_copies_nothing() {
-        use xivm_xml::arena::work::{self, Copies};
         let mut db = people(400, false);
-        work::take();
         for s in [
             into(7, "<n>y</n>"),
             into(300, "<fresh k=\"1\"><n>z</n></fresh>"),
             "delete /site/p[@id=\"p7\"]/n".to_owned(),
             "delete /site/p[@id=\"p300\"]".to_owned(),
         ] {
-            db.apply(s.as_str()).unwrap();
-            assert_eq!(work::take(), Copies::default(), "{s}");
+            let commit = db.apply(s.as_str()).unwrap();
+            assert_eq!(copies(commit.work()), Work::default(), "{s}");
         }
-        db.transaction().statement(into(8, "<n>y</n>").as_str()).commit().unwrap();
-        assert_eq!(work::take(), Copies::default(), "a transaction of one statement");
+        let commit = db.transaction().statement(into(8, "<n>y</n>").as_str()).commit().unwrap();
+        assert_eq!(copies(commit.work()), Work::default(), "a transaction of one statement");
+        // Two statements plan the second on a scratch copy, which is gone
+        // before the apply.
+        let tx = db.transaction().statement(into(9, "<n>y</n>").as_str());
+        let commit = tx.statement(into(10, "<n>y</n>").as_str()).commit().unwrap();
+        assert_eq!(copies(commit.work()), Work { images: 1, ..Work::default() }, "a scratch copy");
         db.document().check_invariants().unwrap();
     }
 
@@ -505,16 +531,13 @@ mod tests {
     /// takes an image — one, which the batch keeps as its base — and
     /// every later one copies exactly the chunks the base still shared
     /// with the live document.
-    #[cfg(debug_assertions)]
     #[test]
     fn only_the_commit_that_opens_a_deferred_batch_takes_an_image() {
-        use xivm_xml::arena::work;
         let mut db = people(400, true);
         let late = db.view("late").unwrap();
         for round in 0..2 {
-            work::take();
-            db.apply(into(7, "<n>y</n>").as_str()).unwrap();
-            assert_eq!(work::take().clones, 1, "round {round}: the pre-image, moved into the base");
+            let work = db.apply(into(7, "<n>y</n>").as_str()).unwrap().work();
+            assert_eq!(work.images, 1, "round {round}: the pre-image, moved into the base");
             let shared = |db: &Database| {
                 let base = &db.pending[late.index()].as_ref().expect("a batch is open").base;
                 base.shared_chunks_with(db.document())
@@ -522,15 +545,10 @@ mod tests {
             let mut copied = Vec::new();
             for person in [7, 7, 300, 200, 200] {
                 let before = shared(&db);
-                db.apply(into(person, "<n>y</n>").as_str()).unwrap();
-                let counts = work::take();
-                assert_eq!(counts.clones, 0, "round {round}, p{person}");
-                assert_eq!(
-                    counts.chunks as usize,
-                    before - shared(&db),
-                    "round {round}, p{person}"
-                );
-                copied.push(counts.chunks);
+                let work = db.apply(into(person, "<n>y</n>").as_str()).unwrap().work();
+                assert_eq!(work.images, 0, "round {round}, p{person}");
+                assert_eq!(work.chunks as usize, before - shared(&db), "round {round}, p{person}");
+                copied.push(work.chunks);
             }
             assert_eq!(copied, [0, 0, 1, 1, 0], "round {round}: one chunk per new place");
             assert_eq!(db.deferred_commits(late), 6);
@@ -538,13 +556,27 @@ mod tests {
         }
     }
 
+    /// (b′) A commit that opens two deferred batches takes an image for
+    /// each — its pre-image and one copy of it — and a refresh takes
+    /// one, the copy of its view's base it replays over.
+    #[test]
+    fn each_batch_a_commit_opens_and_each_refresh_takes_one_image() {
+        let mut db = db(&["acb", "cb"]);
+        let acb = db.view("acb").unwrap();
+        let mut images = |s: &str| db.apply(s).unwrap().work().images;
+        assert_eq!(images(SCRIPT[0]), 2, "two batches open");
+        assert_eq!(images(SCRIPT[1]), 0, "both are open");
+        let refreshed = db.refresh(acb).unwrap().expect("a batch was pending");
+        assert_eq!(refreshed.work().images, 1, "the base's copy");
+        assert_eq!(db.apply(SCRIPT[2]).unwrap().work().images, 1, "one batch opens");
+    }
+
     /// (c) An async window of three submissions walks them in place:
-    /// on top of the service's one recovery image it takes an image
-    /// only to open a deferred batch — one, whichever submission opens
-    /// it — and none if the batch was open before the window.
-    /// `fault::SEAL_DELAY` holds the drain off until all three are
-    /// queued.
-    #[cfg(debug_assertions)]
+    /// on top of the service's one recovery image, which its first
+    /// commit counts, it takes an image only to open a deferred batch —
+    /// one, whichever submission opens it — and none if the batch was
+    /// open before the window. `fault::SEAL_DELAY` holds the drain off
+    /// until all three are queued.
     #[test]
     fn an_async_window_takes_an_image_only_to_open_a_batch() {
         use crate::fault;
@@ -562,39 +594,33 @@ mod tests {
             if open_before {
                 db.apply(into(1, "<n>y</n>").as_str()).unwrap();
             }
-            fault::WINDOW_CLONES.lock().unwrap().clear();
             fault::arm(fault::SEAL_DELAY);
-            for s in stmts {
-                db.apply_async([s.as_str()]).unwrap();
-            }
+            let tickets: Vec<_> =
+                stmts.iter().map(|s| db.apply_async([s.as_str()]).unwrap()).collect();
             db.flush().unwrap();
             let case = format!("deferred: {deferred}, open before: {open_before}, {}", stmts[0]);
             assert_eq!(db.last_seq(), 3 + open_before as u64, "{case}");
-            let clones = fault::WINDOW_CLONES.lock().unwrap().clone();
-            assert_eq!(clones, [1 + opens], "{case}: one window");
+            let images = tickets.into_iter().map(|t| t.wait().unwrap().work().images);
+            assert_eq!(images.sum::<u64>(), 1 + opens, "{case}: one window");
         }
         fault::disarm_all();
     }
 
     /// (d) Under a held image an insert whose labels all exist leaves
     /// the interner shared; one that interns new labels copies it once.
-    #[cfg(debug_assertions)]
     #[test]
     fn the_interner_is_copied_only_for_a_new_label_under_a_held_image() {
         use std::sync::Arc;
-        use xivm_xml::arena::work;
         let mut db = people(400, false);
         let held = db.snapshot();
         let before = db.document().shared_labels();
-        work::take();
-        db.apply(into(7, "<n>y</n><p id=\"q\"/>").as_str()).unwrap();
+        let work = db.apply(into(7, "<n>y</n><p id=\"q\"/>").as_str()).unwrap().work();
         assert!(Arc::ptr_eq(&before, &db.document().shared_labels()));
-        let counts = work::take();
-        assert_eq!(counts.interners, 0);
-        assert!(counts.chunks > 0 && counts.lists > 0, "the image is held: {counts:?}");
-        db.apply(into(7, "<fresh k=\"1\"><other/></fresh>").as_str()).unwrap();
+        assert_eq!(work.interners, 0);
+        assert!(work.chunks > 0 && work.lists > 0, "the image is held: {work:?}");
+        let work = db.apply(into(7, "<fresh k=\"1\"><other/></fresh>").as_str()).unwrap().work();
         assert!(!Arc::ptr_eq(&before, &db.document().shared_labels()));
-        assert_eq!(work::take().interners, 1, "three new labels, one copy");
+        assert_eq!(work.interners, 1, "three new labels, one copy");
         assert_eq!(held.document().label_id("fresh"), None);
     }
 
@@ -604,22 +630,18 @@ mod tests {
     /// the commit copies nothing — and under a held snapshot the kill
     /// copies each chunk it writes once, the release drops the copies,
     /// and the snapshot keeps reading its own.
-    #[cfg(debug_assertions)]
     #[test]
     fn a_commit_that_kills_whole_chunks_releases_them() {
-        use xivm_xml::arena::work::{self, Copies};
         for held in [false, true] {
             let mut db = people(400, false);
             assert_eq!(db.document().chunk_count(), 7);
             let (seed, snapshot) = (db.serialize(), held.then(|| db.snapshot()));
-            work::take();
-            db.apply("delete /site/p").unwrap();
-            let counts = work::take();
+            let work = db.apply("delete /site/p").unwrap().work();
             assert_eq!(db.document().released_chunks(), 5);
             match &snapshot {
-                None => assert_eq!(counts, Copies { released: 5, ..Copies::default() }),
+                None => assert_eq!(copies(work), Work { released: 5, ..Work::default() }),
                 Some(snapshot) => {
-                    assert_eq!((counts.clones, counts.chunks, counts.released), (0, 7, 5));
+                    assert_eq!((work.images, work.chunks, work.released), (0, 7, 5));
                     assert_eq!(snapshot.serialize(), seed);
                     snapshot.document().check_invariants().unwrap();
                 }

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use xivm_pattern::TreePattern;
 use xivm_update::{apply_pul_for, DeltaLabels, Pul};
-use xivm_xml::{Document, LabelInterner};
+use xivm_xml::{Document, LabelInterner, Work};
 
 /// Is view `i` left out of the step under `skip` (`None` = no mask)?
 fn masked(skip: Option<&[bool]>, i: usize) -> bool {
@@ -154,7 +154,7 @@ impl MultiViewEngine {
         doc: &mut Document,
         pul: &Pul,
     ) -> Result<Vec<(String, UpdateReport)>, Error> {
-        let reports = self.propagate(doc, pul, None)?;
+        let (reports, _) = self.propagate(doc, pul, None)?;
         Ok(self.named(reports))
     }
 
@@ -176,13 +176,13 @@ impl MultiViewEngine {
     /// deferred marker or a refresh's report.
     ///
     /// Takes no document image. Returns the per-view reports, the apply
-    /// time stamped.
+    /// time stamped, and the apply's work.
     pub(crate) fn propagate(
         &mut self,
         doc: &mut Document,
         pul: &Pul,
         skip: Option<&[bool]>,
-    ) -> Result<Vec<UpdateReport>, Error> {
+    ) -> Result<(Vec<UpdateReport>, Work), Error> {
         #[cfg(any(test, feature = "fault-inject"))]
         crate::fault::prepare_point();
         let (apply_res, t_apply) = timed(|| {
@@ -204,7 +204,7 @@ impl MultiViewEngine {
             apply_pul_for(doc, pul, wanted)
         });
         let apply_res = apply_res?;
-        Ok(self
+        let reports = self
             .views
             .iter_mut()
             .enumerate()
@@ -217,7 +217,8 @@ impl MultiViewEngine {
                 report.timings.apply_document = t_apply;
                 report
             })
-            .collect())
+            .collect();
+        Ok((reports, apply_res.work))
     }
 
     /// The Figure 15 partition of the views under `pul`: views in

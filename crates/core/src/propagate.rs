@@ -83,7 +83,7 @@ use xivm_algebra::{Relation, Tuple};
 use xivm_pattern::compile::{canonical_node_ids, relation_from_nodes};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::{ApplyResult, DeltaMinus, DeltaPlus};
-use xivm_xml::{DeweyForest, DeweyId, Document, LabelId, NodeId};
+use xivm_xml::{DeweyForest, DeweyId, Document, LabelId, NodeId, Work};
 
 /// The direction of a store patch: bindings gained or bindings lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,24 +99,6 @@ pub struct PruneStats {
     pub before: usize,
     pub after_delta_emptiness: usize,
     pub after_id_reasoning: usize,
-}
-
-impl PruneStats {
-    /// Terms the two prunings dropped together (Propositions 3.6 / 3.8
-    /// on the insertion side, Δ⁻-emptiness / 4.7 on the deletion side).
-    pub fn pruned(&self) -> usize {
-        self.before.saturating_sub(self.after_id_reasoning)
-    }
-
-    /// Accumulates another pass's counters — the per-commit aggregation
-    /// behind [`Commit::prune_totals`].
-    ///
-    /// [`Commit::prune_totals`]: crate::commit::Commit::prune_totals
-    pub fn absorb(&mut self, other: &PruneStats) {
-        self.before += other.before;
-        self.after_delta_emptiness += other.after_delta_emptiness;
-        self.after_id_reasoning += other.after_id_reasoning;
-    }
 }
 
 /// Everything one view's propagation of one PUL needs to see, both
@@ -445,7 +427,8 @@ pub(crate) fn eval_one(
 /// updated) document, and hands each tuple it refreshed to
 /// `refreshed`, in the rows' order. Only the rows a text column of
 /// which binds one of the roots' ancestors are visited, found by
-/// searching the roots' prefixes ([`by_id::find`]). `roots` keeps
+/// searching the roots' prefixes ([`by_id::find`]), and counted in
+/// `work`. `roots` keeps
 /// nested roots ([`DeweyForest::with_nested`]: `insert into //a` hits an
 /// `a` inside another `a`), or tuples strictly between an outer and an
 /// inner root would never be refreshed.
@@ -455,6 +438,7 @@ pub(crate) fn refresh_text<R: Row>(
     doc: &Document,
     pattern: &TreePattern,
     roots: &DeweyForest,
+    work: &mut Work,
     mut refreshed: impl FnMut(&Tuple),
 ) {
     // If cvn is empty, updates cannot modify view tuples (Section 3.6).
@@ -466,10 +450,9 @@ pub(crate) fn refresh_text<R: Row>(
     if cvn_cols.is_empty() || roots.is_empty() {
         return;
     }
-    for range in by_id::find(rows, cols, pattern, doc, roots.roots(), Near::Above) {
+    for range in by_id::find(rows, cols, pattern, doc, roots.roots(), Near::Above, work) {
+        work.rows += range.len() as u64;
         for row in &mut rows[range] {
-            #[cfg(test)]
-            by_id::tests::EXAMINED.set(by_id::tests::EXAMINED.get() + 1);
             let tuple = row.tuple_mut();
             let mut touched = false;
             for &(col, want_val, want_cont) in &cvn_cols {
@@ -752,7 +735,9 @@ mod tests {
             let lost = eval(&ctx, &side, &ab.nodes, &own, smaller);
             let mut by_range = ab.clone();
             let roots = DeweyForest::new(a.res.delete_roots.clone());
-            let taken = by_range.remove_under(&a.pattern, &a.doc, roots.roots(), &a.res.deleted);
+            let (roots, deleted) = (roots.roots(), &a.res.deleted);
+            let taken =
+                by_range.remove_under(&a.pattern, &a.doc, roots, deleted, &mut Work::default());
             assert_eq!(taken, lost.len(), "{stmt}");
             let mut kept = ab.rel.rows.clone();
             kept.retain(|t| !lost.rows.contains(t));
@@ -773,7 +758,7 @@ mod tests {
         let (roots, mut keys) = (DeweyForest::with_nested(roots.clone()), Vec::new());
         let keep = |t: &Tuple| keys.push((t.clone(), 0));
         let cols: Vec<_> = p.stored_nodes().into_iter().enumerate().collect();
-        refresh_text(store.rows_mut(), &cols, &a.doc, &p, &roots, keep);
+        refresh_text(store.rows_mut(), &cols, &a.doc, &p, &roots, &mut Work::default(), keep);
         (store, keys)
     }
 

@@ -345,11 +345,6 @@ fn service_loop(shared: Arc<Shared>) {
             (db, st.queue.drain(..).collect())
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| seal_queue(&mut db, &batch, &shared)));
-        #[cfg(all(test, debug_assertions))]
-        crate::fault::WINDOW_CLONES
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(xivm_xml::arena::work::take().clones);
         let mut st = shared.lock();
         st.busy = false;
         let error = match outcome {
@@ -397,7 +392,10 @@ fn service_loop(shared: Arc<Shared>) {
 /// tickets left unresolved): a clean engine error leaves the commits
 /// before it sealed and the document untouched by anything after; on
 /// a panic the database is rolled back to the sealed prefix and every
-/// view recomputed.
+/// view recomputed. The window's first commit counts the recovery image
+/// among its [`Commit::work`] images.
+///
+/// [`Commit::work`]: crate::Commit::work
 fn seal_queue(db: &mut DbInner, window: &[Submission], shared: &Shared) -> Result<(), Error> {
     let pre = db.doc.clone();
     // The PULs of the commits that sealed, in order: what `recover`
@@ -405,7 +403,8 @@ fn seal_queue(db: &mut DbInner, window: &[Submission], shared: &Shared) -> Resul
     let mut sealed: Vec<Pul> = Vec::with_capacity(window.len());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         for sub in window {
-            let (pul, commit) = db.seal(Batch::of(&sub.stmts))?;
+            let (pul, mut commit) = db.seal(Batch::of(&sub.stmts))?;
+            commit.work.images += u64::from(sealed.is_empty());
             let seq = commit.seq;
             sub.ticket.fulfill(Ok(commit));
             sealed.push(pul);

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use xivm_algebra::{ordered, Relation, Tuple};
 use xivm_pattern::{PatternNodeId, TreePattern};
 use xivm_update::LabelBuckets;
-use xivm_xml::{DeweyId, Document};
+use xivm_xml::{DeweyId, Document, Work};
 
 /// True iff `set` is a snowcap of `pattern`: non-empty and closed
 /// under taking parents.
@@ -132,17 +132,21 @@ impl MaterializedSnowcap {
     /// `deleted` — and returns how many went. A row binds every node of
     /// the snowcap, so it is lost exactly then; the rows are found by
     /// range on the row order (`by_id::find`), keyed on the major
-    /// column, without visiting the rows that stay.
+    /// column, without visiting the rows that stay. The rows it
+    /// examined are counted in `work`.
     pub fn remove_under(
         &mut self,
         pattern: &TreePattern,
         doc: &Document,
         roots: &[DeweyId],
         deleted: &LabelBuckets<DeweyId>,
+        work: &mut Work,
     ) -> usize {
         let near = Near::Under(deleted);
-        let lost = by_id::find(&self.rel.rows, &self.cols(), pattern, doc, roots, near);
-        by_id::take(&mut self.rel.rows, &lost).len()
+        let lost = by_id::find(&self.rel.rows, &self.cols(), pattern, doc, roots, near, work);
+        let taken = ordered::take(&mut self.rel.rows, &lost).len();
+        work.rows += taken as u64;
+        taken
     }
 
     /// The columns in the order the rows are sorted by, each with its

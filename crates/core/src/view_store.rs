@@ -127,7 +127,7 @@ impl ViewStore {
     /// Moves the rows at `ranges` (ascending, disjoint) out of the store
     /// — a deletion's bound losses, found by [`crate::by_id::find`].
     pub(crate) fn take(&mut self, ranges: &[std::ops::Range<usize>]) -> Vec<(Tuple, u64)> {
-        crate::by_id::take(&mut self.rows, ranges)
+        ordered::take(&mut self.rows, ranges)
     }
 
     /// The rows, given up — for a commit that replaced the store and

@@ -7,5 +7,5 @@ pub mod eval;
 pub mod parser;
 
 pub use ast::{LocationPath, XNodeTest, XPred, XStep};
-pub use eval::eval_path;
+pub use eval::{eval_path, eval_path_counted};
 pub use parser::{parse_xpath, XPathParseError};

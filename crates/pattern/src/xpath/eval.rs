@@ -21,7 +21,7 @@
 use super::ast::{LocationPath, XNodeTest, XPred, XStep};
 use xivm_algebra::Axis;
 use xivm_xml::label::attribute_label;
-use xivm_xml::{Document, LabelId, NodeId, NodeKind};
+use xivm_xml::{Document, LabelId, NodeId, NodeKind, Work};
 
 /// A node test with its name looked up (`None`: in no document node).
 #[derive(Clone, Copy)]
@@ -94,45 +94,51 @@ fn index_key(pred: &XPred) -> Option<(&str, &str)> {
 /// Evaluates an absolute location path against a document, returning
 /// matching nodes in document order without duplicates.
 pub fn eval_path(doc: &Document, path: &LocationPath) -> Vec<NodeId> {
-    eval_steps(doc, None, &resolve(doc, path))
+    eval_path_counted(doc, path, &mut Work::default())
+}
+
+/// [`eval_path`], counting each value-index lookup in `work.probes`.
+pub fn eval_path_counted(doc: &Document, path: &LocationPath, work: &mut Work) -> Vec<NodeId> {
+    eval_steps(doc, None, &resolve(doc, path), work)
 }
 
 /// Evaluates a relative path from a single context node.
 pub fn eval_relative(doc: &Document, ctx: NodeId, path: &LocationPath) -> Vec<NodeId> {
-    eval_steps(doc, Some(vec![ctx]), &resolve(doc, path))
+    eval_steps(doc, Some(vec![ctx]), &resolve(doc, path), &mut Work::default())
 }
 
 /// Walks `steps` from `context` (document-ordered and duplicate-free;
-/// `None`: the document node).
-fn eval_steps(doc: &Document, mut context: Option<Vec<NodeId>>, steps: &[Step]) -> Vec<NodeId> {
+/// `None`: the document node). Each step takes the nodes that pass the
+/// axis and the node test, from the value index or a scan, then every
+/// predicate, then — only where the order does not follow from the
+/// construction — a sort.
+fn eval_steps(
+    doc: &Document,
+    mut context: Option<Vec<NodeId>>,
+    steps: &[Step],
+    work: &mut Work,
+) -> Vec<NodeId> {
     // Can the context hold a node together with one of its descendants?
     // Only after a `//` step — the one case where a step's output is
     // not in document order by construction.
     let mut nested = false;
     for step in steps {
-        if context.as_ref().is_some_and(|c| c.is_empty()) {
+        let context_nodes = context.as_deref();
+        if context_nodes.is_some_and(<[NodeId]>::is_empty) {
             break;
         }
-        context = Some(eval_step(doc, context.as_deref(), nested, step));
+        let indexed = index_candidates(doc, context_nodes, step, work);
+        let unordered = nested || indexed.is_some();
+        let mut out = indexed.unwrap_or_else(|| scan_candidates(doc, context_nodes, step));
+        out.retain(|&n| step.preds.iter().all(|p| holds(doc, n, p)));
+        if unordered && out.len() > 1 {
+            out.sort_by(|&a, &b| doc.doc_cmp(a, b));
+            out.dedup();
+        }
+        context = Some(out);
         nested |= step.axis == Axis::Descendant;
     }
     context.unwrap_or_default()
-}
-
-/// One step from `context` (`None`: the document node): the nodes that
-/// pass the axis and the node test, from the value index or a scan,
-/// then every predicate, then — only where the order does not follow
-/// from the construction — a sort.
-fn eval_step(doc: &Document, context: Option<&[NodeId]>, nested: bool, step: &Step) -> Vec<NodeId> {
-    let indexed = index_candidates(doc, context, step);
-    let unordered = nested || indexed.is_some();
-    let mut out = indexed.unwrap_or_else(|| scan_candidates(doc, context, step));
-    out.retain(|&n| step.preds.iter().all(|p| holds(doc, n, p)));
-    if unordered && out.len() > 1 {
-        out.sort_by(|&a, &b| doc.doc_cmp(a, b));
-        out.dedup();
-    }
-    out
 }
 
 /// The nodes the step's axis and node test reach from the context.
@@ -171,11 +177,12 @@ fn scan_candidates(doc: &Document, context: Option<&[NodeId]>, step: &Step) -> V
 /// order, or `None` when the step has no `[@a = "c"]` to key one on (or
 /// scanning the context's children is the cheaper way). Every result
 /// passes the node test and the axis from the context; the predicates
-/// and the order are the caller's.
+/// and the order are the caller's. A lookup counts in `work.probes`.
 fn index_candidates(
     doc: &Document,
     context: Option<&[NodeId]>,
     step: &Step,
+    work: &mut Work,
 ) -> Option<Vec<NodeId>> {
     let (label, value) = step.key?;
     if matches!(step.test, Test::SelfNode) {
@@ -183,6 +190,7 @@ fn index_candidates(
     }
     // An attribute name the document never saw: nothing can match.
     let Some(label) = label else { return Some(Vec::new()) };
+    work.probes += 1;
     let hits = doc.attributes_with_value(label, value);
     if let (Axis::Child, Some(context)) = (step.axis, context) {
         // Fewer children to scan than hits to check: scan.

@@ -46,7 +46,8 @@ use xivm_pattern::{NodeTest, TreePattern};
 use xivm_xml::document::DocumentEdit;
 use xivm_xml::label::LabelMap;
 use xivm_xml::{
-    DeweyId, Document, ForestTemplate, LabelId, LabelInterner, NodeId, NodeKind, Step, XmlError,
+    DeweyId, Document, ForestTemplate, LabelId, LabelInterner, NodeId, NodeKind, Step, Work,
+    XmlError,
 };
 
 /// The nodes one applied PUL inserted (or deleted), bucketed by label.
@@ -347,6 +348,10 @@ pub struct ApplyResult {
     /// [`Self::deleted_valued`] value misses old text only then — when
     /// an earlier operation removed text under it.
     pub text_moved: Vec<DeweyId>,
+    /// What the apply did: the list settle's searches, comparisons and
+    /// sweep reads, and the chunks, lists and interners it copied or the
+    /// chunks it released.
+    pub work: Work,
     /// The values of the valued labels' `deleted` entries.
     values: DeletedValues,
     /// True when an operation inserted into, or deleted, a node the PUL
@@ -401,10 +406,14 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul) -> Result<ApplyResult, XmlError>
 /// alone: a label no view reads gets no ID built, and only a valued
 /// label's entries carry values.
 pub fn apply_pul_for(
-    doc: &mut Document,
+    document: &mut Document,
     pul: &Pul,
     wanted: &DeltaLabels,
 ) -> Result<ApplyResult, XmlError> {
+    // What earlier edits counted is not this apply's.
+    document.take_work();
+    // Dropped — and the lists settled — on every way out, errors too.
+    let mut doc = document.edit();
     let forests: usize = pul
         .ops
         .iter()
@@ -418,8 +427,6 @@ pub fn apply_pul_for(
         return Err(XmlError::IndexSpaceExhausted { used, wanted: forests });
     }
     let mut result = ApplyResult { first_created: Some(doc.arena_len()), ..ApplyResult::default() };
-    // Dropped — and the lists settled — on every way out, errors too.
-    let mut doc = doc.edit();
     // The forest text last parsed, as a template.
     let mut template: Option<Template> = None;
     for op in &pul.ops {
@@ -491,6 +498,8 @@ pub fn apply_pul_for(
             }
         }
     }
+    drop(doc);
+    result.work = document.take_work();
     // Subtrees are walked in pre-order, but the operations of a PUL
     // come in any order.
     for Bucket { items: entries, .. } in result.added.buckets.values_mut() {
@@ -652,7 +661,7 @@ fn index_space() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pul::compute_pul;
+    use crate::pul::{compute_pul, compute_pul_counted};
     use crate::statement::UpdateStatement;
     use std::cell::Cell;
     use xivm_xml::{parse_document, serialize_document};
@@ -771,15 +780,13 @@ mod tests {
     }
 
     /// Cost follows |Δ|, as counts: the same one-person insert and
-    /// delete-by-id cost the same number of canonical-list searches
-    /// and value-index probes on a 100 KB and on a 2 MB document — one
-    /// search per *label* of the forest (not per node, not per
-    /// sibling), one probe per keyed step. The counters exist in debug
-    /// builds only (`xivm_xml::canonical::work`).
-    #[cfg(debug_assertions)]
+    /// delete-by-id do the same work on a 100 KB and on a 2 MB document
+    /// — one canonical-list search per *label* of the forest (not per
+    /// node, not per sibling), one value-index probe per keyed step, no
+    /// sweep, no copy — but for the comparisons, which each search
+    /// makes in proportion to the log of its list.
     #[test]
-    fn a_point_update_costs_the_same_searches_and_probes_at_any_document_size() {
-        use xivm_xml::canonical::work;
+    fn a_point_update_costs_the_same_work_at_any_document_size() {
         let insert = UpdateStatement::insert(
             "/site/people",
             "<person id=\"bench7\"><name>Ann Diaz</name><emailaddress>mailto:bench7@example.org\
@@ -790,11 +797,13 @@ mod tests {
         let counts = |n: usize| {
             let (bytes, mut d) = site(n);
             let mut run = |stmt: &UpdateStatement| {
-                work::take();
-                let pul = compute_pul(&d, stmt);
+                let mut work = Work::default();
+                let pul = compute_pul_counted(&d, stmt, &mut work);
                 assert_eq!(pul.len(), 1);
                 let res = apply_pul(&mut d, &pul).unwrap();
-                (work::take(), res.inserted.len() + res.deleted.len())
+                work += res.work;
+                assert!(work.comparisons > 0);
+                (Work { comparisons: 0, ..work }, res.inserted.len() + res.deleted.len())
             };
             let out = (run(&insert), run(&delete));
             d.check_invariants().unwrap();
@@ -803,33 +812,30 @@ mod tests {
         let (small_bytes, small) = counts(400);
         let (large_bytes, large) = counts(9_000);
         assert!(small_bytes < 128 << 10 && large_bytes > 2 << 20, "{small_bytes} {large_bytes}");
-        assert_eq!(small, large, "(searches, probes) and |Δ| must not depend on the document");
+        assert_eq!(small, large, "the work and |Δ| must not depend on the document");
         // person @id name #text emailaddress homepage watches: seven
         // labels over eleven nodes; the delete finds its person by id.
         let ((insert_work, inserted), (delete_work, deleted)) = small;
         assert_eq!((inserted, deleted), (11, 11));
-        assert_eq!(insert_work, (7, 0), "one search per label, no lookup");
-        assert_eq!(delete_work, (7, 1), "one search per label, one lookup");
+        let searches = Work { searches: 7, ..Work::default() };
+        assert_eq!(insert_work, searches, "one search per label, no lookup");
+        assert_eq!(delete_work, Work { probes: 1, ..searches }, "one search per label, one lookup");
     }
 
     /// The twin for a PUL of many operations: deleting fifty persons,
     /// spread over the document, is one search per label per person —
     /// the first of a label over its whole list, the others galloping
     /// on from the one before — on 96 KB as on 2.2 MB.
-    #[cfg(debug_assertions)]
     #[test]
     fn a_fifty_target_delete_costs_the_same_searches_at_any_document_size() {
-        use xivm_xml::canonical::work;
         let searches = |n: usize| {
             let (bytes, mut d) = site(n);
             let persons = d.canonical_nodes_named("person");
             let doomed = (0..50).map(|i| AtomicOp::Delete { node: d.dewey(persons[i * (n / 50)]) });
             let pul = Pul::new(doomed.collect());
-            work::take();
             let res = apply_pul(&mut d, &pul).unwrap();
-            let (searches, _) = work::take();
             d.check_invariants().unwrap();
-            (bytes, searches, res.deleted.len())
+            (bytes, res.work.searches, res.deleted.len())
         };
         let ((small_bytes, small, small_gone), (large_bytes, large, large_gone)) =
             (searches(400), searches(9_000));

@@ -30,5 +30,5 @@ pub mod statement;
 pub use apply::{apply_pul, apply_pul_for, Added, ApplyResult, DeltaLabels, LabelBuckets};
 pub use builder::{element, UpdateBuilder};
 pub use delta::{walk_deleted, DeltaMinus, DeltaPlus};
-pub use pul::{compute_pul, AtomicOp, Pul};
+pub use pul::{compute_pul, compute_pul_counted, AtomicOp, Pul};
 pub use statement::UpdateStatement;

@@ -6,8 +6,8 @@
 //! `n`) and `del(n)` — the two fundamental operations of Section 5.2.
 
 use crate::statement::UpdateStatement;
-use xivm_pattern::xpath::eval_path;
-use xivm_xml::{DeweyId, Document, NodeKind};
+use xivm_pattern::xpath::eval_path_counted;
+use xivm_xml::{DeweyId, Document, NodeKind, Work};
 
 /// An atomic update operation, addressed by structural ID so PULs are
 /// standalone values (they can be optimized away from the store,
@@ -62,6 +62,12 @@ impl Pul {
 
 /// `compute-pul`: expands a statement against the current document.
 pub fn compute_pul(doc: &Document, stmt: &UpdateStatement) -> Pul {
+    compute_pul_counted(doc, stmt, &mut Work::default())
+}
+
+/// [`compute_pul`], counting its value-index lookups in `work.probes`.
+pub fn compute_pul_counted(doc: &Document, stmt: &UpdateStatement, work: &mut Work) -> Pul {
+    let mut eval_path = |doc, path| eval_path_counted(doc, path, work);
     let mut ops = Vec::new();
     match stmt {
         UpdateStatement::Delete { target } => {

@@ -37,47 +37,6 @@ const CHUNK_MASK: usize = CHUNK_SIZE - 1;
 /// How many slots an arena can hold: one per [`NodeId`] (`u32`).
 pub const INDEX_SPACE: u64 = 1 << 32;
 
-/// What the calling thread copied for document images, for the tests
-/// that pin "a commit pays for an image only where something reads it"
-/// as counts instead of timings. Debug builds only, like
-/// [`crate::canonical::work`].
-#[cfg(debug_assertions)]
-pub mod work {
-    use std::cell::Cell;
-
-    /// Copies since the last [`take`].
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct Copies {
-        /// [`Document`](crate::Document) images taken (`clone`).
-        pub clones: u64,
-        /// Arena chunks copied because an image still shared them…
-        pub chunks: u64,
-        /// …and the nodes deep-cloned with them.
-        pub nodes: u64,
-        /// Canonical and value lists copied for the same reason…
-        pub lists: u64,
-        /// …and their elements.
-        pub list_elements: u64,
-        /// Copies of the label interner.
-        pub interners: u64,
-        /// Dead arena chunks released — dropped, not copied.
-        pub released: u64,
-    }
-
-    thread_local!(static COUNTS: Cell<Copies> = Cell::default());
-
-    /// The counts since the last call, reset to zero.
-    pub fn take() -> Copies {
-        COUNTS.take()
-    }
-
-    pub(crate) fn count(add: impl FnOnce(&mut Copies)) {
-        let mut counts = COUNTS.get();
-        add(&mut counts);
-        COUNTS.set(counts);
-    }
-}
-
 /// One chunk's nodes, and how many of them `Arena::kill` marked dead.
 #[derive(Debug, Default, Clone)]
 struct Chunk {
@@ -115,6 +74,9 @@ pub struct Arena {
     /// Chunks found all dead since the last `Self::release_dead`; the
     /// tail may be among them.
     releasable: Vec<usize>,
+    /// Chunks copied because an image still shared them, until
+    /// [`crate::Document::take_work`] moves the count out.
+    pub(crate) copied: u64,
 }
 
 impl Arena {
@@ -145,7 +107,8 @@ impl Arena {
     #[inline]
     pub fn get_mut(&mut self, index: usize) -> &mut Node {
         assert!(index < self.len, "node index {index} out of bounds ({})", self.len);
-        &mut Self::own(&mut self.chunks[index >> CHUNK_BITS]).nodes[index & CHUNK_MASK]
+        &mut Self::own(&mut self.chunks[index >> CHUNK_BITS], &mut self.copied).nodes
+            [index & CHUNK_MASK]
     }
 
     /// Marks the live node at `index` dead and returns it, for its
@@ -154,7 +117,7 @@ impl Arena {
     /// notes the chunk for `Self::release_dead`.
     pub(crate) fn kill(&mut self, index: usize) -> &mut Node {
         assert!(index < self.len, "node index {index} out of bounds ({})", self.len);
-        let chunk = Self::own(&mut self.chunks[index >> CHUNK_BITS]);
+        let chunk = Self::own(&mut self.chunks[index >> CHUNK_BITS], &mut self.copied);
         chunk.dead += 1;
         if chunk.dead == CHUNK_SIZE {
             self.releasable.push(index >> CHUNK_BITS);
@@ -165,15 +128,12 @@ impl Arena {
         node
     }
 
-    /// The chunk for writing: copied first if an image shares it.
+    /// The chunk for writing: copied first, and counted in `copied`,
+    /// if an image shares it.
     #[inline]
-    fn own(chunk: &mut Arc<Chunk>) -> &mut Chunk {
+    fn own<'c>(chunk: &'c mut Arc<Chunk>, copied: &mut u64) -> &'c mut Chunk {
         debug_assert!(!Arc::ptr_eq(chunk, tombstone()), "a write to a released chunk");
-        #[cfg(debug_assertions)]
-        if Arc::strong_count(chunk) > 1 {
-            let nodes = chunk.nodes.len() as u64;
-            work::count(|c| (c.chunks, c.nodes) = (c.chunks + 1, c.nodes + nodes));
-        }
+        *copied += u64::from(Arc::strong_count(chunk) > 1);
         Arc::make_mut(chunk)
     }
 
@@ -192,7 +152,8 @@ impl Arena {
             nodes.push(node);
             self.chunks.push(Arc::new(Chunk { nodes, dead: 0 }));
         } else {
-            Self::own(self.chunks.last_mut().expect("tail chunk exists")).nodes.push(node);
+            let tail = self.chunks.last_mut().expect("tail chunk exists");
+            Self::own(tail, &mut self.copied).nodes.push(node);
         }
         self.len += 1;
         id
@@ -202,17 +163,18 @@ impl Arena {
     /// and not the tail: its slots read as the tombstone's from now on
     /// (dead, no parent, label 0). Only for when nothing reads the dead
     /// nodes' places any more — [`crate::document::DocumentEdit`]
-    /// calls it once its lists are settled.
-    pub(crate) fn release_dead(&mut self) {
+    /// calls it once its lists are settled. Returns how many went.
+    pub(crate) fn release_dead(&mut self) -> u64 {
         let tail = self.chunks.len().saturating_sub(1);
+        let mut released = 0;
         for at in self.releasable.drain(..) {
             let chunk = &mut self.chunks[at];
             if at < tail && !Arc::ptr_eq(chunk, tombstone()) {
                 *chunk = Arc::clone(tombstone());
-                #[cfg(debug_assertions)]
-                work::count(|c| c.released += 1);
+                released += 1;
             }
         }
+        released
     }
 
     /// All nodes in allocation order (dead ones included).
@@ -399,16 +361,13 @@ mod tests {
     /// A clone taken before the release shares the chunk through its
     /// own `Arc` and keeps reading every node of it; the release copies
     /// nothing.
-    #[cfg(debug_assertions)]
     #[test]
     fn an_image_keeps_reading_a_chunk_the_arena_released() {
         let mut a = arena(CHUNK_SIZE * 3);
         let image = a.clone();
-        work::take();
         kill_range(&mut a, CHUNK_SIZE..2 * CHUNK_SIZE);
-        a.release_dead();
-        let counts = work::take();
-        assert_eq!((counts.chunks, counts.released), (1, 1), "the kill's copy, then the release");
+        let released = a.release_dead();
+        assert_eq!((a.copied, released), (1, 1), "the kill's copy, then the release");
         assert_eq!(a.shared_chunks_with(&image), 2, "chunks 0 and 2");
         for i in CHUNK_SIZE..2 * CHUNK_SIZE {
             assert!(image[i].alive && image[i].ord == i as u64);

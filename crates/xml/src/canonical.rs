@@ -57,6 +57,7 @@
 //! the PUL, never the whole index.
 
 use crate::arena::Arena;
+use crate::document::Work;
 use crate::label::LabelId;
 use crate::node::{NodeId, NodeKind};
 use std::cmp::Ordering;
@@ -143,26 +144,6 @@ fn entry_of(nodes: &Arena, id: NodeId) -> (u64, NodeId) {
     (value_hash(nodes[id.index()].text.as_deref().unwrap_or("")), id)
 }
 
-/// Work counters of the calling thread, for the tests that pin "cost
-/// follows |Δ|" as counts instead of timings. Debug builds only: a
-/// release build carries neither the counters nor the increments.
-#[cfg(debug_assertions)]
-pub mod work {
-    use std::cell::Cell;
-
-    thread_local!(pub(super) static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) });
-
-    /// `(binary searches of a document-order list, value-index
-    /// probes)` since the last call, reset to zero.
-    pub fn take() -> (u64, u64) {
-        COUNTS.take()
-    }
-
-    pub(super) fn count(searches: u64, probes: u64) {
-        COUNTS.set((COUNTS.get().0 + searches, COUNTS.get().1 + probes));
-    }
-}
-
 /// Compares two arena nodes in document order: lifts the deeper one by
 /// the difference of their depths (each node stores its own), climbs
 /// both in lock-step to the children of their lowest common ancestor
@@ -211,11 +192,13 @@ enum Near {
 /// Where `id` sits (or would sit) in a document-ordered `list`: a
 /// binary search of all of it, or of the window a gallop from the
 /// front or the back — for an `id` expected a few places from there —
-/// has closed on.
-fn search(nodes: &Arena, list: &[NodeId], id: NodeId, near: Near) -> usize {
-    #[cfg(debug_assertions)]
-    work::count(1, 0);
-    let before = |n: NodeId| doc_cmp(nodes, n, id) == Ordering::Less;
+/// has closed on. Counted in `work`, with its comparisons.
+fn search(nodes: &Arena, list: &[NodeId], id: NodeId, near: Near, work: &mut Work) -> usize {
+    work.searches += 1;
+    let mut before = |n: NodeId| {
+        work.comparisons += 1;
+        doc_cmp(nodes, n, id) == Ordering::Less
+    };
     let (len, mut step) = (list.len(), 1);
     let (start, end) = match near {
         Near::Nowhere => (0, len),
@@ -298,15 +281,10 @@ fn compact<T: Copy>(list: &mut Vec<T>, mut next: impl FnMut(&[T], usize) -> Opti
     }
 }
 
-/// A list for writing: copied first if an image shares it.
-fn own<T: Clone>(list: &mut Arc<T>, _len: impl Fn(&T) -> usize) -> &mut T {
-    #[cfg(debug_assertions)]
-    if Arc::strong_count(list) > 1 {
-        let elements = _len(list) as u64;
-        crate::arena::work::count(|c| {
-            (c.lists, c.list_elements) = (c.lists + 1, c.list_elements + elements)
-        });
-    }
+/// A list for writing: copied first, and counted in `copied`, if an
+/// image shares it.
+fn own<'l, T: Clone>(list: &'l mut Arc<T>, copied: &mut u64) -> &'l mut T {
+    *copied += u64::from(Arc::strong_count(list) > 1);
     Arc::make_mut(list)
 }
 
@@ -323,9 +301,12 @@ impl CanonicalIndex {
     /// (see `DENSE`) of dead nodes — as every edit of a document
     /// hands over — is one liveness sweep instead of its searches.
     /// Copy-on-write: a list shared with a snapshot is copied first, once.
-    pub fn edit(&mut self, nodes: &Arena, label: LabelId, removed: Runs<'_>, inserted: Runs<'_>) {
-        let Some(&any) = removed.0.first().or(inserted.0.first()) else { return };
-        let order = own(self.map.entry(label).or_default(), Vec::len);
+    /// Returns what it did: searches and their comparisons, sweep reads
+    /// and list copies.
+    pub fn edit(&mut self, nodes: &Arena, label: LabelId, removed: Runs, inserted: Runs) -> Work {
+        let mut work = Work::default();
+        let Some(&any) = removed.0.first().or(inserted.0.first()) else { return work };
+        let order = own(self.map.entry(label).or_default(), &mut work.lists);
         let sweep = !removed.0.is_empty()
             && sweeps(removed.1.len(), order.len())
             && removed.0.iter().all(|n| !nodes[n.index()].alive);
@@ -336,6 +317,7 @@ impl CanonicalIndex {
             // Until the edit ends, the list's dead nodes are exactly the
             // ones it removed.
             let len = order.len();
+            work.sweep_reads += len as u64;
             order.retain(|n| nodes[n.index()].alive);
             assert!(
                 len - order.len() == removed.0.len(),
@@ -350,7 +332,7 @@ impl CanonicalIndex {
             compact(order, |order, from| {
                 let (k, run) = runs.next().map(|k| (k, run(gone, k)))?;
                 let near = if k == 0 { Near::Nowhere } else { Near::Front };
-                let at = from + search(nodes, &order[from..], run[0], near);
+                let at = from + search(nodes, &order[from..], run[0], near, &mut work);
                 assert!(
                     order.get(at..at + run.len()) == Some(run),
                     "the {label:?} nodes of a subtree must be one run of their canonical relation"
@@ -375,7 +357,7 @@ impl CanonicalIndex {
             let at_end =
                 last && old.last().is_none_or(|&l| doc_cmp(nodes, l, run[0]) == Ordering::Less);
             let near = if last { Near::Nowhere } else { Near::Back };
-            let at = if at_end { read } else { search(nodes, old, run[0], near) };
+            let at = if at_end { read } else { search(nodes, old, run[0], near, &mut work) };
             order.copy_within(at..read, write - (read - at));
             write -= read - at + run.len();
             read = at;
@@ -383,14 +365,16 @@ impl CanonicalIndex {
         }
 
         if nodes[any.index()].kind == NodeKind::Attribute {
-            let values = own(self.values.entry(label).or_default(), |v| v.entries.len());
+            let values = own(self.values.entry(label).or_default(), &mut work.lists);
             if sweep {
+                work.sweep_reads += values.entries.len() as u64;
                 values.retain_live(nodes);
             } else {
                 values.remove(removed.0.iter().map(|&n| entry_of(nodes, n)));
             }
             values.extend(inserted.0.iter().map(|&n| entry_of(nodes, n)));
         }
+        work
     }
 
     /// Live members of `R_label` in document order.
@@ -410,8 +394,6 @@ impl CanonicalIndex {
     /// The live `label` attributes whose value is `value`, in no
     /// particular order.
     pub fn with_value(&self, nodes: &Arena, label: LabelId, value: &str) -> Vec<NodeId> {
-        #[cfg(debug_assertions)]
-        work::count(0, 1);
         let Some(values) = self.values.get(&label) else { return Vec::new() };
         let same = |&n: &NodeId| nodes[n.index()].text.as_deref().unwrap_or("") == value;
         values.hits(value_hash(value)).filter(same).collect()
@@ -479,7 +461,11 @@ mod tests {
             let node = &nodes[first.index()];
             let order = Arc::make_mut(self.map.entry(node.label).or_default());
             let at_end = order.last().is_none_or(|&l| doc_cmp(nodes, l, first) == Ordering::Less);
-            let pos = if at_end { order.len() } else { search(nodes, order, first, Near::Nowhere) };
+            let pos = if at_end {
+                order.len()
+            } else {
+                search(nodes, order, first, Near::Nowhere, &mut Work::default())
+            };
             order.splice(pos..pos, run.iter().copied());
             if node.kind == NodeKind::Attribute {
                 Arc::make_mut(self.values.entry(node.label).or_default())
@@ -491,7 +477,7 @@ mod tests {
             let Some(&first) = run.first() else { return };
             let node = &nodes[first.index()];
             let order = Arc::make_mut(self.map.get_mut(&node.label).expect("a list"));
-            let pos = search(nodes, order, first, Near::Nowhere);
+            let pos = search(nodes, order, first, Near::Nowhere, &mut Work::default());
             assert!(order.get(pos..pos + run.len()) == Some(run), "one run");
             order.drain(pos..pos + run.len());
             if node.kind == NodeKind::Attribute {

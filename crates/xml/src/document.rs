@@ -33,24 +33,69 @@ use std::sync::Arc;
 /// later mutation copies only the chunks and lists it touches. A held
 /// clone is a frozen, immutable image of the document at clone time —
 /// the MVCC substrate behind database snapshots and deep pipelining.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Document {
     nodes: Arena,
     root: Option<NodeId>,
     labels: Arc<LabelInterner>,
     canonical: CanonicalIndex,
+    /// What this document's edits counted since [`Self::take_work`]:
+    /// an edit settles in `Drop`, which returns nothing.
+    work: Work,
 }
 
-impl Clone for Document {
-    fn clone(&self) -> Self {
-        #[cfg(debug_assertions)]
-        crate::arena::work::count(|c| c.clones += 1);
-        Document {
-            nodes: self.nodes.clone(),
-            root: self.root,
-            labels: Arc::clone(&self.labels),
-            canonical: self.canonical.clone(),
-        }
+/// Work done, as counts: the paper's claim that maintenance follows
+/// |Δ| and not the document, in a form a test can assert in any build.
+/// Plain fields and plain adds. The layer that did the work returns
+/// it — `eval_path_counted` (target finding), `ApplyResult::work`
+/// (the apply: the list settle and the copies), `UpdateReport::work`
+/// (one view) — and `Commit::work` sums a commit's. `ARCHITECTURE.md`
+/// states the bound per Δ tuple that `tests/complexity.rs` asserts.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Work {
+    /// Value-index lookups target finding made for `[@a="c"]` steps.
+    pub probes: u64,
+    /// Searches of a document-order list for a run of an edit.
+    pub searches: u64,
+    /// Document-order comparisons those searches made.
+    pub comparisons: u64,
+    /// List entries a dense removal's liveness sweep read.
+    pub sweep_reads: u64,
+    /// Arena chunks copied because an image still shared them.
+    pub chunks: u64,
+    /// Canonical and value lists copied for the same reason.
+    pub lists: u64,
+    /// Copies of the label interner, for the same reason.
+    pub interners: u64,
+    /// Dead arena chunks released — dropped, not copied.
+    pub released: u64,
+    /// Document images a commit took: a pre-image for a deferred batch,
+    /// a scratch copy for a transaction, a refresh's base, the async
+    /// service's recovery image.
+    pub images: u64,
+    /// Views whose propagation took the dynamic relevance exit.
+    pub dynamic_skips: u64,
+    /// Store and snowcap rows examined one by one: taken out by range,
+    /// stepped through as a block, text-refreshed, or patched.
+    pub rows: u64,
+    /// Bindings the maintenance terms emitted.
+    pub tuples: u64,
+}
+
+impl std::ops::AddAssign for Work {
+    fn add_assign(&mut self, other: Work) {
+        self.probes += other.probes;
+        self.searches += other.searches;
+        self.comparisons += other.comparisons;
+        self.sweep_reads += other.sweep_reads;
+        self.chunks += other.chunks;
+        self.lists += other.lists;
+        self.interners += other.interners;
+        self.released += other.released;
+        self.images += other.images;
+        self.dynamic_skips += other.dynamic_skips;
+        self.rows += other.rows;
+        self.tuples += other.tuples;
     }
 }
 
@@ -93,6 +138,13 @@ impl Document {
         self.nodes.released_chunks()
     }
 
+    /// The work this document's edits did since the last call (a clone
+    /// starts from the original's count), reset to zero.
+    pub fn take_work(&mut self) -> Work {
+        self.work.chunks += std::mem::take(&mut self.nodes.copied);
+        std::mem::take(&mut self.work)
+    }
+
     /// The id of `name`, interned if new. A known name is answered
     /// from the shared interner; only a new one copies an interner an
     /// image still holds.
@@ -100,10 +152,7 @@ impl Document {
         if let Some(id) = self.labels.get(name) {
             return id;
         }
-        #[cfg(debug_assertions)]
-        if Arc::strong_count(&self.labels) > 1 {
-            crate::arena::work::count(|c| c.interners += 1);
-        }
+        self.work.interners += u64::from(Arc::strong_count(&self.labels) > 1);
         Arc::make_mut(&mut self.labels).intern(name)
     }
 
@@ -203,7 +252,7 @@ impl Document {
             max_child_ord: 0,
         });
         self.nodes.get_mut(parent.index()).children.insert(pos, id);
-        self.canonical.edit(&self.nodes, label, (&[], &[]), (&[id], &[0]));
+        self.work += self.canonical.edit(&self.nodes, label, (&[], &[]), (&[id], &[0]));
         Ok(id)
     }
 
@@ -215,7 +264,7 @@ impl Document {
         text: Option<Arc<str>>,
     ) -> Result<NodeId, XmlError> {
         let id = self.push_node(parent, kind, label, text)?;
-        self.canonical.edit(&self.nodes, label, (&[], &[]), (&[id], &[0]));
+        self.work += self.canonical.edit(&self.nodes, label, (&[], &[]), (&[id], &[0]));
         Ok(id)
     }
 
@@ -663,7 +712,7 @@ impl DocumentEdit<'_> {
 /// broken.
 impl Drop for DocumentEdit<'_> {
     fn drop(&mut self) {
-        let Document { nodes, canonical, .. } = &mut *self.doc;
+        let Document { nodes, canonical, work, .. } = &mut *self.doc;
         let ends = self.forests.iter().skip(1).copied().chain([nodes.len()]);
         for (&start, end) in self.forests.iter().zip(ends) {
             for i in start..end {
@@ -676,12 +725,13 @@ impl Drop for DocumentEdit<'_> {
             }
         }
         for (&label, [gone, new]) in &self.lists {
-            canonical.edit(nodes, label, (&gone.nodes, &gone.starts), (&new.nodes, &new.starts));
+            let [removed, inserted] = [gone, new].map(|l| (&l.nodes[..], &l.starts[..]));
+            *work += canonical.edit(nodes, label, removed, inserted);
             if gone.nodes.first().is_some_and(|n| nodes[n.index()].kind != NodeKind::Element) {
                 gone.nodes.iter().for_each(|n| nodes.get_mut(n.index()).text = None);
             }
         }
-        nodes.release_dead();
+        work.released += nodes.release_dead();
     }
 }
 

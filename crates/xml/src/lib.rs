@@ -29,7 +29,7 @@ pub mod serializer;
 pub use arena::Arena;
 pub use canonical::CanonicalIndex;
 pub use dewey::{DeweyId, Step};
-pub use document::Document;
+pub use document::{Document, Work};
 pub use error::XmlError;
 pub use forest::DeweyForest;
 pub use label::{LabelId, LabelInterner, TEXT_LABEL};

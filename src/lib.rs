@@ -139,7 +139,8 @@
 //! | `MaintenanceEngine::{use_delta_pruning, use_id_pruning}`, `TermContext::{use_delta_pruning, use_id_pruning}` | `dynamic_pruning`, both prunings at once |
 //! | `UpdateReport::statically_skipped`, `UpdateReport::skipped()` | `UpdateReport::irrelevant`: no commit skips a view on a static verdict; the dynamic exit skips it |
 //! | `Database::conflict_scans_skipped()` | nothing: `transaction().independent()` always runs the Figure 15 pairwise scan |
-//! | `Commit::static_skips()` (still accepted, always 0) | `Commit::dynamic_skips()` |
+//! | `Commit::static_skips()` (still accepted, always 0) | `Commit::work().dynamic_skips` |
+//! | `Commit::dynamic_skips()`, `Commit::prune_totals()` | `Commit::work().dynamic_skips`; the per-view `UpdateReport::{insert_prune, delete_prune}` |
 //!
 //! ## Migrating from the string-first façade (pre-delta API)
 //!
@@ -164,7 +165,7 @@
 //! recorded on `analysis_report()`. No commit consults the analyzer.
 //! Its verdicts hold only for DTD-conforming documents, and nothing
 //! checks conformance; a view an update cannot touch is skipped by the
-//! engine's dynamic relevance exit instead (`Commit::dynamic_skips`),
+//! engine's dynamic relevance exit instead (`Commit::work().dynamic_skips`),
 //! which needs no DTD and is exact on every document.
 //! `tests/analyze_soundness.rs` checks that the exit takes every skip a
 //! verdict would allow. `cargo run --example analyze_lint` runs the

@@ -216,8 +216,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                c_off.dynamic_skips(),
-                off.handles().into_iter().filter(|&h| c_off.report(h).irrelevant).count()
+                c_off.work().dynamic_skips,
+                off.handles().into_iter().filter(|&h| c_off.report(h).irrelevant).count() as u64
             );
             consistent(&on)?;
             consistent(&off)?;
@@ -274,9 +274,9 @@ fn skips_actually_fire_on_this_catalog() {
         }
         // `c` under `b` holds no label of d_only or rd, no text of theirs
         assert!(
-            commit.dynamic_skips() >= 2,
+            commit.work().dynamic_skips >= 2,
             "d_only and rd must exit, got {}",
-            commit.dynamic_skips()
+            commit.work().dynamic_skips
         );
     }
 }
@@ -330,7 +330,7 @@ fn static_irrelevance_on_the_xmark_catalog_is_a_dynamic_exit() {
                         }
                     }
                     if stream != "all" {
-                        let exits = commit.dynamic_skips();
+                        let exits = commit.work().dynamic_skips;
                         assert!(exits >= 4, "{stream}-only, {}: {exits} of 7 views exit", u.name);
                     }
                 }

@@ -649,8 +649,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                commit.dynamic_skips(),
-                db.handles().into_iter().filter(|&h| commit.report(h).irrelevant).count()
+                commit.work().dynamic_skips,
+                db.handles().into_iter().filter(|&h| commit.report(h).irrelevant).count() as u64
             );
             consistent(&db)?;
             snowcaps_fresh(&db)?;
@@ -675,11 +675,11 @@ fn the_dynamic_exit_fires_on_this_catalog() {
     // an `e` under b: no pattern names e; only //a{cont} stores text above it
     let commit = db.apply("insert <e/> into //a/b").unwrap();
     assert_eq!(exited(&commit), vec![0, 1, 2, 3, 4]);
-    assert_eq!(commit.dynamic_skips(), 5);
+    assert_eq!(commit.work().dynamic_skips, 5);
     // a c under the top-level d: patterns 1 and 2 name c, 3 stores d's val
     let commit = db.apply("insert <c/> into /r/d").unwrap();
     assert_eq!(exited(&commit), vec![0, 4, 5]);
-    assert_eq!(commit.dynamic_skips(), 3);
+    assert_eq!(commit.work().dynamic_skips, 3);
 }
 
 // ---------------------------------------------------------------------
