@@ -60,12 +60,12 @@ use std::ops::{Deref, DerefMut};
 use std::sync::OnceLock;
 use xivm_analyze::{AnalysisReport, AnalyzeMode, Analyzer};
 use xivm_dtd::{parse_dtd, Dtd};
-use xivm_pattern::{parse_pattern, TreePattern};
+use xivm_pattern::{parse_pattern, NodeTest, TreePattern};
 use xivm_pulopt::ConflictPolicy;
 use xivm_update::builder::UpdateBuilder;
 use xivm_update::statement::parse_statement;
 use xivm_update::{Pul, UpdateStatement};
-use xivm_xml::{check_forest, parse_document, serialize_document, Document};
+use xivm_xml::{check_forest, parse_document, serialize_document, Document, TEXT_LABEL};
 
 // ---------------------------------------------------------------------
 // Deferred inputs: the builder accepts text or ready-made values and
@@ -415,6 +415,12 @@ impl DatabaseBuilder {
             // that reaches the view; fail here, with a name, instead.
             if pattern.len() > crate::etins::MAX_TERM_NODES {
                 return Err(Error::PatternTooLarge { view: spec.name, nodes: pattern.len() });
+            }
+            // Text nodes are in no canonical list, so a `#text` node
+            // would bind nothing, whatever the document holds.
+            let text = |n| matches!(&pattern.node(n).test, NodeTest::Name(l) if l == TEXT_LABEL);
+            if pattern.node_ids().any(text) {
+                return Err(Error::PatternNamesText(spec.name));
             }
             engines.push((spec.name, MaintenanceEngine::new(&doc, pattern, spec.strategy)));
         }
@@ -1051,6 +1057,21 @@ mod tests {
         assert_eq!(commit.work().dynamic_skips, 0);
         let h = db.view("chain").unwrap();
         assert_eq!(commit.report(h).insert_prune.before, 30);
+    }
+
+    /// Text nodes are in no canonical list: a pattern that names
+    /// `#text` is a build error naming the view, not a view that stays
+    /// empty over a document full of text.
+    #[test]
+    fn a_pattern_naming_text_is_rejected_at_build() {
+        let mut pattern = parse_pattern("//a{id}").unwrap();
+        let text = NodeTest::Name(TEXT_LABEL.to_owned());
+        pattern.add_child(pattern.root(), xivm_algebra::Axis::Child, text);
+        let built = Database::builder().document("<r><a>x</a></r>").view("t", pattern).build();
+        match built {
+            Err(Error::PatternNamesText(view)) => assert_eq!(view, "t"),
+            other => panic!("expected PatternNamesText, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -43,6 +43,10 @@ pub enum Error {
     /// maintenance terms are enumerated per snowcap, exponentially many
     /// on a star-shaped pattern.
     PatternTooLarge { view: String, nodes: usize },
+    /// A view's pattern names `#text`: text nodes are in no canonical
+    /// relation, so such a node could bind nothing. A view reads text
+    /// through `val` / `cont` annotations and value predicates.
+    PatternNamesText(String),
     /// Propagation panicked mid-commit (a view's maintenance died or a
     /// fault was injected). The database rolled back to the last sealed commit
     /// and recomputed every view, so it remains consistent; the
@@ -86,6 +90,7 @@ impl fmt::Display for Error {
                 "view {view:?} has {nodes} pattern nodes; at most {} are supported",
                 crate::etins::MAX_TERM_NODES
             ),
+            Error::PatternNamesText(view) => write!(f, "view {view:?} names #text, in no list"),
             Error::Panic(msg) => {
                 write!(f, "propagation panicked mid-commit: {msg}")
             }
@@ -172,6 +177,7 @@ mod tests {
         assert!(Error::NoDocument.to_string().contains("document"));
         let too_large = Error::PatternTooLarge { view: "wide".into(), nodes: 31 }.to_string();
         assert!(too_large.contains("wide") && too_large.contains("31"));
+        assert!(Error::PatternNamesText("t".into()).to_string().contains("#text"));
         assert!(Error::Panic("boom".into()).to_string().contains("boom"));
         assert!(Error::Aborted.to_string().contains("aborted"));
         let xml = Error::from(XmlError::DeadNode);

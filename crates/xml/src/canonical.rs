@@ -7,6 +7,10 @@
 //! incrementally under updates; `val` / `cont` are materialized lazily
 //! by the algebra layer when a view actually stores them.
 //!
+//! Text nodes have no list: no view binds one — a pattern that names
+//! `#text` is refused — and text is read through the `val` / `cont` of
+//! the nodes above it. An edit never writes a list for them.
+//!
 //! A label's live nodes are kept in two orders:
 //!
 //! * **document order**, for every label — the canonical relation
@@ -382,15 +386,6 @@ impl CanonicalIndex {
         self.map.get(&label).map_or(&[], |v| v.as_slice())
     }
 
-    /// Is `id` registered — in its label's document-order list and,
-    /// an attribute, under its value?
-    pub fn contains(&self, nodes: &Arena, id: NodeId) -> bool {
-        let node = &nodes[id.index()];
-        let by_value = || self.values.get(&node.label)?.position(entry_of(nodes, id));
-        self.nodes(node.label).binary_search_by(|&n| doc_cmp(nodes, n, id)).is_ok()
-            && (node.kind != NodeKind::Attribute || by_value().is_some())
-    }
-
     /// The live `label` attributes whose value is `value`, in no
     /// particular order.
     pub fn with_value(&self, nodes: &Arena, label: LabelId, value: &str) -> Vec<NodeId> {
@@ -409,6 +404,42 @@ impl CanonicalIndex {
                     return Err(format!("canonical relation for {label:?} out of order"));
                 }
             }
+        }
+        self.check_values(nodes)
+    }
+
+    /// Validates the index against `live`, each label's live nodes in
+    /// document order, text nodes excepted — what a pre-order walk of
+    /// the document collects: every list is its label's nodes element by
+    /// element, no list holds a text node, and the value lists are as
+    /// [`Self::check_sorted`] has them. Nothing climbs the tree, so the
+    /// check is linear in the document however deep it nests.
+    pub fn check_against(
+        &self,
+        nodes: &Arena,
+        live: &HashMap<LabelId, Vec<NodeId>, impl BuildHasher>,
+    ) -> Result<(), String> {
+        for (label, list) in &self.map {
+            if let Some(t) = list.iter().find(|n| nodes[n.index()].kind == NodeKind::Text) {
+                return Err(format!("text node {t:?} in the canonical relation for {label:?}"));
+            }
+        }
+        let labels = self.map.keys().chain(live.keys());
+        for label in labels {
+            if self.nodes(*label) != live.get(label).map_or(&[][..], Vec::as_slice) {
+                return Err(format!(
+                    "canonical relation for {label:?} is not its live nodes in document order"
+                ));
+            }
+        }
+        self.check_values(nodes)
+    }
+
+    /// Each attribute label's value list holds each of its list's nodes
+    /// once — live, of its label, under the hash of its text — in two
+    /// sorted runs; no other label has one.
+    fn check_values(&self, nodes: &Arena) -> Result<(), String> {
+        for (label, list) in &self.map {
             let attributes =
                 list.first().is_some_and(|n| nodes[n.index()].kind == NodeKind::Attribute);
             let indexed = self.values.get(label).map_or(0, |v| v.entries.len());
@@ -416,6 +447,8 @@ impl CanonicalIndex {
                 return Err(format!("value list for {label:?} has the wrong length"));
             }
         }
+        // A node has one label, so one mark per arena slot serves all.
+        let mut seen = vec![false; nodes.len()];
         for (label, values) in &self.values {
             let (head, tail) = values.entries.split_at(values.sorted);
             if ![head, tail].iter().all(|run| run.windows(2).all(|w| w[0] < w[1])) {
@@ -425,6 +458,9 @@ impl CanonicalIndex {
                 let node = &nodes[n.index()];
                 if !node.alive || node.label != *label || entry_of(nodes, n).0 != hash {
                     return Err(format!("stale value entry {n:?} for {label:?}"));
+                }
+                if std::mem::replace(&mut seen[n.index()], true) {
+                    return Err(format!("value entry {n:?} for {label:?} twice"));
                 }
             }
         }
@@ -607,8 +643,8 @@ mod tests {
         let snap = d.clone();
         assert_eq!(
             shared(d.canonical_index(), snap.canonical_index()),
-            (9, 2),
-            "r z @id p n # q @k w"
+            (8, 2),
+            "r z @id p n q @k w: no #text list"
         );
         let lists = |d: &Document| -> Vec<*const Vec<NodeId>> {
             ["p", "@id", "n", "q", "@k"]
@@ -643,12 +679,13 @@ mod tests {
         .unwrap();
         let snap = d.clone();
         let all = shared(d.canonical_index(), snap.canonical_index());
-        assert_eq!(all, (8, 2), "r p @id n #text q z @k");
+        assert_eq!(all, (7, 2), "r p @id n q z @k: no #text list");
         let doomed = d.canonical_nodes_named("p")[1];
         let removed = d.remove_subtree(doomed).unwrap();
         assert_eq!(removed.len(), 5, "p @id n #text q");
-        // p, @id, n, #text, q were written; r, z, @k were not — and of
-        // the five only @id has a value list to write.
+        // p, @id, n, q were written; r, z, @k were not — and of the
+        // four only @id has a value list to write. The text node is in
+        // no list.
         assert_eq!(shared(d.canonical_index(), snap.canonical_index()), (3, 1));
         assert_eq!(d.canonical_nodes_named("p").len(), 2);
         assert!(d.canonical_nodes_named("q").is_empty());

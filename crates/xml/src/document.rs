@@ -264,7 +264,9 @@ impl Document {
         text: Option<Arc<str>>,
     ) -> Result<NodeId, XmlError> {
         let id = self.push_node(parent, kind, label, text)?;
-        self.work += self.canonical.edit(&self.nodes, label, (&[], &[]), (&[id], &[0]));
+        if kind != NodeKind::Text {
+            self.work += self.canonical.edit(&self.nodes, label, (&[], &[]), (&[id], &[0]));
+        }
         Ok(id)
     }
 
@@ -484,7 +486,8 @@ impl Document {
     }
 
     /// Live members of the canonical relation `R_label`, in document
-    /// order.
+    /// order. Text nodes are in no list: `#text`'s is empty, and a view
+    /// reads text through its nodes' `val` / `cont`.
     pub fn canonical_nodes(&self, label: LabelId) -> &[NodeId] {
         self.canonical.nodes(label)
     }
@@ -541,17 +544,34 @@ impl Document {
 
     /// Verifies internal invariants (parent/child symmetry, ordinal
     /// monotonicity, depths — 0 at the root, the parent's plus one below
-    /// it —, canonical-index consistency, dead nodes hold no children
-    /// and no text, each arena chunk counts its dead). Used by tests.
+    /// it —, every live node in the tree, canonical-index consistency —
+    /// each label's list is its live nodes in document order, and no
+    /// list holds a text node —, dead nodes hold no children and no
+    /// text, each arena chunk counts its dead). One pass over the arena
+    /// and one pre-order walk, which buckets the live nodes by label in
+    /// document order for [`CanonicalIndex::check_against`]: linear in
+    /// the document, however deep it nests. Used by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.nodes.check_dead_counts()?;
+        let mut live = 0usize;
         for (i, n) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            if !n.alive {
-                if !n.children.is_empty() || n.text.is_some() {
-                    return Err(format!("dead node {id:?} still holds children or text"));
-                }
-                continue;
+            if n.alive {
+                live += 1;
+            } else if !n.children.is_empty() || n.text.is_some() {
+                return Err(format!(
+                    "dead node {:?} still holds children or text",
+                    NodeId(i as u32)
+                ));
+            }
+        }
+        let mut labels: LabelMap<Vec<NodeId>> = LabelMap::default();
+        let mut stack: Vec<NodeId> = self.root.into_iter().collect();
+        let mut walked = 0usize;
+        while let Some(id) = stack.pop() {
+            let n = &self.nodes[id.index()];
+            walked += 1;
+            if !n.alive || walked > live {
+                return Err(format!("dead node {id:?} in the tree, or the tree is not one"));
             }
             let depth = n.parent.map_or(Some(0), |p| self.nodes[p.index()].depth.checked_add(1));
             if Some(n.depth) != depth {
@@ -571,13 +591,16 @@ impl Document {
                 }
                 last_ord = cn.ord;
             }
-            if !self.canonical.contains(&self.nodes, id) {
-                return Err(format!(
-                    "node {id:?} missing from its canonical relation or value list"
-                ));
+            if n.kind != NodeKind::Text {
+                labels.entry(n.label).or_default().push(id);
             }
+            // reversed, so that pop yields document order
+            stack.extend(n.children.iter().rev());
         }
-        self.canonical.check_sorted(&self.nodes)
+        if walked != live {
+            return Err(format!("{} live nodes are not in the tree", live - walked));
+        }
+        self.canonical.check_against(&self.nodes, &labels)
     }
 }
 
@@ -654,8 +677,9 @@ impl DocumentEdit<'_> {
     /// Removes the subtree rooted at `node` (XQuery Update `delete`
     /// semantics: all descendants go too). Returns the removed nodes in
     /// pre-order; their kinds, labels, ordinals, depths, parent links
-    /// and text stay readable until the edit ends, their child lists do
-    /// not — an attribute's text for the value list to drop it by.
+    /// and an attribute's text stay readable until the edit ends — the
+    /// text for the value list to drop it by —, their child lists and a
+    /// text node's text do not.
     pub fn remove_subtree(&mut self, node: NodeId) -> Result<Vec<NodeId>, XmlError> {
         let mut removed = Vec::new();
         self.remove_subtree_with(node, |n, _| removed.push(n))?;
@@ -665,7 +689,8 @@ impl DocumentEdit<'_> {
     /// [`Self::remove_subtree`], handing each node to `visit` as it
     /// dies, in pre-order — already dead and childless, with its kind,
     /// label, ordinal, depth and text: what Δ⁻ extraction reads, in the
-    /// walk that removes them.
+    /// walk that removes them. A text node's text goes once `visit`
+    /// returns.
     pub fn remove_subtree_with(
         &mut self,
         node: NodeId,
@@ -688,16 +713,21 @@ impl DocumentEdit<'_> {
         // back to the walk, is noted for its label's list and is handed
         // to `visit`. Pre-order is document order: each label's share
         // of the subtree is one run of that label's canonical relation.
-        // Nodes this edit created are in no list yet, and never will be.
+        // Nodes this edit created are in no list yet, and never will be;
+        // nor is a text node, whose text goes once `visit` has read it.
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             let dead = nodes.kill(n.index());
             // reversed, so that pop yields document order
             stack.extend(std::mem::take(&mut dead.children).into_iter().rev());
-            if n.index() < self.first_created {
+            let text = dead.kind == NodeKind::Text;
+            if n.index() < self.first_created && !text {
                 self.lists.entry(dead.label).or_default()[0].push(node.index(), n);
             }
             visit(n, dead);
+            if text {
+                dead.text = None;
+            }
         }
         Ok(())
     }
@@ -707,7 +737,8 @@ impl DocumentEdit<'_> {
 /// per forest — of the created nodes still alive, in one
 /// [`CanonicalIndex::edit`], which is the last reader of a removed
 /// attribute's text and of the removed nodes' places; then the removed
-/// text goes. Then frees the chunks left all dead
+/// attributes' text goes (a text node's went in the walk that removed
+/// it). Text nodes are in no list. Then frees the chunks left all dead
 /// (`Arena::release_dead`). Panics only where the index was already
 /// broken.
 impl Drop for DocumentEdit<'_> {
@@ -717,17 +748,17 @@ impl Drop for DocumentEdit<'_> {
         for (&start, end) in self.forests.iter().zip(ends) {
             for i in start..end {
                 let node = &nodes[i];
-                if node.alive {
+                if node.alive && node.kind != NodeKind::Text {
                     self.lists.entry(node.label).or_default()[1].push(start, NodeId(i as u32));
-                } else if node.text.is_some() {
-                    nodes.get_mut(i).text = None; // text this edit made and removed
+                } else if !node.alive && node.text.is_some() {
+                    nodes.get_mut(i).text = None; // an attribute this edit made and removed
                 }
             }
         }
         for (&label, [gone, new]) in &self.lists {
             let [removed, inserted] = [gone, new].map(|l| (&l.nodes[..], &l.starts[..]));
             *work += canonical.edit(nodes, label, removed, inserted);
-            if gone.nodes.first().is_some_and(|n| nodes[n.index()].kind != NodeKind::Element) {
+            if gone.nodes.first().is_some_and(|n| nodes[n.index()].kind == NodeKind::Attribute) {
                 gone.nodes.iter().for_each(|n| nodes.get_mut(n.index()).text = None);
             }
         }
@@ -841,6 +872,55 @@ mod tests {
         for (_, name) in d.labels().iter() {
             assert_eq!(relation(&d, name), relation(&fresh, name), "{name}");
         }
+    }
+
+    /// The check is one pass: a chain 20 000 elements deep — an
+    /// attribute and a text node at every level — passes at once, where
+    /// a search per node, each comparison climbing the chain, took
+    /// minutes at this depth.
+    #[test]
+    fn a_deep_chain_passes_the_invariant_check_in_one_pass() {
+        let mut d = Document::new();
+        let mut at = d.set_root("a").unwrap();
+        for i in 0..20_000 {
+            d.append_attribute(at, "k", &i.to_string()).unwrap();
+            d.append_text(at, "t").unwrap();
+            at = d.append_element(at, "a").unwrap();
+        }
+        d.check_invariants().unwrap();
+        assert_eq!(d.canonical_nodes_named("a").len(), 20_001);
+        assert!(d.canonical_nodes_named(TEXT_LABEL).is_empty(), "text is in no list");
+    }
+
+    /// What the check catches in the index: a text node in a list, a
+    /// live node missing from its list, a list out of document order.
+    #[test]
+    fn the_invariant_check_catches_a_list_that_is_not_its_labels_nodes() {
+        let fails = |d: &Document, what: &str| {
+            let e = d.check_invariants().expect_err(what);
+            assert!(e.contains(what), "{e}");
+        };
+        let (d, a, c, b1) = sample();
+        let mut text = d.clone();
+        let t = text.append_text(c, "x").unwrap();
+        let label = text.label_id(TEXT_LABEL).unwrap();
+        text.canonical.edit(&text.nodes, label, (&[], &[]), (&[t], &[0]));
+        fails(&text, "text node");
+        let mut missing = d.clone();
+        let b = missing.node(b1).label;
+        missing.canonical.edit(&missing.nodes, b, (&[b1], &[0]), (&[], &[]));
+        fails(&missing, "not its live nodes");
+        // two z siblings trade places in the tree, not in their list
+        let mut disordered = d.clone();
+        let z = [(); 2].map(|_| disordered.append_element(a, "z").unwrap());
+        let ords = z.map(|n| disordered.node(n).ord);
+        let nodes = &mut disordered.nodes;
+        (nodes.get_mut(z[0].index()).ord, nodes.get_mut(z[1].index()).ord) = (ords[1], ords[0]);
+        let siblings = &mut nodes.get_mut(a.index()).children;
+        let at = siblings.len() - 2;
+        siblings.swap(at, at + 1);
+        fails(&disordered, "not its live nodes");
+        d.check_invariants().unwrap();
     }
 
     /// Depths are `u16`: under a node `u16::MAX` levels below the root,
@@ -1040,7 +1120,8 @@ mod tests {
         ];
         let by_label = |d: &Document, nodes: &[NodeId]| {
             let mut runs: LabelMap<Vec<NodeId>> = LabelMap::default();
-            nodes.iter().for_each(|&n| runs.entry(d.nodes[n.index()].label).or_default().push(n));
+            let indexed = nodes.iter().filter(|n| d.nodes[n.index()].kind != NodeKind::Text);
+            indexed.for_each(|&n| runs.entry(d.nodes[n.index()].label).or_default().push(n));
             runs
         };
         let mut rng = 0x2545_f491_4f6c_dd1d_u64;

@@ -203,6 +203,10 @@ fn snapshot_reader_survives_100_concurrent_commits() {
     let frozen_hits = snap.xpath("//b").unwrap().len();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The writer starts only once the reader has read the snapshot
+    // through: otherwise it can land every commit before the reader's
+    // first read, and the run checks nothing concurrent.
+    let (first_read, read_once) = std::sync::mpsc::channel();
     let reader = {
         let stop = Arc::clone(&stop);
         let frozen_doc = frozen_doc.clone();
@@ -220,11 +224,17 @@ fn snapshot_reader_survives_100_concurrent_commits() {
                 }
                 assert_eq!(snap.xpath("//b").unwrap().len(), frozen_hits, "torn XPath read");
                 reads += 1;
+                if reads == 1 {
+                    first_read.send(()).unwrap();
+                }
             }
             (snap, reads)
         })
     };
 
+    // A reader that panicked before its first read drops the sender;
+    // `join` below reports its panic.
+    let _ = read_once.recv();
     // ≥ 100 concurrent commits while the reader hammers the snapshot:
     // 60 point applies + 4 runs of 10 applies over whole subtrees.
     for _ in 0..30 {
