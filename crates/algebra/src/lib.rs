@@ -1,20 +1,21 @@
 //! Tuple algebra for XML view maintenance.
 //!
-//! Implements the logical algebra **A** of Section 2.2 — n-ary cartesian
-//! product, selection (with value and structural `≺` / `≺≺` predicates),
-//! projection, duplicate elimination and sort — plus the physical
-//! operator the paper's Section 3.4 assumes from the host XML engine:
-//! stack-based *structural joins* over Dewey IDs [Al-Khalifa et al.
-//! 2002].
+//! The part of the logical algebra **A** of Section 2.2 that tree
+//! patterns are evaluated with: projection and duplicate elimination
+//! with derivation counts (`e_v`), and the structural comparisons `≺` /
+//! `≺≺` — executed as the physical operator the paper's Section 3.4
+//! assumes from the host XML engine, stack-based *structural joins*
+//! over Dewey IDs [Al-Khalifa et al. 2002].
 //!
 //! Relations are ordered bags of [`Tuple`]s over a [`Schema`] of view
 //! columns; each tuple field carries a structural ID and, when the view
 //! stores them, the node's value and/or serialized content.
 //!
 //! Module map: [`relation`] / [`mod@tuple`] (ordered bags over schemas),
-//! [`logical`] + [`ops`] + [`predicate`] (the algebra **A**),
-//! [`structjoin`] (the physical operator), [`ordered`] (sorted rows
-//! patched in place — what snowcaps and the view store are kept by).
+//! [`predicate`] (the axes), [`structjoin`] (the physical operator),
+//! [`logical`] (Figure 4's plan tree of scans and joins), [`ops`]
+//! (projection, δ with counts), [`ordered`] (sorted rows patched in
+//! place — what snowcaps and the view store are kept by).
 //! The workspace-wide picture, with this crate's row, lives in
 //! `ARCHITECTURE.md` at the repository root.
 
@@ -29,7 +30,7 @@ pub mod structjoin;
 pub mod tuple;
 
 pub use logical::Plan;
-pub use predicate::{Axis, Predicate};
+pub use predicate::Axis;
 pub use relation::{Column, Relation, Schema};
 pub use structjoin::structural_join;
 pub use tuple::{Field, Tuple};

@@ -1,13 +1,11 @@
-//! The logical algebra **A** as a composable plan tree.
+//! Figure 4's plan tree: one scan per pattern node, joined left-deep by
+//! the pattern's `/` and `//` edges.
 //!
-//! The maintenance engine mostly composes physical operators directly,
-//! but the logical plan is what gives tree patterns their *algebraic
-//! semantics* (Figure 4 of the paper): one scan per pattern node,
-//! products, a selection enforcing value and structural constraints,
-//! projection, duplicate elimination and sort.
+//! The maintenance engine joins its leaves directly; a plan tree is what
+//! the recomputation baseline (`pattern::compile::view_tuples`) and the
+//! independent oracles of the tests evaluate.
 
-use crate::ops;
-use crate::predicate::{Axis, Predicate};
+use crate::predicate::Axis;
 use crate::relation::Relation;
 use crate::structjoin::structural_join;
 
@@ -16,19 +14,9 @@ use crate::structjoin::structural_join;
 pub enum Plan {
     /// A materialized leaf (canonical relation or Δ table).
     Scan(Relation),
-    /// σ_pred.
-    Select { input: Box<Plan>, pred: Predicate },
-    /// n-ary ×.
-    Product(Vec<Plan>),
     /// Structural join: upper side `left` on `left_col`, lower side
     /// `right` on `right_col`.
     StructJoin { left: Box<Plan>, left_col: usize, right: Box<Plan>, right_col: usize, axis: Axis },
-    /// π_cols.
-    Project { input: Box<Plan>, cols: Vec<usize> },
-    /// δ (without counts; counts are taken at the view-store boundary).
-    DupElim(Box<Plan>),
-    /// s — sort by all ID columns.
-    Sort(Box<Plan>),
 }
 
 impl Plan {
@@ -39,12 +27,6 @@ impl Plan {
     pub fn eval(&self) -> Relation {
         match self {
             Plan::Scan(rel) => rel.clone(),
-            Plan::Select { input, pred } => ops::select(&input.eval(), pred),
-            Plan::Product(inputs) => {
-                let rels: Vec<Relation> = inputs.iter().map(|p| p.eval()).collect();
-                let refs: Vec<&Relation> = rels.iter().collect();
-                ops::product(&refs)
-            }
             Plan::StructJoin { left, left_col, right, right_col, axis } => {
                 let mut l = left.eval();
                 let mut r = right.eval();
@@ -56,88 +38,6 @@ impl Plan {
                 }
                 structural_join(&l, *left_col, &r, *right_col, *axis)
             }
-            Plan::Project { input, cols } => ops::project(&input.eval(), cols),
-            Plan::DupElim(input) => ops::dupelim(&input.eval()),
-            Plan::Sort(input) => {
-                let mut r = input.eval();
-                ops::sort_all(&mut r);
-                r
-            }
         }
-    }
-
-    /// Output arity of the plan (number of columns).
-    pub fn arity(&self) -> usize {
-        match self {
-            Plan::Scan(rel) => rel.schema.arity(),
-            Plan::Select { input, .. } | Plan::DupElim(input) | Plan::Sort(input) => input.arity(),
-            Plan::Product(inputs) => inputs.iter().map(|p| p.arity()).sum(),
-            Plan::StructJoin { left, right, .. } => left.arity() + right.arity(),
-            Plan::Project { cols, .. } => cols.len(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::relation::{Column, Schema};
-    use crate::tuple::{Field, Tuple};
-    use xivm_xml::{dewey::Step, DeweyId, LabelId};
-
-    fn id(parts: &[(u32, u64)]) -> DeweyId {
-        DeweyId::from_steps(parts.iter().map(|&(a, b)| Step::new(LabelId(a), b)).collect())
-    }
-
-    fn one_col(name: &str, ids: Vec<DeweyId>) -> Relation {
-        Relation::with_rows(
-            Schema::new(vec![Column::id_only(name)]),
-            ids.into_iter().map(|i| Tuple::new(vec![Field::id_only(i)])).collect(),
-        )
-    }
-
-    /// The //a//b pattern as product+select vs. structural join must
-    /// agree — this is the equivalence Figure 4 relies on.
-    #[test]
-    fn product_select_equals_structural_join() {
-        let ra = one_col("a", vec![id(&[(0, 1)]), id(&[(0, 1), (0, 2)])]);
-        let rb =
-            one_col("b", vec![id(&[(0, 1), (1, 3)]), id(&[(0, 1), (0, 2), (1, 4)]), id(&[(9, 9)])]);
-        let via_product = Plan::Select {
-            input: Box::new(Plan::Product(vec![Plan::Scan(ra.clone()), Plan::Scan(rb.clone())])),
-            pred: Predicate::Structural { upper: 0, lower: 1, axis: Axis::Descendant },
-        };
-        let via_join = Plan::StructJoin {
-            left: Box::new(Plan::Scan(ra)),
-            left_col: 0,
-            right: Box::new(Plan::Scan(rb)),
-            right_col: 0,
-            axis: Axis::Descendant,
-        };
-        let mut p = via_product.eval();
-        let mut j = via_join.eval();
-        ops::sort_all(&mut p);
-        ops::sort_all(&mut j);
-        assert_eq!(p.rows, j.rows);
-        assert_eq!(p.len(), 3);
-    }
-
-    #[test]
-    fn full_pipeline_project_dupelim_sort() {
-        let ra = one_col("a", vec![id(&[(0, 1)])]);
-        let rb = one_col("b", vec![id(&[(0, 1), (1, 3)]), id(&[(0, 1), (1, 2)])]);
-        let plan = Plan::Sort(Box::new(Plan::DupElim(Box::new(Plan::Project {
-            input: Box::new(Plan::StructJoin {
-                left: Box::new(Plan::Scan(ra)),
-                left_col: 0,
-                right: Box::new(Plan::Scan(rb)),
-                right_col: 0,
-                axis: Axis::Descendant,
-            }),
-            cols: vec![0],
-        }))));
-        assert_eq!(plan.arity(), 1);
-        let out = plan.eval();
-        assert_eq!(out.len(), 1, "projection then dupelim collapses to one a-binding");
     }
 }

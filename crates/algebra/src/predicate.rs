@@ -1,9 +1,6 @@
-//! Selection predicates of the algebra **A** (Section 2.2): value
-//! comparisons against constants and the structural comparisons `≺`
-//! (parent) and `≺≺` (ancestor) between columns.
-
-use crate::tuple::Tuple;
-use std::sync::Arc;
+//! The structural comparisons of the algebra **A** (Section 2.2): `≺`
+//! (parent) and `≺≺` (ancestor) between two pattern nodes' IDs — the
+//! condition a structural join enforces along a pattern edge.
 
 /// Structural axis between two pattern nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,44 +21,9 @@ impl Axis {
     }
 }
 
-/// A conjunctive selection predicate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Predicate {
-    /// `col.val = constant`.
-    ValEq(usize, Arc<str>),
-    /// `left ≺ right` or `left ≺≺ right` on the columns' IDs.
-    Structural { upper: usize, lower: usize, axis: Axis },
-    /// Conjunction.
-    And(Vec<Predicate>),
-    /// Always true (σ with no condition).
-    True,
-}
-
-impl Predicate {
-    pub fn eval(&self, t: &Tuple) -> bool {
-        match self {
-            Predicate::ValEq(col, c) => t.field(*col).val.as_deref() == Some(c.as_ref()),
-            Predicate::Structural { upper, lower, axis } => {
-                axis.holds(&t.field(*upper).id, &t.field(*lower).id)
-            }
-            Predicate::And(ps) => ps.iter().all(|p| p.eval(t)),
-            Predicate::True => true,
-        }
-    }
-
-    pub fn and(ps: Vec<Predicate>) -> Predicate {
-        match ps.len() {
-            0 => Predicate::True,
-            1 => ps.into_iter().next().unwrap(),
-            _ => Predicate::And(ps),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Field;
     use xivm_xml::{dewey::Step, DeweyId, LabelId};
 
     fn id(parts: &[(u32, u64)]) -> DeweyId {
@@ -76,34 +38,5 @@ mod tests {
         assert!(Axis::Child.holds(&a, &ab));
         assert!(!Axis::Child.holds(&a, &abc));
         assert!(Axis::Descendant.holds(&a, &abc));
-    }
-
-    #[test]
-    fn val_eq_and_structural_predicates() {
-        let t = Tuple::new(vec![
-            Field::new(id(&[(0, 1)]), Some("5".into()), None),
-            Field::id_only(id(&[(0, 1), (1, 2)])),
-        ]);
-        assert!(Predicate::ValEq(0, "5".into()).eval(&t));
-        assert!(!Predicate::ValEq(0, "6".into()).eval(&t));
-        assert!(Predicate::Structural { upper: 0, lower: 1, axis: Axis::Child }.eval(&t));
-        assert!(Predicate::and(vec![
-            Predicate::ValEq(0, "5".into()),
-            Predicate::Structural { upper: 0, lower: 1, axis: Axis::Descendant },
-        ])
-        .eval(&t));
-    }
-
-    #[test]
-    fn val_eq_on_missing_val_is_false() {
-        let t = Tuple::new(vec![Field::id_only(id(&[(0, 1)]))]);
-        assert!(!Predicate::ValEq(0, "5".into()).eval(&t));
-    }
-
-    #[test]
-    fn and_flattening() {
-        assert_eq!(Predicate::and(vec![]), Predicate::True);
-        let p = Predicate::ValEq(0, "x".into());
-        assert_eq!(Predicate::and(vec![p.clone()]), p);
     }
 }

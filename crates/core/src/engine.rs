@@ -35,16 +35,17 @@
 
 use crate::by_id::{self, Near};
 use crate::commit::ViewDelta;
-use crate::etins::subset_terms;
+use crate::etins::{left_deep, subset_terms};
 use crate::propagate::{eval, refresh_text, terms, DeltaSide, PruneStats, Sign, TermContext};
 use crate::snowcap::{enumerate_snowcaps, MaterializedSnowcap};
 use crate::term::Term;
 use crate::timing::{timed, Timings};
 use crate::view_store::ViewStore;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
-use xivm_algebra::{structural_join, Relation};
-use xivm_pattern::compile::{canonical_relation, compile_plan_over, project_to_view, view_tuples};
+use xivm_algebra::Relation;
+use xivm_pattern::compile::{canonical_relation, project_to_view};
 use xivm_pattern::{NodeTest, PatternNodeId, TreePattern};
 use xivm_update::{ApplyResult, DeltaMinus, DeltaPlus, Pul};
 use xivm_xml::{DeweyForest, DeweyId, Document, LabelId, Work};
@@ -154,7 +155,8 @@ pub enum SnowcapStrategy {
     /// snowcaps, one per level (pre-order prefixes of sizes 1…k−1),
     /// plus the view itself — all of them the intermediates of one
     /// left-deep evaluation of the view, so set-up costs what
-    /// materializing the view alone does.
+    /// materializing the view alone does. Set-up runs the terms' own
+    /// loop ([`left_deep`]), whose hook keeps each prefix.
     MinimalChain,
     /// Every snowcap of the lattice (the upper bound of Section 3.5's
     /// discussion — expensive to keep, cheapest to read).
@@ -210,54 +212,36 @@ impl MaintenanceEngine {
     }
 
     /// The view's store and the snowcaps `strategy` maintains, evaluated
-    /// over `doc`: the minimal chain with the view, in one evaluation;
-    /// every other snowcap by its own plan.
+    /// over `doc` by [`left_deep`] with canonical leaves. The view's own
+    /// evaluation joins the pattern's nodes in pre-order, so the
+    /// relation each join reads on its left is the binding relation of a
+    /// pre-order prefix — a chain snowcap (Proposition 3.13: snowcaps
+    /// from smaller snowcaps) — and the hook moves it into one once the
+    /// join is done: the view and its minimal chain in one evaluation,
+    /// each leaf built once. Every other snowcap is its own evaluation.
     fn materialize(
         doc: &Document,
         pattern: &TreePattern,
         strategy: SnowcapStrategy,
     ) -> (ViewStore, Vec<MaterializedSnowcap>) {
-        let leaf = |n| canonical_relation(doc, pattern, n);
-        let sets = match strategy {
-            SnowcapStrategy::MinimalChain => return Self::materialize_chain(pattern, leaf),
-            SnowcapStrategy::AllSnowcaps => enumerate_snowcaps(pattern),
-            SnowcapStrategy::LeavesOnly => Vec::new(),
-        };
-        let snowcaps = sets.into_iter().filter(|s| s.len() < pattern.len()).map(|set| {
-            let nodes: Vec<_> =
-                pattern.preorder().into_iter().filter(|n| set.contains(n)).collect();
-            let rel = compile_plan_over(pattern, &nodes, leaf).eval();
-            MaterializedSnowcap::new(nodes, rel)
-        });
-        let store = ViewStore::from_counted(pattern, view_tuples(doc, pattern));
-        (store, snowcaps.collect())
-    }
-
-    /// The view and its minimal chain in one evaluation. Figure 4's
-    /// left-deep plan joins the pattern's nodes in pre-order, so the
-    /// relation each join reads on its left is the binding relation of a
-    /// pre-order prefix — a chain snowcap (Proposition 3.13: snowcaps
-    /// from smaller snowcaps) — and moves into it once the join is done;
-    /// the last relation is the view's bindings. Each leaf is built once
-    /// and only borrowed by its join.
-    fn materialize_chain(
-        pattern: &TreePattern,
-        leaf: impl Fn(PatternNodeId) -> Relation,
-    ) -> (ViewStore, Vec<MaterializedSnowcap>) {
+        let leaf = |n| Cow::Owned(canonical_relation(doc, pattern, n));
         let order = pattern.preorder();
-        let mut rel = leaf(order[0]);
         let mut snowcaps = Vec::with_capacity(order.len() - 1);
-        for (i, &node) in order.iter().enumerate().skip(1) {
-            let p = pattern.node(node);
-            let col = order.iter().position(|&n| Some(n) == p.parent).expect("parent placed first");
-            if !rel.is_sorted_by_col(col) {
-                rel.sort_by_col(col);
+        let chain = |prefix: Cow<Relation>| {
+            if strategy == SnowcapStrategy::MinimalChain {
+                let nodes = order[..=snowcaps.len()].to_vec();
+                snowcaps.push(MaterializedSnowcap::new(nodes, prefix.into_owned()));
             }
-            let joined = structural_join(&rel, col, &leaf(node), 0, p.edge);
-            let prefix = std::mem::replace(&mut rel, joined);
-            snowcaps.push(MaterializedSnowcap::new(order[..i].to_vec(), prefix));
+        };
+        let bindings = left_deep(pattern, &order, None, leaf, Some(chain));
+        if strategy == SnowcapStrategy::AllSnowcaps {
+            for set in enumerate_snowcaps(pattern).into_iter().filter(|s| s.len() < order.len()) {
+                let nodes: Vec<_> = order.iter().copied().filter(|n| set.contains(n)).collect();
+                let rel = left_deep(pattern, &nodes, None, leaf, Some(drop));
+                snowcaps.push(MaterializedSnowcap::new(nodes, rel));
+            }
         }
-        (ViewStore::from_counted(pattern, project_to_view(pattern, &rel)), snowcaps)
+        (ViewStore::from_counted(pattern, project_to_view(pattern, &bindings)), snowcaps)
     }
 
     pub fn pattern(&self) -> &TreePattern {
@@ -677,6 +661,7 @@ pub struct PreparedUpdate;
 mod tests {
     use super::*;
     use crate::MultiViewEngine;
+    use xivm_pattern::compile::{compile_plan_over, view_tuples};
     use xivm_pattern::parse_pattern;
     use xivm_update::{apply_pul, compute_pul};
     use xivm_xml::{parse_document, NodeId};
@@ -1294,9 +1279,12 @@ mod tests {
     /// One evaluation materializes what evaluating each relation on its
     /// own does: the store is `view_tuples` row for row, and each chain
     /// snowcap is its pre-order prefix's own plan, in the snowcap's
-    /// order — on the catalog over 64 KB of XMark, and on `//` edges, a
-    /// wildcard, value predicates, an anchored root and `val` / `cont`
-    /// columns. A fresh engine under the chain equals its recomputation.
+    /// order and with the prefix's columns — on the catalog over 64 KB
+    /// of XMark, and on `//` edges, a wildcard, value predicates, an
+    /// anchored root, `val` / `cont` columns and a label the document
+    /// lacks. A fresh engine under the chain equals its recomputation.
+    /// A prefix that is empty at set-up keeps its columns: two commits
+    /// fill the `{a, x}` snowcap, then start a term from it.
     #[test]
     fn one_evaluation_materializes_the_view_and_each_chain_prefix() {
         let xmark = xivm_xmark::generate_sized(64 * 1024);
@@ -1305,6 +1293,7 @@ mod tests {
                 .unwrap();
         let mut cases: Vec<_> =
             xivm_xmark::VIEW_NAMES.map(|v| (&xmark, xivm_xmark::view_pattern(v))).into();
+        let empty_prefix = parse_pattern("//a{id}//x{id}//c{id,val}").unwrap();
         for pattern in [
             "//a{id}//b{id}//c{id}",
             "//a{id}[//*{id}]//c{id,cont}",
@@ -1316,27 +1305,38 @@ mod tests {
         ] {
             cases.push((&small, parse_pattern(pattern).unwrap()));
         }
-        for (doc, pattern) in cases {
+        cases.push((&small, empty_prefix.clone()));
+        let fresh = |doc: &Document, pattern: &TreePattern, engine: &MaintenanceEngine| {
             let what = pattern.to_text();
             let order = pattern.preorder();
+            let expected = ViewStore::from_counted(pattern, view_tuples(doc, pattern));
+            assert!(engine.store().identical_to(&expected), "{what}: the store");
+            assert_eq!(engine.snowcaps().len(), order.len() - 1, "{what}");
+            for (i, m) in engine.snowcaps().iter().enumerate() {
+                let prefix = &order[..=i];
+                let plan =
+                    compile_plan_over(pattern, prefix, |n| canonical_relation(doc, pattern, n));
+                let mut rows = plan.eval().rows;
+                rows.sort_by(xivm_algebra::Tuple::doc_cmp_rev);
+                assert_eq!(m.nodes, prefix, "{what}");
+                assert_eq!(m.rel.schema.arity(), prefix.len(), "{what}: snowcap {prefix:?}");
+                assert!(m.rel.rows == rows, "{what}: snowcap {prefix:?}");
+            }
+        };
+        for (doc, pattern) in cases {
             let mut engine =
                 MaintenanceEngine::new(doc, pattern.clone(), SnowcapStrategy::MinimalChain);
-            for _ in 0..2 {
-                let expected = ViewStore::from_counted(&pattern, view_tuples(doc, &pattern));
-                assert!(engine.store().identical_to(&expected), "{what}: the store");
-                assert_eq!(engine.snowcaps().len(), order.len() - 1, "{what}");
-                for (i, m) in engine.snowcaps().iter().enumerate() {
-                    let prefix = &order[..=i];
-                    let plan = compile_plan_over(&pattern, prefix, |n| {
-                        canonical_relation(doc, &pattern, n)
-                    });
-                    let mut rows = plan.eval().rows;
-                    rows.sort_by(xivm_algebra::Tuple::doc_cmp_rev);
-                    assert_eq!(m.nodes, prefix, "{what}");
-                    assert!(m.rel.rows == rows, "{what}: snowcap {prefix:?}");
-                }
-                engine.recompute(doc);
-            }
+            fresh(doc, &pattern, &engine);
+            engine.recompute(doc);
+            fresh(doc, &pattern, &engine);
+        }
+        let mut doc = small.clone();
+        let mut host = hosted(&doc, &empty_prefix, SnowcapStrategy::MinimalChain);
+        assert!(view(&host).snowcaps()[1].rel.is_empty(), "no x: {{a, x}} is empty");
+        for stmt in ["insert <x><c>5</c></x> into //a[c = \"y\"]", "insert <c>7</c> into //x"] {
+            let report = apply(&mut host, &mut doc, stmt);
+            assert_eq!(report.tuples_added, 1, "{stmt}");
+            fresh(&doc, &empty_prefix, view(&host));
         }
     }
 

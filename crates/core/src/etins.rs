@@ -9,14 +9,16 @@
 //!
 //! The same machinery maintains the materialized snowcaps themselves
 //! (Proposition 3.13): a snowcap is just a smaller sub-pattern whose
-//! added bindings come from its own terms.
+//! added bindings come from its own terms. And set-up runs the same
+//! loop, [`left_deep`], over canonical leaves: the view's evaluation
+//! hands each pre-order prefix it joins to a hook, which keeps the
+//! minimal chain's snowcaps.
 
 use crate::snowcap::{snowcaps_within, MaterializedSnowcap};
 use crate::term::Term;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use xivm_algebra::ops;
-use xivm_algebra::Relation;
+use xivm_algebra::{ops, structural_join, Relation};
 use xivm_pattern::{PatternNodeId, TreePattern};
 
 /// The largest (sub-)pattern [`subset_terms`] expands. The count of
@@ -51,43 +53,46 @@ pub fn subset_terms(pattern: &TreePattern, subset: &BTreeSet<PatternNodeId>) -> 
     out
 }
 
-/// Supplies a leaf relation of a term: shared (a per-commit cache, a
-/// Δ table) or built on demand.
-pub type Leaf<'a, 'f> = &'f dyn Fn(PatternNodeId) -> Cow<'a, Relation>;
-
-/// Evaluates one term over the sub-pattern `subset_preorder` (pattern
-/// pre-order, parent-closed). `r_leaf` / `delta_leaf` supply the leaf
-/// relations; `cover` is the materialized snowcap the caller chose
-/// to start the R-part from ([`crate::snowcap::best_cover`]), if any.
-/// Leaves and the snowcap are joined by reference — none is copied
-/// unless it is the whole result.
+/// The left-deep join of Figure 4, which every evaluation of a pattern
+/// or of a term runs: the leaves of `order` (pattern pre-order,
+/// parent-closed) joined in that order, one stack-based structural join
+/// per pattern edge, onto the column of the node's pattern parent.
+/// `leaf` supplies the leaf relations; `cover`, a materialized snowcap,
+/// if any, stands in for the leaves of its nodes. Leaves and the
+/// snowcap are joined by reference — none is copied unless it is the
+/// whole result or must be sorted.
 ///
-/// Returns the term's bindings with columns in `subset_preorder`
-/// order; an empty default relation when any intermediate result is
-/// empty.
-pub fn eval_term<'a>(
+/// Without `keep`, the first empty leaf or intermediate ends the
+/// evaluation with an empty default relation: a term's bag needs no
+/// columns. With it, each prefix's relation is handed to `keep` just
+/// before the next join replaces it, and the evaluation is whole: every
+/// leaf is joined, so every prefix and the result keep their columns,
+/// empty or not — a snowcap that is empty at set-up may gain rows later.
+///
+/// Returns the bindings with columns in `order`.
+pub fn left_deep<'a, K: FnMut(Cow<'a, Relation>)>(
     pattern: &TreePattern,
-    subset_preorder: &[PatternNodeId],
-    term: &Term,
+    order: &[PatternNodeId],
     cover: Option<&'a MaterializedSnowcap>,
-    r_leaf: Leaf<'a, '_>,
-    delta_leaf: Leaf<'a, '_>,
+    leaf: impl Fn(PatternNodeId) -> Cow<'a, Relation>,
+    mut keep: Option<K>,
 ) -> Relation {
-    let mut placed: Vec<PatternNodeId> = Vec::with_capacity(subset_preorder.len());
+    let whole = keep.is_some();
+    let mut placed: Vec<PatternNodeId> = Vec::with_capacity(order.len());
     let mut cur: Cow<'a, Relation> = Cow::Owned(Relation::default());
     if let Some(m) = cover {
         placed.extend(m.nodes.iter().copied());
         cur = Cow::Borrowed(&m.rel);
-        if cur.is_empty() {
+        if cur.is_empty() && !whole {
             return Relation::default();
         }
     }
-    for &n in subset_preorder {
+    for &n in order {
         if placed.contains(&n) {
             continue;
         }
-        let leaf = if term.is_delta(n) { delta_leaf(n) } else { r_leaf(n) };
-        if leaf.is_empty() {
+        let leaf = leaf(n);
+        if leaf.is_empty() && !whole {
             return Relation::default();
         }
         if placed.is_empty() {
@@ -104,14 +109,18 @@ pub fn eval_term<'a>(
         if !cur.is_sorted_by_col(pcol) {
             cur.to_mut().sort_by_col(pcol);
         }
-        cur = Cow::Owned(xivm_algebra::structural_join(&cur, pcol, &leaf, 0, pattern.node(n).edge));
+        let joined = structural_join(&cur, pcol, &leaf, 0, pattern.node(n).edge);
+        let prefix = std::mem::replace(&mut cur, Cow::Owned(joined));
+        if let Some(keep) = &mut keep {
+            keep(prefix);
+        }
         placed.push(n);
-        if cur.is_empty() {
+        if cur.is_empty() && !whole {
             return Relation::default();
         }
     }
-    // Reorder columns to subset pre-order.
-    let cols: Vec<usize> = subset_preorder
+    // Reorder columns to `order`.
+    let cols: Vec<usize> = order
         .iter()
         .map(|n| placed.iter().position(|p| p == n).expect("all subset nodes placed"))
         .collect();
@@ -140,6 +149,23 @@ pub fn bag_union(relations: impl Iterator<Item = Relation>) -> Relation {
 mod tests {
     use super::*;
     use crate::snowcap::{enumerate_snowcaps, is_snowcap};
+
+    /// Supplies a leaf relation of a term: shared or built on demand.
+    type Leaf<'a, 'f> = &'f dyn Fn(PatternNodeId) -> Cow<'a, Relation>;
+
+    /// One term over the sub-pattern `subset_preorder`: [`left_deep`]
+    /// over `delta_leaf` for its Δ nodes and `r_leaf` for the others.
+    fn eval_term<'a>(
+        pattern: &TreePattern,
+        subset_preorder: &[PatternNodeId],
+        term: &Term,
+        cover: Option<&'a MaterializedSnowcap>,
+        r_leaf: Leaf<'a, '_>,
+        delta_leaf: Leaf<'a, '_>,
+    ) -> Relation {
+        let leaf = |n| if term.is_delta(n) { delta_leaf(n) } else { r_leaf(n) };
+        left_deep(pattern, subset_preorder, cover, leaf, None::<fn(_)>)
+    }
     use xivm_pattern::compile::{canonical_relation, relation_from_nodes};
     use xivm_pattern::parse_pattern;
     use xivm_xml::parse_document;

@@ -46,8 +46,8 @@
 //! superset of what any binding can bind there
 //! (`TermContext::reachable`). The leaf is then built from the
 //! candidates exactly like a whole leaf (same exclusion of same-PUL
-//! insertions, same `relation_from_nodes`), and the unchanged
-//! [`eval_term`] joins leaves of |Δ| · depth rows. No binding is lost:
+//! insertions, same `relation_from_nodes`), and the one loop,
+//! [`left_deep`], joins leaves of |Δ| · depth rows. No binding is lost:
 //! a structural join only ever discards rows, and every row the
 //! reduction left out would have been discarded by one. The terms stay
 //! disjoint for the same reason — their bags are the same bags.
@@ -73,7 +73,7 @@
 //! derivations of the rows that stay.
 
 use crate::by_id::{self, Near, Row};
-use crate::etins::{bag_union, eval_term};
+use crate::etins::{bag_union, left_deep};
 use crate::snowcap::{best_cover, MaterializedSnowcap};
 use crate::term::Term;
 use std::borrow::Cow;
@@ -407,9 +407,9 @@ pub(crate) fn eval_one(
 ) -> Relation {
     let (reach, cover) =
         if reach { (Some((side, side.anchor(term))), None) } else { (None, cover) };
-    let r_leaf = |n| Cow::Borrowed(ctx.old_leaf(n, reach));
-    let delta_leaf = |n| Cow::Borrowed(side.relation(n));
-    eval_term(ctx.pattern, subset_preorder, term, cover, &r_leaf, &delta_leaf)
+    let leaf =
+        |n| Cow::Borrowed(if term.is_delta(n) { side.relation(n) } else { ctx.old_leaf(n, reach) });
+    left_deep(ctx.pattern, subset_preorder, cover, leaf, None::<fn(_)>)
 }
 
 /// PIMT / PDMT: an update strictly inside (or, for an insertion, at) a
@@ -520,7 +520,7 @@ mod tests {
         let table = subset_terms(&a.pattern, &order.iter().copied().collect());
         let (terms, stats) = terms(&ctx, &side, &table, &order);
         let sorted = |mut rel: Relation| {
-            xivm_algebra::ops::sort_all(&mut rel);
+            rel.rows.sort_by(Tuple::doc_cmp);
             rel.rows
         };
         for term in &terms {

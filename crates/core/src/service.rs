@@ -107,19 +107,19 @@ impl Ticket {
     /// sealed [`Commit`] or the error that stopped it. Idempotent:
     /// the result is kept, so repeated waits return the same answer.
     pub fn wait(&self) -> Result<Commit, Error> {
-        let mut slot = self.inner.result.lock().unwrap();
+        let mut slot = self.inner.slot();
         loop {
             if let Some(result) = slot.as_ref() {
                 return result.clone();
             }
-            slot = self.inner.ready.wait(slot).unwrap();
+            slot = self.inner.ready.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// The result if the submission already sealed or failed, `None`
     /// while it is still queued or in flight. Never blocks.
     pub fn try_result(&self) -> Option<Result<Commit, Error>> {
-        self.inner.result.lock().unwrap().clone()
+        self.inner.slot().clone()
     }
 }
 
@@ -134,10 +134,17 @@ impl TicketInner {
         Arc::new(TicketInner { result: Mutex::new(None), ready: Condvar::new() })
     }
 
+    /// Locks the result, tolerating poison like [`Shared::lock`]: the
+    /// slot is one `Option` write, never left half done, so a thread
+    /// that panicked holding the lock cannot have broken it.
+    fn slot(&self) -> MutexGuard<'_, Option<Result<Commit, Error>>> {
+        self.result.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// First write wins; later calls are ignored (a ticket resolves
     /// exactly once). Returns whether this call resolved the ticket.
     fn fulfill(&self, result: Result<Commit, Error>) -> bool {
-        let mut slot = self.result.lock().unwrap();
+        let mut slot = self.slot();
         let first = slot.is_none();
         if first {
             *slot = Some(result);
@@ -462,5 +469,38 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A thread that panics holding a ticket's result mutex poisons it;
+    /// the ticket still resolves, and a waiter started before the
+    /// poison (blocked on the lock or on the condition variable,
+    /// whichever it reached), a later `wait` and `try_result` all read
+    /// the result.
+    #[test]
+    fn a_poisoned_ticket_still_resolves() {
+        let inner = TicketInner::new();
+        let ticket = || Ticket { seq: 1, inner: Arc::clone(&inner) };
+        let waiter = {
+            let ticket = ticket();
+            std::thread::spawn(move || ticket.wait())
+        };
+        let held = Arc::clone(&inner);
+        let panicked = std::thread::spawn(move || {
+            let _slot = held.result.lock().unwrap();
+            panic!("poisons the ticket's result mutex");
+        });
+        assert!(panicked.join().is_err());
+        assert!(inner.result.is_poisoned());
+        assert!(ticket().try_result().is_none());
+        assert!(inner.fulfill(Err(Error::Aborted)));
+        assert!(!inner.fulfill(Err(Error::NoDocument)), "the first write wins");
+        assert!(matches!(waiter.join().unwrap(), Err(Error::Aborted)));
+        assert!(matches!(ticket().wait(), Err(Error::Aborted)));
+        assert!(matches!(ticket().try_result(), Some(Err(Error::Aborted))));
     }
 }

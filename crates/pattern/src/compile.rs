@@ -97,8 +97,10 @@ pub fn compile_plan(doc: &Document, pattern: &TreePattern) -> Plan {
     compile_plan_over(pattern, &order, |n| canonical_relation(doc, pattern, n))
 }
 
-/// Same as [`compile_plan`] but with caller-provided leaf relations
-/// (the maintenance engine substitutes Δ tables / snowcaps here).
+/// Same as [`compile_plan`] but with caller-provided leaf relations.
+/// Serves the recomputation baseline ([`view_tuples`]) and the tests'
+/// oracles, which check the maintenance engine's own left-deep loop
+/// without running it.
 pub fn compile_plan_over<F>(pattern: &TreePattern, order: &[PatternNodeId], mut leaf: F) -> Plan
 where
     F: FnMut(PatternNodeId) -> Relation,

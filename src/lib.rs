@@ -127,6 +127,8 @@
 //! | `Node` has a new field, `depth: u16` (0 at the root, the parent's + 1 below it) | set it in a hand-built `Node` literal; nodes the `Document` builds get it at push |
 //! | `ApplyResult::deleted` under `DeltaLabels::of` counts every named label's removed nodes but holds IDs only for witness and predicate labels | `deleted.count(label)` for how many; `apply_pul` (`DeltaLabels::all()`) still builds every ID, and `DeltaMinus::complete` needs it |
 //! | `DocumentEdit::graft(parent, &mut template, last)` | `graft(parent, &template)`: every copy shares the template's strings |
+//! | `algebra::Plan::{Select, Product, Project, DupElim, Sort}`, `Plan::arity`, `algebra::Predicate`, `algebra::ops::{select, product, dupelim, sort_all}` | gone, unreached by any product path: a pattern is `Plan::{Scan, StructJoin}` joined left-deep (`pattern::compile::compile_plan`); `Axis` stays; sort rows with `rows.sort_by(Tuple::doc_cmp)`, count duplicates with `ops::dupelim_count` |
+//! | `core::etins::{eval_term, Leaf}` | `etins::left_deep(pattern, order, cover, leaf, None::<fn(_)>)`, whose one `leaf` closure picks each node's Δ or R relation |
 //!
 //! | removed knob | what to do instead |
 //! |---|---|
